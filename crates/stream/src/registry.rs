@@ -84,6 +84,20 @@
 //! rebuilds them — with every byte of the checkpoint identical to the
 //! pre-class encoding.
 //!
+//! ## Per-call cost
+//!
+//! The session store holds every registered query, but a publish or
+//! watermark call never walks it. The registry keeps one ascending list
+//! of the store entries that need service on **every** call: isolated
+//! count and timed sessions, and *solo* shared members (warming up, or
+//! promoted after a mid-stream join). A quiet call therefore costs
+//! O(groups) ingest plus O(list) member work; grouped members and
+//! classed shared members are touched only when their class's group
+//! closes a slide, and then once per member emission. The list is kept
+//! in step with every store mutation — O(list) for a single register or
+//! unregister, one O(store) rebuild for the bulk paths (restore,
+//! group installation and ejection), which already cost O(store).
+//!
 //! [`Hub`]: crate::session::Hub
 //! [`ShardedHub`]: crate::shard::ShardedHub
 
@@ -526,6 +540,12 @@ impl CountGroupState {
 /// per publish call.
 pub(crate) struct Registry<C: SlidingTopK, T: TimedTopK> {
     sessions: Vec<(QueryId, AnySession<C, T>)>,
+    /// Ascending indices into `sessions` of the entries every publish and
+    /// watermark call serves directly — see [`needs_call`] and the
+    /// module docs on per-call cost. Walking it in order is registration
+    /// order, so serving the list emits exactly what a full store walk
+    /// skipping grouped and classed members did.
+    solo: Vec<usize>,
     /// `(slide_duration, predicate)` → the group serving every shared
     /// session with that geometry **and** that subscription predicate.
     /// Predicate-disjoint members of one slide duration split into
@@ -540,10 +560,6 @@ pub(crate) struct Registry<C: SlidingTopK, T: TimedTopK> {
     /// Next live count-group id. Monotonic per registry lifetime; never
     /// reused, so a stale handle can't alias a newer group.
     next_count_gid: u64,
-    /// Isolated count sessions currently registered — lets the publish
-    /// paths skip the O(queries) session walk entirely when every
-    /// count-based query is grouped (the million-query regime).
-    isolated_counts: usize,
     digest_hits: u64,
     digest_rebuilds: u64,
     count_group_hits: u64,
@@ -592,10 +608,10 @@ impl<C: SlidingTopK, T: TimedTopK> Default for Registry<C, T> {
     fn default() -> Self {
         Registry {
             sessions: Vec::new(),
+            solo: Vec::new(),
             groups: HashMap::new(),
             count_groups: HashMap::new(),
             next_count_gid: 0,
-            isolated_counts: 0,
             digest_hits: 0,
             digest_rebuilds: 0,
             count_group_hits: 0,
@@ -621,6 +637,39 @@ pub(crate) type EjectedGroup<C, T> = (DigestProducer, Vec<(QueryId, AnySession<C
 /// state plus its member sessions in ascending-id order (see
 /// [`Registry::eject_count_group_of`]).
 pub(crate) type EjectedCountGroup<C, T> = (CountGroupState, Vec<(QueryId, AnySession<C, T>)>);
+
+/// Sessions split by the unit they install in (see [`split_by_group`]).
+pub(crate) type SplitSessions<C, T> = (
+    HashMap<(u64, Predicate), Vec<(QueryId, AnySession<C, T>)>>,
+    Vec<Vec<(QueryId, AnySession<C, T>)>>,
+    Vec<(QueryId, AnySession<C, T>)>,
+);
+
+/// Splits decoded or ejected sessions for installation, since a
+/// sharing-plane member travels with its group, never alone: slide-group
+/// members by group key (for [`Registry::install_group`]), count-group
+/// members by canonical group index (for
+/// [`Registry::install_count_group`]), and the isolated rest (for
+/// [`Registry::install`]) — each list in the input's ascending-id order.
+pub(crate) fn split_by_group<C: SlidingTopK, T: TimedTopK>(
+    sessions: Vec<(QueryId, AnySession<C, T>)>,
+    count_groups: usize,
+) -> SplitSessions<C, T> {
+    let mut slide: HashMap<(u64, Predicate), Vec<_>> = HashMap::new();
+    let mut count: Vec<Vec<_>> = (0..count_groups).map(|_| Vec::new()).collect();
+    let mut loose = Vec::new();
+    for (id, session) in sessions {
+        match &session {
+            AnySession::Shared(s) => slide
+                .entry((s.slide_duration(), s.predicate()))
+                .or_default()
+                .push((id, session)),
+            AnySession::Grouped(g) => count[g.group() as usize].push((id, session)),
+            AnySession::Count(_) | AnySession::Timed(_) => loose.push((id, session)),
+        }
+    }
+    (slide, count, loose)
+}
 
 /// A decoded `tags::REGISTRY` section, still loose: sessions with their
 /// replayed engines, slide-group producers, and the sharing counters —
@@ -707,7 +756,7 @@ impl<C: SlidingTopK, T: TimedTopK> RegistryParts<C, T> {
             match session {
                 AnySession::Shared(s) => {
                     let key = (s.slide_duration(), s.predicate());
-                    let Some(pos) = groups.iter().position(|(have, _)| *have == key) else {
+                    let Ok(pos) = groups.binary_search_by_key(&key, |(have, _)| *have) else {
                         return Err(CheckpointError::Corrupt(
                             "shared session without its slide group",
                         ));
@@ -790,11 +839,13 @@ impl<C: SlidingTopK, T: TimedTopK> RegistryParts<C, T> {
                 ));
             };
             let sd = s.slide_duration();
-            let ok = sessions.iter().any(|(id, other)| {
-                *id == rep
-                    && matches!(other, AnySession::Shared(r)
+            // sessions are id-sorted (and duplicate-free) by now
+            let ok = sessions
+                .binary_search_by_key(&rep, |(id, _)| *id)
+                .is_ok_and(|pos| {
+                    matches!(&sessions[pos].1, AnySession::Shared(r)
                         if r.consumer().is_some() && r.slide_duration() == sd)
-            });
+                });
             if !ok {
                 return Err(CheckpointError::Corrupt(
                     "shared result class without its representative",
@@ -902,6 +953,19 @@ fn note_update_hint(hint: &mut usize, emitted: usize) {
     }
 }
 
+/// Whether a stored session needs service on every publish or watermark
+/// call — the membership rule of [`Registry::solo`]. Isolated sessions
+/// own their engines, and a solo shared member (warming up, or promoted
+/// after a mid-stream join) applies its group's digests itself; grouped
+/// and classed shared members are served by their class at a close.
+fn needs_call<C: SlidingTopK, T: TimedTopK>(session: &AnySession<C, T>) -> bool {
+    match session {
+        AnySession::Count(_) | AnySession::Timed(_) => true,
+        AnySession::Shared(s) => !s.is_classed(),
+        AnySession::Grouped(_) => false,
+    }
+}
+
 /// Canonical byte signature of a consumer's replayable state — the same
 /// bytes `encode_checkpoint` would write for it. Two consumers with
 /// equal spec, slide progress, and signature provably compute identical
@@ -926,10 +990,64 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
         }
     }
 
+    /// Appends a freshly registered session — ids are handed out
+    /// monotonically, so appending keeps the store in ascending-id order
+    /// — and lists it for per-call service if it needs it.
+    fn push_session(&mut self, id: QueryId, session: AnySession<C, T>) {
+        debug_assert!(
+            self.sessions.last().is_none_or(|(last, _)| *last < id),
+            "registration ids ascend"
+        );
+        if needs_call(&session) {
+            self.solo.push(self.sessions.len());
+        }
+        self.sessions.push((id, session));
+    }
+
+    /// Recomputes the per-call list from the store — the bulk paths'
+    /// bookkeeping, after a mutation that already cost O(store).
+    fn rebuild_solo(&mut self) {
+        self.solo.clear();
+        self.solo.extend(
+            self.sessions
+                .iter()
+                .enumerate()
+                .filter(|(_, (_, session))| needs_call(session))
+                .map(|(i, _)| i),
+        );
+    }
+
+    /// Merges id-ascending `incoming` sessions into the id-ascending store
+    /// in one pass — the stable sort finds the two sorted runs and merges
+    /// them, O(store) whatever the member count, where inserting one at a
+    /// time is O(members × store) — and recomputes the per-call list.
+    fn merge_sessions(&mut self, incoming: Vec<(QueryId, AnySession<C, T>)>) {
+        self.sessions.extend(incoming);
+        self.sessions.sort_by_key(|(id, _)| *id);
+        self.rebuild_solo();
+    }
+
+    /// Removes every session `is_member` selects in one pass, handing them
+    /// back in ascending-id order, and recomputes the per-call list.
+    fn extract_sessions(
+        &mut self,
+        mut is_member: impl FnMut(&AnySession<C, T>) -> bool,
+    ) -> Vec<(QueryId, AnySession<C, T>)> {
+        let members = self
+            .sessions
+            .extract_if(.., |(_, session)| is_member(session))
+            .collect();
+        self.rebuild_solo();
+        members
+    }
+
+    /// Store position of `id`, by binary search of the id-ordered store.
+    fn position(&self, id: QueryId) -> Option<usize> {
+        self.sessions.binary_search_by_key(&id, |(q, _)| *q).ok()
+    }
+
     pub(crate) fn register_count(&mut self, id: QueryId, alg: C) {
-        self.isolated_counts += 1;
-        self.sessions
-            .push((id, AnySession::Count(Session::new(alg))));
+        self.push_session(id, AnySession::Count(Session::new(alg)));
     }
 
     /// Registers a count-group member, joining (or founding) the count
@@ -1042,15 +1160,14 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
                 Snapshot::empty(),
             ));
         }
-        self.sessions.push((
+        self.push_session(
             id,
             AnySession::Grouped(GroupedSession::new(engine_name, spec, join_slide, gid)),
-        ));
+        );
     }
 
     pub(crate) fn register_timed(&mut self, id: QueryId, engine: T) {
-        self.sessions
-            .push((id, AnySession::Timed(TimedSession::new(engine))));
+        self.push_session(id, AnySession::Timed(TimedSession::new(engine)));
     }
 
     /// Registers a digest consumer, joining (or founding) the slide group
@@ -1135,7 +1252,7 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
         } else {
             SharedSession::new(consumer, join_slide, predicate)
         };
-        self.sessions.push((id, AnySession::Shared(session)));
+        self.push_session(id, AnySession::Shared(session));
     }
 
     /// Removes a query, handing its session back; `None` for unknown ids.
@@ -1152,10 +1269,18 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
     /// consumer — engines are not `Clone`, and the state keeps serving
     /// the members staying behind.
     pub(crate) fn unregister(&mut self, id: QueryId) -> Option<AnySession<C, T>> {
-        let pos = self.sessions.iter().position(|(q, _)| *q == id)?;
+        let pos = self.position(id)?;
         let (_, mut session) = self.sessions.remove(pos);
+        // drop `pos` from the per-call list; later entries shift down
+        let from = self.solo.partition_point(|&i| i < pos);
+        if self.solo.get(from) == Some(&pos) {
+            self.solo.remove(from);
+        }
+        for i in &mut self.solo[from..] {
+            *i -= 1;
+        }
         match &mut session {
-            AnySession::Count(_) => self.isolated_counts -= 1,
+            AnySession::Count(_) | AnySession::Timed(_) => {}
             AnySession::Shared(s) => {
                 let key = (s.slide_duration(), s.predicate());
                 if let Some(group) = self.groups.get_mut(&key) {
@@ -1181,17 +1306,21 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
                     if group.members == 0 {
                         self.groups.remove(&key);
                     } else if s.timed_spec().k >= group.producer.k_max() {
-                        let k_max = self
-                            .sessions
+                        // the survivors are the group's classes plus its
+                        // solo members, all of which are on the list
+                        let solo_k = self.solo.iter().filter_map(|&i| match &self.sessions[i].1 {
+                            AnySession::Shared(m)
+                                if m.slide_duration() == key.0 && m.predicate() == key.1 =>
+                            {
+                                Some(m.timed_spec().k)
+                            }
+                            _ => None,
+                        });
+                        let k_max = group
+                            .classes
                             .iter()
-                            .filter_map(|(_, sess)| match sess {
-                                AnySession::Shared(m)
-                                    if m.slide_duration() == key.0 && m.predicate() == key.1 =>
-                                {
-                                    Some(m.timed_spec().k)
-                                }
-                                _ => None,
-                            })
+                            .map(|c| c.k)
+                            .chain(solo_k)
                             .max()
                             .expect("a surviving group has members");
                         group.producer.set_k_max(k_max);
@@ -1226,15 +1355,12 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
                     } else {
                         // recompute the survivors' depth and retention —
                         // exact even mid-slide, the open slide is held
-                        // untruncated and the ring trims lazily
+                        // untruncated and the ring trims lazily. Classes
+                        // partition the members, so they carry both maxima.
                         let (mut k_max, mut n_max) = (0usize, 0usize);
-                        for (_, sess) in &self.sessions {
-                            if let AnySession::Grouped(m) = sess {
-                                if m.group() == gid {
-                                    k_max = k_max.max(m.spec().k);
-                                    n_max = n_max.max(m.spec().n);
-                                }
-                            }
+                        for class in &group.classes {
+                            k_max = k_max.max(class.k);
+                            n_max = n_max.max(class.n);
                         }
                         group.producer.set_k_max(k_max);
                         group.gate.rebuild(k_max, group.producer.pending());
@@ -1242,7 +1368,6 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
                     }
                 }
             }
-            AnySession::Timed(_) => {}
         }
         Some(session)
     }
@@ -1263,8 +1388,8 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
         }
         let Registry {
             sessions,
+            solo,
             count_groups,
-            isolated_counts,
             count_group_hits,
             class_hits,
             count_group_rebuilds,
@@ -1276,17 +1401,15 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
         } = self;
         let mut out = Vec::new();
         let hint = *update_hint;
-        // isolated count sessions pay the O(queries) walk; skipped
-        // entirely when every count query is grouped
-        if *isolated_counts > 0 {
-            for (id, session) in sessions.iter_mut() {
-                if let AnySession::Count(session) = session {
-                    let mut sink = tagged_sink(&mut out, hint, *id);
-                    session.push_each(objects, &mut sink);
-                }
+        // only isolated count sessions consume an untimed batch directly;
+        // grouped members are served per group, below
+        for &i in solo.iter() {
+            let (id, session) = &mut sessions[i];
+            if let AnySession::Count(session) = session {
+                session.push_each(objects, &mut tagged_sink(&mut out, hint, *id));
             }
-            *count_group_rebuilds += out.len() as u64;
         }
+        *count_group_rebuilds += out.len() as u64;
         let walked = out.len();
         Self::serve_count_groups(
             sessions,
@@ -1414,19 +1537,21 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
     }
 
     /// Fans a timed batch out to every session: each slide group ingests
-    /// the batch **once**, then sessions are walked in registration order
-    /// — count-based sessions see the untimed view, isolated timed
-    /// sessions consume the raw batch, shared sessions apply their
-    /// group's closed digests (or, during warm-up, their private view).
+    /// the batch **once**, then the per-call list is walked in
+    /// registration order — isolated count sessions see the untimed view,
+    /// isolated timed sessions consume the raw batch, solo shared members
+    /// apply their group's closed digests (or, during warm-up, their
+    /// private view). Classed and grouped members are served per class,
+    /// only by groups that closed a slide.
     pub(crate) fn publish_timed(&mut self, objects: &[TimedObject]) -> Vec<QueryUpdate> {
         if self.sessions.is_empty() || objects.is_empty() {
             return Vec::new();
         }
         let Registry {
             sessions,
+            solo,
             groups,
             count_groups,
-            isolated_counts,
             digest_hits,
             digest_rebuilds,
             count_group_hits,
@@ -1443,37 +1568,36 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
         // into the pooled buffer, so steady-state publishes reuse its
         // capacity instead of allocating a fresh Vec per call
         plain_buf.clear();
-        if *isolated_counts > 0 || !count_groups.is_empty() {
+        if !count_groups.is_empty()
+            || solo
+                .iter()
+                .any(|&i| matches!(sessions[i].1, AnySession::Count(_)))
+        {
             plain_buf.extend(objects.iter().map(TimedObject::untimed));
         }
         let closed = Self::ingest_groups(groups, objects, *admission_pruning, admitted, pruned);
         let mut out = Vec::new();
         let hint = *update_hint;
-        for (id, session) in sessions.iter_mut() {
+        for &i in solo.iter() {
+            let (id, session) = &mut sessions[i];
             match session {
                 AnySession::Count(session) => {
                     let before = out.len();
                     session.push_each(plain_buf, &mut tagged_sink(&mut out, hint, *id));
                     *count_group_rebuilds += (out.len() - before) as u64;
                 }
-                // grouped sessions are served per group, below
-                AnySession::Grouped(_) => {}
                 AnySession::Timed(session) => {
                     session.push_timed_each(objects, &mut tagged_sink(&mut out, hint, *id))
                 }
-                AnySession::Shared(session) => {
-                    // classed members are served per class, below
-                    if !session.is_classed() {
-                        Self::serve_shared(
-                            digest_hits,
-                            digest_rebuilds,
-                            session,
-                            &closed,
-                            &mut tagged_sink(&mut out, hint, *id),
-                            |s, f| s.push_warmup(objects, f),
-                        )
-                    }
-                }
+                AnySession::Shared(session) => Self::serve_shared(
+                    digest_hits,
+                    digest_rebuilds,
+                    session,
+                    &closed,
+                    &mut tagged_sink(&mut out, hint, *id),
+                    |s, f| s.push_warmup(objects, f),
+                ),
+                AnySession::Grouped(_) => unreachable!("grouped members are never listed"),
             }
         }
         let walked = out.len();
@@ -1506,7 +1630,7 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
             out.sort_unstable_by_key(|u| (u.query, u.result.slide));
         }
         note_update_hint(update_hint, out.len());
-        Self::promote_ready(sessions, groups);
+        Self::promote_ready(sessions, solo, groups);
         out
     }
 
@@ -1519,6 +1643,7 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
         }
         let Registry {
             sessions,
+            solo,
             groups,
             digest_hits,
             digest_rebuilds,
@@ -1529,24 +1654,21 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
         let closed = Self::close_groups(groups, |producer| producer.advance_to(watermark));
         let mut out = Vec::new();
         let hint = *update_hint;
-        for (id, session) in sessions.iter_mut() {
+        for &i in solo.iter() {
+            let (id, session) = &mut sessions[i];
             let mut sink = tagged_sink(&mut out, hint, *id);
             match session {
-                AnySession::Count(_) | AnySession::Grouped(_) => continue,
+                AnySession::Count(_) => continue,
                 AnySession::Timed(session) => session.advance_watermark_each(watermark, &mut sink),
-                AnySession::Shared(session) => {
-                    // classed members are served per class, below
-                    if !session.is_classed() {
-                        Self::serve_shared(
-                            digest_hits,
-                            digest_rebuilds,
-                            session,
-                            &closed,
-                            &mut sink,
-                            |s, f| s.advance_warmup(watermark, f),
-                        )
-                    }
-                }
+                AnySession::Shared(session) => Self::serve_shared(
+                    digest_hits,
+                    digest_rebuilds,
+                    session,
+                    &closed,
+                    &mut sink,
+                    |s, f| s.advance_warmup(watermark, f),
+                ),
+                AnySession::Grouped(_) => unreachable!("grouped members are never listed"),
             }
         }
         let walked = out.len();
@@ -1566,7 +1688,7 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
             out.sort_unstable_by_key(|u| (u.query, u.result.slide));
         }
         note_update_hint(update_hint, out.len());
-        Self::promote_ready(sessions, groups);
+        Self::promote_ready(sessions, solo, groups);
         out
     }
 
@@ -1714,12 +1836,19 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
     /// Promotes every warm-up member whose group has closed the slide it
     /// joined during: both producers processed the same timestamps, so
     /// from the next slide on the private and shared views are identical.
+    /// Warming members are solo, so they are all on the per-call list, and
+    /// only they pay a group lookup. A promoted member stays solo (see the
+    /// module docs on result classes), so the list is unchanged.
     fn promote_ready(
         sessions: &mut [(QueryId, AnySession<C, T>)],
+        solo: &[usize],
         groups: &HashMap<(u64, Predicate), DigestGroup<C>>,
     ) {
-        for (_, session) in sessions {
-            if let AnySession::Shared(s) = session {
+        for &i in solo {
+            if let AnySession::Shared(s) = &mut sessions[i].1 {
+                if !s.is_warming_up() {
+                    continue;
+                }
                 if let Some(group) = groups.get(&(s.slide_duration(), s.predicate())) {
                     s.maybe_promote(group.producer.next_slide());
                 }
@@ -1728,7 +1857,7 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
     }
 
     pub(crate) fn session(&self, id: QueryId) -> Option<&AnySession<C, T>> {
-        self.sessions.iter().find(|(q, _)| *q == id).map(|(_, s)| s)
+        self.position(id).map(|pos| &self.sessions[pos].1)
     }
 
     pub(crate) fn query_ids(&self) -> impl Iterator<Item = QueryId> + '_ {
@@ -2246,7 +2375,6 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
             })
             .collect();
         let next_count_gid = count_groups.len() as u64;
-        let mut isolated_counts = 0;
         // the consumer-less travelers (ejected class followers), noted
         // *before* pass 1 — classing strips donors of their consumers,
         // leaving them indistinguishable from followers afterwards
@@ -2264,7 +2392,6 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
         // of pass 2 always find their class already standing
         for (id, session) in &mut sessions {
             match session {
-                AnySession::Count(_) => isolated_counts += 1,
                 AnySession::Shared(s) => {
                     let group = groups
                         .get_mut(&(s.slide_duration(), s.predicate()))
@@ -2286,7 +2413,7 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
                         Self::class_grouped_member(group, *id, g);
                     }
                 }
-                AnySession::Timed(_) => {}
+                AnySession::Count(_) | AnySession::Timed(_) => {}
             }
         }
         // pass 2 — consumer-less travelers (ejected class followers)
@@ -2311,12 +2438,12 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
                 _ => unreachable!("only shared and grouped members travel consumer-less"),
             }
         }
-        Registry {
+        let mut registry = Registry {
             sessions,
+            solo: Vec::new(),
             groups,
             count_groups,
             next_count_gid,
-            isolated_counts,
             digest_hits,
             digest_rebuilds,
             count_group_hits,
@@ -2329,7 +2456,9 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
             plain_buf: Vec::new(),
             update_hint: 0,
             shard,
-        }
+        };
+        registry.rebuild_solo();
+        registry
     }
 
     /// Pools a consumer-carrying, non-warming shared member into its
@@ -2426,55 +2555,73 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
 
     // ---- live migration ---------------------------------------------------
 
-    /// Installs a session that already carries live state (a checkpoint
-    /// restore or a live migration), keeping the store in ascending-id
-    /// order — so drain order is indistinguishable from a hub where the
-    /// query had been registered here originally. A shared session's
-    /// slide group must have been installed first.
-    pub(crate) fn install(&mut self, id: QueryId, mut session: AnySession<C, T>) {
+    /// Installs an **isolated** session that already carries live state
+    /// (a checkpoint restore or a live migration), keeping the store in
+    /// ascending-id order — so drain order is indistinguishable from a hub
+    /// where the query had been registered here originally. Sharing-plane
+    /// members travel with their group instead
+    /// ([`install_group`](Registry::install_group),
+    /// [`install_count_group`](Registry::install_count_group)).
+    pub(crate) fn install(&mut self, id: QueryId, session: AnySession<C, T>) {
         debug_assert!(
-            !matches!(session, AnySession::Grouped(_)),
-            "grouped sessions travel with their count group (install_count_group)"
+            matches!(session, AnySession::Count(_) | AnySession::Timed(_)),
+            "sharing-plane members travel with their group"
         );
-        if let AnySession::Shared(s) = &mut session {
-            let group = self
-                .groups
-                .get_mut(&(s.slide_duration(), s.predicate()))
-                .expect("install a shared session only after its group");
-            group.members += 1;
-            // re-class the traveler (see `from_merged`): consumer-less
-            // followers rejoin their representative's class, consumer
-            // carriers pool by byte signature. The sharing flag is not
-            // consulted — a follower cannot serve without a class.
-            if s.is_classed() {
-                Self::join_shared_follower(group, id, s);
-            } else if !s.is_warming_up() {
-                Self::class_shared_member(group, id, s);
-            }
-        }
-        if matches!(session, AnySession::Count(_)) {
-            self.isolated_counts += 1;
-        }
         let pos = self.sessions.partition_point(|(have, _)| *have < id);
         self.sessions.insert(pos, (id, session));
+        // an isolated session is always listed; later entries shift up
+        let from = self.solo.partition_point(|&i| i < pos);
+        for i in &mut self.solo[from..] {
+            *i += 1;
+        }
+        self.solo.insert(from, pos);
     }
 
-    /// Installs a slide-group producer ahead of its member sessions.
-    pub(crate) fn install_group(&mut self, key: (u64, Predicate), producer: DigestProducer) {
+    /// Installs a slide group and its member sessions as one unit (the
+    /// restore and migration paths — a slide group never travels without
+    /// its members, mirroring
+    /// [`install_count_group`](Registry::install_count_group)). Members
+    /// arrive in ascending-id order and merge into the store in one pass.
+    pub(crate) fn install_group(
+        &mut self,
+        key: (u64, Predicate),
+        producer: DigestProducer,
+        mut members: Vec<(QueryId, AnySession<C, T>)>,
+    ) {
         debug_assert_eq!(producer.slide_duration(), key.0);
+        debug_assert!(!members.is_empty(), "a slide group never travels empty");
+        debug_assert!(
+            members.windows(2).all(|w| w[0].0 < w[1].0),
+            "members travel in ascending-id order"
+        );
         let mut gate = PruneGate::new(producer.k_max());
         gate.rebuild(producer.k_max(), producer.pending());
-        let prev = self.groups.insert(
-            key,
-            DigestGroup {
-                producer,
-                members: 0,
-                predicate: key.1,
-                gate,
-                classes: Vec::new(),
-            },
-        );
+        let mut group = DigestGroup {
+            producer,
+            members: members.len(),
+            predicate: key.1,
+            gate,
+            classes: Vec::new(),
+        };
+        // re-class the travelers (see `from_merged`): consumer-less
+        // followers rejoin their representative's class — the lowest id,
+        // so it is classed first — and consumer carriers pool by byte
+        // signature. The sharing flag is not consulted: a follower cannot
+        // serve without a class.
+        for (id, session) in &mut members {
+            let AnySession::Shared(s) = session else {
+                unreachable!("slide-group members are shared sessions")
+            };
+            debug_assert_eq!((s.slide_duration(), s.predicate()), key);
+            if s.is_classed() {
+                Self::join_shared_follower(&mut group, *id, s);
+            } else if !s.is_warming_up() {
+                Self::class_shared_member(&mut group, *id, s);
+            }
+        }
+        let prev = self.groups.insert(key, group);
         debug_assert!(prev.is_none(), "installing over a live slide group");
+        self.merge_sessions(members);
     }
 
     /// Adds restored sharing counters (a restore assigns the checkpoint's
@@ -2561,13 +2708,12 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
             }
         }
         self.count_groups.insert(gid, group);
-        for (id, mut session) in members {
-            if let AnySession::Grouped(g) = &mut session {
+        for (_, session) in &mut members {
+            if let AnySession::Grouped(g) = session {
                 g.set_group(gid);
             }
-            let pos = self.sessions.partition_point(|(have, _)| *have < id);
-            self.sessions.insert(pos, (id, session));
         }
+        self.merge_sessions(members);
     }
 
     /// Dissolves a count group's result classes into its member sessions
@@ -2632,26 +2778,17 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
         &mut self,
         member: QueryId,
     ) -> Option<EjectedCountGroup<C, T>> {
-        let gid = self.sessions.iter().find_map(|(id, s)| match s {
-            AnySession::Grouped(g) if *id == member => Some(g.group()),
-            _ => None,
-        })?;
+        let AnySession::Grouped(g) = self.session(member)? else {
+            return None;
+        };
+        let gid = g.group();
         let mut group = self
             .count_groups
             .remove(&gid)
             .expect("a grouped session's gid names a live count group");
         Self::dissolve_count_classes(&mut self.sessions, &mut group);
-        let mut members = Vec::with_capacity(group.member_ids.len());
-        let mut i = 0;
-        while i < self.sessions.len() {
-            let is_member =
-                matches!(&self.sessions[i].1, AnySession::Grouped(g) if g.group() == gid);
-            if is_member {
-                members.push(self.sessions.remove(i));
-            } else {
-                i += 1;
-            }
-        }
+        let members =
+            self.extract_sessions(|s| matches!(s, AnySession::Grouped(g) if g.group() == gid));
         debug_assert_eq!(members.len(), group.member_ids.len());
         Some((
             CountGroupState {
@@ -2671,17 +2808,10 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
     pub(crate) fn eject_group(&mut self, key: (u64, Predicate)) -> Option<EjectedGroup<C, T>> {
         let mut group = self.groups.remove(&key)?;
         Self::dissolve_shared_classes(&mut self.sessions, &mut group);
-        let mut members = Vec::with_capacity(group.members);
-        let mut i = 0;
-        while i < self.sessions.len() {
-            let is_member = matches!(&self.sessions[i].1, AnySession::Shared(s)
-                if s.slide_duration() == key.0 && s.predicate() == key.1);
-            if is_member {
-                members.push(self.sessions.remove(i));
-            } else {
-                i += 1;
-            }
-        }
+        let members = self.extract_sessions(|s| {
+            matches!(s, AnySession::Shared(m)
+                if m.slide_duration() == key.0 && m.predicate() == key.1)
+        });
         debug_assert_eq!(members.len(), group.members);
         Some((group.producer, members))
     }
@@ -2743,7 +2873,7 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
             })
             .collect();
         self.next_count_gid = 0;
-        self.isolated_counts = 0;
+        self.solo.clear();
         RegistryParts {
             sessions,
             groups,
@@ -2767,6 +2897,226 @@ mod tests {
     fn consumer(wd: u64, sd: u64, k: usize) -> SharedTimed<Toy> {
         let reduced = TimedSpec::new(wd, sd, k).unwrap().reduced().unwrap();
         SharedTimed::from_engine(Toy::new(reduced.n, reduced.k, reduced.s), wd, sd).unwrap()
+    }
+
+    type ToyRegistry = Registry<Toy, ToyTimed>;
+
+    fn q(raw: u64) -> QueryId {
+        QueryId::from_raw(raw)
+    }
+
+    /// Registers a count-group member `⟨n, k, s⟩`.
+    fn register_grouped(reg: &mut ToyRegistry, id: u64, n: usize, k: usize, s: usize) {
+        let spec = WindowSpec::new(n, k, s).unwrap();
+        reg.register_grouped(
+            q(id),
+            consumer(n as u64, s as u64, k),
+            spec,
+            Predicate::default(),
+            None,
+        );
+    }
+
+    /// Objects at timestamps `from..to`, one per tick.
+    fn ticks(from: u64, to: u64) -> Vec<TimedObject> {
+        (from..to)
+            .map(|t| TimedObject::new(t, t, ((t * 37) % 101) as f64))
+            .collect()
+    }
+
+    /// Asserts the store is in ascending-id order and the per-call list
+    /// is exactly what the full store walk it replaced served on every
+    /// call: isolated count and timed sessions plus unclassed shared
+    /// members, in store order.
+    fn assert_listed(reg: &ToyRegistry, step: &str) {
+        assert!(
+            reg.sessions.windows(2).all(|w| w[0].0 < w[1].0),
+            "{step}: store out of id order"
+        );
+        let walked: Vec<usize> = reg
+            .sessions
+            .iter()
+            .enumerate()
+            .filter(|(_, (_, session))| match session {
+                AnySession::Count(_) | AnySession::Timed(_) => true,
+                AnySession::Shared(s) => !s.is_classed(),
+                AnySession::Grouped(_) => false,
+            })
+            .map(|(i, _)| i)
+            .collect();
+        assert_eq!(reg.solo, walked, "{step}: per-call list");
+    }
+
+    /// Raw ids of the listed sessions.
+    fn listed(reg: &ToyRegistry) -> Vec<u64> {
+        reg.solo.iter().map(|&i| reg.sessions[i].0.raw()).collect()
+    }
+
+    /// Scatters ejected parts back through the install paths, as the
+    /// hubs' resize does for one shard.
+    fn reinstall(reg: &mut ToyRegistry, parts: RegistryParts<Toy, ToyTimed>, step: &str) {
+        let (mut slide, count, loose) = split_by_group(parts.sessions, parts.count_groups.len());
+        for (key, producer) in parts.groups {
+            reg.install_group(key, producer, slide.remove(&key).unwrap());
+            assert_listed(reg, step);
+        }
+        for (state, members) in parts.count_groups.into_iter().zip(count) {
+            reg.install_count_group(state, members);
+            assert_listed(reg, step);
+        }
+        for (id, session) in loose {
+            reg.install(id, session);
+            assert_listed(reg, step);
+        }
+    }
+
+    #[test]
+    fn per_call_list_tracks_every_store_mutation() {
+        let pass = Predicate::default();
+        let mut reg = ToyRegistry::default();
+        reg.register_count(q(0), Toy::new(20, 2, 5));
+        reg.register_shared(q(1), consumer(20, 10, 2), pass, None);
+        reg.register_shared(q(2), consumer(20, 10, 2), pass, None);
+        register_grouped(&mut reg, 3, 20, 2, 5);
+        reg.register_timed(q(4), ToyTimed::new(20, 10, 2));
+        assert_listed(&reg, "registration");
+        assert_eq!(listed(&reg), [0, 4], "pristine joiners share a class");
+
+        // a mid-stream join into the classed group warms up solo, and
+        // stays solo once its join slide [10, 20) closes
+        reg.publish_timed(&ticks(0, 15));
+        reg.register_shared(q(5), consumer(20, 10, 2), pass, None);
+        assert!(reg
+            .session(q(5))
+            .unwrap()
+            .as_shared()
+            .unwrap()
+            .is_warming_up());
+        assert_listed(&reg, "warming join");
+        assert_eq!(listed(&reg), [0, 4, 5]);
+        reg.publish_timed(&ticks(15, 25));
+        let promoted = reg.session(q(5)).unwrap().as_shared().unwrap();
+        assert!(!promoted.is_warming_up() && !promoted.is_classed());
+        assert_listed(&reg, "promotion");
+        assert_eq!(listed(&reg), [0, 4, 5]);
+
+        // the class's representative leaves, then its last member
+        reg.unregister(q(1)).unwrap();
+        assert_listed(&reg, "representative leaves");
+        let last = reg.unregister(q(2)).unwrap();
+        assert!(
+            !last.as_shared().unwrap().is_classed(),
+            "takes the consumer"
+        );
+        assert_listed(&reg, "last class member leaves");
+        assert!(reg.groups[&(10, pass)].classes.is_empty());
+
+        // with class sharing off a pristine joiner stays solo; back on,
+        // the next pristine joiner founds a class
+        reg.set_class_sharing(false);
+        reg.register_shared(q(6), consumer(14, 7, 1), pass, None);
+        reg.set_class_sharing(true);
+        reg.register_shared(q(7), consumer(14, 7, 1), pass, None);
+        reg.register_shared(q(8), consumer(20, 10, 2), pass, None);
+        assert_listed(&reg, "join with class sharing off");
+        assert_eq!(listed(&reg), [0, 4, 5, 6, 8], "8 joined mid-stream");
+
+        // install and eject, as `move_query` uses them: a migrated
+        // settled member pools into a class, a warming one stays solo
+        let (producer, members) = reg.eject_group((10, pass)).unwrap();
+        assert_listed(&reg, "slide-group eject");
+        assert_eq!(listed(&reg), [0, 4, 6]);
+        reg.install_group((10, pass), producer, members);
+        assert_listed(&reg, "slide-group install");
+        assert_eq!(listed(&reg), [0, 4, 6, 8]);
+        let (state, members) = reg.eject_count_group_of(q(3)).unwrap();
+        assert_listed(&reg, "count-group eject");
+        reg.install_count_group(state, members);
+        assert_listed(&reg, "count-group install");
+        let isolated = reg.unregister(q(4)).unwrap();
+        assert_listed(&reg, "isolated eject");
+        reg.install(q(4), isolated);
+        assert_listed(&reg, "isolated install");
+        assert_eq!(listed(&reg), [0, 4, 6, 8]);
+
+        // `resize`: eject everything, then scatter back through install
+        let parts = RegistryParts::merge(vec![reg.eject_all()]).unwrap();
+        assert_listed(&reg, "eject all");
+        assert!(reg.solo.is_empty());
+        let mut resized = ToyRegistry::default();
+        reinstall(&mut resized, parts, "resize");
+        assert_eq!(listed(&resized), [0, 4, 8], "6 pools with 7 on travel");
+
+        // `from_merged`, the restore path
+        let parts = RegistryParts::merge(vec![resized.eject_all()]).unwrap();
+        let mut restored = ToyRegistry::from_merged(parts, None);
+        assert_listed(&restored, "restore");
+        assert_eq!(listed(&restored), [0, 4, 8]);
+        restored.publish_timed(&ticks(25, 35));
+        let settled = restored.session(q(8)).unwrap().as_shared().unwrap();
+        assert!(!settled.is_warming_up(), "8's join slide [20, 30) closed");
+        assert_listed(&restored, "promotion after restore");
+    }
+
+    #[test]
+    fn large_group_migration_keeps_both_stores_complete_and_ordered() {
+        const MEMBERS: u64 = 1_500;
+        let pass = Predicate::default();
+        // ids interleave the planes: on the source, slide-group members
+        // (≡ 0 mod 4), count-group members (≡ 1) and isolated timed
+        // fillers (≡ 2); on the target, isolated count fillers (≡ 3). The
+        // reference is a second source that never migrates.
+        let build = || {
+            let mut reg = ToyRegistry::default();
+            for i in 0..MEMBERS {
+                let k = 1 + (i % 3) as usize;
+                reg.register_shared(q(4 * i), consumer(20 + 10 * (i % 2), 10, k), pass, None);
+                register_grouped(&mut reg, 4 * i + 1, 20, k, 5);
+                reg.register_timed(q(4 * i + 2), ToyTimed::new(20, 10, 1));
+            }
+            reg
+        };
+        let (mut source, mut reference) = (build(), build());
+        let mut target = ToyRegistry::default();
+        for i in 0..MEMBERS {
+            target.register_count(q(4 * i + 3), Toy::new(20, 1, 5));
+        }
+        let check = |reg: &ToyRegistry, planes: &[u64], step: &str| {
+            let want: Vec<u64> = (0..4 * MEMBERS)
+                .filter(|id| planes.contains(&(id % 4)))
+                .collect();
+            let have: Vec<u64> = reg.query_ids().map(QueryId::raw).collect();
+            assert_eq!(have, want, "{step}: store incomplete or out of order");
+            assert_listed(reg, step);
+        };
+        let warm = ticks(0, 25);
+        assert_eq!(source.publish_timed(&warm), reference.publish_timed(&warm));
+
+        let (producer, members) = source.eject_group((10, pass)).unwrap();
+        target.install_group((10, pass), producer, members);
+        let (state, members) = source.eject_count_group_of(q(1)).unwrap();
+        target.install_count_group(state, members);
+        check(&source, &[2], "source after moving both groups out");
+        check(&target, &[0, 1, 3], "target after moving both groups in");
+        let group = &target.groups[&(10, pass)];
+        assert_eq!(group.members as u64, MEMBERS);
+        let classed: usize = group.classes.iter().map(|c| c.members.len()).sum();
+        assert_eq!(classed as u64, MEMBERS, "classes re-form on arrival");
+        let count_group = target.count_groups.values().next().unwrap();
+        assert_eq!(count_group.member_ids.len() as u64, MEMBERS);
+
+        let (producer, members) = target.eject_group((10, pass)).unwrap();
+        source.install_group((10, pass), producer, members);
+        let (state, members) = target.eject_count_group_of(q(1)).unwrap();
+        source.install_count_group(state, members);
+        check(&source, &[0, 1, 2], "source after the round trip");
+        check(&target, &[3], "target after the round trip");
+        // the round-tripped groups serve exactly what staying put did: two
+        // closes of each timed plane (t = 30, 40), four of the count group
+        let more = ticks(25, 45);
+        let updates = source.publish_timed(&more);
+        assert_eq!(updates.len() as u64, 8 * MEMBERS);
+        assert_eq!(updates, reference.publish_timed(&more));
     }
 
     #[test]

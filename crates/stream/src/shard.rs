@@ -112,7 +112,9 @@ use crate::events::Snapshot;
 use crate::object::{Object, TimedObject};
 use crate::predicate::Predicate;
 use crate::query::SapError;
-use crate::registry::{CountGroupState, GroupKeys, HubStats, Registry, RegistryParts};
+use crate::registry::{
+    split_by_group, CountGroupState, GroupKeys, HubStats, Registry, RegistryParts,
+};
 use crate::session::{AnySession, QueryId, QueryUpdate};
 use crate::window::{SlidingTopK, TimedTopK, WindowSpec};
 
@@ -207,10 +209,16 @@ pub(crate) enum Command {
     /// [`Checkpoint`]). Sent right after a drain barrier, so the state
     /// sits on a per-query slide boundary.
     CheckpointShard(mpsc::Sender<Vec<u8>>),
-    /// Adopt a session that already carries live state (a restore or a
-    /// live migration). A shared session's group must be installed first.
+    /// Adopt an isolated session that already carries live state (a
+    /// restore or a live migration).
     Install(QueryId, ShardSession),
-    InstallGroup((u64, Predicate), DigestProducer),
+    /// Adopt a slide group and its member sessions as one unit — like a
+    /// count group, a slide group never travels without its members.
+    InstallGroup(
+        (u64, Predicate),
+        DigestProducer,
+        Vec<(QueryId, ShardSession)>,
+    ),
     /// Adopt a count group and its member sessions as one unit — a count
     /// group never travels without its members.
     InstallCountGroup(CountGroupState, Vec<(QueryId, ShardSession)>),
@@ -324,7 +332,9 @@ pub(crate) fn apply_command(
             let _ = reply.send(enc.into_payload());
         }
         Command::Install(id, session) => registry.install(id, session),
-        Command::InstallGroup(key, producer) => registry.install_group(key, producer),
+        Command::InstallGroup(key, producer, members) => {
+            registry.install_group(key, producer, members)
+        }
         Command::InstallCountGroup(state, members) => registry.install_count_group(state, members),
         Command::InstallCounters(hits, rebuilds, count_hits, count_rebuilds, admitted, pruned) => {
             registry.install_counters(hits, rebuilds, count_hits, count_rebuilds, admitted, pruned)
@@ -803,11 +813,11 @@ pub(crate) fn decode_hub_checkpoint(
 }
 
 /// Scatters merged serving state across a hub's (fresh or freshly
-/// emptied) workers: groups first — each on the shard its lowest-id
-/// member hashes to, so every member can follow it — then sessions in
-/// ascending-id order, then the sharing counters onto shard 0 (they are
-/// hub-wide sums; where they live only affects which worker reports
-/// them into the stats total).
+/// emptied) workers: each slide group with its members on the shard its
+/// lowest-id member hashes to, each count group likewise, then the
+/// isolated sessions in ascending-id order, then the sharing counters
+/// onto shard 0 (they are hub-wide sums; where they live only affects
+/// which worker reports them into the stats total).
 pub(crate) fn place_parts_on(
     p: &mut Placement,
     port: &(impl CommandPort + ?Sized),
@@ -824,39 +834,19 @@ pub(crate) fn place_parts_on(
         admitted,
         pruned,
     } = parts;
-    // grouped sessions travel with their count group, not alone — split
-    // them out by canonical group index (ascending id within each group,
-    // since the merged session list is ascending)
-    let mut count_members: Vec<Vec<(QueryId, ShardSession)>> =
-        (0..count_groups.len()).map(|_| Vec::new()).collect();
-    let mut loose = Vec::with_capacity(sessions.len());
-    for (id, session) in sessions {
-        let grouped = match &session {
-            AnySession::Grouped(g) => Some(g.group() as usize),
-            _ => None,
-        };
-        match grouped {
-            Some(i) => count_members[i].push((id, session)),
-            None => loose.push((id, session)),
-        }
-    }
-    let mut group_home: HashMap<(u64, Predicate), usize> = HashMap::new();
-    for (key, _) in &groups {
-        let lowest = loose
-            .iter()
-            .find_map(|(id, s)| match s {
-                AnySession::Shared(m) if m.slide_duration() == key.0 && m.predicate() == key.1 => {
-                    Some(*id)
-                }
-                _ => None,
-            })
-            .expect("merge validated every group has members");
-        group_home.insert(*key, p.shard_of(lowest));
-    }
+    let (mut group_members, count_members, loose) = split_by_group(sessions, count_groups.len());
     for (key, producer) in groups {
-        let shard = group_home[&key];
-        port.send(shard, Command::InstallGroup(key, producer))?;
-        p.shared_groups.insert(key, (shard, 0));
+        let members = group_members
+            .remove(&key)
+            .expect("merge validated every group has members");
+        let shard = p.shard_of(members[0].0);
+        for (id, _) in &members {
+            p.shared_sd.insert(*id, key);
+            p.registered.insert(*id);
+        }
+        p.shard_len[shard] += members.len();
+        p.shared_groups.insert(key, (shard, members.len()));
+        port.send(shard, Command::InstallGroup(key, producer, members))?;
     }
     for (state, members) in count_groups.into_iter().zip(count_members) {
         let lowest = members
@@ -886,15 +876,7 @@ pub(crate) fn place_parts_on(
         port.send(shard, Command::InstallCountGroup(state, members))?;
     }
     for (id, session) in loose {
-        let shard = match &session {
-            AnySession::Shared(s) => {
-                let key = (s.slide_duration(), s.predicate());
-                p.shared_sd.insert(id, key);
-                p.shared_groups.get_mut(&key).expect("group placed above").1 += 1;
-                group_home[&key]
-            }
-            _ => p.shard_of(id),
-        };
+        let shard = p.shard_of(id);
         port.send(shard, Command::Install(id, session))?;
         p.shard_len[shard] += 1;
         p.registered.insert(id);
@@ -951,11 +933,8 @@ pub(crate) fn move_query_on(
         let (reply, rx) = mpsc::channel();
         port.send(source, Command::EjectGroup(sd, reply))?;
         let (producer, members) = recv_reply(source, &rx)?;
-        port.send(shard, Command::InstallGroup(sd, producer))?;
         let moved = members.len();
-        for (member, session) in members {
-            port.send(shard, Command::Install(member, session))?;
-        }
+        port.send(shard, Command::InstallGroup(sd, producer, members))?;
         p.shard_len[source] -= moved;
         p.shard_len[shard] += moved;
         p.shared_groups.insert(sd, (shard, moved));
@@ -1015,16 +994,13 @@ fn reinstall_parts_on(
         admitted,
         pruned,
     } = parts;
+    let (mut group_members, count_members, loose) = split_by_group(sessions, count_groups.len());
     for (key, producer) in groups {
-        port.send(shard, Command::InstallGroup(key, producer))?;
+        let members = group_members.remove(&key).unwrap_or_default();
+        port.send(shard, Command::InstallGroup(key, producer, members))?;
     }
-    let mut count_members: Vec<Vec<(QueryId, ShardSession)>> =
-        (0..count_groups.len()).map(|_| Vec::new()).collect();
-    for (id, session) in sessions {
-        match &session {
-            AnySession::Grouped(g) => count_members[g.group() as usize].push((id, session)),
-            _ => port.send(shard, Command::Install(id, session))?,
-        }
+    for (id, session) in loose {
+        port.send(shard, Command::Install(id, session))?;
     }
     for (state, members) in count_groups.into_iter().zip(count_members) {
         port.send(shard, Command::InstallCountGroup(state, members))?;

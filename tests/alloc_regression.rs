@@ -17,13 +17,17 @@
 //! buffers, event list, digest materialization), so the pinned bounds
 //! have real teeth while leaving room for engine-internal noise.
 //!
-//! Gated to release builds: `cargo test` (debug) reports them as
-//! ignored; the CI release matrix and bench-smoke run them for real.
+//! Gated to release builds: `cargo test` (debug) reports the gate as
+//! ignored; the CI release matrix and bench-smoke run it for real.
 //! Allocation counts here are deterministic — the workloads are seeded
-//! and single-threaded — but the counter is process-global, so every
-//! test serializes on one lock.
+//! and single-threaded — but the counter is process-global, so the
+//! checks are plain functions run one after another from the **single**
+//! `#[test]` at the bottom. Separate tests would race: the harness
+//! allocates while it starts a sibling test's thread, and that
+//! allocation lands in whichever measured window is open. Keep it the
+//! only test in this file; add a new check to [`CHECKS`] instead.
 
-use std::sync::Mutex;
+use std::panic::catch_unwind;
 
 use sap::prelude::*;
 use sap_bench::CountingAlloc;
@@ -31,9 +35,44 @@ use sap_bench::CountingAlloc;
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
 
-/// Serializes measured regions: the counter is process-global and the
-/// test harness runs tests on multiple threads.
-static LOCK: Mutex<()> = Mutex::new(());
+/// `(name, check)` pairs, each named by its function.
+macro_rules! checks {
+    ($($check:ident),* $(,)?) => {
+        &[$((stringify!($check), $check as fn())),*]
+    };
+}
+
+/// Every allocation check, in run order.
+const CHECKS: &[(&str, fn())] = checks![
+    warm_count_session_buffering_push_is_allocation_free,
+    warm_count_session_steady_state_stays_under_pinned_bound,
+    warm_timed_session_steady_state_stays_under_pinned_bound,
+    warm_hub_publish_without_slides_is_allocation_free,
+    warm_grouped_hub_publish_meets_the_isolated_pinned_bounds,
+    classed_quiet_slide_close_is_allocation_free_per_member,
+    warm_async_hub_quiet_publish_is_allocation_free,
+    async_park_wake_cycle_stays_under_constant_bound,
+    predicate_rejected_publish_is_allocation_free,
+    dominance_pruned_quiet_path_meets_the_classed_pinned_bounds,
+    checkpoint_leaves_the_warm_publish_path_allocation_free,
+];
+
+/// Runs every check in [`CHECKS`], each to completion even when an
+/// earlier one failed, and fails naming every check that panicked (each
+/// panic message is printed as it happens).
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "allocation bounds are pinned for release builds"
+)]
+fn allocation_bounds_hold() {
+    let failed: Vec<&str> = CHECKS
+        .iter()
+        .filter(|(_, check)| catch_unwind(*check).is_err())
+        .map(|(name, _)| *name)
+        .collect();
+    assert!(failed.is_empty(), "allocation checks failed: {failed:?}");
+}
 
 /// Runs `f` and returns (result, allocations performed).
 fn measured<R>(f: impl FnOnce() -> R) -> (R, u64) {
@@ -50,13 +89,7 @@ fn score(i: u64) -> f64 {
     ((x >> 33) % 1000) as f64
 }
 
-#[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "allocation bounds are pinned for release builds"
-)]
 fn warm_count_session_buffering_push_is_allocation_free() {
-    let _guard = LOCK.lock().unwrap();
     let mut session = Query::window(400).top(2).slide(10).session().unwrap();
     // warm-up: several full windows so partitions have sealed, expired,
     // and been reclaimed into the spare pools
@@ -71,13 +104,7 @@ fn warm_count_session_buffering_push_is_allocation_free() {
     }
 }
 
-#[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "allocation bounds are pinned for release builds"
-)]
 fn warm_count_session_steady_state_stays_under_pinned_bound() {
-    let _guard = LOCK.lock().unwrap();
     // MinTopK's steady state is fully pooled, so the bound is exact:
     // at most one allocation (the Arc snapshot) per *changed* slide
     let mut session = Query::window(400)
@@ -133,13 +160,7 @@ fn warm_count_session_steady_state_stays_under_pinned_bound() {
     );
 }
 
-#[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "allocation bounds are pinned for release builds"
-)]
 fn warm_timed_session_steady_state_stays_under_pinned_bound() {
-    let _guard = LOCK.lock().unwrap();
     let mut session = Query::window_duration(400)
         .slide_duration(100)
         .top(3)
@@ -180,13 +201,7 @@ fn warm_timed_session_steady_state_stays_under_pinned_bound() {
     );
 }
 
-#[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "allocation bounds are pinned for release builds"
-)]
 fn warm_hub_publish_without_slides_is_allocation_free() {
-    let _guard = LOCK.lock().unwrap();
     let mut hub = Hub::new();
     let mut ids = Vec::new();
     for q in 0..50u64 {
@@ -225,13 +240,7 @@ fn warm_hub_publish_without_slides_is_allocation_free() {
     );
 }
 
-#[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "allocation bounds are pinned for release builds"
-)]
 fn warm_grouped_hub_publish_meets_the_isolated_pinned_bounds() {
-    let _guard = LOCK.lock().unwrap();
     // The shared count plane must not regress the zero-allocation
     // steady state: the group ring, the group digest producer, and every
     // member's reduced-engine scratch are pooled after warm-up, so a
@@ -290,13 +299,7 @@ fn warm_grouped_hub_publish_meets_the_isolated_pinned_bounds() {
     );
 }
 
-#[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "allocation bounds are pinned for release builds"
-)]
 fn classed_quiet_slide_close_is_allocation_free_per_member() {
-    let _guard = LOCK.lock().unwrap();
     // The result-class floor: a quiet slide close (top-k unchanged) on a
     // warm class touches the heap **zero** times per member — the class
     // re-emits the previous `Arc` snapshot and its inline `[Unchanged]`
@@ -352,13 +355,7 @@ fn classed_quiet_slide_close_is_allocation_free_per_member() {
     }
 }
 
-#[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "allocation bounds are pinned for release builds"
-)]
 fn warm_async_hub_quiet_publish_is_allocation_free() {
-    let _guard = LOCK.lock().unwrap();
     // The async hub's quiet publish is a single lock crossing that
     // enqueues a pooled `Arc` batch on every non-empty shard: after
     // warm-up (pool slots filled at this batch length, target scratch
@@ -438,13 +435,7 @@ impl SlidingTopK for Sleepy {
     }
 }
 
-#[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "allocation bounds are pinned for release builds"
-)]
 fn async_park_wake_cycle_stays_under_constant_bound() {
-    let _guard = LOCK.lock().unwrap();
     // Backpressure parking is a condvar wait plus one relaxed counter
     // tick: the cycle itself must stay O(1) allocations per publish no
     // matter how often the publisher parks. A deliberately slow engine
@@ -485,13 +476,7 @@ fn async_park_wake_cycle_stays_under_constant_bound() {
     );
 }
 
-#[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "allocation bounds are pinned for release builds"
-)]
 fn predicate_rejected_publish_is_allocation_free() {
-    let _guard = LOCK.lock().unwrap();
     // The admission plane's cheapest path: an object that misses every
     // group's predicate only advances the ring and the ordinal clock —
     // no digest ingest, no member work, no heap. After warm-up (ring at
@@ -544,13 +529,7 @@ fn predicate_rejected_publish_is_allocation_free() {
     );
 }
 
-#[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "allocation bounds are pinned for release builds"
-)]
 fn dominance_pruned_quiet_path_meets_the_classed_pinned_bounds() {
-    let _guard = LOCK.lock().unwrap();
     // The dominance gate's steady state must ride the same ceilings the
     // result-class plane pinned (PR 5): a quiet classed close with most
     // of the slide pruned pays the output Vec and nothing else, and a
@@ -626,13 +605,7 @@ fn dominance_pruned_quiet_path_meets_the_classed_pinned_bounds() {
     }
 }
 
-#[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "allocation bounds are pinned for release builds"
-)]
 fn checkpoint_leaves_the_warm_publish_path_allocation_free() {
-    let _guard = LOCK.lock().unwrap();
     // A checkpoint is a read-only borrow of serving state: taking one on a
     // warm hub must not disturb the pooled scratch or retained hints, so
     // the very next buffering publish is still allocation-free and the

@@ -36,9 +36,11 @@ use sap_stream::{AlgorithmKind, SapError, SlidingTopK, WindowSpec};
 /// Returns `None` for [`AlgorithmKind::Sap`], which is built by the
 /// engine crate; `Some(Err(_))` reports invalid baseline parameters.
 ///
-/// The box is `Send` so built engines can cross into a
-/// [`ShardedHub`](sap_stream::ShardedHub) worker thread; it coerces to a
-/// plain `Box<dyn SlidingTopK>` wherever `Send` is not needed.
+/// The box is `Send`, the engine type a hub
+/// [`Registration`](sap_stream::Registration) carries (an
+/// [`AsyncHub`](sap_stream::AsyncHub) moves it to a worker thread); it
+/// coerces to a plain `Box<dyn SlidingTopK>` wherever `Send` is not
+/// needed.
 pub fn from_kind(
     spec: WindowSpec,
     kind: &AlgorithmKind,

@@ -1,5 +1,6 @@
-//! Hub scaling: sequential `Hub` vs `ShardedHub` fan-out, swept over
-//! shard count × query count on one shared stock stream.
+//! Hub scaling: sequential `Hub` vs `AsyncHub` fan-out with a worker per
+//! shard, swept over shard count × query count on one shared stock
+//! stream.
 //!
 //! This is the smoke-level companion to `experiments hub` (which runs the
 //! full 10⁴-query sweep and records `BENCH_hub.json`): small enough to

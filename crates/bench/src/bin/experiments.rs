@@ -9,8 +9,9 @@
 //! Subcommands: `table2 table3 fig9 fig10 table5 table6 table7 table8
 //! table9 all` regenerate the paper's evaluation (see EXPERIMENTS.md for
 //! the paper-vs-measured record); `hub` measures sequential-vs-sharded
-//! hub throughput and writes the machine-readable `BENCH_hub.json` the CI
-//! perf trajectory is built from; `timed` does the same for a
+//! hub throughput (the `sharded` arm is an `AsyncHub` with a worker per
+//! shard) and writes the machine-readable `BENCH_hub.json` the CI perf
+//! trajectory is built from; `timed` does the same for a
 //! heterogeneous count+time-based query mix over a Poisson-arrival
 //! stream (`BENCH_timed.json`); `shared` measures the shared digest
 //! plane against per-session recomputation on a many-queries /
@@ -23,7 +24,7 @@
 //! asserted checksum-identical to its uninterrupted reference run;
 //! `fanout` climbs a query-count ladder up to `--queries` count-based
 //! queries served two ways — isolated sessions vs the shared count
-//! plane (`register_grouped_boxed`) — asserting byte-identical
+//! plane (`Registration::grouped`) — asserting byte-identical
 //! checksums and positive count-group hits at every rung, and reporting
 //! the per-object cost growth of both paths so the grouped path's
 //! sub-linear scaling is a committed artifact (`BENCH_fanout.json`):
@@ -48,11 +49,11 @@ use sap_bench::{
     run_hub_sequential, run_hub_sharded, run_prune, run_shared_hub, run_shared_hub_sharded,
     run_shared_isolated, run_timed_hub_sequential, run_timed_hub_sharded, secs, shared_query_mix,
     timed_query_mix, Algo, BenchEngineFactory, CountingAlloc, FanoutRun, FloorArm, FloorRun,
-    HotpathMode, HotpathRun, HubRun, PruneArm, PruneRun, Table,
+    HotpathRun, HubRun, PruneArm, PruneRun, Table,
 };
 use sap_core::{Sap, SapConfig};
 use sap_stream::generators::{ArrivalProcess, Dataset, Workload};
-use sap_stream::{run, Hub, RunSummary, ShardedHub, WindowSpec, CHECKSUM_SEED};
+use sap_stream::{run, AsyncHub, Hub, RunSummary, WindowSpec, CHECKSUM_SEED};
 
 /// The measurement half of the `hotpath` preset: every allocation in the
 /// process ticks this counter, so steady-state `allocs_per_object` is a
@@ -64,10 +65,9 @@ static ALLOC: CountingAlloc = CountingAlloc::new();
 /// Pinned ceiling for the pooled path's steady-state allocations per
 /// published object on the default `hotpath` preset (500 queries,
 /// ~76 slide completions per object). The measured value on the
-/// reference box is ~62 — under one allocation per completed slide —
+/// reference box is ~52 — under one allocation per completed slide —
 /// and allocation counts are deterministic for a given preset, so the
-/// ~1.5× headroom only absorbs composition drift, not regressions: the
-/// pre-refactor profile measures ~714, nearly 8× the ceiling.
+/// ~1.7× headroom only absorbs composition drift, not regressions.
 /// Raising this number is an API-review event, not a tuning knob.
 const HOTPATH_ALLOC_CEILING: f64 = 90.0;
 
@@ -354,8 +354,9 @@ fn scaling_bench(
     measured
 }
 
-/// Hub scaling: sequential `Hub` vs `ShardedHub` at each shard count,
-/// all serving the same count-based query mix over the same stream.
+/// Hub scaling: sequential `Hub` vs an `AsyncHub` with a worker per
+/// shard at each shard count (the `sharded` rows), all serving the same
+/// count-based query mix over the same stream.
 fn hub(len: usize, queries: usize, shards: &[usize], json_out: &str, seed: u64) {
     let chunk = 1_000usize; // publish granularity = drain granularity
     let data = Dataset::Stock.generate(len, seed);
@@ -396,15 +397,12 @@ fn hub(len: usize, queries: usize, shards: &[usize], json_out: &str, seed: u64) 
 /// Raising it is an API-review event, not a tuning knob.
 const ASYNC_ALLOC_CEILING: f64 = 90.0;
 
-/// Async hub: sequential `Hub` reference, a single-shard `ShardedHub`
-/// (the committed `BENCH_hub.json` baseline configuration, re-measured
-/// in-process so the single-core comparison is noise-immune), then
-/// `AsyncHub` serving `max(32, cores + 1)` logical shards — strictly
-/// more shards than the host has cores — on a 1/2/4-worker ladder.
-/// Every run must land on the sequential checksum; the single-worker
-/// async run must stay within 5% of the single-shard hub (the executor
-/// must not tax the single-core path); a dedicated counted run pins the
-/// steady-state allocations per object under [`ASYNC_ALLOC_CEILING`].
+/// Async hub: sequential `Hub` reference, then `AsyncHub` serving
+/// `max(32, cores + 1)` logical shards — strictly more shards than the
+/// host has cores — on a worker ladder of 1, 2 and `cores + 1` (the last
+/// rung oversubscribes the host). Every run must land on the sequential
+/// checksum; a dedicated counted run pins the steady-state allocations
+/// per object under [`ASYNC_ALLOC_CEILING`].
 fn async_bench(len: usize, queries: usize, json_out: &str, seed: u64, repeats: usize) {
     let chunk = 1_000usize;
     let data = Dataset::Stock.generate(len, seed);
@@ -414,16 +412,14 @@ fn async_bench(len: usize, queries: usize, json_out: &str, seed: u64, repeats: u
         .unwrap_or(1);
     // the point of the executor: logical shards are not capped by cores
     let logical_shards = 32.max(host_cpus + 1);
-    // always includes an oversubscribed rung (workers > cores on a
-    // small box): multiplexing must keep serving correctly either way
-    let workers_ladder: Vec<usize> = [1usize, 2, 4]
-        .into_iter()
-        .filter(|&w| w <= 2.max(host_cpus))
-        .collect();
+    // always includes an oversubscribed rung (workers > cores):
+    // multiplexing must keep serving correctly either way
+    let mut workers_ladder = vec![1usize, 2, host_cpus + 1];
+    workers_ladder.dedup();
     let repeats = repeats.max(1);
 
-    // min-time over `repeats` interleaved runs per case: the 5% single
-    // core comparison must not hinge on one noisy measurement
+    // min-time over `repeats` interleaved runs per case, so a row does
+    // not hinge on one noisy measurement
     let faster = |a: (HubRun, u64), b: (HubRun, u64)| {
         assert_eq!(a.0.checksum, b.0.checksum, "[async] repeats must agree");
         if a.0.elapsed <= b.0.elapsed {
@@ -433,7 +429,6 @@ fn async_bench(len: usize, queries: usize, json_out: &str, seed: u64, repeats: u
         }
     };
     let mut sequential = (run_hub_sequential(&mix, &data, chunk), 0u64);
-    let mut sharded1 = (run_hub_sharded(&mix, &data, chunk, 1), 0u64);
     let mut async_runs: Vec<(usize, (HubRun, u64))> = workers_ladder
         .iter()
         .map(|&w| {
@@ -445,7 +440,6 @@ fn async_bench(len: usize, queries: usize, json_out: &str, seed: u64, repeats: u
         .collect();
     for _ in 1..repeats {
         sequential = faster(sequential, (run_hub_sequential(&mix, &data, chunk), 0));
-        sharded1 = faster(sharded1, (run_hub_sharded(&mix, &data, chunk, 1), 0));
         for (w, best) in &mut async_runs {
             let next = run_hub_async(&mix, &data, chunk, logical_shards, *w, None);
             *best = faster(best.clone(), next);
@@ -458,9 +452,9 @@ fn async_bench(len: usize, queries: usize, json_out: &str, seed: u64, repeats: u
     let warmup = (len / 4 / chunk).max(1) * chunk;
     assert!(len > warmup, "async preset needs --len > {warmup}");
     let steady_allocs = {
-        let mut hub = sap_stream::AsyncHub::new(logical_shards, 1);
+        let mut hub = AsyncHub::new(logical_shards, 1);
         for (algo, spec) in &mix {
-            hub.register_boxed(algo.build(*spec)).expect("fresh shards");
+            hub.subscribe(algo.count(*spec)).expect("fresh shards");
         }
         for c in data[..warmup].chunks(chunk) {
             hub.publish(c).expect("bench mix");
@@ -526,31 +520,12 @@ fn async_bench(len: usize, queries: usize, json_out: &str, seed: u64, repeats: u
         ));
     };
     row("sequential", 1, 1, &sequential.0, 0);
-    row("sharded", 1, 1, &sharded1.0, 0);
     for (w, (run, parks)) in &async_runs {
         row("async", logical_shards, *w, run, *parks);
     }
     t.print();
 
-    let sharded_ops = sharded1.0.objects_per_sec(len);
-    let async1 = &async_runs
-        .iter()
-        .find(|(w, _)| *w == 1)
-        .expect("worker ladder includes 1")
-        .1;
-    let async1_ops = async1.0.objects_per_sec(len);
-    println!(
-        "\nasync(1 worker) vs sharded(1): {:.3}x objects/sec \
-         ({async1_ops:.0} vs {sharded_ops:.0}); parks = {}; \
-         steady allocs/object = {allocs_per_object:.2} (ceiling {ASYNC_ALLOC_CEILING})",
-        async1_ops / sharded_ops,
-        async1.1,
-    );
-    assert!(
-        async1_ops >= 0.95 * sharded_ops,
-        "[async] single-core regression: async(1 worker) at {async1_ops:.0} objects/s \
-         is below 95% of the single-shard hub's {sharded_ops:.0}"
-    );
+    println!("\nsteady allocs/object = {allocs_per_object:.2} (ceiling {ASYNC_ALLOC_CEILING})");
     assert!(
         allocs_per_object <= ASYNC_ALLOC_CEILING,
         "[async] steady-state allocations per object regressed: \
@@ -572,8 +547,9 @@ fn async_bench(len: usize, queries: usize, json_out: &str, seed: u64, repeats: u
 /// and finished on the restored hub — which must land on the
 /// byte-identical update checksum of the uninterrupted reference run.
 /// A final round-trip at the largest requested shard count proves the
-/// sharded plane (checkpoint under `N` workers, restore at the same
-/// count) against the same sequential reference.
+/// sharded plane (checkpoint an `AsyncHub` with `N` shards and a worker
+/// each, restore at the same shape) against the same sequential
+/// reference.
 fn checkpoint_bench(
     len: usize,
     queries: usize,
@@ -646,7 +622,8 @@ fn checkpoint_bench(
 
         let mut hub = Hub::new();
         for (algo, spec) in &mix {
-            hub.register_boxed(algo.build(*spec));
+            hub.subscribe(algo.count(*spec))
+                .expect("bench mix is valid");
         }
         let mut updates = 0u64;
         let mut checksum = CHECKSUM_SEED;
@@ -698,13 +675,14 @@ fn checkpoint_bench(
         full_reference = Some(reference);
     }
 
-    // sharded round-trip at the largest requested worker count
+    // sharded round-trip at the largest requested shard count, a worker
+    // per shard
     let nshards = shards.iter().copied().max().unwrap_or(2).max(2);
     let reference = full_reference.expect("ladder is non-empty");
     let mix = hub_query_mix(queries);
-    let mut hub = ShardedHub::new(nshards);
+    let mut hub = AsyncHub::new(nshards, nshards);
     for (algo, spec) in &mix {
-        hub.register_boxed(algo.build(*spec)).expect("fresh shards");
+        hub.subscribe(algo.count(*spec)).expect("fresh shards");
     }
     let mut updates = 0u64;
     let mut checksum = CHECKSUM_SEED;
@@ -725,10 +703,12 @@ fn checkpoint_bench(
     }
     let ckpt_ms = started.elapsed().as_secs_f64() * 1e3 / repeats as f64;
 
-    let mut restored = ShardedHub::restore(&ckpt, &BenchEngineFactory, nshards).expect("restores");
+    let restore =
+        || AsyncHub::restore(&ckpt, &BenchEngineFactory, nshards, nshards).expect("restores");
+    let mut restored = restore();
     let started = Instant::now();
     for _ in 0..repeats {
-        restored = ShardedHub::restore(&ckpt, &BenchEngineFactory, nshards).expect("restores");
+        restored = restore();
     }
     let restore_ms = started.elapsed().as_secs_f64() * 1e3 / repeats as f64;
 
@@ -1255,7 +1235,7 @@ fn timed(len: usize, queries: usize, shards: &[usize], json_out: &str, seed: u64
 /// Shared digest plane vs per-session recomputation: `queries` all-timed
 /// queries spread over only four distinct slide durations, served three
 /// ways over one Poisson stream — isolated Appendix-A adapters (the
-/// reference), the sequential hub's shared plane, and the sharded hub's
+/// reference), the sequential hub's shared plane, and an async hub's
 /// shard-local groups. Equal checksums across all runs are asserted (the
 /// tentpole's byte-identity claim), the digest hit-rate must be positive,
 /// and the win scales with query count, not cores, so it shows up on a
@@ -1318,12 +1298,11 @@ fn shared(len: usize, queries: usize, shards: &[usize], json_out: &str, seed: u6
     );
 }
 
-/// Zero-allocation hot path: the pooled publish plane vs a replay of the
-/// pre-refactor allocation profile, on a mixed count/timed/shared
-/// standing-query set over one Poisson stream. The run is half perf
-/// datapoint, half proof: it asserts byte-identical checksums across the
-/// legacy replay, the pooled sequential hub, and the sharded hub, and it
-/// fails outright when the pooled path's steady-state
+/// Zero-allocation hot path: the pooled publish plane on a mixed
+/// count/timed/shared standing-query set over one Poisson stream. The
+/// run is half perf datapoint, half proof: it asserts byte-identical
+/// checksums across the sequential hub and an async hub, and it
+/// fails outright when the sequential path's steady-state
 /// `allocs_per_object` exceeds the pinned [`HOTPATH_ALLOC_CEILING`] —
 /// the CI gate against allocation regressions.
 #[allow(clippy::too_many_arguments)]
@@ -1373,60 +1352,18 @@ fn hotpath(
     );
     let count_allocs = || ALLOC.allocations();
 
-    // each sequential case runs `repeats` times, interleaved (L, P, L,
-    // P, ...), and reports its fastest repeat — the standard min-time
-    // read, robust to scheduler noise on a busy box and unbiased by run
-    // order (allocation counts and checksums are deterministic across
-    // repeats)
-    let faster = |a: HotpathRun, b: HotpathRun| {
-        assert_eq!(a.checksum, b.checksum, "[hotpath] repeats must agree");
-        if a.elapsed <= b.elapsed {
-            a
-        } else {
-            b
-        }
-    };
-    let mut legacy = run_hotpath(
-        &mix,
-        &data,
-        chunk,
-        warmup,
-        HotpathMode::Legacy,
-        &count_allocs,
-    );
-    let mut pooled = run_hotpath(
-        &mix,
-        &data,
-        chunk,
-        warmup,
-        HotpathMode::Pooled,
-        &count_allocs,
-    );
+    // the sequential case runs `repeats` times and reports its fastest
+    // repeat — the standard min-time read, robust to scheduler noise on
+    // a busy box (allocation counts and checksums are deterministic
+    // across repeats)
+    let mut pooled = run_hotpath(&mix, &data, chunk, warmup, &count_allocs);
     for _ in 1..repeats {
-        let l = run_hotpath(
-            &mix,
-            &data,
-            chunk,
-            warmup,
-            HotpathMode::Legacy,
-            &count_allocs,
-        );
-        legacy = faster(legacy, l);
-        let p = run_hotpath(
-            &mix,
-            &data,
-            chunk,
-            warmup,
-            HotpathMode::Pooled,
-            &count_allocs,
-        );
-        pooled = faster(pooled, p);
+        let p = run_hotpath(&mix, &data, chunk, warmup, &count_allocs);
+        assert_eq!(p.checksum, pooled.checksum, "[hotpath] repeats must agree");
+        if p.elapsed < pooled.elapsed {
+            pooled = p;
+        }
     }
-    assert_eq!(
-        legacy.checksum, pooled.checksum,
-        "[hotpath] legacy replay diverged from the pooled plane"
-    );
-    assert_eq!(legacy.updates, pooled.updates);
     let mut sharded_runs: Vec<(usize, HotpathRun)> = Vec::new();
     for &n in shards {
         let par = run_hotpath_sharded(&mix, &data, chunk, warmup, n);
@@ -1449,10 +1386,8 @@ fn hotpath(
             "objects/s",
             "allocs/object",
             "updates",
-            "speedup",
         ],
     );
-    let legacy_ops = legacy.objects_per_sec();
     let mut json_runs: Vec<String> = Vec::new();
     let mut row = |path: &str, shards: usize, run: &HotpathRun| {
         let ops = run.objects_per_sec();
@@ -1468,10 +1403,9 @@ fn hotpath(
             format!("{ops:.0}"),
             apo.map_or("-".into(), |a| format!("{a:.2}")),
             run.updates.to_string(),
-            format!("{:.2}x", ops / legacy_ops),
         ]);
         json_runs.push(format!(
-            "    {{\"path\": \"{path}\", \"shards\": {shards}, \"elapsed_s\": {:.6}, \"objects_per_sec\": {ops:.1}, \"allocs\": {}, \"allocs_per_object\": {}, \"updates\": {}, \"checksum\": {}, \"digest_hits\": {}, \"digest_rebuilds\": {}, \"speedup_vs_legacy\": {:.3}}}",
+            "    {{\"path\": \"{path}\", \"shards\": {shards}, \"elapsed_s\": {:.6}, \"objects_per_sec\": {ops:.1}, \"allocs\": {}, \"allocs_per_object\": {}, \"updates\": {}, \"checksum\": {}, \"digest_hits\": {}, \"digest_rebuilds\": {}}}",
             run.elapsed.as_secs_f64(),
             run.steady_allocs.map_or("null".into(), |a| a.to_string()),
             apo.map_or("null".into(), |a| format!("{a:.3}")),
@@ -1479,24 +1413,16 @@ fn hotpath(
             run.checksum,
             run.digest_hits,
             run.digest_rebuilds,
-            ops / legacy_ops,
         ));
     };
-    row("legacy", 1, &legacy);
     row("pooled", 1, &pooled);
     for (n, run) in &sharded_runs {
         row("pooled-sharded", *n, run);
     }
     t.print();
 
-    let speedup = pooled.objects_per_sec() / legacy_ops;
-    let legacy_apo = legacy.allocs_per_object().expect("sequential run counts");
     let pooled_apo = pooled.allocs_per_object().expect("sequential run counts");
-    let alloc_ratio = legacy_apo / pooled_apo;
-    println!(
-        "\npooled vs legacy: {speedup:.2}x objects/sec, {alloc_ratio:.1}x fewer allocations \
-         per object ({legacy_apo:.2} -> {pooled_apo:.2}, ceiling {HOTPATH_ALLOC_CEILING})"
-    );
+    println!("\npooled: {pooled_apo:.2} allocations per object (ceiling {HOTPATH_ALLOC_CEILING})");
     // the ceiling is pinned for the default mixed preset; single-flavor
     // diagnostic runs report but don't gate
     if (mix_filter.is_none() || mix_filter == Some("all")) && algo_filter.is_none() {
@@ -1511,7 +1437,7 @@ fn hotpath(
         .map(|p| p.get())
         .unwrap_or(1);
     let json = format!(
-        "{{\n  \"bench\": \"hotpath\",\n  \"dataset\": \"stock\",\n  \"arrival\": \"poisson(25)\",\n  \"seed\": {seed},\n  \"len\": {len},\n  \"queries\": {queries},\n  \"chunk\": {chunk},\n  \"warmup\": {warmup},\n  \"host_cpus\": {host_cpus},\n  \"alloc_ceiling\": {HOTPATH_ALLOC_CEILING},\n  \"speedup_pooled_vs_legacy\": {speedup:.3},\n  \"alloc_ratio_legacy_vs_pooled\": {alloc_ratio:.3},\n  \"runs\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"hotpath\",\n  \"dataset\": \"stock\",\n  \"arrival\": \"poisson(25)\",\n  \"seed\": {seed},\n  \"len\": {len},\n  \"queries\": {queries},\n  \"chunk\": {chunk},\n  \"warmup\": {warmup},\n  \"host_cpus\": {host_cpus},\n  \"alloc_ceiling\": {HOTPATH_ALLOC_CEILING},\n  \"runs\": [\n{}\n  ]\n}}\n",
         json_runs.join(",\n")
     );
     std::fs::write(json_out, &json).unwrap_or_else(|e| panic!("write {json_out}: {e}"));

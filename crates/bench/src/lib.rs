@@ -8,16 +8,15 @@
 //! relative behaviour — who wins, how costs scale along each axis — is
 //! comparable even though absolute numbers differ. See EXPERIMENTS.md.
 
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use sap_baselines::{KSkyband, MinTopK, NaiveTopK, Sma};
 use sap_core::{Sap, SapConfig, TimeBased};
 use sap_stream::generators::{Dataset, Workload};
 use sap_stream::{
-    checksum_fold, diff_snapshots, run, AsyncHub, EngineFactory, FifoScheduler, Hub, HubStats,
-    Object, Predicate, QueryId, QuerySpec, QueryUpdate, RunSummary, SapError, SeededScheduler,
-    ShardedHub, SlidingTopK, TimedObject, TimedSpec, TimedTopK, WindowSpec, CHECKSUM_SEED,
+    checksum_fold, run, AsyncHub, EngineFactory, FifoScheduler, Hub, HubStats, Object, Predicate,
+    QuerySpec, QueryUpdate, Registration, RunSummary, SapError, SeededScheduler, SlidingTopK,
+    TimedObject, TimedSpec, TimedTopK, WindowSpec, CHECKSUM_SEED,
 };
 
 mod alloc;
@@ -66,9 +65,9 @@ impl Algo {
         }
     }
 
-    /// Instantiates the algorithm for a query. The box is `Send` so the
-    /// same factory serves the sharded hub's worker threads; it coerces
-    /// to a plain `Box<dyn SlidingTopK>` where `Send` is not needed.
+    /// Instantiates the algorithm for a query. The box is `Send`, the
+    /// engine type a hub [`Registration`] carries; it coerces to a plain
+    /// `Box<dyn SlidingTopK>` where `Send` is not needed.
     pub fn build(&self, spec: WindowSpec) -> Box<dyn SlidingTopK + Send> {
         match self {
             Algo::Sap => Box::new(Sap::new(SapConfig::new(spec))),
@@ -78,6 +77,43 @@ impl Algo {
             Algo::KSkyband => Box::new(KSkyband::new(spec)),
             Algo::Sma => Box::new(Sma::new(spec)),
             Algo::Naive => Box::new(NaiveTopK::new(spec)),
+        }
+    }
+
+    /// An isolated count-based registration of this algorithm over `spec`.
+    pub fn count(&self, spec: WindowSpec) -> Registration {
+        Registration::count(self.build(spec))
+    }
+
+    /// An isolated time-based registration: the algorithm over the
+    /// Appendix-A reduction of `spec`, wrapped in [`TimeBased`].
+    pub fn timed(&self, spec: TimedSpec) -> Registration {
+        let inner = self.build(spec.reduced().expect("mix spec is valid"));
+        Registration::timed(Box::new(
+            TimeBased::from_engine(inner, spec.window_duration, spec.slide_duration)
+                .expect("reduced spec matches by construction"),
+        ))
+    }
+
+    /// A shared-digest-plane registration of `spec`.
+    pub fn shared(&self, spec: TimedSpec) -> Registration {
+        let engine = self.build(spec.reduced().expect("mix spec is valid"));
+        Registration::shared(engine, spec.window_duration, spec.slide_duration)
+    }
+
+    /// A shared-count-plane registration of `spec`.
+    pub fn grouped(&self, spec: WindowSpec) -> Registration {
+        let reduced = TimedSpec::new(spec.n as u64, spec.s as u64, spec.k)
+            .and_then(|t| t.reduced())
+            .expect("mix spec reduces");
+        Registration::grouped(self.build(reduced), spec.n, spec.s)
+    }
+
+    /// An isolated registration of a count- or time-based `spec`.
+    pub fn isolated(&self, spec: QuerySpec) -> Registration {
+        match spec {
+            QuerySpec::Count(spec) => self.count(spec),
+            QuerySpec::Timed(spec) => self.timed(spec),
         }
     }
 }
@@ -181,13 +217,13 @@ impl Table {
 /// the runs equivalent.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HubRun {
-    /// Total wall-clock time for publishing (and, for the sharded hub,
+    /// Total wall-clock time for publishing (and, for the async hub,
     /// draining) the whole stream.
     pub elapsed: Duration,
     /// Number of `QueryUpdate`s delivered across all queries.
     pub updates: u64,
     /// Order-sensitive checksum over every update in `(QueryId, slide)`
-    /// order — identical between the sequential and sharded hubs when
+    /// order — identical between the sequential and async hubs when
     /// (and only when) they delivered identical results.
     pub checksum: u64,
     /// Slides served to a query from a shared group digest (0 for runs
@@ -226,7 +262,7 @@ pub fn hub_query_mix(count: usize) -> Vec<(Algo, WindowSpec)> {
 /// Folds one update into the running hub checksum: the query handle, the
 /// slide index, and the driver's snapshot checksum. Updates must be fed
 /// in `(QueryId, slide)` order for cross-run comparability — exactly the
-/// order `ShardedHub::drain` returns and the order the sequential hub's
+/// order `AsyncHub::drain` returns and the order the sequential hub's
 /// per-publish batches already have.
 pub fn hub_checksum_fold(acc: u64, update: &QueryUpdate) -> u64 {
     let tagged = [
@@ -236,13 +272,19 @@ pub fn hub_checksum_fold(acc: u64, update: &QueryUpdate) -> u64 {
     checksum_fold(checksum_fold(acc, &tagged), &update.result.snapshot)
 }
 
+/// Registers every registration in `mix` on a fresh sequential [`Hub`].
+fn hub_serving(mix: impl IntoIterator<Item = Registration>) -> Hub {
+    let mut hub = Hub::new();
+    for registration in mix {
+        hub.subscribe(registration).expect("bench mixes are valid");
+    }
+    hub
+}
+
 /// Publishes `data` to a sequential [`Hub`] serving `mix`, in chunks of
 /// `chunk` objects, timing the publish loop.
 pub fn run_hub_sequential(mix: &[(Algo, WindowSpec)], data: &[Object], chunk: usize) -> HubRun {
-    let mut hub = Hub::new();
-    for (algo, spec) in mix {
-        hub.register_boxed(algo.build(*spec));
-    }
+    let mut hub = hub_serving(mix.iter().map(|(algo, spec)| algo.count(*spec)));
     let mut updates = 0u64;
     let mut checksum = CHECKSUM_SEED;
     let started = Instant::now();
@@ -261,47 +303,26 @@ pub fn run_hub_sequential(mix: &[(Algo, WindowSpec)], data: &[Object], chunk: us
     }
 }
 
-/// Publishes `data` to a [`ShardedHub`] with `shards` workers serving
-/// `mix`, draining after every chunk (which bounds the shard-side update
-/// accumulation and exercises the determinism barrier). Timing covers
-/// publish + drain, so the comparison against [`run_hub_sequential`]
-/// includes all coordination overhead.
+/// The `sharded` arm of the hub presets: `mix` on an [`AsyncHub`] with
+/// `shards` shards and a worker per shard (see [`run_hub_async`]).
 pub fn run_hub_sharded(
     mix: &[(Algo, WindowSpec)],
     data: &[Object],
     chunk: usize,
     shards: usize,
 ) -> HubRun {
-    let mut hub = ShardedHub::new(shards);
-    for (algo, spec) in mix {
-        hub.register_boxed(algo.build(*spec)).expect("fresh shards");
-    }
-    let mut updates = 0u64;
-    let mut checksum = CHECKSUM_SEED;
-    let started = Instant::now();
-    for c in data.chunks(chunk) {
-        hub.publish(c).expect("no engine panics in the bench mix");
-        for u in hub.drain().expect("no engine panics in the bench mix") {
-            updates += 1;
-            checksum = hub_checksum_fold(checksum, &u);
-        }
-    }
-    HubRun {
-        elapsed: started.elapsed(),
-        updates,
-        checksum,
-        digest_hits: 0,
-        digest_rebuilds: 0,
-    }
+    run_hub_async(mix, data, chunk, shards, shards, None).0
 }
 
 /// Publishes `data` to an [`AsyncHub`] with `shards` logical shards
-/// served by `workers` reactor threads, draining after every chunk —
-/// the same loop as [`run_hub_sharded`], so timing covers publish +
-/// drain including all coordination. `seed` selects a
-/// [`SeededScheduler`] (schedule-fuzzed runs) instead of the production
-/// [`FifoScheduler`]. Returns the run plus the publisher park count —
-/// the non-blocking-publish evidence for `BENCH_async.json`.
+/// served by `workers` reactor threads, draining after every chunk
+/// (which bounds the shard-side update accumulation and exercises the
+/// determinism barrier). Timing covers publish + drain, so the
+/// comparison against [`run_hub_sequential`] includes all coordination
+/// overhead. `seed` selects a [`SeededScheduler`] (schedule-fuzzed runs)
+/// instead of the production [`FifoScheduler`]. Returns the run plus the
+/// publisher park count — the non-blocking-publish evidence for
+/// `BENCH_async.json`.
 pub fn run_hub_async(
     mix: &[(Algo, WindowSpec)],
     data: &[Object],
@@ -316,7 +337,7 @@ pub fn run_hub_async(
     };
     let mut hub = AsyncHub::with_scheduler(shards, workers, scheduler);
     for (algo, spec) in mix {
-        hub.register_boxed(algo.build(*spec)).expect("fresh shards");
+        hub.subscribe(algo.count(*spec)).expect("fresh shards");
     }
     let mut updates = 0u64;
     let mut checksum = CHECKSUM_SEED;
@@ -365,37 +386,10 @@ pub fn timed_query_mix(count: usize) -> Vec<(Algo, QuerySpec)> {
         .collect()
 }
 
-/// Instantiates one mixed-model query: time-based specs get the
-/// algorithm wrapped in the Appendix-A [`TimeBased`] adapter over the
-/// reduced spec.
-fn build_timed_entry(algo: Algo, spec: TimedSpec) -> Box<dyn TimedTopK + Send> {
-    let inner = algo.build(spec.reduced().expect("mix spec is valid"));
-    Box::new(
-        TimeBased::from_engine(inner, spec.window_duration, spec.slide_duration)
-            .expect("reduced spec matches by construction"),
-    )
-}
-
-/// Publishes a timed stream to a sequential [`Hub`] serving a mixed
-/// count+timed `mix`, in chunks of `chunk` objects, closing trailing
-/// slides with a final watermark. Timing covers the full publish loop.
-pub fn run_timed_hub_sequential(
-    mix: &[(Algo, QuerySpec)],
-    data: &[TimedObject],
-    chunk: usize,
-) -> HubRun {
-    let mut hub = Hub::new();
-    for (algo, spec) in mix {
-        match spec {
-            QuerySpec::Count(spec) => {
-                hub.register_boxed(algo.build(*spec));
-            }
-            QuerySpec::Timed(spec) => {
-                let engine: Box<dyn TimedTopK> = build_timed_entry(*algo, *spec);
-                hub.register_timed_boxed(engine);
-            }
-        }
-    }
+/// Publishes a timed stream to a sequential `hub` in chunks of `chunk`
+/// objects, closing trailing slides with a final watermark, and timing
+/// the whole loop. Returns the run plus the hub's counters.
+fn run_timed_sequential_on(mut hub: Hub, data: &[TimedObject], chunk: usize) -> (HubRun, HubStats) {
     let horizon = data.last().map_or(0, |o| o.timestamp) + 1;
     let mut updates = 0u64;
     let mut checksum = CHECKSUM_SEED;
@@ -410,62 +404,94 @@ pub fn run_timed_hub_sequential(
         updates += 1;
         checksum = hub_checksum_fold(checksum, &u);
     }
-    HubRun {
-        elapsed: started.elapsed(),
+    let elapsed = started.elapsed();
+    let stats = hub.stats();
+    let run = HubRun {
+        elapsed,
         updates,
         checksum,
-        digest_hits: 0,
-        digest_rebuilds: 0,
+        digest_hits: stats.digest_hits,
+        digest_rebuilds: stats.digest_rebuilds,
+    };
+    (run, stats)
+}
+
+/// Publishes a timed stream to an [`AsyncHub`] with `shards` shards and
+/// a worker per shard serving `mix`, draining after every chunk and
+/// closing trailing slides with a final watermark. Updates and checksum
+/// cover the whole stream; timing starts after the first `warmup`
+/// objects. Checksums are comparable with the sequential runners' —
+/// equal iff the hubs delivered identical results.
+fn run_timed_async(
+    mix: impl IntoIterator<Item = Registration>,
+    data: &[TimedObject],
+    chunk: usize,
+    warmup: usize,
+    shards: usize,
+) -> HubRun {
+    let mut hub = AsyncHub::new(shards, shards);
+    for registration in mix {
+        hub.subscribe(registration)
+            .expect("fresh shards accept valid engines");
+    }
+    let horizon = data.last().map_or(0, |o| o.timestamp) + 1;
+    let mut updates = 0u64;
+    let mut checksum = CHECKSUM_SEED;
+    let mut fold = |hub: &mut AsyncHub| {
+        for u in hub.drain().expect("no engine panics in the bench mix") {
+            updates += 1;
+            checksum = hub_checksum_fold(checksum, &u);
+        }
+    };
+    let warmup = warmup.min(data.len());
+    for c in data[..warmup].chunks(chunk) {
+        hub.publish_timed(c)
+            .expect("no engine panics in the bench mix");
+        fold(&mut hub);
+    }
+    let started = Instant::now();
+    for c in data[warmup..].chunks(chunk) {
+        hub.publish_timed(c)
+            .expect("no engine panics in the bench mix");
+        fold(&mut hub);
+    }
+    hub.advance_time(horizon)
+        .expect("no engine panics in the bench mix");
+    fold(&mut hub);
+    let elapsed = started.elapsed();
+    let stats = hub.stats().expect("no engine panics in the bench mix");
+    HubRun {
+        elapsed,
+        updates,
+        checksum,
+        digest_hits: stats.digest_hits,
+        digest_rebuilds: stats.digest_rebuilds,
     }
 }
 
-/// The sharded counterpart of [`run_timed_hub_sequential`]: publishes
-/// the timed stream to a [`ShardedHub`] with `shards` workers, draining
-/// after every chunk. Checksums are comparable across the two runners —
-/// equal iff the hubs delivered identical results.
+/// Publishes a timed stream to a sequential [`Hub`] serving a mixed
+/// count+timed `mix`, in chunks of `chunk` objects, closing trailing
+/// slides with a final watermark. Timing covers the full publish loop.
+pub fn run_timed_hub_sequential(
+    mix: &[(Algo, QuerySpec)],
+    data: &[TimedObject],
+    chunk: usize,
+) -> HubRun {
+    let hub = hub_serving(mix.iter().map(|(algo, spec)| algo.isolated(*spec)));
+    run_timed_sequential_on(hub, data, chunk).0
+}
+
+/// The sharded counterpart of [`run_timed_hub_sequential`]: the timed
+/// stream on an [`AsyncHub`] with a worker per shard, draining after
+/// every chunk.
 pub fn run_timed_hub_sharded(
     mix: &[(Algo, QuerySpec)],
     data: &[TimedObject],
     chunk: usize,
     shards: usize,
 ) -> HubRun {
-    let mut hub = ShardedHub::new(shards);
-    for (algo, spec) in mix {
-        match spec {
-            QuerySpec::Count(spec) => {
-                hub.register_boxed(algo.build(*spec)).expect("fresh shards");
-            }
-            QuerySpec::Timed(spec) => {
-                hub.register_timed_boxed(build_timed_entry(*algo, *spec))
-                    .expect("fresh shards");
-            }
-        }
-    }
-    let horizon = data.last().map_or(0, |o| o.timestamp) + 1;
-    let mut updates = 0u64;
-    let mut checksum = CHECKSUM_SEED;
-    let started = Instant::now();
-    let fold = |hub: &mut ShardedHub, updates: &mut u64, checksum: &mut u64| {
-        for u in hub.drain().expect("no engine panics in the bench mix") {
-            *updates += 1;
-            *checksum = hub_checksum_fold(*checksum, &u);
-        }
-    };
-    for c in data.chunks(chunk) {
-        hub.publish_timed(c)
-            .expect("no engine panics in the bench mix");
-        fold(&mut hub, &mut updates, &mut checksum);
-    }
-    hub.advance_time(horizon)
-        .expect("no engine panics in the bench mix");
-    fold(&mut hub, &mut updates, &mut checksum);
-    HubRun {
-        elapsed: started.elapsed(),
-        updates,
-        checksum,
-        digest_hits: 0,
-        digest_rebuilds: 0,
-    }
+    let mix = mix.iter().map(|(algo, spec)| algo.isolated(*spec));
+    run_timed_async(mix, data, chunk, 0, shards)
 }
 
 /// All-timed query mix for the shared-digest bench: `count` queries over
@@ -496,51 +522,23 @@ pub fn run_shared_isolated(
     data: &[TimedObject],
     chunk: usize,
 ) -> HubRun {
-    let isolated: Vec<(Algo, QuerySpec)> =
-        mix.iter().map(|&(a, s)| (a, QuerySpec::Timed(s))).collect();
-    run_timed_hub_sequential(&isolated, data, chunk)
+    let hub = hub_serving(mix.iter().map(|(algo, spec)| algo.timed(*spec)));
+    run_timed_sequential_on(hub, data, chunk).0
 }
 
 /// Publishes a timed stream to a sequential [`Hub`] serving `mix` on the
-/// **shared digest plane** (`register_shared_boxed`): one digest producer
-/// per distinct slide duration feeds every member query. Checksums are
+/// **shared digest plane** ([`Algo::shared`]): one digest producer per
+/// distinct slide duration feeds every member query. Checksums are
 /// comparable with [`run_shared_isolated`] — equal iff the plane is
 /// byte-identical to per-session recomputation — and the run records the
 /// hub's digest hit/rebuild counters.
 pub fn run_shared_hub(mix: &[(Algo, TimedSpec)], data: &[TimedObject], chunk: usize) -> HubRun {
-    let mut hub = Hub::new();
-    for (algo, spec) in mix {
-        let engine: Box<dyn SlidingTopK> = algo.build(spec.reduced().expect("mix spec is valid"));
-        hub.register_shared_boxed(engine, spec.window_duration, spec.slide_duration)
-            .expect("engine built over the reduced spec");
-    }
-    let horizon = data.last().map_or(0, |o| o.timestamp) + 1;
-    let mut updates = 0u64;
-    let mut checksum = CHECKSUM_SEED;
-    let started = Instant::now();
-    for c in data.chunks(chunk) {
-        for u in hub.publish_timed(c) {
-            updates += 1;
-            checksum = hub_checksum_fold(checksum, &u);
-        }
-    }
-    for u in hub.advance_time(horizon) {
-        updates += 1;
-        checksum = hub_checksum_fold(checksum, &u);
-    }
-    let elapsed = started.elapsed();
-    let stats = hub.stats();
-    HubRun {
-        elapsed,
-        updates,
-        checksum,
-        digest_hits: stats.digest_hits,
-        digest_rebuilds: stats.digest_rebuilds,
-    }
+    let hub = hub_serving(mix.iter().map(|(algo, spec)| algo.shared(*spec)));
+    run_timed_sequential_on(hub, data, chunk).0
 }
 
 /// The sharded counterpart of [`run_shared_hub`]: the same shared mix on
-/// a [`ShardedHub`] with `shards` workers, slide groups shard-local,
+/// an [`AsyncHub`] with a worker per shard, slide groups shard-local,
 /// draining after every chunk.
 pub fn run_shared_hub_sharded(
     mix: &[(Algo, TimedSpec)],
@@ -548,42 +546,8 @@ pub fn run_shared_hub_sharded(
     chunk: usize,
     shards: usize,
 ) -> HubRun {
-    let mut hub = ShardedHub::new(shards);
-    for (algo, spec) in mix {
-        hub.register_shared_boxed(
-            algo.build(spec.reduced().expect("mix spec is valid")),
-            spec.window_duration,
-            spec.slide_duration,
-        )
-        .expect("fresh shards accept valid engines");
-    }
-    let horizon = data.last().map_or(0, |o| o.timestamp) + 1;
-    let mut updates = 0u64;
-    let mut checksum = CHECKSUM_SEED;
-    let started = Instant::now();
-    let fold = |hub: &mut ShardedHub, updates: &mut u64, checksum: &mut u64| {
-        for u in hub.drain().expect("no engine panics in the bench mix") {
-            *updates += 1;
-            *checksum = hub_checksum_fold(*checksum, &u);
-        }
-    };
-    for c in data.chunks(chunk) {
-        hub.publish_timed(c)
-            .expect("no engine panics in the bench mix");
-        fold(&mut hub, &mut updates, &mut checksum);
-    }
-    hub.advance_time(horizon)
-        .expect("no engine panics in the bench mix");
-    fold(&mut hub, &mut updates, &mut checksum);
-    let elapsed = started.elapsed();
-    let stats = hub.stats().expect("no engine panics in the bench mix");
-    HubRun {
-        elapsed,
-        updates,
-        checksum,
-        digest_hits: stats.digest_hits,
-        digest_rebuilds: stats.digest_rebuilds,
-    }
+    let mix = mix.iter().map(|(algo, spec)| algo.shared(*spec));
+    run_timed_async(mix, data, chunk, 0, shards)
 }
 
 /// Count-based query mix for the `fanout` preset: `count` queries over
@@ -681,36 +645,25 @@ fn run_fanout_on(mut hub: Hub, data: &[Object], chunk: usize) -> FanoutRun {
 }
 
 /// The per-session reference for the `fanout` preset: the same
-/// count-based mix served by **isolated** sessions ([`Hub::register_boxed`]).
+/// count-based mix served by **isolated** sessions ([`Algo::count`]).
 pub fn run_fanout_isolated(mix: &[(Algo, WindowSpec)], data: &[Object], chunk: usize) -> FanoutRun {
-    let mut hub = Hub::new();
-    for (algo, spec) in mix {
-        hub.register_boxed(algo.build(*spec));
-    }
+    let hub = hub_serving(mix.iter().map(|(algo, spec)| algo.count(*spec)));
     run_fanout_on(hub, data, chunk)
 }
 
 /// Publishes `data` to a sequential [`Hub`] serving `mix` on the
-/// **shared count plane** (`register_grouped_boxed`): queries sharing a
-/// window geometry ingest each object once per group and slice their
-/// `(n, k)` views from the group digest. The checksum is comparable
-/// with [`run_fanout_isolated`] over the same mix — equal iff grouping
-/// is byte-identical to per-session serving.
+/// **shared count plane** ([`Algo::grouped`]): queries sharing a window
+/// geometry ingest each object once per group and slice their `(n, k)`
+/// views from the group digest. The checksum is comparable with
+/// [`run_fanout_isolated`] over the same mix — equal iff grouping is
+/// byte-identical to per-session serving.
 pub fn run_fanout_grouped(mix: &[(Algo, WindowSpec)], data: &[Object], chunk: usize) -> FanoutRun {
-    let mut hub = Hub::new();
-    for (algo, spec) in mix {
-        let reduced = TimedSpec::new(spec.n as u64, spec.s as u64, spec.k)
-            .and_then(|t| t.reduced())
-            .expect("mix spec reduces");
-        let engine: Box<dyn SlidingTopK> = algo.build(reduced);
-        hub.register_grouped_boxed(engine, spec.n, spec.s)
-            .expect("engine built over the reduced spec");
-    }
+    let hub = hub_serving(mix.iter().map(|(algo, spec)| algo.grouped(*spec)));
     run_fanout_on(hub, data, chunk)
 }
 
 /// The sharded counterpart of [`run_fanout_grouped`]: the same grouped
-/// mix on a [`ShardedHub`] with `shards` workers — count groups
+/// mix on an [`AsyncHub`] with a worker per shard — count groups
 /// shard-local via `home_shard` affinity — draining after every chunk.
 /// Quiet publishes are not attributed (publish is asynchronous and the
 /// drain is a barrier), so `quiet_objects` stays 0.
@@ -720,12 +673,9 @@ pub fn run_fanout_grouped_sharded(
     chunk: usize,
     shards: usize,
 ) -> FanoutRun {
-    let mut hub = ShardedHub::new(shards);
+    let mut hub = AsyncHub::new(shards, shards);
     for (algo, spec) in mix {
-        let reduced = TimedSpec::new(spec.n as u64, spec.s as u64, spec.k)
-            .and_then(|t| t.reduced())
-            .expect("mix spec reduces");
-        hub.register_grouped_boxed(algo.build(reduced), spec.n, spec.s)
+        hub.subscribe(algo.grouped(*spec))
             .expect("fresh shards accept valid engines");
     }
     let mut updates = 0u64;
@@ -838,18 +788,12 @@ pub fn run_floor(
         hub.set_result_class_sharing(false);
     }
     for _ in 0..members {
-        match arm {
-            FloorArm::Isolated => {
-                hub.register_boxed(Algo::Sap.build(spec));
-            }
-            FloorArm::Unclassed | FloorArm::Classed => {
-                let reduced = TimedSpec::new(spec.n as u64, spec.s as u64, spec.k)
-                    .and_then(|t| t.reduced())
-                    .expect("floor spec reduces");
-                hub.register_grouped_boxed(Algo::Sap.build(reduced), spec.n, spec.s)
-                    .expect("engine built over the reduced spec");
-            }
-        }
+        let registration = match arm {
+            FloorArm::Isolated => Algo::Sap.count(spec),
+            FloorArm::Unclassed | FloorArm::Classed => Algo::Sap.grouped(spec),
+        };
+        hub.subscribe(registration)
+            .expect("engine built over the reduced spec");
     }
     let mut updates = 0u64;
     let mut checksum = CHECKSUM_SEED;
@@ -996,40 +940,11 @@ pub fn run_prune(
         _ => Predicate::any(),
     };
     for (algo, spec) in mix {
-        hub.register_shared_filtered_boxed(
-            algo.build(spec.reduced().expect("mix spec is valid")),
-            spec.window_duration,
-            spec.slide_duration,
-            predicate,
-        )
-        .expect("engine built over the reduced spec");
+        hub.subscribe(algo.shared(*spec).filter(predicate))
+            .expect("engine built over the reduced spec");
     }
-    let horizon = data.last().map_or(0, |o| o.timestamp) + 1;
-    let mut updates = 0u64;
-    let mut checksum = CHECKSUM_SEED;
-    let started = Instant::now();
-    for c in data.chunks(chunk) {
-        for u in hub.publish_timed(c) {
-            updates += 1;
-            checksum = hub_checksum_fold(checksum, &u);
-        }
-    }
-    for u in hub.advance_time(horizon) {
-        updates += 1;
-        checksum = hub_checksum_fold(checksum, &u);
-    }
-    let elapsed = started.elapsed();
-    let stats = hub.stats();
-    PruneRun {
-        run: HubRun {
-            elapsed,
-            updates,
-            checksum,
-            digest_hits: stats.digest_hits,
-            digest_rebuilds: stats.digest_rebuilds,
-        },
-        stats,
-    }
+    let (run, stats) = run_timed_sequential_on(hub, data, chunk);
+    PruneRun { run, stats }
 }
 
 /// One standing query of the `hotpath` preset's **mixed-model** set:
@@ -1091,74 +1006,15 @@ pub fn hotpath_query_mix(count: usize) -> Vec<HotQuery> {
         .collect()
 }
 
-/// How the pre-refactor publish plane treated a query's slides — drives
-/// the per-update allocation replay of [`HotpathMode::Legacy`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LegacyFlavor {
-    /// Count-based SAP: had the O(1) dirty flag, so a provably quiet
-    /// slide skipped the diff (but still collected and cloned the
-    /// snapshot).
-    CountSap,
-    /// Count-based baseline: no dirty flag, the diff always ran.
-    Count,
-    /// Isolated Appendix-A adapter: materialized a refcounted digest per
-    /// slide and copied through the consumer (kept prefix, padded batch,
-    /// cloned result, collected outer list) before the session's own
-    /// snapshot copies.
-    Timed,
-    /// Shared-plane member: the group digest was shared, but the consumer
-    /// still copied its kept prefix, batch, and result per applied slide.
-    Shared,
-}
-
-fn register_hotpath_sequential(hub: &mut Hub, mix: &[HotQuery]) -> HashMap<QueryId, LegacyFlavor> {
-    let mut flavors = HashMap::new();
-    for q in mix {
-        let (id, flavor) = match *q {
-            HotQuery::Count(algo, spec) => (
-                hub.register_boxed(algo.build(spec)),
-                if matches!(algo, Algo::Sap | Algo::SapDynamic | Algo::SapEqual) {
-                    LegacyFlavor::CountSap
-                } else {
-                    LegacyFlavor::Count
-                },
-            ),
-            HotQuery::Timed(algo, spec) => {
-                let engine: Box<dyn TimedTopK> = build_timed_entry(algo, spec);
-                (hub.register_timed_boxed(engine), LegacyFlavor::Timed)
-            }
-            HotQuery::Shared(algo, spec) => (
-                hub.register_shared_boxed(
-                    algo.build(spec.reduced().expect("mix spec is valid")),
-                    spec.window_duration,
-                    spec.slide_duration,
-                )
-                .expect("engine built over the reduced spec"),
-                LegacyFlavor::Shared,
-            ),
-        };
-        flavors.insert(id, flavor);
+impl HotQuery {
+    /// The registration this query describes.
+    pub fn registration(&self) -> Registration {
+        match *self {
+            HotQuery::Count(algo, spec) => algo.count(spec),
+            HotQuery::Timed(algo, spec) => algo.timed(spec),
+            HotQuery::Shared(algo, spec) => algo.shared(spec),
+        }
     }
-    flavors
-}
-
-/// Which per-update cost model a [`run_hotpath`] case charges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HotpathMode {
-    /// The pre-refactor publish plane, re-enacted: on top of the shared
-    /// computation, every update performs the allocations the seed code
-    /// performed per completed slide — the snapshot `collect`, the
-    /// `snapshot.clone()` into the emitted result, and the allocating
-    /// [`diff_snapshots`] — plus the per-publish timestamp-strip `Vec`.
-    /// (The two paths cannot coexist as code, so the legacy case replays
-    /// the old *allocation profile* on identical results; the replay is
-    /// generous to the legacy side — updates the pooled path proved
-    /// unchanged skip the diff's id buffers, which the old diff-proven
-    /// path still allocated.)
-    Legacy,
-    /// The pooled plane as shipped: `Arc`-shared snapshots, per-session
-    /// scratch, registry-pooled staging.
-    Pooled,
 }
 
 /// One measured `hotpath` case: whole-stream equivalence evidence plus
@@ -1197,169 +1053,40 @@ impl HotpathRun {
     }
 }
 
-/// The pre-refactor allocation profile, re-enacted per update (see
-/// [`HotpathMode::Legacy`]).
-struct LegacyReplay {
-    prev: HashMap<QueryId, Vec<Object>>,
-    flavors: HashMap<QueryId, LegacyFlavor>,
-}
-
-impl LegacyReplay {
-    fn new(flavors: HashMap<QueryId, LegacyFlavor>) -> Self {
-        LegacyReplay {
-            prev: HashMap::new(),
-            flavors,
-        }
-    }
-
-    /// The seed registry stripped timestamps into a fresh `Vec` on every
-    /// `publish_timed` call.
-    fn strip(&self, chunk: &[TimedObject]) {
-        let plain: Vec<Object> = chunk.iter().map(TimedObject::untimed).collect();
-        std::hint::black_box(&plain);
-    }
-
-    /// Per-publish costs of the old plane that today's registry pools:
-    /// the `Vec<QueryUpdate>` grown unhinted from empty (today: one
-    /// reserve from the retained high-water hint), and one result `Vec`
-    /// per session that completed slides (the old per-call trait
-    /// contract; today sessions stage into the registry's pooled buffer).
-    /// Footprints match the old structs: an update was two ids plus two
-    /// `Vec` headers, a session result entry was a 64-byte `SlideResult`.
-    fn replay_publish(&self, updates: &[QueryUpdate]) {
-        let mut unhinted: Vec<(u64, u64, Vec<Object>, Vec<Object>)> = Vec::new();
-        for u in updates {
-            unhinted.push((0, u.result.slide, Vec::new(), Vec::new()));
-        }
-        std::hint::black_box(&unhinted);
-        let mut i = 0;
-        while i < updates.len() {
-            let mut j = i;
-            while j < updates.len() && updates[j].query == updates[i].query {
-                j += 1;
-            }
-            let mut session_out: Vec<[u64; 8]> = Vec::new();
-            for _ in i..j {
-                session_out.push([0; 8]);
-            }
-            std::hint::black_box(&session_out);
-            i = j;
-        }
-    }
-
-    /// Re-enacts the allocations the pre-refactor code performed for this
-    /// update, per session flavor:
-    ///
-    /// * every flavor: the session's translated-snapshot `collect`, its
-    ///   `clone()` into the emitted `SlideResult`, and the allocating
-    ///   [`diff_snapshots`] (two sorted-id buffers plus the event `Vec`) —
-    ///   skipped only where the old code could: count-based SAP's dirty
-    ///   flag;
-    /// * timed (isolated adapter): the per-slide digest materialization
-    ///   the old `TimeBased::ingest` performed — the refcounted
-    ///   `SlideDigest` and its `top` list, the consumer's kept-prefix and
-    ///   padded-batch copies, the cloned consumer result, and the
-    ///   `Vec<Vec<_>>` collect of the trait contract;
-    /// * shared: the group digest was already shared, but the consumer
-    ///   still copied kept prefix, batch, and result per applied slide,
-    ///   and the session collected the per-call result list.
-    fn replay(&mut self, update: &QueryUpdate) {
-        let snapshot: Vec<Object> = update.result.snapshot.to_vec();
-        match self.flavors.get(&update.query) {
-            Some(LegacyFlavor::Timed) => {
-                // the old close_slide moved its accumulation buffer into
-                // the digest (`mem::take`), so the next slide's buffer
-                // regrew from empty — re-enact the growth pattern
-                let mut regrown: Vec<Object> = Vec::new();
-                for o in &snapshot {
-                    regrown.push(*o);
-                }
-                let digest = std::sync::Arc::new(regrown);
-                let kept = snapshot.clone();
-                let batch: Vec<Object> = Vec::with_capacity(kept.len().max(1));
-                let outer = vec![snapshot.clone()];
-                std::hint::black_box((&digest, &kept, &batch, &outer));
-            }
-            Some(LegacyFlavor::Shared) => {
-                let kept = snapshot.clone();
-                let batch: Vec<Object> = Vec::with_capacity(kept.len().max(1));
-                let outer = vec![snapshot.clone()];
-                std::hint::black_box((&kept, &batch, &outer));
-            }
-            _ => {}
-        }
-        let retained = snapshot.clone();
-        // only count-based SAP had the O(1) no-change proof; every other
-        // flavor diffed unconditionally
-        let known_unchanged = matches!(
-            self.flavors.get(&update.query),
-            Some(LegacyFlavor::CountSap)
-        ) && update.result.events.is_unchanged();
-        let prev = self.prev.entry(update.query).or_default();
-        let events = diff_snapshots(prev, &snapshot, known_unchanged);
-        std::hint::black_box(&events);
-        *prev = retained;
-    }
-}
-
 /// Publishes a timed stream to a sequential [`Hub`] serving the mixed
 /// `mix`, in chunks of `chunk` objects. The first `warmup` objects warm
 /// every pooled buffer (and the digest plane) without being measured;
 /// the remainder — plus the final watermark — is timed, with the heap
 /// pressure read from `allocations` (the caller's counting global
-/// allocator). Checksums cover the whole stream and are comparable
-/// across modes and with [`run_hotpath_sharded`].
+/// allocator). Checksums cover the whole stream and are comparable with
+/// [`run_hotpath_sharded`].
 pub fn run_hotpath(
     mix: &[HotQuery],
     data: &[TimedObject],
     chunk: usize,
     warmup: usize,
-    mode: HotpathMode,
     allocations: &dyn Fn() -> u64,
 ) -> HotpathRun {
-    let mut hub = Hub::new();
-    let flavors = register_hotpath_sequential(&mut hub, mix);
+    let mut hub = hub_serving(mix.iter().map(HotQuery::registration));
     let horizon = data.last().map_or(0, |o| o.timestamp) + 1;
-    let mut legacy = match mode {
-        HotpathMode::Legacy => Some(LegacyReplay::new(flavors)),
-        HotpathMode::Pooled => None,
-    };
     let mut updates = 0u64;
     let mut checksum = CHECKSUM_SEED;
-    let publish = |hub: &mut Hub,
-                   c: &[TimedObject],
-                   legacy: &mut Option<LegacyReplay>,
-                   updates: &mut u64,
-                   checksum: &mut u64| {
-        let batch = hub.publish_timed(c);
-        if let Some(replayer) = legacy {
-            replayer.strip(c);
-            replayer.replay_publish(&batch);
-        }
+    let mut fold = |batch: Vec<QueryUpdate>| {
         for u in batch {
-            *updates += 1;
-            *checksum = hub_checksum_fold(*checksum, &u);
-            if let Some(replayer) = legacy {
-                replayer.replay(&u);
-            }
+            updates += 1;
+            checksum = hub_checksum_fold(checksum, &u);
         }
     };
     let warmup = warmup.min(data.len());
     for c in data[..warmup].chunks(chunk) {
-        publish(&mut hub, c, &mut legacy, &mut updates, &mut checksum);
+        fold(hub.publish_timed(c));
     }
     let alloc_base = allocations();
     let started = Instant::now();
     for c in data[warmup..].chunks(chunk) {
-        publish(&mut hub, c, &mut legacy, &mut updates, &mut checksum);
+        fold(hub.publish_timed(c));
     }
-    for u in hub.advance_time(horizon) {
-        updates += 1;
-        checksum = hub_checksum_fold(checksum, &u);
-        if let Some(replayer) = &mut legacy {
-            replayer.replay(&u);
-        }
-    }
+    fold(hub.advance_time(horizon));
     let elapsed = started.elapsed();
     let steady_allocs = allocations() - alloc_base;
     let stats = hub.stats();
@@ -1374,10 +1101,11 @@ pub fn run_hotpath(
     }
 }
 
-/// The sharded cross-check of [`run_hotpath`]: the same mixed set on a
-/// [`ShardedHub`], draining per chunk — its whole-stream checksum must
-/// equal the sequential runs'. Allocations are not attributed (worker
-/// threads share the global counter), so `steady_allocs` is `None`.
+/// The sharded cross-check of [`run_hotpath`]: the same mixed set on an
+/// [`AsyncHub`] with a worker per shard, draining per chunk — its
+/// whole-stream checksum must equal the sequential run's. Allocations
+/// are not attributed (worker threads share the global counter), so
+/// `steady_allocs` is `None`.
 pub fn run_hotpath_sharded(
     mix: &[HotQuery],
     data: &[TimedObject],
@@ -1385,60 +1113,16 @@ pub fn run_hotpath_sharded(
     warmup: usize,
     shards: usize,
 ) -> HotpathRun {
-    let mut hub = ShardedHub::new(shards);
-    for q in mix {
-        match *q {
-            HotQuery::Count(algo, spec) => {
-                hub.register_boxed(algo.build(spec)).expect("fresh shards");
-            }
-            HotQuery::Timed(algo, spec) => {
-                hub.register_timed_boxed(build_timed_entry(algo, spec))
-                    .expect("fresh shards");
-            }
-            HotQuery::Shared(algo, spec) => {
-                hub.register_shared_boxed(
-                    algo.build(spec.reduced().expect("mix spec is valid")),
-                    spec.window_duration,
-                    spec.slide_duration,
-                )
-                .expect("fresh shards accept valid engines");
-            }
-        }
-    }
-    let horizon = data.last().map_or(0, |o| o.timestamp) + 1;
-    let mut updates = 0u64;
-    let mut checksum = CHECKSUM_SEED;
-    let fold = |hub: &mut ShardedHub, updates: &mut u64, checksum: &mut u64| {
-        for u in hub.drain().expect("no engine panics in the bench mix") {
-            *updates += 1;
-            *checksum = hub_checksum_fold(*checksum, &u);
-        }
-    };
-    let warmup = warmup.min(data.len());
-    for c in data[..warmup].chunks(chunk) {
-        hub.publish_timed(c)
-            .expect("no engine panics in the bench mix");
-        fold(&mut hub, &mut updates, &mut checksum);
-    }
-    let started = Instant::now();
-    for c in data[warmup..].chunks(chunk) {
-        hub.publish_timed(c)
-            .expect("no engine panics in the bench mix");
-        fold(&mut hub, &mut updates, &mut checksum);
-    }
-    hub.advance_time(horizon)
-        .expect("no engine panics in the bench mix");
-    fold(&mut hub, &mut updates, &mut checksum);
-    let elapsed = started.elapsed();
-    let stats = hub.stats().expect("no engine panics in the bench mix");
+    let mix = mix.iter().map(HotQuery::registration);
+    let run = run_timed_async(mix, data, chunk, warmup, shards);
     HotpathRun {
-        elapsed,
-        steady_objects: (data.len() - warmup) as u64,
+        elapsed: run.elapsed,
+        steady_objects: (data.len() - warmup.min(data.len())) as u64,
         steady_allocs: None,
-        updates,
-        checksum,
-        digest_hits: stats.digest_hits,
-        digest_rebuilds: stats.digest_rebuilds,
+        updates: run.updates,
+        checksum: run.checksum,
+        digest_hits: run.digest_hits,
+        digest_rebuilds: run.digest_rebuilds,
     }
 }
 
@@ -1526,7 +1210,7 @@ mod tests {
     }
 
     #[test]
-    fn hotpath_modes_and_hubs_agree() {
+    fn hotpath_hubs_agree() {
         use sap_stream::ArrivalProcess;
         let mix = hotpath_query_mix(30);
         assert!(mix.iter().any(|q| matches!(q, HotQuery::Count(..))));
@@ -1536,16 +1220,10 @@ mod tests {
         // no counting allocator installed here: the counter input only
         // feeds the reported metric, not the run itself
         let none = || 0u64;
-        let pooled = run_hotpath(&mix, &data, 250, 1_000, HotpathMode::Pooled, &none);
+        let pooled = run_hotpath(&mix, &data, 250, 1_000, &none);
         assert!(pooled.updates > 0);
         assert_eq!(pooled.steady_objects, 3_000);
         assert!(pooled.digest_hits > 0, "shared members must share");
-        let legacy = run_hotpath(&mix, &data, 250, 1_000, HotpathMode::Legacy, &none);
-        assert_eq!(
-            legacy.checksum, pooled.checksum,
-            "the legacy replay must not change results"
-        );
-        assert_eq!(legacy.updates, pooled.updates);
         for shards in [1, 2] {
             let par = run_hotpath_sharded(&mix, &data, 250, 1_000, shards);
             assert_eq!(par.checksum, pooled.checksum, "shards={shards}");

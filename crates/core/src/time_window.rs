@@ -28,8 +28,8 @@
 //! re-exported here.
 //!
 //! The adapter implements [`TimedTopK`], which is what plugs it into the
-//! session layer: `TimedSession`, `Hub::register_timed_boxed`, and the
-//! sharded hub all speak that trait, so a time-based query built from
+//! session layer: `TimedSession`, `Registration::timed`, and both hubs
+//! speak that trait, so a time-based query built from
 //! `Query::window_duration(..)` rides the same event/delta machinery as
 //! the count-based ones.
 //!

@@ -39,7 +39,9 @@
 //! ```
 //! use sap_stream::checkpoint::{CheckpointState, EngineFactory};
 //! use sap_stream::session::Hub;
-//! use sap_stream::{Ingest, Object, SapError, SlidingTopK, TimedSpec, TimedTopK, WindowSpec};
+//! use sap_stream::{
+//!     Ingest, Object, Registration, SapError, SlidingTopK, TimedSpec, TimedTopK, WindowSpec,
+//! };
 //! # use sap_stream::metrics::OpStats;
 //! # use sap_stream::object::top_k_of;
 //! # struct Toy { spec: WindowSpec, window: Vec<Object>, result: Vec<Object> }
@@ -73,7 +75,7 @@
 //! # }
 //! let mut hub = Hub::new();
 //! let spec = WindowSpec::new(4, 2, 2).unwrap();
-//! let q = hub.register_boxed(Box::new(Toy::new(spec)));
+//! let q = hub.subscribe(Registration::count(Box::new(Toy::new(spec)))).unwrap();
 //!
 //! // run half the stream, then checkpoint
 //! let objects: Vec<Object> = (0..6).map(|i| Object::new(i, i as f64)).collect();
@@ -280,8 +282,8 @@ impl Encoder {
     }
 
     /// Splices an already-encoded fragment into this payload — how the
-    /// sharded hub assembles the sections its workers framed on their own
-    /// threads. The fragment must itself be valid section-framed payload;
+    /// async hub assembles the sections its shards framed on their
+    /// worker threads. The fragment must itself be valid section-framed payload;
     /// nothing re-validates it here.
     pub(crate) fn put_encoded(&mut self, fragment: &[u8]) {
         self.buf.extend_from_slice(fragment);

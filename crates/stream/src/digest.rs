@@ -22,11 +22,11 @@
 //!
 //! `sap_core`'s `TimeBased<E>` is one producer wired to one consumer; the
 //! hubs wire one producer to *many* consumers (see
-//! `Hub::register_shared_boxed`), which is where the shared plane earns
+//! `Registration::shared`), which is where the shared plane earns
 //! its keep: 500 queries over 4 slide durations cost 4 truncation passes
 //! per slide instead of 500.
 //!
-//! The **count-group plane** (`Hub::register_grouped`) rides the same
+//! The **count-group plane** (`Registration::grouped`) rides the same
 //! two types from the count-based side: a geometry class of count
 //! queries — same slide length `s`, same registration offset mod `s` —
 //! closes slides on the same published object, so the registry runs one

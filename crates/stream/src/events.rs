@@ -60,7 +60,7 @@ pub enum TopKEvent {
 /// everything that refers to the emission — the [`SlideResult`] handed to
 /// the caller, the session's retained previous snapshot (the baseline of
 /// the next delta), every `QueryUpdate` a hub fans out, and the
-/// shard-crossing `QueryState` of `ShardedHub::inspect`. Cloning a
+/// shard-crossing `QueryState` of `AsyncHub::inspect`. Cloning a
 /// `Snapshot` is a refcount bump, never a copy.
 ///
 /// Two consequences callers can rely on:

@@ -1,20 +1,21 @@
 //! The async hub: a single-reactor executor that serves many shards on
 //! few workers, with a non-blocking publish path.
 //!
-//! [`ShardedHub`](crate::shard::ShardedHub) spends one OS thread and one
-//! bounded channel per shard — the right shape while shards ≤ cores, and
-//! a wall once they aren't: a hub serving thousands of logical
-//! partitions cannot afford a thread each, and a publisher that *blocks*
-//! in `send` cannot interleave ingestion with other work. [`AsyncHub`]
-//! is the executor shape the web-scale continuous top-k literature
-//! assumes — many logical partitions multiplexed onto a small reactor
-//! pool with batched wakeups:
+//! [`Hub`](crate::session::Hub) fans every published object out to every
+//! registered query in the caller's thread, so throughput is capped at
+//! one core. [`AsyncHub`] partitions the queries across logical shards
+//! instead and multiplexes them onto a small reactor pool with batched
+//! wakeups — the executor shape the web-scale continuous top-k
+//! literature assumes. A hub serving thousands of logical partitions
+//! cannot afford a thread each, and a publisher that blocks in `send`
+//! cannot interleave ingestion with other work:
 //!
 //! * every logical shard is a `Slot`: a bounded command queue plus the
-//!   same `Registry` a `ShardedHub` worker drives, applied through the
-//!   same interpreter (`apply_command`) — which is what keeps results
-//!   **byte-identical** to the sequential [`Hub`](crate::session::Hub)
-//!   and to `ShardedHub`, by construction rather than by luck;
+//!   same `Registry` the sequential hub drives, applied through one
+//!   interpreter (`apply_command`, see the control plane in
+//!   `crate::shard`) — which is what keeps results **byte-identical** to
+//!   the sequential [`Hub`](crate::session::Hub), by construction rather
+//!   than by luck;
 //! * a fixed pool of worker threads multiplexes the slots: each wakeup a
 //!   worker claims one ready shard and applies up to
 //!   [`COMMANDS_PER_WAKEUP`] queued commands before re-entering the
@@ -30,9 +31,11 @@
 //!   park test for room instead, and
 //!   [`publisher_parks`](AsyncHub::publisher_parks) counts the parks so
 //!   a deployment can see whether its queues are deep enough;
-//! * [`drain`](AsyncHub::drain) is the same join-all barrier as the
-//!   sharded hub's, returning updates in the global `(QueryId, slide)`
-//!   order — independent of shard count, worker count, and scheduling.
+//! * [`drain`](AsyncHub::drain) is a join-all barrier, returning updates
+//!   in the global `(QueryId, slide)` order — independent of shard
+//!   count, worker count, and scheduling. Ids are handed out in
+//!   registration order and each query's slides ascend, so this is the
+//!   sequential hub's registration-order delivery.
 //!
 //! The quiet publish path performs **zero heap allocations** at steady
 //! state: queues never grow past their bound, publish targets live in a
@@ -51,7 +54,7 @@
 //! `tests/async_equivalence.rs` attacks with hundreds of seeds.
 //!
 //! ```
-//! use sap_stream::{AsyncHub, Object};
+//! use sap_stream::{AsyncHub, Object, Registration};
 //! # use sap_stream::{OpStats, SlidingTopK, WindowSpec};
 //! # struct Toy(WindowSpec, Vec<Object>);
 //! # impl sap_stream::checkpoint::CheckpointState for Toy {}
@@ -63,10 +66,11 @@
 //! #     fn stats(&self) -> OpStats { OpStats::default() }
 //! #     fn name(&self) -> &str { "toy" }
 //! # }
-//! // 8 logical shards served by 2 workers — shards no longer cap at
-//! // core count, and the API is the sharded hub's.
+//! // 8 logical shards served by 2 workers — shards do not cap at the
+//! // core count
 //! let mut hub = AsyncHub::new(8, 2);
-//! let q = hub.register_alg(Toy(WindowSpec::new(2, 1, 2).unwrap(), Vec::new())).unwrap();
+//! let toy = Toy(WindowSpec::new(2, 1, 2).unwrap(), Vec::new());
+//! let q = hub.subscribe(Registration::count(Box::new(toy))).unwrap();
 //! assert!(hub.poll_ready().unwrap(), "queues are empty: room for a batch");
 //! hub.publish(&[Object::new(0, 1.0), Object::new(1, 5.0)]).unwrap();
 //! let updates = hub.drain().unwrap(); // join-all barrier
@@ -79,7 +83,7 @@
 //! seed only steers which worker touches which shard when.
 //!
 //! ```
-//! use sap_stream::{AsyncHub, Object, SeededScheduler};
+//! use sap_stream::{AsyncHub, Object, Registration, SeededScheduler};
 //! # use sap_stream::{OpStats, SlidingTopK, WindowSpec};
 //! # struct Toy(WindowSpec, Vec<Object>);
 //! # impl sap_stream::checkpoint::CheckpointState for Toy {}
@@ -96,7 +100,8 @@
 //! for seed in [1u64, 0xDEAD_BEEF] {
 //!     let mut hub = AsyncHub::with_scheduler(4, 2, Box::new(SeededScheduler::new(seed)));
 //!     for _ in 0..3 {
-//!         hub.register_alg(Toy(WindowSpec::new(4, 2, 4).unwrap(), Vec::new())).unwrap();
+//!         let toy = Toy(WindowSpec::new(4, 2, 4).unwrap(), Vec::new());
+//!         hub.subscribe(Registration::count(Box::new(toy))).unwrap();
 //!     }
 //!     for chunk in data.chunks(8) {
 //!         hub.publish(chunk).unwrap();
@@ -114,10 +119,13 @@
 //! [`SapError::ShardDown`] — the *worker thread survives* and keeps
 //! serving the other shards, so one poisoned engine costs one shard, not
 //! one `1/workers`-th of the hub. Parked publishers are woken to observe
-//! the death instead of hanging. The recovery story is the sharded
-//! hub's: [`checkpoint`](AsyncHub::checkpoint) periodically and
-//! [`restore`](AsyncHub::restore) into a fresh hub — checkpoints are
-//! fully interchangeable between `Hub`, `ShardedHub`, and `AsyncHub`.
+//! the death instead of hanging. The queries on the dead shard are lost;
+//! the hub never respawns a shard silently, because losing standing
+//! queries' state is not something to paper over. The recovery story:
+//! [`checkpoint`](AsyncHub::checkpoint) periodically and
+//! [`restore`](AsyncHub::restore) the last checkpoint into a fresh hub —
+//! checkpoints are fully interchangeable between `Hub` and `AsyncHub`
+//! (`examples/checkpoint.rs` walks the whole drill).
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -126,18 +134,26 @@ use std::thread::JoinHandle;
 
 use crate::checkpoint::{Checkpoint, EngineFactory};
 use crate::object::{Object, TimedObject};
-use crate::predicate::Predicate;
 use crate::query::SapError;
-use crate::registry::{HubStats, Registry};
-use crate::session::{QueryId, QueryUpdate};
+use crate::registry::{HubRegistry, HubStats, Registration, Registry};
+use crate::session::{HubSession, QueryId, QueryUpdate};
 use crate::shard::{
     apply_command, checkpoint_sections_on, decode_hub_checkpoint, drain_on, eject_all_on, flush_on,
-    inspect_on, move_query_on, place_parts_on, register_count_on, register_grouped_on,
-    register_shared_on, register_timed_on, stats_on, unregister_on, Command, CommandPort,
-    Placement, QueryState, ShardRegistry, ShardSession, DEFAULT_QUEUE_CAPACITY,
-    PUBLISH_ONE_COALESCE,
+    inspect_on, move_query_on, place_parts_on, register_on, stats_on, unregister_on, Command,
+    Placement, QueryState,
 };
-use crate::window::{SlidingTopK, TimedTopK};
+
+/// Default bound on each shard's queue, in commands. Deep enough to keep
+/// workers busy across bursty publishes, shallow enough that a stalled
+/// shard pushes back on the publisher instead of buffering the stream.
+pub const DEFAULT_QUEUE_CAPACITY: usize = 64;
+
+/// How many singly-published objects [`AsyncHub::publish_one`] coalesces
+/// into one pending batch before forcing a flush. Small enough that a
+/// trickle publisher's objects reach the shards promptly relative to any
+/// barrier, large enough that a tight `publish_one` loop costs one `Arc`
+/// batch per `PUBLISH_ONE_COALESCE` objects instead of one per object.
+pub const PUBLISH_ONE_COALESCE: usize = 128;
 
 /// How many queued commands one worker wakeup applies to its claimed
 /// shard before re-entering the reactor. Batching amortizes the lock
@@ -237,10 +253,10 @@ struct Slot {
     depth_hwm: u64,
 }
 
-/// What a worker checks out: the same registry a `ShardedHub` worker
-/// owns, plus the shard's undrained updates.
+/// What a worker checks out: the shard's registry plus its undrained
+/// updates.
 struct ShardCore {
-    registry: ShardRegistry,
+    registry: HubRegistry,
     updates: Vec<QueryUpdate>,
 }
 
@@ -281,8 +297,9 @@ struct ExecState {
 
 /// The single reactor every worker and the hub thread rendezvous on: one
 /// mutex over all slots, one condvar each way (`work_cv` wakes workers,
-/// `room_cv` wakes parked publishers and quiesce waiters).
-struct Reactor {
+/// `room_cv` wakes parked publishers and quiesce waiters). The control
+/// plane enqueues its commands through [`send`](Reactor::send).
+pub(crate) struct Reactor {
     state: Mutex<ExecState>,
     work_cv: Condvar,
     room_cv: Condvar,
@@ -336,8 +353,8 @@ impl Reactor {
 
     /// The publish path: atomically enqueues one command on *every*
     /// target, or parks until that is possible (all-or-nothing, so a
-    /// partially published batch can never exist). One lock crossing
-    /// replaces the sharded hub's per-shard channel sends.
+    /// partially published batch can never exist) — one lock crossing
+    /// for the whole broadcast.
     fn broadcast(
         &self,
         targets: &[usize],
@@ -376,12 +393,13 @@ impl Reactor {
             state = self.wait_room(state);
         }
     }
-}
 
-impl CommandPort for Reactor {
-    /// Control-command transport: enqueue on one shard, waiting (without
-    /// counting as a publisher park) if its queue is full.
-    fn send(&self, shard: usize, cmd: Command) -> Result<(), SapError> {
+    /// Control-command transport: enqueues on one shard, waiting (without
+    /// counting as a publisher park) while its queue is full. A send only
+    /// fails when the shard can no longer process commands — an engine
+    /// panicked — reported as the typed [`SapError::ShardDown`] with the
+    /// shard index.
+    pub(crate) fn send(&self, shard: usize, cmd: Command) -> Result<(), SapError> {
         let mut state = self.state();
         loop {
             let slot = &state.slots[shard];
@@ -558,22 +576,36 @@ impl<T: Copy> ArcPool<T> {
 /// A [`Hub`](crate::session::Hub)-equivalent set of standing queries
 /// partitioned across many logical shards served by few worker threads.
 ///
-/// See the [module docs](self) for the architecture. The API surface is
-/// [`ShardedHub`](crate::shard::ShardedHub)'s — same registration
-/// planes, same drain/flush/inspect/stats, same durability and elastic
-/// operations, interchangeable checkpoints — plus the non-blocking
-/// ingestion pair [`poll_ready`](AsyncHub::poll_ready)/
-/// [`try_publish`](AsyncHub::try_publish) and the
-/// [`publisher_parks`](AsyncHub::publisher_parks) backpressure metric.
+/// See the [module docs](self) for the architecture. Differences from
+/// the sequential hub's API surface:
+///
+/// * [`publish`](AsyncHub::publish) returns nothing — results
+///   accumulate shard-side and are collected by
+///   [`drain`](AsyncHub::drain), which doubles as the determinism
+///   barrier;
+/// * `publish` may **park** while any recipient queue is full; the
+///   non-blocking pair [`poll_ready`](AsyncHub::poll_ready)/
+///   [`try_publish`](AsyncHub::try_publish) refuses instead, and
+///   [`publisher_parks`](AsyncHub::publisher_parks) counts the parks;
+/// * every fallible operation reports a dead shard as the typed
+///   [`SapError::ShardDown`];
+/// * [`move_query`](AsyncHub::move_query) and
+///   [`resize`](AsyncHub::resize) re-place live sessions between
+///   publishes without perturbing results.
 pub struct AsyncHub {
     reactor: Arc<Reactor>,
     workers: Vec<JoinHandle<()>>,
     placement: Placement,
-    /// Coalesced `publish_one` tail — identical contract to the sharded
-    /// hub's ([`PUBLISH_ONE_COALESCE`]).
+    /// Objects accepted by [`publish_one`](AsyncHub::publish_one) and not
+    /// yet shipped: they coalesce into one `Arc` batch per
+    /// [`PUBLISH_ONE_COALESCE`] objects (or per intervening operation).
+    /// Flushed — preserving publish order — before any other command is
+    /// enqueued, so ordering guarantees are unchanged.
     pending_one: Vec<Object>,
     /// Updates rescued from a [`resize`](AsyncHub::resize), merged into
-    /// the next [`drain`](AsyncHub::drain).
+    /// the next [`drain`](AsyncHub::drain) — the global `(QueryId,
+    /// slide)` sort puts them exactly where an uninterrupted run would
+    /// have.
     parked_updates: Vec<QueryUpdate>,
     /// Reused publish-target scratch (the non-empty shards).
     targets: Vec<usize>,
@@ -600,10 +632,9 @@ impl std::fmt::Debug for AsyncHub {
 impl AsyncHub {
     /// An executor with `num_shards` logical shards served by
     /// `num_workers` threads (both clamped to ≥ 1), the
-    /// [`DEFAULT_QUEUE_CAPACITY`], and the [`FifoScheduler`]. Unlike
-    /// [`ShardedHub::new`](crate::shard::ShardedHub::new), `num_shards`
+    /// [`DEFAULT_QUEUE_CAPACITY`], and the [`FifoScheduler`]. A shard
     /// costs no thread — shards beyond the core count are exactly the
-    /// point.
+    /// point; `AsyncHub::new(n, n)` gives every shard a worker of its own.
     pub fn new(num_shards: usize, num_workers: usize) -> AsyncHub {
         AsyncHub::with_config(
             num_shards,
@@ -625,7 +656,8 @@ impl AsyncHub {
 
     /// Fully explicit construction: shard count, worker count, per-shard
     /// queue bound (all clamped to ≥ 1), and scheduler. A capacity of 1
-    /// makes every publish rendezvous with the slowest shard.
+    /// makes every publish rendezvous with the slowest shard (maximum
+    /// backpressure, minimum buffering).
     pub fn with_config(
         num_shards: usize,
         num_workers: usize,
@@ -659,132 +691,42 @@ impl AsyncHub {
         }
     }
 
-    // ---- registration (all four planes, sharded-hub semantics) ----------
+    // ---- registration -----------------------------------------------------
 
-    /// Registers a boxed count-based engine; see
-    /// [`ShardedHub::register_boxed`](crate::shard::ShardedHub::register_boxed)
-    /// — identical id, placement, and error contract.
-    pub fn register_boxed(
-        &mut self,
-        alg: Box<dyn SlidingTopK + Send>,
-    ) -> Result<QueryId, SapError> {
+    /// Registers a standing query on the plane the [`Registration`]
+    /// names and returns its handle. The query sees exactly the objects
+    /// published after this call.
+    ///
+    /// Placement is by hash of the new id, except that a query joining
+    /// an existing slide group or count group is placed on that group's
+    /// shard — a group's producer is shard-local state. The
+    /// deterministic `(QueryId, slide)` drain order does not depend on
+    /// placement.
+    ///
+    /// An invalid registration (see [`Registration`]) is a typed error
+    /// and burns no id. A dead target shard is [`SapError::ShardDown`];
+    /// the failed registration burns its id, so a retry derives a fresh
+    /// id that may hash onto a healthy shard, and it never counts as a
+    /// member of the group it targeted.
+    pub fn subscribe(&mut self, registration: Registration) -> Result<QueryId, SapError> {
+        let member = registration.admit()?;
+        // coalesced publishes precede the registration; this also
+        // settles `published`, so a count group's key is phase-exact
         self.flush_pending_one()?;
-        register_count_on(&mut self.placement, &*self.reactor, alg)
+        register_on(&mut self.placement, &self.reactor, member)
     }
 
-    /// Registers an owned count-based engine.
-    pub fn register_alg<A: SlidingTopK + Send + 'static>(
-        &mut self,
-        alg: A,
-    ) -> Result<QueryId, SapError> {
-        self.register_boxed(Box::new(alg))
-    }
-
-    /// Registers a boxed time-based engine.
-    pub fn register_timed_boxed(
-        &mut self,
-        engine: Box<dyn TimedTopK + Send>,
-    ) -> Result<QueryId, SapError> {
+    /// Removes a query and returns its session (with the engine's full
+    /// state) once its shard has processed everything published before
+    /// this call. Unknown or already-removed handles are a typed
+    /// [`SapError::UnknownQuery`]; a dead shard is
+    /// [`SapError::ShardDown`] (the query's state died with it, and the
+    /// handle stays registered, so retrying keeps reporting the dead
+    /// shard). A shared or grouped query leaves its group; the last
+    /// member out retires the group.
+    pub fn unregister(&mut self, id: QueryId) -> Result<HubSession, SapError> {
         self.flush_pending_one()?;
-        register_timed_on(&mut self.placement, &*self.reactor, engine)
-    }
-
-    /// Registers an owned time-based engine.
-    pub fn register_timed_alg<E: TimedTopK + Send + 'static>(
-        &mut self,
-        engine: E,
-    ) -> Result<QueryId, SapError> {
-        self.register_timed_boxed(Box::new(engine))
-    }
-
-    /// Registers on the shared digest plane; see
-    /// [`ShardedHub::register_shared_boxed`](crate::shard::ShardedHub::register_shared_boxed).
-    pub fn register_shared_boxed(
-        &mut self,
-        engine: Box<dyn SlidingTopK + Send>,
-        window_duration: u64,
-        slide_duration: u64,
-    ) -> Result<QueryId, SapError> {
-        self.register_shared_filtered_boxed(
-            engine,
-            window_duration,
-            slide_duration,
-            Predicate::default(),
-        )
-    }
-
-    /// Registers on the shared digest plane with a subscription
-    /// predicate; see
-    /// [`ShardedHub::register_shared_filtered_boxed`](crate::shard::ShardedHub::register_shared_filtered_boxed).
-    pub fn register_shared_filtered_boxed(
-        &mut self,
-        engine: Box<dyn SlidingTopK + Send>,
-        window_duration: u64,
-        slide_duration: u64,
-        predicate: Predicate,
-    ) -> Result<QueryId, SapError> {
-        self.flush_pending_one()?;
-        register_shared_on(
-            &mut self.placement,
-            &*self.reactor,
-            engine,
-            window_duration,
-            slide_duration,
-            predicate,
-        )
-    }
-
-    /// Registers an owned engine on the shared digest plane.
-    pub fn register_shared_alg<A: SlidingTopK + Send + 'static>(
-        &mut self,
-        engine: A,
-        window_duration: u64,
-        slide_duration: u64,
-    ) -> Result<QueryId, SapError> {
-        self.register_shared_boxed(Box::new(engine), window_duration, slide_duration)
-    }
-
-    /// Registers on the shared count plane; see
-    /// [`ShardedHub::register_grouped_boxed`](crate::shard::ShardedHub::register_grouped_boxed).
-    pub fn register_grouped_boxed(
-        &mut self,
-        engine: Box<dyn SlidingTopK + Send>,
-        n: usize,
-        s: usize,
-    ) -> Result<QueryId, SapError> {
-        self.register_grouped_filtered_boxed(engine, n, s, Predicate::default())
-    }
-
-    /// Registers on the shared count plane with a subscription
-    /// predicate; see
-    /// [`ShardedHub::register_grouped_filtered_boxed`](crate::shard::ShardedHub::register_grouped_filtered_boxed).
-    pub fn register_grouped_filtered_boxed(
-        &mut self,
-        engine: Box<dyn SlidingTopK + Send>,
-        n: usize,
-        s: usize,
-        predicate: Predicate,
-    ) -> Result<QueryId, SapError> {
-        // settles `published`, so the geometry key is phase-exact
-        self.flush_pending_one()?;
-        register_grouped_on(&mut self.placement, &*self.reactor, engine, n, s, predicate)
-    }
-
-    /// Registers an owned engine on the shared count plane.
-    pub fn register_grouped_alg<A: SlidingTopK + Send + 'static>(
-        &mut self,
-        engine: A,
-        n: usize,
-        s: usize,
-    ) -> Result<QueryId, SapError> {
-        self.register_grouped_boxed(Box::new(engine), n, s)
-    }
-
-    /// Removes a query and returns its session; see
-    /// [`ShardedHub::unregister`](crate::shard::ShardedHub::unregister).
-    pub fn unregister(&mut self, id: QueryId) -> Result<ShardSession, SapError> {
-        self.flush_pending_one()?;
-        unregister_on(&mut self.placement, &*self.reactor, id)
+        unregister_on(&mut self.placement, &self.reactor, id)
     }
 
     // ---- ingestion --------------------------------------------------------
@@ -802,9 +744,10 @@ impl AsyncHub {
         );
     }
 
-    /// Ships the coalesced `publish_one` tail (see
-    /// [`ShardedHub::flush_pending_one`]'s ordering contract — identical
-    /// here).
+    /// Ships the coalesced `publish_one` buffer as one batch, preserving
+    /// publish order. Called before any other command is enqueued (and
+    /// on drop), so a singly-published object is always ordered exactly
+    /// where its `publish_one` call was.
     fn flush_pending_one(&mut self) -> Result<(), SapError> {
         if self.pending_one.is_empty() {
             return Ok(());
@@ -830,12 +773,18 @@ impl AsyncHub {
     /// enqueues a shared `Arc` of the batch on every non-empty shard.
     /// **Parks** (blocks on the reactor, counted by
     /// [`publisher_parks`](AsyncHub::publisher_parks)) while any
-    /// recipient queue is full — use
+    /// recipient queue is full — that backpressure is the flow-control
+    /// contract: a publisher can never run unboundedly ahead of the
+    /// slowest shard. Use
     /// [`poll_ready`](AsyncHub::poll_ready)/[`try_publish`](AsyncHub::try_publish)
-    /// to refuse that. Results accumulate shard-side until
-    /// [`drain`](AsyncHub::drain); the same drain-regularly advice as
-    /// [`ShardedHub::publish`](crate::shard::ShardedHub::publish)
-    /// applies.
+    /// to refuse instead. With zero registered queries (or an empty
+    /// batch) this is an explicit no-op.
+    ///
+    /// **Drain regularly.** Results accumulate shard-side until
+    /// [`drain`](AsyncHub::drain): backpressure bounds the *input*
+    /// queues, but completed [`QueryUpdate`]s are retained (they are the
+    /// queries' answers) until collected. Draining once per publish
+    /// chunk keeps the retained set proportional to one chunk.
     pub fn publish(&mut self, objects: &[Object]) -> Result<(), SapError> {
         if objects.is_empty() || self.placement.registered.is_empty() {
             return Ok(());
@@ -845,7 +794,9 @@ impl AsyncHub {
     }
 
     /// Publishes a batch of **timestamped** objects (non-decreasing
-    /// timestamps) — the heterogeneous ingestion path, with
+    /// timestamps) — the heterogeneous ingestion path, with the
+    /// semantics of
+    /// [`Hub::publish_timed`](crate::session::Hub::publish_timed) and
     /// [`publish`](AsyncHub::publish)'s parking/drain contract.
     pub fn publish_timed(&mut self, objects: &[TimedObject]) -> Result<(), SapError> {
         if objects.is_empty() || self.placement.registered.is_empty() {
@@ -861,7 +812,9 @@ impl AsyncHub {
             .broadcast(&self.targets, || Command::PublishTimed(Arc::clone(&batch)))
     }
 
-    /// Raises the event-time watermark on every time-based query.
+    /// Raises the event-time watermark on every time-based query (see
+    /// [`Hub::advance_time`](crate::session::Hub::advance_time)). The
+    /// closed slides come back through [`drain`](AsyncHub::drain).
     pub fn advance_time(&mut self, watermark: u64) -> Result<(), SapError> {
         if self.placement.registered.is_empty() {
             return Ok(());
@@ -872,8 +825,17 @@ impl AsyncHub {
             .broadcast(&self.targets, || Command::AdvanceTime(watermark))
     }
 
-    /// Publishes one object with the sharded hub's **coalescing**
-    /// contract ([`PUBLISH_ONE_COALESCE`] objects per shipped batch).
+    /// Publishes one object, **coalescing** it into a pending batch
+    /// instead of wrapping every object in its own `Arc`: the buffer is
+    /// shipped as one batch after [`PUBLISH_ONE_COALESCE`] objects, or
+    /// earlier when any other operation (a batch publish, a
+    /// registration, [`flush`](AsyncHub::flush),
+    /// [`drain`](AsyncHub::drain), [`inspect`](AsyncHub::inspect), …)
+    /// needs the queues — so every observable ordering guarantee is
+    /// exactly [`publish`](AsyncHub::publish)'s. With zero registered
+    /// queries the object is dropped. A dead shard may therefore be
+    /// reported by the operation that triggers the flush rather than the
+    /// `publish_one` call that buffered the object.
     pub fn publish_one(&mut self, object: Object) -> Result<(), SapError> {
         if self.placement.registered.is_empty() {
             return Ok(());
@@ -955,27 +917,33 @@ impl AsyncHub {
     // ---- collection -------------------------------------------------------
 
     /// Barrier without collection: returns once every shard has
-    /// processed everything published so far.
+    /// processed everything published so far. Accumulated updates stay
+    /// shard-side for a later [`drain`](AsyncHub::drain).
     pub fn flush(&mut self) -> Result<(), SapError> {
         self.flush_pending_one()?;
-        flush_on(&self.placement, &*self.reactor)
+        flush_on(&self.placement, &self.reactor)
     }
 
     /// The join-all barrier: waits until every shard has processed
     /// everything published so far, then returns all slides completed
     /// since the last drain in the global `(QueryId, slide)` order —
     /// byte-identical to the sequential hub's, independent of shard
-    /// count, worker count, and scheduler.
+    /// count, worker count, and scheduler. Time-based queries keep that
+    /// contract: their slide indices are assigned by event-time closure
+    /// order, a pure function of the published sequence.
     pub fn drain(&mut self) -> Result<Vec<QueryUpdate>, SapError> {
         self.flush_pending_one()?;
-        drain_on(&self.placement, &*self.reactor, &mut self.parked_updates)
+        drain_on(&self.placement, &self.reactor, &mut self.parked_updates)
     }
 
-    /// A point-in-time view of one query; see
-    /// [`ShardedHub::inspect`](crate::shard::ShardedHub::inspect).
+    /// A point-in-time view of one query (slide count + last snapshot),
+    /// reflecting everything published before this call. Unknown handles
+    /// are a typed [`SapError::UnknownQuery`].
     pub fn inspect(&mut self, id: QueryId) -> Result<QueryState, SapError> {
+        // "reflects everything published before this call" includes the
+        // coalesced publish_one buffer
         self.flush_pending_one()?;
-        inspect_on(&self.placement, &*self.reactor, id)
+        inspect_on(&self.placement, &self.reactor, id)
     }
 
     /// Hub-wide query counts and sharing metrics, summed across shards
@@ -983,10 +951,10 @@ impl AsyncHub {
     /// rely on). The backpressure pair — `publisher_parks` (hub-lifetime
     /// sum) and `queue_depth_hwm` (max over the current placement) —
     /// lives reactor-side, so it is overlaid here rather than reported
-    /// by the shard registries.
+    /// by the shard registries. A dead shard is [`SapError::ShardDown`].
     pub fn stats(&mut self) -> Result<HubStats, SapError> {
         self.flush_pending_one()?;
-        let mut stats = stats_on(&self.placement, &*self.reactor)?;
+        let mut stats = stats_on(&self.placement, &self.reactor)?;
         let state = self.reactor.state();
         stats.publisher_parks =
             state.retired_parks + state.slots.iter().map(|s| s.parks).sum::<u64>();
@@ -1023,21 +991,35 @@ impl AsyncHub {
 
     // ---- durability plane -------------------------------------------------
 
-    /// Captures the hub's full serving state as a [`Checkpoint`] after a
-    /// drain barrier — same framing as
-    /// [`ShardedHub::checkpoint`](crate::shard::ShardedHub::checkpoint),
-    /// so checkpoints are interchangeable between all three hub flavors
-    /// at any shard count. Returns the barrier's updates alongside.
+    /// Captures the hub's full serving state as a framed, versioned,
+    /// checksummed [`Checkpoint`] — interchangeable with
+    /// [`Hub::checkpoint`](crate::session::Hub::checkpoint): either hub
+    /// can restore the other's checkpoints, at any shard count.
+    ///
+    /// Checkpointing is a **drain-style barrier**: every shard first
+    /// retires its backlog, so the captured state sits on each query's
+    /// current slide boundary. The updates that barrier collected are
+    /// returned alongside the checkpoint — they are slides the captured
+    /// state has already emitted (a restored hub will *not* re-emit
+    /// them), so hand them to whatever consumed your drains.
     pub fn checkpoint(&mut self) -> Result<(Checkpoint, Vec<QueryUpdate>), SapError> {
         let updates = self.drain()?;
-        let checkpoint = checkpoint_sections_on(&self.placement, &*self.reactor)?;
+        let checkpoint = checkpoint_sections_on(&self.placement, &self.reactor)?;
         Ok((checkpoint, updates))
     }
 
-    /// Rebuilds an async hub (`num_shards` logical shards, `num_workers`
-    /// threads, [`FifoScheduler`]) from a [`Checkpoint`] taken by any
-    /// hub flavor. Same validation and error contract as
-    /// [`ShardedHub::restore`](crate::shard::ShardedHub::restore).
+    /// Rebuilds a hub (`num_shards` logical shards, `num_workers`
+    /// threads, [`FifoScheduler`]) from a [`Checkpoint`] taken by either
+    /// hub at any shard count, constructing each session's engine
+    /// through `factory` and replaying the retained state into it.
+    /// Sessions are re-scattered by the id hash under the new shard
+    /// count; each group lands wholesale on one shard (its lowest-id
+    /// member's), honoring group affinity.
+    ///
+    /// Malformed input is a typed [`SapError::Checkpoint`]; an engine
+    /// name the factory cannot build surfaces as
+    /// [`CheckpointError::UnknownEngine`](crate::CheckpointError::UnknownEngine).
+    /// Never panics on foreign bytes.
     pub fn restore(
         checkpoint: &Checkpoint,
         factory: &dyn EngineFactory,
@@ -1047,29 +1029,53 @@ impl AsyncHub {
         let (next_id, merged) = decode_hub_checkpoint(checkpoint, factory)?;
         let mut hub = AsyncHub::new(num_shards, num_workers);
         hub.placement.next_id = next_id;
-        place_parts_on(&mut hub.placement, &*hub.reactor, merged)?;
+        place_parts_on(&mut hub.placement, &hub.reactor, merged)?;
         Ok(hub)
     }
 
     // ---- elastic operation ------------------------------------------------
 
-    /// Moves one query's live session (a shared or grouped query: its
-    /// whole group) to `shard`; see
-    /// [`ShardedHub::move_query`](crate::shard::ShardedHub::move_query)
-    /// for semantics and panics.
+    /// Moves one query's live session to `shard`, between two publishes
+    /// — i.e. on a slide boundary of the command stream: the session
+    /// leaves its old shard only after every previously published batch
+    /// is applied there, and lands on the new shard before any later
+    /// batch, so it observes the exact same object sequence as an
+    /// unmoved query. Slides completed on either side meet in the next
+    /// [`drain`](AsyncHub::drain), whose global sort is placement-blind.
+    ///
+    /// A shared or grouped query moves with its **entire group** — the
+    /// group's producer is shard-local state shared with its co-members,
+    /// so the group travels as one unit. Moving a query to the shard it
+    /// already lives on is a no-op. A shard dying mid-move surfaces as
+    /// [`SapError::ShardDown`]; the sessions in flight are lost with it.
+    ///
+    /// # Panics
+    ///
+    /// If `shard >= self.num_shards()` — a placement that cannot exist,
+    /// i.e. a caller bug, not a data-dependent condition.
     pub fn move_query(&mut self, id: QueryId, shard: usize) -> Result<(), SapError> {
         self.flush_pending_one()?;
-        move_query_on(&mut self.placement, &*self.reactor, id, shard)
+        move_query_on(&mut self.placement, &self.reactor, id, shard)
     }
 
     /// Re-partitions every live session across `num_shards` fresh
     /// logical shards (clamped to ≥ 1) — the worker threads are reused,
-    /// only the slots are replaced. Same result-invisibility contract as
-    /// [`ShardedHub::resize`](crate::shard::ShardedHub::resize).
+    /// only the slots are replaced. Each shard hands back its entire
+    /// serving state, which is re-scattered by the id hash under the new
+    /// count, groups wholesale. Results are unaffected: sessions observe
+    /// the same object sequence, and updates completed before the resize
+    /// (parked here, returned by the next [`drain`](AsyncHub::drain))
+    /// sort into the same global order.
+    ///
+    /// The eject is transactional: if a shard turns out dead, every
+    /// staged session is reinstalled where it was and the typed
+    /// [`SapError::ShardDown`] is returned with the old placement
+    /// intact. Placement overrides from earlier `move_query` calls are
+    /// cleared — the new partitioning is pure hash-and-affinity.
     pub fn resize(&mut self, num_shards: usize) -> Result<(), SapError> {
         let num_shards = num_shards.max(1);
         self.flush_pending_one()?;
-        let merged = eject_all_on(&self.placement, &*self.reactor, &mut self.parked_updates)?;
+        let merged = eject_all_on(&self.placement, &self.reactor, &mut self.parked_updates)?;
         // quiesce: eject replies guarantee empty queues, but a worker
         // may still hold a core between unlock and put-back — wait until
         // every live slot is whole before swapping the slot vector
@@ -1087,52 +1093,49 @@ impl AsyncHub {
                 .collect();
         }
         self.placement.reset(num_shards);
-        place_parts_on(&mut self.placement, &*self.reactor, merged)?;
+        place_parts_on(&mut self.placement, &self.reactor, merged)?;
         // fresh slots serve fresh registries, which default to pooling
         // and pruning; re-broadcast disabled knobs
         if !self.class_sharing {
-            self.broadcast_class_sharing()?;
+            self.broadcast(|| Command::SetClassSharing(false))?;
         }
         if !self.admission_pruning {
-            self.broadcast_admission_pruning()?;
+            self.broadcast(|| Command::SetAdmissionPruning(false))?;
         }
         Ok(())
     }
 
     /// Enables or disables result-class pooling for **future
-    /// registrations** on every shard (default: enabled) — same contract
-    /// as [`ShardedHub::set_result_class_sharing`](crate::shard::ShardedHub::set_result_class_sharing):
-    /// results are byte-identical either way, the knob only trades the
-    /// memoized slide close for per-member serving.
+    /// registrations** on every shard (default: enabled). Results are
+    /// byte-identical either way — the knob only trades the memoized
+    /// slide close for per-member serving, for A/B measurement (the
+    /// `floor` bench preset) and for pinning down a suspected sharing
+    /// bug. Sessions already registered, and any session that travels
+    /// through a restore or resize, keep their class machinery.
     pub fn set_result_class_sharing(&mut self, enabled: bool) -> Result<(), SapError> {
         self.flush_pending_one()?;
         self.class_sharing = enabled;
-        self.broadcast_class_sharing()
-    }
-
-    fn broadcast_class_sharing(&self) -> Result<(), SapError> {
-        for shard in 0..self.placement.num_shards() {
-            self.reactor
-                .send(shard, Command::SetClassSharing(self.class_sharing))?;
-        }
-        Ok(())
+        self.broadcast(|| Command::SetClassSharing(enabled))
     }
 
     /// Enables or disables ingest-side dominance pruning on every shard
-    /// (default: enabled) — same contract as
-    /// [`ShardedHub::set_admission_pruning`](crate::shard::ShardedHub::set_admission_pruning):
-    /// results are byte-identical either way; disabled is the reference
-    /// arm where [`HubStats::pruned`](crate::HubStats::pruned) stays `0`.
+    /// (default: enabled; see
+    /// [`Hub::set_admission_pruning`](crate::session::Hub::set_admission_pruning)
+    /// for the criterion and the safety argument). Results are
+    /// byte-identical either way; disabled is the reference arm where
+    /// [`HubStats::pruned`](crate::HubStats::pruned) stays `0`. Takes
+    /// effect for every group, existing and future, ordered with the
+    /// publishes around it like any other command.
     pub fn set_admission_pruning(&mut self, enabled: bool) -> Result<(), SapError> {
         self.flush_pending_one()?;
         self.admission_pruning = enabled;
-        self.broadcast_admission_pruning()
+        self.broadcast(|| Command::SetAdmissionPruning(enabled))
     }
 
-    fn broadcast_admission_pruning(&self) -> Result<(), SapError> {
+    /// Sends `make()` to every shard — the knob toggles.
+    fn broadcast(&self, make: impl Fn() -> Command) -> Result<(), SapError> {
         for shard in 0..self.placement.num_shards() {
-            self.reactor
-                .send(shard, Command::SetAdmissionPruning(self.admission_pruning))?;
+            self.reactor.send(shard, make())?;
         }
         Ok(())
     }
@@ -1142,7 +1145,7 @@ impl Drop for AsyncHub {
     /// Ships any coalesced `publish_one` tail (best effort), then wakes
     /// and joins the workers. Outstanding commands are processed before
     /// a worker exits; accumulated updates that were never drained are
-    /// discarded — exactly the sharded hub's drop contract.
+    /// discarded.
     fn drop(&mut self) {
         let _ = self.flush_pending_one();
         self.reactor.state().shutdown = true;
@@ -1157,13 +1160,59 @@ impl Drop for AsyncHub {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::OpStats;
+    use crate::object::top_k_of;
+    use crate::predicate::Predicate;
     use crate::session::Hub;
-    use crate::test_support::{Toy, ToyTimed};
+    use crate::shard::GroupKey;
+    use crate::test_support::{count, grouped, shared, timed, Toy};
+    use crate::window::{SlidingTopK, WindowSpec};
 
     fn stream(len: usize) -> Vec<Object> {
         (0..len)
             .map(|i| Object::new(i as u64, ((i * 37) % 101) as f64))
             .collect()
+    }
+
+    /// Irregular-rate timed stream: timestamp gaps cycle through 0..7
+    /// time units, so slides hold wildly varying object counts (empty
+    /// slides included once gaps exceed a slide duration).
+    fn timed_stream(len: usize) -> Vec<TimedObject> {
+        let mut ts = 0u64;
+        (0..len)
+            .map(|i| {
+                ts += (i as u64 * 5 + 3) % 8;
+                TimedObject::new(i as u64, ts, ((i * 37) % 101) as f64)
+            })
+            .collect()
+    }
+
+    /// An engine that kills its shard on the first slide.
+    struct Bomb(WindowSpec);
+    impl crate::checkpoint::CheckpointState for Bomb {}
+    impl SlidingTopK for Bomb {
+        fn spec(&self) -> WindowSpec {
+            self.0
+        }
+        fn slide(&mut self, _: &[Object]) -> &[Object] {
+            panic!("engine bug");
+        }
+        fn candidate_count(&self) -> usize {
+            0
+        }
+        fn memory_bytes(&self) -> usize {
+            0
+        }
+        fn stats(&self) -> OpStats {
+            OpStats::default()
+        }
+        fn name(&self) -> &str {
+            "bomb"
+        }
+    }
+
+    fn bomb() -> Bomb {
+        Bomb(WindowSpec::new(1, 1, 1).unwrap())
     }
 
     #[test]
@@ -1173,8 +1222,8 @@ mod tests {
             let mut hub = AsyncHub::new(shards, workers);
             for i in 0..13usize {
                 let (n, k, s) = (4 * (1 + i % 3), 1 + i % 4, 2 * (1 + i % 3));
-                seq.register_alg(Toy::new(n, k, s));
-                hub.register_alg(Toy::new(n, k, s)).unwrap();
+                seq.subscribe(count(n, k, s)).unwrap();
+                hub.subscribe(count(n, k, s)).unwrap();
             }
             let data = stream(97);
             let mut expected = Vec::new();
@@ -1193,7 +1242,7 @@ mod tests {
         // capacity 1 forces the publisher through the park/wake path
         let mut hub = AsyncHub::with_config(8, 2, 1, Box::new(FifoScheduler));
         for _ in 0..8 {
-            hub.register_alg(Toy::new(4, 2, 2)).unwrap();
+            hub.subscribe(count(4, 2, 2)).unwrap();
         }
         for chunk in stream(64).chunks(2) {
             hub.publish(chunk).unwrap();
@@ -1207,7 +1256,7 @@ mod tests {
     fn poll_ready_and_try_publish_refuse_instead_of_parking() {
         let mut hub = AsyncHub::with_config(1, 1, 2, Box::new(FifoScheduler));
         // a slow engine wedges the single shard so its queue fills
-        hub.register_alg(Toy::new(4, 1, 2)).unwrap();
+        hub.subscribe(count(4, 1, 2)).unwrap();
         hub.flush().unwrap();
         // stuff the queue to the brim without a worker keeping up:
         // flush() above parked the worker on an empty queue; now race two
@@ -1236,7 +1285,7 @@ mod tests {
             let mut hub = AsyncHub::with_scheduler(8, 3, Box::new(SeededScheduler::new(seed)));
             for i in 0..10usize {
                 let (n, k, s) = (4 * (1 + i % 3), 1 + i % 4, 2 * (1 + i % 3));
-                hub.register_alg(Toy::new(n, k, s)).unwrap();
+                hub.subscribe(count(n, k, s)).unwrap();
             }
             for chunk in stream(60).chunks(7) {
                 hub.publish(chunk).unwrap();
@@ -1253,10 +1302,10 @@ mod tests {
     fn shared_and_grouped_planes_work_and_stats_sum_exactly() {
         let mut hub = AsyncHub::new(8, 2);
         for _ in 0..5 {
-            hub.register_grouped_alg(Toy::new(2, 1, 1), 4, 2).unwrap();
+            hub.subscribe(grouped(Toy::new(2, 1, 1), 4, 2)).unwrap();
         }
         for _ in 0..4 {
-            hub.register_shared_alg(Toy::new(4, 2, 2), 20, 10).unwrap();
+            hub.subscribe(shared(Toy::new(4, 2, 2), 20, 10)).unwrap();
         }
         hub.publish(&stream(8)).unwrap();
         hub.flush().unwrap();
@@ -1274,8 +1323,8 @@ mod tests {
         let mut seq = Hub::new();
         let mut hub = AsyncHub::new(4, 2);
         for k in 1..=3 {
-            seq.register_timed_alg(ToyTimed::new(20, 10, k));
-            hub.register_timed_alg(ToyTimed::new(20, 10, k)).unwrap();
+            seq.subscribe(timed(20, 10, k)).unwrap();
+            hub.subscribe(timed(20, 10, k)).unwrap();
         }
         let data: Vec<TimedObject> = (0..50)
             .map(|i| TimedObject::new(i, i * 3, ((i * 37) % 101) as f64))
@@ -1294,8 +1343,8 @@ mod tests {
     #[test]
     fn unregister_inspect_move_and_resize_round_trip() {
         let mut hub = AsyncHub::new(6, 2);
-        let a = hub.register_alg(Toy::new(4, 1, 2)).unwrap();
-        let b = hub.register_alg(Toy::new(4, 1, 2)).unwrap();
+        let a = hub.subscribe(count(4, 1, 2)).unwrap();
+        let b = hub.subscribe(count(4, 1, 2)).unwrap();
         hub.publish(&stream(8)).unwrap();
         assert_eq!(hub.inspect(a).unwrap().slides, 4);
         hub.move_query(a, 5).unwrap();
@@ -1322,10 +1371,188 @@ mod tests {
         assert_eq!(hub.num_shards(), 1);
         assert_eq!(hub.num_workers(), 1);
         hub.publish(&stream(10)).unwrap();
-        let q = hub.register_alg(Toy::new(2, 1, 2)).unwrap();
+        let q = hub.subscribe(count(2, 1, 2)).unwrap();
         hub.publish(&[]).unwrap();
         assert!(hub.drain().unwrap().is_empty());
         assert_eq!(hub.inspect(q).unwrap().slides, 0);
         assert_eq!(hub.publisher_parks(), 0);
+    }
+
+    #[test]
+    fn zero_queue_capacity_clamps_to_one() {
+        let mut hub = AsyncHub::with_config(0, 0, 0, Box::new(FifoScheduler));
+        assert_eq!(hub.num_shards(), 1);
+        assert!(hub.is_empty());
+        hub.subscribe(count(2, 1, 1)).unwrap();
+        hub.publish(&stream(3)).unwrap();
+        assert_eq!(hub.drain().unwrap().len(), 3);
+    }
+
+    #[test]
+    fn flush_preserves_updates_for_drain() {
+        let mut hub = AsyncHub::new(2, 2);
+        hub.subscribe(count(2, 1, 2)).unwrap();
+        hub.publish(&stream(10)).unwrap();
+        hub.flush().unwrap();
+        assert_eq!(
+            hub.drain().unwrap().len(),
+            5,
+            "flush must not consume updates"
+        );
+    }
+
+    #[test]
+    fn mid_stream_registration_is_ordered_with_publishes() {
+        let mut hub = AsyncHub::new(2, 2);
+        let early = hub.subscribe(count(4, 1, 2)).unwrap();
+        hub.publish(&stream(10)).unwrap();
+        let late = hub.subscribe(count(4, 1, 2)).unwrap();
+        hub.publish(&stream(4)).unwrap();
+        let updates = hub.drain().unwrap();
+        let early_slides = updates.iter().filter(|u| u.query == early).count();
+        let late_slides = updates.iter().filter(|u| u.query == late).count();
+        assert_eq!(early_slides, 7, "early query saw all 14 objects");
+        assert_eq!(late_slides, 2, "late query saw only the last 4");
+    }
+
+    #[test]
+    fn inspect_reflects_all_prior_publishes() {
+        let mut hub = AsyncHub::new(3, 3);
+        let q = hub.subscribe(count(4, 2, 2)).unwrap();
+        let data = stream(12);
+        hub.publish(&data).unwrap();
+        let state = hub.inspect(q).unwrap();
+        assert_eq!(state.slides, 6);
+        assert_eq!(state.last_snapshot, top_k_of(&data[8..], 2));
+        let ghost = QueryId::from_raw(999);
+        assert_eq!(
+            hub.inspect(ghost),
+            Err(SapError::UnknownQuery { query: ghost })
+        );
+    }
+
+    #[test]
+    fn shared_queries_follow_their_group_even_when_the_hash_disagrees() {
+        let mut hub = AsyncHub::new(8, 8);
+        let group = GroupKey::Slide(10, Predicate::default());
+        let founder = hub.subscribe(shared(Toy::new(4, 2, 2), 20, 10)).unwrap();
+        let home = hub.placement.groups[&group].0;
+        assert_eq!(
+            home,
+            hub.placement.shard_of(founder),
+            "the founder places the group"
+        );
+        let mut members = vec![founder];
+        let mut disagreements = 0usize;
+        for _ in 0..12 {
+            let q = hub.subscribe(shared(Toy::new(4, 2, 2), 20, 10)).unwrap();
+            if hub.placement.shard_of(q) != home {
+                disagreements += 1;
+            }
+            assert_eq!(
+                hub.placement.home_shard(q),
+                home,
+                "group-aware placement must override the hash"
+            );
+            members.push(q);
+        }
+        assert!(disagreements > 0, "the hash must disagree for this to bite");
+        assert_eq!(hub.placement.groups[&group].1, 13);
+        // placement is invisible in the output: byte-identical to the
+        // sequential hub's registration-order delivery
+        let mut seq = Hub::new();
+        for _ in 0..13 {
+            seq.subscribe(shared(Toy::new(4, 2, 2), 20, 10)).unwrap();
+        }
+        let data = timed_stream(60);
+        let mut expected = Vec::new();
+        for chunk in data.chunks(9) {
+            expected.extend(seq.publish_timed(chunk));
+            hub.publish_timed(chunk).unwrap();
+        }
+        expected.sort_unstable_by_key(|u| (u.query, u.result.slide));
+        assert_eq!(hub.drain().unwrap(), expected);
+        // stats aggregate the per-shard registries
+        let stats = hub.stats().unwrap();
+        assert_eq!(stats.queries, 13);
+        assert_eq!(stats.shared_queries, 13);
+        assert_eq!(stats.digest_groups, 1, "one group, wholly on one shard");
+        assert!(stats.digest_hits > 0);
+        // inspect and unregister route through the group's shard too
+        let probe = *members.last().unwrap();
+        assert!(hub.inspect(probe).unwrap().slides > 0);
+        for q in members {
+            assert!(hub.unregister(q).unwrap().into_shared().is_some());
+        }
+        assert!(
+            hub.placement.groups.is_empty(),
+            "the last member out retires the group's placement"
+        );
+    }
+
+    #[test]
+    fn dead_shard_does_not_strand_shared_group_bookkeeping() {
+        let mut hub = AsyncHub::new(1, 1);
+        // a Bomb on the shared plane: ⟨1, 1, 1⟩ is the reduction of
+        // W⟨10, 10⟩ with k = 1, and the first closed slide kills shard 0
+        let group = GroupKey::Slide(10, Predicate::default());
+        let bomb = hub.subscribe(shared(bomb(), 10, 10)).unwrap();
+        assert_eq!(hub.placement.groups[&group], (0, 1));
+        let _ = hub.publish_timed(&[TimedObject::new(0, 5, 1.0), TimedObject::new(1, 15, 2.0)]);
+        let err = hub.flush().unwrap_err();
+        assert_eq!(err, SapError::ShardDown { shard: 0 });
+        assert!(err.to_string().contains("shard 0"));
+        // a registration into the group now targets the dead shard: a
+        // typed error that must NOT join the membership bookkeeping
+        assert_eq!(
+            hub.subscribe(shared(Toy::new(1, 1, 1), 10, 10))
+                .unwrap_err(),
+            SapError::ShardDown { shard: 0 }
+        );
+        assert_eq!(
+            hub.placement.groups[&group],
+            (0, 1),
+            "a failed registration never counts as a member"
+        );
+        assert_eq!(hub.len(), 1);
+        assert_eq!(hub.stats().unwrap_err(), SapError::ShardDown { shard: 0 });
+        // unregistering the lost query keeps reporting the dead shard and
+        // leaves membership intact (the query was lost, not removed)
+        for _ in 0..2 {
+            assert_eq!(
+                hub.unregister(bomb).unwrap_err(),
+                SapError::ShardDown { shard: 0 }
+            );
+        }
+        assert_eq!(hub.placement.groups[&group], (0, 1));
+    }
+
+    #[test]
+    fn timed_inspect_and_unregister_cross_the_shard_boundary() {
+        let mut hub = AsyncHub::new(3, 3);
+        let q = hub.subscribe(timed(20, 10, 2)).unwrap();
+        hub.publish_timed(&timed_stream(40)).unwrap();
+        hub.flush().unwrap();
+        let state = hub.inspect(q).unwrap();
+        assert!(state.slides > 0);
+        let session = hub.unregister(q).unwrap();
+        assert_eq!(session.slides(), state.slides);
+        assert!(session.into_timed().is_some());
+    }
+
+    #[test]
+    fn registration_retries_reach_a_healthy_shard() {
+        let mut hub = AsyncHub::new(2, 2);
+        hub.subscribe(Registration::count(Box::new(bomb())))
+            .unwrap();
+        // the first slide kills the Bomb's shard; the flush observes it
+        let _ = hub.publish(&stream(1));
+        assert!(hub.flush().is_err());
+        // failed registrations burn their id, so retries derive fresh ids
+        // and eventually hash onto the healthy shard
+        let q = (0..8)
+            .find_map(|_| hub.subscribe(count(2, 1, 1)).ok())
+            .expect("a healthy shard accepted a registration");
+        assert_eq!(hub.inspect(q).unwrap().slides, 0);
     }
 }

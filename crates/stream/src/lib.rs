@@ -18,10 +18,12 @@
 //! * the **query-session layer**: the fluent [`Query`] builder and unified
 //!   [`SapError`], flexible ingestion ([`Ingest`]/[`Session`]) that
 //!   re-chunks arbitrary-size pushes into `s`-aligned slides, the
-//!   multi-query [`Hub`] fanning one stream out to many standing queries,
-//!   and typed [`TopKEvent`] result deltas;
-//! * the **sharded hub** ([`ShardedHub`]) — the same fan-out distributed
-//!   across worker threads, with backpressure on `publish`;
+//!   multi-query [`Hub`] fanning one stream out to many standing queries
+//!   (each registered through one [`Registration`] value), and typed
+//!   [`TopKEvent`] result deltas;
+//! * the **async hub** ([`AsyncHub`]) — the same fan-out partitioned
+//!   across logical shards served by a few worker threads, with
+//!   backpressure on `publish`;
 //! * the **shared digest plane** ([`digest`]) — per-slide top-`k_max`
 //!   digests computed once per slide group (queries with equal
 //!   `slide_duration`) and served to every overlapping time-based query,
@@ -30,39 +32,36 @@
 //!   queries, grouped by window geometry (slide length + registration
 //!   offset mod `s`): each group ingests every object once and members
 //!   slice their `(n, k)` view from the group digest
-//!   ([`Hub::register_grouped_boxed`](session::Hub::register_grouped_boxed),
-//!   [`HubStats::count_group_hits`]).
+//!   ([`Registration::grouped`], [`HubStats::count_group_hits`]).
 //!
 //! ## Scaling
 //!
-//! Three hubs serve many standing queries over one stream:
+//! Two hubs serve many standing queries over one stream, and both take
+//! the same [`Registration`]:
 //!
-//! * [`Hub`] is synchronous and single-threaded: `publish` walks every
-//!   session in the caller's thread and returns the completed slides
+//! * [`Hub`] is synchronous and single-threaded: `publish` walks the
+//!   sessions in the caller's thread and returns the completed slides
 //!   immediately. Simple, deterministic, and the reference semantics.
-//! * [`ShardedHub`] partitions queries across N **shards** (hash of
-//!   [`QueryId`], fixed for the query's lifetime), each shard owned by
-//!   one worker thread. A session is only ever touched by its owning
-//!   thread — shard ownership replaces locking. `publish` enqueues one
-//!   [`Arc`](std::sync::Arc) of the batch per shard on a **bounded**
-//!   queue and blocks while any queue is full, so a publisher can never
-//!   run unboundedly ahead of the slowest shard (backpressure, not
-//!   buffering).
-//! * [`AsyncHub`] keeps the sharded hub's semantics but multiplexes many
-//!   *logical* shards onto a few reactor worker threads, so the shard
-//!   count is no longer capped by the core count. `publish` is a
-//!   single-lock broadcast that parks on backpressure (or refuses via
-//!   [`AsyncHub::poll_ready`]/[`AsyncHub::try_publish`]), and the ready
+//! * [`AsyncHub`] partitions queries across N logical **shards** (hash
+//!   of [`QueryId`], with group affinity) multiplexed onto M reactor
+//!   worker threads, so the shard count is not capped by the core
+//!   count. A shard is only ever served by one worker at a time — shard
+//!   ownership replaces locking. `publish` is a single-lock broadcast of
+//!   one [`Arc`](std::sync::Arc) of the batch onto **bounded** per-shard
+//!   queues; it parks while any queue is full (or refuses via
+//!   [`AsyncHub::poll_ready`]/[`AsyncHub::try_publish`]), so a publisher
+//!   can never run unboundedly ahead of the slowest shard. The ready
 //!   pick order is a pluggable, seedable [`Scheduler`] — see [`exec`].
 //!
 //! Parallel execution stays observably equivalent to the sequential hub
 //! through the **determinism barrier**: results accumulate shard-side,
-//! and [`ShardedHub::drain`] waits for every shard to catch up, then
+//! and [`AsyncHub::drain`] waits for every shard to catch up, then
 //! returns the accumulated updates sorted by `(QueryId, slide)` — an
-//! order independent of shard count and thread timing. Per-query outputs
-//! are byte-identical to [`Hub`]'s because each session sees exactly the
-//! same object sequence either way; `tests/hub_sharded_equivalence.rs`
-//! property-checks this for SAP and all four baselines, including
+//! order independent of shard count, worker count and thread timing.
+//! Per-query outputs are byte-identical to [`Hub`]'s because each
+//! session sees exactly the same object sequence either way;
+//! `tests/async_equivalence.rs` property-checks this under hundreds of
+//! seeded schedules for SAP and all four baselines, including
 //! mid-stream registration and unregistration. SAP's per-slide dirty
 //! flag keeps quiet queries at O(1) per slide, which is what makes
 //! hash-partitioning (no work stealing) balance well even under skewed
@@ -103,7 +102,7 @@ pub mod predicate;
 pub mod query;
 mod registry;
 pub mod session;
-pub mod shard;
+mod shard;
 #[cfg(test)]
 mod test_support;
 pub mod window;
@@ -117,18 +116,19 @@ pub use driver::{checksum_fold, run, run_collecting, RunSummary, CHECKSUM_SEED};
 pub use events::{
     diff_snapshots, diff_snapshots_into, DiffScratch, EventList, SlideResult, Snapshot, TopKEvent,
 };
-pub use exec::{AsyncHub, FifoScheduler, Scheduler, SeededScheduler, COMMANDS_PER_WAKEUP};
+pub use exec::{
+    AsyncHub, FifoScheduler, Scheduler, SeededScheduler, COMMANDS_PER_WAKEUP,
+    DEFAULT_QUEUE_CAPACITY, PUBLISH_ONE_COALESCE,
+};
 pub use generators::{ArrivalProcess, Dataset, Workload};
 pub use metrics::OpStats;
 pub use object::{Object, ScoreKey, TimedObject};
 pub use predicate::Predicate;
 pub use query::{AlgorithmKind, Query, QuerySpec, SapError, SapPolicy, TimedSpec};
-pub use registry::HubStats;
+pub use registry::{HubStats, Registration};
 pub use session::{
     AnySession, GroupedSession, Hub, HubSession, QueryId, QueryUpdate, Session, SharedSession,
     SlideScratch, TimedSession,
 };
-pub use shard::{
-    QueryState, ShardSession, ShardedHub, DEFAULT_QUEUE_CAPACITY, PUBLISH_ONE_COALESCE,
-};
+pub use shard::QueryState;
 pub use window::{Ingest, SlidingTopK, SpecError, TimedIngest, TimedTopK, WindowSpec};

@@ -63,14 +63,13 @@ pub enum SapError {
     MixedWindowKinds,
     /// A time-based query was handed to an entry point that requires a
     /// count-based one (e.g. `build()`/`session()`); use the `timed`
-    /// counterparts, or `Hub`/`ShardedHub` registration, which accept
-    /// both.
+    /// counterparts, or hub registration, which accepts both.
     NotCountBased,
     /// A count-based query was handed to an entry point that requires a
     /// time-based one (e.g. `timed_session()`).
     NotTimeBased,
-    /// A sharded hub worker thread is gone — a registered engine panicked,
-    /// killing the shard. The queries owned by that shard are lost; the
+    /// An async-hub shard is gone — a registered engine panicked, killing
+    /// the shard. The queries owned by that shard are lost; the
     /// other shards are unaffected but the hub as a whole can no longer
     /// guarantee full fan-out, so the recovery story is to drop the hub,
     /// build a fresh one, and re-register the standing queries (engines on
@@ -91,10 +90,10 @@ pub enum SapError {
         reason: &'static str,
     },
     /// A non-trivial [`Predicate`] was attached to a query registered on
-    /// an **isolated** path (`register`/`register_timed`). Predicates are
-    /// an admission-plane feature of the shared planes — register the
-    /// query with `register_shared`/`register_grouped` instead, or drop
-    /// the filter.
+    /// an **isolated** plane (`Registration::count`/`Registration::timed`).
+    /// Predicates are an admission-plane feature of the shared planes —
+    /// register the query as `Registration::shared`/`Registration::grouped`
+    /// instead, or drop the filter.
     PredicateUnsupported,
 }
 
@@ -406,9 +405,9 @@ impl QuerySpec {
 ///
 /// The slide length is also a count query's sharing key: queries with
 /// the same `s` registered at the same offset mod `s` form one geometry
-/// class, and `Hub::register_grouped` serves the whole class from one
-/// shared ring + digest (see the `digest` module) instead of one
-/// session apiece.
+/// class, and the shared count plane (`Registration::grouped`) serves
+/// the whole class from one shared ring + digest (see the `digest`
+/// module) instead of one session apiece.
 ///
 /// ```
 /// use sap_stream::{Query, QuerySpec};

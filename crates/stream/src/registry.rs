@@ -1,15 +1,12 @@
 //! The session registry: one copy of the fan-out, digest-group, and
 //! statistics bookkeeping shared by the sequential [`Hub`] and every
-//! [`ShardedHub`] worker.
+//! [`AsyncHub`] shard, plus the [`Registration`] value both hubs take.
 //!
-//! Before the shared digest plane, the hub and the shard workers each
-//! carried their own `Vec<(QueryId, AnySession)>` dispatch loop; adding
-//! slide groups to both would have meant two copies of the trickiest
-//! bookkeeping in the crate (group membership, warm-up promotion, digest
-//! fan-out). [`Registry`] is that logic extracted once: the sequential
-//! hub *is* a registry driven from the caller's thread, and each shard
-//! worker *is* a registry driven from its queue — which is also what
-//! keeps the two byte-identical by construction.
+//! [`Registry`] holds that logic once: the sequential hub *is* a
+//! registry driven from the caller's thread, and each async-hub shard
+//! *is* a registry driven from its command queue — which is what keeps
+//! the two byte-identical by construction. Both store the same boxed
+//! [`Send`] engines, so one validated registration serves either hub.
 //!
 //! ## Slide groups
 //!
@@ -57,7 +54,7 @@
 //! finds no empty-slide group founds a new geometry class at the current
 //! offset. Group slides served to members are counted as
 //! [`count_group_hits`](HubStats::count_group_hits); slides computed by
-//! isolated count sessions (`register_boxed`) as
+//! isolated count sessions ([`Registration::count`]) as
 //! [`count_group_rebuilds`](HubStats::count_group_rebuilds), so the
 //! sharing ratio is observable.
 //!
@@ -99,7 +96,7 @@
 //! group installation and ejection), which already cost O(store).
 //!
 //! [`Hub`]: crate::session::Hub
-//! [`ShardedHub`]: crate::shard::ShardedHub
+//! [`AsyncHub`]: crate::exec::AsyncHub
 
 use std::collections::{HashMap, VecDeque};
 
@@ -117,7 +114,7 @@ use crate::window::{Ingest, SlidingTopK, TimedIngest, TimedTopK, WindowSpec};
 
 /// A point-in-time summary of a hub's registered queries and how much
 /// per-slide work the shared digest plane is saving — what
-/// `Hub::stats()`/`ShardedHub::stats()` report, so benches and examples
+/// `Hub::stats()`/`AsyncHub::stats()` report, so benches and examples
 /// can measure sharing instead of guessing at it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HubStats {
@@ -133,7 +130,7 @@ pub struct HubStats {
     /// member).
     ///
     /// **Invariant**: a slide group never spans shards — every member of
-    /// a group lives on one shard, enforced by `ShardedHub`'s group-
+    /// a group lives on one shard, enforced by `AsyncHub`'s group-
     /// affine routing (`home_shard`) and debug-asserted at registration
     /// inside `Registry`. Summing this field across shards (see
     /// [`merge`](HubStats::merge)) is exact *only* because of that
@@ -147,7 +144,7 @@ pub struct HubStats {
     /// (mid-stream joins catching up to their group).
     pub digest_rebuilds: u64,
     /// Count-based queries served by the shared count plane
-    /// (`register_grouped_boxed`).
+    /// ([`Registration::grouped`]).
     pub grouped_queries: usize,
     /// Live count groups (distinct `(slide length, registration offset)`
     /// geometry classes with ≥ 1 grouped member). Shard-local for the
@@ -193,7 +190,7 @@ pub struct HubStats {
     /// [`AsyncHub`](crate::exec::AsyncHub) backpressure. Summed across
     /// shards by [`merge`](HubStats::merge); the per-shard split lives in
     /// `AsyncHub::shard_loads`, so a balancer can tell *which* shard is
-    /// slow. Always 0 on the sequential and thread-per-shard hubs.
+    /// slow. Always 0 on the sequential hub.
     pub publisher_parks: u64,
     /// High-water mark of any one shard's command-queue depth —
     /// **max**-merged, not summed, so the hub-wide value is the worst
@@ -260,7 +257,7 @@ impl HubStats {
         }
     }
 
-    /// Field-wise accumulation — how `ShardedHub::stats()` folds its
+    /// Field-wise accumulation — how `AsyncHub::stats()` folds its
     /// per-shard partials into one hub-wide view. Straight sums are
     /// exact for every field because each query (and — by the
     /// shard-locality invariant documented on
@@ -332,6 +329,164 @@ impl GroupKeys {
         self.count.extend_from_slice(&other.count);
     }
 }
+
+/// A standing query ready for a hub: its engine, the plane that serves
+/// it, and its subscription predicate — the one value both
+/// [`Hub::subscribe`](crate::session::Hub::subscribe) and
+/// [`AsyncHub::subscribe`](crate::exec::AsyncHub::subscribe) take.
+///
+/// The constructors name the planes:
+///
+/// * [`count`](Registration::count) — a count-based query `⟨n, k, s⟩`
+///   on its own isolated engine;
+/// * [`timed`](Registration::timed) — a time-based query on its own
+///   isolated engine;
+/// * [`shared`](Registration::shared) — a time-based query
+///   `W⟨window_duration, slide_duration⟩` on the **shared digest
+///   plane**: each slide's top-`k_max` is computed once per slide group
+///   (equal `slide_duration` and predicate) and every member slices its
+///   own `k`. A member joining mid-stream warms up privately for at most
+///   the rest of the open slide;
+/// * [`grouped`](Registration::grouped) — a count-based query
+///   `⟨n, k, s⟩` on the **shared count plane**: queries with equal slide
+///   length, registration offset mod `s` and predicate share one
+///   per-slide truncation.
+///
+/// Results on a sharing plane are byte-identical to an isolated
+/// registration of the same query. A sharing-plane engine answers the
+/// private Appendix-A reduction `⟨(n/s)·k, k, k⟩` for its own `k`
+/// (durations standing in for `n` and `s` on the digest plane) and must
+/// be fresh.
+///
+/// [`filter`](Registration::filter) attaches a subscription predicate:
+/// the query ranks only objects the predicate accepts, while rejected
+/// objects still advance slide boundaries. Members with different
+/// predicates never share a group, so a selective subscription cannot
+/// perturb a pass-all neighbor.
+///
+/// A hub validates the registration once, before it allocates an id:
+/// wrong engine geometry (including `k > n` or `s ∤ n`) is a typed
+/// [`SapError::Spec`], an empty score range
+/// [`SapError::InvalidPredicate`], and a predicate on an isolated plane,
+/// which has no admission stage to apply it,
+/// [`SapError::PredicateUnsupported`].
+pub struct Registration {
+    plane: Plane,
+    predicate: Predicate,
+}
+
+/// The plane a [`Registration`] asks for, with its engine and geometry.
+enum Plane {
+    Count(Box<dyn SlidingTopK + Send>),
+    Timed(Box<dyn TimedTopK + Send>),
+    Shared {
+        engine: Box<dyn SlidingTopK + Send>,
+        window_duration: u64,
+        slide_duration: u64,
+    },
+    Grouped {
+        engine: Box<dyn SlidingTopK + Send>,
+        n: usize,
+        s: usize,
+    },
+}
+
+impl Registration {
+    fn on(plane: Plane) -> Registration {
+        Registration {
+            plane,
+            predicate: Predicate::default(),
+        }
+    }
+
+    /// An isolated count-based query served by `engine`.
+    pub fn count(engine: Box<dyn SlidingTopK + Send>) -> Registration {
+        Registration::on(Plane::Count(engine))
+    }
+
+    /// An isolated time-based query served by `engine`. It slides on
+    /// event time, so it advances on `publish_timed` and `advance_time`
+    /// only.
+    pub fn timed(engine: Box<dyn TimedTopK + Send>) -> Registration {
+        Registration::on(Plane::Timed(engine))
+    }
+
+    /// A time-based query `W⟨window_duration, slide_duration⟩` on the
+    /// shared digest plane; `engine` answers its reduction.
+    pub fn shared(
+        engine: Box<dyn SlidingTopK + Send>,
+        window_duration: u64,
+        slide_duration: u64,
+    ) -> Registration {
+        Registration::on(Plane::Shared {
+            engine,
+            window_duration,
+            slide_duration,
+        })
+    }
+
+    /// A count-based query `⟨n, k, s⟩` on the shared count plane, `k`
+    /// being the engine's; `engine` answers its reduction.
+    pub fn grouped(engine: Box<dyn SlidingTopK + Send>, n: usize, s: usize) -> Registration {
+        Registration::on(Plane::Grouped { engine, n, s })
+    }
+
+    /// Ranks only the objects `predicate` accepts (see the type docs).
+    pub fn filter(mut self, predicate: Predicate) -> Registration {
+        self.predicate = predicate;
+        self
+    }
+
+    /// Validates the registration into the member a registry serves.
+    pub(crate) fn admit(self) -> Result<HubMember, SapError> {
+        let Registration { plane, predicate } = self;
+        if matches!(plane, Plane::Count(_) | Plane::Timed(_)) {
+            if !predicate.is_pass_all() {
+                return Err(SapError::PredicateUnsupported);
+            }
+        } else {
+            predicate
+                .validate()
+                .map_err(|reason| SapError::InvalidPredicate { reason })?;
+        }
+        Ok(match plane {
+            Plane::Count(engine) => Member::Count(engine),
+            Plane::Timed(engine) => Member::Timed(engine),
+            Plane::Shared {
+                engine,
+                window_duration,
+                slide_duration,
+            } => Member::Shared(
+                SharedTimed::from_engine(engine, window_duration, slide_duration)
+                    .map_err(SapError::Spec)?,
+                predicate,
+            ),
+            Plane::Grouped { engine, n, s } => {
+                let spec = WindowSpec::new(n, engine.spec().k, s).map_err(SapError::Spec)?;
+                let consumer =
+                    SharedTimed::from_engine(engine, n as u64, s as u64).map_err(SapError::Spec)?;
+                Member::Grouped(consumer, spec, predicate)
+            }
+        })
+    }
+}
+
+/// A validated [`Registration`], in the shape a [`Registry`] serves it.
+pub(crate) enum Member<C: SlidingTopK, T: TimedTopK> {
+    Count(C),
+    Timed(T),
+    /// The digest consumer and the predicate keying its slide group.
+    Shared(SharedTimed<C>, Predicate),
+    /// The reduced consumer, the plain `⟨n, k, s⟩` spec, and the
+    /// predicate keying its geometry class.
+    Grouped(SharedTimed<C>, WindowSpec, Predicate),
+}
+
+/// The member both hubs register: boxed [`Send`] engines.
+pub(crate) type HubMember = Member<Box<dyn SlidingTopK + Send>, Box<dyn TimedTopK + Send>>;
+
+/// The registry both hubs drive.
+pub(crate) type HubRegistry = Registry<Box<dyn SlidingTopK + Send>, Box<dyn TimedTopK + Send>>;
 
 /// One slide group: the shared producer, its member count (sessions in
 /// [`Registry::sessions`] with this `slide_duration`), and the result
@@ -597,10 +752,10 @@ pub(crate) struct Registry<C: SlidingTopK, T: TimedTopK> {
     /// a watermark jump closing thousands of slides — cannot inflate
     /// every later publish's reservation for the hub's lifetime.
     update_hint: usize,
-    /// Which `ShardedHub` worker owns this registry (`None` for the
+    /// Which async-hub shard owns this registry (`None` for the
     /// sequential hub) — consulted only by the debug assertion in
-    /// [`register_shared`](Registry::register_shared) that a slide
-    /// group's members all land on the group's home shard.
+    /// [`register`](Registry::register) that a registration lands on
+    /// the shard the hub routed it to.
     shard: Option<usize>,
 }
 
@@ -674,7 +829,7 @@ pub(crate) fn split_by_group<C: SlidingTopK, T: TimedTopK>(
 /// A decoded `tags::REGISTRY` section, still loose: sessions with their
 /// replayed engines, slide-group producers, and the sharing counters —
 /// everything needed to rebuild a [`Registry`] (or to scatter across
-/// `ShardedHub` workers) once [`merge`](RegistryParts::merge) has
+/// `AsyncHub` shards) once [`merge`](RegistryParts::merge) has
 /// validated the cross-section invariants.
 pub(crate) struct RegistryParts<C: SlidingTopK, T: TimedTopK> {
     pub(crate) sessions: Vec<(QueryId, AnySession<C, T>)>,
@@ -981,8 +1136,8 @@ fn consumer_sig<C: SlidingTopK>(consumer: &SharedTimed<C>) -> Vec<u8> {
 impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
     /// A registry tagged with its owning shard index, so group-affinity
     /// routing bugs trip the debug assertion in
-    /// [`register_shared`](Registry::register_shared) instead of silently
-    /// splitting a slide group across workers.
+    /// [`register`](Registry::register) instead of silently splitting a
+    /// group across shards.
     pub(crate) fn with_shard(shard: usize) -> Self {
         Registry {
             shard: Some(shard),
@@ -1046,8 +1201,29 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
         self.sessions.binary_search_by_key(&id, |(q, _)| *q).ok()
     }
 
-    pub(crate) fn register_count(&mut self, id: QueryId, alg: C) {
-        self.push_session(id, AnySession::Count(Session::new(alg)));
+    /// Registers a validated member under `id` on its plane.
+    ///
+    /// `home` is the shard the hub routed this registration to (`None`
+    /// from the sequential hub). It must be the shard that owns this
+    /// registry: a group's members all live on the group's home shard —
+    /// the invariant that makes per-shard group counts sum exactly in
+    /// [`HubStats::merge`] and lets a group share one producer without
+    /// cross-thread coordination.
+    pub(crate) fn register(&mut self, id: QueryId, member: Member<C, T>, home: Option<usize>) {
+        debug_assert_eq!(
+            home, self.shard,
+            "routing bug: a group's members must all land on its home shard"
+        );
+        match member {
+            Member::Count(alg) => self.push_session(id, AnySession::Count(Session::new(alg))),
+            Member::Timed(engine) => {
+                self.push_session(id, AnySession::Timed(TimedSession::new(engine)))
+            }
+            Member::Shared(consumer, predicate) => self.register_shared(id, consumer, predicate),
+            Member::Grouped(consumer, spec, predicate) => {
+                self.register_grouped(id, consumer, spec, predicate)
+            }
+        }
     }
 
     /// Registers a count-group member, joining (or founding) the count
@@ -1058,23 +1234,13 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
     /// found a fresh group at the current stream offset otherwise. At
     /// most one group per `s` can have an empty open slide, so the scan
     /// is deterministic.
-    ///
-    /// `home` is the shard the hub routed this registration to (`None`
-    /// from the sequential hub) — same invariant as
-    /// [`register_shared`](Registry::register_shared): a count group's
-    /// members all live on the group's home shard.
-    pub(crate) fn register_grouped(
+    fn register_grouped(
         &mut self,
         id: QueryId,
         consumer: SharedTimed<C>,
         spec: WindowSpec,
         predicate: Predicate,
-        home: Option<usize>,
     ) {
-        debug_assert_eq!(
-            home, self.shard,
-            "count-group routing bug: members of a group must all land on its home shard"
-        );
         // the join rule tests the *observed* fill, not `pending_len` —
         // under admission control a group at a slide boundary may still
         // buffer nothing mid-slide, and joining such a group would skew
@@ -1166,32 +1332,11 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
         );
     }
 
-    pub(crate) fn register_timed(&mut self, id: QueryId, engine: T) {
-        self.push_session(id, AnySession::Timed(TimedSession::new(engine)));
-    }
-
     /// Registers a digest consumer, joining (or founding) the slide group
     /// for its `slide_duration`. The group's digest depth grows to cover
     /// the new member's `k`; a member joining a group that has already
     /// ingested stream starts in warm-up (see the [module docs](self)).
-    ///
-    /// `home` is the shard the hub routed this registration to (`None`
-    /// from the sequential hub). It must be the shard that owns this
-    /// registry: a slide group's members all live on the group's home
-    /// shard — the invariant that makes per-shard group counts sum
-    /// exactly in [`HubStats::merge`] and lets a group share one
-    /// producer without cross-thread coordination.
-    pub(crate) fn register_shared(
-        &mut self,
-        id: QueryId,
-        consumer: SharedTimed<C>,
-        predicate: Predicate,
-        home: Option<usize>,
-    ) {
-        debug_assert_eq!(
-            home, self.shard,
-            "slide-group routing bug: members of a group must all land on its home shard"
-        );
+    fn register_shared(&mut self, id: QueryId, consumer: SharedTimed<C>, predicate: Predicate) {
         let sd = consumer.slide_duration();
         let k = consumer.k();
         let group = self
@@ -2301,15 +2446,10 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
         })
     }
 
-    /// Reassembles one registry from decoded parts — possibly several,
-    /// when a sharded checkpoint is restored into a sequential hub.
-    /// Validation happens in [`RegistryParts::merge`]; group member
-    /// counts are recomputed from the shared sessions themselves.
-    pub(crate) fn from_parts(parts: Vec<RegistryParts<C, T>>) -> Result<Self, SapError> {
-        Ok(Self::from_merged(RegistryParts::merge(parts)?, None))
-    }
-
-    /// Builds a registry from already-merged, already-validated parts.
+    /// Builds a registry from already-merged, already-validated parts —
+    /// possibly several shards' worth, when a sharded checkpoint is
+    /// restored into a sequential hub. Group member counts are
+    /// recomputed from the shared sessions themselves.
     ///
     /// Result classes are **rebuilt** here rather than carried: grouped
     /// members re-class by their exact `(n, k, join_slide)` key, shared
@@ -2817,8 +2957,8 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
     }
 
     /// Ejects everything — sessions, groups, counters — leaving the
-    /// registry empty. The `ShardedHub::resize` path drains each worker
-    /// through this before re-scattering onto the new worker set.
+    /// registry empty. The `AsyncHub::resize` path drains each shard
+    /// through this before re-scattering onto the new shard set.
     pub(crate) fn eject_all(&mut self) -> RegistryParts<C, T> {
         // dissolve every result class back into the session store first
         // (same protocol as the single-group ejects); the class-hit
@@ -2913,7 +3053,6 @@ mod tests {
             consumer(n as u64, s as u64, k),
             spec,
             Predicate::default(),
-            None,
         );
     }
 
@@ -2974,18 +3113,18 @@ mod tests {
     fn per_call_list_tracks_every_store_mutation() {
         let pass = Predicate::default();
         let mut reg = ToyRegistry::default();
-        reg.register_count(q(0), Toy::new(20, 2, 5));
-        reg.register_shared(q(1), consumer(20, 10, 2), pass, None);
-        reg.register_shared(q(2), consumer(20, 10, 2), pass, None);
+        reg.register(q(0), Member::Count(Toy::new(20, 2, 5)), None);
+        reg.register_shared(q(1), consumer(20, 10, 2), pass);
+        reg.register_shared(q(2), consumer(20, 10, 2), pass);
         register_grouped(&mut reg, 3, 20, 2, 5);
-        reg.register_timed(q(4), ToyTimed::new(20, 10, 2));
+        reg.register(q(4), Member::Timed(ToyTimed::new(20, 10, 2)), None);
         assert_listed(&reg, "registration");
         assert_eq!(listed(&reg), [0, 4], "pristine joiners share a class");
 
         // a mid-stream join into the classed group warms up solo, and
         // stays solo once its join slide [10, 20) closes
         reg.publish_timed(&ticks(0, 15));
-        reg.register_shared(q(5), consumer(20, 10, 2), pass, None);
+        reg.register_shared(q(5), consumer(20, 10, 2), pass);
         assert!(reg
             .session(q(5))
             .unwrap()
@@ -3014,10 +3153,10 @@ mod tests {
         // with class sharing off a pristine joiner stays solo; back on,
         // the next pristine joiner founds a class
         reg.set_class_sharing(false);
-        reg.register_shared(q(6), consumer(14, 7, 1), pass, None);
+        reg.register_shared(q(6), consumer(14, 7, 1), pass);
         reg.set_class_sharing(true);
-        reg.register_shared(q(7), consumer(14, 7, 1), pass, None);
-        reg.register_shared(q(8), consumer(20, 10, 2), pass, None);
+        reg.register_shared(q(7), consumer(14, 7, 1), pass);
+        reg.register_shared(q(8), consumer(20, 10, 2), pass);
         assert_listed(&reg, "join with class sharing off");
         assert_eq!(listed(&reg), [0, 4, 5, 6, 8], "8 joined mid-stream");
 
@@ -3070,16 +3209,16 @@ mod tests {
             let mut reg = ToyRegistry::default();
             for i in 0..MEMBERS {
                 let k = 1 + (i % 3) as usize;
-                reg.register_shared(q(4 * i), consumer(20 + 10 * (i % 2), 10, k), pass, None);
+                reg.register_shared(q(4 * i), consumer(20 + 10 * (i % 2), 10, k), pass);
                 register_grouped(&mut reg, 4 * i + 1, 20, k, 5);
-                reg.register_timed(q(4 * i + 2), ToyTimed::new(20, 10, 1));
+                reg.register(q(4 * i + 2), Member::Timed(ToyTimed::new(20, 10, 1)), None);
             }
             reg
         };
         let (mut source, mut reference) = (build(), build());
         let mut target = ToyRegistry::default();
         for i in 0..MEMBERS {
-            target.register_count(q(4 * i + 3), Toy::new(20, 1, 5));
+            target.register(q(4 * i + 3), Member::Count(Toy::new(20, 1, 5)), None);
         }
         let check = |reg: &ToyRegistry, planes: &[u64], step: &str| {
             let want: Vec<u64> = (0..4 * MEMBERS)
@@ -3124,16 +3263,16 @@ mod tests {
         let pass = Predicate::default();
         let key = (10u64, pass);
         let mut reg: Registry<Toy, ToyTimed> = Registry::default();
-        reg.register_shared(QueryId::from_raw(0), consumer(20, 10, 1), pass, None);
+        reg.register_shared(QueryId::from_raw(0), consumer(20, 10, 1), pass);
         assert_eq!(reg.groups[&key].producer.k_max(), 1);
-        reg.register_shared(QueryId::from_raw(1), consumer(40, 10, 5), pass, None);
+        reg.register_shared(QueryId::from_raw(1), consumer(40, 10, 5), pass);
         assert_eq!(reg.groups[&key].producer.k_max(), 5, "grows on join");
         // the deepest member leaving shrinks the depth back
         reg.unregister(QueryId::from_raw(1)).unwrap();
         assert_eq!(reg.groups[&key].producer.k_max(), 1, "shrinks on leave");
         // a non-deepest member leaving does not
-        reg.register_shared(QueryId::from_raw(2), consumer(40, 10, 3), pass, None);
-        reg.register_shared(QueryId::from_raw(3), consumer(20, 10, 2), pass, None);
+        reg.register_shared(QueryId::from_raw(2), consumer(40, 10, 3), pass);
+        reg.register_shared(QueryId::from_raw(3), consumer(20, 10, 2), pass);
         reg.unregister(QueryId::from_raw(3)).unwrap();
         assert_eq!(reg.groups[&key].producer.k_max(), 3);
         // the last member out retires the group
@@ -3150,9 +3289,8 @@ mod tests {
             QueryId::from_raw(0),
             consumer(20, 10, 1),
             Predicate::default(),
-            None,
         );
-        reg.register_shared(QueryId::from_raw(1), consumer(20, 10, 4), hot, None);
+        reg.register_shared(QueryId::from_raw(1), consumer(20, 10, 4), hot);
         assert_eq!(
             reg.groups.len(),
             2,
@@ -3161,7 +3299,7 @@ mod tests {
         assert_eq!(reg.groups[&(10, Predicate::default())].producer.k_max(), 1);
         assert_eq!(reg.groups[&(10, hot)].producer.k_max(), 4);
         // a same-predicate joiner lands in the existing sub-group
-        reg.register_shared(QueryId::from_raw(2), consumer(40, 10, 2), hot, None);
+        reg.register_shared(QueryId::from_raw(2), consumer(40, 10, 2), hot);
         assert_eq!(reg.groups.len(), 2);
         assert_eq!(reg.groups[&(10, hot)].members, 2);
     }
@@ -3198,5 +3336,40 @@ mod tests {
         // empty stats report 0, not NaN
         assert_eq!(HubStats::default().prune_rate(), 0.0);
         assert_eq!(HubStats::default().class_hit_rate(), 0.0);
+    }
+
+    /// `HubStats.digest_groups`/`count_groups` summing is exact *only
+    /// because* groups are shard-local. If a routing regression ever
+    /// founded the same group on two shards, the stats merge must catch
+    /// it instead of silently double-counting.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "slide group split across workers")]
+    fn stats_merge_catches_a_slide_group_split_across_workers() {
+        // simulate the regression at the registry level: two shards each
+        // founded a slide group with the same slide_duration (routing
+        // gone hash-only instead of group-affine)
+        let mut a = ToyRegistry::with_shard(0);
+        let mut b = ToyRegistry::with_shard(1);
+        a.register_shared(q(0), consumer(10, 10, 1), Predicate::default());
+        b.register_shared(q(1), consumer(10, 10, 1), Predicate::default());
+        let mut seen = GroupKeys::default();
+        seen.absorb_disjoint(&a.group_keys(), 0);
+        seen.absorb_disjoint(&b.group_keys(), 1); // must panic here
+    }
+
+    /// Same detector, count plane: two shards holding the same
+    /// `(s, fill)` geometry class is a split count group.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "count group split across workers")]
+    fn stats_merge_catches_a_count_group_split_across_workers() {
+        let mut seen = GroupKeys::default();
+        let shard_keys = GroupKeys {
+            digest: Vec::new(),
+            count: vec![(4, 2, Predicate::default())],
+        };
+        seen.absorb_disjoint(&shard_keys, 0);
+        seen.absorb_disjoint(&shard_keys, 1); // must panic here
     }
 }

@@ -32,7 +32,7 @@
 //! [`events`](crate::events) module for the snapshot contract.
 //!
 //! ```
-//! use sap_stream::{Hub, Ingest, Object};
+//! use sap_stream::{Hub, Ingest, Object, Registration};
 //! # use sap_stream::{OpStats, SlidingTopK, WindowSpec};
 //! # struct Toy(WindowSpec, Vec<Object>);
 //! # impl sap_stream::checkpoint::CheckpointState for Toy {}
@@ -45,7 +45,8 @@
 //! #     fn name(&self) -> &str { "toy" }
 //! # }
 //! let mut hub = Hub::new();
-//! let q = hub.register_alg(Toy(WindowSpec::new(2, 1, 2).unwrap(), Vec::new()));
+//! let toy = Toy(WindowSpec::new(2, 1, 2).unwrap(), Vec::new());
+//! let q = hub.subscribe(Registration::count(Box::new(toy))).unwrap();
 //! let updates = hub.publish(&[Object::new(0, 1.0), Object::new(1, 5.0)]);
 //! assert_eq!(updates.len(), 1);
 //! assert_eq!(updates[0].query, q);
@@ -60,7 +61,8 @@ use crate::events::{diff_snapshots_into, EventList, SlideResult, Snapshot};
 use crate::object::{Object, TimedObject};
 use crate::predicate::Predicate;
 use crate::query::{SapError, TimedSpec};
-use crate::registry::{HubStats, Registry};
+use crate::registry::{HubRegistry, HubStats, Registration, Registry};
+use crate::shard::decode_hub_checkpoint;
 use crate::window::{Ingest, SlidingTopK, TimedIngest, TimedTopK, WindowSpec};
 
 /// Reusable per-session buffers for slide completion — the pooled half of
@@ -1182,10 +1184,9 @@ impl<C: SlidingTopK> GroupedSession<C> {
 }
 
 /// A session of any window model — what the hubs store and what
-/// [`Hub::unregister`]/`ShardedHub::unregister` hand back. The `C`/`T`
+/// [`Hub::unregister`]/`AsyncHub::unregister` hand back. The `C`/`T`
 /// parameters are the count-based and time-based engine types (boxed
-/// trait objects in the hubs; see [`HubSession`] and
-/// [`ShardSession`](crate::shard::ShardSession)); shared-digest and
+/// trait objects in the hubs; see [`HubSession`]); shared-digest and
 /// count-group sessions reuse `C`, their reduction engines being
 /// count-based.
 // `Shared` outweighs the other variants (its consumer embeds the
@@ -1305,19 +1306,20 @@ impl<C: SlidingTopK, T: TimedTopK> AnySession<C, T> {
     }
 }
 
-/// The session type a [`Hub`] stores and returns from
-/// [`unregister`](Hub::unregister).
-pub type HubSession = AnySession<Box<dyn SlidingTopK>, Box<dyn TimedTopK>>;
+/// The session type both hubs store and return from `unregister`: its
+/// engines are [`Send`], so a session can live on an
+/// [`AsyncHub`](crate::exec::AsyncHub) shard or move between shards.
+pub type HubSession = AnySession<Box<dyn SlidingTopK + Send>, Box<dyn TimedTopK + Send>>;
 
-/// Handle identifying a query registered with a [`Hub`] or a
-/// [`ShardedHub`](crate::shard::ShardedHub). Ids are handed out
+/// Handle identifying a query registered with a [`Hub`] or an
+/// [`AsyncHub`](crate::exec::AsyncHub). Ids are handed out
 /// monotonically, so ascending `QueryId` order *is* registration order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QueryId(u64);
 
 impl QueryId {
     /// Builds a handle from its raw counter value (hub-internal; the
-    /// sharded hub allocates ids with the same scheme as [`Hub`]).
+    /// async hub allocates ids with the same scheme as [`Hub`]).
     pub(crate) fn from_raw(raw: u64) -> Self {
         QueryId(raw)
     }
@@ -1351,22 +1353,21 @@ pub struct QueryUpdate {
 /// buffer, and each session slides exactly when *its* boundary is reached.
 /// Results are delivered in registration order.
 ///
-/// All window models share the hub. Count-based queries
-/// ([`register_boxed`](Hub::register_boxed)) slide on arrival counts;
-/// time-based queries slide on event time, either isolated
-/// ([`register_timed_boxed`](Hub::register_timed_boxed)) or on the
-/// **shared digest plane**
-/// ([`register_shared_boxed`](Hub::register_shared_boxed)), where every
-/// query with the same `slide_duration` is served from one per-slide
-/// top-`k_max` digest instead of recomputing it per session. A stream
-/// published with [`publish_timed`](Hub::publish_timed) feeds all of
-/// them: count-based sessions see the objects' `(id, score)` in arrival
-/// order, time-based sessions additionally consume the timestamps. The
-/// plain [`publish`](Hub::publish) path carries no event time and
-/// therefore advances count-based queries only.
+/// All window models share the hub, each registered through
+/// [`subscribe`](Hub::subscribe) with a [`Registration`] naming its
+/// plane. Count-based queries slide on arrival counts; time-based
+/// queries slide on event time, either isolated or on the **shared
+/// digest plane**, where every query with the same `slide_duration` is
+/// served from one per-slide top-`k_max` digest instead of recomputing
+/// it per session. A stream published with
+/// [`publish_timed`](Hub::publish_timed) feeds all of them: count-based
+/// sessions see the objects' `(id, score)` in arrival order, time-based
+/// sessions additionally consume the timestamps. The plain
+/// [`publish`](Hub::publish) path carries no event time and therefore
+/// advances count-based queries only.
 #[derive(Default)]
 pub struct Hub {
-    registry: Registry<Box<dyn SlidingTopK>, Box<dyn TimedTopK>>,
+    registry: HubRegistry,
     next_id: u64,
 }
 
@@ -1385,171 +1386,16 @@ impl Hub {
         Hub::default()
     }
 
-    fn next_id(&mut self) -> QueryId {
+    /// Registers a standing query on the plane the [`Registration`]
+    /// names and returns its handle. The query sees exactly the objects
+    /// published after this call. An invalid registration (see
+    /// [`Registration`]) is a typed error and leaves the hub unchanged.
+    pub fn subscribe(&mut self, registration: Registration) -> Result<QueryId, SapError> {
+        let member = registration.admit()?;
         let id = QueryId(self.next_id);
         self.next_id += 1;
-        id
-    }
-
-    /// Registers an algorithm instance as a new standing count-based
-    /// query and returns its handle.
-    pub fn register_boxed(&mut self, alg: Box<dyn SlidingTopK>) -> QueryId {
-        let id = self.next_id();
-        self.registry.register_count(id, alg);
-        id
-    }
-
-    /// Registers an owned algorithm instance (convenience over
-    /// [`register_boxed`](Hub::register_boxed)).
-    pub fn register_alg<A: SlidingTopK + 'static>(&mut self, alg: A) -> QueryId {
-        self.register_boxed(Box::new(alg))
-    }
-
-    /// Registers a time-based engine as a new standing query and returns
-    /// its handle. The query slides on event time, so it advances on
-    /// [`publish_timed`](Hub::publish_timed) and
-    /// [`advance_time`](Hub::advance_time) only.
-    ///
-    /// The engine is private to this query — every registered adapter
-    /// re-derives its own per-slide truncation. Queries that share a
-    /// `slide_duration` can split that work through the digest plane
-    /// instead: see [`register_shared_boxed`](Hub::register_shared_boxed).
-    pub fn register_timed_boxed(&mut self, engine: Box<dyn TimedTopK>) -> QueryId {
-        let id = self.next_id();
-        self.registry.register_timed(id, engine);
-        id
-    }
-
-    /// Registers an owned time-based engine (convenience over
-    /// [`register_timed_boxed`](Hub::register_timed_boxed)).
-    pub fn register_timed_alg<E: TimedTopK + 'static>(&mut self, engine: E) -> QueryId {
-        self.register_timed_boxed(Box::new(engine))
-    }
-
-    /// Registers a time-based query `W⟨window_duration, slide_duration⟩`
-    /// on the **shared digest plane**: the hub computes each slide's
-    /// top-`k_max` digest once per distinct `slide_duration` and serves
-    /// every member query its own `k ≤ k_max` prefix, so the per-slide
-    /// truncation cost scales with the number of slide groups instead of
-    /// the number of queries. Results are byte-identical to an isolated
-    /// registration of the same engine.
-    ///
-    /// `engine` answers the private count-based reduction and must be
-    /// fresh and configured over `⟨(n/s)·k, k, k⟩` for its own `k` —
-    /// validated here, wrong geometry is a typed [`SapError::Spec`].
-    /// Queries may join and leave groups at runtime; a mid-stream join
-    /// warms up privately for at most the remainder of the open slide
-    /// before sharing begins (see `Hub::stats` for hit/rebuild counts).
-    pub fn register_shared_boxed(
-        &mut self,
-        engine: Box<dyn SlidingTopK>,
-        window_duration: u64,
-        slide_duration: u64,
-    ) -> Result<QueryId, SapError> {
-        self.register_shared_filtered_boxed(
-            engine,
-            window_duration,
-            slide_duration,
-            Predicate::default(),
-        )
-    }
-
-    /// [`register_shared_boxed`](Hub::register_shared_boxed) with a
-    /// **subscription predicate**: the query ranks only objects the
-    /// predicate accepts, as if the rejected objects had never carried a
-    /// score — they still advance event time (slide boundaries are
-    /// stream-global). Members of one slide group with different
-    /// predicates are served by disjoint sub-groups, so a selective
-    /// predicate never changes a pass-all neighbor's results. An invalid
-    /// predicate (empty score range) is a typed
-    /// [`SapError::InvalidPredicate`].
-    pub fn register_shared_filtered_boxed(
-        &mut self,
-        engine: Box<dyn SlidingTopK>,
-        window_duration: u64,
-        slide_duration: u64,
-        predicate: Predicate,
-    ) -> Result<QueryId, SapError> {
-        predicate
-            .validate()
-            .map_err(|reason| SapError::InvalidPredicate { reason })?;
-        let consumer = SharedTimed::from_engine(engine, window_duration, slide_duration)
-            .map_err(SapError::Spec)?;
-        let id = self.next_id();
-        self.registry.register_shared(id, consumer, predicate, None);
+        self.registry.register(id, member, None);
         Ok(id)
-    }
-
-    /// Registers an owned engine on the shared digest plane (convenience
-    /// over [`register_shared_boxed`](Hub::register_shared_boxed)).
-    pub fn register_shared_alg<A: SlidingTopK + 'static>(
-        &mut self,
-        engine: A,
-        window_duration: u64,
-        slide_duration: u64,
-    ) -> Result<QueryId, SapError> {
-        self.register_shared_boxed(Box::new(engine), window_duration, slide_duration)
-    }
-
-    /// Registers a count-based query `⟨n, k, s⟩` on the **shared count
-    /// plane**: queries are grouped by window geometry — slide length
-    /// `s` and registration offset mod `s` — so each slide's top-`k_max`
-    /// is computed once per geometry class and every member slices its
-    /// own `(n, k)` answer from it. Results are byte-identical to an
-    /// isolated [`register_boxed`](Hub::register_boxed) of the same
-    /// query; per-object cost scales with the number of geometry classes
-    /// instead of the number of registered queries (see `Hub::stats` for
-    /// the count-group hit counters).
-    ///
-    /// `engine` answers the private reduction and must be fresh and
-    /// configured over `⟨(n/s)·k, k, k⟩` for its own `k` — the same
-    /// Appendix-A reduction the digest plane uses, with arrival counts
-    /// standing in for timestamps. Wrong geometry (including `k > n` or
-    /// `s ∤ n` on the original spec) is a typed [`SapError::Spec`].
-    pub fn register_grouped_boxed(
-        &mut self,
-        engine: Box<dyn SlidingTopK>,
-        n: usize,
-        s: usize,
-    ) -> Result<QueryId, SapError> {
-        self.register_grouped_filtered_boxed(engine, n, s, Predicate::default())
-    }
-
-    /// [`register_grouped_boxed`](Hub::register_grouped_boxed) with a
-    /// **subscription predicate**: the query ranks only objects the
-    /// predicate accepts; rejected arrivals still count toward slide
-    /// boundaries (the count window is over the *stream*, the predicate
-    /// filters the *ranking*). Predicate-disjoint members of one geometry
-    /// class live in separate sub-groups. An invalid predicate (empty
-    /// score range) is a typed [`SapError::InvalidPredicate`].
-    pub fn register_grouped_filtered_boxed(
-        &mut self,
-        engine: Box<dyn SlidingTopK>,
-        n: usize,
-        s: usize,
-        predicate: Predicate,
-    ) -> Result<QueryId, SapError> {
-        predicate
-            .validate()
-            .map_err(|reason| SapError::InvalidPredicate { reason })?;
-        let spec = WindowSpec::new(n, engine.spec().k, s).map_err(SapError::Spec)?;
-        let consumer =
-            SharedTimed::from_engine(engine, n as u64, s as u64).map_err(SapError::Spec)?;
-        let id = self.next_id();
-        self.registry
-            .register_grouped(id, consumer, spec, predicate, None);
-        Ok(id)
-    }
-
-    /// Registers an owned engine on the shared count plane (convenience
-    /// over [`register_grouped_boxed`](Hub::register_grouped_boxed)).
-    pub fn register_grouped_alg<A: SlidingTopK + 'static>(
-        &mut self,
-        engine: A,
-        n: usize,
-        s: usize,
-    ) -> Result<QueryId, SapError> {
-        self.register_grouped_boxed(Box::new(engine), n, s)
     }
 
     /// Removes a query, returning its session (with the algorithm's full
@@ -1622,25 +1468,31 @@ impl Hub {
     /// The count-based session behind a handle (`None` for unknown
     /// handles and for time-based queries — see
     /// [`timed_session`](Hub::timed_session)).
-    pub fn session(&self, id: QueryId) -> Option<&Session<Box<dyn SlidingTopK>>> {
+    pub fn session(&self, id: QueryId) -> Option<&Session<Box<dyn SlidingTopK + Send>>> {
         self.any_session(id).and_then(AnySession::as_count)
     }
 
     /// The (isolated) time-based session behind a handle (`None` for
     /// unknown handles and for other models).
-    pub fn timed_session(&self, id: QueryId) -> Option<&TimedSession<Box<dyn TimedTopK>>> {
+    pub fn timed_session(&self, id: QueryId) -> Option<&TimedSession<Box<dyn TimedTopK + Send>>> {
         self.any_session(id).and_then(AnySession::as_timed)
     }
 
     /// The shared-digest session behind a handle (`None` for unknown
     /// handles and for other models).
-    pub fn shared_session(&self, id: QueryId) -> Option<&SharedSession<Box<dyn SlidingTopK>>> {
+    pub fn shared_session(
+        &self,
+        id: QueryId,
+    ) -> Option<&SharedSession<Box<dyn SlidingTopK + Send>>> {
         self.any_session(id).and_then(AnySession::as_shared)
     }
 
     /// The count-group session behind a handle (`None` for unknown
     /// handles and for other models).
-    pub fn grouped_session(&self, id: QueryId) -> Option<&GroupedSession<Box<dyn SlidingTopK>>> {
+    pub fn grouped_session(
+        &self,
+        id: QueryId,
+    ) -> Option<&GroupedSession<Box<dyn SlidingTopK + Send>>> {
         self.any_session(id).and_then(AnySession::as_grouped)
     }
 
@@ -1661,7 +1513,7 @@ impl Hub {
     /// Same-class members share one snapshot allocation per close:
     ///
     /// ```
-    /// use sap_stream::{Hub, Object};
+    /// use sap_stream::{Hub, Object, Registration};
     /// # use sap_stream::{OpStats, SlidingTopK, WindowSpec};
     /// # struct Toy(WindowSpec, Vec<Object>);
     /// # impl sap_stream::checkpoint::CheckpointState for Toy {}
@@ -1673,13 +1525,13 @@ impl Hub {
     /// #     fn stats(&self) -> OpStats { OpStats::default() }
     /// #     fn name(&self) -> &str { "toy" }
     /// # }
-    /// # fn reduced() -> Toy { Toy(WindowSpec::new(4, 2, 2).unwrap(), Vec::new()) }
+    /// # fn reduced() -> Box<Toy> { Box::new(Toy(WindowSpec::new(4, 2, 2).unwrap(), Vec::new())) }
     /// let mut hub = Hub::new();
     /// // two copies of the same ⟨n = 4, k = 2, s = 2⟩ query (`reduced()`
     /// // builds each member's engine over the grouped plane's private
     /// // ⟨(n/s)·k, k, k⟩ reduction): one result class, one computation
-    /// hub.register_grouped_alg(reduced(), 4, 2).unwrap();
-    /// hub.register_grouped_alg(reduced(), 4, 2).unwrap();
+    /// hub.subscribe(Registration::grouped(reduced(), 4, 2)).unwrap();
+    /// hub.subscribe(Registration::grouped(reduced(), 4, 2)).unwrap();
     /// let batch: Vec<Object> = (0..2).map(|i| Object::new(i, i as f64)).collect();
     /// let updates = hub.publish(&batch);
     /// assert_eq!(updates.len(), 2);
@@ -1689,7 +1541,7 @@ impl Hub {
     ///
     /// // knob off: the next registration founds its own solo class
     /// hub.set_result_class_sharing(false);
-    /// hub.register_grouped_alg(reduced(), 4, 2).unwrap();
+    /// hub.subscribe(Registration::grouped(reduced(), 4, 2)).unwrap();
     /// assert_eq!(hub.stats().result_classes, 2);
     /// ```
     pub fn set_result_class_sharing(&mut self, enabled: bool) {
@@ -1713,7 +1565,7 @@ impl Hub {
     /// the first object after the toggle.
     ///
     /// ```
-    /// use sap_stream::{Hub, Object};
+    /// use sap_stream::{Hub, Object, Registration};
     /// # use sap_stream::{OpStats, SlidingTopK, WindowSpec};
     /// # struct Toy(WindowSpec, Vec<Object>);
     /// # impl sap_stream::checkpoint::CheckpointState for Toy {}
@@ -1725,9 +1577,9 @@ impl Hub {
     /// #     fn stats(&self) -> OpStats { OpStats::default() }
     /// #     fn name(&self) -> &str { "toy" }
     /// # }
-    /// # fn reduced() -> Toy { Toy(WindowSpec::new(4, 1, 1).unwrap(), Vec::new()) }
+    /// # fn reduced() -> Box<Toy> { Box::new(Toy(WindowSpec::new(4, 1, 1).unwrap(), Vec::new())) }
     /// let mut hub = Hub::new();
-    /// hub.register_grouped_alg(reduced(), 16, 4).unwrap();
+    /// hub.subscribe(Registration::grouped(reduced(), 16, 4)).unwrap();
     /// // descending scores: after the first, every arrival in the open
     /// // slide is dominated by k_max = 1 admitted object and is pruned
     /// let batch: Vec<Object> = (0..4).map(|i| Object::new(i, -(i as f64))).collect();
@@ -1781,34 +1633,19 @@ impl Hub {
 
     /// Rebuilds a hub from a [`Checkpoint`], constructing each session's
     /// engine through `factory` and replaying the retained state into it.
-    /// Accepts checkpoints from either hub flavor: a sharded checkpoint's
-    /// per-shard registries are merged back into one (sessions in
-    /// registration order, groups unioned, counters summed).
+    /// Accepts checkpoints from either hub: an async hub's per-shard
+    /// registries are merged back into one (sessions in registration
+    /// order, groups unioned, counters summed).
     ///
     /// Malformed input is a typed [`SapError::Checkpoint`]; an engine
     /// name the factory cannot build surfaces as
     /// [`CheckpointError::UnknownEngine`]. Never panics on foreign bytes.
     pub fn restore(checkpoint: &Checkpoint, factory: &dyn EngineFactory) -> Result<Hub, SapError> {
-        let mut dec = Decoder::new(checkpoint.payload());
-        let next_id = dec.take_u64()?;
-        let sections = dec.take_usize()?;
-        let mut parts = Vec::new();
-        for _ in 0..sections {
-            let mut registry = dec.section(tags::REGISTRY)?;
-            parts.push(Registry::decode_checkpoint(
-                &mut registry,
-                checkpoint.version(),
-                &mut |name, spec| factory.count(name, spec).map(|b| b as Box<dyn SlidingTopK>),
-                &mut |name, spec| factory.timed(name, spec).map(|b| b as Box<dyn TimedTopK>),
-            )?);
-            registry.finish().map_err(SapError::from)?;
-        }
-        dec.finish().map_err(SapError::from)?;
-        let registry = Registry::from_parts(parts)?;
-        if registry.query_ids().any(|id| id.raw() >= next_id) {
-            return Err(CheckpointError::Corrupt("session id at or past the id counter").into());
-        }
-        Ok(Hub { registry, next_id })
+        let (next_id, merged) = decode_hub_checkpoint(checkpoint, factory)?;
+        Ok(Hub {
+            registry: Registry::from_merged(merged, None),
+            next_id,
+        })
     }
 }
 
@@ -1817,7 +1654,7 @@ mod tests {
     use super::*;
     use crate::events::TopKEvent;
     use crate::object::top_k_of;
-    use crate::test_support::{Toy, ToyTimed};
+    use crate::test_support::{count, shared, timed, Toy, ToyTimed};
 
     fn stream(len: usize) -> Vec<Object> {
         (0..len)
@@ -1912,8 +1749,8 @@ mod tests {
     #[test]
     fn hub_fans_out_to_heterogeneous_queries() {
         let mut hub = Hub::new();
-        let fast = hub.register_alg(Toy::new(4, 1, 2));
-        let slow = hub.register_alg(Toy::new(8, 2, 4));
+        let fast = hub.subscribe(count(4, 1, 2)).unwrap();
+        let slow = hub.subscribe(count(8, 2, 4)).unwrap();
         assert_eq!(hub.len(), 2);
 
         let updates = hub.publish(&stream(4));
@@ -1932,8 +1769,8 @@ mod tests {
     #[test]
     fn hub_register_unregister_at_runtime() {
         let mut hub = Hub::new();
-        let a = hub.register_alg(Toy::new(2, 1, 1));
-        let b = hub.register_alg(Toy::new(2, 1, 1));
+        let a = hub.subscribe(count(2, 1, 1)).unwrap();
+        let b = hub.subscribe(count(2, 1, 1)).unwrap();
         assert_ne!(a, b);
         assert_eq!(hub.query_ids().collect::<Vec<_>>(), vec![a, b]);
 
@@ -1947,7 +1784,7 @@ mod tests {
         assert_eq!(hub.len(), 1);
 
         // b keeps running; new registrations get fresh ids
-        let c = hub.register_alg(Toy::new(4, 1, 2));
+        let c = hub.subscribe(count(4, 1, 2)).unwrap();
         assert_ne!(c, a);
         assert_ne!(c, b);
         let updates = hub.publish(&stream(2));
@@ -2016,10 +1853,10 @@ mod tests {
     #[test]
     fn hub_registration_mid_stream_starts_clean() {
         let mut hub = Hub::new();
-        let early = hub.register_alg(Toy::new(4, 1, 2));
+        let early = hub.subscribe(count(4, 1, 2)).unwrap();
         hub.publish(&stream(10));
         // a query joining after 10 objects must slide on *its* arrivals
-        let late = hub.register_alg(Toy::new(4, 1, 2));
+        let late = hub.subscribe(count(4, 1, 2)).unwrap();
         let updates = hub.publish(&stream(4));
         assert_eq!(hub.session(early).unwrap().slides(), 7);
         assert_eq!(hub.session(late).unwrap().slides(), 2);
@@ -2080,8 +1917,8 @@ mod tests {
     #[test]
     fn hub_mixes_count_and_timed_queries_on_one_stream() {
         let mut hub = Hub::new();
-        let count = hub.register_alg(Toy::new(4, 1, 2));
-        let timed = hub.register_timed_alg(ToyTimed::new(20, 10, 1));
+        let count = hub.subscribe(count(4, 1, 2)).unwrap();
+        let timed = hub.subscribe(timed(20, 10, 1)).unwrap();
         assert_eq!(hub.len(), 2);
         assert!(hub.session(count).is_some() && hub.timed_session(count).is_none());
         assert!(hub.timed_session(timed).is_some() && hub.session(timed).is_none());
@@ -2132,10 +1969,10 @@ mod tests {
         let geoms = [(40u64, 10u64, 2usize), (20, 10, 1), (50, 25, 3)];
         let mut pairs = Vec::new();
         for &(wd, sd, k) in &geoms {
-            let iso = hub.register_timed_alg(ToyTimed::new(wd, sd, k));
+            let iso = hub.subscribe(timed(wd, sd, k)).unwrap();
             let reduced = (wd / sd) as usize * k;
             let shared = hub
-                .register_shared_alg(Toy::new(reduced, k, k), wd, sd)
+                .subscribe(shared(Toy::new(reduced, k, k), wd, sd))
                 .unwrap();
             pairs.push((iso, shared));
         }
@@ -2172,8 +2009,8 @@ mod tests {
         use std::collections::HashMap;
         let mut hub = Hub::new();
         let data = timed_stream(160);
-        let early_iso = hub.register_timed_alg(ToyTimed::new(40, 10, 2));
-        let early_shared = hub.register_shared_alg(Toy::new(8, 2, 2), 40, 10).unwrap();
+        let early_iso = hub.subscribe(timed(40, 10, 2)).unwrap();
+        let early_shared = hub.subscribe(shared(Toy::new(8, 2, 2), 40, 10)).unwrap();
         let mut by_query: HashMap<QueryId, Vec<SlideResult>> = HashMap::new();
         let fold = |updates: Vec<QueryUpdate>,
                     by_query: &mut HashMap<QueryId, Vec<SlideResult>>| {
@@ -2187,8 +2024,8 @@ mod tests {
         }
         // a mid-stream join with a LARGER k deepens the group's digests;
         // until its join slide closes it runs on a private warm-up view
-        let late_iso = hub.register_timed_alg(ToyTimed::new(20, 10, 4));
-        let late_shared = hub.register_shared_alg(Toy::new(8, 4, 4), 20, 10).unwrap();
+        let late_iso = hub.subscribe(timed(20, 10, 4)).unwrap();
+        let late_shared = hub.subscribe(shared(Toy::new(8, 4, 4), 20, 10)).unwrap();
         assert!(hub.shared_session(late_shared).unwrap().is_warming_up());
         for chunk in data[80..].chunks(11) {
             let updates = hub.publish_timed(chunk);
@@ -2218,21 +2055,21 @@ mod tests {
         // wrong engine geometry never registers: ⟨6, 2, 2⟩ is not the
         // reduction of W⟨20, 10⟩ for k = 2
         assert!(matches!(
-            hub.register_shared_alg(Toy::new(6, 2, 2), 20, 10),
+            hub.subscribe(shared(Toy::new(6, 2, 2), 20, 10)),
             Err(SapError::Spec(_))
         ));
         assert!(hub.is_empty());
-        let q = hub.register_shared_alg(Toy::new(4, 2, 2), 20, 10).unwrap();
+        let q = hub.subscribe(shared(Toy::new(4, 2, 2), 20, 10)).unwrap();
         hub.publish_timed(&[TimedObject::new(0, 5, 1.0), TimedObject::new(1, 12, 2.0)]);
         assert_eq!(hub.stats().digest_groups, 1);
         assert_eq!(hub.shared_session(q).unwrap().slides(), 1);
         assert!(hub.session(q).is_none() && hub.timed_session(q).is_none());
         let session = hub.unregister(q).unwrap();
-        let shared = session.into_shared().expect("shared model");
-        assert_eq!(shared.slides(), 1);
-        assert_eq!(shared.timed_spec().slide_duration, 10);
+        let left = session.into_shared().expect("shared model");
+        assert_eq!(left.slides(), 1);
+        assert_eq!(left.timed_spec().slide_duration, 10);
         // the last member out of a class takes the class's consumer along
-        let engine = shared.engine().expect("last member rehydrates");
+        let engine = left.engine().expect("last member rehydrates");
         assert_eq!(engine.spec().k, 2);
         assert_eq!(
             hub.stats().digest_groups,
@@ -2240,14 +2077,14 @@ mod tests {
             "the last member out retires the group"
         );
         // a later registrant founds a fresh, pristine group: no warm-up
-        let q2 = hub.register_shared_alg(Toy::new(4, 2, 2), 20, 10).unwrap();
+        let q2 = hub.subscribe(shared(Toy::new(4, 2, 2), 20, 10)).unwrap();
         assert!(!hub.shared_session(q2).unwrap().is_warming_up());
     }
 
     #[test]
     fn plain_publish_does_not_advance_timed_queries() {
         let mut hub = Hub::new();
-        let timed = hub.register_timed_alg(ToyTimed::new(20, 10, 1));
+        let timed = hub.subscribe(timed(20, 10, 1)).unwrap();
         let updates = hub.publish(&stream(50));
         assert!(
             updates.is_empty(),
@@ -2264,7 +2101,7 @@ mod tests {
         assert!(hub.session(QueryId(0)).is_none());
         // the no-op really drops the batch: a query registered afterwards
         // starts from its own first published object, not the dropped one
-        let late = hub.register_alg(Toy::new(2, 1, 1));
+        let late = hub.subscribe(count(2, 1, 1)).unwrap();
         let updates = hub.publish(&stream(1));
         assert_eq!(updates.len(), 1);
         assert_eq!(updates[0].query, late);

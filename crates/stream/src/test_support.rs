@@ -1,12 +1,38 @@
 //! Shared reference engines for this crate's unit tests: minimal,
 //! obviously-correct implementations of both algorithm traits, used as
-//! oracles by the session, hub, and sharded-hub test modules so every
-//! equivalence test pins the *same* semantics.
+//! oracles by the session, registry, and hub test modules so every
+//! equivalence test pins the *same* semantics — plus one-line
+//! [`Registration`]s over them.
 
 use crate::checkpoint::{CheckpointError, CheckpointState, Decoder, Encoder};
 use crate::metrics::OpStats;
 use crate::object::{top_k_of, Object, TimedObject};
+use crate::registry::Registration;
 use crate::window::{SlidingTopK, TimedTopK, WindowSpec};
+
+/// An isolated count registration of `Toy ⟨n, k, s⟩`.
+pub(crate) fn count(n: usize, k: usize, s: usize) -> Registration {
+    Registration::count(Box::new(Toy::new(n, k, s)))
+}
+
+/// An isolated timed registration of `ToyTimed W⟨wd, sd⟩` top-`k`.
+pub(crate) fn timed(wd: u64, sd: u64, k: usize) -> Registration {
+    Registration::timed(Box::new(ToyTimed::new(wd, sd, k)))
+}
+
+/// A shared-digest registration of `W⟨wd, sd⟩` served by `engine`.
+pub(crate) fn shared(engine: impl SlidingTopK + Send + 'static, wd: u64, sd: u64) -> Registration {
+    Registration::shared(Box::new(engine), wd, sd)
+}
+
+/// A count-group registration of `⟨n, k, s⟩` served by `engine`.
+pub(crate) fn grouped(
+    engine: impl SlidingTopK + Send + 'static,
+    n: usize,
+    s: usize,
+) -> Registration {
+    Registration::grouped(Box::new(engine), n, s)
+}
 
 /// Minimal count-based reference: keeps the raw window and rescans.
 pub(crate) struct Toy {

@@ -201,8 +201,8 @@ impl std::fmt::Debug for dyn SlidingTopK + '_ {
 impl std::fmt::Debug for dyn SlidingTopK + Send + '_ {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         // `dyn SlidingTopK + Send` is a distinct type from
-        // `dyn SlidingTopK`, so the impl above does not cover it — and the
-        // sharded hub's sessions carry the `Send` form across threads
+        // `dyn SlidingTopK`, so the impl above does not cover it — and
+        // both hubs' sessions carry the `Send` form
         (self as &dyn SlidingTopK).fmt(f)
     }
 }

@@ -1,7 +1,7 @@
-//! Durability and elastic operation: a `ShardedHub` serving a mixed fleet
+//! Durability and elastic operation: an `AsyncHub` serving a mixed fleet
 //! of standing queries takes periodic checkpoints while one tenant — a
 //! deliberately faulty "bomb" engine — eventually panics and takes its
-//! whole worker thread down. The hub reports the dead shard as a typed
+//! whole shard down. The hub reports the dead shard as a typed
 //! `SapError::ShardDown`; we restore the last checkpoint onto a *fresh*
 //! hub (bigger, while we're at it: 4 shards → 6), patch the faulty engine
 //! at restore time through a custom `EngineFactory`, replay the bursts
@@ -25,7 +25,7 @@ const FUSE: usize = 2_650; // the bomb detonates mid-interval
 
 /// A tenant engine with a manufacturing defect: it answers correctly
 /// (delegating to a real SAP engine) until it has seen [`FUSE`] objects,
-/// then panics — killing the worker thread it happens to live on.
+/// then panics — killing the shard it happens to live on.
 struct Bomb {
     inner: Box<dyn SlidingTopK + Send>,
     seen: usize,
@@ -136,11 +136,13 @@ fn main() {
     let queries = queries();
 
     // the fleet under test: 10 healthy tenants plus the bomb
-    let mut hub = ShardedHub::new(SHARDS);
+    let mut hub = AsyncHub::new(SHARDS, SHARDS);
     for q in &queries {
         hub.register(q).expect("valid query");
     }
-    let bomb_id = hub.register_alg(Bomb::new(300, 5, 50)).expect("registered");
+    let bomb_id = hub
+        .subscribe(Registration::count(Box::new(Bomb::new(300, 5, 50))))
+        .expect("registered");
     println!(
         "=== {} queries ({} tenants + 1 bomb) on {SHARDS} shards, {} objects ===",
         hub.len(),
@@ -183,9 +185,9 @@ fn main() {
                     burst + 1,
                     SHARDS + 2
                 );
-                hub = ShardedHub::restore(ckpt, &RecoveryFactory, SHARDS + 2)
+                hub = AsyncHub::restore(ckpt, &RecoveryFactory, SHARDS + 2, SHARDS + 2)
                     .expect("own checkpoint restores");
-                // rebalance the recovered tenant onto a chosen worker
+                // rebalance the recovered tenant onto a chosen shard
                 // mid-stream; results are placement-blind, so this
                 // changes nothing downstream
                 hub.move_query(bomb_id, 0).expect("live migration");

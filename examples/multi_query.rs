@@ -1,7 +1,7 @@
 //! Multi-query serving: 100 concurrent standing subscriptions — mixed
 //! window geometries ⟨n, k, s⟩ *and* mixed algorithms — over one stock
 //! stream, through a single `Hub`; then the same regime scaled 100× onto
-//! a thread-parallel `ShardedHub` serving **10,000** queries. This is the
+//! a thread-parallel `AsyncHub` serving **10,000** queries. This is the
 //! regime the ROADMAP's production north-star targets (many users, one
 //! ingestion path) and the setting of *Continuous Top-k Queries over
 //! Real-Time Web Streams*: subscriptions come and go at runtime while the
@@ -17,7 +17,7 @@ use std::time::Instant;
 
 fn main() {
     sequential_hub_100();
-    sharded_hub_10k();
+    async_hub_10k();
     shared_digest_plane_500();
 }
 
@@ -108,14 +108,16 @@ fn shared_digest_plane_500() {
 }
 
 /// 10,000 standing queries on one stream: the sequential `Hub` walks all
-/// of them in the publisher's thread; the `ShardedHub` partitions them
-/// across worker threads by hash of `QueryId` and applies backpressure on
-/// `publish` when a shard falls behind. Results are byte-identical — the
-/// drain barrier returns updates in deterministic `(QueryId, slide)`
-/// order regardless of shard count.
-fn sharded_hub_10k() {
+/// of them in the publisher's thread; the `AsyncHub` partitions them
+/// across logical shards by hash of `QueryId`, serves the shards from a
+/// few worker threads, and applies backpressure on `publish` when a
+/// shard falls behind. Results are byte-identical — the drain barrier
+/// returns updates in deterministic `(QueryId, slide)` order regardless
+/// of shard and worker count.
+fn async_hub_10k() {
     const QUERIES: usize = 10_000;
-    let shards = std::thread::available_parallelism()
+    const SHARDS: usize = 32;
+    let workers = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1)
         .clamp(2, 8);
@@ -146,8 +148,8 @@ fn sharded_hub_10k() {
     }
     let seq_time = started.elapsed();
 
-    // sharded: same queries, fan-out distributed across worker threads
-    let mut hub = ShardedHub::new(shards);
+    // async: same queries, fan-out distributed across worker threads
+    let mut hub = AsyncHub::new(SHARDS, workers);
     let mut probe = None;
     for i in 0..QUERIES {
         let id = hub.register(&query_at(i)).expect("valid query");
@@ -158,7 +160,7 @@ fn sharded_hub_10k() {
     let started = Instant::now();
     let mut par_updates = 0u64;
     for burst in feed.chunks(1000) {
-        // blocks only if a shard's queue fills; a dead shard would be a
+        // parks only if a shard's queue fills; a dead shard would be a
         // typed SapError::ShardDown, not a panic
         hub.publish(burst).expect("shards alive");
         // barrier: deterministic (QueryId, slide) order
@@ -168,7 +170,7 @@ fn sharded_hub_10k() {
 
     let deliveries = (feed.len() * QUERIES) as f64;
     println!(
-        "\n=== sharded hub: {QUERIES} queries, {} objects ===",
+        "\n=== async hub: {QUERIES} queries, {} objects ===",
         feed.len()
     );
     println!(
@@ -177,7 +179,7 @@ fn sharded_hub_10k() {
         deliveries / seq_time.as_secs_f64() / 1e6
     );
     println!(
-        "  sharded({shards}): {par_updates} updates in {:.2}s ({:.1}M object-deliveries/s, {:.2}x)",
+        "  async({SHARDS} shards, {workers} workers): {par_updates} updates in {:.2}s ({:.1}M object-deliveries/s, {:.2}x)",
         par_time.as_secs_f64(),
         deliveries / par_time.as_secs_f64() / 1e6,
         seq_time.as_secs_f64() / par_time.as_secs_f64()
@@ -187,17 +189,17 @@ fn sharded_hub_10k() {
         "both hubs must complete the same slides"
     );
 
-    // spot-check: pull query 0's session out of the sharded hub and
+    // spot-check: pull query 0's state out of the async hub and
     // compare against the sequential hub's — byte-identical state
     let probe = probe.expect("query 0 registered");
     let state = hub.inspect(probe).expect("query 0 still registered");
     let reference = seq.session(probe).expect("query 0 on the sequential hub");
     assert_eq!(state.slides, reference.slides());
     assert_eq!(state.last_snapshot, reference.last_snapshot());
-    println!("spot-check passed: sharded output matches the sequential hub exactly");
+    println!("spot-check passed: async output matches the sequential hub exactly");
     let stats = hub.stats().expect("shards alive");
     println!(
-        "  stats: {} queries ({} count-based) across {shards} shards",
+        "  stats: {} queries ({} count-based) across {SHARDS} shards",
         stats.queries, stats.count_queries
     );
 }

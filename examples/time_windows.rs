@@ -1,7 +1,7 @@
 //! Time-based windows end to end: a wall-clock query built with
 //! `Query::window_duration(..)`, a bursty timed stream from the
 //! `ArrivalProcess` generator, a mixed count+time-based `Hub`, and the
-//! same mix on a `ShardedHub` proving byte-identical drains.
+//! same mix on an `AsyncHub` proving byte-identical drains.
 //!
 //! ```text
 //! cargo run --release --example time_windows
@@ -92,7 +92,7 @@ fn mixed_hub() {
     }
     // the sequential hub returns each chunk's updates in registration
     // (= ascending QueryId) order with slides ascending per query —
-    // exactly the order the sharded drain barrier guarantees, so the
+    // exactly the order the async drain barrier guarantees, so the
     // per-chunk blocks line up update-for-update
     let mut seq_updates: Vec<QueryUpdate> = Vec::new();
     for burst in feed.chunks(1_000) {
@@ -100,7 +100,7 @@ fn mixed_hub() {
     }
     seq_updates.extend(seq.advance_time(feed.last().unwrap().timestamp + 1));
 
-    let mut par = ShardedHub::new(4);
+    let mut par = AsyncHub::new(4, 4);
     for q in &queries {
         par.register(q).expect("valid query");
     }
@@ -120,13 +120,13 @@ fn mixed_hub() {
         queries.iter().filter(|q| q.is_time_based()).count(),
     );
     println!(
-        "  sequential delivered {} updates, sharded {}",
+        "  sequential delivered {} updates, async {}",
         seq_updates.len(),
         par_updates.len()
     );
     assert_eq!(
         seq_updates, par_updates,
-        "sharded drain must be byte-identical to the sequential hub"
+        "async drain must be byte-identical to the sequential hub"
     );
     println!("  byte-identical drains across both hubs ✓");
 }

@@ -90,7 +90,7 @@ pub mod prelude;
 
 use sap_core::TimeBased;
 use sap_stream::{
-    AlgorithmKind, AsyncHub, EngineFactory, Hub, Query, QueryId, SapError, Session, ShardedHub,
+    AlgorithmKind, AsyncHub, EngineFactory, Hub, Query, QueryId, Registration, SapError, Session,
     SlidingTopK, TimedSession, TimedSpec, TimedTopK, WindowSpec,
 };
 
@@ -104,11 +104,12 @@ pub fn build(query: &Query) -> Result<Box<dyn SlidingTopK>, SapError> {
     Ok(alg)
 }
 
-/// Like [`build`], but the box is [`Send`] so the engine can be
-/// registered with a [`ShardedHub`], whose workers
-/// own their queries on dedicated threads. Every algorithm in this
-/// workspace is `Send`; the separate entry point only exists because
-/// `dyn SlidingTopK + Send` and `dyn SlidingTopK` are distinct types.
+/// Like [`build`], but the box is [`Send`] — the engine type a
+/// [`Registration`] carries, so the query can serve on either hub
+/// (an [`AsyncHub`] moves it to a worker thread). Every algorithm in
+/// this workspace is `Send`; the separate entry point only exists
+/// because `dyn SlidingTopK + Send` and `dyn SlidingTopK` are distinct
+/// types.
 pub fn build_send(query: &Query) -> Result<Box<dyn SlidingTopK + Send>, SapError> {
     build_engine(query.validate()?, query)
 }
@@ -141,7 +142,7 @@ pub fn build_timed(query: &Query) -> Result<Box<dyn TimedTopK + Send>, SapError>
 /// ships from the name a checkpoint recorded
 /// ([`SlidingTopK::name`]), so
 /// [`Hub::restore`](stream::Hub::restore) and
-/// [`ShardedHub::restore`](stream::ShardedHub::restore) work
+/// [`AsyncHub::restore`](stream::AsyncHub::restore) work
 /// out of the box for every SAP variant and every baseline.
 ///
 /// Restored engines use each algorithm's *default* construction for the
@@ -248,9 +249,15 @@ impl QueryExt for Query {
     }
 }
 
-/// Query registration on [`Hub`] and [`ShardedHub`], available via
-/// [`prelude`].
+/// Query registration on [`Hub`] and [`AsyncHub`], available via
+/// [`prelude`]: validates a [`Query`], builds its engine, and hands the
+/// hub's one entry point the [`Registration`] it describes.
 pub trait HubExt {
+    /// The hub's engine-level entry point
+    /// ([`Hub::subscribe`]/[`AsyncHub::subscribe`]) every method below
+    /// registers through.
+    fn subscribe(&mut self, registration: Registration) -> Result<QueryId, SapError>;
+
     /// Validates and constructs a query — **of either window model** —
     /// then registers it as a standing subscription, returning its
     /// handle. Count-based queries slide on published arrival counts;
@@ -262,7 +269,14 @@ pub trait HubExt {
     /// query carrying a non-trivial [`Query::filter`] predicate is
     /// rejected with [`SapError::PredicateUnsupported`] — register it on
     /// a shared plane instead.
-    fn register(&mut self, query: &Query) -> Result<QueryId, SapError>;
+    fn register(&mut self, query: &Query) -> Result<QueryId, SapError> {
+        let registration = if query.is_time_based() {
+            Registration::timed(build_timed(query)?)
+        } else {
+            Registration::count(build_send(query)?)
+        };
+        self.subscribe(registration.filter(query.predicate()))
+    }
 
     /// Validates and constructs a **time-based** query, then registers it
     /// on the hub's shared digest plane: every registered query with the
@@ -272,7 +286,12 @@ pub trait HubExt {
     /// Predicate-disjoint queries on one slide duration form separate
     /// sub-groups, so a selective subscription never perturbs a pass-all
     /// neighbor. A count-based query is [`SapError::NotTimeBased`].
-    fn register_shared(&mut self, query: &Query) -> Result<QueryId, SapError>;
+    fn register_shared(&mut self, query: &Query) -> Result<QueryId, SapError> {
+        let spec = query.validate_timed()?;
+        let engine = build_engine(spec.reduced().map_err(SapError::Spec)?, query)?;
+        let registration = Registration::shared(engine, spec.window_duration, spec.slide_duration);
+        self.subscribe(registration.filter(query.predicate()))
+    }
 
     /// Validates and constructs a **count-based** query, then registers
     /// it on the hub's shared count plane: queries are grouped by window
@@ -282,118 +301,25 @@ pub trait HubExt {
     /// group's shared per-slide digest — with results byte-identical to
     /// [`register`](HubExt::register). A time-based query is
     /// [`SapError::NotCountBased`].
-    fn register_grouped(&mut self, query: &Query) -> Result<QueryId, SapError>;
-}
-
-/// Isolated registrations carry no admission plane: reject a filtered
-/// query up front instead of silently ignoring its predicate.
-fn reject_isolated_predicate(query: &Query) -> Result<(), SapError> {
-    if query.predicate().is_pass_all() {
-        Ok(())
-    } else {
-        Err(SapError::PredicateUnsupported)
+    fn register_grouped(&mut self, query: &Query) -> Result<QueryId, SapError> {
+        let spec = query.validate()?;
+        let reduced = TimedSpec::new(spec.n as u64, spec.s as u64, spec.k)
+            .and_then(|t| t.reduced())
+            .map_err(SapError::Spec)?;
+        let registration = Registration::grouped(build_engine(reduced, query)?, spec.n, spec.s);
+        self.subscribe(registration.filter(query.predicate()))
     }
 }
 
 impl HubExt for Hub {
-    fn register(&mut self, query: &Query) -> Result<QueryId, SapError> {
-        reject_isolated_predicate(query)?;
-        if query.is_time_based() {
-            let engine: Box<dyn TimedTopK> = build_timed(query)?;
-            Ok(self.register_timed_boxed(engine))
-        } else {
-            Ok(self.register_boxed(build(query)?))
-        }
-    }
-
-    fn register_shared(&mut self, query: &Query) -> Result<QueryId, SapError> {
-        let spec = query.validate_timed()?;
-        let engine = build_engine(spec.reduced().map_err(SapError::Spec)?, query)?;
-        self.register_shared_filtered_boxed(
-            engine,
-            spec.window_duration,
-            spec.slide_duration,
-            query.predicate(),
-        )
-    }
-
-    fn register_grouped(&mut self, query: &Query) -> Result<QueryId, SapError> {
-        let spec = query.validate()?;
-        let reduced = TimedSpec::new(spec.n as u64, spec.s as u64, spec.k)
-            .and_then(|t| t.reduced())
-            .map_err(SapError::Spec)?;
-        let engine: Box<dyn SlidingTopK> = build_engine(reduced, query)?;
-        self.register_grouped_filtered_boxed(engine, spec.n, spec.s, query.predicate())
-    }
-}
-
-impl HubExt for ShardedHub {
-    fn register(&mut self, query: &Query) -> Result<QueryId, SapError> {
-        reject_isolated_predicate(query)?;
-        if query.is_time_based() {
-            self.register_timed_boxed(build_timed(query)?)
-        } else {
-            self.register_boxed(build_send(query)?)
-        }
-    }
-
-    fn register_shared(&mut self, query: &Query) -> Result<QueryId, SapError> {
-        let spec = query.validate_timed()?;
-        let engine = build_engine(spec.reduced().map_err(SapError::Spec)?, query)?;
-        self.register_shared_filtered_boxed(
-            engine,
-            spec.window_duration,
-            spec.slide_duration,
-            query.predicate(),
-        )
-    }
-
-    fn register_grouped(&mut self, query: &Query) -> Result<QueryId, SapError> {
-        let spec = query.validate()?;
-        let reduced = TimedSpec::new(spec.n as u64, spec.s as u64, spec.k)
-            .and_then(|t| t.reduced())
-            .map_err(SapError::Spec)?;
-        self.register_grouped_filtered_boxed(
-            build_engine(reduced, query)?,
-            spec.n,
-            spec.s,
-            query.predicate(),
-        )
+    fn subscribe(&mut self, registration: Registration) -> Result<QueryId, SapError> {
+        Hub::subscribe(self, registration)
     }
 }
 
 impl HubExt for AsyncHub {
-    fn register(&mut self, query: &Query) -> Result<QueryId, SapError> {
-        reject_isolated_predicate(query)?;
-        if query.is_time_based() {
-            self.register_timed_boxed(build_timed(query)?)
-        } else {
-            self.register_boxed(build_send(query)?)
-        }
-    }
-
-    fn register_shared(&mut self, query: &Query) -> Result<QueryId, SapError> {
-        let spec = query.validate_timed()?;
-        let engine = build_engine(spec.reduced().map_err(SapError::Spec)?, query)?;
-        self.register_shared_filtered_boxed(
-            engine,
-            spec.window_duration,
-            spec.slide_duration,
-            query.predicate(),
-        )
-    }
-
-    fn register_grouped(&mut self, query: &Query) -> Result<QueryId, SapError> {
-        let spec = query.validate()?;
-        let reduced = TimedSpec::new(spec.n as u64, spec.s as u64, spec.k)
-            .and_then(|t| t.reduced())
-            .map_err(SapError::Spec)?;
-        self.register_grouped_filtered_boxed(
-            build_engine(reduced, query)?,
-            spec.n,
-            spec.s,
-            query.predicate(),
-        )
+    fn subscribe(&mut self, registration: Registration) -> Result<QueryId, SapError> {
+        AsyncHub::subscribe(self, registration)
     }
 }
 
@@ -475,19 +401,17 @@ mod tests {
         hub.register_grouped(&counted).unwrap();
         assert_eq!(hub.len(), 2);
 
-        let mut sharded = ShardedHub::new(2);
-        assert!(matches!(
-            sharded.register(&counted),
-            Err(SapError::PredicateUnsupported)
-        ));
-        sharded.register_shared(&timed).unwrap();
-
         let mut reactor = AsyncHub::new(2, 1);
-        assert!(matches!(
-            reactor.register(&timed),
-            Err(SapError::PredicateUnsupported)
-        ));
+        for q in [&counted, &timed] {
+            assert!(matches!(
+                reactor.register(q),
+                Err(SapError::PredicateUnsupported)
+            ));
+        }
+        assert!(reactor.is_empty(), "rejected registrations burn no id");
+        reactor.register_shared(&timed).unwrap();
         reactor.register_grouped(&counted).unwrap();
+        assert_eq!(reactor.len(), 2);
     }
 
     #[test]

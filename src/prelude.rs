@@ -3,13 +3,12 @@
 //!
 //! Brings in the fluent [`Query`] builder — both window models — with its
 //! facade finalizers ([`QueryExt::build`]/[`QueryExt::session`]/
-//! [`QueryExt::timed_session`]), the multi-query [`Hub`], the
-//! thread-parallel [`ShardedHub`], and the reactor-multiplexed
-//! [`AsyncHub`] (with its seedable [`Scheduler`]s) — all with
-//! [`HubExt::register`], the
-//! shared digest plane's [`HubExt::register_shared`], and the shared
-//! count plane's [`HubExt::register_grouped`] (plus their
-//! [`HubStats`] sharing metrics), flexible
+//! [`QueryExt::timed_session`]), the multi-query [`Hub`] and the
+//! reactor-multiplexed [`AsyncHub`] (with its seedable [`Scheduler`]s)
+//! — both with [`HubExt::register`], the shared digest plane's
+//! [`HubExt::register_shared`], and the shared count plane's
+//! [`HubExt::register_grouped`] over the engine-level
+//! [`Registration`] (plus their [`HubStats`] sharing metrics), flexible
 //! ingestion ([`Ingest`]/[`TimedIngest`]), typed result deltas
 //! ([`TopKEvent`]/[`SlideResult`]), the data model (count-based
 //! [`Object`] and timestamped [`TimedObject`]), the workload generators
@@ -23,11 +22,10 @@ pub use sap_stream::{
     run, run_collecting, AlgorithmKind, AnySession, ArrivalProcess, AsyncHub, Checkpoint,
     CheckpointError, CheckpointState, Dataset, DigestProducer, DigestRef, DigestView,
     EngineFactory, EventList, FifoScheduler, GroupedSession, Hub, HubSession, HubStats, Ingest,
-    Object, OpStats, Predicate, Query, QueryId, QuerySpec, QueryState, QueryUpdate, RunSummary,
-    SapError, SapPolicy, Scheduler, ScoreKey, SeededScheduler, Session, ShardSession, ShardedHub,
-    SharedSession, SharedTimed, SlideDigest, SlideResult, SlideScratch, SlidingTopK, Snapshot,
-    SpecError, TimedIngest, TimedObject, TimedSession, TimedSpec, TimedTopK, TopKEvent, WindowSpec,
-    Workload,
+    Object, OpStats, Predicate, Query, QueryId, QuerySpec, QueryState, QueryUpdate, Registration,
+    RunSummary, SapError, SapPolicy, Scheduler, ScoreKey, SeededScheduler, Session, SharedSession,
+    SharedTimed, SlideDigest, SlideResult, SlideScratch, SlidingTopK, Snapshot, SpecError,
+    TimedIngest, TimedObject, TimedSession, TimedSpec, TimedTopK, TopKEvent, WindowSpec, Workload,
 };
 
 pub use sap_core::{Sap, SapConfig, TimeBased, TimeBasedSap};

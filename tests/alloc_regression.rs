@@ -443,10 +443,10 @@ fn async_park_wake_cycle_stays_under_constant_bound() {
     // measured publish.
     let mut hub = AsyncHub::with_config(1, 1, 1, Box::new(FifoScheduler));
     for _ in 0..4 {
-        hub.register_alg(Sleepy {
+        hub.subscribe(Registration::count(Box::new(Sleepy {
             spec: WindowSpec::new(4, 1, 4).unwrap(),
             empty: Vec::new(),
-        })
+        })))
         .unwrap();
     }
     let batch: Vec<Object> = (0..4u64).map(|i| Object::new(i, 7.0)).collect();

@@ -410,7 +410,7 @@ fn detonated(shards: usize, workers: usize) -> (AsyncHub, QueryId, QueryId) {
         })
         .collect();
     let bomb = hub
-        .register_boxed(Box::new(Bomb::new()))
+        .subscribe(Registration::count(Box::new(Bomb::new())))
         .expect("fresh hub");
     // enough objects to close a slide everywhere, detonating the bomb
     let batch: Vec<Object> = (0..4).map(|i| Object::new(i, i as f64)).collect();

@@ -1,5 +1,5 @@
 //! Durability-plane equivalence: a run that is checkpointed at an
-//! arbitrary point and restored — through either hub flavor, at any
+//! arbitrary point and restored — through either hub, at any
 //! shard count — must emit **checksum-byte-identical** results to the
 //! uninterrupted run, for SAP and all four baselines, across count-based,
 //! time-based, and shared-digest sessions. The codec must reject foreign
@@ -134,7 +134,7 @@ proptest! {
         let chunks: Vec<&[Object]> = data.chunks(chunk).collect();
         let cut = cut_seed % (chunks.len() + 1);
 
-        let mut hub = ShardedHub::new(before);
+        let mut hub = AsyncHub::new(before, before);
         for q in &queries {
             hub.register(q).expect("valid query");
         }
@@ -147,7 +147,7 @@ proptest! {
 
         // resume sharded at the new count
         let mut resumed =
-            ShardedHub::restore(&ckpt, &DefaultEngineFactory, after).expect("restores");
+            AsyncHub::restore(&ckpt, &DefaultEngineFactory, after, after).expect("restores");
         let mut sharded_sums = sums.clone();
         for c in &chunks[cut..] {
             resumed.publish(c).expect("healthy shards");
@@ -223,7 +223,7 @@ proptest! {
 
         // and a *sharded* checkpoint of the same prefix resumes on an
         // AsyncHub (flavor interchange goes both ways)
-        let mut sharded = ShardedHub::new(3);
+        let mut sharded = AsyncHub::new(3, 3);
         for q in &queries {
             sharded.register(q).expect("valid query");
         }
@@ -256,7 +256,7 @@ proptest! {
         let data = stream(&scores);
         let expect = sequential_reference(&queries, &data, 7);
 
-        let mut hub = ShardedHub::new(3);
+        let mut hub = AsyncHub::new(3, 3);
         let mut ids = Vec::new();
         for q in &queries {
             ids.push(hub.register(q).expect("valid query"));
@@ -360,7 +360,7 @@ fn timed_and_shared_sessions_survive_checkpoint() {
     fold_all(&mut expect, reference.advance_time(horizon));
 
     for (cut, shards_after) in [(0, 2), (3, 8), (7, 1), (11, 2), (16, 2)] {
-        let mut hub = ShardedHub::new(2);
+        let mut hub = AsyncHub::new(2, 2);
         register(&mut |q, shared| {
             if shared {
                 hub.register_shared(q).expect("valid query")
@@ -375,7 +375,7 @@ fn timed_and_shared_sessions_survive_checkpoint() {
         }
         let (ckpt, drained) = hub.checkpoint().expect("healthy shards");
         fold_all(&mut sums, drained);
-        let mut hub = ShardedHub::restore(&ckpt, &DefaultEngineFactory, shards_after)
+        let mut hub = AsyncHub::restore(&ckpt, &DefaultEngineFactory, shards_after, shards_after)
             .expect("timed checkpoint restores");
         for c in &chunks[cut..] {
             hub.publish_timed(c).expect("healthy shards");
@@ -391,7 +391,7 @@ fn timed_and_shared_sessions_survive_checkpoint() {
 #[test]
 fn shared_groups_survive_move_and_resize() {
     let mut reference = Hub::new();
-    let mut hub = ShardedHub::new(3);
+    let mut hub = AsyncHub::new(3, 3);
     let mut ids = Vec::new();
     for i in 0..8usize {
         let sd = [100u64, 200][i % 2];
@@ -502,8 +502,10 @@ fn async_checkpoint_taken_before_a_kill_restores_cleanly() {
     fold_all(&mut sums, drained);
 
     // now the production incident: a poisoned engine joins and detonates
-    hub.register_boxed(Box::new(Bomb(WindowSpec::new(4, 1, 2).unwrap())))
-        .expect("registration is healthy");
+    hub.subscribe(Registration::count(Box::new(Bomb(
+        WindowSpec::new(4, 1, 2).unwrap(),
+    ))))
+    .expect("registration is healthy");
     hub.publish(chunks[cut])
         .expect("death is observed at the barrier");
     assert!(matches!(hub.drain(), Err(SapError::ShardDown { .. })));
@@ -528,7 +530,7 @@ fn async_checkpoint_taken_before_a_kill_restores_cleanly() {
 /// a custom engine fails loud and clear rather than mis-restoring.
 #[test]
 fn unknown_engine_is_a_typed_error() {
-    struct Custom(Box<dyn SlidingTopK>);
+    struct Custom(Box<dyn SlidingTopK + Send>);
     impl CheckpointState for Custom {}
     impl SlidingTopK for Custom {
         fn spec(&self) -> WindowSpec {
@@ -553,7 +555,10 @@ fn unknown_engine_is_a_typed_error() {
 
     let mut hub = Hub::new();
     let q = Query::window(8).top(2).slide(4);
-    hub.register_alg(Custom(q.build().expect("valid query")));
+    hub.subscribe(Registration::count(Box::new(Custom(
+        build_send(&q).expect("valid query"),
+    ))))
+    .expect("valid registration");
     let ckpt = hub.checkpoint();
     match Hub::restore(&ckpt, &DefaultEngineFactory) {
         Err(SapError::Checkpoint(CheckpointError::UnknownEngine(name))) => {

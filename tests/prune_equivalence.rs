@@ -5,11 +5,11 @@
 //! the window must agree — for SAP and all four baselines, on the
 //! count plane (`register_grouped`) and the timed plane
 //! (`register_shared`), through mid-stream register/unregister churn
-//! and `move_query`, on the `ShardedHub` at 1/2/8 shards and the
-//! seeded `AsyncHub`. The pruned counter itself is pinned by an
-//! independent re-simulation of the k-skyband gate, and a checkpoint
-//! cut through a **warm** pruning group must restore at a different
-//! shard count and continue byte-identically.
+//! and `move_query`, on an `AsyncHub` with a worker per shard at 1/2/8
+//! shards and on the seeded `AsyncHub`. The pruned counter itself is
+//! pinned by an independent re-simulation of the k-skyband gate, and a
+//! checkpoint cut through a **warm** pruning group must restore at a
+//! different shard count and continue byte-identically.
 
 use std::collections::BTreeMap;
 
@@ -160,7 +160,7 @@ impl Schedule<'_> {
         pruning: bool,
         timed: bool,
     ) -> (BTreeMap<QueryId, u64>, HubStats) {
-        let mut hub = ShardedHub::new(shards);
+        let mut hub = AsyncHub::new(shards, shards);
         hub.set_admission_pruning(pruning).unwrap();
         let mut sums = BTreeMap::new();
         for q in &self.queries[..self.early] {
@@ -546,7 +546,7 @@ fn checkpoint_cuts_through_a_warm_pruning_group() {
             .map(|i| ((i * 7 + 3) % 51) as u8)
             .collect::<Vec<_>>(),
     );
-    let mut hub = ShardedHub::new(2);
+    let mut hub = AsyncHub::new(2, 2);
     for (i, kind) in kinds.iter().enumerate() {
         hub.register_grouped(
             &Query::window(30)
@@ -565,7 +565,11 @@ fn checkpoint_cuts_through_a_warm_pruning_group() {
     fold_all(&mut sums, hub.drain().unwrap());
     let (cp, residue) = hub.checkpoint().unwrap();
     fold_all(&mut sums, residue);
-    let stats_at_cut = hub.stats().unwrap();
+    // the queue high-water mark is the executor's, not checkpointed
+    let stats_at_cut = HubStats {
+        queue_depth_hwm: 0,
+        ..hub.stats().unwrap()
+    };
     assert_eq!(
         stats_at_cut.count_groups, 2,
         "predicate-disjoint members split one geometry class"
@@ -584,8 +588,11 @@ fn checkpoint_cuts_through_a_warm_pruning_group() {
     let mut expected_stats = stats_at_cut;
     expected_stats.class_hits = 0;
     for shards in [1usize, 5] {
-        let mut par = ShardedHub::restore(&cp, &DefaultEngineFactory, shards).unwrap();
-        let restored = par.stats().unwrap();
+        let mut par = AsyncHub::restore(&cp, &DefaultEngineFactory, shards, shards).unwrap();
+        let restored = HubStats {
+            queue_depth_hwm: 0,
+            ..par.stats().unwrap()
+        };
         assert_eq!(
             restored, expected_stats,
             "admission counters travel (shards={shards})"
@@ -619,7 +626,7 @@ fn move_query_relocates_a_filtered_pruning_group() {
     );
     let predicate = Predicate::any().score_at_least(8.0);
     let mut reference = Hub::new();
-    let mut hub = ShardedHub::new(4);
+    let mut hub = AsyncHub::new(4, 4);
     let mut ids = Vec::new();
     for k in 1..=4usize {
         let q = Query::window(16).top(k).slide(8).filter(predicate);

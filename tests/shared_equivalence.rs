@@ -2,13 +2,13 @@
 //! shared plane (`HubExt::register_shared`) must produce the **same
 //! results** as every isolated surface — the raw `TimeBased` adapter, an
 //! isolated `TimedSession`, the sequential `Hub`'s isolated timed path —
-//! and as a brute-force time-window oracle; and the `ShardedHub`'s
+//! and as a brute-force time-window oracle; and the `AsyncHub`'s
 //! shard-local slide groups must reproduce the sequential shared hub
-//! checksum-for-checksum at 1, 2, and 8 shards. Streams are jittered
-//! (bursts, quiet stretches, empty slides), schedules include mid-stream
-//! register/unregister where a late joiner **grows the group's `k_max`**,
-//! and a regression test pins the slide-boundary tie-break (newer id
-//! wins) through the shared path.
+//! checksum-for-checksum at 1, 2, and 8 shards (a worker each). Streams
+//! are jittered (bursts, quiet stretches, empty slides), schedules
+//! include mid-stream register/unregister where a late joiner **grows
+//! the group's `k_max`**, and a regression test pins the slide-boundary
+//! tie-break (newer id wins) through the shared path.
 
 use std::collections::BTreeMap;
 
@@ -215,7 +215,7 @@ impl Schedule<'_> {
 
     /// Sharded hub, all queries on the shared plane (shard-local groups).
     fn run_sharded(&self, shards: usize) -> (BTreeMap<QueryId, u64>, Option<QueryId>) {
-        let mut hub = ShardedHub::new(shards);
+        let mut hub = AsyncHub::new(shards, shards);
         let mut sums = BTreeMap::new();
         for q in &self.queries[..self.early] {
             hub.register_shared(q).unwrap();

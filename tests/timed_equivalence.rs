@@ -1,7 +1,7 @@
 //! Time-based query equivalence: a query built with
 //! `Query::window_duration(..)` must produce the **same snapshots** on
 //! every surface — the raw `TimeBased` adapter, a `TimedSession`, the
-//! sequential `Hub`, and the `ShardedHub` at 1/2/8 shards — and those
+//! sequential `Hub`, and the `AsyncHub` at 1/2/8 shards — and those
 //! snapshots must match a brute-force time-window oracle, on
 //! variable-rate streams whose slides range from packed to empty.
 //! A second property mixes count- and time-based queries with mid-stream
@@ -123,7 +123,7 @@ proptest! {
 
         // 4. the sharded hub, with drains interleaved per chunk
         for shards in [1usize, 2, 8] {
-            let mut par = ShardedHub::new(shards);
+            let mut par = AsyncHub::new(shards, shards);
             par.register(&query).unwrap();
             let mut got: Vec<Snapshot> = Vec::new();
             for chunk in data.chunks(11) {
@@ -132,7 +132,7 @@ proptest! {
             }
             par.advance_time(horizon).unwrap();
             got.extend(par.drain().unwrap().into_iter().map(|u| u.result.snapshot));
-            prop_assert_eq!(&got, &expected, "ShardedHub({}) diverged", shards);
+            prop_assert_eq!(&got, &expected, "AsyncHub({}) diverged", shards);
         }
     }
 }
@@ -200,7 +200,7 @@ impl Schedule<'_> {
     }
 
     fn run_sharded(&self, shards: usize) -> (BTreeMap<QueryId, u64>, Option<QueryId>) {
-        let mut hub = ShardedHub::new(shards);
+        let mut hub = AsyncHub::new(shards, shards);
         let mut sums = BTreeMap::new();
         for q in &self.queries[..self.early] {
             hub.register(q).unwrap();

@@ -1,4 +1,5 @@
-//! Regenerates every table and figure of the SAP paper's evaluation.
+//! Regenerates every table and figure of the SAP paper's evaluation, and
+//! measures the serving layer into `BENCH_*.json` artifacts.
 //!
 //! ```text
 //! cargo run --release -p sap-bench --bin experiments -- all
@@ -6,70 +7,62 @@
 //! cargo run --release -p sap-bench --bin experiments -- fig9 --len 400000
 //! ```
 //!
-//! Subcommands: `table2 table3 fig9 fig10 table5 table6 table7 table8
-//! table9 all` regenerate the paper's evaluation (see EXPERIMENTS.md for
-//! the paper-vs-measured record); `hub` measures sequential-vs-sharded
-//! hub throughput (the `sharded` arm is an `AsyncHub` with a worker per
-//! shard) and writes the machine-readable `BENCH_hub.json` the CI perf
-//! trajectory is built from; `timed` does the same for a
-//! heterogeneous count+time-based query mix over a Poisson-arrival
-//! stream (`BENCH_timed.json`); `shared` measures the shared digest
-//! plane against per-session recomputation on a many-queries /
-//! few-slide-durations workload (`BENCH_shared.json`), asserting
-//! byte-identical checksums and a positive digest hit count;
-//! `checkpoint` cuts a run in half, checkpoints, restores through the
-//! bench engine factory, and finishes on the restored hub — reporting
-//! checkpoint bytes/query plus checkpoint and restore latency per
-//! session count (`BENCH_checkpoint.json`), with every datapoint
-//! asserted checksum-identical to its uninterrupted reference run;
-//! `fanout` climbs a query-count ladder up to `--queries` count-based
-//! queries served two ways — isolated sessions vs the shared count
-//! plane (`Registration::grouped`) — asserting byte-identical
-//! checksums and positive count-group hits at every rung, and reporting
-//! the per-object cost growth of both paths so the grouped path's
-//! sub-linear scaling is a committed artifact (`BENCH_fanout.json`):
+//! The paper subcommands `table2 table3 fig9 fig10 table5 table6 table7
+//! table8 table9 all` print the paper's tables. Each serving preset
+//! writes `BENCH_<preset>.json` (or the `--json-out` path): the preset,
+//! `host_cpus`, its parameters, and one record per measured run (see
+//! `sap_bench::Artifact`). Before writing, the binary asserts that rows
+//! serving the same mix to the same number of queries delivered
+//! byte-identical updates; `tools/validate_bench.py` then checks every
+//! claim. The presets:
+//!
+//! - `async`: the count mix and the mixed count+time-based mix on the
+//!   sequential hub and on an `AsyncHub` of `max(32, cores + 1)` shards
+//!   with 1, 2 and `cores + 1` workers, steady-state allocations counted;
+//! - `shared`: the shared digest plane against per-session
+//!   recomputation, sequential and async;
+//! - `hotpath`: the pooled publish plane on a mixed count/timed/shared
+//!   set under a counting allocator;
+//! - `checkpoint`: checkpoint bytes and checkpoint/restore latency up a
+//!   query ladder, each run cut in half, restored and resumed;
+//! - `fanout`: isolated sessions against the shared count plane up a
+//!   query ladder (to 10⁵ by default), with the quiet (ingest-only) cost
+//!   split out;
+//! - `floor`: the per-member slide-close cost of isolated, unclassed and
+//!   result-classed serving of one geometry;
+//! - `prune`: admission pruning off, on, and on with a predicate.
 //!
 //! ```text
-//! cargo run --release -p sap-bench --bin experiments -- hub \
-//!     --len 20000 --queries 10000 --shards 1,2,4,8 --json-out BENCH_hub.json
-//! cargo run --release -p sap-bench --bin experiments -- timed \
-//!     --len 20000 --queries 2000 --shards 1,2,4,8 --json-out BENCH_timed.json
-//! cargo run --release -p sap-bench --bin experiments -- shared \
-//!     --len 20000 --queries 500 --shards 1,2,4,8 --json-out BENCH_shared.json
-//! cargo run --release -p sap-bench --bin experiments -- checkpoint \
-//!     --len 20000 --queries 500 --shards 1,2,4,8 --json-out BENCH_checkpoint.json
+//! cargo run --release -p sap-bench --bin experiments -- async \
+//!     --len 20000 --queries 500 --json-out BENCH_async.json
 //! cargo run --release -p sap-bench --bin experiments -- fanout \
-//!     --len 20000 --queries 100000 --shards 1,2,4,8 --json-out BENCH_fanout.json
+//!     --len 20000 --queries 25000 --shards 1,2,4,8 --json-out BENCH_fanout.json
 //! ```
 
+use std::ops::Range;
+use std::time::Instant;
+
 use sap_bench::{
-    cands, fanout_query_mix, hotpath_query_mix, hub_checksum_fold, hub_query_mix, measure_on,
-    mem_kb, prune_query_mix, prune_stream, run_fanout_grouped, run_fanout_grouped_sharded,
-    run_fanout_isolated, run_floor, run_hotpath, run_hotpath_sharded, run_hub_async,
-    run_hub_sequential, run_hub_sharded, run_prune, run_shared_hub, run_shared_hub_sharded,
-    run_shared_isolated, run_timed_hub_sequential, run_timed_hub_sharded, secs, shared_query_mix,
-    timed_query_mix, Algo, BenchEngineFactory, CountingAlloc, FanoutRun, FloorArm, FloorRun,
-    HotpathRun, HubRun, PruneArm, PruneRun, Table,
+    cands, count_query_mix, fanout_query_mix, hotpath_query_mix, measure_on, mem_kb,
+    mixed_query_mix, prune_query_mix, prune_stream, run_async, run_sequential, secs, serve,
+    serve_async, shared_query_mix, Algo, Artifact, BenchEngineFactory, CountingAlloc, Feed,
+    HotQuery, Record, Run, Stream, Table,
 };
 use sap_core::{Sap, SapConfig};
 use sap_stream::generators::{ArrivalProcess, Dataset, Workload};
-use sap_stream::{run, AsyncHub, Hub, RunSummary, WindowSpec, CHECKSUM_SEED};
+use sap_stream::{run, AsyncHub, Hub, Predicate, Registration, RunSummary, WindowSpec};
 
-/// The measurement half of the `hotpath` preset: every allocation in the
-/// process ticks this counter, so steady-state `allocs_per_object` is a
-/// direct read, not an estimate. The two relaxed atomic increments per
-/// allocation are noise for every other preset.
+/// Every allocation in the process ticks this counter, so a preset's
+/// steady-state `allocs_per_object` is a direct read, not an estimate.
+/// The two relaxed atomic increments per allocation are noise for every
+/// other preset.
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
 
-/// Pinned ceiling for the pooled path's steady-state allocations per
-/// published object on the default `hotpath` preset (500 queries,
-/// ~76 slide completions per object). The measured value on the
-/// reference box is ~52 — under one allocation per completed slide —
-/// and allocation counts are deterministic for a given preset, so the
-/// ~1.7× headroom only absorbs composition drift, not regressions.
-/// Raising this number is an API-review event, not a tuning knob.
-const HOTPATH_ALLOC_CEILING: f64 = 90.0;
+/// The process-wide allocation count, for [`Feed::allocations`].
+fn allocations() -> u64 {
+    ALLOC.allocations()
+}
 
 type ConfigFactory = fn(WindowSpec) -> SapConfig;
 
@@ -79,8 +72,6 @@ fn main() {
     let mut queries: Option<usize> = None;
     let mut shards: Vec<usize> = vec![1, 2, 4, 8];
     let mut json_out: Option<String> = None;
-    let mut mix_filter: Option<String> = None;
-    let mut algo_filter: Option<String> = None;
     let mut repeats = 3usize;
     let mut cmd = String::from("all");
     let mut it = args.iter();
@@ -111,20 +102,6 @@ fn main() {
             "--json-out" => {
                 json_out = Some(it.next().expect("--json-out needs a path").clone());
             }
-            "--mix" => {
-                mix_filter = Some(
-                    it.next()
-                        .expect("--mix needs count|timed|shared|all")
-                        .clone(),
-                );
-            }
-            "--algo" => {
-                algo_filter = Some(
-                    it.next()
-                        .expect("--algo needs SAP|minTopK|k-skyband")
-                        .clone(),
-                );
-            }
             "--repeats" => {
                 repeats = it
                     .next()
@@ -136,13 +113,11 @@ fn main() {
         }
     }
     let seed = 20_170_601; // the paper's publication month
-
-    // the paper tables share one default stream length; the hub bench
-    // defaults shorter because every object fans out to every one of the
-    // (default 10⁴) queries — 2×10⁴ objects is already 2×10⁸
-    // object-deliveries per configuration
     let paper_len = len.unwrap_or(200_000);
+    let out = |preset: &str| json_out.clone().unwrap_or(format!("BENCH_{preset}.json"));
 
+    // the serving presets default shorter than the paper tables because
+    // every object fans out to every registered query
     match cmd.as_str() {
         "table2" => table2(paper_len, seed),
         "table3" => table3(paper_len, seed),
@@ -153,41 +128,33 @@ fn main() {
         "table7" => table7(paper_len, seed),
         "table8" => table8(paper_len, seed),
         "table9" => table9(paper_len, seed),
-        "hub" => hub(
+        "async" => async_bench(
             len.unwrap_or(20_000),
-            queries.unwrap_or(10_000),
-            &shards,
-            json_out.as_deref().unwrap_or("BENCH_hub.json"),
+            queries.unwrap_or(500),
+            &out("async"),
             seed,
-        ),
-        "timed" => timed(
-            len.unwrap_or(20_000),
-            queries.unwrap_or(2_000),
-            &shards,
-            json_out.as_deref().unwrap_or("BENCH_timed.json"),
-            seed,
+            repeats,
         ),
         "shared" => shared(
             len.unwrap_or(20_000),
             queries.unwrap_or(500),
             &shards,
-            json_out.as_deref().unwrap_or("BENCH_shared.json"),
+            &out("shared"),
             seed,
         ),
         "hotpath" => hotpath(
             len.unwrap_or(20_000),
             queries.unwrap_or(500),
             &shards,
-            json_out.as_deref().unwrap_or("BENCH_hotpath.json"),
+            &out("hotpath"),
             seed,
-            mix_filter.as_deref(),
-            algo_filter.as_deref(),
             repeats,
         ),
-        "async" => async_bench(
+        "checkpoint" => checkpoint_bench(
             len.unwrap_or(20_000),
             queries.unwrap_or(500),
-            json_out.as_deref().unwrap_or("BENCH_async.json"),
+            &shards,
+            &out("checkpoint"),
             seed,
             repeats,
         ),
@@ -195,28 +162,20 @@ fn main() {
             len.unwrap_or(20_000),
             queries.unwrap_or(100_000),
             &shards,
-            json_out.as_deref().unwrap_or("BENCH_fanout.json"),
+            &out("fanout"),
             seed,
         ),
         "floor" => floor(
             len.unwrap_or(800),
             queries.unwrap_or(100_000),
-            json_out.as_deref().unwrap_or("BENCH_floor.json"),
+            &out("floor"),
             seed,
         ),
         "prune" => prune(
             len.unwrap_or(40_000),
             queries.unwrap_or(100_000),
-            json_out.as_deref().unwrap_or("BENCH_prune.json"),
+            &out("prune"),
             seed,
-        ),
-        "checkpoint" => checkpoint_bench(
-            len.unwrap_or(20_000),
-            queries.unwrap_or(500),
-            &shards,
-            json_out.as_deref().unwrap_or("BENCH_checkpoint.json"),
-            seed,
-            repeats,
         ),
         "all" => {
             table2(paper_len, seed);
@@ -231,325 +190,120 @@ fn main() {
         }
         other => {
             eprintln!(
-                "unknown experiment `{other}`; try: table2 table3 fig9 fig10 table5 table6 table7 table8 table9 hub timed shared hotpath checkpoint fanout floor prune async all"
+                "unknown experiment `{other}`; try: table2 table3 fig9 fig10 table5 table6 table7 table8 table9 all async shared hotpath checkpoint fanout floor prune"
             );
             std::process::exit(2);
         }
     }
 }
 
-/// One labeled configuration measured by [`scaling_bench`]: a display
-/// label, the shard count (1 for single-threaded runs), and the runner.
-struct BenchCase<'a> {
-    label: &'a str,
-    shards: usize,
-    run: Box<dyn Fn() -> HubRun + 'a>,
-}
-
-/// Shared measurement + reporting loop of the `hub`, `timed`, and
-/// `shared` subcommands: runs the first case as the reference, then every
-/// other case, asserting finite throughput and reference == case
-/// updates/checksums (so a green run is simultaneously a perf datapoint
-/// and an equivalence proof — for the `shared` preset that equivalence is
-/// shared-plane == per-session recomputation), prints the paper-style
-/// table including the digest hit/rebuild counters, and writes the
-/// machine-readable `BENCH_*.json` the CI perf trajectory is built from.
-/// `extra_json` holds pre-rendered top-level fields (e.g. the arrival
-/// model) spliced into the JSON header. Returns the measured runs in case
-/// order for preset-specific assertions.
-#[allow(clippy::too_many_arguments)]
-fn scaling_bench(
-    bench: &str,
-    title: String,
-    extra_json: &[(&str, &str)],
-    len: usize,
-    queries: usize,
-    chunk: usize,
-    seed: u64,
-    json_out: &str,
-    cases: Vec<BenchCase<'_>>,
-) -> Vec<HubRun> {
-    let mut t = Table::new(
-        title,
-        &[
-            "hub",
-            "shards",
-            "seconds",
-            "objects/s",
-            "updates",
-            "digest hits",
-            "rebuilds",
-            "speedup",
-        ],
-    );
-    let check = |label: &str, run: &HubRun| {
-        let ops = run.objects_per_sec(len);
-        assert!(
-            ops.is_finite() && ops > 0.0,
-            "{label}: non-finite or zero throughput ({ops})"
-        );
-        ops
-    };
-
-    let mut measured: Vec<HubRun> = Vec::new();
-    let mut json_runs: Vec<String> = Vec::new();
-    let mut base_ops = 0.0;
-    for case in &cases {
-        let run = (case.run)();
-        let ops = check(case.label, &run);
-        if measured.is_empty() {
-            base_ops = ops;
-        } else {
-            let base = &measured[0];
-            assert_eq!(
-                run.updates, base.updates,
-                "[{bench}] {}({}) delivered a different number of updates",
-                case.label, case.shards
-            );
-            assert_eq!(
-                run.checksum, base.checksum,
-                "[{bench}] {}({}) diverged from the reference run",
-                case.label, case.shards
-            );
+/// The fastest of `repeats` runs — the min-time read, robust to
+/// scheduler noise on a busy box. Checksums and allocation counts are
+/// deterministic, so every repeat must agree.
+fn best_of(repeats: usize, mut measure: impl FnMut() -> Run) -> Run {
+    let mut best = measure();
+    for _ in 1..repeats {
+        let next = measure();
+        assert_eq!(next.checksum, best.checksum, "repeats must agree");
+        if next.elapsed < best.elapsed {
+            best = next;
         }
-        t.row(vec![
-            case.label.into(),
-            case.shards.to_string(),
-            format!("{:.3}", run.elapsed.as_secs_f64()),
-            format!("{ops:.0}"),
-            run.updates.to_string(),
-            run.digest_hits.to_string(),
-            run.digest_rebuilds.to_string(),
-            format!("{:.2}x", ops / base_ops),
-        ]);
-        json_runs.push(format!(
-            "    {{\"hub\": \"{}\", \"shards\": {}, \"elapsed_s\": {:.6}, \"objects_per_sec\": {:.1}, \"updates\": {}, \"checksum\": {}, \"digest_hits\": {}, \"digest_rebuilds\": {}, \"speedup_vs_sequential\": {:.3}}}",
-            case.label,
-            case.shards,
-            run.elapsed.as_secs_f64(),
-            ops,
-            run.updates,
-            run.checksum,
-            run.digest_hits,
-            run.digest_rebuilds,
-            ops / base_ops
-        ));
-        measured.push(run);
     }
-    t.print();
+    best
+}
 
-    let host_cpus = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    let extra: String = extra_json
+/// Mean wall-clock milliseconds of `repeats` calls after one untimed
+/// call, and the last call's result.
+fn mean_ms<T>(repeats: usize, mut call: impl FnMut() -> T) -> (T, f64) {
+    let mut out = call();
+    let started = Instant::now();
+    for _ in 0..repeats {
+        out = call();
+    }
+    (out, started.elapsed().as_secs_f64() * 1e3 / repeats as f64)
+}
+
+/// A query-count ladder: `queries` over each divisor, zeros dropped.
+fn ladder(queries: usize, divisors: &[usize]) -> Vec<usize> {
+    let mut rungs: Vec<usize> = divisors
         .iter()
-        .map(|(key, value)| format!("  \"{key}\": {value},\n"))
+        .map(|d| queries / d)
+        .filter(|&q| q > 0)
         .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"{bench}\",\n{extra}  \"seed\": {seed},\n  \"len\": {len},\n  \"queries\": {queries},\n  \"chunk\": {chunk},\n  \"host_cpus\": {host_cpus},\n  \"runs\": [\n{}\n  ]\n}}\n",
-        json_runs.join(",\n")
-    );
-    std::fs::write(json_out, &json).unwrap_or_else(|e| panic!("write {json_out}: {e}"));
-    println!("\nwrote {json_out} (host_cpus = {host_cpus})");
-    measured
+    rungs.dedup();
+    rungs
 }
 
-/// Hub scaling: sequential `Hub` vs an `AsyncHub` with a worker per
-/// shard at each shard count (the `sharded` rows), all serving the same
-/// count-based query mix over the same stream.
-fn hub(len: usize, queries: usize, shards: &[usize], json_out: &str, seed: u64) {
-    let chunk = 1_000usize; // publish granularity = drain granularity
-    let data = Dataset::Stock.generate(len, seed);
-    let mix = hub_query_mix(queries);
-    let mut cases = vec![BenchCase {
-        label: "sequential",
-        shards: 1,
-        run: Box::new(|| run_hub_sequential(&mix, &data, chunk)),
-    }];
-    let (mix_ref, data_ref) = (&mix, &data);
-    for &n in shards {
-        cases.push(BenchCase {
-            label: "sharded",
-            shards: n,
-            run: Box::new(move || run_hub_sharded(mix_ref, data_ref, chunk, n)),
-        });
-    }
-    scaling_bench(
-        "hub_scaling",
-        format!("Hub scaling: {queries} queries, {len} objects (chunk = {chunk})"),
-        &[("dataset", "\"stock\"")],
-        len,
-        queries,
-        chunk,
-        seed,
-        json_out,
-        cases,
-    );
-}
-
-/// Pinned ceiling for the async hub's steady-state allocations per
-/// published object (publish + drain loop, process-global count) on the
-/// `async` preset's query mix — the same shape the `hotpath` ceiling
-/// covers, plus the reactor's drain barrier. The reactor itself adds
-/// nothing at steady state (queues are pre-sized, batches come from the
-/// `Arc` pool, worker scratch is reused); the count is dominated by
-/// `QueryUpdate` snapshots, so the ceiling matches the hotpath one.
-/// Raising it is an API-review event, not a tuning knob.
-const ASYNC_ALLOC_CEILING: f64 = 90.0;
-
-/// Async hub: sequential `Hub` reference, then `AsyncHub` serving
-/// `max(32, cores + 1)` logical shards — strictly more shards than the
-/// host has cores — on a worker ladder of 1, 2 and `cores + 1` (the last
-/// rung oversubscribes the host). Every run must land on the sequential
-/// checksum; a dedicated counted run pins the steady-state allocations
-/// per object under [`ASYNC_ALLOC_CEILING`].
+/// The sequential hub against an `AsyncHub` serving `max(32, cores + 1)`
+/// logical shards — more shards than the host has cores — on a worker
+/// ladder of 1, 2 and `cores + 1` (the last rung oversubscribes the
+/// host). Two mixes run on the same ladder: the count mix on a count
+/// stream, and the mixed count+time-based mix on a Poisson-arrival
+/// stream (the time-based determinism check). Every run warms its pools
+/// and windows on the first quarter, then counts its steady-state
+/// allocations; each row is the fastest of `repeats`.
 fn async_bench(len: usize, queries: usize, json_out: &str, seed: u64, repeats: usize) {
     let chunk = 1_000usize;
-    let data = Dataset::Stock.generate(len, seed);
-    let mix = hub_query_mix(queries);
-    let host_cpus = std::thread::available_parallelism()
+    let warmup = (len / 4 / chunk).max(1) * chunk;
+    assert!(len > warmup, "async preset needs --len > {warmup}");
+    let cpus = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
     // the point of the executor: logical shards are not capped by cores
-    let logical_shards = 32.max(host_cpus + 1);
-    // always includes an oversubscribed rung (workers > cores):
-    // multiplexing must keep serving correctly either way
-    let mut workers_ladder = vec![1usize, 2, host_cpus + 1];
+    let logical_shards = 32.max(cpus + 1);
+    let mut workers_ladder = vec![1usize, 2, cpus + 1];
     workers_ladder.dedup();
-    let repeats = repeats.max(1);
+    let count = Dataset::Stock.generate(len, seed);
+    let timed = Dataset::Stock.generate_timed(len, seed, ArrivalProcess::poisson(25.0));
+    let (count_mix, mixed_mix) = (count_query_mix(queries), mixed_query_mix(queries));
 
-    // min-time over `repeats` interleaved runs per case, so a row does
-    // not hinge on one noisy measurement
-    let faster = |a: (HubRun, u64), b: (HubRun, u64)| {
-        assert_eq!(a.0.checksum, b.0.checksum, "[async] repeats must agree");
-        if a.0.elapsed <= b.0.elapsed {
-            a
-        } else {
-            b
+    let mut artifact = Artifact::new("async")
+        .text("dataset", "stock")
+        .text("arrival", "poisson(25)")
+        .param("seed", seed)
+        .param("len", len)
+        .param("queries", queries)
+        .param("chunk", chunk)
+        .param("warmup", warmup);
+    let mut serve_mix = |mix: &'static str, stream, regs: &dyn Fn() -> Vec<Registration>| {
+        let feed = Feed {
+            warmup,
+            allocations: Some(allocations),
+            ..Feed::new(stream, chunk)
+        };
+        let run = best_of(repeats, || {
+            run_sequential(&mut serve(Hub::new(), regs()), &feed)
+        });
+        artifact
+            .records
+            .push(Record::new("sequential", mix, queries, run));
+        for &w in &workers_ladder {
+            let run = best_of(repeats, || {
+                run_async(
+                    &mut serve_async(AsyncHub::new(logical_shards, w), regs()),
+                    &feed,
+                )
+            });
+            let record = Record::new("async", mix, queries, run).on(logical_shards, w);
+            artifact.records.push(record);
         }
     };
-    let mut sequential = (run_hub_sequential(&mix, &data, chunk), 0u64);
-    let mut async_runs: Vec<(usize, (HubRun, u64))> = workers_ladder
-        .iter()
-        .map(|&w| {
-            (
-                w,
-                run_hub_async(&mix, &data, chunk, logical_shards, w, None),
-            )
-        })
-        .collect();
-    for _ in 1..repeats {
-        sequential = faster(sequential, (run_hub_sequential(&mix, &data, chunk), 0));
-        for (w, best) in &mut async_runs {
-            let next = run_hub_async(&mix, &data, chunk, logical_shards, *w, None);
-            *best = faster(best.clone(), next);
-        }
-    }
-
-    // dedicated counted run: warm the pools and the windows on the first
-    // quarter, then read the process-global allocation delta over the
-    // steady remainder (deterministic for a given preset)
-    let warmup = (len / 4 / chunk).max(1) * chunk;
-    assert!(len > warmup, "async preset needs --len > {warmup}");
-    let steady_allocs = {
-        let mut hub = AsyncHub::new(logical_shards, 1);
-        for (algo, spec) in &mix {
-            hub.subscribe(algo.count(*spec)).expect("fresh shards");
-        }
-        for c in data[..warmup].chunks(chunk) {
-            hub.publish(c).expect("bench mix");
-            hub.drain().expect("bench mix");
-        }
-        let before = ALLOC.allocations();
-        for c in data[warmup..].chunks(chunk) {
-            hub.publish(c).expect("bench mix");
-            hub.drain().expect("bench mix");
-        }
-        ALLOC.allocations() - before
-    };
-    let allocs_per_object = steady_allocs as f64 / (len - warmup) as f64;
-
-    let mut t = Table::new(
-        format!(
-            "Async hub: {queries} queries, {len} objects, {logical_shards} logical shards \
-             (chunk = {chunk}, best of {repeats})"
-        ),
-        &[
-            "hub",
-            "shards",
-            "workers",
-            "seconds",
-            "objects/s",
-            "updates",
-            "parks",
-            "speedup",
-        ],
-    );
-    let seq_ops = sequential.0.objects_per_sec(len);
-    let mut json_runs: Vec<String> = Vec::new();
-    let mut row = |hub: &str, shards: usize, workers: usize, run: &HubRun, parks: u64| {
-        let ops = run.objects_per_sec(len);
-        assert!(
-            ops.is_finite() && ops > 0.0,
-            "[async] {hub}({shards}x{workers}): non-finite or zero throughput ({ops})"
-        );
-        assert_eq!(
-            run.updates, sequential.0.updates,
-            "[async] {hub}({shards}x{workers}) delivered a different number of updates"
-        );
-        assert_eq!(
-            run.checksum, sequential.0.checksum,
-            "[async] {hub}({shards}x{workers}) diverged from the sequential hub"
-        );
-        t.row(vec![
-            hub.into(),
-            shards.to_string(),
-            workers.to_string(),
-            format!("{:.3}", run.elapsed.as_secs_f64()),
-            format!("{ops:.0}"),
-            run.updates.to_string(),
-            parks.to_string(),
-            format!("{:.2}x", ops / seq_ops),
-        ]);
-        json_runs.push(format!(
-            "    {{\"hub\": \"{hub}\", \"shards\": {shards}, \"workers\": {workers}, \"elapsed_s\": {:.6}, \"objects_per_sec\": {ops:.1}, \"updates\": {}, \"checksum\": {}, \"publisher_parks\": {parks}, \"speedup_vs_sequential\": {:.3}}}",
-            run.elapsed.as_secs_f64(),
-            run.updates,
-            run.checksum,
-            ops / seq_ops,
-        ));
-    };
-    row("sequential", 1, 1, &sequential.0, 0);
-    for (w, (run, parks)) in &async_runs {
-        row("async", logical_shards, *w, run, *parks);
-    }
-    t.print();
-
-    println!("\nsteady allocs/object = {allocs_per_object:.2} (ceiling {ASYNC_ALLOC_CEILING})");
-    assert!(
-        allocs_per_object <= ASYNC_ALLOC_CEILING,
-        "[async] steady-state allocations per object regressed: \
-         {allocs_per_object:.2} > pinned ceiling {ASYNC_ALLOC_CEILING}"
-    );
-
-    let json = format!(
-        "{{\n  \"bench\": \"async_hub\",\n  \"dataset\": \"stock\",\n  \"seed\": {seed},\n  \"len\": {len},\n  \"queries\": {queries},\n  \"chunk\": {chunk},\n  \"warmup\": {warmup},\n  \"host_cpus\": {host_cpus},\n  \"logical_shards\": {logical_shards},\n  \"alloc_ceiling\": {ASYNC_ALLOC_CEILING},\n  \"allocs_per_object\": {allocs_per_object:.3},\n  \"runs\": [\n{}\n  ]\n}}\n",
-        json_runs.join(",\n")
-    );
-    std::fs::write(json_out, &json).unwrap_or_else(|e| panic!("write {json_out}: {e}"));
-    println!("wrote {json_out} (host_cpus = {host_cpus})");
+    serve_mix("count", Stream::Count(&count), &|| {
+        count_mix.iter().map(|(a, s)| a.count(*s)).collect()
+    });
+    serve_mix("mixed", Stream::Timed(&timed), &|| {
+        mixed_mix.iter().map(|(a, s)| a.isolated(*s)).collect()
+    });
+    artifact.write(json_out);
 }
 
-/// Durability-plane measurement: checkpoint size (bytes per query) and
-/// checkpoint + restore latency as the session count grows, on the
-/// count-based hub mix. Every datapoint is self-asserting: the stream is
-/// cut mid-run, checkpointed, restored through [`BenchEngineFactory`],
-/// and finished on the restored hub — which must land on the
-/// byte-identical update checksum of the uninterrupted reference run.
-/// A final round-trip at the largest requested shard count proves the
-/// sharded plane (checkpoint an `AsyncHub` with `N` shards and a worker
-/// each, restore at the same shape) against the same sequential
-/// reference.
+/// Durability: checkpoint size and checkpoint/restore latency up a
+/// query ladder of the count mix. Each rung runs the stream once
+/// uninterrupted, then again cut in half: the first half, a checkpoint,
+/// a restore through [`BenchEngineFactory`], and the second half resumed
+/// on the restored hub — which must land on the uninterrupted checksum.
+/// The top rung repeats the round trip on an `AsyncHub` with the
+/// largest requested shard count and a worker per shard.
 fn checkpoint_bench(
     len: usize,
     queries: usize,
@@ -558,7 +312,6 @@ fn checkpoint_bench(
     seed: u64,
     repeats: usize,
 ) {
-    use std::time::Instant;
     let chunk = 1_000usize;
     assert!(
         len >= 2 * chunk,
@@ -568,518 +321,170 @@ fn checkpoint_bench(
     let data = Dataset::Stock.generate(len, seed);
     // cut on a chunk boundary so the restored run's publish sequence is
     // literally the reference's, split in two
-    let warm = (len / 2 / chunk) * chunk;
-
-    let mut ladder: Vec<usize> = [queries / 8, queries / 4, queries / 2, queries]
-        .into_iter()
-        .filter(|&q| q > 0)
-        .collect();
-    ladder.dedup();
-
-    let mut t = Table::new(
-        format!("Checkpoint round-trip: {len} objects, cut at {warm}, {repeats} timing repeats"),
-        &[
-            "hub",
-            "shards",
-            "queries",
-            "bytes",
-            "bytes/query",
-            "checkpoint ms",
-            "restore ms",
-        ],
-    );
-    let mut json_runs: Vec<String> = Vec::new();
-    let mut emit = |hub: &str,
-                    nshards: usize,
-                    count: usize,
-                    bytes: usize,
-                    ckpt_ms: f64,
-                    restore_ms: f64,
-                    checksum: u64| {
-        assert!(
-            ckpt_ms.is_finite() && restore_ms.is_finite(),
-            "non-finite checkpoint timing"
-        );
-        t.row(vec![
-            hub.into(),
-            nshards.to_string(),
-            count.to_string(),
-            bytes.to_string(),
-            format!("{:.0}", bytes as f64 / count as f64),
-            format!("{ckpt_ms:.3}"),
-            format!("{restore_ms:.3}"),
-        ]);
-        json_runs.push(format!(
-            "    {{\"hub\": \"{hub}\", \"shards\": {nshards}, \"queries\": {count}, \"checkpoint_bytes\": {bytes}, \"bytes_per_query\": {:.1}, \"checkpoint_ms\": {ckpt_ms:.4}, \"restore_ms\": {restore_ms:.4}, \"checksum\": {checksum}}}",
-            bytes as f64 / count as f64
-        ));
+    let cut = (len / 2 / chunk) * chunk;
+    let feed = |range: Range<usize>| Feed::new(Stream::Count(&data[range]), chunk);
+    let restored = |arm, count: usize, run, bytes: usize, ckpt_ms, restore_ms| {
+        Record::new(arm, "count", count, run)
+            .with("checkpoint_bytes", bytes as f64)
+            .with("bytes_per_query", bytes as f64 / count as f64)
+            .with("checkpoint_ms", ckpt_ms)
+            .with("restore_ms", restore_ms)
     };
 
-    let mut full_reference: Option<HubRun> = None;
-    for &count in &ladder {
-        let mix = hub_query_mix(count);
-        let reference = run_hub_sequential(&mix, &data, chunk);
-
-        let mut hub = Hub::new();
-        for (algo, spec) in &mix {
-            hub.subscribe(algo.count(*spec))
-                .expect("bench mix is valid");
-        }
-        let mut updates = 0u64;
-        let mut checksum = CHECKSUM_SEED;
-        for c in data[..warm].chunks(chunk) {
-            for u in hub.publish(c) {
-                updates += 1;
-                checksum = hub_checksum_fold(checksum, &u);
-            }
-        }
-
-        let mut ckpt = hub.checkpoint();
-        let started = Instant::now();
-        for _ in 0..repeats {
-            ckpt = hub.checkpoint();
-        }
-        let ckpt_ms = started.elapsed().as_secs_f64() * 1e3 / repeats as f64;
-
-        let mut restored =
-            Hub::restore(&ckpt, &BenchEngineFactory).expect("own checkpoint restores");
-        let started = Instant::now();
-        for _ in 0..repeats {
-            restored = Hub::restore(&ckpt, &BenchEngineFactory).expect("own checkpoint restores");
-        }
-        let restore_ms = started.elapsed().as_secs_f64() * 1e3 / repeats as f64;
-
-        for c in data[warm..].chunks(chunk) {
-            for u in restored.publish(c) {
-                updates += 1;
-                checksum = hub_checksum_fold(checksum, &u);
-            }
-        }
-        assert_eq!(
-            updates, reference.updates,
-            "[checkpoint] restored run lost updates at {count} queries"
-        );
-        assert_eq!(
-            checksum, reference.checksum,
-            "[checkpoint] restored run diverged at {count} queries"
-        );
-        emit(
-            "sequential",
-            1,
-            count,
-            ckpt.len(),
-            ckpt_ms,
-            restore_ms,
-            checksum,
-        );
-        full_reference = Some(reference);
+    let mut artifact = Artifact::new("checkpoint")
+        .text("dataset", "stock")
+        .param("seed", seed)
+        .param("len", len)
+        .param("cut", cut)
+        .param("queries", queries)
+        .param("chunk", chunk)
+        .param("repeats", repeats);
+    for count in ladder(queries, &[8, 4, 2, 1]) {
+        let mix = count_query_mix(count);
+        let regs = || mix.iter().map(|(a, s)| a.count(*s));
+        let whole = run_sequential(&mut serve(Hub::new(), regs()), &feed(0..len));
+        artifact
+            .records
+            .push(Record::new("uninterrupted", "count", count, whole));
+        let mut hub = serve(Hub::new(), regs());
+        let head = run_sequential(&mut hub, &feed(0..cut));
+        let (ckpt, ckpt_ms) = mean_ms(repeats, || hub.checkpoint());
+        let (mut hub, restore_ms) = mean_ms(repeats, || {
+            Hub::restore(&ckpt, &BenchEngineFactory).expect("own checkpoint restores")
+        });
+        let tail = Feed {
+            resume: Some(&head),
+            ..feed(cut..len)
+        };
+        let run = run_sequential(&mut hub, &tail);
+        let record = restored("restored", count, run, ckpt.len(), ckpt_ms, restore_ms);
+        artifact.records.push(record);
     }
 
-    // sharded round-trip at the largest requested shard count, a worker
-    // per shard
-    let nshards = shards.iter().copied().max().unwrap_or(2).max(2);
-    let reference = full_reference.expect("ladder is non-empty");
-    let mix = hub_query_mix(queries);
-    let mut hub = AsyncHub::new(nshards, nshards);
-    for (algo, spec) in &mix {
-        hub.subscribe(algo.count(*spec)).expect("fresh shards");
-    }
-    let mut updates = 0u64;
-    let mut checksum = CHECKSUM_SEED;
-    for c in data[..warm].chunks(chunk) {
-        hub.publish(c).expect("healthy shards");
-        for u in hub.drain().expect("healthy shards") {
-            updates += 1;
-            checksum = hub_checksum_fold(checksum, &u);
-        }
-    }
-    let (mut ckpt, rest) = hub.checkpoint().expect("healthy shards");
-    assert!(rest.is_empty(), "drained before checkpointing");
-    let started = Instant::now();
-    for _ in 0..repeats {
-        let (c, u) = hub.checkpoint().expect("healthy shards");
-        assert!(u.is_empty(), "no publishes between checkpoints");
-        ckpt = c;
-    }
-    let ckpt_ms = started.elapsed().as_secs_f64() * 1e3 / repeats as f64;
-
-    let restore =
-        || AsyncHub::restore(&ckpt, &BenchEngineFactory, nshards, nshards).expect("restores");
-    let mut restored = restore();
-    let started = Instant::now();
-    for _ in 0..repeats {
-        restored = restore();
-    }
-    let restore_ms = started.elapsed().as_secs_f64() * 1e3 / repeats as f64;
-
-    for c in data[warm..].chunks(chunk) {
-        restored.publish(c).expect("healthy shards");
-        for u in restored.drain().expect("healthy shards") {
-            updates += 1;
-            checksum = hub_checksum_fold(checksum, &u);
-        }
-    }
-    assert_eq!(
-        updates, reference.updates,
-        "[checkpoint] sharded restored run lost updates"
-    );
-    assert_eq!(
-        checksum, reference.checksum,
-        "[checkpoint] sharded restored run diverged from the sequential reference"
-    );
-    emit(
-        "sharded",
-        nshards,
+    let n = shards.iter().copied().max().unwrap_or(2).max(2);
+    let mix = count_query_mix(queries);
+    let mut hub = serve_async(AsyncHub::new(n, n), mix.iter().map(|(a, s)| a.count(*s)));
+    let head = run_async(&mut hub, &feed(0..cut));
+    let (ckpt, ckpt_ms) = mean_ms(repeats, || {
+        let (ckpt, rest) = hub.checkpoint().expect("healthy shards");
+        assert!(rest.is_empty(), "drained before checkpointing");
+        ckpt
+    });
+    let (mut hub, restore_ms) = mean_ms(repeats, || {
+        AsyncHub::restore(&ckpt, &BenchEngineFactory, n, n).expect("own checkpoint restores")
+    });
+    let tail = Feed {
+        resume: Some(&head),
+        ..feed(cut..len)
+    };
+    let run = run_async(&mut hub, &tail);
+    let record = restored(
+        "restored-async",
         queries,
+        run,
         ckpt.len(),
         ckpt_ms,
         restore_ms,
-        checksum,
     );
-
-    t.print();
-    let host_cpus = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    let json = format!(
-        "{{\n  \"bench\": \"checkpoint_roundtrip\",\n  \"dataset\": \"stock\",\n  \"seed\": {seed},\n  \"len\": {len},\n  \"cut\": {warm},\n  \"queries\": {queries},\n  \"chunk\": {chunk},\n  \"repeats\": {repeats},\n  \"host_cpus\": {host_cpus},\n  \"runs\": [\n{}\n  ]\n}}\n",
-        json_runs.join(",\n")
-    );
-    std::fs::write(json_out, &json).unwrap_or_else(|e| panic!("write {json_out}: {e}"));
-    println!("\nwrote {json_out} (host_cpus = {host_cpus})");
+    artifact.records.push(record.on(n, n));
+    artifact.write(json_out);
 }
 
 /// Million-query fan-out: count-based queries over three window
 /// geometries served two ways at every rung of a query-count ladder —
-/// isolated sessions (per-query ingest) vs the shared count plane
-/// (per-group ingest, members slicing the group digest). Every rung is
-/// self-asserting: grouped updates and checksums must equal the
-/// per-session reference exactly, count-group hits must be positive
-/// (sharing observed, not assumed), and the grouped path must serve the
-/// ladder top from exactly three groups. A final sharded run at the
-/// largest requested worker count cross-checks the shard-local group
-/// plane against the same reference. The JSON records per-object cost
-/// (ns/object) per rung for both paths plus the ladder-top cost-growth
-/// ratios, so the grouped path's sub-linear scaling is a committed,
-/// machine-checkable artifact rather than a claim.
+/// isolated sessions (per-query ingest) against the shared count plane
+/// (per-group ingest, members slicing the group digest) — plus the
+/// shard-local group plane on an `AsyncHub` at the top rung. Publishing
+/// in half-slide chunks makes every other publish pure ingest, so each
+/// sequential row splits out its quiet cost per object.
 fn fanout(len: usize, queries: usize, shards: &[usize], json_out: &str, seed: u64) {
     // half the smallest slide length in the mix: every other publish
     // completes no slide, isolating the pure ingest fan-out — the cost
     // term grouping makes independent of the query count
     let chunk = 125usize;
     let data = Dataset::Stock.generate(len, seed);
-    let mut ladder: Vec<usize> = [queries / 8, queries / 4, queries / 2, queries]
-        .into_iter()
-        .filter(|&q| q > 0)
-        .collect();
-    ladder.dedup();
-
-    let mut t = Table::new(
-        format!("Query fan-out: ladder to {queries} count-based queries, {len} objects (chunk = {chunk})"),
-        &[
-            "hub",
-            "shards",
-            "queries",
-            "seconds",
-            "objects/s",
-            "ns/object",
-            "quiet ns/obj",
-            "updates",
-            "groups",
-            "group hits",
-            "speedup",
-        ],
-    );
-    let mut json_runs: Vec<String> = Vec::new();
-    let mut emit = |hub: &str, nshards: usize, count: usize, r: &FanoutRun, iso_ops: f64| {
-        let ops = r.run.objects_per_sec(len);
-        assert!(
-            ops.is_finite() && ops > 0.0,
-            "[fanout] {hub}({count}): non-finite or zero throughput ({ops})"
-        );
-        let ns_per_object = r.run.elapsed.as_secs_f64() * 1e9 / len as f64;
-        let quiet_ns = r.quiet_ns_per_object();
-        t.row(vec![
-            hub.into(),
-            nshards.to_string(),
-            count.to_string(),
-            format!("{:.3}", r.run.elapsed.as_secs_f64()),
-            format!("{ops:.0}"),
-            format!("{ns_per_object:.0}"),
-            quiet_ns.map_or("-".into(), |q| format!("{q:.0}")),
-            r.run.updates.to_string(),
-            r.stats.count_groups.to_string(),
-            r.stats.count_group_hits.to_string(),
-            format!("{:.2}x", ops / iso_ops),
-        ]);
-        json_runs.push(format!(
-            "    {{\"hub\": \"{hub}\", \"shards\": {nshards}, \"queries\": {count}, \"elapsed_s\": {:.6}, \"objects_per_sec\": {ops:.1}, \"ns_per_object\": {ns_per_object:.1}, \"quiet_objects\": {}, \"quiet_ns_per_object\": {}, \"updates\": {}, \"checksum\": {}, \"count_groups\": {}, \"count_group_hits\": {}, \"count_group_rebuilds\": {}, \"speedup_vs_isolated\": {:.3}}}",
-            r.run.elapsed.as_secs_f64(),
-            r.quiet_objects,
-            quiet_ns.map_or("null".into(), |q| format!("{q:.1}")),
-            r.run.updates,
-            r.run.checksum,
-            r.stats.count_groups,
-            r.stats.count_group_hits,
-            r.stats.count_group_rebuilds,
-            ops / iso_ops
-        ));
-        (ns_per_object, quiet_ns)
-    };
-
-    // ((total, quiet) isolated, (total, quiet) grouped) at the ladder ends
-    let mut bottom: Option<[(f64, f64); 2]> = None;
-    let mut top: Option<[(f64, f64); 2]> = None;
-    let mut top_reference: Option<FanoutRun> = None;
-    for &count in &ladder {
+    let feed = Feed::new(Stream::Count(&data), chunk);
+    let mut artifact = Artifact::new("fanout")
+        .text("dataset", "stock")
+        .param("seed", seed)
+        .param("len", len)
+        .param("queries", queries)
+        .param("chunk", chunk)
+        .param("geometry_classes", 3);
+    let rungs = ladder(queries, &[8, 4, 2, 1]);
+    for &count in &rungs {
         let mix = fanout_query_mix(count);
-        let iso = run_fanout_isolated(&mix, &data, chunk);
-        let iso_ops = iso.run.objects_per_sec(len);
-        assert_eq!(
-            iso.stats.count_group_rebuilds, iso.run.updates,
-            "[fanout] every isolated count slide is a rebuild"
+        let iso = run_sequential(
+            &mut serve(Hub::new(), mix.iter().map(|(a, s)| a.count(*s))),
+            &feed,
         );
-        let grp = run_fanout_grouped(&mix, &data, chunk);
-        assert_eq!(
-            grp.run.updates, iso.run.updates,
-            "[fanout] grouped plane delivered a different number of updates at {count} queries"
+        artifact
+            .records
+            .push(Record::new("isolated", "fanout", count, iso));
+        let grp = run_sequential(
+            &mut serve(Hub::new(), mix.iter().map(|(a, s)| a.grouped(*s))),
+            &feed,
         );
-        assert_eq!(
-            grp.run.checksum, iso.run.checksum,
-            "[fanout] grouped plane diverged from per-session serving at {count} queries"
-        );
-        assert!(
-            grp.stats.count_group_hits > 0,
-            "[fanout] {count} queries over 3 geometry classes must share"
-        );
-        assert_eq!(
-            grp.stats.count_group_rebuilds, 0,
-            "[fanout] the grouped hub has no isolated count sessions"
-        );
-        assert_eq!(
-            grp.stats.count_groups, 3,
-            "[fanout] three slide lengths, one offset"
-        );
-        let (iso_total, iso_quiet) = emit("isolated", 1, count, &iso, iso_ops);
-        let (grp_total, grp_quiet) = emit("grouped", 1, count, &grp, iso_ops);
-        let iso_quiet = iso_quiet.expect("sub-slide chunks always produce quiet publishes");
-        let grp_quiet = grp_quiet.expect("sub-slide chunks always produce quiet publishes");
-        let pair = [(iso_total, iso_quiet), (grp_total, grp_quiet)];
-        if bottom.is_none() {
-            bottom = Some(pair);
-        }
-        top = Some(pair);
-        top_reference = Some(iso);
+        artifact
+            .records
+            .push(Record::new("grouped", "fanout", count, grp));
     }
-
-    // the shard-local group plane must land on the same reference
-    let nshards = shards.iter().copied().max().unwrap_or(2).max(2);
-    let reference = top_reference.expect("ladder is non-empty");
-    let count = *ladder.last().expect("ladder is non-empty");
-    let mix = fanout_query_mix(count);
-    let par = run_fanout_grouped_sharded(&mix, &data, chunk, nshards);
-    assert_eq!(
-        par.run.updates, reference.run.updates,
-        "[fanout] sharded grouped run lost updates"
+    let n = shards.iter().copied().max().unwrap_or(2).max(2);
+    let top = *rungs.last().expect("ladder is non-empty");
+    let mix = fanout_query_mix(top);
+    let par = run_async(
+        &mut serve_async(AsyncHub::new(n, n), mix.iter().map(|(a, s)| a.grouped(*s))),
+        &feed,
     );
-    assert_eq!(
-        par.run.checksum, reference.run.checksum,
-        "[fanout] sharded grouped run diverged from the per-session reference"
-    );
-    assert!(
-        par.stats.count_group_hits > 0,
-        "[fanout] sharded groups must share"
-    );
-    emit(
-        "grouped-sharded",
-        nshards,
-        count,
-        &par,
-        reference.run.objects_per_sec(len),
-    );
-    t.print();
-
-    // cost growth from the bottom rung to the top. The quiet (no-slide)
-    // ratio is the tentpole claim: the isolated ingest path pays every
-    // added query on every object, the grouped path pays per geometry
-    // class — so its quiet cost should barely move across the ladder.
-    // Total cost keeps a linear floor either way (every completed slide
-    // delivers one update per member); the speedup column carries that
-    // story.
-    let ladder_factor = count as f64 / ladder[0] as f64;
-    let [(iso_lo, iso_quiet_lo), (grp_lo, grp_quiet_lo)] = bottom.expect("ladder is non-empty");
-    let [(iso_hi, iso_quiet_hi), (grp_hi, grp_quiet_hi)] = top.expect("ladder is non-empty");
-    let cost_ratio_isolated = iso_hi / iso_lo;
-    let cost_ratio_grouped = grp_hi / grp_lo;
-    let quiet_ratio_isolated = iso_quiet_hi / iso_quiet_lo;
-    let quiet_ratio_grouped = grp_quiet_hi / grp_quiet_lo;
-    println!(
-        "\nper-object cost x{ladder_factor:.0} queries: isolated {cost_ratio_isolated:.2}x \
-         ({iso_lo:.0} -> {iso_hi:.0} ns), grouped {cost_ratio_grouped:.2}x \
-         ({grp_lo:.0} -> {grp_hi:.0} ns)"
-    );
-    println!(
-        "quiet (ingest-only) cost x{ladder_factor:.0} queries: isolated \
-         {quiet_ratio_isolated:.2}x ({iso_quiet_lo:.0} -> {iso_quiet_hi:.0} ns), grouped \
-         {quiet_ratio_grouped:.2}x ({grp_quiet_lo:.0} -> {grp_quiet_hi:.0} ns)"
-    );
-
-    let host_cpus = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    let json = format!(
-        "{{\n  \"bench\": \"fanout\",\n  \"dataset\": \"stock\",\n  \"seed\": {seed},\n  \"len\": {len},\n  \"queries\": {queries},\n  \"chunk\": {chunk},\n  \"geometry_classes\": 3,\n  \"host_cpus\": {host_cpus},\n  \"ladder_factor\": {ladder_factor:.3},\n  \"cost_ratio_isolated\": {cost_ratio_isolated:.3},\n  \"cost_ratio_grouped\": {cost_ratio_grouped:.3},\n  \"quiet_cost_ratio_isolated\": {quiet_ratio_isolated:.3},\n  \"quiet_cost_ratio_grouped\": {quiet_ratio_grouped:.3},\n  \"runs\": [\n{}\n  ]\n}}\n",
-        json_runs.join(",\n")
-    );
-    std::fs::write(json_out, &json).unwrap_or_else(|e| panic!("write {json_out}: {e}"));
-    println!("wrote {json_out} (host_cpus = {host_cpus})");
+    let record = Record::new("grouped-async", "fanout", top, par).on(n, n);
+    artifact.records.push(record);
+    artifact.write(json_out);
 }
 
-/// The per-member update floor: a ladder of same-geometry count queries
+/// The per-member update floor: a ladder of same-geometry SAP queries
 /// (one geometry class, `⟨n=32, k=4, s=8⟩`) served three ways —
-/// isolated sessions, the grouped plane with result-class pooling
-/// disabled (every solo class computes its own close), and the grouped
-/// plane with result classes (one computed close per class, a refcount
-/// bump per member). Every rung asserts byte-identical checksums across
-/// the arms and that classed serving actually happened (`class_hits >
-/// 0`) or could not have (`class_hits == 0` with the knob off). The
-/// JSON splits slide-close µs/member out of total cost, so the
-/// memoization win is a committed, machine-checkable artifact; the
-/// top-rung improvement ratios feed `tools/validate_bench.py`.
+/// isolated sessions, the grouped plane with result-class pooling off
+/// (every solo class computes its own close), and the grouped plane with
+/// result classes (one computed close per class, a refcount bump per
+/// member). Publishing in half-slide chunks alternates quiet and close
+/// publishes, so each row splits out its slide-close µs per member.
 fn floor(len: usize, queries: usize, json_out: &str, seed: u64) {
     let spec = WindowSpec::new(32, 4, 8).expect("floor spec is valid");
     // half the slide: publishes alternate strictly between quiet
     // (ingest-only) and close (serving), so the split is exact
     let chunk = spec.s / 2;
     let data = Dataset::Stock.generate(len, seed);
-    let mut ladder: Vec<usize> = [queries / 100, queries / 10, queries]
-        .into_iter()
-        .filter(|&q| q > 0)
-        .collect();
-    ladder.dedup();
-
-    let mut t = Table::new(
-        format!(
-            "Per-member update floor: ladder to {queries} same-geometry queries, \
-             {len} objects (n = {}, k = {}, s = {}, chunk = {chunk})",
-            spec.n, spec.k, spec.s
-        ),
-        &[
-            "arm",
-            "queries",
-            "seconds",
-            "closes",
-            "close us/member",
-            "quiet ns/obj",
-            "updates",
-            "classes",
-            "class hits",
-        ],
-    );
-    let mut json_runs: Vec<String> = Vec::new();
-    let mut emit = |arm: FloorArm, count: usize, r: &FloorRun| {
-        let ops = r.run.objects_per_sec(len);
-        assert!(
-            ops.is_finite() && ops > 0.0,
-            "[floor] {}({count}): non-finite or zero throughput ({ops})",
-            arm.label()
-        );
-        let close_us = r
-            .close_us_per_member(count)
-            .expect("every rung closes slides");
-        let quiet_ns = r.quiet_ns_per_object();
-        t.row(vec![
-            arm.label().into(),
-            count.to_string(),
-            format!("{:.3}", r.run.elapsed.as_secs_f64()),
-            r.closes.to_string(),
-            format!("{close_us:.3}"),
-            quiet_ns.map_or("-".into(), |q| format!("{q:.0}")),
-            r.run.updates.to_string(),
-            r.stats.result_classes.to_string(),
-            r.stats.class_hits.to_string(),
-        ]);
-        json_runs.push(format!(
-            "    {{\"arm\": \"{}\", \"queries\": {count}, \"elapsed_s\": {:.6}, \"objects_per_sec\": {ops:.1}, \"closes\": {}, \"close_us_per_member\": {close_us:.4}, \"quiet_objects\": {}, \"quiet_ns_per_object\": {}, \"updates\": {}, \"checksum\": {}, \"result_classes\": {}, \"class_hits\": {}}}",
-            arm.label(),
-            r.run.elapsed.as_secs_f64(),
-            r.closes,
-            r.quiet_objects,
-            quiet_ns.map_or("null".into(), |q| format!("{q:.1}")),
-            r.run.updates,
-            r.run.checksum,
-            r.stats.result_classes,
-            r.stats.class_hits,
-        ));
-        close_us
-    };
-
-    // (isolated, unclassed, classed) close µs/member at the ladder top
-    let mut top: Option<[f64; 3]> = None;
-    for &count in &ladder {
-        let iso = run_floor(spec, count, &data, chunk, FloorArm::Isolated);
-        let un = run_floor(spec, count, &data, chunk, FloorArm::Unclassed);
-        let cl = run_floor(spec, count, &data, chunk, FloorArm::Classed);
-        for (r, label) in [(&un, "unclassed"), (&cl, "classed")] {
-            assert_eq!(
-                r.run.updates, iso.run.updates,
-                "[floor] {label} arm delivered a different number of updates at {count} queries"
-            );
-            assert_eq!(
-                r.run.checksum, iso.run.checksum,
-                "[floor] {label} arm diverged from isolated serving at {count} queries"
-            );
+    let feed = Feed::new(Stream::Count(&data), chunk);
+    let mut artifact = Artifact::new("floor")
+        .text("dataset", "stock")
+        .param("seed", seed)
+        .param("len", len)
+        .param("queries", queries)
+        .param("chunk", chunk)
+        .param("n", spec.n)
+        .param("k", spec.k)
+        .param("s", spec.s)
+        .param("geometry_classes", 1);
+    for count in ladder(queries, &[100, 10, 1]) {
+        for arm in ["isolated", "unclassed", "classed"] {
+            let mut hub = Hub::new();
+            hub.set_result_class_sharing(arm != "unclassed");
+            let members = (0..count).map(|_| match arm {
+                "isolated" => Algo::Sap.count(spec),
+                _ => Algo::Sap.grouped(spec),
+            });
+            let run = run_sequential(&mut serve(hub, members), &feed);
+            artifact.records.push(Record::new(arm, "floor", count, run));
         }
-        assert_eq!(
-            cl.stats.result_classes, 1,
-            "[floor] one geometry must form exactly one result class"
-        );
-        assert!(
-            cl.stats.class_hits > 0,
-            "[floor] classed closes must serve members off the class computation"
-        );
-        assert_eq!(
-            un.stats.class_hits, 0,
-            "[floor] the knob-off arm must never serve a memoized close"
-        );
-        let iso_us = emit(FloorArm::Isolated, count, &iso);
-        let un_us = emit(FloorArm::Unclassed, count, &un);
-        let cl_us = emit(FloorArm::Classed, count, &cl);
-        top = Some([iso_us, un_us, cl_us]);
     }
-    t.print();
-
-    let [iso_us, un_us, cl_us] = top.expect("ladder is non-empty");
-    let top_queries = *ladder.last().expect("ladder is non-empty");
-    let improvement_vs_isolated = iso_us / cl_us;
-    let improvement_vs_unclassed = un_us / cl_us;
-    println!(
-        "\nslide-close cost at {top_queries} queries: isolated {iso_us:.3} µs/member, \
-         unclassed {un_us:.3} µs/member, classed {cl_us:.3} µs/member \
-         ({improvement_vs_isolated:.2}x vs isolated, {improvement_vs_unclassed:.2}x vs unclassed)"
-    );
-
-    let host_cpus = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    let json = format!(
-        "{{\n  \"bench\": \"floor\",\n  \"dataset\": \"stock\",\n  \"seed\": {seed},\n  \"len\": {len},\n  \"queries\": {queries},\n  \"chunk\": {chunk},\n  \"geometry\": {{\"n\": {}, \"k\": {}, \"s\": {}}},\n  \"geometry_classes\": 1,\n  \"host_cpus\": {host_cpus},\n  \"top_queries\": {top_queries},\n  \"improvement_vs_isolated\": {improvement_vs_isolated:.3},\n  \"improvement_vs_unclassed\": {improvement_vs_unclassed:.3},\n  \"runs\": [\n{}\n  ]\n}}\n",
-        spec.n,
-        spec.k,
-        spec.s,
-        json_runs.join(",\n")
-    );
-    std::fs::write(json_out, &json).unwrap_or_else(|e| panic!("write {json_out}: {e}"));
-    println!("wrote {json_out} (host_cpus = {host_cpus})");
+    artifact.write(json_out);
 }
 
-/// The `prune` preset: ingest-side admission control on the shared
-/// timed plane. A skewed-score (`1000·u⁴`), gap-1 stream is served to a
-/// query ladder over up to 1024 slide groups in three arms — knob off
-/// (reference), dominance pruning, and dominance plus a selective
-/// `score ≥ 500` predicate — asserting byte-identical checksums across
-/// all arms at every rung and a positive prune rate on the pruning
-/// arms, then writing the machine-readable `BENCH_prune.json`.
+/// Ingest-side admission control on the shared timed plane: a
+/// skewed-score (`1000·u⁴`), gap-1 stream served to a query ladder over
+/// up to 1024 slide groups with the knob off (the reference), with
+/// dominance pruning, and with dominance pruning behind a selective
+/// `score ≥ 500` predicate.
 fn prune(len: usize, queries: usize, json_out: &str, seed: u64) {
     let data = prune_stream(len, seed);
     // slides span half the stream, so every group closes exactly one
@@ -1088,360 +493,116 @@ fn prune(len: usize, queries: usize, json_out: &str, seed: u64) {
     // gate of at most 8 — the regime the admission plane targets
     let sd_base = (len as u64 / 2).max(1);
     let chunk = 1024usize;
-    let mut ladder: Vec<usize> = [queries / 100, queries / 10, queries]
-        .into_iter()
-        .filter(|&q| q > 0)
-        .collect();
-    ladder.dedup();
-
-    let mut t = Table::new(
-        format!(
-            "Admission control: ladder to {queries} shared timed queries, \
-             {len} objects (sd_base = {sd_base}, chunk = {chunk})"
-        ),
-        &[
-            "arm",
-            "queries",
-            "seconds",
-            "objects/s",
-            "updates",
-            "admitted",
-            "pruned",
-            "prune rate",
-        ],
-    );
-    let mut json_runs: Vec<String> = Vec::new();
-    let mut emit = |arm: PruneArm, count: usize, r: &PruneRun| {
-        let ops = r.run.objects_per_sec(len);
-        assert!(
-            ops.is_finite() && ops > 0.0,
-            "[prune] {}({count}): non-finite or zero throughput ({ops})",
-            arm.label()
-        );
-        t.row(vec![
-            arm.label().into(),
-            count.to_string(),
-            format!("{:.3}", r.run.elapsed.as_secs_f64()),
-            format!("{ops:.0}"),
-            r.run.updates.to_string(),
-            r.stats.admitted.to_string(),
-            r.stats.pruned.to_string(),
-            format!("{:.4}", r.stats.prune_rate()),
-        ]);
-        json_runs.push(format!(
-            "    {{\"arm\": \"{}\", \"queries\": {count}, \"elapsed_s\": {:.6}, \"objects_per_sec\": {ops:.1}, \"updates\": {}, \"checksum\": {}, \"admitted\": {}, \"pruned\": {}, \"prune_rate\": {:.6}}}",
-            arm.label(),
-            r.run.elapsed.as_secs_f64(),
-            r.run.updates,
-            r.run.checksum,
-            r.stats.admitted,
-            r.stats.pruned,
-            r.stats.prune_rate(),
-        ));
-        ops
-    };
-
-    // (off, dominance, dominance+predicate) objects/sec at the ladder top
-    let mut top: Option<[f64; 3]> = None;
-    for &count in &ladder {
+    let feed = Feed::new(Stream::Timed(&data), chunk);
+    let mut artifact = Artifact::new("prune")
+        .text("dataset", "skewed-u4")
+        .param("seed", seed)
+        .param("len", len)
+        .param("queries", queries)
+        .param("chunk", chunk)
+        .param("sd_base", sd_base);
+    for count in ladder(queries, &[100, 10, 1]) {
         let mix = prune_query_mix(count, sd_base);
-        let off = run_prune(&mix, &data, chunk, PruneArm::Off);
-        let dom = run_prune(&mix, &data, chunk, PruneArm::Dominance);
-        let pred = run_prune(&mix, &data, chunk, PruneArm::DominancePredicate);
-        for (r, label) in [(&dom, "dominance"), (&pred, "dominance+predicate")] {
-            assert_eq!(
-                r.run.updates, off.run.updates,
-                "[prune] {label} arm delivered a different number of updates at {count} queries"
-            );
-            assert_eq!(
-                r.run.checksum, off.run.checksum,
-                "[prune] {label} arm diverged from the knob-off reference at {count} queries"
-            );
-            assert!(
-                r.stats.pruned > 0,
-                "[prune] {label} arm must actually exercise the gate at {count} queries"
-            );
-            assert!(
-                r.stats.prune_rate() > 0.0,
-                "[prune] {label} arm reports a zero prune rate at {count} queries"
-            );
+        for arm in ["off", "dominance", "dominance+predicate"] {
+            let mut hub = Hub::new();
+            hub.set_admission_pruning(arm != "off");
+            let predicate = match arm {
+                "dominance+predicate" => Predicate::any().score_at_least(500.0),
+                _ => Predicate::any(),
+            };
+            let members = mix.iter().map(|(a, s)| a.shared(*s).filter(predicate));
+            let run = run_sequential(&mut serve(hub, members), &feed);
+            artifact.records.push(Record::new(arm, "prune", count, run));
         }
-        assert_eq!(
-            off.stats.pruned, 0,
-            "[prune] the knob-off arm must never prune"
-        );
-        let off_ops = emit(PruneArm::Off, count, &off);
-        let dom_ops = emit(PruneArm::Dominance, count, &dom);
-        let pred_ops = emit(PruneArm::DominancePredicate, count, &pred);
-        top = Some([off_ops, dom_ops, pred_ops]);
     }
-    t.print();
-
-    let [off_ops, dom_ops, pred_ops] = top.expect("ladder is non-empty");
-    let top_queries = *ladder.last().expect("ladder is non-empty");
-    let speedup_dominance = dom_ops / off_ops;
-    let speedup_predicate = pred_ops / off_ops;
-    println!(
-        "\nthroughput at {top_queries} queries: off {off_ops:.0} obj/s, \
-         dominance {dom_ops:.0} obj/s, dominance+predicate {pred_ops:.0} obj/s \
-         ({speedup_dominance:.2}x and {speedup_predicate:.2}x vs knob off)"
-    );
-
-    let host_cpus = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    let json = format!(
-        "{{\n  \"bench\": \"prune\",\n  \"dataset\": \"skewed-u4\",\n  \"seed\": {seed},\n  \"len\": {len},\n  \"queries\": {queries},\n  \"chunk\": {chunk},\n  \"sd_base\": {sd_base},\n  \"host_cpus\": {host_cpus},\n  \"top_queries\": {top_queries},\n  \"speedup_dominance\": {speedup_dominance:.3},\n  \"speedup_predicate\": {speedup_predicate:.3},\n  \"runs\": [\n{}\n  ]\n}}\n",
-        json_runs.join(",\n")
-    );
-    std::fs::write(json_out, &json).unwrap_or_else(|e| panic!("write {json_out}: {e}"));
-    println!("wrote {json_out} (host_cpus = {host_cpus})");
+    artifact.write(json_out);
 }
 
-/// Timed-hub scaling: a heterogeneous count+time-based query mix served
-/// over one Poisson-arrival stream. The mix's slide durations straddle
-/// the stream's ~25-unit mean gap, so timed slides range from empty to
-/// dozens of objects.
-fn timed(len: usize, queries: usize, shards: &[usize], json_out: &str, seed: u64) {
-    let chunk = 1_000usize;
-    let data = Dataset::Stock.generate_timed(len, seed, ArrivalProcess::poisson(25.0));
-    let mix = timed_query_mix(queries);
-    let mut cases = vec![BenchCase {
-        label: "sequential",
-        shards: 1,
-        run: Box::new(|| run_timed_hub_sequential(&mix, &data, chunk)),
-    }];
-    let (mix_ref, data_ref) = (&mix, &data);
-    for &n in shards {
-        cases.push(BenchCase {
-            label: "sharded",
-            shards: n,
-            run: Box::new(move || run_timed_hub_sharded(mix_ref, data_ref, chunk, n)),
-        });
-    }
-    scaling_bench(
-        "timed_hub_scaling",
-        format!("Timed hub scaling: {queries} mixed queries, {len} objects (chunk = {chunk})"),
-        &[("dataset", "\"stock\""), ("arrival", "\"poisson(25)\"")],
-        len,
-        queries,
-        chunk,
-        seed,
-        json_out,
-        cases,
-    );
-}
-
-/// Shared digest plane vs per-session recomputation: `queries` all-timed
-/// queries spread over only four distinct slide durations, served three
-/// ways over one Poisson stream — isolated Appendix-A adapters (the
-/// reference), the sequential hub's shared plane, and an async hub's
-/// shard-local groups. Equal checksums across all runs are asserted (the
-/// tentpole's byte-identity claim), the digest hit-rate must be positive,
-/// and the win scales with query count, not cores, so it shows up on a
-/// 1-CPU box.
+/// Shared digest plane against per-session recomputation: `queries`
+/// all-timed queries over only four distinct slide durations, served
+/// three ways over one Poisson stream — isolated Appendix-A adapters
+/// (the reference), the sequential hub's shared plane, and an
+/// `AsyncHub`'s shard-local groups at each requested shard count. The
+/// win scales with the query count, not cores.
 fn shared(len: usize, queries: usize, shards: &[usize], json_out: &str, seed: u64) {
     let chunk = 1_000usize;
     let data = Dataset::Stock.generate_timed(len, seed, ArrivalProcess::poisson(25.0));
     let mix = shared_query_mix(queries);
-    let sds: std::collections::BTreeSet<u64> = mix.iter().map(|(_, s)| s.slide_duration).collect();
-    let mut cases = vec![
-        BenchCase {
-            label: "isolated",
-            shards: 1,
-            run: Box::new(|| run_shared_isolated(&mix, &data, chunk)),
-        },
-        BenchCase {
-            label: "shared",
-            shards: 1,
-            run: Box::new(|| run_shared_hub(&mix, &data, chunk)),
-        },
-    ];
-    let (mix_ref, data_ref) = (&mix, &data);
+    let durations: std::collections::BTreeSet<u64> =
+        mix.iter().map(|(_, s)| s.slide_duration).collect();
+    let feed = Feed::new(Stream::Timed(&data), chunk);
+    let shared = || mix.iter().map(|(a, s)| a.shared(*s));
+    let mut artifact = Artifact::new("shared")
+        .text("dataset", "stock")
+        .text("arrival", "poisson(25)")
+        .param("seed", seed)
+        .param("len", len)
+        .param("queries", queries)
+        .param("chunk", chunk)
+        .param("slide_durations", durations.len());
+    let iso = run_sequential(
+        &mut serve(Hub::new(), mix.iter().map(|(a, s)| a.timed(*s))),
+        &feed,
+    );
+    artifact
+        .records
+        .push(Record::new("isolated", "shared", queries, iso));
+    let shr = run_sequential(&mut serve(Hub::new(), shared()), &feed);
+    artifact
+        .records
+        .push(Record::new("shared", "shared", queries, shr));
     for &n in shards {
-        cases.push(BenchCase {
-            label: "shared-sharded",
-            shards: n,
-            run: Box::new(move || run_shared_hub_sharded(mix_ref, data_ref, chunk, n)),
-        });
+        let run = run_async(&mut serve_async(AsyncHub::new(n, n), shared()), &feed);
+        let record = Record::new("shared-async", "shared", queries, run).on(n, n);
+        artifact.records.push(record);
     }
-    let groups = sds.len();
-    let measured = scaling_bench(
-        "shared_digest_plane",
-        format!(
-            "Shared digest plane: {queries} timed queries over {groups} slide durations, {len} objects (chunk = {chunk})"
-        ),
-        &[
-            ("dataset", "\"stock\""),
-            ("arrival", "\"poisson(25)\""),
-            ("slide_durations", &format!("{groups}")),
-        ],
-        len,
-        queries,
-        chunk,
-        seed,
-        json_out,
-        cases,
-    );
-    let iso = &measured[0];
-    let shr = &measured[1];
-    assert!(
-        shr.digest_hits > 0,
-        "[shared] the shared run must serve slides from group digests"
-    );
-    let rate = shr.digest_hits as f64 / (shr.digest_hits + shr.digest_rebuilds).max(1) as f64;
-    let speedup = iso.elapsed.as_secs_f64() / shr.elapsed.as_secs_f64();
-    println!(
-        "\nshared vs isolated: {speedup:.2}x objects/sec, digest hit-rate {rate:.3} \
-         ({} hits, {} rebuilds)",
-        shr.digest_hits, shr.digest_rebuilds
-    );
+    artifact.write(json_out);
 }
 
 /// Zero-allocation hot path: the pooled publish plane on a mixed
-/// count/timed/shared standing-query set over one Poisson stream. The
-/// run is half perf datapoint, half proof: it asserts byte-identical
-/// checksums across the sequential hub and an async hub, and it
-/// fails outright when the sequential path's steady-state
-/// `allocs_per_object` exceeds the pinned [`HOTPATH_ALLOC_CEILING`] —
-/// the CI gate against allocation regressions.
-#[allow(clippy::too_many_arguments)]
+/// count/timed/shared standing-query set over one Poisson stream, on the
+/// sequential hub (`pooled`, fastest of `repeats`) and on an `AsyncHub`
+/// with a worker per shard at each requested shard count
+/// (`pooled-async`). The first quarter of the stream warms every pooled
+/// buffer; allocations are counted over the rest.
 fn hotpath(
     len: usize,
     queries: usize,
     shards: &[usize],
     json_out: &str,
     seed: u64,
-    mix_filter: Option<&str>,
-    algo_filter: Option<&str>,
     repeats: usize,
 ) {
     let chunk = 500usize;
-    // the first quarter of the stream warms every pooled buffer (scratch,
-    // registry staging, digest pending) and fills the windows; steady
-    // state is measured on the rest
     let warmup = len / 4;
     let data = Dataset::Stock.generate_timed(len, seed, ArrivalProcess::poisson(25.0));
-    // --mix count|timed|shared isolates one session flavor (diagnostic:
-    // attribute allocs_per_object to a path); the default mixed set is
-    // the headline preset
-    let flavor = mix_filter.unwrap_or("all");
-    let mix: Vec<sap_bench::HotQuery> = hotpath_query_mix(queries * 9)
-        .into_iter()
-        .filter(|q| {
-            flavor == "all"
-                || matches!(
-                    (q, flavor),
-                    (sap_bench::HotQuery::Count(..), "count")
-                        | (sap_bench::HotQuery::Timed(..), "timed")
-                        | (sap_bench::HotQuery::Shared(..), "shared")
-                )
-        })
-        .filter(|q| {
-            let (sap_bench::HotQuery::Count(a, _)
-            | sap_bench::HotQuery::Timed(a, _)
-            | sap_bench::HotQuery::Shared(a, _)) = q;
-            algo_filter.is_none_or(|want| a.label() == want)
-        })
-        .take(queries)
-        .collect();
-    assert_eq!(
-        mix.len(),
-        queries,
-        "--mix/--algo filter produced a short set"
-    );
-    let count_allocs = || ALLOC.allocations();
-
-    // the sequential case runs `repeats` times and reports its fastest
-    // repeat — the standard min-time read, robust to scheduler noise on
-    // a busy box (allocation counts and checksums are deterministic
-    // across repeats)
-    let mut pooled = run_hotpath(&mix, &data, chunk, warmup, &count_allocs);
-    for _ in 1..repeats {
-        let p = run_hotpath(&mix, &data, chunk, warmup, &count_allocs);
-        assert_eq!(p.checksum, pooled.checksum, "[hotpath] repeats must agree");
-        if p.elapsed < pooled.elapsed {
-            pooled = p;
-        }
-    }
-    let mut sharded_runs: Vec<(usize, HotpathRun)> = Vec::new();
-    for &n in shards {
-        let par = run_hotpath_sharded(&mix, &data, chunk, warmup, n);
-        assert_eq!(
-            par.checksum, pooled.checksum,
-            "[hotpath] sharded({n}) diverged from the sequential hub"
-        );
-        assert_eq!(par.updates, pooled.updates, "[hotpath] sharded({n})");
-        sharded_runs.push((n, par));
-    }
-
-    let mut t = Table::new(
-        format!(
-            "Hot path: {queries} mixed queries, {len} objects ({warmup} warm-up, chunk = {chunk})"
-        ),
-        &[
-            "path",
-            "shards",
-            "seconds",
-            "objects/s",
-            "allocs/object",
-            "updates",
-        ],
-    );
-    let mut json_runs: Vec<String> = Vec::new();
-    let mut row = |path: &str, shards: usize, run: &HotpathRun| {
-        let ops = run.objects_per_sec();
-        assert!(
-            ops.is_finite() && ops > 0.0,
-            "[hotpath] {path}: non-finite or zero throughput ({ops})"
-        );
-        let apo = run.allocs_per_object();
-        t.row(vec![
-            path.into(),
-            shards.to_string(),
-            format!("{:.3}", run.elapsed.as_secs_f64()),
-            format!("{ops:.0}"),
-            apo.map_or("-".into(), |a| format!("{a:.2}")),
-            run.updates.to_string(),
-        ]);
-        json_runs.push(format!(
-            "    {{\"path\": \"{path}\", \"shards\": {shards}, \"elapsed_s\": {:.6}, \"objects_per_sec\": {ops:.1}, \"allocs\": {}, \"allocs_per_object\": {}, \"updates\": {}, \"checksum\": {}, \"digest_hits\": {}, \"digest_rebuilds\": {}}}",
-            run.elapsed.as_secs_f64(),
-            run.steady_allocs.map_or("null".into(), |a| a.to_string()),
-            apo.map_or("null".into(), |a| format!("{a:.3}")),
-            run.updates,
-            run.checksum,
-            run.digest_hits,
-            run.digest_rebuilds,
-        ));
+    let mix = hotpath_query_mix(queries);
+    let regs = || mix.iter().map(HotQuery::registration);
+    let feed = Feed {
+        warmup,
+        allocations: Some(allocations),
+        ..Feed::new(Stream::Timed(&data), chunk)
     };
-    row("pooled", 1, &pooled);
-    for (n, run) in &sharded_runs {
-        row("pooled-sharded", *n, run);
+    let mut artifact = Artifact::new("hotpath")
+        .text("dataset", "stock")
+        .text("arrival", "poisson(25)")
+        .param("seed", seed)
+        .param("len", len)
+        .param("queries", queries)
+        .param("chunk", chunk)
+        .param("warmup", warmup);
+    let pooled = best_of(repeats, || {
+        run_sequential(&mut serve(Hub::new(), regs()), &feed)
+    });
+    artifact
+        .records
+        .push(Record::new("pooled", "hotpath", queries, pooled));
+    for &n in shards {
+        let run = run_async(&mut serve_async(AsyncHub::new(n, n), regs()), &feed);
+        let record = Record::new("pooled-async", "hotpath", queries, run).on(n, n);
+        artifact.records.push(record);
     }
-    t.print();
-
-    let pooled_apo = pooled.allocs_per_object().expect("sequential run counts");
-    println!("\npooled: {pooled_apo:.2} allocations per object (ceiling {HOTPATH_ALLOC_CEILING})");
-    // the ceiling is pinned for the default mixed preset; single-flavor
-    // diagnostic runs report but don't gate
-    if (mix_filter.is_none() || mix_filter == Some("all")) && algo_filter.is_none() {
-        assert!(
-            pooled_apo <= HOTPATH_ALLOC_CEILING,
-            "[hotpath] steady-state allocations per object regressed: \
-             {pooled_apo:.2} > pinned ceiling {HOTPATH_ALLOC_CEILING}"
-        );
-    }
-
-    let host_cpus = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    let json = format!(
-        "{{\n  \"bench\": \"hotpath\",\n  \"dataset\": \"stock\",\n  \"arrival\": \"poisson(25)\",\n  \"seed\": {seed},\n  \"len\": {len},\n  \"queries\": {queries},\n  \"chunk\": {chunk},\n  \"warmup\": {warmup},\n  \"host_cpus\": {host_cpus},\n  \"alloc_ceiling\": {HOTPATH_ALLOC_CEILING},\n  \"runs\": [\n{}\n  ]\n}}\n",
-        json_runs.join(",\n")
-    );
-    std::fs::write(json_out, &json).unwrap_or_else(|e| panic!("write {json_out}: {e}"));
-    println!("wrote {json_out} (host_cpus = {host_cpus})");
+    artifact.write(json_out);
 }
 
 fn paper_datasets(len: usize) -> Vec<Dataset> {

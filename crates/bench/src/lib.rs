@@ -1,22 +1,25 @@
 //! Shared harness for regenerating the SAP paper's evaluation (§6 and
-//! Appendices D–F): workload construction, algorithm factories, and
-//! paper-shaped table formatting.
+//! Appendices D–F) and measuring the serving layer: workload
+//! construction, algorithm factories, paper-shaped table formatting, the
+//! two hub runners, and the one record shape every `BENCH_*.json`
+//! artifact uses.
 //!
 //! Scaling: the paper streams gigabytes through C++ on 2017 hardware; this
 //! harness streams `|D|` objects (default 2×10⁵ per run) through Rust.
 //! Parameters keep the paper's *ratios* (`k`, `s/n`, sweep shapes), so
 //! relative behaviour — who wins, how costs scale along each axis — is
-//! comparable even though absolute numbers differ. See EXPERIMENTS.md.
+//! comparable even though absolute numbers differ.
 
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use sap_baselines::{KSkyband, MinTopK, NaiveTopK, Sma};
 use sap_core::{Sap, SapConfig, TimeBased};
 use sap_stream::generators::{Dataset, Workload};
 use sap_stream::{
-    checksum_fold, run, AsyncHub, EngineFactory, FifoScheduler, Hub, HubStats, Object, Predicate,
-    QuerySpec, QueryUpdate, Registration, RunSummary, SapError, SeededScheduler, SlidingTopK,
-    TimedObject, TimedSpec, TimedTopK, WindowSpec, CHECKSUM_SEED,
+    checksum_fold, run, AsyncHub, EngineFactory, Hub, HubStats, Object, QuerySpec, QueryUpdate,
+    Registration, RunSummary, SapError, SlidingTopK, TimedObject, TimedSpec, TimedTopK, WindowSpec,
+    CHECKSUM_SEED,
 };
 
 mod alloc;
@@ -212,41 +215,11 @@ impl Table {
     }
 }
 
-/// One measured hub configuration from [`run_hub_sequential`] /
-/// [`run_hub_sharded`]: wall-clock time plus the evidence needed to call
-/// the runs equivalent.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HubRun {
-    /// Total wall-clock time for publishing (and, for the async hub,
-    /// draining) the whole stream.
-    pub elapsed: Duration,
-    /// Number of `QueryUpdate`s delivered across all queries.
-    pub updates: u64,
-    /// Order-sensitive checksum over every update in `(QueryId, slide)`
-    /// order — identical between the sequential and async hubs when
-    /// (and only when) they delivered identical results.
-    pub checksum: u64,
-    /// Slides served to a query from a shared group digest (0 for runs
-    /// that never touch the digest plane).
-    pub digest_hits: u64,
-    /// Slides a shared query recomputed privately (mid-stream joins
-    /// warming up; 0 for non-shared runs).
-    pub digest_rebuilds: u64,
-}
-
-impl HubRun {
-    /// Ingested objects per second — the hub throughput metric. `len` is
-    /// the stream length in objects (each object fans out to every
-    /// registered query, so compare runs only at equal query counts).
-    pub fn objects_per_sec(&self, len: usize) -> f64 {
-        len as f64 / self.elapsed.as_secs_f64()
-    }
-}
-
-/// Deterministic heterogeneous query mix for the hub-scaling bench:
-/// cheap windows (so 10⁴ of them fit comfortably in memory) cycling
-/// through SAP, MinTopK, and k-skyband with varied `⟨n, k, s⟩`.
-pub fn hub_query_mix(count: usize) -> Vec<(Algo, WindowSpec)> {
+/// Deterministic heterogeneous count-based query mix (the `async`
+/// preset's `count` mix): cheap windows (so 10⁴ of them fit comfortably
+/// in memory) cycling through SAP, MinTopK, and k-skyband with varied
+/// `⟨n, k, s⟩`.
+pub fn count_query_mix(count: usize) -> Vec<(Algo, WindowSpec)> {
     let algos = [Algo::Sap, Algo::MinTopK, Algo::KSkyband];
     (0..count)
         .map(|i| {
@@ -259,112 +232,12 @@ pub fn hub_query_mix(count: usize) -> Vec<(Algo, WindowSpec)> {
         .collect()
 }
 
-/// Folds one update into the running hub checksum: the query handle, the
-/// slide index, and the driver's snapshot checksum. Updates must be fed
-/// in `(QueryId, slide)` order for cross-run comparability — exactly the
-/// order `AsyncHub::drain` returns and the order the sequential hub's
-/// per-publish batches already have.
-pub fn hub_checksum_fold(acc: u64, update: &QueryUpdate) -> u64 {
-    let tagged = [
-        Object::new(update.result.slide, 0.0),
-        Object::new(update.result.snapshot.len() as u64, 0.0),
-    ];
-    checksum_fold(checksum_fold(acc, &tagged), &update.result.snapshot)
-}
-
-/// Registers every registration in `mix` on a fresh sequential [`Hub`].
-fn hub_serving(mix: impl IntoIterator<Item = Registration>) -> Hub {
-    let mut hub = Hub::new();
-    for registration in mix {
-        hub.subscribe(registration).expect("bench mixes are valid");
-    }
-    hub
-}
-
-/// Publishes `data` to a sequential [`Hub`] serving `mix`, in chunks of
-/// `chunk` objects, timing the publish loop.
-pub fn run_hub_sequential(mix: &[(Algo, WindowSpec)], data: &[Object], chunk: usize) -> HubRun {
-    let mut hub = hub_serving(mix.iter().map(|(algo, spec)| algo.count(*spec)));
-    let mut updates = 0u64;
-    let mut checksum = CHECKSUM_SEED;
-    let started = Instant::now();
-    for c in data.chunks(chunk) {
-        for u in hub.publish(c) {
-            updates += 1;
-            checksum = hub_checksum_fold(checksum, &u);
-        }
-    }
-    HubRun {
-        elapsed: started.elapsed(),
-        updates,
-        checksum,
-        digest_hits: 0,
-        digest_rebuilds: 0,
-    }
-}
-
-/// The `sharded` arm of the hub presets: `mix` on an [`AsyncHub`] with
-/// `shards` shards and a worker per shard (see [`run_hub_async`]).
-pub fn run_hub_sharded(
-    mix: &[(Algo, WindowSpec)],
-    data: &[Object],
-    chunk: usize,
-    shards: usize,
-) -> HubRun {
-    run_hub_async(mix, data, chunk, shards, shards, None).0
-}
-
-/// Publishes `data` to an [`AsyncHub`] with `shards` logical shards
-/// served by `workers` reactor threads, draining after every chunk
-/// (which bounds the shard-side update accumulation and exercises the
-/// determinism barrier). Timing covers publish + drain, so the
-/// comparison against [`run_hub_sequential`] includes all coordination
-/// overhead. `seed` selects a [`SeededScheduler`] (schedule-fuzzed runs)
-/// instead of the production [`FifoScheduler`]. Returns the run plus the
-/// publisher park count — the non-blocking-publish evidence for
-/// `BENCH_async.json`.
-pub fn run_hub_async(
-    mix: &[(Algo, WindowSpec)],
-    data: &[Object],
-    chunk: usize,
-    shards: usize,
-    workers: usize,
-    seed: Option<u64>,
-) -> (HubRun, u64) {
-    let scheduler: Box<dyn sap_stream::Scheduler> = match seed {
-        Some(seed) => Box::new(SeededScheduler::new(seed)),
-        None => Box::new(FifoScheduler),
-    };
-    let mut hub = AsyncHub::with_scheduler(shards, workers, scheduler);
-    for (algo, spec) in mix {
-        hub.subscribe(algo.count(*spec)).expect("fresh shards");
-    }
-    let mut updates = 0u64;
-    let mut checksum = CHECKSUM_SEED;
-    let started = Instant::now();
-    for c in data.chunks(chunk) {
-        hub.publish(c).expect("no engine panics in the bench mix");
-        for u in hub.drain().expect("no engine panics in the bench mix") {
-            updates += 1;
-            checksum = hub_checksum_fold(checksum, &u);
-        }
-    }
-    let run = HubRun {
-        elapsed: started.elapsed(),
-        updates,
-        checksum,
-        digest_hits: 0,
-        digest_rebuilds: 0,
-    };
-    (run, hub.publisher_parks())
-}
-
-/// Heterogeneous **mixed-model** query set for the timed hub bench:
-/// entries alternate between count-based geometries (the
-/// [`hub_query_mix`] shapes) and time-based geometries whose slide
+/// Heterogeneous **mixed-model** query set (the `async` preset's `mixed`
+/// mix): entries alternate between count-based geometries (the
+/// [`count_query_mix`] shapes) and time-based geometries whose slide
 /// durations straddle the stream's mean inter-arrival gap, so timed
 /// slides range from packed to empty.
-pub fn timed_query_mix(count: usize) -> Vec<(Algo, QuerySpec)> {
+pub fn mixed_query_mix(count: usize) -> Vec<(Algo, QuerySpec)> {
     let algos = [Algo::Sap, Algo::MinTopK, Algo::KSkyband];
     (0..count)
         .map(|i| {
@@ -386,114 +259,6 @@ pub fn timed_query_mix(count: usize) -> Vec<(Algo, QuerySpec)> {
         .collect()
 }
 
-/// Publishes a timed stream to a sequential `hub` in chunks of `chunk`
-/// objects, closing trailing slides with a final watermark, and timing
-/// the whole loop. Returns the run plus the hub's counters.
-fn run_timed_sequential_on(mut hub: Hub, data: &[TimedObject], chunk: usize) -> (HubRun, HubStats) {
-    let horizon = data.last().map_or(0, |o| o.timestamp) + 1;
-    let mut updates = 0u64;
-    let mut checksum = CHECKSUM_SEED;
-    let started = Instant::now();
-    for c in data.chunks(chunk) {
-        for u in hub.publish_timed(c) {
-            updates += 1;
-            checksum = hub_checksum_fold(checksum, &u);
-        }
-    }
-    for u in hub.advance_time(horizon) {
-        updates += 1;
-        checksum = hub_checksum_fold(checksum, &u);
-    }
-    let elapsed = started.elapsed();
-    let stats = hub.stats();
-    let run = HubRun {
-        elapsed,
-        updates,
-        checksum,
-        digest_hits: stats.digest_hits,
-        digest_rebuilds: stats.digest_rebuilds,
-    };
-    (run, stats)
-}
-
-/// Publishes a timed stream to an [`AsyncHub`] with `shards` shards and
-/// a worker per shard serving `mix`, draining after every chunk and
-/// closing trailing slides with a final watermark. Updates and checksum
-/// cover the whole stream; timing starts after the first `warmup`
-/// objects. Checksums are comparable with the sequential runners' —
-/// equal iff the hubs delivered identical results.
-fn run_timed_async(
-    mix: impl IntoIterator<Item = Registration>,
-    data: &[TimedObject],
-    chunk: usize,
-    warmup: usize,
-    shards: usize,
-) -> HubRun {
-    let mut hub = AsyncHub::new(shards, shards);
-    for registration in mix {
-        hub.subscribe(registration)
-            .expect("fresh shards accept valid engines");
-    }
-    let horizon = data.last().map_or(0, |o| o.timestamp) + 1;
-    let mut updates = 0u64;
-    let mut checksum = CHECKSUM_SEED;
-    let mut fold = |hub: &mut AsyncHub| {
-        for u in hub.drain().expect("no engine panics in the bench mix") {
-            updates += 1;
-            checksum = hub_checksum_fold(checksum, &u);
-        }
-    };
-    let warmup = warmup.min(data.len());
-    for c in data[..warmup].chunks(chunk) {
-        hub.publish_timed(c)
-            .expect("no engine panics in the bench mix");
-        fold(&mut hub);
-    }
-    let started = Instant::now();
-    for c in data[warmup..].chunks(chunk) {
-        hub.publish_timed(c)
-            .expect("no engine panics in the bench mix");
-        fold(&mut hub);
-    }
-    hub.advance_time(horizon)
-        .expect("no engine panics in the bench mix");
-    fold(&mut hub);
-    let elapsed = started.elapsed();
-    let stats = hub.stats().expect("no engine panics in the bench mix");
-    HubRun {
-        elapsed,
-        updates,
-        checksum,
-        digest_hits: stats.digest_hits,
-        digest_rebuilds: stats.digest_rebuilds,
-    }
-}
-
-/// Publishes a timed stream to a sequential [`Hub`] serving a mixed
-/// count+timed `mix`, in chunks of `chunk` objects, closing trailing
-/// slides with a final watermark. Timing covers the full publish loop.
-pub fn run_timed_hub_sequential(
-    mix: &[(Algo, QuerySpec)],
-    data: &[TimedObject],
-    chunk: usize,
-) -> HubRun {
-    let hub = hub_serving(mix.iter().map(|(algo, spec)| algo.isolated(*spec)));
-    run_timed_sequential_on(hub, data, chunk).0
-}
-
-/// The sharded counterpart of [`run_timed_hub_sequential`]: the timed
-/// stream on an [`AsyncHub`] with a worker per shard, draining after
-/// every chunk.
-pub fn run_timed_hub_sharded(
-    mix: &[(Algo, QuerySpec)],
-    data: &[TimedObject],
-    chunk: usize,
-    shards: usize,
-) -> HubRun {
-    let mix = mix.iter().map(|(algo, spec)| algo.isolated(*spec));
-    run_timed_async(mix, data, chunk, 0, shards)
-}
-
 /// All-timed query mix for the shared-digest bench: `count` queries over
 /// only **four** distinct slide durations (the many-queries/few-groups
 /// regime the digest plane targets), windows spanning 2–8 slides, `k`
@@ -512,42 +277,6 @@ pub fn shared_query_mix(count: usize) -> Vec<(Algo, TimedSpec)> {
             (algos[i % algos.len()], spec)
         })
         .collect()
-}
-
-/// The per-session-recomputation reference for the shared bench: the
-/// same timed mix served by isolated Appendix-A adapters (see
-/// [`run_timed_hub_sequential`]).
-pub fn run_shared_isolated(
-    mix: &[(Algo, TimedSpec)],
-    data: &[TimedObject],
-    chunk: usize,
-) -> HubRun {
-    let hub = hub_serving(mix.iter().map(|(algo, spec)| algo.timed(*spec)));
-    run_timed_sequential_on(hub, data, chunk).0
-}
-
-/// Publishes a timed stream to a sequential [`Hub`] serving `mix` on the
-/// **shared digest plane** ([`Algo::shared`]): one digest producer per
-/// distinct slide duration feeds every member query. Checksums are
-/// comparable with [`run_shared_isolated`] — equal iff the plane is
-/// byte-identical to per-session recomputation — and the run records the
-/// hub's digest hit/rebuild counters.
-pub fn run_shared_hub(mix: &[(Algo, TimedSpec)], data: &[TimedObject], chunk: usize) -> HubRun {
-    let hub = hub_serving(mix.iter().map(|(algo, spec)| algo.shared(*spec)));
-    run_timed_sequential_on(hub, data, chunk).0
-}
-
-/// The sharded counterpart of [`run_shared_hub`]: the same shared mix on
-/// an [`AsyncHub`] with a worker per shard, slide groups shard-local,
-/// draining after every chunk.
-pub fn run_shared_hub_sharded(
-    mix: &[(Algo, TimedSpec)],
-    data: &[TimedObject],
-    chunk: usize,
-    shards: usize,
-) -> HubRun {
-    let mix = mix.iter().map(|(algo, spec)| algo.shared(*spec));
-    run_timed_async(mix, data, chunk, 0, shards)
 }
 
 /// Count-based query mix for the `fanout` preset: `count` queries over
@@ -573,315 +302,11 @@ pub fn fanout_query_mix(count: usize) -> Vec<(Algo, WindowSpec)> {
         .collect()
 }
 
-/// One measured `fanout` configuration: the hub run, the hub's sharing
-/// counters, and the **quiet-path split** the preset's sub-linearity
-/// claim rests on. Total cost necessarily has a component linear in the
-/// query count — every completed slide delivers one update per member —
-/// so the preset separates the publishes that completed no slide
-/// anywhere: there the isolated path still pays every session (each one
-/// buffers every object) while the grouped path pays once per geometry
-/// class, independent of membership.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FanoutRun {
-    /// Whole-stream timing and equivalence evidence.
-    pub run: HubRun,
-    /// The hub's counters after the run ([`HubStats::count_group_hits`]
-    /// proves sharing happened; `count_group_rebuilds` counts isolated
-    /// count slides — work grouping would have pooled).
-    pub stats: HubStats,
-    /// Objects published by calls that completed no slide.
-    pub quiet_objects: u64,
-    /// Wall-clock total of those quiet publishes.
-    pub quiet_elapsed: Duration,
-}
-
-impl FanoutRun {
-    /// Per-object cost of the pure ingest path. `None` if the chunking
-    /// never produced a quiet publish (or, sharded, where per-call cost
-    /// cannot be attributed across worker threads).
-    pub fn quiet_ns_per_object(&self) -> Option<f64> {
-        (self.quiet_objects > 0)
-            .then(|| self.quiet_elapsed.as_secs_f64() * 1e9 / self.quiet_objects as f64)
-    }
-}
-
-/// Shared publish loop of the sequential `fanout` runners: times every
-/// publish call individually so quiet (no-slide) chunks can be
-/// attributed, folds the order-sensitive checksum, and reads the hub's
-/// counters back.
-fn run_fanout_on(mut hub: Hub, data: &[Object], chunk: usize) -> FanoutRun {
-    let mut updates = 0u64;
-    let mut checksum = CHECKSUM_SEED;
-    let mut quiet_objects = 0u64;
-    let mut quiet_elapsed = Duration::ZERO;
-    let started = Instant::now();
-    for c in data.chunks(chunk) {
-        let before = Instant::now();
-        let batch = hub.publish(c);
-        let took = before.elapsed();
-        if batch.is_empty() {
-            quiet_objects += c.len() as u64;
-            quiet_elapsed += took;
-        }
-        for u in batch {
-            updates += 1;
-            checksum = hub_checksum_fold(checksum, &u);
-        }
-    }
-    let elapsed = started.elapsed();
-    let stats = hub.stats();
-    FanoutRun {
-        run: HubRun {
-            elapsed,
-            updates,
-            checksum,
-            digest_hits: 0,
-            digest_rebuilds: 0,
-        },
-        stats,
-        quiet_objects,
-        quiet_elapsed,
-    }
-}
-
-/// The per-session reference for the `fanout` preset: the same
-/// count-based mix served by **isolated** sessions ([`Algo::count`]).
-pub fn run_fanout_isolated(mix: &[(Algo, WindowSpec)], data: &[Object], chunk: usize) -> FanoutRun {
-    let hub = hub_serving(mix.iter().map(|(algo, spec)| algo.count(*spec)));
-    run_fanout_on(hub, data, chunk)
-}
-
-/// Publishes `data` to a sequential [`Hub`] serving `mix` on the
-/// **shared count plane** ([`Algo::grouped`]): queries sharing a window
-/// geometry ingest each object once per group and slice their `(n, k)`
-/// views from the group digest. The checksum is comparable with
-/// [`run_fanout_isolated`] over the same mix — equal iff grouping is
-/// byte-identical to per-session serving.
-pub fn run_fanout_grouped(mix: &[(Algo, WindowSpec)], data: &[Object], chunk: usize) -> FanoutRun {
-    let hub = hub_serving(mix.iter().map(|(algo, spec)| algo.grouped(*spec)));
-    run_fanout_on(hub, data, chunk)
-}
-
-/// The sharded counterpart of [`run_fanout_grouped`]: the same grouped
-/// mix on an [`AsyncHub`] with a worker per shard — count groups
-/// shard-local via `home_shard` affinity — draining after every chunk.
-/// Quiet publishes are not attributed (publish is asynchronous and the
-/// drain is a barrier), so `quiet_objects` stays 0.
-pub fn run_fanout_grouped_sharded(
-    mix: &[(Algo, WindowSpec)],
-    data: &[Object],
-    chunk: usize,
-    shards: usize,
-) -> FanoutRun {
-    let mut hub = AsyncHub::new(shards, shards);
-    for (algo, spec) in mix {
-        hub.subscribe(algo.grouped(*spec))
-            .expect("fresh shards accept valid engines");
-    }
-    let mut updates = 0u64;
-    let mut checksum = CHECKSUM_SEED;
-    let started = Instant::now();
-    for c in data.chunks(chunk) {
-        hub.publish(c).expect("no engine panics in the bench mix");
-        for u in hub.drain().expect("no engine panics in the bench mix") {
-            updates += 1;
-            checksum = hub_checksum_fold(checksum, &u);
-        }
-    }
-    let elapsed = started.elapsed();
-    let stats = hub.stats().expect("no engine panics in the bench mix");
-    FanoutRun {
-        run: HubRun {
-            elapsed,
-            updates,
-            checksum,
-            digest_hits: 0,
-            digest_rebuilds: 0,
-        },
-        stats,
-        quiet_objects: 0,
-        quiet_elapsed: Duration::ZERO,
-    }
-}
-
-/// Which serving shape a `floor` preset arm exercises over one fixed
-/// window geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FloorArm {
-    /// Isolated sessions: every member runs a full engine slide per
-    /// close — the reference the checksums are anchored to.
-    Isolated,
-    /// Grouped with result-class pooling disabled
-    /// (`Hub::set_result_class_sharing(false)`): members share the
-    /// group's ingest but each solo class still computes its own
-    /// `apply_slide_top`, diff, and snapshot per close — the
-    /// pre-memoization per-member update floor.
-    Unclassed,
-    /// Grouped with result-class pooling (the default): one computed
-    /// close per class, then a refcount bump plus an id/slide tag per
-    /// member.
-    Classed,
-}
-
-impl FloorArm {
-    /// JSON/table label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            FloorArm::Isolated => "isolated",
-            FloorArm::Unclassed => "unclassed",
-            FloorArm::Classed => "classed",
-        }
-    }
-}
-
-/// One measured `floor` configuration: whole-stream timing plus the
-/// **slide-close split** the memoization claim rests on. Quiet publishes
-/// (no slide anywhere) price the shared ingest; close publishes price
-/// serving — the per-member cost the result-class tier collapses.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FloorRun {
-    /// Whole-stream timing and equivalence evidence.
-    pub run: HubRun,
-    /// The hub's counters after the run ([`HubStats::class_hits`] proves
-    /// memoized serving happened; zero proves it could not have).
-    pub stats: HubStats,
-    /// Publishes that completed at least one slide.
-    pub closes: u64,
-    /// Wall-clock total of those close publishes.
-    pub close_elapsed: Duration,
-    /// Objects published by calls that completed no slide.
-    pub quiet_objects: u64,
-    /// Wall-clock total of those quiet publishes.
-    pub quiet_elapsed: Duration,
-}
-
-impl FloorRun {
-    /// Mean serving cost per member per close, in microseconds — the
-    /// per-member update floor. `None` before the first close.
-    pub fn close_us_per_member(&self, members: usize) -> Option<f64> {
-        (self.closes > 0 && members > 0)
-            .then(|| self.close_elapsed.as_secs_f64() * 1e6 / (self.closes as f64 * members as f64))
-    }
-
-    /// Per-object cost of the pure ingest path, like
-    /// [`FanoutRun::quiet_ns_per_object`].
-    pub fn quiet_ns_per_object(&self) -> Option<f64> {
-        (self.quiet_objects > 0)
-            .then(|| self.quiet_elapsed.as_secs_f64() * 1e9 / self.quiet_objects as f64)
-    }
-}
-
-/// Serves `members` same-geometry SAP queries over `data` in one of the
-/// three [`FloorArm`] shapes, timing every publish individually so close
-/// and quiet costs separate. Checksums are comparable across arms over
-/// the same inputs — equal iff result classes (and the group plane under
-/// them) are byte-identical to isolated serving.
-pub fn run_floor(
-    spec: WindowSpec,
-    members: usize,
-    data: &[Object],
-    chunk: usize,
-    arm: FloorArm,
-) -> FloorRun {
-    let mut hub = Hub::new();
-    if arm == FloorArm::Unclassed {
-        hub.set_result_class_sharing(false);
-    }
-    for _ in 0..members {
-        let registration = match arm {
-            FloorArm::Isolated => Algo::Sap.count(spec),
-            FloorArm::Unclassed | FloorArm::Classed => Algo::Sap.grouped(spec),
-        };
-        hub.subscribe(registration)
-            .expect("engine built over the reduced spec");
-    }
-    let mut updates = 0u64;
-    let mut checksum = CHECKSUM_SEED;
-    let mut closes = 0u64;
-    let mut close_elapsed = Duration::ZERO;
-    let mut quiet_objects = 0u64;
-    let mut quiet_elapsed = Duration::ZERO;
-    let started = Instant::now();
-    for c in data.chunks(chunk) {
-        let before = Instant::now();
-        let batch = hub.publish(c);
-        let took = before.elapsed();
-        if batch.is_empty() {
-            quiet_objects += c.len() as u64;
-            quiet_elapsed += took;
-        } else {
-            closes += 1;
-            close_elapsed += took;
-        }
-        for u in batch {
-            updates += 1;
-            checksum = hub_checksum_fold(checksum, &u);
-        }
-    }
-    let elapsed = started.elapsed();
-    let stats = hub.stats();
-    FloorRun {
-        run: HubRun {
-            elapsed,
-            updates,
-            checksum,
-            digest_hits: 0,
-            digest_rebuilds: 0,
-        },
-        stats,
-        closes,
-        close_elapsed,
-        quiet_objects,
-        quiet_elapsed,
-    }
-}
-
-/// Which admission-knob position a `prune` preset arm runs over one
-/// shared-timed-plane workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PruneArm {
-    /// Admission pruning disabled (`Hub::set_admission_pruning(false)`):
-    /// every predicate-passing object is buffered into its group's open
-    /// slide — the reference the checksums are anchored to.
-    Off,
-    /// Dominance pruning only (the default knob position, pass-all
-    /// predicates): objects strictly dominated by `k_max` already-admitted
-    /// open-slide objects are dropped at the gate.
-    Dominance,
-    /// Dominance pruning plus a selective subscription predicate
-    /// (`score ≥ 500` on a `1000·u⁴` skew): most objects are rejected
-    /// before the gate is even consulted. The threshold sits far below
-    /// every slide's top-`k_max`, so results stay byte-identical.
-    DominancePredicate,
-}
-
-impl PruneArm {
-    /// JSON/table label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            PruneArm::Off => "off",
-            PruneArm::Dominance => "dominance",
-            PruneArm::DominancePredicate => "dominance+predicate",
-        }
-    }
-}
-
-/// One measured `prune` configuration: whole-stream timing plus the
-/// admission counters the pruning claim rests on.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PruneRun {
-    /// Whole-stream timing and equivalence evidence.
-    pub run: HubRun,
-    /// The hub's counters after the run ([`HubStats::pruned`] proves the
-    /// gate fired; zero proves it could not have).
-    pub stats: HubStats,
-}
-
 /// Skewed-score, gap-1 timed stream for the `prune` preset: scores are
 /// `1000·u⁴` for uniform `u` (an LCG over `seed`), so most arrivals sit
 /// far below each slide's top-`k_max` — exactly the regime ingest-side
 /// dominance pruning targets — while the top of every slide stays well
-/// above the [`PruneArm::DominancePredicate`] threshold.
+/// above the preset's `score ≥ 500` predicate threshold.
 pub fn prune_stream(len: usize, seed: u64) -> Vec<TimedObject> {
     let mut x = seed | 1;
     (0..len)
@@ -918,33 +343,6 @@ pub fn prune_query_mix(count: usize, sd_base: u64) -> Vec<(Algo, TimedSpec)> {
             (algos[(i / 2048) % 3], spec)
         })
         .collect()
-}
-
-/// Publishes a timed stream to a sequential [`Hub`] serving `mix` on
-/// the shared digest plane with the admission knob in the chosen
-/// [`PruneArm`] position. Checksums are comparable across arms over the
-/// same inputs — equal iff the admission plane is result-invisible —
-/// and the run records the hub's admitted/pruned counters.
-pub fn run_prune(
-    mix: &[(Algo, TimedSpec)],
-    data: &[TimedObject],
-    chunk: usize,
-    arm: PruneArm,
-) -> PruneRun {
-    let mut hub = Hub::new();
-    if arm == PruneArm::Off {
-        hub.set_admission_pruning(false);
-    }
-    let predicate = match arm {
-        PruneArm::DominancePredicate => Predicate::any().score_at_least(500.0),
-        _ => Predicate::any(),
-    };
-    for (algo, spec) in mix {
-        hub.subscribe(algo.shared(*spec).filter(predicate))
-            .expect("engine built over the reduced spec");
-    }
-    let (run, stats) = run_timed_sequential_on(hub, data, chunk);
-    PruneRun { run, stats }
 }
 
 /// One standing query of the `hotpath` preset's **mixed-model** set:
@@ -1017,112 +415,543 @@ impl HotQuery {
     }
 }
 
-/// One measured `hotpath` case: whole-stream equivalence evidence plus
-/// steady-state (post-warm-up) throughput and allocator pressure.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HotpathRun {
-    /// Wall-clock time of the steady phase (everything after warm-up,
-    /// including the final watermark).
-    pub elapsed: Duration,
-    /// Objects published during the steady phase.
-    pub steady_objects: u64,
-    /// Heap allocations during the steady phase — `None` for sharded
-    /// runs, whose worker threads share the process-global counter.
-    pub steady_allocs: Option<u64>,
-    /// `QueryUpdate`s delivered across the whole stream.
-    pub updates: u64,
-    /// Order-sensitive checksum over every update of the whole stream.
-    pub checksum: u64,
-    /// Digest-plane hit/rebuild counters (shared sessions only).
-    pub digest_hits: u64,
-    /// See [`HotpathRun::digest_hits`].
-    pub digest_rebuilds: u64,
+/// Subscribes every registration in `mix` on a sequential `hub` whose
+/// knobs are already set (they apply to later registrations).
+pub fn serve(mut hub: Hub, mix: impl IntoIterator<Item = Registration>) -> Hub {
+    for registration in mix {
+        hub.subscribe(registration).expect("bench mixes are valid");
+    }
+    hub
 }
 
-impl HotpathRun {
-    /// Steady-phase ingest throughput.
-    pub fn objects_per_sec(&self) -> f64 {
-        self.steady_objects as f64 / self.elapsed.as_secs_f64()
+/// Subscribes every registration in `mix` on an [`AsyncHub`].
+pub fn serve_async(mut hub: AsyncHub, mix: impl IntoIterator<Item = Registration>) -> AsyncHub {
+    for registration in mix {
+        hub.subscribe(registration).expect("bench mixes are valid");
     }
-
-    /// Steady-phase allocations per published object — the
-    /// `BENCH_hotpath.json` headline metric.
-    pub fn allocs_per_object(&self) -> Option<f64> {
-        self.steady_allocs
-            .map(|a| a as f64 / self.steady_objects as f64)
-    }
+    hub
 }
 
-/// Publishes a timed stream to a sequential [`Hub`] serving the mixed
-/// `mix`, in chunks of `chunk` objects. The first `warmup` objects warm
-/// every pooled buffer (and the digest plane) without being measured;
-/// the remainder — plus the final watermark — is timed, with the heap
-/// pressure read from `allocations` (the caller's counting global
-/// allocator). Checksums cover the whole stream and are comparable with
-/// [`run_hotpath_sharded`].
-pub fn run_hotpath(
-    mix: &[HotQuery],
-    data: &[TimedObject],
-    chunk: usize,
-    warmup: usize,
-    allocations: &dyn Fn() -> u64,
-) -> HotpathRun {
-    let mut hub = hub_serving(mix.iter().map(HotQuery::registration));
-    let horizon = data.last().map_or(0, |o| o.timestamp) + 1;
-    let mut updates = 0u64;
-    let mut checksum = CHECKSUM_SEED;
-    let mut fold = |batch: Vec<QueryUpdate>| {
-        for u in batch {
-            updates += 1;
-            checksum = hub_checksum_fold(checksum, &u);
+/// Folds one update into the running hub checksum: the query handle, the
+/// slide index, and the driver's snapshot checksum. Updates must be fed
+/// in `(QueryId, slide)` order for cross-run comparability — exactly the
+/// order `AsyncHub::drain` returns and the order the sequential hub's
+/// per-publish batches already have.
+pub fn hub_checksum_fold(acc: u64, update: &QueryUpdate) -> u64 {
+    let tagged = [
+        Object::new(update.result.slide, 0.0),
+        Object::new(update.result.snapshot.len() as u64, 0.0),
+    ];
+    checksum_fold(checksum_fold(acc, &tagged), &update.result.snapshot)
+}
+
+/// The input a hub run publishes.
+#[derive(Debug, Clone, Copy)]
+pub enum Stream<'a> {
+    /// Count-based input, published with `publish`.
+    Count(&'a [Object]),
+    /// Timestamped input, published with `publish_timed`; the run ends
+    /// with a watermark past the last timestamp, closing every slide.
+    Timed(&'a [TimedObject]),
+}
+
+impl<'a> Stream<'a> {
+    fn len(&self) -> usize {
+        match self {
+            Stream::Count(data) => data.len(),
+            Stream::Timed(data) => data.len(),
         }
+    }
+
+    fn slice(self, range: Range<usize>) -> Stream<'a> {
+        match self {
+            Stream::Count(data) => Stream::Count(&data[range]),
+            Stream::Timed(data) => Stream::Timed(&data[range]),
+        }
+    }
+
+    fn chunks(self, size: usize) -> impl Iterator<Item = Stream<'a>> {
+        let len = self.len();
+        (0..len)
+            .step_by(size)
+            .map(move |lo| self.slice(lo..(lo + size).min(len)))
+    }
+
+    /// The closing watermark of a timed stream.
+    fn horizon(&self) -> Option<u64> {
+        match self {
+            Stream::Count(_) => None,
+            Stream::Timed(data) => Some(data.last().map_or(0, |o| o.timestamp) + 1),
+        }
+    }
+}
+
+/// How a runner publishes its [`Stream`].
+#[derive(Debug, Clone, Copy)]
+pub struct Feed<'a> {
+    /// The input.
+    pub stream: Stream<'a>,
+    /// Objects per publish call; the async runner drains after each.
+    pub chunk: usize,
+    /// Leading objects published before the clock and the allocation
+    /// count start. The run's updates and checksum still cover them.
+    pub warmup: usize,
+    /// A process-wide allocation counter, read around the timed phase.
+    pub allocations: Option<fn() -> u64>,
+    /// A run this one continues: its updates and checksum are the
+    /// starting point, so a run resumed on a restored hub lands on the
+    /// checksum of the uninterrupted run.
+    pub resume: Option<&'a Run>,
+}
+
+impl<'a> Feed<'a> {
+    /// `stream` in chunks of `chunk` objects, timed from the first.
+    pub fn new(stream: Stream<'a>, chunk: usize) -> Feed<'a> {
+        Feed {
+            stream,
+            chunk,
+            warmup: 0,
+            allocations: None,
+            resume: None,
+        }
+    }
+}
+
+/// How a sequential run's timed publishes divide: calls that completed
+/// no slide anywhere (pure ingest) and calls that completed at least one
+/// (serving).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Split {
+    /// Objects published by quiet calls.
+    pub quiet_objects: u64,
+    /// Wall-clock total of the quiet calls.
+    pub quiet: Duration,
+    /// Calls that completed a slide.
+    pub closes: u64,
+    /// Wall-clock total of those calls.
+    pub close: Duration,
+}
+
+/// One measured hub run: what every `BENCH_*.json` record holds.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Run {
+    /// Wall-clock time of the timed phase: every publish after the
+    /// warm-up, the async hub's drains, and a timed stream's closing
+    /// watermark.
+    pub elapsed: Duration,
+    /// Objects published in the timed phase.
+    pub objects: u64,
+    /// `QueryUpdate`s delivered over the whole stream (and the resumed
+    /// run, if any).
+    pub updates: u64,
+    /// Order-sensitive fold of those updates ([`hub_checksum_fold`]):
+    /// equal between runs iff they delivered identical results.
+    pub checksum: u64,
+    /// The hub's counters after the run.
+    pub stats: HubStats,
+    /// The quiet/close split of the timed publishes; `None` on the async
+    /// hub, whose per-call cost spreads over its worker threads.
+    pub split: Option<Split>,
+    /// Heap allocations in the timed phase, if the feed counted them.
+    pub allocs: Option<u64>,
+}
+
+impl Run {
+    /// Objects per second of the timed phase.
+    pub fn objects_per_sec(&self) -> f64 {
+        self.objects as f64 / self.elapsed.as_secs_f64()
+    }
+}
+
+/// What the two runners need from a hub.
+trait Serve {
+    /// Publishes one chunk and returns the updates it completed.
+    fn serve(&mut self, chunk: Stream<'_>) -> Vec<QueryUpdate>;
+    /// Advances the watermark and returns the updates it completed.
+    fn close(&mut self, horizon: u64) -> Vec<QueryUpdate>;
+    /// The hub's counters.
+    fn counters(&mut self) -> HubStats;
+}
+
+impl Serve for Hub {
+    fn serve(&mut self, chunk: Stream<'_>) -> Vec<QueryUpdate> {
+        match chunk {
+            Stream::Count(data) => self.publish(data),
+            Stream::Timed(data) => self.publish_timed(data),
+        }
+    }
+
+    fn close(&mut self, horizon: u64) -> Vec<QueryUpdate> {
+        self.advance_time(horizon)
+    }
+
+    fn counters(&mut self) -> HubStats {
+        self.stats()
+    }
+}
+
+impl Serve for AsyncHub {
+    fn serve(&mut self, chunk: Stream<'_>) -> Vec<QueryUpdate> {
+        match chunk {
+            Stream::Count(data) => self.publish(data),
+            Stream::Timed(data) => self.publish_timed(data),
+        }
+        .expect("no engine panics in the bench mixes");
+        self.drain().expect("no engine panics in the bench mixes")
+    }
+
+    fn close(&mut self, horizon: u64) -> Vec<QueryUpdate> {
+        self.advance_time(horizon)
+            .expect("no engine panics in the bench mixes");
+        self.drain().expect("no engine panics in the bench mixes")
+    }
+
+    fn counters(&mut self) -> HubStats {
+        self.stats().expect("no engine panics in the bench mixes")
+    }
+}
+
+/// Publishes `feed` to a sequential [`Hub`], timing every call so the
+/// run carries its quiet/close [`Split`].
+pub fn run_sequential(hub: &mut Hub, feed: &Feed<'_>) -> Run {
+    run_on(hub, feed, true)
+}
+
+/// Publishes `feed` to an [`AsyncHub`], draining after every chunk
+/// (which bounds the shard-side update accumulation and exercises the
+/// determinism barrier); the timing covers publish and drain.
+pub fn run_async(hub: &mut AsyncHub, feed: &Feed<'_>) -> Run {
+    run_on(hub, feed, false)
+}
+
+fn run_on(hub: &mut impl Serve, feed: &Feed<'_>, attribute: bool) -> Run {
+    let len = feed.stream.len();
+    let warmup = feed.warmup.min(len);
+    let mut updates = feed.resume.map_or(0, |r| r.updates);
+    let mut checksum = feed.resume.map_or(CHECKSUM_SEED, |r| r.checksum);
+    // folds one batch and reports whether it was quiet
+    let mut fold = |batch: Vec<QueryUpdate>| {
+        let quiet = batch.is_empty();
+        for u in &batch {
+            updates += 1;
+            checksum = hub_checksum_fold(checksum, u);
+        }
+        quiet
     };
-    let warmup = warmup.min(data.len());
-    for c in data[..warmup].chunks(chunk) {
-        fold(hub.publish_timed(c));
+    for chunk in feed.stream.slice(0..warmup).chunks(feed.chunk) {
+        fold(hub.serve(chunk));
     }
-    let alloc_base = allocations();
+    let allocs_before = feed.allocations.map(|count| count());
+    let mut split = Split::default();
     let started = Instant::now();
-    for c in data[warmup..].chunks(chunk) {
-        fold(hub.publish_timed(c));
+    for chunk in feed.stream.slice(warmup..len).chunks(feed.chunk) {
+        let before = Instant::now();
+        let quiet = fold(hub.serve(chunk));
+        let took = before.elapsed();
+        if quiet {
+            split.quiet_objects += chunk.len() as u64;
+            split.quiet += took;
+        } else {
+            split.closes += 1;
+            split.close += took;
+        }
     }
-    fold(hub.advance_time(horizon));
+    if let Some(horizon) = feed.stream.horizon() {
+        fold(hub.close(horizon));
+    }
     let elapsed = started.elapsed();
-    let steady_allocs = allocations() - alloc_base;
-    let stats = hub.stats();
-    HotpathRun {
+    let allocs = feed
+        .allocations
+        .zip(allocs_before)
+        .map(|(count, before)| count() - before);
+    Run {
         elapsed,
-        steady_objects: (data.len() - warmup) as u64,
-        steady_allocs: Some(steady_allocs),
+        objects: (len - warmup) as u64,
         updates,
         checksum,
-        digest_hits: stats.digest_hits,
-        digest_rebuilds: stats.digest_rebuilds,
+        stats: hub.counters(),
+        split: attribute.then_some(split),
+        allocs,
     }
 }
 
-/// The sharded cross-check of [`run_hotpath`]: the same mixed set on an
-/// [`AsyncHub`] with a worker per shard, draining per chunk — its
-/// whole-stream checksum must equal the sequential run's. Allocations
-/// are not attributed (worker threads share the global counter), so
-/// `steady_allocs` is `None`.
-pub fn run_hotpath_sharded(
-    mix: &[HotQuery],
-    data: &[TimedObject],
-    chunk: usize,
-    warmup: usize,
-    shards: usize,
-) -> HotpathRun {
-    let mix = mix.iter().map(HotQuery::registration);
-    let run = run_timed_async(mix, data, chunk, warmup, shards);
-    HotpathRun {
-        elapsed: run.elapsed,
-        steady_objects: (data.len() - warmup.min(data.len())) as u64,
-        steady_allocs: None,
-        updates: run.updates,
-        checksum: run.checksum,
-        digest_hits: run.digest_hits,
-        digest_rebuilds: run.digest_rebuilds,
+/// One row of a `BENCH_*.json` artifact: a [`Run`] and its labels.
+#[derive(Debug, Clone)]
+pub struct Record {
+    /// The serving shape measured (`sequential`, `grouped-async`, ...).
+    pub arm: &'static str,
+    /// The query mix served. Rows with equal `(mix, queries)` replay the
+    /// same stream to the same queries, so they must agree on updates
+    /// and checksum.
+    pub mix: &'static str,
+    /// Registered queries.
+    pub queries: usize,
+    /// Logical shards (1 on the sequential hub).
+    pub shards: usize,
+    /// Worker threads (1 on the sequential hub).
+    pub workers: usize,
+    /// The measurement.
+    pub run: Run,
+    /// Preset-specific numbers beyond the run's own.
+    pub extra: Vec<(&'static str, f64)>,
+}
+
+impl Record {
+    /// A sequential-hub row.
+    pub fn new(arm: &'static str, mix: &'static str, queries: usize, run: Run) -> Record {
+        Record {
+            arm,
+            mix,
+            queries,
+            shards: 1,
+            workers: 1,
+            run,
+            extra: Vec::new(),
+        }
+    }
+
+    /// The row of a run on `shards` logical shards and `workers` threads.
+    pub fn on(self, shards: usize, workers: usize) -> Record {
+        Record {
+            shards,
+            workers,
+            ..self
+        }
+    }
+
+    /// Adds a preset-specific number.
+    pub fn with(mut self, metric: &'static str, value: f64) -> Record {
+        self.extra.push((metric, value));
+        self
+    }
+
+    /// The record's `metrics`: the split (per object quiet, per member
+    /// close), the allocations, then the preset's own numbers.
+    fn metrics(&self) -> Vec<(&'static str, Option<f64>)> {
+        let mut metrics = Vec::new();
+        if let Some(s) = self.run.split {
+            let members = s.closes as f64 * self.queries as f64;
+            metrics.extend([
+                ("quiet_objects", Some(s.quiet_objects as f64)),
+                (
+                    "quiet_ns_per_object",
+                    (s.quiet_objects > 0)
+                        .then(|| s.quiet.as_secs_f64() * 1e9 / s.quiet_objects as f64),
+                ),
+                ("closes", Some(s.closes as f64)),
+                (
+                    "close_us_per_member",
+                    (members > 0.0).then(|| s.close.as_secs_f64() * 1e6 / members),
+                ),
+            ]);
+        }
+        if let Some(allocs) = self.run.allocs {
+            metrics.extend([
+                ("allocs", Some(allocs as f64)),
+                (
+                    "allocs_per_object",
+                    Some(allocs as f64 / self.run.objects as f64),
+                ),
+            ]);
+        }
+        metrics.extend(self.extra.iter().map(|&(name, v)| (name, Some(v))));
+        metrics
+    }
+
+    fn json(&self) -> String {
+        let run = &self.run;
+        let elapsed = run.elapsed.as_secs_f64();
+        let metrics: Vec<String> = self
+            .metrics()
+            .into_iter()
+            .map(|(name, v)| format!("\"{name}\": {}", v.map_or("null".into(), |v| num(v, 6))))
+            .collect();
+        format!(
+            "{{\"arm\": \"{}\", \"mix\": \"{}\", \"queries\": {}, \"shards\": {}, \"workers\": {}, \"objects\": {}, \"elapsed_s\": {}, \"objects_per_sec\": {}, \"ns_per_object\": {}, \"updates\": {}, \"checksum\": {}, \"counters\": {}, \"metrics\": {{{}}}}}",
+            self.arm,
+            self.mix,
+            self.queries,
+            self.shards,
+            self.workers,
+            run.objects,
+            num(elapsed, 6),
+            num(run.objects_per_sec(), 6),
+            num(elapsed * 1e9 / run.objects as f64, 6),
+            run.updates,
+            run.checksum,
+            counters_json(&run.stats),
+            metrics.join(", ")
+        )
+    }
+}
+
+/// Every [`HubStats`] field as a JSON object. The destructuring is
+/// exhaustive, so a new counter fails to compile until it is recorded.
+fn counters_json(stats: &HubStats) -> String {
+    let HubStats {
+        queries,
+        count_queries,
+        timed_queries,
+        shared_queries,
+        digest_groups,
+        digest_hits,
+        digest_rebuilds,
+        grouped_queries,
+        count_groups,
+        count_group_hits,
+        count_group_rebuilds,
+        admitted,
+        pruned,
+        result_classes,
+        class_hits,
+        publisher_parks,
+        queue_depth_hwm,
+    } = *stats;
+    format!(
+        "{{\"queries\": {queries}, \"count_queries\": {count_queries}, \"timed_queries\": {timed_queries}, \"shared_queries\": {shared_queries}, \"digest_groups\": {digest_groups}, \"digest_hits\": {digest_hits}, \"digest_rebuilds\": {digest_rebuilds}, \"grouped_queries\": {grouped_queries}, \"count_groups\": {count_groups}, \"count_group_hits\": {count_group_hits}, \"count_group_rebuilds\": {count_group_rebuilds}, \"admitted\": {admitted}, \"pruned\": {pruned}, \"result_classes\": {result_classes}, \"class_hits\": {class_hits}, \"publisher_parks\": {publisher_parks}, \"queue_depth_hwm\": {queue_depth_hwm}}}"
+    )
+}
+
+/// A finite number to `decimals` places, without trailing zeros.
+fn num(v: f64, decimals: usize) -> String {
+    assert!(v.is_finite(), "non-finite measurement {v}");
+    let s = format!("{v:.decimals$}");
+    s.trim_end_matches('0').trim_end_matches('.').to_string()
+}
+
+/// A preset's `BENCH_<preset>.json` artifact:
+/// `{preset, host_cpus, params, records}`.
+#[derive(Debug, Clone)]
+pub struct Artifact {
+    /// The preset name (the artifact is `BENCH_<preset>.json`).
+    pub preset: &'static str,
+    /// Workload parameters, each value already rendered as JSON.
+    pub params: Vec<(&'static str, String)>,
+    /// One row per measured run.
+    pub records: Vec<Record>,
+}
+
+impl Artifact {
+    /// An artifact with no parameters or records yet.
+    pub fn new(preset: &'static str) -> Artifact {
+        Artifact {
+            preset,
+            params: Vec::new(),
+            records: Vec::new(),
+        }
+    }
+
+    /// Adds a numeric parameter.
+    pub fn param(mut self, name: &'static str, value: impl std::fmt::Display) -> Artifact {
+        self.params.push((name, value.to_string()));
+        self
+    }
+
+    /// Adds a text parameter.
+    pub fn text(mut self, name: &'static str, value: &str) -> Artifact {
+        self.params.push((name, format!("\"{value}\"")));
+        self
+    }
+
+    /// Asserts what every artifact must hold before it is written: finite,
+    /// positive throughput and updates on every row, and equal updates and
+    /// checksums on rows with equal `(mix, queries)`.
+    fn check(&self) {
+        for (i, r) in self.records.iter().enumerate() {
+            let ops = r.run.objects_per_sec();
+            let label = format!("[{}] {}({}x{})", self.preset, r.arm, r.shards, r.workers);
+            assert!(
+                ops.is_finite() && ops > 0.0,
+                "{label}: non-finite or zero throughput ({ops})"
+            );
+            assert!(r.run.updates > 0, "{label}: no updates");
+            let first = self.records[..i]
+                .iter()
+                .find(|f| (f.mix, f.queries) == (r.mix, r.queries));
+            if let Some(f) = first {
+                assert_eq!(
+                    (r.run.updates, r.run.checksum),
+                    (f.run.updates, f.run.checksum),
+                    "{label} diverged from {} on the {} mix at {} queries",
+                    f.arm,
+                    r.mix,
+                    r.queries
+                );
+            }
+        }
+    }
+
+    /// The artifact as JSON, one record per line.
+    fn json(&self, host_cpus: usize) -> String {
+        let params: Vec<String> = self
+            .params
+            .iter()
+            .map(|(name, value)| format!("\"{name}\": {value}"))
+            .collect();
+        let records: Vec<String> = self
+            .records
+            .iter()
+            .map(|r| format!("    {}", r.json()))
+            .collect();
+        format!(
+            "{{\n  \"preset\": \"{}\",\n  \"host_cpus\": {host_cpus},\n  \"params\": {{{}}},\n  \"records\": [\n{}\n  ]\n}}\n",
+            self.preset,
+            params.join(", "),
+            records.join(",\n")
+        )
+    }
+
+    /// Prints the records as one table.
+    fn print(&self) {
+        let params: Vec<String> = self
+            .params
+            .iter()
+            .map(|(n, v)| format!("{n}={v}"))
+            .collect();
+        let mut t = Table::new(
+            format!("{}: {}", self.preset, params.join(" ")),
+            &[
+                "arm",
+                "mix",
+                "queries",
+                "shards",
+                "workers",
+                "seconds",
+                "objects/s",
+                "updates",
+                "metrics",
+            ],
+        );
+        for r in &self.records {
+            let metrics: Vec<String> = r
+                .metrics()
+                .into_iter()
+                .filter_map(|(name, v)| v.map(|v| format!("{name}={}", num(v, 3))))
+                .collect();
+            t.row(vec![
+                r.arm.into(),
+                r.mix.into(),
+                r.queries.to_string(),
+                r.shards.to_string(),
+                r.workers.to_string(),
+                format!("{:.3}", r.run.elapsed.as_secs_f64()),
+                format!("{:.0}", r.run.objects_per_sec()),
+                r.run.updates.to_string(),
+                metrics.join(" "),
+            ]);
+        }
+        t.print();
+    }
+
+    /// Checks, prints, and writes the artifact to `path`.
+    pub fn write(&self, path: &str) {
+        self.check();
+        self.print();
+        let host_cpus = std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(1);
+        std::fs::write(path, self.json(host_cpus)).unwrap_or_else(|e| panic!("write {path}: {e}"));
+        println!("\nwrote {path} (host_cpus = {host_cpus})");
     }
 }
 
@@ -1144,6 +973,7 @@ pub fn mem_kb(summary: &RunSummary) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sap_stream::ArrivalProcess;
 
     #[test]
     fn all_algorithms_instantiate_and_run() {
@@ -1180,14 +1010,19 @@ mod tests {
 
     #[test]
     fn hub_runs_agree_across_shard_counts() {
-        let mix = hub_query_mix(17);
+        let mix = count_query_mix(17);
         assert_eq!(mix.len(), 17);
         let data = Dataset::Stock.generate(3_000, 11);
-        let seq = run_hub_sequential(&mix, &data, 250);
+        let feed = Feed::new(Stream::Count(&data), 250);
+        let regs = || mix.iter().map(|(algo, spec)| algo.count(*spec));
+        let seq = run_sequential(&mut serve(Hub::new(), regs()), &feed);
         assert!(seq.updates > 0);
-        assert!(seq.objects_per_sec(data.len()).is_finite());
+        assert!(seq.objects_per_sec().is_finite());
         for shards in [1, 2, 4] {
-            let par = run_hub_sharded(&mix, &data, 250, shards);
+            let par = run_async(
+                &mut serve_async(AsyncHub::new(shards, shards), regs()),
+                &feed,
+            );
             assert_eq!(par.updates, seq.updates, "shards={shards}");
             assert_eq!(par.checksum, seq.checksum, "shards={shards}");
         }
@@ -1195,15 +1030,19 @@ mod tests {
 
     #[test]
     fn timed_hub_runs_agree_across_shard_counts() {
-        use sap_stream::ArrivalProcess;
-        let mix = timed_query_mix(13);
+        let mix = mixed_query_mix(13);
         assert!(mix.iter().any(|(_, s)| matches!(s, QuerySpec::Timed(_))));
         assert!(mix.iter().any(|(_, s)| matches!(s, QuerySpec::Count(_))));
         let data = Dataset::Stock.generate_timed(3_000, 11, ArrivalProcess::poisson(8.0));
-        let seq = run_timed_hub_sequential(&mix, &data, 250);
+        let feed = Feed::new(Stream::Timed(&data), 250);
+        let regs = || mix.iter().map(|(algo, spec)| algo.isolated(*spec));
+        let seq = run_sequential(&mut serve(Hub::new(), regs()), &feed);
         assert!(seq.updates > 0);
         for shards in [1, 2, 4] {
-            let par = run_timed_hub_sharded(&mix, &data, 250, shards);
+            let par = run_async(
+                &mut serve_async(AsyncHub::new(shards, shards), regs()),
+                &feed,
+            );
             assert_eq!(par.updates, seq.updates, "shards={shards}");
             assert_eq!(par.checksum, seq.checksum, "shards={shards}");
         }
@@ -1211,24 +1050,36 @@ mod tests {
 
     #[test]
     fn hotpath_hubs_agree() {
-        use sap_stream::ArrivalProcess;
         let mix = hotpath_query_mix(30);
         assert!(mix.iter().any(|q| matches!(q, HotQuery::Count(..))));
         assert!(mix.iter().any(|q| matches!(q, HotQuery::Timed(..))));
         assert!(mix.iter().any(|q| matches!(q, HotQuery::Shared(..))));
         let data = Dataset::Stock.generate_timed(4_000, 11, ArrivalProcess::poisson(25.0));
+        let regs = || mix.iter().map(HotQuery::registration);
         // no counting allocator installed here: the counter input only
         // feeds the reported metric, not the run itself
-        let none = || 0u64;
-        let pooled = run_hotpath(&mix, &data, 250, 1_000, &none);
+        let counted = Feed {
+            warmup: 1_000,
+            allocations: Some(|| 0),
+            ..Feed::new(Stream::Timed(&data), 250)
+        };
+        let pooled = run_sequential(&mut serve(Hub::new(), regs()), &counted);
         assert!(pooled.updates > 0);
-        assert_eq!(pooled.steady_objects, 3_000);
-        assert!(pooled.digest_hits > 0, "shared members must share");
+        assert_eq!(pooled.objects, 3_000);
+        assert_eq!(pooled.allocs, Some(0));
+        assert!(pooled.stats.digest_hits > 0, "shared members must share");
+        let uncounted = Feed {
+            allocations: None,
+            ..counted
+        };
         for shards in [1, 2] {
-            let par = run_hotpath_sharded(&mix, &data, 250, 1_000, shards);
+            let par = run_async(
+                &mut serve_async(AsyncHub::new(shards, shards), regs()),
+                &uncounted,
+            );
             assert_eq!(par.checksum, pooled.checksum, "shards={shards}");
             assert_eq!(par.updates, pooled.updates, "shards={shards}");
-            assert_eq!(par.steady_allocs, None);
+            assert_eq!(par.allocs, None);
         }
     }
 
@@ -1238,24 +1089,30 @@ mod tests {
         let data = Dataset::Stock.generate(3_000, 11);
         // chunk 125 halves the smallest slide (250), so every other
         // publish is quiet and the quiet-path split has data
-        let iso = run_fanout_isolated(&mix, &data, 125);
-        assert!(iso.run.updates > 0);
+        let feed = Feed::new(Stream::Count(&data), 125);
+        let grouped = || mix.iter().map(|(algo, spec)| algo.grouped(*spec));
+        let iso = run_sequential(
+            &mut serve(Hub::new(), mix.iter().map(|(algo, spec)| algo.count(*spec))),
+            &feed,
+        );
+        assert!(iso.updates > 0);
+        let split = iso.split.expect("sequential runs split");
         assert!(
-            iso.quiet_objects > 0,
+            split.quiet_objects > 0,
             "sub-slide chunks must yield quiet publishes"
         );
-        assert!(iso.quiet_ns_per_object().is_some_and(|ns| ns.is_finite()));
+        assert!((split.quiet.as_secs_f64() * 1e9 / split.quiet_objects as f64).is_finite());
         assert_eq!(
-            iso.stats.count_group_rebuilds, iso.run.updates,
+            iso.stats.count_group_rebuilds, iso.updates,
             "every isolated count slide is a rebuild"
         );
-        let grp = run_fanout_grouped(&mix, &data, 125);
-        assert_eq!(grp.run.updates, iso.run.updates);
+        let grp = run_sequential(&mut serve(Hub::new(), grouped()), &feed);
+        assert_eq!(grp.updates, iso.updates);
         assert_eq!(
-            grp.run.checksum, iso.run.checksum,
+            grp.checksum, iso.checksum,
             "grouping must not change results"
         );
-        assert!(grp.quiet_objects > 0);
+        assert!(grp.split.is_some_and(|s| s.quiet_objects > 0));
         assert_eq!(grp.stats.count_groups, 3, "three slide lengths, one offset");
         assert_eq!(grp.stats.grouped_queries, 40);
         assert!(
@@ -1267,38 +1124,92 @@ mod tests {
             "no isolated count sessions"
         );
         for shards in [1, 2, 4] {
-            let par = run_fanout_grouped_sharded(&mix, &data, 125, shards);
-            assert_eq!(par.run.updates, iso.run.updates, "shards={shards}");
-            assert_eq!(par.run.checksum, iso.run.checksum, "shards={shards}");
+            let par = run_async(
+                &mut serve_async(AsyncHub::new(shards, shards), grouped()),
+                &feed,
+            );
+            assert_eq!(par.updates, iso.updates, "shards={shards}");
+            assert_eq!(par.checksum, iso.checksum, "shards={shards}");
             assert!(par.stats.count_group_hits > 0, "shards={shards}");
-            assert_eq!(par.quiet_objects, 0, "sharded quiet cost is unattributed");
+            assert_eq!(par.split, None, "async quiet cost is unattributed");
         }
     }
 
     #[test]
     fn shared_runs_match_isolated_recomputation() {
-        use sap_stream::ArrivalProcess;
         let mix = shared_query_mix(25);
         let data = Dataset::Stock.generate_timed(3_000, 11, ArrivalProcess::poisson(25.0));
-        let iso = run_shared_isolated(&mix, &data, 250);
+        let feed = Feed::new(Stream::Timed(&data), 250);
+        let shared = || mix.iter().map(|(algo, spec)| algo.shared(*spec));
+        let iso = run_sequential(
+            &mut serve(Hub::new(), mix.iter().map(|(algo, spec)| algo.timed(*spec))),
+            &feed,
+        );
         assert!(iso.updates > 0);
-        assert_eq!(iso.digest_hits, 0, "isolated adapters never share");
-        let shared = run_shared_hub(&mix, &data, 250);
-        assert_eq!(shared.updates, iso.updates);
+        assert_eq!(iso.stats.digest_hits, 0, "isolated adapters never share");
+        let shr = run_sequential(&mut serve(Hub::new(), shared()), &feed);
+        assert_eq!(shr.updates, iso.updates);
         assert_eq!(
-            shared.checksum, iso.checksum,
+            shr.checksum, iso.checksum,
             "sharing must not change results"
         );
         assert!(
-            shared.digest_hits > 0,
+            shr.stats.digest_hits > 0,
             "25 queries over 4 groups must share"
         );
-        assert_eq!(shared.digest_rebuilds, 0, "all registered up front");
+        assert_eq!(shr.stats.digest_rebuilds, 0, "all registered up front");
         for shards in [1, 2, 4] {
-            let par = run_shared_hub_sharded(&mix, &data, 250, shards);
+            let par = run_async(
+                &mut serve_async(AsyncHub::new(shards, shards), shared()),
+                &feed,
+            );
             assert_eq!(par.updates, iso.updates, "shards={shards}");
             assert_eq!(par.checksum, iso.checksum, "shards={shards}");
-            assert!(par.digest_hits > 0, "shards={shards}");
+            assert!(par.stats.digest_hits > 0, "shards={shards}");
         }
+    }
+
+    #[test]
+    fn resumed_run_lands_on_the_uninterrupted_checksum() {
+        let mix = count_query_mix(9);
+        let data = Dataset::Stock.generate(2_000, 5);
+        let regs = || mix.iter().map(|(algo, spec)| algo.count(*spec));
+        let whole = run_sequential(
+            &mut serve(Hub::new(), regs()),
+            &Feed::new(Stream::Count(&data), 200),
+        );
+        let mut hub = serve(Hub::new(), regs());
+        let head = run_sequential(&mut hub, &Feed::new(Stream::Count(&data[..1_000]), 200));
+        let mut restored = Hub::restore(&hub.checkpoint(), &BenchEngineFactory).unwrap();
+        let tail = Feed {
+            resume: Some(&head),
+            ..Feed::new(Stream::Count(&data[1_000..]), 200)
+        };
+        let rest = run_sequential(&mut restored, &tail);
+        assert_eq!(
+            (rest.updates, rest.checksum),
+            (whole.updates, whole.checksum)
+        );
+        assert_eq!(rest.objects, 1_000);
+    }
+
+    #[test]
+    #[should_panic(expected = "diverged")]
+    fn artifact_check_rejects_divergent_rows() {
+        let data = Dataset::Stock.generate(1_000, 5);
+        let mix = count_query_mix(4);
+        let feed = Feed::new(Stream::Count(&data), 100);
+        let run = run_sequential(
+            &mut serve(Hub::new(), mix.iter().map(|(algo, spec)| algo.count(*spec))),
+            &feed,
+        );
+        let mut other = run.clone();
+        other.checksum ^= 1;
+        let mut artifact = Artifact::new("demo").param("len", 1_000);
+        artifact.records = vec![
+            Record::new("a", "count", 4, run),
+            Record::new("b", "count", 4, other),
+        ];
+        artifact.check();
     }
 }

@@ -1,32 +1,30 @@
 #!/usr/bin/env python3
-"""Validate the BENCH_*.json perf artifacts the experiments binary emits.
+"""Validate the BENCH_*.json artifacts the experiments binary writes.
 
 Usage:
-    python3 tools/validate_bench.py BENCH_hub.json BENCH_fanout.json ...
-    python3 tools/validate_bench.py            # every known artifact in cwd
+    python3 tools/validate_bench.py                         # every BENCH_*.json in cwd
+    python3 tools/validate_bench.py BENCH_floor.json ...    # the named artifacts
 
-Every artifact named on the command line must exist and parse; any
-BENCH_*.json sitting in the working directory that this script does not
-know is an error too (a new preset must teach the validator its schema
-before its artifact can land). Each schema check re-asserts the
-invariants the experiments binary enforced at generation time — so a
-stale, truncated, or hand-edited artifact is caught even though a green
-bench run already proved them once:
+Every artifact has one shape, `{preset, host_cpus, params, records}`, and
+every record is
 
-- every numeric field is finite (no NaN/inf smuggled through format!),
-- update checksums agree wherever two paths claim equivalence,
-- the shared digest plane and the count-group plane actually shared
-  (positive hit counters),
-- the hotpath allocation gate holds (pooled allocs/object <= pinned
-  ceiling),
-- the fanout quiet-path cost ratio stays clearly sub-linear in the
-  query-count ladder,
-- the floor preset's memoized slide close stays >= 3x cheaper per member
-  than both pre-memoization arms at the ladder top, with checksum
-  equality across all three and classed serving actually observed,
-- the prune preset's admission control stays >= 3x faster than the
-  knob-off arm at the ladder top while every arm emits byte-identical
-  updates (pruning must be result-invisible to count as pruning).
+    {arm, mix, queries, shards, workers, objects, elapsed_s,
+     objects_per_sec, ns_per_object, updates, checksum, counters, metrics}
+
+where `counters` holds every HubStats field and `metrics` maps names to
+numbers or null. Artifacts carry measurements only; the checks live here,
+in two layers:
+
+- the generic rules, for every artifact: the shape above, finite numbers,
+  positive throughput and updates, and equivalence — records with equal
+  (mix, queries) replayed the same stream to the same queries, so they
+  must agree on updates and checksum;
+- one claim list per preset. A claim computes its ratios from the records
+  and owns its bound.
+
+A BENCH_*.json in the working directory without a claim list fails, and
+so does a named artifact that is missing. Every failure names its rule or
+claim.
 """
 
 import json
@@ -34,584 +32,426 @@ import math
 import sys
 from pathlib import Path
 
-FAILURES = []
-
-
-def fail(artifact, message):
-    FAILURES.append(f"{artifact}: {message}")
-
-
-def check(cond, artifact, message):
-    if not cond:
-        fail(artifact, message)
-    return cond
-
-
-def assert_finite(artifact, value, path="$"):
-    """Recursively reject NaN / inf anywhere in the document."""
-    if isinstance(value, bool) or value is None:
-        return
-    if isinstance(value, (int, float)):
-        check(math.isfinite(value), artifact, f"non-finite number at {path}: {value}")
-    elif isinstance(value, dict):
-        for k, v in value.items():
-            assert_finite(artifact, v, f"{path}.{k}")
-    elif isinstance(value, list):
-        for i, v in enumerate(value):
-            assert_finite(artifact, v, f"{path}[{i}]")
-
-
-def require(artifact, obj, fields, where="run"):
-    missing = [f for f in fields if f not in obj]
-    check(not missing, artifact, f"{where} missing fields: {missing}")
-    return not missing
-
-
-def single_checksum(artifact, runs, label):
-    sums = {r["checksum"] for r in runs}
-    check(
-        len(sums) == 1,
-        artifact,
-        f"{label}: paths claiming equivalence disagree on checksum: {sorted(sums)}",
-    )
-
-
-SCALING_RUN_FIELDS = [
-    "hub",
-    "shards",
-    "elapsed_s",
-    "objects_per_sec",
-    "updates",
-    "checksum",
-    "digest_hits",
-    "digest_rebuilds",
-    "speedup_vs_sequential",
-]
-
-
-def validate_scaling(artifact, doc, bench):
-    """BENCH_hub / BENCH_timed / BENCH_shared share one run schema."""
-    check(doc.get("bench") == bench, artifact, f'expected bench "{bench}", got {doc.get("bench")!r}')
-    runs = doc.get("runs", [])
-    if not check(len(runs) > 0, artifact, "no runs"):
-        return
-    for r in runs:
-        if not require(artifact, r, SCALING_RUN_FIELDS, f'run {r.get("hub")}/{r.get("shards")}'):
-            return
-        check(r["objects_per_sec"] > 0, artifact, f'{r["hub"]}({r["shards"]}): zero throughput')
-        check(r["updates"] > 0, artifact, f'{r["hub"]}({r["shards"]}): zero updates')
-        check(r["speedup_vs_sequential"] > 0, artifact, f'{r["hub"]}({r["shards"]}): zero speedup')
-    # every run replays the same stream to the same queries: all
-    # (update-count, checksum) pairs must be byte-identical
-    check(len({r["updates"] for r in runs}) == 1, artifact, "runs disagree on update count")
-    single_checksum(artifact, runs, "all runs")
-
-
-def validate_hub(artifact, doc):
-    validate_scaling(artifact, doc, "hub_scaling")
-
-
-def validate_timed(artifact, doc):
-    validate_scaling(artifact, doc, "timed_hub_scaling")
-
-
-def validate_shared(artifact, doc):
-    validate_scaling(artifact, doc, "shared_digest_plane")
-    # the preset exists to prove sharing: every non-isolated run must
-    # have served from the digest plane, and equally often
-    shared = [r for r in doc.get("runs", []) if r.get("hub") != "isolated"]
-    check(len(shared) > 0, artifact, "no shared runs")
-    for r in shared:
-        check(
-            r.get("digest_hits", 0) > 0,
-            artifact,
-            f'{r["hub"]}({r["shards"]}): shared run with zero digest hits',
-        )
-    check(
-        len({r.get("digest_hits") for r in shared}) == 1,
-        artifact,
-        "shared runs disagree on digest-hit count",
-    )
-
-
-def validate_hotpath(artifact, doc):
-    check(doc.get("bench") == "hotpath", artifact, f'expected bench "hotpath", got {doc.get("bench")!r}')
-    if not require(artifact, doc, ["alloc_ceiling", "runs"], "top level"):
-        return
-    runs = doc["runs"]
-    by_path = {r.get("path"): r for r in runs}
-    if not check("pooled" in by_path, artifact, f"need a pooled run, got {sorted(by_path)}"):
-        return
-    for r in runs:
-        require(
-            artifact,
-            r,
-            ["path", "shards", "elapsed_s", "objects_per_sec", "updates", "checksum"],
-            f'run {r.get("path")}',
-        )
-    # the allocation gate, re-checked from the committed numbers
-    pooled = by_path["pooled"]
-    check(
-        pooled.get("allocs_per_object") is not None,
-        artifact,
-        "pooled run lost its allocation count",
-    )
-    if pooled.get("allocs_per_object") is not None:
-        check(
-            pooled["allocs_per_object"] <= doc["alloc_ceiling"],
-            artifact,
-            f'pooled allocs/object {pooled["allocs_per_object"]} over ceiling {doc["alloc_ceiling"]}',
-        )
-    # pooled and pooled-sharded claim byte-identical output
-    single_checksum(artifact, runs, "pooled/sharded")
-
-
-def validate_checkpoint(artifact, doc):
-    check(
-        doc.get("bench") == "checkpoint_roundtrip",
-        artifact,
-        f'expected bench "checkpoint_roundtrip", got {doc.get("bench")!r}',
-    )
-    runs = doc.get("runs", [])
-    if not check(len(runs) > 0, artifact, "no runs"):
-        return
-    hubs = {r.get("hub") for r in runs}
-    check({"sequential", "sharded"} <= hubs, artifact, f"need sequential and sharded runs, got {sorted(hubs)}")
-    for r in runs:
-        if not require(
-            artifact,
-            r,
-            ["hub", "shards", "queries", "checkpoint_bytes", "bytes_per_query", "checkpoint_ms", "restore_ms", "checksum"],
-            f'run {r.get("hub")}/{r.get("queries")}',
-        ):
-            return
-        label = f'{r["hub"]}({r["queries"]} queries)'
-        check(r["checkpoint_bytes"] > 0, artifact, f"{label}: empty checkpoint")
-        check(r["checkpoint_ms"] > 0, artifact, f"{label}: zero checkpoint latency")
-        check(r["restore_ms"] > 0, artifact, f"{label}: zero restore latency")
-    # different session counts see different update streams, but every
-    # run at the same session count restored onto the same checksum
-    by_queries = {}
-    for r in runs:
-        by_queries.setdefault(r["queries"], []).append(r)
-    for q, group in by_queries.items():
-        single_checksum(artifact, group, f"{q}-query runs")
-
-
-FANOUT_RUN_FIELDS = [
-    "hub",
-    "shards",
+RECORD_FIELDS = (
+    "arm",
+    "mix",
     "queries",
+    "shards",
+    "workers",
+    "objects",
     "elapsed_s",
     "objects_per_sec",
     "ns_per_object",
-    "quiet_objects",
-    "quiet_ns_per_object",
     "updates",
     "checksum",
+    "counters",
+    "metrics",
+)
+INT_FIELDS = ("queries", "shards", "workers", "objects", "updates", "checksum")
+FLOAT_FIELDS = ("elapsed_s", "objects_per_sec", "ns_per_object")
+COUNTERS = (
+    "queries",
+    "count_queries",
+    "timed_queries",
+    "shared_queries",
+    "digest_groups",
+    "digest_hits",
+    "digest_rebuilds",
+    "grouped_queries",
     "count_groups",
     "count_group_hits",
     "count_group_rebuilds",
-    "speedup_vs_isolated",
-]
-
-
-def validate_fanout(artifact, doc):
-    check(doc.get("bench") == "fanout", artifact, f'expected bench "fanout", got {doc.get("bench")!r}')
-    if not require(
-        artifact,
-        doc,
-        [
-            "queries",
-            "geometry_classes",
-            "ladder_factor",
-            "cost_ratio_isolated",
-            "cost_ratio_grouped",
-            "quiet_cost_ratio_isolated",
-            "quiet_cost_ratio_grouped",
-            "runs",
-        ],
-        "top level",
-    ):
-        return
-    runs = doc["runs"]
-    if not check(len(runs) > 0, artifact, "no runs"):
-        return
-    rungs = {}
-    for r in runs:
-        if not require(artifact, r, FANOUT_RUN_FIELDS, f'run {r.get("hub")}/{r.get("queries")}'):
-            return
-        rungs.setdefault(r["queries"], {})[r["hub"]] = r
-    classes = doc["geometry_classes"]
-    top = max(rungs)
-    for count, pair in sorted(rungs.items()):
-        if not check(
-            {"isolated", "grouped"} <= set(pair),
-            artifact,
-            f"{count}-query rung missing isolated or grouped run (got {sorted(pair)})",
-        ):
-            continue
-        iso, grp = pair["isolated"], pair["grouped"]
-        label = f"{count}-query rung"
-        # the two serving paths must be observationally identical
-        check(
-            grp["updates"] == iso["updates"],
-            artifact,
-            f'{label}: grouped delivered {grp["updates"]} updates, isolated {iso["updates"]}',
-        )
-        single_checksum(artifact, list(pair.values()), label)
-        # and the grouped path must actually have shared: every member
-        # served from its geometry class's digest, never a private rebuild
-        check(grp["count_group_hits"] > 0, artifact, f"{label}: grouped run never hit a count group")
-        check(
-            grp["count_group_rebuilds"] == 0,
-            artifact,
-            f'{label}: grouped run ticked {grp["count_group_rebuilds"]} isolated rebuilds',
-        )
-        check(
-            grp["count_groups"] == classes,
-            artifact,
-            f'{label}: {grp["count_groups"]} count groups, mix has {classes} geometry classes',
-        )
-        # an isolated count session ticks one rebuild per update by
-        # construction — anything else means the counters are fabricated
-        check(
-            iso["count_group_rebuilds"] == iso["updates"],
-            artifact,
-            f'{label}: isolated rebuilds {iso["count_group_rebuilds"]} != updates {iso["updates"]}',
-        )
-        if iso["quiet_ns_per_object"] is not None:
-            check(iso["quiet_objects"] > 0, artifact, f"{label}: quiet cost without quiet objects")
-    # the sharded cross-check run lands on the top rung's reference
-    sharded = [r for r in runs if r["hub"] == "grouped-sharded"]
-    check(len(sharded) > 0, artifact, "no grouped-sharded cross-check run")
-    for r in sharded:
-        check(
-            r["checksum"] == rungs[top]["isolated"]["checksum"],
-            artifact,
-            f'grouped-sharded({r["shards"]}) diverged from the top-rung reference',
-        )
-        check(r["count_group_hits"] > 0, artifact, f'grouped-sharded({r["shards"]}): no count-group hits')
-    # the tentpole claim: the quiet (no-slide-completed) ingest cost of
-    # the grouped path is per-geometry-class, not per-query. Three
-    # faces of it, from strongest to jitter-proofest: the grouped quiet
-    # cost grows sub-linearly in the query ladder, slower than the
-    # isolated path's (which buffers every object into every session),
-    # and at the top rung it is a small fraction of the isolated cost
-    # in absolute terms (the committed artifact shows ~0.1%; 5% leaves
-    # room for CI-runner noise at smoke scale, not for a regression
-    # back to per-query ingest).
-    ladder = doc["ladder_factor"]
-    grp_ratio = doc["quiet_cost_ratio_grouped"]
-    if ladder >= 2.0:
-        check(
-            grp_ratio < ladder,
-            artifact,
-            f"grouped quiet cost grew {grp_ratio}x over a {ladder}x ladder — not sub-linear",
-        )
-        check(
-            grp_ratio < doc["quiet_cost_ratio_isolated"],
-            artifact,
-            f'grouped quiet ratio {grp_ratio}x not below isolated {doc["quiet_cost_ratio_isolated"]}x',
-        )
-    top_pair = rungs[top]
-    if {"isolated", "grouped"} <= set(top_pair):
-        iso_q = top_pair["isolated"]["quiet_ns_per_object"]
-        grp_q = top_pair["grouped"]["quiet_ns_per_object"]
-        if iso_q is not None and grp_q is not None:
-            check(
-                grp_q <= 0.05 * iso_q,
-                artifact,
-                f"top rung: grouped quiet cost {grp_q} ns/object is not far below isolated {iso_q}",
-            )
-
-
-ASYNC_RUN_FIELDS = [
-    "hub",
-    "shards",
-    "workers",
-    "elapsed_s",
-    "objects_per_sec",
-    "updates",
-    "checksum",
-    "publisher_parks",
-    "speedup_vs_sequential",
-]
-
-
-FLOOR_RUN_FIELDS = [
-    "arm",
-    "queries",
-    "elapsed_s",
-    "objects_per_sec",
-    "closes",
-    "close_us_per_member",
-    "quiet_objects",
-    "quiet_ns_per_object",
-    "updates",
-    "checksum",
-    "result_classes",
-    "class_hits",
-]
-
-
-def validate_floor(artifact, doc):
-    check(doc.get("bench") == "floor", artifact, f'expected bench "floor", got {doc.get("bench")!r}')
-    if not require(
-        artifact,
-        doc,
-        [
-            "queries",
-            "geometry",
-            "geometry_classes",
-            "top_queries",
-            "improvement_vs_isolated",
-            "improvement_vs_unclassed",
-            "runs",
-        ],
-        "top level",
-    ):
-        return
-    runs = doc["runs"]
-    if not check(len(runs) > 0, artifact, "no runs"):
-        return
-    rungs = {}
-    for r in runs:
-        if not require(artifact, r, FLOOR_RUN_FIELDS, f'run {r.get("arm")}/{r.get("queries")}'):
-            return
-        check(
-            r["close_us_per_member"] > 0,
-            artifact,
-            f'{r["arm"]}({r["queries"]}): zero slide-close cost',
-        )
-        check(r["closes"] > 0, artifact, f'{r["arm"]}({r["queries"]}): no closed slides')
-        rungs.setdefault(r["queries"], {})[r["arm"]] = r
-    for count, arms in sorted(rungs.items()):
-        label = f"{count}-query rung"
-        if not check(
-            {"isolated", "unclassed", "classed"} <= set(arms),
-            artifact,
-            f"{label} missing an arm (got {sorted(arms)})",
-        ):
-            continue
-        # the three serving shapes must be observationally identical
-        check(
-            len({r["updates"] for r in arms.values()}) == 1,
-            artifact,
-            f"{label}: arms disagree on update count",
-        )
-        single_checksum(artifact, list(arms.values()), label)
-        # classed serving must actually have happened — and have been
-        # impossible on the knob-off arm
-        check(
-            arms["classed"]["class_hits"] > 0,
-            artifact,
-            f"{label}: classed run never served a memoized close",
-        )
-        check(
-            arms["classed"]["result_classes"] == doc["geometry_classes"],
-            artifact,
-            f'{label}: {arms["classed"]["result_classes"]} result classes, '
-            f'geometry has {doc["geometry_classes"]}',
-        )
-        check(
-            arms["unclassed"]["class_hits"] == 0,
-            artifact,
-            f'{label}: knob-off run claims {arms["unclassed"]["class_hits"]} memoized closes',
-        )
-    # the headline claim: at the ladder top, the memoized close is >= 3x
-    # cheaper per member than both pre-memoization shapes
-    top = doc["top_queries"]
-    check(top in rungs, artifact, f"top_queries {top} has no runs")
-    for field in ("improvement_vs_isolated", "improvement_vs_unclassed"):
-        check(
-            doc[field] >= 3.0,
-            artifact,
-            f"{field} {doc[field]} < 3.0 — the result-class tier stopped paying for itself",
-        )
-    if top in rungs and {"isolated", "unclassed", "classed"} <= set(rungs[top]):
-        arms = rungs[top]
-        for field, arm in (
-            ("improvement_vs_isolated", "isolated"),
-            ("improvement_vs_unclassed", "unclassed"),
-        ):
-            derived = arms[arm]["close_us_per_member"] / arms["classed"]["close_us_per_member"]
-            check(
-                abs(derived - doc[field]) <= 0.05 * derived,
-                artifact,
-                f"{field} {doc[field]} does not match the top-rung runs ({derived:.3f})",
-            )
-
-
-PRUNE_RUN_FIELDS = [
-    "arm",
-    "queries",
-    "elapsed_s",
-    "objects_per_sec",
-    "updates",
-    "checksum",
     "admitted",
     "pruned",
-    "prune_rate",
-]
+    "result_classes",
+    "class_hits",
+    "publisher_parks",
+    "queue_depth_hwm",
+)
 
-PRUNE_ARMS = {"off", "dominance", "dominance+predicate"}
+# the bounds the claims own
+ALLOC_CEILING = 90.0  # steady-state allocations per published object
+MIN_IMPROVEMENT = 3.0  # floor and prune top-rung ratios
+QUIET_FLOOR = 0.05  # fanout top-rung grouped quiet cost vs isolated
 
 
-def validate_prune(artifact, doc):
-    check(doc.get("bench") == "prune", artifact, f'expected bench "prune", got {doc.get("bench")!r}')
-    if not require(
-        artifact,
-        doc,
-        [
-            "queries",
-            "len",
-            "sd_base",
-            "top_queries",
-            "speedup_dominance",
-            "speedup_predicate",
-            "runs",
-        ],
-        "top level",
-    ):
+def is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def label(r):
+    return f'{r["arm"]}[{r["mix"]}, {r["queries"]} queries, {r["shards"]}x{r["workers"]}]'
+
+
+def rows(doc, arm=None, mix=None):
+    return [
+        r
+        for r in doc["records"]
+        if (arm is None or r["arm"] == arm) and (mix is None or r["mix"] == mix)
+    ]
+
+
+def rungs(doc):
+    """queries -> {arm: record}, for presets with one row per arm and rung."""
+    out = {}
+    for r in doc["records"]:
+        out.setdefault(r["queries"], {})[r["arm"]] = r
+    return out
+
+
+def missing_arms(doc, arms):
+    for queries, present in sorted(rungs(doc).items()):
+        lost = sorted(set(arms) - set(present))
+        if lost:
+            yield f"{queries}-query rung lacks {lost}"
+
+
+def metric(r, name):
+    """A metric that must be present and non-null."""
+    v = r["metrics"][name]
+    if v is None:
+        raise ValueError(f"{label(r)} has no {name}")
+    return v
+
+
+# --- generic rules ------------------------------------------------------
+
+
+def shape(doc, preset):
+    if not isinstance(doc, dict):
+        yield "artifact is not a JSON object"
         return
-    runs = doc["runs"]
-    if not check(len(runs) > 0, artifact, "no runs"):
+    keys = sorted(doc)
+    if keys != sorted(("preset", "host_cpus", "params", "records")):
+        yield f"top-level keys {keys}"
         return
-    rungs = {}
-    for r in runs:
-        if not require(artifact, r, PRUNE_RUN_FIELDS, f'run {r.get("arm")}/{r.get("queries")}'):
-            return
-        label = f'{r["arm"]}({r["queries"]})'
-        check(r["objects_per_sec"] > 0, artifact, f"{label}: zero throughput")
-        check(r["updates"] > 0, artifact, f"{label}: zero updates")
-        if r["arm"] == "off":
-            # the reference arm must never drop an object: pruned stays
-            # zero by construction, so a nonzero count means the knob
-            # leaked into the baseline
-            check(r["pruned"] == 0, artifact, f"{label}: knob-off run claims pruned objects")
-            check(r["prune_rate"] == 0.0, artifact, f"{label}: knob-off run claims a prune rate")
-        else:
-            # a pruning arm that never pruned proves nothing — the
-            # preset's skewed scores guarantee dominated arrivals
-            check(r["pruned"] > 0, artifact, f"{label}: pruning arm never pruned")
-            check(r["prune_rate"] > 0.0, artifact, f"{label}: zero prune rate on a pruning arm")
-        rungs.setdefault(r["queries"], {})[r["arm"]] = r
-    for count, arms in sorted(rungs.items()):
-        label = f"{count}-query rung"
-        if not check(
-            PRUNE_ARMS <= set(arms),
-            artifact,
-            f"{label} missing an arm (got {sorted(arms)})",
-        ):
+    if doc["preset"] != preset:
+        yield f'preset {doc["preset"]!r} in a file named for {preset!r}'
+    if not is_int(doc["host_cpus"]) or doc["host_cpus"] < 1:
+        yield f'host_cpus {doc["host_cpus"]!r}'
+    if not isinstance(doc["params"], dict):
+        yield "params is not an object"
+    records = doc["records"]
+    if not isinstance(records, list) or not records:
+        yield "no records"
+        return
+    for i, r in enumerate(records):
+        where = f"record {i}"
+        if not isinstance(r, dict) or sorted(r) != sorted(RECORD_FIELDS):
+            yield f"{where}: fields {sorted(r) if isinstance(r, dict) else r!r}"
             continue
-        # pruning must be result-invisible: same update stream, same
-        # checksum, on every arm of every rung
-        check(
-            len({r["updates"] for r in arms.values()}) == 1,
-            artifact,
-            f"{label}: arms disagree on update count",
-        )
-        single_checksum(artifact, list(arms.values()), label)
-    # the headline claim: at the ladder top, admission control is >= 3x
-    # faster than publishing every object into every group
-    top = doc["top_queries"]
-    check(top in rungs, artifact, f"top_queries {top} has no runs")
-    for field in ("speedup_dominance", "speedup_predicate"):
-        check(
-            doc[field] >= 3.0,
-            artifact,
-            f"{field} {doc[field]} < 3.0 — admission control stopped paying for itself",
-        )
-    if top in rungs and PRUNE_ARMS <= set(rungs[top]):
-        arms = rungs[top]
-        for field, arm in (
-            ("speedup_dominance", "dominance"),
-            ("speedup_predicate", "dominance+predicate"),
+        for field in ("arm", "mix"):
+            if not isinstance(r[field], str) or not r[field]:
+                yield f"{where}: {field} {r[field]!r}"
+        for field in INT_FIELDS:
+            if not is_int(r[field]) or r[field] < 0:
+                yield f"{where}: {field} {r[field]!r} is not a count"
+        for field in FLOAT_FIELDS:
+            if not is_number(r[field]):
+                yield f"{where}: {field} {r[field]!r} is not a number"
+        counters = r["counters"]
+        if not isinstance(counters, dict) or sorted(counters) != sorted(COUNTERS):
+            yield f"{where}: counters {sorted(counters) if isinstance(counters, dict) else counters!r}"
+        elif not all(is_int(v) and v >= 0 for v in counters.values()):
+            yield f"{where}: a counter is not a count"
+        metrics = r["metrics"]
+        if not isinstance(metrics, dict) or not all(
+            v is None or is_number(v) for v in metrics.values()
         ):
-            derived = arms[arm]["objects_per_sec"] / arms["off"]["objects_per_sec"]
-            check(
-                abs(derived - doc[field]) <= 0.05 * derived,
-                artifact,
-                f"{field} {doc[field]} does not match the top-rung runs ({derived:.3f})",
+            yield f"{where}: metrics must map names to numbers or null"
+
+
+def finite(doc, path="$"):
+    if is_number(doc):
+        if not math.isfinite(doc):
+            yield f"non-finite number at {path}: {doc}"
+    elif isinstance(doc, dict):
+        for k, v in doc.items():
+            yield from finite(v, f"{path}.{k}")
+    elif isinstance(doc, list):
+        for i, v in enumerate(doc):
+            yield from finite(v, f"{path}[{i}]")
+
+
+def positive(doc):
+    for r in doc["records"]:
+        for field in ("objects", "elapsed_s", "objects_per_sec", "updates"):
+            if not r[field] > 0:
+                yield f"{label(r)}: {field} is {r[field]}"
+
+
+def equivalence(doc):
+    first = {}
+    for r in doc["records"]:
+        key = (r["mix"], r["queries"])
+        ref = first.setdefault(key, r)
+        if (r["updates"], r["checksum"]) != (ref["updates"], ref["checksum"]):
+            yield (
+                f'{label(r)} delivered {r["updates"]} updates with checksum {r["checksum"]}, '
+                f'{ref["arm"]} {ref["updates"]} with {ref["checksum"]}'
             )
 
 
-def validate_async(artifact, doc):
-    check(doc.get("bench") == "async_hub", artifact, f'expected bench "async_hub", got {doc.get("bench")!r}')
-    if not require(
-        artifact,
-        doc,
-        ["host_cpus", "logical_shards", "alloc_ceiling", "allocs_per_object", "runs"],
-        "top level",
-    ):
-        return
-    runs = doc.get("runs", [])
-    if not check(len(runs) > 0, artifact, "no runs"):
-        return
-    by_hub = {}
-    for r in runs:
-        if not require(artifact, r, ASYNC_RUN_FIELDS, f'run {r.get("hub")}/{r.get("workers")}w'):
-            return
-        label = f'{r["hub"]}({r["shards"]} shards, {r["workers"]} workers)'
-        check(r["objects_per_sec"] > 0, artifact, f"{label}: zero throughput")
-        check(r["updates"] > 0, artifact, f"{label}: zero updates")
-        check(r["publisher_parks"] >= 0, artifact, f"{label}: negative park count")
-        by_hub.setdefault(r["hub"], []).append(r)
-    if not check(
-        {"sequential", "async"} <= set(by_hub),
-        artifact,
-        f"need sequential and async runs, got {sorted(by_hub)}",
-    ):
-        return
-    # every run replays the same stream to the same queries
-    check(len({r["updates"] for r in runs}) == 1, artifact, "runs disagree on update count")
-    single_checksum(artifact, runs, "all runs")
-    # the preset exists to prove oversubscribed serving: there must be a
-    # run with more logical shards than cores and one with more workers
-    # than cores, and neither may have stalled the publisher
+# --- shared: the digest plane against per-session recomputation ---------
+
+
+def shared_arms(doc):
+    yield from missing_arms(doc, {"isolated", "shared", "shared-async"})
+
+
+def shared_digest_hits(doc):
+    """Every shared row served slides from group digests, equally often."""
+    shared = [r for r in doc["records"] if r["arm"] != "isolated"]
+    for r in shared:
+        if r["counters"]["digest_hits"] <= 0:
+            yield f"{label(r)}: zero digest hits"
+    if len({r["counters"]["digest_hits"] for r in shared}) > 1:
+        yield "shared rows disagree on digest hits"
+
+
+# --- hotpath: the allocation gate ---------------------------------------
+
+
+def hotpath_arms(doc):
+    yield from missing_arms(doc, {"pooled", "pooled-async"})
+
+
+def hotpath_alloc_ceiling(doc):
+    for r in rows(doc, arm="pooled"):
+        apo = metric(r, "allocs_per_object")
+        if apo > ALLOC_CEILING:
+            yield f"{label(r)}: {apo} allocations per object, ceiling {ALLOC_CEILING}"
+
+
+# --- checkpoint: round trips land on the uninterrupted run --------------
+
+
+def checkpoint_arms(doc):
+    yield from missing_arms(doc, {"uninterrupted", "restored"})
+    if not rows(doc, arm="restored-async"):
+        yield "no restored-async row"
+
+
+def checkpoint_cost(doc):
+    for r in doc["records"]:
+        if r["arm"].startswith("restored"):
+            for name in ("checkpoint_bytes", "checkpoint_ms", "restore_ms"):
+                if not metric(r, name) > 0:
+                    yield f"{label(r)}: {name} is {r['metrics'][name]}"
+
+
+# --- fanout: the count-group plane's sub-linear ingest ------------------
+
+
+def fanout_arms(doc):
+    yield from missing_arms(doc, {"isolated", "grouped"})
+    if not rows(doc, arm="grouped-async"):
+        yield "no grouped-async row"
+
+
+def fanout_isolated_rebuilds(doc):
+    """An isolated count session ticks one rebuild per update."""
+    for r in rows(doc, arm="isolated"):
+        if r["counters"]["count_group_rebuilds"] != r["updates"]:
+            yield f'{label(r)}: {r["counters"]["count_group_rebuilds"]} rebuilds, {r["updates"]} updates'
+
+
+def fanout_grouped_sharing(doc):
+    classes = doc["params"]["geometry_classes"]
+    for r in doc["records"]:
+        if r["arm"].startswith("grouped"):
+            c = r["counters"]
+            if c["count_group_hits"] <= 0:
+                yield f"{label(r)}: never hit a count group"
+            if c["count_group_rebuilds"] != 0:
+                yield f'{label(r)}: {c["count_group_rebuilds"]} isolated rebuilds'
+            if c["count_groups"] != classes:
+                yield f'{label(r)}: {c["count_groups"]} count groups, the mix has {classes} geometries'
+
+
+def quiet_ns(r):
+    if not metric(r, "quiet_objects") > 0:
+        raise ValueError(f"{label(r)} published no quiet objects")
+    return metric(r, "quiet_ns_per_object")
+
+
+def quiet_costs(doc):
+    """(queries, isolated quiet ns/object, grouped quiet ns/object) per rung."""
+    out = []
+    for queries, arms in sorted(rungs(doc).items()):
+        out.append((queries, quiet_ns(arms["isolated"]), quiet_ns(arms["grouped"])))
+    return out
+
+
+def fanout_quiet_sublinear(doc):
+    """The grouped quiet cost grows slower than the ladder and than isolated's."""
+    costs = quiet_costs(doc)
+    (q_lo, iso_lo, grp_lo), (q_hi, iso_hi, grp_hi) = costs[0], costs[-1]
+    ladder = q_hi / q_lo
+    if ladder >= 2.0:
+        grp_ratio, iso_ratio = grp_hi / grp_lo, iso_hi / iso_lo
+        if not grp_ratio < ladder:
+            yield f"grouped quiet cost grew {grp_ratio:.3f}x over a {ladder:.1f}x ladder"
+        if not grp_ratio < iso_ratio:
+            yield f"grouped quiet ratio {grp_ratio:.3f}x not below isolated {iso_ratio:.3f}x"
+
+
+def fanout_quiet_floor(doc):
+    """At the top rung the grouped quiet cost is a small fraction of isolated's."""
+    queries, iso, grp = quiet_costs(doc)[-1]
+    if not grp <= QUIET_FLOOR * iso:
+        yield f"{queries}-query rung: grouped quiet {grp} ns/object vs isolated {iso}"
+
+
+# --- floor: result classes collapse the per-member close ----------------
+
+
+def floor_arms(doc):
+    yield from missing_arms(doc, {"isolated", "unclassed", "classed"})
+
+
+def floor_closes(doc):
+    for r in doc["records"]:
+        if not (metric(r, "closes") > 0 and metric(r, "close_us_per_member") > 0):
+            yield f"{label(r)}: no slide-close cost"
+
+
+def floor_classes(doc):
+    """Classed serving happened, in one class per geometry; knob-off never memoized."""
+    classes = doc["params"]["geometry_classes"]
+    for r in rows(doc, arm="classed"):
+        if r["counters"]["class_hits"] <= 0:
+            yield f"{label(r)}: never served a memoized close"
+        if r["counters"]["result_classes"] != classes:
+            yield f'{label(r)}: {r["counters"]["result_classes"]} result classes, {classes} geometries'
+    for r in rows(doc, arm="unclassed"):
+        if r["counters"]["class_hits"] != 0:
+            yield f'{label(r)}: {r["counters"]["class_hits"]} memoized closes with the knob off'
+
+
+def floor_memoized_close(doc):
+    """At the top rung the classed close is >= 3x cheaper per member than both others."""
+    queries, arms = max(rungs(doc).items())
+    classed = metric(arms["classed"], "close_us_per_member")
+    for arm in ("isolated", "unclassed"):
+        ratio = metric(arms[arm], "close_us_per_member") / classed
+        if ratio < MIN_IMPROVEMENT:
+            yield f"{queries}-query rung: classed close only {ratio:.3f}x cheaper than {arm}"
+
+
+# --- prune: admission control at the ingest gate ------------------------
+
+
+def prune_arms(doc):
+    yield from missing_arms(doc, {"off", "dominance", "dominance+predicate"})
+
+
+def prune_off_never_prunes(doc):
+    """The knob-off arm prunes nothing, so its prune rate is 0."""
+    for r in rows(doc, arm="off"):
+        if r["counters"]["pruned"] != 0:
+            yield f'{label(r)}: knob-off run pruned {r["counters"]["pruned"]}'
+
+
+def prune_gate_fires(doc):
+    """Both pruning arms pruned, so their prune rates are positive."""
+    for r in doc["records"]:
+        if r["arm"] != "off" and r["counters"]["pruned"] <= 0:
+            yield f"{label(r)}: the pruning arm never pruned"
+
+
+def prune_speedup(doc):
+    """At the top rung both pruning arms are >= 3x faster than knob-off."""
+    queries, arms = max(rungs(doc).items())
+    off = arms["off"]["objects_per_sec"]
+    for arm in ("dominance", "dominance+predicate"):
+        ratio = arms[arm]["objects_per_sec"] / off
+        if ratio < MIN_IMPROVEMENT:
+            yield f"{queries}-query rung: {arm} only {ratio:.3f}x the knob-off throughput"
+
+
+# --- async: many shards on few workers, both mixes ----------------------
+
+ASYNC_MIXES = ("count", "mixed")
+
+
+def async_arms(doc):
+    for mix in ASYNC_MIXES:
+        for arm in ("sequential", "async"):
+            if not rows(doc, arm=arm, mix=mix):
+                yield f"no {arm} row on the {mix} mix"
+
+
+def async_oversubscribed(doc):
+    """Each mix runs more logical shards, and more workers, than host cores."""
     cpus = doc["host_cpus"]
-    check(
-        doc["logical_shards"] > cpus,
-        artifact,
-        f'logical_shards {doc["logical_shards"]} not above host_cpus {cpus}',
-    )
-    async_runs = by_hub["async"]
-    check(
-        any(r["shards"] > cpus for r in async_runs),
-        artifact,
-        "no async run with shards > host_cpus",
-    )
-    check(
-        any(r["workers"] > cpus for r in async_runs),
-        artifact,
-        "no async run with workers > host_cpus",
-    )
-    for r in async_runs:
-        check(
-            r["publisher_parks"] == 0,
-            artifact,
-            f'async({r["workers"]}w) parked the publisher {r["publisher_parks"]} times at bench chunking',
-        )
-    # the quiet-path allocation gate, re-checked from committed numbers
-    check(
-        doc["allocs_per_object"] <= doc["alloc_ceiling"],
-        artifact,
-        f'allocs/object {doc["allocs_per_object"]} over ceiling {doc["alloc_ceiling"]}',
-    )
+    for mix in ASYNC_MIXES:
+        served = rows(doc, arm="async", mix=mix)
+        if not any(r["shards"] > cpus for r in served):
+            yield f"no {mix} row with shards > host_cpus ({cpus})"
+        if not any(r["workers"] > cpus for r in served):
+            yield f"no {mix} row with workers > host_cpus ({cpus})"
 
 
-KNOWN = {
-    "BENCH_hub.json": validate_hub,
-    "BENCH_timed.json": validate_timed,
-    "BENCH_shared.json": validate_shared,
-    "BENCH_hotpath.json": validate_hotpath,
-    "BENCH_checkpoint.json": validate_checkpoint,
-    "BENCH_fanout.json": validate_fanout,
-    "BENCH_floor.json": validate_floor,
-    "BENCH_async.json": validate_async,
-    "BENCH_prune.json": validate_prune,
+def async_publisher_never_parks(doc):
+    for r in rows(doc, arm="async"):
+        if r["counters"]["publisher_parks"] != 0:
+            yield f'{label(r)}: parked the publisher {r["counters"]["publisher_parks"]} times'
+
+
+def async_alloc_ceiling(doc):
+    """The one-worker count row's steady state stays under the ceiling."""
+    counted = [r for r in rows(doc, arm="async", mix="count") if r["workers"] == 1]
+    if not counted:
+        yield "no one-worker async row on the count mix"
+    for r in counted:
+        apo = metric(r, "allocs_per_object")
+        if apo > ALLOC_CEILING:
+            yield f"{label(r)}: {apo} allocations per object, ceiling {ALLOC_CEILING}"
+
+
+CLAIMS = {
+    "async": [async_arms, async_oversubscribed, async_publisher_never_parks, async_alloc_ceiling],
+    "checkpoint": [checkpoint_arms, checkpoint_cost],
+    "fanout": [
+        fanout_arms,
+        fanout_isolated_rebuilds,
+        fanout_grouped_sharing,
+        fanout_quiet_sublinear,
+        fanout_quiet_floor,
+    ],
+    "floor": [floor_arms, floor_closes, floor_classes, floor_memoized_close],
+    "hotpath": [hotpath_arms, hotpath_alloc_ceiling],
+    "prune": [prune_arms, prune_off_never_prunes, prune_gate_fires, prune_speedup],
+    "shared": [shared_arms, shared_digest_hits],
 }
+
+
+def validate(preset, doc):
+    """Failures of one artifact, each `rule: message`."""
+    failures = [f"shape: {m}" for m in shape(doc, preset)]
+    if failures:
+        return failures  # the other rules read the shape
+    failures += [f"finite: {m}" for m in finite(doc)]
+    failures += [f"positive: {m}" for m in positive(doc)]
+    failures += [f"equivalence: {m}" for m in equivalence(doc)]
+    for claim in CLAIMS[preset]:
+        try:
+            failures += [f"{claim.__name__}: {m}" for m in claim(doc)]
+        except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as e:
+            failures.append(f"{claim.__name__}: cannot evaluate ({type(e).__name__}: {e})")
+    return failures
+
+
+def preset_of(path):
+    name = Path(path).name
+    if name.startswith("BENCH_") and name.endswith(".json"):
+        return name[len("BENCH_") : -len(".json")]
+    return None
 
 
 def main(argv):
@@ -619,32 +459,33 @@ def main(argv):
     if not names:
         print("validate_bench: no BENCH_*.json artifacts found", file=sys.stderr)
         return 1
-    # a preset nobody taught the validator about must not land silently,
-    # whether it was named on the command line or just left in the tree
+    failures = []
+    # an artifact nobody wrote claims for must not land silently, whether
+    # it was named or just left in the tree
     named = {Path(n).name for n in names}
     for stray in sorted(p.name for p in Path(".").glob("BENCH_*.json")):
-        if stray not in KNOWN and stray not in named:
-            fail(stray, "unknown artifact — add its schema to tools/validate_bench.py")
+        if stray not in named and preset_of(stray) not in CLAIMS:
+            failures.append(f"{stray}: unknown artifact — give its preset a claim list")
     for name in names:
-        base = Path(name).name
-        if base not in KNOWN:
-            fail(name, "unknown artifact — add its schema to tools/validate_bench.py")
+        preset = preset_of(name)
+        if preset not in CLAIMS:
+            failures.append(f"{name}: unknown artifact — give its preset a claim list")
             continue
         path = Path(name)
         if not path.is_file():
-            fail(name, "missing artifact")
+            failures.append(f"{name}: missing artifact")
             continue
         try:
             doc = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError) as e:
-            fail(name, f"unreadable: {e}")
+            failures.append(f"{name}: unreadable: {e}")
             continue
-        assert_finite(name, doc)
-        KNOWN[base](name, doc)
-        if not any(f.startswith(f"{name}:") for f in FAILURES):
+        found = validate(preset, doc)
+        failures += [f"{name}: {f}" for f in found]
+        if not found:
             print(f"ok: {name}")
-    if FAILURES:
-        for f in FAILURES:
+    if failures:
+        for f in failures:
             print(f"FAIL {f}", file=sys.stderr)
         return 1
     print(f"validate_bench: {len(names)} artifact(s) ok")

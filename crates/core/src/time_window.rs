@@ -307,7 +307,9 @@ mod tests {
     }
 
     /// Time-based oracle: top-k of all objects with
-    /// `timestamp ∈ [window_end - duration, window_end)`.
+    /// `timestamp ∈ [window_end - duration, window_end)`. A unit-test copy
+    /// (a crate's unit tests cannot reach `tests/common`); it must agree
+    /// with the hub model's ranking, `tests/common/time_rank.rs`.
     fn oracle(all: &[TimedObject], window_end: u64, duration: u64, k: usize) -> Vec<TimedObject> {
         let lo = window_end.saturating_sub(duration);
         let mut alive: Vec<TimedObject> = all

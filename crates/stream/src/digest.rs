@@ -34,7 +34,7 @@
 //! and each member feeds its `(n, k)` reduction through
 //! [`SharedTimed::apply_slide_top`]. One ring of external ids per class
 //! translates the digest's ordinal ids back to real objects at emission
-//! time (see `session::apply_group_slide`).
+//! time (see `registry::CountClass::close`).
 //!
 //! ```
 //! use sap_stream::{DigestProducer, TimedObject};

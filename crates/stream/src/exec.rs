@@ -50,8 +50,8 @@
 //! first); the schedule-fuzzing harness uses [`SeededScheduler`], which
 //! drives the pick order from a seeded xorshift so an adversarial
 //! interleaving can be *replayed from one `u64`*. Results never depend
-//! on the schedule — that is exactly the property
-//! `tests/async_equivalence.rs` attacks with hundreds of seeds.
+//! on the schedule — that is exactly the property the model harness
+//! (`tests/hub_model.rs`) attacks with over a thousand seeded schedules.
 //!
 //! ```
 //! use sap_stream::{AsyncHub, Object, Registration};
@@ -175,7 +175,7 @@ const BATCH_POOL_SLOTS: usize = 8;
 /// which is what makes a seeded schedule reproducible.
 ///
 /// The hub's output never depends on the pick order (that is the
-/// determinism contract `tests/async_equivalence.rs` fuzzes); a
+/// determinism contract `tests/hub_model.rs` fuzzes); a
 /// `Scheduler` only steers *which worker does what when* — fairness,
 /// cache locality, or, for [`SeededScheduler`], adversarial testing.
 pub trait Scheduler: Send {

@@ -60,9 +60,9 @@
 //! order independent of shard count, worker count and thread timing.
 //! Per-query outputs are byte-identical to [`Hub`]'s because each
 //! session sees exactly the same object sequence either way;
-//! `tests/async_equivalence.rs` property-checks this under hundreds of
-//! seeded schedules for SAP and all four baselines, including
-//! mid-stream registration and unregistration. SAP's per-slide dirty
+//! `tests/hub_model.rs` checks both hubs against one brute-force model
+//! under over a thousand seeded schedules for SAP and all four
+//! baselines, including mid-stream registration and unregistration. SAP's per-slide dirty
 //! flag keeps quiet queries at O(1) per slide, which is what makes
 //! hash-partitioning (no work stealing) balance well even under skewed
 //! query mixes.

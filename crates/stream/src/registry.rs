@@ -126,8 +126,8 @@ pub struct HubStats {
     pub timed_queries: usize,
     /// Time-based queries served by the shared digest plane.
     pub shared_queries: usize,
-    /// Live slide groups (distinct `slide_duration`s with ≥ 1 shared
-    /// member).
+    /// Live slide groups: distinct `(slide_duration, predicate)` keys
+    /// with ≥ 1 shared member.
     ///
     /// **Invariant**: a slide group never spans shards — every member of
     /// a group lives on one shard, enforced by `AsyncHub`'s group-
@@ -146,10 +146,10 @@ pub struct HubStats {
     /// Count-based queries served by the shared count plane
     /// ([`Registration::grouped`]).
     pub grouped_queries: usize,
-    /// Live count groups (distinct `(slide length, registration offset)`
-    /// geometry classes with ≥ 1 grouped member). Shard-local for the
-    /// same reason [`digest_groups`](HubStats::digest_groups) is, so
-    /// per-shard sums are exact.
+    /// Live count groups: distinct `(slide length, registration offset
+    /// mod slide length, predicate)` keys with ≥ 1 grouped member.
+    /// Shard-local for the same reason as
+    /// [`digest_groups`](HubStats::digest_groups), so per-shard sums are exact.
     pub count_groups: u64,
     /// Slides served to a grouped count member from its group's shared
     /// truncation — per-slide work the member did **not** redo.

@@ -3,17 +3,8 @@
 
 use sap::core::{TimeBasedSap, TimedObject};
 
-fn oracle(all: &[TimedObject], window_end: u64, duration: u64, k: usize) -> Vec<TimedObject> {
-    let lo = window_end.saturating_sub(duration);
-    let mut alive: Vec<TimedObject> = all
-        .iter()
-        .filter(|o| o.timestamp >= lo && o.timestamp < window_end)
-        .copied()
-        .collect();
-    alive.sort_unstable_by(|a, b| b.score.total_cmp(&a.score).then(b.id.cmp(&a.id)));
-    alive.truncate(k);
-    alive
-}
+#[path = "common/time_rank.rs"]
+mod time_rank;
 
 struct Lcg(u64);
 
@@ -63,7 +54,7 @@ fn matches_oracle_over_long_bursty_stream() {
         let mut boundary = slide;
         for &o in &all {
             for res in q.ingest(o) {
-                let expect = oracle(&all, boundary, duration, k);
+                let expect = time_rank::top_k(&all, boundary, duration, slide, k, |_| true);
                 assert_eq!(
                     res, expect,
                     "window ending {boundary} (dur={duration}, slide={slide}, k={k})"

@@ -19,7 +19,9 @@
 //!
 //! Count-based queries observe every published object (their untimed
 //! view); time-based ones observe only timestamped publishes. The model
-//! also tallies what `HubStats` must report (see [`Tallies`]).
+//! also tallies what `HubStats` must report (see [`Tallies`]), and the
+//! number of result classes whenever every sharing-plane member sits in
+//! a class it can predict (see [`Model::result_classes`]).
 
 pub mod time_rank;
 
@@ -178,6 +180,10 @@ struct Standing {
     live: bool,
     /// The hub's arrival count at registration.
     offset: u64,
+    /// Whether the member sits in a result class the model predicts: a
+    /// grouped member registered with class sharing on, or a shared one
+    /// registered with it on into a pristine slide group.
+    classed: bool,
     /// Objects observed since registration, in arrival order (untimed
     /// arrivals carry timestamp 0, which count windows never read).
     seen: Vec<TimedObject>,
@@ -186,11 +192,17 @@ struct Standing {
 }
 
 /// The model hub.
-#[derive(Default)]
 pub struct Model {
     queries: Vec<Standing>,
     arrivals: u64,
     tallies: Tallies,
+    /// The result-class sharing knob.
+    class_sharing: bool,
+    /// The live slide groups, as `(slide duration, filter)`, and whether
+    /// each is still *pristine*: since it was founded, no object its
+    /// filter accepts arrived and no timestamp or watermark reached its
+    /// first slide boundary.
+    slide_groups: Vec<(u64, Filter, bool)>,
 }
 
 /// The top-`k` of the last `n` observed arrivals the filter accepts;
@@ -287,7 +299,24 @@ impl Standing {
 
 impl Model {
     pub fn new() -> Model {
-        Model::default()
+        Model {
+            queries: Vec::new(),
+            arrivals: 0,
+            tallies: Tallies::default(),
+            class_sharing: true,
+            slide_groups: Vec::new(),
+        }
+    }
+
+    /// Switches result-class sharing for later registrations.
+    pub fn set_class_sharing(&mut self, on: bool) {
+        self.class_sharing = on;
+    }
+
+    /// A checkpoint restore: the restored hub starts with both knobs at
+    /// their defaults, so class sharing is on again.
+    pub fn restored(&mut self) {
+        self.class_sharing = true;
     }
 
     /// Admits a registration, returning the query's registration index,
@@ -310,6 +339,11 @@ impl Model {
         if matches!(plane, Plane::Count | Plane::Timed) && !filter.is_pass_all() {
             return Err(Refusal::PredicateUnsupported);
         }
+        let pristine = match window {
+            Window::Time { sd, .. } if plane == Plane::Shared => self.join_slide_group(sd, filter),
+            _ => false,
+        };
+        let classed = self.class_sharing && (plane == Plane::Grouped || pristine);
         self.queries.push(Standing {
             plane,
             window,
@@ -317,6 +351,7 @@ impl Model {
             filter,
             live: true,
             offset: self.arrivals,
+            classed,
             seen: Vec::new(),
             slides: 0,
             prev: Vec::new(),
@@ -324,12 +359,33 @@ impl Model {
         Ok(self.queries.len() - 1)
     }
 
+    /// Joins (or founds) a shared registration's slide group, returning
+    /// whether the group is pristine.
+    fn join_slide_group(&mut self, sd: u64, filter: Filter) -> bool {
+        match self
+            .slide_groups
+            .iter()
+            .find(|g| (g.0, g.1) == (sd, filter))
+        {
+            Some(&(_, _, pristine)) => pristine,
+            None => {
+                self.slide_groups.push((sd, filter, true));
+                true
+            }
+        }
+    }
+
     /// Removes a query: its slide count and last emission, or `None`
-    /// for a query that is not live (the hub's `UnknownQuery`).
+    /// for a query that is not live (the hub's `UnknownQuery`). The last
+    /// member of a slide group out dissolves the group.
     pub fn unregister(&mut self, query: usize) -> Option<(u64, Vec<Object>)> {
         let q = self.queries.get_mut(query).filter(|q| q.live)?;
         q.live = false;
-        Some((q.slides, std::mem::take(&mut q.prev)))
+        let out = Some((q.slides, std::mem::take(&mut q.prev)));
+        let groups = self.groups(Plane::Shared);
+        self.slide_groups
+            .retain(|&(sd, filter, _)| groups.contains(&((sd, 0), filter)));
+        out
     }
 
     /// A live query's slide count and last emission.
@@ -364,6 +420,9 @@ impl Model {
 
     /// Raises the event-time watermark on every time window.
     pub fn advance_time(&mut self, watermark: u64) -> Vec<Expected> {
+        for (sd, _, pristine) in &mut self.slide_groups {
+            *pristine &= watermark < *sd;
+        }
         let mut out = Vec::new();
         for (i, q) in self.queries.iter_mut().enumerate().filter(|(_, q)| q.live) {
             q.close_time_slides(i, watermark, &mut out);
@@ -379,6 +438,11 @@ impl Model {
         let mut out = Vec::new();
         for &o in objects {
             self.arrivals += 1;
+            if timed {
+                for (sd, filter, pristine) in &mut self.slide_groups {
+                    *pristine &= o.timestamp < *sd && !filter.accepts(o.id, o.score);
+                }
+            }
             let accepting = groups.iter().filter(|(_, f)| f.accepts(o.id, o.score));
             self.tallies.gated += accepting.count() as u64;
             for (i, q) in self.queries.iter_mut().enumerate().filter(|(_, q)| q.live) {
@@ -440,5 +504,35 @@ impl Model {
             count_groups: self.groups(Plane::Grouped).len() as u64,
             ..self.tallies
         }
+    }
+
+    /// `HubStats::result_classes`, when every live sharing-plane member
+    /// is classed (`None` otherwise). Grouped members pool by `(n, k,
+    /// join slide)` inside their count group — members of one group with
+    /// one join slide registered at one offset — and shared members by
+    /// `(wd, k)` inside their slide group. A solo member breaks the
+    /// prediction: a shared one warming up or promoted after a
+    /// mid-stream join, or any member registered with sharing off, is
+    /// classed afresh whenever its group travels (restore, move, resize).
+    pub fn result_classes(&self) -> Option<u64> {
+        let mut classes = Vec::new();
+        for q in &self.queries {
+            if !q.live || !matches!(q.plane, Plane::Shared | Plane::Grouped) {
+                continue;
+            }
+            if !q.classed {
+                return None;
+            }
+            let offset = if q.plane == Plane::Grouped {
+                q.offset
+            } else {
+                0
+            };
+            let class = (q.window, q.k, q.filter, offset);
+            if !classes.contains(&class) {
+                classes.push(class);
+            }
+        }
+        Some(classes.len() as u64)
     }
 }

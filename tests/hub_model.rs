@@ -14,13 +14,12 @@
 //! the seed, the lane's shape and the op index.
 //!
 //! A case's stream, op sequence, lane shapes and scheduler seeds all
-//! derive from one `u64`. `hubs_match_the_model` draws its cases over
-//! every op; each *focused* test (see [`focused!`]) draws its own cases
-//! over a subset of op kinds, so one subsystem's interactions come
-//! densely. To replay a repro, add its test and seed to
-//! [`PINNED_SEEDS`]; a test runs its pinned seeds before its random
-//! cases. Short fixed scripts for known scenarios are tests of their
-//! own.
+//! derive from one `u64`. The `hubs_match_the_model_*` tests split one
+//! list of random seeds between them; to replay a repro, add its seed to
+//! [`PINNED_SEEDS`], which the first of them runs before its random
+//! cases. The `*_stock_stream` tests replay fixed schedules on generated
+//! stock streams large enough that every engine leaves warm-up, and
+//! short fixed scripts for known scenarios are tests of their own.
 
 use std::collections::HashMap;
 
@@ -29,17 +28,13 @@ use sap::prelude::*;
 mod common;
 use common::{Expected, Filter, Method, Model, Refusal, Tallies, Window};
 
-/// `(test, seed)` pairs that once exposed a divergence, replayed first
-/// by the named test on every run.
-const PINNED_SEEDS: &[(&str, u64)] = &[];
+/// Seeds that once exposed a divergence, replayed first on every run.
+const PINNED_SEEDS: &[u64] = &[];
 
-/// How many random cases `hubs_match_the_model` draws. Each runs four
-/// seeded-scheduler lanes, so a run covers four times as many seeded
-/// `AsyncHub` schedules.
-const RANDOM_CASES: u64 = 500;
-
-/// How many random cases each focused test draws (long ones: a quarter).
-const FOCUSED_CASES: u64 = 16;
+/// How many random cases the `hubs_match_the_model_*` tests draw between
+/// them. Each runs four seeded-scheduler lanes, so a run covers four
+/// times as many seeded `AsyncHub` schedules.
+const RANDOM_CASES: usize = 500;
 
 /// splitmix64: a tiny deterministic generator, so a case is a pure
 /// function of its seed.
@@ -105,51 +100,6 @@ enum Op {
     },
     ClassSharing(bool),
     AdmissionPruning(bool),
-}
-
-/// The kinds of op a focused test may draw.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Kind {
-    /// `register` with a count-based query.
-    Count,
-    /// `register` with a time-based query.
-    Timed,
-    /// `register_shared`.
-    Shared,
-    /// `register_grouped`.
-    Grouped,
-    Unregister,
-    /// Untimed publishes: `Publish`, `PublishOne`, `TryPublish`.
-    Publish,
-    /// Event time: `PublishTimed`, `PublishOneTimed`, `AdvanceTime`.
-    PublishTimed,
-    /// `Drain`, `Flush`, `Inspect`, `Stats`.
-    Read,
-    Move,
-    Resize,
-    Checkpoint,
-    Classes,
-    Pruning,
-}
-
-fn kind(op: &Op) -> Kind {
-    match op {
-        Op::Register { method, window, .. } => match (method, window) {
-            (Method::Register, Window::Count { .. }) => Kind::Count,
-            (Method::Register, Window::Time { .. }) => Kind::Timed,
-            (Method::Shared, _) => Kind::Shared,
-            (Method::Grouped, _) => Kind::Grouped,
-        },
-        Op::Unregister(_) => Kind::Unregister,
-        Op::Publish(_) | Op::PublishOne(_) | Op::TryPublish(_) => Kind::Publish,
-        Op::PublishTimed(_) | Op::PublishOneTimed(_) | Op::AdvanceTime(_) => Kind::PublishTimed,
-        Op::Drain | Op::Flush | Op::Inspect(_) | Op::Stats => Kind::Read,
-        Op::MoveQuery { .. } => Kind::Move,
-        Op::Resize(_) => Kind::Resize,
-        Op::Checkpoint { .. } => Kind::Checkpoint,
-        Op::ClassSharing(_) => Kind::Classes,
-        Op::AdmissionPruning(_) => Kind::Pruning,
-    }
 }
 
 /// FNV-1a: a fixed seed from a test's name.
@@ -233,22 +183,22 @@ fn shapes(rng: &mut Rng) -> Vec<Shape> {
 }
 
 /// The hub a checkpoint op restores lane `lane` into: the first lane
-/// always into an `AsyncHub` and the second always into a `Hub`, so
-/// every checkpoint crosses flavors both ways; the rest at random.
+/// always into an `AsyncHub` of 32 shards on 3 workers and the second
+/// always into a `Hub`, so every checkpoint crosses flavors both ways
+/// and reaches shards far above workers; the rest at random.
 fn restore_target(targets: u64, lane: usize) -> Shape {
     let mut rng = Rng(targets ^ (lane as u64).wrapping_mul(0xA24B_AED4_963E_E407));
-    let sequential = match lane {
-        0 => false,
-        1 => true,
-        _ => rng.chance(35),
-    };
-    if sequential {
-        Shape::Sequential
-    } else {
-        Shape::Restored {
+    match lane {
+        0 => Shape::Restored {
+            shards: 32,
+            workers: 3,
+        },
+        1 => Shape::Sequential,
+        _ if rng.chance(35) => Shape::Sequential,
+        _ => Shape::Restored {
             shards: 1 + rng.below(12) as usize,
             workers: rng.pick(&[1, 2, 8]),
-        }
+        },
     }
 }
 
@@ -340,7 +290,8 @@ impl Lane {
         }
     }
 
-    /// The lane's counters against the model's tallies, and `pruned`
+    /// The lane's counters against the model's tallies, the result
+    /// classes against the model's count where it has one, and `pruned`
     /// frozen while pruning is off.
     fn check_stats(&mut self, model: &Model) -> Check {
         let stats = self.stats()?;
@@ -349,12 +300,14 @@ impl Lane {
         if got != want {
             return Err(format!("stats {got:?}, model {want:?}"));
         }
-        // classes partition each count group's members; shared members
-        // warming up or promoted solo sit in no class
-        let classes = stats.count_groups..=(stats.grouped_queries + stats.shared_queries) as u64;
+        // the model's count where it has one; else classes partition each
+        // count group's members, and shared members warming up or
+        // promoted solo sit in no class
+        let bound = stats.count_groups..=(stats.grouped_queries + stats.shared_queries) as u64;
+        let classes = model.result_classes().map_or(bound, |n| n..=n);
         if !classes.contains(&stats.result_classes) {
             return Err(format!(
-                "{} result classes, outside {classes:?}",
+                "{} result classes, model {classes:?}",
                 stats.result_classes
             ));
         }
@@ -418,7 +371,8 @@ impl Lane {
     }
 
     /// Checkpoints the lane and restores it into `target`; the counters
-    /// must travel, except those the executor or the class rebuild own.
+    /// must travel, except those the executor or the class rebuild own
+    /// (the caller then checks the rebuilt classes against the model).
     fn checkpoint(&mut self, target: Shape, step: usize) -> Check {
         let carried = |stats: HubStats| HubStats {
             result_classes: 0,
@@ -569,6 +523,18 @@ impl Case {
         }
     }
 
+    fn run(&mut self, ops: &[Op]) {
+        for op in ops {
+            self.apply(op);
+        }
+    }
+
+    /// Every lane's counters, in lane order.
+    fn stats(&mut self) -> Vec<HubStats> {
+        let lanes = self.lanes.iter_mut();
+        lanes.map(|l| l.stats().expect("live lane")).collect()
+    }
+
     /// Applies one op to the model and every lane, panicking with a
     /// one-line repro at the first lane that disagrees.
     fn apply(&mut self, op: &Op) {
@@ -591,6 +557,8 @@ impl Case {
             Op::PublishTimed(batch) => want = model.publish_timed(batch),
             Op::PublishOneTimed(o) => want = model.publish_timed(std::slice::from_ref(o)),
             Op::AdvanceTime(w) => want = model.advance_time(*w),
+            Op::ClassSharing(on) => model.set_class_sharing(*on),
+            Op::Checkpoint { .. } => model.restored(),
             _ => {}
         }
         let mut pruned = None;
@@ -653,12 +621,10 @@ struct Draw {
     /// 1 for the usual small windows and batches; larger for a long
     /// case, whose windows and batches grow by this factor.
     scale: u64,
-    /// The op kinds this case draws (`None`: every kind).
-    focus: Option<&'static [Kind]>,
 }
 
 impl Draw {
-    fn new(mut rng: Rng, scale: u64, focus: Option<&'static [Kind]>) -> Draw {
+    fn new(mut rng: Rng, scale: u64) -> Draw {
         let id_mask = rng.below(1 << 16);
         Draw {
             rng,
@@ -668,7 +634,6 @@ impl Draw {
             last: None,
             checkpoints: 0,
             scale,
-            focus,
         }
     }
 
@@ -783,24 +748,10 @@ impl Draw {
         }
     }
 
-    /// The next op of the case's focus. An op outside it is drawn again,
-    /// a registration as a registration, so a narrow focus keeps the
-    /// usual share of them; a focus must hold a registration kind.
+    /// The next op, valid for the model's state.
     fn next(&mut self, model: &Model) -> Op {
-        let mut op = self.any(model);
-        while !self.focus.is_none_or(|f| f.contains(&kind(&op))) {
-            op = match op {
-                Op::Register { .. } => self.register(),
-                _ => self.any(model),
-            };
-        }
-        self.last = Some(op.clone());
-        op
-    }
-
-    fn any(&mut self, model: &Model) -> Op {
         let roll = self.rng.below(100);
-        match roll {
+        let op = match roll {
             _ if model.len() == 0 || roll < 14 => self.register(),
             14..18 => Op::Unregister(self.target(model)),
             18..32 => Op::Publish(self.batch()),
@@ -832,33 +783,21 @@ impl Draw {
             }
             91..96 => Op::ClassSharing(self.rng.chance(50)),
             _ => Op::AdmissionPruning(self.rng.chance(50)),
-        }
+        };
+        self.last = Some(op.clone());
+        op
     }
 }
 
-/// How large a focused test's cases are.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Size {
-    /// As in the unfocused mix: one case in eight is long.
-    Usual,
-    /// Every case long, and a quarter as many cases.
-    Long,
-}
-
-/// Runs the random case `seed` names for `test`, drawing only `focus`
-/// kinds. A long case has five times wider windows and bigger batches,
-/// so every engine leaves warm-up and expires objects at sizes closer to
-/// the paper's.
-fn run_seed(test: &str, focus: Option<&'static [Kind]>, size: Size, seed: u64) {
+/// Runs the random case `seed` names. One case in eight is long: five
+/// times wider windows and bigger batches, so every engine leaves
+/// warm-up and expires objects.
+fn run_seed(test: &str, seed: u64) {
     let mut rng = Rng(seed);
     let mut case = Case::new(format!("test={test} seed={seed:#018x}"), shapes(&mut rng));
-    let scale = if rng.chance(12) || size == Size::Long {
-        5
-    } else {
-        1
-    };
+    let scale = if rng.chance(12) { 5 } else { 1 };
     let len = 30 + rng.below(30);
-    let mut draw = Draw::new(Rng(rng.next()), scale, focus);
+    let mut draw = Draw::new(Rng(rng.next()), scale);
     for _ in 0..len {
         let op = draw.next(&case.model);
         case.apply(&op);
@@ -866,144 +805,54 @@ fn run_seed(test: &str, focus: Option<&'static [Kind]>, size: Size, seed: u64) {
     case.apply(&Op::Drain);
 }
 
-/// The seeds [`PINNED_SEEDS`] holds for `test`.
-fn pinned(test: &str) -> impl Iterator<Item = u64> + '_ {
-    PINNED_SEEDS
-        .iter()
-        .filter(move |(t, _)| *t == test)
-        .map(|&(_, seed)| seed)
-}
-
-/// A focused test: its pinned seeds, then [`FOCUSED_CASES`] random
-/// cases drawn from its name.
-fn focused(test: &str, focus: &'static [Kind], size: Size) {
-    let mut seeds = Rng(seed_of(test));
-    let cases = match size {
-        Size::Usual => FOCUSED_CASES,
-        Size::Long => FOCUSED_CASES / 4,
-    };
-    for seed in pinned(test).chain((0..cases).map(|_| seeds.next())) {
-        run_seed(test, Some(focus), size, seed);
-    }
-}
-
-/// Every op, pinned seeds first, then the random cases split over two
-/// threads.
-#[test]
-fn hubs_match_the_model() {
-    const TEST: &str = "hubs_match_the_model";
-    for seed in pinned(TEST) {
-        run_seed(TEST, None, Size::Usual, seed);
-    }
+/// Runs part `part` of the random cases: one of [`PARTS`] slices of one
+/// seed list, after [`PINNED_SEEDS`] in the first part.
+fn random_part(test: &str, part: usize) {
     let mut seeds = Rng(0x4855_425F_4D4F_444C);
     let seeds: Vec<u64> = (0..RANDOM_CASES).map(|_| seeds.next()).collect();
-    std::thread::scope(|scope| {
-        let halves: Vec<_> = seeds
-            .chunks(seeds.len().div_ceil(2))
-            .map(|half| {
-                scope.spawn(move || {
-                    for &seed in half {
-                        run_seed(TEST, None, Size::Usual, seed);
-                    }
-                })
-            })
-            .collect();
-        for half in halves {
-            if let Err(panic) = half.join() {
-                std::panic::resume_unwind(panic);
+    let share = seeds.chunks(RANDOM_CASES.div_ceil(PARTS)).nth(part);
+    let pinned = if part == 0 { PINNED_SEEDS } else { &[] };
+    for &seed in pinned.iter().chain(share.unwrap_or_default()) {
+        run_seed(test, seed);
+    }
+}
+
+/// Declares the tests that share the random cases, one part each, and
+/// [`PARTS`], their number.
+macro_rules! random_parts {
+    ($($name:ident = $part:literal),+ $(,)?) => {
+        /// How many tests share the random cases.
+        const PARTS: usize = [$($part),+].len();
+        $(
+            #[test]
+            fn $name() {
+                random_part(stringify!($name), $part);
             }
-        }
-    });
+        )+
+    };
 }
 
-/// Declares focused tests, each named after the property it checks and
-/// listing the op kinds its cases draw. Every lane still runs every op
-/// drawn, and every update and counter is checked against the model.
-macro_rules! focused {
-    ($($(#[$meta:meta])* $name:ident: $size:ident [$($kind:ident),+ $(,)?];)+) => {$(
-        $(#[$meta])*
-        #[test]
-        fn $name() {
-            focused(stringify!($name), &[$(Kind::$kind),+], Size::$size);
-        }
-    )+};
-}
-
-focused! {
-    /// Grouped count queries alone: slices of deeper groups, same-`s`
-    /// siblings and twins.
-    grouped_query_matches_brute_force_oracle: Usual [Grouped, Publish, Read];
-    /// Grouped and isolated count queries under register/unregister
-    /// churn at arbitrary stream offsets.
-    grouped_hubs_stay_byte_identical_with_mid_stream_churn:
-        Usual [Count, Grouped, Unregister, Publish, Read];
-    /// Both sharing planes with the result-class knob flipped mid-case.
-    class_memoization_is_result_invisible:
-        Usual [Shared, Grouped, Publish, PublishTimed, Read, Classes];
-    /// Checkpoints cut through warm count groups.
-    checkpoint_cuts_through_a_warm_count_group: Usual [Grouped, Publish, Read, Checkpoint];
-    /// Moving a grouped member relocates its whole count group.
-    move_query_relocates_the_whole_count_group: Usual [Grouped, Publish, Read, Move];
-    /// Resizes re-scatter count groups and isolated count sessions.
-    resize_preserves_the_count_plane: Usual [Count, Grouped, Publish, Read, Resize];
-    /// Filtered grouped queries with the admission gate flipped mid-case.
-    filtered_grouped_query_matches_brute_force_oracle:
-        Usual [Grouped, Publish, Read, Pruning];
-    /// Count-plane churn with the admission gate flipped mid-case.
-    pruning_is_result_invisible_under_count_plane_churn:
-        Usual [Grouped, Unregister, Publish, Read, Pruning];
-    /// Shared-plane churn with the admission gate flipped mid-case.
-    pruning_is_result_invisible_under_timed_plane_churn:
-        Usual [Shared, Unregister, PublishTimed, Read, Pruning];
-    /// Checkpoints cut through warm gates of both sharing planes.
-    checkpoint_cuts_through_a_warm_pruning_group:
-        Usual [Shared, Grouped, Publish, PublishTimed, Read, Checkpoint, Pruning];
-    /// Moving a filtered member relocates its group and its warm gate.
-    move_query_relocates_a_filtered_pruning_group:
-        Usual [Grouped, Publish, Read, Move, Pruning];
-    /// Shared members beside isolated timed sessions on one stream.
-    shared_query_matches_oracle_adapter_and_isolated_session:
-        Usual [Timed, Shared, PublishTimed, Read];
-    /// Shared and isolated timed queries under churn: joins land inside
-    /// live groups and grow their `k_max`.
-    shared_hubs_stay_byte_identical_with_mid_stream_churn:
-        Usual [Timed, Shared, Unregister, PublishTimed, Read];
-    /// Long shared-plane cases: windows expire and slides go empty.
-    shared_hubs_agree_on_poisson_stock_stream: Long [Shared, Unregister, PublishTimed, Read];
-    /// Isolated timed sessions alone, all five algorithms.
-    timed_query_matches_oracle_on_every_surface: Usual [Timed, PublishTimed, Read];
-    /// Count and timed isolated queries on one timed stream, with churn.
-    mixed_hubs_stay_byte_identical_with_mid_stream_churn:
-        Usual [Count, Timed, Unregister, PublishTimed, Read];
-    /// Long mixed isolated cases: every algorithm leaves warm-up.
-    mixed_hubs_agree_on_poisson_stock_stream:
-        Long [Count, Timed, Unregister, PublishTimed, Read];
-    /// Isolated count queries with every algorithm, under churn.
-    seeded_schedules_match_sequential_count_streams:
-        Usual [Count, Unregister, Publish, Read];
-    /// Every plane on one timed stream, with moves and resizes.
-    seeded_schedules_match_sequential_mixed_planes:
-        Usual [Count, Timed, Shared, Grouped, Unregister, PublishTimed, Read, Move, Resize];
-    /// Long count cases across shapes, shards often far above workers.
-    async_hub_matches_sequential_on_stock_stream:
-        Long [Count, Grouped, Unregister, Publish, Read, Move, Resize];
-    /// Checkpoints of isolated count sessions.
-    sequential_checkpoint_restore_is_invisible: Usual [Count, Publish, Read, Checkpoint];
-    /// Checkpoints of both count planes around resizes.
-    sharded_checkpoint_restores_at_any_shard_count:
-        Usual [Count, Grouped, Publish, Read, Resize, Checkpoint];
-    /// Checkpoints of every plane, restored across hub flavors.
-    async_checkpoint_restores_across_hub_flavors:
-        Usual [Count, Timed, Shared, Grouped, Publish, PublishTimed, Read, Checkpoint];
-    /// Count planes under churn, moves and resizes.
-    move_and_resize_churn_is_result_invisible:
-        Usual [Count, Grouped, Unregister, Publish, Read, Move, Resize];
-    /// Slide groups through moves and resizes.
-    shared_groups_survive_move_and_resize:
-        Usual [Shared, PublishTimed, Read, Move, Resize];
-    /// Checkpoints of isolated timed sessions and shared members.
-    timed_and_shared_sessions_survive_checkpoint:
-        Usual [Timed, Shared, PublishTimed, Read, Checkpoint];
+random_parts! {
+    hubs_match_the_model_00 = 0,
+    hubs_match_the_model_01 = 1,
+    hubs_match_the_model_02 = 2,
+    hubs_match_the_model_03 = 3,
+    hubs_match_the_model_04 = 4,
+    hubs_match_the_model_05 = 5,
+    hubs_match_the_model_06 = 6,
+    hubs_match_the_model_07 = 7,
+    hubs_match_the_model_08 = 8,
+    hubs_match_the_model_09 = 9,
+    hubs_match_the_model_10 = 10,
+    hubs_match_the_model_11 = 11,
+    hubs_match_the_model_12 = 12,
+    hubs_match_the_model_13 = 13,
+    hubs_match_the_model_14 = 14,
+    hubs_match_the_model_15 = 15,
+    hubs_match_the_model_16 = 16,
+    hubs_match_the_model_17 = 17,
+    hubs_match_the_model_18 = 18,
+    hubs_match_the_model_19 = 19,
 }
 
 // ---------------------------------------------------------------------
@@ -1011,12 +860,15 @@ focused! {
 // lanes drawn from its name.
 // ---------------------------------------------------------------------
 
+/// A script's case, on lanes drawn from its name.
+fn script_case(name: &str) -> Case {
+    Case::new(format!("script={name}"), shapes(&mut Rng(seed_of(name))))
+}
+
 /// Runs a script, then drains.
 fn run_script(name: &str, ops: &[Op]) {
-    let mut case = Case::new(format!("script={name}"), shapes(&mut Rng(seed_of(name))));
-    for op in ops {
-        case.apply(op);
-    }
+    let mut case = script_case(name);
+    case.run(ops);
     case.apply(&Op::Drain);
 }
 
@@ -1046,13 +898,18 @@ fn time(wd: u64, k: usize, sd: u64) -> (Window, usize) {
     (Window::Time { wd, sd }, k)
 }
 
-fn reg(method: Method, (window, k): (Window, usize), filter: Filter) -> Op {
+fn reg(method: Method, geometry: (Window, usize), filter: Filter) -> Op {
+    reg_with(method, geometry, filter, 0)
+}
+
+/// A registration running `algorithms()[algorithm]`.
+fn reg_with(method: Method, (window, k): (Window, usize), filter: Filter, algorithm: usize) -> Op {
     Op::Register {
         method,
         window,
         k,
         filter,
-        algorithm: 0,
+        algorithm,
     }
 }
 
@@ -1142,23 +999,53 @@ script! {
     ]
 }
 
-script! {
-    /// A checkpoint cut inside the open slides of a warm count group (a
-    /// two-member class, 2 of 4 arrivals in, one pruned) and of a warm
-    /// slide group (one of three pruned), with a shared member still
-    /// warming up; restored into both hubs.
-    checkpoint_cuts_warm_state: [
+/// A checkpoint cut inside the open slides of a warm count group and of
+/// a warm slide group (each serving a two-member class; 2 of 4 arrivals
+/// and 2 of 3 time units in), with a shared member still warming up;
+/// restored into both hubs. The cut passes through warm gates, and the
+/// restore rebuilds both classes and leaves the warming member solo.
+#[test]
+fn checkpoint_cuts_warm_state() {
+    let mut case = script_case("checkpoint_cuts_warm_state");
+    case.run(&[
         reg(Method::Grouped, count(8, 1, 4), ANY),
         reg(Method::Grouped, count(8, 1, 4), ANY),
         reg(Method::Shared, time(6, 2, 3), ANY),
-        Op::PublishTimed(timed(&[(7, 0, 2.0), (3, 1, 5.0), (9, 2, 5.0), (1, 3, 4.0), (8, 4, 6.0)])),
+        reg(Method::Shared, time(6, 2, 3), ANY),
+        Op::PublishTimed(timed(&[
+            (7, 0, 2.0),
+            (3, 1, 5.0),
+            (9, 2, 5.0),
+            (1, 3, 4.0),
+            (8, 4, 6.0),
+        ])),
         reg(Method::Shared, time(9, 1, 3), ANY),
         Op::PublishOneTimed(TimedObject::new(4, 4, 3.0)),
-        Op::Checkpoint { targets: 0x5EED },
-        Op::PublishTimed(timed(&[(2, 5, 7.0), (6, 8, 1.0), (5, 9, 6.0), (0, 12, 2.0)])),
+    ]);
+    let cut = case.stats();
+    case.apply(&Op::Checkpoint { targets: 0x5EED });
+    for (i, (cut, restored)) in cut.iter().zip(case.stats()).enumerate() {
+        assert!(
+            cut.pruned > 0,
+            "lane {i}: the cut passes through no warm gate"
+        );
+        let classes = (cut.result_classes, restored.result_classes);
+        assert_eq!(
+            classes,
+            (2, 2),
+            "lane {i}: result classes across the restore"
+        );
+    }
+    case.run(&[
+        Op::PublishTimed(timed(&[
+            (2, 5, 7.0),
+            (6, 8, 1.0),
+            (5, 9, 6.0),
+            (0, 12, 2.0),
+        ])),
         Op::AdvanceTime(20),
         Op::Drain,
-    ]
+    ]);
 }
 
 script! {
@@ -1174,4 +1061,159 @@ script! {
         Op::PublishOne(Object::new(5, 2.0)),
         Op::Drain,
     ]
+}
+
+// ---------------------------------------------------------------------
+// Stock streams: fixed schedules on generated stock streams of 4,000
+// objects, with windows up to 500 arrivals or 600 time units and `k` up
+// to 12, so windows expire, slides go empty and every algorithm leaves
+// warm-up. Ids are scrambled by a bijection, so they stay unique but not
+// monotonic.
+// ---------------------------------------------------------------------
+
+const STOCK_LEN: usize = 4_000;
+
+fn scrambled(id: u64) -> u64 {
+    id.wrapping_mul(40_503) & 0xFFFF
+}
+
+/// Splits a stream into ragged chunks of 317, 89 and 411 objects.
+fn ragged<T: Clone>(mut data: &[T]) -> Vec<Vec<T>> {
+    let mut chunks = Vec::new();
+    for take in [317, 89, 411].into_iter().cycle() {
+        if data.is_empty() {
+            return chunks;
+        }
+        let (chunk, rest) = data.split_at(take.min(data.len()));
+        chunks.push(chunk.to_vec());
+        data = rest;
+    }
+    unreachable!("the cycle ends when the stream does")
+}
+
+/// The stock stream's untimed publishes.
+fn stock_publishes() -> Vec<Op> {
+    let data: Vec<Object> = Dataset::Stock.generate(STOCK_LEN, 42);
+    let data: Vec<Object> = data
+        .iter()
+        .map(|o| Object::new(scrambled(o.id), o.score))
+        .collect();
+    ragged(&data).into_iter().map(Op::Publish).collect()
+}
+
+/// The stock stream's timed publishes, at Poisson arrivals `mean_gap`
+/// time units apart on average, then a watermark past its end.
+fn stock_timed_publishes(mean_gap: f64) -> Vec<Op> {
+    let data = Dataset::Stock.generate_timed(STOCK_LEN, 42, ArrivalProcess::poisson(mean_gap));
+    let horizon = data.last().map_or(0, |o| o.timestamp) + 500;
+    let data: Vec<TimedObject> = data
+        .iter()
+        .map(|o| TimedObject::new(scrambled(o.id), o.timestamp, o.score))
+        .collect();
+    let mut ops: Vec<Op> = ragged(&data).into_iter().map(Op::PublishTimed).collect();
+    ops.push(Op::AdvanceTime(horizon));
+    ops
+}
+
+/// Replays the stock schedule: the first seven registrations, the first
+/// half of the publishes with a drain after each, a checkpoint, the
+/// first query unregistered and the rest registered mid-stream (joining
+/// warm groups and growing their `k_max`), then the second half.
+fn stock_schedule(test: &str, shapes: Vec<Shape>, registrations: &[Op], publishes: &[Op]) {
+    let mut case = Case::new(format!("test={test}"), shapes);
+    let (early, late) = registrations.split_at(7);
+    let (first, second) = publishes.split_at(publishes.len() / 2);
+    case.run(early);
+    for op in first {
+        case.run(&[op.clone(), Op::Drain]);
+    }
+    let targets = seed_of(test);
+    case.run(&[Op::Checkpoint { targets }, Op::Unregister(0)]);
+    case.run(late);
+    for op in second {
+        case.run(&[op.clone(), Op::Drain]);
+    }
+}
+
+/// Lanes for a stock schedule: a `Hub`, `AsyncHub::new(n, n)` for n ∈
+/// {1, 2, 8}, and 32 shards on 3 workers under a seeded scheduler.
+fn stock_shapes(test: &str) -> Vec<Shape> {
+    let seeded = Shape::Seeded {
+        shards: 32,
+        workers: 3,
+        scheduler: seed_of(test),
+    };
+    vec![
+        Shape::Sequential,
+        Shape::Fifo(1),
+        Shape::Fifo(2),
+        Shape::Fifo(8),
+        seeded,
+    ]
+}
+
+/// Three slide durations straddling the 6-unit mean gap; the late
+/// registrations carry the largest `k` of their groups, growing `k_max`
+/// on join, and every fourth member ranks a tag-filtered substream.
+#[test]
+fn shared_hubs_agree_on_poisson_stock_stream() {
+    const TEST: &str = "shared_hubs_agree_on_poisson_stock_stream";
+    let registrations: Vec<Op> = (0..12)
+        .map(|i| {
+            let sd = [4, 30, 150][i % 3];
+            let wd = sd * (1 + i as u64 % 4);
+            let tag = (i % 4 == 3).then_some((3, i as u64 % 3));
+            let filter = Filter { tag, ..ANY };
+            reg_with(
+                Method::Shared,
+                time(wd, 1 + i, sd),
+                filter,
+                [0, 3, 2][i % 3],
+            )
+        })
+        .collect();
+    let publishes = stock_timed_publishes(6.0);
+    stock_schedule(TEST, stock_shapes(TEST), &registrations, &publishes);
+}
+
+/// Isolated count and timed queries on one timed stream; the slide
+/// durations straddle the 4-unit mean gap, so some slides hold dozens
+/// of objects and others none.
+#[test]
+fn mixed_hubs_agree_on_poisson_stock_stream() {
+    const TEST: &str = "mixed_hubs_agree_on_poisson_stock_stream";
+    let registrations: Vec<Op> = (0..12)
+        .map(|i| {
+            let (s, sd, k) = ([10, 20, 50][i % 3], [2, 25, 120][i % 3], 1 + 3 * (i % 4));
+            let geometry = match i % 2 {
+                0 => count(s * 4, k, s),
+                _ => time(sd * 4, k, sd),
+            };
+            reg_with(Method::Register, geometry, ANY, [0, 3, 2][i % 3])
+        })
+        .collect();
+    let publishes = stock_timed_publishes(4.0);
+    stock_schedule(TEST, stock_shapes(TEST), &registrations, &publishes);
+}
+
+/// Isolated count queries with all five algorithms, on a `Hub` and on
+/// seeded-scheduler `AsyncHub`s whose shards are often far above their
+/// workers.
+#[test]
+fn async_hub_matches_sequential_on_stock_stream() {
+    const TEST: &str = "async_hub_matches_sequential_on_stock_stream";
+    let registrations: Vec<Op> = (0..12)
+        .map(|i| {
+            let s = [10, 20, 50][i % 3];
+            let geometry = count(s * [4, 8, 10][i % 3], 1 + 3 * (i % 4), s);
+            reg_with(Method::Register, geometry, ANY, i % 5)
+        })
+        .collect();
+    let shapes = [(1, 1), (8, 2), (32, 3), (4, 8)].map(|(shards, workers)| Shape::Seeded {
+        shards,
+        workers,
+        scheduler: 0xFEED_F00D,
+    });
+    let shapes = [&[Shape::Sequential][..], &shapes].concat();
+    stock_schedule(TEST, shapes, &registrations, &stock_publishes());
 }

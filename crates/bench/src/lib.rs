@@ -355,7 +355,7 @@ pub enum HotQuery {
     Count(Algo, WindowSpec),
     /// An isolated Appendix-A adapter session (`AnySession::Timed`).
     Timed(Algo, TimedSpec),
-    /// A shared-digest-plane session (`AnySession::Shared`).
+    /// A shared-digest-plane session (`AnySession::Group`, event clock).
     Shared(Algo, TimedSpec),
 }
 

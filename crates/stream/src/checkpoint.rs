@@ -20,7 +20,7 @@
 //! * [`EngineFactory`] — rebuilds engines by registered name on restore
 //!   (a checkpoint stores *state*, not code);
 //! * [`Checkpoint`] — the framed artifact: magic, format version,
-//!   payload, trailing FNV-1a checksum. Unknown magic, future versions,
+//!   payload, trailing FNV-1a checksum. Unknown magic, other versions,
 //!   truncation, bit flips, and malformed payloads all surface as typed
 //!   [`CheckpointError`]s — never a panic.
 //!
@@ -103,17 +103,12 @@ use crate::window::{SlidingTopK, TimedTopK, WindowSpec};
 /// Leading magic bytes of every checkpoint artifact.
 pub const MAGIC: [u8; 8] = *b"SAPCKPT\0";
 
-/// The payload layout version this build writes. Bumped on any layout
-/// change; decoding additionally accepts [`MIN_FORMAT_VERSION`] and up
-/// (version 3 added the admission plane: per-group predicates, explicit
-/// count-group ordinals, and the ADMISSION counter section — a version-2
-/// image restores with pass-all predicates and admission counters reset
-/// to zero). Other versions are rejected with
+/// The payload layout version this build writes and the only one it
+/// reads. Bumped on any layout change (version 3 added the admission
+/// plane: per-group predicates, explicit count-group ordinals, and the
+/// ADMISSION counter section). Other versions are rejected with
 /// [`CheckpointError::UnsupportedVersion`].
 pub const FORMAT_VERSION: u32 = 3;
-
-/// The oldest payload layout version [`Checkpoint::from_bytes`] accepts.
-pub const MIN_FORMAT_VERSION: u32 = 2;
 
 /// Section tags of the version-3 payload layout (crate-internal; the
 /// framing itself is what [`Encoder::section`] exposes publicly).
@@ -122,13 +117,13 @@ pub(crate) mod tags {
     pub const REGISTRY: u8 = 1;
     /// The sessions of one registry.
     pub const SESSIONS: u8 = 2;
-    /// The digest-group producers of one registry.
+    /// The event-clock groups of one registry.
     pub const GROUPS: u8 = 3;
     /// The digest sharing counters of one registry.
     pub const COUNTERS: u8 = 4;
     /// One engine's [`CheckpointState`](super::CheckpointState) blob.
     pub const ENGINE: u8 = 5;
-    /// The count-group state of one registry (version 2).
+    /// The arrival-clock groups of one registry (since version 2).
     pub const COUNT_GROUPS: u8 = 6;
     /// The admission-plane counters of one registry (version 3).
     pub const ADMISSION: u8 = 7;
@@ -603,7 +598,7 @@ impl Checkpoint {
             return Err(CheckpointError::BadMagic);
         }
         let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-        if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
+        if version != FORMAT_VERSION {
             return Err(CheckpointError::UnsupportedVersion {
                 found: version,
                 supported: FORMAT_VERSION,
@@ -635,7 +630,7 @@ impl Checkpoint {
     }
 
     /// The payload layout version this artifact was written under —
-    /// within `MIN_FORMAT_VERSION..=FORMAT_VERSION` for any value
+    /// [`FORMAT_VERSION`] for any value
     /// [`from_bytes`](Checkpoint::from_bytes) accepted.
     pub fn version(&self) -> u32 {
         u32::from_le_bytes(self.bytes[8..12].try_into().unwrap())
@@ -732,18 +727,21 @@ mod tests {
         bent[13] ^= 0x40;
         assert!(Checkpoint::from_bytes(&bent).is_err());
 
-        // a future version is refused by name, checksum intact
-        let mut future = ckpt.as_bytes()[..ckpt.len() - 8].to_vec();
-        future[8..12].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-        let sum = fnv1a(&future);
-        future.extend_from_slice(&sum.to_le_bytes());
-        assert_eq!(
-            Checkpoint::from_bytes(&future),
-            Err(CheckpointError::UnsupportedVersion {
-                found: FORMAT_VERSION + 1,
-                supported: FORMAT_VERSION,
-            })
-        );
+        // a future version, and the retired version 2, are refused by
+        // name, checksum intact
+        for version in [FORMAT_VERSION + 1, 2] {
+            let mut reframed = ckpt.as_bytes()[..ckpt.len() - 8].to_vec();
+            reframed[8..12].copy_from_slice(&version.to_le_bytes());
+            let sum = fnv1a(&reframed);
+            reframed.extend_from_slice(&sum.to_le_bytes());
+            assert_eq!(
+                Checkpoint::from_bytes(&reframed),
+                Err(CheckpointError::UnsupportedVersion {
+                    found: version,
+                    supported: FORMAT_VERSION,
+                })
+            );
+        }
     }
 
     #[test]

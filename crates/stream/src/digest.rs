@@ -30,11 +30,12 @@
 //! two types from the count-based side: a geometry class of count
 //! queries — same slide length `s`, same registration offset mod `s` —
 //! closes slides on the same published object, so the registry runs one
-//! `DigestProducer` per class (object arrival index as the timestamp)
-//! and each member feeds its `(n, k)` reduction through
-//! [`SharedTimed::apply_slide_top`]. One ring of external ids per class
-//! translates the digest's ordinal ids back to real objects at emission
-//! time (see `registry::CountClass::close`).
+//! `DigestProducer` per class on an arrival clock (object arrival index
+//! as the timestamp). Both planes serve their members inside the close,
+//! from the borrowed [`DigestView`], through
+//! [`SharedTimed::apply_slide_top`]; on the arrival clock one ring of
+//! external ids per group translates the view's ordinal ids back to
+//! real objects (see the registry's result classes).
 //!
 //! ```
 //! use sap_stream::{DigestProducer, TimedObject};

@@ -1482,7 +1482,7 @@ mod tests {
         let probe = *members.last().unwrap();
         assert!(hub.inspect(probe).unwrap().slides > 0);
         for q in members {
-            assert!(hub.unregister(q).unwrap().into_shared().is_some());
+            assert!(hub.unregister(q).unwrap().into_group().is_some());
         }
         assert!(
             hub.placement.groups.is_empty(),

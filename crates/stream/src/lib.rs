@@ -127,8 +127,8 @@ pub use predicate::Predicate;
 pub use query::{AlgorithmKind, Query, QuerySpec, SapError, SapPolicy, TimedSpec};
 pub use registry::{HubStats, Registration};
 pub use session::{
-    AnySession, GroupedSession, Hub, HubSession, QueryId, QueryUpdate, Session, SharedSession,
-    SlideScratch, TimedSession,
+    AnySession, Clock, GroupSession, Hub, HubSession, QueryId, QueryUpdate, Session, SlideScratch,
+    TimedSession,
 };
 pub use shard::QueryState;
 pub use window::{Ingest, SlidingTopK, SpecError, TimedIngest, TimedTopK, WindowSpec};

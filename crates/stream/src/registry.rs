@@ -1,6 +1,6 @@
-//! The session registry: one copy of the fan-out, digest-group, and
-//! statistics bookkeeping shared by the sequential [`Hub`] and every
-//! [`AsyncHub`] shard, plus the [`Registration`] value both hubs take.
+//! The session registry: one copy of the fan-out, group, and statistics
+//! bookkeeping shared by the sequential [`Hub`] and every [`AsyncHub`]
+//! shard, plus the [`Registration`] value both hubs take.
 //!
 //! [`Registry`] holds that logic once: the sequential hub *is* a
 //! registry driven from the caller's thread, and each async-hub shard
@@ -8,92 +8,75 @@
 //! the two byte-identical by construction. Both store the same boxed
 //! [`Send`] engines, so one validated registration serves either hub.
 //!
-//! ## Slide groups
+//! ## Groups
 //!
-//! Shared time-based sessions are grouped by `slide_duration`: every
-//! member of a group closes slides at identical watermarks, so the group
-//! owns one [`DigestProducer`] (at `k_max` = the largest member `k`,
-//! grown on registration) and each published object is ingested **once
-//! per group** instead of once per query. Closed digests fan out to the
-//! members, each slicing its own `k` prefix.
+//! SAP's Appendix-A reduction serves a window by reducing each closed
+//! slide to its top-`k` and feeding that stream to a count-based engine.
+//! Every member of a sharing plane runs that reduction through a
+//! [`SharedTimed`] consumer, and members whose slides close together
+//! form a **group** that owns one [`DigestProducer`]: each published
+//! object is ingested **once per group**, and each slide is truncated
+//! once at `k_max`, the largest member `k`. The two planes differ only
+//! in the group's [`Clock`]:
 //!
-//! A member registering mid-stream must only observe objects published
-//! after its registration (exactly like an isolated session). Until the
-//! group slide it joined during has closed, the member therefore runs on
-//! a private warm-up producer fed the raw stream; once that slide closes,
-//! the private and shared views provably coincide (every later slide
-//! started after the registration) and the member is promoted to shared
-//! consumption. Warm-up slides are counted as
-//! [`digest_rebuilds`](HubStats::digest_rebuilds), shared consumptions as
-//! [`digest_hits`](HubStats::digest_hits).
+//! * **event time** ([`Registration::shared`]): one group per
+//!   `(slide_duration, predicate)`; slides close on timestamps and
+//!   watermarks;
+//! * **arrival ordinals** ([`Registration::grouped`]): every count query
+//!   with slide length `s` registered at the same stream offset (mod
+//!   `s`) closes slides on the same arrivals, whatever its `n` and `k`.
+//!   Such queries form one group, whose ordinals double as the
+//!   producer's ids and timestamps (so a slide closes exactly every `s`
+//!   arrivals) and whose ring of the last `n_max + s` external ids
+//!   translates emissions back.
 //!
-//! ## Count groups
-//!
-//! The count-based side has the same sharing opportunity one key over:
-//! every count-based query with slide length `s` registered at the same
-//! stream offset (mod `s`) fills and closes slides on **identical
-//! arrival boundaries**, whatever its `n` and `k`. Such queries form a
-//! *count group* — geometry key `(s, registration offset mod s)` — that
-//! owns one [`DigestProducer`] driven by the group's arrival ordinals
-//! (each ordinal doubling as the synthetic timestamp, so slides close
-//! exactly every `s` arrivals) plus one ring of the last `n_max + s`
-//! external ids. Each published object is ingested **once per group**;
-//! when a slide fills, the group truncates it once at `k_max` and every
-//! member slices its `(n, k)` view through its private [`SharedTimed`]
-//! reduction — byte-identical to an isolated session, O(groups) instead
-//! of O(queries) per object.
-//!
-//! Registration phase is the known blocker for grouping count queries
-//! (equal-`s` sessions generally differ by offset), and the join rule
-//! dissolves it: a new member joins an existing group with its `s` only
-//! when that group's open slide is **empty** — then the member starts on
-//! a fresh slide boundary, has missed nothing, and needs no warm-up
-//! machinery at all. At most one group per `s` can have an empty open
-//! slide at any instant (two same-`s` groups always sit at different
-//! offsets mod `s`), so the rule is deterministic; a registration that
-//! finds no empty-slide group founds a new geometry class at the current
-//! offset. Group slides served to members are counted as
-//! [`count_group_hits`](HubStats::count_group_hits); slides computed by
-//! isolated count sessions ([`Registration::count`]) as
-//! [`count_group_rebuilds`](HubStats::count_group_rebuilds), so the
-//! sharing ratio is observable.
+//! A member must only observe objects published after its registration,
+//! and each clock has its join rule for that. An arrival-clock member
+//! joins a group only when the group's open slide is **empty**: it then
+//! starts on a slide boundary and misses nothing. At most one group per
+//! `(s, predicate)` can have an empty open slide (two always sit at
+//! different offsets mod `s`), and a registration that finds none founds
+//! a group at the current offset. An event-clock member joins its one
+//! group; if the group has ingested anything it **warms up** on a
+//! private producer fed the raw stream until the group slide it joined
+//! during has closed, after which the private and shared views provably
+//! coincide. Warm-up slides count as
+//! [`digest_rebuilds`](HubStats::digest_rebuilds), served slides as
+//! [`digest_hits`](HubStats::digest_hits) or
+//! [`count_group_hits`](HubStats::count_group_hits), and slides of
+//! isolated count sessions as
+//! [`count_group_rebuilds`](HubStats::count_group_rebuilds).
 //!
 //! ## Result classes
 //!
-//! Grouping makes *ingest* O(groups), but every slide close still walked
-//! every member, re-running an identical reduction and diff for members
-//! with the same view. The second tier collapses that per-member floor:
-//! within each count group, members are partitioned into **result
-//! classes** keyed by `(n, k, join_slide)` — a member's emissions are a
-//! pure function of the group's stream and that key, so one class
-//! computes byte-identical snapshots for all its members. The class owns
-//! the one [`SharedTimed`] consumer the members share; a slide close runs
-//! the reduction, the ordinal → external-id translation, and the delta
-//! diff **once per class**, and each member emission is two refcount
-//! bumps plus an inline event copy (zero heap allocations on a quiet
-//! slide). The shared timed plane classes the same way by `(wd, k)` for
-//! members that joined a pristine group; mid-stream joiners warm up solo
-//! and stay solo after promotion (their class membership is not provable
-//! until their partial join slide has left the window). Emissions served
-//! from a class beyond the one computing member are counted as
-//! [`class_hits`](HubStats::class_hits); classes are derivable from
-//! member state, so checkpoints carry no class section and restore
-//! rebuilds them — with every byte of the checkpoint identical to the
-//! pre-class encoding.
+//! Within a group, members with equal window, `k` and join slide whose
+//! pasts provably coincide compute byte-identical slides, so they form
+//! one **result class** that owns their one consumer. Every member that
+//! is not warming up sits in exactly one class: a member that starts in
+//! step with its group joins the class with its key (or founds one, and
+//! always founds one with class sharing off), and a warmed-up member
+//! founds a class of its own. A slide close serves every class from the
+//! producer's borrowed [`DigestView`] inside the close: the reduction,
+//! the id translation and the delta diff run **once per class**, and
+//! each member emission is two refcount bumps plus an inline event copy
+//! — zero heap allocations on a quiet slide. Emissions beyond the one
+//! computing member count as [`class_hits`](HubStats::class_hits).
+//! Classes are derivable from member state, so checkpoints carry no
+//! class section: restore and migration re-class every member by byte
+//! signature, and every checkpoint byte is the pre-class encoding.
 //!
 //! ## Per-call cost
 //!
 //! The session store holds every registered query, but a publish or
 //! watermark call never walks it. The registry keeps one ascending list
 //! of the store entries that need service on **every** call: isolated
-//! count and timed sessions, and *solo* shared members (warming up, or
-//! promoted after a mid-stream join). A quiet call therefore costs
-//! O(groups) ingest plus O(list) member work; grouped members and
-//! classed shared members are touched only when their class's group
-//! closes a slide, and then once per member emission. The list is kept
-//! in step with every store mutation — O(list) for a single register or
-//! unregister, one O(store) rebuild for the bulk paths (restore,
-//! group installation and ejection), which already cost O(store).
+//! count and timed sessions, and warming members. A quiet call therefore
+//! costs O(groups) ingest plus O(list) member work; classed members are
+//! touched only when their group closes a slide, once per emission. The
+//! list is kept in step with every store mutation — O(list) for a single
+//! register or unregister, one O(store) rebuild for the bulk paths
+//! (restore, group installation and ejection), which already cost
+//! O(store).
 //!
 //! [`Hub`]: crate::session::Hub
 //! [`AsyncHub`]: crate::exec::AsyncHub
@@ -101,14 +84,14 @@
 use std::collections::{HashMap, VecDeque};
 
 use crate::checkpoint::{tags, CheckpointError, Decoder, Encoder};
-use crate::digest::{DigestProducer, DigestRef, DigestView, SharedTimed};
+use crate::digest::{DigestProducer, DigestView, SharedTimed};
 use crate::events::{EventList, SlideResult, Snapshot};
 use crate::object::{Object, TimedObject};
 use crate::predicate::{Predicate, PruneGate};
 use crate::query::{SapError, TimedSpec};
 use crate::session::{
-    close_staged, AnySession, GroupedSession, QueryId, QueryUpdate, Session, SharedSession,
-    SlideScratch, TimedSession,
+    close_staged, AnySession, Clock, GroupSession, QueryId, QueryUpdate, Session, SlideScratch,
+    TimedSession,
 };
 use crate::window::{Ingest, SlidingTopK, TimedIngest, TimedTopK, WindowSpec};
 
@@ -173,11 +156,11 @@ pub struct HubStats {
     /// (`set_admission_pruning(false)` — the reference arm).
     pub pruned: u64,
     /// Live result classes across both sharing planes (see the module
-    /// docs on result classes): distinct `(n, k, join_slide)` cohorts inside
-    /// count groups plus `(wd, k)` cohorts inside slide groups. Equals
-    /// the number of reductions actually run per slide close; the gap to
-    /// `grouped_queries + shared_queries` is the work the second tier
-    /// collapses.
+    /// docs on result classes), each keyed by window, `k` and join slide
+    /// inside its group. Every member that is not warming up sits in
+    /// exactly one class, so this equals the number of reductions run
+    /// per slide close; the gap to `grouped_queries + shared_queries` is
+    /// the work the second tier collapses.
     pub result_classes: u64,
     /// Member emissions served from a class-level computation **beyond**
     /// the one that ran it — per-slide-close work the class memoized
@@ -242,7 +225,7 @@ impl HubStats {
     /// **Dashboards should alarm on this rate falling, not on
     /// [`result_classes`](HubStats::result_classes) rising**: the class
     /// *count* grows with a healthy, diverse query population (every new
-    /// `(n, k, join_slide)` cohort adds one), while a falling hit *rate*
+    /// class key — window, `k`, join slide — adds one), while a falling hit *rate*
     /// means slide closes are doing per-member work the memo used to
     /// absorb — the actual regression signal. Note the denominator counts
     /// member-slides served by the sharing planes, so the rate is
@@ -258,11 +241,12 @@ impl HubStats {
     }
 
     /// Field-wise accumulation — how `AsyncHub::stats()` folds its
-    /// per-shard partials into one hub-wide view. Straight sums are
-    /// exact for every field because each query (and — by the
-    /// shard-locality invariant documented on
-    /// [`digest_groups`](HubStats::digest_groups) — each slide group)
-    /// is owned by exactly one shard.
+    /// per-shard partials into one hub-wide view. Every field but
+    /// [`queue_depth_hwm`](HubStats::queue_depth_hwm) is a straight sum,
+    /// exact because each query (and — by the shard-locality invariant
+    /// documented on [`digest_groups`](HubStats::digest_groups) — each
+    /// group) is owned by exactly one shard; the high-water mark is
+    /// max-merged.
     pub fn merge(&mut self, other: &HubStats) {
         self.queries += other.queries;
         self.count_queries += other.count_queries;
@@ -290,20 +274,18 @@ impl HubStats {
 /// [`HubStats`] partial so the hub can audit the **shard-locality
 /// invariant** that makes [`HubStats::merge`]'s straight sums exact:
 /// `digest_groups`/`count_groups` totals are only correct because no
-/// group ever spans two workers. Slide groups are identified by their
-/// `(slide_duration, predicate)`; count groups by `(slide length, slide
-/// fill, predicate)` — at a quiesced instant every shard has consumed
-/// the same published prefix, so two count groups with equal `s` and
-/// equal predicate sit at the same fill only if they are the same
-/// offset class (the same uniqueness argument the checkpoint encoding
-/// and `RegistryParts::merge` already rely on). Fill counts **observed
-/// stream positions**, not buffered objects, so the identity is stable
-/// under dominance pruning and predicate rejection.
+/// group ever spans two workers. A group's identity is its clock, slide,
+/// open-slide fill and predicate. On the event clock the fill is 0: one
+/// registry holds one group per `(slide_duration, predicate)`. On the
+/// arrival clock, at a quiesced instant every shard has consumed the
+/// same published prefix, so two groups with equal `s` and equal
+/// predicate sit at the same fill only if they are the same offset class
+/// (the same uniqueness argument the checkpoint encoding and
+/// `RegistryParts::merge` rely on). Fill counts **observed stream
+/// positions**, not buffered objects, so the identity is stable under
+/// dominance pruning and predicate rejection.
 #[derive(Debug, Default, Clone, PartialEq)]
-pub(crate) struct GroupKeys {
-    pub(crate) digest: Vec<(u64, Predicate)>,
-    pub(crate) count: Vec<(u64, u64, Predicate)>,
-}
+pub(crate) struct GroupKeys(pub(crate) Vec<(Clock, u64, u64, Predicate)>);
 
 impl GroupKeys {
     /// Debug-asserts that `other` (reported by `shard`) shares no group
@@ -313,20 +295,19 @@ impl GroupKeys {
     /// double-count groups in [`HubStats`] — into a panic at the merge
     /// site.
     pub(crate) fn absorb_disjoint(&mut self, other: &GroupKeys, shard: usize) {
-        debug_assert!(
-            !other.digest.iter().any(|sd| self.digest.contains(sd)),
-            "slide group split across workers: slide_duration {:?} \
-             reported by shard {shard} and an earlier shard",
-            other.digest.iter().find(|sd| self.digest.contains(sd)),
-        );
-        debug_assert!(
-            !other.count.iter().any(|key| self.count.contains(key)),
-            "count group split across workers: geometry class {:?} \
-             reported by shard {shard} and an earlier shard",
-            other.count.iter().find(|key| self.count.contains(key)),
-        );
-        self.digest.extend_from_slice(&other.digest);
-        self.count.extend_from_slice(&other.count);
+        if cfg!(debug_assertions) {
+            if let Some(split) = other.0.iter().find(|id| self.0.contains(id)) {
+                let plane = match split.0 {
+                    Clock::Event => "slide",
+                    Clock::Arrival => "count",
+                };
+                panic!(
+                    "{plane} group split across workers: {split:?} reported by \
+                     shard {shard} and an earlier shard"
+                );
+            }
+        }
+        self.0.extend_from_slice(&other.0);
     }
 }
 
@@ -456,16 +437,19 @@ impl Registration {
                 engine,
                 window_duration,
                 slide_duration,
-            } => Member::Shared(
-                SharedTimed::from_engine(engine, window_duration, slide_duration)
-                    .map_err(SapError::Spec)?,
+            } => Member::Group(
+                Box::new(
+                    SharedTimed::from_engine(engine, window_duration, slide_duration)
+                        .map_err(SapError::Spec)?,
+                ),
+                Clock::Event,
                 predicate,
             ),
             Plane::Grouped { engine, n, s } => {
-                let spec = WindowSpec::new(n, engine.spec().k, s).map_err(SapError::Spec)?;
+                WindowSpec::new(n, engine.spec().k, s).map_err(SapError::Spec)?;
                 let consumer =
                     SharedTimed::from_engine(engine, n as u64, s as u64).map_err(SapError::Spec)?;
-                Member::Grouped(consumer, spec, predicate)
+                Member::Group(Box::new(consumer), Clock::Arrival, predicate)
             }
         })
     }
@@ -475,11 +459,10 @@ impl Registration {
 pub(crate) enum Member<C: SlidingTopK, T: TimedTopK> {
     Count(C),
     Timed(T),
-    /// The digest consumer and the predicate keying its slide group.
-    Shared(SharedTimed<C>, Predicate),
-    /// The reduced consumer, the plain `⟨n, k, s⟩` spec, and the
-    /// predicate keying its geometry class.
-    Grouped(SharedTimed<C>, WindowSpec, Predicate),
+    /// The reduced consumer (its window, slide and `k` are the query's;
+    /// boxed, as it outweighs the other variants), the clock of the
+    /// group it joins, and the predicate keying it.
+    Group(Box<SharedTimed<C>>, Clock, Predicate),
 }
 
 /// The member both hubs register: boxed [`Send`] engines.
@@ -488,38 +471,322 @@ pub(crate) type HubMember = Member<Box<dyn SlidingTopK + Send>, Box<dyn TimedTop
 /// The registry both hubs drive.
 pub(crate) type HubRegistry = Registry<Box<dyn SlidingTopK + Send>, Box<dyn TimedTopK + Send>>;
 
-/// One slide group: the shared producer, its member count (sessions in
-/// [`Registry::sessions`] with this `slide_duration`), and the result
-/// classes collapsing same-`(wd, k)` members into one evaluation.
-struct DigestGroup<C: SlidingTopK> {
+/// The group both hubs move between shards.
+pub(crate) type HubGroup = Group<Box<dyn SlidingTopK + Send>>;
+
+/// One sharing-plane group (see the [module docs](self)): the producer
+/// that truncates each slide once at `k_max`, the subscription
+/// predicate, the dominance gate, the clock, and the result classes
+/// serving the members. A group travels as itself — in
+/// [`RegistryParts`] (restore and resize) and in a migration — with its
+/// classes dissolved into the member sessions; everything but the
+/// producer, predicate and clock is rebuilt when it is installed.
+pub(crate) struct Group<C: SlidingTopK> {
     producer: DigestProducer,
-    members: usize,
-    /// The group's subscription predicate (also its key's second half):
-    /// objects it rejects advance the group's event time but are never
-    /// buffered, so every member sees the filtered ranking.
+    /// Objects it rejects advance the group's clock but are never
+    /// buffered, so every member ranks the filtered stream.
     predicate: Predicate,
     /// The k-skyband dominance gate over the open slide's admitted
-    /// objects — rebuilt whenever `k_max` changes or the open slide's
-    /// contents are restored, reset at every slide close. Consulted only
-    /// while admission pruning is enabled.
+    /// objects — rebuilt whenever `k_max` changes or the group is
+    /// installed, reset at every slide close. Consulted only while
+    /// admission pruning is enabled.
     gate: PruneGate,
-    /// Result classes of the members that are provably view-equivalent
-    /// (joined the group pristine, or byte-matched at installation).
-    /// Warming-up and promoted-solo members are served individually and
-    /// appear in no class.
-    classes: Vec<SharedClass<C>>,
+    clock: GroupClock,
+    /// Registered members, classed and warming alike.
+    members: usize,
+    /// The widest member window: the arrival clock's ring retains
+    /// `widest + s` ordinals, which covers every ordinal a member can
+    /// reference at a close, because members are served *inside* the
+    /// close (before later arrivals can evict entries). Trimming is
+    /// lazy, so a shrink drains over time.
+    widest: u64,
+    /// Every member that is not warming up sits in exactly one class.
+    classes: Vec<Class<C>>,
 }
 
-/// One **result class** of a slide group: every member with this
-/// `(window_duration, k)` that joined the pristine group computes
-/// byte-identical slides, so the class owns their one consumer and runs
-/// each digest's reduction + diff once, and members stamp the shared
-/// snapshot (see [`SharedSession::emit_class`]).
-struct SharedClass<C: SlidingTopK> {
-    wd: u64,
-    k: usize,
-    /// The one consumer serving every member (members' own `consumer`
-    /// fields are `None` while classed).
+/// How a group tells time, with the arrival clock's state.
+enum GroupClock {
+    /// Event time: the producer runs on the objects' own ids and
+    /// timestamps.
+    Event,
+    /// Arrival ordinals: the producer runs on group ordinals, used as
+    /// both id and timestamp, so the one truncation tie-break — equal
+    /// scores to the higher id — lands on arrival recency, exactly like
+    /// an isolated [`Session`]'s.
+    Arrival(Arrivals),
+}
+
+/// The arrival clock's state.
+struct Arrivals {
+    /// External id of group ordinal `r` at `ring[r - ring_base]` — the
+    /// translation every class close reads.
+    ring: VecDeque<u64>,
+    ring_base: u64,
+    /// Objects the group has observed = the next ordinal. Under
+    /// admission control this counts **every** published object —
+    /// predicate-rejected and dominance-pruned ones included — so slide
+    /// boundaries, the ring, and drain order do not depend on admission.
+    next_ordinal: u64,
+}
+
+impl GroupClock {
+    fn new(clock: Clock) -> GroupClock {
+        match clock {
+            Clock::Event => GroupClock::Event,
+            Clock::Arrival => GroupClock::Arrival(Arrivals {
+                ring: VecDeque::new(),
+                ring_base: 0,
+                next_ordinal: 0,
+            }),
+        }
+    }
+
+    fn kind(&self) -> Clock {
+        match self {
+            GroupClock::Event => Clock::Event,
+            GroupClock::Arrival(_) => Clock::Arrival,
+        }
+    }
+
+    /// The per-object clock step: the object as the producer sees it,
+    /// and the clock's watermark after it. Event time keeps the object.
+    /// The arrival clock stamps the next ordinal `r` as id and timestamp,
+    /// appends the external id to the ring (keeping the last `retain`),
+    /// and moves to `r + 1`, which closes the slide `r` fills.
+    fn step(&mut self, o: TimedObject, retain: u64) -> (TimedObject, u64) {
+        match self {
+            GroupClock::Event => (o, o.timestamp),
+            GroupClock::Arrival(a) => {
+                let r = a.next_ordinal;
+                a.next_ordinal += 1;
+                a.ring.push_back(o.id);
+                if a.ring.len() as u64 > retain {
+                    a.ring.pop_front();
+                    a.ring_base += 1;
+                }
+                (TimedObject::new(r, r, o.score), r + 1)
+            }
+        }
+    }
+
+    /// The id translation at a close: `top` in the caller's ids, into
+    /// `out`. Arrival-clock objects carry ordinals, which the ring maps
+    /// back to the ids they were published with.
+    fn translate(&self, top: &[TimedObject], out: &mut Vec<Object>) {
+        out.clear();
+        match self {
+            GroupClock::Event => out.extend(top.iter().map(TimedObject::untimed)),
+            GroupClock::Arrival(a) => out.extend(
+                top.iter()
+                    .map(|o| Object::new(a.ring[(o.id - a.ring_base) as usize], o.score)),
+            ),
+        }
+    }
+
+    /// Observed stream positions inside the open slide — the arrival
+    /// clock's close trigger and identity. Derived from the ordinal,
+    /// **not** `pending_len()`: admission control admits fewer objects
+    /// than it observes, but the slide fills on observation. 0 on the
+    /// event clock.
+    fn fill(&self, producer: &DigestProducer) -> u64 {
+        match self {
+            GroupClock::Event => 0,
+            GroupClock::Arrival(a) => {
+                a.next_ordinal - producer.next_slide() * producer.slide_duration()
+            }
+        }
+    }
+}
+
+impl<C: SlidingTopK> Group<C> {
+    /// A group around `producer` with no members yet; the gate is
+    /// derived state, rebuilt from the open slide's admitted buffer so
+    /// pruning resumes exactly.
+    fn new(producer: DigestProducer, predicate: Predicate, clock: GroupClock) -> Self {
+        let mut gate = PruneGate::new(producer.k_max());
+        gate.rebuild(producer.k_max(), producer.pending());
+        Group {
+            producer,
+            predicate,
+            gate,
+            clock,
+            members: 0,
+            widest: 0,
+            classes: Vec::new(),
+        }
+    }
+
+    /// The group as it arrives from a migration or a restore, before its
+    /// members are seated.
+    fn reset(self) -> Self {
+        Group::new(self.producer, self.predicate, self.clock)
+    }
+
+    /// The join-rule key: groups with one clock, slide and predicate.
+    fn key(&self) -> (Clock, u64, Predicate) {
+        (
+            self.clock.kind(),
+            self.producer.slide_duration(),
+            self.predicate,
+        )
+    }
+
+    /// The identity [`GroupKeys`] audits and canonical order sorts by.
+    pub(crate) fn identity(&self) -> (Clock, u64, u64, Predicate) {
+        (
+            self.clock.kind(),
+            self.producer.slide_duration(),
+            self.clock.fill(&self.producer),
+            self.predicate,
+        )
+    }
+
+    /// Counts a member in, widening the retention to its window.
+    fn count(&mut self, member: &GroupSession<C>) {
+        self.members += 1;
+        self.widest = self.widest.max(member.window());
+    }
+
+    /// Founds a class of one around `member`'s consumer.
+    fn found_class(&mut self, id: QueryId, member: &mut GroupSession<C>) {
+        let consumer = member
+            .take_consumer()
+            .expect("a founding member carries its consumer");
+        self.classes.push(Class {
+            join_slide: member.join_slide(),
+            consumer,
+            members: vec![id],
+            prev: member.last_snapshot_shared(),
+            scratch: SlideScratch::new(),
+            events: EventList::new(),
+        });
+    }
+
+    /// The admission plane: the predicate gates fan-out, then the
+    /// k-skyband dominance gate prunes objects that provably cannot
+    /// survive the open slide's top-`k_max` truncation (≥ `k_max`
+    /// admitted objects strictly dominate them), and the rest is
+    /// buffered. `raw` is the object as published — predicates test its
+    /// own id — and `o` as the clock stamped it.
+    fn admit(&mut self, raw: &TimedObject, o: TimedObject, pruning: bool, counters: &mut Counters) {
+        if !self.predicate.accepts_timed(raw) {
+            return;
+        }
+        if pruning && !self.gate.admits(o.score) {
+            counters.pruned += 1;
+            return;
+        }
+        // the clock step already moved the producer to `o.timestamp`, so
+        // this ingest can close nothing — it only buffers
+        self.producer.ingest_with(o, &mut |_| {
+            debug_assert!(false, "an ingest after its clock step closes no slide")
+        });
+        counters.admitted += 1;
+        if pruning {
+            self.gate.offer(o.score);
+        }
+    }
+
+    /// Moves the producer to `to`. Every slide that closes is served
+    /// inside the close, from the producer's borrowed view: one reduction
+    /// and diff per class, then a stamp per member. A close opens a fresh
+    /// slide, so the gate resets.
+    fn advance<T: TimedTopK>(
+        &mut self,
+        to: u64,
+        counters: &mut Counters,
+        delivery: &mut Delivery<'_, C, T>,
+    ) {
+        let Group {
+            producer,
+            gate,
+            clock,
+            classes,
+            ..
+        } = self;
+        let before = producer.next_slide();
+        producer.advance_to_with(to, &mut |view| {
+            for class in classes.iter_mut() {
+                let snapshot = class.close(view, clock);
+                delivery.stamp(&class.members, &snapshot, &class.events);
+                *counters.hits(clock.kind()) += class.members.len() as u64;
+            }
+        });
+        if producer.next_slide() != before {
+            gate.reset();
+        }
+    }
+
+    /// Writes the group into its clock's checkpoint section: `GROUPS`
+    /// holds an event-clock group's slide duration, predicate and
+    /// producer; `COUNT_GROUPS` an arrival-clock group's predicate,
+    /// producer, ordinal (explicit since v3: under admission control the
+    /// fill is not derivable from the producer's buffer) and ring.
+    fn encode(&self, e: &mut Encoder) {
+        match &self.clock {
+            GroupClock::Event => {
+                e.put_u64(self.producer.slide_duration());
+                self.predicate.encode(e);
+                self.producer.encode_state(e);
+            }
+            GroupClock::Arrival(a) => {
+                self.predicate.encode(e);
+                self.producer.encode_state(e);
+                e.put_u64(a.next_ordinal);
+                e.put_u64(a.ring_base);
+                e.put_u64(a.ring.len() as u64);
+                for &ext in &a.ring {
+                    e.put_u64(ext);
+                }
+            }
+        }
+    }
+
+    /// Reads one entry of [`encode`](Group::encode)'s `clock` section.
+    fn decode(clock: Clock, dec: &mut Decoder<'_>) -> Result<Self, CheckpointError> {
+        Ok(match clock {
+            Clock::Event => {
+                let sd = dec.take_u64()?;
+                let predicate = Predicate::decode(dec)?;
+                let producer = DigestProducer::decode_state(dec)?;
+                if producer.slide_duration() != sd {
+                    return Err(CheckpointError::Corrupt(
+                        "group key disagrees with its producer",
+                    ));
+                }
+                Group::new(producer, predicate, GroupClock::Event)
+            }
+            Clock::Arrival => {
+                let predicate = Predicate::decode(dec)?;
+                let producer = DigestProducer::decode_state(dec)?;
+                let next_ordinal = dec.take_u64()?;
+                let ring_base = dec.take_u64()?;
+                let len = dec.take_seq_len()?;
+                let mut ring = VecDeque::with_capacity(len);
+                for _ in 0..len {
+                    ring.push_back(dec.take_u64()?);
+                }
+                let arrivals = Arrivals {
+                    ring,
+                    ring_base,
+                    next_ordinal,
+                };
+                Group::new(producer, predicate, GroupClock::Arrival(arrivals))
+            }
+        })
+    }
+}
+
+/// One **result class**: members whose emissions are the same function
+/// of the group's stream — equal window, `k` and join slide, and a
+/// provably equal past (see the [module docs](self)). The class owns
+/// their one consumer and computes each close once.
+struct Class<C: SlidingTopK> {
+    /// The group slide the consumer's slide 0 lines up with (see
+    /// [`GroupSession`]); with the consumer's window and `k`, the class
+    /// key.
+    join_slide: u64,
+    /// The one consumer serving every member.
     consumer: SharedTimed<C>,
     /// Member query ids, ascending.
     members: Vec<QueryId>,
@@ -527,165 +794,96 @@ struct SharedClass<C: SlidingTopK> {
     /// construction, so the class-level diff is valid for all of them.
     prev: Snapshot,
     scratch: SlideScratch,
-    /// The last closed slide's delta, staged once per class and cloned
-    /// (inline, allocation-free when unchanged) per member.
-    events: EventList,
-}
-
-impl<C: SlidingTopK> SharedClass<C> {
-    fn new(consumer: SharedTimed<C>, member: QueryId, prev: Snapshot) -> Self {
-        SharedClass {
-            wd: consumer.window_duration(),
-            k: consumer.k(),
-            consumer,
-            members: vec![member],
-            prev,
-            scratch: SlideScratch::new(),
-            events: EventList::new(),
-        }
-    }
-
-    /// The class-level half of a slide close: one reduction, one diff.
-    fn close(&mut self, digest: &DigestRef) -> Snapshot {
-        let top = self.consumer.apply_digest(digest);
-        self.scratch.stage_timed(top);
-        close_staged(&mut self.prev, &mut self.scratch, &mut self.events)
-    }
-}
-
-/// One count group — a `(slide length, registration offset mod s)`
-/// geometry class of count-based queries (see the [module docs](self)).
-/// The producer runs on the group's **arrival ordinals** (used as both
-/// id and synthetic timestamp), so the module's one slide-truncation
-/// rule — equal scores break toward the higher id — lands on arrival
-/// recency, exactly matching an isolated [`Session`]'s tie-break.
-struct CountGroup<C: SlidingTopK> {
-    /// Arrival-count slide length (`s`) shared by every member.
-    slide_len: usize,
-    /// The shared per-slide truncation at `k_max` over group ordinals.
-    producer: DigestProducer,
-    /// External id of group ordinal `r` at `ring[r - ring_base]` — the
-    /// group-wide translation ring every member's emission reads.
-    ring: VecDeque<u64>,
-    ring_base: u64,
-    /// Retention target: `n_max + s` covers every ordinal any member can
-    /// reference at a slide close, because members are served *inside*
-    /// the close (before later arrivals can evict entries). Trimming is
-    /// lazy, so a shrink (deepest member leaving) drains over time.
-    ring_cap: usize,
-    /// Member query ids, ascending — the serving fan-out list, so a
-    /// group's slide close touches only its members, never the full
-    /// session store.
-    member_ids: Vec<QueryId>,
-    /// Objects this group has observed = the next group ordinal. Under
-    /// admission control this keeps counting **every** published object
-    /// — predicate-rejected and dominance-pruned ones included — so
-    /// slide boundaries, the translation ring, and drain order are
-    /// byte-identical to the unfiltered plane.
-    next_ordinal: u64,
-    /// The group's subscription predicate (part of its geometry-class
-    /// identity): rejected objects advance ordinals but never reach the
-    /// producer, so members rank only the matching substream.
-    predicate: Predicate,
-    /// The k-skyband dominance gate over the open slide's admitted
-    /// objects — see [`DigestGroup::gate`].
-    gate: PruneGate,
-    /// The members partitioned into result classes by `(n, k,
-    /// join_slide)` — every member appears in exactly one class, and a
-    /// slide close runs one reduction + diff per class, not per member.
-    classes: Vec<CountClass<C>>,
-}
-
-impl<C: SlidingTopK> CountGroup<C> {
-    /// Observed stream positions inside the open slide — the close
-    /// trigger and geometry identity. Derived from the ordinal, **not**
-    /// `pending_len()`: admission control admits fewer objects than it
-    /// observes, but the slide fills on observation.
-    fn fill(&self) -> u64 {
-        self.next_ordinal - self.producer.next_slide() * self.slide_len as u64
-    }
-}
-
-/// One **result class** of a count group: its members share `(n, k,
-/// join_slide)`, so their emissions are the same pure function of the
-/// group's stream — the class owns their one [`SharedTimed`] consumer
-/// and computes each slide close once (see the [module docs](self)).
-struct CountClass<C: SlidingTopK> {
-    n: usize,
-    k: usize,
-    /// The group slide the class's members joined at — their private
-    /// slide 0.
-    join_slide: u64,
-    /// The one consumer serving every member.
-    consumer: SharedTimed<C>,
-    /// Member query ids, ascending.
-    members: Vec<QueryId>,
-    /// The class's previous emission (byte-equal to every member's).
-    prev: Snapshot,
-    scratch: SlideScratch,
     /// The last closed slide's delta, computed once and cloned per
     /// member (inline — allocation-free when it fits 8 events).
     events: EventList,
 }
 
-impl<C: SlidingTopK> CountClass<C> {
-    fn new(
-        spec: WindowSpec,
-        join_slide: u64,
-        consumer: SharedTimed<C>,
-        member: QueryId,
-        prev: Snapshot,
-    ) -> Self {
-        CountClass {
-            n: spec.n,
-            k: spec.k,
-            join_slide,
-            consumer,
-            members: vec![member],
-            prev,
-            scratch: SlideScratch::new(),
-            events: EventList::new(),
-        }
+impl<C: SlidingTopK> Class<C> {
+    fn key(&self) -> (u64, usize, u64) {
+        (
+            self.consumer.window_duration(),
+            self.consumer.k(),
+            self.join_slide,
+        )
     }
 
-    /// The class-level half of a group slide close: one reduction, one
-    /// ordinal → external-id translation, one diff — whatever the class's
-    /// member count.
-    fn close(&mut self, view: DigestView<'_>, ring: &VecDeque<u64>, ring_base: u64) -> Snapshot {
+    /// The class-level half of a close: one reduction, one id
+    /// translation, one diff — whatever the class's member count.
+    fn close(&mut self, view: DigestView<'_>, clock: &GroupClock) -> Snapshot {
         let top = self
             .consumer
             .apply_slide_top(view.slide - self.join_slide, view.top);
-        self.scratch.snapshot.clear();
-        self.scratch.snapshot.extend(
-            top.iter()
-                .map(|o| Object::new(ring[(o.id - ring_base) as usize], o.score)),
-        );
+        clock.translate(top, &mut self.scratch.snapshot);
         close_staged(&mut self.prev, &mut self.scratch, &mut self.events)
     }
 }
 
-/// A count group's portable state — what travels through checkpoints and
-/// whole-group shard migrations. Membership and `ring_cap` are
-/// recomputed at installation from the member sessions.
-pub(crate) struct CountGroupState {
-    pub(crate) producer: DigestProducer,
-    pub(crate) ring: VecDeque<u64>,
-    pub(crate) ring_base: u64,
-    /// The group's subscription predicate (pass-all for v2 images).
-    pub(crate) predicate: Predicate,
-    /// Observed stream positions — carried explicitly since v3: under
-    /// admission control the producer's `pending_len` undercounts the
-    /// open slide's fill, so the ordinal is no longer derivable from the
-    /// producer alone. v2 images derive it as `next_slide · s +
-    /// pending_len` (exact there — nothing was ever skipped).
-    pub(crate) next_ordinal: u64,
+/// The six sharing counters a checkpoint carries, in their `COUNTERS`
+/// and `ADMISSION` byte order — see the [`HubStats`] fields of the same
+/// names.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Counters {
+    pub(crate) digest_hits: u64,
+    pub(crate) digest_rebuilds: u64,
+    pub(crate) count_group_hits: u64,
+    pub(crate) count_group_rebuilds: u64,
+    /// Persisted since checkpoint v3.
+    pub(crate) admitted: u64,
+    pub(crate) pruned: u64,
 }
 
-impl CountGroupState {
-    /// Observed stream positions inside the open slide — see
-    /// [`CountGroup::fill`].
-    pub(crate) fn fill(&self) -> u64 {
-        self.next_ordinal - self.producer.next_slide() * self.producer.slide_duration()
+impl Counters {
+    /// The hit counter of `clock`'s plane.
+    fn hits(&mut self, clock: Clock) -> &mut u64 {
+        match clock {
+            Clock::Event => &mut self.digest_hits,
+            Clock::Arrival => &mut self.count_group_hits,
+        }
+    }
+
+    /// Adds `other` field by field (saturating: the counters may come
+    /// from foreign checkpoint bytes).
+    pub(crate) fn absorb(&mut self, other: &Counters) {
+        self.digest_hits = self.digest_hits.saturating_add(other.digest_hits);
+        self.digest_rebuilds = self.digest_rebuilds.saturating_add(other.digest_rebuilds);
+        self.count_group_hits = self.count_group_hits.saturating_add(other.count_group_hits);
+        self.count_group_rebuilds = self
+            .count_group_rebuilds
+            .saturating_add(other.count_group_rebuilds);
+        self.admitted = self.admitted.saturating_add(other.admitted);
+        self.pruned = self.pruned.saturating_add(other.pruned);
+    }
+
+    fn encode(&self, enc: &mut Encoder) {
+        enc.section(tags::COUNTERS, |e| {
+            e.put_u64(self.digest_hits);
+            e.put_u64(self.digest_rebuilds);
+            e.put_u64(self.count_group_hits);
+            e.put_u64(self.count_group_rebuilds);
+        });
+        enc.section(tags::ADMISSION, |e| {
+            e.put_u64(self.admitted);
+            e.put_u64(self.pruned);
+        });
+    }
+
+    fn decode(dec: &mut Decoder<'_>) -> Result<Counters, CheckpointError> {
+        let mut sec = dec.section(tags::COUNTERS)?;
+        let (digest_hits, digest_rebuilds) = (sec.take_u64()?, sec.take_u64()?);
+        let (count_group_hits, count_group_rebuilds) = (sec.take_u64()?, sec.take_u64()?);
+        sec.finish()?;
+        let mut sec = dec.section(tags::ADMISSION)?;
+        let (admitted, pruned) = (sec.take_u64()?, sec.take_u64()?);
+        sec.finish()?;
+        Ok(Counters {
+            digest_hits,
+            digest_rebuilds,
+            count_group_hits,
+            count_group_rebuilds,
+            admitted,
+            pruned,
+        })
     }
 }
 
@@ -698,32 +896,18 @@ pub(crate) struct Registry<C: SlidingTopK, T: TimedTopK> {
     /// Ascending indices into `sessions` of the entries every publish and
     /// watermark call serves directly — see [`needs_call`] and the
     /// module docs on per-call cost. Walking it in order is registration
-    /// order, so serving the list emits exactly what a full store walk
-    /// skipping grouped and classed members did.
+    /// order.
     solo: Vec<usize>,
-    /// `(slide_duration, predicate)` → the group serving every shared
-    /// session with that geometry **and** that subscription predicate.
-    /// Predicate-disjoint members of one slide duration split into
-    /// distinct groups, because they rank different substreams.
-    groups: HashMap<(u64, Predicate), DigestGroup<C>>,
-    /// Live group id → the count group serving its grouped members. Keys
-    /// are opaque registry-local handles (geometry is *derivable* — a
-    /// group's offset class is `next_ordinal mod s` relative to this
-    /// registry's stream — but never used as an identity, because it
-    /// shifts across checkpoint/restore/resize epochs).
-    count_groups: HashMap<u64, CountGroup<C>>,
-    /// Next live count-group id. Monotonic per registry lifetime; never
-    /// reused, so a stale handle can't alias a newer group.
-    next_count_gid: u64,
-    digest_hits: u64,
-    digest_rebuilds: u64,
-    count_group_hits: u64,
-    count_group_rebuilds: u64,
-    /// Objects admitted into a sharing-plane producer — see
-    /// [`HubStats::admitted`]. Persisted since checkpoint v3.
-    admitted: u64,
-    /// Objects the dominance gate skipped — see [`HubStats::pruned`].
-    pruned: u64,
+    /// Live group id → group. Ids are opaque registry-local handles,
+    /// never reused: an arrival-clock group's offset class shifts across
+    /// checkpoint, restore and resize epochs, so it is never an identity.
+    groups: HashMap<u64, Group<C>>,
+    /// The join-rule index: `(clock, slide, predicate)` → the live ids of
+    /// the groups with that key — one on the event clock, one per offset
+    /// class on the arrival clock.
+    by_key: HashMap<(Clock, u64, Predicate), Vec<u64>>,
+    next_gid: u64,
+    counters: Counters,
     /// Whether ingest consults the k-skyband dominance gate (default).
     /// Off, every predicate-passing object is admitted — the reference
     /// arm, under which `pruned` never ticks.
@@ -733,15 +917,18 @@ pub(crate) struct Registry<C: SlidingTopK, T: TimedTopK> {
     /// (the checkpoint counter section predates it), so it resets on
     /// restore and resize.
     class_hits: u64,
-    /// Whether registration may pool view-equivalent members into shared
-    /// result classes (default). Disabled, every grouped registration
-    /// founds a solo class and every shared registration stays solo —
-    /// the pre-memoization serving shape the floor bench compares
-    /// against. Re-classing of *traveling* members (restore, migration)
-    /// ignores the flag where a member cannot serve without its class.
+    /// Whether registration may pool a member that starts in step with
+    /// its group into an existing class (default). Disabled, every member
+    /// founds a class of its own — the pre-memoization serving shape the
+    /// floor bench compares against. Traveling members (restore,
+    /// migration) re-class regardless: a consumer-less follower cannot
+    /// serve without its class.
     class_sharing: bool,
     /// Pooled untimed view of a timed batch (for count-based sessions).
     plain_buf: Vec<Object>,
+    /// Pooled timed view of an untimed batch (timestamps 0, which only
+    /// the arrival clock observes — and it ignores them).
+    timed_buf: Vec<TimedObject>,
     /// Recent high-water mark of updates per publish call — the capacity
     /// the next returned `Vec<QueryUpdate>` is pre-sized to once its
     /// first result arrives, so steady-state publishes reallocate the
@@ -765,133 +952,96 @@ impl<C: SlidingTopK, T: TimedTopK> Default for Registry<C, T> {
             sessions: Vec::new(),
             solo: Vec::new(),
             groups: HashMap::new(),
-            count_groups: HashMap::new(),
-            next_count_gid: 0,
-            digest_hits: 0,
-            digest_rebuilds: 0,
-            count_group_hits: 0,
-            count_group_rebuilds: 0,
-            admitted: 0,
-            pruned: 0,
+            by_key: HashMap::new(),
+            next_gid: 0,
+            counters: Counters::default(),
             admission_pruning: true,
             class_hits: 0,
             class_sharing: true,
             plain_buf: Vec::new(),
+            timed_buf: Vec::new(),
             update_hint: 0,
             shard: None,
         }
     }
 }
 
-/// A slide group ejected for migration: the shared producer plus its
-/// member sessions in ascending-id order (see
-/// [`Registry::eject_group`]).
-pub(crate) type EjectedGroup<C, T> = (DigestProducer, Vec<(QueryId, AnySession<C, T>)>);
-
-/// A count group ejected for whole-group migration: the group's shared
-/// state plus its member sessions in ascending-id order (see
-/// [`Registry::eject_count_group_of`]).
-pub(crate) type EjectedCountGroup<C, T> = (CountGroupState, Vec<(QueryId, AnySession<C, T>)>);
+/// A group ejected for migration: the group plus its member sessions in
+/// ascending-id order (see [`Registry::eject_group_of`]).
+pub(crate) type EjectedGroup<C, T> = (Group<C>, Vec<(QueryId, AnySession<C, T>)>);
 
 /// Sessions split by the unit they install in (see [`split_by_group`]).
 pub(crate) type SplitSessions<C, T> = (
-    HashMap<(u64, Predicate), Vec<(QueryId, AnySession<C, T>)>>,
     Vec<Vec<(QueryId, AnySession<C, T>)>>,
     Vec<(QueryId, AnySession<C, T>)>,
 );
 
-/// Splits decoded or ejected sessions for installation, since a
-/// sharing-plane member travels with its group, never alone: slide-group
-/// members by group key (for [`Registry::install_group`]), count-group
-/// members by canonical group index (for
-/// [`Registry::install_count_group`]), and the isolated rest (for
-/// [`Registry::install`]) — each list in the input's ascending-id order.
+/// Splits decoded or ejected sessions for installation, since a group
+/// member travels with its group, never alone: members by the index of
+/// their group among `groups` (for [`Registry::install_group`]), and
+/// the isolated rest (for [`Registry::install`]) — each list in the
+/// input's ascending-id order.
 pub(crate) fn split_by_group<C: SlidingTopK, T: TimedTopK>(
     sessions: Vec<(QueryId, AnySession<C, T>)>,
-    count_groups: usize,
+    groups: usize,
 ) -> SplitSessions<C, T> {
-    let mut slide: HashMap<(u64, Predicate), Vec<_>> = HashMap::new();
-    let mut count: Vec<Vec<_>> = (0..count_groups).map(|_| Vec::new()).collect();
+    let mut members: Vec<Vec<_>> = (0..groups).map(|_| Vec::new()).collect();
     let mut loose = Vec::new();
     for (id, session) in sessions {
         match &session {
-            AnySession::Shared(s) => slide
-                .entry((s.slide_duration(), s.predicate()))
-                .or_default()
-                .push((id, session)),
-            AnySession::Grouped(g) => count[g.group() as usize].push((id, session)),
+            AnySession::Group(m) => members[m.group() as usize].push((id, session)),
             AnySession::Count(_) | AnySession::Timed(_) => loose.push((id, session)),
         }
     }
-    (slide, count, loose)
+    (members, loose)
 }
 
 /// A decoded `tags::REGISTRY` section, still loose: sessions with their
-/// replayed engines, slide-group producers, and the sharing counters —
-/// everything needed to rebuild a [`Registry`] (or to scatter across
-/// `AsyncHub` shards) once [`merge`](RegistryParts::merge) has
-/// validated the cross-section invariants.
+/// replayed engines, the groups, and the sharing counters — everything
+/// needed to rebuild a [`Registry`] (or to scatter across `AsyncHub`
+/// shards) once [`merge`](RegistryParts::merge) has validated the
+/// cross-section invariants.
 pub(crate) struct RegistryParts<C: SlidingTopK, T: TimedTopK> {
     pub(crate) sessions: Vec<(QueryId, AnySession<C, T>)>,
-    pub(crate) groups: Vec<((u64, Predicate), DigestProducer)>,
-    /// Count groups in canonical section order; a grouped session's
-    /// `group` field indexes this list (rebased during merge).
-    pub(crate) count_groups: Vec<CountGroupState>,
-    pub(crate) digest_hits: u64,
-    pub(crate) digest_rebuilds: u64,
-    pub(crate) count_group_hits: u64,
-    pub(crate) count_group_rebuilds: u64,
-    pub(crate) admitted: u64,
-    pub(crate) pruned: u64,
+    /// Both clocks' groups; after [`merge`](RegistryParts::merge) a
+    /// member's group handle indexes this list.
+    pub(crate) groups: Vec<Group<C>>,
+    pub(crate) counters: Counters,
 }
 
 impl<C: SlidingTopK, T: TimedTopK> RegistryParts<C, T> {
     /// Folds per-shard registry sections back into one coherent whole:
     /// sessions concatenated and re-sorted into ascending-id order
     /// (identical to hub registration order, so a restored hub drains in
-    /// the same global order as the original), groups unioned, counters
-    /// summed. Cross-section structure is validated here — a slide group
-    /// appearing in two sections would mean a group spanned shards, which
-    /// the hub never produces, so it is corruption rather than a merge.
+    /// the same global order as the original), groups concatenated,
+    /// counters summed, and every member pointed at its group's index.
+    /// Cross-section structure is validated here — an event-clock group
+    /// appearing in two sections would mean a group spanned shards,
+    /// which the hub never produces, so it is corruption rather than a
+    /// merge.
     pub(crate) fn merge(parts: Vec<Self>) -> Result<Self, CheckpointError> {
         let mut sessions = Vec::new();
-        let mut groups: Vec<((u64, Predicate), DigestProducer)> = Vec::new();
-        let mut count_groups: Vec<CountGroupState> = Vec::new();
-        let mut digest_hits = 0u64;
-        let mut digest_rebuilds = 0u64;
-        let mut count_group_hits = 0u64;
-        let mut count_group_rebuilds = 0u64;
-        let mut admitted = 0u64;
-        let mut pruned = 0u64;
+        let mut groups: Vec<Group<C>> = Vec::new();
+        let mut counters = Counters::default();
         for mut part in parts {
-            // rebase this section's group indices onto the concatenated
-            // list BEFORE its sessions dissolve into the shared pool
-            let base = count_groups.len() as u64;
+            // rebase this section's arrival-clock references onto the
+            // concatenated list BEFORE its sessions dissolve into the
+            // shared pool; event-clock members find their group by key
+            let base = groups.len() as u64;
             for (_, session) in &mut part.sessions {
-                if let AnySession::Grouped(g) = session {
-                    let rebased = g
-                        .group()
-                        .checked_add(base)
-                        .ok_or(CheckpointError::Corrupt("count-group reference overflows"))?;
-                    g.set_group(rebased);
+                if let AnySession::Group(m) = session {
+                    if m.clock() == Clock::Arrival {
+                        let rebased = m
+                            .group()
+                            .checked_add(base)
+                            .ok_or(CheckpointError::Corrupt("count-group reference overflows"))?;
+                        m.set_group(rebased);
+                    }
                 }
             }
-            count_groups.extend(part.count_groups);
+            groups.extend(part.groups);
             sessions.extend(part.sessions);
-            for (key, producer) in part.groups {
-                if groups.iter().any(|(have, _)| *have == key) {
-                    return Err(CheckpointError::Corrupt(
-                        "a slide group spans registry sections",
-                    ));
-                }
-                groups.push((key, producer));
-            }
-            digest_hits = digest_hits.saturating_add(part.digest_hits);
-            digest_rebuilds = digest_rebuilds.saturating_add(part.digest_rebuilds);
-            count_group_hits = count_group_hits.saturating_add(part.count_group_hits);
-            count_group_rebuilds = count_group_rebuilds.saturating_add(part.count_group_rebuilds);
-            admitted = admitted.saturating_add(part.admitted);
-            pruned = pruned.saturating_add(part.pruned);
+            counters.absorb(&part.counters);
         }
         sessions.sort_by_key(|(id, _)| *id);
         if sessions.windows(2).any(|w| w[0].0 == w[1].0) {
@@ -899,80 +1049,93 @@ impl<C: SlidingTopK, T: TimedTopK> RegistryParts<C, T> {
                 "duplicate query id across registry sections",
             ));
         }
-        groups.sort_unstable_by_key(|(key, _)| *key);
-        let mut member_counts = vec![0usize; groups.len()];
-        // per count group: member count and deepest member window
-        let mut count_members = vec![(0usize, 0usize); count_groups.len()];
-        // per count-group result class `(group, n, k, join_slide)`:
+        let mut slide_groups: HashMap<(u64, Predicate), usize> = HashMap::new();
+        for (i, group) in groups.iter().enumerate() {
+            let (clock, sd, _, predicate) = group.identity();
+            if clock == Clock::Event && slide_groups.insert((sd, predicate), i).is_some() {
+                return Err(CheckpointError::Corrupt(
+                    "a slide group spans registry sections",
+                ));
+            }
+        }
+        // per group: member count and widest member window
+        let mut tally = vec![(0usize, 0u64); groups.len()];
+        // per arrival-clock result class `(group, n, k, join_slide)`:
         // whether any member carries the class's consumer — installation
         // has nothing to serve the class from otherwise
-        let mut class_consumers: HashMap<(u64, usize, usize, u64), bool> = HashMap::new();
-        for (_, session) in &sessions {
-            match session {
-                AnySession::Shared(s) => {
-                    let key = (s.slide_duration(), s.predicate());
-                    let Ok(pos) = groups.binary_search_by_key(&key, |(have, _)| *have) else {
+        let mut class_consumers: HashMap<(usize, u64, usize, u64), bool> = HashMap::new();
+        for (_, session) in &mut sessions {
+            let AnySession::Group(m) = session else {
+                continue;
+            };
+            let index = match m.clock() {
+                Clock::Event => {
+                    let Some(&index) = slide_groups.get(&(m.slide(), m.predicate())) else {
                         return Err(CheckpointError::Corrupt(
                             "shared session without its slide group",
                         ));
                     };
-                    if groups[pos].1.k_max() < s.timed_spec().k {
+                    m.set_group(index as u64);
+                    let group = &groups[index];
+                    if group.producer.k_max() < m.k() {
                         return Err(CheckpointError::Corrupt(
                             "slide group shallower than a member's k",
                         ));
                     }
-                    if s.is_warming_up() && s.consumer().is_none() {
+                    if m.is_warming_up() && m.consumer().is_none() {
                         return Err(CheckpointError::Corrupt(
                             "warming shared member without its consumer",
                         ));
                     }
-                    member_counts[pos] += 1;
+                    index
                 }
-                AnySession::Grouped(g) => {
-                    let Some(state) = count_groups.get(g.group() as usize) else {
+                Clock::Arrival => {
+                    let Some((index, group)) = usize::try_from(m.group())
+                        .ok()
+                        .and_then(|index| Some((index, groups.get(index)?)))
+                        .filter(|(_, group)| group.clock.kind() == Clock::Arrival)
+                    else {
                         return Err(CheckpointError::Corrupt(
                             "grouped session without its count group",
                         ));
                     };
-                    let spec = g.spec();
-                    if state.producer.slide_duration() != spec.s as u64 {
+                    if group.producer.slide_duration() != m.slide() {
                         return Err(CheckpointError::Corrupt(
                             "count group disagrees with a member's slide length",
                         ));
                     }
-                    if state.producer.k_max() < spec.k {
+                    if group.producer.k_max() < m.k() {
                         return Err(CheckpointError::Corrupt(
                             "count group shallower than a member's k",
                         ));
                     }
-                    let next = state.producer.next_slide();
-                    if g.join_slide() > next {
+                    let next = group.producer.next_slide();
+                    if m.join_slide() > next {
                         return Err(CheckpointError::Corrupt(
                             "count-group member joined past its group",
                         ));
                     }
-                    // count slides never straddle a checkpoint boundary,
-                    // so every member is exactly caught up to its group —
-                    // validated on whichever member carries the class's
-                    // consumer (a decoded session always does; ejected
-                    // class followers travel without one)
-                    if let Some(consumer) = g.consumer() {
-                        if consumer.slides_applied() != next - g.join_slide() {
+                    // arrival slides never straddle a checkpoint
+                    // boundary, so every member is exactly caught up to
+                    // its group — validated on whichever member carries
+                    // the class's consumer (a decoded session always
+                    // does; ejected class followers travel without one)
+                    if let Some(consumer) = m.consumer() {
+                        if consumer.slides_applied() != next - m.join_slide() {
                             return Err(CheckpointError::Corrupt(
                                 "count-group member out of step with its group",
                             ));
                         }
                     }
                     let has = class_consumers
-                        .entry((g.group(), spec.n, spec.k, g.join_slide()))
+                        .entry((index, m.window(), m.k(), m.join_slide()))
                         .or_insert(false);
-                    *has |= g.consumer().is_some();
-                    let entry = &mut count_members[g.group() as usize];
-                    entry.0 += 1;
-                    entry.1 = entry.1.max(spec.n);
+                    *has |= m.consumer().is_some();
+                    index
                 }
-                _ => {}
-            }
+            };
+            tally[index].0 += 1;
+            tally[index].1 = tally[index].1.max(m.window());
         }
         if class_consumers.values().any(|has| !*has) {
             return Err(CheckpointError::Corrupt(
@@ -980,47 +1143,49 @@ impl<C: SlidingTopK, T: TimedTopK> RegistryParts<C, T> {
             ));
         }
         // an ejected class follower travels behind its representative,
-        // which must be present (same slide group) and carry a consumer
+        // which must be present (same group) and carry a consumer
         for (_, session) in &sessions {
-            let AnySession::Shared(s) = session else {
+            let AnySession::Group(m) = session else {
                 continue;
             };
-            if s.consumer().is_some() {
+            if m.consumer().is_some() {
                 continue;
             }
-            let Some(rep) = s.class_rep() else {
+            let Some(rep) = m.class_rep() else {
                 return Err(CheckpointError::Corrupt(
-                    "classed shared member without a class representative",
+                    "classed member without a class representative",
                 ));
             };
-            let sd = s.slide_duration();
             // sessions are id-sorted (and duplicate-free) by now
             let ok = sessions
                 .binary_search_by_key(&rep, |(id, _)| *id)
                 .is_ok_and(|pos| {
-                    matches!(&sessions[pos].1, AnySession::Shared(r)
-                        if r.consumer().is_some() && r.slide_duration() == sd)
+                    matches!(&sessions[pos].1, AnySession::Group(r)
+                        if r.consumer().is_some() && r.group() == m.group())
                 });
             if !ok {
                 return Err(CheckpointError::Corrupt(
-                    "shared result class without its representative",
+                    "result class without its representative",
                 ));
             }
         }
-        if member_counts.contains(&0) {
-            return Err(CheckpointError::Corrupt("slide group with no members"));
-        }
-        for (i, state) in count_groups.iter().enumerate() {
-            let (members, n_max) = count_members[i];
+        for (i, group) in groups.iter().enumerate() {
+            let (members, widest) = tally[i];
+            let GroupClock::Arrival(a) = &group.clock else {
+                if members == 0 {
+                    return Err(CheckpointError::Corrupt("slide group with no members"));
+                }
+                continue;
+            };
             if members == 0 {
                 return Err(CheckpointError::Corrupt("count group with no members"));
             }
-            let sd = state.producer.slide_duration();
-            let pending = state.producer.pending_len() as u64;
-            let Some(slide_start) = state.producer.next_slide().checked_mul(sd) else {
+            let sd = group.producer.slide_duration();
+            let pending = group.producer.pending_len() as u64;
+            let Some(slide_start) = group.producer.next_slide().checked_mul(sd) else {
                 return Err(CheckpointError::Corrupt("count-group ordinal overflows"));
             };
-            let Some(fill) = state.next_ordinal.checked_sub(slide_start) else {
+            let Some(fill) = a.next_ordinal.checked_sub(slide_start) else {
                 return Err(CheckpointError::Corrupt(
                     "count-group ordinal behind its producer",
                 ));
@@ -1037,16 +1202,15 @@ impl<C: SlidingTopK, T: TimedTopK> RegistryParts<C, T> {
                     "count group buffers more than it observed",
                 ));
             }
-            let next_ordinal = state.next_ordinal;
-            if state.ring_base + state.ring.len() as u64 != next_ordinal {
+            if a.ring_base + a.ring.len() as u64 != a.next_ordinal {
                 return Err(CheckpointError::Corrupt(
                     "count-group ring disagrees with its producer",
                 ));
             }
             // the ring must reach back far enough to translate every
-            // ordinal the deepest member's next emission can reference
-            let next_close_end = (state.producer.next_slide() + 1).saturating_mul(sd);
-            if state.ring_base > next_close_end.saturating_sub(n_max as u64) {
+            // ordinal the widest member's next emission can reference
+            let next_close_end = (group.producer.next_slide() + 1).saturating_mul(sd);
+            if a.ring_base > next_close_end.saturating_sub(widest) {
                 return Err(CheckpointError::Corrupt(
                     "count-group ring does not cover its members' windows",
                 ));
@@ -1055,11 +1219,10 @@ impl<C: SlidingTopK, T: TimedTopK> RegistryParts<C, T> {
             // distinct offsets (mod s), i.e. distinct fills — a
             // collision means one geometry class was split, which the
             // hub never produces
-            if count_groups[..i].iter().any(|other| {
-                other.producer.slide_duration() == sd
-                    && other.predicate == state.predicate
-                    && other.fill() == fill
-            }) {
+            if groups[..i]
+                .iter()
+                .any(|other| other.identity() == group.identity())
+            {
                 return Err(CheckpointError::Corrupt(
                     "count groups share a geometry class",
                 ));
@@ -1068,15 +1231,50 @@ impl<C: SlidingTopK, T: TimedTopK> RegistryParts<C, T> {
         Ok(RegistryParts {
             sessions,
             groups,
-            count_groups,
-            digest_hits,
-            digest_rebuilds,
-            count_group_hits,
-            count_group_rebuilds,
-            admitted,
-            pruned,
+            counters,
         })
     }
+}
+
+/// Where a group close delivers its member emissions: the session store
+/// the members live in, and the call's output.
+struct Delivery<'a, C: SlidingTopK, T: TimedTopK> {
+    sessions: &'a mut [(QueryId, AnySession<C, T>)],
+    out: &'a mut Vec<QueryUpdate>,
+    hint: usize,
+    class_hits: &'a mut u64,
+}
+
+impl<C: SlidingTopK, T: TimedTopK> Delivery<'_, C, T> {
+    /// The per-member half of a class close: every member stamps the
+    /// class's shared snapshot and delta.
+    fn stamp(&mut self, members: &[QueryId], snapshot: &Snapshot, events: &EventList) {
+        for &member in members {
+            let idx = self
+                .sessions
+                .binary_search_by_key(&member, |(id, _)| *id)
+                .expect("class member ids name registered sessions");
+            let (id, session) = &mut self.sessions[idx];
+            let AnySession::Group(session) = session else {
+                unreachable!("class members are group sessions")
+            };
+            let mut sink = tagged_sink(self.out, self.hint, *id);
+            session.emit_class(snapshot, events, &mut sink);
+        }
+        // the members past the first were served without a reduction
+        *self.class_hits += members.len() as u64 - 1;
+    }
+}
+
+/// What moves the groups' clocks on one call.
+#[derive(Clone, Copy)]
+enum Tick<'a> {
+    /// An untimed batch (timestamps 0): only arrival clocks observe it.
+    Untimed(&'a [TimedObject]),
+    /// A timed batch: every clock observes it.
+    Timed(&'a [TimedObject]),
+    /// An event-time watermark: only event clocks move.
+    Watermark(u64),
 }
 
 /// The tagged-update sink every publish path hands its sessions: pushes
@@ -1110,15 +1308,26 @@ fn note_update_hint(hint: &mut usize, emitted: usize) {
 
 /// Whether a stored session needs service on every publish or watermark
 /// call — the membership rule of [`Registry::solo`]. Isolated sessions
-/// own their engines, and a solo shared member (warming up, or promoted
-/// after a mid-stream join) applies its group's digests itself; grouped
-/// and classed shared members are served by their class at a close.
+/// own their engines, and a warming member feeds its private producer;
+/// every other group member is served by its class at a close.
 fn needs_call<C: SlidingTopK, T: TimedTopK>(session: &AnySession<C, T>) -> bool {
     match session {
         AnySession::Count(_) | AnySession::Timed(_) => true,
-        AnySession::Shared(s) => !s.is_classed(),
-        AnySession::Grouped(_) => false,
+        AnySession::Group(m) => m.is_warming_up(),
     }
+}
+
+/// Serves a warming member through `warm`, counting its private slides
+/// as [`digest_rebuilds`](HubStats::digest_rebuilds).
+fn serve_warming(
+    rebuilds: &mut u64,
+    sink: &mut dyn FnMut(SlideResult),
+    warm: impl FnOnce(&mut dyn FnMut(SlideResult)),
+) {
+    warm(&mut |result| {
+        *rebuilds += 1;
+        sink(result);
+    });
 }
 
 /// Canonical byte signature of a consumer's replayable state — the same
@@ -1201,6 +1410,27 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
         self.sessions.binary_search_by_key(&id, |(q, _)| *q).ok()
     }
 
+    /// Adds a group under a fresh live id, indexed for the join rule.
+    fn insert_group(&mut self, group: Group<C>) -> u64 {
+        let gid = self.next_gid;
+        self.next_gid += 1;
+        self.by_key.entry(group.key()).or_default().push(gid);
+        self.groups.insert(gid, group);
+        gid
+    }
+
+    /// Removes a live group and its join-rule index entry.
+    fn remove_group(&mut self, gid: u64) -> Group<C> {
+        let group = self.groups.remove(&gid).expect("a live group id");
+        let key = group.key();
+        let gids = self.by_key.get_mut(&key).expect("live groups are indexed");
+        gids.retain(|g| *g != gid);
+        if gids.is_empty() {
+            self.by_key.remove(&key);
+        }
+        group
+    }
+
     /// Registers a validated member under `id` on its plane.
     ///
     /// `home` is the shard the hub routed this registration to (`None`
@@ -1219,198 +1449,110 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
             Member::Timed(engine) => {
                 self.push_session(id, AnySession::Timed(TimedSession::new(engine)))
             }
-            Member::Shared(consumer, predicate) => self.register_shared(id, consumer, predicate),
-            Member::Grouped(consumer, spec, predicate) => {
-                self.register_grouped(id, consumer, spec, predicate)
+            Member::Group(consumer, clock, predicate) => {
+                self.register_member(id, *consumer, clock, predicate)
             }
         }
     }
 
-    /// Registers a count-group member, joining (or founding) the count
-    /// group for its geometry class. The join rule (see the
-    /// [module docs](self)): join the group with this slide length whose
-    /// open slide is **empty** — the member then starts exactly on a
-    /// slide boundary, in step with the group, no warm-up needed — and
-    /// found a fresh group at the current stream offset otherwise. At
-    /// most one group per `s` can have an empty open slide, so the scan
-    /// is deterministic.
-    fn register_grouped(
+    /// Registers a group member: joins (or founds) its group by the
+    /// clock's join rule (see the [module docs](self)), deepens the
+    /// group's digests to its `k`, and seats it. A member that starts in
+    /// step with its group joins the class with its exact key — matching
+    /// keys mean the class is still at its open join slide, so the
+    /// member's fresh consumer is a byte-for-byte duplicate and dropping
+    /// it is lossless — or founds one (class sharing off founds only). An
+    /// event-clock member joining mid-stream warms up instead.
+    fn register_member(
         &mut self,
         id: QueryId,
         consumer: SharedTimed<C>,
-        spec: WindowSpec,
+        clock: Clock,
         predicate: Predicate,
     ) {
-        // the join rule tests the *observed* fill, not `pending_len` —
-        // under admission control a group at a slide boundary may still
-        // buffer nothing mid-slide, and joining such a group would skew
-        // the member's window. Predicate-disjoint members of one
-        // geometry class split into sub-groups: they rank different
-        // substreams, so they can never share a digest.
-        let joinable = self
-            .count_groups
-            .iter_mut()
-            .find(|(_, g)| g.slide_len == spec.s && g.fill() == 0 && g.predicate == predicate);
-        let (gid, join_slide) = match joinable {
-            Some((gid, group)) => {
-                group.producer.grow_k_max(spec.k);
-                // deepening mid-stream is exact (the open slide is held
-                // untruncated), but the gate's cap just grew: rebuild it
-                // from the admitted buffer so it never over-prunes
-                group
-                    .gate
-                    .rebuild(group.producer.k_max(), group.producer.pending());
-                group.ring_cap = group.ring_cap.max(spec.n + spec.s);
-                // ids are handed out monotonically, so pushing keeps the
-                // member list ascending
-                group.member_ids.push(id);
-                (*gid, group.producer.next_slide())
-            }
-            None => {
-                let gid = self.next_count_gid;
-                self.next_count_gid += 1;
-                self.count_groups.insert(
-                    gid,
-                    CountGroup {
-                        slide_len: spec.s,
-                        producer: DigestProducer::new(spec.s as u64, spec.k),
-                        ring: VecDeque::new(),
-                        ring_base: 0,
-                        ring_cap: spec.n + spec.s,
-                        member_ids: vec![id],
-                        next_ordinal: 0,
-                        predicate,
-                        gate: PruneGate::new(spec.k),
-                        classes: Vec::new(),
-                    },
-                );
-                (gid, 0)
-            }
-        };
-        // the member's result class: with pooling on, join the group's
-        // class with the exact `(n, k, join_slide)` key — matching keys
-        // mean the class is still at its (open) join slide, so the
-        // incoming fresh consumer is a byte-for-byte duplicate of the
-        // class's and dropping it is lossless. Otherwise found a new
-        // class around the consumer (pooling off founds only — uniform
-        // solo classes are the pre-memoization serving shape).
-        let engine_name: Box<str> = consumer.name().into();
-        let group = self
-            .count_groups
-            .get_mut(&gid)
-            .expect("the member's group was just joined or founded");
-        let joined = self.class_sharing
-            && match group
-                .classes
-                .iter_mut()
-                .find(|c| c.n == spec.n && c.k == spec.k && c.join_slide == join_slide)
-            {
-                Some(class) => {
-                    debug_assert_eq!(
-                        class.consumer.slides_applied(),
-                        0,
-                        "a joinable class is at its still-open join slide"
-                    );
-                    // ids are monotonic: pushing keeps members ascending
-                    class.members.push(id);
-                    true
-                }
-                None => false,
-            };
-        if !joined {
-            group.classes.push(CountClass::new(
-                spec,
-                join_slide,
-                consumer,
-                id,
-                Snapshot::empty(),
-            ));
-        }
-        self.push_session(
-            id,
-            AnySession::Grouped(GroupedSession::new(engine_name, spec, join_slide, gid)),
-        );
-    }
-
-    /// Registers a digest consumer, joining (or founding) the slide group
-    /// for its `slide_duration`. The group's digest depth grows to cover
-    /// the new member's `k`; a member joining a group that has already
-    /// ingested stream starts in warm-up (see the [module docs](self)).
-    fn register_shared(&mut self, id: QueryId, consumer: SharedTimed<C>, predicate: Predicate) {
-        let sd = consumer.slide_duration();
-        let k = consumer.k();
-        let group = self
-            .groups
-            .entry((sd, predicate))
-            .or_insert_with(|| DigestGroup {
-                producer: DigestProducer::new(sd, k),
-                members: 0,
+        let (slide, k) = (consumer.slide_duration(), consumer.k());
+        let gid = match self.joinable(clock, slide, predicate) {
+            Some(gid) => gid,
+            None => self.insert_group(Group::new(
+                DigestProducer::new(slide, k),
                 predicate,
-                gate: PruneGate::new(k),
-                classes: Vec::new(),
-            });
+                GroupClock::new(clock),
+            )),
+        };
+        let group = self.groups.get_mut(&gid).expect("joined or founded");
         group.producer.grow_k_max(k);
-        // a deeper member may have just widened the gate's cap — rebuild
-        // from the admitted open-slide buffer so pruning stays safe
+        // deepening mid-slide is exact (the open slide is held
+        // untruncated), but the gate's cap just grew: rebuild it from the
+        // admitted buffer so it never over-prunes
         group
             .gate
             .rebuild(group.producer.k_max(), group.producer.pending());
-        group.members += 1;
-        let join_slide = if group.producer.is_pristine() {
-            None
+        // the join rule's second half: a joinable arrival-clock group's
+        // open slide is empty, but an event-clock group is in step with
+        // a newcomer only while pristine — everything it will ever see
+        // starts now
+        let in_step = clock == Clock::Arrival || group.producer.is_pristine();
+        let next = group.producer.next_slide();
+        let mut member = GroupSession::new(
+            clock,
+            consumer,
+            predicate,
+            if in_step { next } else { 0 },
+            gid,
+        );
+        group.count(&member);
+        if !in_step {
+            member.warm_up(next);
+        } else if let Some(class) = group
+            .classes
+            .iter_mut()
+            .find(|c| self.class_sharing && c.key() == member.class_key())
+        {
+            debug_assert_eq!(
+                class.consumer.slides_applied(),
+                0,
+                "a joinable class is at its still-open join slide"
+            );
+            // ids are monotonic: pushing keeps members ascending
+            class.members.push(id);
+            member.take_consumer();
         } else {
-            Some(group.producer.next_slide())
-        };
-        // pristine joiners with one `(wd, k)` provably compute
-        // byte-identical slides — everything they will ever see starts
-        // now — so pooling collapses them into one result class (whose
-        // consumer, in a pristine group, has seen nothing either, making
-        // the duplicate consumer droppable). Mid-stream joiners warm up
-        // solo and stay solo after promotion: their class membership is
-        // not provable while their partial join slide is in the window.
-        let session = if join_slide.is_none() && self.class_sharing {
-            let spec = TimedSpec {
-                window_duration: consumer.window_duration(),
-                slide_duration: sd,
-                k,
-            };
-            let engine_name: Box<str> = consumer.name().into();
-            match group
-                .classes
-                .iter_mut()
-                .find(|c| c.wd == spec.window_duration && c.k == k)
-            {
-                Some(class) => {
-                    debug_assert_eq!(
-                        class.consumer.slides_applied(),
-                        0,
-                        "a pristine group's classes have seen nothing"
-                    );
-                    // ids are monotonic: pushing keeps members ascending
-                    class.members.push(id);
-                }
-                None => group
-                    .classes
-                    .push(SharedClass::new(consumer, id, Snapshot::empty())),
-            }
-            SharedSession::new_classed(spec, engine_name, predicate)
-        } else {
-            SharedSession::new(consumer, join_slide, predicate)
-        };
-        self.push_session(id, AnySession::Shared(session));
+            group.found_class(id, &mut member);
+        }
+        self.push_session(id, AnySession::Group(member));
+    }
+
+    /// The join rule's first half: the live group a `clock` member with
+    /// this slide and predicate joins, if any. Predicate-disjoint
+    /// members never share a group, since they rank different
+    /// substreams. An event-clock member joins the one group with its
+    /// key. An arrival-clock member joins the group whose open slide is
+    /// **empty** — it then starts on a slide boundary, in step with the
+    /// group. At most one group per key has an empty open slide (two
+    /// always sit at different offsets mod `s`), so the rule is
+    /// deterministic. It tests the *observed* fill, not `pending_len`:
+    /// under admission control a group mid-slide may still buffer
+    /// nothing.
+    fn joinable(&self, clock: Clock, slide: u64, predicate: Predicate) -> Option<u64> {
+        let gids = self.by_key.get(&(clock, slide, predicate))?;
+        match clock {
+            Clock::Event => gids.first().copied(),
+            Clock::Arrival => gids.iter().copied().find(|gid| {
+                let group = &self.groups[gid];
+                group.clock.fill(&group.producer) == 0
+            }),
+        }
     }
 
     /// Removes a query, handing its session back; `None` for unknown ids.
-    /// A shared session leaves its group; the last member out drops the
-    /// group entirely (so a later registrant founds a fresh, pristine
-    /// one), and a departing deepest member shrinks the group's digest
-    /// depth back to the remaining members' maximum `k` — exact even
-    /// mid-slide, for the same reason `k_max` growth is.
+    /// A group member leaves its class and its group: the last member out
+    /// drops the group (so a later registrant founds a fresh, pristine
+    /// one), and the survivors' depth and retention are refitted — exact
+    /// even mid-slide, for the same reason `k_max` growth is.
     ///
-    /// A **classed** member also leaves its result class: the last one
-    /// out takes the class's consumer with it (so the returned session
-    /// carries its full engine state, like before result classes), while
-    /// an earlier leaver hands its share back and is returned without a
+    /// The last member out of a class takes the class's consumer with it
+    /// (so the returned session carries its full engine state), while an
+    /// earlier leaver hands its share back and is returned without a
     /// consumer — engines are not `Clone`, and the state keeps serving
     /// the members staying behind.
     pub(crate) fn unregister(&mut self, id: QueryId) -> Option<AnySession<C, T>> {
@@ -1424,102 +1566,59 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
         for i in &mut self.solo[from..] {
             *i -= 1;
         }
-        match &mut session {
-            AnySession::Count(_) | AnySession::Timed(_) => {}
-            AnySession::Shared(s) => {
-                let key = (s.slide_duration(), s.predicate());
-                if let Some(group) = self.groups.get_mut(&key) {
-                    if s.is_classed() {
-                        let ci = group
-                            .classes
-                            .iter()
-                            .position(|c| c.members.contains(&id))
-                            .expect("a classed member's group holds its class");
-                        let class = &mut group.classes[ci];
-                        let mi = class
-                            .members
-                            .iter()
-                            .position(|m| *m == id)
-                            .expect("the class holds its member");
-                        class.members.remove(mi);
-                        if class.members.is_empty() {
-                            let class = group.classes.remove(ci);
-                            s.adopt_consumer(class.consumer);
-                        }
-                    }
-                    group.members -= 1;
-                    if group.members == 0 {
-                        self.groups.remove(&key);
-                    } else if s.timed_spec().k >= group.producer.k_max() {
-                        // the survivors are the group's classes plus its
-                        // solo members, all of which are on the list
-                        let solo_k = self.solo.iter().filter_map(|&i| match &self.sessions[i].1 {
-                            AnySession::Shared(m)
-                                if m.slide_duration() == key.0 && m.predicate() == key.1 =>
-                            {
-                                Some(m.timed_spec().k)
-                            }
-                            _ => None,
-                        });
-                        let k_max = group
-                            .classes
-                            .iter()
-                            .map(|c| c.k)
-                            .chain(solo_k)
-                            .max()
-                            .expect("a surviving group has members");
-                        group.producer.set_k_max(k_max);
-                        // a narrower cap prunes *more*: rebuild so the
-                        // gate reflects exactly the new depth
-                        group.gate.rebuild(k_max, group.producer.pending());
-                    }
-                }
-            }
-            AnySession::Grouped(g) => {
-                let gid = g.group();
-                if let Some(group) = self.count_groups.get_mut(&gid) {
-                    if let Some(p) = group.member_ids.iter().position(|m| *m == id) {
-                        group.member_ids.remove(p);
-                    }
-                    // same class-leave rule as the shared plane
-                    if let Some(ci) = group.classes.iter().position(|c| c.members.contains(&id)) {
-                        let class = &mut group.classes[ci];
-                        let mi = class
-                            .members
-                            .iter()
-                            .position(|m| *m == id)
-                            .expect("the class holds its member");
-                        class.members.remove(mi);
-                        if class.members.is_empty() {
-                            let class = group.classes.remove(ci);
-                            g.adopt_consumer(class.consumer);
-                        }
-                    }
-                    if group.member_ids.is_empty() {
-                        self.count_groups.remove(&gid);
-                    } else {
-                        // recompute the survivors' depth and retention —
-                        // exact even mid-slide, the open slide is held
-                        // untruncated and the ring trims lazily. Classes
-                        // partition the members, so they carry both maxima.
-                        let (mut k_max, mut n_max) = (0usize, 0usize);
-                        for class in &group.classes {
-                            k_max = k_max.max(class.k);
-                            n_max = n_max.max(class.n);
-                        }
-                        group.producer.set_k_max(k_max);
-                        group.gate.rebuild(k_max, group.producer.pending());
-                        group.ring_cap = n_max + group.slide_len;
-                    }
-                }
-            }
+        if let AnySession::Group(m) = &mut session {
+            self.leave(id, m);
         }
         Some(session)
     }
 
-    /// Fans an untimed batch out to every count-based session. Time-based
-    /// sessions (isolated and shared) carry no event time here and do not
-    /// advance.
+    /// The group half of [`unregister`](Registry::unregister).
+    fn leave(&mut self, id: QueryId, m: &mut GroupSession<C>) {
+        let gid = m.group();
+        let group = self.groups.get_mut(&gid).expect("a member's group is live");
+        if m.is_classed() {
+            let ci = group
+                .classes
+                .iter()
+                .position(|c| c.members.binary_search(&id).is_ok())
+                .expect("a classed member's group holds its class");
+            let class = &mut group.classes[ci];
+            let mi = class
+                .members
+                .binary_search(&id)
+                .expect("the class holds its member");
+            class.members.remove(mi);
+            if class.members.is_empty() {
+                m.adopt_consumer(group.classes.remove(ci).consumer);
+            }
+        }
+        group.members -= 1;
+        if group.members == 0 {
+            self.remove_group(gid);
+            return;
+        }
+        // the survivors are the classes plus the warming members, which
+        // are all on the per-call list
+        let warming = self.solo.iter().filter_map(|&i| match &self.sessions[i].1 {
+            AnySession::Group(w) if w.group() == gid => Some((w.k(), w.window())),
+            _ => None,
+        });
+        let (k_max, widest) = group
+            .classes
+            .iter()
+            .map(|c| (c.consumer.k(), c.consumer.window_duration()))
+            .chain(warming)
+            .fold((0, 0), |(k, w), (ck, cw)| (k.max(ck), w.max(cw)));
+        group.producer.set_k_max(k_max);
+        // a narrower cap prunes *more*: rebuild so the gate reflects
+        // exactly the new depth
+        group.gate.rebuild(k_max, group.producer.pending());
+        group.widest = widest;
+    }
+
+    /// Fans an untimed batch out to every count-based session and every
+    /// arrival-clock group. Time-based sessions and event-clock groups
+    /// carry no event time here and do not advance.
     ///
     /// The empty fast path (no sessions, or an empty batch) returns
     /// without touching the heap, and sessions emit their completed
@@ -1531,163 +1630,31 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
         if self.sessions.is_empty() || objects.is_empty() {
             return Vec::new();
         }
-        let Registry {
-            sessions,
-            solo,
-            count_groups,
-            count_group_hits,
-            class_hits,
-            count_group_rebuilds,
-            admitted,
-            pruned,
-            admission_pruning,
-            update_hint,
-            ..
-        } = self;
         let mut out = Vec::new();
-        let hint = *update_hint;
-        // only isolated count sessions consume an untimed batch directly;
-        // grouped members are served per group, below
-        for &i in solo.iter() {
-            let (id, session) = &mut sessions[i];
+        let hint = self.update_hint;
+        for &i in &self.solo {
+            let (id, session) = &mut self.sessions[i];
             if let AnySession::Count(session) = session {
                 session.push_each(objects, &mut tagged_sink(&mut out, hint, *id));
             }
         }
-        *count_group_rebuilds += out.len() as u64;
+        self.counters.count_group_rebuilds += out.len() as u64;
         let walked = out.len();
-        Self::serve_count_groups(
-            sessions,
-            count_groups,
-            count_group_hits,
-            class_hits,
-            admitted,
-            pruned,
-            *admission_pruning,
-            objects,
-            &mut out,
-            hint,
-        );
-        if out.len() > walked {
-            // group serving appends per group, not per registered query;
-            // (QueryId, slide) keys are unique and each session's slides
-            // ascend, so this sort IS registration-order delivery
-            out.sort_unstable_by_key(|u| (u.query, u.result.slide));
+        if !self.groups.is_empty() {
+            let mut timed = std::mem::take(&mut self.timed_buf);
+            timed.clear();
+            timed.extend(objects.iter().map(|o| TimedObject::new(o.id, 0, o.score)));
+            self.serve_groups(Tick::Untimed(&timed), &mut out);
+            self.timed_buf = timed;
         }
-        note_update_hint(update_hint, out.len());
-        out
+        self.finish_call(out, walked)
     }
 
-    /// Fans an untimed batch out to every count group: each group
-    /// ingests the batch **once** (one ring push + one pending push per
-    /// object), and a filling slide is truncated once at `k_max` and
-    /// served to the members — immediately, inside the close, so the
-    /// translation ring still covers everything the emission references
-    /// even when one batch spans many slides. Per-object cost is
-    /// O(count groups), not O(grouped queries); the member fan-out is
-    /// per *slide*, and within it the reduction + ordinal translation +
-    /// diff run once per **result class** ([`CountClass::close`]) — each
-    /// member emission is just a stamp of the class's shared snapshot
-    /// ([`GroupedSession::emit_class`]).
-    #[allow(clippy::too_many_arguments)]
-    fn serve_count_groups(
-        sessions: &mut [(QueryId, AnySession<C, T>)],
-        count_groups: &mut HashMap<u64, CountGroup<C>>,
-        hits: &mut u64,
-        class_hits: &mut u64,
-        admitted: &mut u64,
-        pruned: &mut u64,
-        pruning: bool,
-        objects: &[Object],
-        out: &mut Vec<QueryUpdate>,
-        hint: usize,
-    ) {
-        for group in count_groups.values_mut() {
-            let CountGroup {
-                slide_len,
-                producer,
-                ring,
-                ring_base,
-                ring_cap,
-                member_ids,
-                next_ordinal,
-                predicate,
-                gate,
-                classes,
-            } = group;
-            for o in objects {
-                let r = *next_ordinal;
-                *next_ordinal += 1;
-                // every observed object enters the ring and advances the
-                // fill, admitted or not — ordinals stay dense, so slide
-                // boundaries, checkpoints, and drain order are
-                // byte-identical whatever the admission plane skips
-                ring.push_back(o.id);
-                if ring.len() > *ring_cap {
-                    ring.pop_front();
-                    *ring_base += 1;
-                }
-                if predicate.accepts(o) {
-                    if pruning && !gate.admits(o.score) {
-                        // ≥ k_max admitted objects of this open slide
-                        // strictly dominate it — it cannot survive the
-                        // close's top-`k_max` truncation, so no member
-                        // can ever observe it
-                        *pruned += 1;
-                    } else {
-                        // the ordinal doubles as the synthetic
-                        // timestamp; it never reaches the open slide's
-                        // end (r < (j+1)·s for an object of slide j), so
-                        // closure is always explicit below
-                        producer.ingest_with(TimedObject::new(r, r, o.score), &mut |_| {
-                            debug_assert!(
-                                false,
-                                "count slides close on arrival counts, never on ordinal timestamps"
-                            );
-                        });
-                        *admitted += 1;
-                        if pruning {
-                            gate.offer(o.score);
-                        }
-                    }
-                }
-                if (*next_ordinal - producer.next_slide() * *slide_len as u64) == *slide_len as u64
-                {
-                    producer.close_slide_with(|view| {
-                        for class in classes.iter_mut() {
-                            let snapshot = class.close(view, ring, *ring_base);
-                            for &member in &class.members {
-                                let idx = sessions
-                                    .binary_search_by_key(&member, |(id, _)| *id)
-                                    .expect("count-group member ids name registered sessions");
-                                let (id, session) = &mut sessions[idx];
-                                let AnySession::Grouped(session) = session else {
-                                    unreachable!("count-group member ids name grouped sessions")
-                                };
-                                let mut sink = tagged_sink(out, hint, *id);
-                                session.emit_class(&snapshot, &class.events, &mut sink);
-                            }
-                        }
-                    });
-                    // the gate's dominance counter is per open slide;
-                    // the close opened a fresh one
-                    gate.reset();
-                    *hits += member_ids.len() as u64;
-                    // classes partition the members, so the members past
-                    // one-per-class were served without a reduction
-                    *class_hits += (member_ids.len() - classes.len()) as u64;
-                }
-            }
-        }
-    }
-
-    /// Fans a timed batch out to every session: each slide group ingests
-    /// the batch **once**, then the per-call list is walked in
-    /// registration order — isolated count sessions see the untimed view,
-    /// isolated timed sessions consume the raw batch, solo shared members
-    /// apply their group's closed digests (or, during warm-up, their
-    /// private view). Classed and grouped members are served per class,
-    /// only by groups that closed a slide.
+    /// Fans a timed batch out to every session: the per-call list is
+    /// walked in registration order — isolated count sessions see the
+    /// untimed view, isolated timed sessions consume the raw batch,
+    /// warming members their private view — then each group ingests the
+    /// batch **once**, serving its classes inside every close.
     pub(crate) fn publish_timed(&mut self, objects: &[TimedObject]) -> Vec<QueryUpdate> {
         if self.sessions.is_empty() || objects.is_empty() {
             return Vec::new();
@@ -1695,16 +1662,7 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
         let Registry {
             sessions,
             solo,
-            groups,
-            count_groups,
-            digest_hits,
-            digest_rebuilds,
-            count_group_hits,
-            count_group_rebuilds,
-            admitted,
-            pruned,
-            admission_pruning,
-            class_hits,
+            counters,
             plain_buf,
             update_hint,
             ..
@@ -1713,14 +1671,12 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
         // into the pooled buffer, so steady-state publishes reuse its
         // capacity instead of allocating a fresh Vec per call
         plain_buf.clear();
-        if !count_groups.is_empty()
-            || solo
-                .iter()
-                .any(|&i| matches!(sessions[i].1, AnySession::Count(_)))
+        if solo
+            .iter()
+            .any(|&i| matches!(sessions[i].1, AnySession::Count(_)))
         {
             plain_buf.extend(objects.iter().map(TimedObject::untimed));
         }
-        let closed = Self::ingest_groups(groups, objects, *admission_pruning, admitted, pruned);
         let mut out = Vec::new();
         let hint = *update_hint;
         for &i in solo.iter() {
@@ -1729,59 +1685,28 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
                 AnySession::Count(session) => {
                     let before = out.len();
                     session.push_each(plain_buf, &mut tagged_sink(&mut out, hint, *id));
-                    *count_group_rebuilds += (out.len() - before) as u64;
+                    counters.count_group_rebuilds += (out.len() - before) as u64;
                 }
                 AnySession::Timed(session) => {
                     session.push_timed_each(objects, &mut tagged_sink(&mut out, hint, *id))
                 }
-                AnySession::Shared(session) => Self::serve_shared(
-                    digest_hits,
-                    digest_rebuilds,
-                    session,
-                    &closed,
+                AnySession::Group(member) => serve_warming(
+                    &mut counters.digest_rebuilds,
                     &mut tagged_sink(&mut out, hint, *id),
-                    |s, f| s.push_warmup(objects, f),
+                    |f| member.push_warmup(objects, f),
                 ),
-                AnySession::Grouped(_) => unreachable!("grouped members are never listed"),
             }
         }
         let walked = out.len();
-        Self::serve_shared_classes(
-            sessions,
-            groups,
-            &closed,
-            digest_hits,
-            class_hits,
-            &mut out,
-            hint,
-        );
-        Self::serve_count_groups(
-            sessions,
-            count_groups,
-            count_group_hits,
-            class_hits,
-            admitted,
-            pruned,
-            *admission_pruning,
-            plain_buf,
-            &mut out,
-            hint,
-        );
-        if out.len() > walked {
-            // same argument as `publish`: (QueryId, slide) keys are
-            // unique and ascend per session, so sorting the appended
-            // class and group output back in IS registration-order
-            // delivery
-            out.sort_unstable_by_key(|u| (u.query, u.result.slide));
-        }
-        note_update_hint(update_hint, out.len());
-        Self::promote_ready(sessions, solo, groups);
-        out
+        self.serve_groups(Tick::Timed(objects), &mut out);
+        self.promote_ready();
+        self.finish_call(out, walked)
     }
 
     /// Raises the event-time watermark on every time-based session —
-    /// groups advance once, members consume the closed digests, isolated
-    /// sessions advance privately. Count-based sessions are untouched.
+    /// event-clock groups advance once and serve their classes, warming
+    /// members and isolated sessions advance privately. Count-based
+    /// sessions and arrival-clock groups are untouched.
     pub(crate) fn advance_time(&mut self, watermark: u64) -> Vec<QueryUpdate> {
         if self.sessions.is_empty() {
             return Vec::new();
@@ -1789,14 +1714,10 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
         let Registry {
             sessions,
             solo,
-            groups,
-            digest_hits,
-            digest_rebuilds,
-            class_hits,
+            counters,
             update_hint,
             ..
         } = self;
-        let closed = Self::close_groups(groups, |producer| producer.advance_to(watermark));
         let mut out = Vec::new();
         let hint = *update_hint;
         for &i in solo.iter() {
@@ -1805,199 +1726,105 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
             match session {
                 AnySession::Count(_) => continue,
                 AnySession::Timed(session) => session.advance_watermark_each(watermark, &mut sink),
-                AnySession::Shared(session) => Self::serve_shared(
-                    digest_hits,
-                    digest_rebuilds,
-                    session,
-                    &closed,
-                    &mut sink,
-                    |s, f| s.advance_warmup(watermark, f),
-                ),
-                AnySession::Grouped(_) => unreachable!("grouped members are never listed"),
+                AnySession::Group(member) => {
+                    serve_warming(&mut counters.digest_rebuilds, &mut sink, |f| {
+                        member.advance_warmup(watermark, f)
+                    })
+                }
             }
         }
         let walked = out.len();
-        Self::serve_shared_classes(
+        self.serve_groups(Tick::Watermark(watermark), &mut out);
+        self.promote_ready();
+        self.finish_call(out, walked)
+    }
+
+    /// Moves every group's clock by `tick`, one clock step per object
+    /// and group: the step closes the slides it crosses (event time
+    /// before the object lands, so the gate judges it against the slide
+    /// it lands in; the arrival clock after, as its ordinal fills the
+    /// slide), and the admission plane buffers the object in between.
+    /// Each close serves the group's classes inside the close (see
+    /// [`Group::advance`]); their output is appended after the per-call
+    /// walk.
+    fn serve_groups(&mut self, tick: Tick<'_>, out: &mut Vec<QueryUpdate>) {
+        let Registry {
             sessions,
             groups,
-            &closed,
-            digest_hits,
+            counters,
             class_hits,
-            &mut out,
-            hint,
-        );
+            admission_pruning,
+            update_hint,
+            ..
+        } = self;
+        let mut delivery = Delivery {
+            sessions,
+            out,
+            hint: *update_hint,
+            class_hits,
+        };
+        for group in groups.values_mut() {
+            let objects = match (tick, &group.clock) {
+                (Tick::Watermark(watermark), GroupClock::Event) => {
+                    group.advance(watermark, counters, &mut delivery);
+                    continue;
+                }
+                (Tick::Timed(objects), _) | (Tick::Untimed(objects), GroupClock::Arrival(_)) => {
+                    objects
+                }
+                _ => continue,
+            };
+            let retain = group.widest.saturating_add(group.producer.slide_duration());
+            for raw in objects {
+                let (o, after) = group.clock.step(*raw, retain);
+                group.advance(o.timestamp, counters, &mut delivery);
+                group.admit(raw, o, *admission_pruning, counters);
+                group.advance(after, counters, &mut delivery);
+            }
+        }
+    }
+
+    /// Finishes a publish or watermark call: group serving appends per
+    /// class, not per registered query, so when it emitted anything the
+    /// output is sorted back into registration order — `(QueryId,
+    /// slide)` keys are unique and each session's slides ascend, so the
+    /// sort IS registration-order delivery.
+    fn finish_call(&mut self, mut out: Vec<QueryUpdate>, walked: usize) -> Vec<QueryUpdate> {
         if out.len() > walked {
-            // class serving appends per class, not per registered query;
-            // sorting restores registration-order delivery (same
-            // uniqueness argument as `publish`)
             out.sort_unstable_by_key(|u| (u.query, u.result.slide));
         }
-        note_update_hint(update_hint, out.len());
-        Self::promote_ready(sessions, solo, groups);
+        note_update_hint(&mut self.update_hint, out.len());
         out
     }
 
-    /// Drives every group's producer once per call (`drive` is the
-    /// watermark step) and collects the slides each group closed, keyed
-    /// by `(slide duration, predicate)`. Any close opens a fresh slide,
-    /// so the group's dominance gate resets.
-    fn close_groups(
-        groups: &mut HashMap<(u64, Predicate), DigestGroup<C>>,
-        mut drive: impl FnMut(&mut DigestProducer) -> Vec<DigestRef>,
-    ) -> HashMap<(u64, Predicate), Vec<DigestRef>> {
-        let mut closed = HashMap::new();
-        for (key, group) in groups {
-            let digests = drive(&mut group.producer);
-            if !digests.is_empty() {
-                group.gate.reset();
-                closed.insert(*key, digests);
-            }
-        }
-        closed
-    }
-
-    /// The admission plane's ingest: fans a timed batch to every slide
-    /// group, filtering each object **before** it touches the group's
-    /// producer. Per object and group: event time advances first
-    /// (predicate-rejected and dominance-pruned objects still close
-    /// slides — boundaries never depend on admission), then the
-    /// predicate gates fan-out, then the k-skyband dominance gate prunes
-    /// objects that provably cannot survive the open slide's top-`k_max`
-    /// truncation. Returns the closed digests, like
-    /// [`close_groups`](Registry::close_groups).
-    fn ingest_groups(
-        groups: &mut HashMap<(u64, Predicate), DigestGroup<C>>,
-        objects: &[TimedObject],
-        pruning: bool,
-        admitted: &mut u64,
-        pruned: &mut u64,
-    ) -> HashMap<(u64, Predicate), Vec<DigestRef>> {
-        let mut closed = HashMap::new();
-        for (key, group) in groups {
-            let mut digests: Vec<DigestRef> = Vec::new();
-            for &o in objects {
-                // advance before testing: if this timestamp closes the
-                // open slide, the gate must judge the object against the
-                // *fresh* slide it actually lands in
-                let before = digests.len();
-                digests.extend(group.producer.advance_to(o.timestamp));
-                if digests.len() > before {
-                    group.gate.reset();
-                }
-                if !group.predicate.accepts_timed(&o) {
-                    continue;
-                }
-                if pruning && !group.gate.admits(o.score) {
-                    *pruned += 1;
-                    continue;
-                }
-                // the producer is already at `o.timestamp`, so this
-                // ingest can close nothing — it only buffers
-                group.producer.ingest_with(o, &mut |_| {
-                    debug_assert!(false, "ingest after advance_to cannot close a slide")
-                });
-                *admitted += 1;
-                if pruning {
-                    group.gate.offer(o.score);
-                }
-            }
-            if !digests.is_empty() {
-                closed.insert(*key, digests);
-            }
-        }
-        closed
-    }
-
-    /// Serves one shared session its slides for this call, emitting them
-    /// through the caller's sink: the private warm-up view (counted as
-    /// rebuilds) while it is catching up, its group's closed digests
-    /// (counted as hits) once promoted. One copy of the hit/rebuild
-    /// accounting for both the publish and the watermark path, so
-    /// `HubStats` can never drift between them.
-    fn serve_shared(
-        hits: &mut u64,
-        rebuilds: &mut u64,
-        session: &mut SharedSession<C>,
-        closed: &HashMap<(u64, Predicate), Vec<DigestRef>>,
-        sink: &mut dyn FnMut(SlideResult),
-        warmup: impl FnOnce(&mut SharedSession<C>, &mut dyn FnMut(SlideResult)),
-    ) {
-        if session.is_warming_up() {
-            let mut served = 0u64;
-            warmup(session, &mut |result| {
-                served += 1;
-                sink(result);
-            });
-            *rebuilds += served;
-        } else if let Some(digests) = closed.get(&(session.slide_duration(), session.predicate())) {
-            *hits += digests.len() as u64;
-            session.apply_digests(digests, sink);
-        }
-    }
-
-    /// Serves every slide group's result classes their closed digests:
-    /// one reduction + one diff per class per digest
-    /// ([`SharedClass::close`]), then each member stamps the class's
-    /// shared snapshot ([`SharedSession::emit_class`]). Output is
-    /// appended per class, after the session walk — callers re-sort by
-    /// `(query, slide)` when anything landed here.
-    fn serve_shared_classes(
-        sessions: &mut [(QueryId, AnySession<C, T>)],
-        groups: &mut HashMap<(u64, Predicate), DigestGroup<C>>,
-        closed: &HashMap<(u64, Predicate), Vec<DigestRef>>,
-        hits: &mut u64,
-        class_hits: &mut u64,
-        out: &mut Vec<QueryUpdate>,
-        hint: usize,
-    ) {
-        for (key, group) in groups.iter_mut() {
-            let Some(digests) = closed.get(key) else {
+    /// Seats every warming member whose group has closed the slide it
+    /// joined during in a class of its own: both producers processed the
+    /// same timestamps, so from the next slide on the private and shared
+    /// views are identical. Warming members are all on the per-call list,
+    /// and only they pay a group lookup; a seated member leaves it.
+    fn promote_ready(&mut self) {
+        let Registry {
+            sessions,
+            solo,
+            groups,
+            ..
+        } = self;
+        let mut promoted = false;
+        for &i in solo.iter() {
+            let (id, session) = &mut sessions[i];
+            let AnySession::Group(m) = session else {
                 continue;
             };
-            for class in group.classes.iter_mut() {
-                for digest in digests {
-                    let snapshot = class.close(digest);
-                    for &member in &class.members {
-                        let idx = sessions
-                            .binary_search_by_key(&member, |(id, _)| *id)
-                            .expect("class member ids name registered sessions");
-                        let (id, session) = &mut sessions[idx];
-                        let AnySession::Shared(session) = session else {
-                            unreachable!("slide-group class members are shared sessions")
-                        };
-                        let mut sink = tagged_sink(out, hint, *id);
-                        session.emit_class(&snapshot, &class.events, &mut sink);
-                    }
-                }
-                // every member-slide here came from the shared digest
-                // plane (hits), and all but one-per-class also skipped
-                // the reduction (class_hits)
-                *hits += (digests.len() * class.members.len()) as u64;
-                *class_hits += (digests.len() * (class.members.len() - 1)) as u64;
+            let group = groups
+                .get_mut(&m.group())
+                .expect("a member's group is live");
+            if m.finish_warmup(group.producer.next_slide()) {
+                group.found_class(*id, m);
+                promoted = true;
             }
         }
-    }
-
-    /// Promotes every warm-up member whose group has closed the slide it
-    /// joined during: both producers processed the same timestamps, so
-    /// from the next slide on the private and shared views are identical.
-    /// Warming members are solo, so they are all on the per-call list, and
-    /// only they pay a group lookup. A promoted member stays solo (see the
-    /// module docs on result classes), so the list is unchanged.
-    fn promote_ready(
-        sessions: &mut [(QueryId, AnySession<C, T>)],
-        solo: &[usize],
-        groups: &HashMap<(u64, Predicate), DigestGroup<C>>,
-    ) {
-        for &i in solo {
-            if let AnySession::Shared(s) = &mut sessions[i].1 {
-                if !s.is_warming_up() {
-                    continue;
-                }
-                if let Some(group) = groups.get(&(s.slide_duration(), s.predicate())) {
-                    s.maybe_promote(group.producer.next_slide());
-                }
-            }
+        if promoted {
+            solo.retain(|&i| needs_call(&sessions[i].1));
         }
     }
 
@@ -2020,21 +1847,14 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
     /// The identities of every group this registry owns, for the
     /// hub-side shard-locality audit (see [`GroupKeys::absorb_disjoint`]).
     pub(crate) fn group_keys(&self) -> GroupKeys {
-        GroupKeys {
-            digest: self.groups.keys().copied().collect(),
-            count: self
-                .count_groups
-                .values()
-                .map(|g| (g.slide_len as u64, g.fill(), g.predicate))
-                .collect(),
-        }
+        GroupKeys(self.groups.values().map(Group::identity).collect())
     }
 
-    /// Enables/disables pooling of view-equivalent members into result
-    /// classes at registration (see [`HubStats::class_hits`]). Existing
-    /// classes are untouched, and traveling members (restore, migration)
-    /// re-class regardless — a consumer-less follower cannot serve
-    /// without its class.
+    /// Enables/disables pooling of members that start in step with their
+    /// group into existing result classes at registration (see
+    /// [`HubStats::class_hits`]). Existing classes are untouched, and
+    /// traveling members (restore, migration) re-class regardless — a
+    /// consumer-less follower cannot serve without its class.
     pub(crate) fn set_class_sharing(&mut self, enabled: bool) {
         self.class_sharing = enabled;
     }
@@ -2051,42 +1871,38 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
                     .gate
                     .rebuild(group.producer.k_max(), group.producer.pending());
             }
-            for group in self.count_groups.values_mut() {
-                group
-                    .gate
-                    .rebuild(group.producer.k_max(), group.producer.pending());
-            }
         }
         self.admission_pruning = enabled;
     }
 
     pub(crate) fn stats(&self) -> HubStats {
-        let result_classes = self
-            .groups
-            .values()
-            .map(|g| g.classes.len() as u64)
-            .chain(self.count_groups.values().map(|g| g.classes.len() as u64))
-            .sum();
+        let c = self.counters;
         let mut stats = HubStats {
             queries: self.sessions.len(),
-            digest_groups: self.groups.len() as u64,
-            digest_hits: self.digest_hits,
-            digest_rebuilds: self.digest_rebuilds,
-            count_groups: self.count_groups.len() as u64,
-            count_group_hits: self.count_group_hits,
-            count_group_rebuilds: self.count_group_rebuilds,
-            admitted: self.admitted,
-            pruned: self.pruned,
-            result_classes,
+            digest_hits: c.digest_hits,
+            digest_rebuilds: c.digest_rebuilds,
+            count_group_hits: c.count_group_hits,
+            count_group_rebuilds: c.count_group_rebuilds,
+            admitted: c.admitted,
+            pruned: c.pruned,
             class_hits: self.class_hits,
             ..HubStats::default()
         };
+        for group in self.groups.values() {
+            stats.result_classes += group.classes.len() as u64;
+            match group.clock.kind() {
+                Clock::Event => stats.digest_groups += 1,
+                Clock::Arrival => stats.count_groups += 1,
+            }
+        }
         for (_, session) in &self.sessions {
             match session {
                 AnySession::Count(_) => stats.count_queries += 1,
                 AnySession::Timed(_) => stats.timed_queries += 1,
-                AnySession::Shared(_) => stats.shared_queries += 1,
-                AnySession::Grouped(_) => stats.grouped_queries += 1,
+                AnySession::Group(m) => match m.clock() {
+                    Clock::Event => stats.shared_queries += 1,
+                    Clock::Arrival => stats.grouped_queries += 1,
+                },
             }
         }
         stats
@@ -2094,26 +1910,33 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
 
     // ---- durability plane -------------------------------------------------
 
+    /// Live group ids in canonical order: event-clock groups by
+    /// `(slide_duration, predicate)`, then arrival-clock groups by
+    /// `(slide length, slide fill, predicate)`. The order is derived
+    /// purely from state a checkpoint carries, so encode and decode agree
+    /// by construction, and the key is unique — distinct same-`(s,
+    /// predicate)` arrival groups always sit at distinct offsets mod `s`.
+    fn canonical(&self) -> Vec<u64> {
+        let mut order: Vec<u64> = self.groups.keys().copied().collect();
+        order.sort_unstable_by_key(|gid| self.groups[gid].identity());
+        order
+    }
+
     /// Serializes this registry's full serving state as one
     /// `tags::REGISTRY` section body: sessions in registration order
     /// (each with an engine-name + spec header and a replayable body),
-    /// slide-group producers sorted by slide duration (so the encoding is
-    /// deterministic regardless of `HashMap` iteration order), and the
-    /// sharing counters.
+    /// the event-clock groups in `GROUPS` and the arrival-clock groups in
+    /// `COUNT_GROUPS`, both in canonical order (deterministic regardless
+    /// of `HashMap` iteration order), and the sharing counters.
     pub(crate) fn encode_checkpoint(&self, enc: &mut Encoder) {
-        // canonical count-group order: live gids are registry-local and
-        // shift across epochs, so grouped sessions reference their group
-        // by position in this order instead. `(slide length, slide fill,
-        // predicate)` is a unique key — distinct same-`(s, predicate)`
-        // groups always sit at distinct offsets mod `s` — and is derived
-        // purely from state the section carries, so encode and decode
-        // agree by construction.
-        let mut order: Vec<u64> = self.count_groups.keys().copied().collect();
-        order.sort_unstable_by_key(|gid| {
-            let g = &self.count_groups[gid];
-            (g.slide_len, g.fill(), g.predicate)
-        });
-        let index_of: HashMap<u64, u64> = order
+        let order = self.canonical();
+        let (slide, count): (Vec<&Group<C>>, Vec<&Group<C>>) = order
+            .iter()
+            .map(|gid| &self.groups[gid])
+            .partition(|g| g.clock.kind() == Clock::Event);
+        // an arrival-clock member names its group by its position in
+        // `COUNT_GROUPS`, since live ids shift across epochs
+        let index_of: HashMap<u64, u64> = order[slide.len()..]
             .iter()
             .enumerate()
             .map(|(i, gid)| (*gid, i as u64))
@@ -2141,103 +1964,57 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
                         e.put_usize(spec.k);
                         s.encode_checkpoint_body(e);
                     }
-                    AnySession::Shared(s) => {
-                        e.put_u8(2);
-                        e.put_str(s.engine_name());
-                        let spec = s.timed_spec();
-                        e.put_u64(spec.window_duration);
-                        e.put_u64(spec.slide_duration);
-                        e.put_usize(spec.k);
-                        // the subscription predicate rides at the
-                        // registry entry level (since v3), keeping the
-                        // session body bytes themselves unchanged
-                        s.predicate().encode(e);
-                        // a classed member encodes its class's consumer —
-                        // byte-identical to a private one (see
-                        // `SharedSession::encode_checkpoint_body`)
-                        let class_consumer = self
-                            .groups
-                            .get(&(spec.slide_duration, s.predicate()))
-                            .and_then(|g| {
-                                g.classes
-                                    .iter()
-                                    .find(|c| c.members.binary_search(id).is_ok())
-                            })
+                    AnySession::Group(m) => {
+                        match m.clock() {
+                            Clock::Event => {
+                                e.put_u8(2);
+                                e.put_str(m.engine_name());
+                                e.put_u64(m.window());
+                                e.put_u64(m.slide());
+                                e.put_usize(m.k());
+                                // the predicate rides at the registry
+                                // entry level (since v3), keeping the
+                                // session body bytes unchanged
+                                m.predicate().encode(e);
+                            }
+                            Clock::Arrival => {
+                                e.put_u8(3);
+                                e.put_str(m.engine_name());
+                                e.put_u64(m.window());
+                                e.put_usize(m.k());
+                                e.put_u64(m.slide());
+                            }
+                        }
+                        // a classed member encodes its class's consumer
+                        let class_consumer = self.groups[&m.group()]
+                            .classes
+                            .iter()
+                            .find(|c| c.members.binary_search(id).is_ok())
                             .map(|c| &c.consumer);
-                        s.encode_checkpoint_body(e, class_consumer);
-                    }
-                    AnySession::Grouped(s) => {
-                        e.put_u8(3);
-                        e.put_str(s.engine_name());
-                        let spec = s.spec();
-                        e.put_usize(spec.n);
-                        e.put_usize(spec.k);
-                        e.put_usize(spec.s);
-                        let class_consumer = self
-                            .count_groups
-                            .get(&s.group())
-                            .and_then(|g| {
-                                g.classes
-                                    .iter()
-                                    .find(|c| c.members.binary_search(id).is_ok())
-                            })
-                            .map(|c| &c.consumer);
-                        s.encode_checkpoint_body(e, class_consumer, index_of[&s.group()]);
+                        let index = index_of.get(&m.group()).copied().unwrap_or(0);
+                        m.encode_checkpoint_body(e, class_consumer, index);
                     }
                 }
             }
         });
-        enc.section(tags::GROUPS, |e| {
-            let mut keys: Vec<(u64, Predicate)> = self.groups.keys().copied().collect();
-            keys.sort_unstable();
-            e.put_u64(keys.len() as u64);
-            for key in keys {
-                e.put_u64(key.0);
-                key.1.encode(e);
-                self.groups[&key].producer.encode_state(e);
-            }
-        });
-        enc.section(tags::COUNT_GROUPS, |e| {
-            e.put_u64(order.len() as u64);
-            for gid in &order {
-                let g = &self.count_groups[gid];
-                g.predicate.encode(e);
-                g.producer.encode_state(e);
-                // explicit since v3: under admission control the fill is
-                // not derivable from the producer's buffer
-                e.put_u64(g.next_ordinal);
-                e.put_u64(g.ring_base);
-                e.put_u64(g.ring.len() as u64);
-                for &ext in &g.ring {
-                    e.put_u64(ext);
+        for (tag, groups) in [(tags::GROUPS, slide), (tags::COUNT_GROUPS, count)] {
+            enc.section(tag, |e| {
+                e.put_u64(groups.len() as u64);
+                for group in groups {
+                    group.encode(e);
                 }
-            }
-        });
-        enc.section(tags::COUNTERS, |e| {
-            e.put_u64(self.digest_hits);
-            e.put_u64(self.digest_rebuilds);
-            e.put_u64(self.count_group_hits);
-            e.put_u64(self.count_group_rebuilds);
-        });
-        enc.section(tags::ADMISSION, |e| {
-            e.put_u64(self.admitted);
-            e.put_u64(self.pruned);
-        });
+            });
+        }
+        self.counters.encode(enc);
     }
 
     /// Decodes one `tags::REGISTRY` section body into loose
     /// [`RegistryParts`], building each session's engine through the
-    /// caller's closures (the count closure also serves shared sessions,
+    /// caller's closures (the count closure also serves group members,
     /// whose inner engine runs on the Appendix-A reduced spec). Every
     /// structural violation is a typed error — never a panic.
-    ///
-    /// `version` is the image's format version (the caller reads it from
-    /// the frame): v2 images predate the admission plane, so their
-    /// groups decode with pass-all predicates, derived ordinals, and
-    /// zeroed admission counters.
     pub(crate) fn decode_checkpoint(
         dec: &mut Decoder<'_>,
-        version: u32,
         count: &mut dyn FnMut(&str, WindowSpec) -> Result<C, SapError>,
         timed: &mut dyn FnMut(&str, TimedSpec) -> Result<T, SapError>,
     ) -> Result<RegistryParts<C, T>, SapError> {
@@ -2296,11 +2073,7 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
                     2 => {
                         let name = sec.take_str()?;
                         let (wd, sd, k) = (sec.take_u64()?, sec.take_u64()?, sec.take_usize()?);
-                        let predicate = if version >= 3 {
-                            Predicate::decode(&mut sec)?
-                        } else {
-                            Predicate::default()
-                        };
+                        let predicate = Predicate::decode(&mut sec)?;
                         let reduced = TimedSpec::new(wd, sd, k)
                             .and_then(|spec| spec.reduced())
                             .map_err(|_| CheckpointError::Corrupt("invalid shared window spec"))?;
@@ -2314,10 +2087,12 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
                         let consumer = SharedTimed::from_engine(engine, wd, sd).map_err(|_| {
                             CheckpointError::Corrupt("factory engine is not a fresh reduction")
                         })?;
-                        let mut session =
-                            SharedSession::decode_checkpoint_body(consumer, &mut sec)?;
-                        session.set_predicate(predicate);
-                        AnySession::Shared(session)
+                        AnySession::Group(GroupSession::decode_checkpoint_body(
+                            Clock::Event,
+                            consumer,
+                            predicate,
+                            &mut sec,
+                        )?)
                     }
                     3 => {
                         let name = sec.take_str()?;
@@ -2346,8 +2121,11 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
                                         "factory engine is not a fresh reduction",
                                     )
                                 })?;
-                        AnySession::Grouped(GroupedSession::decode_checkpoint_body(
-                            consumer, spec, &mut sec,
+                        AnySession::Group(GroupSession::decode_checkpoint_body(
+                            Clock::Arrival,
+                            consumer,
+                            Predicate::default(),
+                            &mut sec,
                         )?)
                     }
                     _ => return Err(CheckpointError::Corrupt("unknown session kind").into()),
@@ -2357,340 +2135,145 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
             sec.finish()?;
         }
         let mut groups = Vec::new();
-        {
-            let mut sec = dec.section(tags::GROUPS)?;
+        for (tag, clock) in [
+            (tags::GROUPS, Clock::Event),
+            (tags::COUNT_GROUPS, Clock::Arrival),
+        ] {
+            let mut sec = dec.section(tag)?;
             let n = sec.take_seq_len()?;
             for _ in 0..n {
-                let sd = sec.take_u64()?;
-                let predicate = if version >= 3 {
-                    Predicate::decode(&mut sec)?
-                } else {
-                    Predicate::default()
-                };
-                let producer = DigestProducer::decode_state(&mut sec)?;
-                if producer.slide_duration() != sd {
-                    return Err(
-                        CheckpointError::Corrupt("group key disagrees with its producer").into(),
-                    );
-                }
-                groups.push(((sd, predicate), producer));
+                groups.push(Group::decode(clock, &mut sec)?);
             }
             sec.finish()?;
         }
-        let mut count_groups = Vec::new();
-        {
-            let mut sec = dec.section(tags::COUNT_GROUPS)?;
-            let n = sec.take_seq_len()?;
-            for _ in 0..n {
-                let predicate = if version >= 3 {
-                    Predicate::decode(&mut sec)?
-                } else {
-                    Predicate::default()
-                };
-                let producer = DigestProducer::decode_state(&mut sec)?;
-                let next_ordinal = if version >= 3 {
-                    sec.take_u64()?
-                } else {
-                    // pre-admission images never skipped an object, so
-                    // the ordinal is exactly the producer's position
-                    producer
-                        .next_slide()
-                        .checked_mul(producer.slide_duration())
-                        .and_then(|o| o.checked_add(producer.pending_len() as u64))
-                        .ok_or(CheckpointError::Corrupt("count-group ordinal overflows"))?
-                };
-                let ring_base = sec.take_u64()?;
-                let len = sec.take_seq_len()?;
-                let mut ring = VecDeque::with_capacity(len);
-                for _ in 0..len {
-                    ring.push_back(sec.take_u64()?);
+        // arrival-clock members name their group by `COUNT_GROUPS`
+        // position; in the one list those groups follow the slide groups,
+        // and each member ranks under its group's predicate
+        let slide_groups = groups
+            .iter()
+            .filter(|g| g.clock.kind() == Clock::Event)
+            .count() as u64;
+        for (_, session) in &mut sessions {
+            if let AnySession::Group(m) = session {
+                if m.clock() == Clock::Arrival {
+                    let index = m.group().saturating_add(slide_groups);
+                    m.set_group(index);
+                    if let Some(group) = usize::try_from(index).ok().and_then(|i| groups.get(i)) {
+                        m.set_predicate(group.predicate);
+                    }
                 }
-                count_groups.push(CountGroupState {
-                    producer,
-                    ring,
-                    ring_base,
-                    predicate,
-                    next_ordinal,
-                });
             }
-            sec.finish()?;
         }
-        let (digest_hits, digest_rebuilds, count_group_hits, count_group_rebuilds);
-        {
-            let mut sec = dec.section(tags::COUNTERS)?;
-            digest_hits = sec.take_u64()?;
-            digest_rebuilds = sec.take_u64()?;
-            count_group_hits = sec.take_u64()?;
-            count_group_rebuilds = sec.take_u64()?;
-            sec.finish()?;
-        }
-        // v2 images predate the admission plane: restore with the
-        // counters reset rather than guessing
-        let (mut admitted, mut pruned) = (0u64, 0u64);
-        if version >= 3 {
-            let mut sec = dec.section(tags::ADMISSION)?;
-            admitted = sec.take_u64()?;
-            pruned = sec.take_u64()?;
-            sec.finish()?;
-        }
+        let counters = Counters::decode(dec)?;
         Ok(RegistryParts {
             sessions,
             groups,
-            count_groups,
-            digest_hits,
-            digest_rebuilds,
-            count_group_hits,
-            count_group_rebuilds,
-            admitted,
-            pruned,
+            counters,
         })
     }
 
     /// Builds a registry from already-merged, already-validated parts —
     /// possibly several shards' worth, when a sharded checkpoint is
-    /// restored into a sequential hub. Group member counts are
-    /// recomputed from the shared sessions themselves.
-    ///
-    /// Result classes are **rebuilt** here rather than carried: grouped
-    /// members re-class by their exact `(n, k, join_slide)` key, shared
-    /// members by byte signature (equal spec, progress, previous
-    /// emission, and encoded consumer state imply identical futures) —
-    /// so a restored registry serves exactly like the one that wrote the
-    /// checkpoint, without the checkpoint carrying any class structure.
+    /// restored into a sequential hub. Group membership and result
+    /// classes are **rebuilt** here rather than carried (see
+    /// [`seat`](Registry::seat)), so a restored registry serves exactly
+    /// like the one that wrote the checkpoint, without the checkpoint
+    /// carrying any class structure.
     pub(crate) fn from_merged(parts: RegistryParts<C, T>, shard: Option<usize>) -> Self {
         let RegistryParts {
             mut sessions,
-            groups: group_list,
-            count_groups: count_group_list,
-            digest_hits,
-            digest_rebuilds,
-            count_group_hits,
-            count_group_rebuilds,
-            admitted,
-            pruned,
-        } = parts;
-        let mut groups: HashMap<(u64, Predicate), DigestGroup<C>> = group_list
-            .into_iter()
-            .map(|(key, producer)| {
-                // the gate is derived state: rebuild it from the open
-                // slide's admitted buffer so pruning resumes exactly
-                let mut gate = PruneGate::new(producer.k_max());
-                gate.rebuild(producer.k_max(), producer.pending());
-                (
-                    key,
-                    DigestGroup {
-                        producer,
-                        members: 0,
-                        predicate: key.1,
-                        gate,
-                        classes: Vec::new(),
-                    },
-                )
-            })
-            .collect();
-        // canonical index = live gid: merge rebased every grouped
-        // session's reference onto the concatenated list, so adopting
-        // positions as ids keeps the references valid verbatim
-        let mut count_groups: HashMap<u64, CountGroup<C>> = count_group_list
-            .into_iter()
-            .enumerate()
-            .map(|(gid, state)| {
-                let mut gate = PruneGate::new(state.producer.k_max());
-                gate.rebuild(state.producer.k_max(), state.producer.pending());
-                (
-                    gid as u64,
-                    CountGroup {
-                        slide_len: state.producer.slide_duration() as usize,
-                        producer: state.producer,
-                        ring: state.ring,
-                        ring_base: state.ring_base,
-                        ring_cap: 0,
-                        member_ids: Vec::new(),
-                        next_ordinal: state.next_ordinal,
-                        predicate: state.predicate,
-                        gate,
-                        classes: Vec::new(),
-                    },
-                )
-            })
-            .collect();
-        let next_count_gid = count_groups.len() as u64;
-        // the consumer-less travelers (ejected class followers), noted
-        // *before* pass 1 — classing strips donors of their consumers,
-        // leaving them indistinguishable from followers afterwards
-        let followers: Vec<QueryId> = sessions
-            .iter()
-            .filter(|(_, session)| match session {
-                AnySession::Shared(s) => s.is_classed(),
-                AnySession::Grouped(g) => g.consumer().is_none(),
-                _ => false,
-            })
-            .map(|(id, _)| *id)
-            .collect();
-        // pass 1 — membership, and classes founded (or joined) by the
-        // members that carry a consumer, so the consumer-less followers
-        // of pass 2 always find their class already standing
-        for (id, session) in &mut sessions {
-            match session {
-                AnySession::Shared(s) => {
-                    let group = groups
-                        .get_mut(&(s.slide_duration(), s.predicate()))
-                        .expect("merge validated every shared session has its group");
-                    group.members += 1;
-                    if s.consumer().is_some() && !s.is_warming_up() {
-                        Self::class_shared_member(group, *id, s);
-                    }
-                }
-                AnySession::Grouped(g) => {
-                    let group = count_groups
-                        .get_mut(&g.group())
-                        .expect("merge validated every grouped session has its count group");
-                    // sessions are in ascending-id order, so member lists
-                    // come out ascending too
-                    group.member_ids.push(*id);
-                    group.ring_cap = group.ring_cap.max(g.spec().n + group.slide_len);
-                    if g.consumer().is_some() {
-                        Self::class_grouped_member(group, *id, g);
-                    }
-                }
-                AnySession::Count(_) | AnySession::Timed(_) => {}
-            }
-        }
-        // pass 2 — consumer-less travelers (ejected class followers)
-        // rejoin the class their cohort re-founded in pass 1
-        for (id, session) in &mut sessions {
-            if followers.binary_search(id).is_err() {
-                continue;
-            }
-            match session {
-                AnySession::Shared(s) => {
-                    let group = groups
-                        .get_mut(&(s.slide_duration(), s.predicate()))
-                        .expect("validated in pass 1");
-                    Self::join_shared_follower(group, *id, s);
-                }
-                AnySession::Grouped(g) => {
-                    let group = count_groups
-                        .get_mut(&g.group())
-                        .expect("validated in pass 1");
-                    Self::join_grouped_follower(group, *id, g);
-                }
-                _ => unreachable!("only shared and grouped members travel consumer-less"),
-            }
-        }
-        let mut registry = Registry {
-            sessions,
-            solo: Vec::new(),
             groups,
-            count_groups,
-            next_count_gid,
-            digest_hits,
-            digest_rebuilds,
-            count_group_hits,
-            count_group_rebuilds,
-            admitted,
-            pruned,
-            admission_pruning: true,
-            class_hits: 0,
-            class_sharing: true,
-            plain_buf: Vec::new(),
-            update_hint: 0,
+            counters,
+        } = parts;
+        let mut registry = Registry {
+            counters,
             shard,
+            ..Registry::default()
         };
+        // canonical index = live gid: merge pointed every member at its
+        // group's index, so adopting positions as ids keeps the
+        // references valid verbatim
+        for group in groups {
+            registry.insert_group(group.reset());
+        }
+        for (id, session) in &mut sessions {
+            if let AnySession::Group(m) = session {
+                let group = registry
+                    .groups
+                    .get_mut(&m.group())
+                    .expect("merge validated every member's group");
+                Self::seat(group, *id, m);
+            }
+        }
+        registry.sessions = sessions;
         registry.rebuild_solo();
         registry
     }
 
-    /// Pools a consumer-carrying, non-warming shared member into its
-    /// group's result classes: joins the class with an identical byte
-    /// signature — equal `(wd, k)`, slide progress, previous emission,
-    /// and encoded consumer state make its future emissions provably
-    /// identical, so the member's duplicate consumer is dropped — and
-    /// founds a new class around the consumer otherwise. Traveling-path
-    /// only (restore, installation); live registration classes pristine
-    /// joiners, which need no signature.
-    fn class_shared_member(group: &mut DigestGroup<C>, id: QueryId, s: &mut SharedSession<C>) {
-        debug_assert!(!s.is_warming_up(), "warming members serve solo");
-        let spec = s.timed_spec();
-        let consumer = s.take_consumer().expect("caller checked the consumer");
-        let sig = consumer_sig(&consumer);
-        let candidate = group.classes.iter_mut().find(|c| {
-            c.wd == spec.window_duration
-                && c.k == spec.k
+    /// Seats a traveling member in its group — restore and installation
+    /// both pass members in ascending-id order. A warming member serves
+    /// itself; a consumer carrier pools into the classes by signature;
+    /// a consumer-less follower rejoins its representative's class.
+    fn seat(group: &mut Group<C>, id: QueryId, m: &mut GroupSession<C>) {
+        group.count(m);
+        if m.is_warming_up() {
+            return;
+        }
+        if m.consumer().is_some() {
+            Self::class_member(group, id, m);
+        } else {
+            Self::join_follower(group, id, m);
+        }
+    }
+
+    /// Pools a consumer-carrying, non-warming traveler into its group's
+    /// result classes: joins the class with an identical byte signature —
+    /// equal key, slide progress, previous emission, and encoded consumer
+    /// state make its future emissions provably identical, so the
+    /// member's duplicate consumer is dropped — and founds a class around
+    /// the consumer otherwise. Live registration pools only members that
+    /// start in step, which need no signature.
+    fn class_member(group: &mut Group<C>, id: QueryId, m: &mut GroupSession<C>) {
+        let consumer = m.consumer().expect("caller checked the consumer");
+        let mut sig = None;
+        let class = group.classes.iter_mut().find(|c| {
+            c.key() == m.class_key()
                 && c.consumer.slides_applied() == consumer.slides_applied()
-                && c.prev.as_slice() == s.last_snapshot()
-                && consumer_sig(&c.consumer) == sig
+                && c.prev.as_slice() == m.last_snapshot()
+                && consumer_sig(&c.consumer) == *sig.get_or_insert_with(|| consumer_sig(consumer))
         });
-        match candidate {
+        match class {
             Some(class) => {
                 let pos = class.members.partition_point(|m| *m < id);
                 class.members.insert(pos, id);
+                m.take_consumer();
             }
-            None => {
-                let prev = s.last_snapshot_shared();
-                group.classes.push(SharedClass::new(consumer, id, prev));
-            }
+            None => group.found_class(id, m),
         }
     }
 
-    /// Pools a consumer-carrying grouped member into its count group's
-    /// result classes by exact key — same-`(n, k, join_slide)` members
-    /// are interchangeable (their state is a pure function of the
-    /// group's stream and the key), so a join drops the duplicate
-    /// consumer and a miss founds the class around it.
-    fn class_grouped_member(group: &mut CountGroup<C>, id: QueryId, g: &mut GroupedSession<C>) {
-        let spec = g.spec();
-        let join_slide = g.join_slide();
-        let consumer = g.take_consumer().expect("caller checked the consumer");
-        let candidate = group
-            .classes
-            .iter_mut()
-            .find(|c| c.n == spec.n && c.k == spec.k && c.join_slide == join_slide);
-        match candidate {
-            Some(class) => {
-                let pos = class.members.partition_point(|m| *m < id);
-                class.members.insert(pos, id);
-            }
-            None => {
-                let prev = g.last_snapshot_shared();
-                group
-                    .classes
-                    .push(CountClass::new(spec, join_slide, consumer, id, prev));
-            }
-        }
-    }
-
-    /// Rejoins an ejected shared follower (traveling without a consumer)
-    /// to the class its representative carried. The representative — a
-    /// class's lowest member id — always lands first, because sessions
-    /// install in ascending-id order.
-    fn join_shared_follower(group: &mut DigestGroup<C>, id: QueryId, s: &mut SharedSession<C>) {
-        let rep = s
+    /// Rejoins a traveling follower to the class its representative
+    /// carried. The representative — a class's lowest member id — is
+    /// always seated first, because members are seated in ascending-id
+    /// order.
+    fn join_follower(group: &mut Group<C>, id: QueryId, m: &mut GroupSession<C>) {
+        let rep = m
             .class_rep()
-            .expect("a consumer-less shared traveler names its class representative");
+            .expect("a consumer-less traveler names its class representative");
         let class = group
             .classes
             .iter_mut()
             .find(|c| c.members.binary_search(&rep).is_ok())
-            .expect("a class representative installs before its followers");
+            .expect("a class representative is seated before its followers");
         let pos = class.members.partition_point(|m| *m < id);
         class.members.insert(pos, id);
-        s.set_class_rep(None);
+        m.set_class_rep(None);
     }
 
-    /// Rejoins an ejected grouped follower to a class with its exact
-    /// key — same-key classes are interchangeable, so any match serves
-    /// it byte-identically (which is why count followers, unlike shared
-    /// ones, travel untagged).
-    fn join_grouped_follower(group: &mut CountGroup<C>, id: QueryId, g: &GroupedSession<C>) {
-        let key = (g.spec().n, g.spec().k, g.join_slide());
-        let class = group
-            .classes
-            .iter_mut()
-            .find(|c| (c.n, c.k, c.join_slide) == key)
-            .expect("a traveling count group carries a consumer per class key");
-        let pos = class.members.partition_point(|m| *m < id);
-        class.members.insert(pos, id);
+    /// Adds restored sharing counters (a restore assigns the checkpoint's
+    /// summed counters wholesale to one shard; a migration moves none).
+    pub(crate) fn install_counters(&mut self, counters: Counters) {
+        self.counters.absorb(&counters);
     }
 
     // ---- live migration ---------------------------------------------------
@@ -2698,14 +2281,13 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
     /// Installs an **isolated** session that already carries live state
     /// (a checkpoint restore or a live migration), keeping the store in
     /// ascending-id order — so drain order is indistinguishable from a hub
-    /// where the query had been registered here originally. Sharing-plane
-    /// members travel with their group instead
-    /// ([`install_group`](Registry::install_group),
-    /// [`install_count_group`](Registry::install_count_group)).
+    /// where the query had been registered here originally. Group members
+    /// travel with their group instead
+    /// ([`install_group`](Registry::install_group)).
     pub(crate) fn install(&mut self, id: QueryId, session: AnySession<C, T>) {
         debug_assert!(
             matches!(session, AnySession::Count(_) | AnySession::Timed(_)),
-            "sharing-plane members travel with their group"
+            "group members travel with their group"
         );
         let pos = self.sessions.partition_point(|(have, _)| *have < id);
         self.sessions.insert(pos, (id, session));
@@ -2717,243 +2299,75 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
         self.solo.insert(from, pos);
     }
 
-    /// Installs a slide group and its member sessions as one unit (the
-    /// restore and migration paths — a slide group never travels without
-    /// its members, mirroring
-    /// [`install_count_group`](Registry::install_count_group)). Members
-    /// arrive in ascending-id order and merge into the store in one pass.
+    /// Installs a group and its member sessions as one unit (the restore
+    /// and migration paths — a group never travels without its members).
+    /// The group gets a fresh live id, its members are rebound to it and
+    /// seated, and they merge into the store in one pass.
     pub(crate) fn install_group(
         &mut self,
-        key: (u64, Predicate),
-        producer: DigestProducer,
+        group: Group<C>,
         mut members: Vec<(QueryId, AnySession<C, T>)>,
     ) {
-        debug_assert_eq!(producer.slide_duration(), key.0);
-        debug_assert!(!members.is_empty(), "a slide group never travels empty");
+        debug_assert!(!members.is_empty(), "a group never travels empty");
         debug_assert!(
             members.windows(2).all(|w| w[0].0 < w[1].0),
             "members travel in ascending-id order"
         );
-        let mut gate = PruneGate::new(producer.k_max());
-        gate.rebuild(producer.k_max(), producer.pending());
-        let mut group = DigestGroup {
-            producer,
-            members: members.len(),
-            predicate: key.1,
-            gate,
-            classes: Vec::new(),
-        };
-        // re-class the travelers (see `from_merged`): consumer-less
-        // followers rejoin their representative's class — the lowest id,
-        // so it is classed first — and consumer carriers pool by byte
-        // signature. The sharing flag is not consulted: a follower cannot
-        // serve without a class.
+        let gid = self.insert_group(group.reset());
+        let group = self.groups.get_mut(&gid).expect("just inserted");
         for (id, session) in &mut members {
-            let AnySession::Shared(s) = session else {
-                unreachable!("slide-group members are shared sessions")
+            let AnySession::Group(m) = session else {
+                unreachable!("a group's members are group sessions")
             };
-            debug_assert_eq!((s.slide_duration(), s.predicate()), key);
-            if s.is_classed() {
-                Self::join_shared_follower(&mut group, *id, s);
-            } else if !s.is_warming_up() {
-                Self::class_shared_member(&mut group, *id, s);
-            }
-        }
-        let prev = self.groups.insert(key, group);
-        debug_assert!(prev.is_none(), "installing over a live slide group");
-        self.merge_sessions(members);
-    }
-
-    /// Adds restored sharing counters (a restore assigns the checkpoint's
-    /// summed counters wholesale to one shard; a migration moves none).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn install_counters(
-        &mut self,
-        hits: u64,
-        rebuilds: u64,
-        count_hits: u64,
-        count_rebuilds: u64,
-        admitted: u64,
-        pruned: u64,
-    ) {
-        self.digest_hits += hits;
-        self.digest_rebuilds += rebuilds;
-        self.count_group_hits += count_hits;
-        self.count_group_rebuilds += count_rebuilds;
-        self.admitted += admitted;
-        self.pruned += pruned;
-    }
-
-    /// Installs a count group and its member sessions as one unit (the
-    /// shard restore/resize path — a count group never travels without
-    /// its members). The group gets a fresh local gid; members'
-    /// references are rebound here, so whatever epoch they came from is
-    /// irrelevant.
-    pub(crate) fn install_count_group(
-        &mut self,
-        state: CountGroupState,
-        mut members: Vec<(QueryId, AnySession<C, T>)>,
-    ) {
-        debug_assert!(!members.is_empty(), "a count group never travels empty");
-        let gid = self.next_count_gid;
-        self.next_count_gid += 1;
-        let next_ordinal = state.next_ordinal;
-        let slide_len = state.producer.slide_duration() as usize;
-        let mut member_ids: Vec<QueryId> = members.iter().map(|(id, _)| *id).collect();
-        member_ids.sort_unstable();
-        let mut ring_cap = 0;
-        for (_, session) in &members {
-            if let AnySession::Grouped(g) = session {
-                ring_cap = ring_cap.max(g.spec().n + slide_len);
-            } else {
-                debug_assert!(false, "count-group members are grouped sessions");
-            }
-        }
-        let mut gate = PruneGate::new(state.producer.k_max());
-        gate.rebuild(state.producer.k_max(), state.producer.pending());
-        let mut group = CountGroup {
-            slide_len,
-            producer: state.producer,
-            ring: state.ring,
-            ring_base: state.ring_base,
-            ring_cap,
-            member_ids,
-            next_ordinal,
-            predicate: state.predicate,
-            gate,
-            classes: Vec::new(),
-        };
-        // rebuild the result classes (see `from_merged`): consumer
-        // carriers found or join by exact key first, then consumer-less
-        // followers rejoin any class with their key. The follower set is
-        // noted *before* the classing pass — it strips donors of their
-        // consumers, leaving them indistinguishable from followers
-        let followers: Vec<QueryId> = members
-            .iter()
-            .filter(|(_, s)| matches!(s, AnySession::Grouped(g) if g.consumer().is_none()))
-            .map(|(id, _)| *id)
-            .collect();
-        for (id, session) in &mut members {
-            if let AnySession::Grouped(g) = session {
-                if g.consumer().is_some() {
-                    Self::class_grouped_member(&mut group, *id, g);
-                }
-            }
-        }
-        for (id, session) in &mut members {
-            if let AnySession::Grouped(g) = session {
-                if followers.contains(id) {
-                    Self::join_grouped_follower(&mut group, *id, g);
-                }
-            }
-        }
-        self.count_groups.insert(gid, group);
-        for (_, session) in &mut members {
-            if let AnySession::Grouped(g) = session {
-                g.set_group(gid);
-            }
+            m.set_group(gid);
+            Self::seat(group, *id, m);
         }
         self.merge_sessions(members);
     }
 
-    /// Dissolves a count group's result classes into its member sessions
-    /// ahead of an ejection: each class's representative — its lowest
-    /// member id — adopts the class consumer and carries it through the
-    /// migration; followers travel consumer-less and rejoin by exact key
-    /// at installation.
-    fn dissolve_count_classes(
-        sessions: &mut [(QueryId, AnySession<C, T>)],
-        group: &mut CountGroup<C>,
-    ) {
+    /// Dissolves a group's result classes ahead of an ejection: each
+    /// class's representative — its lowest member id — adopts the class
+    /// consumer and carries it through the migration, and every follower
+    /// is tagged with the representative's id so installation rejoins it
+    /// to exactly its old class (two classes can share a key, so the tag
+    /// disambiguates).
+    fn dissolve_classes(sessions: &mut [(QueryId, AnySession<C, T>)], group: &mut Group<C>) {
+        fn member<C: SlidingTopK, T: TimedTopK>(
+            sessions: &mut [(QueryId, AnySession<C, T>)],
+            id: QueryId,
+        ) -> &mut GroupSession<C> {
+            let idx = sessions
+                .binary_search_by_key(&id, |(have, _)| *have)
+                .expect("class member ids name registered sessions");
+            let AnySession::Group(m) = &mut sessions[idx].1 else {
+                unreachable!("class members are group sessions")
+            };
+            m
+        }
         for class in group.classes.drain(..) {
             let rep = class.members[0];
-            let idx = sessions
-                .binary_search_by_key(&rep, |(id, _)| *id)
-                .expect("class member ids name registered sessions");
-            let AnySession::Grouped(g) = &mut sessions[idx].1 else {
-                unreachable!("count-group class members are grouped sessions")
-            };
-            g.adopt_consumer(class.consumer);
-        }
-    }
-
-    /// Dissolves a slide group's result classes ahead of an ejection:
-    /// the representative adopts the class consumer, and every follower
-    /// is tagged with the representative's id so installation rejoins it
-    /// to exactly its old class (shared classes have no exact key — two
-    /// distinct classes can share `(wd, k)` — so the tag disambiguates).
-    fn dissolve_shared_classes(
-        sessions: &mut [(QueryId, AnySession<C, T>)],
-        group: &mut DigestGroup<C>,
-    ) {
-        for class in group.classes.drain(..) {
-            let SharedClass {
-                consumer, members, ..
-            } = class;
-            let rep = members[0];
-            for &member in &members[1..] {
-                let idx = sessions
-                    .binary_search_by_key(&member, |(id, _)| *id)
-                    .expect("class member ids name registered sessions");
-                let AnySession::Shared(s) = &mut sessions[idx].1 else {
-                    unreachable!("slide-group class members are shared sessions")
-                };
-                s.set_class_rep(Some(rep));
+            for &follower in &class.members[1..] {
+                member(sessions, follower).set_class_rep(Some(rep));
             }
-            let idx = sessions
-                .binary_search_by_key(&rep, |(id, _)| *id)
-                .expect("class member ids name registered sessions");
-            let AnySession::Shared(s) = &mut sessions[idx].1 else {
-                unreachable!("slide-group class members are shared sessions")
-            };
-            s.adopt_consumer(consumer);
+            member(sessions, rep).adopt_consumer(class.consumer);
         }
     }
 
-    /// Ejects the count group containing `member` and every member
-    /// session, for whole-group migration to another shard (a count
-    /// group's members are inseparable — moving one moves all). `None`
-    /// if `member` is not a grouped session here.
-    pub(crate) fn eject_count_group_of(
-        &mut self,
-        member: QueryId,
-    ) -> Option<EjectedCountGroup<C, T>> {
-        let AnySession::Grouped(g) = self.session(member)? else {
+    /// Ejects the group containing `member` and every member session, for
+    /// whole-group migration to another shard (a group's members are
+    /// inseparable — moving one moves all). `None` if `member` is not a
+    /// group member here.
+    pub(crate) fn eject_group_of(&mut self, member: QueryId) -> Option<EjectedGroup<C, T>> {
+        let AnySession::Group(m) = self.session(member)? else {
             return None;
         };
-        let gid = g.group();
-        let mut group = self
-            .count_groups
-            .remove(&gid)
-            .expect("a grouped session's gid names a live count group");
-        Self::dissolve_count_classes(&mut self.sessions, &mut group);
+        let gid = m.group();
+        let mut group = self.remove_group(gid);
+        Self::dissolve_classes(&mut self.sessions, &mut group);
         let members =
-            self.extract_sessions(|s| matches!(s, AnySession::Grouped(g) if g.group() == gid));
-        debug_assert_eq!(members.len(), group.member_ids.len());
-        Some((
-            CountGroupState {
-                producer: group.producer,
-                ring: group.ring,
-                ring_base: group.ring_base,
-                predicate: group.predicate,
-                next_ordinal: group.next_ordinal,
-            },
-            members,
-        ))
-    }
-
-    /// Ejects a slide group and every member session for migration to
-    /// another shard: the shared producer plus the members in
-    /// ascending-id order. `None` if no such group lives here.
-    pub(crate) fn eject_group(&mut self, key: (u64, Predicate)) -> Option<EjectedGroup<C, T>> {
-        let mut group = self.groups.remove(&key)?;
-        Self::dissolve_shared_classes(&mut self.sessions, &mut group);
-        let members = self.extract_sessions(|s| {
-            matches!(s, AnySession::Shared(m)
-                if m.slide_duration() == key.0 && m.predicate() == key.1)
-        });
+            self.extract_sessions(|s| matches!(s, AnySession::Group(m) if m.group() == gid));
         debug_assert_eq!(members.len(), group.members);
-        Some((group.producer, members))
+        Some((group, members))
     }
 
     /// Ejects everything — sessions, groups, counters — leaving the
@@ -2961,30 +2375,15 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
     /// through this before re-scattering onto the new shard set.
     pub(crate) fn eject_all(&mut self) -> RegistryParts<C, T> {
         // dissolve every result class back into the session store first
-        // (same protocol as the single-group ejects); the class-hit
-        // counter has no slot in `RegistryParts`, so it resets here —
-        // documented on `HubStats::class_hits`
+        // (same protocol as a single-group eject); the class-hit counter
+        // has no slot in `RegistryParts`, so it resets here — documented
+        // on `HubStats::class_hits`
         for group in self.groups.values_mut() {
-            Self::dissolve_shared_classes(&mut self.sessions, group);
-        }
-        for group in self.count_groups.values_mut() {
-            Self::dissolve_count_classes(&mut self.sessions, group);
+            Self::dissolve_classes(&mut self.sessions, group);
         }
         self.class_hits = 0;
-        let mut groups: Vec<((u64, Predicate), DigestProducer)> = self
-            .groups
-            .drain()
-            .map(|(key, group)| (key, group.producer))
-            .collect();
-        groups.sort_unstable_by_key(|(key, _)| *key);
-        // rewrite grouped references from live gids to canonical
-        // positions (same order as encode_checkpoint), since parts carry
-        // count groups as an index-addressed list
-        let mut order: Vec<u64> = self.count_groups.keys().copied().collect();
-        order.sort_unstable_by_key(|gid| {
-            let g = &self.count_groups[gid];
-            (g.slide_len, g.fill(), g.predicate)
-        });
+        // members name their group by position in the parts' list
+        let order = self.canonical();
         let index_of: HashMap<u64, u64> = order
             .iter()
             .enumerate()
@@ -2992,38 +2391,21 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
             .collect();
         let mut sessions = std::mem::take(&mut self.sessions);
         for (_, session) in &mut sessions {
-            if let AnySession::Grouped(g) = session {
-                g.set_group(index_of[&g.group()]);
+            if let AnySession::Group(m) = session {
+                m.set_group(index_of[&m.group()]);
             }
         }
-        let count_groups = order
+        let groups = order
             .into_iter()
-            .map(|gid| {
-                let g = self
-                    .count_groups
-                    .remove(&gid)
-                    .expect("order holds live gids");
-                CountGroupState {
-                    producer: g.producer,
-                    ring: g.ring,
-                    ring_base: g.ring_base,
-                    predicate: g.predicate,
-                    next_ordinal: g.next_ordinal,
-                }
-            })
+            .map(|gid| self.groups.remove(&gid).expect("order holds live gids"))
             .collect();
-        self.next_count_gid = 0;
+        self.by_key.clear();
+        self.next_gid = 0;
         self.solo.clear();
         RegistryParts {
             sessions,
             groups,
-            count_groups,
-            digest_hits: std::mem::take(&mut self.digest_hits),
-            digest_rebuilds: std::mem::take(&mut self.digest_rebuilds),
-            count_group_hits: std::mem::take(&mut self.count_group_hits),
-            count_group_rebuilds: std::mem::take(&mut self.count_group_rebuilds),
-            admitted: std::mem::take(&mut self.admitted),
-            pruned: std::mem::take(&mut self.pruned),
+            counters: std::mem::take(&mut self.counters),
         }
     }
 }
@@ -3045,15 +2427,20 @@ mod tests {
         QueryId::from_raw(raw)
     }
 
-    /// Registers a count-group member `⟨n, k, s⟩`.
-    fn register_grouped(reg: &mut ToyRegistry, id: u64, n: usize, k: usize, s: usize) {
-        let spec = WindowSpec::new(n, k, s).unwrap();
-        reg.register_grouped(
-            q(id),
-            consumer(n as u64, s as u64, k),
-            spec,
-            Predicate::default(),
-        );
+    /// Registers an arrival-clock member `⟨n, k, s⟩`.
+    fn enroll_arrival(reg: &mut ToyRegistry, id: u64, n: usize, k: usize, s: usize) {
+        let consumer = consumer(n as u64, s as u64, k);
+        reg.register_member(q(id), consumer, Clock::Arrival, Predicate::default());
+    }
+
+    /// Registers an event-clock member.
+    fn enroll_event(reg: &mut ToyRegistry, id: u64, consumer: SharedTimed<Toy>, p: Predicate) {
+        reg.register_member(q(id), consumer, Clock::Event, p);
+    }
+
+    /// The event-clock group with slide duration `sd` and predicate `p`.
+    fn slide_group(reg: &ToyRegistry, sd: u64, p: Predicate) -> &Group<Toy> {
+        &reg.groups[&reg.by_key[&(Clock::Event, sd, p)][0]]
     }
 
     /// Objects at timestamps `from..to`, one per tick.
@@ -3065,8 +2452,8 @@ mod tests {
 
     /// Asserts the store is in ascending-id order and the per-call list
     /// is exactly what the full store walk it replaced served on every
-    /// call: isolated count and timed sessions plus unclassed shared
-    /// members, in store order.
+    /// call: isolated count and timed sessions plus warming members, in
+    /// store order.
     fn assert_listed(reg: &ToyRegistry, step: &str) {
         assert!(
             reg.sessions.windows(2).all(|w| w[0].0 < w[1].0),
@@ -3078,8 +2465,7 @@ mod tests {
             .enumerate()
             .filter(|(_, (_, session))| match session {
                 AnySession::Count(_) | AnySession::Timed(_) => true,
-                AnySession::Shared(s) => !s.is_classed(),
-                AnySession::Grouped(_) => false,
+                AnySession::Group(m) => m.is_warming_up(),
             })
             .map(|(i, _)| i)
             .collect();
@@ -3094,13 +2480,9 @@ mod tests {
     /// Scatters ejected parts back through the install paths, as the
     /// hubs' resize does for one shard.
     fn reinstall(reg: &mut ToyRegistry, parts: RegistryParts<Toy, ToyTimed>, step: &str) {
-        let (mut slide, count, loose) = split_by_group(parts.sessions, parts.count_groups.len());
-        for (key, producer) in parts.groups {
-            reg.install_group(key, producer, slide.remove(&key).unwrap());
-            assert_listed(reg, step);
-        }
-        for (state, members) in parts.count_groups.into_iter().zip(count) {
-            reg.install_count_group(state, members);
+        let (members_of, loose) = split_by_group(parts.sessions, parts.groups.len());
+        for (group, members) in parts.groups.into_iter().zip(members_of) {
+            reg.install_group(group, members);
             assert_listed(reg, step);
         }
         for (id, session) in loose {
@@ -3114,69 +2496,71 @@ mod tests {
         let pass = Predicate::default();
         let mut reg = ToyRegistry::default();
         reg.register(q(0), Member::Count(Toy::new(20, 2, 5)), None);
-        reg.register_shared(q(1), consumer(20, 10, 2), pass);
-        reg.register_shared(q(2), consumer(20, 10, 2), pass);
-        register_grouped(&mut reg, 3, 20, 2, 5);
+        enroll_event(&mut reg, 1, consumer(20, 10, 2), pass);
+        enroll_event(&mut reg, 2, consumer(20, 10, 2), pass);
+        enroll_arrival(&mut reg, 3, 20, 2, 5);
         reg.register(q(4), Member::Timed(ToyTimed::new(20, 10, 2)), None);
         assert_listed(&reg, "registration");
         assert_eq!(listed(&reg), [0, 4], "pristine joiners share a class");
 
         // a mid-stream join into the classed group warms up solo, and
-        // stays solo once its join slide [10, 20) closes
+        // founds a class of its own once its join slide [10, 20) closes
         reg.publish_timed(&ticks(0, 15));
-        reg.register_shared(q(5), consumer(20, 10, 2), pass);
+        enroll_event(&mut reg, 5, consumer(20, 10, 2), pass);
         assert!(reg
             .session(q(5))
             .unwrap()
-            .as_shared()
+            .as_group()
             .unwrap()
             .is_warming_up());
         assert_listed(&reg, "warming join");
         assert_eq!(listed(&reg), [0, 4, 5]);
         reg.publish_timed(&ticks(15, 25));
-        let promoted = reg.session(q(5)).unwrap().as_shared().unwrap();
-        assert!(!promoted.is_warming_up() && !promoted.is_classed());
+        let promoted = reg.session(q(5)).unwrap().as_group().unwrap();
+        assert!(!promoted.is_warming_up() && promoted.is_classed());
         assert_listed(&reg, "promotion");
-        assert_eq!(listed(&reg), [0, 4, 5]);
+        assert_eq!(listed(&reg), [0, 4]);
 
         // the class's representative leaves, then its last member
         reg.unregister(q(1)).unwrap();
         assert_listed(&reg, "representative leaves");
         let last = reg.unregister(q(2)).unwrap();
-        assert!(
-            !last.as_shared().unwrap().is_classed(),
-            "takes the consumer"
-        );
+        assert!(!last.as_group().unwrap().is_classed(), "takes the consumer");
         assert_listed(&reg, "last class member leaves");
-        assert!(reg.groups[&(10, pass)].classes.is_empty());
+        let left: Vec<&[QueryId]> = slide_group(&reg, 10, pass)
+            .classes
+            .iter()
+            .map(|c| c.members.as_slice())
+            .collect();
+        assert_eq!(left, [[q(5)]], "only 5's class of one is left");
 
-        // with class sharing off a pristine joiner stays solo; back on,
-        // the next pristine joiner founds a class
+        // with class sharing off a pristine joiner founds a class of its
+        // own; back on, the next pristine joiner joins it
         reg.set_class_sharing(false);
-        reg.register_shared(q(6), consumer(14, 7, 1), pass);
+        enroll_event(&mut reg, 6, consumer(14, 7, 1), pass);
         reg.set_class_sharing(true);
-        reg.register_shared(q(7), consumer(14, 7, 1), pass);
-        reg.register_shared(q(8), consumer(20, 10, 2), pass);
+        enroll_event(&mut reg, 7, consumer(14, 7, 1), pass);
+        enroll_event(&mut reg, 8, consumer(20, 10, 2), pass);
         assert_listed(&reg, "join with class sharing off");
-        assert_eq!(listed(&reg), [0, 4, 5, 6, 8], "8 joined mid-stream");
+        assert_eq!(listed(&reg), [0, 4, 8], "8 joined mid-stream");
 
         // install and eject, as `move_query` uses them: a migrated
         // settled member pools into a class, a warming one stays solo
-        let (producer, members) = reg.eject_group((10, pass)).unwrap();
+        let (group, members) = reg.eject_group_of(q(5)).unwrap();
         assert_listed(&reg, "slide-group eject");
-        assert_eq!(listed(&reg), [0, 4, 6]);
-        reg.install_group((10, pass), producer, members);
+        assert_eq!(listed(&reg), [0, 4]);
+        reg.install_group(group, members);
         assert_listed(&reg, "slide-group install");
-        assert_eq!(listed(&reg), [0, 4, 6, 8]);
-        let (state, members) = reg.eject_count_group_of(q(3)).unwrap();
+        assert_eq!(listed(&reg), [0, 4, 8]);
+        let (group, members) = reg.eject_group_of(q(3)).unwrap();
         assert_listed(&reg, "count-group eject");
-        reg.install_count_group(state, members);
+        reg.install_group(group, members);
         assert_listed(&reg, "count-group install");
         let isolated = reg.unregister(q(4)).unwrap();
         assert_listed(&reg, "isolated eject");
         reg.install(q(4), isolated);
         assert_listed(&reg, "isolated install");
-        assert_eq!(listed(&reg), [0, 4, 6, 8]);
+        assert_eq!(listed(&reg), [0, 4, 8]);
 
         // `resize`: eject everything, then scatter back through install
         let parts = RegistryParts::merge(vec![reg.eject_all()]).unwrap();
@@ -3184,7 +2568,7 @@ mod tests {
         assert!(reg.solo.is_empty());
         let mut resized = ToyRegistry::default();
         reinstall(&mut resized, parts, "resize");
-        assert_eq!(listed(&resized), [0, 4, 8], "6 pools with 7 on travel");
+        assert_eq!(listed(&resized), [0, 4, 8]);
 
         // `from_merged`, the restore path
         let parts = RegistryParts::merge(vec![resized.eject_all()]).unwrap();
@@ -3192,7 +2576,7 @@ mod tests {
         assert_listed(&restored, "restore");
         assert_eq!(listed(&restored), [0, 4, 8]);
         restored.publish_timed(&ticks(25, 35));
-        let settled = restored.session(q(8)).unwrap().as_shared().unwrap();
+        let settled = restored.session(q(8)).unwrap().as_group().unwrap();
         assert!(!settled.is_warming_up(), "8's join slide [20, 30) closed");
         assert_listed(&restored, "promotion after restore");
     }
@@ -3209,8 +2593,8 @@ mod tests {
             let mut reg = ToyRegistry::default();
             for i in 0..MEMBERS {
                 let k = 1 + (i % 3) as usize;
-                reg.register_shared(q(4 * i), consumer(20 + 10 * (i % 2), 10, k), pass);
-                register_grouped(&mut reg, 4 * i + 1, 20, k, 5);
+                enroll_event(&mut reg, 4 * i, consumer(20 + 10 * (i % 2), 10, k), pass);
+                enroll_arrival(&mut reg, 4 * i + 1, 20, k, 5);
                 reg.register(q(4 * i + 2), Member::Timed(ToyTimed::new(20, 10, 1)), None);
             }
             reg
@@ -3231,23 +2615,23 @@ mod tests {
         let warm = ticks(0, 25);
         assert_eq!(source.publish_timed(&warm), reference.publish_timed(&warm));
 
-        let (producer, members) = source.eject_group((10, pass)).unwrap();
-        target.install_group((10, pass), producer, members);
-        let (state, members) = source.eject_count_group_of(q(1)).unwrap();
-        target.install_count_group(state, members);
+        let (group, members) = source.eject_group_of(q(0)).unwrap();
+        target.install_group(group, members);
+        let (group, members) = source.eject_group_of(q(1)).unwrap();
+        target.install_group(group, members);
         check(&source, &[2], "source after moving both groups out");
         check(&target, &[0, 1, 3], "target after moving both groups in");
-        let group = &target.groups[&(10, pass)];
+        let group = slide_group(&target, 10, pass);
         assert_eq!(group.members as u64, MEMBERS);
         let classed: usize = group.classes.iter().map(|c| c.members.len()).sum();
         assert_eq!(classed as u64, MEMBERS, "classes re-form on arrival");
-        let count_group = target.count_groups.values().next().unwrap();
-        assert_eq!(count_group.member_ids.len() as u64, MEMBERS);
+        let count_group = &target.groups[&target.by_key[&(Clock::Arrival, 5, pass)][0]];
+        assert_eq!(count_group.members as u64, MEMBERS);
 
-        let (producer, members) = target.eject_group((10, pass)).unwrap();
-        source.install_group((10, pass), producer, members);
-        let (state, members) = target.eject_count_group_of(q(1)).unwrap();
-        source.install_count_group(state, members);
+        let (group, members) = target.eject_group_of(q(0)).unwrap();
+        source.install_group(group, members);
+        let (group, members) = target.eject_group_of(q(1)).unwrap();
+        source.install_group(group, members);
         check(&source, &[0, 1, 2], "source after the round trip");
         check(&target, &[3], "target after the round trip");
         // the round-tripped groups serve exactly what staying put did: two
@@ -3261,20 +2645,20 @@ mod tests {
     #[test]
     fn digest_depth_follows_the_deepest_member() {
         let pass = Predicate::default();
-        let key = (10u64, pass);
+        let k_max = |reg: &ToyRegistry| slide_group(reg, 10, pass).producer.k_max();
         let mut reg: Registry<Toy, ToyTimed> = Registry::default();
-        reg.register_shared(QueryId::from_raw(0), consumer(20, 10, 1), pass);
-        assert_eq!(reg.groups[&key].producer.k_max(), 1);
-        reg.register_shared(QueryId::from_raw(1), consumer(40, 10, 5), pass);
-        assert_eq!(reg.groups[&key].producer.k_max(), 5, "grows on join");
+        enroll_event(&mut reg, 0, consumer(20, 10, 1), pass);
+        assert_eq!(k_max(&reg), 1);
+        enroll_event(&mut reg, 1, consumer(40, 10, 5), pass);
+        assert_eq!(k_max(&reg), 5, "grows on join");
         // the deepest member leaving shrinks the depth back
         reg.unregister(QueryId::from_raw(1)).unwrap();
-        assert_eq!(reg.groups[&key].producer.k_max(), 1, "shrinks on leave");
+        assert_eq!(k_max(&reg), 1, "shrinks on leave");
         // a non-deepest member leaving does not
-        reg.register_shared(QueryId::from_raw(2), consumer(40, 10, 3), pass);
-        reg.register_shared(QueryId::from_raw(3), consumer(20, 10, 2), pass);
+        enroll_event(&mut reg, 2, consumer(40, 10, 3), pass);
+        enroll_event(&mut reg, 3, consumer(20, 10, 2), pass);
         reg.unregister(QueryId::from_raw(3)).unwrap();
-        assert_eq!(reg.groups[&key].producer.k_max(), 3);
+        assert_eq!(k_max(&reg), 3);
         // the last member out retires the group
         reg.unregister(QueryId::from_raw(0)).unwrap();
         reg.unregister(QueryId::from_raw(2)).unwrap();
@@ -3285,23 +2669,20 @@ mod tests {
     fn predicate_disjoint_members_split_into_sub_groups() {
         let mut reg: Registry<Toy, ToyTimed> = Registry::default();
         let hot = Predicate::default().score_at_least(100.0);
-        reg.register_shared(
-            QueryId::from_raw(0),
-            consumer(20, 10, 1),
-            Predicate::default(),
-        );
-        reg.register_shared(QueryId::from_raw(1), consumer(20, 10, 4), hot);
+        enroll_event(&mut reg, 0, consumer(20, 10, 1), Predicate::default());
+        enroll_event(&mut reg, 1, consumer(20, 10, 4), hot);
         assert_eq!(
             reg.groups.len(),
             2,
             "same slide duration, disjoint predicates"
         );
-        assert_eq!(reg.groups[&(10, Predicate::default())].producer.k_max(), 1);
-        assert_eq!(reg.groups[&(10, hot)].producer.k_max(), 4);
+        let pass = Predicate::default();
+        assert_eq!(slide_group(&reg, 10, pass).producer.k_max(), 1);
+        assert_eq!(slide_group(&reg, 10, hot).producer.k_max(), 4);
         // a same-predicate joiner lands in the existing sub-group
-        reg.register_shared(QueryId::from_raw(2), consumer(40, 10, 2), hot);
+        enroll_event(&mut reg, 2, consumer(40, 10, 2), hot);
         assert_eq!(reg.groups.len(), 2);
-        assert_eq!(reg.groups[&(10, hot)].members, 2);
+        assert_eq!(slide_group(&reg, 10, hot).members, 2);
     }
 
     #[test]
@@ -3351,8 +2732,8 @@ mod tests {
         // gone hash-only instead of group-affine)
         let mut a = ToyRegistry::with_shard(0);
         let mut b = ToyRegistry::with_shard(1);
-        a.register_shared(q(0), consumer(10, 10, 1), Predicate::default());
-        b.register_shared(q(1), consumer(10, 10, 1), Predicate::default());
+        enroll_event(&mut a, 0, consumer(10, 10, 1), Predicate::default());
+        enroll_event(&mut b, 1, consumer(10, 10, 1), Predicate::default());
         let mut seen = GroupKeys::default();
         seen.absorb_disjoint(&a.group_keys(), 0);
         seen.absorb_disjoint(&b.group_keys(), 1); // must panic here
@@ -3365,10 +2746,7 @@ mod tests {
     #[should_panic(expected = "count group split across workers")]
     fn stats_merge_catches_a_count_group_split_across_workers() {
         let mut seen = GroupKeys::default();
-        let shard_keys = GroupKeys {
-            digest: Vec::new(),
-            count: vec![(4, 2, Predicate::default())],
-        };
+        let shard_keys = GroupKeys(vec![(Clock::Arrival, 4, 2, Predicate::default())]);
         seen.absorb_disjoint(&shard_keys, 0);
         seen.absorb_disjoint(&shard_keys, 1); // must panic here
     }

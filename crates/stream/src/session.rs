@@ -56,11 +56,11 @@
 use crate::checkpoint::{
     tags, Checkpoint, CheckpointError, DecodeState, Decoder, EncodeState, Encoder, EngineFactory,
 };
-use crate::digest::{DigestProducer, DigestRef, SharedTimed};
+use crate::digest::{DigestProducer, DigestView, SharedTimed};
 use crate::events::{diff_snapshots_into, EventList, SlideResult, Snapshot};
 use crate::object::{Object, TimedObject};
 use crate::predicate::Predicate;
-use crate::query::{SapError, TimedSpec};
+use crate::query::SapError;
 use crate::registry::{HubRegistry, HubStats, Registration, Registry};
 use crate::shard::decode_hub_checkpoint;
 use crate::window::{Ingest, SlidingTopK, TimedIngest, TimedTopK, WindowSpec};
@@ -580,110 +580,152 @@ impl<E: TimedTopK> TimedIngest for TimedSession<E> {
     }
 }
 
-/// A session over a time-based query served by the **shared digest
-/// plane**: a [`SharedTimed`] consumer plus the same delta machinery as
-/// [`TimedSession`]. Where an isolated timed session truncates every
-/// slide itself, a shared session is handed its slide group's
-/// [`SlideDigest`](crate::digest::SlideDigest)s by the hub and only runs
-/// its private count-based reduction — results are byte-identical, the
-/// per-slide truncation happens once per group instead of once per query.
-///
-/// A session registered mid-stream must only observe objects published
-/// after its registration, so it starts in **warm-up**: a private
-/// [`DigestProducer`] serves it until the group slide it joined during
-/// has closed, at which point the private and shared views coincide and
-/// the hub promotes it to digest consumption (see
-/// `crate::registry` for the full protocol).
-#[derive(Debug)]
-pub struct SharedSession<C: SlidingTopK> {
-    /// The private digest consumer — `Some` while the member runs solo
-    /// (warm-up, or a promotion that outlived its cohort), `None` while a
-    /// *result class* in the registry owns the one consumer the whole
-    /// class shares (see `crate::registry`'s result classes).
-    consumer: Option<SharedTimed<C>>,
-    /// The validated durations, kept here so a classed member (whose
-    /// consumer lives in its class) still answers `timed_spec()`.
-    spec: TimedSpec,
-    /// The engine's display name, for checkpoint headers while classed.
-    engine_name: Box<str>,
-    warmup: Option<Warmup>,
-    prev: Snapshot,
-    slides: u64,
-    scratch: SlideScratch,
-    /// While traveling through an eject (consumer `None`): the id of the
-    /// class representative that carries the class's consumer, so
-    /// installation re-joins this member to exactly its old class. Never
-    /// encoded — decoded sessions always carry their own consumer.
-    class_rep: Option<QueryId>,
-    /// The subscription predicate this member ranks under. Part of the
-    /// group key in the registry (predicate-disjoint members of one slide
-    /// group live in separate sub-groups), and applied to the private
-    /// warm-up stream so the warm-up view matches the group's admitted
-    /// stream object-for-object. Encoded at the registry layer (not in the
-    /// session body), so session checkpoint bytes are predicate-agnostic.
-    predicate: Predicate,
+/// How a sharing-plane group tells time — the one thing that separates
+/// the two sharing planes (see `crate::registry`'s groups).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum Clock {
+    /// Event time: slides close on timestamps. A
+    /// [`Registration::shared`] query `W⟨window, slide⟩`.
+    Event,
+    /// Arrival ordinals: a slide closes every `slide` published objects.
+    /// A [`Registration::grouped`] query `⟨n, k, s⟩`.
+    Arrival,
 }
 
-/// The private catch-up view of a freshly joined shared session.
+/// A session served by a sharing-plane group: a time-based query on the
+/// event clock ([`Registration::shared`]) or a count-based one on the
+/// arrival clock ([`Registration::grouped`]).
+///
+/// The member's engine answers SAP's Appendix-A reduction
+/// `⟨(n/s)·k, k, k⟩` through a [`SharedTimed`] consumer (durations
+/// standing in for `n` and `s` on the event clock), fed each closed
+/// slide's top-`k` from its group's one [`DigestProducer`]. Results are
+/// byte-identical to an isolated registration of the same query; the
+/// per-slide truncation runs once per group instead of once per query.
+///
+/// The consumer normally lives in the member's **result class** in the
+/// registry, shared by every member whose emissions provably coincide
+/// (see `crate::registry`); the session keeps the member's own slide
+/// counter and previous emission. The session holds a consumer itself
+/// while it warms up, after it left its class as the last member, and
+/// while it travels through a migration as its class's representative.
+///
+/// An event-clock member that registers after its group ingested
+/// anything must only observe objects published after its registration,
+/// so it **warms up**: a private [`DigestProducer`] serves it until the
+/// group slide it joined during has closed. From the next slide on the
+/// private and shared views coincide, and the registry seats the member
+/// in a class of its own. An arrival-clock member never warms up: it
+/// only joins a group whose open slide is empty.
+#[derive(Debug)]
+pub struct GroupSession<C: SlidingTopK> {
+    clock: Clock,
+    /// The consumer — `None` while a result class owns it.
+    consumer: Option<SharedTimed<C>>,
+    /// The window: `window_duration` on the event clock, `n` on the
+    /// arrival clock. Kept here (like `slide` and `k`) so a classed
+    /// member, whose consumer lives in its class, still answers it.
+    window: u64,
+    /// The slide: `slide_duration`, or `s`.
+    slide: u64,
+    k: usize,
+    /// The engine's display name, for checkpoint headers while classed.
+    engine_name: Box<str>,
+    /// The subscription predicate, part of the group's identity: applied
+    /// to the private warm-up stream so it matches the group's admitted
+    /// stream object for object. Encoded at the registry layer (since
+    /// v3), never in the session body; a decoded arrival-clock member
+    /// takes its group's.
+    predicate: Predicate,
+    /// The group slide this member's slide 0 lines up with: the open
+    /// slide it joined at on the arrival clock. Always 0 on the event
+    /// clock, whose slide indices are global: a mid-stream joiner's
+    /// warm-up closes the empty slides before its registration, like an
+    /// isolated session does.
+    join_slide: u64,
+    /// The registry's handle for the member's group: its live id while
+    /// registered, an index into the group list while it travels.
+    group: u64,
+    /// Boxed: few members ever warm up, and every member carries the slot.
+    warmup: Option<Box<Warmup>>,
+    prev: Snapshot,
+    slides: u64,
+    /// While traveling without a consumer: the id of the class
+    /// representative carrying the class's consumer, so installation
+    /// rejoins this member to exactly its old class. Never encoded:
+    /// decoded sessions always carry their own consumer.
+    class_rep: Option<QueryId>,
+}
+
+/// The private catch-up view of an event-clock member that joined
+/// mid-stream.
 #[derive(Debug)]
 struct Warmup {
     producer: DigestProducer,
-    /// The group's open slide index at registration; once the group has
-    /// closed it, every later slide started after the registration and
-    /// the private view equals the shared one.
-    join_slide: u64,
+    /// The group's open slide at registration. Once the group has closed
+    /// it, every later slide started after the registration and the
+    /// private view equals the shared one.
+    open_slide: u64,
+    scratch: SlideScratch,
 }
 
-impl<C: SlidingTopK> SharedSession<C> {
-    /// Wraps a digest consumer as a **solo** member. `join_slide` is the
-    /// group's open slide index at registration, or `None` when the group
-    /// was pristine (the member missed nothing, so no warm-up is needed).
+impl<C: SlidingTopK> GroupSession<C> {
+    /// Wraps a validated consumer as a member of group `group`, lined up
+    /// with group slide `join_slide` (see the field docs).
     pub(crate) fn new(
+        clock: Clock,
         consumer: SharedTimed<C>,
-        join_slide: Option<u64>,
         predicate: Predicate,
+        join_slide: u64,
+        group: u64,
     ) -> Self {
-        let warmup = join_slide.map(|join_slide| Warmup {
-            producer: DigestProducer::new(consumer.slide_duration(), consumer.k()),
-            join_slide,
-        });
-        let spec = TimedSpec {
-            window_duration: consumer.window_duration(),
-            slide_duration: consumer.slide_duration(),
+        GroupSession {
+            clock,
+            window: consumer.window_duration(),
+            slide: consumer.slide_duration(),
             k: consumer.k(),
-        };
-        let engine_name = consumer.name().into();
-        SharedSession {
+            engine_name: consumer.name().into(),
             consumer: Some(consumer),
-            spec,
-            engine_name,
-            warmup,
-            prev: Snapshot::empty(),
-            slides: 0,
-            scratch: SlideScratch::new(),
-            class_rep: None,
             predicate,
-        }
-    }
-
-    /// A member served by a registry result class from birth: the class
-    /// owns the consumer, the session keeps only the delta state.
-    pub(crate) fn new_classed(
-        spec: TimedSpec,
-        engine_name: Box<str>,
-        predicate: Predicate,
-    ) -> Self {
-        SharedSession {
-            consumer: None,
-            spec,
-            engine_name,
+            join_slide,
+            group,
             warmup: None,
             prev: Snapshot::empty(),
             slides: 0,
-            scratch: SlideScratch::new(),
             class_rep: None,
-            predicate,
         }
+    }
+
+    /// Starts the warm-up of a mid-stream joiner whose group's open slide
+    /// is `open_slide`.
+    pub(crate) fn warm_up(&mut self, open_slide: u64) {
+        self.warmup = Some(Box::new(Warmup {
+            producer: DigestProducer::new(self.slide, self.k),
+            open_slide,
+            scratch: SlideScratch::new(),
+        }));
+    }
+
+    /// The clock the member's group runs on.
+    pub fn clock(&self) -> Clock {
+        self.clock
+    }
+
+    /// The window: `window_duration` on the event clock, `n` on the
+    /// arrival clock.
+    pub fn window(&self) -> u64 {
+        self.window
+    }
+
+    /// The slide: `slide_duration` on the event clock, `s` on the
+    /// arrival clock.
+    pub fn slide(&self) -> u64 {
+        self.slide
+    }
+
+    /// Result size per slide.
+    pub fn k(&self) -> usize {
+        self.k
     }
 
     /// The subscription predicate this member ranks under.
@@ -691,36 +733,45 @@ impl<C: SlidingTopK> SharedSession<C> {
         self.predicate
     }
 
-    /// Stamps the predicate onto a freshly decoded session (the predicate
-    /// travels in the registry's checkpoint section, not the session body).
+    /// The group slide this member's slide 0 lines up with.
+    pub(crate) fn join_slide(&self) -> u64 {
+        self.join_slide
+    }
+
+    /// The registry's handle for this member's group.
+    pub(crate) fn group(&self) -> u64 {
+        self.group
+    }
+
+    /// Rebinds the member's group handle (installation, and the index
+    /// rewrites of a checkpoint or a migration).
+    pub(crate) fn set_group(&mut self, group: u64) {
+        self.group = group;
+    }
+
+    /// Stamps the group's predicate onto a decoded arrival-clock member.
     pub(crate) fn set_predicate(&mut self, predicate: Predicate) {
         self.predicate = predicate;
     }
 
-    /// The validated durations this session answers.
-    pub fn timed_spec(&self) -> TimedSpec {
-        self.spec
+    /// The result-class key: window, `k` and join slide.
+    pub(crate) fn class_key(&self) -> (u64, usize, u64) {
+        (self.window, self.k, self.join_slide)
     }
 
-    /// The session's slide-group key.
-    pub fn slide_duration(&self) -> u64 {
-        self.spec.slide_duration
-    }
-
-    /// The digest consumer (and through it, the wrapped engine) — `None`
-    /// while a registry result class serves this member (the class owns
-    /// the one consumer its members share).
+    /// The consumer (and through it, the wrapped engine) — `None` while a
+    /// registry result class owns the one consumer its members share.
     pub fn consumer(&self) -> Option<&SharedTimed<C>> {
         self.consumer.as_ref()
     }
 
-    /// The wrapped count-based engine (serving the reduced stream), when
-    /// this member runs solo — see [`consumer`](SharedSession::consumer).
+    /// The wrapped count-based engine, when this session carries its own
+    /// consumer — see [`consumer`](GroupSession::consumer).
     pub fn engine(&self) -> Option<&C> {
         self.consumer.as_ref().map(SharedTimed::engine)
     }
 
-    /// The engine's display name (valid whether solo or classed).
+    /// The engine's display name (valid whether classed or not).
     pub fn engine_name(&self) -> &str {
         &self.engine_name
     }
@@ -730,27 +781,25 @@ impl<C: SlidingTopK> SharedSession<C> {
         self.consumer.is_none()
     }
 
-    /// Hands this member's consumer to a result class (or out of one on
-    /// ejection rehydration — the inverse of
-    /// [`adopt_consumer`](SharedSession::take_consumer)).
+    /// Hands this member's consumer to a result class.
     pub(crate) fn take_consumer(&mut self) -> Option<SharedTimed<C>> {
         self.consumer.take()
     }
 
-    /// Gives a consumer (back) to this member — ejection rehydration of a
-    /// class representative, or a class dissolving into its last member.
+    /// Gives a consumer (back) to this member: a class representative
+    /// before a migration, or the last member leaving its class.
     pub(crate) fn adopt_consumer(&mut self, consumer: SharedTimed<C>) {
         debug_assert!(self.consumer.is_none(), "adopting over a live consumer");
         self.consumer = Some(consumer);
         self.class_rep = None;
     }
 
-    /// The class representative this ejected follower travels behind.
+    /// The class representative this traveling follower rejoins.
     pub(crate) fn class_rep(&self) -> Option<QueryId> {
         self.class_rep
     }
 
-    /// Tags an ejected follower with its class representative's id.
+    /// Tags a traveling follower with its class representative's id.
     pub(crate) fn set_class_rep(&mut self, rep: Option<QueryId>) {
         self.class_rep = rep;
     }
@@ -771,8 +820,8 @@ impl<C: SlidingTopK> SharedSession<C> {
         self.prev.clone()
     }
 
-    /// Whether the session is still catching up on its private view (a
-    /// mid-stream join whose group slide has not closed yet).
+    /// Whether the session is still catching up on its private view (an
+    /// event-clock join whose group slide has not closed yet).
     pub fn is_warming_up(&self) -> bool {
         self.warmup.is_some()
     }
@@ -784,20 +833,23 @@ impl<C: SlidingTopK> SharedSession<C> {
     }
 
     /// Writes the session's checkpoint body: slide counter, previous
-    /// emission, the consumer's reduced window (its own frame), and — for
-    /// a member still warming up — the private producer plus join slide.
+    /// emission, the consumer's reduced window (its own frame), then the
+    /// clock's tail — on the event clock the warm-up flag (with the
+    /// private producer and the open slide it waits for), on the arrival
+    /// clock the join slide and the index of the group in the
+    /// checkpoint's `COUNT_GROUPS` section (`group_index`; live group ids
+    /// are registry-local).
     ///
-    /// A classed member encodes its **class's** consumer (the registry
-    /// passes it as `class_consumer`): the consumer state is a pure
-    /// function of the slide tops it absorbed and the member's `(wd, k)`,
-    /// both shared across the class, so the bytes are identical to what a
-    /// private consumer would have produced — which is what keeps the
-    /// checkpoint format (and every checkpoint byte) unchanged by the
-    /// result-class tier.
+    /// A classed member encodes its **class's** consumer (passed as
+    /// `class_consumer`): the consumer state is a pure function of the
+    /// slide tops it absorbed and the class key every member shares, so
+    /// the bytes equal what a private consumer would have written — the
+    /// result-class tier changes no checkpoint byte.
     pub(crate) fn encode_checkpoint_body(
         &self,
         enc: &mut Encoder,
         class_consumer: Option<&SharedTimed<C>>,
+        group_index: u64,
     ) {
         let consumer = self
             .consumer
@@ -807,22 +859,32 @@ impl<C: SlidingTopK> SharedSession<C> {
         enc.put_u64(self.slides);
         self.prev.encode_state(enc);
         enc.section(tags::ENGINE, |e| consumer.encode_state(e));
-        match &self.warmup {
-            None => enc.put_u8(0),
-            Some(w) => {
-                enc.put_u8(1);
-                enc.put_u64(w.join_slide);
-                w.producer.encode_state(enc);
+        match self.clock {
+            Clock::Event => match &self.warmup {
+                None => enc.put_u8(0),
+                Some(w) => {
+                    enc.put_u8(1);
+                    enc.put_u64(w.open_slide);
+                    w.producer.encode_state(enc);
+                }
+            },
+            Clock::Arrival => {
+                enc.put_u64(self.join_slide);
+                enc.put_u64(group_index);
             }
         }
     }
 
     /// Rebuilds a session from its checkpoint body. `consumer` must be
-    /// fresh (a [`SharedTimed::from_engine`] over a factory-built
-    /// engine); its reduced window is replayed by
-    /// [`SharedTimed::restore_state`].
+    /// fresh (a [`SharedTimed::from_engine`] over a factory-built engine
+    /// on the query's reduction); its reduced window is replayed by
+    /// [`SharedTimed::restore_state`]. An arrival-clock member's group
+    /// handle is its `COUNT_GROUPS` index until the registry rebinds it;
+    /// an event-clock member is found its group by key.
     pub(crate) fn decode_checkpoint_body(
+        clock: Clock,
         mut consumer: SharedTimed<C>,
+        predicate: Predicate,
         dec: &mut Decoder<'_>,
     ) -> Result<Self, CheckpointError> {
         let slides = dec.take_u64()?;
@@ -830,63 +892,34 @@ impl<C: SlidingTopK> SharedSession<C> {
         let mut blob = dec.section(tags::ENGINE)?;
         consumer.restore_state(&mut blob)?;
         blob.finish()?;
-        let warmup = match dec.take_u8()? {
-            0 => None,
-            1 => {
-                let join_slide = dec.take_u64()?;
-                let producer = DigestProducer::decode_state(dec)?;
-                if producer.slide_duration() != consumer.slide_duration() {
-                    return Err(CheckpointError::Corrupt(
-                        "warm-up producer disagrees with its session's slide duration",
-                    ));
+        let mut session = GroupSession::new(clock, consumer, predicate, 0, 0);
+        session.slides = slides;
+        session.prev = prev;
+        match clock {
+            Clock::Event => match dec.take_u8()? {
+                0 => {}
+                1 => {
+                    let open_slide = dec.take_u64()?;
+                    let producer = DigestProducer::decode_state(dec)?;
+                    if producer.slide_duration() != session.slide {
+                        return Err(CheckpointError::Corrupt(
+                            "warm-up producer disagrees with its session's slide duration",
+                        ));
+                    }
+                    session.warmup = Some(Box::new(Warmup {
+                        producer,
+                        open_slide,
+                        scratch: SlideScratch::new(),
+                    }));
                 }
-                Some(Warmup {
-                    producer,
-                    join_slide,
-                })
+                _ => return Err(CheckpointError::Corrupt("bad warm-up flag")),
+            },
+            Clock::Arrival => {
+                session.join_slide = dec.take_u64()?;
+                session.group = dec.take_u64()?;
             }
-            _ => return Err(CheckpointError::Corrupt("bad warm-up flag")),
-        };
-        let spec = TimedSpec {
-            window_duration: consumer.window_duration(),
-            slide_duration: consumer.slide_duration(),
-            k: consumer.k(),
-        };
-        let engine_name = consumer.name().into();
-        Ok(SharedSession {
-            consumer: Some(consumer),
-            spec,
-            engine_name,
-            warmup,
-            prev,
-            slides,
-            scratch: SlideScratch::new(),
-            class_rep: None,
-            predicate: Predicate::default(),
-        })
-    }
-
-    /// Applies a run of closed digests — the group's, or during warm-up
-    /// the private producer's (the hub guarantees they are gap-free and
-    /// in slide order either way) — handing one [`SlideResult`] per
-    /// digest to `f`. The digest's `Arc` is borrowed, the consumer's
-    /// reduction output is staged in the pooled scratch: a quiet slide
-    /// costs zero allocations.
-    pub(crate) fn apply_digests(&mut self, digests: &[DigestRef], f: &mut dyn FnMut(SlideResult)) {
-        let consumer = self
-            .consumer
-            .as_mut()
-            .expect("a classed member is served by its class, not apply_digests");
-        for d in digests {
-            let snapshot = consumer.apply_digest(d);
-            self.scratch.stage_timed(snapshot);
-            f(emit_staged(
-                &mut self.prev,
-                &mut self.slides,
-                &mut self.scratch,
-                false,
-            ));
         }
+        Ok(session)
     }
 
     /// The per-member half of a class-computed slide close: stamps this
@@ -912,288 +945,93 @@ impl<C: SlidingTopK> SharedSession<C> {
     }
 
     /// Warm-up ingestion: feeds the raw batch through the subscription
-    /// predicate to the private producer and applies whatever slides it
+    /// predicate to the private producer and emits whatever slides it
     /// closes. A rejected object still advances the private event-time
     /// clock (closing any slides its timestamp implies), exactly as it
-    /// does in the group's shared producer — the private and shared views
-    /// must close identical slide sequences for the promotion handoff.
+    /// does in the group's producer — the private and shared views must
+    /// close identical slide sequences for the handoff.
     pub(crate) fn push_warmup(&mut self, objects: &[TimedObject], f: &mut dyn FnMut(SlideResult)) {
-        let warmup = self.warmup.as_mut().expect("push_warmup requires warm-up");
         let predicate = self.predicate;
-        let mut digests = Vec::new();
-        for &o in objects {
-            if predicate.accepts_timed(&o) {
-                digests.extend(warmup.producer.ingest(o));
-            } else {
-                digests.extend(warmup.producer.advance_to(o.timestamp));
+        self.warm(f, |producer, close| {
+            for &o in objects {
+                producer.advance_to_with(o.timestamp, close);
+                if predicate.accepts_timed(&o) {
+                    producer.ingest_with(o, close);
+                }
             }
-        }
-        self.apply_digests(&digests, f);
+        });
     }
 
     /// Warm-up watermark: closes private slides up to `watermark`.
     pub(crate) fn advance_warmup(&mut self, watermark: u64, f: &mut dyn FnMut(SlideResult)) {
-        let warmup = self
-            .warmup
-            .as_mut()
-            .expect("advance_warmup requires warm-up");
-        let digests = warmup.producer.advance_to(watermark);
-        self.apply_digests(&digests, f);
-    }
-
-    /// Ends warm-up once the group has closed the join slide: from
-    /// `group_next_slide` on, the private and shared views are the same
-    /// (both producers processed identical timestamps, and every slide
-    /// past the join slide started after this session registered).
-    pub(crate) fn maybe_promote(&mut self, group_next_slide: u64) {
-        if let Some(warmup) = &self.warmup {
-            if group_next_slide > warmup.join_slide {
-                debug_assert_eq!(
-                    self.consumer
-                        .as_ref()
-                        .expect("a warming member owns its consumer")
-                        .slides_applied(),
-                    group_next_slide,
-                    "warm-up must hand off exactly at the group's slide cursor"
-                );
-                self.warmup = None;
-            }
-        }
-    }
-}
-
-/// A **count-based** session served by a shared count group: the
-/// geometry-grouped counterpart of [`SharedSession`].
-///
-/// Every count-based query with slide length `s` registered at the same
-/// stream offset (mod `s`) fills and closes its slides on **identical
-/// arrival boundaries**, regardless of `n` and `k` — so the registry
-/// groups them (see `crate::registry`), computes each slide's
-/// top-`k_max` once per group through a [`DigestProducer`] driven by
-/// arrival ordinals, and hands every member a borrowed
-/// [`DigestView`](crate::digest::DigestView) of it. The member slices
-/// its own `(n, k)` answer through a [`SharedTimed`] consumer over the
-/// same `⟨(n/s)·k, k, k⟩` reduction an isolated [`Session`] effectively
-/// computes — results are byte-identical to an isolated registration of
-/// the same query, per-object cost scales with the number of geometry
-/// classes instead of the number of queries.
-///
-/// The consumer runs on **group ordinals** (the group's arrival counter,
-/// used as both synthetic id and timestamp), which keeps equal-score
-/// tie-breaks on arrival recency exactly like [`Session`]'s internal
-/// renumbering; the group's external-id ring translates emissions back
-/// to the caller's ids.
-#[derive(Debug)]
-pub struct GroupedSession<C: SlidingTopK> {
-    /// The digest consumer — `None` while registered (the member's
-    /// *result class* inside its count group owns the one consumer every
-    /// same-`(n, k, join_slide)` member shares; see `crate::registry`),
-    /// `Some` only while traveling through the durability plane as a
-    /// class representative or a freshly decoded checkpoint session.
-    consumer: Option<SharedTimed<C>>,
-    /// The engine's display name, for checkpoint headers while classed.
-    engine_name: Box<str>,
-    /// The original count spec `⟨n, k, s⟩` this session answers.
-    spec: WindowSpec,
-    /// The group slide index this member joined at — its private slide 0.
-    /// Members only ever join on empty slide boundaries (the registry's
-    /// join rule), so no warm-up view is needed: the member missed
-    /// nothing of any slide it will be served.
-    join_slide: u64,
-    /// Registry-local count-group handle: the live group id while
-    /// registered, rewritten to the checkpoint section's canonical group
-    /// index while traveling through the durability plane.
-    group: u64,
-    prev: Snapshot,
-    slides: u64,
-}
-
-impl<C: SlidingTopK> GroupedSession<C> {
-    /// A count-group member served by a result class from birth (the
-    /// class owns the consumer). `join_slide` is the group's next (empty,
-    /// open) slide at registration; `group` the registry's group handle.
-    pub(crate) fn new(
-        engine_name: Box<str>,
-        spec: WindowSpec,
-        join_slide: u64,
-        group: u64,
-    ) -> Self {
-        GroupedSession {
-            consumer: None,
-            engine_name,
-            spec,
-            join_slide,
-            group,
-            prev: Snapshot::empty(),
-            slides: 0,
-        }
-    }
-
-    /// The count window `⟨n, k, s⟩` this session answers.
-    pub fn spec(&self) -> WindowSpec {
-        self.spec
-    }
-
-    /// The registry's handle for this member's count group.
-    pub(crate) fn group(&self) -> u64 {
-        self.group
-    }
-
-    /// Rewrites the group handle (checkpoint canonicalization, merge
-    /// rebasing, and re-installation under a fresh live id).
-    pub(crate) fn set_group(&mut self, group: u64) {
-        self.group = group;
-    }
-
-    /// The group slide index this member joined at.
-    pub(crate) fn join_slide(&self) -> u64 {
-        self.join_slide
-    }
-
-    /// The digest consumer (and through it, the wrapped engine) — `None`
-    /// while registered, because the member's result class owns the one
-    /// consumer the whole class shares; `Some` only on sessions traveling
-    /// through the durability plane as class representatives.
-    pub fn consumer(&self) -> Option<&SharedTimed<C>> {
-        self.consumer.as_ref()
-    }
-
-    /// The wrapped count-based engine, when this session carries its own
-    /// consumer — see [`consumer`](GroupedSession::consumer).
-    pub fn engine(&self) -> Option<&C> {
-        self.consumer.as_ref().map(SharedTimed::engine)
-    }
-
-    /// The engine's display name (valid whether classed or traveling).
-    pub fn engine_name(&self) -> &str {
-        &self.engine_name
-    }
-
-    /// Hands this member's consumer to its result class (installation of
-    /// a traveling class representative).
-    pub(crate) fn take_consumer(&mut self) -> Option<SharedTimed<C>> {
-        self.consumer.take()
-    }
-
-    /// Gives a consumer (back) to this member — ejection rehydration of a
-    /// class representative.
-    pub(crate) fn adopt_consumer(&mut self, consumer: SharedTimed<C>) {
-        debug_assert!(self.consumer.is_none(), "adopting over a live consumer");
-        self.consumer = Some(consumer);
-    }
-
-    /// Number of slides completed so far.
-    pub fn slides(&self) -> u64 {
-        self.slides
-    }
-
-    /// The most recently emitted top-k (descending), empty before the
-    /// first completed slide.
-    pub fn last_snapshot(&self) -> &[Object] {
-        &self.prev
-    }
-
-    /// The most recent emission as a refcounted [`Snapshot`].
-    pub fn last_snapshot_shared(&self) -> Snapshot {
-        self.prev.clone()
-    }
-
-    /// Unwraps the session, discarding the delta state — `None` while the
-    /// member's result class owns the consumer.
-    pub fn into_inner(self) -> Option<SharedTimed<C>> {
-        self.consumer
-    }
-
-    /// The per-member half of a class-computed slide close: stamps this
-    /// member's slide counter onto the class's shared snapshot and delta.
-    /// Two refcount bumps plus an inline event copy — zero heap
-    /// allocations on a quiet slide.
-    pub(crate) fn emit_class(
-        &mut self,
-        snapshot: &Snapshot,
-        events: &EventList,
-        f: &mut dyn FnMut(SlideResult),
-    ) {
-        f(SlideResult {
-            slide: self.slides,
-            snapshot: snapshot.clone(),
-            events: events.clone(),
+        self.warm(f, |producer, close| {
+            producer.advance_to_with(watermark, close)
         });
-        self.prev = snapshot.clone();
-        self.slides += 1;
     }
 
-    /// Writes the session's checkpoint body: slide counter, previous
-    /// emission, the consumer's reduced window (its own frame), the join
-    /// slide, and the canonical index of its count group within the
-    /// checkpoint's `COUNT_GROUPS` section (the registry passes it in —
-    /// live group ids are registry-local and not stable across restores).
-    ///
-    /// A registered member encodes its **class's** consumer (passed as
-    /// `class_consumer`); the state is a pure function of the slide tops
-    /// and the class key `(n, k, join_slide)` every member shares, so the
-    /// bytes equal what a private consumer would have written — the
-    /// result-class tier changes no checkpoint byte.
-    pub(crate) fn encode_checkpoint_body(
-        &self,
-        enc: &mut Encoder,
-        class_consumer: Option<&SharedTimed<C>>,
-        group_index: u64,
+    /// Drives the private producer with `drive`, applying every slide it
+    /// closes to the consumer and emitting one [`SlideResult`] per slide.
+    /// The closing slide is borrowed and the consumer's output staged in
+    /// the pooled scratch, so a quiet slide allocates nothing.
+    fn warm(
+        &mut self,
+        f: &mut dyn FnMut(SlideResult),
+        drive: impl FnOnce(&mut DigestProducer, &mut dyn FnMut(DigestView<'_>)),
     ) {
-        let consumer = self
-            .consumer
-            .as_ref()
-            .or(class_consumer)
-            .expect("a classed member encodes through its class's consumer");
-        enc.put_u64(self.slides);
-        self.prev.encode_state(enc);
-        enc.section(tags::ENGINE, |e| consumer.encode_state(e));
-        enc.put_u64(self.join_slide);
-        enc.put_u64(group_index);
-    }
-
-    /// Rebuilds a session from its checkpoint body. `consumer` must be
-    /// fresh (a [`SharedTimed::from_engine`] over a factory-built engine
-    /// on the count spec's reduction); `spec` is the decoded-and-validated
-    /// count spec. The decoded `group` field is the canonical section
-    /// index until `Registry::from_merged`/`install_count_group` rebinds
-    /// it to a live group.
-    pub(crate) fn decode_checkpoint_body(
-        mut consumer: SharedTimed<C>,
-        spec: WindowSpec,
-        dec: &mut Decoder<'_>,
-    ) -> Result<Self, CheckpointError> {
-        let slides = dec.take_u64()?;
-        let prev = Snapshot::decode_state(dec)?;
-        let mut blob = dec.section(tags::ENGINE)?;
-        consumer.restore_state(&mut blob)?;
-        blob.finish()?;
-        let join_slide = dec.take_u64()?;
-        let group = dec.take_u64()?;
-        let engine_name = consumer.name().into();
-        Ok(GroupedSession {
-            consumer: Some(consumer),
-            engine_name,
-            spec,
-            join_slide,
-            group,
+        let GroupSession {
+            consumer,
+            warmup,
             prev,
             slides,
-        })
+            ..
+        } = self;
+        let consumer = consumer
+            .as_mut()
+            .expect("a warming member owns its consumer");
+        let Warmup {
+            producer, scratch, ..
+        } = &mut **warmup.as_mut().expect("only a warming member warms up");
+        drive(producer, &mut |view| {
+            scratch.stage_timed(consumer.apply_slide_top(view.slide, view.top));
+            f(emit_staged(prev, slides, scratch, false));
+        });
+    }
+
+    /// Ends warm-up once the group has closed the slide this member
+    /// joined during, returning whether it did: from `group_next_slide`
+    /// on, the private and shared views are the same (both producers
+    /// processed identical timestamps, and every slide past the join
+    /// slide started after this session registered).
+    pub(crate) fn finish_warmup(&mut self, group_next_slide: u64) -> bool {
+        let Some(warmup) = &self.warmup else {
+            return false;
+        };
+        if group_next_slide <= warmup.open_slide {
+            return false;
+        }
+        debug_assert_eq!(
+            self.consumer
+                .as_ref()
+                .expect("a warming member owns its consumer")
+                .slides_applied(),
+            group_next_slide,
+            "warm-up must hand off exactly at the group's slide cursor"
+        );
+        self.warmup = None;
+        true
     }
 }
 
 /// A session of any window model — what the hubs store and what
 /// [`Hub::unregister`]/`AsyncHub::unregister` hand back. The `C`/`T`
 /// parameters are the count-based and time-based engine types (boxed
-/// trait objects in the hubs; see [`HubSession`]); shared-digest and
-/// count-group sessions reuse `C`, their reduction engines being
-/// count-based.
-// `Shared` outweighs the other variants (its consumer embeds the
+/// trait objects in the hubs; see [`HubSession`]); group sessions reuse
+/// `C`, their reduction engines being count-based.
+// `Group` outweighs the other variants (its consumer embeds the
 // Appendix-A reduction inline), but boxing it would put a pointer chase
-// on every publish fan-out — the measured hot path — to save bytes on
-// the variant hubs register by the hundreds, not the hundred-thousands
-// (mass registration is `Grouped`).
+// on every emission a class close stamps — the measured hot path — to
+// save bytes on the isolated variants, which hubs register by the
+// hundreds, not the hundred-thousands.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum AnySession<C: SlidingTopK, T: TimedTopK> {
@@ -1201,10 +1039,8 @@ pub enum AnySession<C: SlidingTopK, T: TimedTopK> {
     Count(Session<C>),
     /// A time-based session (isolated: private Appendix-A adapter).
     Timed(TimedSession<T>),
-    /// A time-based session served by the shared digest plane.
-    Shared(SharedSession<C>),
-    /// A count-based session served by a shared count group.
-    Grouped(GroupedSession<C>),
+    /// A session served by a sharing-plane group, on either clock.
+    Group(GroupSession<C>),
 }
 
 impl<C: SlidingTopK, T: TimedTopK> AnySession<C, T> {
@@ -1213,8 +1049,7 @@ impl<C: SlidingTopK, T: TimedTopK> AnySession<C, T> {
         match self {
             AnySession::Count(s) => s.slides(),
             AnySession::Timed(s) => s.slides(),
-            AnySession::Shared(s) => s.slides(),
-            AnySession::Grouped(s) => s.slides(),
+            AnySession::Group(s) => s.slides(),
         }
     }
 
@@ -1224,8 +1059,7 @@ impl<C: SlidingTopK, T: TimedTopK> AnySession<C, T> {
         match self {
             AnySession::Count(s) => s.last_snapshot(),
             AnySession::Timed(s) => s.last_snapshot(),
-            AnySession::Shared(s) => s.last_snapshot(),
-            AnySession::Grouped(s) => s.last_snapshot(),
+            AnySession::Group(s) => s.last_snapshot(),
         }
     }
 
@@ -1236,8 +1070,7 @@ impl<C: SlidingTopK, T: TimedTopK> AnySession<C, T> {
         match self {
             AnySession::Count(s) => s.last_snapshot_shared(),
             AnySession::Timed(s) => s.last_snapshot_shared(),
-            AnySession::Shared(s) => s.last_snapshot_shared(),
-            AnySession::Grouped(s) => s.last_snapshot_shared(),
+            AnySession::Group(s) => s.last_snapshot_shared(),
         }
     }
 
@@ -1257,18 +1090,10 @@ impl<C: SlidingTopK, T: TimedTopK> AnySession<C, T> {
         }
     }
 
-    /// The shared-digest session, if that is this session's model.
-    pub fn as_shared(&self) -> Option<&SharedSession<C>> {
+    /// The group session, if that is this session's model.
+    pub fn as_group(&self) -> Option<&GroupSession<C>> {
         match self {
-            AnySession::Shared(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The count-group session, if that is this session's model.
-    pub fn as_grouped(&self) -> Option<&GroupedSession<C>> {
-        match self {
-            AnySession::Grouped(s) => Some(s),
+            AnySession::Group(s) => Some(s),
             _ => None,
         }
     }
@@ -1289,18 +1114,10 @@ impl<C: SlidingTopK, T: TimedTopK> AnySession<C, T> {
         }
     }
 
-    /// Unwraps a shared-digest session.
-    pub fn into_shared(self) -> Option<SharedSession<C>> {
+    /// Unwraps a group session.
+    pub fn into_group(self) -> Option<GroupSession<C>> {
         match self {
-            AnySession::Shared(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Unwraps a count-group session.
-    pub fn into_grouped(self) -> Option<GroupedSession<C>> {
-        match self {
-            AnySession::Grouped(s) => Some(s),
+            AnySession::Group(s) => Some(s),
             _ => None,
         }
     }
@@ -1478,22 +1295,11 @@ impl Hub {
         self.any_session(id).and_then(AnySession::as_timed)
     }
 
-    /// The shared-digest session behind a handle (`None` for unknown
-    /// handles and for other models).
-    pub fn shared_session(
-        &self,
-        id: QueryId,
-    ) -> Option<&SharedSession<Box<dyn SlidingTopK + Send>>> {
-        self.any_session(id).and_then(AnySession::as_shared)
-    }
-
-    /// The count-group session behind a handle (`None` for unknown
-    /// handles and for other models).
-    pub fn grouped_session(
-        &self,
-        id: QueryId,
-    ) -> Option<&GroupedSession<Box<dyn SlidingTopK + Send>>> {
-        self.any_session(id).and_then(AnySession::as_grouped)
+    /// The group session behind a handle — a shared or grouped query,
+    /// on either clock (`None` for unknown handles and for isolated
+    /// queries).
+    pub fn group_session(&self, id: QueryId) -> Option<&GroupSession<Box<dyn SlidingTopK + Send>>> {
+        self.any_session(id).and_then(AnySession::as_group)
     }
 
     /// Registered-query counts plus the digest plane's sharing metrics
@@ -1504,11 +1310,11 @@ impl Hub {
 
     /// Enables or disables **result-class sharing** for *future*
     /// registrations (default: enabled). Disabled, every new member
-    /// founds a solo class — the pre-memoization serving shape, where
-    /// each member re-runs its own reduction and diff per slide close —
-    /// which is the reference arm the floor bench and the equivalence
-    /// tests compare the memoized path against. Existing classes are
-    /// left as they are; results are byte-identical either way.
+    /// founds a class of its own — the pre-memoization serving shape,
+    /// where each member re-runs its own reduction and diff per slide
+    /// close — which is the reference arm the floor bench compares the
+    /// memoized path against. Existing classes are left as they are;
+    /// results are byte-identical either way.
     ///
     /// Same-class members share one snapshot allocation per close:
     ///
@@ -2026,7 +1832,7 @@ mod tests {
         // until its join slide closes it runs on a private warm-up view
         let late_iso = hub.subscribe(timed(20, 10, 4)).unwrap();
         let late_shared = hub.subscribe(shared(Toy::new(8, 4, 4), 20, 10)).unwrap();
-        assert!(hub.shared_session(late_shared).unwrap().is_warming_up());
+        assert!(hub.group_session(late_shared).unwrap().is_warming_up());
         for chunk in data[80..].chunks(11) {
             let updates = hub.publish_timed(chunk);
             fold(updates, &mut by_query);
@@ -2034,7 +1840,7 @@ mod tests {
         let updates = hub.advance_time(data.last().unwrap().timestamp + 100);
         fold(updates, &mut by_query);
         assert!(
-            !hub.shared_session(late_shared).unwrap().is_warming_up(),
+            !hub.group_session(late_shared).unwrap().is_warming_up(),
             "the group closed the join slide, so the member promoted"
         );
         assert_eq!(by_query.get(&early_iso), by_query.get(&early_shared));
@@ -2062,12 +1868,12 @@ mod tests {
         let q = hub.subscribe(shared(Toy::new(4, 2, 2), 20, 10)).unwrap();
         hub.publish_timed(&[TimedObject::new(0, 5, 1.0), TimedObject::new(1, 12, 2.0)]);
         assert_eq!(hub.stats().digest_groups, 1);
-        assert_eq!(hub.shared_session(q).unwrap().slides(), 1);
+        assert_eq!(hub.group_session(q).unwrap().slides(), 1);
         assert!(hub.session(q).is_none() && hub.timed_session(q).is_none());
         let session = hub.unregister(q).unwrap();
-        let left = session.into_shared().expect("shared model");
+        let left = session.into_group().expect("group model");
         assert_eq!(left.slides(), 1);
-        assert_eq!(left.timed_spec().slide_duration, 10);
+        assert_eq!(left.slide(), 10);
         // the last member out of a class takes the class's consumer along
         let engine = left.engine().expect("last member rehydrates");
         assert_eq!(engine.spec().k, 2);
@@ -2078,7 +1884,7 @@ mod tests {
         );
         // a later registrant founds a fresh, pristine group: no warm-up
         let q2 = hub.subscribe(shared(Toy::new(4, 2, 2), 20, 10)).unwrap();
-        assert!(!hub.shared_session(q2).unwrap().is_warming_up());
+        assert!(!hub.group_session(q2).unwrap().is_warming_up());
     }
 
     #[test]

@@ -33,17 +33,16 @@ use std::sync::mpsc;
 use std::sync::Arc;
 
 use crate::checkpoint::{tags, Checkpoint, CheckpointError, Decoder, Encoder, EngineFactory};
-use crate::digest::DigestProducer;
 use crate::events::Snapshot;
 use crate::exec::Reactor;
 use crate::object::{Object, TimedObject};
 use crate::predicate::Predicate;
 use crate::query::SapError;
 use crate::registry::{
-    split_by_group, CountGroupState, GroupKeys, HubMember, HubRegistry, HubStats, Member, Registry,
-    RegistryParts,
+    split_by_group, Counters, GroupKeys, HubGroup, HubMember, HubRegistry, HubStats, Member,
+    Registry, RegistryParts,
 };
-use crate::session::{HubSession, QueryId, QueryUpdate};
+use crate::session::{Clock, HubSession, QueryId, QueryUpdate};
 use crate::window::{SlidingTopK, TimedTopK};
 
 /// One shard's ejected serving state — what travels back on
@@ -89,26 +88,19 @@ pub(crate) enum Command {
     /// sits on a per-query slide boundary.
     CheckpointShard(mpsc::Sender<Vec<u8>>),
     /// Adopt an isolated session that already carries live state (a
-    /// restore or a live migration).
-    Install(QueryId, HubSession),
-    /// Adopt a slide group and its member sessions as one unit — a
-    /// sharing-plane group never travels without its members.
-    InstallGroup((u64, Predicate), DigestProducer, Vec<(QueryId, HubSession)>),
-    /// Adopt a count group and its member sessions as one unit.
-    InstallCountGroup(CountGroupState, Vec<(QueryId, HubSession)>),
-    /// Digest hits/rebuilds, count-group hits/rebuilds, admitted/pruned.
-    InstallCounters([u64; 6]),
-    /// Hand a slide group — producer plus every member session — to the
-    /// hub for migration to another shard.
-    EjectGroup(
-        (u64, Predicate),
-        mpsc::Sender<(DigestProducer, Vec<(QueryId, HubSession)>)>,
-    ),
-    /// Hand over the count group containing this member, with every
-    /// member session, for whole-group migration.
-    EjectCountGroup(
+    /// restore or a live migration). Boxed, like the group below, so the
+    /// rare install commands do not size every queue slot.
+    Install(QueryId, Box<HubSession>),
+    /// Adopt a group and its member sessions as one unit — a group
+    /// never travels without its members.
+    InstallGroup(Box<HubGroup>, Vec<(QueryId, HubSession)>),
+    /// Add restored sharing counters.
+    InstallCounters(Counters),
+    /// Hand over the group containing this member, with every member
+    /// session, for whole-group migration to another shard.
+    EjectGroupOf(
         QueryId,
-        mpsc::Sender<(CountGroupState, Vec<(QueryId, HubSession)>)>,
+        mpsc::Sender<(HubGroup, Vec<(QueryId, HubSession)>)>,
     ),
     /// Hand *everything* back — sessions, groups, counters, and the
     /// undrained updates — emptying the shard (the resize path).
@@ -177,26 +169,13 @@ pub(crate) fn apply_command(
             enc.section(tags::REGISTRY, |e| registry.encode_checkpoint(e));
             let _ = reply.send(enc.into_payload());
         }
-        Command::Install(id, session) => registry.install(id, session),
-        Command::InstallGroup(key, producer, members) => {
-            registry.install_group(key, producer, members)
-        }
-        Command::InstallCountGroup(state, members) => registry.install_count_group(state, members),
-        Command::InstallCounters(
-            [hits, rebuilds, count_hits, count_rebuilds, admitted, pruned],
-        ) => {
-            registry.install_counters(hits, rebuilds, count_hits, count_rebuilds, admitted, pruned)
-        }
-        Command::EjectGroup(key, reply) => {
+        Command::Install(id, session) => registry.install(id, *session),
+        Command::InstallGroup(group, members) => registry.install_group(*group, members),
+        Command::InstallCounters(counters) => registry.install_counters(counters),
+        Command::EjectGroupOf(id, reply) => {
             // group residence is tracked hub-side; a miss here is a
             // routing bug, surfaced as a RecvError on the hub's reply
-            if let Some(ejected) = registry.eject_group(key) {
-                let _ = reply.send(ejected);
-            }
-        }
-        Command::EjectCountGroup(id, reply) => {
-            // same hub-side residence contract as EjectGroup
-            if let Some(ejected) = registry.eject_count_group_of(id) {
+            if let Some(ejected) = registry.eject_group_of(id) {
                 let _ = reply.send(ejected);
             }
         }
@@ -230,6 +209,27 @@ pub(crate) fn recv_reply<T>(shard: usize, rx: &mpsc::Receiver<T>) -> Result<T, S
 pub(crate) enum GroupKey {
     Slide(u64, Predicate),
     Count(u64, u64, Predicate),
+}
+
+impl GroupKey {
+    /// The key of a traveling group when the hub has published
+    /// `published` objects. An arrival-clock group's open slide has
+    /// observed `fill` arrivals (by ordinal — admission pruning withholds
+    /// objects from `pending` but never from the ordinal clock), so it
+    /// last sat empty `fill` objects ago: offset class `(published −
+    /// fill) mod s`. Merge rejected same-`(s, fill, predicate)`
+    /// collisions, so keys are unique.
+    fn of(group: &HubGroup, published: u64) -> GroupKey {
+        let (clock, slide, fill, predicate) = group.identity();
+        match clock {
+            Clock::Event => GroupKey::Slide(slide, predicate),
+            Clock::Arrival => GroupKey::Count(
+                slide,
+                (published % slide + slide - fill % slide) % slide,
+                predicate,
+            ),
+        }
+    }
 }
 
 /// Hub-side placement bookkeeping: which shard owns each query, the
@@ -350,12 +350,12 @@ pub(crate) fn register_on(
     let id = p.fresh_id();
     let key = match &member {
         Member::Count(_) | Member::Timed(_) => None,
-        Member::Shared(consumer, predicate) => {
-            Some(GroupKey::Slide(consumer.slide_duration(), *predicate))
-        }
-        Member::Grouped(_, spec, predicate) => {
-            let s = spec.s as u64;
-            Some(GroupKey::Count(s, p.published % s, *predicate))
+        Member::Group(consumer, clock, predicate) => {
+            let slide = consumer.slide_duration();
+            Some(match clock {
+                Clock::Event => GroupKey::Slide(slide, *predicate),
+                Clock::Arrival => GroupKey::Count(slide, p.published % slide, *predicate),
+            })
         }
     };
     let shard = match key.and_then(|key| p.groups.get(&key)) {
@@ -510,7 +510,6 @@ pub(crate) fn decode_hub_checkpoint(
         let mut registry = dec.section(tags::REGISTRY)?;
         parts.push(Registry::decode_checkpoint(
             &mut registry,
-            checkpoint.version(),
             &mut |name, spec| factory.count(name, spec),
             &mut |name, spec| factory.timed(name, spec),
         )?);
@@ -525,76 +524,41 @@ pub(crate) fn decode_hub_checkpoint(
 }
 
 /// Installs the sharing counters on `shard`, unless all are zero.
-fn install_counters_on(port: &Reactor, shard: usize, counters: [u64; 6]) -> Result<(), SapError> {
-    if counters == [0; 6] {
+fn install_counters_on(port: &Reactor, shard: usize, counters: Counters) -> Result<(), SapError> {
+    if counters == Counters::default() {
         return Ok(());
     }
     port.send(shard, Command::InstallCounters(counters))
 }
 
-/// The sharing counters of `parts`, in [`Command::InstallCounters`] order.
-fn counters_of(parts: &ShardParts) -> [u64; 6] {
-    [
-        parts.digest_hits,
-        parts.digest_rebuilds,
-        parts.count_group_hits,
-        parts.count_group_rebuilds,
-        parts.admitted,
-        parts.pruned,
-    ]
-}
-
 /// Scatters merged serving state across a hub's (fresh or freshly
-/// emptied) shards: each slide group with its members on the shard its
-/// lowest-id member hashes to, each count group likewise, then the
-/// isolated sessions in ascending-id order, then the sharing counters
-/// onto shard 0 (they are hub-wide sums; where they live only affects
-/// which shard reports them into the stats total).
+/// emptied) shards: each group with its members on the shard its
+/// lowest-id member hashes to, then the isolated sessions in
+/// ascending-id order, then the sharing counters onto shard 0 (they are
+/// hub-wide sums; where they live only affects which shard reports them
+/// into the stats total).
 pub(crate) fn place_parts_on(
     p: &mut Placement,
     port: &Reactor,
     parts: ShardParts,
 ) -> Result<(), SapError> {
-    let counters = counters_of(&parts);
-    let (mut group_members, count_members, loose) =
-        split_by_group(parts.sessions, parts.count_groups.len());
-    for (key, producer) in parts.groups {
-        let members = group_members
-            .remove(&key)
-            .expect("merge validated every group has members");
-        let shard = p.shard_of(members[0].0);
-        p.place_group(GroupKey::Slide(key.0, key.1), shard, &members);
-        port.send(shard, Command::InstallGroup(key, producer, members))?;
-    }
-    for (state, members) in parts.count_groups.into_iter().zip(count_members) {
+    let (members_of, loose) = split_by_group(parts.sessions, parts.groups.len());
+    for (group, members) in parts.groups.into_iter().zip(members_of) {
         let lowest = members
             .first()
-            .expect("merge validated every count group has members")
+            .expect("merge validated every group has members")
             .0;
         let shard = p.shard_of(lowest);
-        let sd = state.producer.slide_duration();
-        // re-derive the founding offset class against the current
-        // counter: the installed group's open slide has observed `fill`
-        // arrivals (by ordinal — admission pruning withholds objects
-        // from `pending` but never from the ordinal clock), so it last
-        // sat empty `fill` objects ago — class `(published − fill) mod
-        // s`. Merge rejected same-(s, fill, predicate) collisions, so
-        // keys are unique.
-        let key = GroupKey::Count(
-            sd,
-            (p.published % sd + sd - state.fill() % sd) % sd,
-            state.predicate,
-        );
-        p.place_group(key, shard, &members);
-        port.send(shard, Command::InstallCountGroup(state, members))?;
+        p.place_group(GroupKey::of(&group, p.published), shard, &members);
+        port.send(shard, Command::InstallGroup(Box::new(group), members))?;
     }
     for (id, session) in loose {
         let shard = p.shard_of(id);
-        port.send(shard, Command::Install(id, session))?;
+        port.send(shard, Command::Install(id, Box::new(session)))?;
         p.shard_len[shard] += 1;
         p.registered.insert(id);
     }
-    install_counters_on(port, 0, counters)
+    install_counters_on(port, 0, parts.counters)
 }
 
 /// Moves one query's live session (a shared or grouped query: its whole
@@ -627,27 +591,11 @@ pub(crate) fn move_query_on(
         if source == shard {
             return Ok(());
         }
-        let moved = match key {
-            GroupKey::Slide(sd, predicate) => {
-                let (reply, rx) = mpsc::channel();
-                port.send(source, Command::EjectGroup((sd, predicate), reply))?;
-                let (producer, members) = recv_reply(source, &rx)?;
-                let moved = members.len();
-                port.send(
-                    shard,
-                    Command::InstallGroup((sd, predicate), producer, members),
-                )?;
-                moved
-            }
-            GroupKey::Count(..) => {
-                let (reply, rx) = mpsc::channel();
-                port.send(source, Command::EjectCountGroup(id, reply))?;
-                let (state, members) = recv_reply(source, &rx)?;
-                let moved = members.len();
-                port.send(shard, Command::InstallCountGroup(state, members))?;
-                moved
-            }
-        };
+        let (reply, rx) = mpsc::channel();
+        port.send(source, Command::EjectGroupOf(id, reply))?;
+        let (group, members) = recv_reply(source, &rx)?;
+        let moved = members.len();
+        port.send(shard, Command::InstallGroup(Box::new(group), members))?;
         p.shard_len[source] -= moved;
         p.shard_len[shard] += moved;
         p.groups.insert(key, (shard, moved));
@@ -659,7 +607,7 @@ pub(crate) fn move_query_on(
         let (reply, rx) = mpsc::channel();
         port.send(source, Command::Unregister(id, reply))?;
         let session = recv_reply(source, &rx)?;
-        port.send(shard, Command::Install(id, session))?;
+        port.send(shard, Command::Install(id, Box::new(session)))?;
         p.shard_len[source] -= 1;
         p.shard_len[shard] += 1;
         if p.shard_of(id) == shard {
@@ -673,24 +621,18 @@ pub(crate) fn move_query_on(
 
 /// Reinstalls one shard's ejected parts back onto the shard they came
 /// from — the abort path of a transactional [`eject_all_on`]. The part
-/// is un-merged, so its grouped sessions reference its own
-/// `count_groups` list by canonical index; placement was never touched,
-/// so no bookkeeping changes here.
+/// is un-merged, but its members already reference its own `groups`
+/// list by index; placement was never touched, so no bookkeeping
+/// changes here.
 fn reinstall_parts_on(port: &Reactor, shard: usize, parts: ShardParts) -> Result<(), SapError> {
-    let counters = counters_of(&parts);
-    let (mut group_members, count_members, loose) =
-        split_by_group(parts.sessions, parts.count_groups.len());
-    for (key, producer) in parts.groups {
-        let members = group_members.remove(&key).unwrap_or_default();
-        port.send(shard, Command::InstallGroup(key, producer, members))?;
+    let (members_of, loose) = split_by_group(parts.sessions, parts.groups.len());
+    for (group, members) in parts.groups.into_iter().zip(members_of) {
+        port.send(shard, Command::InstallGroup(Box::new(group), members))?;
     }
     for (id, session) in loose {
-        port.send(shard, Command::Install(id, session))?;
+        port.send(shard, Command::Install(id, Box::new(session)))?;
     }
-    for (state, members) in parts.count_groups.into_iter().zip(count_members) {
-        port.send(shard, Command::InstallCountGroup(state, members))?;
-    }
-    install_counters_on(port, shard, counters)
+    install_counters_on(port, shard, parts.counters)
 }
 
 /// Empties every shard for a repartition — **transactionally**: every

@@ -100,7 +100,7 @@ fn shared_digest_plane_500() {
 
     // spot-check: query 0's answers are byte-identical on both hubs
     let probe = probe.expect("query 0 registered");
-    let shared_session = shared.shared_session(probe).expect("shared model");
+    let shared_session = shared.group_session(probe).expect("shared model");
     let reference = isolated.timed_session(probe).expect("isolated model");
     assert_eq!(shared_session.slides(), reference.slides());
     assert_eq!(shared_session.last_snapshot(), reference.last_snapshot());

@@ -55,6 +55,7 @@ const CHECKS: &[(&str, fn())] = checks![
     predicate_rejected_publish_is_allocation_free,
     dominance_pruned_quiet_path_meets_the_classed_pinned_bounds,
     checkpoint_leaves_the_warm_publish_path_allocation_free,
+    classed_shared_close_is_allocation_free_per_member,
 ];
 
 /// Runs every check in [`CHECKS`], each to completion even when an
@@ -652,4 +653,81 @@ fn checkpoint_leaves_the_warm_publish_path_allocation_free() {
         "slide-completing publish after checkpoint(): {allocs} allocations \
          for {updates} updates (pinned bound: 1 output Vec + ≤ 1 Arc per update)"
     );
+}
+
+fn classed_shared_close_is_allocation_free_per_member() {
+    // The event-clock plane rides the classed ceiling too: a 50-member
+    // shared class in one slide group buffers a publish_timed without
+    // touching the heap, and a quiet close — reached through a timestamp
+    // or through a watermark — pays the output Vec and nothing else.
+    let mut hub = Hub::new();
+    let members = 50usize;
+    for _ in 0..members {
+        // registered before any publish: one pristine slide group, one
+        // 50-member result class
+        hub.register_shared(&Query::window_duration(400).slide_duration(10).top(1))
+            .unwrap();
+    }
+    // one object per time unit; one spike per window length dominates
+    // top-1 for 40 straight slides, so closes between spikes are quiet
+    let object = |t: u64| {
+        let score = if t.is_multiple_of(400) {
+            10_000.0
+        } else {
+            score(t)
+        };
+        TimedObject::new(t, t, score)
+    };
+    let stream = |from: u64, to: u64| -> Vec<TimedObject> { (from..to).map(object).collect() };
+    for chunk in stream(0, 1_000).chunks(10) {
+        hub.publish_timed(chunk);
+    }
+    let stats = hub.stats();
+    assert_eq!(stats.digest_groups, 1, "one slide group");
+    assert_eq!(stats.result_classes, 1, "one result class");
+    assert!(stats.class_hits > 0, "warm-up must serve classed closes");
+
+    // the spike at 800 stays in every window ending by 1200: each round
+    // closes slide [base, base + 10) through publish_timed and slide
+    // [base + 10, base + 20) through advance_time, both quiet
+    let quiet = |updates: &[QueryUpdate], round: u64, path: &str| {
+        assert_eq!(
+            updates.len(),
+            members,
+            "every member rides the {path} close"
+        );
+        for u in updates {
+            assert!(
+                !u.result.changed(),
+                "round {round}: the spike keeps the {path} close quiet"
+            );
+        }
+    };
+    for round in 0..8u64 {
+        let base = 1_000 + 20 * round;
+        hub.publish_timed(&stream(base, base + 1));
+        let buffered = stream(base + 1, base + 6);
+        let (updates, allocs) = measured(|| hub.publish_timed(&buffered).len());
+        assert_eq!(updates, 0);
+        assert_eq!(
+            allocs, 0,
+            "round {round}: buffering publish_timed must be allocation-free"
+        );
+        let batch = stream(base + 6, base + 11);
+        let (updates, allocs) = measured(|| hub.publish_timed(&batch));
+        quiet(&updates, round, "publish_timed");
+        assert!(
+            allocs <= 1,
+            "round {round}: quiet classed publish_timed close paid {allocs} \
+             allocations for {members} members (pinned bound: the output Vec only)"
+        );
+        hub.publish_timed(&stream(base + 11, base + 20));
+        let (updates, allocs) = measured(|| hub.advance_time(base + 20));
+        quiet(&updates, round, "advance_time");
+        assert!(
+            allocs <= 1,
+            "round {round}: quiet classed advance_time close paid {allocs} \
+             allocations for {members} members (pinned bound: the output Vec only)"
+        );
+    }
 }

@@ -28,9 +28,10 @@
 //! - `fanout`: isolated sessions against the shared count plane up a
 //!   query ladder (to 10⁵ by default), with the quiet (ingest-only) cost
 //!   split out;
-//! - `floor`: the per-member slide-close cost of isolated, unclassed and
+//! - `floor`: the per-member slide-close cost of isolated and
 //!   result-classed serving of one geometry;
-//! - `prune`: admission pruning off, on, and on with a predicate.
+//! - `prune`: admission pruning on the shared timed plane, pass-all and
+//!   behind a predicate.
 //!
 //! ```text
 //! cargo run --release -p sap-bench --bin experiments -- async \
@@ -442,12 +443,11 @@ fn fanout(len: usize, queries: usize, shards: &[usize], json_out: &str, seed: u6
 }
 
 /// The per-member update floor: a ladder of same-geometry SAP queries
-/// (one geometry class, `⟨n=32, k=4, s=8⟩`) served three ways —
-/// isolated sessions, the grouped plane with result-class pooling off
-/// (every solo class computes its own close), and the grouped plane with
-/// result classes (one computed close per class, a refcount bump per
-/// member). Publishing in half-slide chunks alternates quiet and close
-/// publishes, so each row splits out its slide-close µs per member.
+/// (one geometry class, `⟨n=32, k=4, s=8⟩`) served two ways — isolated
+/// sessions, and the grouped plane, whose one result class computes each
+/// close once and stamps it on every member with a refcount bump.
+/// Publishing in half-slide chunks alternates quiet and close publishes,
+/// so each row splits out its slide-close µs per member.
 fn floor(len: usize, queries: usize, json_out: &str, seed: u64) {
     let spec = WindowSpec::new(32, 4, 8).expect("floor spec is valid");
     // half the slide: publishes alternate strictly between quiet
@@ -466,14 +466,12 @@ fn floor(len: usize, queries: usize, json_out: &str, seed: u64) {
         .param("s", spec.s)
         .param("geometry_classes", 1);
     for count in ladder(queries, &[100, 10, 1]) {
-        for arm in ["isolated", "unclassed", "classed"] {
-            let mut hub = Hub::new();
-            hub.set_result_class_sharing(arm != "unclassed");
+        for arm in ["isolated", "classed"] {
             let members = (0..count).map(|_| match arm {
                 "isolated" => Algo::Sap.count(spec),
                 _ => Algo::Sap.grouped(spec),
             });
-            let run = run_sequential(&mut serve(hub, members), &feed);
+            let run = run_sequential(&mut serve(Hub::new(), members), &feed);
             artifact.records.push(Record::new(arm, "floor", count, run));
         }
     }
@@ -482,9 +480,8 @@ fn floor(len: usize, queries: usize, json_out: &str, seed: u64) {
 
 /// Ingest-side admission control on the shared timed plane: a
 /// skewed-score (`1000·u⁴`), gap-1 stream served to a query ladder over
-/// up to 1024 slide groups with the knob off (the reference), with
-/// dominance pruning, and with dominance pruning behind a selective
-/// `score ≥ 500` predicate.
+/// up to 1024 slide groups, pass-all (the dominance gate alone) and
+/// behind a selective `score ≥ 500` predicate.
 fn prune(len: usize, queries: usize, json_out: &str, seed: u64) {
     let data = prune_stream(len, seed);
     // slides span half the stream, so every group closes exactly one
@@ -503,15 +500,13 @@ fn prune(len: usize, queries: usize, json_out: &str, seed: u64) {
         .param("sd_base", sd_base);
     for count in ladder(queries, &[100, 10, 1]) {
         let mix = prune_query_mix(count, sd_base);
-        for arm in ["off", "dominance", "dominance+predicate"] {
-            let mut hub = Hub::new();
-            hub.set_admission_pruning(arm != "off");
+        for arm in ["dominance", "dominance+predicate"] {
             let predicate = match arm {
                 "dominance+predicate" => Predicate::any().score_at_least(500.0),
                 _ => Predicate::any(),
             };
             let members = mix.iter().map(|(a, s)| a.shared(*s).filter(predicate));
-            let run = run_sequential(&mut serve(hub, members), &feed);
+            let run = run_sequential(&mut serve(Hub::new(), members), &feed);
             artifact.records.push(Record::new(arm, "prune", count, run));
         }
     }

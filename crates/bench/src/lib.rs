@@ -415,8 +415,7 @@ impl HotQuery {
     }
 }
 
-/// Subscribes every registration in `mix` on a sequential `hub` whose
-/// knobs are already set (they apply to later registrations).
+/// Subscribes every registration in `mix` on a sequential `hub`.
 pub fn serve(mut hub: Hub, mix: impl IntoIterator<Item = Registration>) -> Hub {
     for registration in mix {
         hub.subscribe(registration).expect("bench mixes are valid");

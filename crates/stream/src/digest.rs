@@ -12,9 +12,11 @@
 //! to a first-class type and splits the old monolithic adapter in two:
 //!
 //! * [`DigestProducer`] — ingests the raw timed stream once per *slide
-//!   group* and emits immutable, refcounted [`SlideDigest`]s: the slide's
-//!   top-`k_max`, in result order. This is the **one copy** of the
-//!   slide-truncation and tie-break rules in the workspace;
+//!   group* and closes each slide into its top-`k_max`, in result order:
+//!   lent as a borrowed [`DigestView`] inside the close, or materialized
+//!   as an immutable, refcounted [`SlideDigest`] for standalone callers.
+//!   This is the **one copy** of the slide-truncation and tie-break rules
+//!   in the workspace;
 //! * [`SharedTimed`] — a consumer that slices its own `k ≤ k_max` prefix
 //!   from each digest and feeds its private count-based reduction (the
 //!   synthetic-id ring + padding machinery), producing results
@@ -69,8 +71,9 @@ const PAD_SCORE: f64 = f64::MIN;
 
 /// The per-slide artifact of the shared digest plane: one closed slide's
 /// top-`k_max` objects, immutable once built. Handed out refcounted (see
-/// [`DigestRef`]) so a hub can fan one digest out to every member of a
-/// slide group without copying.
+/// [`DigestRef`]) by the producer's materializing calls, for standalone
+/// callers; `TimeBased` and the hubs apply the borrowed [`DigestView`]
+/// instead and never build one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SlideDigest {
     /// 0-based index of the closed slide.
@@ -95,16 +98,16 @@ impl SlideDigest {
     }
 }
 
-/// A refcounted [`SlideDigest`]: what [`DigestProducer`] emits and what
-/// the hubs fan out to slide-group members.
+/// A refcounted [`SlideDigest`]: what [`DigestProducer`]'s materializing
+/// calls return.
 pub type DigestRef = Arc<SlideDigest>;
 
 /// A borrowed view of a slide the producer is closing *right now* — the
 /// allocation-free sibling of [`SlideDigest`], valid only inside a
-/// [`DigestProducer::close_slide_with`] callback. An isolated consumer
-/// (one producer, one member — `TimeBased<E>`) applies the view directly
-/// and no digest is ever materialized; only the hubs, which fan a slide
-/// out to many members, pay for the refcounted artifact.
+/// [`DigestProducer::close_slide_with`] callback. `TimeBased<E>` (one
+/// producer, one consumer) and the hubs (one producer, every result class
+/// of a group) apply the view inside the close, so no serving path
+/// materializes a digest.
 #[derive(Debug, Clone, Copy)]
 pub struct DigestView<'a> {
     /// 0-based index of the closing slide.
@@ -249,8 +252,8 @@ impl DigestProducer {
 
     /// Closes the open slide even if its time has not elapsed (useful at
     /// end of stream), returning its digest. Materializing form of
-    /// [`close_slide_with`](DigestProducer::close_slide_with) — the hubs
-    /// use it to build the refcounted artifact a slide group fans out.
+    /// [`close_slide_with`](DigestProducer::close_slide_with), for
+    /// standalone callers.
     pub fn close_slide(&mut self) -> DigestRef {
         self.close_slide_with(|view| {
             Arc::new(SlideDigest {

@@ -20,8 +20,9 @@
 //!   worker claims one ready shard and applies up to
 //!   [`COMMANDS_PER_WAKEUP`] queued commands before re-entering the
 //!   reactor, amortizing the queue crossing. A slide close inside a
-//!   shared group is still **one** queue event fanned out to every
-//!   member via the digest `Arc` refcount bumps, with the members'
+//!   shared group is still **one** queue event: each result class is
+//!   served from the borrowed digest view inside the close and stamped
+//!   on its members with snapshot refcount bumps, the members'
 //!   `QueryUpdate`s delivered in the same wakeup's batch;
 //! * [`publish`](AsyncHub::publish) is a single-lock broadcast: one
 //!   mutex crossing enqueues the `Arc` batch on every non-empty shard —
@@ -611,11 +612,6 @@ pub struct AsyncHub {
     targets: Vec<usize>,
     pool: ArcPool<Object>,
     timed_pool: ArcPool<TimedObject>,
-    /// The result-class registration knob, remembered hub-side so slots
-    /// created by [`resize`](AsyncHub::resize) inherit it.
-    class_sharing: bool,
-    /// The admission-pruning knob, remembered for the same reason.
-    admission_pruning: bool,
 }
 
 impl std::fmt::Debug for AsyncHub {
@@ -686,8 +682,6 @@ impl AsyncHub {
             targets: Vec::new(),
             pool: ArcPool::new(),
             timed_pool: ArcPool::new(),
-            class_sharing: true,
-            admission_pruning: true,
         }
     }
 
@@ -1045,7 +1039,8 @@ impl AsyncHub {
     ///
     /// A shared or grouped query moves with its **entire group** — the
     /// group's producer is shard-local state shared with its co-members,
-    /// so the group travels as one unit. Moving a query to the shard it
+    /// so the group travels as one unit, result classes included. Moving
+    /// a query to the shard it
     /// already lives on is a no-op. A shard dying mid-move surfaces as
     /// [`SapError::ShardDown`]; the sessions in flight are lost with it.
     ///
@@ -1062,7 +1057,8 @@ impl AsyncHub {
     /// logical shards (clamped to ≥ 1) — the worker threads are reused,
     /// only the slots are replaced. Each shard hands back its entire
     /// serving state, which is re-scattered by the id hash under the new
-    /// count, groups wholesale. Results are unaffected: sessions observe
+    /// count, groups wholesale with their result classes. Results are
+    /// unaffected: sessions observe
     /// the same object sequence, and updates completed before the resize
     /// (parked here, returned by the next [`drain`](AsyncHub::drain))
     /// sort into the same global order.
@@ -1093,51 +1089,7 @@ impl AsyncHub {
                 .collect();
         }
         self.placement.reset(num_shards);
-        place_parts_on(&mut self.placement, &self.reactor, merged)?;
-        // fresh slots serve fresh registries, which default to pooling
-        // and pruning; re-broadcast disabled knobs
-        if !self.class_sharing {
-            self.broadcast(|| Command::SetClassSharing(false))?;
-        }
-        if !self.admission_pruning {
-            self.broadcast(|| Command::SetAdmissionPruning(false))?;
-        }
-        Ok(())
-    }
-
-    /// Enables or disables result-class pooling for **future
-    /// registrations** on every shard (default: enabled). Results are
-    /// byte-identical either way — the knob only trades the memoized
-    /// slide close for per-member serving, for A/B measurement (the
-    /// `floor` bench preset) and for pinning down a suspected sharing
-    /// bug. Sessions already registered, and any session that travels
-    /// through a restore or resize, keep their class machinery.
-    pub fn set_result_class_sharing(&mut self, enabled: bool) -> Result<(), SapError> {
-        self.flush_pending_one()?;
-        self.class_sharing = enabled;
-        self.broadcast(|| Command::SetClassSharing(enabled))
-    }
-
-    /// Enables or disables ingest-side dominance pruning on every shard
-    /// (default: enabled; see
-    /// [`Hub::set_admission_pruning`](crate::session::Hub::set_admission_pruning)
-    /// for the criterion and the safety argument). Results are
-    /// byte-identical either way; disabled is the reference arm where
-    /// [`HubStats::pruned`](crate::HubStats::pruned) stays `0`. Takes
-    /// effect for every group, existing and future, ordered with the
-    /// publishes around it like any other command.
-    pub fn set_admission_pruning(&mut self, enabled: bool) -> Result<(), SapError> {
-        self.flush_pending_one()?;
-        self.admission_pruning = enabled;
-        self.broadcast(|| Command::SetAdmissionPruning(enabled))
-    }
-
-    /// Sends `make()` to every shard — the knob toggles.
-    fn broadcast(&self, make: impl Fn() -> Command) -> Result<(), SapError> {
-        for shard in 0..self.placement.num_shards() {
-            self.reactor.send(shard, make())?;
-        }
-        Ok(())
+        place_parts_on(&mut self.placement, &self.reactor, merged)
     }
 }
 

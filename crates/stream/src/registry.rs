@@ -53,17 +53,21 @@
 //! pasts provably coincide compute byte-identical slides, so they form
 //! one **result class** that owns their one consumer. Every member that
 //! is not warming up sits in exactly one class: a member that starts in
-//! step with its group joins the class with its key (or founds one, and
-//! always founds one with class sharing off), and a warmed-up member
-//! founds a class of its own. A slide close serves every class from the
-//! producer's borrowed [`DigestView`] inside the close: the reduction,
-//! the id translation and the delta diff run **once per class**, and
-//! each member emission is two refcount bumps plus an inline event copy
-//! — zero heap allocations on a quiet slide. Emissions beyond the one
-//! computing member count as [`class_hits`](HubStats::class_hits).
-//! Classes are derivable from member state, so checkpoints carry no
-//! class section: restore and migration re-class every member by byte
-//! signature, and every checkpoint byte is the pre-class encoding.
+//! step with its group joins the class with its key (or founds one),
+//! and a warmed-up member founds a class of its own. A slide close
+//! serves every class from the producer's borrowed [`DigestView`] inside
+//! the close: the reduction, the id translation and the delta diff run
+//! **once per class**, and each member emission is two refcount bumps
+//! plus an inline event copy — zero heap allocations on a quiet slide.
+//! Emissions beyond the one computing member count as
+//! [`class_hits`](HubStats::class_hits).
+//!
+//! A group keeps its classes for its whole life: `move_query` and
+//! `resize` move it whole, classes included. Classes are derivable from
+//! member state, so checkpoints carry no class section, and every
+//! checkpoint byte is the pre-class encoding: a restore gives each
+//! decoded member its own consumer and re-classes the members by byte
+//! signature.
 //!
 //! ## Per-call cost
 //!
@@ -141,33 +145,88 @@ pub struct HubStats {
     /// count plane — the per-query work grouping would have pooled.
     pub count_group_rebuilds: u64,
     /// Objects admitted into a sharing-plane producer's open slide —
-    /// slide groups and count groups alike. Ticks whether or not
-    /// dominance pruning is enabled, so
-    /// [`prune_rate`](HubStats::prune_rate) compares the same population
-    /// on both arms. Objects a group's subscription predicate rejects
-    /// count toward **neither** `admitted` nor `pruned` — they never
-    /// reach the dominance gate.
+    /// slide groups and count groups alike. Objects a group's
+    /// subscription predicate rejects count toward **neither** `admitted`
+    /// nor `pruned` — they never reach the dominance gate.
     pub admitted: u64,
     /// Objects the k-skyband dominance gate skipped: at ingest time, at
     /// least `k_max` already-admitted objects of the same open slide
     /// strictly dominated them, so they provably cannot appear in the
     /// slide's top-`k_max` digest and no member can ever observe them.
-    /// Always 0 while admission pruning is disabled
-    /// (`set_admission_pruning(false)` — the reference arm).
+    /// Every group runs the gate, and results are byte-identical to an
+    /// isolated registration of the same query. Pruned objects still
+    /// advance arrival ordinals and slide boundaries, so slide
+    /// numbering, checkpoints and drain order do not depend on it.
+    ///
+    /// ```
+    /// use sap_stream::{Hub, Object, Registration};
+    /// # use sap_stream::{OpStats, SlidingTopK, WindowSpec};
+    /// # struct Toy(WindowSpec, Vec<Object>);
+    /// # impl sap_stream::checkpoint::CheckpointState for Toy {}
+    /// # impl SlidingTopK for Toy {
+    /// #     fn spec(&self) -> WindowSpec { self.0 }
+    /// #     fn slide(&mut self, b: &[Object]) -> &[Object] { self.1 = b.to_vec(); &self.1 }
+    /// #     fn candidate_count(&self) -> usize { 0 }
+    /// #     fn memory_bytes(&self) -> usize { 0 }
+    /// #     fn stats(&self) -> OpStats { OpStats::default() }
+    /// #     fn name(&self) -> &str { "toy" }
+    /// # }
+    /// # fn reduced() -> Box<Toy> { Box::new(Toy(WindowSpec::new(4, 1, 1).unwrap(), Vec::new())) }
+    /// let mut hub = Hub::new();
+    /// hub.subscribe(Registration::grouped(reduced(), 16, 4)).unwrap();
+    /// // descending scores: after the first, every arrival in the open
+    /// // slide is dominated by k_max = 1 admitted object and is pruned
+    /// let batch: Vec<Object> = (0..4).map(|i| Object::new(i, -(i as f64))).collect();
+    /// hub.publish(&batch);
+    /// assert_eq!(hub.stats().pruned, 3);
+    /// assert_eq!(hub.stats().admitted, 1);
+    /// ```
     pub pruned: u64,
     /// Live result classes across both sharing planes (see the module
     /// docs on result classes), each keyed by window, `k` and join slide
     /// inside its group. Every member that is not warming up sits in
     /// exactly one class, so this equals the number of reductions run
     /// per slide close; the gap to `grouped_queries + shared_queries` is
-    /// the work the second tier collapses.
+    /// the work the second tier collapses. Classes travel with their
+    /// group through `move_query` and `resize`; a restore re-derives
+    /// them by byte signature.
+    ///
+    /// Same-class members share one snapshot allocation per close:
+    ///
+    /// ```
+    /// use sap_stream::{Hub, Object, Registration};
+    /// # use sap_stream::{OpStats, SlidingTopK, WindowSpec};
+    /// # struct Toy(WindowSpec, Vec<Object>);
+    /// # impl sap_stream::checkpoint::CheckpointState for Toy {}
+    /// # impl SlidingTopK for Toy {
+    /// #     fn spec(&self) -> WindowSpec { self.0 }
+    /// #     fn slide(&mut self, b: &[Object]) -> &[Object] { self.1 = b.to_vec(); &self.1 }
+    /// #     fn candidate_count(&self) -> usize { 0 }
+    /// #     fn memory_bytes(&self) -> usize { 0 }
+    /// #     fn stats(&self) -> OpStats { OpStats::default() }
+    /// #     fn name(&self) -> &str { "toy" }
+    /// # }
+    /// # fn reduced() -> Box<Toy> { Box::new(Toy(WindowSpec::new(4, 2, 2).unwrap(), Vec::new())) }
+    /// let mut hub = Hub::new();
+    /// // two copies of the same ⟨n = 4, k = 2, s = 2⟩ query (`reduced()`
+    /// // builds each member's engine over the grouped plane's private
+    /// // ⟨(n/s)·k, k, k⟩ reduction): one result class, one computation
+    /// hub.subscribe(Registration::grouped(reduced(), 4, 2)).unwrap();
+    /// hub.subscribe(Registration::grouped(reduced(), 4, 2)).unwrap();
+    /// let batch: Vec<Object> = (0..2).map(|i| Object::new(i, i as f64)).collect();
+    /// let updates = hub.publish(&batch);
+    /// assert_eq!(updates.len(), 2);
+    /// assert!(updates[0].result.snapshot.ptr_eq(&updates[1].result.snapshot));
+    /// assert_eq!(hub.stats().result_classes, 1);
+    /// assert_eq!(hub.stats().class_hits, 1);
+    /// ```
     pub result_classes: u64,
     /// Member emissions served from a class-level computation **beyond**
     /// the one that ran it — per-slide-close work the class memoized
-    /// away. Zero while every class is solo (sharing disabled, or no two
-    /// members share a view). Derived observability: resets on
-    /// checkpoint restore and on `resize`, unlike the hit/rebuild
-    /// counters (the checkpoint format predates it and carries no slot).
+    /// away. Zero while every class is solo (no two members share a
+    /// view). It survives `move_query` and `resize` but resets on
+    /// checkpoint restore, unlike the hit/rebuild counters: the
+    /// checkpoint format predates it and carries no slot.
     pub class_hits: u64,
     /// Times a publisher parked (blocked on a full shard queue) —
     /// [`AsyncHub`](crate::exec::AsyncHub) backpressure. Summed across
@@ -207,8 +266,7 @@ impl HubStats {
 
     /// Fraction of gate-eligible objects the dominance gate pruned:
     /// `pruned / (admitted + pruned)`, or 0 before any object reached a
-    /// sharing-plane producer. Exactly 0 while admission pruning is
-    /// disabled, because [`pruned`](HubStats::pruned) never ticks there.
+    /// sharing-plane producer.
     pub fn prune_rate(&self) -> f64 {
         let total = self.admitted + self.pruned;
         if total == 0 {
@@ -477,10 +535,10 @@ pub(crate) type HubGroup = Group<Box<dyn SlidingTopK + Send>>;
 /// One sharing-plane group (see the [module docs](self)): the producer
 /// that truncates each slide once at `k_max`, the subscription
 /// predicate, the dominance gate, the clock, and the result classes
-/// serving the members. A group travels as itself — in
-/// [`RegistryParts`] (restore and resize) and in a migration — with its
-/// classes dissolved into the member sessions; everything but the
-/// producer, predicate and clock is rebuilt when it is installed.
+/// serving the members. A group travels whole — in [`RegistryParts`]
+/// (resize) and in a migration — classes included; only a decoded group
+/// arrives without classes, which the restore derives
+/// ([`RegistryParts::pool_classes`]).
 pub(crate) struct Group<C: SlidingTopK> {
     producer: DigestProducer,
     /// Objects it rejects advance the group's clock but are never
@@ -488,8 +546,7 @@ pub(crate) struct Group<C: SlidingTopK> {
     predicate: Predicate,
     /// The k-skyband dominance gate over the open slide's admitted
     /// objects — rebuilt whenever `k_max` changes or the group is
-    /// installed, reset at every slide close. Consulted only while
-    /// admission pruning is enabled.
+    /// decoded, reset at every slide close.
     gate: PruneGate,
     clock: GroupClock,
     /// Registered members, classed and warming alike.
@@ -616,12 +673,6 @@ impl<C: SlidingTopK> Group<C> {
         }
     }
 
-    /// The group as it arrives from a migration or a restore, before its
-    /// members are seated.
-    fn reset(self) -> Self {
-        Group::new(self.producer, self.predicate, self.clock)
-    }
-
     /// The join-rule key: groups with one clock, slide and predicate.
     fn key(&self) -> (Clock, u64, Predicate) {
         (
@@ -662,17 +713,43 @@ impl<C: SlidingTopK> Group<C> {
         });
     }
 
+    /// Pools a decoded, non-warming member into the group's result
+    /// classes: joins the class with an identical byte signature — equal
+    /// key, slide progress, previous emission, and encoded consumer state
+    /// make its future emissions provably identical, so the member's
+    /// duplicate consumer is dropped — and founds a class around the
+    /// consumer otherwise. Live registration pools only members that
+    /// start in step, which need no signature.
+    fn class_member(&mut self, id: QueryId, m: &mut GroupSession<C>) {
+        let consumer = m.consumer().expect("a decoded member carries its consumer");
+        let mut sig = None;
+        let class = self.classes.iter_mut().find(|c| {
+            c.key() == m.class_key()
+                && c.consumer.slides_applied() == consumer.slides_applied()
+                && c.prev.as_slice() == m.last_snapshot()
+                && consumer_sig(&c.consumer) == *sig.get_or_insert_with(|| consumer_sig(consumer))
+        });
+        match class {
+            Some(class) => {
+                // members are pooled in ascending-id order
+                class.members.push(id);
+                m.take_consumer();
+            }
+            None => self.found_class(id, m),
+        }
+    }
+
     /// The admission plane: the predicate gates fan-out, then the
     /// k-skyband dominance gate prunes objects that provably cannot
     /// survive the open slide's top-`k_max` truncation (≥ `k_max`
     /// admitted objects strictly dominate them), and the rest is
     /// buffered. `raw` is the object as published — predicates test its
     /// own id — and `o` as the clock stamped it.
-    fn admit(&mut self, raw: &TimedObject, o: TimedObject, pruning: bool, counters: &mut Counters) {
+    fn admit(&mut self, raw: &TimedObject, o: TimedObject, counters: &mut Counters) {
         if !self.predicate.accepts_timed(raw) {
             return;
         }
-        if pruning && !self.gate.admits(o.score) {
+        if !self.gate.admits(o.score) {
             counters.pruned += 1;
             return;
         }
@@ -682,14 +759,13 @@ impl<C: SlidingTopK> Group<C> {
             debug_assert!(false, "an ingest after its clock step closes no slide")
         });
         counters.admitted += 1;
-        if pruning {
-            self.gate.offer(o.score);
-        }
+        self.gate.offer(o.score);
     }
 
     /// Moves the producer to `to`. Every slide that closes is served
     /// inside the close, from the producer's borrowed view: one reduction
-    /// and diff per class, then a stamp per member. A close opens a fresh
+    /// and diff per class, then a stamp per member; the members past the
+    /// first were served without a reduction. A close opens a fresh
     /// slide, so the gate resets.
     fn advance<T: TimedTopK>(
         &mut self,
@@ -709,7 +785,9 @@ impl<C: SlidingTopK> Group<C> {
             for class in classes.iter_mut() {
                 let snapshot = class.close(view, clock);
                 delivery.stamp(&class.members, &snapshot, &class.events);
-                *counters.hits(clock.kind()) += class.members.len() as u64;
+                let served = class.members.len() as u64;
+                *counters.hits(clock.kind()) += served;
+                counters.class_hits += served - 1;
             }
         });
         if producer.next_slide() != before {
@@ -819,9 +897,9 @@ impl<C: SlidingTopK> Class<C> {
     }
 }
 
-/// The six sharing counters a checkpoint carries, in their `COUNTERS`
-/// and `ADMISSION` byte order — see the [`HubStats`] fields of the same
-/// names.
+/// The sharing counters — see the [`HubStats`] fields of the same
+/// names. A checkpoint carries the first six, in their `COUNTERS` and
+/// `ADMISSION` byte order; `class_hits` travels in memory only.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct Counters {
     pub(crate) digest_hits: u64,
@@ -831,6 +909,9 @@ pub(crate) struct Counters {
     /// Persisted since checkpoint v3.
     pub(crate) admitted: u64,
     pub(crate) pruned: u64,
+    /// Never encoded, so it survives a resize and restarts at 0 on a
+    /// restore.
+    pub(crate) class_hits: u64,
 }
 
 impl Counters {
@@ -853,6 +934,7 @@ impl Counters {
             .saturating_add(other.count_group_rebuilds);
         self.admitted = self.admitted.saturating_add(other.admitted);
         self.pruned = self.pruned.saturating_add(other.pruned);
+        self.class_hits = self.class_hits.saturating_add(other.class_hits);
     }
 
     fn encode(&self, enc: &mut Encoder) {
@@ -883,6 +965,7 @@ impl Counters {
             count_group_rebuilds,
             admitted,
             pruned,
+            class_hits: 0,
         })
     }
 }
@@ -908,22 +991,6 @@ pub(crate) struct Registry<C: SlidingTopK, T: TimedTopK> {
     by_key: HashMap<(Clock, u64, Predicate), Vec<u64>>,
     next_gid: u64,
     counters: Counters,
-    /// Whether ingest consults the k-skyband dominance gate (default).
-    /// Off, every predicate-passing object is admitted — the reference
-    /// arm, under which `pruned` never ticks.
-    admission_pruning: bool,
-    /// Member emissions served from a class computation beyond the
-    /// computing member — see [`HubStats::class_hits`]. Not persisted
-    /// (the checkpoint counter section predates it), so it resets on
-    /// restore and resize.
-    class_hits: u64,
-    /// Whether registration may pool a member that starts in step with
-    /// its group into an existing class (default). Disabled, every member
-    /// founds a class of its own — the pre-memoization serving shape the
-    /// floor bench compares against. Traveling members (restore,
-    /// migration) re-class regardless: a consumer-less follower cannot
-    /// serve without its class.
-    class_sharing: bool,
     /// Pooled untimed view of a timed batch (for count-based sessions).
     plain_buf: Vec<Object>,
     /// Pooled timed view of an untimed batch (timestamps 0, which only
@@ -955,9 +1022,6 @@ impl<C: SlidingTopK, T: TimedTopK> Default for Registry<C, T> {
             by_key: HashMap::new(),
             next_gid: 0,
             counters: Counters::default(),
-            admission_pruning: true,
-            class_hits: 0,
-            class_sharing: true,
             plain_buf: Vec::new(),
             timed_buf: Vec::new(),
             update_hint: 0,
@@ -1025,8 +1089,8 @@ impl<C: SlidingTopK, T: TimedTopK> RegistryParts<C, T> {
         let mut counters = Counters::default();
         for mut part in parts {
             // rebase this section's arrival-clock references onto the
-            // concatenated list BEFORE its sessions dissolve into the
-            // shared pool; event-clock members find their group by key
+            // concatenated list BEFORE its sessions join the shared pool;
+            // event-clock members find their group by key
             let base = groups.len() as u64;
             for (_, session) in &mut part.sessions {
                 if let AnySession::Group(m) = session {
@@ -1060,10 +1124,6 @@ impl<C: SlidingTopK, T: TimedTopK> RegistryParts<C, T> {
         }
         // per group: member count and widest member window
         let mut tally = vec![(0usize, 0u64); groups.len()];
-        // per arrival-clock result class `(group, n, k, join_slide)`:
-        // whether any member carries the class's consumer — installation
-        // has nothing to serve the class from otherwise
-        let mut class_consumers: HashMap<(usize, u64, usize, u64), bool> = HashMap::new();
         for (_, session) in &mut sessions {
             let AnySession::Group(m) = session else {
                 continue;
@@ -1117,9 +1177,9 @@ impl<C: SlidingTopK, T: TimedTopK> RegistryParts<C, T> {
                     }
                     // arrival slides never straddle a checkpoint
                     // boundary, so every member is exactly caught up to
-                    // its group — validated on whichever member carries
-                    // the class's consumer (a decoded session always
-                    // does; ejected class followers travel without one)
+                    // its group — validated on every member that carries
+                    // a consumer (a decoded one always does; a resized
+                    // group's classed members travel without one)
                     if let Some(consumer) = m.consumer() {
                         if consumer.slides_applied() != next - m.join_slide() {
                             return Err(CheckpointError::Corrupt(
@@ -1127,47 +1187,11 @@ impl<C: SlidingTopK, T: TimedTopK> RegistryParts<C, T> {
                             ));
                         }
                     }
-                    let has = class_consumers
-                        .entry((index, m.window(), m.k(), m.join_slide()))
-                        .or_insert(false);
-                    *has |= m.consumer().is_some();
                     index
                 }
             };
             tally[index].0 += 1;
             tally[index].1 = tally[index].1.max(m.window());
-        }
-        if class_consumers.values().any(|has| !*has) {
-            return Err(CheckpointError::Corrupt(
-                "count-group result class without a consumer",
-            ));
-        }
-        // an ejected class follower travels behind its representative,
-        // which must be present (same group) and carry a consumer
-        for (_, session) in &sessions {
-            let AnySession::Group(m) = session else {
-                continue;
-            };
-            if m.consumer().is_some() {
-                continue;
-            }
-            let Some(rep) = m.class_rep() else {
-                return Err(CheckpointError::Corrupt(
-                    "classed member without a class representative",
-                ));
-            };
-            // sessions are id-sorted (and duplicate-free) by now
-            let ok = sessions
-                .binary_search_by_key(&rep, |(id, _)| *id)
-                .is_ok_and(|pos| {
-                    matches!(&sessions[pos].1, AnySession::Group(r)
-                        if r.consumer().is_some() && r.group() == m.group())
-                });
-            if !ok {
-                return Err(CheckpointError::Corrupt(
-                    "result class without its representative",
-                ));
-            }
         }
         for (i, group) in groups.iter().enumerate() {
             let (members, widest) = tally[i];
@@ -1234,6 +1258,24 @@ impl<C: SlidingTopK, T: TimedTopK> RegistryParts<C, T> {
             counters,
         })
     }
+
+    /// Seats decoded members in their groups, once, after
+    /// [`merge`](RegistryParts::merge) validated them: each is counted
+    /// in, and each that is not warming up pools into a result class by
+    /// byte signature. Only a restore needs this — a decoded group
+    /// arrives without classes, while a migrated one keeps its own.
+    pub(crate) fn pool_classes(&mut self) {
+        for (id, session) in &mut self.sessions {
+            let AnySession::Group(m) = session else {
+                continue;
+            };
+            let group = &mut self.groups[m.group() as usize];
+            group.count(m);
+            if !m.is_warming_up() {
+                group.class_member(*id, m);
+            }
+        }
+    }
 }
 
 /// Where a group close delivers its member emissions: the session store
@@ -1242,7 +1284,6 @@ struct Delivery<'a, C: SlidingTopK, T: TimedTopK> {
     sessions: &'a mut [(QueryId, AnySession<C, T>)],
     out: &'a mut Vec<QueryUpdate>,
     hint: usize,
-    class_hits: &'a mut u64,
 }
 
 impl<C: SlidingTopK, T: TimedTopK> Delivery<'_, C, T> {
@@ -1261,8 +1302,6 @@ impl<C: SlidingTopK, T: TimedTopK> Delivery<'_, C, T> {
             let mut sink = tagged_sink(self.out, self.hint, *id);
             session.emit_class(snapshot, events, &mut sink);
         }
-        // the members past the first were served without a reduction
-        *self.class_hits += members.len() as u64 - 1;
     }
 }
 
@@ -1317,6 +1356,23 @@ fn needs_call<C: SlidingTopK, T: TimedTopK>(session: &AnySession<C, T>) -> bool 
     }
 }
 
+/// Whether every group member among `sessions` sits where a live group
+/// keeps it: a warming member in no class of its group, any other in
+/// exactly one — the shape a group must arrive in when it is installed.
+fn members_in_classes<C: SlidingTopK, T: TimedTopK>(
+    groups: &HashMap<u64, Group<C>>,
+    sessions: &[(QueryId, AnySession<C, T>)],
+) -> bool {
+    sessions.iter().all(|(id, session)| {
+        let AnySession::Group(m) = session else {
+            return true;
+        };
+        let classes = groups[&m.group()].classes.iter();
+        let holding = classes.filter(|c| c.members.binary_search(id).is_ok());
+        holding.count() == usize::from(!m.is_warming_up())
+    })
+}
+
 /// Serves a warming member through `warm`, counting its private slides
 /// as [`digest_rebuilds`](HubStats::digest_rebuilds).
 fn serve_warming(
@@ -1333,9 +1389,9 @@ fn serve_warming(
 /// Canonical byte signature of a consumer's replayable state — the same
 /// bytes `encode_checkpoint` would write for it. Two consumers with
 /// equal spec, slide progress, and signature provably compute identical
-/// futures, which is what lets installation pool restored or migrated
-/// members back into result classes (and drop the duplicate consumer
-/// losslessly) without the checkpoint carrying any class structure.
+/// futures, which is what lets a restore pool decoded members back into
+/// result classes (and drop the duplicate consumer losslessly) without
+/// the checkpoint carrying any class structure.
 fn consumer_sig<C: SlidingTopK>(consumer: &SharedTimed<C>) -> Vec<u8> {
     let mut enc = Encoder::new();
     consumer.encode_state(&mut enc);
@@ -1461,8 +1517,8 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
     /// step with its group joins the class with its exact key — matching
     /// keys mean the class is still at its open join slide, so the
     /// member's fresh consumer is a byte-for-byte duplicate and dropping
-    /// it is lossless — or founds one (class sharing off founds only). An
-    /// event-clock member joining mid-stream warms up instead.
+    /// it is lossless — or founds one. An event-clock member joining
+    /// mid-stream warms up instead.
     fn register_member(
         &mut self,
         id: QueryId,
@@ -1506,7 +1562,7 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
         } else if let Some(class) = group
             .classes
             .iter_mut()
-            .find(|c| self.class_sharing && c.key() == member.class_key())
+            .find(|c| c.key() == member.class_key())
         {
             debug_assert_eq!(
                 class.consumer.slides_applied(),
@@ -1752,8 +1808,6 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
             sessions,
             groups,
             counters,
-            class_hits,
-            admission_pruning,
             update_hint,
             ..
         } = self;
@@ -1761,7 +1815,6 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
             sessions,
             out,
             hint: *update_hint,
-            class_hits,
         };
         for group in groups.values_mut() {
             let objects = match (tick, &group.clock) {
@@ -1778,7 +1831,7 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
             for raw in objects {
                 let (o, after) = group.clock.step(*raw, retain);
                 group.advance(o.timestamp, counters, &mut delivery);
-                group.admit(raw, o, *admission_pruning, counters);
+                group.admit(raw, o, counters);
                 group.advance(after, counters, &mut delivery);
             }
         }
@@ -1850,31 +1903,6 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
         GroupKeys(self.groups.values().map(Group::identity).collect())
     }
 
-    /// Enables/disables pooling of members that start in step with their
-    /// group into existing result classes at registration (see
-    /// [`HubStats::class_hits`]). Existing classes are untouched, and
-    /// traveling members (restore, migration) re-class regardless — a
-    /// consumer-less follower cannot serve without its class.
-    pub(crate) fn set_class_sharing(&mut self, enabled: bool) {
-        self.class_sharing = enabled;
-    }
-
-    /// Enables/disables the k-skyband dominance gate at ingest (see
-    /// [`HubStats::pruned`]). Enabling rebuilds every group's gate from
-    /// its open slide's admitted buffer — the gates go stale while the
-    /// knob is off (nothing offers scores to them), and pruning against
-    /// a stale gate would be unsound after a re-enable mid-slide.
-    pub(crate) fn set_admission_pruning(&mut self, enabled: bool) {
-        if enabled && !self.admission_pruning {
-            for group in self.groups.values_mut() {
-                group
-                    .gate
-                    .rebuild(group.producer.k_max(), group.producer.pending());
-            }
-        }
-        self.admission_pruning = enabled;
-    }
-
     pub(crate) fn stats(&self) -> HubStats {
         let c = self.counters;
         let mut stats = HubStats {
@@ -1885,7 +1913,7 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
             count_group_rebuilds: c.count_group_rebuilds,
             admitted: c.admitted,
             pruned: c.pruned,
-            class_hits: self.class_hits,
+            class_hits: c.class_hits,
             ..HubStats::default()
         };
         for group in self.groups.values() {
@@ -2174,14 +2202,13 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
 
     /// Builds a registry from already-merged, already-validated parts —
     /// possibly several shards' worth, when a sharded checkpoint is
-    /// restored into a sequential hub. Group membership and result
-    /// classes are **rebuilt** here rather than carried (see
-    /// [`seat`](Registry::seat)), so a restored registry serves exactly
-    /// like the one that wrote the checkpoint, without the checkpoint
-    /// carrying any class structure.
+    /// restored into a sequential hub. Groups are inserted as they
+    /// arrive, with their members counted and seated in classes (a
+    /// restore seats decoded members first; see
+    /// [`RegistryParts::pool_classes`]).
     pub(crate) fn from_merged(parts: RegistryParts<C, T>, shard: Option<usize>) -> Self {
         let RegistryParts {
-            mut sessions,
+            sessions,
             groups,
             counters,
         } = parts;
@@ -2194,83 +2221,18 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
         // group's index, so adopting positions as ids keeps the
         // references valid verbatim
         for group in groups {
-            registry.insert_group(group.reset());
+            registry.insert_group(group);
         }
-        for (id, session) in &mut sessions {
-            if let AnySession::Group(m) = session {
-                let group = registry
-                    .groups
-                    .get_mut(&m.group())
-                    .expect("merge validated every member's group");
-                Self::seat(group, *id, m);
-            }
-        }
+        debug_assert!(
+            members_in_classes(&registry.groups, &sessions),
+            "members arrive seated in their groups' classes"
+        );
         registry.sessions = sessions;
         registry.rebuild_solo();
         registry
     }
 
-    /// Seats a traveling member in its group — restore and installation
-    /// both pass members in ascending-id order. A warming member serves
-    /// itself; a consumer carrier pools into the classes by signature;
-    /// a consumer-less follower rejoins its representative's class.
-    fn seat(group: &mut Group<C>, id: QueryId, m: &mut GroupSession<C>) {
-        group.count(m);
-        if m.is_warming_up() {
-            return;
-        }
-        if m.consumer().is_some() {
-            Self::class_member(group, id, m);
-        } else {
-            Self::join_follower(group, id, m);
-        }
-    }
-
-    /// Pools a consumer-carrying, non-warming traveler into its group's
-    /// result classes: joins the class with an identical byte signature —
-    /// equal key, slide progress, previous emission, and encoded consumer
-    /// state make its future emissions provably identical, so the
-    /// member's duplicate consumer is dropped — and founds a class around
-    /// the consumer otherwise. Live registration pools only members that
-    /// start in step, which need no signature.
-    fn class_member(group: &mut Group<C>, id: QueryId, m: &mut GroupSession<C>) {
-        let consumer = m.consumer().expect("caller checked the consumer");
-        let mut sig = None;
-        let class = group.classes.iter_mut().find(|c| {
-            c.key() == m.class_key()
-                && c.consumer.slides_applied() == consumer.slides_applied()
-                && c.prev.as_slice() == m.last_snapshot()
-                && consumer_sig(&c.consumer) == *sig.get_or_insert_with(|| consumer_sig(consumer))
-        });
-        match class {
-            Some(class) => {
-                let pos = class.members.partition_point(|m| *m < id);
-                class.members.insert(pos, id);
-                m.take_consumer();
-            }
-            None => group.found_class(id, m),
-        }
-    }
-
-    /// Rejoins a traveling follower to the class its representative
-    /// carried. The representative — a class's lowest member id — is
-    /// always seated first, because members are seated in ascending-id
-    /// order.
-    fn join_follower(group: &mut Group<C>, id: QueryId, m: &mut GroupSession<C>) {
-        let rep = m
-            .class_rep()
-            .expect("a consumer-less traveler names its class representative");
-        let class = group
-            .classes
-            .iter_mut()
-            .find(|c| c.members.binary_search(&rep).is_ok())
-            .expect("a class representative is seated before its followers");
-        let pos = class.members.partition_point(|m| *m < id);
-        class.members.insert(pos, id);
-        m.set_class_rep(None);
-    }
-
-    /// Adds restored sharing counters (a restore assigns the checkpoint's
+    /// Adds restored sharing counters (a restore or a resize assigns the
     /// summed counters wholesale to one shard; a migration moves none).
     pub(crate) fn install_counters(&mut self, counters: Counters) {
         self.counters.absorb(&counters);
@@ -2301,8 +2263,8 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
 
     /// Installs a group and its member sessions as one unit (the restore
     /// and migration paths — a group never travels without its members).
-    /// The group gets a fresh live id, its members are rebound to it and
-    /// seated, and they merge into the store in one pass.
+    /// The group keeps its classes and gets a fresh live id, its members
+    /// are rebound to it, and they merge into the store in one pass.
     pub(crate) fn install_group(
         &mut self,
         group: Group<C>,
@@ -2313,75 +2275,42 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
             members.windows(2).all(|w| w[0].0 < w[1].0),
             "members travel in ascending-id order"
         );
-        let gid = self.insert_group(group.reset());
-        let group = self.groups.get_mut(&gid).expect("just inserted");
-        for (id, session) in &mut members {
+        let gid = self.insert_group(group);
+        for (_, session) in &mut members {
             let AnySession::Group(m) = session else {
                 unreachable!("a group's members are group sessions")
             };
             m.set_group(gid);
-            Self::seat(group, *id, m);
         }
+        debug_assert!(
+            members_in_classes(&self.groups, &members),
+            "members travel seated in their group's classes"
+        );
         self.merge_sessions(members);
-    }
-
-    /// Dissolves a group's result classes ahead of an ejection: each
-    /// class's representative — its lowest member id — adopts the class
-    /// consumer and carries it through the migration, and every follower
-    /// is tagged with the representative's id so installation rejoins it
-    /// to exactly its old class (two classes can share a key, so the tag
-    /// disambiguates).
-    fn dissolve_classes(sessions: &mut [(QueryId, AnySession<C, T>)], group: &mut Group<C>) {
-        fn member<C: SlidingTopK, T: TimedTopK>(
-            sessions: &mut [(QueryId, AnySession<C, T>)],
-            id: QueryId,
-        ) -> &mut GroupSession<C> {
-            let idx = sessions
-                .binary_search_by_key(&id, |(have, _)| *have)
-                .expect("class member ids name registered sessions");
-            let AnySession::Group(m) = &mut sessions[idx].1 else {
-                unreachable!("class members are group sessions")
-            };
-            m
-        }
-        for class in group.classes.drain(..) {
-            let rep = class.members[0];
-            for &follower in &class.members[1..] {
-                member(sessions, follower).set_class_rep(Some(rep));
-            }
-            member(sessions, rep).adopt_consumer(class.consumer);
-        }
     }
 
     /// Ejects the group containing `member` and every member session, for
     /// whole-group migration to another shard (a group's members are
-    /// inseparable — moving one moves all). `None` if `member` is not a
-    /// group member here.
+    /// inseparable — moving one moves all). The group keeps its classes,
+    /// so a classed member travels without a consumer. `None` if `member`
+    /// is not a group member here.
     pub(crate) fn eject_group_of(&mut self, member: QueryId) -> Option<EjectedGroup<C, T>> {
         let AnySession::Group(m) = self.session(member)? else {
             return None;
         };
         let gid = m.group();
-        let mut group = self.remove_group(gid);
-        Self::dissolve_classes(&mut self.sessions, &mut group);
+        let group = self.remove_group(gid);
         let members =
             self.extract_sessions(|s| matches!(s, AnySession::Group(m) if m.group() == gid));
         debug_assert_eq!(members.len(), group.members);
         Some((group, members))
     }
 
-    /// Ejects everything — sessions, groups, counters — leaving the
-    /// registry empty. The `AsyncHub::resize` path drains each shard
-    /// through this before re-scattering onto the new shard set.
+    /// Ejects everything — sessions, groups with their classes,
+    /// counters — leaving the registry empty. The `AsyncHub::resize` path
+    /// drains each shard through this before re-scattering onto the new
+    /// shard set.
     pub(crate) fn eject_all(&mut self) -> RegistryParts<C, T> {
-        // dissolve every result class back into the session store first
-        // (same protocol as a single-group eject); the class-hit counter
-        // has no slot in `RegistryParts`, so it resets here — documented
-        // on `HubStats::class_hits`
-        for group in self.groups.values_mut() {
-            Self::dissolve_classes(&mut self.sessions, group);
-        }
-        self.class_hits = 0;
         // members name their group by position in the parts' list
         let order = self.canonical();
         let index_of: HashMap<u64, u64> = order
@@ -2521,9 +2450,9 @@ mod tests {
         assert_listed(&reg, "promotion");
         assert_eq!(listed(&reg), [0, 4]);
 
-        // the class's representative leaves, then its last member
+        // the class's first member leaves, then its last
         reg.unregister(q(1)).unwrap();
-        assert_listed(&reg, "representative leaves");
+        assert_listed(&reg, "first class member leaves");
         let last = reg.unregister(q(2)).unwrap();
         assert!(!last.as_group().unwrap().is_classed(), "takes the consumer");
         assert_listed(&reg, "last class member leaves");
@@ -2534,18 +2463,16 @@ mod tests {
             .collect();
         assert_eq!(left, [[q(5)]], "only 5's class of one is left");
 
-        // with class sharing off a pristine joiner founds a class of its
-        // own; back on, the next pristine joiner joins it
-        reg.set_class_sharing(false);
+        // two pristine joiners of a fresh slide group share a class; a
+        // joiner of the warm group warms up
         enroll_event(&mut reg, 6, consumer(14, 7, 1), pass);
-        reg.set_class_sharing(true);
         enroll_event(&mut reg, 7, consumer(14, 7, 1), pass);
         enroll_event(&mut reg, 8, consumer(20, 10, 2), pass);
-        assert_listed(&reg, "join with class sharing off");
+        assert_listed(&reg, "pristine joins");
         assert_eq!(listed(&reg), [0, 4, 8], "8 joined mid-stream");
 
         // install and eject, as `move_query` uses them: a migrated
-        // settled member pools into a class, a warming one stays solo
+        // settled member keeps its class, a warming one stays solo
         let (group, members) = reg.eject_group_of(q(5)).unwrap();
         assert_listed(&reg, "slide-group eject");
         assert_eq!(listed(&reg), [0, 4]);
@@ -2624,7 +2551,7 @@ mod tests {
         let group = slide_group(&target, 10, pass);
         assert_eq!(group.members as u64, MEMBERS);
         let classed: usize = group.classes.iter().map(|c| c.members.len()).sum();
-        assert_eq!(classed as u64, MEMBERS, "classes re-form on arrival");
+        assert_eq!(classed as u64, MEMBERS, "classes travel with the group");
         let count_group = &target.groups[&target.by_key[&(Clock::Arrival, 5, pass)][0]];
         assert_eq!(count_group.members as u64, MEMBERS);
 

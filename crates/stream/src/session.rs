@@ -608,7 +608,7 @@ pub enum Clock {
 /// (see `crate::registry`); the session keeps the member's own slide
 /// counter and previous emission. The session holds a consumer itself
 /// while it warms up, after it left its class as the last member, and
-/// while it travels through a migration as its class's representative.
+/// when it is decoded from a checkpoint, until the restore pools it.
 ///
 /// An event-clock member that registers after its group ingested
 /// anything must only observe objects published after its registration,
@@ -650,11 +650,6 @@ pub struct GroupSession<C: SlidingTopK> {
     warmup: Option<Box<Warmup>>,
     prev: Snapshot,
     slides: u64,
-    /// While traveling without a consumer: the id of the class
-    /// representative carrying the class's consumer, so installation
-    /// rejoins this member to exactly its old class. Never encoded:
-    /// decoded sessions always carry their own consumer.
-    class_rep: Option<QueryId>,
 }
 
 /// The private catch-up view of an event-clock member that joined
@@ -692,7 +687,6 @@ impl<C: SlidingTopK> GroupSession<C> {
             warmup: None,
             prev: Snapshot::empty(),
             slides: 0,
-            class_rep: None,
         }
     }
 
@@ -786,22 +780,11 @@ impl<C: SlidingTopK> GroupSession<C> {
         self.consumer.take()
     }
 
-    /// Gives a consumer (back) to this member: a class representative
-    /// before a migration, or the last member leaving its class.
+    /// Gives the class consumer back to the last member leaving its
+    /// class.
     pub(crate) fn adopt_consumer(&mut self, consumer: SharedTimed<C>) {
         debug_assert!(self.consumer.is_none(), "adopting over a live consumer");
         self.consumer = Some(consumer);
-        self.class_rep = None;
-    }
-
-    /// The class representative this traveling follower rejoins.
-    pub(crate) fn class_rep(&self) -> Option<QueryId> {
-        self.class_rep
-    }
-
-    /// Tags a traveling follower with its class representative's id.
-    pub(crate) fn set_class_rep(&mut self, rep: Option<QueryId>) {
-        self.class_rep = rep;
     }
 
     /// Number of slides closed so far.
@@ -1251,7 +1234,7 @@ impl Hub {
     /// time-based sessions additionally consume the timestamps, closing
     /// their slides (empty ones included) as boundaries are crossed.
     /// Shared queries are served group-wise: each slide group ingests the
-    /// batch once and its closed digests fan out to the members. Returns
+    /// batch once and serves its result classes inside each close. Returns
     /// every completed slide in registration order.
     pub fn publish_timed(&mut self, objects: &[TimedObject]) -> Vec<QueryUpdate> {
         self.registry.publish_timed(objects)
@@ -1306,100 +1289,6 @@ impl Hub {
     /// (groups, hits, warm-up rebuilds) — see [`HubStats`].
     pub fn stats(&self) -> HubStats {
         self.registry.stats()
-    }
-
-    /// Enables or disables **result-class sharing** for *future*
-    /// registrations (default: enabled). Disabled, every new member
-    /// founds a class of its own — the pre-memoization serving shape,
-    /// where each member re-runs its own reduction and diff per slide
-    /// close — which is the reference arm the floor bench compares the
-    /// memoized path against. Existing classes are left as they are;
-    /// results are byte-identical either way.
-    ///
-    /// Same-class members share one snapshot allocation per close:
-    ///
-    /// ```
-    /// use sap_stream::{Hub, Object, Registration};
-    /// # use sap_stream::{OpStats, SlidingTopK, WindowSpec};
-    /// # struct Toy(WindowSpec, Vec<Object>);
-    /// # impl sap_stream::checkpoint::CheckpointState for Toy {}
-    /// # impl SlidingTopK for Toy {
-    /// #     fn spec(&self) -> WindowSpec { self.0 }
-    /// #     fn slide(&mut self, b: &[Object]) -> &[Object] { self.1 = b.to_vec(); &self.1 }
-    /// #     fn candidate_count(&self) -> usize { 0 }
-    /// #     fn memory_bytes(&self) -> usize { 0 }
-    /// #     fn stats(&self) -> OpStats { OpStats::default() }
-    /// #     fn name(&self) -> &str { "toy" }
-    /// # }
-    /// # fn reduced() -> Box<Toy> { Box::new(Toy(WindowSpec::new(4, 2, 2).unwrap(), Vec::new())) }
-    /// let mut hub = Hub::new();
-    /// // two copies of the same ⟨n = 4, k = 2, s = 2⟩ query (`reduced()`
-    /// // builds each member's engine over the grouped plane's private
-    /// // ⟨(n/s)·k, k, k⟩ reduction): one result class, one computation
-    /// hub.subscribe(Registration::grouped(reduced(), 4, 2)).unwrap();
-    /// hub.subscribe(Registration::grouped(reduced(), 4, 2)).unwrap();
-    /// let batch: Vec<Object> = (0..2).map(|i| Object::new(i, i as f64)).collect();
-    /// let updates = hub.publish(&batch);
-    /// assert_eq!(updates.len(), 2);
-    /// assert!(updates[0].result.snapshot.ptr_eq(&updates[1].result.snapshot));
-    /// assert_eq!(hub.stats().result_classes, 1);
-    /// assert_eq!(hub.stats().class_hits, 1);
-    ///
-    /// // knob off: the next registration founds its own solo class
-    /// hub.set_result_class_sharing(false);
-    /// hub.subscribe(Registration::grouped(reduced(), 4, 2)).unwrap();
-    /// assert_eq!(hub.stats().result_classes, 2);
-    /// ```
-    pub fn set_result_class_sharing(&mut self, enabled: bool) {
-        self.registry.set_class_sharing(enabled);
-    }
-
-    /// Enables or disables **ingest-side dominance pruning** (default:
-    /// enabled). Enabled, each shared slide group and count group keeps a
-    /// running top-`k_max` score bound over its open slide and skips
-    /// admitting objects that `k_max` already-admitted open-slide objects
-    /// strictly dominate — such objects cannot appear in the slide's
-    /// digest, so every member's results are byte-identical either way
-    /// (the k-skyband criterion, generalized to the group's deepest
-    /// member). Pruned objects still advance arrival ordinals and slide
-    /// boundaries, so slide numbering, checkpoints, and drain order do
-    /// not move. Disabled, every object is admitted — the reference arm —
-    /// and [`HubStats::pruned`] stays `0`.
-    ///
-    /// Turning the knob **on** mid-stream rebuilds each group's bound
-    /// from its open slide's pending buffer, so the invariant holds from
-    /// the first object after the toggle.
-    ///
-    /// ```
-    /// use sap_stream::{Hub, Object, Registration};
-    /// # use sap_stream::{OpStats, SlidingTopK, WindowSpec};
-    /// # struct Toy(WindowSpec, Vec<Object>);
-    /// # impl sap_stream::checkpoint::CheckpointState for Toy {}
-    /// # impl SlidingTopK for Toy {
-    /// #     fn spec(&self) -> WindowSpec { self.0 }
-    /// #     fn slide(&mut self, b: &[Object]) -> &[Object] { self.1 = b.to_vec(); &self.1 }
-    /// #     fn candidate_count(&self) -> usize { 0 }
-    /// #     fn memory_bytes(&self) -> usize { 0 }
-    /// #     fn stats(&self) -> OpStats { OpStats::default() }
-    /// #     fn name(&self) -> &str { "toy" }
-    /// # }
-    /// # fn reduced() -> Box<Toy> { Box::new(Toy(WindowSpec::new(4, 1, 1).unwrap(), Vec::new())) }
-    /// let mut hub = Hub::new();
-    /// hub.subscribe(Registration::grouped(reduced(), 16, 4)).unwrap();
-    /// // descending scores: after the first, every arrival in the open
-    /// // slide is dominated by k_max = 1 admitted object and is pruned
-    /// let batch: Vec<Object> = (0..4).map(|i| Object::new(i, -(i as f64))).collect();
-    /// hub.publish(&batch);
-    /// assert_eq!(hub.stats().pruned, 3);
-    ///
-    /// // knob off: the reference arm admits everything
-    /// hub.set_admission_pruning(false);
-    /// hub.publish(&batch);
-    /// assert_eq!(hub.stats().pruned, 3); // unchanged
-    /// assert_eq!(hub.stats().admitted, 1 + 4);
-    /// ```
-    pub fn set_admission_pruning(&mut self, enabled: bool) {
-        self.registry.set_admission_pruning(enabled);
     }
 
     /// Iterates the registered query handles in registration order.

@@ -105,14 +105,6 @@ pub(crate) enum Command {
     /// Hand *everything* back — sessions, groups, counters, and the
     /// undrained updates — emptying the shard (the resize path).
     EjectAll(mpsc::Sender<(ShardParts, Vec<QueryUpdate>)>),
-    /// Toggle result-class pooling for *future registrations* on this
-    /// shard (traveling sessions re-class regardless; see
-    /// [`Registry::set_class_sharing`]).
-    SetClassSharing(bool),
-    /// Toggle ingest-side dominance pruning on this shard's registry
-    /// (takes effect immediately for every group it serves; see
-    /// [`Registry::set_admission_pruning`]).
-    SetAdmissionPruning(bool),
 }
 
 impl Command {
@@ -182,8 +174,6 @@ pub(crate) fn apply_command(
         Command::EjectAll(reply) => {
             let _ = reply.send((registry.eject_all(), std::mem::take(updates)));
         }
-        Command::SetClassSharing(enabled) => registry.set_class_sharing(enabled),
-        Command::SetAdmissionPruning(enabled) => registry.set_admission_pruning(enabled),
     }
 }
 
@@ -496,8 +486,8 @@ pub(crate) fn checkpoint_sections_on(
 
 /// Decodes a hub checkpoint (either hub, any shard count) into the
 /// id-allocator watermark and the merged serving state, validating as it
-/// goes. Malformed input is a typed [`SapError::Checkpoint`]; never
-/// panics on foreign bytes.
+/// goes, then seats the members in result classes. Malformed input is a
+/// typed [`SapError::Checkpoint`]; never panics on foreign bytes.
 pub(crate) fn decode_hub_checkpoint(
     checkpoint: &Checkpoint,
     factory: &dyn EngineFactory,
@@ -516,10 +506,11 @@ pub(crate) fn decode_hub_checkpoint(
         registry.finish().map_err(SapError::from)?;
     }
     dec.finish().map_err(SapError::from)?;
-    let merged = RegistryParts::merge(parts).map_err(SapError::from)?;
+    let mut merged = RegistryParts::merge(parts).map_err(SapError::from)?;
     if merged.sessions.iter().any(|(id, _)| id.raw() >= next_id) {
         return Err(CheckpointError::Corrupt("session id at or past the id counter").into());
     }
+    merged.pool_classes();
     Ok((next_id, merged))
 }
 

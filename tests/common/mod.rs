@@ -181,8 +181,8 @@ struct Standing {
     /// The hub's arrival count at registration.
     offset: u64,
     /// Whether the member sits in a result class the model predicts: a
-    /// grouped member registered with class sharing on, or a shared one
-    /// registered with it on into a pristine slide group.
+    /// grouped member, or a shared one registered into a pristine slide
+    /// group.
     classed: bool,
     /// Objects observed since registration, in arrival order (untimed
     /// arrivals carry timestamp 0, which count windows never read).
@@ -196,8 +196,6 @@ pub struct Model {
     queries: Vec<Standing>,
     arrivals: u64,
     tallies: Tallies,
-    /// The result-class sharing knob.
-    class_sharing: bool,
     /// The live slide groups, as `(slide duration, filter)`, and whether
     /// each is still *pristine*: since it was founded, no object its
     /// filter accepts arrived and no timestamp or watermark reached its
@@ -303,20 +301,8 @@ impl Model {
             queries: Vec::new(),
             arrivals: 0,
             tallies: Tallies::default(),
-            class_sharing: true,
             slide_groups: Vec::new(),
         }
-    }
-
-    /// Switches result-class sharing for later registrations.
-    pub fn set_class_sharing(&mut self, on: bool) {
-        self.class_sharing = on;
-    }
-
-    /// A checkpoint restore: the restored hub starts with both knobs at
-    /// their defaults, so class sharing is on again.
-    pub fn restored(&mut self) {
-        self.class_sharing = true;
     }
 
     /// Admits a registration, returning the query's registration index,
@@ -343,7 +329,7 @@ impl Model {
             Window::Time { sd, .. } if plane == Plane::Shared => self.join_slide_group(sd, filter),
             _ => false,
         };
-        let classed = self.class_sharing && (plane == Plane::Grouped || pristine);
+        let classed = plane == Plane::Grouped || pristine;
         self.queries.push(Standing {
             plane,
             window,
@@ -510,10 +496,11 @@ impl Model {
     /// is classed (`None` otherwise). Grouped members pool by `(n, k,
     /// join slide)` inside their count group — members of one group with
     /// one join slide registered at one offset — and shared members by
-    /// `(wd, k)` inside their slide group. A solo member breaks the
-    /// prediction: a shared one warming up or promoted after a
-    /// mid-stream join, or any member registered with sharing off, is
-    /// classed afresh whenever its group travels (restore, move, resize).
+    /// `(wd, k)` inside their slide group. Classes travel whole with
+    /// their group (move, resize). A solo member breaks the prediction: a
+    /// shared one warming up, or promoted after a mid-stream join into a
+    /// class of its own, which a restore may pool with an equal class by
+    /// byte signature.
     pub fn result_classes(&self) -> Option<u64> {
         let mut classes = Vec::new();
         for q in &self.queries {

@@ -5,9 +5,9 @@
 //! registrations on every plane with all five algorithms and pass-all,
 //! score, key and tag filters; unregister; every publish flavor;
 //! watermarks; drain, flush, inspect and stats; `move_query` and
-//! `resize`; checkpoints restored into either hub at another shape; and
-//! both knob toggles — and replays it in lockstep on several *lanes*: a
-//! `Hub`, an `AsyncHub::new(n, n)` and four `AsyncHub`s driven by
+//! `resize`; and checkpoints restored into either hub at another shape
+//! — and replays it in lockstep on several *lanes*: a `Hub`, an
+//! `AsyncHub::new(n, n)` and four `AsyncHub`s driven by
 //! `SeededScheduler`s. Every update a lane returns or drains must equal
 //! the model's, and after every drain each lane's `HubStats` must equal
 //! the model's tallies. The first mismatch panics with one line naming
@@ -98,8 +98,6 @@ enum Op {
     Checkpoint {
         targets: u64,
     },
-    ClassSharing(bool),
-    AdmissionPruning(bool),
 }
 
 /// FNV-1a: a fixed seed from a test's name.
@@ -218,8 +216,6 @@ struct Lane {
     index: HashMap<QueryId, usize>,
     /// Updates an `AsyncHub` lane emitted but has not drained yet.
     undrained: Vec<Expected>,
-    /// `HubStats::pruned` when pruning was last switched off.
-    frozen_pruned: Option<u64>,
     /// `HubStats::pruned` at the last stats check.
     pruned: u64,
 }
@@ -263,7 +259,6 @@ impl Lane {
             ids: Vec::new(),
             index: HashMap::new(),
             undrained: Vec::new(),
-            frozen_pruned: None,
             pruned: 0,
         }
     }
@@ -290,9 +285,8 @@ impl Lane {
         }
     }
 
-    /// The lane's counters against the model's tallies, the result
-    /// classes against the model's count where it has one, and `pruned`
-    /// frozen while pruning is off.
+    /// The lane's counters against the model's tallies, and the result
+    /// classes against the model's count where it has one.
     fn check_stats(&mut self, model: &Model) -> Check {
         let stats = self.stats()?;
         self.pruned = stats.pruned;
@@ -311,13 +305,7 @@ impl Lane {
                 stats.result_classes
             ));
         }
-        match self.frozen_pruned {
-            Some(pruned) if stats.pruned != pruned => Err(format!(
-                "pruned moved from {pruned} to {} with pruning off",
-                stats.pruned
-            )),
-            _ => Ok(()),
-        }
+        Ok(())
     }
 
     fn register(&mut self, method: Method, q: &Query, want: Result<usize, Refusal>) -> Check {
@@ -411,7 +399,6 @@ impl Lane {
         };
         self.shape = target;
         self.restored_at = Some(step);
-        self.frozen_pruned = None;
         match carried(self.stats()?) {
             after if after == before => Ok(()),
             after => Err(format!("counters {before:?} restored as {after:?}")),
@@ -480,23 +467,6 @@ impl Lane {
                 }
             }
             (Op::Resize(n), Flavor::Async(hub)) => ok(hub.resize(*n)),
-            (Op::ClassSharing(on), Flavor::Sequential(hub)) => {
-                hub.set_result_class_sharing(*on);
-                Ok(())
-            }
-            (Op::ClassSharing(on), Flavor::Async(hub)) => ok(hub.set_result_class_sharing(*on)),
-            (Op::AdmissionPruning(on), flavor) => {
-                match flavor {
-                    Flavor::Sequential(hub) => hub.set_admission_pruning(*on),
-                    Flavor::Async(hub) => ok(hub.set_admission_pruning(*on))?,
-                }
-                self.frozen_pruned = if *on {
-                    None
-                } else {
-                    Some(self.stats()?.pruned)
-                };
-                Ok(())
-            }
             (
                 Op::Register { .. } | Op::Unregister(_) | Op::Inspect(_) | Op::Checkpoint { .. },
                 _,
@@ -557,8 +527,6 @@ impl Case {
             Op::PublishTimed(batch) => want = model.publish_timed(batch),
             Op::PublishOneTimed(o) => want = model.publish_timed(std::slice::from_ref(o)),
             Op::AdvanceTime(w) => want = model.advance_time(*w),
-            Op::ClassSharing(on) => model.set_class_sharing(*on),
-            Op::Checkpoint { .. } => model.restored(),
             _ => {}
         }
         let mut pruned = None;
@@ -781,8 +749,7 @@ impl Draw {
                     targets: self.rng.next(),
                 }
             }
-            91..96 => Op::ClassSharing(self.rng.chance(50)),
-            _ => Op::AdmissionPruning(self.rng.chance(50)),
+            _ => Op::Stats,
         };
         self.last = Some(op.clone());
         op
@@ -995,6 +962,26 @@ script! {
         reg(Method::Grouped, count(4, 2, 2), ANY),
         reg(Method::Grouped, count(4, 2, 2), at_least(5.0)),
         Op::Publish(objects(&[(1, 7.0), (2, 3.0), (3, 9.0), (4, 1.0)])),
+        Op::Drain,
+    ]
+}
+
+script! {
+    /// The second member joins mid-slide and warms up on ids 3–4 only,
+    /// then founds a class of one. Its window differs from its pristine
+    /// twin's until slide 0 leaves it, so neither a restore nor a resize
+    /// may pool the two by class key alone.
+    promoted_member_stays_apart_from_its_pristine_twin: [
+        reg(Method::Shared, time(6, 2, 3), ANY),
+        Op::PublishTimed(timed(&[(1, 0, 5.0), (2, 1, 4.0)])),
+        reg(Method::Shared, time(6, 2, 3), ANY),
+        Op::PublishTimed(timed(&[(3, 2, 1.0), (4, 3, 2.0)])),
+        Op::Drain,
+        Op::Checkpoint { targets: 7 },
+        Op::PublishTimed(timed(&[(5, 6, 0.5)])),
+        Op::Drain,
+        Op::Resize(3),
+        Op::PublishTimed(timed(&[(6, 7, 0.25), (7, 9, 0.1)])),
         Op::Drain,
     ]
 }

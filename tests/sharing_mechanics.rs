@@ -34,24 +34,22 @@ fn gate_stream(scores: &[u8]) -> Vec<Object> {
 
 /// Pins result-class sharing itself, not just its results: on a
 /// slide close, every member of a result class receives a clone of the
-/// **same** `Snapshot` allocation (`Arc::ptr_eq`), while with the knob
-/// off each member materializes its own. Results are checksum-identical
-/// either way.
+/// **same** `Snapshot` allocation (`Arc::ptr_eq`), while isolated
+/// sessions of the same query each materialize their own. Results are
+/// checksum-identical either way.
 #[test]
 fn class_members_share_one_snapshot_allocation() {
     let data = class_stream(&(0..96).map(|i| (i * 5 % 23) as u8).collect::<Vec<_>>());
     let mut classed = Hub::new();
-    let mut off = Hub::new();
-    off.set_result_class_sharing(false);
+    let mut isolated = Hub::new();
     let members = 4usize;
-    for hub in [&mut classed, &mut off] {
-        for _ in 0..members {
-            hub.register_grouped(&Query::window(8).top(3).slide(4))
-                .unwrap();
-        }
+    let query = Query::window(8).top(3).slide(4);
+    for _ in 0..members {
+        classed.register_grouped(&query).unwrap();
+        isolated.register(&query).unwrap();
     }
     let mut classed_sums = BTreeMap::new();
-    let mut off_sums = BTreeMap::new();
+    let mut isolated_sums = BTreeMap::new();
     for chunk in data.chunks(4) {
         let updates = classed.publish(chunk);
         let mut by_slide: BTreeMap<u64, Vec<Snapshot>> = BTreeMap::new();
@@ -72,7 +70,7 @@ fn class_members_share_one_snapshot_allocation() {
         }
         fold_all(&mut classed_sums, updates);
 
-        let updates = off.publish(chunk);
+        let updates = isolated.publish(chunk);
         let mut by_slide: BTreeMap<u64, Vec<Snapshot>> = BTreeMap::new();
         for u in &updates {
             by_slide
@@ -84,22 +82,77 @@ fn class_members_share_one_snapshot_allocation() {
             for snap in &snaps[1..] {
                 assert!(
                     snaps[0].is_empty() || !snaps[0].ptr_eq(snap),
-                    "slide {slide}: unclassed members each own their snapshot"
+                    "slide {slide}: isolated sessions each own their snapshot"
                 );
             }
         }
-        fold_all(&mut off_sums, updates);
+        fold_all(&mut isolated_sums, updates);
     }
-    assert_eq!(classed_sums, off_sums, "sharing must be result-invisible");
+    assert_eq!(
+        classed_sums, isolated_sums,
+        "sharing must be result-invisible"
+    );
     let stats = classed.stats();
     assert_eq!(stats.result_classes, 1, "one geometry, one class");
     assert!(
         stats.class_hits > 0,
         "every close serves 3 members for free"
     );
-    // knob off: one solo class per member, nobody rides a shared close
-    assert_eq!(off.stats().result_classes, members as u64);
-    assert_eq!(off.stats().class_hits, 0);
+    // isolated sessions: nobody rides a shared close
+    assert_eq!(isolated.stats().class_hits, 0);
+}
+
+/// Pins the class accounting across migration: `resize` and
+/// `move_query` move a group with its result class, so the class count
+/// and the class-hit counter read the same before and after, and the
+/// members keep sharing one snapshot allocation per close.
+#[test]
+fn class_accounting_survives_resize_and_move() {
+    let data = class_stream(&(0..48).map(|i| (i * 7 % 19) as u8).collect::<Vec<_>>());
+    let (early, late) = data.split_at(24);
+    let mut hub = AsyncHub::new(4, 2);
+    let members = 3usize;
+    let query = Query::window(8).top(3).slide(4);
+    let first = hub.register_grouped(&query).unwrap();
+    for _ in 1..members {
+        hub.register_grouped(&query).unwrap();
+    }
+    hub.publish(early).unwrap();
+    hub.drain().unwrap();
+    let accounting = |hub: &mut AsyncHub| {
+        let stats = hub.stats().unwrap();
+        (stats.result_classes, stats.class_hits)
+    };
+    let settled = accounting(&mut hub);
+    assert_eq!(settled.0, 1, "three twins, one class");
+    assert!(settled.1 > 0, "twins ride the class close");
+    hub.resize(3).unwrap();
+    assert_eq!(accounting(&mut hub), settled, "across the resize");
+    // at least two of these moves leave the group's current shard
+    for shard in 0..3 {
+        hub.move_query(first, shard).unwrap();
+        assert_eq!(accounting(&mut hub), settled, "across a move to {shard}");
+    }
+    for chunk in late.chunks(4) {
+        hub.publish(chunk).unwrap();
+    }
+    let mut by_slide: BTreeMap<u64, Vec<Snapshot>> = BTreeMap::new();
+    for u in hub.drain().unwrap() {
+        by_slide
+            .entry(u.result.slide)
+            .or_default()
+            .push(u.result.snapshot);
+    }
+    assert_eq!(by_slide.len(), late.len() / 4, "one close per late chunk");
+    for (slide, snaps) in &by_slide {
+        assert_eq!(snaps.len(), members, "slide {slide}: every member emits");
+        for snap in &snaps[1..] {
+            assert!(
+                snaps[0].ptr_eq(snap),
+                "slide {slide}: the traveled class still shares one snapshot Arc"
+            );
+        }
+    }
 }
 
 /// Pins the pruned counter itself, not just result invisibility: an
@@ -164,22 +217,21 @@ fn pruned_counter_matches_an_independent_gate_resimulation() {
     let rate = stats.prune_rate();
     assert!((rate - pruned as f64 / (admitted + pruned) as f64).abs() < 1e-12);
 
-    // the reference arm on the same stream: zero prunes, same results
-    let mut off = Hub::new();
-    off.set_admission_pruning(false);
-    off.register_grouped(&Query::window(24).top(2).slide(s))
+    // the isolated plane on the same stream: no gate, same results
+    let mut isolated = Hub::new();
+    isolated
+        .register(&Query::window(24).top(2).slide(s))
         .unwrap();
-    off.register_grouped(&Query::window(16).top(3).slide(s))
+    isolated
+        .register(&Query::window(16).top(3).slide(s))
         .unwrap();
-    let mut off_sums = BTreeMap::new();
+    let mut isolated_sums = BTreeMap::new();
     for chunk in data.chunks(13) {
-        fold_all(&mut off_sums, off.publish(chunk));
+        fold_all(&mut isolated_sums, isolated.publish(chunk));
     }
-    assert_eq!(off.stats().pruned, 0);
-    assert_eq!(off.stats().admitted, admitted + pruned);
     assert_eq!(
         sums.values().copied().collect::<Vec<_>>(),
-        off_sums.values().copied().collect::<Vec<_>>(),
+        isolated_sums.values().copied().collect::<Vec<_>>(),
         "arms must be checksum-identical (ids differ, order does not)"
     );
 }

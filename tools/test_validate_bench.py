@@ -137,17 +137,15 @@ def hotpath_over_ceiling(doc):
     top(doc, "pooled")["metrics"]["allocs_per_object"] = vb.ALLOC_CEILING + 0.01
 
 
-def prune_off_pruned(doc):
-    top(doc, "off")["counters"]["pruned"] = 1
-
-
 def prune_gate_idle(doc):
-    top(doc, "dominance")["counters"]["pruned"] = 0
+    bottom(doc, "dominance+predicate")["counters"]["pruned"] = 0
 
 
-def prune_slow_dominance(doc):
-    off = top(doc, "off")["objects_per_sec"]
-    top(doc, "dominance")["objects_per_sec"] = 2.9 * off
+def prune_low_rate(doc):
+    counters = bottom(doc, "dominance")["counters"]
+    judged = counters["admitted"] + counters["pruned"]
+    counters["pruned"] = int(0.89 * judged)
+    counters["admitted"] = judged - counters["pruned"]
 
 
 def shared_zero_digest_hits(doc):
@@ -177,16 +175,15 @@ CASES = [
     ("fanout", "fanout_grouped_sharing", fanout_zero_group_hits),
     ("fanout", "fanout_quiet_sublinear", fanout_linear_quiet),
     ("fanout", "fanout_quiet_floor", fanout_expensive_quiet),
-    ("floor", "floor_arms", lambda d: one_rung(d, "unclassed")),
+    ("floor", "floor_arms", lambda d: one_rung(d, "classed")),
     ("floor", "floor_closes", floor_no_closes),
     ("floor", "floor_classes", floor_zero_class_hits),
     ("floor", "floor_memoized_close", floor_cheap_isolated),
     ("hotpath", "hotpath_arms", lambda d: drop(d, lambda r: r["arm"] != "pooled-async")),
     ("hotpath", "hotpath_alloc_ceiling", hotpath_over_ceiling),
-    ("prune", "prune_arms", lambda d: one_rung(d, "off")),
-    ("prune", "prune_off_never_prunes", prune_off_pruned),
+    ("prune", "prune_arms", lambda d: one_rung(d, "dominance")),
     ("prune", "prune_gate_fires", prune_gate_idle),
-    ("prune", "prune_speedup", prune_slow_dominance),
+    ("prune", "prune_rate_floor", prune_low_rate),
     ("shared", "shared_arms", lambda d: drop(d, lambda r: r["arm"] != "isolated")),
     ("shared", "shared_digest_hits", shared_zero_digest_hits),
 ]

@@ -71,7 +71,8 @@ COUNTERS = (
 
 # the bounds the claims own
 ALLOC_CEILING = 90.0  # steady-state allocations per published object
-MIN_IMPROVEMENT = 3.0  # floor and prune top-rung ratios
+MIN_IMPROVEMENT = 3.0  # floor top-rung ratio
+MIN_PRUNE_RATE = 0.9  # prune: pruned / (admitted + pruned), every row
 QUIET_FLOOR = 0.05  # fanout top-rung grouped quiet cost vs isolated
 
 
@@ -311,7 +312,7 @@ def fanout_quiet_floor(doc):
 
 
 def floor_arms(doc):
-    yield from missing_arms(doc, {"isolated", "unclassed", "classed"})
+    yield from missing_arms(doc, {"isolated", "classed"})
 
 
 def floor_closes(doc):
@@ -321,57 +322,45 @@ def floor_closes(doc):
 
 
 def floor_classes(doc):
-    """Classed serving happened, in one class per geometry; knob-off never memoized."""
+    """Classed serving happened, in one class per geometry."""
     classes = doc["params"]["geometry_classes"]
     for r in rows(doc, arm="classed"):
         if r["counters"]["class_hits"] <= 0:
             yield f"{label(r)}: never served a memoized close"
         if r["counters"]["result_classes"] != classes:
             yield f'{label(r)}: {r["counters"]["result_classes"]} result classes, {classes} geometries'
-    for r in rows(doc, arm="unclassed"):
-        if r["counters"]["class_hits"] != 0:
-            yield f'{label(r)}: {r["counters"]["class_hits"]} memoized closes with the knob off'
 
 
 def floor_memoized_close(doc):
-    """At the top rung the classed close is >= 3x cheaper per member than both others."""
+    """At the top rung the classed close is >= 3x cheaper per member than isolated."""
     queries, arms = max(rungs(doc).items())
     classed = metric(arms["classed"], "close_us_per_member")
-    for arm in ("isolated", "unclassed"):
-        ratio = metric(arms[arm], "close_us_per_member") / classed
-        if ratio < MIN_IMPROVEMENT:
-            yield f"{queries}-query rung: classed close only {ratio:.3f}x cheaper than {arm}"
+    ratio = metric(arms["isolated"], "close_us_per_member") / classed
+    if ratio < MIN_IMPROVEMENT:
+        yield f"{queries}-query rung: classed close only {ratio:.3f}x cheaper than isolated"
 
 
 # --- prune: admission control at the ingest gate ------------------------
 
 
 def prune_arms(doc):
-    yield from missing_arms(doc, {"off", "dominance", "dominance+predicate"})
-
-
-def prune_off_never_prunes(doc):
-    """The knob-off arm prunes nothing, so its prune rate is 0."""
-    for r in rows(doc, arm="off"):
-        if r["counters"]["pruned"] != 0:
-            yield f'{label(r)}: knob-off run pruned {r["counters"]["pruned"]}'
+    yield from missing_arms(doc, {"dominance", "dominance+predicate"})
 
 
 def prune_gate_fires(doc):
-    """Both pruning arms pruned, so their prune rates are positive."""
+    """Every row pruned, so every prune rate is positive."""
     for r in doc["records"]:
-        if r["arm"] != "off" and r["counters"]["pruned"] <= 0:
-            yield f"{label(r)}: the pruning arm never pruned"
+        if r["counters"]["pruned"] <= 0:
+            yield f"{label(r)}: the gate never pruned"
 
 
-def prune_speedup(doc):
-    """At the top rung both pruning arms are >= 3x faster than knob-off."""
-    queries, arms = max(rungs(doc).items())
-    off = arms["off"]["objects_per_sec"]
-    for arm in ("dominance", "dominance+predicate"):
-        ratio = arms[arm]["objects_per_sec"] / off
-        if ratio < MIN_IMPROVEMENT:
-            yield f"{queries}-query rung: {arm} only {ratio:.3f}x the knob-off throughput"
+def prune_rate_floor(doc):
+    """Every row's gate pruned >= 90% of the objects it judged (counts repeat exactly)."""
+    for r in doc["records"]:
+        judged = r["counters"]["admitted"] + r["counters"]["pruned"]
+        rate = r["counters"]["pruned"] / judged
+        if rate < MIN_PRUNE_RATE:
+            yield f"{label(r)}: prune rate {rate:.3f} below {MIN_PRUNE_RATE}"
 
 
 # --- async: many shards on few workers, both mixes ----------------------
@@ -426,7 +415,7 @@ CLAIMS = {
     ],
     "floor": [floor_arms, floor_closes, floor_classes, floor_memoized_close],
     "hotpath": [hotpath_arms, hotpath_alloc_ceiling],
-    "prune": [prune_arms, prune_off_never_prunes, prune_gate_fires, prune_speedup],
+    "prune": [prune_arms, prune_gate_fires, prune_rate_floor],
     "shared": [shared_arms, shared_digest_hits],
 }
 

@@ -72,11 +72,6 @@ impl KSkyband {
     }
 }
 
-/// Default (no-op) durability hook: the engine is an exact function
-/// of its window contents, so checkpoints restore it by replaying the
-/// session-retained window.
-impl sap_stream::CheckpointState for KSkyband {}
-
 impl SlidingTopK for KSkyband {
     fn spec(&self) -> WindowSpec {
         self.spec

@@ -55,11 +55,6 @@ impl MinTopK {
     }
 }
 
-/// Default (no-op) durability hook: the engine is an exact function
-/// of its window contents, so checkpoints restore it by replaying the
-/// session-retained window.
-impl sap_stream::CheckpointState for MinTopK {}
-
 impl SlidingTopK for MinTopK {
     fn spec(&self) -> WindowSpec {
         self.spec

@@ -32,11 +32,6 @@ impl NaiveTopK {
     }
 }
 
-/// Default (no-op) durability hook: the engine is an exact function
-/// of its window contents, so checkpoints restore it by replaying the
-/// session-retained window.
-impl sap_stream::CheckpointState for NaiveTopK {}
-
 impl SlidingTopK for NaiveTopK {
     fn spec(&self) -> WindowSpec {
         self.spec

@@ -130,11 +130,6 @@ impl Sma {
     }
 }
 
-/// Default (no-op) durability hook: the engine is an exact function
-/// of its window contents, so checkpoints restore it by replaying the
-/// session-retained window.
-impl sap_stream::CheckpointState for Sma {}
-
 impl SlidingTopK for Sma {
     fn spec(&self) -> WindowSpec {
         self.spec

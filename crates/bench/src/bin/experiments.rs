@@ -19,10 +19,9 @@
 //! - `async`: the count mix and the mixed count+time-based mix on the
 //!   sequential hub and on an `AsyncHub` of `max(32, cores + 1)` shards
 //!   with 1, 2 and `cores + 1` workers, steady-state allocations counted;
-//! - `shared`: the shared digest plane against per-session
-//!   recomputation, sequential and async;
-//! - `hotpath`: the pooled publish plane on a mixed count/timed/shared
-//!   set under a counting allocator;
+//! - `shared`: the shared digest plane, sequential and async;
+//! - `hotpath`: the pooled publish plane on a mixed count/timed set
+//!   under a counting allocator;
 //! - `checkpoint`: checkpoint bytes and checkpoint/restore latency up a
 //!   query ladder, each run cut in half, restored and resumed;
 //! - `fanout`: isolated sessions against the shared count plane up a
@@ -46,8 +45,8 @@ use std::time::Instant;
 use sap_bench::{
     cands, count_query_mix, fanout_query_mix, hotpath_query_mix, measure_on, mem_kb,
     mixed_query_mix, prune_query_mix, prune_stream, run_async, run_sequential, secs, serve,
-    serve_async, shared_query_mix, Algo, Artifact, BenchEngineFactory, CountingAlloc, Feed,
-    HotQuery, Record, Run, Stream, Table,
+    serve_async, shared_query_mix, Algo, Artifact, BenchEngineFactory, CountingAlloc, Feed, Record,
+    Run, Stream, Table,
 };
 use sap_core::{Sap, SapConfig};
 use sap_stream::generators::{ArrivalProcess, Dataset, Workload};
@@ -293,7 +292,7 @@ fn async_bench(len: usize, queries: usize, json_out: &str, seed: u64, repeats: u
         count_mix.iter().map(|(a, s)| a.count(*s)).collect()
     });
     serve_mix("mixed", Stream::Timed(&timed), &|| {
-        mixed_mix.iter().map(|(a, s)| a.isolated(*s)).collect()
+        mixed_mix.iter().map(|(a, s)| a.registration(*s)).collect()
     });
     artifact.write(json_out);
 }
@@ -513,12 +512,10 @@ fn prune(len: usize, queries: usize, json_out: &str, seed: u64) {
     artifact.write(json_out);
 }
 
-/// Shared digest plane against per-session recomputation: `queries`
-/// all-timed queries over only four distinct slide durations, served
-/// three ways over one Poisson stream — isolated Appendix-A adapters
-/// (the reference), the sequential hub's shared plane, and an
-/// `AsyncHub`'s shard-local groups at each requested shard count. The
-/// win scales with the query count, not cores.
+/// The shared digest plane: `queries` all-timed queries over only four
+/// distinct slide durations, served over one Poisson stream by the
+/// sequential hub's slide groups and by an `AsyncHub`'s shard-local
+/// groups at each requested shard count.
 fn shared(len: usize, queries: usize, shards: &[usize], json_out: &str, seed: u64) {
     let chunk = 1_000usize;
     let data = Dataset::Stock.generate_timed(len, seed, ArrivalProcess::poisson(25.0));
@@ -535,13 +532,6 @@ fn shared(len: usize, queries: usize, shards: &[usize], json_out: &str, seed: u6
         .param("queries", queries)
         .param("chunk", chunk)
         .param("slide_durations", durations.len());
-    let iso = run_sequential(
-        &mut serve(Hub::new(), mix.iter().map(|(a, s)| a.timed(*s))),
-        &feed,
-    );
-    artifact
-        .records
-        .push(Record::new("isolated", "shared", queries, iso));
     let shr = run_sequential(&mut serve(Hub::new(), shared()), &feed);
     artifact
         .records
@@ -555,7 +545,7 @@ fn shared(len: usize, queries: usize, shards: &[usize], json_out: &str, seed: u6
 }
 
 /// Zero-allocation hot path: the pooled publish plane on a mixed
-/// count/timed/shared standing-query set over one Poisson stream, on the
+/// count/timed standing-query set over one Poisson stream, on the
 /// sequential hub (`pooled`, fastest of `repeats`) and on an `AsyncHub`
 /// with a worker per shard at each requested shard count
 /// (`pooled-async`). The first quarter of the stream warms every pooled
@@ -572,7 +562,7 @@ fn hotpath(
     let warmup = len / 4;
     let data = Dataset::Stock.generate_timed(len, seed, ArrivalProcess::poisson(25.0));
     let mix = hotpath_query_mix(queries);
-    let regs = || mix.iter().map(HotQuery::registration);
+    let regs = || mix.iter().map(|(a, s)| a.registration(*s));
     let feed = Feed {
         warmup,
         allocations: Some(allocations),

@@ -14,11 +14,11 @@ use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use sap_baselines::{KSkyband, MinTopK, NaiveTopK, Sma};
-use sap_core::{Sap, SapConfig, TimeBased};
+use sap_core::{Sap, SapConfig};
 use sap_stream::generators::{Dataset, Workload};
 use sap_stream::{
     checksum_fold, run, AsyncHub, EngineFactory, Hub, HubStats, Object, QuerySpec, QueryUpdate,
-    Registration, RunSummary, SapError, SlidingTopK, TimedObject, TimedSpec, TimedTopK, WindowSpec,
+    Registration, RunSummary, SapError, SlidingTopK, TimedObject, TimedSpec, WindowSpec,
     CHECKSUM_SEED,
 };
 
@@ -88,17 +88,8 @@ impl Algo {
         Registration::count(self.build(spec))
     }
 
-    /// An isolated time-based registration: the algorithm over the
-    /// Appendix-A reduction of `spec`, wrapped in [`TimeBased`].
-    pub fn timed(&self, spec: TimedSpec) -> Registration {
-        let inner = self.build(spec.reduced().expect("mix spec is valid"));
-        Registration::timed(Box::new(
-            TimeBased::from_engine(inner, spec.window_duration, spec.slide_duration)
-                .expect("reduced spec matches by construction"),
-        ))
-    }
-
-    /// A shared-digest-plane registration of `spec`.
+    /// A shared-digest-plane registration of `spec` — the plane every
+    /// time-based query registers on.
     pub fn shared(&self, spec: TimedSpec) -> Registration {
         let engine = self.build(spec.reduced().expect("mix spec is valid"));
         Registration::shared(engine, spec.window_duration, spec.slide_duration)
@@ -112,18 +103,18 @@ impl Algo {
         Registration::grouped(self.build(reduced), spec.n, spec.s)
     }
 
-    /// An isolated registration of a count- or time-based `spec`.
-    pub fn isolated(&self, spec: QuerySpec) -> Registration {
+    /// The registration `register` makes for a count- or time-based
+    /// `spec`: an isolated count session, or a member of its slide group.
+    pub fn registration(&self, spec: QuerySpec) -> Registration {
         match spec {
             QuerySpec::Count(spec) => self.count(spec),
-            QuerySpec::Timed(spec) => self.timed(spec),
+            QuerySpec::Timed(spec) => self.shared(spec),
         }
     }
 }
 
 /// The harness's [`EngineFactory`]: rebuilds every engine the bench
-/// mixes register ([`Algo::build`] plus the [`TimeBased`] wrapping) from
-/// the name a checkpoint recorded. The bench crate sits below the `sap`
+/// mixes register ([`Algo::build`]) from the name a checkpoint recorded. The bench crate sits below the `sap`
 /// facade, so it carries its own name table instead of reusing the
 /// facade's `DefaultEngineFactory`.
 pub struct BenchEngineFactory;
@@ -140,13 +131,6 @@ impl EngineFactory for BenchEngineFactory {
             "naive" => Box::new(NaiveTopK::new(spec)),
             other => return Err(SapError::checkpoint_unknown_engine(other)),
         })
-    }
-
-    fn timed(&self, name: &str, spec: TimedSpec) -> Result<Box<dyn TimedTopK + Send>, SapError> {
-        let inner = self.count(name, spec.reduced().map_err(SapError::Spec)?)?;
-        let adapter = TimeBased::from_engine(inner, spec.window_duration, spec.slide_duration)
-            .expect("a spec that reduces also wraps");
-        Ok(Box::new(adapter))
     }
 }
 
@@ -345,74 +329,41 @@ pub fn prune_query_mix(count: usize, sd_base: u64) -> Vec<(Algo, TimedSpec)> {
         .collect()
 }
 
-/// One standing query of the `hotpath` preset's **mixed-model** set:
-/// count-based, isolated time-based, or shared-plane time-based — the
-/// three session flavors whose slide-completion paths the zero-allocation
-/// refactor touches.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum HotQuery {
-    /// A count-based session (`AnySession::Count`).
-    Count(Algo, WindowSpec),
-    /// An isolated Appendix-A adapter session (`AnySession::Timed`).
-    Timed(Algo, TimedSpec),
-    /// A shared-digest-plane session (`AnySession::Group`, event clock).
-    Shared(Algo, TimedSpec),
-}
-
-/// Mixed count/timed/shared query set for the `hotpath` preset, cycling
-/// evenly through the three session flavors. Count geometries use small
-/// slides (`s ∈ {10, 20, 50}`) and small `k`, so slide completion — the
-/// path the allocation discipline targets — fires densely; timed slide
-/// durations straddle a few multiples of the generated stream's ~25-unit
-/// mean gap; shared entries use two distinct slide durations so digest
-/// groups actually form.
-pub fn hotpath_query_mix(count: usize) -> Vec<HotQuery> {
+/// Mixed count/timed query set for the `hotpath` preset, cycling evenly
+/// through one count-based and two time-based geometry families. Count
+/// geometries use small slides (`s ∈ {10, 20, 50}`) and small `k`, so
+/// slide completion — the path the allocation discipline targets — fires
+/// densely; the first time-based family's slide durations straddle a few
+/// multiples of the generated stream's ~25-unit mean gap, and the second
+/// uses two longer slide durations, so digest groups of both sizes form.
+pub fn hotpath_query_mix(count: usize) -> Vec<(Algo, QuerySpec)> {
     let algos = [Algo::Sap, Algo::MinTopK, Algo::KSkyband];
     (0..count)
         .map(|i| {
             let algo = algos[(i / 3) % algos.len()];
-            match i % 3 {
+            let spec = match i % 3 {
                 0 => {
                     let s = [5usize, 10, 20][(i / 3) % 3];
                     let m = [4usize, 8, 16][(i / 9) % 3];
                     let k = 1 + (i % 3);
-                    HotQuery::Count(
-                        algo,
-                        WindowSpec::new(s * m, k, s).expect("mix spec is valid"),
-                    )
+                    QuerySpec::Count(WindowSpec::new(s * m, k, s).expect("mix spec is valid"))
                 }
                 1 => {
                     let sd = [50u64, 100, 200][(i / 3) % 3];
                     let m = [4u64, 8][(i / 9) % 2];
                     let k = 1 + (i % 5);
-                    HotQuery::Timed(
-                        algo,
-                        TimedSpec::new(sd * m, sd, k).expect("mix spec is valid"),
-                    )
+                    QuerySpec::Timed(TimedSpec::new(sd * m, sd, k).expect("mix spec is valid"))
                 }
                 _ => {
                     let sd = [400u64, 800][(i / 3) % 2];
                     let m = [2u64, 4][(i / 9) % 2];
                     let k = 1 + (i % 10);
-                    HotQuery::Shared(
-                        algo,
-                        TimedSpec::new(sd * m, sd, k).expect("mix spec is valid"),
-                    )
+                    QuerySpec::Timed(TimedSpec::new(sd * m, sd, k).expect("mix spec is valid"))
                 }
-            }
+            };
+            (algo, spec)
         })
         .collect()
-}
-
-impl HotQuery {
-    /// The registration this query describes.
-    pub fn registration(&self) -> Registration {
-        match *self {
-            HotQuery::Count(algo, spec) => algo.count(spec),
-            HotQuery::Timed(algo, spec) => algo.timed(spec),
-            HotQuery::Shared(algo, spec) => algo.shared(spec),
-        }
-    }
 }
 
 /// Subscribes every registration in `mix` on a sequential `hub`.
@@ -790,7 +741,6 @@ fn counters_json(stats: &HubStats) -> String {
     let HubStats {
         queries,
         count_queries,
-        timed_queries,
         shared_queries,
         digest_groups,
         digest_hits,
@@ -807,7 +757,7 @@ fn counters_json(stats: &HubStats) -> String {
         queue_depth_hwm,
     } = *stats;
     format!(
-        "{{\"queries\": {queries}, \"count_queries\": {count_queries}, \"timed_queries\": {timed_queries}, \"shared_queries\": {shared_queries}, \"digest_groups\": {digest_groups}, \"digest_hits\": {digest_hits}, \"digest_rebuilds\": {digest_rebuilds}, \"grouped_queries\": {grouped_queries}, \"count_groups\": {count_groups}, \"count_group_hits\": {count_group_hits}, \"count_group_rebuilds\": {count_group_rebuilds}, \"admitted\": {admitted}, \"pruned\": {pruned}, \"result_classes\": {result_classes}, \"class_hits\": {class_hits}, \"publisher_parks\": {publisher_parks}, \"queue_depth_hwm\": {queue_depth_hwm}}}"
+        "{{\"queries\": {queries}, \"count_queries\": {count_queries}, \"shared_queries\": {shared_queries}, \"digest_groups\": {digest_groups}, \"digest_hits\": {digest_hits}, \"digest_rebuilds\": {digest_rebuilds}, \"grouped_queries\": {grouped_queries}, \"count_groups\": {count_groups}, \"count_group_hits\": {count_group_hits}, \"count_group_rebuilds\": {count_group_rebuilds}, \"admitted\": {admitted}, \"pruned\": {pruned}, \"result_classes\": {result_classes}, \"class_hits\": {class_hits}, \"publisher_parks\": {publisher_parks}, \"queue_depth_hwm\": {queue_depth_hwm}}}"
     )
 }
 
@@ -972,7 +922,7 @@ pub fn mem_kb(summary: &RunSummary) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sap_stream::ArrivalProcess;
+    use sap_stream::{ArrivalProcess, QueryId, TimedIngest, TimedSession};
 
     #[test]
     fn all_algorithms_instantiate_and_run() {
@@ -1034,7 +984,7 @@ mod tests {
         assert!(mix.iter().any(|(_, s)| matches!(s, QuerySpec::Count(_))));
         let data = Dataset::Stock.generate_timed(3_000, 11, ArrivalProcess::poisson(8.0));
         let feed = Feed::new(Stream::Timed(&data), 250);
-        let regs = || mix.iter().map(|(algo, spec)| algo.isolated(*spec));
+        let regs = || mix.iter().map(|(algo, spec)| algo.registration(*spec));
         let seq = run_sequential(&mut serve(Hub::new(), regs()), &feed);
         assert!(seq.updates > 0);
         for shards in [1, 2, 4] {
@@ -1050,11 +1000,10 @@ mod tests {
     #[test]
     fn hotpath_hubs_agree() {
         let mix = hotpath_query_mix(30);
-        assert!(mix.iter().any(|q| matches!(q, HotQuery::Count(..))));
-        assert!(mix.iter().any(|q| matches!(q, HotQuery::Timed(..))));
-        assert!(mix.iter().any(|q| matches!(q, HotQuery::Shared(..))));
+        assert!(mix.iter().any(|(_, s)| matches!(s, QuerySpec::Count(_))));
+        assert!(mix.iter().any(|(_, s)| matches!(s, QuerySpec::Timed(_))));
         let data = Dataset::Stock.generate_timed(4_000, 11, ArrivalProcess::poisson(25.0));
-        let regs = || mix.iter().map(HotQuery::registration);
+        let regs = || mix.iter().map(|(algo, spec)| algo.registration(*spec));
         // no counting allocator installed here: the counter input only
         // feeds the reported metric, not the run itself
         let counted = Feed {
@@ -1140,18 +1089,32 @@ mod tests {
         let data = Dataset::Stock.generate_timed(3_000, 11, ArrivalProcess::poisson(25.0));
         let feed = Feed::new(Stream::Timed(&data), 250);
         let shared = || mix.iter().map(|(algo, spec)| algo.shared(*spec));
-        let iso = run_sequential(
-            &mut serve(Hub::new(), mix.iter().map(|(algo, spec)| algo.timed(*spec))),
-            &feed,
-        );
-        assert!(iso.updates > 0);
-        assert_eq!(iso.stats.digest_hits, 0, "isolated adapters never share");
+        // the reference: a standalone Appendix-A adapter per query, fed
+        // the same chunks
+        let mut hub = serve(Hub::new(), shared());
+        let ids: Vec<QueryId> = hub.query_ids().collect();
+        let mut sessions: Vec<_> = mix
+            .iter()
+            .map(|(algo, spec)| {
+                let inner = algo.build(spec.reduced().unwrap());
+                let adapter = sap_core::TimeBased::from_engine(
+                    inner,
+                    spec.window_duration,
+                    spec.slide_duration,
+                );
+                TimedSession::new(adapter.unwrap())
+            })
+            .collect();
+        for chunk in data.chunks(250) {
+            let mut expected = Vec::new();
+            for (&query, session) in ids.iter().zip(&mut sessions) {
+                let slides = session.push_timed(chunk).into_iter();
+                expected.extend(slides.map(|result| QueryUpdate { query, result }));
+            }
+            assert_eq!(hub.publish_timed(chunk), expected);
+        }
         let shr = run_sequential(&mut serve(Hub::new(), shared()), &feed);
-        assert_eq!(shr.updates, iso.updates);
-        assert_eq!(
-            shr.checksum, iso.checksum,
-            "sharing must not change results"
-        );
+        assert!(shr.updates > 0);
         assert!(
             shr.stats.digest_hits > 0,
             "25 queries over 4 groups must share"
@@ -1162,8 +1125,8 @@ mod tests {
                 &mut serve_async(AsyncHub::new(shards, shards), shared()),
                 &feed,
             );
-            assert_eq!(par.updates, iso.updates, "shards={shards}");
-            assert_eq!(par.checksum, iso.checksum, "shards={shards}");
+            assert_eq!(par.updates, shr.updates, "shards={shards}");
+            assert_eq!(par.checksum, shr.checksum, "shards={shards}");
             assert!(par.stats.digest_hits > 0, "shards={shards}");
         }
     }

@@ -656,12 +656,6 @@ impl Sap {
     }
 }
 
-/// Default (no-op) durability hook: a count-based engine is an exact,
-/// deterministic function of its window contents, so checkpoints restore
-/// it by replaying the session-retained window — no engine-private bytes
-/// needed.
-impl sap_stream::CheckpointState for Sap {}
-
 impl SlidingTopK for Sap {
     fn spec(&self) -> WindowSpec {
         self.cfg.spec

@@ -45,7 +45,6 @@ pub mod units;
 pub use config::{MeaningfulMode, PartitionPolicy, SapConfig};
 pub use engine::Sap;
 pub use time_window::{
-    reduced_spec, DigestProducer, DigestRef, SharedTimed, SlideDigest, TimeBased, TimeBasedSap,
-    TimedObject,
+    reduced_spec, DigestProducer, SharedTimed, TimeBased, TimeBasedSap, TimedObject,
 };
 pub use topk_buffer::TopKBuffer;

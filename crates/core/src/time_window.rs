@@ -22,16 +22,16 @@
 //! truncating slides (the one copy of the tie-break rules in the
 //! workspace) wired to a private [`SharedTimed`] consumer feeding the
 //! count-based reduction. The hubs wire the *same* producer type to many
-//! consumers, which is how overlapping queries share per-slide work; an
-//! isolated adapter is simply a slide group of one. Both halves are
+//! consumers, which is how overlapping queries share per-slide work; the
+//! adapter is a slide group of one. Both halves are
 //! defined in `sap_stream::digest` (the hubs live below this crate) and
 //! re-exported here.
 //!
 //! The adapter implements [`TimedTopK`], which is what plugs it into the
-//! session layer: `TimedSession`, `Registration::timed`, and both hubs
-//! speak that trait, so a time-based query built from
-//! `Query::window_duration(..)` rides the same event/delta machinery as
-//! the count-based ones.
+//! standalone session layer: `TimedSession` speaks that trait, so a
+//! time-based query built from `Query::window_duration(..)` rides the same
+//! event/delta machinery as the count-based ones. The hubs serve such a
+//! query from its slide group instead, with byte-identical results.
 //!
 //! ```
 //! use sap_core::TimeBasedSap;
@@ -53,7 +53,7 @@ use crate::config::SapConfig;
 use crate::engine::Sap;
 
 pub use sap_stream::TimedObject;
-pub use sap_stream::{DigestProducer, DigestRef, DigestView, SharedTimed, SlideDigest};
+pub use sap_stream::{DigestProducer, DigestView, SharedTimed};
 
 /// A time-based continuous top-k query answered by a count-based engine
 /// through the Appendix-A reduction: one [`DigestProducer`] closing and
@@ -141,7 +141,7 @@ impl<E: SlidingTopK> TimeBased<E> {
     }
 
     /// The digest consumer half of the adapter (the producer half is
-    /// private: an isolated adapter is a slide group of one).
+    /// private).
     pub fn consumer(&self) -> &SharedTimed<E> {
         &self.consumer
     }
@@ -191,11 +191,11 @@ impl<E: SlidingTopK> TimeBased<E> {
     /// end of stream), returning the updated top-k. The slide reduces to
     /// its top-k (same-slide dominance makes the remainder provably
     /// useless, Appendix A); truncation and its newer-wins tie-break live
-    /// in [`DigestProducer::close_slide`], the workspace's single copy of
-    /// that rule.
+    /// in [`DigestProducer::close_slide_with`], the workspace's single
+    /// copy of that rule.
     pub fn close_slide(&mut self) -> Vec<TimedObject> {
-        let digest = self.producer.close_slide();
-        self.consumer.apply_digest(&digest).to_vec()
+        let TimeBased { producer, consumer } = self;
+        producer.close_slide_with(|view| consumer.apply_slide_top(view.slide, view.top).to_vec())
     }
 
     /// Current candidate count of the underlying engine.
@@ -209,44 +209,8 @@ impl<E: SlidingTopK> TimeBased<E> {
     }
 }
 
-/// The adapter's durability hook: unlike count-based engines (restored
-/// by replaying their retained window — the default no-op body), a
-/// timed adapter cannot be replayed from the session layer, because the
-/// raw timed stream is reduced *before* it reaches the inner engine. So
-/// both halves serialize their own state — the producer its open slide,
-/// the consumer its reduced-slide ring — and `decode_engine` rebuilds a
-/// fresh factory-built adapter by replaying the ring into the inner
-/// engine (exact, because engines are deterministic functions of their
-/// window) and reinstating the open slide.
-impl<E: SlidingTopK> sap_stream::CheckpointState for TimeBased<E> {
-    fn encode_engine(&self, enc: &mut sap_stream::Encoder) {
-        self.producer.encode_state(enc);
-        self.consumer.encode_state(enc);
-    }
-
-    fn decode_engine(
-        &mut self,
-        dec: &mut sap_stream::Decoder<'_>,
-    ) -> Result<(), sap_stream::CheckpointError> {
-        let producer = DigestProducer::decode_state(dec)?;
-        if producer.slide_duration() != self.slide_duration() {
-            return Err(sap_stream::CheckpointError::Corrupt(
-                "adapter producer disagrees with its spec on slide duration",
-            ));
-        }
-        if producer.k_max() < self.k() {
-            return Err(sap_stream::CheckpointError::Corrupt(
-                "adapter producer shallower than the query's k",
-            ));
-        }
-        self.producer = producer;
-        self.consumer.restore_state(dec)
-    }
-}
-
-/// The adapter's public face to the session layer: `TimedSession`, the
-/// hubs, and the facade builders all drive a `TimeBased<E>` through this
-/// trait.
+/// The adapter's public face to the session layer: `TimedSession` and
+/// the facade builders drive a `TimeBased<E>` through this trait.
 impl<E: SlidingTopK> TimedTopK for TimeBased<E> {
     fn window_duration(&self) -> u64 {
         TimeBased::window_duration(self)

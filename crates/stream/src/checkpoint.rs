@@ -9,16 +9,13 @@
 //! * [`Encoder`]/[`Decoder`] — little-endian primitives, length-framed
 //!   sections, and sequence helpers with allocation guards;
 //! * [`EncodeState`]/[`DecodeState`] — the value-object layer
-//!   ([`Object`], [`TimedObject`], [`Snapshot`], [`SlideDigest`]);
-//! * [`CheckpointState`] — the engine plane's hook (a supertrait of
-//!   [`SlidingTopK`] and
-//!   [`TimedTopK`]), with default no-op bodies
-//!   because count-based engines are restored by *replaying* the retained
-//!   raw window — engines are deterministic exact top-k functions of
-//!   window contents, so replay reproduces every future emission
-//!   byte-for-byte without serializing any internal index;
+//!   ([`Object`], [`TimedObject`], [`Snapshot`]);
 //! * [`EngineFactory`] — rebuilds engines by registered name on restore
-//!   (a checkpoint stores *state*, not code);
+//!   (a checkpoint stores *state*, not code). Engines carry no checkpoint
+//!   bytes of their own: every engine is a deterministic exact top-k
+//!   function of its window, so a session or consumer writes its retained
+//!   raw window and a restore *replays* it into a fresh engine,
+//!   reproducing every future emission byte-for-byte;
 //! * [`Checkpoint`] — the framed artifact: magic, format version,
 //!   payload, trailing FNV-1a checksum. Unknown magic, other versions,
 //!   truncation, bit flips, and malformed payloads all surface as typed
@@ -34,19 +31,19 @@
 //!
 //! The format version is bumped whenever the payload layout changes;
 //! readers reject versions they do not know
-//! ([`CheckpointError::UnsupportedVersion`]) rather than guessing.
+//! ([`CheckpointError::UnsupportedVersion`]) rather than guessing. A
+//! session entry of kind 1 — an isolated time-based session, which
+//! earlier builds wrote — is read-only: this build restores it as a
+//! member of its slide group and never writes one.
 //!
 //! ```
-//! use sap_stream::checkpoint::{CheckpointState, EngineFactory};
+//! use sap_stream::checkpoint::EngineFactory;
 //! use sap_stream::session::Hub;
-//! use sap_stream::{
-//!     Ingest, Object, Registration, SapError, SlidingTopK, TimedSpec, TimedTopK, WindowSpec,
-//! };
+//! use sap_stream::{Ingest, Object, Registration, SapError, SlidingTopK, WindowSpec};
 //! # use sap_stream::metrics::OpStats;
 //! # use sap_stream::object::top_k_of;
 //! # struct Toy { spec: WindowSpec, window: Vec<Object>, result: Vec<Object> }
 //! # impl Toy { fn new(spec: WindowSpec) -> Self { Toy { spec, window: Vec::new(), result: Vec::new() } } }
-//! # impl CheckpointState for Toy {}
 //! # impl SlidingTopK for Toy {
 //! #     fn spec(&self) -> WindowSpec { self.spec }
 //! #     fn slide(&mut self, batch: &[Object]) -> &[Object] {
@@ -68,9 +65,6 @@
 //! #             "toy" => Ok(Box::new(Toy::new(spec))),
 //! #             other => Err(SapError::checkpoint_unknown_engine(other)),
 //! #         }
-//! #     }
-//! #     fn timed(&self, name: &str, _spec: TimedSpec) -> Result<Box<dyn TimedTopK + Send>, SapError> {
-//! #         Err(SapError::checkpoint_unknown_engine(name))
 //! #     }
 //! # }
 //! let mut hub = Hub::new();
@@ -94,11 +88,10 @@
 //!            restored.session(q).unwrap().last_snapshot());
 //! ```
 
-use crate::digest::SlideDigest;
 use crate::events::Snapshot;
 use crate::object::{Object, TimedObject};
-use crate::query::{SapError, TimedSpec};
-use crate::window::{SlidingTopK, TimedTopK, WindowSpec};
+use crate::query::SapError;
+use crate::window::{SlidingTopK, WindowSpec};
 
 /// Leading magic bytes of every checkpoint artifact.
 pub const MAGIC: [u8; 8] = *b"SAPCKPT\0";
@@ -121,7 +114,8 @@ pub(crate) mod tags {
     pub const GROUPS: u8 = 3;
     /// The digest sharing counters of one registry.
     pub const COUNTERS: u8 = 4;
-    /// One engine's [`CheckpointState`](super::CheckpointState) blob.
+    /// One session's framed engine state: a group member's consumer
+    /// window (kind 1 also framed its adapter's producer).
     pub const ENGINE: u8 = 5;
     /// The arrival-clock groups of one registry (since version 2).
     pub const COUNT_GROUPS: u8 = 6;
@@ -484,61 +478,12 @@ impl DecodeState for Snapshot {
     }
 }
 
-impl EncodeState for SlideDigest {
-    fn encode_state(&self, enc: &mut Encoder) {
-        enc.put_u64(self.slide);
-        enc.put_u64(self.end);
-        enc.put_seq(&self.top);
-    }
-}
-
-impl DecodeState for SlideDigest {
-    fn decode_state(dec: &mut Decoder<'_>) -> Result<Self, CheckpointError> {
-        let slide = dec.take_u64()?;
-        let end = dec.take_u64()?;
-        let top = dec.take_seq()?;
-        Ok(SlideDigest { slide, end, top })
-    }
-}
-
-/// The engine plane's checkpoint hook — a supertrait of
-/// [`SlidingTopK`] and
-/// [`TimedTopK`].
-///
-/// The defaults are deliberately no-ops: count-based engines carry **no**
-/// checkpoint bytes, because the session layer retains the raw window and
-/// restores by replay (every engine is an exact top-k function of window
-/// contents, so replay reproduces all future emissions byte-for-byte).
-/// Engines with state *outside* the count-based window — the time-based
-/// adapter's open-slide buffer and reduced ring — override both methods.
-/// The engine's bytes are length-framed by the caller, so a no-op
-/// `decode_engine` composes with a non-empty frame without desync.
-pub trait CheckpointState {
-    /// Writes engine state not reproducible by window replay.
-    fn encode_engine(&self, _enc: &mut Encoder) {}
-
-    /// Restores state written by
-    /// [`encode_engine`](CheckpointState::encode_engine) into a **fresh**
-    /// instance (as built by an [`EngineFactory`]).
-    fn decode_engine(&mut self, _dec: &mut Decoder<'_>) -> Result<(), CheckpointError> {
-        Ok(())
-    }
-}
-
-impl<T: CheckpointState + ?Sized> CheckpointState for Box<T> {
-    fn encode_engine(&self, enc: &mut Encoder) {
-        (**self).encode_engine(enc)
-    }
-    fn decode_engine(&mut self, dec: &mut Decoder<'_>) -> Result<(), CheckpointError> {
-        (**self).decode_engine(dec)
-    }
-}
-
 /// Rebuilds engines by name on restore.
 ///
 /// A checkpoint stores the *name* each engine reported through
-/// [`SlidingTopK::name`]/[`TimedTopK::name`] plus its query spec — not
-/// code. Restoring maps the name back to a fresh engine; the facade
+/// [`SlidingTopK::name`] plus its query spec — not code. A time-based
+/// query's engine is count-based too: it answers the Appendix-A
+/// reduction of the query's durations. Restoring maps the name back to a fresh engine; the facade
 /// crate ships a factory covering every engine in the workspace, and
 /// embedders with custom engines supply their own (names the factory
 /// does not know must return
@@ -546,9 +491,6 @@ impl<T: CheckpointState + ?Sized> CheckpointState for Box<T> {
 pub trait EngineFactory {
     /// Builds a fresh count-based engine for `name` over `spec`.
     fn count(&self, name: &str, spec: WindowSpec) -> Result<Box<dyn SlidingTopK + Send>, SapError>;
-
-    /// Builds a fresh time-based engine for `name` over `spec`.
-    fn timed(&self, name: &str, spec: TimedSpec) -> Result<Box<dyn TimedTopK + Send>, SapError>;
 }
 
 impl SapError {
@@ -668,20 +610,15 @@ mod tests {
     #[test]
     fn values_round_trip() {
         let snap = Snapshot::from_slice(&[Object::new(3, 9.5), Object::new(1, 2.0)]);
-        let digest = SlideDigest {
-            slide: 4,
-            end: 50,
-            top: vec![TimedObject::new(9, 44, 7.25)],
-        };
+        let timed = TimedObject::new(9, 44, 7.25);
         let mut enc = Encoder::new();
         snap.encode_state(&mut enc);
-        digest.encode_state(&mut enc);
+        timed.encode_state(&mut enc);
         let payload = enc.into_payload();
 
         let mut dec = Decoder::new(&payload);
         assert_eq!(Snapshot::decode_state(&mut dec).unwrap(), snap);
-        let got = SlideDigest::decode_state(&mut dec).unwrap();
-        assert_eq!((got.slide, got.end, got.top), (4, 50, digest.top));
+        assert_eq!(TimedObject::decode_state(&mut dec).unwrap(), timed);
         assert!(dec.finish().is_ok());
     }
 

@@ -8,17 +8,15 @@
 //! Streams"): every timed query with the same `slide_duration` closes
 //! slides at identical watermarks, regardless of `window_duration` — so
 //! the per-slide top-`k_max` list is one artifact that can serve **every**
-//! overlapping query with `k ≤ k_max`. This module promotes that artifact
-//! to a first-class type and splits the old monolithic adapter in two:
+//! overlapping query with `k ≤ k_max`. This module holds its two halves:
 //!
 //! * [`DigestProducer`] — ingests the raw timed stream once per *slide
-//!   group* and closes each slide into its top-`k_max`, in result order:
-//!   lent as a borrowed [`DigestView`] inside the close, or materialized
-//!   as an immutable, refcounted [`SlideDigest`] for standalone callers.
-//!   This is the **one copy** of the slide-truncation and tie-break rules
-//!   in the workspace;
+//!   group* and closes each slide into its top-`k_max`, in result order,
+//!   lent as a borrowed [`DigestView`] inside the close. This is the
+//!   **one copy** of the slide-truncation and tie-break rules in the
+//!   workspace;
 //! * [`SharedTimed`] — a consumer that slices its own `k ≤ k_max` prefix
-//!   from each digest and feeds its private count-based reduction (the
+//!   from each view and feeds its private count-based reduction (the
 //!   synthetic-id ring + padding machinery), producing results
 //!   byte-identical to an isolated session.
 //!
@@ -45,21 +43,20 @@
 //! // one digest plane for every query sliding each 10 time units,
 //! // deep enough for the largest subscriber (k_max = 2)
 //! let mut producer = DigestProducer::new(10, 2);
-//! assert!(producer.ingest(TimedObject::new(0, 3, 5.0)).is_empty());
-//! assert!(producer.ingest(TimedObject::new(1, 7, 9.0)).is_empty());
-//! // crossing t = 10 closes the slide [0, 10)
-//! let digests = producer.ingest(TimedObject::new(2, 12, 7.0));
-//! assert_eq!(digests.len(), 1);
-//! assert_eq!(digests[0].slide, 0);
-//! assert_eq!(digests[0].top[0].id, 1, "descending result order");
-//! // a consumer with k = 1 slices its prefix from the same digest
-//! assert_eq!(digests[0].prefix(1).len(), 1);
+//! let mut closed = Vec::new();
+//! for (id, t, score) in [(0, 3, 5.0), (1, 7, 9.0), (2, 12, 7.0)] {
+//!     // crossing t = 10 closes the slide [0, 10); a consumer with
+//!     // k = 1 slices its prefix from the same view
+//!     producer.ingest_with(TimedObject::new(id, t, score), &mut |view| {
+//!         closed.push((view.slide, view.top[0].id, view.prefix(1).len()))
+//!     });
+//! }
+//! assert_eq!(closed, [(0, 1, 1)], "slide 0, descending result order");
 //! ```
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
-use crate::checkpoint::{CheckpointError, CheckpointState, DecodeState, Decoder, Encoder};
+use crate::checkpoint::{CheckpointError, DecodeState, Decoder, Encoder};
 use crate::metrics::OpStats;
 use crate::object::{Object, TimedObject};
 use crate::query::TimedSpec;
@@ -69,57 +66,29 @@ use crate::window::{SlidingTopK, SpecError, WindowSpec};
 /// below every finite real score of interest and filtered from results.
 const PAD_SCORE: f64 = f64::MIN;
 
-/// The per-slide artifact of the shared digest plane: one closed slide's
-/// top-`k_max` objects, immutable once built. Handed out refcounted (see
-/// [`DigestRef`]) by the producer's materializing calls, for standalone
-/// callers; `TimeBased` and the hubs apply the borrowed [`DigestView`]
-/// instead and never build one.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SlideDigest {
-    /// 0-based index of the closed slide.
-    pub slide: u64,
-    /// The slide's end timestamp (exclusive); the slide covered
-    /// `[end - slide_duration, end)`.
-    pub end: u64,
-    /// The slide's top objects in **result order** (descending score,
-    /// ties to the higher id), at most `k_max` of them — fewer when the
-    /// slide held fewer objects, empty for an empty slide.
-    pub top: Vec<TimedObject>,
-}
-
-impl SlideDigest {
-    /// The top-`k` prefix of this digest — exactly what a consumer with
-    /// result size `k ≤ k_max` would have computed from the raw slide
-    /// (the result order is total, so prefixes of the truncation are
-    /// truncations).
-    #[inline]
-    pub fn prefix(&self, k: usize) -> &[TimedObject] {
-        &self.top[..k.min(self.top.len())]
-    }
-}
-
-/// A refcounted [`SlideDigest`]: what [`DigestProducer`]'s materializing
-/// calls return.
-pub type DigestRef = Arc<SlideDigest>;
-
-/// A borrowed view of a slide the producer is closing *right now* — the
-/// allocation-free sibling of [`SlideDigest`], valid only inside a
+/// A borrowed view of a slide the producer is closing *right now*: one
+/// closed slide's top-`k_max` objects, valid only inside a
 /// [`DigestProducer::close_slide_with`] callback. `TimeBased<E>` (one
 /// producer, one consumer) and the hubs (one producer, every result class
-/// of a group) apply the view inside the close, so no serving path
-/// materializes a digest.
+/// of a group) apply the view inside the close, so nothing is
+/// materialized per slide.
 #[derive(Debug, Clone, Copy)]
 pub struct DigestView<'a> {
     /// 0-based index of the closing slide.
     pub slide: u64,
     /// The slide's end timestamp (exclusive).
     pub end: u64,
-    /// The slide's top objects in result order, at most `k_max`.
+    /// The slide's top objects in **result order** (descending score,
+    /// ties to the higher id), at most `k_max` of them — fewer when the
+    /// slide held fewer objects, empty for an empty slide.
     pub top: &'a [TimedObject],
 }
 
 impl DigestView<'_> {
-    /// The top-`k` prefix — see [`SlideDigest::prefix`].
+    /// The top-`k` prefix of this view — exactly what a consumer with
+    /// result size `k ≤ k_max` would have computed from the raw slide
+    /// (the result order is total, so prefixes of the truncation are
+    /// truncations).
     #[inline]
     pub fn prefix(&self, k: usize) -> &[TimedObject] {
         &self.top[..k.min(self.top.len())]
@@ -133,8 +102,8 @@ impl DigestView<'_> {
 /// [`grow_k_max`](DigestProducer::grow_k_max) is exact at any point:
 /// truncation happens at close time, never earlier. Slide boundaries are
 /// global multiples of `slide_duration` starting at time 0, which is what
-/// lets every producer (and every isolated adapter) with the same
-/// `slide_duration` agree on slide indices.
+/// lets every producer (and every standalone `TimeBased` adapter) with
+/// the same `slide_duration` agree on slide indices.
 #[derive(Debug)]
 pub struct DigestProducer {
     slide_duration: u64,
@@ -213,58 +182,25 @@ impl DigestProducer {
         self.k_max = k_max;
     }
 
-    /// Ingests one object. Timestamps must be non-decreasing. Returns a
-    /// digest for every slide boundary the timestamp crosses (empty when
-    /// the object lands in the still-open slide).
-    pub fn ingest(&mut self, o: TimedObject) -> Vec<DigestRef> {
-        let digests = self.advance_to(o.timestamp);
-        self.pending.push(o);
-        digests
-    }
-
-    /// Closes every slide ending at or before `watermark` (empty slides
-    /// included), returning one digest per closed slide, oldest first.
-    pub fn advance_to(&mut self, watermark: u64) -> Vec<DigestRef> {
-        let mut digests = Vec::new();
-        while watermark >= self.slide_end {
-            digests.push(self.close_slide());
-        }
-        digests
-    }
-
-    /// The allocation-free form of [`ingest`](DigestProducer::ingest):
-    /// calls `f` with a borrowed [`DigestView`] for every slide boundary
-    /// `o.timestamp` crosses, then buffers `o`. The steady-state path of
-    /// an isolated consumer — no digest is materialized.
+    /// Ingests one object (timestamps must be non-decreasing): calls `f`
+    /// with a borrowed [`DigestView`] for every slide boundary
+    /// `o.timestamp` crosses, oldest first, then buffers `o`.
     pub fn ingest_with(&mut self, o: TimedObject, f: &mut dyn FnMut(DigestView<'_>)) {
         self.advance_to_with(o.timestamp, f);
         self.pending.push(o);
     }
 
-    /// The allocation-free form of
-    /// [`advance_to`](DigestProducer::advance_to): calls `f` with a
-    /// borrowed [`DigestView`] per closed slide, oldest first.
+    /// Closes every slide ending at or before `watermark` (empty slides
+    /// included), calling `f` with a borrowed [`DigestView`] per closed
+    /// slide, oldest first.
     pub fn advance_to_with(&mut self, watermark: u64, f: &mut dyn FnMut(DigestView<'_>)) {
         while watermark >= self.slide_end {
             self.close_slide_with(&mut *f);
         }
     }
 
-    /// Closes the open slide even if its time has not elapsed (useful at
-    /// end of stream), returning its digest. Materializing form of
-    /// [`close_slide_with`](DigestProducer::close_slide_with), for
-    /// standalone callers.
-    pub fn close_slide(&mut self) -> DigestRef {
-        self.close_slide_with(|view| {
-            Arc::new(SlideDigest {
-                slide: view.slide,
-                end: view.end,
-                top: view.top.to_vec(),
-            })
-        })
-    }
-
-    /// Closes the open slide in place, handing `f` a borrowed view of the
+    /// Closes the open slide in place, even if its time has not elapsed
+    /// (useful at end of stream), handing `f` a borrowed view of the
     /// truncated top list — **zero allocations**: the pending buffer is
     /// sorted in place, the view borrows it, and the buffer keeps its
     /// capacity for the next slide.
@@ -334,12 +270,13 @@ impl DigestProducer {
 
 /// The consumer half of the shared digest plane: answers one time-based
 /// query `W⟨window_duration, slide_duration⟩` with result size `k` by
-/// slicing its `k ≤ k_max` prefix from each [`SlideDigest`] and feeding
+/// slicing its `k ≤ k_max` prefix from each closed slide's
+/// [`DigestView`] and feeding
 /// its private count-based reduction — the wrapped engine `E` over the
 /// Appendix-A spec `⟨(n/s)·k, k, k⟩`, with the synthetic-id ring that
 /// translates engine output back to the caller's objects.
 ///
-/// Results are **byte-identical** to an isolated adapter over the same
+/// Results are **byte-identical** to a standalone adapter over the same
 /// stream: the digest's prefix is exactly the truncation the consumer
 /// would have computed itself (the result order is total), and everything
 /// downstream of the truncation is private per-consumer state.
@@ -447,28 +384,20 @@ impl<E: SlidingTopK> SharedTimed<E> {
         self.inner.name()
     }
 
-    /// Applies one closed slide's digest: slices the own-`k` prefix, pads
-    /// it to exactly `k` synthetic objects, advances the wrapped engine by
-    /// one reduced-stream slide, and translates the emission back to the
-    /// caller's objects. Digests must arrive gap-free in slide order, from
+    /// Applies one closed slide, given its index and top list (a live
+    /// [`DigestView`]'s, or a replayed ring group — `top` may be any depth
+    /// `≥ k`; only the own-`k` prefix is consumed): pads the prefix to
+    /// exactly `k` synthetic objects, advances the wrapped engine by one
+    /// reduced-stream slide, and translates the emission back to the
+    /// caller's objects. Slides must arrive gap-free in slide order, from
     /// a producer with `k_max ≥ k` — the hubs and `TimeBased` guarantee
     /// both.
     ///
     /// Returns a borrow of the consumer's retained result (valid until
     /// the next apply), built entirely from pooled buffers: applying a
-    /// digest performs zero allocations after warm-up. Callers that need
+    /// slide performs zero allocations after warm-up. Callers that need
     /// an owned snapshot copy it (`TimeBased`) or stage it into their own
     /// pooled scratch (the sessions).
-    pub fn apply_digest(&mut self, digest: &SlideDigest) -> &[TimedObject] {
-        self.apply_slide_top(digest.slide, digest.prefix(self.k))
-    }
-
-    /// The borrow-based core of [`apply_digest`](SharedTimed::apply_digest):
-    /// applies one closed
-    /// slide given its index and top list (a digest's, or a live
-    /// [`DigestView`]'s — `top` may be any depth `≥ k`; only the own-`k`
-    /// prefix is consumed). Same contract and same pooled, zero-allocation
-    /// execution.
     pub fn apply_slide_top(&mut self, slide: u64, top: &[TimedObject]) -> &[TimedObject] {
         debug_assert_eq!(
             slide, self.slides_applied,
@@ -590,15 +519,6 @@ impl<E: SlidingTopK> SharedTimed<E> {
     }
 }
 
-impl<E: SlidingTopK> CheckpointState for SharedTimed<E> {
-    fn encode_engine(&self, enc: &mut Encoder) {
-        self.encode_state(enc)
-    }
-    fn decode_engine(&mut self, dec: &mut Decoder<'_>) -> Result<(), CheckpointError> {
-        self.restore_state(dec)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -611,58 +531,65 @@ mod tests {
         }
     }
 
+    /// The slides `o` closes, as `(slide, end, top)`.
+    fn ingest(p: &mut DigestProducer, o: TimedObject) -> Vec<(u64, u64, Vec<TimedObject>)> {
+        let mut out = Vec::new();
+        p.ingest_with(o, &mut |v| out.push((v.slide, v.end, v.top.to_vec())));
+        out
+    }
+
     #[test]
     fn producer_truncates_with_the_newer_wins_tie_break() {
         let mut p = DigestProducer::new(10, 2);
-        p.ingest(obj(1, 0, 5.0));
-        p.ingest(obj(2, 1, 5.0));
-        p.ingest(obj(3, 2, 1.0));
-        let digests = p.advance_to(10);
-        assert_eq!(digests.len(), 1);
+        for o in [obj(1, 0, 5.0), obj(2, 1, 5.0), obj(3, 2, 1.0)] {
+            ingest(&mut p, o);
+        }
+        let mut closed = Vec::new();
+        p.advance_to_with(10, &mut |v| {
+            closed.push((v.end, v.top.to_vec(), v.prefix(1).to_vec()))
+        });
         // ties break to the higher id, result order is descending
-        assert_eq!(digests[0].top, vec![obj(2, 1, 5.0), obj(1, 0, 5.0)]);
-        assert_eq!(digests[0].prefix(1), &[obj(2, 1, 5.0)]);
-        assert_eq!(digests[0].end, 10);
+        let (top, prefix) = (vec![obj(2, 1, 5.0), obj(1, 0, 5.0)], vec![obj(2, 1, 5.0)]);
+        assert_eq!(closed, [(10, top, prefix)]);
         assert_eq!(p.next_slide(), 1);
     }
 
     #[test]
     fn producer_closes_empty_slides_on_jumps() {
         let mut p = DigestProducer::new(10, 1);
-        p.ingest(obj(0, 5, 7.0));
-        let digests = p.ingest(obj(1, 38, 3.0));
-        assert_eq!(digests.len(), 3, "slides [0,10) [10,20) [20,30) close");
-        assert_eq!(digests[0].top.len(), 1);
-        assert!(digests[1].top.is_empty());
-        assert!(digests[2].top.is_empty());
-        assert_eq!(digests[2].slide, 2);
+        ingest(&mut p, obj(0, 5, 7.0));
+        let closed = ingest(&mut p, obj(1, 38, 3.0));
+        assert_eq!(closed.len(), 3, "slides [0,10) [10,20) [20,30) close");
+        assert_eq!(closed[0].2.len(), 1);
+        assert!(closed[1].2.is_empty());
+        assert_eq!(closed[2], (2, 30, vec![]));
         assert_eq!(p.pending_len(), 1);
     }
 
     #[test]
     fn grow_k_max_is_exact_mid_slide() {
         let mut p = DigestProducer::new(10, 1);
-        p.ingest(obj(0, 0, 1.0));
-        p.ingest(obj(1, 1, 2.0));
-        p.ingest(obj(2, 2, 3.0));
+        for o in [obj(0, 0, 1.0), obj(1, 1, 2.0), obj(2, 2, 3.0)] {
+            ingest(&mut p, o);
+        }
         // the open slide is untruncated, so deepening now still yields the
         // full top-3 at close
         p.grow_k_max(3);
         p.grow_k_max(2); // shrinking is a no-op
         assert_eq!(p.k_max(), 3);
-        let d = p.close_slide();
-        assert_eq!(d.top.len(), 3);
-        assert_eq!(d.top[0], obj(2, 2, 3.0));
+        let top = p.close_slide_with(|view| view.top.to_vec());
+        assert_eq!(top.len(), 3);
+        assert_eq!(top[0], obj(2, 2, 3.0));
     }
 
     #[test]
     fn pristine_reflects_ingestion_not_time() {
         let mut p = DigestProducer::new(10, 1);
         assert!(p.is_pristine());
-        p.ingest(obj(0, 3, 1.0));
+        ingest(&mut p, obj(0, 3, 1.0));
         assert!(!p.is_pristine(), "pending objects end pristineness");
         let mut p = DigestProducer::new(10, 1);
-        p.advance_to(25);
+        p.advance_to_with(25, &mut |_| {});
         assert!(!p.is_pristine(), "closed slides end pristineness");
     }
 
@@ -682,8 +609,6 @@ mod tests {
             }
         }
     }
-
-    impl CheckpointState for Toy {}
 
     impl SlidingTopK for Toy {
         fn spec(&self) -> WindowSpec {
@@ -738,26 +663,31 @@ mod tests {
         let mut narrow = SharedTimed::from_engine(Toy::reduced(20, 10, 1), 20, 10).unwrap();
         let mut wide = SharedTimed::from_engine(Toy::reduced(20, 10, 3), 20, 10).unwrap();
         for o in [obj(0, 1, 5.0), obj(1, 2, 9.0), obj(2, 3, 7.0)] {
-            assert!(producer.ingest(o).is_empty());
+            assert!(ingest(&mut producer, o).is_empty());
         }
-        for d in producer.advance_to(10) {
-            assert_eq!(narrow.apply_digest(&d), vec![obj(1, 2, 9.0)]);
-            assert_eq!(
-                wide.apply_digest(&d),
-                vec![obj(1, 2, 9.0), obj(2, 3, 7.0), obj(0, 1, 5.0)]
-            );
+        // each close applies the borrowed view to both consumers
+        let mut served = Vec::new();
+        for watermark in [10, 20, 30] {
+            producer.advance_to_with(watermark, &mut |v| {
+                let n = narrow.apply_slide_top(v.slide, v.top).to_vec();
+                served.push((n, wide.apply_slide_top(v.slide, v.top).to_vec()));
+            });
         }
-        assert_eq!(narrow.slides_applied(), 1);
-        assert_eq!(narrow.last_result(), &[obj(1, 2, 9.0)]);
-        // an empty slide expires nothing yet (window spans 2 slides)
-        for d in producer.advance_to(20) {
-            assert_eq!(narrow.apply_digest(&d), vec![obj(1, 2, 9.0)]);
-            assert_eq!(wide.apply_digest(&d).len(), 3);
-        }
-        // one more slide expires everything
-        for d in producer.advance_to(30) {
-            assert!(narrow.apply_digest(&d).is_empty());
-            assert!(wide.apply_digest(&d).is_empty());
-        }
+        let (best, all) = (
+            obj(1, 2, 9.0),
+            vec![obj(1, 2, 9.0), obj(2, 3, 7.0), obj(0, 1, 5.0)],
+        );
+        // an empty slide expires nothing yet (the window spans 2 slides),
+        // one more expires everything
+        assert_eq!(
+            served,
+            [
+                (vec![best], all.clone()),
+                (vec![best], all),
+                (vec![], vec![])
+            ]
+        );
+        assert_eq!(narrow.slides_applied(), 3);
+        assert!(narrow.last_result().is_empty());
     }
 }

@@ -166,8 +166,6 @@ mod tests {
         result: Vec<Object>,
     }
 
-    impl crate::checkpoint::CheckpointState for Toy {}
-
     impl SlidingTopK for Toy {
         fn spec(&self) -> WindowSpec {
             self.spec

@@ -217,7 +217,7 @@ impl<'a> IntoIterator for &'a Snapshot {
 /// assert!(!events.is_unchanged());
 /// assert!(EventList::unchanged().is_unchanged());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct EventList {
     /// Inline storage; `len <= INLINE` means `inline[..len]` is the list.
     inline: [TopKEvent; EventList::INLINE],
@@ -287,6 +287,14 @@ impl EventList {
     #[inline]
     pub fn is_unchanged(&self) -> bool {
         matches!(self.as_slice(), [TopKEvent::Unchanged])
+    }
+}
+
+/// Formats the events the list holds, like a slice: stale inline slots
+/// past the length are not part of the list.
+impl std::fmt::Debug for EventList {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.as_slice()).finish()
     }
 }
 
@@ -478,6 +486,21 @@ mod tests {
 
     fn o(id: u64, score: f64) -> Object {
         Object::new(id, score)
+    }
+
+    #[test]
+    fn debug_shows_only_the_events_held() {
+        let mut events = EventList::new();
+        events.push(TopKEvent::Entered(o(76, 85.0)));
+        events.push(TopKEvent::Entered(o(77, 84.0)));
+        events.clear();
+        events.push(TopKEvent::Unchanged);
+        assert_eq!(events, EventList::unchanged());
+        assert_eq!(
+            format!("{events:?}"),
+            format!("{:?}", EventList::unchanged())
+        );
+        assert_eq!(format!("{events:?}"), "[Unchanged]");
     }
 
     #[test]

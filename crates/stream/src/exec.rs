@@ -58,7 +58,6 @@
 //! use sap_stream::{AsyncHub, Object, Registration};
 //! # use sap_stream::{OpStats, SlidingTopK, WindowSpec};
 //! # struct Toy(WindowSpec, Vec<Object>);
-//! # impl sap_stream::checkpoint::CheckpointState for Toy {}
 //! # impl SlidingTopK for Toy {
 //! #     fn spec(&self) -> WindowSpec { self.0 }
 //! #     fn slide(&mut self, b: &[Object]) -> &[Object] { self.1 = b.to_vec(); &self.1 }
@@ -87,7 +86,6 @@
 //! use sap_stream::{AsyncHub, Object, Registration, SeededScheduler};
 //! # use sap_stream::{OpStats, SlidingTopK, WindowSpec};
 //! # struct Toy(WindowSpec, Vec<Object>);
-//! # impl sap_stream::checkpoint::CheckpointState for Toy {}
 //! # impl SlidingTopK for Toy {
 //! #     fn spec(&self) -> WindowSpec { self.0 }
 //! #     fn slide(&mut self, b: &[Object]) -> &[Object] { self.1 = b.to_vec(); &self.1 }
@@ -1141,7 +1139,6 @@ mod tests {
 
     /// An engine that kills its shard on the first slide.
     struct Bomb(WindowSpec);
-    impl crate::checkpoint::CheckpointState for Bomb {}
     impl SlidingTopK for Bomb {
         fn spec(&self) -> WindowSpec {
             self.0
@@ -1489,7 +1486,7 @@ mod tests {
         assert!(state.slides > 0);
         let session = hub.unregister(q).unwrap();
         assert_eq!(session.slides(), state.slides);
-        assert!(session.into_timed().is_some());
+        assert!(session.into_group().is_some());
     }
 
     #[test]

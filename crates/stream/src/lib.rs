@@ -108,10 +108,9 @@ mod test_support;
 pub mod window;
 
 pub use checkpoint::{
-    Checkpoint, CheckpointError, CheckpointState, DecodeState, Decoder, EncodeState, Encoder,
-    EngineFactory,
+    Checkpoint, CheckpointError, DecodeState, Decoder, EncodeState, Encoder, EngineFactory,
 };
-pub use digest::{DigestProducer, DigestRef, DigestView, SharedTimed, SlideDigest};
+pub use digest::{DigestProducer, DigestView, SharedTimed};
 pub use driver::{checksum_fold, run, run_collecting, RunSummary, CHECKSUM_SEED};
 pub use events::{
     diff_snapshots, diff_snapshots_into, DiffScratch, EventList, SlideResult, Snapshot, TopKEvent,

@@ -282,7 +282,7 @@ impl Ord for Predicate {
 ///
 /// The gate resets at every slide close and is rebuilt from the
 /// producer's pending buffer whenever `k_max` changes (member churn) or
-/// the knob toggles on; [`rebuild`](PruneGate::rebuild) pre-sizes the
+/// its group is decoded; [`rebuild`](PruneGate::rebuild) pre-sizes the
 /// heap so [`offer`](PruneGate::offer) never allocates on the publish
 /// path.
 #[derive(Debug)]

@@ -89,11 +89,12 @@ pub enum SapError {
         /// The violated predicate rule.
         reason: &'static str,
     },
-    /// A non-trivial [`Predicate`] was attached to a query registered on
-    /// an **isolated** plane (`Registration::count`/`Registration::timed`).
-    /// Predicates are an admission-plane feature of the shared planes —
-    /// register the query as `Registration::shared`/`Registration::grouped`
-    /// instead, or drop the filter.
+    /// A non-trivial [`Predicate`] was attached to an isolated count
+    /// query (`Registration::count`, which `register` uses for a
+    /// count-based query). Predicates are an admission-plane feature of
+    /// the sharing planes — register the query with `register_grouped`
+    /// (`Registration::grouped`) instead, or drop the filter. Time-based
+    /// queries always land on their slide group, so they accept one.
     PredicateUnsupported,
 }
 
@@ -142,9 +143,8 @@ impl std::fmt::Display for SapError {
             SapError::PredicateUnsupported => {
                 write!(
                     f,
-                    "predicates require a shared-plane registration \
-                     (register_shared/register_grouped); isolated sessions \
-                     do not filter"
+                    "a filtered count query needs the shared count plane \
+                     (register_grouped); isolated count sessions do not filter"
                 )
             }
         }
@@ -496,9 +496,10 @@ impl Query {
     /// in this query's top-k. The filter applies to the **ranking, not
     /// the stream** — rejected objects still advance arrival ordinals
     /// and event time, so slide numbering matches an unfiltered sibling.
-    /// Served on the shared planes (`register_shared`/`register_grouped`);
-    /// isolated registrations reject a non-trivial predicate with
-    /// [`SapError::PredicateUnsupported`].
+    /// Served on the sharing planes: every time-based registration, and
+    /// `register_grouped` for a count-based query. `register` of a
+    /// count-based query is isolated and rejects a non-trivial predicate
+    /// with [`SapError::PredicateUnsupported`].
     pub fn filter(mut self, predicate: Predicate) -> Query {
         self.predicate = predicate;
         self

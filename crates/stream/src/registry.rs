@@ -19,9 +19,9 @@
 //! once at `k_max`, the largest member `k`. The two planes differ only
 //! in the group's [`Clock`]:
 //!
-//! * **event time** ([`Registration::shared`]): one group per
-//!   `(slide_duration, predicate)`; slides close on timestamps and
-//!   watermarks;
+//! * **event time** ([`Registration::shared`], which every time-based
+//!   registration is): one group per `(slide_duration, predicate)`;
+//!   slides close on timestamps and watermarks;
 //! * **arrival ordinals** ([`Registration::grouped`]): every count query
 //!   with slide length `s` registered at the same stream offset (mod
 //!   `s`) closes slides on the same arrivals, whatever its `n` and `k`.
@@ -74,7 +74,7 @@
 //! The session store holds every registered query, but a publish or
 //! watermark call never walks it. The registry keeps one ascending list
 //! of the store entries that need service on **every** call: isolated
-//! count and timed sessions, and warming members. A quiet call therefore
+//! count sessions and warming members. A quiet call therefore
 //! costs O(groups) ingest plus O(list) member work; classed members are
 //! touched only when their group closes a slide, once per emission. The
 //! list is kept in step with every store mutation — O(list) for a single
@@ -95,9 +95,8 @@ use crate::predicate::{Predicate, PruneGate};
 use crate::query::{SapError, TimedSpec};
 use crate::session::{
     close_staged, AnySession, Clock, GroupSession, QueryId, QueryUpdate, Session, SlideScratch,
-    TimedSession,
 };
-use crate::window::{Ingest, SlidingTopK, TimedIngest, TimedTopK, WindowSpec};
+use crate::window::{Ingest, SlidingTopK, WindowSpec};
 
 /// A point-in-time summary of a hub's registered queries and how much
 /// per-slide work the shared digest plane is saving — what
@@ -107,11 +106,11 @@ use crate::window::{Ingest, SlidingTopK, TimedIngest, TimedTopK, WindowSpec};
 pub struct HubStats {
     /// Total registered queries.
     pub queries: usize,
-    /// Count-based queries (window on arrival counts).
+    /// Count-based queries on isolated engines (window on arrival
+    /// counts).
     pub count_queries: usize,
-    /// Time-based queries running isolated (private Appendix-A adapter).
-    pub timed_queries: usize,
-    /// Time-based queries served by the shared digest plane.
+    /// Time-based queries — every one is served by its slide group on
+    /// the shared digest plane.
     pub shared_queries: usize,
     /// Live slide groups: distinct `(slide_duration, predicate)` keys
     /// with ≥ 1 shared member.
@@ -124,11 +123,12 @@ pub struct HubStats {
     /// invariant: shard-local group counts partition the hub-wide set of
     /// groups, so no group is double-counted.
     pub digest_groups: u64,
-    /// Slides served to a shared member from its group's digest — work
-    /// the member did **not** redo.
+    /// Slides served to a time-based member from its group's digest —
+    /// work the member did **not** redo.
     pub digest_hits: u64,
-    /// Slides a shared member computed from its private warm-up producer
-    /// (mid-stream joins catching up to their group).
+    /// Slides a time-based member computed from its private warm-up
+    /// producer (mid-stream joins catching up to their group, and
+    /// restored isolated timed sessions joining theirs).
     pub digest_rebuilds: u64,
     /// Count-based queries served by the shared count plane
     /// ([`Registration::grouped`]).
@@ -162,7 +162,6 @@ pub struct HubStats {
     /// use sap_stream::{Hub, Object, Registration};
     /// # use sap_stream::{OpStats, SlidingTopK, WindowSpec};
     /// # struct Toy(WindowSpec, Vec<Object>);
-    /// # impl sap_stream::checkpoint::CheckpointState for Toy {}
     /// # impl SlidingTopK for Toy {
     /// #     fn spec(&self) -> WindowSpec { self.0 }
     /// #     fn slide(&mut self, b: &[Object]) -> &[Object] { self.1 = b.to_vec(); &self.1 }
@@ -197,7 +196,6 @@ pub struct HubStats {
     /// use sap_stream::{Hub, Object, Registration};
     /// # use sap_stream::{OpStats, SlidingTopK, WindowSpec};
     /// # struct Toy(WindowSpec, Vec<Object>);
-    /// # impl sap_stream::checkpoint::CheckpointState for Toy {}
     /// # impl SlidingTopK for Toy {
     /// #     fn spec(&self) -> WindowSpec { self.0 }
     /// #     fn slide(&mut self, b: &[Object]) -> &[Object] { self.1 = b.to_vec(); &self.1 }
@@ -308,7 +306,6 @@ impl HubStats {
     pub fn merge(&mut self, other: &HubStats) {
         self.queries += other.queries;
         self.count_queries += other.count_queries;
-        self.timed_queries += other.timed_queries;
         self.shared_queries += other.shared_queries;
         self.digest_groups += other.digest_groups;
         self.digest_hits += other.digest_hits;
@@ -378,8 +375,6 @@ impl GroupKeys {
 ///
 /// * [`count`](Registration::count) — a count-based query `⟨n, k, s⟩`
 ///   on its own isolated engine;
-/// * [`timed`](Registration::timed) — a time-based query on its own
-///   isolated engine;
 /// * [`shared`](Registration::shared) — a time-based query
 ///   `W⟨window_duration, slide_duration⟩` on the **shared digest
 ///   plane**: each slide's top-`k_max` is computed once per slide group
@@ -391,9 +386,10 @@ impl GroupKeys {
 ///   length, registration offset mod `s` and predicate share one
 ///   per-slide truncation.
 ///
-/// Results on a sharing plane are byte-identical to an isolated
-/// registration of the same query. A sharing-plane engine answers the
-/// private Appendix-A reduction `⟨(n/s)·k, k, k⟩` for its own `k`
+/// Results on a sharing plane are byte-identical to a standalone
+/// session of the same query (a [`Session`], or a
+/// [`TimedSession`](crate::session::TimedSession)). A sharing-plane
+/// engine answers the private Appendix-A reduction `⟨(n/s)·k, k, k⟩` for its own `k`
 /// (durations standing in for `n` and `s` on the digest plane) and must
 /// be fresh.
 ///
@@ -406,8 +402,8 @@ impl GroupKeys {
 /// A hub validates the registration once, before it allocates an id:
 /// wrong engine geometry (including `k > n` or `s ∤ n`) is a typed
 /// [`SapError::Spec`], an empty score range
-/// [`SapError::InvalidPredicate`], and a predicate on an isolated plane,
-/// which has no admission stage to apply it,
+/// [`SapError::InvalidPredicate`], and a predicate on an isolated count
+/// query, which has no admission stage to apply it,
 /// [`SapError::PredicateUnsupported`].
 pub struct Registration {
     plane: Plane,
@@ -417,7 +413,6 @@ pub struct Registration {
 /// The plane a [`Registration`] asks for, with its engine and geometry.
 enum Plane {
     Count(Box<dyn SlidingTopK + Send>),
-    Timed(Box<dyn TimedTopK + Send>),
     Shared {
         engine: Box<dyn SlidingTopK + Send>,
         window_duration: u64,
@@ -443,15 +438,10 @@ impl Registration {
         Registration::on(Plane::Count(engine))
     }
 
-    /// An isolated time-based query served by `engine`. It slides on
+    /// A time-based query `W⟨window_duration, slide_duration⟩` on the
+    /// shared digest plane; `engine` answers its reduction. It slides on
     /// event time, so it advances on `publish_timed` and `advance_time`
     /// only.
-    pub fn timed(engine: Box<dyn TimedTopK + Send>) -> Registration {
-        Registration::on(Plane::Timed(engine))
-    }
-
-    /// A time-based query `W⟨window_duration, slide_duration⟩` on the
-    /// shared digest plane; `engine` answers its reduction.
     pub fn shared(
         engine: Box<dyn SlidingTopK + Send>,
         window_duration: u64,
@@ -479,7 +469,7 @@ impl Registration {
     /// Validates the registration into the member a registry serves.
     pub(crate) fn admit(self) -> Result<HubMember, SapError> {
         let Registration { plane, predicate } = self;
-        if matches!(plane, Plane::Count(_) | Plane::Timed(_)) {
+        if matches!(plane, Plane::Count(_)) {
             if !predicate.is_pass_all() {
                 return Err(SapError::PredicateUnsupported);
             }
@@ -490,7 +480,6 @@ impl Registration {
         }
         Ok(match plane {
             Plane::Count(engine) => Member::Count(engine),
-            Plane::Timed(engine) => Member::Timed(engine),
             Plane::Shared {
                 engine,
                 window_duration,
@@ -514,9 +503,8 @@ impl Registration {
 }
 
 /// A validated [`Registration`], in the shape a [`Registry`] serves it.
-pub(crate) enum Member<C: SlidingTopK, T: TimedTopK> {
+pub(crate) enum Member<C: SlidingTopK> {
     Count(C),
-    Timed(T),
     /// The reduced consumer (its window, slide and `k` are the query's;
     /// boxed, as it outweighs the other variants), the clock of the
     /// group it joins, and the predicate keying it.
@@ -524,10 +512,10 @@ pub(crate) enum Member<C: SlidingTopK, T: TimedTopK> {
 }
 
 /// The member both hubs register: boxed [`Send`] engines.
-pub(crate) type HubMember = Member<Box<dyn SlidingTopK + Send>, Box<dyn TimedTopK + Send>>;
+pub(crate) type HubMember = Member<Box<dyn SlidingTopK + Send>>;
 
 /// The registry both hubs drive.
-pub(crate) type HubRegistry = Registry<Box<dyn SlidingTopK + Send>, Box<dyn TimedTopK + Send>>;
+pub(crate) type HubRegistry = Registry<Box<dyn SlidingTopK + Send>>;
 
 /// The group both hubs move between shards.
 pub(crate) type HubGroup = Group<Box<dyn SlidingTopK + Send>>;
@@ -692,6 +680,16 @@ impl<C: SlidingTopK> Group<C> {
         )
     }
 
+    /// Deepens the digests to a joining member's `k`. Deepening mid-slide
+    /// is exact (the open slide is held untruncated), but the gate's cap
+    /// just grew: rebuild it from the admitted buffer so it never
+    /// over-prunes.
+    fn deepen(&mut self, k: usize) {
+        self.producer.grow_k_max(k);
+        self.gate
+            .rebuild(self.producer.k_max(), self.producer.pending());
+    }
+
     /// Counts a member in, widening the retention to its window.
     fn count(&mut self, member: &GroupSession<C>) {
         self.members += 1;
@@ -767,12 +765,7 @@ impl<C: SlidingTopK> Group<C> {
     /// and diff per class, then a stamp per member; the members past the
     /// first were served without a reduction. A close opens a fresh
     /// slide, so the gate resets.
-    fn advance<T: TimedTopK>(
-        &mut self,
-        to: u64,
-        counters: &mut Counters,
-        delivery: &mut Delivery<'_, C, T>,
-    ) {
+    fn advance(&mut self, to: u64, counters: &mut Counters, delivery: &mut Delivery<'_, C>) {
         let Group {
             producer,
             gate,
@@ -974,8 +967,8 @@ impl Counters {
 /// the shard workers. Sessions are kept in registration order (which is
 /// ascending `QueryId` order), so emitted updates are naturally ordered
 /// per publish call.
-pub(crate) struct Registry<C: SlidingTopK, T: TimedTopK> {
-    sessions: Vec<(QueryId, AnySession<C, T>)>,
+pub(crate) struct Registry<C: SlidingTopK> {
+    sessions: Vec<(QueryId, AnySession<C>)>,
     /// Ascending indices into `sessions` of the entries every publish and
     /// watermark call serves directly — see [`needs_call`] and the
     /// module docs on per-call cost. Walking it in order is registration
@@ -1013,7 +1006,7 @@ pub(crate) struct Registry<C: SlidingTopK, T: TimedTopK> {
     shard: Option<usize>,
 }
 
-impl<C: SlidingTopK, T: TimedTopK> Default for Registry<C, T> {
+impl<C: SlidingTopK> Default for Registry<C> {
     fn default() -> Self {
         Registry {
             sessions: Vec::new(),
@@ -1032,12 +1025,12 @@ impl<C: SlidingTopK, T: TimedTopK> Default for Registry<C, T> {
 
 /// A group ejected for migration: the group plus its member sessions in
 /// ascending-id order (see [`Registry::eject_group_of`]).
-pub(crate) type EjectedGroup<C, T> = (Group<C>, Vec<(QueryId, AnySession<C, T>)>);
+pub(crate) type EjectedGroup<C> = (Group<C>, Vec<(QueryId, AnySession<C>)>);
 
 /// Sessions split by the unit they install in (see [`split_by_group`]).
-pub(crate) type SplitSessions<C, T> = (
-    Vec<Vec<(QueryId, AnySession<C, T>)>>,
-    Vec<(QueryId, AnySession<C, T>)>,
+pub(crate) type SplitSessions<C> = (
+    Vec<Vec<(QueryId, AnySession<C>)>>,
+    Vec<(QueryId, AnySession<C>)>,
 );
 
 /// Splits decoded or ejected sessions for installation, since a group
@@ -1045,16 +1038,16 @@ pub(crate) type SplitSessions<C, T> = (
 /// their group among `groups` (for [`Registry::install_group`]), and
 /// the isolated rest (for [`Registry::install`]) — each list in the
 /// input's ascending-id order.
-pub(crate) fn split_by_group<C: SlidingTopK, T: TimedTopK>(
-    sessions: Vec<(QueryId, AnySession<C, T>)>,
+pub(crate) fn split_by_group<C: SlidingTopK>(
+    sessions: Vec<(QueryId, AnySession<C>)>,
     groups: usize,
-) -> SplitSessions<C, T> {
+) -> SplitSessions<C> {
     let mut members: Vec<Vec<_>> = (0..groups).map(|_| Vec::new()).collect();
     let mut loose = Vec::new();
     for (id, session) in sessions {
         match &session {
             AnySession::Group(m) => members[m.group() as usize].push((id, session)),
-            AnySession::Count(_) | AnySession::Timed(_) => loose.push((id, session)),
+            AnySession::Count(_) => loose.push((id, session)),
         }
     }
     (members, loose)
@@ -1065,15 +1058,21 @@ pub(crate) fn split_by_group<C: SlidingTopK, T: TimedTopK>(
 /// needed to rebuild a [`Registry`] (or to scatter across `AsyncHub`
 /// shards) once [`merge`](RegistryParts::merge) has validated the
 /// cross-section invariants.
-pub(crate) struct RegistryParts<C: SlidingTopK, T: TimedTopK> {
-    pub(crate) sessions: Vec<(QueryId, AnySession<C, T>)>,
+pub(crate) struct RegistryParts<C: SlidingTopK> {
+    pub(crate) sessions: Vec<(QueryId, AnySession<C>)>,
     /// Both clocks' groups; after [`merge`](RegistryParts::merge) a
     /// member's group handle indexes this list.
     pub(crate) groups: Vec<Group<C>>,
     pub(crate) counters: Counters,
+    /// Decoded isolated time-based sessions (session kind 1, which this
+    /// build reads but never writes), not yet in a group: each an
+    /// event-clock member in step with the producer its adapter ran.
+    /// [`merge`](RegistryParts::merge) seats them in their slide groups;
+    /// live registries never hold one, so it is empty everywhere else.
+    pub(crate) unseated: Vec<(QueryId, GroupSession<C>, DigestProducer)>,
 }
 
-impl<C: SlidingTopK, T: TimedTopK> RegistryParts<C, T> {
+impl<C: SlidingTopK> RegistryParts<C> {
     /// Folds per-shard registry sections back into one coherent whole:
     /// sessions concatenated and re-sorted into ascending-id order
     /// (identical to hub registration order, so a restored hub drains in
@@ -1083,10 +1082,21 @@ impl<C: SlidingTopK, T: TimedTopK> RegistryParts<C, T> {
     /// appearing in two sections would mean a group spanned shards,
     /// which the hub never produces, so it is corruption rather than a
     /// merge.
+    ///
+    /// Unseated members join the store here and are seated in id order,
+    /// after the slide-group index is built, so a later one of the same
+    /// slide duration finds the group an earlier one founded. A member
+    /// whose `(slide_duration, pass-all)` group exists warms up on its own
+    /// producer until the group closes the slide it joined during — the
+    /// later of the two open slides, since a session registered after the
+    /// last arrival lags its group by empty slides — and deepens the
+    /// group to its `k`, as a live mid-stream join does. Otherwise its
+    /// producer founds that group, in step with the member.
     pub(crate) fn merge(parts: Vec<Self>) -> Result<Self, CheckpointError> {
         let mut sessions = Vec::new();
         let mut groups: Vec<Group<C>> = Vec::new();
         let mut counters = Counters::default();
+        let mut producers = Vec::new();
         for mut part in parts {
             // rebase this section's arrival-clock references onto the
             // concatenated list BEFORE its sessions join the shared pool;
@@ -1105,6 +1115,10 @@ impl<C: SlidingTopK, T: TimedTopK> RegistryParts<C, T> {
             }
             groups.extend(part.groups);
             sessions.extend(part.sessions);
+            for (id, member, producer) in part.unseated {
+                sessions.push((id, AnySession::Group(member)));
+                producers.push((id, producer));
+            }
             counters.absorb(&part.counters);
         }
         sessions.sort_by_key(|(id, _)| *id);
@@ -1120,6 +1134,28 @@ impl<C: SlidingTopK, T: TimedTopK> RegistryParts<C, T> {
                 return Err(CheckpointError::Corrupt(
                     "a slide group spans registry sections",
                 ));
+            }
+        }
+        producers.sort_unstable_by_key(|(id, _)| *id);
+        for (id, producer) in producers {
+            let pos = sessions
+                .binary_search_by_key(&id, |(q, _)| *q)
+                .expect("an unseated member joined the store");
+            let AnySession::Group(m) = &mut sessions[pos].1 else {
+                unreachable!("an unseated member is a group session")
+            };
+            let key = (m.slide(), m.predicate());
+            match slide_groups.get(&key) {
+                Some(&index) => {
+                    let group = &mut groups[index];
+                    let open_slide = group.producer.next_slide().max(producer.next_slide());
+                    group.deepen(m.k());
+                    m.warm_up(producer, open_slide);
+                }
+                None => {
+                    slide_groups.insert(key, groups.len());
+                    groups.push(Group::new(producer, m.predicate(), GroupClock::Event));
+                }
             }
         }
         // per group: member count and widest member window
@@ -1256,6 +1292,7 @@ impl<C: SlidingTopK, T: TimedTopK> RegistryParts<C, T> {
             sessions,
             groups,
             counters,
+            unseated: Vec::new(),
         })
     }
 
@@ -1280,13 +1317,13 @@ impl<C: SlidingTopK, T: TimedTopK> RegistryParts<C, T> {
 
 /// Where a group close delivers its member emissions: the session store
 /// the members live in, and the call's output.
-struct Delivery<'a, C: SlidingTopK, T: TimedTopK> {
-    sessions: &'a mut [(QueryId, AnySession<C, T>)],
+struct Delivery<'a, C: SlidingTopK> {
+    sessions: &'a mut [(QueryId, AnySession<C>)],
     out: &'a mut Vec<QueryUpdate>,
     hint: usize,
 }
 
-impl<C: SlidingTopK, T: TimedTopK> Delivery<'_, C, T> {
+impl<C: SlidingTopK> Delivery<'_, C> {
     /// The per-member half of a class close: every member stamps the
     /// class's shared snapshot and delta.
     fn stamp(&mut self, members: &[QueryId], snapshot: &Snapshot, events: &EventList) {
@@ -1349,9 +1386,9 @@ fn note_update_hint(hint: &mut usize, emitted: usize) {
 /// call — the membership rule of [`Registry::solo`]. Isolated sessions
 /// own their engines, and a warming member feeds its private producer;
 /// every other group member is served by its class at a close.
-fn needs_call<C: SlidingTopK, T: TimedTopK>(session: &AnySession<C, T>) -> bool {
+fn needs_call<C: SlidingTopK>(session: &AnySession<C>) -> bool {
     match session {
-        AnySession::Count(_) | AnySession::Timed(_) => true,
+        AnySession::Count(_) => true,
         AnySession::Group(m) => m.is_warming_up(),
     }
 }
@@ -1359,9 +1396,9 @@ fn needs_call<C: SlidingTopK, T: TimedTopK>(session: &AnySession<C, T>) -> bool 
 /// Whether every group member among `sessions` sits where a live group
 /// keeps it: a warming member in no class of its group, any other in
 /// exactly one — the shape a group must arrive in when it is installed.
-fn members_in_classes<C: SlidingTopK, T: TimedTopK>(
+fn members_in_classes<C: SlidingTopK>(
     groups: &HashMap<u64, Group<C>>,
-    sessions: &[(QueryId, AnySession<C, T>)],
+    sessions: &[(QueryId, AnySession<C>)],
 ) -> bool {
     sessions.iter().all(|(id, session)| {
         let AnySession::Group(m) = session else {
@@ -1398,7 +1435,7 @@ fn consumer_sig<C: SlidingTopK>(consumer: &SharedTimed<C>) -> Vec<u8> {
     enc.into_payload()
 }
 
-impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
+impl<C: SlidingTopK> Registry<C> {
     /// A registry tagged with its owning shard index, so group-affinity
     /// routing bugs trip the debug assertion in
     /// [`register`](Registry::register) instead of silently splitting a
@@ -1413,7 +1450,7 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
     /// Appends a freshly registered session — ids are handed out
     /// monotonically, so appending keeps the store in ascending-id order
     /// — and lists it for per-call service if it needs it.
-    fn push_session(&mut self, id: QueryId, session: AnySession<C, T>) {
+    fn push_session(&mut self, id: QueryId, session: AnySession<C>) {
         debug_assert!(
             self.sessions.last().is_none_or(|(last, _)| *last < id),
             "registration ids ascend"
@@ -1441,7 +1478,7 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
     /// in one pass — the stable sort finds the two sorted runs and merges
     /// them, O(store) whatever the member count, where inserting one at a
     /// time is O(members × store) — and recomputes the per-call list.
-    fn merge_sessions(&mut self, incoming: Vec<(QueryId, AnySession<C, T>)>) {
+    fn merge_sessions(&mut self, incoming: Vec<(QueryId, AnySession<C>)>) {
         self.sessions.extend(incoming);
         self.sessions.sort_by_key(|(id, _)| *id);
         self.rebuild_solo();
@@ -1451,8 +1488,8 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
     /// back in ascending-id order, and recomputes the per-call list.
     fn extract_sessions(
         &mut self,
-        mut is_member: impl FnMut(&AnySession<C, T>) -> bool,
-    ) -> Vec<(QueryId, AnySession<C, T>)> {
+        mut is_member: impl FnMut(&AnySession<C>) -> bool,
+    ) -> Vec<(QueryId, AnySession<C>)> {
         let members = self
             .sessions
             .extract_if(.., |(_, session)| is_member(session))
@@ -1495,16 +1532,13 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
     /// the invariant that makes per-shard group counts sum exactly in
     /// [`HubStats::merge`] and lets a group share one producer without
     /// cross-thread coordination.
-    pub(crate) fn register(&mut self, id: QueryId, member: Member<C, T>, home: Option<usize>) {
+    pub(crate) fn register(&mut self, id: QueryId, member: Member<C>, home: Option<usize>) {
         debug_assert_eq!(
             home, self.shard,
             "routing bug: a group's members must all land on its home shard"
         );
         match member {
             Member::Count(alg) => self.push_session(id, AnySession::Count(Session::new(alg))),
-            Member::Timed(engine) => {
-                self.push_session(id, AnySession::Timed(TimedSession::new(engine)))
-            }
             Member::Group(consumer, clock, predicate) => {
                 self.register_member(id, *consumer, clock, predicate)
             }
@@ -1536,13 +1570,7 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
             )),
         };
         let group = self.groups.get_mut(&gid).expect("joined or founded");
-        group.producer.grow_k_max(k);
-        // deepening mid-slide is exact (the open slide is held
-        // untruncated), but the gate's cap just grew: rebuild it from the
-        // admitted buffer so it never over-prunes
-        group
-            .gate
-            .rebuild(group.producer.k_max(), group.producer.pending());
+        group.deepen(k);
         // the join rule's second half: a joinable arrival-clock group's
         // open slide is empty, but an event-clock group is in step with
         // a newcomer only while pristine — everything it will ever see
@@ -1558,7 +1586,7 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
         );
         group.count(&member);
         if !in_step {
-            member.warm_up(next);
+            member.warm_up(DigestProducer::new(slide, k), next);
         } else if let Some(class) = group
             .classes
             .iter_mut()
@@ -1611,7 +1639,7 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
     /// earlier leaver hands its share back and is returned without a
     /// consumer — engines are not `Clone`, and the state keeps serving
     /// the members staying behind.
-    pub(crate) fn unregister(&mut self, id: QueryId) -> Option<AnySession<C, T>> {
+    pub(crate) fn unregister(&mut self, id: QueryId) -> Option<AnySession<C>> {
         let pos = self.position(id)?;
         let (_, mut session) = self.sessions.remove(pos);
         // drop `pos` from the per-call list; later entries shift down
@@ -1708,9 +1736,9 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
 
     /// Fans a timed batch out to every session: the per-call list is
     /// walked in registration order — isolated count sessions see the
-    /// untimed view, isolated timed sessions consume the raw batch,
-    /// warming members their private view — then each group ingests the
-    /// batch **once**, serving its classes inside every close.
+    /// untimed view, warming members feed the raw batch to their private
+    /// view — then each group ingests the batch **once**, serving its
+    /// classes inside every close.
     pub(crate) fn publish_timed(&mut self, objects: &[TimedObject]) -> Vec<QueryUpdate> {
         if self.sessions.is_empty() || objects.is_empty() {
             return Vec::new();
@@ -1743,9 +1771,6 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
                     session.push_each(plain_buf, &mut tagged_sink(&mut out, hint, *id));
                     counters.count_group_rebuilds += (out.len() - before) as u64;
                 }
-                AnySession::Timed(session) => {
-                    session.push_timed_each(objects, &mut tagged_sink(&mut out, hint, *id))
-                }
                 AnySession::Group(member) => serve_warming(
                     &mut counters.digest_rebuilds,
                     &mut tagged_sink(&mut out, hint, *id),
@@ -1761,8 +1786,8 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
 
     /// Raises the event-time watermark on every time-based session —
     /// event-clock groups advance once and serve their classes, warming
-    /// members and isolated sessions advance privately. Count-based
-    /// sessions and arrival-clock groups are untouched.
+    /// members advance privately. Count-based sessions and arrival-clock
+    /// groups are untouched.
     pub(crate) fn advance_time(&mut self, watermark: u64) -> Vec<QueryUpdate> {
         if self.sessions.is_empty() {
             return Vec::new();
@@ -1781,7 +1806,6 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
             let mut sink = tagged_sink(&mut out, hint, *id);
             match session {
                 AnySession::Count(_) => continue,
-                AnySession::Timed(session) => session.advance_watermark_each(watermark, &mut sink),
                 AnySession::Group(member) => {
                     serve_warming(&mut counters.digest_rebuilds, &mut sink, |f| {
                         member.advance_warmup(watermark, f)
@@ -1881,7 +1905,7 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
         }
     }
 
-    pub(crate) fn session(&self, id: QueryId) -> Option<&AnySession<C, T>> {
+    pub(crate) fn session(&self, id: QueryId) -> Option<&AnySession<C>> {
         self.position(id).map(|pos| &self.sessions[pos].1)
     }
 
@@ -1926,7 +1950,6 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
         for (_, session) in &self.sessions {
             match session {
                 AnySession::Count(_) => stats.count_queries += 1,
-                AnySession::Timed(_) => stats.timed_queries += 1,
                 AnySession::Group(m) => match m.clock() {
                     Clock::Event => stats.shared_queries += 1,
                     Clock::Arrival => stats.grouped_queries += 1,
@@ -1983,15 +2006,6 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
                         e.put_usize(spec.s);
                         s.encode_checkpoint_body(e);
                     }
-                    AnySession::Timed(s) => {
-                        e.put_u8(1);
-                        e.put_str(s.engine().name());
-                        let spec = s.timed_spec();
-                        e.put_u64(spec.window_duration);
-                        e.put_u64(spec.slide_duration);
-                        e.put_usize(spec.k);
-                        s.encode_checkpoint_body(e);
-                    }
                     AnySession::Group(m) => {
                         match m.clock() {
                             Clock::Event => {
@@ -2038,15 +2052,15 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
 
     /// Decodes one `tags::REGISTRY` section body into loose
     /// [`RegistryParts`], building each session's engine through the
-    /// caller's closures (the count closure also serves group members,
-    /// whose inner engine runs on the Appendix-A reduced spec). Every
-    /// structural violation is a typed error — never a panic.
+    /// caller's closure (group members' and kind-1 entries' engines run
+    /// on the Appendix-A reduced spec). Every structural violation is a
+    /// typed error — never a panic.
     pub(crate) fn decode_checkpoint(
         dec: &mut Decoder<'_>,
         count: &mut dyn FnMut(&str, WindowSpec) -> Result<C, SapError>,
-        timed: &mut dyn FnMut(&str, TimedSpec) -> Result<T, SapError>,
-    ) -> Result<RegistryParts<C, T>, SapError> {
+    ) -> Result<RegistryParts<C>, SapError> {
         let mut sessions = Vec::new();
+        let mut unseated = Vec::new();
         {
             let mut sec = dec.section(tags::SESSIONS)?;
             let n = sec.take_seq_len()?;
@@ -2073,6 +2087,9 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
                         }
                         AnySession::Count(Session::decode_checkpoint_body(engine, &mut sec)?)
                     }
+                    // an isolated time-based session, which earlier builds
+                    // wrote: its adapter's engine, producer and consumer
+                    // become an unseated event-clock member
                     1 => {
                         let name = sec.take_str()?;
                         let (wd, sd, k) = (sec.take_u64()?, sec.take_u64()?, sec.take_usize()?);
@@ -2087,16 +2104,14 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
                             )
                             .into());
                         }
-                        let engine = timed(name, spec)?;
-                        if engine.window_duration() != wd
-                            || engine.slide_duration() != sd
-                            || engine.k() != k
-                        {
-                            return Err(
-                                CheckpointError::Corrupt("factory engine spec mismatch").into()
-                            );
-                        }
-                        AnySession::Timed(TimedSession::decode_checkpoint_body(engine, &mut sec)?)
+                        let engine = count(name, reduced)?;
+                        let consumer = SharedTimed::from_engine(engine, wd, sd).map_err(|_| {
+                            CheckpointError::Corrupt("factory engine spec mismatch")
+                        })?;
+                        let (member, producer) =
+                            GroupSession::decode_adapter_body(consumer, &mut sec)?;
+                        unseated.push((id, member, producer));
+                        continue;
                     }
                     2 => {
                         let name = sec.take_str()?;
@@ -2197,6 +2212,7 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
             sessions,
             groups,
             counters,
+            unseated,
         })
     }
 
@@ -2206,12 +2222,14 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
     /// arrive, with their members counted and seated in classes (a
     /// restore seats decoded members first; see
     /// [`RegistryParts::pool_classes`]).
-    pub(crate) fn from_merged(parts: RegistryParts<C, T>, shard: Option<usize>) -> Self {
+    pub(crate) fn from_merged(parts: RegistryParts<C>, shard: Option<usize>) -> Self {
         let RegistryParts {
             sessions,
             groups,
             counters,
+            unseated,
         } = parts;
+        debug_assert!(unseated.is_empty(), "merge seats every decoded member");
         let mut registry = Registry {
             counters,
             shard,
@@ -2246,9 +2264,9 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
     /// where the query had been registered here originally. Group members
     /// travel with their group instead
     /// ([`install_group`](Registry::install_group)).
-    pub(crate) fn install(&mut self, id: QueryId, session: AnySession<C, T>) {
+    pub(crate) fn install(&mut self, id: QueryId, session: AnySession<C>) {
         debug_assert!(
-            matches!(session, AnySession::Count(_) | AnySession::Timed(_)),
+            matches!(session, AnySession::Count(_)),
             "group members travel with their group"
         );
         let pos = self.sessions.partition_point(|(have, _)| *have < id);
@@ -2268,7 +2286,7 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
     pub(crate) fn install_group(
         &mut self,
         group: Group<C>,
-        mut members: Vec<(QueryId, AnySession<C, T>)>,
+        mut members: Vec<(QueryId, AnySession<C>)>,
     ) {
         debug_assert!(!members.is_empty(), "a group never travels empty");
         debug_assert!(
@@ -2294,7 +2312,7 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
     /// inseparable — moving one moves all). The group keeps its classes,
     /// so a classed member travels without a consumer. `None` if `member`
     /// is not a group member here.
-    pub(crate) fn eject_group_of(&mut self, member: QueryId) -> Option<EjectedGroup<C, T>> {
+    pub(crate) fn eject_group_of(&mut self, member: QueryId) -> Option<EjectedGroup<C>> {
         let AnySession::Group(m) = self.session(member)? else {
             return None;
         };
@@ -2310,7 +2328,7 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
     /// counters — leaving the registry empty. The `AsyncHub::resize` path
     /// drains each shard through this before re-scattering onto the new
     /// shard set.
-    pub(crate) fn eject_all(&mut self) -> RegistryParts<C, T> {
+    pub(crate) fn eject_all(&mut self) -> RegistryParts<C> {
         // members name their group by position in the parts' list
         let order = self.canonical();
         let index_of: HashMap<u64, u64> = order
@@ -2335,6 +2353,7 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
             sessions,
             groups,
             counters: std::mem::take(&mut self.counters),
+            unseated: Vec::new(),
         }
     }
 }
@@ -2343,14 +2362,14 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
 mod tests {
     use super::*;
     use crate::query::TimedSpec;
-    use crate::test_support::{Toy, ToyTimed};
+    use crate::test_support::Toy;
 
     fn consumer(wd: u64, sd: u64, k: usize) -> SharedTimed<Toy> {
         let reduced = TimedSpec::new(wd, sd, k).unwrap().reduced().unwrap();
         SharedTimed::from_engine(Toy::new(reduced.n, reduced.k, reduced.s), wd, sd).unwrap()
     }
 
-    type ToyRegistry = Registry<Toy, ToyTimed>;
+    type ToyRegistry = Registry<Toy>;
 
     fn q(raw: u64) -> QueryId {
         QueryId::from_raw(raw)
@@ -2381,8 +2400,8 @@ mod tests {
 
     /// Asserts the store is in ascending-id order and the per-call list
     /// is exactly what the full store walk it replaced served on every
-    /// call: isolated count and timed sessions plus warming members, in
-    /// store order.
+    /// call: isolated count sessions plus warming members, in store
+    /// order.
     fn assert_listed(reg: &ToyRegistry, step: &str) {
         assert!(
             reg.sessions.windows(2).all(|w| w[0].0 < w[1].0),
@@ -2393,7 +2412,7 @@ mod tests {
             .iter()
             .enumerate()
             .filter(|(_, (_, session))| match session {
-                AnySession::Count(_) | AnySession::Timed(_) => true,
+                AnySession::Count(_) => true,
                 AnySession::Group(m) => m.is_warming_up(),
             })
             .map(|(i, _)| i)
@@ -2408,7 +2427,7 @@ mod tests {
 
     /// Scatters ejected parts back through the install paths, as the
     /// hubs' resize does for one shard.
-    fn reinstall(reg: &mut ToyRegistry, parts: RegistryParts<Toy, ToyTimed>, step: &str) {
+    fn reinstall(reg: &mut ToyRegistry, parts: RegistryParts<Toy>, step: &str) {
         let (members_of, loose) = split_by_group(parts.sessions, parts.groups.len());
         for (group, members) in parts.groups.into_iter().zip(members_of) {
             reg.install_group(group, members);
@@ -2428,7 +2447,7 @@ mod tests {
         enroll_event(&mut reg, 1, consumer(20, 10, 2), pass);
         enroll_event(&mut reg, 2, consumer(20, 10, 2), pass);
         enroll_arrival(&mut reg, 3, 20, 2, 5);
-        reg.register(q(4), Member::Timed(ToyTimed::new(20, 10, 2)), None);
+        reg.register(q(4), Member::Count(Toy::new(20, 2, 5)), None);
         assert_listed(&reg, "registration");
         assert_eq!(listed(&reg), [0, 4], "pristine joiners share a class");
 
@@ -2513,7 +2532,7 @@ mod tests {
         const MEMBERS: u64 = 1_500;
         let pass = Predicate::default();
         // ids interleave the planes: on the source, slide-group members
-        // (≡ 0 mod 4), count-group members (≡ 1) and isolated timed
+        // (≡ 0 mod 4), count-group members (≡ 1) and isolated count
         // fillers (≡ 2); on the target, isolated count fillers (≡ 3). The
         // reference is a second source that never migrates.
         let build = || {
@@ -2522,7 +2541,7 @@ mod tests {
                 let k = 1 + (i % 3) as usize;
                 enroll_event(&mut reg, 4 * i, consumer(20 + 10 * (i % 2), 10, k), pass);
                 enroll_arrival(&mut reg, 4 * i + 1, 20, k, 5);
-                reg.register(q(4 * i + 2), Member::Timed(ToyTimed::new(20, 10, 1)), None);
+                reg.register(q(4 * i + 2), Member::Count(Toy::new(20, 1, 5)), None);
             }
             reg
         };
@@ -2562,10 +2581,11 @@ mod tests {
         check(&source, &[0, 1, 2], "source after the round trip");
         check(&target, &[3], "target after the round trip");
         // the round-tripped groups serve exactly what staying put did: two
-        // closes of each timed plane (t = 30, 40), four of the count group
+        // closes of the slide group (t = 30, 40), four of the count group
+        // and four of each isolated count filler
         let more = ticks(25, 45);
         let updates = source.publish_timed(&more);
-        assert_eq!(updates.len() as u64, 8 * MEMBERS);
+        assert_eq!(updates.len() as u64, 10 * MEMBERS);
         assert_eq!(updates, reference.publish_timed(&more));
     }
 
@@ -2573,7 +2593,7 @@ mod tests {
     fn digest_depth_follows_the_deepest_member() {
         let pass = Predicate::default();
         let k_max = |reg: &ToyRegistry| slide_group(reg, 10, pass).producer.k_max();
-        let mut reg: Registry<Toy, ToyTimed> = Registry::default();
+        let mut reg: Registry<Toy> = Registry::default();
         enroll_event(&mut reg, 0, consumer(20, 10, 1), pass);
         assert_eq!(k_max(&reg), 1);
         enroll_event(&mut reg, 1, consumer(40, 10, 5), pass);
@@ -2594,7 +2614,7 @@ mod tests {
 
     #[test]
     fn predicate_disjoint_members_split_into_sub_groups() {
-        let mut reg: Registry<Toy, ToyTimed> = Registry::default();
+        let mut reg: Registry<Toy> = Registry::default();
         let hot = Predicate::default().score_at_least(100.0);
         enroll_event(&mut reg, 0, consumer(20, 10, 1), Predicate::default());
         enroll_event(&mut reg, 1, consumer(20, 10, 4), hot);

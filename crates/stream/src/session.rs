@@ -16,9 +16,11 @@
 //! the query that produced them.
 //!
 //! Time-based queries have the same shape one type over:
-//! [`TimedSession`] wraps a [`TimedTopK`] engine, slides close on
-//! timestamps instead of arrival counts, and both hubs serve the two
-//! models side by side (see [`Hub::publish_timed`]).
+//! [`TimedSession`] wraps a [`TimedTopK`] engine and closes slides on
+//! timestamps instead of arrival counts. It is the standalone API; both
+//! hubs serve every time-based query from its slide group instead, as a
+//! [`GroupSession`] on the event clock, side by side with the count-based
+//! ones (see [`Hub::publish_timed`]).
 //!
 //! ## Memory discipline
 //!
@@ -35,7 +37,6 @@
 //! use sap_stream::{Hub, Ingest, Object, Registration};
 //! # use sap_stream::{OpStats, SlidingTopK, WindowSpec};
 //! # struct Toy(WindowSpec, Vec<Object>);
-//! # impl sap_stream::checkpoint::CheckpointState for Toy {}
 //! # impl SlidingTopK for Toy {
 //! #     fn spec(&self) -> WindowSpec { self.0 }
 //! #     fn slide(&mut self, b: &[Object]) -> &[Object] { self.1 = b.to_vec(); &self.1 }
@@ -438,6 +439,11 @@ impl<A: SlidingTopK> Ingest for Session<A> {
 /// opaque to the engine except for tie-breaking (equal scores resolve by
 /// slide recency, then by descending id within a slide — see the
 /// [`TimedObject`] docs).
+///
+/// This is the standalone API, driven on the caller's thread. The hubs
+/// never store one: a time-based registration joins its slide group as a
+/// [`GroupSession`], whose emissions are byte-identical to this
+/// session's over the same stream.
 #[derive(Debug)]
 pub struct TimedSession<E: TimedTopK> {
     engine: E,
@@ -490,38 +496,6 @@ impl<E: TimedTopK> TimedSession<E> {
     /// Unwraps the session, discarding the delta state.
     pub fn into_inner(self) -> E {
         self.engine
-    }
-
-    /// Writes the session's checkpoint body: the slide counter, the
-    /// previous emission (delta continuity), and the engine's
-    /// [`CheckpointState`] blob in its own frame. Unlike the count-based
-    /// session, a timed engine holds state the session cannot replay
-    /// (the open-slide buffer, the reduced window), so the engine writes
-    /// itself.
-    pub(crate) fn encode_checkpoint_body(&self, enc: &mut Encoder) {
-        enc.put_u64(self.slides);
-        self.prev.encode_state(enc);
-        enc.section(tags::ENGINE, |e| self.engine.encode_engine(e));
-    }
-
-    /// Rebuilds a session from its checkpoint body. `engine` must be
-    /// fresh (as built by an [`EngineFactory`]); its
-    /// [`CheckpointState::decode_engine`] consumes the framed blob.
-    pub(crate) fn decode_checkpoint_body(
-        mut engine: E,
-        dec: &mut Decoder<'_>,
-    ) -> Result<Self, CheckpointError> {
-        let slides = dec.take_u64()?;
-        let prev = Snapshot::decode_state(dec)?;
-        let mut blob = dec.section(tags::ENGINE)?;
-        engine.decode_engine(&mut blob)?;
-        blob.finish()?;
-        Ok(TimedSession {
-            engine,
-            prev,
-            slides,
-            scratch: SlideScratch::new(),
-        })
     }
 }
 
@@ -584,8 +558,8 @@ impl<E: TimedTopK> TimedIngest for TimedSession<E> {
 /// the two sharing planes (see `crate::registry`'s groups).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Clock {
-    /// Event time: slides close on timestamps. A
-    /// [`Registration::shared`] query `W⟨window, slide⟩`.
+    /// Event time: slides close on timestamps. A time-based query
+    /// `W⟨window, slide⟩` ([`Registration::shared`]).
     Event,
     /// Arrival ordinals: a slide closes every `slide` published objects.
     /// A [`Registration::grouped`] query `⟨n, k, s⟩`.
@@ -593,8 +567,9 @@ pub enum Clock {
 }
 
 /// A session served by a sharing-plane group: a time-based query on the
-/// event clock ([`Registration::shared`]) or a count-based one on the
-/// arrival clock ([`Registration::grouped`]).
+/// event clock ([`Registration::shared`], which every time-based
+/// registration is) or a count-based one on the arrival clock
+/// ([`Registration::grouped`]).
 ///
 /// The member's engine answers SAP's Appendix-A reduction
 /// `⟨(n/s)·k, k, k⟩` through a [`SharedTimed`] consumer (durations
@@ -615,8 +590,10 @@ pub enum Clock {
 /// so it **warms up**: a private [`DigestProducer`] serves it until the
 /// group slide it joined during has closed. From the next slide on the
 /// private and shared views coincide, and the registry seats the member
-/// in a class of its own. An arrival-clock member never warms up: it
-/// only joins a group whose open slide is empty.
+/// in a class of its own. An isolated time-based session restored from
+/// an older checkpoint warms up the same way, on the producer its
+/// adapter ran. An arrival-clock member never warms up: it only joins a
+/// group whose open slide is empty.
 #[derive(Debug)]
 pub struct GroupSession<C: SlidingTopK> {
     clock: Clock,
@@ -657,9 +634,10 @@ pub struct GroupSession<C: SlidingTopK> {
 #[derive(Debug)]
 struct Warmup {
     producer: DigestProducer,
-    /// The group's open slide at registration. Once the group has closed
-    /// it, every later slide started after the registration and the
-    /// private view equals the shared one.
+    /// The group's open slide at registration (for a restored isolated
+    /// session, the later of its own and its group's). Once the group
+    /// has closed it, every later slide started after the registration
+    /// and the private view equals the shared one.
     open_slide: u64,
     scratch: SlideScratch,
 }
@@ -690,11 +668,12 @@ impl<C: SlidingTopK> GroupSession<C> {
         }
     }
 
-    /// Starts the warm-up of a mid-stream joiner whose group's open slide
-    /// is `open_slide`.
-    pub(crate) fn warm_up(&mut self, open_slide: u64) {
+    /// Starts the warm-up on the private `producer` of a member that
+    /// joins its group while the group is at `open_slide` (see
+    /// [`Warmup::open_slide`]).
+    pub(crate) fn warm_up(&mut self, producer: DigestProducer, open_slide: u64) {
         self.warmup = Some(Box::new(Warmup {
-            producer: DigestProducer::new(self.slide, self.k),
+            producer,
             open_slide,
             scratch: SlideScratch::new(),
         }));
@@ -905,6 +884,43 @@ impl<C: SlidingTopK> GroupSession<C> {
         Ok(session)
     }
 
+    /// Rebuilds an isolated time-based session from its checkpoint body
+    /// (session kind 1, which earlier builds wrote): the slide counter,
+    /// the previous emission, then its adapter's producer and consumer in
+    /// one frame. `consumer` must be fresh, over a factory-built engine on
+    /// the query's reduction. Returns a member in step with the producer,
+    /// which the registry seats in its slide group, and the producer.
+    pub(crate) fn decode_adapter_body(
+        mut consumer: SharedTimed<C>,
+        dec: &mut Decoder<'_>,
+    ) -> Result<(Self, DigestProducer), CheckpointError> {
+        let slides = dec.take_u64()?;
+        let prev = Snapshot::decode_state(dec)?;
+        let mut blob = dec.section(tags::ENGINE)?;
+        let producer = DigestProducer::decode_state(&mut blob)?;
+        if producer.slide_duration() != consumer.slide_duration() {
+            return Err(CheckpointError::Corrupt(
+                "adapter producer disagrees with its spec on slide duration",
+            ));
+        }
+        if producer.k_max() < consumer.k() {
+            return Err(CheckpointError::Corrupt(
+                "adapter producer shallower than the query's k",
+            ));
+        }
+        consumer.restore_state(&mut blob)?;
+        blob.finish()?;
+        if consumer.slides_applied() != producer.next_slide() {
+            return Err(CheckpointError::Corrupt(
+                "adapter consumer out of step with its producer",
+            ));
+        }
+        let mut session = GroupSession::new(Clock::Event, consumer, Predicate::default(), 0, 0);
+        session.slides = slides;
+        session.prev = prev;
+        Ok((session, producer))
+    }
+
     /// The per-member half of a class-computed slide close: stamps this
     /// member's slide counter onto the class's shared snapshot and delta.
     /// Costs two refcount bumps and an inline event copy — zero heap
@@ -1006,32 +1022,24 @@ impl<C: SlidingTopK> GroupSession<C> {
 }
 
 /// A session of any window model — what the hubs store and what
-/// [`Hub::unregister`]/`AsyncHub::unregister` hand back. The `C`/`T`
-/// parameters are the count-based and time-based engine types (boxed
-/// trait objects in the hubs; see [`HubSession`]); group sessions reuse
-/// `C`, their reduction engines being count-based.
-// `Group` outweighs the other variants (its consumer embeds the
-// Appendix-A reduction inline), but boxing it would put a pointer chase
-// on every emission a class close stamps — the measured hot path — to
-// save bytes on the isolated variants, which hubs register by the
-// hundreds, not the hundred-thousands.
-#[allow(clippy::large_enum_variant)]
+/// [`Hub::unregister`]/`AsyncHub::unregister` hand back. `C` is the
+/// engine type (a boxed trait object in the hubs; see [`HubSession`]):
+/// an isolated count session runs it on the query's own spec, a group
+/// session on the Appendix-A reduction.
 #[derive(Debug)]
-pub enum AnySession<C: SlidingTopK, T: TimedTopK> {
+pub enum AnySession<C: SlidingTopK> {
     /// A count-based session (isolated: private engine).
     Count(Session<C>),
-    /// A time-based session (isolated: private Appendix-A adapter).
-    Timed(TimedSession<T>),
-    /// A session served by a sharing-plane group, on either clock.
+    /// A session served by a sharing-plane group, on either clock —
+    /// every time-based query is one.
     Group(GroupSession<C>),
 }
 
-impl<C: SlidingTopK, T: TimedTopK> AnySession<C, T> {
+impl<C: SlidingTopK> AnySession<C> {
     /// Number of slides completed so far, whichever the window model.
     pub fn slides(&self) -> u64 {
         match self {
             AnySession::Count(s) => s.slides(),
-            AnySession::Timed(s) => s.slides(),
             AnySession::Group(s) => s.slides(),
         }
     }
@@ -1041,7 +1049,6 @@ impl<C: SlidingTopK, T: TimedTopK> AnySession<C, T> {
     pub fn last_snapshot(&self) -> &[Object] {
         match self {
             AnySession::Count(s) => s.last_snapshot(),
-            AnySession::Timed(s) => s.last_snapshot(),
             AnySession::Group(s) => s.last_snapshot(),
         }
     }
@@ -1052,7 +1059,6 @@ impl<C: SlidingTopK, T: TimedTopK> AnySession<C, T> {
     pub fn last_snapshot_shared(&self) -> Snapshot {
         match self {
             AnySession::Count(s) => s.last_snapshot_shared(),
-            AnySession::Timed(s) => s.last_snapshot_shared(),
             AnySession::Group(s) => s.last_snapshot_shared(),
         }
     }
@@ -1061,14 +1067,6 @@ impl<C: SlidingTopK, T: TimedTopK> AnySession<C, T> {
     pub fn as_count(&self) -> Option<&Session<C>> {
         match self {
             AnySession::Count(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The (isolated) time-based session, if that is this session's model.
-    pub fn as_timed(&self) -> Option<&TimedSession<T>> {
-        match self {
-            AnySession::Timed(s) => Some(s),
             _ => None,
         }
     }
@@ -1089,14 +1087,6 @@ impl<C: SlidingTopK, T: TimedTopK> AnySession<C, T> {
         }
     }
 
-    /// Unwraps an (isolated) time-based session.
-    pub fn into_timed(self) -> Option<TimedSession<T>> {
-        match self {
-            AnySession::Timed(s) => Some(s),
-            _ => None,
-        }
-    }
-
     /// Unwraps a group session.
     pub fn into_group(self) -> Option<GroupSession<C>> {
         match self {
@@ -1109,7 +1099,7 @@ impl<C: SlidingTopK, T: TimedTopK> AnySession<C, T> {
 /// The session type both hubs store and return from `unregister`: its
 /// engines are [`Send`], so a session can live on an
 /// [`AsyncHub`](crate::exec::AsyncHub) shard or move between shards.
-pub type HubSession = AnySession<Box<dyn SlidingTopK + Send>, Box<dyn TimedTopK + Send>>;
+pub type HubSession = AnySession<Box<dyn SlidingTopK + Send>>;
 
 /// Handle identifying a query registered with a [`Hub`] or an
 /// [`AsyncHub`](crate::exec::AsyncHub). Ids are handed out
@@ -1156,10 +1146,10 @@ pub struct QueryUpdate {
 /// All window models share the hub, each registered through
 /// [`subscribe`](Hub::subscribe) with a [`Registration`] naming its
 /// plane. Count-based queries slide on arrival counts; time-based
-/// queries slide on event time, either isolated or on the **shared
-/// digest plane**, where every query with the same `slide_duration` is
-/// served from one per-slide top-`k_max` digest instead of recomputing
-/// it per session. A stream published with
+/// queries slide on event time on the **shared digest plane**, where
+/// every query with the same `slide_duration` (and predicate) is served
+/// from one per-slide top-`k_max` digest instead of recomputing it per
+/// session. A stream published with
 /// [`publish_timed`](Hub::publish_timed) feeds all of them: count-based
 /// sessions see the objects' `(id, score)` in arrival order, time-based
 /// sessions additionally consume the timestamps. The plain
@@ -1265,22 +1255,16 @@ impl Hub {
         self.registry.session(id)
     }
 
-    /// The count-based session behind a handle (`None` for unknown
-    /// handles and for time-based queries — see
-    /// [`timed_session`](Hub::timed_session)).
+    /// The isolated count-based session behind a handle (`None` for
+    /// unknown handles and for group members — see
+    /// [`group_session`](Hub::group_session)).
     pub fn session(&self, id: QueryId) -> Option<&Session<Box<dyn SlidingTopK + Send>>> {
         self.any_session(id).and_then(AnySession::as_count)
     }
 
-    /// The (isolated) time-based session behind a handle (`None` for
-    /// unknown handles and for other models).
-    pub fn timed_session(&self, id: QueryId) -> Option<&TimedSession<Box<dyn TimedTopK + Send>>> {
-        self.any_session(id).and_then(AnySession::as_timed)
-    }
-
-    /// The group session behind a handle — a shared or grouped query,
-    /// on either clock (`None` for unknown handles and for isolated
-    /// queries).
+    /// The group session behind a handle — a time-based or grouped
+    /// query, on either clock (`None` for unknown handles and for
+    /// isolated count queries).
     pub fn group_session(&self, id: QueryId) -> Option<&GroupSession<Box<dyn SlidingTopK + Send>>> {
         self.any_session(id).and_then(AnySession::as_group)
     }
@@ -1615,8 +1599,8 @@ mod tests {
         let count = hub.subscribe(count(4, 1, 2)).unwrap();
         let timed = hub.subscribe(timed(20, 10, 1)).unwrap();
         assert_eq!(hub.len(), 2);
-        assert!(hub.session(count).is_some() && hub.timed_session(count).is_none());
-        assert!(hub.timed_session(timed).is_some() && hub.session(timed).is_none());
+        assert!(hub.session(count).is_some() && hub.group_session(count).is_none());
+        assert!(hub.group_session(timed).is_some() && hub.session(timed).is_none());
 
         // 6 objects, one per 5 time units: count query slides every 2
         // arrivals, timed query every 10 time units (= 2 arrivals here)
@@ -1633,12 +1617,12 @@ mod tests {
         let flushed = hub.advance_time(30);
         assert_eq!(flushed.len(), 1);
         assert_eq!(flushed[0].query, timed);
-        assert_eq!(hub.timed_session(timed).unwrap().slides(), 3);
+        assert_eq!(hub.group_session(timed).unwrap().slides(), 3);
 
-        // a timed unregister hands the timed session back
+        // a timed unregister hands its group session back
         let removed = hub.unregister(timed).expect("registered");
         assert_eq!(removed.slides(), 3);
-        assert!(removed.into_timed().is_some());
+        assert!(removed.into_group().is_some());
     }
 
     /// Irregular-rate timed stream: gaps cycle 0..7 time units, covering
@@ -1656,42 +1640,49 @@ mod tests {
     #[test]
     fn shared_queries_match_isolated_sessions_exactly() {
         use std::collections::HashMap;
-        // one hub serving the same three queries twice — isolated ToyTimed
-        // sessions vs shared consumers over the reduced-spec Toy engine —
-        // must emit byte-identical per-query results, while the digest
-        // plane runs one producer per distinct slide duration
+        // three shared consumers over the reduced-spec Toy engine must
+        // emit byte-identical results to standalone ToyTimed sessions fed
+        // the same chunks, while the digest plane runs one producer per
+        // distinct slide duration
         let mut hub = Hub::new();
         let geoms = [(40u64, 10u64, 2usize), (20, 10, 1), (50, 25, 3)];
         let mut pairs = Vec::new();
         for &(wd, sd, k) in &geoms {
-            let iso = hub.subscribe(timed(wd, sd, k)).unwrap();
             let reduced = (wd / sd) as usize * k;
             let shared = hub
                 .subscribe(shared(Toy::new(reduced, k, k), wd, sd))
                 .unwrap();
-            pairs.push((iso, shared));
+            pairs.push((
+                shared,
+                TimedSession::new(ToyTimed::new(wd, sd, k)),
+                Vec::new(),
+            ));
         }
         let data = timed_stream(120);
+        let horizon = data.last().unwrap().timestamp + 200;
         let mut by_query: HashMap<QueryId, Vec<SlideResult>> = HashMap::new();
         for chunk in data.chunks(13) {
             for u in hub.publish_timed(chunk) {
                 by_query.entry(u.query).or_default().push(u.result);
             }
+            for (_, reference, out) in &mut pairs {
+                reference.push_timed_into(chunk, out);
+            }
         }
-        for u in hub.advance_time(data.last().unwrap().timestamp + 200) {
+        for u in hub.advance_time(horizon) {
             by_query.entry(u.query).or_default().push(u.result);
         }
-        for (iso, shared) in pairs {
+        for (shared, mut reference, mut out) in pairs {
+            reference.advance_watermark_into(horizon, &mut out);
             assert_eq!(
-                by_query.get(&iso),
                 by_query.get(&shared),
-                "shared {shared} diverged from isolated {iso}"
+                Some(&out),
+                "shared {shared} diverged from its standalone session"
             );
         }
         let stats = hub.stats();
-        assert_eq!(stats.queries, 6);
+        assert_eq!(stats.queries, 3);
         assert_eq!(stats.count_queries, 0);
-        assert_eq!(stats.timed_queries, 3);
         assert_eq!(stats.shared_queries, 3);
         assert_eq!(stats.digest_groups, 2, "slide durations 10 and 25");
         assert!(stats.digest_hits > 0);
@@ -1704,7 +1695,10 @@ mod tests {
         use std::collections::HashMap;
         let mut hub = Hub::new();
         let data = timed_stream(160);
-        let early_iso = hub.subscribe(timed(40, 10, 2)).unwrap();
+        // standalone references, each fed what its shared twin observes
+        let mut early_iso = TimedSession::new(ToyTimed::new(40, 10, 2));
+        let mut late_iso = TimedSession::new(ToyTimed::new(20, 10, 4));
+        let (mut early_out, mut late_out) = (Vec::new(), Vec::new());
         let early_shared = hub.subscribe(shared(Toy::new(8, 2, 2), 40, 10)).unwrap();
         let mut by_query: HashMap<QueryId, Vec<SlideResult>> = HashMap::new();
         let fold = |updates: Vec<QueryUpdate>,
@@ -1716,24 +1710,29 @@ mod tests {
         for chunk in data[..80].chunks(11) {
             let updates = hub.publish_timed(chunk);
             fold(updates, &mut by_query);
+            early_iso.push_timed_into(chunk, &mut early_out);
         }
         // a mid-stream join with a LARGER k deepens the group's digests;
         // until its join slide closes it runs on a private warm-up view
-        let late_iso = hub.subscribe(timed(20, 10, 4)).unwrap();
         let late_shared = hub.subscribe(shared(Toy::new(8, 4, 4), 20, 10)).unwrap();
         assert!(hub.group_session(late_shared).unwrap().is_warming_up());
         for chunk in data[80..].chunks(11) {
             let updates = hub.publish_timed(chunk);
             fold(updates, &mut by_query);
+            early_iso.push_timed_into(chunk, &mut early_out);
+            late_iso.push_timed_into(chunk, &mut late_out);
         }
-        let updates = hub.advance_time(data.last().unwrap().timestamp + 100);
+        let horizon = data.last().unwrap().timestamp + 100;
+        let updates = hub.advance_time(horizon);
         fold(updates, &mut by_query);
+        early_iso.advance_watermark_into(horizon, &mut early_out);
+        late_iso.advance_watermark_into(horizon, &mut late_out);
         assert!(
             !hub.group_session(late_shared).unwrap().is_warming_up(),
             "the group closed the join slide, so the member promoted"
         );
-        assert_eq!(by_query.get(&early_iso), by_query.get(&early_shared));
-        assert_eq!(by_query.get(&late_iso), by_query.get(&late_shared));
+        assert_eq!(by_query.get(&early_shared), Some(&early_out));
+        assert_eq!(by_query.get(&late_shared), Some(&late_out));
         let stats = hub.stats();
         assert_eq!(stats.digest_groups, 1, "both shared queries share sd 10");
         assert!(
@@ -1758,7 +1757,7 @@ mod tests {
         hub.publish_timed(&[TimedObject::new(0, 5, 1.0), TimedObject::new(1, 12, 2.0)]);
         assert_eq!(hub.stats().digest_groups, 1);
         assert_eq!(hub.group_session(q).unwrap().slides(), 1);
-        assert!(hub.session(q).is_none() && hub.timed_session(q).is_none());
+        assert!(hub.session(q).is_none());
         let session = hub.unregister(q).unwrap();
         let left = session.into_group().expect("group model");
         assert_eq!(left.slides(), 1);
@@ -1785,7 +1784,7 @@ mod tests {
             updates.is_empty(),
             "untimed objects carry no event time for a timed query"
         );
-        assert_eq!(hub.timed_session(timed).unwrap().slides(), 0);
+        assert_eq!(hub.group_session(timed).unwrap().slides(), 0);
     }
 
     #[test]

@@ -43,11 +43,11 @@ use crate::registry::{
     Registry, RegistryParts,
 };
 use crate::session::{Clock, HubSession, QueryId, QueryUpdate};
-use crate::window::{SlidingTopK, TimedTopK};
+use crate::window::SlidingTopK;
 
 /// One shard's ejected serving state — what travels back on
 /// [`AsyncHub::resize`](crate::exec::AsyncHub::resize)'s rescatter path.
-pub(crate) type ShardParts = RegistryParts<Box<dyn SlidingTopK + Send>, Box<dyn TimedTopK + Send>>;
+pub(crate) type ShardParts = RegistryParts<Box<dyn SlidingTopK + Send>>;
 
 /// The reply channel a shard answers an `EjectAll` on: its full serving
 /// state plus any updates parked in its outbound queue.
@@ -339,7 +339,7 @@ pub(crate) fn register_on(
 ) -> Result<QueryId, SapError> {
     let id = p.fresh_id();
     let key = match &member {
-        Member::Count(_) | Member::Timed(_) => None,
+        Member::Count(_) => None,
         Member::Group(consumer, clock, predicate) => {
             let slide = consumer.slide_duration();
             Some(match clock {
@@ -501,7 +501,6 @@ pub(crate) fn decode_hub_checkpoint(
         parts.push(Registry::decode_checkpoint(
             &mut registry,
             &mut |name, spec| factory.count(name, spec),
-            &mut |name, spec| factory.timed(name, spec),
         )?);
         registry.finish().map_err(SapError::from)?;
     }

@@ -4,9 +4,9 @@
 //! equivalence test pins the *same* semantics — plus one-line
 //! [`Registration`]s over them.
 
-use crate::checkpoint::{CheckpointError, CheckpointState, Decoder, Encoder};
 use crate::metrics::OpStats;
 use crate::object::{top_k_of, Object, TimedObject};
+use crate::query::TimedSpec;
 use crate::registry::Registration;
 use crate::window::{SlidingTopK, TimedTopK, WindowSpec};
 
@@ -15,9 +15,11 @@ pub(crate) fn count(n: usize, k: usize, s: usize) -> Registration {
     Registration::count(Box::new(Toy::new(n, k, s)))
 }
 
-/// An isolated timed registration of `ToyTimed W⟨wd, sd⟩` top-`k`.
+/// A time-based registration of `W⟨wd, sd⟩` top-`k`, as `register`
+/// makes it: `Toy` over the Appendix-A reduction, on the slide group.
 pub(crate) fn timed(wd: u64, sd: u64, k: usize) -> Registration {
-    Registration::timed(Box::new(ToyTimed::new(wd, sd, k)))
+    let reduced = TimedSpec::new(wd, sd, k).unwrap().reduced().unwrap();
+    shared(Toy::new(reduced.n, reduced.k, reduced.s), wd, sd)
 }
 
 /// A shared-digest registration of `W⟨wd, sd⟩` served by `engine`.
@@ -51,8 +53,6 @@ impl Toy {
     }
 }
 
-impl CheckpointState for Toy {}
-
 impl SlidingTopK for Toy {
     fn spec(&self) -> WindowSpec {
         self.spec
@@ -83,6 +83,8 @@ impl SlidingTopK for Toy {
 /// each closed slide. Equal scores tie-break by slide recency, then by
 /// the higher id within a slide — the documented `TimedObject` result
 /// order, and exactly what `sap_core`'s `TimeBased` adapter produces.
+/// The hub tests drive it through a standalone `TimedSession`, a
+/// reference independent of the reduction the hubs serve.
 pub(crate) struct ToyTimed {
     window_duration: u64,
     slide_duration: u64,
@@ -121,31 +123,6 @@ impl ToyTimed {
         self.result = top.clone();
         self.slide_end += self.slide_duration;
         top
-    }
-}
-
-/// A real (non-default) checkpoint hook, mirroring what `sap_core`'s
-/// `TimeBased` adapter does — this is what lets the session/hub unit
-/// tests in this crate cover the timed restore path without depending on
-/// the engine crates above it.
-impl CheckpointState for ToyTimed {
-    fn encode_engine(&self, enc: &mut Encoder) {
-        enc.put_u64(self.slide_end);
-        enc.put_seq(&self.pending);
-        enc.put_seq(&self.window);
-        enc.put_seq(&self.result);
-    }
-    fn decode_engine(&mut self, dec: &mut Decoder<'_>) -> Result<(), CheckpointError> {
-        self.slide_end = dec.take_u64()?;
-        self.pending = dec.take_seq()?;
-        self.window = dec.take_seq()?;
-        self.result = dec.take_seq()?;
-        if self.slide_end < self.slide_duration
-            || !self.slide_end.is_multiple_of(self.slide_duration)
-        {
-            return Err(CheckpointError::Corrupt("toy-timed slide_end misaligned"));
-        }
-        Ok(())
     }
 }
 

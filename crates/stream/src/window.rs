@@ -140,11 +140,10 @@ impl WindowSpec {
 /// During warm-up (fewer than `k` objects arrived) the result may be
 /// shorter than `k`.
 ///
-/// The [`CheckpointState`](crate::checkpoint::CheckpointState) supertrait
-/// (default no-op bodies) plugs every engine into the durability plane;
-/// count-based engines are restored by window replay, so most
-/// implementations need not override anything.
-pub trait SlidingTopK: crate::checkpoint::CheckpointState {
+/// Engines need nothing extra for checkpoints: a restore rebuilds a fresh
+/// engine through an [`EngineFactory`](crate::checkpoint::EngineFactory)
+/// and replays the retained window into it.
+pub trait SlidingTopK {
     /// The query this instance answers.
     fn spec(&self) -> WindowSpec;
 
@@ -248,12 +247,13 @@ impl<T: SlidingTopK + ?Sized> SlidingTopK for Box<T> {
 /// which reduces each slide to its top-k and feeds a count-based
 /// [`SlidingTopK`] engine with the reduced stream.
 ///
-/// The [`CheckpointState`](crate::checkpoint::CheckpointState) supertrait
-/// plugs the engine into the durability plane; unlike count-based
-/// engines, a time-based one holds state the session layer cannot replay
-/// (the open-slide buffer, the reduced ring), so real implementations
-/// override both checkpoint hooks — see `sap_core::TimeBased`.
-pub trait TimedTopK: crate::checkpoint::CheckpointState {
+/// This is the standalone API: a [`TimedSession`](crate::session::TimedSession)
+/// drives one engine on the caller's thread. The hubs never store a
+/// `TimedTopK` — they serve every time-based query from its slide group
+/// (see [`Registration::shared`](crate::Registration::shared)),
+/// and a hub checkpoint holds no engine state, so the trait has no
+/// checkpoint hook.
+pub trait TimedTopK {
     /// Window length in time units (the paper's `n`).
     fn window_duration(&self) -> u64;
 

@@ -43,11 +43,9 @@ impl Bomb {
     }
 }
 
-// Count-based engines restore by replay, so the empty default is the
-// whole checkpoint contract — the fuse counter is deliberately *not*
-// captured: a restored bomb is defused until it sees FUSE objects again.
-impl CheckpointState for Bomb {}
-
+// Engines restore by replaying their window, so the fuse counter is
+// deliberately *not* captured: a restored bomb is defused until it sees
+// FUSE objects again.
 impl SlidingTopK for Bomb {
     fn spec(&self) -> WindowSpec {
         self.inner.spec()
@@ -85,9 +83,6 @@ impl EngineFactory for RecoveryFactory {
     fn count(&self, name: &str, spec: WindowSpec) -> Result<Box<dyn SlidingTopK + Send>, SapError> {
         let name = if name == "bomb" { "SAP" } else { name };
         DefaultEngineFactory.count(name, spec)
-    }
-    fn timed(&self, name: &str, spec: TimedSpec) -> Result<Box<dyn TimedTopK + Send>, SapError> {
-        DefaultEngineFactory.timed(name, spec)
     }
 }
 

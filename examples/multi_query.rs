@@ -24,8 +24,9 @@ fn main() {
 /// 500 time-based queries over just 3 distinct slide durations — the
 /// shared digest plane computes each slide's top-`k_max` once per
 /// duration and serves every overlapping query its own `k`-prefix,
-/// byte-identically to per-session recomputation. `Hub::stats()` reports
-/// the sharing instead of leaving us to guess at it.
+/// byte-identically to a standalone `TimedSession` per query.
+/// `Hub::stats()` reports the sharing instead of leaving us to guess at
+/// it.
 fn shared_digest_plane_500() {
     const QUERIES: usize = 500;
     let feed = Dataset::Stock.generate_timed(20_000, 11, ArrivalProcess::poisson(25.0));
@@ -38,28 +39,29 @@ fn shared_digest_plane_500() {
             .algorithm([AlgorithmKind::sap(), AlgorithmKind::MinTopK][i % 2])
     };
 
-    // isolated reference: every query re-derives its own per-slide top-k
-    let mut isolated = Hub::new();
-    for i in 0..QUERIES {
-        isolated.register(&query_at(i)).expect("valid query");
-    }
+    // standalone reference: every query re-derives its own per-slide
+    // top-k in a session of its own
+    let mut isolated: Vec<_> = (0..QUERIES)
+        .map(|i| query_at(i).timed_session().expect("valid query"))
+        .collect();
     let started = Instant::now();
     let mut iso_updates = 0u64;
     for burst in feed.chunks(1000) {
-        iso_updates += isolated.publish_timed(burst).len() as u64;
+        for session in &mut isolated {
+            iso_updates += session.push_timed(burst).len() as u64;
+        }
     }
-    iso_updates += isolated.advance_time(horizon).len() as u64;
+    for session in &mut isolated {
+        iso_updates += session.advance_watermark(horizon).len() as u64;
+    }
     let iso_time = started.elapsed();
 
     // shared plane: same queries, one digest producer per slide duration
+    // (`register` puts every time-based query on it)
     let mut shared = Hub::new();
-    let mut probe = None;
-    for i in 0..QUERIES {
-        let id = shared.register_shared(&query_at(i)).expect("valid query");
-        if i == 0 {
-            probe = Some(id);
-        }
-    }
+    let ids: Vec<QueryId> = (0..QUERIES)
+        .map(|i| shared.register(&query_at(i)).expect("valid query"))
+        .collect();
     let started = Instant::now();
     let mut shared_updates = 0u64;
     for burst in feed.chunks(1000) {
@@ -74,11 +76,11 @@ fn shared_digest_plane_500() {
         feed.len()
     );
     println!(
-        "  isolated: {iso_updates} updates in {:.2}s",
+        "  standalone: {iso_updates} updates in {:.2}s",
         iso_time.as_secs_f64()
     );
     println!(
-        "  shared:   {shared_updates} updates in {:.2}s ({:.2}x)",
+        "  shared:     {shared_updates} updates in {:.2}s ({:.2}x)",
         shared_time.as_secs_f64(),
         iso_time.as_secs_f64() / shared_time.as_secs_f64()
     );
@@ -98,13 +100,14 @@ fn shared_digest_plane_500() {
         "the plane must complete the same slides"
     );
 
-    // spot-check: query 0's answers are byte-identical on both hubs
-    let probe = probe.expect("query 0 registered");
-    let shared_session = shared.group_session(probe).expect("shared model");
-    let reference = isolated.timed_session(probe).expect("isolated model");
-    assert_eq!(shared_session.slides(), reference.slides());
-    assert_eq!(shared_session.last_snapshot(), reference.last_snapshot());
-    println!("spot-check passed: shared results match isolated recomputation exactly");
+    // spot-check: every query's answers are byte-identical to its
+    // standalone session's
+    for (&id, reference) in ids.iter().zip(&isolated) {
+        let member = shared.group_session(id).expect("a slide-group member");
+        assert_eq!(member.slides(), reference.slides());
+        assert_eq!(member.last_snapshot(), reference.last_snapshot());
+    }
+    println!("spot-check passed: shared results match standalone sessions exactly");
 }
 
 /// 10,000 standing queries on one stream: the sequential `Hub` walks all

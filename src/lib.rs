@@ -200,13 +200,6 @@ impl EngineFactory for DefaultEngineFactory {
     fn count(&self, name: &str, spec: WindowSpec) -> Result<Box<dyn SlidingTopK + Send>, SapError> {
         Self::by_name(name, spec)
     }
-
-    fn timed(&self, name: &str, spec: TimedSpec) -> Result<Box<dyn TimedTopK + Send>, SapError> {
-        let inner = Self::by_name(name, spec.reduced().map_err(SapError::Spec)?)?;
-        let adapter = TimeBased::from_engine(inner, spec.window_duration, spec.slide_duration)
-            .expect("a spec that reduces also wraps");
-        Ok(Box::new(adapter))
-    }
 }
 
 /// Builder finalizers on [`Query`], available via [`prelude`].
@@ -260,29 +253,29 @@ pub trait HubExt {
 
     /// Validates and constructs a query — **of either window model** —
     /// then registers it as a standing subscription, returning its
-    /// handle. Count-based queries slide on published arrival counts;
-    /// time-based queries (built with [`Query::window_duration`]) slide
-    /// on the timestamps of `publish_timed` streams, each running its own
-    /// isolated Appendix-A adapter (see
-    /// [`register_shared`](HubExt::register_shared) for the sharing
-    /// alternative). Isolated registrations have no admission plane, so a
-    /// query carrying a non-trivial [`Query::filter`] predicate is
-    /// rejected with [`SapError::PredicateUnsupported`] — register it on
-    /// a shared plane instead.
+    /// handle. Count-based queries slide on published arrival counts,
+    /// each on its own isolated engine; isolated engines have no
+    /// admission plane, so a count query carrying a non-trivial
+    /// [`Query::filter`] predicate is rejected with
+    /// [`SapError::PredicateUnsupported`] — register it with
+    /// [`register_grouped`](HubExt::register_grouped) instead. Time-based
+    /// queries (built with [`Query::window_duration`]) slide on the
+    /// timestamps of `publish_timed` streams and always join their slide
+    /// group: this is [`register_shared`](HubExt::register_shared), so
+    /// they accept a filter.
     fn register(&mut self, query: &Query) -> Result<QueryId, SapError> {
-        let registration = if query.is_time_based() {
-            Registration::timed(build_timed(query)?)
-        } else {
-            Registration::count(build_send(query)?)
-        };
-        self.subscribe(registration.filter(query.predicate()))
+        if query.is_time_based() {
+            return self.register_shared(query);
+        }
+        self.subscribe(Registration::count(build_send(query)?).filter(query.predicate()))
     }
 
     /// Validates and constructs a **time-based** query, then registers it
     /// on the hub's shared digest plane: every registered query with the
     /// same `slide_duration` **and the same [`Query::filter`]
     /// predicate** is served from one per-slide top-`k_max` digest
-    /// instead of recomputing its own, with byte-identical results.
+    /// instead of recomputing its own, with results byte-identical to a
+    /// standalone [`QueryExt::timed_session`].
     /// Predicate-disjoint queries on one slide duration form separate
     /// sub-groups, so a selective subscription never perturbs a pass-all
     /// neighbor. A count-based query is [`SapError::NotTimeBased`].
@@ -389,29 +382,36 @@ mod tests {
             .slide_duration(5)
             .filter(keyed);
 
+        // a filtered count query is refused; a filtered time-based one
+        // lands on its slide group, on the event clock
         let mut hub = Hub::new();
-        for q in [&counted, &timed] {
-            assert!(matches!(
-                hub.register(q),
-                Err(SapError::PredicateUnsupported)
-            ));
-        }
+        assert!(matches!(
+            hub.register(&counted),
+            Err(SapError::PredicateUnsupported)
+        ));
         assert_eq!(hub.len(), 0, "rejected registrations leave no session");
+        let q = hub.register(&timed).unwrap();
+        let member = hub.group_session(q).expect("an event-clock group member");
+        assert_eq!(member.clock(), Clock::Event);
+        assert!(matches!(hub.any_session(q), Some(AnySession::Group(_))));
         hub.register_shared(&timed).unwrap();
         hub.register_grouped(&counted).unwrap();
-        assert_eq!(hub.len(), 2);
+        assert_eq!(hub.len(), 3);
+        assert_eq!(hub.stats().shared_queries, 2);
+        assert_eq!(hub.stats().digest_groups, 1, "one slide group for both");
 
         let mut reactor = AsyncHub::new(2, 1);
-        for q in [&counted, &timed] {
-            assert!(matches!(
-                reactor.register(q),
-                Err(SapError::PredicateUnsupported)
-            ));
-        }
+        assert!(matches!(
+            reactor.register(&counted),
+            Err(SapError::PredicateUnsupported)
+        ));
         assert!(reactor.is_empty(), "rejected registrations burn no id");
+        reactor.register(&timed).unwrap();
         reactor.register_shared(&timed).unwrap();
         reactor.register_grouped(&counted).unwrap();
-        assert_eq!(reactor.len(), 2);
+        assert_eq!(reactor.len(), 3);
+        let stats = reactor.stats().unwrap();
+        assert_eq!((stats.shared_queries, stats.digest_groups), (2, 1));
     }
 
     #[test]

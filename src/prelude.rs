@@ -20,12 +20,12 @@ pub use crate::{build, build_send, build_timed, DefaultEngineFactory, HubExt, Qu
 
 pub use sap_stream::{
     run, run_collecting, AlgorithmKind, AnySession, ArrivalProcess, AsyncHub, Checkpoint,
-    CheckpointError, CheckpointState, Clock, Dataset, DigestProducer, DigestRef, DigestView,
-    EngineFactory, EventList, FifoScheduler, GroupSession, Hub, HubSession, HubStats, Ingest,
-    Object, OpStats, Predicate, Query, QueryId, QuerySpec, QueryState, QueryUpdate, Registration,
-    RunSummary, SapError, SapPolicy, Scheduler, ScoreKey, SeededScheduler, Session, SharedTimed,
-    SlideDigest, SlideResult, SlideScratch, SlidingTopK, Snapshot, SpecError, TimedIngest,
-    TimedObject, TimedSession, TimedSpec, TimedTopK, TopKEvent, WindowSpec, Workload,
+    CheckpointError, Clock, Dataset, DigestProducer, DigestView, EngineFactory, EventList,
+    FifoScheduler, GroupSession, Hub, HubSession, HubStats, Ingest, Object, OpStats, Predicate,
+    Query, QueryId, QuerySpec, QueryState, QueryUpdate, Registration, RunSummary, SapError,
+    SapPolicy, Scheduler, ScoreKey, SeededScheduler, Session, SharedTimed, SlideResult,
+    SlideScratch, SlidingTopK, Snapshot, SpecError, TimedIngest, TimedObject, TimedSession,
+    TimedSpec, TimedTopK, TopKEvent, WindowSpec, Workload,
 };
 
 pub use sap_core::{Sap, SapConfig, TimeBased, TimeBasedSap};

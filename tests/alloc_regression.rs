@@ -412,8 +412,6 @@ struct Sleepy {
     empty: Vec<Object>,
 }
 
-impl CheckpointState for Sleepy {}
-
 impl SlidingTopK for Sleepy {
     fn spec(&self) -> WindowSpec {
         self.spec

@@ -1,18 +1,109 @@
-//! The checkpoint format, pinned across builds: a `Hub` checkpoint
-//! written by an earlier build must restore on today's build, re-encode
-//! to the same bytes, and continue identically on either hub.
+//! The checkpoint format, pinned across builds. Format 3 is the only one
+//! this build reads, through three committed images:
+//!
+//! * `hub_v3.ckpt` and `hub_v3_sharded.ckpt` were written by earlier
+//!   builds, which still served isolated time-based sessions (session
+//!   kind 1). This build reads kind 1 but never writes it: each such
+//!   session joins its slide group. Both images must restore on either
+//!   hub and continue with exactly the updates the writing build
+//!   produced, pinned per query as an update count and a `fold_all`
+//!   checksum.
+//! * `hub_v3_serving.ckpt` is [`fixture_hub`] as this build serves it.
+//!   This build must write exactly these bytes, re-encode a restore of
+//!   them to the same bytes, and continue them like the old image.
+
+use std::collections::BTreeMap;
 
 use sap::prelude::*;
 use sap::stream::checkpoint::FORMAT_VERSION;
 
-/// A format-3 checkpoint of [`fixture_hub`].
-///
-/// It was written at commit cd4647a by running [`fixture_hub`] against
-/// that build and saving `hub.checkpoint().as_bytes()` to
-/// `tests/fixtures/hub_v3.ckpt`. `fixture_hub` only registers through
-/// `HubExt`, which both builds share, so the same program regenerates
-/// the file on any build that keeps the format.
+#[path = "common/checksum.rs"]
+mod checksum;
+use checksum::fold_all;
+
+/// A format-3 checkpoint of [`fixture_hub`], written at commit cd4647a
+/// by running [`fixture_hub`] against that build and saving
+/// `hub.checkpoint().as_bytes()` to `tests/fixtures/hub_v3.ckpt`. That
+/// build served `register` of a time-based query on its own isolated
+/// adapter, so the image holds one kind-1 session (`q2`); its slide
+/// group exists, so it restores warming up.
 const FIXTURE: &[u8] = include_bytes!("fixtures/hub_v3.ckpt");
+
+/// [`fixture_hub`] as this build serves it: `q2` is a slide-group
+/// member from the start. Regenerate it only with a deliberate format
+/// change, by saving `fixture_hub().checkpoint().as_bytes()`.
+const SERVING: &[u8] = include_bytes!("fixtures/hub_v3_serving.ckpt");
+
+/// A format-3 checkpoint of an `AsyncHub` with four shards, written at
+/// commit 7c4f8a3 (the last build that served isolated time-based
+/// sessions) by this program, saving the checkpoint's bytes to
+/// `tests/fixtures/hub_v3_sharded.ckpt`:
+///
+/// ```text
+/// let mut hub = AsyncHub::new(4, 2);
+/// let hot = Predicate::any().score_at_least(40.0);
+/// hub.register(&Query::window(12).top(2).slide(4)).unwrap(); // q0
+/// hub.register_shared(&Query::window_duration(40).top(3).slide_duration(10)).unwrap(); // q1
+/// hub.register_shared(&Query::window_duration(20).top(2).slide_duration(10)).unwrap(); // q2
+/// let filtered = Query::window_duration(21).top(2).slide_duration(7).filter(hot);
+/// hub.register_shared(&filtered).unwrap(); // q3
+/// hub.register(&Query::window_duration(14).top(2).slide_duration(7)).unwrap(); // q4
+/// hub.register(&Query::window_duration(28).top(3).slide_duration(7)).unwrap(); // q5
+/// hub.publish_timed(&stream(0..25)).unwrap();
+/// hub.register(&Query::window_duration(21).top(1).slide_duration(7)).unwrap(); // q6
+/// hub.register(&Query::window_duration(14).top(4).slide_duration(7)).unwrap(); // q7
+/// hub.register(&Query::window_duration(20).top(4).slide_duration(10)).unwrap(); // q8
+/// let tail = stream(25..50);
+/// hub.publish_timed(&tail).unwrap();
+/// hub.advance_time(tail.last().unwrap().timestamp + 6).unwrap();
+/// hub.register(&Query::window_duration(30).top(2).slide_duration(10)).unwrap(); // q9
+/// let (checkpoint, _) = hub.checkpoint().unwrap();
+/// ```
+///
+/// `q4`–`q9` are kind-1 sessions:
+///
+/// * `q4`–`q7` slide every 7 units, where the image holds only a
+///   filtered slide group, and sit on four different shard sections:
+///   `q4` founds the pass-all group and `q5`–`q7` warm up in it;
+/// * `q8` slides every 10 units, whose slide group exists: it warms up;
+/// * `q9` was registered after the last arrival and a watermark that
+///   closed the 7-unit slide holding that arrival but not the 10-unit
+///   one. Its producer lags its group by 17 empty slides while the
+///   group's open slide still holds objects published before `q9`: it
+///   warms up until the group closes that slide.
+const SHARDED: &[u8] = include_bytes!("fixtures/hub_v3_sharded.ckpt");
+
+/// Per query: updates and `fold_all` checksum of [`FIXTURE`] continued
+/// by [`continue_on_both_hubs`] over `stream(60..160)`, as the writing
+/// build's own hubs emitted them.
+const FIXTURE_CONTINUATION: [(&str, usize, u64); 12] = [
+    ("q0", 25, 0x8e6b04b597de15f7),
+    ("q1", 20, 0x48e106b1e7ac2c8d),
+    ("q2", 46, 0xe1e417fc5726417c),
+    ("q3", 46, 0x7ee127d4ba4baa5a),
+    ("q4", 25, 0x8e6b04b597de15f7),
+    ("q5", 46, 0x7ee127d4ba4baa5a),
+    ("q6", 25, 0x8e6b04b597de15f7),
+    ("q7", 46, 0xdfae7366076f10cc),
+    ("q8", 25, 0xe426fd1e8d23e22b),
+    ("q10", 46, 0xa736a551b2b0ff1c),
+    ("q11", 25, 0xefbc001d4d5b93e0),
+    ("q12", 46, 0xbc97138daac08690),
+];
+
+/// The same for [`SHARDED`] over `stream(50..190)`.
+const SHARDED_CONTINUATION: [(&str, usize, u64); 10] = [
+    ("q0", 35, 0xf6798f9052eb046d),
+    ("q1", 59, 0x08d6cb2ed3644f4d),
+    ("q2", 59, 0x9dc21f209f219abf),
+    ("q3", 84, 0x98297c13d0da6fb4),
+    ("q4", 84, 0xdf2ea2d44e01a001),
+    ("q5", 84, 0x8fbff4e5f3f86073),
+    ("q6", 84, 0xfa90b52550877f8f),
+    ("q7", 84, 0xd2a084d4f4e77764),
+    ("q8", 59, 0x90e374c8634ef3b6),
+    ("q9", 76, 0x48ee8dae4217c295),
+];
 
 /// Objects `range` of one irregular-rate stream: gaps cycle through
 /// 0..7 time units, so some slides are empty.
@@ -28,11 +119,11 @@ fn stream(range: std::ops::Range<u64>) -> Vec<TimedObject> {
     out
 }
 
-/// The hub the fixture captures after 60 objects: isolated count (SAP
-/// and MinTopK) and timed members, a shared class of two, a grouped
-/// class of two, a filtered member on each sharing plane, a departed
-/// query, mid-stream joins on both sharing planes, and one shared member
-/// still warming up at the cut.
+/// The hub the fixtures capture after 60 objects: isolated count (SAP
+/// and MinTopK) queries, a `register`ed timed query, a shared class of
+/// two, a grouped class of two, a filtered member on each sharing plane,
+/// a departed query, mid-stream joins on both sharing planes, and one
+/// shared member still warming up at the cut.
 fn fixture_hub() -> Hub {
     let mut hub = Hub::new();
     let hot = Predicate::any().score_at_least(30.0);
@@ -72,45 +163,34 @@ fn fixture_hub() -> Hub {
     hub
 }
 
-fn fixture() -> Checkpoint {
-    Checkpoint::from_bytes(FIXTURE).expect("the fixture is a valid checkpoint")
+fn image(bytes: &[u8]) -> Checkpoint {
+    Checkpoint::from_bytes(bytes).expect("a committed image is a valid checkpoint")
 }
 
-#[test]
-fn format_version_is_still_3() {
-    assert_eq!(FORMAT_VERSION, 3);
-    assert_eq!(fixture().version(), 3);
-}
-
-#[test]
-fn restored_fixture_re_checkpoints_to_identical_bytes() {
-    let restored = Hub::restore(&fixture(), &DefaultEngineFactory).expect("fixture restores");
-    assert_eq!(restored.len(), 12);
-    assert_eq!(restored.checkpoint().as_bytes(), FIXTURE);
-}
-
-#[test]
-fn this_build_writes_the_fixture_bytes() {
-    assert_eq!(fixture_hub().checkpoint().as_bytes(), FIXTURE);
-}
-
-#[test]
-fn restored_fixture_continues_identically_on_both_hubs() {
-    let tail = stream(60..160);
+/// Restores `bytes` on a `Hub` and on a 3-shard, 2-worker `AsyncHub`,
+/// publishes `tail` to both — its first object alone, so a restored
+/// member's first call stays inside its group's open slide, then chunks
+/// of 13 — raises the watermark 100 units past it, and checks that both
+/// emitted the same updates and that every restored query kept serving.
+/// Returns each query's update count and `fold_all` checksum, in id
+/// order.
+fn continue_on_both_hubs(bytes: &[u8], tail: std::ops::Range<u64>) -> Vec<(String, usize, u64)> {
+    let tail = stream(tail);
     let horizon = tail.last().expect("non-empty tail").timestamp + 100;
 
-    let mut hub = Hub::restore(&fixture(), &DefaultEngineFactory).expect("fixture restores");
+    let chunks = std::iter::once(&tail[..1]).chain(tail[1..].chunks(13));
+    let mut hub = Hub::restore(&image(bytes), &DefaultEngineFactory).expect("image restores");
     let mut expected = Vec::new();
-    for chunk in tail.chunks(13) {
+    for chunk in chunks.clone() {
         expected.extend(hub.publish_timed(chunk));
     }
     expected.extend(hub.advance_time(horizon));
     expected.sort_unstable_by_key(|u| (u.query, u.result.slide));
 
     let mut reactor =
-        AsyncHub::restore(&fixture(), &DefaultEngineFactory, 3, 2).expect("fixture restores");
+        AsyncHub::restore(&image(bytes), &DefaultEngineFactory, 3, 2).expect("image restores");
     let mut got = Vec::new();
-    for chunk in tail.chunks(13) {
+    for chunk in chunks {
         reactor.publish_timed(chunk).expect("healthy shards");
         got.extend(reactor.drain().expect("healthy shards"));
     }
@@ -119,10 +199,119 @@ fn restored_fixture_continues_identically_on_both_hubs() {
     got.sort_unstable_by_key(|u| (u.query, u.result.slide));
 
     assert_eq!(got, expected);
-    let served: std::collections::BTreeSet<QueryId> = expected.iter().map(|u| u.query).collect();
-    assert_eq!(
-        served,
-        hub.query_ids().collect(),
+    let mut counts: BTreeMap<QueryId, usize> = BTreeMap::new();
+    for u in &expected {
+        *counts.entry(u.query).or_default() += 1;
+    }
+    assert!(
+        counts.keys().copied().eq(hub.query_ids()),
         "every restored member keeps serving"
+    );
+    let mut sums = BTreeMap::new();
+    fold_all(&mut sums, expected);
+    sums.iter()
+        .map(|(query, sum)| (query.to_string(), counts[query], *sum))
+        .collect()
+}
+
+fn pinned(pins: &[(&str, usize, u64)]) -> Vec<(String, usize, u64)> {
+    pins.iter()
+        .map(|&(query, updates, sum)| (query.to_owned(), updates, sum))
+        .collect()
+}
+
+/// The registered query displayed as `name`.
+fn query(hub: &Hub, name: &str) -> QueryId {
+    hub.query_ids()
+        .find(|id| id.to_string() == name)
+        .expect("a restored query")
+}
+
+#[test]
+fn format_version_is_still_3() {
+    assert_eq!(FORMAT_VERSION, 3);
+    for bytes in [FIXTURE, SERVING, SHARDED] {
+        assert_eq!(image(bytes).version(), 3);
+    }
+}
+
+#[test]
+fn restored_fixture_re_checkpoints_to_identical_bytes() {
+    let restored = Hub::restore(&image(SERVING), &DefaultEngineFactory).expect("fixture restores");
+    assert_eq!(restored.len(), 12);
+    assert_eq!(restored.checkpoint().as_bytes(), SERVING);
+}
+
+#[test]
+fn this_build_writes_the_fixture_bytes() {
+    assert_eq!(fixture_hub().checkpoint().as_bytes(), SERVING);
+}
+
+#[test]
+fn restored_fixture_continues_identically_on_both_hubs() {
+    assert_eq!(
+        continue_on_both_hubs(FIXTURE, 60..160),
+        pinned(&FIXTURE_CONTINUATION)
+    );
+}
+
+/// The old image and this build's image of one hub continue alike: the
+/// kind-1 session `q2` serves from its slide group exactly what its
+/// isolated adapter would have.
+#[test]
+fn serving_fixture_continues_like_the_old_image() {
+    let restored = Hub::restore(&image(FIXTURE), &DefaultEngineFactory).expect("fixture restores");
+    let q2 = restored
+        .group_session(query(&restored, "q2"))
+        .expect("the kind-1 session joined its slide group");
+    assert_eq!(q2.clock(), Clock::Event);
+    assert!(q2.is_warming_up(), "its slide group exists");
+    assert_eq!(
+        continue_on_both_hubs(SERVING, 60..160),
+        pinned(&FIXTURE_CONTINUATION)
+    );
+}
+
+#[test]
+fn sharded_old_image_seats_its_timed_sessions_in_slide_groups() {
+    let hub = Hub::restore(&image(SHARDED), &DefaultEngineFactory).expect("image restores");
+    let member = |name| {
+        hub.group_session(query(&hub, name))
+            .expect("a kind-1 session restores as a group member")
+    };
+    let founder = member("q4");
+    assert!(
+        !founder.is_warming_up() && founder.is_classed(),
+        "q4 founds"
+    );
+    for name in ["q5", "q6", "q7", "q8", "q9"] {
+        assert!(member(name).is_warming_up(), "{name} warms up");
+    }
+    assert_eq!(member("q9").slides(), 0, "q9 never closed a slide");
+    // the pass-all group of 7 joins the filtered one and the group of 10;
+    // classes: two in the group of 10, one each in the groups of 7
+    let stats = hub.stats();
+    assert_eq!(
+        (
+            stats.count_queries,
+            stats.shared_queries,
+            stats.digest_groups
+        ),
+        (1, 9, 3)
+    );
+    assert_eq!(stats.result_classes, 4);
+
+    let mut reactor =
+        AsyncHub::restore(&image(SHARDED), &DefaultEngineFactory, 3, 2).expect("image restores");
+    let sharded = reactor.stats().expect("healthy shards");
+    assert_eq!(
+        (sharded.shared_queries, sharded.digest_groups),
+        (stats.shared_queries, stats.digest_groups)
+    );
+    assert_eq!(sharded.result_classes, stats.result_classes);
+
+    assert_eq!(
+        continue_on_both_hubs(SHARDED, 50..190),
+        pinned(&SHARDED_CONTINUATION)
     );
 }

@@ -32,9 +32,8 @@ use sap::prelude::*;
 pub enum Plane {
     /// An isolated count-based session.
     Count,
-    /// An isolated time-based session.
-    Timed,
-    /// A time-based member of the shared digest plane.
+    /// A time-based member of the shared digest plane (`register` and
+    /// `register_shared` both land here).
     Shared,
     /// A count-based member of the shared count plane.
     Grouped,
@@ -43,7 +42,8 @@ pub enum Plane {
 /// The registration call a query arrives through.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Method {
-    /// `register`: the isolated plane of the query's window model.
+    /// `register`: an isolated count session, or a time-based query's
+    /// slide group.
     Register,
     /// `register_shared`: the shared digest plane (time-based only).
     Shared,
@@ -105,7 +105,7 @@ impl Filter {
 /// Why a hub must refuse a registration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Refusal {
-    /// A filter on an isolated plane.
+    /// A filter on an isolated count query.
     PredicateUnsupported,
     /// `register_shared` with a count-based query.
     NotTimeBased,
@@ -128,7 +128,6 @@ pub struct Expected {
 pub struct Tallies {
     pub queries: usize,
     pub count_queries: usize,
-    pub timed_queries: usize,
     pub shared_queries: usize,
     pub grouped_queries: usize,
     /// Distinct `(slide duration, filter)` pairs among live shared
@@ -158,7 +157,6 @@ impl Tallies {
         Tallies {
             queries: stats.queries,
             count_queries: stats.count_queries,
-            timed_queries: stats.timed_queries,
             shared_queries: stats.shared_queries,
             grouped_queries: stats.grouped_queries,
             digest_groups: stats.digest_groups,
@@ -316,13 +314,13 @@ impl Model {
     ) -> Result<usize, Refusal> {
         let plane = match (method, window) {
             (Method::Register, Window::Count { .. }) => Plane::Count,
-            (Method::Register, Window::Time { .. }) => Plane::Timed,
+            (Method::Register, Window::Time { .. }) => Plane::Shared,
             (Method::Shared, Window::Time { .. }) => Plane::Shared,
             (Method::Shared, Window::Count { .. }) => return Err(Refusal::NotTimeBased),
             (Method::Grouped, Window::Count { .. }) => Plane::Grouped,
             (Method::Grouped, Window::Time { .. }) => return Err(Refusal::NotCountBased),
         };
-        if matches!(plane, Plane::Count | Plane::Timed) && !filter.is_pass_all() {
+        if plane == Plane::Count && !filter.is_pass_all() {
             return Err(Refusal::PredicateUnsupported);
         }
         let pristine = match window {
@@ -446,7 +444,6 @@ impl Model {
         for u in &out {
             match self.queries[u.query].plane {
                 Plane::Count => self.tallies.isolated_count_updates += 1,
-                Plane::Timed => {}
                 Plane::Shared => self.tallies.shared_updates += 1,
                 Plane::Grouped => self.tallies.grouped_updates += 1,
             }
@@ -483,7 +480,6 @@ impl Model {
         Tallies {
             queries: self.queries.iter().filter(|q| q.live).count(),
             count_queries: self.live(Plane::Count).count(),
-            timed_queries: self.live(Plane::Timed).count(),
             shared_queries: self.live(Plane::Shared).count(),
             grouped_queries: self.live(Plane::Grouped).count(),
             digest_groups: self.groups(Plane::Shared).len() as u64,

@@ -82,8 +82,6 @@ impl Bomb {
     }
 }
 
-impl CheckpointState for Bomb {}
-
 impl SlidingTopK for Bomb {
     fn spec(&self) -> WindowSpec {
         self.spec
@@ -220,7 +218,6 @@ fn single_worker_survives_a_shard_death_and_keeps_serving() {
 #[test]
 fn async_checkpoint_taken_before_a_kill_restores_cleanly() {
     struct Bomb(WindowSpec);
-    impl CheckpointState for Bomb {}
     impl SlidingTopK for Bomb {
         fn spec(&self) -> WindowSpec {
             self.0
@@ -361,7 +358,6 @@ fn corrupt_payloads_never_panic() {
 #[test]
 fn unknown_engine_is_a_typed_error() {
     struct Custom(Box<dyn SlidingTopK + Send>);
-    impl CheckpointState for Custom {}
     impl SlidingTopK for Custom {
         fn spec(&self) -> WindowSpec {
             self.0.spec()

@@ -1163,9 +1163,10 @@ fn shared_hubs_agree_on_poisson_stock_stream() {
     stock_schedule(TEST, stock_shapes(TEST), &registrations, &publishes);
 }
 
-/// Isolated count and timed queries on one timed stream; the slide
-/// durations straddle the 4-unit mean gap, so some slides hold dozens
-/// of objects and others none.
+/// `register`ed count and timed queries — isolated count sessions and
+/// slide-group members — on one timed stream; the slide durations
+/// straddle the 4-unit mean gap, so some slides hold dozens of objects
+/// and others none.
 #[test]
 fn mixed_hubs_agree_on_poisson_stock_stream() {
     const TEST: &str = "mixed_hubs_agree_on_poisson_stock_stream";

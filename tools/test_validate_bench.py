@@ -53,6 +53,11 @@ def missing_counters(doc):
     del doc["records"][0]["counters"]
 
 
+def stale_counter(doc):
+    """A counter `HubStats` no longer has."""
+    doc["records"][0]["counters"]["timed_queries"] = 0
+
+
 def nan_elapsed(doc):
     doc["records"][0]["elapsed_s"] = float("nan")
 
@@ -155,6 +160,7 @@ def shared_zero_digest_hits(doc):
 # (preset, the rule or claim that must fail, mutation)
 CASES = [
     ("async", "shape", missing_counters),
+    ("hotpath", "shape", stale_counter),
     ("floor", "finite", nan_elapsed),
     ("prune", "positive", zero_updates),
     ("async", "equivalence", flipped_checksum),
@@ -184,7 +190,7 @@ CASES = [
     ("prune", "prune_arms", lambda d: one_rung(d, "dominance")),
     ("prune", "prune_gate_fires", prune_gate_idle),
     ("prune", "prune_rate_floor", prune_low_rate),
-    ("shared", "shared_arms", lambda d: drop(d, lambda r: r["arm"] != "isolated")),
+    ("shared", "shared_arms", lambda d: one_rung(d, "shared")),
     ("shared", "shared_digest_hits", shared_zero_digest_hits),
 ]
 

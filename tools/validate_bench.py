@@ -52,7 +52,6 @@ FLOAT_FIELDS = ("elapsed_s", "objects_per_sec", "ns_per_object")
 COUNTERS = (
     "queries",
     "count_queries",
-    "timed_queries",
     "shared_queries",
     "digest_groups",
     "digest_hits",
@@ -197,20 +196,19 @@ def equivalence(doc):
             )
 
 
-# --- shared: the digest plane against per-session recomputation ---------
+# --- shared: the digest plane, sequential and async ---------------------
 
 
 def shared_arms(doc):
-    yield from missing_arms(doc, {"isolated", "shared", "shared-async"})
+    yield from missing_arms(doc, {"shared", "shared-async"})
 
 
 def shared_digest_hits(doc):
-    """Every shared row served slides from group digests, equally often."""
-    shared = [r for r in doc["records"] if r["arm"] != "isolated"]
-    for r in shared:
+    """Every row served slides from group digests, equally often."""
+    for r in doc["records"]:
         if r["counters"]["digest_hits"] <= 0:
             yield f"{label(r)}: zero digest hits"
-    if len({r["counters"]["digest_hits"] for r in shared}) > 1:
+    if len({r["counters"]["digest_hits"] for r in doc["records"]}) > 1:
         yield "shared rows disagree on digest hits"
 
 

@@ -24,10 +24,10 @@
 //!   under a counting allocator;
 //! - `checkpoint`: checkpoint bytes and checkpoint/restore latency up a
 //!   query ladder, each run cut in half, restored and resumed;
-//! - `fanout`: isolated sessions against the shared count plane up a
-//!   query ladder (to 10⁵ by default), with the quiet (ingest-only) cost
-//!   split out;
-//! - `floor`: the per-member slide-close cost of isolated and
+//! - `fanout`: standalone sessions against the count plane up a query
+//!   ladder (to 10⁵ by default), with the quiet (ingest-only) cost split
+//!   out;
+//! - `floor`: the per-member slide-close cost of standalone sessions and
 //!   result-classed serving of one geometry;
 //! - `prune`: admission pruning on the shared timed plane, pass-all and
 //!   behind a predicate.
@@ -44,9 +44,9 @@ use std::time::Instant;
 
 use sap_bench::{
     cands, count_query_mix, fanout_query_mix, hotpath_query_mix, measure_on, mem_kb,
-    mixed_query_mix, prune_query_mix, prune_stream, run_async, run_sequential, secs, serve,
-    serve_async, shared_query_mix, Algo, Artifact, BenchEngineFactory, CountingAlloc, Feed, Record,
-    Run, Stream, Table,
+    mixed_query_mix, prune_query_mix, prune_stream, run_async, run_sequential, run_standalone,
+    secs, serve, serve_async, shared_query_mix, Algo, Artifact, BenchEngineFactory, CountingAlloc,
+    Feed, Record, Run, Standalone, Stream, Table,
 };
 use sap_core::{Sap, SapConfig};
 use sap_stream::generators::{ArrivalProcess, Dataset, Workload};
@@ -392,11 +392,11 @@ fn checkpoint_bench(
 
 /// Million-query fan-out: count-based queries over three window
 /// geometries served two ways at every rung of a query-count ladder —
-/// isolated sessions (per-query ingest) against the shared count plane
-/// (per-group ingest, members slicing the group digest) — plus the
-/// shard-local group plane on an `AsyncHub` at the top rung. Publishing
-/// in half-slide chunks makes every other publish pure ingest, so each
-/// sequential row splits out its quiet cost per object.
+/// standalone sessions (per-query ingest, the `isolated` arm) against the
+/// count plane (per-group ingest, members slicing the group digest) —
+/// plus the shard-local group plane on an `AsyncHub` at the top rung.
+/// Publishing in half-slide chunks makes every other publish pure
+/// ingest, so each sequential row splits out its quiet cost per object.
 fn fanout(len: usize, queries: usize, shards: &[usize], json_out: &str, seed: u64) {
     // half the smallest slide length in the mix: every other publish
     // completes no slide, isolating the pure ingest fan-out — the cost
@@ -414,15 +414,13 @@ fn fanout(len: usize, queries: usize, shards: &[usize], json_out: &str, seed: u6
     let rungs = ladder(queries, &[8, 4, 2, 1]);
     for &count in &rungs {
         let mix = fanout_query_mix(count);
-        let iso = run_sequential(
-            &mut serve(Hub::new(), mix.iter().map(|(a, s)| a.count(*s))),
-            &feed,
-        );
+        let engines = mix.iter().map(|(a, s)| a.build(*s));
+        let iso = run_standalone(&mut Standalone::new(engines), &feed);
         artifact
             .records
             .push(Record::new("isolated", "fanout", count, iso));
         let grp = run_sequential(
-            &mut serve(Hub::new(), mix.iter().map(|(a, s)| a.grouped(*s))),
+            &mut serve(Hub::new(), mix.iter().map(|(a, s)| a.count(*s))),
             &feed,
         );
         artifact
@@ -433,7 +431,7 @@ fn fanout(len: usize, queries: usize, shards: &[usize], json_out: &str, seed: u6
     let top = *rungs.last().expect("ladder is non-empty");
     let mix = fanout_query_mix(top);
     let par = run_async(
-        &mut serve_async(AsyncHub::new(n, n), mix.iter().map(|(a, s)| a.grouped(*s))),
+        &mut serve_async(AsyncHub::new(n, n), mix.iter().map(|(a, s)| a.count(*s))),
         &feed,
     );
     let record = Record::new("grouped-async", "fanout", top, par).on(n, n);
@@ -442,9 +440,10 @@ fn fanout(len: usize, queries: usize, shards: &[usize], json_out: &str, seed: u6
 }
 
 /// The per-member update floor: a ladder of same-geometry SAP queries
-/// (one geometry class, `⟨n=32, k=4, s=8⟩`) served two ways — isolated
-/// sessions, and the grouped plane, whose one result class computes each
-/// close once and stamps it on every member with a refcount bump.
+/// (one geometry class, `⟨n=32, k=4, s=8⟩`) served two ways — standalone
+/// sessions (the `isolated` arm), and the count plane, whose one result
+/// class computes each close once and stamps it on every member with a
+/// refcount bump.
 /// Publishing in half-slide chunks alternates quiet and close publishes,
 /// so each row splits out its slide-close µs per member.
 fn floor(len: usize, queries: usize, json_out: &str, seed: u64) {
@@ -465,14 +464,16 @@ fn floor(len: usize, queries: usize, json_out: &str, seed: u64) {
         .param("s", spec.s)
         .param("geometry_classes", 1);
     for count in ladder(queries, &[100, 10, 1]) {
-        for arm in ["isolated", "classed"] {
-            let members = (0..count).map(|_| match arm {
-                "isolated" => Algo::Sap.count(spec),
-                _ => Algo::Sap.grouped(spec),
-            });
-            let run = run_sequential(&mut serve(Hub::new(), members), &feed);
-            artifact.records.push(Record::new(arm, "floor", count, run));
-        }
+        let engines = (0..count).map(|_| Algo::Sap.build(spec));
+        let iso = run_standalone(&mut Standalone::new(engines), &feed);
+        artifact
+            .records
+            .push(Record::new("isolated", "floor", count, iso));
+        let members = (0..count).map(|_| Algo::Sap.count(spec));
+        let run = run_sequential(&mut serve(Hub::new(), members), &feed);
+        artifact
+            .records
+            .push(Record::new("classed", "floor", count, run));
     }
     artifact.write(json_out);
 }

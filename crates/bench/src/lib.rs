@@ -17,9 +17,9 @@ use sap_baselines::{KSkyband, MinTopK, NaiveTopK, Sma};
 use sap_core::{Sap, SapConfig};
 use sap_stream::generators::{Dataset, Workload};
 use sap_stream::{
-    checksum_fold, run, AsyncHub, EngineFactory, Hub, HubStats, Object, QuerySpec, QueryUpdate,
-    Registration, RunSummary, SapError, SlidingTopK, TimedObject, TimedSpec, WindowSpec,
-    CHECKSUM_SEED,
+    checksum_fold, run, AsyncHub, EngineFactory, Hub, HubStats, Ingest, Object, QuerySpec,
+    Registration, RunSummary, SapError, Session, SlideResult, SlidingTopK, TimedObject, TimedSpec,
+    WindowSpec, CHECKSUM_SEED,
 };
 
 mod alloc;
@@ -83,9 +83,10 @@ impl Algo {
         }
     }
 
-    /// An isolated count-based registration of this algorithm over `spec`.
+    /// A count-based registration of `spec`: a member of its count
+    /// group, the engine over [`WindowSpec::reduced`].
     pub fn count(&self, spec: WindowSpec) -> Registration {
-        Registration::count(self.build(spec))
+        Registration::grouped(self.build(spec.reduced()), spec.n, spec.s)
     }
 
     /// A shared-digest-plane registration of `spec` — the plane every
@@ -95,16 +96,8 @@ impl Algo {
         Registration::shared(engine, spec.window_duration, spec.slide_duration)
     }
 
-    /// A shared-count-plane registration of `spec`.
-    pub fn grouped(&self, spec: WindowSpec) -> Registration {
-        let reduced = TimedSpec::new(spec.n as u64, spec.s as u64, spec.k)
-            .and_then(|t| t.reduced())
-            .expect("mix spec reduces");
-        Registration::grouped(self.build(reduced), spec.n, spec.s)
-    }
-
     /// The registration `register` makes for a count- or time-based
-    /// `spec`: an isolated count session, or a member of its slide group.
+    /// `spec`: a member of its count group or of its slide group.
     pub fn registration(&self, spec: QuerySpec) -> Registration {
         match spec {
             QuerySpec::Count(spec) => self.count(spec),
@@ -270,7 +263,7 @@ pub fn shared_query_mix(count: usize) -> Vec<(Algo, TimedSpec)> {
 /// into three geometry classes — `(s, 0)` for each distinct `s` — so
 /// per-object ingest work is paid per class, not per query. Slides are
 /// deliberately **coarse** (`s ≥ 250`): the per-object cost the plane
-/// makes sub-linear is the ingest fan-out (every isolated session
+/// makes sub-linear is the ingest fan-out (every standalone session
 /// buffers every object), while slide-close serving — linear in members
 /// by definition, it produces one update per member — stays rare.
 pub fn fanout_query_mix(count: usize) -> Vec<(Algo, WindowSpec)> {
@@ -382,17 +375,17 @@ pub fn serve_async(mut hub: AsyncHub, mix: impl IntoIterator<Item = Registration
     hub
 }
 
-/// Folds one update into the running hub checksum: the query handle, the
-/// slide index, and the driver's snapshot checksum. Updates must be fed
-/// in `(QueryId, slide)` order for cross-run comparability — exactly the
-/// order `AsyncHub::drain` returns and the order the sequential hub's
-/// per-publish batches already have.
-pub fn hub_checksum_fold(acc: u64, update: &QueryUpdate) -> u64 {
+/// Folds one update into the running hub checksum: the slide index and
+/// the driver's snapshot checksum. Updates must be fed in `(QueryId,
+/// slide)` order for cross-run comparability — exactly the order
+/// `AsyncHub::drain` returns, the order the sequential hub's per-publish
+/// batches already have, and the order [`Standalone`] serves.
+pub fn hub_checksum_fold(acc: u64, result: &SlideResult) -> u64 {
     let tagged = [
-        Object::new(update.result.slide, 0.0),
-        Object::new(update.result.snapshot.len() as u64, 0.0),
+        Object::new(result.slide, 0.0),
+        Object::new(result.snapshot.len() as u64, 0.0),
     ];
-    checksum_fold(checksum_fold(acc, &tagged), &update.result.snapshot)
+    checksum_fold(checksum_fold(acc, &tagged), &result.snapshot)
 }
 
 /// The input a hub run publishes.
@@ -513,26 +506,31 @@ impl Run {
     }
 }
 
-/// What the two runners need from a hub.
+/// What the runners need from a server.
 trait Serve {
-    /// Publishes one chunk and returns the updates it completed.
-    fn serve(&mut self, chunk: Stream<'_>) -> Vec<QueryUpdate>;
-    /// Advances the watermark and returns the updates it completed.
-    fn close(&mut self, horizon: u64) -> Vec<QueryUpdate>;
+    /// Publishes one chunk, handing every update it completed to `fold`
+    /// in `(QueryId, slide)` order.
+    fn serve(&mut self, chunk: Stream<'_>, fold: &mut dyn FnMut(&SlideResult));
+    /// Advances the watermark, handing every update it completed to
+    /// `fold`.
+    fn close(&mut self, horizon: u64, fold: &mut dyn FnMut(&SlideResult));
     /// The hub's counters.
     fn counters(&mut self) -> HubStats;
 }
 
 impl Serve for Hub {
-    fn serve(&mut self, chunk: Stream<'_>) -> Vec<QueryUpdate> {
-        match chunk {
+    fn serve(&mut self, chunk: Stream<'_>, fold: &mut dyn FnMut(&SlideResult)) {
+        let updates = match chunk {
             Stream::Count(data) => self.publish(data),
             Stream::Timed(data) => self.publish_timed(data),
-        }
+        };
+        updates.iter().for_each(|u| fold(&u.result));
     }
 
-    fn close(&mut self, horizon: u64) -> Vec<QueryUpdate> {
+    fn close(&mut self, horizon: u64, fold: &mut dyn FnMut(&SlideResult)) {
         self.advance_time(horizon)
+            .iter()
+            .for_each(|u| fold(&u.result));
     }
 
     fn counters(&mut self) -> HubStats {
@@ -541,19 +539,21 @@ impl Serve for Hub {
 }
 
 impl Serve for AsyncHub {
-    fn serve(&mut self, chunk: Stream<'_>) -> Vec<QueryUpdate> {
+    fn serve(&mut self, chunk: Stream<'_>, fold: &mut dyn FnMut(&SlideResult)) {
         match chunk {
             Stream::Count(data) => self.publish(data),
             Stream::Timed(data) => self.publish_timed(data),
         }
         .expect("no engine panics in the bench mixes");
-        self.drain().expect("no engine panics in the bench mixes")
+        let updates = self.drain().expect("no engine panics in the bench mixes");
+        updates.iter().for_each(|u| fold(&u.result));
     }
 
-    fn close(&mut self, horizon: u64) -> Vec<QueryUpdate> {
+    fn close(&mut self, horizon: u64, fold: &mut dyn FnMut(&SlideResult)) {
         self.advance_time(horizon)
             .expect("no engine panics in the bench mixes");
-        self.drain().expect("no engine panics in the bench mixes")
+        let updates = self.drain().expect("no engine panics in the bench mixes");
+        updates.iter().for_each(|u| fold(&u.result));
     }
 
     fn counters(&mut self) -> HubStats {
@@ -561,10 +561,49 @@ impl Serve for AsyncHub {
     }
 }
 
+/// Standalone [`Session`]s over one count stream, each fed every chunk in
+/// turn — the serving baseline without sharing. Its counters report the
+/// query count only.
+pub struct Standalone(Vec<Session<Box<dyn SlidingTopK + Send>>>);
+
+impl Standalone {
+    /// One session per engine, in the order given (the `QueryId` order
+    /// a hub would assign).
+    pub fn new(engines: impl IntoIterator<Item = Box<dyn SlidingTopK + Send>>) -> Standalone {
+        Standalone(engines.into_iter().map(Session::new).collect())
+    }
+}
+
+impl Serve for Standalone {
+    fn serve(&mut self, chunk: Stream<'_>, fold: &mut dyn FnMut(&SlideResult)) {
+        let Stream::Count(data) = chunk else {
+            panic!("standalone sessions serve count streams")
+        };
+        for session in &mut self.0 {
+            session.push_each(data, &mut |result| fold(&result));
+        }
+    }
+
+    fn close(&mut self, _: u64, _: &mut dyn FnMut(&SlideResult)) {}
+
+    fn counters(&mut self) -> HubStats {
+        HubStats {
+            queries: self.0.len(),
+            ..HubStats::default()
+        }
+    }
+}
+
 /// Publishes `feed` to a sequential [`Hub`], timing every call so the
 /// run carries its quiet/close [`Split`].
 pub fn run_sequential(hub: &mut Hub, feed: &Feed<'_>) -> Run {
     run_on(hub, feed, true)
+}
+
+/// Publishes a count `feed` to [`Standalone`] sessions, timed and split
+/// like [`run_sequential`].
+pub fn run_standalone(sessions: &mut Standalone, feed: &Feed<'_>) -> Run {
+    run_on(sessions, feed, true)
 }
 
 /// Publishes `feed` to an [`AsyncHub`], draining after every chunk
@@ -577,26 +616,27 @@ pub fn run_async(hub: &mut AsyncHub, feed: &Feed<'_>) -> Run {
 fn run_on(hub: &mut impl Serve, feed: &Feed<'_>, attribute: bool) -> Run {
     let len = feed.stream.len();
     let warmup = feed.warmup.min(len);
-    let mut updates = feed.resume.map_or(0, |r| r.updates);
-    let mut checksum = feed.resume.map_or(CHECKSUM_SEED, |r| r.checksum);
-    // folds one batch and reports whether it was quiet
-    let mut fold = |batch: Vec<QueryUpdate>| {
-        let quiet = batch.is_empty();
-        for u in &batch {
-            updates += 1;
-            checksum = hub_checksum_fold(checksum, u);
-        }
-        quiet
+    // (updates, checksum), folded in delivery order
+    let mut folded = feed
+        .resume
+        .map_or((0, CHECKSUM_SEED), |r| (r.updates, r.checksum));
+    let mut fold = |result: &SlideResult| {
+        folded.0 += 1;
+        folded.1 = hub_checksum_fold(folded.1, result);
     };
     for chunk in feed.stream.slice(0..warmup).chunks(feed.chunk) {
-        fold(hub.serve(chunk));
+        hub.serve(chunk, &mut fold);
     }
     let allocs_before = feed.allocations.map(|count| count());
     let mut split = Split::default();
     let started = Instant::now();
     for chunk in feed.stream.slice(warmup..len).chunks(feed.chunk) {
         let before = Instant::now();
-        let quiet = fold(hub.serve(chunk));
+        let mut quiet = true;
+        hub.serve(chunk, &mut |result| {
+            quiet = false;
+            fold(result);
+        });
         let took = before.elapsed();
         if quiet {
             split.quiet_objects += chunk.len() as u64;
@@ -607,9 +647,10 @@ fn run_on(hub: &mut impl Serve, feed: &Feed<'_>, attribute: bool) -> Run {
         }
     }
     if let Some(horizon) = feed.stream.horizon() {
-        fold(hub.close(horizon));
+        hub.close(horizon, &mut fold);
     }
     let elapsed = started.elapsed();
+    let (updates, checksum) = folded;
     let allocs = feed
         .allocations
         .zip(allocs_before)
@@ -740,7 +781,6 @@ impl Record {
 fn counters_json(stats: &HubStats) -> String {
     let HubStats {
         queries,
-        count_queries,
         shared_queries,
         digest_groups,
         digest_hits,
@@ -748,7 +788,6 @@ fn counters_json(stats: &HubStats) -> String {
         grouped_queries,
         count_groups,
         count_group_hits,
-        count_group_rebuilds,
         admitted,
         pruned,
         result_classes,
@@ -757,7 +796,7 @@ fn counters_json(stats: &HubStats) -> String {
         queue_depth_hwm,
     } = *stats;
     format!(
-        "{{\"queries\": {queries}, \"count_queries\": {count_queries}, \"shared_queries\": {shared_queries}, \"digest_groups\": {digest_groups}, \"digest_hits\": {digest_hits}, \"digest_rebuilds\": {digest_rebuilds}, \"grouped_queries\": {grouped_queries}, \"count_groups\": {count_groups}, \"count_group_hits\": {count_group_hits}, \"count_group_rebuilds\": {count_group_rebuilds}, \"admitted\": {admitted}, \"pruned\": {pruned}, \"result_classes\": {result_classes}, \"class_hits\": {class_hits}, \"publisher_parks\": {publisher_parks}, \"queue_depth_hwm\": {queue_depth_hwm}}}"
+        "{{\"queries\": {queries}, \"shared_queries\": {shared_queries}, \"digest_groups\": {digest_groups}, \"digest_hits\": {digest_hits}, \"digest_rebuilds\": {digest_rebuilds}, \"grouped_queries\": {grouped_queries}, \"count_groups\": {count_groups}, \"count_group_hits\": {count_group_hits}, \"admitted\": {admitted}, \"pruned\": {pruned}, \"result_classes\": {result_classes}, \"class_hits\": {class_hits}, \"publisher_parks\": {publisher_parks}, \"queue_depth_hwm\": {queue_depth_hwm}}}"
     )
 }
 
@@ -922,7 +961,7 @@ pub fn mem_kb(summary: &RunSummary) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sap_stream::{ArrivalProcess, QueryId, TimedIngest, TimedSession};
+    use sap_stream::{ArrivalProcess, QueryId, QueryUpdate, TimedIngest, TimedSession};
 
     #[test]
     fn all_algorithms_instantiate_and_run() {
@@ -1032,28 +1071,23 @@ mod tests {
     }
 
     #[test]
-    fn fanout_runs_match_isolated_serving() {
+    fn fanout_runs_match_standalone_sessions() {
         let mix = fanout_query_mix(40);
         let data = Dataset::Stock.generate(3_000, 11);
         // chunk 125 halves the smallest slide (250), so every other
         // publish is quiet and the quiet-path split has data
         let feed = Feed::new(Stream::Count(&data), 125);
-        let grouped = || mix.iter().map(|(algo, spec)| algo.grouped(*spec));
-        let iso = run_sequential(
-            &mut serve(Hub::new(), mix.iter().map(|(algo, spec)| algo.count(*spec))),
-            &feed,
-        );
+        let grouped = || mix.iter().map(|(algo, spec)| algo.count(*spec));
+        let engines = mix.iter().map(|(algo, spec)| algo.build(*spec));
+        let iso = run_standalone(&mut Standalone::new(engines), &feed);
         assert!(iso.updates > 0);
-        let split = iso.split.expect("sequential runs split");
+        let split = iso.split.expect("standalone runs split");
         assert!(
             split.quiet_objects > 0,
             "sub-slide chunks must yield quiet publishes"
         );
         assert!((split.quiet.as_secs_f64() * 1e9 / split.quiet_objects as f64).is_finite());
-        assert_eq!(
-            iso.stats.count_group_rebuilds, iso.updates,
-            "every isolated count slide is a rebuild"
-        );
+        assert_eq!(iso.stats.queries, 40);
         let grp = run_sequential(&mut serve(Hub::new(), grouped()), &feed);
         assert_eq!(grp.updates, iso.updates);
         assert_eq!(
@@ -1066,10 +1100,6 @@ mod tests {
         assert!(
             grp.stats.count_group_hits > 0,
             "40 queries over 3 groups must share"
-        );
-        assert_eq!(
-            grp.stats.count_group_rebuilds, 0,
-            "no isolated count sessions"
         );
         for shards in [1, 2, 4] {
             let par = run_async(

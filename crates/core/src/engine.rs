@@ -104,13 +104,9 @@ pub struct Sap {
     /// Whether any event since the last recomputation could have changed
     /// the top-k. The paper reports results only "when they are changed"
     /// (§4.1); an unchanged result is reused without touching any
-    /// structure.
+    /// structure, and [`SlidingTopK::slide_if_changed`] reports it, so
+    /// delta consumers emit `Unchanged` in O(1).
     dirty: bool,
-    /// Snapshot of `dirty` taken at the last `slide` call, backing
-    /// [`SlidingTopK::last_slide_changed`]: when the slide found the
-    /// engine clean, the emitted result is provably identical to the
-    /// previous one and delta consumers report `Unchanged` in O(1).
-    changed_last_slide: bool,
 }
 
 impl Sap {
@@ -155,7 +151,6 @@ impl Sap {
             stats: OpStats::default(),
             last_kth: None,
             dirty: true,
-            changed_last_slide: true,
         }
     }
 
@@ -654,14 +649,10 @@ impl Sap {
             self.result.truncate(k);
         }
     }
-}
 
-impl SlidingTopK for Sap {
-    fn spec(&self) -> WindowSpec {
-        self.cfg.spec
-    }
-
-    fn slide(&mut self, batch: &[Object]) -> &[Object] {
+    /// Processes one slide (see [`SlidingTopK::slide`]), returning whether
+    /// the top-k was recomputed: `false` proves it unchanged.
+    fn advance(&mut self, batch: &[Object]) -> bool {
         debug_assert_eq!(batch.len(), self.cfg.spec.s, "driver must feed full slides");
         debug_assert_eq!(
             batch.first().map(|o| o.id),
@@ -676,16 +667,27 @@ impl SlidingTopK for Sap {
         if cutoff > 0 {
             self.expire(cutoff);
         }
-        self.changed_last_slide = self.dirty;
-        if self.dirty {
-            self.compute_result(cutoff);
-            self.last_kth = if self.result.len() >= self.cfg.spec.k {
-                self.result.last().map(|o| o.key())
-            } else {
-                None
-            };
-            self.dirty = false;
+        if !self.dirty {
+            return false;
         }
+        self.compute_result(cutoff);
+        self.last_kth = if self.result.len() >= self.cfg.spec.k {
+            self.result.last().map(|o| o.key())
+        } else {
+            None
+        };
+        self.dirty = false;
+        true
+    }
+}
+
+impl SlidingTopK for Sap {
+    fn spec(&self) -> WindowSpec {
+        self.cfg.spec
+    }
+
+    fn slide(&mut self, batch: &[Object]) -> &[Object] {
+        self.advance(batch);
         &self.result
     }
 
@@ -723,8 +725,8 @@ impl SlidingTopK for Sap {
         self.stats
     }
 
-    fn last_slide_changed(&self) -> bool {
-        self.changed_last_slide
+    fn slide_if_changed(&mut self, batch: &[Object]) -> Option<&[Object]> {
+        self.advance(batch).then_some(&self.result)
     }
 
     fn name(&self) -> &str {

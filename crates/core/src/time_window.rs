@@ -173,7 +173,8 @@ impl<E: SlidingTopK> TimeBased<E> {
     pub fn ingest_each(&mut self, o: TimedObject, f: &mut dyn FnMut(&[TimedObject])) {
         let TimeBased { producer, consumer } = self;
         producer.ingest_with(o, &mut |view| {
-            f(consumer.apply_slide_top(view.slide, view.top));
+            consumer.apply_slide_top(view.slide, view.top);
+            f(consumer.last_result());
         });
     }
 
@@ -183,7 +184,8 @@ impl<E: SlidingTopK> TimeBased<E> {
     pub fn advance_to_each(&mut self, watermark: u64, f: &mut dyn FnMut(&[TimedObject])) {
         let TimeBased { producer, consumer } = self;
         producer.advance_to_with(watermark, &mut |view| {
-            f(consumer.apply_slide_top(view.slide, view.top));
+            consumer.apply_slide_top(view.slide, view.top);
+            f(consumer.last_result());
         });
     }
 
@@ -195,7 +197,10 @@ impl<E: SlidingTopK> TimeBased<E> {
     /// copy of that rule.
     pub fn close_slide(&mut self) -> Vec<TimedObject> {
         let TimeBased { producer, consumer } = self;
-        producer.close_slide_with(|view| consumer.apply_slide_top(view.slide, view.top).to_vec())
+        producer.close_slide_with(|view| {
+            consumer.apply_slide_top(view.slide, view.top);
+            consumer.last_result().to_vec()
+        })
     }
 
     /// Current candidate count of the underlying engine.

@@ -31,10 +31,10 @@
 //!
 //! The format version is bumped whenever the payload layout changes;
 //! readers reject versions they do not know
-//! ([`CheckpointError::UnsupportedVersion`]) rather than guessing. A
-//! session entry of kind 1 — an isolated time-based session, which
-//! earlier builds wrote — is read-only: this build restores it as a
-//! member of its slide group and never writes one.
+//! ([`CheckpointError::UnsupportedVersion`]) rather than guessing. This
+//! build writes format 4 and also reads format 3, whose isolated
+//! sessions (session kinds 0 and 1) it restores as members of their
+//! count and slide groups.
 //!
 //! ```
 //! use sap_stream::checkpoint::EngineFactory;
@@ -68,8 +68,9 @@
 //! #     }
 //! # }
 //! let mut hub = Hub::new();
+//! // ⟨n = 4, k = 2, s = 2⟩: with k ≥ s the engine runs the query's own spec
 //! let spec = WindowSpec::new(4, 2, 2).unwrap();
-//! let q = hub.subscribe(Registration::count(Box::new(Toy::new(spec)))).unwrap();
+//! let q = hub.subscribe(Registration::grouped(Box::new(Toy::new(spec.reduced())), 4, 2)).unwrap();
 //!
 //! // run half the stream, then checkpoint
 //! let objects: Vec<Object> = (0..6).map(|i| Object::new(i, i as f64)).collect();
@@ -96,15 +97,21 @@ use crate::window::{SlidingTopK, WindowSpec};
 /// Leading magic bytes of every checkpoint artifact.
 pub const MAGIC: [u8; 8] = *b"SAPCKPT\0";
 
-/// The payload layout version this build writes and the only one it
-/// reads. Bumped on any layout change (version 3 added the admission
-/// plane: per-group predicates, explicit count-group ordinals, and the
-/// ADMISSION counter section). Other versions are rejected with
+/// The payload layout version this build writes. Bumped on any layout
+/// change: version 3 added the admission plane (per-group predicates,
+/// explicit count-group ordinals, and the ADMISSION counter section);
+/// version 4 serves every count query on the arrival clock, so a count
+/// member's consumer ring holds `min(k, s)` slots per slide, no session
+/// has kind 0, and `COUNTERS` lost its isolated-rebuild slot. This build
+/// also reads version 3; other versions are rejected with
 /// [`CheckpointError::UnsupportedVersion`].
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
-/// Section tags of the version-3 payload layout (crate-internal; the
-/// framing itself is what [`Encoder::section`] exposes publicly).
+/// The oldest payload layout this build reads.
+const OLDEST_READ_VERSION: u32 = 3;
+
+/// Section tags of the payload layout (crate-internal; the framing
+/// itself is what [`Encoder::section`] exposes publicly).
 pub(crate) mod tags {
     /// One registry's full state (one per shard in a sharded checkpoint).
     pub const REGISTRY: u8 = 1;
@@ -115,7 +122,7 @@ pub(crate) mod tags {
     /// The digest sharing counters of one registry.
     pub const COUNTERS: u8 = 4;
     /// One session's framed engine state: a group member's consumer
-    /// window (kind 1 also framed its adapter's producer).
+    /// window (format 3's kind 1 also framed its adapter's producer).
     pub const ENGINE: u8 = 5;
     /// The arrival-clock groups of one registry (since version 2).
     pub const COUNT_GROUPS: u8 = 6;
@@ -157,7 +164,7 @@ pub enum CheckpointError {
     UnsupportedVersion {
         /// The version the artifact claims.
         found: u32,
-        /// The version this build supports.
+        /// The newest version this build reads (the one it writes).
         supported: u32,
     },
     /// The input ended before a field it promised.
@@ -178,7 +185,8 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::BadMagic => write!(f, "not a checkpoint: bad magic bytes"),
             CheckpointError::UnsupportedVersion { found, supported } => write!(
                 f,
-                "checkpoint format version {found} not supported (this build reads {supported})"
+                "checkpoint format version {found} not supported \
+                 (this build reads {OLDEST_READ_VERSION} through {supported})"
             ),
             CheckpointError::Truncated => write!(f, "checkpoint truncated"),
             CheckpointError::ChecksumMismatch => {
@@ -540,7 +548,7 @@ impl Checkpoint {
             return Err(CheckpointError::BadMagic);
         }
         let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-        if version != FORMAT_VERSION {
+        if !(OLDEST_READ_VERSION..=FORMAT_VERSION).contains(&version) {
             return Err(CheckpointError::UnsupportedVersion {
                 found: version,
                 supported: FORMAT_VERSION,
@@ -571,7 +579,7 @@ impl Checkpoint {
         self.bytes.len() == FRAME_BYTES
     }
 
-    /// The payload layout version this artifact was written under —
+    /// The payload layout version this artifact was written under: 3 or
     /// [`FORMAT_VERSION`] for any value
     /// [`from_bytes`](Checkpoint::from_bytes) accepted.
     pub fn version(&self) -> u32 {
@@ -664,8 +672,13 @@ mod tests {
         bent[13] ^= 0x40;
         assert!(Checkpoint::from_bytes(&bent).is_err());
 
-        // a future version, and the retired version 2, are refused by
-        // name, checksum intact
+        // version 3 is still read; a future version, and the retired
+        // version 2, are refused by name, checksum intact
+        let mut old = ckpt.as_bytes()[..ckpt.len() - 8].to_vec();
+        old[8..12].copy_from_slice(&3u32.to_le_bytes());
+        let sum = fnv1a(&old);
+        old.extend_from_slice(&sum.to_le_bytes());
+        assert_eq!(Checkpoint::from_bytes(&old).map(|c| c.version()), Ok(3));
         for version in [FORMAT_VERSION + 1, 2] {
             let mut reframed = ckpt.as_bytes()[..ckpt.len() - 8].to_vec();
             reframed[8..12].copy_from_slice(&version.to_le_bytes());

@@ -15,10 +15,13 @@
 //!   lent as a borrowed [`DigestView`] inside the close. This is the
 //!   **one copy** of the slide-truncation and tie-break rules in the
 //!   workspace;
-//! * [`SharedTimed`] — a consumer that slices its own `k ≤ k_max` prefix
-//!   from each view and feeds its private count-based reduction (the
-//!   synthetic-id ring + padding machinery), producing results
-//!   byte-identical to an isolated session.
+//! * [`SharedTimed`] — a consumer that slices its own prefix from each
+//!   view and feeds its private count-based reduction (the synthetic-id
+//!   ring + padding machinery), producing results byte-identical to a
+//!   standalone session. When its engine proves a slide unchanged
+//!   ([`SlidingTopK::slide_if_changed`]), the consumer says so in `O(1)`,
+//!   and the hubs re-emit the previous snapshot without translating or
+//!   diffing.
 //!
 //! `sap_core`'s `TimeBased<E>` is one producer wired to one consumer; the
 //! hubs wire one producer to *many* consumers (see
@@ -26,12 +29,16 @@
 //! its keep: 500 queries over 4 slide durations cost 4 truncation passes
 //! per slide instead of 500.
 //!
-//! The **count-group plane** (`Registration::grouped`) rides the same
-//! two types from the count-based side: a geometry class of count
-//! queries — same slide length `s`, same registration offset mod `s` —
-//! closes slides on the same published object, so the registry runs one
-//! `DigestProducer` per class on an arrival clock (object arrival index
-//! as the timestamp). Both planes serve their members inside the close,
+//! The **count-group plane** (`Registration::grouped`, which every
+//! count registration is) rides the same two types from the count-based
+//! side: a geometry class of count queries — same slide length `s`, same
+//! registration offset mod `s` — closes slides on the same published
+//! object, so the registry runs one `DigestProducer` per class on an
+//! arrival clock (object arrival index as the timestamp). A slide of `s`
+//! arrivals holds at most `s` objects, so its consumers reduce it at
+//! width `min(k, s)` ([`WindowSpec::reduced`]): with `k ≥ s` a consumer's
+//! engine runs the query's own spec on exactly the stream a standalone
+//! session feeds it. Both planes serve their members inside the close,
 //! from the borrowed [`DigestView`], through
 //! [`SharedTimed::apply_slide_top`]; on the arrival clock one ring of
 //! external ids per group translates the view's ordinal ids back to
@@ -62,9 +69,16 @@ use crate::object::{Object, TimedObject};
 use crate::query::TimedSpec;
 use crate::window::{SlidingTopK, SpecError, WindowSpec};
 
-/// Sentinel score used for padding slides with fewer than `k` objects;
-/// below every finite real score of interest and filtered from results.
+/// Sentinel score used for padding slides with fewer than `w` objects.
+/// A pad's ring slot is `None`, which is what keeps it out of results;
+/// the score only ranks it below every finite score above `f64::MIN`.
 const PAD_SCORE: f64 = f64::MIN;
+
+/// The result order of every slide truncation: descending score, equal
+/// scores to the **higher id** (see [`DigestProducer::close_slide_with`]).
+pub(crate) fn result_order(a: &TimedObject, b: &TimedObject) -> std::cmp::Ordering {
+    b.score.total_cmp(&a.score).then(b.id.cmp(&a.id))
+}
 
 /// A borrowed view of a slide the producer is closing *right now*: one
 /// closed slide's top-`k_max` objects, valid only inside a
@@ -211,8 +225,7 @@ impl DigestProducer {
     /// order says newer wins, so when a tie straddles the top-`k` boundary
     /// of any consumer the newer object must be the one that survives.
     pub fn close_slide_with<R>(&mut self, f: impl FnOnce(DigestView<'_>) -> R) -> R {
-        self.pending
-            .sort_unstable_by(|a, b| b.score.total_cmp(&a.score).then(b.id.cmp(&a.id)));
+        self.pending.sort_unstable_by(result_order);
         let keep = self.k_max.min(self.pending.len());
         let result = f(DigestView {
             slide: self.next_slide,
@@ -243,6 +256,19 @@ impl DigestProducer {
         let k_max = dec.take_usize()?;
         let next_slide = dec.take_u64()?;
         let pending: Vec<TimedObject> = dec.take_seq()?;
+        DigestProducer::resume(slide_duration, k_max, next_slide, pending)
+    }
+
+    /// A producer at slide `next_slide` with `pending` in its open slide,
+    /// validated like decoded bytes: what
+    /// [`decode_state`](DigestProducer::decode_state) reads, and what a
+    /// restore derives from an older image's isolated count session.
+    pub(crate) fn resume(
+        slide_duration: u64,
+        k_max: usize,
+        next_slide: u64,
+        pending: Vec<TimedObject>,
+    ) -> Result<DigestProducer, CheckpointError> {
         if slide_duration == 0 {
             return Err(CheckpointError::Corrupt("digest slide_duration is zero"));
         }
@@ -266,17 +292,44 @@ impl DigestProducer {
             pending,
         })
     }
+
+    /// Moves an arrival-clock producer `slides` slides later, relabeling
+    /// its open slide's ordinals to match: arrival ordinals are internal,
+    /// so a restore may shift a group to merge it with another.
+    pub(crate) fn shift(&mut self, slides: u64) -> Result<(), CheckpointError> {
+        let by = slides.checked_mul(self.slide_duration);
+        let shifted = by.and_then(|by| {
+            Some((
+                self.next_slide.checked_add(slides)?,
+                self.slide_end.checked_add(by)?,
+                by,
+            ))
+        });
+        let (next_slide, slide_end, by) =
+            shifted.ok_or(CheckpointError::Corrupt("count-group ordinal overflows"))?;
+        self.next_slide = next_slide;
+        self.slide_end = slide_end;
+        for o in &mut self.pending {
+            o.id = o.id.wrapping_add(by);
+            o.timestamp = o.timestamp.wrapping_add(by);
+        }
+        Ok(())
+    }
 }
 
-/// The consumer half of the shared digest plane: answers one time-based
-/// query `W⟨window_duration, slide_duration⟩` with result size `k` by
-/// slicing its `k ≤ k_max` prefix from each closed slide's
-/// [`DigestView`] and feeding
-/// its private count-based reduction — the wrapped engine `E` over the
-/// Appendix-A spec `⟨(n/s)·k, k, k⟩`, with the synthetic-id ring that
-/// translates engine output back to the caller's objects.
+/// The consumer half of the shared digest plane: answers one windowed
+/// query by slicing its prefix from each closed slide's [`DigestView`]
+/// and feeding its private count-based reduction — the wrapped engine
+/// `E` with the synthetic-id ring that translates engine output back to
+/// the caller's objects. Each slide reduces to its top-`w`, padded to
+/// exactly `w` objects: a time-based query `W⟨n, s⟩` runs at `w = k`,
+/// over the Appendix-A spec `⟨(n/s)·k, k, k⟩`
+/// ([`from_engine`](SharedTimed::from_engine)); a count query `⟨n, k,
+/// s⟩` on the arrival clock at `w = min(k, s)`, since a slide of `s`
+/// arrivals never holds more, over `⟨(n/s)·w, k, w⟩` — the query's own
+/// spec when `k ≥ s` ([`from_count_engine`](SharedTimed::from_count_engine)).
 ///
-/// Results are **byte-identical** to a standalone adapter over the same
+/// Results are **byte-identical** to a standalone session over the same
 /// stream: the digest's prefix is exactly the truncation the consumer
 /// would have computed itself (the result order is total), and everything
 /// downstream of the truncation is private per-consumer state.
@@ -284,6 +337,8 @@ impl DigestProducer {
 pub struct SharedTimed<E: SlidingTopK> {
     inner: E,
     k: usize,
+    /// Slots per reduced slide: the engine's slide length `w`.
+    width: usize,
     window_duration: u64,
     slide_duration: u64,
     /// synthetic id → original object (None for padding), ring of the last
@@ -315,8 +370,22 @@ impl<E: SlidingTopK> SharedTimed<E> {
         window_duration: u64,
         slide_duration: u64,
     ) -> Result<Self, SpecError> {
+        let expected =
+            TimedSpec::new(window_duration, slide_duration, inner.spec().k)?.reduced()?;
+        SharedTimed::over(inner, window_duration, slide_duration, expected)
+    }
+
+    /// Wraps an existing count-based engine as the arrival-clock consumer
+    /// of the count query `⟨n, k, s⟩`, `k` being the engine's. The engine
+    /// must run [`WindowSpec::reduced`] of that query and be fresh, with
+    /// the errors of [`from_engine`](SharedTimed::from_engine).
+    pub fn from_count_engine(inner: E, n: usize, s: usize) -> Result<Self, SpecError> {
+        let expected = WindowSpec::new(n, inner.spec().k, s)?.reduced();
+        SharedTimed::over(inner, n as u64, s as u64, expected)
+    }
+
+    fn over(inner: E, window: u64, slide: u64, expected: WindowSpec) -> Result<Self, SpecError> {
         let got = inner.spec();
-        let expected = TimedSpec::new(window_duration, slide_duration, got.k)?.reduced()?;
         if got != expected {
             return Err(SpecError::ReducedSpecMismatch { expected, got });
         }
@@ -325,16 +394,17 @@ impl<E: SlidingTopK> SharedTimed<E> {
         }
         Ok(SharedTimed {
             k: got.k,
+            width: got.s,
             inner,
-            window_duration,
-            slide_duration,
-            ring: VecDeque::with_capacity(expected.n.saturating_add(expected.k)),
+            window_duration: window,
+            slide_duration: slide,
+            ring: VecDeque::with_capacity(got.n.saturating_add(got.s)),
             ring_base: 0,
             next_synth_id: 0,
             slides_applied: 0,
             result: Vec::new(),
-            kept: Vec::with_capacity(got.k),
-            batch: Vec::with_capacity(got.k),
+            kept: Vec::with_capacity(got.s),
+            batch: Vec::with_capacity(got.s),
         })
     }
 
@@ -358,7 +428,7 @@ impl<E: SlidingTopK> SharedTimed<E> {
         &self.inner
     }
 
-    /// The engine's reduced-stream spec `⟨(n/s)·k, k, k⟩`.
+    /// The engine's reduced-stream spec `⟨(n/s)·w, k, w⟩`.
     pub fn reduced_spec(&self) -> WindowSpec {
         self.inner.spec()
     }
@@ -386,32 +456,36 @@ impl<E: SlidingTopK> SharedTimed<E> {
 
     /// Applies one closed slide, given its index and top list (a live
     /// [`DigestView`]'s, or a replayed ring group — `top` may be any depth
-    /// `≥ k`; only the own-`k` prefix is consumed): pads the prefix to
-    /// exactly `k` synthetic objects, advances the wrapped engine by one
+    /// `≥ w`; only the own-`w` prefix is consumed): pads the prefix to
+    /// exactly `w` synthetic objects, advances the wrapped engine by one
     /// reduced-stream slide, and translates the emission back to the
     /// caller's objects. Slides must arrive gap-free in slide order, from
-    /// a producer with `k_max ≥ k` — the hubs and `TimeBased` guarantee
+    /// a producer with `k_max ≥ w` — the hubs and `TimeBased` guarantee
     /// both.
     ///
     /// Returns a borrow of the consumer's retained result (valid until
-    /// the next apply), built entirely from pooled buffers: applying a
-    /// slide performs zero allocations after warm-up. Callers that need
-    /// an owned snapshot copy it (`TimeBased`) or stage it into their own
-    /// pooled scratch (the sessions).
-    pub fn apply_slide_top(&mut self, slide: u64, top: &[TimedObject]) -> &[TimedObject] {
+    /// the next apply), or `None` when the engine proved its top-k
+    /// unchanged ([`SlidingTopK::slide_if_changed`]): the retained result
+    /// then stands as it was, so a caller that re-emits its previous
+    /// emission skips the translation and the diff. Built entirely from
+    /// pooled buffers: applying a slide performs zero allocations after
+    /// warm-up.
+    pub fn apply_slide_top(&mut self, slide: u64, top: &[TimedObject]) -> Option<&[TimedObject]> {
         debug_assert_eq!(
             slide, self.slides_applied,
             "digests must be applied gap-free in slide order"
         );
         // Synthetic ids are assigned in batch order, and the engine
         // tie-breaks equal scores by the higher synthetic id — so hand
-        // the kept objects over in ascending caller-id order, making the
-        // newer of two equal-score survivors win inside the engine too.
+        // the kept prefix over reversed (ascending score, equal scores in
+        // ascending caller-id order), making the newer of two equal-score
+        // survivors win inside the engine too; the order among unequal
+        // scores decides nothing.
         self.kept.clear();
-        self.kept.extend_from_slice(&top[..self.k.min(top.len())]);
-        self.kept.sort_unstable_by_key(|o| o.id);
+        self.kept
+            .extend(top[..self.width.min(top.len())].iter().rev());
         self.batch.clear();
-        for i in 0..self.k {
+        for i in 0..self.width {
             let synth_id = self.next_synth_id;
             self.next_synth_id += 1;
             match self.kept.get(i) {
@@ -429,19 +503,17 @@ impl<E: SlidingTopK> SharedTimed<E> {
             self.ring.pop_front();
             self.ring_base += 1;
         }
-        let top = self.inner.slide(&self.batch);
+        self.slides_applied += 1;
+        let top = self.inner.slide_if_changed(&self.batch)?;
         self.result.clear();
         for obj in top {
-            if obj.score == PAD_SCORE {
-                continue;
-            }
+            // a pad's slot is `None`: only real objects reach the result
             let idx = (obj.id - self.ring_base) as usize;
             if let Some(Some(orig)) = self.ring.get(idx) {
                 self.result.push(*orig);
             }
         }
-        self.slides_applied += 1;
-        &self.result
+        Some(&self.result)
     }
 
     /// Writes the consumer's reduced window — the synthetic-id ring and
@@ -467,25 +539,35 @@ impl<E: SlidingTopK> SharedTimed<E> {
 
     /// Restores [`encode_state`](SharedTimed::encode_state) bytes into a
     /// **fresh** consumer (as produced by
-    /// [`from_engine`](SharedTimed::from_engine)): each encoded ring
-    /// group is re-applied as a slide through
+    /// [`from_engine`](SharedTimed::from_engine) or
+    /// [`from_count_engine`](SharedTimed::from_count_engine)): each encoded
+    /// ring group is re-applied as a slide through
     /// [`apply_slide_top`](SharedTimed::apply_slide_top), which rebuilds
     /// the ring, the retained result, and the wrapped engine's candidate
     /// state in one pass — the engine is an exact top-k function of its
     /// window, so the replayed instance emits byte-identical results from
-    /// here on.
-    pub fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CheckpointError> {
+    /// here on. `stored_width` is the slot count per slide the bytes were
+    /// written at: this consumer's `w`, or `k` for an arrival-clock
+    /// consumer an earlier format wrote, whose slides keep their first
+    /// `w` slots (padding always trails).
+    pub fn restore_state(
+        &mut self,
+        dec: &mut Decoder<'_>,
+        stored_width: usize,
+    ) -> Result<(), CheckpointError> {
         assert!(
             self.slides_applied == 0 && self.ring.is_empty(),
             "restore_state requires a fresh consumer"
         );
         let len = dec.take_seq_len()?;
-        if len % self.k != 0 {
+        if stored_width < self.width || len % stored_width != 0 {
             return Err(CheckpointError::Corrupt(
-                "consumer ring length is not a multiple of k",
+                "consumer ring length is not a multiple of its width",
             ));
         }
-        if len > self.inner.spec().n {
+        let groups = len / stored_width;
+        let full = self.inner.spec().slides_per_window();
+        if groups > full {
             return Err(CheckpointError::Corrupt("consumer ring exceeds the window"));
         }
         let mut slots: Vec<Option<TimedObject>> = Vec::with_capacity(len);
@@ -497,25 +579,46 @@ impl<E: SlidingTopK> SharedTimed<E> {
             });
         }
         let slides_applied = dec.take_u64()?;
-        let groups = (len / self.k) as u64;
-        if slides_applied < groups || (len < self.inner.spec().n && slides_applied != groups) {
+        if slides_applied < groups as u64 || (groups < full && slides_applied != groups as u64) {
             return Err(CheckpointError::Corrupt(
                 "consumer slide count disagrees with its ring",
             ));
         }
-        let mut kept = Vec::with_capacity(self.k);
-        for g in 0..groups {
-            kept.clear();
-            kept.extend(
-                slots[(g as usize) * self.k..(g as usize + 1) * self.k]
-                    .iter()
-                    .flatten()
-                    .copied(),
-            );
-            self.apply_slide_top(g, &kept);
+        // a slide's slots are its kept prefix reversed (see
+        // `apply_slide_top`): reversed again, the replay rebuilds the ring
+        // slot for slot
+        let width = self.width;
+        let tops: Vec<Vec<TimedObject>> = slots
+            .chunks(stored_width)
+            .map(|slide| slide[..width].iter().rev().flatten().copied().collect())
+            .collect();
+        self.replay(tops.iter().map(Vec::as_slice), slides_applied);
+        Ok(())
+    }
+
+    /// Relabels the caller ids in the retained window and result `by`
+    /// later — an arrival-clock consumer's objects carry its group's
+    /// ordinals, which [`DigestProducer::shift`] moves.
+    pub(crate) fn shift(&mut self, by: u64) {
+        for o in self.ring.iter_mut().flatten().chain(&mut self.result) {
+            o.id = o.id.wrapping_add(by);
+            o.timestamp = o.timestamp.wrapping_add(by);
+        }
+    }
+
+    /// Re-applies `tops` (each one slide's top list, as
+    /// [`apply_slide_top`](SharedTimed::apply_slide_top) takes it) into a
+    /// fresh consumer as slides `0, 1, …`, then declares `slides_applied`
+    /// slides applied — the older ones expired from the window.
+    pub(crate) fn replay<'a>(
+        &mut self,
+        tops: impl Iterator<Item = &'a [TimedObject]>,
+        slides_applied: u64,
+    ) {
+        for (slide, top) in tops.enumerate() {
+            self.apply_slide_top(slide as u64, top);
         }
         self.slides_applied = slides_applied;
-        Ok(())
     }
 }
 
@@ -669,8 +772,9 @@ mod tests {
         let mut served = Vec::new();
         for watermark in [10, 20, 30] {
             producer.advance_to_with(watermark, &mut |v| {
-                let n = narrow.apply_slide_top(v.slide, v.top).to_vec();
-                served.push((n, wide.apply_slide_top(v.slide, v.top).to_vec()));
+                narrow.apply_slide_top(v.slide, v.top);
+                wide.apply_slide_top(v.slide, v.top);
+                served.push((narrow.last_result().to_vec(), wide.last_result().to_vec()));
             });
         }
         let (best, all) = (

@@ -69,8 +69,9 @@
 //! // 8 logical shards served by 2 workers — shards do not cap at the
 //! // core count
 //! let mut hub = AsyncHub::new(8, 2);
-//! let toy = Toy(WindowSpec::new(2, 1, 2).unwrap(), Vec::new());
-//! let q = hub.subscribe(Registration::count(Box::new(toy))).unwrap();
+//! // ⟨n = 2, k = 1, s = 2⟩, whose engine runs the reduction ⟨1, 1, 1⟩
+//! let toy = Toy(WindowSpec::new(1, 1, 1).unwrap(), Vec::new());
+//! let q = hub.subscribe(Registration::grouped(Box::new(toy), 2, 2)).unwrap();
 //! assert!(hub.poll_ready().unwrap(), "queues are empty: room for a batch");
 //! hub.publish(&[Object::new(0, 1.0), Object::new(1, 5.0)]).unwrap();
 //! let updates = hub.drain().unwrap(); // join-all barrier
@@ -99,8 +100,8 @@
 //! for seed in [1u64, 0xDEAD_BEEF] {
 //!     let mut hub = AsyncHub::with_scheduler(4, 2, Box::new(SeededScheduler::new(seed)));
 //!     for _ in 0..3 {
-//!         let toy = Toy(WindowSpec::new(4, 2, 4).unwrap(), Vec::new());
-//!         hub.subscribe(Registration::count(Box::new(toy))).unwrap();
+//!         let toy = Toy(WindowSpec::new(2, 2, 2).unwrap(), Vec::new());
+//!         hub.subscribe(Registration::grouped(Box::new(toy), 4, 4)).unwrap();
 //!     }
 //!     for chunk in data.chunks(8) {
 //!         hub.publish(chunk).unwrap();
@@ -1035,11 +1036,10 @@ impl AsyncHub {
     /// unmoved query. Slides completed on either side meet in the next
     /// [`drain`](AsyncHub::drain), whose global sort is placement-blind.
     ///
-    /// A shared or grouped query moves with its **entire group** — the
-    /// group's producer is shard-local state shared with its co-members,
-    /// so the group travels as one unit, result classes included. Moving
-    /// a query to the shard it
-    /// already lives on is a no-op. A shard dying mid-move surfaces as
+    /// A query moves with its **entire group** — the group's producer is
+    /// shard-local state shared with its co-members, so the group travels
+    /// as one unit, result classes included. Moving a query to the shard
+    /// it already lives on is a no-op. A shard dying mid-move surfaces as
     /// [`SapError::ShardDown`]; the sessions in flight are lost with it.
     ///
     /// # Panics
@@ -1054,8 +1054,8 @@ impl AsyncHub {
     /// Re-partitions every live session across `num_shards` fresh
     /// logical shards (clamped to ≥ 1) — the worker threads are reused,
     /// only the slots are replaced. Each shard hands back its entire
-    /// serving state, which is re-scattered by the id hash under the new
-    /// count, groups wholesale with their result classes. Results are
+    /// serving state, whose groups are re-scattered by the id hash under
+    /// the new count, wholesale with their result classes. Results are
     /// unaffected: sessions observe
     /// the same object sequence, and updates completed before the resize
     /// (parked here, returned by the next [`drain`](AsyncHub::drain))
@@ -1064,8 +1064,8 @@ impl AsyncHub {
     /// The eject is transactional: if a shard turns out dead, every
     /// staged session is reinstalled where it was and the typed
     /// [`SapError::ShardDown`] is returned with the old placement
-    /// intact. Placement overrides from earlier `move_query` calls are
-    /// cleared — the new partitioning is pure hash-and-affinity.
+    /// intact. Placements from earlier `move_query` calls are not kept —
+    /// each group lands where its lowest member id hashes.
     pub fn resize(&mut self, num_shards: usize) -> Result<(), SapError> {
         let num_shards = num_shards.max(1);
         self.flush_pending_one()?;
@@ -1113,7 +1113,7 @@ mod tests {
     use crate::metrics::OpStats;
     use crate::object::top_k_of;
     use crate::predicate::Predicate;
-    use crate::session::Hub;
+    use crate::session::{Clock, Hub};
     use crate::shard::GroupKey;
     use crate::test_support::{count, grouped, shared, timed, Toy};
     use crate::window::{SlidingTopK, WindowSpec};
@@ -1431,7 +1431,7 @@ mod tests {
         let probe = *members.last().unwrap();
         assert!(hub.inspect(probe).unwrap().slides > 0);
         for q in members {
-            assert!(hub.unregister(q).unwrap().into_group().is_some());
+            assert!(hub.unregister(q).is_ok());
         }
         assert!(
             hub.placement.groups.is_empty(),
@@ -1486,21 +1486,21 @@ mod tests {
         assert!(state.slides > 0);
         let session = hub.unregister(q).unwrap();
         assert_eq!(session.slides(), state.slides);
-        assert!(session.into_group().is_some());
+        assert_eq!(session.clock(), Clock::Event);
     }
 
     #[test]
     fn registration_retries_reach_a_healthy_shard() {
         let mut hub = AsyncHub::new(2, 2);
-        hub.subscribe(Registration::count(Box::new(bomb())))
-            .unwrap();
+        hub.subscribe(grouped(bomb(), 1, 1)).unwrap();
         // the first slide kills the Bomb's shard; the flush observes it
         let _ = hub.publish(&stream(1));
         assert!(hub.flush().is_err());
         // failed registrations burn their id, so retries derive fresh ids
-        // and eventually hash onto the healthy shard
+        // and eventually hash onto the healthy shard (a query joining the
+        // Bomb's group would follow it onto the dead one)
         let q = (0..8)
-            .find_map(|_| hub.subscribe(count(2, 1, 1)).ok())
+            .find_map(|_| hub.subscribe(count(4, 1, 2)).ok())
             .expect("a healthy shard accepted a registration");
         assert_eq!(hub.inspect(q).unwrap().slides, 0);
     }

@@ -16,36 +16,37 @@
 //! * the instrumented [`driver`] that feeds a stream through an algorithm
 //!   and records time, candidate counts, and memory;
 //! * the **query-session layer**: the fluent [`Query`] builder and unified
-//!   [`SapError`], flexible ingestion ([`Ingest`]/[`Session`]) that
-//!   re-chunks arbitrary-size pushes into `s`-aligned slides, the
-//!   multi-query [`Hub`] fanning one stream out to many standing queries
-//!   (each registered through one [`Registration`] value), and typed
-//!   [`TopKEvent`] result deltas;
-//! * the **async hub** ([`AsyncHub`]) — the same fan-out partitioned
+//!   [`SapError`], flexible standalone ingestion
+//!   ([`Ingest`]/[`Session`], [`TimedIngest`]/[`TimedSession`]) that
+//!   re-chunks arbitrary-size pushes into slides, the multi-query [`Hub`]
+//!   serving many standing queries over one stream (each registered
+//!   through one [`Registration`] value and served as a
+//!   [`GroupSession`]), and typed [`TopKEvent`] result deltas;
+//! * the **async hub** ([`AsyncHub`]) — the same serving partitioned
 //!   across logical shards served by a few worker threads, with
 //!   backpressure on `publish`;
 //! * the **shared digest plane** ([`digest`]) — per-slide top-`k_max`
-//!   digests computed once per slide group (queries with equal
-//!   `slide_duration`) and served to every overlapping time-based query,
-//!   with [`HubStats`] reporting how much work the sharing saved;
-//! * the **shared count plane** — the same inversion for count-based
-//!   queries, grouped by window geometry (slide length + registration
-//!   offset mod `s`): each group ingests every object once and members
-//!   slice their `(n, k)` view from the group digest
-//!   ([`Registration::grouped`], [`HubStats::count_group_hits`]).
-//!
+//!   digests computed once per group and served to every member, on one
+//!   of two clocks: **slide groups** of time-based queries with equal
+//!   `slide_duration`, and **count groups** of count-based queries with
+//!   equal slide length and registration offset mod `s`, whose members
+//!   slice their `(n, k)` view of each slide at width `min(k, s)`
+//!   ([`WindowSpec::reduced`]). Every registration joins a group, and
+//!   [`HubStats`] reports how much work the sharing saved.
+
 //! ## Scaling
 //!
 //! Two hubs serve many standing queries over one stream, and both take
 //! the same [`Registration`]:
 //!
-//! * [`Hub`] is synchronous and single-threaded: `publish` walks the
-//!   sessions in the caller's thread and returns the completed slides
+//! * [`Hub`] is synchronous and single-threaded: `publish` serves the
+//!   groups in the caller's thread and returns the completed slides
 //!   immediately. Simple, deterministic, and the reference semantics.
 //! * [`AsyncHub`] partitions queries across N logical **shards** (hash
-//!   of [`QueryId`], with group affinity) multiplexed onto M reactor
-//!   worker threads, so the shard count is not capped by the core
-//!   count. A shard is only ever served by one worker at a time — shard
+//!   of a group's founding [`QueryId`]; every member follows its group)
+//!   multiplexed onto M reactor worker threads, so the shard count is
+//!   not capped by the core count, and a hot group serves from one
+//!   shard. A shard is only ever served by one worker at a time — shard
 //!   ownership replaces locking. `publish` is a single-lock broadcast of
 //!   one [`Arc`](std::sync::Arc) of the batch onto **bounded** per-shard
 //!   queues; it parks while any queue is full (or refuses via
@@ -59,7 +60,7 @@
 //! returns the accumulated updates sorted by `(QueryId, slide)` — an
 //! order independent of shard count, worker count and thread timing.
 //! Per-query outputs are byte-identical to [`Hub`]'s because each
-//! session sees exactly the same object sequence either way;
+//! group sees exactly the same object sequence either way;
 //! `tests/hub_model.rs` checks both hubs against one brute-force model
 //! under over a thousand seeded schedules for SAP and all four
 //! baselines, including mid-stream registration and unregistration. SAP's per-slide dirty
@@ -126,8 +127,7 @@ pub use predicate::Predicate;
 pub use query::{AlgorithmKind, Query, QuerySpec, SapError, SapPolicy, TimedSpec};
 pub use registry::{HubStats, Registration};
 pub use session::{
-    AnySession, Clock, GroupSession, Hub, HubSession, QueryId, QueryUpdate, Session, SlideScratch,
-    TimedSession,
+    Clock, GroupSession, Hub, HubSession, QueryId, QueryUpdate, Session, SlideScratch, TimedSession,
 };
 pub use shard::QueryState;
 pub use window::{Ingest, SlidingTopK, SpecError, TimedIngest, TimedTopK, WindowSpec};

@@ -89,13 +89,6 @@ pub enum SapError {
         /// The violated predicate rule.
         reason: &'static str,
     },
-    /// A non-trivial [`Predicate`] was attached to an isolated count
-    /// query (`Registration::count`, which `register` uses for a
-    /// count-based query). Predicates are an admission-plane feature of
-    /// the sharing planes — register the query with `register_grouped`
-    /// (`Registration::grouped`) instead, or drop the filter. Time-based
-    /// queries always land on their slide group, so they accept one.
-    PredicateUnsupported,
 }
 
 impl std::fmt::Display for SapError {
@@ -139,13 +132,6 @@ impl std::fmt::Display for SapError {
             SapError::Checkpoint(e) => write!(f, "checkpoint error: {e}"),
             SapError::InvalidPredicate { reason } => {
                 write!(f, "invalid predicate: {reason}")
-            }
-            SapError::PredicateUnsupported => {
-                write!(
-                    f,
-                    "a filtered count query needs the shared count plane \
-                     (register_grouped); isolated count sessions do not filter"
-                )
             }
         }
     }
@@ -367,6 +353,23 @@ impl TimedSpec {
     }
 }
 
+impl WindowSpec {
+    /// The arrival-clock reduction of the count query `⟨n, k, s⟩`: a
+    /// slide of `s` arrivals holds at most `s` objects, so each reduces
+    /// to its top-`w`, `w = min(k, s)`, and a count-based engine over
+    /// `⟨(n/s)·w, k, w⟩` answers the query — the query's own spec when
+    /// `k ≥ s`. This is the spec a count query's engine runs on either
+    /// hub (see [`TimedSpec::reduced`] for the time-based one).
+    pub fn reduced(&self) -> WindowSpec {
+        let w = self.k.min(self.s);
+        WindowSpec {
+            n: self.slides_per_window() * w,
+            k: self.k,
+            s: w,
+        }
+    }
+}
+
 /// What a [`Query`] validates into: the count-based tuple `⟨n, k, s⟩` or
 /// the time-based `W⟨n, s⟩` durations — one query is exactly one of the
 /// two.
@@ -405,9 +408,9 @@ impl QuerySpec {
 ///
 /// The slide length is also a count query's sharing key: queries with
 /// the same `s` registered at the same offset mod `s` form one geometry
-/// class, and the shared count plane (`Registration::grouped`) serves
-/// the whole class from one shared ring + digest (see the `digest`
-/// module) instead of one session apiece.
+/// class, and a hub's count plane (`Registration::grouped`, which every
+/// count registration is) serves the whole class from one shared ring +
+/// digest (see the `digest` module) instead of one session apiece.
 ///
 /// ```
 /// use sap_stream::{Query, QuerySpec};
@@ -496,10 +499,8 @@ impl Query {
     /// in this query's top-k. The filter applies to the **ranking, not
     /// the stream** — rejected objects still advance arrival ordinals
     /// and event time, so slide numbering matches an unfiltered sibling.
-    /// Served on the sharing planes: every time-based registration, and
-    /// `register_grouped` for a count-based query. `register` of a
-    /// count-based query is isolated and rejects a non-trivial predicate
-    /// with [`SapError::PredicateUnsupported`].
+    /// Every hub registration honours it: each one joins a sharing-plane
+    /// group, keyed by its predicate among other things.
     pub fn filter(mut self, predicate: Predicate) -> Query {
         self.predicate = predicate;
         self

@@ -11,24 +11,29 @@
 //! ## Groups
 //!
 //! SAP's Appendix-A reduction serves a window by reducing each closed
-//! slide to its top-`k` and feeding that stream to a count-based engine.
-//! Every member of a sharing plane runs that reduction through a
-//! [`SharedTimed`] consumer, and members whose slides close together
+//! slide to its top objects and feeding that stream to a count-based
+//! engine. Every registered query runs that reduction through a
+//! [`SharedTimed`] consumer, and queries whose slides close together
 //! form a **group** that owns one [`DigestProducer`]: each published
 //! object is ingested **once per group**, and each slide is truncated
-//! once at `k_max`, the largest member `k`. The two planes differ only
-//! in the group's [`Clock`]:
+//! once at `k_max`, the largest member `k`. There is one group type and
+//! one member type ([`GroupSession`]); groups differ only in their
+//! [`Clock`]:
 //!
 //! * **event time** ([`Registration::shared`], which every time-based
 //!   registration is): one group per `(slide_duration, predicate)`;
-//!   slides close on timestamps and watermarks;
-//! * **arrival ordinals** ([`Registration::grouped`]): every count query
-//!   with slide length `s` registered at the same stream offset (mod
-//!   `s`) closes slides on the same arrivals, whatever its `n` and `k`.
-//!   Such queries form one group, whose ordinals double as the
-//!   producer's ids and timestamps (so a slide closes exactly every `s`
-//!   arrivals) and whose ring of the last `n_max + s` external ids
-//!   translates emissions back.
+//!   slides close on timestamps and watermarks, and each reduces to its
+//!   top-`k` per member;
+//! * **arrival ordinals** ([`Registration::grouped`], which every
+//!   count-based registration is): every count query with slide length
+//!   `s` registered at the same stream offset (mod `s`) closes slides on
+//!   the same arrivals, whatever its `n` and `k`. Such queries form one
+//!   group, whose ordinals double as the producer's ids and timestamps
+//!   (so a slide closes exactly every `s` arrivals) and whose ring of the
+//!   last `n_max + s` external ids translates emissions back. A slide of
+//!   `s` arrivals holds at most `s` objects, so each member reduces it to
+//!   its top-`min(k, s)` ([`WindowSpec::reduced`]): for `k ≥ s` its
+//!   engine sees exactly the stream a standalone [`Session`] would.
 //!
 //! A member must only observe objects published after its registration,
 //! and each clock has its join rule for that. An arrival-clock member
@@ -43,9 +48,7 @@
 //! coincide. Warm-up slides count as
 //! [`digest_rebuilds`](HubStats::digest_rebuilds), served slides as
 //! [`digest_hits`](HubStats::digest_hits) or
-//! [`count_group_hits`](HubStats::count_group_hits), and slides of
-//! isolated count sessions as
-//! [`count_group_rebuilds`](HubStats::count_group_rebuilds).
+//! [`count_group_hits`](HubStats::count_group_hits).
 //!
 //! ## Result classes
 //!
@@ -59,44 +62,44 @@
 //! the close: the reduction, the id translation and the delta diff run
 //! **once per class**, and each member emission is two refcount bumps
 //! plus an inline event copy — zero heap allocations on a quiet slide.
+//! When the class's engine proves its top-k unchanged
+//! ([`SlidingTopK::slide_if_changed`]), the close re-emits the previous
+//! snapshot with `[Unchanged]` and skips the translation and the diff.
 //! Emissions beyond the one computing member count as
 //! [`class_hits`](HubStats::class_hits).
 //!
 //! A group keeps its classes for its whole life: `move_query` and
 //! `resize` move it whole, classes included. Classes are derivable from
-//! member state, so checkpoints carry no class section, and every
-//! checkpoint byte is the pre-class encoding: a restore gives each
-//! decoded member its own consumer and re-classes the members by byte
-//! signature.
+//! member state, so checkpoints carry no class section: a restore gives
+//! each decoded member its own consumer and re-classes the members by
+//! byte signature.
 //!
 //! ## Per-call cost
 //!
 //! The session store holds every registered query, but a publish or
 //! watermark call never walks it. The registry keeps one ascending list
-//! of the store entries that need service on **every** call: isolated
-//! count sessions and warming members. A quiet call therefore
-//! costs O(groups) ingest plus O(list) member work; classed members are
-//! touched only when their group closes a slide, once per emission. The
-//! list is kept in step with every store mutation — O(list) for a single
-//! register or unregister, one O(store) rebuild for the bulk paths
-//! (restore, group installation and ejection), which already cost
-//! O(store).
+//! of the store entries that need service on **every** call: the warming
+//! members. A quiet call therefore costs O(groups) ingest plus O(list)
+//! member work; classed members are touched only when their group closes
+//! a slide, once per emission. The list is kept in step with every store
+//! mutation — O(list) for a single register or unregister, one O(store)
+//! rebuild for the bulk paths (restore, group installation and
+//! ejection), which already cost O(store).
 //!
 //! [`Hub`]: crate::session::Hub
 //! [`AsyncHub`]: crate::exec::AsyncHub
+//! [`Session`]: crate::session::Session
 
 use std::collections::{HashMap, VecDeque};
 
 use crate::checkpoint::{tags, CheckpointError, Decoder, Encoder};
-use crate::digest::{DigestProducer, DigestView, SharedTimed};
-use crate::events::{EventList, SlideResult, Snapshot};
+use crate::digest::{result_order, DigestProducer, DigestView, SharedTimed};
+use crate::events::{EventList, SlideResult, Snapshot, TopKEvent};
 use crate::object::{Object, TimedObject};
 use crate::predicate::{Predicate, PruneGate};
 use crate::query::{SapError, TimedSpec};
-use crate::session::{
-    close_staged, AnySession, Clock, GroupSession, QueryId, QueryUpdate, Session, SlideScratch,
-};
-use crate::window::{Ingest, SlidingTopK, WindowSpec};
+use crate::session::{close_staged, Clock, GroupSession, QueryId, QueryUpdate, SlideScratch};
+use crate::window::{SlidingTopK, WindowSpec};
 
 /// A point-in-time summary of a hub's registered queries and how much
 /// per-slide work the shared digest plane is saving — what
@@ -106,9 +109,6 @@ use crate::window::{Ingest, SlidingTopK, WindowSpec};
 pub struct HubStats {
     /// Total registered queries.
     pub queries: usize,
-    /// Count-based queries on isolated engines (window on arrival
-    /// counts).
-    pub count_queries: usize,
     /// Time-based queries — every one is served by its slide group on
     /// the shared digest plane.
     pub shared_queries: usize,
@@ -130,7 +130,7 @@ pub struct HubStats {
     /// producer (mid-stream joins catching up to their group, and
     /// restored isolated timed sessions joining theirs).
     pub digest_rebuilds: u64,
-    /// Count-based queries served by the shared count plane
+    /// Count-based queries — every one is served by its count group
     /// ([`Registration::grouped`]).
     pub grouped_queries: usize,
     /// Live count groups: distinct `(slide length, registration offset
@@ -138,12 +138,9 @@ pub struct HubStats {
     /// Shard-local for the same reason as
     /// [`digest_groups`](HubStats::digest_groups), so per-shard sums are exact.
     pub count_groups: u64,
-    /// Slides served to a grouped count member from its group's shared
+    /// Slides served to a count-based member from its group's shared
     /// truncation — per-slide work the member did **not** redo.
     pub count_group_hits: u64,
-    /// Slides computed by **isolated** count sessions outside the shared
-    /// count plane — the per-query work grouping would have pooled.
-    pub count_group_rebuilds: u64,
     /// Objects admitted into a sharing-plane producer's open slide —
     /// slide groups and count groups alike. Objects a group's
     /// subscription predicate rejects count toward **neither** `admitted`
@@ -153,10 +150,11 @@ pub struct HubStats {
     /// least `k_max` already-admitted objects of the same open slide
     /// strictly dominated them, so they provably cannot appear in the
     /// slide's top-`k_max` digest and no member can ever observe them.
-    /// Every group runs the gate, and results are byte-identical to an
-    /// isolated registration of the same query. Pruned objects still
-    /// advance arrival ordinals and slide boundaries, so slide
-    /// numbering, checkpoints and drain order do not depend on it.
+    /// Every group whose gate can prune runs it (an arrival-clock group
+    /// with `k_max ≥ s` cannot, and skips it), and results are
+    /// byte-identical to a standalone session of the same query. Pruned
+    /// objects still advance arrival ordinals and slide boundaries, so
+    /// slide numbering, checkpoints and drain order do not depend on it.
     ///
     /// ```
     /// use sap_stream::{Hub, Object, Registration};
@@ -207,8 +205,9 @@ pub struct HubStats {
     /// # fn reduced() -> Box<Toy> { Box::new(Toy(WindowSpec::new(4, 2, 2).unwrap(), Vec::new())) }
     /// let mut hub = Hub::new();
     /// // two copies of the same ⟨n = 4, k = 2, s = 2⟩ query (`reduced()`
-    /// // builds each member's engine over the grouped plane's private
-    /// // ⟨(n/s)·k, k, k⟩ reduction): one result class, one computation
+    /// // builds each member's engine over its reduction
+    /// // `WindowSpec::reduced`, here the query's own spec as k ≥ s): one
+    /// // result class, one computation
     /// hub.subscribe(Registration::grouped(reduced(), 4, 2)).unwrap();
     /// hub.subscribe(Registration::grouped(reduced(), 4, 2)).unwrap();
     /// let batch: Vec<Object> = (0..2).map(|i| Object::new(i, i as f64)).collect();
@@ -250,15 +249,15 @@ impl HubStats {
         }
     }
 
-    /// Fraction of count-based slides served from a shared count group:
-    /// `count_group_hits / (count_group_hits + count_group_rebuilds)`,
-    /// or 0 before any count slide completed.
+    /// Fraction of count-based slides served from a count group: 1.0
+    /// once a count slide closed, 0 before. Every count-based query is a
+    /// count-group member, so the rate carries no information beyond
+    /// that; it stays because the `perfbench` harness reads it.
     pub fn count_group_hit_rate(&self) -> f64 {
-        let total = self.count_group_hits + self.count_group_rebuilds;
-        if total == 0 {
+        if self.count_group_hits == 0 {
             0.0
         } else {
-            self.count_group_hits as f64 / total as f64
+            1.0
         }
     }
 
@@ -305,7 +304,6 @@ impl HubStats {
     /// max-merged.
     pub fn merge(&mut self, other: &HubStats) {
         self.queries += other.queries;
-        self.count_queries += other.count_queries;
         self.shared_queries += other.shared_queries;
         self.digest_groups += other.digest_groups;
         self.digest_hits += other.digest_hits;
@@ -313,7 +311,6 @@ impl HubStats {
         self.grouped_queries += other.grouped_queries;
         self.count_groups += other.count_groups;
         self.count_group_hits += other.count_group_hits;
-        self.count_group_rebuilds += other.count_group_rebuilds;
         self.admitted += other.admitted;
         self.pruned += other.pruned;
         self.result_classes += other.result_classes;
@@ -366,32 +363,31 @@ impl GroupKeys {
     }
 }
 
-/// A standing query ready for a hub: its engine, the plane that serves
-/// it, and its subscription predicate — the one value both
+/// A standing query ready for a hub: its engine, the group clock that
+/// serves it, and its subscription predicate — the one value both
 /// [`Hub::subscribe`](crate::session::Hub::subscribe) and
 /// [`AsyncHub::subscribe`](crate::exec::AsyncHub::subscribe) take.
 ///
-/// The constructors name the planes:
+/// Every query joins a sharing-plane group; the constructors name the
+/// clock:
 ///
-/// * [`count`](Registration::count) — a count-based query `⟨n, k, s⟩`
-///   on its own isolated engine;
 /// * [`shared`](Registration::shared) — a time-based query
-///   `W⟨window_duration, slide_duration⟩` on the **shared digest
-///   plane**: each slide's top-`k_max` is computed once per slide group
-///   (equal `slide_duration` and predicate) and every member slices its
-///   own `k`. A member joining mid-stream warms up privately for at most
-///   the rest of the open slide;
+///   `W⟨window_duration, slide_duration⟩`: each slide's top-`k_max` is
+///   computed once per slide group (equal `slide_duration` and
+///   predicate) and every member slices its own `k`. A member joining
+///   mid-stream warms up privately for at most the rest of the open
+///   slide. Its engine answers the Appendix-A reduction
+///   `⟨(n/s)·k, k, k⟩` of the durations ([`TimedSpec::reduced`]);
 /// * [`grouped`](Registration::grouped) — a count-based query
-///   `⟨n, k, s⟩` on the **shared count plane**: queries with equal slide
-///   length, registration offset mod `s` and predicate share one
-///   per-slide truncation.
+///   `⟨n, k, s⟩`: queries with equal slide length, registration offset
+///   mod `s` and predicate share one per-slide truncation. Its engine
+///   answers `⟨(n/s)·w, k, w⟩`, `w = min(k, s)` ([`WindowSpec::reduced`]),
+///   which is the query's own spec when `k ≥ s`.
 ///
-/// Results on a sharing plane are byte-identical to a standalone
-/// session of the same query (a [`Session`], or a
-/// [`TimedSession`](crate::session::TimedSession)). A sharing-plane
-/// engine answers the private Appendix-A reduction `⟨(n/s)·k, k, k⟩` for its own `k`
-/// (durations standing in for `n` and `s` on the digest plane) and must
-/// be fresh.
+/// Results are byte-identical to a standalone session of the same query
+/// (a [`Session`](crate::session::Session), or a
+/// [`TimedSession`](crate::session::TimedSession)). The engine must be
+/// fresh.
 ///
 /// [`filter`](Registration::filter) attaches a subscription predicate:
 /// the query ranks only objects the predicate accepts, while rejected
@@ -401,10 +397,8 @@ impl GroupKeys {
 ///
 /// A hub validates the registration once, before it allocates an id:
 /// wrong engine geometry (including `k > n` or `s ∤ n`) is a typed
-/// [`SapError::Spec`], an empty score range
-/// [`SapError::InvalidPredicate`], and a predicate on an isolated count
-/// query, which has no admission stage to apply it,
-/// [`SapError::PredicateUnsupported`].
+/// [`SapError::Spec`], and an empty score range
+/// [`SapError::InvalidPredicate`].
 pub struct Registration {
     plane: Plane,
     predicate: Predicate,
@@ -412,7 +406,6 @@ pub struct Registration {
 
 /// The plane a [`Registration`] asks for, with its engine and geometry.
 enum Plane {
-    Count(Box<dyn SlidingTopK + Send>),
     Shared {
         engine: Box<dyn SlidingTopK + Send>,
         window_duration: u64,
@@ -433,11 +426,6 @@ impl Registration {
         }
     }
 
-    /// An isolated count-based query served by `engine`.
-    pub fn count(engine: Box<dyn SlidingTopK + Send>) -> Registration {
-        Registration::on(Plane::Count(engine))
-    }
-
     /// A time-based query `W⟨window_duration, slide_duration⟩` on the
     /// shared digest plane; `engine` answers its reduction. It slides on
     /// event time, so it advances on `publish_timed` and `advance_time`
@@ -454,8 +442,8 @@ impl Registration {
         })
     }
 
-    /// A count-based query `⟨n, k, s⟩` on the shared count plane, `k`
-    /// being the engine's; `engine` answers its reduction.
+    /// A count-based query `⟨n, k, s⟩` on the count plane, `k` being the
+    /// engine's; `engine` answers its reduction [`WindowSpec::reduced`].
     pub fn grouped(engine: Box<dyn SlidingTopK + Send>, n: usize, s: usize) -> Registration {
         Registration::on(Plane::Grouped { engine, n, s })
     }
@@ -469,46 +457,38 @@ impl Registration {
     /// Validates the registration into the member a registry serves.
     pub(crate) fn admit(self) -> Result<HubMember, SapError> {
         let Registration { plane, predicate } = self;
-        if matches!(plane, Plane::Count(_)) {
-            if !predicate.is_pass_all() {
-                return Err(SapError::PredicateUnsupported);
-            }
-        } else {
-            predicate
-                .validate()
-                .map_err(|reason| SapError::InvalidPredicate { reason })?;
-        }
-        Ok(match plane {
-            Plane::Count(engine) => Member::Count(engine),
+        predicate
+            .validate()
+            .map_err(|reason| SapError::InvalidPredicate { reason })?;
+        let (consumer, clock) = match plane {
             Plane::Shared {
                 engine,
                 window_duration,
                 slide_duration,
-            } => Member::Group(
-                Box::new(
-                    SharedTimed::from_engine(engine, window_duration, slide_duration)
-                        .map_err(SapError::Spec)?,
-                ),
+            } => (
+                SharedTimed::from_engine(engine, window_duration, slide_duration),
                 Clock::Event,
-                predicate,
             ),
             Plane::Grouped { engine, n, s } => {
-                WindowSpec::new(n, engine.spec().k, s).map_err(SapError::Spec)?;
-                let consumer =
-                    SharedTimed::from_engine(engine, n as u64, s as u64).map_err(SapError::Spec)?;
-                Member::Group(Box::new(consumer), Clock::Arrival, predicate)
+                (SharedTimed::from_count_engine(engine, n, s), Clock::Arrival)
             }
+        };
+        Ok(Member {
+            consumer: Box::new(consumer.map_err(SapError::Spec)?),
+            clock,
+            predicate,
         })
     }
 }
 
-/// A validated [`Registration`], in the shape a [`Registry`] serves it.
-pub(crate) enum Member<C: SlidingTopK> {
-    Count(C),
-    /// The reduced consumer (its window, slide and `k` are the query's;
-    /// boxed, as it outweighs the other variants), the clock of the
-    /// group it joins, and the predicate keying it.
-    Group(Box<SharedTimed<C>>, Clock, Predicate),
+/// A validated [`Registration`], in the shape a [`Registry`] serves it:
+/// the reduced consumer (its window, slide and `k` are the query's;
+/// boxed, as it travels through the hubs' command queues), the clock of
+/// the group it joins, and the predicate keying it.
+pub(crate) struct Member<C: SlidingTopK> {
+    pub(crate) consumer: Box<SharedTimed<C>>,
+    pub(crate) clock: Clock,
+    pub(crate) predicate: Predicate,
 }
 
 /// The member both hubs register: boxed [`Send`] engines.
@@ -557,7 +537,7 @@ enum GroupClock {
     /// Arrival ordinals: the producer runs on group ordinals, used as
     /// both id and timestamp, so the one truncation tie-break — equal
     /// scores to the higher id — lands on arrival recency, exactly like
-    /// an isolated [`Session`]'s.
+    /// a standalone [`Session`]'s.
     Arrival(Arrivals),
 }
 
@@ -632,13 +612,17 @@ impl GroupClock {
     /// clock's close trigger and identity. Derived from the ordinal,
     /// **not** `pending_len()`: admission control admits fewer objects
     /// than it observes, but the slide fills on observation. 0 on the
-    /// event clock.
+    /// event clock. Wrapping, because a restore reads a decoded group's
+    /// identity before [`RegistryParts::merge`] rejects an inconsistent
+    /// one.
     fn fill(&self, producer: &DigestProducer) -> u64 {
         match self {
             GroupClock::Event => 0,
-            GroupClock::Arrival(a) => {
-                a.next_ordinal - producer.next_slide() * producer.slide_duration()
-            }
+            GroupClock::Arrival(a) => a.next_ordinal.wrapping_sub(
+                producer
+                    .next_slide()
+                    .wrapping_mul(producer.slide_duration()),
+            ),
         }
     }
 }
@@ -747,7 +731,8 @@ impl<C: SlidingTopK> Group<C> {
         if !self.predicate.accepts_timed(raw) {
             return;
         }
-        if !self.gate.admits(o.score) {
+        let gated = self.gated();
+        if gated && !self.gate.admits(o.score) {
             counters.pruned += 1;
             return;
         }
@@ -757,7 +742,21 @@ impl<C: SlidingTopK> Group<C> {
             debug_assert!(false, "an ingest after its clock step closes no slide")
         });
         counters.admitted += 1;
-        self.gate.offer(o.score);
+        if gated {
+            self.gate.offer(o.score);
+        }
+    }
+
+    /// Whether the dominance gate can prune at all. An arrival-clock
+    /// slide holds `s` arrivals, so with `k_max ≥ s` no object ever has
+    /// `k_max` admitted objects ahead of it, and the group skips the gate.
+    fn gated(&self) -> bool {
+        match self.clock {
+            GroupClock::Event => true,
+            GroupClock::Arrival(_) => {
+                (self.producer.k_max() as u64) < self.producer.slide_duration()
+            }
+        }
     }
 
     /// Moves the producer to `to`. Every slide that closes is served
@@ -786,6 +785,90 @@ impl<C: SlidingTopK> Group<C> {
         if producer.next_slide() != before {
             gate.reset();
         }
+    }
+
+    /// Merges `own` — the pass-all group an older image's isolated count
+    /// session `m` implies — into this arrival-clock group of the same
+    /// `(s, fill, predicate)`, whose decoded members are `members`. A
+    /// hub's queries saw one stream, so both groups describe a suffix of
+    /// it ending at the checkpoint: the one that observed fewer arrivals
+    /// shifts onto the other's ordinals, its members with it. The ring
+    /// keeps the longer suffix and the producer the longer open slide (a
+    /// gated group buffers a subsequence of it); where the two disagree,
+    /// the image is corrupt.
+    fn merge_arrivals<'a>(
+        &mut self,
+        members: impl Iterator<Item = &'a mut GroupSession<C>>,
+        mut own: Group<C>,
+        m: &mut GroupSession<C>,
+    ) -> Result<(), CheckpointError>
+    where
+        C: 'a,
+    {
+        let s = self.producer.slide_duration();
+        let (ours, theirs) = (self.next_ordinal(), own.next_ordinal());
+        if ours < theirs {
+            let slides = (theirs - ours) / s;
+            self.shift(slides)?;
+            for member in members {
+                member.shift(slides);
+            }
+        } else {
+            let slides = (ours - theirs) / s;
+            own.shift(slides)?;
+            m.shift(slides);
+        }
+        let (GroupClock::Arrival(a), GroupClock::Arrival(b)) = (&mut self.clock, own.clock) else {
+            unreachable!("count groups run on the arrival clock")
+        };
+        let overlap = a.ring.len().min(b.ring.len());
+        if !a
+            .ring
+            .iter()
+            .rev()
+            .take(overlap)
+            .eq(b.ring.iter().rev().take(overlap))
+        {
+            return Err(CheckpointError::Corrupt(
+                "count sessions at one offset disagree on the stream",
+            ));
+        }
+        if b.ring.len() > a.ring.len() {
+            *a = b;
+        }
+        let mut shorter = own.producer;
+        if shorter.pending_len() > self.producer.pending_len() {
+            std::mem::swap(&mut self.producer, &mut shorter);
+        }
+        let mut open = self.producer.pending().iter();
+        if !shorter.pending().iter().all(|o| open.any(|p| p == o)) {
+            return Err(CheckpointError::Corrupt(
+                "count sessions at one offset disagree on the open slide",
+            ));
+        }
+        self.deepen(shorter.k_max());
+        Ok(())
+    }
+
+    /// Objects an arrival-clock group has observed (0 on the event clock).
+    fn next_ordinal(&self) -> u64 {
+        match &self.clock {
+            GroupClock::Event => 0,
+            GroupClock::Arrival(a) => a.next_ordinal,
+        }
+    }
+
+    /// Moves an arrival-clock group `slides` slides later on its ordinals
+    /// (see [`merge_arrivals`](Group::merge_arrivals)).
+    fn shift(&mut self, slides: u64) -> Result<(), CheckpointError> {
+        self.producer.shift(slides)?;
+        if let GroupClock::Arrival(a) = &mut self.clock {
+            let by = slides * self.producer.slide_duration();
+            let overflow = CheckpointError::Corrupt("count-group ordinal overflows");
+            a.ring_base = a.ring_base.checked_add(by).ok_or(overflow.clone())?;
+            a.next_ordinal = a.next_ordinal.checked_add(by).ok_or(overflow)?;
+        }
+        Ok(())
     }
 
     /// Writes the group into its clock's checkpoint section: `GROUPS`
@@ -880,25 +963,31 @@ impl<C: SlidingTopK> Class<C> {
     }
 
     /// The class-level half of a close: one reduction, one id
-    /// translation, one diff — whatever the class's member count.
+    /// translation, one diff — whatever the class's member count. When
+    /// the engine proves its top-k unchanged, the close re-emits `prev`
+    /// with `[Unchanged]` and skips the translation and the diff.
     fn close(&mut self, view: DigestView<'_>, clock: &GroupClock) -> Snapshot {
-        let top = self
-            .consumer
-            .apply_slide_top(view.slide - self.join_slide, view.top);
+        let slide = view.slide - self.join_slide;
+        let Some(top) = self.consumer.apply_slide_top(slide, view.top) else {
+            self.events.clear();
+            if !self.prev.is_empty() {
+                self.events.push(TopKEvent::Unchanged);
+            }
+            return self.prev.clone();
+        };
         clock.translate(top, &mut self.scratch.snapshot);
         close_staged(&mut self.prev, &mut self.scratch, &mut self.events)
     }
 }
 
 /// The sharing counters — see the [`HubStats`] fields of the same
-/// names. A checkpoint carries the first six, in their `COUNTERS` and
+/// names. A checkpoint carries the first five, in their `COUNTERS` and
 /// `ADMISSION` byte order; `class_hits` travels in memory only.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct Counters {
     pub(crate) digest_hits: u64,
     pub(crate) digest_rebuilds: u64,
     pub(crate) count_group_hits: u64,
-    pub(crate) count_group_rebuilds: u64,
     /// Persisted since checkpoint v3.
     pub(crate) admitted: u64,
     pub(crate) pruned: u64,
@@ -922,9 +1011,6 @@ impl Counters {
         self.digest_hits = self.digest_hits.saturating_add(other.digest_hits);
         self.digest_rebuilds = self.digest_rebuilds.saturating_add(other.digest_rebuilds);
         self.count_group_hits = self.count_group_hits.saturating_add(other.count_group_hits);
-        self.count_group_rebuilds = self
-            .count_group_rebuilds
-            .saturating_add(other.count_group_rebuilds);
         self.admitted = self.admitted.saturating_add(other.admitted);
         self.pruned = self.pruned.saturating_add(other.pruned);
         self.class_hits = self.class_hits.saturating_add(other.class_hits);
@@ -935,7 +1021,6 @@ impl Counters {
             e.put_u64(self.digest_hits);
             e.put_u64(self.digest_rebuilds);
             e.put_u64(self.count_group_hits);
-            e.put_u64(self.count_group_rebuilds);
         });
         enc.section(tags::ADMISSION, |e| {
             e.put_u64(self.admitted);
@@ -943,10 +1028,16 @@ impl Counters {
         });
     }
 
-    fn decode(dec: &mut Decoder<'_>) -> Result<Counters, CheckpointError> {
+    /// Reads the counter sections of a format-`version` image; a format-3
+    /// image also carries the retired isolated-count rebuild tally, which
+    /// is dropped.
+    fn decode(dec: &mut Decoder<'_>, version: u32) -> Result<Counters, CheckpointError> {
         let mut sec = dec.section(tags::COUNTERS)?;
         let (digest_hits, digest_rebuilds) = (sec.take_u64()?, sec.take_u64()?);
-        let (count_group_hits, count_group_rebuilds) = (sec.take_u64()?, sec.take_u64()?);
+        let count_group_hits = sec.take_u64()?;
+        if version == 3 {
+            sec.take_u64()?;
+        }
         sec.finish()?;
         let mut sec = dec.section(tags::ADMISSION)?;
         let (admitted, pruned) = (sec.take_u64()?, sec.take_u64()?);
@@ -955,7 +1046,6 @@ impl Counters {
             digest_hits,
             digest_rebuilds,
             count_group_hits,
-            count_group_rebuilds,
             admitted,
             pruned,
             class_hits: 0,
@@ -968,7 +1058,7 @@ impl Counters {
 /// ascending `QueryId` order), so emitted updates are naturally ordered
 /// per publish call.
 pub(crate) struct Registry<C: SlidingTopK> {
-    sessions: Vec<(QueryId, AnySession<C>)>,
+    sessions: Vec<(QueryId, GroupSession<C>)>,
     /// Ascending indices into `sessions` of the entries every publish and
     /// watermark call serves directly — see [`needs_call`] and the
     /// module docs on per-call cost. Walking it in order is registration
@@ -984,8 +1074,6 @@ pub(crate) struct Registry<C: SlidingTopK> {
     by_key: HashMap<(Clock, u64, Predicate), Vec<u64>>,
     next_gid: u64,
     counters: Counters,
-    /// Pooled untimed view of a timed batch (for count-based sessions).
-    plain_buf: Vec<Object>,
     /// Pooled timed view of an untimed batch (timestamps 0, which only
     /// the arrival clock observes — and it ignores them).
     timed_buf: Vec<TimedObject>,
@@ -1015,7 +1103,6 @@ impl<C: SlidingTopK> Default for Registry<C> {
             by_key: HashMap::new(),
             next_gid: 0,
             counters: Counters::default(),
-            plain_buf: Vec::new(),
             timed_buf: Vec::new(),
             update_hint: 0,
             shard: None,
@@ -1025,32 +1112,20 @@ impl<C: SlidingTopK> Default for Registry<C> {
 
 /// A group ejected for migration: the group plus its member sessions in
 /// ascending-id order (see [`Registry::eject_group_of`]).
-pub(crate) type EjectedGroup<C> = (Group<C>, Vec<(QueryId, AnySession<C>)>);
+pub(crate) type EjectedGroup<C> = (Group<C>, Vec<(QueryId, GroupSession<C>)>);
 
-/// Sessions split by the unit they install in (see [`split_by_group`]).
-pub(crate) type SplitSessions<C> = (
-    Vec<Vec<(QueryId, AnySession<C>)>>,
-    Vec<(QueryId, AnySession<C>)>,
-);
-
-/// Splits decoded or ejected sessions for installation, since a group
-/// member travels with its group, never alone: members by the index of
-/// their group among `groups` (for [`Registry::install_group`]), and
-/// the isolated rest (for [`Registry::install`]) — each list in the
-/// input's ascending-id order.
+/// Splits decoded or ejected sessions by the index of their group among
+/// `groups`, for [`Registry::install_group`] — a member travels with its
+/// group, never alone. Each list keeps the input's ascending-id order.
 pub(crate) fn split_by_group<C: SlidingTopK>(
-    sessions: Vec<(QueryId, AnySession<C>)>,
+    sessions: Vec<(QueryId, GroupSession<C>)>,
     groups: usize,
-) -> SplitSessions<C> {
+) -> Vec<Vec<(QueryId, GroupSession<C>)>> {
     let mut members: Vec<Vec<_>> = (0..groups).map(|_| Vec::new()).collect();
-    let mut loose = Vec::new();
-    for (id, session) in sessions {
-        match &session {
-            AnySession::Group(m) => members[m.group() as usize].push((id, session)),
-            AnySession::Count(_) => loose.push((id, session)),
-        }
+    for (id, m) in sessions {
+        members[m.group() as usize].push((id, m));
     }
-    (members, loose)
+    members
 }
 
 /// A decoded `tags::REGISTRY` section, still loose: sessions with their
@@ -1059,17 +1134,19 @@ pub(crate) fn split_by_group<C: SlidingTopK>(
 /// shards) once [`merge`](RegistryParts::merge) has validated the
 /// cross-section invariants.
 pub(crate) struct RegistryParts<C: SlidingTopK> {
-    pub(crate) sessions: Vec<(QueryId, AnySession<C>)>,
+    pub(crate) sessions: Vec<(QueryId, GroupSession<C>)>,
     /// Both clocks' groups; after [`merge`](RegistryParts::merge) a
     /// member's group handle indexes this list.
     pub(crate) groups: Vec<Group<C>>,
     pub(crate) counters: Counters,
-    /// Decoded isolated time-based sessions (session kind 1, which this
-    /// build reads but never writes), not yet in a group: each an
-    /// event-clock member in step with the producer its adapter ran.
-    /// [`merge`](RegistryParts::merge) seats them in their slide groups;
-    /// live registries never hold one, so it is empty everywhere else.
-    pub(crate) unseated: Vec<(QueryId, GroupSession<C>, DigestProducer)>,
+    /// Decoded isolated sessions of a format-3 image, not yet in a
+    /// group, each with the pass-all group its session implies: a
+    /// time-based one (kind 1) as an event-clock member in step with its
+    /// adapter's producer, a count-based one (kind 0) as an arrival-clock
+    /// member in step with the group its window and pending buffer
+    /// describe. [`merge`](RegistryParts::merge) seats them; live
+    /// registries never hold one, so it is empty everywhere else.
+    pub(crate) unseated: Vec<(QueryId, GroupSession<C>, Group<C>)>,
 }
 
 impl<C: SlidingTopK> RegistryParts<C> {
@@ -1083,49 +1160,41 @@ impl<C: SlidingTopK> RegistryParts<C> {
     /// which the hub never produces, so it is corruption rather than a
     /// merge.
     ///
-    /// Unseated members join the store here and are seated in id order,
-    /// after the slide-group index is built, so a later one of the same
-    /// slide duration finds the group an earlier one founded. A member
-    /// whose `(slide_duration, pass-all)` group exists warms up on its own
-    /// producer until the group closes the slide it joined during — the
-    /// later of the two open slides, since a session registered after the
-    /// last arrival lags its group by empty slides — and deepens the
-    /// group to its `k`, as a live mid-stream join does. Otherwise its
-    /// producer founds that group, in step with the member.
+    /// Unseated members are seated in id order, after the slide-group
+    /// index is built, so a later one finds the group an earlier one
+    /// founded or joined. A time-based one whose `(slide_duration,
+    /// pass-all)` group exists warms up on its own producer until the
+    /// group closes the slide it joined during — the later of the two
+    /// open slides, since a session registered after the last arrival
+    /// lags its group by empty slides — and deepens the group to its
+    /// `k`, as a live mid-stream join does. A count-based one whose
+    /// `(s, open-slide fill, pass-all)` group exists merges its group
+    /// into it ([`Group::merge_arrivals`]): a hub's queries saw one
+    /// stream, so both describe one suffix of it. Otherwise its group is
+    /// founded, in step with the member.
     pub(crate) fn merge(parts: Vec<Self>) -> Result<Self, CheckpointError> {
         let mut sessions = Vec::new();
         let mut groups: Vec<Group<C>> = Vec::new();
         let mut counters = Counters::default();
-        let mut producers = Vec::new();
+        let mut unseated = Vec::new();
         for mut part in parts {
             // rebase this section's arrival-clock references onto the
             // concatenated list BEFORE its sessions join the shared pool;
             // event-clock members find their group by key
             let base = groups.len() as u64;
-            for (_, session) in &mut part.sessions {
-                if let AnySession::Group(m) = session {
-                    if m.clock() == Clock::Arrival {
-                        let rebased = m
-                            .group()
-                            .checked_add(base)
-                            .ok_or(CheckpointError::Corrupt("count-group reference overflows"))?;
-                        m.set_group(rebased);
-                    }
+            for (_, m) in &mut part.sessions {
+                if m.clock() == Clock::Arrival {
+                    let rebased = m
+                        .group()
+                        .checked_add(base)
+                        .ok_or(CheckpointError::Corrupt("count-group reference overflows"))?;
+                    m.set_group(rebased);
                 }
             }
             groups.extend(part.groups);
             sessions.extend(part.sessions);
-            for (id, member, producer) in part.unseated {
-                sessions.push((id, AnySession::Group(member)));
-                producers.push((id, producer));
-            }
+            unseated.extend(part.unseated);
             counters.absorb(&part.counters);
-        }
-        sessions.sort_by_key(|(id, _)| *id);
-        if sessions.windows(2).any(|w| w[0].0 == w[1].0) {
-            return Err(CheckpointError::Corrupt(
-                "duplicate query id across registry sections",
-            ));
         }
         let mut slide_groups: HashMap<(u64, Predicate), usize> = HashMap::new();
         for (i, group) in groups.iter().enumerate() {
@@ -1136,34 +1205,53 @@ impl<C: SlidingTopK> RegistryParts<C> {
                 ));
             }
         }
-        producers.sort_unstable_by_key(|(id, _)| *id);
-        for (id, producer) in producers {
-            let pos = sessions
-                .binary_search_by_key(&id, |(q, _)| *q)
-                .expect("an unseated member joined the store");
-            let AnySession::Group(m) = &mut sessions[pos].1 else {
-                unreachable!("an unseated member is a group session")
-            };
-            let key = (m.slide(), m.predicate());
-            match slide_groups.get(&key) {
-                Some(&index) => {
-                    let group = &mut groups[index];
-                    let open_slide = group.producer.next_slide().max(producer.next_slide());
-                    group.deepen(m.k());
-                    m.warm_up(producer, open_slide);
-                }
-                None => {
-                    slide_groups.insert(key, groups.len());
-                    groups.push(Group::new(producer, m.predicate(), GroupClock::Event));
+        unseated.sort_unstable_by_key(|(id, _, _)| *id);
+        for (id, mut m, own) in unseated {
+            let identity = own.identity();
+            let (clock, slide, _, predicate) = identity;
+            match clock {
+                Clock::Event => match slide_groups.get(&(slide, predicate)) {
+                    Some(&index) => {
+                        let group = &mut groups[index];
+                        let open_slide = group.producer.next_slide().max(own.producer.next_slide());
+                        group.deepen(m.k());
+                        m.warm_up(own.producer, open_slide);
+                    }
+                    None => {
+                        slide_groups.insert((slide, predicate), groups.len());
+                        groups.push(own);
+                    }
+                },
+                Clock::Arrival => {
+                    let index = match groups.iter().position(|g| g.identity() == identity) {
+                        Some(index) => {
+                            let members = sessions.iter_mut().filter_map(|(_, s)| {
+                                let mine = s.clock() == Clock::Arrival && s.group() == index as u64;
+                                mine.then_some(s)
+                            });
+                            groups[index].merge_arrivals(members, own, &mut m)?;
+                            index
+                        }
+                        None => {
+                            groups.push(own);
+                            groups.len() - 1
+                        }
+                    };
+                    m.set_group(index as u64);
                 }
             }
+            sessions.push((id, m));
         }
-        // per group: member count and widest member window
-        let mut tally = vec![(0usize, 0u64); groups.len()];
-        for (_, session) in &mut sessions {
-            let AnySession::Group(m) = session else {
-                continue;
-            };
+        sessions.sort_by_key(|(id, _)| *id);
+        if sessions.windows(2).any(|w| w[0].0 == w[1].0) {
+            return Err(CheckpointError::Corrupt(
+                "duplicate query id across registry sections",
+            ));
+        }
+        // per group: member count and the earliest ordinal a member's
+        // next emission can reference
+        let mut tally = vec![(0usize, u64::MAX); groups.len()];
+        for (_, m) in &mut sessions {
             let index = match m.clock() {
                 Clock::Event => {
                     let Some(&index) = slide_groups.get(&(m.slide(), m.predicate())) else {
@@ -1223,14 +1311,21 @@ impl<C: SlidingTopK> RegistryParts<C> {
                             ));
                         }
                     }
+                    // the member's next emission ranks its last `window`
+                    // arrivals, but none from before it joined
+                    let sd = m.slide();
+                    let end = next.saturating_add(1).saturating_mul(sd);
+                    let reach = end
+                        .saturating_sub(m.window())
+                        .max(m.join_slide().saturating_mul(sd));
+                    tally[index].1 = tally[index].1.min(reach);
                     index
                 }
             };
             tally[index].0 += 1;
-            tally[index].1 = tally[index].1.max(m.window());
         }
         for (i, group) in groups.iter().enumerate() {
-            let (members, widest) = tally[i];
+            let (members, reach) = tally[i];
             let GroupClock::Arrival(a) = &group.clock else {
                 if members == 0 {
                     return Err(CheckpointError::Corrupt("slide group with no members"));
@@ -1268,9 +1363,8 @@ impl<C: SlidingTopK> RegistryParts<C> {
                 ));
             }
             // the ring must reach back far enough to translate every
-            // ordinal the widest member's next emission can reference
-            let next_close_end = (group.producer.next_slide() + 1).saturating_mul(sd);
-            if a.ring_base > next_close_end.saturating_sub(widest) {
+            // ordinal a member's next emission can reference
+            if a.ring_base > reach {
                 return Err(CheckpointError::Corrupt(
                     "count-group ring does not cover its members' windows",
                 ));
@@ -1302,10 +1396,7 @@ impl<C: SlidingTopK> RegistryParts<C> {
     /// byte signature. Only a restore needs this — a decoded group
     /// arrives without classes, while a migrated one keeps its own.
     pub(crate) fn pool_classes(&mut self) {
-        for (id, session) in &mut self.sessions {
-            let AnySession::Group(m) = session else {
-                continue;
-            };
+        for (id, m) in &mut self.sessions {
             let group = &mut self.groups[m.group() as usize];
             group.count(m);
             if !m.is_warming_up() {
@@ -1318,7 +1409,7 @@ impl<C: SlidingTopK> RegistryParts<C> {
 /// Where a group close delivers its member emissions: the session store
 /// the members live in, and the call's output.
 struct Delivery<'a, C: SlidingTopK> {
-    sessions: &'a mut [(QueryId, AnySession<C>)],
+    sessions: &'a mut [(QueryId, GroupSession<C>)],
     out: &'a mut Vec<QueryUpdate>,
     hint: usize,
 }
@@ -1333,9 +1424,6 @@ impl<C: SlidingTopK> Delivery<'_, C> {
                 .binary_search_by_key(&member, |(id, _)| *id)
                 .expect("class member ids name registered sessions");
             let (id, session) = &mut self.sessions[idx];
-            let AnySession::Group(session) = session else {
-                unreachable!("class members are group sessions")
-            };
             let mut sink = tagged_sink(self.out, self.hint, *id);
             session.emit_class(snapshot, events, &mut sink);
         }
@@ -1382,28 +1470,14 @@ fn note_update_hint(hint: &mut usize, emitted: usize) {
     }
 }
 
-/// Whether a stored session needs service on every publish or watermark
-/// call — the membership rule of [`Registry::solo`]. Isolated sessions
-/// own their engines, and a warming member feeds its private producer;
-/// every other group member is served by its class at a close.
-fn needs_call<C: SlidingTopK>(session: &AnySession<C>) -> bool {
-    match session {
-        AnySession::Count(_) => true,
-        AnySession::Group(m) => m.is_warming_up(),
-    }
-}
-
-/// Whether every group member among `sessions` sits where a live group
-/// keeps it: a warming member in no class of its group, any other in
-/// exactly one — the shape a group must arrive in when it is installed.
+/// Whether every member among `sessions` sits where a live group keeps
+/// it: a warming member in no class of its group, any other in exactly
+/// one — the shape a group must arrive in when it is installed.
 fn members_in_classes<C: SlidingTopK>(
     groups: &HashMap<u64, Group<C>>,
-    sessions: &[(QueryId, AnySession<C>)],
+    sessions: &[(QueryId, GroupSession<C>)],
 ) -> bool {
-    sessions.iter().all(|(id, session)| {
-        let AnySession::Group(m) = session else {
-            return true;
-        };
+    sessions.iter().all(|(id, m)| {
         let classes = groups[&m.group()].classes.iter();
         let holding = classes.filter(|c| c.members.binary_search(id).is_ok());
         holding.count() == usize::from(!m.is_warming_up())
@@ -1447,18 +1521,18 @@ impl<C: SlidingTopK> Registry<C> {
         }
     }
 
-    /// Appends a freshly registered session — ids are handed out
+    /// Appends a freshly registered member — ids are handed out
     /// monotonically, so appending keeps the store in ascending-id order
-    /// — and lists it for per-call service if it needs it.
-    fn push_session(&mut self, id: QueryId, session: AnySession<C>) {
+    /// — and lists it for per-call service while it warms up.
+    fn push_session(&mut self, id: QueryId, m: GroupSession<C>) {
         debug_assert!(
             self.sessions.last().is_none_or(|(last, _)| *last < id),
             "registration ids ascend"
         );
-        if needs_call(&session) {
+        if m.is_warming_up() {
             self.solo.push(self.sessions.len());
         }
-        self.sessions.push((id, session));
+        self.sessions.push((id, m));
     }
 
     /// Recomputes the per-call list from the store — the bulk paths'
@@ -1469,7 +1543,7 @@ impl<C: SlidingTopK> Registry<C> {
             self.sessions
                 .iter()
                 .enumerate()
-                .filter(|(_, (_, session))| needs_call(session))
+                .filter(|(_, (_, m))| m.is_warming_up())
                 .map(|(i, _)| i),
         );
     }
@@ -1478,24 +1552,10 @@ impl<C: SlidingTopK> Registry<C> {
     /// in one pass — the stable sort finds the two sorted runs and merges
     /// them, O(store) whatever the member count, where inserting one at a
     /// time is O(members × store) — and recomputes the per-call list.
-    fn merge_sessions(&mut self, incoming: Vec<(QueryId, AnySession<C>)>) {
+    fn merge_sessions(&mut self, incoming: Vec<(QueryId, GroupSession<C>)>) {
         self.sessions.extend(incoming);
         self.sessions.sort_by_key(|(id, _)| *id);
         self.rebuild_solo();
-    }
-
-    /// Removes every session `is_member` selects in one pass, handing them
-    /// back in ascending-id order, and recomputes the per-call list.
-    fn extract_sessions(
-        &mut self,
-        mut is_member: impl FnMut(&AnySession<C>) -> bool,
-    ) -> Vec<(QueryId, AnySession<C>)> {
-        let members = self
-            .sessions
-            .extract_if(.., |(_, session)| is_member(session))
-            .collect();
-        self.rebuild_solo();
-        members
     }
 
     /// Store position of `id`, by binary search of the id-ordered store.
@@ -1524,7 +1584,14 @@ impl<C: SlidingTopK> Registry<C> {
         group
     }
 
-    /// Registers a validated member under `id` on its plane.
+    /// Registers a validated member under `id`: joins (or founds) its
+    /// group by the clock's join rule (see the [module docs](self)),
+    /// deepens the group's digests to its `k`, and seats it. A member
+    /// that starts in step with its group joins the class with its exact
+    /// key — matching keys mean the class is still at its open join
+    /// slide, so the member's fresh consumer is a byte-for-byte duplicate
+    /// and dropping it is lossless — or founds one. An event-clock member
+    /// joining mid-stream warms up instead.
     ///
     /// `home` is the shard the hub routed this registration to (`None`
     /// from the sequential hub). It must be the shard that owns this
@@ -1537,29 +1604,11 @@ impl<C: SlidingTopK> Registry<C> {
             home, self.shard,
             "routing bug: a group's members must all land on its home shard"
         );
-        match member {
-            Member::Count(alg) => self.push_session(id, AnySession::Count(Session::new(alg))),
-            Member::Group(consumer, clock, predicate) => {
-                self.register_member(id, *consumer, clock, predicate)
-            }
-        }
-    }
-
-    /// Registers a group member: joins (or founds) its group by the
-    /// clock's join rule (see the [module docs](self)), deepens the
-    /// group's digests to its `k`, and seats it. A member that starts in
-    /// step with its group joins the class with its exact key — matching
-    /// keys mean the class is still at its open join slide, so the
-    /// member's fresh consumer is a byte-for-byte duplicate and dropping
-    /// it is lossless — or founds one. An event-clock member joining
-    /// mid-stream warms up instead.
-    fn register_member(
-        &mut self,
-        id: QueryId,
-        consumer: SharedTimed<C>,
-        clock: Clock,
-        predicate: Predicate,
-    ) {
+        let Member {
+            consumer,
+            clock,
+            predicate,
+        } = member;
         let (slide, k) = (consumer.slide_duration(), consumer.k());
         let gid = match self.joinable(clock, slide, predicate) {
             Some(gid) => gid,
@@ -1579,7 +1628,7 @@ impl<C: SlidingTopK> Registry<C> {
         let next = group.producer.next_slide();
         let mut member = GroupSession::new(
             clock,
-            consumer,
+            *consumer,
             predicate,
             if in_step { next } else { 0 },
             gid,
@@ -1603,7 +1652,7 @@ impl<C: SlidingTopK> Registry<C> {
         } else {
             group.found_class(id, &mut member);
         }
-        self.push_session(id, AnySession::Group(member));
+        self.push_session(id, member);
     }
 
     /// The join rule's first half: the live group a `clock` member with
@@ -1629,7 +1678,7 @@ impl<C: SlidingTopK> Registry<C> {
     }
 
     /// Removes a query, handing its session back; `None` for unknown ids.
-    /// A group member leaves its class and its group: the last member out
+    /// A member leaves its class and its group: the last member out
     /// drops the group (so a later registrant founds a fresh, pristine
     /// one), and the survivors' depth and retention are refitted — exact
     /// even mid-slide, for the same reason `k_max` growth is.
@@ -1639,9 +1688,9 @@ impl<C: SlidingTopK> Registry<C> {
     /// earlier leaver hands its share back and is returned without a
     /// consumer — engines are not `Clone`, and the state keeps serving
     /// the members staying behind.
-    pub(crate) fn unregister(&mut self, id: QueryId) -> Option<AnySession<C>> {
+    pub(crate) fn unregister(&mut self, id: QueryId) -> Option<GroupSession<C>> {
         let pos = self.position(id)?;
-        let (_, mut session) = self.sessions.remove(pos);
+        let (_, mut m) = self.sessions.remove(pos);
         // drop `pos` from the per-call list; later entries shift down
         let from = self.solo.partition_point(|&i| i < pos);
         if self.solo.get(from) == Some(&pos) {
@@ -1650,10 +1699,8 @@ impl<C: SlidingTopK> Registry<C> {
         for i in &mut self.solo[from..] {
             *i -= 1;
         }
-        if let AnySession::Group(m) = &mut session {
-            self.leave(id, m);
-        }
-        Some(session)
+        self.leave(id, &mut m);
+        Some(m)
     }
 
     /// The group half of [`unregister`](Registry::unregister).
@@ -1683,9 +1730,9 @@ impl<C: SlidingTopK> Registry<C> {
         }
         // the survivors are the classes plus the warming members, which
         // are all on the per-call list
-        let warming = self.solo.iter().filter_map(|&i| match &self.sessions[i].1 {
-            AnySession::Group(w) if w.group() == gid => Some((w.k(), w.window())),
-            _ => None,
+        let warming = self.solo.iter().filter_map(|&i| {
+            let w = &self.sessions[i].1;
+            (w.group() == gid).then(|| (w.k(), w.window()))
         });
         let (k_max, widest) = group
             .classes
@@ -1700,45 +1747,31 @@ impl<C: SlidingTopK> Registry<C> {
         group.widest = widest;
     }
 
-    /// Fans an untimed batch out to every count-based session and every
-    /// arrival-clock group. Time-based sessions and event-clock groups
-    /// carry no event time here and do not advance.
+    /// Fans an untimed batch out to every arrival-clock group. Event-clock
+    /// groups carry no event time here and do not advance.
     ///
-    /// The empty fast path (no sessions, or an empty batch) returns
-    /// without touching the heap, and sessions emit their completed
-    /// slides straight into tagged updates through the sink closure —
-    /// each result moves once, and the returned `Vec` is the only
-    /// per-call allocation, pre-sized from the retained hint and skipped
-    /// entirely when no slide completed.
+    /// The empty fast path (no groups, or an empty batch) returns without
+    /// touching the heap, and classes emit their closed slides straight
+    /// into tagged updates — each result moves once, and the returned
+    /// `Vec` is the only per-call allocation, pre-sized from the retained
+    /// hint and skipped entirely when no slide closed.
     pub(crate) fn publish(&mut self, objects: &[Object]) -> Vec<QueryUpdate> {
-        if self.sessions.is_empty() || objects.is_empty() {
+        if self.groups.is_empty() || objects.is_empty() {
             return Vec::new();
         }
         let mut out = Vec::new();
-        let hint = self.update_hint;
-        for &i in &self.solo {
-            let (id, session) = &mut self.sessions[i];
-            if let AnySession::Count(session) = session {
-                session.push_each(objects, &mut tagged_sink(&mut out, hint, *id));
-            }
-        }
-        self.counters.count_group_rebuilds += out.len() as u64;
-        let walked = out.len();
-        if !self.groups.is_empty() {
-            let mut timed = std::mem::take(&mut self.timed_buf);
-            timed.clear();
-            timed.extend(objects.iter().map(|o| TimedObject::new(o.id, 0, o.score)));
-            self.serve_groups(Tick::Untimed(&timed), &mut out);
-            self.timed_buf = timed;
-        }
-        self.finish_call(out, walked)
+        let mut timed = std::mem::take(&mut self.timed_buf);
+        timed.clear();
+        timed.extend(objects.iter().map(|o| TimedObject::new(o.id, 0, o.score)));
+        self.serve_groups(Tick::Untimed(&timed), &mut out);
+        self.timed_buf = timed;
+        self.finish_call(out, 0)
     }
 
-    /// Fans a timed batch out to every session: the per-call list is
-    /// walked in registration order — isolated count sessions see the
-    /// untimed view, warming members feed the raw batch to their private
-    /// view — then each group ingests the batch **once**, serving its
-    /// classes inside every close.
+    /// Fans a timed batch out to every session: the per-call list of
+    /// warming members is walked in registration order, each feeding the
+    /// raw batch to its private view, then each group ingests the batch
+    /// **once**, serving its classes inside every close.
     pub(crate) fn publish_timed(&mut self, objects: &[TimedObject]) -> Vec<QueryUpdate> {
         if self.sessions.is_empty() || objects.is_empty() {
             return Vec::new();
@@ -1747,36 +1780,18 @@ impl<C: SlidingTopK> Registry<C> {
             sessions,
             solo,
             counters,
-            plain_buf,
             update_hint,
             ..
         } = self;
-        // strip the timestamps once, not once per count-based session —
-        // into the pooled buffer, so steady-state publishes reuse its
-        // capacity instead of allocating a fresh Vec per call
-        plain_buf.clear();
-        if solo
-            .iter()
-            .any(|&i| matches!(sessions[i].1, AnySession::Count(_)))
-        {
-            plain_buf.extend(objects.iter().map(TimedObject::untimed));
-        }
         let mut out = Vec::new();
         let hint = *update_hint;
         for &i in solo.iter() {
-            let (id, session) = &mut sessions[i];
-            match session {
-                AnySession::Count(session) => {
-                    let before = out.len();
-                    session.push_each(plain_buf, &mut tagged_sink(&mut out, hint, *id));
-                    counters.count_group_rebuilds += (out.len() - before) as u64;
-                }
-                AnySession::Group(member) => serve_warming(
-                    &mut counters.digest_rebuilds,
-                    &mut tagged_sink(&mut out, hint, *id),
-                    |f| member.push_warmup(objects, f),
-                ),
-            }
+            let (id, member) = &mut sessions[i];
+            serve_warming(
+                &mut counters.digest_rebuilds,
+                &mut tagged_sink(&mut out, hint, *id),
+                |f| member.push_warmup(objects, f),
+            );
         }
         let walked = out.len();
         self.serve_groups(Tick::Timed(objects), &mut out);
@@ -1786,8 +1801,7 @@ impl<C: SlidingTopK> Registry<C> {
 
     /// Raises the event-time watermark on every time-based session —
     /// event-clock groups advance once and serve their classes, warming
-    /// members advance privately. Count-based sessions and arrival-clock
-    /// groups are untouched.
+    /// members advance privately. Arrival-clock groups are untouched.
     pub(crate) fn advance_time(&mut self, watermark: u64) -> Vec<QueryUpdate> {
         if self.sessions.is_empty() {
             return Vec::new();
@@ -1802,16 +1816,12 @@ impl<C: SlidingTopK> Registry<C> {
         let mut out = Vec::new();
         let hint = *update_hint;
         for &i in solo.iter() {
-            let (id, session) = &mut sessions[i];
-            let mut sink = tagged_sink(&mut out, hint, *id);
-            match session {
-                AnySession::Count(_) => continue,
-                AnySession::Group(member) => {
-                    serve_warming(&mut counters.digest_rebuilds, &mut sink, |f| {
-                        member.advance_warmup(watermark, f)
-                    })
-                }
-            }
+            let (id, member) = &mut sessions[i];
+            serve_warming(
+                &mut counters.digest_rebuilds,
+                &mut tagged_sink(&mut out, hint, *id),
+                |f| member.advance_warmup(watermark, f),
+            );
         }
         let walked = out.len();
         self.serve_groups(Tick::Watermark(watermark), &mut out);
@@ -1888,10 +1898,7 @@ impl<C: SlidingTopK> Registry<C> {
         } = self;
         let mut promoted = false;
         for &i in solo.iter() {
-            let (id, session) = &mut sessions[i];
-            let AnySession::Group(m) = session else {
-                continue;
-            };
+            let (id, m) = &mut sessions[i];
             let group = groups
                 .get_mut(&m.group())
                 .expect("a member's group is live");
@@ -1901,11 +1908,11 @@ impl<C: SlidingTopK> Registry<C> {
             }
         }
         if promoted {
-            solo.retain(|&i| needs_call(&sessions[i].1));
+            solo.retain(|&i| sessions[i].1.is_warming_up());
         }
     }
 
-    pub(crate) fn session(&self, id: QueryId) -> Option<&AnySession<C>> {
+    pub(crate) fn session(&self, id: QueryId) -> Option<&GroupSession<C>> {
         self.position(id).map(|pos| &self.sessions[pos].1)
     }
 
@@ -1934,7 +1941,6 @@ impl<C: SlidingTopK> Registry<C> {
             digest_hits: c.digest_hits,
             digest_rebuilds: c.digest_rebuilds,
             count_group_hits: c.count_group_hits,
-            count_group_rebuilds: c.count_group_rebuilds,
             admitted: c.admitted,
             pruned: c.pruned,
             class_hits: c.class_hits,
@@ -1947,13 +1953,10 @@ impl<C: SlidingTopK> Registry<C> {
                 Clock::Arrival => stats.count_groups += 1,
             }
         }
-        for (_, session) in &self.sessions {
-            match session {
-                AnySession::Count(_) => stats.count_queries += 1,
-                AnySession::Group(m) => match m.clock() {
-                    Clock::Event => stats.shared_queries += 1,
-                    Clock::Arrival => stats.grouped_queries += 1,
-                },
+        for (_, m) in &self.sessions {
+            match m.clock() {
+                Clock::Event => stats.shared_queries += 1,
+                Clock::Arrival => stats.grouped_queries += 1,
             }
         }
         stats
@@ -1994,49 +1997,36 @@ impl<C: SlidingTopK> Registry<C> {
             .collect();
         enc.section(tags::SESSIONS, |e| {
             e.put_u64(self.sessions.len() as u64);
-            for (id, session) in &self.sessions {
+            for (id, m) in &self.sessions {
                 e.put_u64(id.raw());
-                match session {
-                    AnySession::Count(s) => {
-                        e.put_u8(0);
-                        e.put_str(s.algorithm().name());
-                        let spec = s.spec();
-                        e.put_usize(spec.n);
-                        e.put_usize(spec.k);
-                        e.put_usize(spec.s);
-                        s.encode_checkpoint_body(e);
+                match m.clock() {
+                    Clock::Event => {
+                        e.put_u8(2);
+                        e.put_str(m.engine_name());
+                        e.put_u64(m.window());
+                        e.put_u64(m.slide());
+                        e.put_usize(m.k());
+                        // the predicate rides at the registry entry
+                        // level (since v3), keeping the session body
+                        // bytes unchanged
+                        m.predicate().encode(e);
                     }
-                    AnySession::Group(m) => {
-                        match m.clock() {
-                            Clock::Event => {
-                                e.put_u8(2);
-                                e.put_str(m.engine_name());
-                                e.put_u64(m.window());
-                                e.put_u64(m.slide());
-                                e.put_usize(m.k());
-                                // the predicate rides at the registry
-                                // entry level (since v3), keeping the
-                                // session body bytes unchanged
-                                m.predicate().encode(e);
-                            }
-                            Clock::Arrival => {
-                                e.put_u8(3);
-                                e.put_str(m.engine_name());
-                                e.put_u64(m.window());
-                                e.put_usize(m.k());
-                                e.put_u64(m.slide());
-                            }
-                        }
-                        // a classed member encodes its class's consumer
-                        let class_consumer = self.groups[&m.group()]
-                            .classes
-                            .iter()
-                            .find(|c| c.members.binary_search(id).is_ok())
-                            .map(|c| &c.consumer);
-                        let index = index_of.get(&m.group()).copied().unwrap_or(0);
-                        m.encode_checkpoint_body(e, class_consumer, index);
+                    Clock::Arrival => {
+                        e.put_u8(3);
+                        e.put_str(m.engine_name());
+                        e.put_u64(m.window());
+                        e.put_usize(m.k());
+                        e.put_u64(m.slide());
                     }
                 }
+                // a classed member encodes its class's consumer
+                let class_consumer = self.groups[&m.group()]
+                    .classes
+                    .iter()
+                    .find(|c| c.members.binary_search(id).is_ok())
+                    .map(|c| &c.consumer);
+                let index = index_of.get(&m.group()).copied().unwrap_or(0);
+                m.encode_checkpoint_body(e, class_consumer, index);
             }
         });
         for (tag, groups) in [(tags::GROUPS, slide), (tags::COUNT_GROUPS, count)] {
@@ -2050,15 +2040,28 @@ impl<C: SlidingTopK> Registry<C> {
         self.counters.encode(enc);
     }
 
-    /// Decodes one `tags::REGISTRY` section body into loose
-    /// [`RegistryParts`], building each session's engine through the
-    /// caller's closure (group members' and kind-1 entries' engines run
-    /// on the Appendix-A reduced spec). Every structural violation is a
-    /// typed error — never a panic.
+    /// Decodes one `tags::REGISTRY` section body of a format-`version`
+    /// image into loose [`RegistryParts`], building each session's engine
+    /// on its reduction through the caller's closure. A format-3 image
+    /// may hold isolated sessions (kinds 0 and 1), which this build never
+    /// writes: each becomes an unseated member with the pass-all group
+    /// its state implies. Every structural violation is a typed error —
+    /// never a panic.
     pub(crate) fn decode_checkpoint(
         dec: &mut Decoder<'_>,
+        version: u32,
         count: &mut dyn FnMut(&str, WindowSpec) -> Result<C, SapError>,
     ) -> Result<RegistryParts<C>, SapError> {
+        let bounded = |spec: WindowSpec| {
+            if spec.n > crate::checkpoint::MAX_RESTORED_WINDOW {
+                Err(CheckpointError::Corrupt(
+                    "restored window implausibly large",
+                ))
+            } else {
+                Ok(spec)
+            }
+        };
+        let fresh = |_| CheckpointError::Corrupt("factory engine is not a fresh reduction");
         let mut sessions = Vec::new();
         let mut unseated = Vec::new();
         {
@@ -2066,114 +2069,76 @@ impl<C: SlidingTopK> Registry<C> {
             let n = sec.take_seq_len()?;
             for _ in 0..n {
                 let id = QueryId::from_raw(sec.take_u64()?);
-                let session = match sec.take_u8()? {
-                    0 => {
-                        let name = sec.take_str()?;
+                let kind = sec.take_u8()?;
+                let name = sec.take_str()?;
+                let m = match kind {
+                    // an isolated count session: its window and pending
+                    // buffer become an unseated arrival-clock member
+                    0 if version == 3 => {
                         let (wn, wk, ws) =
                             (sec.take_usize()?, sec.take_usize()?, sec.take_usize()?);
                         let spec = WindowSpec::new(wn, wk, ws)
                             .map_err(|_| CheckpointError::Corrupt("invalid count window spec"))?;
-                        if spec.n > crate::checkpoint::MAX_RESTORED_WINDOW {
-                            return Err(CheckpointError::Corrupt(
-                                "restored window implausibly large",
-                            )
-                            .into());
-                        }
-                        let engine = count(name, spec)?;
-                        if engine.spec() != spec {
-                            return Err(
-                                CheckpointError::Corrupt("factory engine spec mismatch").into()
-                            );
-                        }
-                        AnySession::Count(Session::decode_checkpoint_body(engine, &mut sec)?)
+                        let engine = count(name, bounded(spec)?.reduced())?;
+                        let consumer = SharedTimed::from_count_engine(engine, spec.n, spec.s)
+                            .map_err(fresh)?;
+                        let (m, group) = decode_isolated_count(consumer, &mut sec)?;
+                        unseated.push((id, m, group));
+                        continue;
                     }
-                    // an isolated time-based session, which earlier builds
-                    // wrote: its adapter's engine, producer and consumer
-                    // become an unseated event-clock member
-                    1 => {
-                        let name = sec.take_str()?;
+                    // an isolated time-based session: its adapter's
+                    // engine, producer and consumer become an unseated
+                    // event-clock member
+                    1 if version == 3 => {
                         let (wd, sd, k) = (sec.take_u64()?, sec.take_u64()?, sec.take_usize()?);
-                        let spec = TimedSpec::new(wd, sd, k)
+                        let reduced = TimedSpec::new(wd, sd, k)
+                            .and_then(|spec| spec.reduced())
                             .map_err(|_| CheckpointError::Corrupt("invalid timed window spec"))?;
-                        let reduced = spec
-                            .reduced()
-                            .map_err(|_| CheckpointError::Corrupt("timed spec does not reduce"))?;
-                        if reduced.n > crate::checkpoint::MAX_RESTORED_WINDOW {
-                            return Err(CheckpointError::Corrupt(
-                                "restored window implausibly large",
-                            )
-                            .into());
-                        }
-                        let engine = count(name, reduced)?;
-                        let consumer = SharedTimed::from_engine(engine, wd, sd).map_err(|_| {
-                            CheckpointError::Corrupt("factory engine spec mismatch")
-                        })?;
-                        let (member, producer) =
-                            GroupSession::decode_adapter_body(consumer, &mut sec)?;
-                        unseated.push((id, member, producer));
+                        let engine = count(name, bounded(reduced)?)?;
+                        let consumer = SharedTimed::from_engine(engine, wd, sd).map_err(fresh)?;
+                        let (m, producer) = GroupSession::decode_adapter_body(consumer, &mut sec)?;
+                        let group = Group::new(producer, Predicate::default(), GroupClock::Event);
+                        unseated.push((id, m, group));
                         continue;
                     }
                     2 => {
-                        let name = sec.take_str()?;
                         let (wd, sd, k) = (sec.take_u64()?, sec.take_u64()?, sec.take_usize()?);
                         let predicate = Predicate::decode(&mut sec)?;
                         let reduced = TimedSpec::new(wd, sd, k)
                             .and_then(|spec| spec.reduced())
                             .map_err(|_| CheckpointError::Corrupt("invalid shared window spec"))?;
-                        if reduced.n > crate::checkpoint::MAX_RESTORED_WINDOW {
-                            return Err(CheckpointError::Corrupt(
-                                "restored window implausibly large",
-                            )
-                            .into());
-                        }
-                        let engine = count(name, reduced)?;
-                        let consumer = SharedTimed::from_engine(engine, wd, sd).map_err(|_| {
-                            CheckpointError::Corrupt("factory engine is not a fresh reduction")
-                        })?;
-                        AnySession::Group(GroupSession::decode_checkpoint_body(
+                        let engine = count(name, bounded(reduced)?)?;
+                        let consumer = SharedTimed::from_engine(engine, wd, sd).map_err(fresh)?;
+                        GroupSession::decode_checkpoint_body(
                             Clock::Event,
                             consumer,
                             predicate,
                             &mut sec,
-                        )?)
+                            k,
+                        )?
                     }
                     3 => {
-                        let name = sec.take_str()?;
                         let (wn, wk, ws) =
                             (sec.take_usize()?, sec.take_usize()?, sec.take_usize()?);
                         let spec = WindowSpec::new(wn, wk, ws)
                             .map_err(|_| CheckpointError::Corrupt("invalid count window spec"))?;
-                        let reduced = TimedSpec::new(spec.n as u64, spec.s as u64, spec.k)
-                            .and_then(|t| t.reduced())
-                            .map_err(|_| CheckpointError::Corrupt("count spec does not reduce"))?;
-                        // bound both: the reduced window exceeds the plain
-                        // one whenever k > s
-                        if spec.n > crate::checkpoint::MAX_RESTORED_WINDOW
-                            || reduced.n > crate::checkpoint::MAX_RESTORED_WINDOW
-                        {
-                            return Err(CheckpointError::Corrupt(
-                                "restored window implausibly large",
-                            )
-                            .into());
-                        }
+                        let reduced = bounded(spec)?.reduced();
                         let engine = count(name, reduced)?;
-                        let consumer =
-                            SharedTimed::from_engine(engine, spec.n as u64, spec.s as u64)
-                                .map_err(|_| {
-                                    CheckpointError::Corrupt(
-                                        "factory engine is not a fresh reduction",
-                                    )
-                                })?;
-                        AnySession::Group(GroupSession::decode_checkpoint_body(
+                        let consumer = SharedTimed::from_count_engine(engine, spec.n, spec.s)
+                            .map_err(fresh)?;
+                        // format 3 padded every reduced slide to `k`
+                        let stored_width = if version == 3 { spec.k } else { reduced.s };
+                        GroupSession::decode_checkpoint_body(
                             Clock::Arrival,
                             consumer,
                             Predicate::default(),
                             &mut sec,
-                        )?)
+                            stored_width,
+                        )?
                     }
                     _ => return Err(CheckpointError::Corrupt("unknown session kind").into()),
                 };
-                sessions.push((id, session));
+                sessions.push((id, m));
             }
             sec.finish()?;
         }
@@ -2196,18 +2161,16 @@ impl<C: SlidingTopK> Registry<C> {
             .iter()
             .filter(|g| g.clock.kind() == Clock::Event)
             .count() as u64;
-        for (_, session) in &mut sessions {
-            if let AnySession::Group(m) = session {
-                if m.clock() == Clock::Arrival {
-                    let index = m.group().saturating_add(slide_groups);
-                    m.set_group(index);
-                    if let Some(group) = usize::try_from(index).ok().and_then(|i| groups.get(i)) {
-                        m.set_predicate(group.predicate);
-                    }
+        for (_, m) in &mut sessions {
+            if m.clock() == Clock::Arrival {
+                let index = m.group().saturating_add(slide_groups);
+                m.set_group(index);
+                if let Some(group) = usize::try_from(index).ok().and_then(|i| groups.get(i)) {
+                    m.set_predicate(group.predicate);
                 }
             }
         }
-        let counters = Counters::decode(dec)?;
+        let counters = Counters::decode(dec, version)?;
         Ok(RegistryParts {
             sessions,
             groups,
@@ -2258,35 +2221,16 @@ impl<C: SlidingTopK> Registry<C> {
 
     // ---- live migration ---------------------------------------------------
 
-    /// Installs an **isolated** session that already carries live state
-    /// (a checkpoint restore or a live migration), keeping the store in
-    /// ascending-id order — so drain order is indistinguishable from a hub
-    /// where the query had been registered here originally. Group members
-    /// travel with their group instead
-    /// ([`install_group`](Registry::install_group)).
-    pub(crate) fn install(&mut self, id: QueryId, session: AnySession<C>) {
-        debug_assert!(
-            matches!(session, AnySession::Count(_)),
-            "group members travel with their group"
-        );
-        let pos = self.sessions.partition_point(|(have, _)| *have < id);
-        self.sessions.insert(pos, (id, session));
-        // an isolated session is always listed; later entries shift up
-        let from = self.solo.partition_point(|&i| i < pos);
-        for i in &mut self.solo[from..] {
-            *i += 1;
-        }
-        self.solo.insert(from, pos);
-    }
-
     /// Installs a group and its member sessions as one unit (the restore
     /// and migration paths — a group never travels without its members).
     /// The group keeps its classes and gets a fresh live id, its members
-    /// are rebound to it, and they merge into the store in one pass.
+    /// are rebound to it, and they merge into the store in one pass — so
+    /// drain order is indistinguishable from a hub where the queries had
+    /// been registered here originally.
     pub(crate) fn install_group(
         &mut self,
         group: Group<C>,
-        mut members: Vec<(QueryId, AnySession<C>)>,
+        mut members: Vec<(QueryId, GroupSession<C>)>,
     ) {
         debug_assert!(!members.is_empty(), "a group never travels empty");
         debug_assert!(
@@ -2294,10 +2238,7 @@ impl<C: SlidingTopK> Registry<C> {
             "members travel in ascending-id order"
         );
         let gid = self.insert_group(group);
-        for (_, session) in &mut members {
-            let AnySession::Group(m) = session else {
-                unreachable!("a group's members are group sessions")
-            };
+        for (_, m) in &mut members {
             m.set_group(gid);
         }
         debug_assert!(
@@ -2311,15 +2252,15 @@ impl<C: SlidingTopK> Registry<C> {
     /// whole-group migration to another shard (a group's members are
     /// inseparable — moving one moves all). The group keeps its classes,
     /// so a classed member travels without a consumer. `None` if `member`
-    /// is not a group member here.
+    /// is not registered here.
     pub(crate) fn eject_group_of(&mut self, member: QueryId) -> Option<EjectedGroup<C>> {
-        let AnySession::Group(m) = self.session(member)? else {
-            return None;
-        };
-        let gid = m.group();
+        let gid = self.session(member)?.group();
         let group = self.remove_group(gid);
-        let members =
-            self.extract_sessions(|s| matches!(s, AnySession::Group(m) if m.group() == gid));
+        let members = self
+            .sessions
+            .extract_if(.., |(_, m)| m.group() == gid)
+            .collect::<Vec<_>>();
+        self.rebuild_solo();
         debug_assert_eq!(members.len(), group.members);
         Some((group, members))
     }
@@ -2337,10 +2278,8 @@ impl<C: SlidingTopK> Registry<C> {
             .map(|(i, gid)| (*gid, i as u64))
             .collect();
         let mut sessions = std::mem::take(&mut self.sessions);
-        for (_, session) in &mut sessions {
-            if let AnySession::Group(m) = session {
-                m.set_group(index_of[&m.group()]);
-            }
+        for (_, m) in &mut sessions {
+            m.set_group(index_of[&m.group()]);
         }
         let groups = order
             .into_iter()
@@ -2356,6 +2295,84 @@ impl<C: SlidingTopK> Registry<C> {
             unseated: Vec::new(),
         }
     }
+}
+
+/// Rebuilds an isolated count session of a format-3 image (session kind
+/// 0) as an arrival-clock member, with the pass-all group it implies.
+/// The session had seen `slides` full slides plus its pending buffer, so
+/// its window and pending objects take the group ordinals that end at
+/// `slides·s + pending`; the consumer replays each window slide's
+/// truncation, and the group resumes at slide `slides` with the pending
+/// objects buffered and every held id in its ring. The member's previous
+/// emission is the top-k of its window, which the replay recomputes.
+/// `consumer` must be fresh, over the query's reduction.
+fn decode_isolated_count<C: SlidingTopK>(
+    mut consumer: SharedTimed<C>,
+    dec: &mut Decoder<'_>,
+) -> Result<(GroupSession<C>, Group<C>), CheckpointError> {
+    let (n, s) = (consumer.window_duration(), consumer.slide_duration());
+    let slides = dec.take_u64()?;
+    let window: Vec<Object> = dec.take_seq()?;
+    let pending: Vec<Object> = dec.take_seq()?;
+    let held = window.len() as u64;
+    let fed = slides
+        .checked_mul(s)
+        .filter(|fed| held == n.min(*fed))
+        .ok_or(CheckpointError::Corrupt(
+            "session window disagrees with its slide count",
+        ))?;
+    if pending.len() as u64 >= s {
+        return Err(CheckpointError::Corrupt(
+            "session pending spans a full slide",
+        ));
+    }
+    let base = fed - held;
+    let next_ordinal = fed
+        .checked_add(pending.len() as u64)
+        .ok_or(CheckpointError::Corrupt("count-group ordinal overflows"))?;
+    let stamp = |i: usize, o: &Object| {
+        let r = base + i as u64;
+        TimedObject::new(r, r, o.score)
+    };
+    let tops: Vec<Vec<TimedObject>> = window
+        .chunks(s as usize)
+        .enumerate()
+        .map(|(j, slide)| {
+            let mut top: Vec<TimedObject> = slide
+                .iter()
+                .enumerate()
+                .map(|(i, o)| stamp(j * s as usize + i, o))
+                .collect();
+            top.sort_unstable_by(result_order);
+            top
+        })
+        .collect();
+    consumer.replay(tops.iter().map(Vec::as_slice), slides);
+    let ring: VecDeque<u64> = window.iter().chain(&pending).map(|o| o.id).collect();
+    let prev: Vec<Object> = consumer
+        .last_result()
+        .iter()
+        .map(|o| Object::new(ring[(o.id - base) as usize], o.score))
+        .collect();
+    let open = pending
+        .iter()
+        .enumerate()
+        .map(|(i, o)| stamp(window.len() + i, o))
+        .collect();
+    let producer = DigestProducer::resume(s, consumer.k(), slides, open)?;
+    let arrivals = Arrivals {
+        ring,
+        ring_base: base,
+        next_ordinal,
+    };
+    let group = Group::new(
+        producer,
+        Predicate::default(),
+        GroupClock::Arrival(arrivals),
+    );
+    let mut m = GroupSession::new(Clock::Arrival, consumer, Predicate::default(), 0, 0);
+    m.resume(slides, Snapshot::from_slice(&prev));
+    Ok((m, group))
 }
 
 #[cfg(test)]
@@ -2375,15 +2392,34 @@ mod tests {
         QueryId::from_raw(raw)
     }
 
-    /// Registers an arrival-clock member `⟨n, k, s⟩`.
-    fn enroll_arrival(reg: &mut ToyRegistry, id: u64, n: usize, k: usize, s: usize) {
-        let consumer = consumer(n as u64, s as u64, k);
-        reg.register_member(q(id), consumer, Clock::Arrival, Predicate::default());
+    /// Registers an arrival-clock member `⟨n, k, s⟩` under `p`.
+    fn enroll_arrival(
+        reg: &mut ToyRegistry,
+        id: u64,
+        (n, k, s): (usize, usize, usize),
+        p: Predicate,
+    ) {
+        let reduced = WindowSpec::new(n, k, s).unwrap().reduced();
+        let engine = Toy::new(reduced.n, reduced.k, reduced.s);
+        let consumer = Box::new(SharedTimed::from_count_engine(engine, n, s).unwrap());
+        let member = Member {
+            consumer,
+            clock: Clock::Arrival,
+            predicate: p,
+        };
+        let home = reg.shard;
+        reg.register(q(id), member, home);
     }
 
     /// Registers an event-clock member.
     fn enroll_event(reg: &mut ToyRegistry, id: u64, consumer: SharedTimed<Toy>, p: Predicate) {
-        reg.register_member(q(id), consumer, Clock::Event, p);
+        let member = Member {
+            consumer: Box::new(consumer),
+            clock: Clock::Event,
+            predicate: p,
+        };
+        let home = reg.shard;
+        reg.register(q(id), member, home);
     }
 
     /// The event-clock group with slide duration `sd` and predicate `p`.
@@ -2400,8 +2436,7 @@ mod tests {
 
     /// Asserts the store is in ascending-id order and the per-call list
     /// is exactly what the full store walk it replaced served on every
-    /// call: isolated count sessions plus warming members, in store
-    /// order.
+    /// call: the warming members, in store order.
     fn assert_listed(reg: &ToyRegistry, step: &str) {
         assert!(
             reg.sessions.windows(2).all(|w| w[0].0 < w[1].0),
@@ -2411,10 +2446,7 @@ mod tests {
             .sessions
             .iter()
             .enumerate()
-            .filter(|(_, (_, session))| match session {
-                AnySession::Count(_) => true,
-                AnySession::Group(m) => m.is_warming_up(),
-            })
+            .filter(|(_, (_, m))| m.is_warming_up())
             .map(|(i, _)| i)
             .collect();
         assert_eq!(reg.solo, walked, "{step}: per-call list");
@@ -2428,13 +2460,9 @@ mod tests {
     /// Scatters ejected parts back through the install paths, as the
     /// hubs' resize does for one shard.
     fn reinstall(reg: &mut ToyRegistry, parts: RegistryParts<Toy>, step: &str) {
-        let (members_of, loose) = split_by_group(parts.sessions, parts.groups.len());
+        let members_of = split_by_group(parts.sessions, parts.groups.len());
         for (group, members) in parts.groups.into_iter().zip(members_of) {
             reg.install_group(group, members);
-            assert_listed(reg, step);
-        }
-        for (id, session) in loose {
-            reg.install(id, session);
             assert_listed(reg, step);
         }
     }
@@ -2442,38 +2470,34 @@ mod tests {
     #[test]
     fn per_call_list_tracks_every_store_mutation() {
         let pass = Predicate::default();
+        let none: [u64; 0] = [];
         let mut reg = ToyRegistry::default();
-        reg.register(q(0), Member::Count(Toy::new(20, 2, 5)), None);
+        enroll_arrival(&mut reg, 0, (20, 2, 5), pass);
         enroll_event(&mut reg, 1, consumer(20, 10, 2), pass);
         enroll_event(&mut reg, 2, consumer(20, 10, 2), pass);
-        enroll_arrival(&mut reg, 3, 20, 2, 5);
-        reg.register(q(4), Member::Count(Toy::new(20, 2, 5)), None);
+        enroll_arrival(&mut reg, 3, (20, 2, 5), pass);
+        enroll_arrival(&mut reg, 4, (20, 2, 5), pass);
         assert_listed(&reg, "registration");
-        assert_eq!(listed(&reg), [0, 4], "pristine joiners share a class");
+        assert_eq!(listed(&reg), none, "pristine joiners share a class");
 
         // a mid-stream join into the classed group warms up solo, and
         // founds a class of its own once its join slide [10, 20) closes
         reg.publish_timed(&ticks(0, 15));
         enroll_event(&mut reg, 5, consumer(20, 10, 2), pass);
-        assert!(reg
-            .session(q(5))
-            .unwrap()
-            .as_group()
-            .unwrap()
-            .is_warming_up());
+        assert!(reg.session(q(5)).unwrap().is_warming_up());
         assert_listed(&reg, "warming join");
-        assert_eq!(listed(&reg), [0, 4, 5]);
+        assert_eq!(listed(&reg), [5]);
         reg.publish_timed(&ticks(15, 25));
-        let promoted = reg.session(q(5)).unwrap().as_group().unwrap();
+        let promoted = reg.session(q(5)).unwrap();
         assert!(!promoted.is_warming_up() && promoted.is_classed());
         assert_listed(&reg, "promotion");
-        assert_eq!(listed(&reg), [0, 4]);
+        assert_eq!(listed(&reg), none);
 
         // the class's first member leaves, then its last
         reg.unregister(q(1)).unwrap();
         assert_listed(&reg, "first class member leaves");
         let last = reg.unregister(q(2)).unwrap();
-        assert!(!last.as_group().unwrap().is_classed(), "takes the consumer");
+        assert!(!last.is_classed(), "takes the consumer");
         assert_listed(&reg, "last class member leaves");
         let left: Vec<&[QueryId]> = slide_group(&reg, 10, pass)
             .classes
@@ -2488,25 +2512,21 @@ mod tests {
         enroll_event(&mut reg, 7, consumer(14, 7, 1), pass);
         enroll_event(&mut reg, 8, consumer(20, 10, 2), pass);
         assert_listed(&reg, "pristine joins");
-        assert_eq!(listed(&reg), [0, 4, 8], "8 joined mid-stream");
+        assert_eq!(listed(&reg), [8], "8 joined mid-stream");
 
         // install and eject, as `move_query` uses them: a migrated
         // settled member keeps its class, a warming one stays solo
         let (group, members) = reg.eject_group_of(q(5)).unwrap();
         assert_listed(&reg, "slide-group eject");
-        assert_eq!(listed(&reg), [0, 4]);
+        assert_eq!(listed(&reg), none);
         reg.install_group(group, members);
         assert_listed(&reg, "slide-group install");
-        assert_eq!(listed(&reg), [0, 4, 8]);
+        assert_eq!(listed(&reg), [8]);
         let (group, members) = reg.eject_group_of(q(3)).unwrap();
         assert_listed(&reg, "count-group eject");
         reg.install_group(group, members);
         assert_listed(&reg, "count-group install");
-        let isolated = reg.unregister(q(4)).unwrap();
-        assert_listed(&reg, "isolated eject");
-        reg.install(q(4), isolated);
-        assert_listed(&reg, "isolated install");
-        assert_eq!(listed(&reg), [0, 4, 8]);
+        assert_eq!(listed(&reg), [8]);
 
         // `resize`: eject everything, then scatter back through install
         let parts = RegistryParts::merge(vec![reg.eject_all()]).unwrap();
@@ -2514,15 +2534,15 @@ mod tests {
         assert!(reg.solo.is_empty());
         let mut resized = ToyRegistry::default();
         reinstall(&mut resized, parts, "resize");
-        assert_eq!(listed(&resized), [0, 4, 8]);
+        assert_eq!(listed(&resized), [8]);
 
         // `from_merged`, the restore path
         let parts = RegistryParts::merge(vec![resized.eject_all()]).unwrap();
         let mut restored = ToyRegistry::from_merged(parts, None);
         assert_listed(&restored, "restore");
-        assert_eq!(listed(&restored), [0, 4, 8]);
+        assert_eq!(listed(&restored), [8]);
         restored.publish_timed(&ticks(25, 35));
-        let settled = restored.session(q(8)).unwrap().as_group().unwrap();
+        let settled = restored.session(q(8)).unwrap();
         assert!(!settled.is_warming_up(), "8's join slide [20, 30) closed");
         assert_listed(&restored, "promotion after restore");
     }
@@ -2531,24 +2551,27 @@ mod tests {
     fn large_group_migration_keeps_both_stores_complete_and_ordered() {
         const MEMBERS: u64 = 1_500;
         let pass = Predicate::default();
-        // ids interleave the planes: on the source, slide-group members
-        // (≡ 0 mod 4), count-group members (≡ 1) and isolated count
-        // fillers (≡ 2); on the target, isolated count fillers (≡ 3). The
-        // reference is a second source that never migrates.
+        // a count group of its own on each side: same geometry, but a
+        // predicate that accepts every tick keys it apart
+        let filler = Predicate::default().score_at_least(0.0);
+        // ids interleave the groups: on the source, slide-group members
+        // (≡ 0 mod 4), count-group members (≡ 1) and fillers (≡ 2); on
+        // the target, fillers (≡ 3). The reference is a second source
+        // that never migrates.
         let build = || {
             let mut reg = ToyRegistry::default();
             for i in 0..MEMBERS {
                 let k = 1 + (i % 3) as usize;
                 enroll_event(&mut reg, 4 * i, consumer(20 + 10 * (i % 2), 10, k), pass);
-                enroll_arrival(&mut reg, 4 * i + 1, 20, k, 5);
-                reg.register(q(4 * i + 2), Member::Count(Toy::new(20, 1, 5)), None);
+                enroll_arrival(&mut reg, 4 * i + 1, (20, k, 5), pass);
+                enroll_arrival(&mut reg, 4 * i + 2, (20, 1, 5), filler);
             }
             reg
         };
         let (mut source, mut reference) = (build(), build());
         let mut target = ToyRegistry::default();
         for i in 0..MEMBERS {
-            target.register(q(4 * i + 3), Member::Count(Toy::new(20, 1, 5)), None);
+            enroll_arrival(&mut target, 4 * i + 3, (20, 1, 5), filler);
         }
         let check = |reg: &ToyRegistry, planes: &[u64], step: &str| {
             let want: Vec<u64> = (0..4 * MEMBERS)
@@ -2582,11 +2605,25 @@ mod tests {
         check(&target, &[3], "target after the round trip");
         // the round-tripped groups serve exactly what staying put did: two
         // closes of the slide group (t = 30, 40), four of the count group
-        // and four of each isolated count filler
+        // and four of the fillers' group
         let more = ticks(25, 45);
         let updates = source.publish_timed(&more);
         assert_eq!(updates.len() as u64, 10 * MEMBERS);
         assert_eq!(updates, reference.publish_timed(&more));
+    }
+
+    /// A member that joins a count group with a window wider than the
+    /// group's ring reaches back never references an ordinal before its
+    /// join, so the ring check on a checkpoint of that state accepts it.
+    #[test]
+    fn a_wide_late_joiner_passes_the_ring_check() {
+        let pass = Predicate::default();
+        let mut reg = ToyRegistry::default();
+        enroll_arrival(&mut reg, 0, (8, 1, 4), pass);
+        reg.publish_timed(&ticks(0, 40));
+        enroll_arrival(&mut reg, 1, (40, 1, 4), pass);
+        assert_eq!(reg.groups.len(), 1, "the joiner found the group at fill 0");
+        assert!(RegistryParts::merge(vec![reg.eject_all()]).is_ok());
     }
 
     #[test]

@@ -8,19 +8,20 @@
 //! [`TopKEvent`](crate::events::TopKEvent) deltas against the previous
 //! emission.
 //!
-//! A [`Hub`] owns many sessions at once — the regime of *Continuous Top-k
-//! Queries over Real-Time Web Streams*, where millions of standing
-//! subscriptions share one ingestion path. Queries register and
-//! unregister at runtime via [`QueryId`] handles; each arriving object
-//! fans out to every subscribed query, and results come back tagged with
-//! the query that produced them.
+//! A [`Hub`] serves many standing queries at once — the regime of
+//! *Continuous Top-k Queries over Real-Time Web Streams*, where millions
+//! of standing subscriptions share one ingestion path. Queries register
+//! and unregister at runtime via [`QueryId`] handles; each arriving
+//! object is ingested once per sharing-plane group, and results come
+//! back tagged with the query that produced them.
 //!
 //! Time-based queries have the same shape one type over:
 //! [`TimedSession`] wraps a [`TimedTopK`] engine and closes slides on
-//! timestamps instead of arrival counts. It is the standalone API; both
-//! hubs serve every time-based query from its slide group instead, as a
-//! [`GroupSession`] on the event clock, side by side with the count-based
-//! ones (see [`Hub::publish_timed`]).
+//! timestamps instead of arrival counts. [`Session`] and [`TimedSession`]
+//! are the standalone API; both hubs serve every query from its group
+//! instead, as a [`GroupSession`] — on the arrival clock for a
+//! count-based query, on the event clock for a time-based one (see
+//! [`Hub::publish_timed`]).
 //!
 //! ## Memory discipline
 //!
@@ -46,8 +47,10 @@
 //! #     fn name(&self) -> &str { "toy" }
 //! # }
 //! let mut hub = Hub::new();
-//! let toy = Toy(WindowSpec::new(2, 1, 2).unwrap(), Vec::new());
-//! let q = hub.subscribe(Registration::count(Box::new(toy))).unwrap();
+//! // ⟨n = 2, k = 1, s = 2⟩ on the count plane: the engine runs its
+//! // reduction ⟨1, 1, 1⟩ (`WindowSpec::reduced`)
+//! let toy = Toy(WindowSpec::new(1, 1, 1).unwrap(), Vec::new());
+//! let q = hub.subscribe(Registration::grouped(Box::new(toy), 2, 2)).unwrap();
 //! let updates = hub.publish(&[Object::new(0, 1.0), Object::new(1, 5.0)]);
 //! assert_eq!(updates.len(), 1);
 //! assert_eq!(updates[0].query, q);
@@ -209,12 +212,6 @@ pub struct Session<A: SlidingTopK> {
     /// spans `n + s` ordinals, covering every object an emission can
     /// reference.
     ring: Vec<u64>,
-    /// Score of ordinal `o`, parallel to `ring`. Emissions don't need it
-    /// (the engine returns scores), but a checkpoint does: it lets the
-    /// session write its full window contents without any engine
-    /// cooperation, which is what makes replay-based restore engine-
-    /// agnostic. Fixed-size, so the publish path stays allocation-free.
-    ring_scores: Vec<f64>,
     scratch: SlideScratch,
 }
 
@@ -228,7 +225,6 @@ impl<A: SlidingTopK> Session<A> {
             slides: 0,
             next_ordinal: 0,
             ring: vec![0; spec.n + spec.s],
-            ring_scores: vec![0.0; spec.n + spec.s],
             scratch: SlideScratch::new(),
             alg,
         }
@@ -276,7 +272,6 @@ impl<A: SlidingTopK> Session<A> {
         let ordinal = self.next_ordinal;
         self.next_ordinal += 1;
         self.ring[(ordinal % cap) as usize] = o.id;
-        self.ring_scores[(ordinal % cap) as usize] = o.score;
         self.pending.push(Object::new(ordinal, o.score));
     }
 
@@ -286,8 +281,9 @@ impl<A: SlidingTopK> Session<A> {
     /// the shared `Arc` snapshot of a *changed* result.
     fn complete_slide(&mut self) -> SlideResult {
         let cap = self.ring.len() as u64;
-        {
-            let top = self.alg.slide(&self.pending);
+        let top = self.alg.slide_if_changed(&self.pending);
+        let quiet = top.is_none();
+        if let Some(top) = top {
             self.scratch.snapshot.clear();
             let ring = &self.ring;
             self.scratch.snapshot.extend(
@@ -296,81 +292,7 @@ impl<A: SlidingTopK> Session<A> {
             );
         }
         self.pending.clear();
-        let quiet = !self.alg.last_slide_changed();
         emit_staged(&mut self.prev, &mut self.slides, &mut self.scratch, quiet)
-    }
-
-    /// Writes the session's checkpoint body: the slide counter, the
-    /// engine's current window contents as `(external id, score)` pairs,
-    /// and the pending buffer. No engine internals are written — a
-    /// count-based engine is an exact top-k function of its window, so
-    /// restore rebuilds a fresh engine and **replays** the retained
-    /// window through the normal push path, reproducing the engine's
-    /// observable state (and every future emission) byte-for-byte.
-    pub(crate) fn encode_checkpoint_body(&self, enc: &mut Encoder) {
-        let spec = self.alg.spec();
-        let cap = self.ring.len() as u64;
-        enc.put_u64(self.slides);
-        // ordinals currently inside the engine's window: the last
-        // min(fed, n) of the `fed` objects handed over in full slides
-        let fed = self.next_ordinal - self.pending.len() as u64;
-        let window_len = fed.min(spec.n as u64);
-        enc.put_u64(window_len);
-        for ordinal in (fed - window_len)..fed {
-            let slot = (ordinal % cap) as usize;
-            enc.put_u64(self.ring[slot]);
-            enc.put_f64(self.ring_scores[slot]);
-        }
-        enc.put_u64(self.pending.len() as u64);
-        for o in &self.pending {
-            // pending objects carry their ordinal; the external id lives
-            // in the translation ring
-            enc.put_u64(self.ring[(o.id % cap) as usize]);
-            enc.put_f64(o.score);
-        }
-    }
-
-    /// Rebuilds a session from its checkpoint body by replay: `engine`
-    /// must be fresh (as built by an
-    /// [`EngineFactory`]); the retained window and
-    /// pending buffer are re-pushed through the normal ingestion path
-    /// (emissions discarded), then the slide counter is restored so the
-    /// next emission carries the original slide index. Replayed arrival
-    /// ordinals restart at 0 — harmless, because translation and
-    /// tie-breaks depend only on ordinal *ordering*, which replay
-    /// preserves.
-    pub(crate) fn decode_checkpoint_body(
-        engine: A,
-        dec: &mut Decoder<'_>,
-    ) -> Result<Self, CheckpointError> {
-        let spec = engine.spec();
-        let slides = dec.take_u64()?;
-        let window: Vec<Object> = dec.take_seq()?;
-        let pending: Vec<Object> = dec.take_seq()?;
-        if window.len() > spec.n {
-            return Err(CheckpointError::Corrupt("session window exceeds n"));
-        }
-        if !window.len().is_multiple_of(spec.s) {
-            return Err(CheckpointError::Corrupt(
-                "session window is not slide-aligned",
-            ));
-        }
-        if pending.len() >= spec.s {
-            return Err(CheckpointError::Corrupt(
-                "session pending spans a full slide",
-            ));
-        }
-        if slides < (window.len() / spec.s) as u64 {
-            return Err(CheckpointError::Corrupt(
-                "session slide counter behind its window",
-            ));
-        }
-        let mut session = Session::new(engine);
-        session.push_each(&window, &mut |_| {});
-        session.push_each(&pending, &mut |_| {});
-        debug_assert_eq!(session.pending.len(), pending.len());
-        session.slides = slides;
-        Ok(session)
     }
 }
 
@@ -562,21 +484,23 @@ pub enum Clock {
     /// `W⟨window, slide⟩` ([`Registration::shared`]).
     Event,
     /// Arrival ordinals: a slide closes every `slide` published objects.
-    /// A [`Registration::grouped`] query `⟨n, k, s⟩`.
+    /// A count-based query `⟨n, k, s⟩` ([`Registration::grouped`]).
     Arrival,
 }
 
-/// A session served by a sharing-plane group: a time-based query on the
-/// event clock ([`Registration::shared`], which every time-based
-/// registration is) or a count-based one on the arrival clock
-/// ([`Registration::grouped`]).
+/// A query served by a sharing-plane group — what both hubs store, and
+/// what [`Hub::session`] and `unregister` hand back: a time-based query
+/// on the event clock ([`Registration::shared`]) or a count-based one on
+/// the arrival clock ([`Registration::grouped`]).
 ///
-/// The member's engine answers SAP's Appendix-A reduction
-/// `⟨(n/s)·k, k, k⟩` through a [`SharedTimed`] consumer (durations
-/// standing in for `n` and `s` on the event clock), fed each closed
-/// slide's top-`k` from its group's one [`DigestProducer`]. Results are
-/// byte-identical to an isolated registration of the same query; the
-/// per-slide truncation runs once per group instead of once per query.
+/// The member's engine answers a reduction of its query through a
+/// [`SharedTimed`] consumer, fed each closed slide's top objects from its
+/// group's one [`DigestProducer`]: SAP's Appendix-A `⟨(n/s)·k, k, k⟩` on
+/// the event clock (durations standing in for `n` and `s`), and
+/// `⟨(n/s)·w, k, w⟩`, `w = min(k, s)`, on the arrival clock
+/// ([`WindowSpec::reduced`]). Results are byte-identical to a standalone
+/// [`Session`] or [`TimedSession`] of the same query; the per-slide
+/// truncation runs once per group instead of once per query.
 ///
 /// The consumer normally lives in the member's **result class** in the
 /// registry, shared by every member whose emissions provably coincide
@@ -594,6 +518,8 @@ pub enum Clock {
 /// an older checkpoint warms up the same way, on the producer its
 /// adapter ran. An arrival-clock member never warms up: it only joins a
 /// group whose open slide is empty.
+///
+/// [`WindowSpec::reduced`]: crate::window::WindowSpec::reduced
 #[derive(Debug)]
 pub struct GroupSession<C: SlidingTopK> {
     clock: Clock,
@@ -617,8 +543,8 @@ pub struct GroupSession<C: SlidingTopK> {
     /// The group slide this member's slide 0 lines up with: the open
     /// slide it joined at on the arrival clock. Always 0 on the event
     /// clock, whose slide indices are global: a mid-stream joiner's
-    /// warm-up closes the empty slides before its registration, like an
-    /// isolated session does.
+    /// warm-up closes the empty slides before its registration, like a
+    /// standalone session does.
     join_slide: u64,
     /// The registry's handle for the member's group: its live id while
     /// registered, an index into the group list while it travels.
@@ -725,6 +651,22 @@ impl<C: SlidingTopK> GroupSession<C> {
     /// Stamps the group's predicate onto a decoded arrival-clock member.
     pub(crate) fn set_predicate(&mut self, predicate: Predicate) {
         self.predicate = predicate;
+    }
+
+    /// Sets the emission history of a member rebuilt from an older
+    /// image's isolated session: its slide counter and last emission.
+    pub(crate) fn resume(&mut self, slides: u64, prev: Snapshot) {
+        self.slides = slides;
+        self.prev = prev;
+    }
+
+    /// Follows its arrival-clock group `slides` slides later on the
+    /// group's ordinals (a restore merging two groups).
+    pub(crate) fn shift(&mut self, slides: u64) {
+        self.join_slide = self.join_slide.saturating_add(slides);
+        if let Some(consumer) = &mut self.consumer {
+            consumer.shift(slides.wrapping_mul(self.slide));
+        }
     }
 
     /// The result-class key: window, `k` and join slide.
@@ -838,21 +780,23 @@ impl<C: SlidingTopK> GroupSession<C> {
     }
 
     /// Rebuilds a session from its checkpoint body. `consumer` must be
-    /// fresh (a [`SharedTimed::from_engine`] over a factory-built engine
-    /// on the query's reduction); its reduced window is replayed by
-    /// [`SharedTimed::restore_state`]. An arrival-clock member's group
-    /// handle is its `COUNT_GROUPS` index until the registry rebinds it;
-    /// an event-clock member is found its group by key.
+    /// fresh (a [`SharedTimed`] over a factory-built engine on the
+    /// query's reduction); its reduced window, written `stored_width`
+    /// slots per slide, is replayed by [`SharedTimed::restore_state`]. An
+    /// arrival-clock member's group handle is its `COUNT_GROUPS` index
+    /// until the registry rebinds it; an event-clock member is found its
+    /// group by key.
     pub(crate) fn decode_checkpoint_body(
         clock: Clock,
         mut consumer: SharedTimed<C>,
         predicate: Predicate,
         dec: &mut Decoder<'_>,
+        stored_width: usize,
     ) -> Result<Self, CheckpointError> {
         let slides = dec.take_u64()?;
         let prev = Snapshot::decode_state(dec)?;
         let mut blob = dec.section(tags::ENGINE)?;
-        consumer.restore_state(&mut blob)?;
+        consumer.restore_state(&mut blob, stored_width)?;
         blob.finish()?;
         let mut session = GroupSession::new(clock, consumer, predicate, 0, 0);
         session.slides = slides;
@@ -908,7 +852,8 @@ impl<C: SlidingTopK> GroupSession<C> {
                 "adapter producer shallower than the query's k",
             ));
         }
-        consumer.restore_state(&mut blob)?;
+        let width = consumer.k();
+        consumer.restore_state(&mut blob, width)?;
         blob.finish()?;
         if consumer.slides_applied() != producer.next_slide() {
             return Err(CheckpointError::Corrupt(
@@ -991,8 +936,9 @@ impl<C: SlidingTopK> GroupSession<C> {
             producer, scratch, ..
         } = &mut **warmup.as_mut().expect("only a warming member warms up");
         drive(producer, &mut |view| {
-            scratch.stage_timed(consumer.apply_slide_top(view.slide, view.top));
-            f(emit_staged(prev, slides, scratch, false));
+            let quiet = consumer.apply_slide_top(view.slide, view.top).is_none();
+            scratch.stage_timed(consumer.last_result());
+            f(emit_staged(prev, slides, scratch, quiet));
         });
     }
 
@@ -1021,85 +967,10 @@ impl<C: SlidingTopK> GroupSession<C> {
     }
 }
 
-/// A session of any window model — what the hubs store and what
-/// [`Hub::unregister`]/`AsyncHub::unregister` hand back. `C` is the
-/// engine type (a boxed trait object in the hubs; see [`HubSession`]):
-/// an isolated count session runs it on the query's own spec, a group
-/// session on the Appendix-A reduction.
-#[derive(Debug)]
-pub enum AnySession<C: SlidingTopK> {
-    /// A count-based session (isolated: private engine).
-    Count(Session<C>),
-    /// A session served by a sharing-plane group, on either clock —
-    /// every time-based query is one.
-    Group(GroupSession<C>),
-}
-
-impl<C: SlidingTopK> AnySession<C> {
-    /// Number of slides completed so far, whichever the window model.
-    pub fn slides(&self) -> u64 {
-        match self {
-            AnySession::Count(s) => s.slides(),
-            AnySession::Group(s) => s.slides(),
-        }
-    }
-
-    /// The most recently emitted top-k (descending), empty before the
-    /// first completed slide.
-    pub fn last_snapshot(&self) -> &[Object] {
-        match self {
-            AnySession::Count(s) => s.last_snapshot(),
-            AnySession::Group(s) => s.last_snapshot(),
-        }
-    }
-
-    /// The most recent emission as a refcounted [`Snapshot`] — the same
-    /// allocation the emitting [`SlideResult`] carried, so crossing a
-    /// shard boundary with it copies nothing.
-    pub fn last_snapshot_shared(&self) -> Snapshot {
-        match self {
-            AnySession::Count(s) => s.last_snapshot_shared(),
-            AnySession::Group(s) => s.last_snapshot_shared(),
-        }
-    }
-
-    /// The count-based session, if that is this session's model.
-    pub fn as_count(&self) -> Option<&Session<C>> {
-        match self {
-            AnySession::Count(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The group session, if that is this session's model.
-    pub fn as_group(&self) -> Option<&GroupSession<C>> {
-        match self {
-            AnySession::Group(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Unwraps a count-based session.
-    pub fn into_count(self) -> Option<Session<C>> {
-        match self {
-            AnySession::Count(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Unwraps a group session.
-    pub fn into_group(self) -> Option<GroupSession<C>> {
-        match self {
-            AnySession::Group(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
 /// The session type both hubs store and return from `unregister`: its
 /// engines are [`Send`], so a session can live on an
 /// [`AsyncHub`](crate::exec::AsyncHub) shard or move between shards.
-pub type HubSession = AnySession<Box<dyn SlidingTopK + Send>>;
+pub type HubSession = GroupSession<Box<dyn SlidingTopK + Send>>;
 
 /// Handle identifying a query registered with a [`Hub`] or an
 /// [`AsyncHub`](crate::exec::AsyncHub). Ids are handed out
@@ -1138,21 +1009,22 @@ pub struct QueryUpdate {
 
 /// A set of concurrently served continuous top-k queries over one stream.
 ///
-/// Each query keeps its own session, so heterogeneous geometries and
-/// algorithms coexist: a published object is appended to every session's
-/// buffer, and each session slides exactly when *its* boundary is reached.
-/// Results are delivered in registration order.
+/// Heterogeneous geometries and algorithms coexist, each query sliding
+/// exactly when *its* boundary is reached; results are delivered in
+/// registration order.
 ///
-/// All window models share the hub, each registered through
+/// Both window models share the hub, each registered through
 /// [`subscribe`](Hub::subscribe) with a [`Registration`] naming its
-/// plane. Count-based queries slide on arrival counts; time-based
-/// queries slide on event time on the **shared digest plane**, where
-/// every query with the same `slide_duration` (and predicate) is served
-/// from one per-slide top-`k_max` digest instead of recomputing it per
-/// session. A stream published with
-/// [`publish_timed`](Hub::publish_timed) feeds all of them: count-based
-/// sessions see the objects' `(id, score)` in arrival order, time-based
-/// sessions additionally consume the timestamps. The plain
+/// clock, and every query joins a group that ingests each object once.
+/// Count-based queries slide on arrival counts in **count groups**: every
+/// query with the same slide length, registration offset mod `s` and
+/// predicate shares one per-slide truncation. Time-based queries slide on
+/// event time on the **shared digest plane**, where every query with the
+/// same `slide_duration` (and predicate) is served from one per-slide
+/// top-`k_max` digest instead of recomputing it per query. A stream
+/// published with [`publish_timed`](Hub::publish_timed) feeds all of
+/// them: count-based queries see the objects' `(id, score)` in arrival
+/// order, time-based ones additionally consume the timestamps. The plain
 /// [`publish`](Hub::publish) path carries no event time and therefore
 /// advances count-based queries only.
 #[derive(Default)]
@@ -1188,12 +1060,13 @@ impl Hub {
         Ok(id)
     }
 
-    /// Removes a query, returning its session (with the algorithm's full
-    /// state). An unknown or already-removed handle is a typed
-    /// [`SapError::UnknownQuery`] — never a silent no-op, so callers
-    /// cannot mistake a stale handle for a successful removal. A shared
-    /// query leaves its slide group; the last member out retires the
-    /// group's digest producer.
+    /// Removes a query, returning its session. An unknown or
+    /// already-removed handle is a typed [`SapError::UnknownQuery`] —
+    /// never a silent no-op, so callers cannot mistake a stale handle for
+    /// a successful removal. The query leaves its group; the last member
+    /// out retires the group's digest producer. The last member out of a
+    /// result class takes the class's engine along; a query that shared
+    /// its class returns without one (see [`GroupSession::consumer`]).
     pub fn unregister(&mut self, id: QueryId) -> Result<HubSession, SapError> {
         self.registry
             .unregister(id)
@@ -1250,23 +1123,10 @@ impl Hub {
         self.publish_timed(std::slice::from_ref(&object))
     }
 
-    /// The session behind a handle, whichever its window model.
-    pub fn any_session(&self, id: QueryId) -> Option<&HubSession> {
+    /// The session behind a handle, on either clock (`None` for unknown
+    /// handles).
+    pub fn session(&self, id: QueryId) -> Option<&HubSession> {
         self.registry.session(id)
-    }
-
-    /// The isolated count-based session behind a handle (`None` for
-    /// unknown handles and for group members — see
-    /// [`group_session`](Hub::group_session)).
-    pub fn session(&self, id: QueryId) -> Option<&Session<Box<dyn SlidingTopK + Send>>> {
-        self.any_session(id).and_then(AnySession::as_count)
-    }
-
-    /// The group session behind a handle — a time-based or grouped
-    /// query, on either clock (`None` for unknown handles and for
-    /// isolated count queries).
-    pub fn group_session(&self, id: QueryId) -> Option<&GroupSession<Box<dyn SlidingTopK + Send>>> {
-        self.any_session(id).and_then(AnySession::as_group)
     }
 
     /// Registered-query counts plus the digest plane's sharing metrics
@@ -1454,7 +1314,9 @@ mod tests {
         assert_eq!(hub.query_ids().collect::<Vec<_>>(), vec![a, b]);
 
         let removed = hub.unregister(a).expect("a is registered");
-        assert_eq!(removed.into_count().expect("count-based").spec().n, 2);
+        assert_eq!(removed.window(), 2);
+        // `a` shared its class with `b`, which keeps the engine
+        assert!(removed.consumer().is_none());
         assert_eq!(
             hub.unregister(a).unwrap_err(),
             SapError::UnknownQuery { query: a },
@@ -1599,8 +1461,8 @@ mod tests {
         let count = hub.subscribe(count(4, 1, 2)).unwrap();
         let timed = hub.subscribe(timed(20, 10, 1)).unwrap();
         assert_eq!(hub.len(), 2);
-        assert!(hub.session(count).is_some() && hub.group_session(count).is_none());
-        assert!(hub.group_session(timed).is_some() && hub.session(timed).is_none());
+        assert_eq!(hub.session(count).unwrap().clock(), Clock::Arrival);
+        assert_eq!(hub.session(timed).unwrap().clock(), Clock::Event);
 
         // 6 objects, one per 5 time units: count query slides every 2
         // arrivals, timed query every 10 time units (= 2 arrivals here)
@@ -1617,12 +1479,12 @@ mod tests {
         let flushed = hub.advance_time(30);
         assert_eq!(flushed.len(), 1);
         assert_eq!(flushed[0].query, timed);
-        assert_eq!(hub.group_session(timed).unwrap().slides(), 3);
+        assert_eq!(hub.session(timed).unwrap().slides(), 3);
 
         // a timed unregister hands its group session back
         let removed = hub.unregister(timed).expect("registered");
         assert_eq!(removed.slides(), 3);
-        assert!(removed.into_group().is_some());
+        assert_eq!(removed.clock(), Clock::Event);
     }
 
     /// Irregular-rate timed stream: gaps cycle 0..7 time units, covering
@@ -1682,7 +1544,7 @@ mod tests {
         }
         let stats = hub.stats();
         assert_eq!(stats.queries, 3);
-        assert_eq!(stats.count_queries, 0);
+        assert_eq!(stats.grouped_queries, 0);
         assert_eq!(stats.shared_queries, 3);
         assert_eq!(stats.digest_groups, 2, "slide durations 10 and 25");
         assert!(stats.digest_hits > 0);
@@ -1715,7 +1577,7 @@ mod tests {
         // a mid-stream join with a LARGER k deepens the group's digests;
         // until its join slide closes it runs on a private warm-up view
         let late_shared = hub.subscribe(shared(Toy::new(8, 4, 4), 20, 10)).unwrap();
-        assert!(hub.group_session(late_shared).unwrap().is_warming_up());
+        assert!(hub.session(late_shared).unwrap().is_warming_up());
         for chunk in data[80..].chunks(11) {
             let updates = hub.publish_timed(chunk);
             fold(updates, &mut by_query);
@@ -1728,7 +1590,7 @@ mod tests {
         early_iso.advance_watermark_into(horizon, &mut early_out);
         late_iso.advance_watermark_into(horizon, &mut late_out);
         assert!(
-            !hub.group_session(late_shared).unwrap().is_warming_up(),
+            !hub.session(late_shared).unwrap().is_warming_up(),
             "the group closed the join slide, so the member promoted"
         );
         assert_eq!(by_query.get(&early_shared), Some(&early_out));
@@ -1756,10 +1618,8 @@ mod tests {
         let q = hub.subscribe(shared(Toy::new(4, 2, 2), 20, 10)).unwrap();
         hub.publish_timed(&[TimedObject::new(0, 5, 1.0), TimedObject::new(1, 12, 2.0)]);
         assert_eq!(hub.stats().digest_groups, 1);
-        assert_eq!(hub.group_session(q).unwrap().slides(), 1);
-        assert!(hub.session(q).is_none());
-        let session = hub.unregister(q).unwrap();
-        let left = session.into_group().expect("group model");
+        assert_eq!(hub.session(q).unwrap().slides(), 1);
+        let left = hub.unregister(q).unwrap();
         assert_eq!(left.slides(), 1);
         assert_eq!(left.slide(), 10);
         // the last member out of a class takes the class's consumer along
@@ -1772,7 +1632,7 @@ mod tests {
         );
         // a later registrant founds a fresh, pristine group: no warm-up
         let q2 = hub.subscribe(shared(Toy::new(4, 2, 2), 20, 10)).unwrap();
-        assert!(!hub.group_session(q2).unwrap().is_warming_up());
+        assert!(!hub.session(q2).unwrap().is_warming_up());
     }
 
     #[test]
@@ -1784,7 +1644,7 @@ mod tests {
             updates.is_empty(),
             "untimed objects carry no event time for a timed query"
         );
-        assert_eq!(hub.group_session(timed).unwrap().slides(), 0);
+        assert_eq!(hub.session(timed).unwrap().slides(), 0);
     }
 
     #[test]

@@ -11,14 +11,14 @@
 //! `publish(a)` and before `publish(b)` sees exactly the objects of `b`
 //! onward, as on the sequential hub.
 //!
-//! Placement is a Fibonacci hash of the [`QueryId`] with two overrides.
-//! A sharing-plane group's producer is **shard-local** state, so every
-//! member of a slide group or count group lives on the shard where the
-//! group was founded: a query joining an existing group is routed there
-//! even when its id hashes elsewhere. And `move_query` may place an
-//! isolated query off its hash. Placement is invisible in the output: a
-//! drain sorts globally by `(QueryId, slide)`, and per-query results do
-//! not depend on which thread computed them.
+//! Every query is a member of a sharing-plane group, whose producer is
+//! **shard-local** state, so placement is by group: a group lives on the
+//! shard its founding [`QueryId`] hashes to (a Fibonacci hash) until
+//! `move_query` or `resize` moves it whole, and a query joining an
+//! existing group is routed there whatever its own id hashes to. A hot
+//! group therefore serves from one shard. Placement is invisible in the
+//! output: a drain sorts globally by `(QueryId, slide)`, and per-query
+//! results do not depend on which thread computed them.
 //!
 //! Everything between the hub's public API and the executor's queues —
 //! routing, group affinity, id allocation, drain ordering, checkpoint
@@ -39,8 +39,8 @@ use crate::object::{Object, TimedObject};
 use crate::predicate::Predicate;
 use crate::query::SapError;
 use crate::registry::{
-    split_by_group, Counters, GroupKeys, HubGroup, HubMember, HubRegistry, HubStats, Member,
-    Registry, RegistryParts,
+    split_by_group, Counters, GroupKeys, HubGroup, HubMember, HubRegistry, HubStats, Registry,
+    RegistryParts,
 };
 use crate::session::{Clock, HubSession, QueryId, QueryUpdate};
 use crate::window::SlidingTopK;
@@ -87,12 +87,9 @@ pub(crate) enum Command {
     /// [`Checkpoint`]). Sent right after a drain barrier, so the state
     /// sits on a per-query slide boundary.
     CheckpointShard(mpsc::Sender<Vec<u8>>),
-    /// Adopt an isolated session that already carries live state (a
-    /// restore or a live migration). Boxed, like the group below, so the
-    /// rare install commands do not size every queue slot.
-    Install(QueryId, Box<HubSession>),
-    /// Adopt a group and its member sessions as one unit — a group
-    /// never travels without its members.
+    /// Adopt a group and its member sessions as one unit (a restore or a
+    /// live migration) — a group never travels without its members.
+    /// Boxed, so the rare install command does not size every queue slot.
     InstallGroup(Box<HubGroup>, Vec<(QueryId, HubSession)>),
     /// Add restored sharing counters.
     InstallCounters(Counters),
@@ -161,7 +158,6 @@ pub(crate) fn apply_command(
             enc.section(tags::REGISTRY, |e| registry.encode_checkpoint(e));
             let _ = reply.send(enc.into_payload());
         }
-        Command::Install(id, session) => registry.install(id, *session),
         Command::InstallGroup(group, members) => registry.install_group(*group, members),
         Command::InstallCounters(counters) => registry.install_counters(counters),
         Command::EjectGroupOf(id, reply) => {
@@ -222,8 +218,8 @@ impl GroupKey {
     }
 }
 
-/// Hub-side placement bookkeeping: which shard owns each query, the
-/// group-affinity maps, the id allocator, and the published-offset
+/// Hub-side placement bookkeeping: which shard owns each group, the
+/// group of each query, the id allocator, and the published-offset
 /// counter count-group keys are phased against. This map *is* the
 /// dispatch table: every control command is routed by
 /// [`home_shard`](Placement::home_shard), and the publish paths skip
@@ -237,8 +233,8 @@ pub(crate) struct Placement {
     /// member places a group by hash of its id; later members follow
     /// the group even when their own hash disagrees.
     pub(crate) groups: HashMap<GroupKey, (usize, usize)>,
-    /// Group of each registered shared or grouped query, for routing and
-    /// unregister bookkeeping.
+    /// Group of each registered query, for routing and unregister
+    /// bookkeeping.
     pub(crate) group_of: HashMap<QueryId, GroupKey>,
     /// Objects accepted hub-wide (all publish paths) — the registration
     /// offset counter count-group keys are phased against. Never reset:
@@ -247,11 +243,6 @@ pub(crate) struct Placement {
     /// fill, so the counter's absolute value is irrelevant across
     /// epochs.
     pub(crate) published: u64,
-    /// Placement overrides from `move_query`: isolated queries living
-    /// somewhere other than their id hash. Consulted by
-    /// [`home_shard`](Placement::home_shard) after the group map, cleared
-    /// by `resize` (which re-scatters by hash under the new shard count).
-    pub(crate) placed: HashMap<QueryId, usize>,
     pub(crate) next_id: u64,
 }
 
@@ -263,7 +254,6 @@ impl Placement {
             groups: HashMap::new(),
             group_of: HashMap::new(),
             published: 0,
-            placed: HashMap::new(),
             next_id: 0,
         }
     }
@@ -280,17 +270,9 @@ impl Placement {
         ((h >> 32) as usize) % self.num_shards()
     }
 
-    /// Which shard actually owns a registered query: its group's shard
-    /// for shared and grouped queries, a `move_query` placement if one
-    /// is in effect, the Fibonacci hash otherwise.
+    /// Which shard owns a registered query: its group's.
     pub(crate) fn home_shard(&self, id: QueryId) -> usize {
-        if let Some(&(shard, _)) = self.group_of.get(&id).and_then(|key| self.groups.get(key)) {
-            return shard;
-        }
-        match self.placed.get(&id) {
-            Some(&shard) => shard,
-            None => self.shard_of(id),
-        }
+        self.groups[&self.group_of[&id]].0
     }
 
     /// Allocates the next [`QueryId`]. Callers burn the id even when the
@@ -322,41 +304,32 @@ impl Placement {
         self.registered.clear();
         self.groups.clear();
         self.group_of.clear();
-        self.placed.clear();
     }
 }
 
 /// Registers a validated member: id by allocator; shard by the group it
-/// joins, or by hash for a founding or isolated query. The caller must
-/// have settled `published` (flushed any coalesced tail) so a count
-/// group's key is phase-exact. A dead target shard burns the id but
-/// leaves the group's membership untouched, so the hub never counts a
-/// member no shard owns.
+/// joins, or by hash for a founding query. The caller must have settled
+/// `published` (flushed any coalesced tail) so a count group's key is
+/// phase-exact. A dead target shard burns the id but leaves the group's
+/// membership untouched, so the hub never counts a member no shard owns.
 pub(crate) fn register_on(
     p: &mut Placement,
     port: &Reactor,
     member: HubMember,
 ) -> Result<QueryId, SapError> {
     let id = p.fresh_id();
-    let key = match &member {
-        Member::Count(_) => None,
-        Member::Group(consumer, clock, predicate) => {
-            let slide = consumer.slide_duration();
-            Some(match clock {
-                Clock::Event => GroupKey::Slide(slide, *predicate),
-                Clock::Arrival => GroupKey::Count(slide, p.published % slide, *predicate),
-            })
-        }
+    let slide = member.consumer.slide_duration();
+    let key = match member.clock {
+        Clock::Event => GroupKey::Slide(slide, member.predicate),
+        Clock::Arrival => GroupKey::Count(slide, p.published % slide, member.predicate),
     };
-    let shard = match key.and_then(|key| p.groups.get(&key)) {
+    let shard = match p.groups.get(&key) {
         Some(&(shard, _)) => shard,
         None => p.shard_of(id),
     };
     port.send(shard, Command::Register(id, member, shard))?;
-    if let Some(key) = key {
-        p.groups.entry(key).or_insert((shard, 0)).1 += 1;
-        p.group_of.insert(id, key);
-    }
+    p.groups.entry(key).or_insert((shard, 0)).1 += 1;
+    p.group_of.insert(id, key);
     p.shard_len[shard] += 1;
     p.registered.insert(id);
     Ok(id)
@@ -380,15 +353,16 @@ pub(crate) fn unregister_on(
     let session = recv_reply(shard, &rx)?;
     p.registered.remove(&id);
     p.shard_len[shard] -= 1;
-    if let Some(key) = p.group_of.remove(&id) {
-        if let Some(members) = p.groups.get_mut(&key) {
-            members.1 -= 1;
-            if members.1 == 0 {
-                // last member out: the shard just retired the group, so
-                // a later registrant founds a fresh one, placed anew
-                p.groups.remove(&key);
-            }
-        }
+    let key = p
+        .group_of
+        .remove(&id)
+        .expect("a registered query has a group");
+    let members = p.groups.get_mut(&key).expect("a query's group is placed");
+    members.1 -= 1;
+    if members.1 == 0 {
+        // last member out: the shard just retired the group, so a later
+        // registrant founds a fresh one, placed anew
+        p.groups.remove(&key);
     }
     Ok(session)
 }
@@ -500,6 +474,7 @@ pub(crate) fn decode_hub_checkpoint(
         let mut registry = dec.section(tags::REGISTRY)?;
         parts.push(Registry::decode_checkpoint(
             &mut registry,
+            checkpoint.version(),
             &mut |name, spec| factory.count(name, spec),
         )?);
         registry.finish().map_err(SapError::from)?;
@@ -523,16 +498,15 @@ fn install_counters_on(port: &Reactor, shard: usize, counters: Counters) -> Resu
 
 /// Scatters merged serving state across a hub's (fresh or freshly
 /// emptied) shards: each group with its members on the shard its
-/// lowest-id member hashes to, then the isolated sessions in
-/// ascending-id order, then the sharing counters onto shard 0 (they are
-/// hub-wide sums; where they live only affects which shard reports them
-/// into the stats total).
+/// lowest-id member hashes to, then the sharing counters onto shard 0
+/// (they are hub-wide sums; where they live only affects which shard
+/// reports them into the stats total).
 pub(crate) fn place_parts_on(
     p: &mut Placement,
     port: &Reactor,
     parts: ShardParts,
 ) -> Result<(), SapError> {
-    let (members_of, loose) = split_by_group(parts.sessions, parts.groups.len());
+    let members_of = split_by_group(parts.sessions, parts.groups.len());
     for (group, members) in parts.groups.into_iter().zip(members_of) {
         let lowest = members
             .first()
@@ -542,17 +516,10 @@ pub(crate) fn place_parts_on(
         p.place_group(GroupKey::of(&group, p.published), shard, &members);
         port.send(shard, Command::InstallGroup(Box::new(group), members))?;
     }
-    for (id, session) in loose {
-        let shard = p.shard_of(id);
-        port.send(shard, Command::Install(id, Box::new(session)))?;
-        p.shard_len[shard] += 1;
-        p.registered.insert(id);
-    }
     install_counters_on(port, 0, parts.counters)
 }
 
-/// Moves one query's live session (a shared or grouped query: its whole
-/// group) to `shard` — see
+/// Moves one query's whole group to `shard` — see
 /// [`AsyncHub::move_query`](crate::exec::AsyncHub::move_query). The
 /// caller must have flushed any coalesced `publish_one` tail.
 ///
@@ -574,38 +541,21 @@ pub(crate) fn move_query_on(
     if !p.registered.contains(&id) {
         return Err(SapError::UnknownQuery { query: id });
     }
-    if let Some(&key) = p.group_of.get(&id) {
-        // a shared or grouped query moves with its entire group: the
-        // group's producer is shard-local state its members share
-        let (source, _) = p.groups[&key];
-        if source == shard {
-            return Ok(());
-        }
-        let (reply, rx) = mpsc::channel();
-        port.send(source, Command::EjectGroupOf(id, reply))?;
-        let (group, members) = recv_reply(source, &rx)?;
-        let moved = members.len();
-        port.send(shard, Command::InstallGroup(Box::new(group), members))?;
-        p.shard_len[source] -= moved;
-        p.shard_len[shard] += moved;
-        p.groups.insert(key, (shard, moved));
-    } else {
-        let source = p.home_shard(id);
-        if source == shard {
-            return Ok(());
-        }
-        let (reply, rx) = mpsc::channel();
-        port.send(source, Command::Unregister(id, reply))?;
-        let session = recv_reply(source, &rx)?;
-        port.send(shard, Command::Install(id, Box::new(session)))?;
-        p.shard_len[source] -= 1;
-        p.shard_len[shard] += 1;
-        if p.shard_of(id) == shard {
-            p.placed.remove(&id);
-        } else {
-            p.placed.insert(id, shard);
-        }
+    // a query moves with its entire group: the group's producer is
+    // shard-local state its members share
+    let key = p.group_of[&id];
+    let (source, _) = p.groups[&key];
+    if source == shard {
+        return Ok(());
     }
+    let (reply, rx) = mpsc::channel();
+    port.send(source, Command::EjectGroupOf(id, reply))?;
+    let (group, members) = recv_reply(source, &rx)?;
+    let moved = members.len();
+    port.send(shard, Command::InstallGroup(Box::new(group), members))?;
+    p.shard_len[source] -= moved;
+    p.shard_len[shard] += moved;
+    p.groups.insert(key, (shard, moved));
     Ok(())
 }
 
@@ -615,12 +565,9 @@ pub(crate) fn move_query_on(
 /// list by index; placement was never touched, so no bookkeeping
 /// changes here.
 fn reinstall_parts_on(port: &Reactor, shard: usize, parts: ShardParts) -> Result<(), SapError> {
-    let (members_of, loose) = split_by_group(parts.sessions, parts.groups.len());
+    let members_of = split_by_group(parts.sessions, parts.groups.len());
     for (group, members) in parts.groups.into_iter().zip(members_of) {
         port.send(shard, Command::InstallGroup(Box::new(group), members))?;
-    }
-    for (id, session) in loose {
-        port.send(shard, Command::Install(id, Box::new(session)))?;
     }
     install_counters_on(port, shard, parts.counters)
 }

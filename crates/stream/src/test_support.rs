@@ -10,9 +10,11 @@ use crate::query::TimedSpec;
 use crate::registry::Registration;
 use crate::window::{SlidingTopK, TimedTopK, WindowSpec};
 
-/// An isolated count registration of `Toy ⟨n, k, s⟩`.
+/// A count registration of `⟨n, k, s⟩`, as `register` makes it: `Toy`
+/// over the arrival-clock reduction, in its count group.
 pub(crate) fn count(n: usize, k: usize, s: usize) -> Registration {
-    Registration::count(Box::new(Toy::new(n, k, s)))
+    let reduced = WindowSpec::new(n, k, s).unwrap().reduced();
+    grouped(Toy::new(reduced.n, reduced.k, reduced.s), n, s)
 }
 
 /// A time-based registration of `W⟨wd, sd⟩` top-`k`, as `register`

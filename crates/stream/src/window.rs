@@ -168,18 +168,17 @@ pub trait SlidingTopK {
     /// Human-readable algorithm name used in reports.
     fn name(&self) -> &str;
 
-    /// Whether the most recent [`slide`](SlidingTopK::slide) may have
-    /// changed the returned top-k relative to the slide before it.
-    ///
-    /// `false` is a *guarantee* of no change, letting delta consumers emit
+    /// Processes one slide like [`slide`](SlidingTopK::slide), but returns
+    /// `None` when the engine *proves* the top-k unchanged from the slide
+    /// before it — the previous result stands, and delta consumers emit
     /// [`TopKEvent::Unchanged`](crate::events::TopKEvent::Unchanged) in
-    /// `O(1)`; `true` (the conservative default) merely permits a change —
-    /// the session layer then diffs the snapshots in `O(k)`. SAP overrides
+    /// `O(1)` without reading it. `Some` (always, by default) merely
+    /// permits a change: the caller then diffs in `O(k)`. SAP overrides
     /// this from its `dirty` tracking; the paper reports results only
     /// "when they are changed" (§4.1), and this hook surfaces that
-    /// machinery to the public API.
-    fn last_slide_changed(&self) -> bool {
-        true
+    /// machinery to the sessions and the sharing planes.
+    fn slide_if_changed(&mut self, batch: &[Object]) -> Option<&[Object]> {
+        Some(self.slide(batch))
     }
 }
 
@@ -225,8 +224,8 @@ impl<T: SlidingTopK + ?Sized> SlidingTopK for Box<T> {
     fn name(&self) -> &str {
         (**self).name()
     }
-    fn last_slide_changed(&self) -> bool {
-        (**self).last_slide_changed()
+    fn slide_if_changed(&mut self, batch: &[Object]) -> Option<&[Object]> {
+        (**self).slide_if_changed(batch)
     }
 }
 

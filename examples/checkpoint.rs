@@ -21,39 +21,41 @@ const SHARDS: usize = 4;
 const BURST: usize = 200;
 const BURSTS: usize = 25;
 const CHECKPOINT_EVERY: usize = 5; // bursts between checkpoints
-const FUSE: usize = 2_650; // the bomb detonates mid-interval
+const FUSE: usize = 53; // slides: the bomb detonates mid-interval
 
 /// A tenant engine with a manufacturing defect: it answers correctly
-/// (delegating to a real SAP engine) until it has seen [`FUSE`] objects,
+/// (delegating to a real SAP engine) until it has closed [`FUSE`] slides,
 /// then panics — killing the shard it happens to live on.
 struct Bomb {
     inner: Box<dyn SlidingTopK + Send>,
-    seen: usize,
+    slides: usize,
 }
 
 impl Bomb {
+    /// A bomb answering `⟨n, k, s⟩` on a hub: its engine runs the
+    /// query's count-plane reduction.
     fn new(n: usize, k: usize, s: usize) -> Self {
         let spec = WindowSpec::new(n, k, s).expect("valid bomb spec");
         Bomb {
             inner: DefaultEngineFactory
-                .count("SAP", spec)
+                .count("SAP", spec.reduced())
                 .expect("factory knows SAP"),
-            seen: 0,
+            slides: 0,
         }
     }
 }
 
 // Engines restore by replaying their window, so the fuse counter is
-// deliberately *not* captured: a restored bomb is defused until it sees
-// FUSE objects again.
+// deliberately *not* captured: a restored bomb is defused until it closes
+// FUSE slides again.
 impl SlidingTopK for Bomb {
     fn spec(&self) -> WindowSpec {
         self.inner.spec()
     }
     fn slide(&mut self, batch: &[Object]) -> &[Object] {
-        self.seen += batch.len();
-        if self.seen > FUSE {
-            panic!("bomb detonated after {} objects", self.seen);
+        self.slides += 1;
+        if self.slides > FUSE {
+            panic!("bomb detonated after {} slides", self.slides);
         }
         self.inner.slide(batch)
     }
@@ -136,7 +138,11 @@ fn main() {
         hub.register(q).expect("valid query");
     }
     let bomb_id = hub
-        .subscribe(Registration::count(Box::new(Bomb::new(300, 5, 50))))
+        .subscribe(Registration::grouped(
+            Box::new(Bomb::new(300, 5, 50)),
+            300,
+            50,
+        ))
         .expect("registered");
     println!(
         "=== {} queries ({} tenants + 1 bomb) on {SHARDS} shards, {} objects ===",

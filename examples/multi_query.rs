@@ -103,7 +103,7 @@ fn shared_digest_plane_500() {
     // spot-check: every query's answers are byte-identical to its
     // standalone session's
     for (&id, reference) in ids.iter().zip(&isolated) {
-        let member = shared.group_session(id).expect("a slide-group member");
+        let member = shared.session(id).expect("a slide-group member");
         assert_eq!(member.slides(), reference.slides());
         assert_eq!(member.last_snapshot(), reference.last_snapshot());
     }
@@ -202,8 +202,8 @@ fn async_hub_10k() {
     println!("spot-check passed: async output matches the sequential hub exactly");
     let stats = hub.stats().expect("shards alive");
     println!(
-        "  stats: {} queries ({} count-based) across {SHARDS} shards",
-        stats.queries, stats.count_queries
+        "  stats: {} queries ({} count-based in {} count groups) across {SHARDS} shards",
+        stats.queries, stats.grouped_queries, stats.count_groups
     );
 }
 

@@ -114,9 +114,10 @@ pub fn build_send(query: &Query) -> Result<Box<dyn SlidingTopK + Send>, SapError
     build_engine(query.validate()?, query)
 }
 
-/// Engine construction shared by the count-based and time-based paths:
-/// the spec is either the query's own `⟨n, k, s⟩` or the Appendix-A
-/// reduction of its durations.
+/// Engine construction shared by every path: the spec is the query's own
+/// `⟨n, k, s⟩` (standalone), or the reduction a hub serves it on — the
+/// arrival-clock [`WindowSpec::reduced`] of a count query, the
+/// Appendix-A [`TimedSpec::reduced`] of a time-based one.
 fn build_engine(spec: WindowSpec, query: &Query) -> Result<Box<dyn SlidingTopK + Send>, SapError> {
     if let Some(cfg) = sap_core::SapConfig::from_kind(spec, query.kind()) {
         return Ok(Box::new(sap_core::Sap::new(cfg?)));
@@ -253,21 +254,19 @@ pub trait HubExt {
 
     /// Validates and constructs a query — **of either window model** —
     /// then registers it as a standing subscription, returning its
-    /// handle. Count-based queries slide on published arrival counts,
-    /// each on its own isolated engine; isolated engines have no
-    /// admission plane, so a count query carrying a non-trivial
-    /// [`Query::filter`] predicate is rejected with
-    /// [`SapError::PredicateUnsupported`] — register it with
-    /// [`register_grouped`](HubExt::register_grouped) instead. Time-based
-    /// queries (built with [`Query::window_duration`]) slide on the
-    /// timestamps of `publish_timed` streams and always join their slide
-    /// group: this is [`register_shared`](HubExt::register_shared), so
-    /// they accept a filter.
+    /// handle. Every query joins a group, so every one accepts a
+    /// [`Query::filter`]: a count-based query slides on published
+    /// arrival counts in its count group — this is
+    /// [`register_grouped`](HubExt::register_grouped) — and a time-based
+    /// one (built with [`Query::window_duration`]) slides on the
+    /// timestamps of `publish_timed` streams in its slide group — this is
+    /// [`register_shared`](HubExt::register_shared).
     fn register(&mut self, query: &Query) -> Result<QueryId, SapError> {
         if query.is_time_based() {
-            return self.register_shared(query);
+            self.register_shared(query)
+        } else {
+            self.register_grouped(query)
         }
-        self.subscribe(Registration::count(build_send(query)?).filter(query.predicate()))
     }
 
     /// Validates and constructs a **time-based** query, then registers it
@@ -287,19 +286,18 @@ pub trait HubExt {
     }
 
     /// Validates and constructs a **count-based** query, then registers
-    /// it on the hub's shared count plane: queries are grouped by window
+    /// it on the hub's count plane: queries are grouped by window
     /// geometry (slide length + registration offset mod `s`) and
     /// [`Query::filter`] predicate, each group ingests every published
     /// object once, and members slice their `(n, k)` view from the
     /// group's shared per-slide digest — with results byte-identical to
-    /// [`register`](HubExt::register). A time-based query is
+    /// a standalone [`QueryExt::session`]. The engine runs the query's
+    /// [`WindowSpec::reduced`] spec. A time-based query is
     /// [`SapError::NotCountBased`].
     fn register_grouped(&mut self, query: &Query) -> Result<QueryId, SapError> {
         let spec = query.validate()?;
-        let reduced = TimedSpec::new(spec.n as u64, spec.s as u64, spec.k)
-            .and_then(|t| t.reduced())
-            .map_err(SapError::Spec)?;
-        let registration = Registration::grouped(build_engine(reduced, query)?, spec.n, spec.s);
+        let engine = build_engine(spec.reduced(), query)?;
+        let registration = Registration::grouped(engine, spec.n, spec.s);
         self.subscribe(registration.filter(query.predicate()))
     }
 }
@@ -370,11 +368,11 @@ mod tests {
         assert!(hub.register(&Query::window(10)).is_err(), "missing k");
         assert_eq!(hub.len(), 0, "failed registration leaves no session");
         let id = hub.register(&Query::window(10).top(2).slide(5)).unwrap();
-        assert_eq!(hub.session(id).unwrap().spec().k, 2);
+        assert_eq!(hub.session(id).unwrap().k(), 2);
     }
 
     #[test]
-    fn isolated_register_rejects_predicates_but_shared_planes_accept() {
+    fn filtered_count_register_lands_on_an_arrival_clock_group() {
         let keyed = Predicate::any().score_at_least(3.0);
         let counted = Query::window(10).top(2).slide(5).filter(keyed);
         let timed = Query::window_duration(10)
@@ -382,35 +380,28 @@ mod tests {
             .slide_duration(5)
             .filter(keyed);
 
-        // a filtered count query is refused; a filtered time-based one
-        // lands on its slide group, on the event clock
+        // a filtered count query lands on its count group, a filtered
+        // time-based one on its slide group
         let mut hub = Hub::new();
-        assert!(matches!(
-            hub.register(&counted),
-            Err(SapError::PredicateUnsupported)
-        ));
-        assert_eq!(hub.len(), 0, "rejected registrations leave no session");
+        let q = hub.register(&counted).unwrap();
+        assert_eq!(hub.session(q).unwrap().clock(), Clock::Arrival);
         let q = hub.register(&timed).unwrap();
-        let member = hub.group_session(q).expect("an event-clock group member");
-        assert_eq!(member.clock(), Clock::Event);
-        assert!(matches!(hub.any_session(q), Some(AnySession::Group(_))));
+        assert_eq!(hub.session(q).unwrap().clock(), Clock::Event);
         hub.register_shared(&timed).unwrap();
         hub.register_grouped(&counted).unwrap();
-        assert_eq!(hub.len(), 3);
-        assert_eq!(hub.stats().shared_queries, 2);
-        assert_eq!(hub.stats().digest_groups, 1, "one slide group for both");
+        assert_eq!(hub.len(), 4);
+        let stats = hub.stats();
+        assert_eq!((stats.grouped_queries, stats.count_groups), (2, 1));
+        assert_eq!((stats.shared_queries, stats.digest_groups), (2, 1));
 
         let mut reactor = AsyncHub::new(2, 1);
-        assert!(matches!(
-            reactor.register(&counted),
-            Err(SapError::PredicateUnsupported)
-        ));
-        assert!(reactor.is_empty(), "rejected registrations burn no id");
+        reactor.register(&counted).unwrap();
         reactor.register(&timed).unwrap();
         reactor.register_shared(&timed).unwrap();
         reactor.register_grouped(&counted).unwrap();
-        assert_eq!(reactor.len(), 3);
+        assert_eq!(reactor.len(), 4);
         let stats = reactor.stats().unwrap();
+        assert_eq!((stats.grouped_queries, stats.count_groups), (2, 1));
         assert_eq!((stats.shared_queries, stats.digest_groups), (2, 1));
     }
 

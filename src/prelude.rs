@@ -6,9 +6,10 @@
 //! [`QueryExt::timed_session`]), the multi-query [`Hub`] and the
 //! reactor-multiplexed [`AsyncHub`] (with its seedable [`Scheduler`]s)
 //! — both with [`HubExt::register`], the shared digest plane's
-//! [`HubExt::register_shared`], and the shared count plane's
+//! [`HubExt::register_shared`], and the count plane's
 //! [`HubExt::register_grouped`] over the engine-level
-//! [`Registration`] (plus their [`HubStats`] sharing metrics), flexible
+//! [`Registration`], serving each query as a [`GroupSession`] (plus
+//! their [`HubStats`] sharing metrics), flexible
 //! ingestion ([`Ingest`]/[`TimedIngest`]), typed result deltas
 //! ([`TopKEvent`]/[`SlideResult`]), the data model (count-based
 //! [`Object`] and timestamped [`TimedObject`]), the workload generators
@@ -19,13 +20,13 @@
 pub use crate::{build, build_send, build_timed, DefaultEngineFactory, HubExt, QueryExt};
 
 pub use sap_stream::{
-    run, run_collecting, AlgorithmKind, AnySession, ArrivalProcess, AsyncHub, Checkpoint,
-    CheckpointError, Clock, Dataset, DigestProducer, DigestView, EngineFactory, EventList,
-    FifoScheduler, GroupSession, Hub, HubSession, HubStats, Ingest, Object, OpStats, Predicate,
-    Query, QueryId, QuerySpec, QueryState, QueryUpdate, Registration, RunSummary, SapError,
-    SapPolicy, Scheduler, ScoreKey, SeededScheduler, Session, SharedTimed, SlideResult,
-    SlideScratch, SlidingTopK, Snapshot, SpecError, TimedIngest, TimedObject, TimedSession,
-    TimedSpec, TimedTopK, TopKEvent, WindowSpec, Workload,
+    run, run_collecting, AlgorithmKind, ArrivalProcess, AsyncHub, Checkpoint, CheckpointError,
+    Clock, Dataset, DigestProducer, DigestView, EngineFactory, EventList, FifoScheduler,
+    GroupSession, Hub, HubSession, HubStats, Ingest, Object, OpStats, Predicate, Query, QueryId,
+    QuerySpec, QueryState, QueryUpdate, Registration, RunSummary, SapError, SapPolicy, Scheduler,
+    ScoreKey, SeededScheduler, Session, SharedTimed, SlideResult, SlideScratch, SlidingTopK,
+    Snapshot, SpecError, TimedIngest, TimedObject, TimedSession, TimedSpec, TimedTopK, TopKEvent,
+    WindowSpec, Workload,
 };
 
 pub use sap_core::{Sap, SapConfig, TimeBased, TimeBasedSap};

@@ -158,3 +158,69 @@ fn alpha_variations_do_not_affect_correctness() {
         assert_eq!(got, reference, "alpha = {alpha}");
     }
 }
+
+/// `f64::MIN` is an ordinary score: a count query's count group ranks it
+/// exactly as a standalone session does, never as padding.
+#[test]
+fn f64_min_count_scores_survive_the_reduction() {
+    use sap::prelude::{Hub, HubExt, Ingest, Query, QueryExt};
+
+    // ⟨4, 2, 2⟩: the most recent f64::MIN ranks second in both slides
+    let query = Query::window(4).top(2).slide(2);
+    let data = objects([f64::MIN, 1.0, f64::MIN, f64::MIN]);
+    let expected = vec![
+        vec![Object::new(1, 1.0), Object::new(0, f64::MIN)],
+        vec![Object::new(1, 1.0), Object::new(3, f64::MIN)],
+    ];
+    let standalone: Vec<Vec<Object>> = query
+        .session()
+        .unwrap()
+        .push(&data)
+        .into_iter()
+        .map(|r| r.snapshot.to_vec())
+        .collect();
+    assert_eq!(standalone, expected);
+    let mut hub = Hub::new();
+    let ids = [
+        hub.register(&query).unwrap(),
+        hub.register_grouped(&query).unwrap(),
+    ];
+    let updates = hub.publish(&data);
+    for id in ids {
+        let served: Vec<Vec<Object>> = updates
+            .iter()
+            .filter(|u| u.query == id)
+            .map(|u| u.result.snapshot.to_vec())
+            .collect();
+        assert_eq!(served, expected, "{id}");
+    }
+}
+
+/// `f64::MIN` is an ordinary score: a time-based query's slide group
+/// ranks it exactly as a standalone session does, never as padding.
+#[test]
+fn f64_min_timed_scores_survive_the_reduction() {
+    use sap::prelude::{Hub, HubExt, Query, QueryExt, TimedIngest, TimedObject};
+
+    // W⟨10, 5⟩, k = 3: all three objects of slide [0, 5) rank
+    let query = Query::window_duration(10).top(3).slide_duration(5);
+    let data = [
+        TimedObject::new(0, 0, f64::MIN),
+        TimedObject::new(1, 1, 1.0),
+        TimedObject::new(2, 2, 5.0),
+    ];
+    let expected = vec![
+        Object::new(2, 5.0),
+        Object::new(1, 1.0),
+        Object::new(0, f64::MIN),
+    ];
+    let mut standalone = query.timed_session().unwrap();
+    assert!(standalone.push_timed(&data).is_empty());
+    let closed = standalone.advance_watermark(5);
+    assert_eq!(closed[0].snapshot.to_vec(), expected);
+    let mut hub = Hub::new();
+    hub.register(&query).unwrap();
+    assert!(hub.publish_timed(&data).is_empty());
+    let closed = hub.advance_time(5);
+    assert_eq!(closed[0].result.snapshot.to_vec(), expected);
+}

@@ -441,12 +441,16 @@ fn async_park_wake_cycle_stays_under_constant_bound() {
     // behind a capacity-1 queue forces a park on essentially every
     // measured publish.
     let mut hub = AsyncHub::with_config(1, 1, 1, Box::new(FifoScheduler));
-    for _ in 0..4 {
-        hub.subscribe(Registration::count(Box::new(Sleepy {
-            spec: WindowSpec::new(4, 1, 4).unwrap(),
+    // four windows over one slide of 4, so each engine is a result class
+    // of its own and every close sleeps four times
+    for n in [4, 8, 12, 16] {
+        let spec = WindowSpec::new(n, 1, 4).unwrap().reduced();
+        let sleepy = Sleepy {
+            spec,
             empty: Vec::new(),
-        })))
-        .unwrap();
+        };
+        hub.subscribe(Registration::grouped(Box::new(sleepy), n, 4))
+            .unwrap();
     }
     let batch: Vec<Object> = (0..4u64).map(|i| Object::new(i, 7.0)).collect();
     for _ in 0..10 {

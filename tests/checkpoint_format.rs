@@ -1,16 +1,19 @@
-//! The checkpoint format, pinned across builds. Format 3 is the only one
-//! this build reads, through three committed images:
+//! The checkpoint format, pinned across builds. This build writes format
+//! 4 and reads formats 3 and 4, through five committed images:
 //!
-//! * `hub_v3.ckpt` and `hub_v3_sharded.ckpt` were written by earlier
-//!   builds, which still served isolated time-based sessions (session
-//!   kind 1). This build reads kind 1 but never writes it: each such
-//!   session joins its slide group. Both images must restore on either
-//!   hub and continue with exactly the updates the writing build
+//! * four format-3 images written by earlier builds, which still served
+//!   isolated sessions: `hub_v3.ckpt` and `hub_v3_sharded.ckpt` hold
+//!   isolated time-based sessions (session kind 1), `hub_v3_counts.ckpt`
+//!   and the first two hold isolated count sessions (kind 0), and
+//!   `hub_v3_serving.ckpt` is [`fixture_hub`] as the last format-3 build
+//!   served it. This build reads kinds 0 and 1 but never writes them:
+//!   each such session joins its group. Every old image must restore on
+//!   either hub and continue with exactly the updates the writing build
 //!   produced, pinned per query as an update count and a `fold_all`
-//!   checksum.
-//! * `hub_v3_serving.ckpt` is [`fixture_hub`] as this build serves it.
+//!   checksum;
+//! * `hub_v4_serving.ckpt` is [`fixture_hub`] as this build serves it.
 //!   This build must write exactly these bytes, re-encode a restore of
-//!   them to the same bytes, and continue them like the old image.
+//!   them to the same bytes, and continue them like the old images.
 
 use std::collections::BTreeMap;
 
@@ -29,10 +32,16 @@ use checksum::fold_all;
 /// group exists, so it restores warming up.
 const FIXTURE: &[u8] = include_bytes!("fixtures/hub_v3.ckpt");
 
-/// [`fixture_hub`] as this build serves it: `q2` is a slide-group
-/// member from the start. Regenerate it only with a deliberate format
-/// change, by saving `fixture_hub().checkpoint().as_bytes()`.
-const SERVING: &[u8] = include_bytes!("fixtures/hub_v3_serving.ckpt");
+/// [`fixture_hub`] as the last format-3 build served it, written at
+/// commit 32d9968 by saving `fixture_hub().checkpoint().as_bytes()`:
+/// `q2` is a slide-group member from the start, while `q0`, `q1` and
+/// `q6` are isolated count sessions (kind 0).
+const SERVING_V3: &[u8] = include_bytes!("fixtures/hub_v3_serving.ckpt");
+
+/// [`fixture_hub`] as this build serves it: every query is a group
+/// member. Regenerate it only with a deliberate format change, by saving
+/// `fixture_hub().checkpoint().as_bytes()`.
+const SERVING: &[u8] = include_bytes!("fixtures/hub_v4_serving.ckpt");
 
 /// A format-3 checkpoint of an `AsyncHub` with four shards, written at
 /// commit 7c4f8a3 (the last build that served isolated time-based
@@ -73,6 +82,33 @@ const SERVING: &[u8] = include_bytes!("fixtures/hub_v3_serving.ckpt");
 ///   warms up until the group closes that slide.
 const SHARDED: &[u8] = include_bytes!("fixtures/hub_v3_sharded.ckpt");
 
+/// A format-3 checkpoint of an `AsyncHub` with four shards, written at
+/// commit 32d9968 (the last build that served isolated count sessions)
+/// by this program, saving the checkpoint's bytes to
+/// `tests/fixtures/hub_v3_counts.ckpt`:
+///
+/// ```text
+/// let mut hub = AsyncHub::new(4, 2);
+/// hub.register(&Query::window(12).top(2).slide(4)).unwrap(); // q0
+/// let min_top_k = Query::window(8).top(6).slide(4).algorithm(AlgorithmKind::MinTopK);
+/// hub.register(&min_top_k).unwrap(); // q1
+/// hub.register(&Query::window(10).top(2).slide(5)).unwrap(); // q2
+/// hub.publish_timed(&stream(0..8)).unwrap();
+/// hub.register_grouped(&Query::window(12).top(3).slide(4)).unwrap(); // q3
+/// hub.register_grouped(&Query::window(8).top(6).slide(2)).unwrap(); // q4
+/// hub.publish_timed(&stream(8..27)).unwrap();
+/// let (checkpoint, _) = hub.checkpoint().unwrap();
+/// ```
+///
+/// * `q0` (`k < s`) and `q1` (`k ≥ s`) are kind-0 sessions at one
+///   `(s, fill)` on two shard sections; `q3`'s count group, founded 8
+///   objects later at the same offset, sits on `q0`'s section, so both
+///   merge into it and it shifts two slides onto their ordinals;
+/// * `q2` is a kind-0 session alone at its offset: it founds a group;
+/// * `q4` is a grouped member with `k > s`, whose format-3 ring pads each
+///   slide to `k`.
+const COUNTS: &[u8] = include_bytes!("fixtures/hub_v3_counts.ckpt");
+
 /// Per query: updates and `fold_all` checksum of [`FIXTURE`] continued
 /// by [`continue_on_both_hubs`] over `stream(60..160)`, as the writing
 /// build's own hubs emitted them.
@@ -89,6 +125,15 @@ const FIXTURE_CONTINUATION: [(&str, usize, u64); 12] = [
     ("q10", 46, 0xa736a551b2b0ff1c),
     ("q11", 25, 0xefbc001d4d5b93e0),
     ("q12", 46, 0xbc97138daac08690),
+];
+
+/// The same for [`COUNTS`] over `stream(27..127)`.
+const COUNTS_CONTINUATION: [(&str, usize, u64); 5] = [
+    ("q0", 25, 0x2b8b1024197d9c16),
+    ("q1", 25, 0xe266a94bbfcbb4b2),
+    ("q2", 20, 0x296b981a786a80ba),
+    ("q3", 25, 0x16ced84e7ab70807),
+    ("q4", 50, 0x37e7810873c23dc0),
 ];
 
 /// The same for [`SHARDED`] over `stream(50..190)`.
@@ -228,9 +273,10 @@ fn query(hub: &Hub, name: &str) -> QueryId {
 }
 
 #[test]
-fn format_version_is_still_3() {
-    assert_eq!(FORMAT_VERSION, 3);
-    for bytes in [FIXTURE, SERVING, SHARDED] {
+fn this_build_writes_format_4_and_reads_format_3() {
+    assert_eq!(FORMAT_VERSION, 4);
+    assert_eq!(image(SERVING).version(), 4);
+    for bytes in [FIXTURE, SERVING_V3, SHARDED, COUNTS] {
         assert_eq!(image(bytes).version(), 3);
     }
 }
@@ -255,17 +301,30 @@ fn restored_fixture_continues_identically_on_both_hubs() {
     );
 }
 
-/// The old image and this build's image of one hub continue alike: the
+/// The old images and this build's image of one hub continue alike: the
 /// kind-1 session `q2` serves from its slide group exactly what its
-/// isolated adapter would have.
+/// isolated adapter would have, and the kind-0 sessions from their count
+/// groups exactly what their isolated sessions would have.
 #[test]
 fn serving_fixture_continues_like_the_old_image() {
     let restored = Hub::restore(&image(FIXTURE), &DefaultEngineFactory).expect("fixture restores");
     let q2 = restored
-        .group_session(query(&restored, "q2"))
+        .session(query(&restored, "q2"))
         .expect("the kind-1 session joined its slide group");
     assert_eq!(q2.clock(), Clock::Event);
     assert!(q2.is_warming_up(), "its slide group exists");
+    for name in ["q0", "q1"] {
+        let member = restored.session(query(&restored, name)).unwrap();
+        assert_eq!(
+            member.clock(),
+            Clock::Arrival,
+            "{name} joined a count group"
+        );
+    }
+    assert_eq!(
+        continue_on_both_hubs(SERVING_V3, 60..160),
+        pinned(&FIXTURE_CONTINUATION)
+    );
     assert_eq!(
         continue_on_both_hubs(SERVING, 60..160),
         pinned(&FIXTURE_CONTINUATION)
@@ -276,7 +335,7 @@ fn serving_fixture_continues_like_the_old_image() {
 fn sharded_old_image_seats_its_timed_sessions_in_slide_groups() {
     let hub = Hub::restore(&image(SHARDED), &DefaultEngineFactory).expect("image restores");
     let member = |name| {
-        hub.group_session(query(&hub, name))
+        hub.session(query(&hub, name))
             .expect("a kind-1 session restores as a group member")
     };
     let founder = member("q4");
@@ -289,17 +348,18 @@ fn sharded_old_image_seats_its_timed_sessions_in_slide_groups() {
     }
     assert_eq!(member("q9").slides(), 0, "q9 never closed a slide");
     // the pass-all group of 7 joins the filtered one and the group of 10;
-    // classes: two in the group of 10, one each in the groups of 7
+    // classes: two in the group of 10, one each in the groups of 7, and
+    // the kind-0 session `q0`'s in its count group
     let stats = hub.stats();
     assert_eq!(
         (
-            stats.count_queries,
+            stats.grouped_queries,
             stats.shared_queries,
             stats.digest_groups
         ),
         (1, 9, 3)
     );
-    assert_eq!(stats.result_classes, 4);
+    assert_eq!(stats.result_classes, 5);
 
     let mut reactor =
         AsyncHub::restore(&image(SHARDED), &DefaultEngineFactory, 3, 2).expect("image restores");
@@ -313,5 +373,31 @@ fn sharded_old_image_seats_its_timed_sessions_in_slide_groups() {
     assert_eq!(
         continue_on_both_hubs(SHARDED, 50..190),
         pinned(&SHARDED_CONTINUATION)
+    );
+}
+
+#[test]
+fn counts_old_image_seats_its_count_sessions_in_count_groups() {
+    let hub = Hub::restore(&image(COUNTS), &DefaultEngineFactory).expect("image restores");
+    for name in ["q0", "q1", "q2", "q3", "q4"] {
+        let member = hub.session(query(&hub, name)).unwrap();
+        assert_eq!(member.clock(), Clock::Arrival, "{name}");
+    }
+    // q0, q1 and q3 share the group of 4; q2 founds the group of 5
+    let stats = hub.stats();
+    assert_eq!((stats.grouped_queries, stats.count_groups), (5, 3));
+    assert_eq!(stats.result_classes, 5);
+
+    let mut reactor =
+        AsyncHub::restore(&image(COUNTS), &DefaultEngineFactory, 3, 2).expect("image restores");
+    let sharded = reactor.stats().expect("healthy shards");
+    assert_eq!(
+        (sharded.grouped_queries, sharded.count_groups),
+        (stats.grouped_queries, stats.count_groups)
+    );
+
+    assert_eq!(
+        continue_on_both_hubs(COUNTS, 27..127),
+        pinned(&COUNTS_CONTINUATION)
     );
 }

@@ -1,6 +1,7 @@
 //! Per-query checksums of drained updates, for the targeted hub tests
 //! that compare two runs (`tests/hub_faults.rs`,
-//! `tests/sharing_mechanics.rs`) without a model.
+//! `tests/sharing_mechanics.rs`) without a model: a hub's updates by
+//! [`fold_all`], a standalone session's results by [`fold_update`].
 
 use std::collections::BTreeMap;
 
@@ -19,9 +20,10 @@ fn fold_word(acc: u64, word: u64) -> u64 {
 }
 
 /// Folds one update — slide index, the full `TopKEvent` delta stream,
-/// and the snapshot — into a query's running checksum. Order sensitive,
-/// so two hubs agree iff they emitted identical event streams.
-fn fold_update(acc: u64, result: &SlideResult) -> u64 {
+/// and the snapshot — into a query's running checksum, from [`SEED`].
+/// Order sensitive, so two runs agree iff they emitted identical event
+/// streams.
+pub fn fold_update(acc: u64, result: &SlideResult) -> u64 {
     let mut h = fold_word(acc, result.slide);
     for event in &result.events {
         h = match event {
@@ -36,7 +38,8 @@ fn fold_update(acc: u64, result: &SlideResult) -> u64 {
     h
 }
 
-const SEED: u64 = 0xcbf2_9ce4_8422_2325;
+/// The checksum of a query that emitted nothing.
+pub const SEED: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Folds a batch of updates into per-query running checksums.
 pub fn fold_all(sums: &mut BTreeMap<QueryId, u64>, updates: Vec<QueryUpdate>) {

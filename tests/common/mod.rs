@@ -30,20 +30,19 @@ use sap::prelude::*;
 /// The serving plane a registration lands on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Plane {
-    /// An isolated count-based session.
-    Count,
     /// A time-based member of the shared digest plane (`register` and
     /// `register_shared` both land here).
     Shared,
-    /// A count-based member of the shared count plane.
+    /// A count-based member of the shared count plane (`register` and
+    /// `register_grouped` both land here).
     Grouped,
 }
 
 /// The registration call a query arrives through.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Method {
-    /// `register`: an isolated count session, or a time-based query's
-    /// slide group.
+    /// `register`: a count-based query's count group, or a time-based
+    /// query's slide group.
     Register,
     /// `register_shared`: the shared digest plane (time-based only).
     Shared,
@@ -69,10 +68,6 @@ pub struct Filter {
 }
 
 impl Filter {
-    pub fn is_pass_all(&self) -> bool {
-        *self == Filter::default()
-    }
-
     pub fn accepts(&self, id: u64, score: f64) -> bool {
         self.min.is_none_or(|min| score >= min)
             && self.max.is_none_or(|max| score <= max)
@@ -105,8 +100,6 @@ impl Filter {
 /// Why a hub must refuse a registration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Refusal {
-    /// A filter on an isolated count query.
-    PredicateUnsupported,
     /// `register_shared` with a count-based query.
     NotTimeBased,
     /// `register_grouped` with a time-based query.
@@ -127,7 +120,6 @@ pub struct Expected {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Tallies {
     pub queries: usize,
-    pub count_queries: usize,
     pub shared_queries: usize,
     pub grouped_queries: usize,
     /// Distinct `(slide duration, filter)` pairs among live shared
@@ -143,9 +135,6 @@ pub struct Tallies {
     pub shared_updates: u64,
     /// Updates emitted by grouped queries (`count_group_hits`).
     pub grouped_updates: u64,
-    /// Updates emitted by isolated count queries
-    /// (`count_group_rebuilds`).
-    pub isolated_count_updates: u64,
     /// Objects offered to a sharing-plane group whose filter accepts
     /// them, one per accepting group (`admitted + pruned`).
     pub gated: u64,
@@ -156,14 +145,12 @@ impl Tallies {
     pub fn observed(stats: &HubStats) -> Tallies {
         Tallies {
             queries: stats.queries,
-            count_queries: stats.count_queries,
             shared_queries: stats.shared_queries,
             grouped_queries: stats.grouped_queries,
             digest_groups: stats.digest_groups,
             count_groups: stats.count_groups,
             shared_updates: stats.digest_hits + stats.digest_rebuilds,
             grouped_updates: stats.count_group_hits,
-            isolated_count_updates: stats.count_group_rebuilds,
             gated: stats.admitted + stats.pruned,
         }
     }
@@ -313,16 +300,13 @@ impl Model {
         filter: Filter,
     ) -> Result<usize, Refusal> {
         let plane = match (method, window) {
-            (Method::Register, Window::Count { .. }) => Plane::Count,
+            (Method::Register, Window::Count { .. }) => Plane::Grouped,
             (Method::Register, Window::Time { .. }) => Plane::Shared,
             (Method::Shared, Window::Time { .. }) => Plane::Shared,
             (Method::Shared, Window::Count { .. }) => return Err(Refusal::NotTimeBased),
             (Method::Grouped, Window::Count { .. }) => Plane::Grouped,
             (Method::Grouped, Window::Time { .. }) => return Err(Refusal::NotCountBased),
         };
-        if plane == Plane::Count && !filter.is_pass_all() {
-            return Err(Refusal::PredicateUnsupported);
-        }
         let pristine = match window {
             Window::Time { sd, .. } if plane == Plane::Shared => self.join_slide_group(sd, filter),
             _ => false,
@@ -443,7 +427,6 @@ impl Model {
     fn finish(&mut self, mut out: Vec<Expected>) -> Vec<Expected> {
         for u in &out {
             match self.queries[u.query].plane {
-                Plane::Count => self.tallies.isolated_count_updates += 1,
                 Plane::Shared => self.tallies.shared_updates += 1,
                 Plane::Grouped => self.tallies.grouped_updates += 1,
             }
@@ -479,7 +462,6 @@ impl Model {
     pub fn tallies(&self) -> Tallies {
         Tallies {
             queries: self.queries.iter().filter(|q| q.live).count(),
-            count_queries: self.live(Plane::Count).count(),
             shared_queries: self.live(Plane::Shared).count(),
             grouped_queries: self.live(Plane::Grouped).count(),
             digest_groups: self.groups(Plane::Shared).len() as u64,

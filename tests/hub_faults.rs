@@ -42,11 +42,13 @@ fn all_kinds() -> [AlgorithmKind; 5] {
     ]
 }
 
-/// One count-based query per algorithm kind, shared geometry.
+/// One count-based query per algorithm kind over one window and slide,
+/// at `k`, `k + 1`, …: distinct result classes, so every engine serves.
 fn count_fleet(n: usize, k: usize, s: usize) -> Vec<Query> {
     all_kinds()
         .into_iter()
-        .map(|kind| Query::window(n).top(k).slide(s).algorithm(kind))
+        .enumerate()
+        .map(|(i, kind)| Query::window(n).top(k + i).slide(s).algorithm(kind))
         .collect()
 }
 
@@ -68,7 +70,8 @@ fn sequential_reference(
 }
 
 /// An engine that panics on its first slide — the async-worker poison
-/// pill.
+/// pill. It answers `⟨3, 1, 1⟩`, a count group of its own: no healthy
+/// query shares its slide length.
 #[derive(Debug)]
 struct Bomb {
     spec: WindowSpec,
@@ -77,7 +80,7 @@ struct Bomb {
 impl Bomb {
     fn new() -> Bomb {
         Bomb {
-            spec: WindowSpec::new(4, 1, 2).expect("valid"),
+            spec: WindowSpec::new(3, 1, 1).expect("valid").reduced(),
         }
     }
 }
@@ -103,19 +106,20 @@ impl SlidingTopK for Bomb {
     }
 }
 
-/// Builds a hub with healthy queries on every shard plus one bomb,
+/// Builds a hub with healthy queries on several shards plus one bomb,
 /// detonates it, and returns (hub, bomb id, a healthy id on a different
-/// shard than the bomb's).
+/// shard than the bomb's). A group serves from one shard, so the healthy
+/// fleet spreads over three slide lengths, three groups.
 fn detonated(shards: usize, workers: usize) -> (AsyncHub, QueryId, QueryId) {
     let mut hub = AsyncHub::new(shards, workers);
     let healthy: Vec<QueryId> = (0..shards * 2)
-        .map(|_| {
-            hub.register(&Query::window(4).top(1).slide(2))
+        .map(|i| {
+            hub.register(&Query::window(12).top(1).slide(2 + i % 3))
                 .expect("fresh hub")
         })
         .collect();
     let bomb = hub
-        .subscribe(Registration::count(Box::new(Bomb::new())))
+        .subscribe(Registration::grouped(Box::new(Bomb::new()), 3, 1))
         .expect("fresh hub");
     // enough objects to close a slide everywhere, detonating the bomb
     let batch: Vec<Object> = (0..4).map(|i| Object::new(i, i as f64)).collect();
@@ -258,10 +262,9 @@ fn async_checkpoint_taken_before_a_kill_restores_cleanly() {
     fold_all(&mut sums, drained);
 
     // now the production incident: a poisoned engine joins and detonates
-    hub.subscribe(Registration::count(Box::new(Bomb(
-        WindowSpec::new(4, 1, 2).unwrap(),
-    ))))
-    .expect("registration is healthy");
+    let reduced = WindowSpec::new(4, 1, 2).unwrap().reduced();
+    hub.subscribe(Registration::grouped(Box::new(Bomb(reduced)), 4, 2))
+        .expect("registration is healthy");
     hub.publish(chunks[cut])
         .expect("death is observed at the barrier");
     assert!(matches!(hub.drain(), Err(SapError::ShardDown { .. })));
@@ -380,10 +383,13 @@ fn unknown_engine_is_a_typed_error() {
     }
 
     let mut hub = Hub::new();
-    let q = Query::window(8).top(2).slide(4);
-    hub.subscribe(Registration::count(Box::new(Custom(
-        build_send(&q).expect("valid query"),
-    ))))
+    // ⟨8, 2, 4⟩, whose engine runs its reduction ⟨4, 2, 2⟩
+    let reduced = Query::window(4).top(2).slide(2);
+    hub.subscribe(Registration::grouped(
+        Box::new(Custom(build_send(&reduced).expect("valid query"))),
+        8,
+        4,
+    ))
     .expect("valid registration");
     let ckpt = hub.checkpoint();
     match Hub::restore(&ckpt, &DefaultEngineFactory) {

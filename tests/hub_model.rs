@@ -328,8 +328,7 @@ impl Lane {
                 self.index.insert(id, idx);
                 Ok(())
             }
-            (Err(SapError::PredicateUnsupported), Err(Refusal::PredicateUnsupported))
-            | (Err(SapError::NotTimeBased), Err(Refusal::NotTimeBased))
+            (Err(SapError::NotTimeBased), Err(Refusal::NotTimeBased))
             | (Err(SapError::NotCountBased), Err(Refusal::NotCountBased)) => Ok(()),
             (got, want) => Err(format!("registration returned {got:?}, model {want:?}")),
         }
@@ -345,7 +344,7 @@ impl Lane {
         let id = self.ids[query];
         let view = |s: &HubSession| (s.slides(), s.last_snapshot().to_vec());
         let got = match (&mut self.hub, remove) {
-            (Flavor::Sequential(hub), false) => Ok(hub.any_session(id).map(view)),
+            (Flavor::Sequential(hub), false) => Ok(hub.session(id).map(view)),
             (Flavor::Sequential(hub), true) => hub.unregister(id).map(|s| Some(view(&s))),
             (Flavor::Async(hub), true) => hub.unregister(id).map(|s| Some(view(&s))),
             (Flavor::Async(hub), false) => hub

@@ -10,7 +10,7 @@ use sap::prelude::*;
 
 #[path = "common/checksum.rs"]
 mod checksum;
-use checksum::fold_all;
+use checksum::{fold_all, fold_update, SEED};
 
 /// The class test's stream: ids from 1000, scores folded mod 13.
 fn class_stream(scores: &[u8]) -> Vec<Object> {
@@ -34,22 +34,22 @@ fn gate_stream(scores: &[u8]) -> Vec<Object> {
 
 /// Pins result-class sharing itself, not just its results: on a
 /// slide close, every member of a result class receives a clone of the
-/// **same** `Snapshot` allocation (`Arc::ptr_eq`), while isolated
+/// **same** `Snapshot` allocation (`Arc::ptr_eq`), while standalone
 /// sessions of the same query each materialize their own. Results are
 /// checksum-identical either way.
 #[test]
 fn class_members_share_one_snapshot_allocation() {
     let data = class_stream(&(0..96).map(|i| (i * 5 % 23) as u8).collect::<Vec<_>>());
     let mut classed = Hub::new();
-    let mut isolated = Hub::new();
+    let mut isolated = Vec::new();
     let members = 4usize;
     let query = Query::window(8).top(3).slide(4);
     for _ in 0..members {
         classed.register_grouped(&query).unwrap();
-        isolated.register(&query).unwrap();
+        isolated.push(query.session().unwrap());
     }
     let mut classed_sums = BTreeMap::new();
-    let mut isolated_sums = BTreeMap::new();
+    let mut isolated_sums = vec![SEED; members];
     for chunk in data.chunks(4) {
         let updates = classed.publish(chunk);
         let mut by_slide: BTreeMap<u64, Vec<Snapshot>> = BTreeMap::new();
@@ -70,26 +70,28 @@ fn class_members_share_one_snapshot_allocation() {
         }
         fold_all(&mut classed_sums, updates);
 
-        let updates = isolated.publish(chunk);
         let mut by_slide: BTreeMap<u64, Vec<Snapshot>> = BTreeMap::new();
-        for u in &updates {
-            by_slide
-                .entry(u.result.slide)
-                .or_default()
-                .push(u.result.snapshot.clone());
+        for (session, sum) in isolated.iter_mut().zip(&mut isolated_sums) {
+            for result in session.push(chunk) {
+                by_slide
+                    .entry(result.slide)
+                    .or_default()
+                    .push(result.snapshot.clone());
+                *sum = fold_update(*sum, &result);
+            }
         }
         for (slide, snaps) in &by_slide {
             for snap in &snaps[1..] {
                 assert!(
                     snaps[0].is_empty() || !snaps[0].ptr_eq(snap),
-                    "slide {slide}: isolated sessions each own their snapshot"
+                    "slide {slide}: standalone sessions each own their snapshot"
                 );
             }
         }
-        fold_all(&mut isolated_sums, updates);
     }
     assert_eq!(
-        classed_sums, isolated_sums,
+        classed_sums.values().copied().collect::<Vec<_>>(),
+        isolated_sums,
         "sharing must be result-invisible"
     );
     let stats = classed.stats();
@@ -98,8 +100,6 @@ fn class_members_share_one_snapshot_allocation() {
         stats.class_hits > 0,
         "every close serves 3 members for free"
     );
-    // isolated sessions: nobody rides a shared close
-    assert_eq!(isolated.stats().class_hits, 0);
 }
 
 /// Pins the class accounting across migration: `resize` and
@@ -217,21 +217,23 @@ fn pruned_counter_matches_an_independent_gate_resimulation() {
     let rate = stats.prune_rate();
     assert!((rate - pruned as f64 / (admitted + pruned) as f64).abs() < 1e-12);
 
-    // the isolated plane on the same stream: no gate, same results
-    let mut isolated = Hub::new();
-    isolated
-        .register(&Query::window(24).top(2).slide(s))
-        .unwrap();
-    isolated
-        .register(&Query::window(16).top(3).slide(s))
-        .unwrap();
-    let mut isolated_sums = BTreeMap::new();
+    // standalone sessions on the same stream: no gate, same results
+    let mut isolated = [
+        Query::window(24).top(2).slide(s),
+        Query::window(16).top(3).slide(s),
+    ]
+    .map(|q| q.session().unwrap());
+    let mut isolated_sums = vec![SEED; isolated.len()];
     for chunk in data.chunks(13) {
-        fold_all(&mut isolated_sums, isolated.publish(chunk));
+        for (session, sum) in isolated.iter_mut().zip(&mut isolated_sums) {
+            for result in session.push(chunk) {
+                *sum = fold_update(*sum, &result);
+            }
+        }
     }
     assert_eq!(
         sums.values().copied().collect::<Vec<_>>(),
-        isolated_sums.values().copied().collect::<Vec<_>>(),
-        "arms must be checksum-identical (ids differ, order does not)"
+        isolated_sums,
+        "arms must be checksum-identical"
     );
 }

@@ -58,6 +58,11 @@ def stale_counter(doc):
     doc["records"][0]["counters"]["timed_queries"] = 0
 
 
+def stale_rebuild_counter(doc):
+    """The isolated-count rebuild tally, gone with the isolated path."""
+    doc["records"][0]["counters"]["count_group_rebuilds"] = 0
+
+
 def nan_elapsed(doc):
     doc["records"][0]["elapsed_s"] = float("nan")
 
@@ -104,10 +109,6 @@ def checkpoint_without_async(doc):
 
 def checkpoint_free_restore(doc):
     top(doc, "restored")["metrics"]["restore_ms"] = 0
-
-
-def fanout_rebuild_miscount(doc):
-    top(doc, "isolated")["counters"]["count_group_rebuilds"] += 1
 
 
 def fanout_zero_group_hits(doc):
@@ -161,6 +162,7 @@ def shared_zero_digest_hits(doc):
 CASES = [
     ("async", "shape", missing_counters),
     ("hotpath", "shape", stale_counter),
+    ("fanout", "shape", stale_rebuild_counter),
     ("floor", "finite", nan_elapsed),
     ("prune", "positive", zero_updates),
     ("async", "equivalence", flipped_checksum),
@@ -177,7 +179,6 @@ CASES = [
     ("checkpoint", "checkpoint_arms", checkpoint_without_async),
     ("checkpoint", "checkpoint_cost", checkpoint_free_restore),
     ("fanout", "fanout_arms", lambda d: one_rung(d, "grouped")),
-    ("fanout", "fanout_isolated_rebuilds", fanout_rebuild_miscount),
     ("fanout", "fanout_grouped_sharing", fanout_zero_group_hits),
     ("fanout", "fanout_quiet_sublinear", fanout_linear_quiet),
     ("fanout", "fanout_quiet_floor", fanout_expensive_quiet),

@@ -51,7 +51,6 @@ INT_FIELDS = ("queries", "shards", "workers", "objects", "updates", "checksum")
 FLOAT_FIELDS = ("elapsed_s", "objects_per_sec", "ns_per_object")
 COUNTERS = (
     "queries",
-    "count_queries",
     "shared_queries",
     "digest_groups",
     "digest_hits",
@@ -59,7 +58,6 @@ COUNTERS = (
     "grouped_queries",
     "count_groups",
     "count_group_hits",
-    "count_group_rebuilds",
     "admitted",
     "pruned",
     "result_classes",
@@ -244,19 +242,14 @@ def checkpoint_cost(doc):
 
 
 # --- fanout: the count-group plane's sub-linear ingest ------------------
+# The `isolated` arm serves standalone sessions, the baseline without
+# sharing; its counters report the query count only.
 
 
 def fanout_arms(doc):
     yield from missing_arms(doc, {"isolated", "grouped"})
     if not rows(doc, arm="grouped-async"):
         yield "no grouped-async row"
-
-
-def fanout_isolated_rebuilds(doc):
-    """An isolated count session ticks one rebuild per update."""
-    for r in rows(doc, arm="isolated"):
-        if r["counters"]["count_group_rebuilds"] != r["updates"]:
-            yield f'{label(r)}: {r["counters"]["count_group_rebuilds"]} rebuilds, {r["updates"]} updates'
 
 
 def fanout_grouped_sharing(doc):
@@ -266,8 +259,6 @@ def fanout_grouped_sharing(doc):
             c = r["counters"]
             if c["count_group_hits"] <= 0:
                 yield f"{label(r)}: never hit a count group"
-            if c["count_group_rebuilds"] != 0:
-                yield f'{label(r)}: {c["count_group_rebuilds"]} isolated rebuilds'
             if c["count_groups"] != classes:
                 yield f'{label(r)}: {c["count_groups"]} count groups, the mix has {classes} geometries'
 
@@ -406,7 +397,6 @@ CLAIMS = {
     "checkpoint": [checkpoint_arms, checkpoint_cost],
     "fanout": [
         fanout_arms,
-        fanout_isolated_rebuilds,
         fanout_grouped_sharing,
         fanout_quiet_sublinear,
         fanout_quiet_floor,

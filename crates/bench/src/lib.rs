@@ -17,9 +17,9 @@ use sap_baselines::{KSkyband, MinTopK, NaiveTopK, Sma};
 use sap_core::{Sap, SapConfig};
 use sap_stream::generators::{Dataset, Workload};
 use sap_stream::{
-    checksum_fold, run, AsyncHub, EngineFactory, Hub, HubStats, Ingest, Object, QuerySpec,
-    Registration, RunSummary, SapError, Session, SlideResult, SlidingTopK, TimedObject, TimedSpec,
-    WindowSpec, CHECKSUM_SEED,
+    checksum_fold, run, AsyncHub, EngineFactory, Hub, HubStats, Object, QuerySpec, Registration,
+    RunSummary, SapError, Session, SlideResult, SlidingTopK, TimedObject, TimedSpec, WindowSpec,
+    CHECKSUM_SEED,
 };
 
 mod alloc;
@@ -961,7 +961,7 @@ pub fn mem_kb(summary: &RunSummary) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sap_stream::{ArrivalProcess, QueryId, QueryUpdate, TimedIngest, TimedSession};
+    use sap_stream::{ArrivalProcess, QueryId, QueryUpdate, TimedSession};
 
     #[test]
     fn all_algorithms_instantiate_and_run() {
@@ -1119,20 +1119,15 @@ mod tests {
         let data = Dataset::Stock.generate_timed(3_000, 11, ArrivalProcess::poisson(25.0));
         let feed = Feed::new(Stream::Timed(&data), 250);
         let shared = || mix.iter().map(|(algo, spec)| algo.shared(*spec));
-        // the reference: a standalone Appendix-A adapter per query, fed
+        // the reference: a standalone Appendix-A session per query, fed
         // the same chunks
         let mut hub = serve(Hub::new(), shared());
         let ids: Vec<QueryId> = hub.query_ids().collect();
         let mut sessions: Vec<_> = mix
             .iter()
             .map(|(algo, spec)| {
-                let inner = algo.build(spec.reduced().unwrap());
-                let adapter = sap_core::TimeBased::from_engine(
-                    inner,
-                    spec.window_duration,
-                    spec.slide_duration,
-                );
-                TimedSession::new(adapter.unwrap())
+                let engine = algo.build(spec.reduced().unwrap());
+                TimedSession::new(engine, spec.window_duration, spec.slide_duration).unwrap()
             })
             .collect();
         for chunk in data.chunks(250) {

@@ -17,8 +17,12 @@
 //!   dynamic with the Mann–Whitney rank test (§4.2), and enhanced dynamic
 //!   with TBUI k-unit labelling (§4.3);
 //! * the [`savl::SAvl`] structure (§5.1) and the UBSA segmented
-//!   construction (§5.2);
-//! * a time-based window adapter (Appendix A) in [`time_window`].
+//!   construction (§5.2).
+//!
+//! Time-based windows (Appendix A) need no engine of their own: SAP
+//! answers one by running over the reduced stream of each slide's top-k,
+//! which `sap_stream` builds (its `digest` module, driven by
+//! `TimedSession` and the hubs' slide groups).
 //!
 //! ```
 //! use sap_core::{Sap, SapConfig};
@@ -38,13 +42,9 @@ pub mod engine;
 pub mod meaningful;
 pub mod partition;
 pub mod savl;
-pub mod time_window;
 pub mod topk_buffer;
 pub mod units;
 
 pub use config::{MeaningfulMode, PartitionPolicy, SapConfig};
 pub use engine::Sap;
-pub use time_window::{
-    reduced_spec, DigestProducer, SharedTimed, TimeBased, TimeBasedSap, TimedObject,
-};
 pub use topk_buffer::TopKBuffer;

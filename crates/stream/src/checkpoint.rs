@@ -39,7 +39,7 @@
 //! ```
 //! use sap_stream::checkpoint::EngineFactory;
 //! use sap_stream::session::Hub;
-//! use sap_stream::{Ingest, Object, Registration, SapError, SlidingTopK, WindowSpec};
+//! use sap_stream::{Object, Registration, SapError, SlidingTopK, WindowSpec};
 //! # use sap_stream::metrics::OpStats;
 //! # use sap_stream::object::top_k_of;
 //! # struct Toy { spec: WindowSpec, window: Vec<Object>, result: Vec<Object> }

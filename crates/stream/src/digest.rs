@@ -23,11 +23,11 @@
 //!   and the hubs re-emit the previous snapshot without translating or
 //!   diffing.
 //!
-//! `sap_core`'s `TimeBased<E>` is one producer wired to one consumer; the
-//! hubs wire one producer to *many* consumers (see
-//! `Registration::shared`), which is where the shared plane earns
-//! its keep: 500 queries over 4 slide durations cost 4 truncation passes
-//! per slide instead of 500.
+//! A standalone [`TimedSession`](crate::session::TimedSession) is one
+//! producer wired to one consumer; the hubs wire one producer to *many*
+//! consumers (see `Registration::shared`), which is where the shared
+//! plane earns its keep: 500 queries over 4 slide durations cost 4
+//! truncation passes per slide instead of 500.
 //!
 //! The **count-group plane** (`Registration::grouped`, which every
 //! count registration is) rides the same two types from the count-based
@@ -82,7 +82,7 @@ pub(crate) fn result_order(a: &TimedObject, b: &TimedObject) -> std::cmp::Orderi
 
 /// A borrowed view of a slide the producer is closing *right now*: one
 /// closed slide's top-`k_max` objects, valid only inside a
-/// [`DigestProducer::close_slide_with`] callback. `TimeBased<E>` (one
+/// [`DigestProducer::close_slide_with`] callback. A `TimedSession` (one
 /// producer, one consumer) and the hubs (one producer, every result class
 /// of a group) apply the view inside the close, so nothing is
 /// materialized per slide.
@@ -116,7 +116,7 @@ impl DigestView<'_> {
 /// [`grow_k_max`](DigestProducer::grow_k_max) is exact at any point:
 /// truncation happens at close time, never earlier. Slide boundaries are
 /// global multiples of `slide_duration` starting at time 0, which is what
-/// lets every producer (and every standalone `TimeBased` adapter) with
+/// lets every producer (a standalone `TimedSession`'s included) with
 /// the same `slide_duration` agree on slide indices.
 #[derive(Debug)]
 pub struct DigestProducer {
@@ -460,8 +460,8 @@ impl<E: SlidingTopK> SharedTimed<E> {
     /// exactly `w` synthetic objects, advances the wrapped engine by one
     /// reduced-stream slide, and translates the emission back to the
     /// caller's objects. Slides must arrive gap-free in slide order, from
-    /// a producer with `k_max ≥ w` — the hubs and `TimeBased` guarantee
-    /// both.
+    /// a producer with `k_max ≥ w` — the hubs and `TimedSession`
+    /// guarantee both.
     ///
     /// Returns a borrow of the consumer's retained result (valid until
     /// the next apply), or `None` when the engine proved its top-k
@@ -596,6 +596,16 @@ impl<E: SlidingTopK> SharedTimed<E> {
         Ok(())
     }
 
+    /// The real objects of the retained window, newest first, each with
+    /// its age in slides: 0 for the slide applied last. A restore checks
+    /// them against the group that will translate them.
+    pub(crate) fn window_by_age(&self) -> impl Iterator<Item = (u64, &TimedObject)> {
+        let width = self.width as u64;
+        (0..)
+            .zip(self.ring.iter().rev())
+            .filter_map(move |(i, slot)| Some((i / width, slot.as_ref()?)))
+    }
+
     /// Relabels the caller ids in the retained window and result `by`
     /// later — an arrival-clock consumer's objects carry its group's
     /// ordinals, which [`DigestProducer::shift`] moves.
@@ -625,6 +635,7 @@ impl<E: SlidingTopK> SharedTimed<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::Toy;
 
     fn obj(id: u64, timestamp: u64, score: f64) -> TimedObject {
         TimedObject {
@@ -696,61 +707,21 @@ mod tests {
         assert!(!p.is_pristine(), "closed slides end pristineness");
     }
 
-    /// Reference count-based engine over the reduced spec.
-    struct Toy {
-        spec: WindowSpec,
-        window: Vec<Object>,
-        result: Vec<Object>,
-    }
-
-    impl Toy {
-        fn reduced(wd: u64, sd: u64, k: usize) -> Self {
-            Toy {
-                spec: TimedSpec::new(wd, sd, k).unwrap().reduced().unwrap(),
-                window: Vec::new(),
-                result: Vec::new(),
-            }
-        }
-    }
-
-    impl SlidingTopK for Toy {
-        fn spec(&self) -> WindowSpec {
-            self.spec
-        }
-        fn slide(&mut self, batch: &[Object]) -> &[Object] {
-            self.window.extend_from_slice(batch);
-            let excess = self.window.len().saturating_sub(self.spec.n);
-            self.window.drain(..excess);
-            self.result = crate::object::top_k_of(&self.window, self.spec.k);
-            &self.result
-        }
-        fn candidate_count(&self) -> usize {
-            0
-        }
-        fn memory_bytes(&self) -> usize {
-            0
-        }
-        fn stats(&self) -> OpStats {
-            OpStats::default()
-        }
-        fn name(&self) -> &str {
-            "toy"
-        }
+    /// `Toy` over the Appendix-A reduction of `W⟨wd, sd⟩` top-`k`.
+    fn reduced(wd: u64, sd: u64, k: usize) -> Toy {
+        let spec = TimedSpec::new(wd, sd, k).unwrap().reduced().unwrap();
+        Toy::new(spec.n, spec.k, spec.s)
     }
 
     #[test]
     fn consumer_validates_the_reduction() {
         // ⟨100, 5, 10⟩ is not the reduction of W⟨100, 10⟩ for k = 5
-        let wrong = Toy {
-            spec: WindowSpec::new(100, 5, 10).unwrap(),
-            window: Vec::new(),
-            result: Vec::new(),
-        };
+        let wrong = Toy::new(100, 5, 10);
         assert!(matches!(
             SharedTimed::from_engine(wrong, 100, 10),
             Err(SpecError::ReducedSpecMismatch { .. })
         ));
-        let right = Toy::reduced(100, 10, 5);
+        let right = reduced(100, 10, 5);
         let c = SharedTimed::from_engine(right, 100, 10).unwrap();
         assert_eq!(c.k(), 5);
         assert_eq!(c.window_duration(), 100);
@@ -763,8 +734,8 @@ mod tests {
     fn consumer_slices_its_own_k_from_a_deeper_digest() {
         // one producer at k_max = 3 serves consumers with k = 1 and k = 3
         let mut producer = DigestProducer::new(10, 3);
-        let mut narrow = SharedTimed::from_engine(Toy::reduced(20, 10, 1), 20, 10).unwrap();
-        let mut wide = SharedTimed::from_engine(Toy::reduced(20, 10, 3), 20, 10).unwrap();
+        let mut narrow = SharedTimed::from_engine(reduced(20, 10, 1), 20, 10).unwrap();
+        let mut wide = SharedTimed::from_engine(reduced(20, 10, 3), 20, 10).unwrap();
         for o in [obj(0, 1, 5.0), obj(1, 2, 9.0), obj(2, 3, 7.0)] {
             assert!(ingest(&mut producer, o).is_empty());
         }

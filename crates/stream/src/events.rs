@@ -22,8 +22,10 @@
 //!   spill to a `Vec`.
 //!
 //! When the engine can prove the result did not change (SAP's `dirty`
-//! flag, see `sap_core`), the delta is the single [`TopKEvent::Unchanged`]
-//! marker produced in `O(1)` without any comparison.
+//! flag, see `sap_core`, surfaced through
+//! [`SlidingTopK::slide_if_changed`](crate::window::SlidingTopK::slide_if_changed)),
+//! the sessions emit the single [`TopKEvent::Unchanged`] marker in
+//! `O(1)` without calling [`diff_snapshots`] at all.
 //!
 //! ```
 //! use sap_stream::{diff_snapshots, Object, TopKEvent};
@@ -31,7 +33,7 @@
 //! let prev = vec![Object::new(1, 5.0)];
 //! let next = vec![Object::new(2, 6.0)];
 //! assert_eq!(
-//!     diff_snapshots(&prev, &next, false),
+//!     diff_snapshots(&prev, &next),
 //!     vec![TopKEvent::Exited(prev[0]), TopKEvent::Entered(next[0])]
 //! );
 //! ```
@@ -406,8 +408,8 @@ impl SlideResult {
 }
 
 /// Reusable id buffers for [`diff_snapshots_into`]: two sorted-id lists
-/// that would otherwise be allocated per diffed slide. Owned by each
-/// session's `SlideScratch`, cleared (capacity retained) on every use —
+/// that would otherwise be allocated per diffed slide. Every session and
+/// result class owns one, cleared (capacity retained) on every use —
 /// after warm-up the diff runs entirely on recycled memory.
 #[derive(Debug, Default)]
 pub struct DiffScratch {
@@ -419,23 +421,17 @@ pub struct DiffScratch {
 /// `events`, borrowing `scratch` for the membership index instead of
 /// allocating — the pooled core of [`diff_snapshots`].
 ///
-/// `known_unchanged` short-circuits the diff: when the algorithm has
-/// already proved the result identical (e.g. SAP's clean `dirty` flag),
-/// the comparison is skipped entirely and `[Unchanged]` is produced —
-/// this is the `O(1)` path for quiet slides. Without that proof the two
-/// snapshots are diffed by object id in `O(k)`.
-///
-/// `events` is cleared first; with at most [`EventList::INLINE`] deltas
-/// the call performs **zero** allocations after scratch warm-up.
+/// The two snapshots are diffed by object id in `O(k)`. `events` is
+/// cleared first; with at most [`EventList::INLINE`] deltas the call
+/// performs **zero** allocations after scratch warm-up.
 pub fn diff_snapshots_into(
     prev: &[Object],
     next: &[Object],
-    known_unchanged: bool,
     scratch: &mut DiffScratch,
     events: &mut EventList,
 ) {
     events.clear();
-    if known_unchanged || prev == next {
+    if prev == next {
         if !(next.is_empty() && prev.is_empty()) {
             events.push(TopKEvent::Unchanged);
         }
@@ -473,10 +469,10 @@ pub fn diff_snapshots_into(
 /// Convenience wrapper over [`diff_snapshots_into`] that allocates its
 /// own scratch — fine for one-off comparisons; the sessions use the
 /// pooled form on their hot path.
-pub fn diff_snapshots(prev: &[Object], next: &[Object], known_unchanged: bool) -> Vec<TopKEvent> {
+pub fn diff_snapshots(prev: &[Object], next: &[Object]) -> Vec<TopKEvent> {
     let mut scratch = DiffScratch::default();
     let mut events = EventList::new();
-    diff_snapshots_into(prev, next, known_unchanged, &mut scratch, &mut events);
+    diff_snapshots_into(prev, next, &mut scratch, &mut events);
     events.as_slice().to_vec()
 }
 
@@ -506,7 +502,7 @@ mod tests {
     #[test]
     fn first_emission_is_all_entered() {
         let next = vec![o(3, 9.0), o(1, 5.0)];
-        let ev = diff_snapshots(&[], &next, false);
+        let ev = diff_snapshots(&[], &next);
         assert_eq!(
             ev,
             vec![TopKEvent::Entered(next[0]), TopKEvent::Entered(next[1])]
@@ -517,7 +513,7 @@ mod tests {
     fn churn_reports_exits_then_entries() {
         let prev = vec![o(3, 9.0), o(1, 5.0)];
         let next = vec![o(4, 11.0), o(3, 9.0)];
-        let ev = diff_snapshots(&prev, &next, false);
+        let ev = diff_snapshots(&prev, &next);
         assert_eq!(
             ev,
             vec![TopKEvent::Exited(prev[1]), TopKEvent::Entered(next[0])]
@@ -527,27 +523,12 @@ mod tests {
     #[test]
     fn identical_snapshots_are_unchanged() {
         let snap = vec![o(3, 9.0)];
-        assert_eq!(
-            diff_snapshots(&snap, &snap, false),
-            vec![TopKEvent::Unchanged]
-        );
-    }
-
-    #[test]
-    fn known_unchanged_skips_diff() {
-        // deliberately different slices: the caller's proof wins
-        let prev = vec![o(3, 9.0)];
-        let next = vec![o(3, 9.0)];
-        assert_eq!(
-            diff_snapshots(&prev, &next, true),
-            vec![TopKEvent::Unchanged]
-        );
+        assert_eq!(diff_snapshots(&snap, &snap), vec![TopKEvent::Unchanged]);
     }
 
     #[test]
     fn empty_to_empty_has_no_events() {
-        assert!(diff_snapshots(&[], &[], false).is_empty());
-        assert!(diff_snapshots(&[], &[], true).is_empty());
+        assert!(diff_snapshots(&[], &[]).is_empty());
         let r = SlideResult {
             slide: 0,
             snapshot: Snapshot::empty(),
@@ -563,7 +544,7 @@ mod tests {
         let r = SlideResult {
             slide: 7,
             snapshot: Snapshot::from(next.clone()),
-            events: diff_snapshots(&prev, &next, false).into(),
+            events: diff_snapshots(&prev, &next).into(),
         };
         assert!(r.changed());
         assert_eq!(r.entered().copied().collect::<Vec<_>>(), next);
@@ -648,15 +629,15 @@ mod tests {
         let mut events = EventList::unchanged();
         let prev = vec![o(1, 5.0), o(2, 4.0)];
         let next = vec![o(3, 6.0), o(1, 5.0)];
-        diff_snapshots_into(&prev, &next, false, &mut scratch, &mut events);
+        diff_snapshots_into(&prev, &next, &mut scratch, &mut events);
         assert_eq!(
             events,
             vec![TopKEvent::Exited(o(2, 4.0)), TopKEvent::Entered(o(3, 6.0))]
         );
         // a second diff on the same scratch must not leak prior state
-        diff_snapshots_into(&next, &next, false, &mut scratch, &mut events);
+        diff_snapshots_into(&next, &next, &mut scratch, &mut events);
         assert!(events.is_unchanged());
-        diff_snapshots_into(&[], &[], false, &mut scratch, &mut events);
+        diff_snapshots_into(&[], &[], &mut scratch, &mut events);
         assert!(events.is_empty());
     }
 
@@ -666,9 +647,6 @@ mod tests {
         // stay honest about membership-only comparison
         let prev = vec![o(1, 5.0), o(2, 5.0)];
         let next = vec![o(2, 5.0), o(1, 5.0)];
-        assert_eq!(
-            diff_snapshots(&prev, &next, false),
-            vec![TopKEvent::Unchanged]
-        );
+        assert_eq!(diff_snapshots(&prev, &next), vec![TopKEvent::Unchanged]);
     }
 }

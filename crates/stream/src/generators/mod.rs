@@ -116,7 +116,7 @@ pub trait Workload {
     /// Generates `len` **timestamped** objects: the same scores as
     /// [`generate`](Workload::generate) (same `seed`, same ids), with
     /// arrival times drawn from `arrival`. Input for the time-based query
-    /// model (`Hub::publish_timed`, `TimedIngest`).
+    /// model (`Hub::publish_timed`, `TimedSession::push_timed`).
     fn generate_timed(&self, len: usize, seed: u64, arrival: ArrivalProcess) -> Vec<TimedObject> {
         let times = arrival.timestamps(len, seed);
         self.generate(len, seed)

@@ -16,9 +16,11 @@
 //! * the instrumented [`driver`] that feeds a stream through an algorithm
 //!   and records time, candidate counts, and memory;
 //! * the **query-session layer**: the fluent [`Query`] builder and unified
-//!   [`SapError`], flexible standalone ingestion
-//!   ([`Ingest`]/[`Session`], [`TimedIngest`]/[`TimedSession`]) that
-//!   re-chunks arbitrary-size pushes into slides, the multi-query [`Hub`]
+//!   [`SapError`], the standalone [`Session`] that re-chunks
+//!   arbitrary-size pushes into slides and its event-time counterpart
+//!   [`TimedSession`] (SAP's Appendix-A reduction: one
+//!   [`DigestProducer`] wired to one [`SharedTimed`] consumer), the
+//!   multi-query [`Hub`]
 //!   serving many standing queries over one stream (each registered
 //!   through one [`Registration`] value and served as a
 //!   [`GroupSession`]), and typed [`TopKEvent`] result deltas;
@@ -79,8 +81,9 @@
 //!   units*, sliding every `s` time units (Appendix A), where the number
 //!   of objects per slide varies with the arrival rate and empty slides
 //!   are real slides. Timed streams enter through
-//!   [`Hub::publish_timed`]/[`TimedIngest`], and quiescence is published
-//!   by raising the event-time watermark ([`Hub::advance_time`]).
+//!   [`Hub::publish_timed`]/[`TimedSession::push_timed`], and quiescence
+//!   is published by raising the event-time watermark
+//!   ([`Hub::advance_time`]/[`TimedSession::advance_watermark`]).
 //!
 //! ```
 //! use sap_stream::{Query, WindowSpec};
@@ -127,7 +130,7 @@ pub use predicate::Predicate;
 pub use query::{AlgorithmKind, Query, QuerySpec, SapError, SapPolicy, TimedSpec};
 pub use registry::{HubStats, Registration};
 pub use session::{
-    Clock, GroupSession, Hub, HubSession, QueryId, QueryUpdate, Session, SlideScratch, TimedSession,
+    Clock, GroupSession, Hub, HubSession, QueryId, QueryUpdate, Session, TimedSession,
 };
 pub use shard::QueryState;
-pub use window::{Ingest, SlidingTopK, SpecError, TimedIngest, TimedTopK, WindowSpec};
+pub use window::{SlidingTopK, SpecError, WindowSpec};

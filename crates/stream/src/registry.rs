@@ -94,11 +94,11 @@ use std::collections::{HashMap, VecDeque};
 
 use crate::checkpoint::{tags, CheckpointError, Decoder, Encoder};
 use crate::digest::{result_order, DigestProducer, DigestView, SharedTimed};
-use crate::events::{EventList, SlideResult, Snapshot, TopKEvent};
+use crate::events::{EventList, SlideResult, Snapshot};
 use crate::object::{Object, TimedObject};
 use crate::predicate::{Predicate, PruneGate};
 use crate::query::{SapError, TimedSpec};
-use crate::session::{close_staged, Clock, GroupSession, QueryId, QueryUpdate, SlideScratch};
+use crate::session::{Clock, GroupSession, QueryId, QueryUpdate, SlideScratch};
 use crate::window::{SlidingTopK, WindowSpec};
 
 /// A point-in-time summary of a hub's registered queries and how much
@@ -537,7 +537,7 @@ enum GroupClock {
     /// Arrival ordinals: the producer runs on group ordinals, used as
     /// both id and timestamp, so the one truncation tie-break — equal
     /// scores to the higher id — lands on arrival recency, exactly like
-    /// a standalone [`Session`]'s.
+    /// a standalone [`Session`](crate::session::Session)'s.
     Arrival(Arrivals),
 }
 
@@ -594,11 +594,10 @@ impl GroupClock {
         }
     }
 
-    /// The id translation at a close: `top` in the caller's ids, into
-    /// `out`. Arrival-clock objects carry ordinals, which the ring maps
+    /// The id translation at a close: `top` in the caller's ids, appended
+    /// to `out`. Arrival-clock objects carry ordinals, which the ring maps
     /// back to the ids they were published with.
     fn translate(&self, top: &[TimedObject], out: &mut Vec<Object>) {
-        out.clear();
         match self {
             GroupClock::Event => out.extend(top.iter().map(TimedObject::untimed)),
             GroupClock::Arrival(a) => out.extend(
@@ -690,7 +689,7 @@ impl<C: SlidingTopK> Group<C> {
             consumer,
             members: vec![id],
             prev: member.last_snapshot_shared(),
-            scratch: SlideScratch::new(),
+            scratch: SlideScratch::default(),
             events: EventList::new(),
         });
     }
@@ -963,20 +962,18 @@ impl<C: SlidingTopK> Class<C> {
     }
 
     /// The class-level half of a close: one reduction, one id
-    /// translation, one diff — whatever the class's member count. When
-    /// the engine proves its top-k unchanged, the close re-emits `prev`
-    /// with `[Unchanged]` and skips the translation and the diff.
+    /// translation, one diff — whatever the class's member count — through
+    /// the sessions' one close routine ([`SlideScratch::close`]). When the
+    /// engine proves its top-k unchanged, the close re-emits `prev` with
+    /// `[Unchanged]` and skips the translation and the diff.
     fn close(&mut self, view: DigestView<'_>, clock: &GroupClock) -> Snapshot {
-        let slide = view.slide - self.join_slide;
-        let Some(top) = self.consumer.apply_slide_top(slide, view.top) else {
-            self.events.clear();
-            if !self.prev.is_empty() {
-                self.events.push(TopKEvent::Unchanged);
-            }
-            return self.prev.clone();
-        };
-        clock.translate(top, &mut self.scratch.snapshot);
-        close_staged(&mut self.prev, &mut self.scratch, &mut self.events)
+        let top = self
+            .consumer
+            .apply_slide_top(view.slide - self.join_slide, view.top);
+        self.scratch
+            .close(&mut self.prev, &mut self.events, top, |top, out| {
+                clock.translate(top, out)
+            })
     }
 }
 
@@ -1060,8 +1057,8 @@ impl Counters {
 pub(crate) struct Registry<C: SlidingTopK> {
     sessions: Vec<(QueryId, GroupSession<C>)>,
     /// Ascending indices into `sessions` of the entries every publish and
-    /// watermark call serves directly — see [`needs_call`] and the
-    /// module docs on per-call cost. Walking it in order is registration
+    /// watermark call serves directly: the warming members (see the
+    /// module docs on per-call cost). Walking it in order is registration
     /// order.
     solo: Vec<usize>,
     /// Live group id → group. Ids are opaque registry-local handles,
@@ -1266,9 +1263,17 @@ impl<C: SlidingTopK> RegistryParts<C> {
                             "slide group shallower than a member's k",
                         ));
                     }
-                    if m.is_warming_up() && m.consumer().is_none() {
+                    let next = group.producer.next_slide();
+                    let in_step = if m.is_warming_up() {
+                        m.warms_in_step(next)
+                    } else {
+                        // a member in step with its group applies every
+                        // slide the group closes
+                        m.consumer().is_none_or(|c| c.slides_applied() == next)
+                    };
+                    if !in_step {
                         return Err(CheckpointError::Corrupt(
-                            "warming shared member without its consumer",
+                            "shared member out of step with its producers",
                         ));
                     }
                     index
@@ -1308,6 +1313,21 @@ impl<C: SlidingTopK> RegistryParts<C> {
                         if consumer.slides_applied() != next - m.join_slide() {
                             return Err(CheckpointError::Corrupt(
                                 "count-group member out of step with its group",
+                            ));
+                        }
+                        // the group translates every object the member
+                        // emits through its id ring: each must carry an
+                        // ordinal of the slide that brought it, in the ring
+                        let sd = m.slide();
+                        let GroupClock::Arrival(a) = &group.clock else {
+                            unreachable!("filtered to the arrival clock")
+                        };
+                        if consumer.window_by_age().any(|(age, o)| {
+                            !(a.ring_base..a.next_ordinal).contains(&o.id)
+                                || next.checked_sub(age + 1) != Some(o.id / sd)
+                        }) {
+                            return Err(CheckpointError::Corrupt(
+                                "count-group member holds an ordinal outside its slide",
                             ));
                         }
                     }
@@ -1360,6 +1380,18 @@ impl<C: SlidingTopK> RegistryParts<C> {
             if a.ring_base + a.ring.len() as u64 != a.next_ordinal {
                 return Err(CheckpointError::Corrupt(
                     "count-group ring disagrees with its producer",
+                ));
+            }
+            // the open slide buffers ordinals it observed, in the ring
+            let open = slide_start.max(a.ring_base)..a.next_ordinal;
+            if group
+                .producer
+                .pending()
+                .iter()
+                .any(|o| !open.contains(&o.id))
+            {
+                return Err(CheckpointError::Corrupt(
+                    "count-group open slide holds an ordinal it never observed",
                 ));
             }
             // the ring must reach back far enough to translate every

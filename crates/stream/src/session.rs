@@ -2,40 +2,44 @@
 //!
 //! A [`Session`] wraps one algorithm instance and lifts it from the
 //! paper's lock-step batch model (`slide(&[Object])` with exactly `s`
-//! objects) to flexible ingestion: arbitrary-size [`push`](Ingest::push)
-//! calls are buffered and re-chunked into `s`-aligned slides, and every
-//! completed slide yields a [`SlideResult`] — snapshot plus
-//! [`TopKEvent`](crate::events::TopKEvent) deltas against the previous
-//! emission.
+//! objects) to flexible ingestion: arbitrary-size
+//! [`push`](Session::push) calls are buffered and re-chunked into
+//! `s`-aligned slides, and every completed slide yields a
+//! [`SlideResult`] — snapshot plus [`TopKEvent`] deltas against the
+//! previous emission.
+//!
+//! A [`TimedSession`] answers a time-based query on event time. It runs
+//! SAP's Appendix-A reduction itself: a private [`DigestProducer`] cuts
+//! each closed slide to its top-`k`, and a [`SharedTimed`] consumer
+//! feeds that reduced stream to a count-based engine.
 //!
 //! A [`Hub`] serves many standing queries at once — the regime of
 //! *Continuous Top-k Queries over Real-Time Web Streams*, where millions
 //! of standing subscriptions share one ingestion path. Queries register
 //! and unregister at runtime via [`QueryId`] handles; each arriving
 //! object is ingested once per sharing-plane group, and results come
-//! back tagged with the query that produced them.
-//!
-//! Time-based queries have the same shape one type over:
-//! [`TimedSession`] wraps a [`TimedTopK`] engine and closes slides on
-//! timestamps instead of arrival counts. [`Session`] and [`TimedSession`]
-//! are the standalone API; both hubs serve every query from its group
-//! instead, as a [`GroupSession`] — on the arrival clock for a
-//! count-based query, on the event clock for a time-based one (see
+//! back tagged with the query that produced them. [`Session`] and
+//! [`TimedSession`] are the standalone API; both hubs serve every query
+//! from its group instead, as a [`GroupSession`] — on the arrival clock
+//! for a count-based query, on the event clock for a time-based one (see
 //! [`Hub::publish_timed`]).
 //!
 //! ## Memory discipline
 //!
 //! Slide completion is the publish path's innermost loop — at hundreds of
 //! standing queries it runs thousands of times per published chunk — so
-//! every session keeps a [`SlideScratch`] and emits
-//! [`Snapshot`]-shared results: a completed
-//! slide performs **at most one** allocation (the shared `Arc` snapshot,
-//! only when the result actually changed) and a quiet slide performs
-//! none, re-emitting the previous `Arc`. See the
-//! [`events`](crate::events) module for the snapshot contract.
+//! every session, warming member and result class closes its slides
+//! through one routine on pooled buffers and emits [`Snapshot`]-shared
+//! results: a completed slide performs **at most one** allocation (the
+//! shared `Arc` snapshot, only when the result actually changed) and a
+//! quiet slide performs none, re-emitting the previous `Arc`. When the
+//! engine proves its top-k unchanged
+//! ([`SlidingTopK::slide_if_changed`]), the close skips the diff as
+//! well. See the [`events`](crate::events) module for the snapshot
+//! contract.
 //!
 //! ```
-//! use sap_stream::{Hub, Ingest, Object, Registration};
+//! use sap_stream::{Hub, Object, Registration};
 //! # use sap_stream::{OpStats, SlidingTopK, WindowSpec};
 //! # struct Toy(WindowSpec, Vec<Object>);
 //! # impl SlidingTopK for Toy {
@@ -61,130 +65,113 @@ use crate::checkpoint::{
     tags, Checkpoint, CheckpointError, DecodeState, Decoder, EncodeState, Encoder, EngineFactory,
 };
 use crate::digest::{DigestProducer, DigestView, SharedTimed};
-use crate::events::{diff_snapshots_into, EventList, SlideResult, Snapshot};
+use crate::events::{
+    diff_snapshots_into, DiffScratch, EventList, SlideResult, Snapshot, TopKEvent,
+};
 use crate::object::{Object, TimedObject};
 use crate::predicate::Predicate;
-use crate::query::SapError;
+use crate::query::{SapError, TimedSpec};
 use crate::registry::{HubRegistry, HubStats, Registration, Registry};
 use crate::shard::decode_hub_checkpoint;
-use crate::window::{Ingest, SlidingTopK, TimedIngest, TimedTopK, WindowSpec};
+use crate::window::{SlidingTopK, SpecError, WindowSpec};
 
-/// Reusable per-session buffers for slide completion — the pooled half of
-/// the zero-allocation publish path.
-///
-/// Every session owns one `SlideScratch` and recycles it across slides:
-///
-/// * the **snapshot stage**: the buffer a slide's translated top-k is
-///   built into before it is either published as a fresh
-///   [`Snapshot`] (one `Arc` allocation, only
-///   when the result changed) or discarded in favour of re-emitting the
-///   previous `Arc` (a quiet slide — zero allocations);
-/// * the **diff scratch**: the two sorted-id buffers
-///   [`diff_snapshots_into`] borrows
-///   instead of allocating per slide.
-///
-/// After the first few slides warm the buffers to their steady-state
-/// capacity, completing a slide performs **zero transient allocations**:
-/// the only heap activity left is the emitted `Arc` snapshot itself, and
-/// only on slides whose result changed. The allocation-regression test
-/// (`tests/alloc_regression.rs`) pins this invariant, and the
-/// `experiments hotpath` bench preset measures it end to end.
+/// Pooled buffers for closing slides — the pooled half of the
+/// zero-allocation publish path. Every standalone session, warming
+/// member and result class owns one and recycles it across slides: the
+/// build buffer a slide's snapshot is staged into, and the two
+/// sorted-id buffers [`diff_snapshots_into`] borrows. After the first
+/// few slides warm them to their steady-state capacity, a close performs
+/// no transient allocation: the only heap activity left is the emitted
+/// `Arc` snapshot of a *changed* result. `tests/alloc_regression.rs`
+/// pins this, and the `experiments hotpath` bench preset measures it end
+/// to end.
 #[derive(Debug, Default)]
-pub struct SlideScratch {
-    /// Build buffer for the slide's translated snapshot.
-    pub(crate) snapshot: Vec<Object>,
-    /// Sorted-id membership buffers for the delta diff.
-    pub(crate) diff: crate::events::DiffScratch,
+pub(crate) struct SlideScratch {
+    snapshot: Vec<Object>,
+    diff: DiffScratch,
 }
 
 impl SlideScratch {
-    /// Fresh, empty scratch (buffers grow to steady-state capacity over
-    /// the first slides and are then recycled).
-    pub fn new() -> Self {
-        SlideScratch::default()
-    }
-
-    /// Stages the untimed view of a timed snapshot into the build buffer.
-    pub(crate) fn stage_timed(&mut self, snapshot: &[TimedObject]) {
+    /// The one slide-close routine, shared by [`Session`],
+    /// [`TimedSession`], a warming [`GroupSession`] and the registry's
+    /// result classes: turns the engine's new top-k into the emitted
+    /// [`Snapshot`] and its delta `events` against `prev`, and advances
+    /// `prev`.
+    ///
+    /// `top` is `None` when the engine proved its top-k unchanged
+    /// ([`SlidingTopK::slide_if_changed`]): the close re-emits `prev` with
+    /// `[Unchanged]` in `O(1)`, without staging or diffing. Otherwise
+    /// `stage` writes `top` in the caller's ids into the cleared build
+    /// buffer and the two are diffed in `O(k)`. A slide provably
+    /// identical to the previous one — empty to empty, or byte-equal —
+    /// still re-emits the previous `Arc`, so quiet slides allocate
+    /// nothing; a changed one materializes into one fresh shared `Arc`.
+    /// The content check matters beyond saving the allocation: the delta
+    /// pairs objects by external id, so a caller who reuses an id inside
+    /// one window (the docs ask for uniqueness, but nothing rejects it)
+    /// can produce an `[Unchanged]` delta over *changed* contents — the
+    /// emitted snapshot must still be the fresh one.
+    pub(crate) fn close<T>(
+        &mut self,
+        prev: &mut Snapshot,
+        events: &mut EventList,
+        top: Option<&[T]>,
+        stage: impl FnOnce(&[T], &mut Vec<Object>),
+    ) -> Snapshot {
+        let Some(top) = top else {
+            events.clear();
+            if !prev.is_empty() {
+                events.push(TopKEvent::Unchanged);
+            }
+            return prev.clone();
+        };
         self.snapshot.clear();
-        self.snapshot
-            .extend(snapshot.iter().map(TimedObject::untimed));
+        stage(top, &mut self.snapshot);
+        diff_snapshots_into(prev, &self.snapshot, &mut self.diff, events);
+        let identical = events.is_empty()
+            || (events.is_unchanged() && prev.as_slice() == self.snapshot.as_slice());
+        if !identical {
+            *prev = Snapshot::from_slice(&self.snapshot);
+        }
+        prev.clone()
     }
 }
 
-/// The one slide-emission routine shared by every session flavor:
-/// converts the snapshot staged in `scratch` into a [`SlideResult`]
-/// against `prev`, advancing the slide counter.
-///
-/// `known_unchanged` is the engine's `O(1)` no-change proof (SAP's
-/// `dirty` flag); with it the diff is skipped outright. When the slide
-/// is *provably* identical to the previous one — the engine's proof, an
-/// empty-to-empty slide, or a byte-equal snapshot — the previous `Arc`
-/// is re-emitted, so quiet slides allocate nothing; otherwise the staged
-/// buffer materializes into one fresh shared `Arc`. The content check
-/// matters beyond saving the allocation: the delta diff pairs objects by
-/// external id, so a caller who reuses an id inside one window (the docs
-/// ask for uniqueness, but nothing rejects it) can produce an
-/// `[Unchanged]` delta over *changed* contents — the emitted snapshot
-/// must still be the fresh one.
-fn emit_staged(
+/// The one step from a slide a private producer closed to an emission —
+/// a [`TimedSession`]'s, or a warming [`GroupSession`]'s: applies `view`
+/// to `consumer`, closes the slide against `prev`, and numbers it
+/// `*slides`.
+fn emit_view<C: SlidingTopK>(
+    view: DigestView<'_>,
+    consumer: &mut SharedTimed<C>,
+    scratch: &mut SlideScratch,
     prev: &mut Snapshot,
     slides: &mut u64,
-    scratch: &mut SlideScratch,
-    known_unchanged: bool,
 ) -> SlideResult {
+    let top = consumer.apply_slide_top(view.slide, view.top);
     let mut events = EventList::new();
-    diff_snapshots_into(
-        prev,
-        &scratch.snapshot,
-        known_unchanged,
-        &mut scratch.diff,
-        &mut events,
-    );
-    let proven_identical = known_unchanged
-        || events.is_empty()
-        || (events.is_unchanged() && prev.as_slice() == scratch.snapshot.as_slice());
-    let snapshot = if proven_identical {
-        prev.clone()
-    } else {
-        Snapshot::from_slice(&scratch.snapshot)
-    };
-    let result = SlideResult {
-        slide: *slides,
-        snapshot: snapshot.clone(),
-        events,
-    };
-    *prev = snapshot;
+    let snapshot = scratch.close(prev, &mut events, top, |top, out| {
+        out.extend(top.iter().map(TimedObject::untimed))
+    });
     *slides += 1;
-    result
-}
-
-/// The class-level half of [`emit_staged`]: turns the snapshot staged in
-/// `scratch` into one shared [`Snapshot`] plus the delta `events`,
-/// advancing the class's `prev` — identical proven-identical logic, but
-/// without a slide counter or a [`SlideResult`] wrapper, because a result
-/// class computes once and each member stamps its own id and counter onto
-/// the shared artifacts (see `crate::registry`'s result classes).
-pub(crate) fn close_staged(
-    prev: &mut Snapshot,
-    scratch: &mut SlideScratch,
-    events: &mut EventList,
-) -> Snapshot {
-    diff_snapshots_into(prev, &scratch.snapshot, false, &mut scratch.diff, events);
-    let proven_identical = events.is_empty()
-        || (events.is_unchanged() && prev.as_slice() == scratch.snapshot.as_slice());
-    let snapshot = if proven_identical {
-        prev.clone()
-    } else {
-        Snapshot::from_slice(&scratch.snapshot)
-    };
-    *prev = snapshot.clone();
-    snapshot
+    SlideResult {
+        slide: *slides - 1,
+        snapshot,
+        events,
+    }
 }
 
 /// A session: one algorithm instance plus the ingestion buffer, the id
 /// translation ring, the previous emission used for delta computation,
-/// and the pooled [`SlideScratch`].
+/// and pooled close buffers.
+///
+/// It lifts the engine from the paper's batch model to flexible
+/// ingestion. [`SlidingTopK::slide`] takes batches of exactly `s`
+/// objects whose ids are 0-based arrival ordinals; a session buffers
+/// pushes of any size, re-chunks them into `s`-aligned slides, and
+/// renumbers them to ordinals (translating results back), so callers
+/// never think about batch boundaries or id bookkeeping. One push may
+/// therefore complete zero, one, or many slides.
 ///
 /// ## External ids vs arrival ordinals
 ///
@@ -225,7 +212,7 @@ impl<A: SlidingTopK> Session<A> {
             slides: 0,
             next_ordinal: 0,
             ring: vec![0; spec.n + spec.s],
-            scratch: SlideScratch::new(),
+            scratch: SlideScratch::default(),
             alg,
         }
     }
@@ -263,47 +250,25 @@ impl<A: SlidingTopK> Session<A> {
         self.alg
     }
 
-    /// Renumbers one arrival to its ordinal, recording the external id in
-    /// the translation ring, and buffers it. Never allocates: `pending`
-    /// was sized to `s` at construction and the ring is fixed.
-    #[inline]
-    fn buffer_one(&mut self, o: &Object) {
-        let cap = self.ring.len() as u64;
-        let ordinal = self.next_ordinal;
-        self.next_ordinal += 1;
-        self.ring[(ordinal % cap) as usize] = o.id;
-        self.pending.push(Object::new(ordinal, o.score));
-    }
-
-    /// Feeds the full pending buffer (exactly `s` renumbered objects) to
-    /// the engine and translates the emission back to external ids —
-    /// staged in the pooled scratch, so the only possible allocation is
-    /// the shared `Arc` snapshot of a *changed* result.
-    fn complete_slide(&mut self) -> SlideResult {
-        let cap = self.ring.len() as u64;
-        let top = self.alg.slide_if_changed(&self.pending);
-        let quiet = top.is_none();
-        if let Some(top) = top {
-            self.scratch.snapshot.clear();
-            let ring = &self.ring;
-            self.scratch.snapshot.extend(
-                top.iter()
-                    .map(|o| Object::new(ring[(o.id % cap) as usize], o.score)),
-            );
-        }
-        self.pending.clear();
-        emit_staged(&mut self.prev, &mut self.slides, &mut self.scratch, quiet)
-    }
-}
-
-impl<A: SlidingTopK> Ingest for Session<A> {
-    fn push(&mut self, objects: &[Object]) -> Vec<SlideResult> {
+    /// Feeds a batch of any size, returning one [`SlideResult`]
+    /// (snapshot + delta events) per slide it completed.
+    pub fn push(&mut self, objects: &[Object]) -> Vec<SlideResult> {
         let mut out = Vec::new();
         self.push_into(objects, &mut out);
         out
     }
 
-    fn push_each(&mut self, objects: &[Object], f: &mut dyn FnMut(SlideResult)) {
+    /// Feeds a batch of any size, **appending** one [`SlideResult`] per
+    /// completed slide to `out` instead of allocating a fresh `Vec`.
+    pub fn push_into(&mut self, objects: &[Object], out: &mut Vec<SlideResult>) {
+        self.push_each(objects, &mut |result| out.push(result));
+    }
+
+    /// Feeds a batch of any size, handing each completed slide's
+    /// [`SlideResult`] to `f`: the result moves **once**, straight into
+    /// whatever the caller is building, and a push that completes no
+    /// slides touches no heap.
+    pub fn push_each(&mut self, objects: &[Object], f: &mut dyn FnMut(SlideResult)) {
         let s = self.alg.spec().s;
         let mut rest = objects;
         loop {
@@ -323,11 +288,11 @@ impl<A: SlidingTopK> Ingest for Session<A> {
         }
     }
 
-    /// The buffering fast path: an object that does not complete a slide
-    /// is renumbered into the pre-sized pending buffer and the call
-    /// returns `None` **without touching the heap** — unlike the default,
-    /// which routes through the batch path's output `Vec`.
-    fn push_one(&mut self, object: Object) -> Option<SlideResult> {
+    /// Feeds one object; returns the slide it completed, if any. An
+    /// object that does not complete a slide is renumbered into the
+    /// pre-sized pending buffer, and the call returns `None` **without
+    /// touching the heap**.
+    pub fn push_one(&mut self, object: Object) -> Option<SlideResult> {
         self.buffer_one(&object);
         if self.pending.len() == self.alg.spec().s {
             Some(self.complete_slide())
@@ -336,25 +301,77 @@ impl<A: SlidingTopK> Ingest for Session<A> {
         }
     }
 
-    fn pending(&self) -> usize {
+    /// Number of buffered objects not yet spanning a full slide
+    /// (always `< s`).
+    pub fn pending(&self) -> usize {
         self.pending.len()
+    }
+
+    /// Renumbers one arrival to its ordinal, recording the external id in
+    /// the translation ring, and buffers it. Never allocates: `pending`
+    /// was sized to `s` at construction and the ring is fixed.
+    #[inline]
+    fn buffer_one(&mut self, o: &Object) {
+        let cap = self.ring.len() as u64;
+        let ordinal = self.next_ordinal;
+        self.next_ordinal += 1;
+        self.ring[(ordinal % cap) as usize] = o.id;
+        self.pending.push(Object::new(ordinal, o.score));
+    }
+
+    /// Feeds the full pending buffer (exactly `s` renumbered objects) to
+    /// the engine and closes the slide, translating the emission back to
+    /// external ids: the only possible allocation is the shared `Arc`
+    /// snapshot of a *changed* result.
+    fn complete_slide(&mut self) -> SlideResult {
+        let Session {
+            alg,
+            pending,
+            prev,
+            slides,
+            ring,
+            scratch,
+            ..
+        } = self;
+        let cap = ring.len() as u64;
+        let mut events = EventList::new();
+        let top = alg.slide_if_changed(pending);
+        let snapshot = scratch.close(prev, &mut events, top, |top, out| {
+            out.extend(
+                top.iter()
+                    .map(|o| Object::new(ring[(o.id % cap) as usize], o.score)),
+            )
+        });
+        pending.clear();
+        *slides += 1;
+        SlideResult {
+            slide: *slides - 1,
+            snapshot,
+            events,
+        }
     }
 }
 
-/// A session over a **time-based** query: one [`TimedTopK`] engine plus
-/// the previous emission used for delta computation — the event-time
-/// counterpart of [`Session`].
+/// A session over a **time-based** query `W⟨window_duration,
+/// slide_duration⟩` — the event-time counterpart of [`Session`] — served
+/// by SAP's Appendix-A reduction: a private [`DigestProducer`] cuts each
+/// closed slide to its top-`k` (same-slide dominance makes the rest
+/// provably useless), and a [`SharedTimed`] consumer feeds that reduced
+/// stream to a count-based engine over `⟨(n/s)·k, k, k⟩`. A hub's slide
+/// group runs the same two halves with one producer for many consumers;
+/// this session is a group of one, on the caller's thread.
 ///
 /// Slides close when timestamps cross slide boundaries, so one
-/// [`push_timed`](TimedIngest::push_timed) may emit zero, one, or many
+/// [`push_timed`](TimedSession::push_timed) may emit zero, one, or many
 /// [`SlideResult`]s — including results for **empty slides** (a quiet
 /// stretch of stream still re-evaluates the window every `slide_duration`
 /// time units once a later arrival, or an explicit
-/// [`advance_watermark`](TimedIngest::advance_watermark), proves the time
-/// has passed). Emitted snapshots carry the caller's ids and scores; the
-/// `slide` index counts closed slides from 0, exactly like the
+/// [`advance_watermark`](TimedSession::advance_watermark), proves the
+/// time has passed). Emitted snapshots carry the caller's ids and scores;
+/// the `slide` index counts closed slides from 0, exactly like the
 /// count-based session, which is what keeps `(QueryId, slide)` ordering
-/// deterministic across hubs.
+/// deterministic across hubs. When the engine proves a slide's top-k
+/// unchanged, the session re-emits the previous snapshot in `O(1)`.
 ///
 /// Unlike [`Session`], no id renumbering happens here: a
 /// [`TimedObject`]'s position in time is its `timestamp`, and its `id` is
@@ -362,41 +379,47 @@ impl<A: SlidingTopK> Ingest for Session<A> {
 /// slide recency, then by descending id within a slide — see the
 /// [`TimedObject`] docs).
 ///
-/// This is the standalone API, driven on the caller's thread. The hubs
-/// never store one: a time-based registration joins its slide group as a
-/// [`GroupSession`], whose emissions are byte-identical to this
-/// session's over the same stream.
+/// The hubs never store one: a time-based registration joins its slide
+/// group as a [`GroupSession`], whose emissions are byte-identical to
+/// this session's over the same stream.
 #[derive(Debug)]
-pub struct TimedSession<E: TimedTopK> {
-    engine: E,
+pub struct TimedSession<E: SlidingTopK> {
+    producer: DigestProducer,
+    consumer: SharedTimed<E>,
     prev: Snapshot,
     slides: u64,
     scratch: SlideScratch,
 }
 
-impl<E: TimedTopK> TimedSession<E> {
-    /// Wraps a time-based engine.
-    pub fn new(engine: E) -> Self {
-        TimedSession {
-            engine,
+impl<E: SlidingTopK> TimedSession<E> {
+    /// Answers the top-k of the last `window_duration` time units,
+    /// sliding every `slide_duration`, with `engine` — `k` is the
+    /// engine's. The engine must run the Appendix-A reduction of those
+    /// durations ([`TimedSpec::reduced`]) and be fresh, with the typed
+    /// errors of [`SharedTimed::from_engine`].
+    pub fn new(engine: E, window_duration: u64, slide_duration: u64) -> Result<Self, SpecError> {
+        let consumer = SharedTimed::from_engine(engine, window_duration, slide_duration)?;
+        Ok(TimedSession {
+            producer: DigestProducer::new(slide_duration, consumer.k()),
+            consumer,
             prev: Snapshot::empty(),
             slides: 0,
-            scratch: SlideScratch::new(),
-        }
+            scratch: SlideScratch::default(),
+        })
     }
 
     /// The validated durations this session answers.
-    pub fn timed_spec(&self) -> crate::query::TimedSpec {
-        crate::query::TimedSpec {
-            window_duration: self.engine.window_duration(),
-            slide_duration: self.engine.slide_duration(),
-            k: self.engine.k(),
+    pub fn timed_spec(&self) -> TimedSpec {
+        TimedSpec {
+            window_duration: self.consumer.window_duration(),
+            slide_duration: self.consumer.slide_duration(),
+            k: self.consumer.k(),
         }
     }
 
-    /// The wrapped engine.
+    /// The wrapped count-based engine, serving the reduced stream.
     pub fn engine(&self) -> &E {
-        &self.engine
+        self.consumer.engine()
     }
 
     /// Number of slides closed so far.
@@ -415,64 +438,64 @@ impl<E: TimedTopK> TimedSession<E> {
         self.prev.clone()
     }
 
-    /// Unwraps the session, discarding the delta state.
-    pub fn into_inner(self) -> E {
-        self.engine
-    }
-}
-
-impl<E: TimedTopK> TimedIngest for TimedSession<E> {
-    fn push_timed(&mut self, objects: &[TimedObject]) -> Vec<SlideResult> {
+    /// Feeds a batch of timestamped objects (non-decreasing timestamps),
+    /// returning one [`SlideResult`] per slide it closed, oldest first.
+    pub fn push_timed(&mut self, objects: &[TimedObject]) -> Vec<SlideResult> {
         let mut out = Vec::new();
         self.push_timed_into(objects, &mut out);
         out
     }
 
-    /// Slides travel the engine's borrow-based visitor
-    /// ([`TimedTopK::ingest_each`]) straight into the pooled scratch and
-    /// out through `f` in one move: with a pooled engine
-    /// (`TimeBased<E>`) the only heap activity per completed slide is
-    /// the shared `Arc` snapshot of a *changed* result. Engines close
-    /// slides eagerly inside one ingest call, so a per-slide dirty flag
-    /// is not observable here; the O(k) diff is the honest cost (k is
-    /// small), and an unchanged outcome still re-emits the previous
-    /// `Arc`.
-    fn push_timed_each(&mut self, objects: &[TimedObject], f: &mut dyn FnMut(SlideResult)) {
-        let TimedSession {
-            engine,
-            prev,
-            slides,
-            scratch,
-        } = self;
-        for &o in objects {
-            engine.ingest_each(o, &mut |snapshot| {
-                scratch.stage_timed(snapshot);
-                f(emit_staged(prev, slides, scratch, false));
-            });
-        }
+    /// Feeds a batch, **appending** the closed slides to `out` instead of
+    /// allocating a fresh `Vec`. The closing slide travels producer →
+    /// consumer as a borrowed [`DigestView`], so the only heap activity
+    /// per slide is the shared `Arc` snapshot of a *changed* result.
+    pub fn push_timed_into(&mut self, objects: &[TimedObject], out: &mut Vec<SlideResult>) {
+        self.drive(out, |producer, close| {
+            for &o in objects {
+                producer.ingest_with(o, close);
+            }
+        });
     }
 
-    fn advance_watermark(&mut self, watermark: u64) -> Vec<SlideResult> {
+    /// Raises the event-time watermark, closing (and returning) every
+    /// slide ending at or before it — the only way to observe trailing or
+    /// empty slides when the stream goes quiet.
+    pub fn advance_watermark(&mut self, watermark: u64) -> Vec<SlideResult> {
         let mut out = Vec::new();
         self.advance_watermark_into(watermark, &mut out);
         out
     }
 
-    fn advance_watermark_each(&mut self, watermark: u64, f: &mut dyn FnMut(SlideResult)) {
+    /// Raises the watermark, **appending** the closed slides to `out`.
+    pub fn advance_watermark_into(&mut self, watermark: u64, out: &mut Vec<SlideResult>) {
+        self.drive(out, |producer, close| {
+            producer.advance_to_with(watermark, close)
+        });
+    }
+
+    /// Number of objects buffered in the still-open slide.
+    pub fn pending(&self) -> usize {
+        self.producer.pending_len()
+    }
+
+    /// Drives the producer with `drive`, appending one emission per
+    /// slide it closes.
+    fn drive(
+        &mut self,
+        out: &mut Vec<SlideResult>,
+        drive: impl FnOnce(&mut DigestProducer, &mut dyn FnMut(DigestView<'_>)),
+    ) {
         let TimedSession {
-            engine,
+            producer,
+            consumer,
             prev,
             slides,
             scratch,
         } = self;
-        engine.advance_to_each(watermark, &mut |snapshot| {
-            scratch.stage_timed(snapshot);
-            f(emit_staged(prev, slides, scratch, false));
+        drive(producer, &mut |view| {
+            out.push(emit_view(view, consumer, scratch, prev, slides))
         });
-    }
-
-    fn pending(&self) -> usize {
-        self.engine.pending()
     }
 }
 
@@ -601,7 +624,7 @@ impl<C: SlidingTopK> GroupSession<C> {
         self.warmup = Some(Box::new(Warmup {
             producer,
             open_slide,
-            scratch: SlideScratch::new(),
+            scratch: SlideScratch::default(),
         }));
     }
 
@@ -815,7 +838,7 @@ impl<C: SlidingTopK> GroupSession<C> {
                     session.warmup = Some(Box::new(Warmup {
                         producer,
                         open_slide,
-                        scratch: SlideScratch::new(),
+                        scratch: SlideScratch::default(),
                     }));
                 }
                 _ => return Err(CheckpointError::Corrupt("bad warm-up flag")),
@@ -913,10 +936,9 @@ impl<C: SlidingTopK> GroupSession<C> {
         });
     }
 
-    /// Drives the private producer with `drive`, applying every slide it
-    /// closes to the consumer and emitting one [`SlideResult`] per slide.
-    /// The closing slide is borrowed and the consumer's output staged in
-    /// the pooled scratch, so a quiet slide allocates nothing.
+    /// Drives the private producer with `drive`, handing `f` one
+    /// [`SlideResult`] per slide it closes — the close step of a
+    /// [`TimedSession`], so a quiet slide allocates nothing.
     fn warm(
         &mut self,
         f: &mut dyn FnMut(SlideResult),
@@ -936,10 +958,20 @@ impl<C: SlidingTopK> GroupSession<C> {
             producer, scratch, ..
         } = &mut **warmup.as_mut().expect("only a warming member warms up");
         drive(producer, &mut |view| {
-            let quiet = consumer.apply_slide_top(view.slide, view.top).is_none();
-            scratch.stage_timed(consumer.last_result());
-            f(emit_staged(prev, slides, scratch, quiet));
+            f(emit_view(view, consumer, scratch, prev, slides))
         });
+    }
+
+    /// Whether a warming member can hand off to its group, now at
+    /// `group_next_slide`: its consumer applied exactly the slides its
+    /// private producer closed, and neither producer has passed the slide
+    /// the member waits for, so both close it on the same watermark.
+    pub(crate) fn warms_in_step(&self, group_next_slide: u64) -> bool {
+        let (Some(w), Some(consumer)) = (&self.warmup, &self.consumer) else {
+            return false;
+        };
+        let own = w.producer.next_slide();
+        consumer.slides_applied() == own && own.max(group_next_slide) <= w.open_slide
     }
 
     /// Ends warm-up once the group has closed the slide this member
@@ -1194,6 +1226,7 @@ mod tests {
     use crate::events::TopKEvent;
     use crate::object::top_k_of;
     use crate::test_support::{count, shared, timed, Toy, ToyTimed};
+    use std::collections::HashMap;
 
     fn stream(len: usize) -> Vec<Object> {
         (0..len)
@@ -1406,7 +1439,7 @@ mod tests {
 
     #[test]
     fn timed_session_closes_on_boundaries() {
-        let mut session = TimedSession::new(ToyTimed::new(40, 10, 2));
+        let mut session = timed_session(40, 10, 2);
         assert_eq!(session.timed_spec().slides_per_window(), 4);
         // two objects in slide [0, 10): nothing closes yet
         let r = session.push_timed(&[TimedObject::new(0, 3, 5.0), TimedObject::new(1, 7, 9.0)]);
@@ -1499,48 +1532,85 @@ mod tests {
             .collect()
     }
 
+    /// A standalone `TimedSession` of `W⟨wd, sd⟩` top-`k` over `Toy`.
+    fn timed_session(wd: u64, sd: u64, k: usize) -> TimedSession<Toy> {
+        let reduced = TimedSpec::new(wd, sd, k).unwrap().reduced().unwrap();
+        TimedSession::new(Toy::new(reduced.n, reduced.k, reduced.s), wd, sd).unwrap()
+    }
+
+    /// The two references a shared query of `W⟨wd, sd⟩` top-`k` must
+    /// match, fed what it observes: a standalone `TimedSession` (full
+    /// results) and the brute-force `ToyTimed` (snapshots).
+    struct Reference {
+        session: TimedSession<Toy>,
+        toy: ToyTimed,
+        results: Vec<SlideResult>,
+        snapshots: Vec<Vec<Object>>,
+    }
+
+    impl Reference {
+        fn new(wd: u64, sd: u64, k: usize) -> Self {
+            Reference {
+                session: timed_session(wd, sd, k),
+                toy: ToyTimed::new(wd, sd, k),
+                results: Vec::new(),
+                snapshots: Vec::new(),
+            }
+        }
+
+        fn push(&mut self, chunk: &[TimedObject]) {
+            self.session.push_timed_into(chunk, &mut self.results);
+            self.snapshots.extend(self.toy.push(chunk));
+        }
+
+        fn advance(&mut self, watermark: u64) {
+            self.session
+                .advance_watermark_into(watermark, &mut self.results);
+            self.snapshots.extend(self.toy.advance_to(watermark));
+        }
+
+        /// Asserts a hub query's results equal both references.
+        fn check(&self, query: QueryId, got: &HashMap<QueryId, Vec<SlideResult>>) {
+            let got = &got[&query];
+            assert_eq!(got, &self.results, "{query} diverged from its session");
+            let snapshots: Vec<Vec<Object>> = got.iter().map(|r| r.snapshot.to_vec()).collect();
+            assert_eq!(
+                snapshots, self.snapshots,
+                "{query} diverged from the ranking"
+            );
+        }
+    }
+
+    fn collect(updates: Vec<QueryUpdate>, by_query: &mut HashMap<QueryId, Vec<SlideResult>>) {
+        for u in updates {
+            by_query.entry(u.query).or_default().push(u.result);
+        }
+    }
+
     #[test]
     fn shared_queries_match_isolated_sessions_exactly() {
-        use std::collections::HashMap;
-        // three shared consumers over the reduced-spec Toy engine must
-        // emit byte-identical results to standalone ToyTimed sessions fed
-        // the same chunks, while the digest plane runs one producer per
-        // distinct slide duration
+        // three shared consumers must emit byte-identical results to
+        // standalone sessions fed the same chunks, while the digest plane
+        // runs one producer per distinct slide duration
         let mut hub = Hub::new();
-        let geoms = [(40u64, 10u64, 2usize), (20, 10, 1), (50, 25, 3)];
         let mut pairs = Vec::new();
-        for &(wd, sd, k) in &geoms {
-            let reduced = (wd / sd) as usize * k;
-            let shared = hub
-                .subscribe(shared(Toy::new(reduced, k, k), wd, sd))
-                .unwrap();
-            pairs.push((
-                shared,
-                TimedSession::new(ToyTimed::new(wd, sd, k)),
-                Vec::new(),
-            ));
+        for (wd, sd, k) in [(40u64, 10u64, 2usize), (20, 10, 1), (50, 25, 3)] {
+            let query = hub.subscribe(timed(wd, sd, k)).unwrap();
+            pairs.push((query, Reference::new(wd, sd, k)));
         }
         let data = timed_stream(120);
         let horizon = data.last().unwrap().timestamp + 200;
-        let mut by_query: HashMap<QueryId, Vec<SlideResult>> = HashMap::new();
+        let mut by_query = HashMap::new();
         for chunk in data.chunks(13) {
-            for u in hub.publish_timed(chunk) {
-                by_query.entry(u.query).or_default().push(u.result);
-            }
-            for (_, reference, out) in &mut pairs {
-                reference.push_timed_into(chunk, out);
+            collect(hub.publish_timed(chunk), &mut by_query);
+            for (_, reference) in &mut pairs {
+                reference.push(chunk);
             }
         }
-        for u in hub.advance_time(horizon) {
-            by_query.entry(u.query).or_default().push(u.result);
-        }
-        for (shared, mut reference, mut out) in pairs {
-            reference.advance_watermark_into(horizon, &mut out);
-            assert_eq!(
-                by_query.get(&shared),
-                Some(&out),
-                "shared {shared} diverged from its standalone session"
-            );
+        collect(hub.advance_time(horizon), &mut by_query);
+        for (query, mut reference) in pairs {
+            reference.advance(horizon);
+            reference.check(query, &by_query);
         }
         let stats = hub.stats();
         assert_eq!(stats.queries, 3);
@@ -1554,47 +1624,35 @@ mod tests {
 
     #[test]
     fn mid_stream_shared_join_warms_up_then_promotes() {
-        use std::collections::HashMap;
         let mut hub = Hub::new();
         let data = timed_stream(160);
-        // standalone references, each fed what its shared twin observes
-        let mut early_iso = TimedSession::new(ToyTimed::new(40, 10, 2));
-        let mut late_iso = TimedSession::new(ToyTimed::new(20, 10, 4));
-        let (mut early_out, mut late_out) = (Vec::new(), Vec::new());
-        let early_shared = hub.subscribe(shared(Toy::new(8, 2, 2), 40, 10)).unwrap();
-        let mut by_query: HashMap<QueryId, Vec<SlideResult>> = HashMap::new();
-        let fold = |updates: Vec<QueryUpdate>,
-                    by_query: &mut HashMap<QueryId, Vec<SlideResult>>| {
-            for u in updates {
-                by_query.entry(u.query).or_default().push(u.result);
-            }
-        };
+        // references, each fed what its shared twin observes
+        let (mut early, mut late) = (Reference::new(40, 10, 2), Reference::new(20, 10, 4));
+        let early_shared = hub.subscribe(timed(40, 10, 2)).unwrap();
+        let mut by_query = HashMap::new();
         for chunk in data[..80].chunks(11) {
-            let updates = hub.publish_timed(chunk);
-            fold(updates, &mut by_query);
-            early_iso.push_timed_into(chunk, &mut early_out);
+            collect(hub.publish_timed(chunk), &mut by_query);
+            early.push(chunk);
         }
         // a mid-stream join with a LARGER k deepens the group's digests;
         // until its join slide closes it runs on a private warm-up view
-        let late_shared = hub.subscribe(shared(Toy::new(8, 4, 4), 20, 10)).unwrap();
+        let late_shared = hub.subscribe(timed(20, 10, 4)).unwrap();
         assert!(hub.session(late_shared).unwrap().is_warming_up());
         for chunk in data[80..].chunks(11) {
-            let updates = hub.publish_timed(chunk);
-            fold(updates, &mut by_query);
-            early_iso.push_timed_into(chunk, &mut early_out);
-            late_iso.push_timed_into(chunk, &mut late_out);
+            collect(hub.publish_timed(chunk), &mut by_query);
+            early.push(chunk);
+            late.push(chunk);
         }
         let horizon = data.last().unwrap().timestamp + 100;
-        let updates = hub.advance_time(horizon);
-        fold(updates, &mut by_query);
-        early_iso.advance_watermark_into(horizon, &mut early_out);
-        late_iso.advance_watermark_into(horizon, &mut late_out);
+        collect(hub.advance_time(horizon), &mut by_query);
+        early.advance(horizon);
+        late.advance(horizon);
         assert!(
             !hub.session(late_shared).unwrap().is_warming_up(),
             "the group closed the join slide, so the member promoted"
         );
-        assert_eq!(by_query.get(&early_shared), Some(&early_out));
-        assert_eq!(by_query.get(&late_shared), Some(&late_out));
+        early.check(early_shared, &by_query);
+        late.check(late_shared, &by_query);
         let stats = hub.stats();
         assert_eq!(stats.digest_groups, 1, "both shared queries share sd 10");
         assert!(

@@ -1,14 +1,14 @@
-//! Shared reference engines for this crate's unit tests: minimal,
-//! obviously-correct implementations of both algorithm traits, used as
-//! oracles by the session, registry, and hub test modules so every
-//! equivalence test pins the *same* semantics — plus one-line
-//! [`Registration`]s over them.
+//! Shared reference engines for this crate's unit tests: a minimal,
+//! obviously-correct count-based engine and a brute-force time-window
+//! ranking, used as oracles by the session, digest, registry and hub
+//! test modules so every equivalence test pins the *same* semantics —
+//! plus one-line [`Registration`]s over them.
 
 use crate::metrics::OpStats;
 use crate::object::{top_k_of, Object, TimedObject};
 use crate::query::TimedSpec;
 use crate::registry::Registration;
-use crate::window::{SlidingTopK, TimedTopK, WindowSpec};
+use crate::window::{SlidingTopK, WindowSpec};
 
 /// A count registration of `⟨n, k, s⟩`, as `register` makes it: `Toy`
 /// over the arrival-clock reduction, in its count group.
@@ -84,17 +84,15 @@ impl SlidingTopK for Toy {
 /// Minimal time-based reference: keeps every alive object and rescans on
 /// each closed slide. Equal scores tie-break by slide recency, then by
 /// the higher id within a slide — the documented `TimedObject` result
-/// order, and exactly what `sap_core`'s `TimeBased` adapter produces.
-/// The hub tests drive it through a standalone `TimedSession`, a
-/// reference independent of the reduction the hubs serve.
+/// order. The hub and session tests check every snapshot against it, a
+/// reference independent of the Appendix-A reduction that both the hubs
+/// and `TimedSession` run.
 pub(crate) struct ToyTimed {
     window_duration: u64,
     slide_duration: u64,
     k: usize,
     slide_end: u64,
-    pending: Vec<TimedObject>,
     window: Vec<TimedObject>,
-    result: Vec<TimedObject>,
 }
 
 impl ToyTimed {
@@ -104,62 +102,38 @@ impl ToyTimed {
             slide_duration,
             k,
             slide_end: slide_duration,
-            pending: Vec::new(),
             window: Vec::new(),
-            result: Vec::new(),
         }
     }
 
-    fn close_slide(&mut self) -> Vec<TimedObject> {
-        self.window.append(&mut self.pending);
-        let lo = self.slide_end.saturating_sub(self.window_duration);
-        self.window.retain(|o| o.timestamp >= lo);
-        let mut top = self.window.clone();
-        let sd = self.slide_duration;
-        top.sort_unstable_by(|a, b| {
-            b.score
-                .total_cmp(&a.score)
-                .then((b.timestamp / sd, b.id).cmp(&(a.timestamp / sd, a.id)))
-        });
-        top.truncate(self.k);
-        self.result = top.clone();
-        self.slide_end += self.slide_duration;
-        top
-    }
-}
-
-impl TimedTopK for ToyTimed {
-    fn window_duration(&self) -> u64 {
-        self.window_duration
-    }
-    fn slide_duration(&self) -> u64 {
-        self.slide_duration
-    }
-    fn k(&self) -> usize {
-        self.k
-    }
-    fn ingest(&mut self, o: TimedObject) -> Vec<Vec<TimedObject>> {
-        let out = self.advance_to(o.timestamp);
-        self.pending.push(o);
+    /// Ingests a batch (non-decreasing timestamps), returning the top-k
+    /// of every slide it closes, oldest first.
+    pub(crate) fn push(&mut self, objects: &[TimedObject]) -> Vec<Vec<Object>> {
+        let mut out = Vec::new();
+        for &o in objects {
+            out.extend(self.advance_to(o.timestamp));
+            self.window.push(o);
+        }
         out
     }
-    fn advance_to(&mut self, watermark: u64) -> Vec<Vec<TimedObject>> {
+
+    /// Closes every slide ending at or before `watermark`, returning each
+    /// one's top-k.
+    pub(crate) fn advance_to(&mut self, watermark: u64) -> Vec<Vec<Object>> {
         let mut out = Vec::new();
         while watermark >= self.slide_end {
-            out.push(self.close_slide());
+            let (end, sd) = (self.slide_end, self.slide_duration);
+            let lo = end.saturating_sub(self.window_duration);
+            self.window.retain(|o| o.timestamp >= lo);
+            let mut top = self.window.clone();
+            top.sort_unstable_by(|a, b| {
+                b.score
+                    .total_cmp(&a.score)
+                    .then((b.timestamp / sd, b.id).cmp(&(a.timestamp / sd, a.id)))
+            });
+            out.push(top.iter().take(self.k).map(TimedObject::untimed).collect());
+            self.slide_end += sd;
         }
         out
-    }
-    fn last_result(&self) -> &[TimedObject] {
-        &self.result
-    }
-    fn pending(&self) -> usize {
-        self.pending.len()
-    }
-    fn candidate_count(&self) -> usize {
-        self.window.len()
-    }
-    fn name(&self) -> &str {
-        "toy-timed"
     }
 }

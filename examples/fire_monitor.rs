@@ -7,8 +7,9 @@
 //! Alert logic consumes `Entered` deltas rather than diffing snapshots.
 //!
 //! (A wall-clock—rather than count—based window for the same scenario is
-//! available through `sap::core::TimeBasedSap`; routing it through the
-//! query builder is a ROADMAP follow-up.)
+//! `Query::window_duration(..).top(..).slide_duration(..).timed_session()`,
+//! fed timestamped readings with `push_timed`; see the `time_windows`
+//! example.)
 //!
 //! ```text
 //! cargo run --release --example fire_monitor

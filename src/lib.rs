@@ -5,13 +5,12 @@
 //! 29(6), 2017), grown into a query-serving library. The workspace:
 //!
 //! * [`core`] — the SAP framework: self-adaptive partitioning, the S-AVL
-//!   structure, equal / dynamic / enhanced-dynamic partition policies, and
-//!   a time-based window adapter;
+//!   structure, and equal / dynamic / enhanced-dynamic partition policies;
 //! * [`baselines`] — the paper's competitors: the naive re-scanning
 //!   oracle, the k-skyband algorithm, MinTopK, and SMA with a grid index;
 //! * [`stream`] — the shared data model, workload generators, the
-//!   instrumented driver, and the query-session API re-exported through
-//!   [`prelude`];
+//!   instrumented driver, the time-based (Appendix A) reduction, and the
+//!   query-session API re-exported through [`prelude`];
 //! * [`stats`] — the Mann–Whitney rank test, selection algorithms, and the
 //!   paper's parameter solvers;
 //! * [`avltree`] — the order-statistic AVL tree underneath it all.
@@ -88,17 +87,16 @@ pub struct ReadmeDoctests;
 
 pub mod prelude;
 
-use sap_core::TimeBased;
 use sap_stream::{
     AlgorithmKind, AsyncHub, EngineFactory, Hub, Query, QueryId, Registration, SapError, Session,
-    SlidingTopK, TimedSession, TimedSpec, TimedTopK, WindowSpec,
+    SlidingTopK, TimedSession, TimedSpec, WindowSpec,
 };
 
 /// Builds the boxed engine a count-based [`Query`] describes, dispatching
 /// [`AlgorithmKind::Sap`] to the [`core`]
 /// engine and every other kind to [`baselines`]. Validates the query
 /// first; all failures surface as [`SapError`], and a time-based query is
-/// [`SapError::NotCountBased`] (see [`build_timed`]).
+/// [`SapError::NotCountBased`] (see [`QueryExt::timed_session`]).
 pub fn build(query: &Query) -> Result<Box<dyn SlidingTopK>, SapError> {
     let alg: Box<dyn SlidingTopK + Send> = build_send(query)?;
     Ok(alg)
@@ -124,19 +122,6 @@ fn build_engine(spec: WindowSpec, query: &Query) -> Result<Box<dyn SlidingTopK +
     }
     sap_baselines::from_kind(spec, query.kind())
         .expect("every non-SAP algorithm kind is a baseline")
-}
-
-/// Builds the boxed time-based engine a [`Query::window_duration`] query
-/// describes: the configured algorithm is constructed over the
-/// Appendix-A reduction and wrapped in [`TimeBased`]
-/// — so SAP *and* every baseline answer time-based queries. A
-/// count-based query is [`SapError::NotTimeBased`].
-pub fn build_timed(query: &Query) -> Result<Box<dyn TimedTopK + Send>, SapError> {
-    let spec: TimedSpec = query.validate_timed()?;
-    let inner = build_engine(spec.reduced().map_err(SapError::Spec)?, query)?;
-    let adapter = TimeBased::from_engine(inner, spec.window_duration, spec.slide_duration)
-        .expect("validated durations reduce to the engine's spec");
-    Ok(Box::new(adapter))
 }
 
 /// The facade's [`EngineFactory`]: rebuilds any engine this workspace
@@ -216,13 +201,12 @@ pub trait QueryExt {
     /// [`Session`] accepting arbitrary-size pushes.
     fn session(&self) -> Result<Session<Box<dyn SlidingTopK>>, SapError>;
 
-    /// Validates and constructs the described time-based engine (see
-    /// [`build_timed`]).
-    fn build_timed(&self) -> Result<Box<dyn TimedTopK + Send>, SapError>;
-
-    /// Validates, constructs, and wraps the time-based engine in a
-    /// [`TimedSession`] accepting timestamped pushes.
-    fn timed_session(&self) -> Result<TimedSession<Box<dyn TimedTopK + Send>>, SapError>;
+    /// Validates a time-based query, constructs its algorithm over the
+    /// Appendix-A reduction ([`TimedSpec::reduced`]) — so SAP *and* every
+    /// baseline answer time-based queries — and serves it through a
+    /// [`TimedSession`] accepting timestamped pushes. A count-based query
+    /// is [`SapError::NotTimeBased`].
+    fn timed_session(&self) -> Result<TimedSession<Box<dyn SlidingTopK + Send>>, SapError>;
 }
 
 impl QueryExt for Query {
@@ -234,12 +218,10 @@ impl QueryExt for Query {
         Ok(Session::new(build(self)?))
     }
 
-    fn build_timed(&self) -> Result<Box<dyn TimedTopK + Send>, SapError> {
-        build_timed(self)
-    }
-
-    fn timed_session(&self) -> Result<TimedSession<Box<dyn TimedTopK + Send>>, SapError> {
-        Ok(TimedSession::new(build_timed(self)?))
+    fn timed_session(&self) -> Result<TimedSession<Box<dyn SlidingTopK + Send>>, SapError> {
+        let spec: TimedSpec = self.validate_timed()?;
+        let engine = build_engine(spec.reduced().map_err(SapError::Spec)?, self)?;
+        TimedSession::new(engine, spec.window_duration, spec.slide_duration).map_err(SapError::Spec)
     }
 }
 

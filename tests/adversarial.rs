@@ -163,7 +163,7 @@ fn alpha_variations_do_not_affect_correctness() {
 /// exactly as a standalone session does, never as padding.
 #[test]
 fn f64_min_count_scores_survive_the_reduction() {
-    use sap::prelude::{Hub, HubExt, Ingest, Query, QueryExt};
+    use sap::prelude::{Hub, HubExt, Query, QueryExt};
 
     // ⟨4, 2, 2⟩: the most recent f64::MIN ranks second in both slides
     let query = Query::window(4).top(2).slide(2);
@@ -200,7 +200,7 @@ fn f64_min_count_scores_survive_the_reduction() {
 /// ranks it exactly as a standalone session does, never as padding.
 #[test]
 fn f64_min_timed_scores_survive_the_reduction() {
-    use sap::prelude::{Hub, HubExt, Query, QueryExt, TimedIngest, TimedObject};
+    use sap::prelude::{Hub, HubExt, Query, QueryExt, TimedObject};
 
     // W⟨10, 5⟩, k = 3: all three objects of slide [0, 5) rank
     let query = Query::window_duration(10).top(3).slide_duration(5);

@@ -339,6 +339,10 @@ fn corrupt_payloads_never_panic() {
         .expect("valid query");
     hub.publish(&stream(&[3, 1, 4, 1, 5, 9, 2, 6]));
     let bytes = hub.checkpoint().as_bytes().to_vec();
+    // what every hub that restores must then serve without panicking
+    let batch: Vec<TimedObject> = (0..40u64)
+        .map(|i| TimedObject::new(i, i * 25, ((i * 7) % 5) as f64))
+        .collect();
 
     for pos in 12..bytes.len() - 8 {
         for mask in [0x01u8, 0x80, 0xFF] {
@@ -349,8 +353,12 @@ fn corrupt_payloads_never_panic() {
             bent[tail..].copy_from_slice(&sum.to_le_bytes());
             let ckpt = Checkpoint::from_bytes(&bent).expect("frame recomputed to be valid");
             // Ok (benign mutation, e.g. a score bit) and Err (structural
-            // damage) are both acceptable; panicking is not.
-            let _ = Hub::restore(&ckpt, &DefaultEngineFactory);
+            // damage) are both acceptable; panicking is not, on restore
+            // or on the first publish and watermark after it.
+            if let Ok(mut restored) = Hub::restore(&ckpt, &DefaultEngineFactory) {
+                restored.publish_timed(&batch);
+                restored.advance_time(2_000);
+            }
         }
     }
 }

@@ -21,7 +21,11 @@
 //!   standalone session. When its engine proves a slide unchanged
 //!   ([`SlidingTopK::slide_if_changed`]), the consumer says so in `O(1)`,
 //!   and the hubs re-emit the previous snapshot without translating or
-//!   diffing.
+//!   diffing. A consumer whose answers a deeper consumer of the same
+//!   window already computes can be **parked**: its slides advance its
+//!   ring alone, its engine stays fresh, and
+//!   [`rehydrate`](SharedTimed::rehydrate) replays the ring into the
+//!   engine when it has to serve on its own (see the type docs).
 //!
 //! A standalone [`TimedSession`](crate::session::TimedSession) is one
 //! producer wired to one consumer; the hubs wire one producer to *many*
@@ -69,10 +73,13 @@ use crate::object::{Object, TimedObject};
 use crate::query::TimedSpec;
 use crate::window::{SlidingTopK, SpecError, WindowSpec};
 
-/// Sentinel score used for padding slides with fewer than `w` objects.
-/// A pad's ring slot is `None`, which is what keeps it out of results;
-/// the score only ranks it below every finite score above `f64::MIN`.
-const PAD_SCORE: f64 = f64::MIN;
+/// Sentinel score used for padding slides with fewer than `w` objects:
+/// `−∞`, so a pad ranks strictly below every finite score, `f64::MIN`
+/// included. A pad's ring slot is `None`, which keeps it out of results
+/// and out of checkpoints (a `None` slot carries no score). Ranking pads
+/// last is what makes top-k answers nest across consumers of one
+/// window: a consumer's result is the first `k` of a deeper consumer's.
+const PAD_SCORE: f64 = f64::NEG_INFINITY;
 
 /// The result order of every slide truncation: descending score, equal
 /// scores to the **higher id** (see [`DigestProducer::close_slide_with`]).
@@ -333,6 +340,24 @@ impl DigestProducer {
 /// stream: the digest's prefix is exactly the truncation the consumer
 /// would have computed itself (the result order is total), and everything
 /// downstream of the truncation is private per-consumer state.
+///
+/// ## Parked consumers
+///
+/// Top-k answers nest: a window's top-`k` is the first `k` of its
+/// top-`k'` for any `k' ≥ k` (pads rank last, see `PAD_SCORE`). So when
+/// a deeper consumer of the same window serves a result's prefix, this
+/// one need not run its engine at all. It is then **parked**: each slide
+/// advances only its ring and slide count (a ring-only step the hubs
+/// take for every result class that shares another class's reduction),
+/// while its engine stays fresh. A parked consumer writes exactly the
+/// checkpoint bytes a running one would, since those are its ring and
+/// slide count. [`rehydrate`](SharedTimed::rehydrate) replays the ring
+/// into the fresh engine, through the replay a restore runs, and ends the
+/// parking; [`apply_slide_top`](SharedTimed::apply_slide_top) rehydrates
+/// first, so a parked consumer handed back by a hub serves on as if it
+/// had run all along. Until then its [`engine`](SharedTimed::engine),
+/// [`candidate_count`](SharedTimed::candidate_count) and
+/// [`last_result`](SharedTimed::last_result) are those of a fresh engine.
 #[derive(Debug)]
 pub struct SharedTimed<E: SlidingTopK> {
     inner: E,
@@ -348,10 +373,10 @@ pub struct SharedTimed<E: SlidingTopK> {
     next_synth_id: u64,
     /// Digests applied so far = the slide index expected next.
     slides_applied: u64,
+    /// Whether slides were applied to the ring only: the engine is still
+    /// fresh and lags the ring until [`rehydrate`](SharedTimed::rehydrate).
+    parked: bool,
     result: Vec<TimedObject>,
-    /// Pooled per-digest scratch: the kept prefix re-sorted to ascending
-    /// caller-id order.
-    kept: Vec<TimedObject>,
     /// Pooled per-digest scratch: the padded reduced-stream batch fed to
     /// the engine.
     batch: Vec<Object>,
@@ -402,8 +427,8 @@ impl<E: SlidingTopK> SharedTimed<E> {
             ring_base: 0,
             next_synth_id: 0,
             slides_applied: 0,
+            parked: false,
             result: Vec::new(),
-            kept: Vec::with_capacity(got.s),
             batch: Vec::with_capacity(got.s),
         })
     }
@@ -454,6 +479,26 @@ impl<E: SlidingTopK> SharedTimed<E> {
         self.inner.name()
     }
 
+    /// Whether the consumer is parked: slides reached its ring only, and
+    /// its engine is still fresh (see the type docs).
+    pub fn is_parked(&self) -> bool {
+        self.parked
+    }
+
+    /// Ends the parking: replays the ring into the fresh engine, which
+    /// rebuilds the engine's candidate state and the retained result
+    /// exactly as a restore does. A no-op on a consumer that is not
+    /// parked. Costs one engine slide per slide the ring holds.
+    pub fn rehydrate(&mut self) {
+        if !std::mem::take(&mut self.parked) {
+            return;
+        }
+        let slots: Vec<Option<TimedObject>> = self.ring.drain(..).collect();
+        let applied = self.slides_applied;
+        (self.ring_base, self.next_synth_id, self.slides_applied) = (0, 0, 0);
+        self.replay_ring(&slots, self.width, applied);
+    }
+
     /// Applies one closed slide, given its index and top list (a live
     /// [`DigestView`]'s, or a replayed ring group — `top` may be any depth
     /// `≥ w`; only the own-`w` prefix is consumed): pads the prefix to
@@ -461,7 +506,7 @@ impl<E: SlidingTopK> SharedTimed<E> {
     /// reduced-stream slide, and translates the emission back to the
     /// caller's objects. Slides must arrive gap-free in slide order, from
     /// a producer with `k_max ≥ w` — the hubs and `TimedSession`
-    /// guarantee both.
+    /// guarantee both. A parked consumer rehydrates first.
     ///
     /// Returns a borrow of the consumer's retained result (valid until
     /// the next apply), or `None` when the engine proved its top-k
@@ -471,39 +516,20 @@ impl<E: SlidingTopK> SharedTimed<E> {
     /// pooled buffers: applying a slide performs zero allocations after
     /// warm-up.
     pub fn apply_slide_top(&mut self, slide: u64, top: &[TimedObject]) -> Option<&[TimedObject]> {
-        debug_assert_eq!(
-            slide, self.slides_applied,
-            "digests must be applied gap-free in slide order"
-        );
-        // Synthetic ids are assigned in batch order, and the engine
-        // tie-breaks equal scores by the higher synthetic id — so hand
-        // the kept prefix over reversed (ascending score, equal scores in
-        // ascending caller-id order), making the newer of two equal-score
-        // survivors win inside the engine too; the order among unequal
-        // scores decides nothing.
-        self.kept.clear();
-        self.kept
-            .extend(top[..self.width.min(top.len())].iter().rev());
+        self.rehydrate();
+        let first = self.next_synth_id;
+        self.push_slide(slide, top);
+        // the engine's batch is the slide's fresh slots, in ring order
+        let fresh = self.ring.range(self.ring.len() - self.width..);
         self.batch.clear();
-        for i in 0..self.width {
-            let synth_id = self.next_synth_id;
-            self.next_synth_id += 1;
-            match self.kept.get(i) {
-                Some(&orig) => {
-                    self.batch.push(Object::new(synth_id, orig.score));
-                    self.ring.push_back(Some(orig));
-                }
-                None => {
-                    self.batch.push(Object::new(synth_id, PAD_SCORE));
-                    self.ring.push_back(None);
-                }
-            }
-        }
-        while self.ring.len() > self.inner.spec().n {
-            self.ring.pop_front();
-            self.ring_base += 1;
-        }
-        self.slides_applied += 1;
+        self.batch
+            .extend((first..).zip(fresh).map(|(id, slot)| match slot {
+                Some(orig) => Object::new(id, orig.score),
+                None => Object {
+                    id,
+                    score: PAD_SCORE,
+                },
+            }));
         let top = self.inner.slide_if_changed(&self.batch)?;
         self.result.clear();
         for obj in top {
@@ -516,11 +542,50 @@ impl<E: SlidingTopK> SharedTimed<E> {
         Some(&self.result)
     }
 
+    /// The ring-only step of a parked consumer: applies one closed slide
+    /// like [`apply_slide_top`](SharedTimed::apply_slide_top) does, to the
+    /// ring and the slide count alone, and leaves the engine fresh. Only
+    /// a fresh or parked consumer may take it.
+    pub(crate) fn park_slide(&mut self, slide: u64, top: &[TimedObject]) {
+        debug_assert!(
+            self.parked || self.slides_applied == 0,
+            "only a fresh or parked consumer parks"
+        );
+        self.parked = true;
+        self.push_slide(slide, top);
+    }
+
+    /// The ring half of applying a slide: appends its `w` slots, keeps
+    /// the last `n'`, and counts the slide.
+    fn push_slide(&mut self, slide: u64, top: &[TimedObject]) {
+        debug_assert_eq!(
+            slide, self.slides_applied,
+            "digests must be applied gap-free in slide order"
+        );
+        // Synthetic ids are assigned in ring order, and the engine
+        // tie-breaks equal scores by the higher synthetic id — so the
+        // kept prefix goes in reversed (ascending score, equal scores in
+        // ascending caller-id order), making the newer of two equal-score
+        // survivors win inside the engine too; the order among unequal
+        // scores decides nothing. Pads trail.
+        let kept = &top[..self.width.min(top.len())];
+        self.ring.extend(kept.iter().rev().copied().map(Some));
+        self.ring
+            .extend(std::iter::repeat_n(None, self.width - kept.len()));
+        self.next_synth_id += self.width as u64;
+        while self.ring.len() > self.inner.spec().n {
+            self.ring.pop_front();
+            self.ring_base += 1;
+        }
+        self.slides_applied += 1;
+    }
+
     /// Writes the consumer's reduced window — the synthetic-id ring and
     /// the slide position. Everything else (`ring_base`, `next_synth_id`,
     /// the retained result, the wrapped engine's candidate structures) is
     /// reproduced on restore by replaying the ring through the normal
-    /// apply path, so no engine internals ever hit the wire.
+    /// apply path, so no engine internals ever hit the wire — and a
+    /// parked consumer writes the same bytes as a running one.
     pub fn encode_state(&self, enc: &mut Encoder) {
         enc.put_u64(self.ring.len() as u64);
         for slot in &self.ring {
@@ -584,16 +649,23 @@ impl<E: SlidingTopK> SharedTimed<E> {
                 "consumer slide count disagrees with its ring",
             ));
         }
-        // a slide's slots are its kept prefix reversed (see
-        // `apply_slide_top`): reversed again, the replay rebuilds the ring
-        // slot for slot
+        self.replay_ring(&slots, stored_width, slides_applied);
+        Ok(())
+    }
+
+    /// Replays ring `slots`, written `stored_width` per slide, into the
+    /// fresh engine, then declares `applied` slides applied — the
+    /// one replay a restore and [`rehydrate`](SharedTimed::rehydrate)
+    /// share. A slide's slots are its kept prefix reversed (see
+    /// `push_slide`): reversed again, the replay rebuilds the ring slot
+    /// for slot.
+    fn replay_ring(&mut self, slots: &[Option<TimedObject>], stored_width: usize, applied: u64) {
         let width = self.width;
         let tops: Vec<Vec<TimedObject>> = slots
             .chunks(stored_width)
             .map(|slide| slide[..width].iter().rev().flatten().copied().collect())
             .collect();
-        self.replay(tops.iter().map(Vec::as_slice), slides_applied);
-        Ok(())
+        self.replay(tops.iter().map(Vec::as_slice), applied);
     }
 
     /// The real objects of the retained window, newest first, each with

@@ -518,9 +518,11 @@ fn worker_loop(reactor: Arc<Reactor>, worker: usize) {
                 // hanging) cannot be seen before the death is. The one
                 // unavoidable mid-unwind drop is the panicking command's
                 // own state — harmless, because the commands that run
-                // engine code (Publish/PublishTimed/AdvanceTime) carry
-                // no reply sender. The core is dropped too: its engines
-                // died mid-slide and must not serve again.
+                // engine code (Publish/PublishTimed/AdvanceTime, which
+                // also rehydrate parked consumers) carry no reply
+                // sender: `Unregister` never runs an engine. The core is
+                // dropped too: its engines died mid-slide and must not
+                // serve again.
                 let slot = &mut state.slots[shard];
                 slot.dead = true;
                 slot.queue.clear();

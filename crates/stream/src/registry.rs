@@ -59,20 +59,48 @@
 //! step with its group joins the class with its key (or founds one),
 //! and a warmed-up member founds a class of its own. A slide close
 //! serves every class from the producer's borrowed [`DigestView`] inside
-//! the close: the reduction, the id translation and the delta diff run
-//! **once per class**, and each member emission is two refcount bumps
-//! plus an inline event copy — zero heap allocations on a quiet slide.
-//! When the class's engine proves its top-k unchanged
-//! ([`SlidingTopK::slide_if_changed`]), the close re-emits the previous
-//! snapshot with `[Unchanged]` and skips the translation and the diff.
+//! the close: the id translation and the delta diff run **once per
+//! class** (the engine slide once per reduction, below), and each member
+//! emission is two refcount bumps plus an inline event copy — zero heap
+//! allocations on a quiet slide. When the engine proves its top-k
+//! unchanged ([`SlidingTopK::slide_if_changed`]), the close re-emits the
+//! previous snapshot with `[Unchanged]` and skips the translation and the
+//! diff.
 //! Emissions beyond the one computing member count as
 //! [`class_hits`](HubStats::class_hits).
 //!
+//! ## Reductions
+//!
+//! Classes that differ only in `k` share one engine. Top-k answers
+//! nest: under the one result order, a window's top-`k` is the first `k`
+//! of its top-`k'` for every `k' ≥ k` (padding scores `−∞`, below every
+//! finite score). So the classes of a group with equal window and join
+//! slide that started in step form one **reduction**, and a close runs
+//! one engine slide per reduction: on the consumer of its largest-`k`
+//! class, the *reducing* class. Every class then translates, diffs and
+//! emits the first `k` of that result on its own, and when the engine
+//! proves the slide unchanged every class re-emits in `O(1)`. Each other
+//! class keeps a **parked** consumer ([`SharedTimed::is_parked`]): the
+//! close advances only its ring and slide count, its engine stays fresh,
+//! and its checkpoint bytes are exactly a running consumer's.
+//!
+//! Only classes whose consumers are all fresh can meet, so only in-step
+//! classes share: a newcomer with a larger `k` takes over a reduction
+//! that has applied no slide yet, while a warmed-up member and every
+//! restored class found reductions of their own. When the reducing class
+//! empties, its last member leaves with the in-step consumer, and the
+//! largest remaining class takes over; its parked consumer rehydrates
+//! ([`SharedTimed::rehydrate`], the restore's replay of the ring) at the
+//! next close. The last member out of any other class leaves with that
+//! class's consumer still parked. Either way `unregister` runs no engine
+//! code: engines run only inside ingest calls, which the async hub's
+//! fault model relies on (an engine panic there has no reply to lose).
+//!
 //! A group keeps its classes for its whole life: `move_query` and
-//! `resize` move it whole, classes included. Classes are derivable from
-//! member state, so checkpoints carry no class section: a restore gives
-//! each decoded member its own consumer and re-classes the members by
-//! byte signature.
+//! `resize` move it whole, classes and reductions included. Classes are
+//! derivable from member state, so checkpoints carry no class section: a
+//! restore gives each decoded member its own consumer and re-classes the
+//! members by byte signature, each class in a reduction of its own.
 //!
 //! ## Per-call cost
 //!
@@ -182,11 +210,13 @@ pub struct HubStats {
     /// Live result classes across both sharing planes (see the module
     /// docs on result classes), each keyed by window, `k` and join slide
     /// inside its group. Every member that is not warming up sits in
-    /// exactly one class, so this equals the number of reductions run
-    /// per slide close; the gap to `grouped_queries + shared_queries` is
-    /// the work the second tier collapses. Classes travel with their
-    /// group through `move_query` and `resize`; a restore re-derives
-    /// them by byte signature.
+    /// exactly one class, so this equals the number of diffs run per
+    /// slide close; the gap to `grouped_queries + shared_queries` is the
+    /// work the second tier collapses. It counts classes, not the
+    /// reductions that run their engines: classes that share a
+    /// reduction count once each, as they did before reductions
+    /// existed. Classes travel with their group through `move_query` and
+    /// `resize`; a restore re-derives them by byte signature.
     ///
     /// Same-class members share one snapshot allocation per close:
     ///
@@ -221,9 +251,12 @@ pub struct HubStats {
     /// Member emissions served from a class-level computation **beyond**
     /// the one that ran it — per-slide-close work the class memoized
     /// away. Zero while every class is solo (no two members share a
-    /// view). It survives `move_query` and `resize` but resets on
-    /// checkpoint restore, unlike the hit/rebuild counters: the
-    /// checkpoint format predates it and carries no slot.
+    /// view). Its meaning is unchanged by reductions: it counts per
+    /// class, so a class whose answers a larger-`k` class's engine
+    /// computed still counts only its members past the first. It
+    /// survives `move_query` and `resize` but resets on checkpoint
+    /// restore, unlike the hit/rebuild counters: the checkpoint format
+    /// predates it and carries no slot.
     pub class_hits: u64,
     /// Times a publisher parked (blocked on a full shard queue) —
     /// [`AsyncHub`](crate::exec::AsyncHub) backpressure. Summed across
@@ -525,8 +558,9 @@ pub(crate) struct Group<C: SlidingTopK> {
     /// close (before later arrivals can evict entries). Trimming is
     /// lazy, so a shrink drains over time.
     widest: u64,
-    /// Every member that is not warming up sits in exactly one class.
-    classes: Vec<Class<C>>,
+    /// Every member that is not warming up sits in exactly one class of
+    /// exactly one reduction.
+    reductions: Vec<Reduction<C>>,
 }
 
 /// How a group tells time, with the arrival clock's state.
@@ -640,7 +674,7 @@ impl<C: SlidingTopK> Group<C> {
             clock,
             members: 0,
             widest: 0,
-            classes: Vec::new(),
+            reductions: Vec::new(),
         }
     }
 
@@ -679,18 +713,15 @@ impl<C: SlidingTopK> Group<C> {
         self.widest = self.widest.max(member.window());
     }
 
-    /// Founds a class of one around `member`'s consumer.
+    /// Every result class, across the group's reductions.
+    fn classes(&self) -> impl Iterator<Item = &Class<C>> {
+        self.reductions.iter().flat_map(|r| &r.classes)
+    }
+
+    /// Founds a reduction of one class around `member`'s consumer.
     fn found_class(&mut self, id: QueryId, member: &mut GroupSession<C>) {
-        let consumer = member
-            .take_consumer()
-            .expect("a founding member carries its consumer");
-        self.classes.push(Class {
-            join_slide: member.join_slide(),
-            consumer,
-            members: vec![id],
-            prev: member.last_snapshot_shared(),
-            scratch: SlideScratch::default(),
-            events: EventList::new(),
+        self.reductions.push(Reduction {
+            classes: vec![Class::around(id, member)],
         });
     }
 
@@ -698,13 +729,14 @@ impl<C: SlidingTopK> Group<C> {
     /// classes: joins the class with an identical byte signature — equal
     /// key, slide progress, previous emission, and encoded consumer state
     /// make its future emissions provably identical, so the member's
-    /// duplicate consumer is dropped — and founds a class around the
-    /// consumer otherwise. Live registration pools only members that
-    /// start in step, which need no signature.
+    /// duplicate consumer is dropped — and founds a one-class reduction
+    /// around the consumer otherwise. Live registration pools only
+    /// members that start in step, which need no signature.
     fn class_member(&mut self, id: QueryId, m: &mut GroupSession<C>) {
         let consumer = m.consumer().expect("a decoded member carries its consumer");
         let mut sig = None;
-        let class = self.classes.iter_mut().find(|c| {
+        let mut classes = self.reductions.iter_mut().flat_map(|r| &mut r.classes);
+        let class = classes.find(|c| {
             c.key() == m.class_key()
                 && c.consumer.slides_applied() == consumer.slides_applied()
                 && c.prev.as_slice() == m.last_snapshot()
@@ -759,26 +791,27 @@ impl<C: SlidingTopK> Group<C> {
     }
 
     /// Moves the producer to `to`. Every slide that closes is served
-    /// inside the close, from the producer's borrowed view: one reduction
-    /// and diff per class, then a stamp per member; the members past the
-    /// first were served without a reduction. A close opens a fresh
-    /// slide, so the gate resets.
+    /// inside the close, from the producer's borrowed view: one engine
+    /// slide per reduction, one diff per class, then a stamp per member;
+    /// the members past the first of each class were served without a
+    /// diff. A close opens a fresh slide, so the gate resets.
     fn advance(&mut self, to: u64, counters: &mut Counters, delivery: &mut Delivery<'_, C>) {
         let Group {
             producer,
             gate,
             clock,
-            classes,
+            reductions,
             ..
         } = self;
         let before = producer.next_slide();
         producer.advance_to_with(to, &mut |view| {
-            for class in classes.iter_mut() {
-                let snapshot = class.close(view, clock);
-                delivery.stamp(&class.members, &snapshot, &class.events);
-                let served = class.members.len() as u64;
-                *counters.hits(clock.kind()) += served;
-                counters.class_hits += served - 1;
+            for reduction in reductions.iter_mut() {
+                reduction.close(view, clock, |members, snapshot, events| {
+                    delivery.stamp(members, &snapshot, events);
+                    let served = members.len() as u64;
+                    *counters.hits(clock.kind()) += served;
+                    counters.class_hits += served - 1;
+                });
             }
         });
         if producer.next_slide() != before {
@@ -930,16 +963,93 @@ impl<C: SlidingTopK> Group<C> {
     }
 }
 
+/// One **reduction**: the result classes of a group that share a window
+/// and a join slide and started in step, served by one engine run at
+/// their largest `k` (see the [module docs](self)).
+struct Reduction<C: SlidingTopK> {
+    /// By descending `k`, one class per `k`. The first class's consumer
+    /// is the one engine the reduction runs (parked only from a take-over
+    /// to the next close, which rehydrates it); every other class's
+    /// consumer is parked ([`SharedTimed::park_slide`]), and its answer
+    /// is the first `k` of the first class's.
+    classes: Vec<Class<C>>,
+}
+
+impl<C: SlidingTopK> Reduction<C> {
+    /// The window and join slide every class shares.
+    fn key(&self) -> (u64, u64) {
+        let head = &self.classes[0];
+        (head.consumer.window_duration(), head.join_slide)
+    }
+
+    /// Adds a class that starts in step with the reduction, which has
+    /// applied no slide yet: every consumer in it is fresh, so a class of
+    /// larger `k` takes over as the reducing class, and the one it
+    /// displaces parks.
+    fn insert(&mut self, class: Class<C>) {
+        debug_assert_eq!(
+            self.classes[0].consumer.slides_applied(),
+            0,
+            "a joinable reduction is at its still-open join slide"
+        );
+        let k = class.consumer.k();
+        let at = self.classes.partition_point(|c| c.consumer.k() > k);
+        self.classes.insert(at, class);
+    }
+
+    /// The reduction-level half of a close: one engine slide, on the
+    /// reducing class's consumer (rehydrated first if a take-over left it
+    /// parked); a ring-only step for every parked consumer; then, per
+    /// class, one id translation and one diff of its first `k` through
+    /// the sessions' one close routine ([`SlideScratch::close`]), handed
+    /// to `emit` with the class's members and delta. When the engine
+    /// proves its top-k unchanged, so is every class's prefix: each
+    /// re-emits its `prev` with `[Unchanged]` in `O(1)`.
+    fn close(
+        &mut self,
+        view: DigestView<'_>,
+        clock: &GroupClock,
+        mut emit: impl FnMut(&[QueryId], Snapshot, &EventList),
+    ) {
+        let (head, parked) = self
+            .classes
+            .split_first_mut()
+            .expect("a reduction holds a class");
+        let slide = view.slide - head.join_slide;
+        let Class {
+            consumer,
+            members,
+            prev,
+            scratch,
+            events,
+            ..
+        } = head;
+        let top = consumer.apply_slide_top(slide, view.top);
+        let translate = |top: &[TimedObject], out: &mut Vec<Object>| clock.translate(top, out);
+        emit(members, scratch.close(prev, events, top, translate), events);
+        for class in parked {
+            class.consumer.park_slide(slide, view.top);
+            let top = top.map(|top| &top[..class.consumer.k().min(top.len())]);
+            let snapshot = class
+                .scratch
+                .close(&mut class.prev, &mut class.events, top, translate);
+            emit(&class.members, snapshot, &class.events);
+        }
+    }
+}
+
 /// One **result class**: members whose emissions are the same function
 /// of the group's stream — equal window, `k` and join slide, and a
-/// provably equal past (see the [module docs](self)). The class owns
-/// their one consumer and computes each close once.
+/// provably equal past (see the [module docs](self)). The class keeps
+/// their one consumer, diffs each close once, and sits in one
+/// [`Reduction`].
 struct Class<C: SlidingTopK> {
     /// The group slide the consumer's slide 0 lines up with (see
     /// [`GroupSession`]); with the consumer's window and `k`, the class
     /// key.
     join_slide: u64,
-    /// The one consumer serving every member.
+    /// The members' one consumer: in step when the class reduces its
+    /// reduction, parked otherwise.
     consumer: SharedTimed<C>,
     /// Member query ids, ascending.
     members: Vec<QueryId>,
@@ -953,27 +1063,26 @@ struct Class<C: SlidingTopK> {
 }
 
 impl<C: SlidingTopK> Class<C> {
+    /// A class of one around `member`'s consumer.
+    fn around(id: QueryId, member: &mut GroupSession<C>) -> Self {
+        Class {
+            join_slide: member.join_slide(),
+            consumer: member
+                .take_consumer()
+                .expect("a founding member carries its consumer"),
+            members: vec![id],
+            prev: member.last_snapshot_shared(),
+            scratch: SlideScratch::default(),
+            events: EventList::new(),
+        }
+    }
+
     fn key(&self) -> (u64, usize, u64) {
         (
             self.consumer.window_duration(),
             self.consumer.k(),
             self.join_slide,
         )
-    }
-
-    /// The class-level half of a close: one reduction, one id
-    /// translation, one diff — whatever the class's member count — through
-    /// the sessions' one close routine ([`SlideScratch::close`]). When the
-    /// engine proves its top-k unchanged, the close re-emits `prev` with
-    /// `[Unchanged]` and skips the translation and the diff.
-    fn close(&mut self, view: DigestView<'_>, clock: &GroupClock) -> Snapshot {
-        let top = self
-            .consumer
-            .apply_slide_top(view.slide - self.join_slide, view.top);
-        self.scratch
-            .close(&mut self.prev, &mut self.events, top, |top, out| {
-                clock.translate(top, out)
-            })
     }
 }
 
@@ -1510,7 +1619,7 @@ fn members_in_classes<C: SlidingTopK>(
     sessions: &[(QueryId, GroupSession<C>)],
 ) -> bool {
     sessions.iter().all(|(id, m)| {
-        let classes = groups[&m.group()].classes.iter();
+        let classes = groups[&m.group()].classes();
         let holding = classes.filter(|c| c.members.binary_search(id).is_ok());
         holding.count() == usize::from(!m.is_warming_up())
     })
@@ -1666,12 +1775,14 @@ impl<C: SlidingTopK> Registry<C> {
             gid,
         );
         group.count(&member);
+        let key = member.class_key();
         if !in_step {
             member.warm_up(DigestProducer::new(slide, k), next);
         } else if let Some(class) = group
-            .classes
+            .reductions
             .iter_mut()
-            .find(|c| c.key() == member.class_key())
+            .flat_map(|r| &mut r.classes)
+            .find(|c| c.key() == key)
         {
             debug_assert_eq!(
                 class.consumer.slides_applied(),
@@ -1681,6 +1792,12 @@ impl<C: SlidingTopK> Registry<C> {
             // ids are monotonic: pushing keeps members ascending
             class.members.push(id);
             member.take_consumer();
+        } else if let Some(reduction) = group
+            .reductions
+            .iter_mut()
+            .find(|r| r.key() == (key.0, key.2))
+        {
+            reduction.insert(Class::around(id, &mut member));
         } else {
             group.found_class(id, &mut member);
         }
@@ -1716,10 +1833,12 @@ impl<C: SlidingTopK> Registry<C> {
     /// even mid-slide, for the same reason `k_max` growth is.
     ///
     /// The last member out of a class takes the class's consumer with it
-    /// (so the returned session carries its full engine state), while an
-    /// earlier leaver hands its share back and is returned without a
-    /// consumer — engines are not `Clone`, and the state keeps serving
-    /// the members staying behind.
+    /// (so the returned session carries its full state: parked, if
+    /// another class of its reduction ran the engine, and rehydrating on
+    /// its first apply), while an earlier leaver hands its share back
+    /// and is returned without a consumer — engines are not `Clone`, and
+    /// the state keeps serving the members staying behind. No engine
+    /// runs here (see the module docs on reductions).
     pub(crate) fn unregister(&mut self, id: QueryId) -> Option<GroupSession<C>> {
         let pos = self.position(id)?;
         let (_, mut m) = self.sessions.remove(pos);
@@ -1740,19 +1859,31 @@ impl<C: SlidingTopK> Registry<C> {
         let gid = m.group();
         let group = self.groups.get_mut(&gid).expect("a member's group is live");
         if m.is_classed() {
-            let ci = group
-                .classes
+            let (ri, ci) = group
+                .reductions
                 .iter()
-                .position(|c| c.members.binary_search(&id).is_ok())
+                .enumerate()
+                .find_map(|(ri, r)| {
+                    let holds = |c: &Class<C>| c.members.binary_search(&id).is_ok();
+                    Some((ri, r.classes.iter().position(holds)?))
+                })
                 .expect("a classed member's group holds its class");
-            let class = &mut group.classes[ci];
-            let mi = class
-                .members
+            let reduction = &mut group.reductions[ri];
+            let members = &mut reduction.classes[ci].members;
+            let mi = members
                 .binary_search(&id)
                 .expect("the class holds its member");
-            class.members.remove(mi);
-            if class.members.is_empty() {
-                m.adopt_consumer(group.classes.remove(ci).consumer);
+            members.remove(mi);
+            if members.is_empty() {
+                // the last member out takes the class's consumer: the
+                // in-step one if the class reduced its reduction (the
+                // largest remaining class then takes over, rehydrating
+                // its parked consumer at the next close), else a parked
+                // one — no engine runs here
+                m.adopt_consumer(reduction.classes.remove(ci).consumer);
+                if reduction.classes.is_empty() {
+                    group.reductions.remove(ri);
+                }
             }
         }
         group.members -= 1;
@@ -1767,8 +1898,7 @@ impl<C: SlidingTopK> Registry<C> {
             (w.group() == gid).then(|| (w.k(), w.window()))
         });
         let (k_max, widest) = group
-            .classes
-            .iter()
+            .classes()
             .map(|c| (c.consumer.k(), c.consumer.window_duration()))
             .chain(warming)
             .fold((0, 0), |(k, w), (ck, cw)| (k.max(ck), w.max(cw)));
@@ -1979,7 +2109,7 @@ impl<C: SlidingTopK> Registry<C> {
             ..HubStats::default()
         };
         for group in self.groups.values() {
-            stats.result_classes += group.classes.len() as u64;
+            stats.result_classes += group.classes().count() as u64;
             match group.clock.kind() {
                 Clock::Event => stats.digest_groups += 1,
                 Clock::Arrival => stats.count_groups += 1,
@@ -2053,8 +2183,7 @@ impl<C: SlidingTopK> Registry<C> {
                 }
                 // a classed member encodes its class's consumer
                 let class_consumer = self.groups[&m.group()]
-                    .classes
-                    .iter()
+                    .classes()
                     .find(|c| c.members.binary_search(id).is_ok())
                     .map(|c| &c.consumer);
                 let index = index_of.get(&m.group()).copied().unwrap_or(0);
@@ -2409,8 +2538,12 @@ fn decode_isolated_count<C: SlidingTopK>(
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+    use std::rc::Rc;
+
     use super::*;
     use crate::query::TimedSpec;
+    use crate::session::{Session, TimedSession};
     use crate::test_support::Toy;
 
     fn consumer(wd: u64, sd: u64, k: usize) -> SharedTimed<Toy> {
@@ -2532,8 +2665,7 @@ mod tests {
         assert!(!last.is_classed(), "takes the consumer");
         assert_listed(&reg, "last class member leaves");
         let left: Vec<&[QueryId]> = slide_group(&reg, 10, pass)
-            .classes
-            .iter()
+            .classes()
             .map(|c| c.members.as_slice())
             .collect();
         assert_eq!(left, [[q(5)]], "only 5's class of one is left");
@@ -2624,7 +2756,7 @@ mod tests {
         check(&target, &[0, 1, 3], "target after moving both groups in");
         let group = slide_group(&target, 10, pass);
         assert_eq!(group.members as u64, MEMBERS);
-        let classed: usize = group.classes.iter().map(|c| c.members.len()).sum();
+        let classed: usize = group.classes().map(|c| c.members.len()).sum();
         assert_eq!(classed as u64, MEMBERS, "classes travel with the group");
         let count_group = &target.groups[&target.by_key[&(Clock::Arrival, 5, pass)][0]];
         assert_eq!(count_group.members as u64, MEMBERS);
@@ -2656,6 +2788,280 @@ mod tests {
         enroll_arrival(&mut reg, 1, (40, 1, 4), pass);
         assert_eq!(reg.groups.len(), 1, "the joiner found the group at fill 0");
         assert!(RegistryParts::merge(vec![reg.eject_all()]).is_ok());
+    }
+
+    /// `Toy`, counting every engine slide in a counter its copies share.
+    struct Counted(Toy, Rc<Cell<u64>>);
+
+    impl SlidingTopK for Counted {
+        fn spec(&self) -> WindowSpec {
+            self.0.spec()
+        }
+        fn slide(&mut self, batch: &[Object]) -> &[Object] {
+            self.1.set(self.1.get() + 1);
+            self.0.slide(batch)
+        }
+        fn candidate_count(&self) -> usize {
+            self.0.candidate_count()
+        }
+        fn memory_bytes(&self) -> usize {
+            0
+        }
+        fn stats(&self) -> crate::metrics::OpStats {
+            self.0.stats()
+        }
+        fn name(&self) -> &str {
+            "counted"
+        }
+    }
+
+    /// A registry over counted engines, with the one slide counter.
+    struct Counting {
+        reg: Registry<Counted>,
+        slides: Rc<Cell<u64>>,
+    }
+
+    impl Counting {
+        fn new() -> Self {
+            Counting {
+                reg: Registry::default(),
+                slides: Rc::default(),
+            }
+        }
+
+        fn engine(&self, spec: WindowSpec) -> Counted {
+            Counted(Toy::new(spec.n, spec.k, spec.s), self.slides.clone())
+        }
+
+        /// A private consumer of `W⟨wd, sd⟩` top-`k` over a counted engine.
+        fn timed(&self, wd: u64, sd: u64, k: usize) -> SharedTimed<Counted> {
+            let reduced = TimedSpec::new(wd, sd, k).unwrap().reduced().unwrap();
+            SharedTimed::from_engine(self.engine(reduced), wd, sd).unwrap()
+        }
+
+        fn enroll_event(&mut self, id: u64, (wd, sd, k): (u64, u64, usize)) {
+            let member = Member {
+                consumer: Box::new(self.timed(wd, sd, k)),
+                clock: Clock::Event,
+                predicate: Predicate::default(),
+            };
+            self.reg.register(q(id), member, None);
+        }
+
+        fn enroll_arrival(&mut self, id: u64, (n, k, s): (usize, usize, usize)) {
+            let reduced = WindowSpec::new(n, k, s).unwrap().reduced();
+            let consumer = SharedTimed::from_count_engine(self.engine(reduced), n, s).unwrap();
+            let member = Member {
+                consumer: Box::new(consumer),
+                clock: Clock::Arrival,
+                predicate: Predicate::default(),
+            };
+            self.reg.register(q(id), member, None);
+        }
+
+        /// Unregisters `id`, asserting that no engine ran.
+        fn unregister(&mut self, id: u64) -> GroupSession<Counted> {
+            let before = self.slides.get();
+            let m = self.reg.unregister(q(id)).unwrap();
+            assert_eq!(self.slides.get(), before, "unregister ran engine code");
+            m
+        }
+
+        /// Every group's reductions, as their classes' `k`s: the first
+        /// class of a reduction runs the engine, the rest are parked.
+        fn reductions(&self) -> Vec<Vec<Vec<usize>>> {
+            let mut all: Vec<Vec<Vec<usize>>> = self
+                .reg
+                .groups
+                .values()
+                .map(|g| {
+                    let ks = |r: &Reduction<Counted>| {
+                        let fresh = r.classes[0].consumer.slides_applied() == 0;
+                        let parked = r.classes[1..].iter().all(|c| c.consumer.is_parked());
+                        assert!(fresh || parked, "every class but the first is parked");
+                        r.classes.iter().map(|c| c.consumer.k()).collect()
+                    };
+                    g.reductions.iter().map(ks).collect()
+                })
+                .collect();
+            all.sort();
+            all
+        }
+    }
+
+    /// Every member's updates, by raw id.
+    fn by_member(updates: Vec<QueryUpdate>) -> HashMap<u64, Vec<SlideResult>> {
+        let mut all: HashMap<u64, Vec<SlideResult>> = HashMap::new();
+        for u in updates {
+            all.entry(u.query.raw()).or_default().push(u.result);
+        }
+        all
+    }
+
+    /// Twenty in-step event-clock members, `k = 1..=10` over two window
+    /// durations, form two reductions: each group close runs exactly two
+    /// engine slides, while the twenty classes keep their own emissions,
+    /// equal to standalone `TimedSession`s.
+    #[test]
+    fn in_step_event_classes_share_one_reduction_per_window() {
+        let mut hub = Counting::new();
+        let mut standalone = Vec::new();
+        for (i, (wd, k)) in [20u64, 40]
+            .iter()
+            .flat_map(|&wd| (1..=10).map(move |k| (wd, k)))
+            .enumerate()
+        {
+            hub.enroll_event(i as u64, (wd, 10, k));
+            let reduced = TimedSpec::new(wd, 10, k).unwrap().reduced().unwrap();
+            standalone.push(
+                TimedSession::new(Toy::new(reduced.n, reduced.k, reduced.s), wd, 10).unwrap(),
+            );
+        }
+        assert_eq!(hub.reg.stats().result_classes, 20);
+        let ks: Vec<usize> = (1..=10).rev().collect();
+        assert_eq!(hub.reductions(), [[ks.clone(), ks]]);
+        for batch in 0..9 {
+            // each batch crosses one slide boundary
+            let objects = ticks(10 * batch + 5, 10 * batch + 15);
+            let before = hub.slides.get();
+            let served = by_member(hub.reg.publish_timed(&objects));
+            assert_eq!(hub.slides.get() - before, 2, "batch {batch}");
+            for (i, session) in standalone.iter_mut().enumerate() {
+                assert_eq!(
+                    served[&(i as u64)],
+                    session.push_timed(&objects),
+                    "member {i}"
+                );
+            }
+        }
+        assert_eq!(hub.reg.stats().result_classes, 20);
+    }
+
+    /// The same on the arrival clock, with `k` on both sides of `s = 4`:
+    /// one engine slide per window and close, every member equal to a
+    /// standalone `Session`.
+    #[test]
+    fn in_step_arrival_classes_share_one_reduction_per_window() {
+        let mut hub = Counting::new();
+        let mut standalone = Vec::new();
+        for (i, (n, k)) in [12usize, 24]
+            .iter()
+            .flat_map(|&n| (1..=10).map(move |k| (n, k)))
+            .enumerate()
+        {
+            hub.enroll_arrival(i as u64, (n, k, 4));
+            standalone.push(Session::new(Toy::new(n, k, 4)));
+        }
+        assert_eq!(hub.reg.stats().result_classes, 20);
+        assert_eq!(hub.reg.groups.len(), 1);
+        let objects: Vec<Object> = ticks(0, 48).iter().map(TimedObject::untimed).collect();
+        for (close, slide) in objects.chunks(4).enumerate() {
+            let before = hub.slides.get();
+            let served = by_member(hub.reg.publish(slide));
+            assert_eq!(hub.slides.get() - before, 2, "close {close}");
+            for (i, session) in standalone.iter_mut().enumerate() {
+                assert_eq!(served[&(i as u64)], session.push(slide), "member {i}");
+            }
+        }
+    }
+
+    /// A member that warms up founds a reduction of its own, even where
+    /// an in-step reduction of its window exists.
+    #[test]
+    fn a_warm_up_promotion_founds_its_own_reduction() {
+        let mut hub = Counting::new();
+        hub.enroll_event(0, (20, 10, 2));
+        hub.reg.publish_timed(&ticks(0, 15));
+        hub.enroll_event(1, (20, 10, 5));
+        assert!(hub.reg.session(q(1)).unwrap().is_warming_up());
+        hub.reg.publish_timed(&ticks(15, 25));
+        assert!(hub.reg.session(q(1)).unwrap().is_classed());
+        assert_eq!(hub.reductions(), [[vec![2], vec![5]]]);
+    }
+
+    /// The reducing class's last member leaves with the in-step
+    /// consumer, the largest remaining class takes over at the next
+    /// close, and the last member out of a parked class leaves with a
+    /// parked consumer. No unregister runs an engine; the members that
+    /// stay keep equalling standalone sessions, and each returned
+    /// consumer, fed on, equals one that served privately throughout.
+    #[test]
+    fn a_take_over_keeps_every_member_exact() {
+        let mut hub = Counting::new();
+        let geometry = [3, 2, 2, 1].map(|k| (20, 10, k));
+        let mut standalone = Vec::new();
+        let mut private = Vec::new();
+        for (i, &(wd, sd, k)) in geometry.iter().enumerate() {
+            hub.enroll_event(i as u64, (wd, sd, k));
+            let reduced = TimedSpec::new(wd, sd, k).unwrap().reduced().unwrap();
+            standalone.push(
+                TimedSession::new(Toy::new(reduced.n, reduced.k, reduced.s), wd, sd).unwrap(),
+            );
+            private.push((DigestProducer::new(sd, k), hub.timed(wd, sd, k)));
+        }
+        assert_eq!(hub.reductions(), [[vec![3, 2, 1]]]);
+        // serves ticks `from..to`, which must run `engines` engine slides,
+        // to the hub and to the staying members' standalone sessions and
+        // private consumers
+        let mut feed = |hub: &mut Counting,
+                        private: &mut [(DigestProducer, SharedTimed<Counted>)],
+                        (from, to): (u64, u64),
+                        stay: &[usize],
+                        engines: u64| {
+            let objects = ticks(from, to);
+            let before = hub.slides.get();
+            let served = by_member(hub.reg.publish_timed(&objects));
+            assert_eq!(hub.slides.get() - before, engines, "ticks {from}..{to}");
+            for &i in stay {
+                assert_eq!(
+                    served[&(i as u64)],
+                    standalone[i].push_timed(&objects),
+                    "member {i}"
+                );
+                let (producer, consumer) = &mut private[i];
+                for &o in &objects {
+                    producer.ingest_with(o, &mut |v| {
+                        consumer.apply_slide_top(v.slide, v.top);
+                    });
+                }
+            }
+        };
+        feed(&mut hub, &mut private, (0, 35), &[0, 1, 2, 3], 3);
+
+        // the reducing class empties: its member takes the in-step consumer
+        let mut reducer = hub.unregister(0).into_inner().unwrap();
+        assert!(!reducer.is_parked());
+        assert_eq!(reducer.last_result(), private[0].1.last_result());
+        assert_eq!(hub.reductions(), [[vec![2, 1]]]);
+        // the k = 2 class takes over: its parked consumer rehydrates by
+        // replaying its two-slide window, then slides
+        feed(&mut hub, &mut private, (35, 45), &[1, 2, 3], 2 + 1);
+        feed(&mut hub, &mut private, (45, 55), &[1, 2, 3], 1);
+        assert_eq!(hub.reductions(), [[vec![2, 1]]]);
+
+        // the parked class's last member leaves with a parked consumer
+        let mut parked = hub.unregister(3).into_inner().unwrap();
+        assert!(parked.is_parked());
+        assert_eq!(parked.slides_applied(), private[3].1.slides_applied());
+        feed(&mut hub, &mut private, (55, 75), &[1, 2], 2);
+
+        // fed on from where it left, each returned consumer equals its
+        // private twin
+        for (consumer, i) in [(&mut reducer, 0), (&mut parked, 3)] {
+            let (producer, twin) = &mut private[i];
+            let mut seen = 0;
+            for t in [75, 80, 92, 101, 130] {
+                producer.ingest_with(TimedObject::new(t, t, (t % 13) as f64), &mut |v| {
+                    let ours = consumer.apply_slide_top(v.slide, v.top).map(<[_]>::to_vec);
+                    let theirs = twin.apply_slide_top(v.slide, v.top).map(<[_]>::to_vec);
+                    assert_eq!(ours, theirs, "slide {}", v.slide);
+                    assert_eq!(consumer.last_result(), twin.last_result());
+                    seen += 1;
+                });
+            }
+            assert!(seen >= 4);
+            assert!(!consumer.is_parked());
+        }
     }
 
     #[test]

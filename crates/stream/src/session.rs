@@ -530,7 +530,11 @@ pub enum Clock {
 /// (see `crate::registry`); the session keeps the member's own slide
 /// counter and previous emission. The session holds a consumer itself
 /// while it warms up, after it left its class as the last member, and
-/// when it is decoded from a checkpoint, until the restore pools it.
+/// when it is decoded from a checkpoint, until the restore pools it. A
+/// consumer handed back by `unregister` may be parked
+/// ([`SharedTimed::is_parked`]) — its class read its answers off a
+/// larger-`k` class's engine — and rehydrates on its first apply or on
+/// [`SharedTimed::rehydrate`].
 ///
 /// An event-clock member that registers after its group ingested
 /// anything must only observe objects published after its registration,
@@ -1097,8 +1101,9 @@ impl Hub {
     /// never a silent no-op, so callers cannot mistake a stale handle for
     /// a successful removal. The query leaves its group; the last member
     /// out retires the group's digest producer. The last member out of a
-    /// result class takes the class's engine along; a query that shared
-    /// its class returns without one (see [`GroupSession::consumer`]).
+    /// result class takes the class's engine along, possibly parked (see
+    /// [`SharedTimed::is_parked`]); a query that shared its class returns
+    /// without one (see [`GroupSession::consumer`]).
     pub fn unregister(&mut self, id: QueryId) -> Result<HubSession, SapError> {
         self.registry
             .unregister(id)

@@ -224,3 +224,75 @@ fn f64_min_timed_scores_survive_the_reduction() {
     let closed = hub.advance_time(5);
     assert_eq!(closed[0].result.snapshot.to_vec(), expected);
 }
+
+/// Pads rank below every finite score: a short slide's padding never
+/// outranks a real `f64::MIN` object of an earlier slide, on a `Hub` or
+/// in a `TimedSession`.
+#[test]
+fn padding_ranks_below_f64_min_on_the_event_clock() {
+    use sap::prelude::{Hub, HubExt, Query, QueryExt, TimedObject};
+
+    // W⟨10, 5⟩, k = 3: slide 1 (window [0, 10)) holds three f64::MIN
+    // objects from slide 0 and one 1.0 from slide 1, whose reduced slide
+    // is padded twice
+    let query = Query::window_duration(10).top(3).slide_duration(5);
+    let data = [
+        TimedObject::new(0, 0, f64::MIN),
+        TimedObject::new(1, 1, f64::MIN),
+        TimedObject::new(2, 2, f64::MIN),
+        TimedObject::new(3, 6, 1.0),
+    ];
+    let expected = vec![
+        Object::new(3, 1.0),
+        Object::new(2, f64::MIN),
+        Object::new(1, f64::MIN),
+    ];
+    let mut standalone = query.timed_session().unwrap();
+    let mut closed = standalone.push_timed(&data);
+    closed.extend(standalone.advance_watermark(10));
+    assert_eq!(closed[1].slide, 1);
+    assert_eq!(closed[1].snapshot.to_vec(), expected, "TimedSession");
+    let mut hub = Hub::new();
+    let id = hub.register(&query).unwrap();
+    let mut updates = hub.publish_timed(&data);
+    updates.extend(hub.advance_time(10));
+    let slide_1: Vec<Vec<Object>> = updates
+        .iter()
+        .filter(|u| u.query == id && u.result.slide == 1)
+        .map(|u| u.result.snapshot.to_vec())
+        .collect();
+    assert_eq!(slide_1, [expected], "Hub");
+}
+
+/// Pads rank below every finite score on the arrival clock too, where a
+/// filter leaves a slide short.
+#[test]
+fn padding_ranks_below_f64_min_on_the_arrival_clock() {
+    use sap::prelude::{Hub, HubExt, Predicate, Query};
+
+    // ⟨4, 2, 2⟩ over even ids: slide 0 admits ids 0 and 2 (f64::MIN),
+    // slide 1 only id 4, so its reduced slide is padded once
+    let query = Query::window(4)
+        .top(2)
+        .slide(2)
+        .filter(Predicate::any().tag(2, 0));
+    let data = [
+        Object::new(0, f64::MIN),
+        Object::new(2, f64::MIN),
+        Object::new(4, 1.0),
+        Object::new(5, 7.0),
+    ];
+    let mut hub = Hub::new();
+    let id = hub.register(&query).unwrap();
+    let slides: Vec<Vec<Object>> = hub
+        .publish(&data)
+        .iter()
+        .filter(|u| u.query == id)
+        .map(|u| u.result.snapshot.to_vec())
+        .collect();
+    assert_eq!(
+        slides[1],
+        [Object::new(4, 1.0), Object::new(2, f64::MIN)],
+        "slide 1"
+    );
+}

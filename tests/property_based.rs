@@ -6,7 +6,10 @@ use proptest::prelude::*;
 
 use sap::baselines::{KSkyband, MinTopK, NaiveTopK, Sma};
 use sap::core::{Sap, SapConfig};
-use sap::stream::{run_collecting, Object, SlidingTopK, WindowSpec};
+use sap::stream::{
+    run_collecting, DigestProducer, Object, SharedTimed, SlidingTopK, TimedObject, TimedSpec,
+    WindowSpec,
+};
 
 /// Builds a stream from raw score choices; a small score alphabet makes
 /// ties frequent, which is where bugs hide.
@@ -151,5 +154,111 @@ proptest! {
         let (_, a) = run_collecting(&mut Sap::new(SapConfig::new(spec)), &data);
         let (_, b) = run_collecting(&mut Sap::new(SapConfig::new(spec)), &data);
         prop_assert_eq!(a, b, "engine must be deterministic");
+    }
+}
+
+/// Scores for the nesting property: few values, so ties are everywhere,
+/// and `f64::MIN` among them, the finite score closest to padding.
+const NEST_SCORES: [f64; 4] = [f64::MIN, -1.0, 0.0, 2.0];
+
+/// Digest consumers at every `k ≤ k_max` over one window, each over a
+/// fresh engine on its reduction `reduced(k)`: SAP's and the
+/// brute-force one's, alternating.
+type Nest = Vec<(usize, SharedTimed<Box<dyn SlidingTopK>>)>;
+
+fn nest(
+    k_max: usize,
+    reduced: impl Fn(usize) -> WindowSpec,
+    consumer: impl Fn(Box<dyn SlidingTopK>) -> SharedTimed<Box<dyn SlidingTopK>>,
+) -> Nest {
+    let mut all = Nest::new();
+    for k in 1..=k_max {
+        let spec = reduced(k);
+        all.push((k, consumer(Box::new(Sap::new(SapConfig::new(spec))))));
+        all.push((k, consumer(Box::new(NaiveTopK::new(spec)))));
+    }
+    all
+}
+
+/// Applies one closed slide to every consumer, then checks the nesting:
+/// each engine's `k` result is the first `k` of the same engine's
+/// `k_max` result.
+fn apply_nested(consumers: &mut Nest, slide: u64, top: &[TimedObject]) {
+    for (_, c) in consumers.iter_mut() {
+        c.apply_slide_top(slide, top);
+    }
+    let (_, deepest) = consumers.split_last_chunk::<2>().expect("k_max ≥ 1");
+    for (engine, (k_max, deepest)) in deepest.iter().enumerate() {
+        let deepest = deepest.last_result();
+        for (k, c) in consumers.iter().skip(engine).step_by(2) {
+            let prefix = &deepest[..(*k).min(deepest.len())];
+            prop_assert_eq!(
+                c.last_result(),
+                prefix,
+                "slide {}, k = {} of {}",
+                slide,
+                k,
+                k_max
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Top-k answers nest on the event clock: one producer at `k_max`
+    /// feeds consumers at every `k ≤ k_max`, and at every slide each
+    /// `k` consumer's result is the first `k` of the `k_max` one's —
+    /// over tie-heavy streams with `f64::MIN` scores, and with empty and
+    /// short slides, whose reduced slides are padded.
+    #[test]
+    fn event_clock_results_nest_across_k(
+        draws in vec((0u64..4, 0usize..4), 0..120),
+        (sd, slides, k_max) in (1u64..=4, 1u64..=4, 1usize..=6),
+    ) {
+        let wd = sd * slides;
+        let mut consumers = nest(
+            k_max,
+            |k| TimedSpec::new(wd, sd, k).unwrap().reduced().unwrap(),
+            |e| SharedTimed::from_engine(e, wd, sd).unwrap(),
+        );
+        let mut producer = DigestProducer::new(sd, k_max);
+        let mut t = 0;
+        for (id, (gap, score)) in draws.into_iter().enumerate() {
+            t += gap;
+            let o = TimedObject::new(id as u64, t, NEST_SCORES[score]);
+            producer.ingest_with(o, &mut |v| apply_nested(&mut consumers, v.slide, v.top));
+        }
+        producer.advance_to_with(t + wd + sd, &mut |v| {
+            apply_nested(&mut consumers, v.slide, v.top)
+        });
+    }
+
+    /// The same nesting on the arrival clock, with `s` on both sides of
+    /// `k`: each consumer runs `⟨(n/s)·min(k, s), k, min(k, s)⟩`, and a
+    /// filter that rejects some arrivals leaves slides short or empty.
+    #[test]
+    fn arrival_clock_results_nest_across_k(
+        draws in vec((0usize..4, 0usize..4), 0..120),
+        (s, slides, k_max) in (1usize..=5, 1usize..=4, 1usize..=6),
+    ) {
+        let n = s * slides;
+        let k_max = k_max.min(n);
+        let mut consumers = nest(
+            k_max,
+            |k| WindowSpec::new(n, k, s).unwrap().reduced(),
+            |e| SharedTimed::from_count_engine(e, n, s).unwrap(),
+        );
+        let mut producer = DigestProducer::new(s as u64, k_max);
+        for (r, (filter, score)) in (0u64..).zip(draws) {
+            // a rejected arrival still fills its slide
+            if filter > 0 {
+                producer.ingest_with(TimedObject::new(r, r, NEST_SCORES[score]), &mut |_| {});
+            }
+            producer.advance_to_with(r + 1, &mut |v| {
+                apply_nested(&mut consumers, v.slide, v.top)
+            });
+        }
     }
 }

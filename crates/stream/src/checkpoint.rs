@@ -21,9 +21,11 @@
 //!   truncation, bit flips, and malformed payloads all surface as typed
 //!   [`CheckpointError`]s — never a panic.
 //!
-//! What a checkpoint captures: session windows and pending buffers,
-//! emitted-slide counters, previous snapshots (for delta continuity),
-//! digest-group producers, and sharing counters. What it does not:
+//! What a checkpoint captures: every group's producer and id ring, its
+//! result classes — each class's consumer window, slide counter and
+//! previous snapshot (for delta continuity) once, with its member ids —
+//! grouped into their reductions, its warming members with their private
+//! producers, and the sharing counters. What it does not:
 //! operation statistics ([`OpStats`](crate::metrics::OpStats) restart at
 //! zero) and engine tuning knobs not implied by the engine name (restored
 //! engines use their defaults — output-identical because every engine is
@@ -32,9 +34,8 @@
 //! The format version is bumped whenever the payload layout changes;
 //! readers reject versions they do not know
 //! ([`CheckpointError::UnsupportedVersion`]) rather than guessing. This
-//! build writes format 4 and also reads format 3, whose isolated
-//! sessions (session kinds 0 and 1) it restores as members of their
-//! count and slide groups.
+//! build writes format 5 and also reads format 4, which wrote one
+//! consumer per member and restores member by member.
 //!
 //! ```
 //! use sap_stream::checkpoint::EngineFactory;
@@ -98,35 +99,36 @@ use crate::window::{SlidingTopK, WindowSpec};
 pub const MAGIC: [u8; 8] = *b"SAPCKPT\0";
 
 /// The payload layout version this build writes. Bumped on any layout
-/// change: version 3 added the admission plane (per-group predicates,
-/// explicit count-group ordinals, and the ADMISSION counter section);
-/// version 4 serves every count query on the arrival clock, so a count
-/// member's consumer ring holds `min(k, s)` slots per slide, no session
-/// has kind 0, and `COUNTERS` lost its isolated-rebuild slot. This build
-/// also reads version 3; other versions are rejected with
-/// [`CheckpointError::UnsupportedVersion`].
-pub const FORMAT_VERSION: u32 = 4;
+/// change: version 4 serves every count query on the arrival clock, so a
+/// count member's consumer ring holds `min(k, s)` slots per slide;
+/// version 5 writes each group with its reductions and result classes,
+/// one consumer per class and member ids beneath it, and `COUNTERS`
+/// gained `class_hits`. This build also reads version 4; other versions
+/// are rejected with [`CheckpointError::UnsupportedVersion`].
+pub const FORMAT_VERSION: u32 = 5;
 
 /// The oldest payload layout this build reads.
-const OLDEST_READ_VERSION: u32 = 3;
+const OLDEST_READ_VERSION: u32 = 4;
 
 /// Section tags of the payload layout (crate-internal; the framing
 /// itself is what [`Encoder::section`] exposes publicly).
 pub(crate) mod tags {
     /// One registry's full state (one per shard in a sharded checkpoint).
     pub const REGISTRY: u8 = 1;
-    /// The sessions of one registry.
+    /// The member sessions of one registry (format 4).
     pub const SESSIONS: u8 = 2;
-    /// The event-clock groups of one registry.
+    /// The groups of one registry, each with its classes and members
+    /// (format 4: the event-clock groups alone).
     pub const GROUPS: u8 = 3;
     /// The digest sharing counters of one registry.
     pub const COUNTERS: u8 = 4;
-    /// One session's framed engine state: a group member's consumer
-    /// window (format 3's kind 1 also framed its adapter's producer).
+    /// One consumer's framed state, its ring and slide count: a result
+    /// class's, or a member's that owns its consumer (a warming member,
+    /// or any member of a format-4 image).
     pub const ENGINE: u8 = 5;
-    /// The arrival-clock groups of one registry (since version 2).
+    /// The arrival-clock groups of one registry (format 4).
     pub const COUNT_GROUPS: u8 = 6;
-    /// The admission-plane counters of one registry (version 3).
+    /// The admission-plane counters of one registry.
     pub const ADMISSION: u8 = 7;
 }
 
@@ -579,7 +581,7 @@ impl Checkpoint {
         self.bytes.len() == FRAME_BYTES
     }
 
-    /// The payload layout version this artifact was written under: 3 or
+    /// The payload layout version this artifact was written under: 4 or
     /// [`FORMAT_VERSION`] for any value
     /// [`from_bytes`](Checkpoint::from_bytes) accepted.
     pub fn version(&self) -> u32 {
@@ -672,14 +674,14 @@ mod tests {
         bent[13] ^= 0x40;
         assert!(Checkpoint::from_bytes(&bent).is_err());
 
-        // version 3 is still read; a future version, and the retired
-        // version 2, are refused by name, checksum intact
+        // version 4 is still read; a future version, and the retired
+        // versions 3 and 2, are refused by name, checksum intact
         let mut old = ckpt.as_bytes()[..ckpt.len() - 8].to_vec();
-        old[8..12].copy_from_slice(&3u32.to_le_bytes());
+        old[8..12].copy_from_slice(&4u32.to_le_bytes());
         let sum = fnv1a(&old);
         old.extend_from_slice(&sum.to_le_bytes());
-        assert_eq!(Checkpoint::from_bytes(&old).map(|c| c.version()), Ok(3));
-        for version in [FORMAT_VERSION + 1, 2] {
+        assert_eq!(Checkpoint::from_bytes(&old).map(|c| c.version()), Ok(4));
+        for version in [FORMAT_VERSION + 1, 3, 2] {
             let mut reframed = ckpt.as_bytes()[..ckpt.len() - 8].to_vec();
             reframed[8..12].copy_from_slice(&version.to_le_bytes());
             let sum = fnv1a(&reframed);

@@ -263,19 +263,6 @@ impl DigestProducer {
         let k_max = dec.take_usize()?;
         let next_slide = dec.take_u64()?;
         let pending: Vec<TimedObject> = dec.take_seq()?;
-        DigestProducer::resume(slide_duration, k_max, next_slide, pending)
-    }
-
-    /// A producer at slide `next_slide` with `pending` in its open slide,
-    /// validated like decoded bytes: what
-    /// [`decode_state`](DigestProducer::decode_state) reads, and what a
-    /// restore derives from an older image's isolated count session.
-    pub(crate) fn resume(
-        slide_duration: u64,
-        k_max: usize,
-        next_slide: u64,
-        pending: Vec<TimedObject>,
-    ) -> Result<DigestProducer, CheckpointError> {
         if slide_duration == 0 {
             return Err(CheckpointError::Corrupt("digest slide_duration is zero"));
         }
@@ -298,29 +285,6 @@ impl DigestProducer {
             next_slide,
             pending,
         })
-    }
-
-    /// Moves an arrival-clock producer `slides` slides later, relabeling
-    /// its open slide's ordinals to match: arrival ordinals are internal,
-    /// so a restore may shift a group to merge it with another.
-    pub(crate) fn shift(&mut self, slides: u64) -> Result<(), CheckpointError> {
-        let by = slides.checked_mul(self.slide_duration);
-        let shifted = by.and_then(|by| {
-            Some((
-                self.next_slide.checked_add(slides)?,
-                self.slide_end.checked_add(by)?,
-                by,
-            ))
-        });
-        let (next_slide, slide_end, by) =
-            shifted.ok_or(CheckpointError::Corrupt("count-group ordinal overflows"))?;
-        self.next_slide = next_slide;
-        self.slide_end = slide_end;
-        for o in &mut self.pending {
-            o.id = o.id.wrapping_add(by);
-            o.timestamp = o.timestamp.wrapping_add(by);
-        }
-        Ok(())
     }
 }
 
@@ -351,9 +315,11 @@ impl DigestProducer {
 /// take for every result class that shares another class's reduction),
 /// while its engine stays fresh. A parked consumer writes exactly the
 /// checkpoint bytes a running one would, since those are its ring and
-/// slide count. [`rehydrate`](SharedTimed::rehydrate) replays the ring
-/// into the fresh engine, through the replay a restore runs, and ends the
-/// parking; [`apply_slide_top`](SharedTimed::apply_slide_top) rehydrates
+/// slide count, and a restore rebuilds every consumer parked
+/// ([`restore_state`](SharedTimed::restore_state)).
+/// [`rehydrate`](SharedTimed::rehydrate) replays the ring into the fresh
+/// engine and ends the parking;
+/// [`apply_slide_top`](SharedTimed::apply_slide_top) rehydrates
 /// first, so a parked consumer handed back by a hub serves on as if it
 /// had run all along. Until then its [`engine`](SharedTimed::engine),
 /// [`candidate_count`](SharedTimed::candidate_count) and
@@ -487,16 +453,31 @@ impl<E: SlidingTopK> SharedTimed<E> {
 
     /// Ends the parking: replays the ring into the fresh engine, which
     /// rebuilds the engine's candidate state and the retained result
-    /// exactly as a restore does. A no-op on a consumer that is not
-    /// parked. Costs one engine slide per slide the ring holds.
+    /// exactly as the live consumer holds them — the one replay, which a
+    /// restore runs too. A no-op on a consumer that is not parked. Costs
+    /// one engine slide per slide the ring holds.
+    ///
+    /// A slide's slots are its kept prefix reversed (see `push_slide`):
+    /// reversed again, each replayed slide rebuilds the ring slot for
+    /// slot, as slides `0, 1, …`, and the older slides count as applied
+    /// and expired from the window.
     pub fn rehydrate(&mut self) {
         if !std::mem::take(&mut self.parked) {
             return;
         }
-        let slots: Vec<Option<TimedObject>> = self.ring.drain(..).collect();
+        let tops: Vec<Vec<TimedObject>> = self
+            .ring
+            .drain(..)
+            .collect::<Vec<_>>()
+            .chunks(self.width)
+            .map(|slide| slide.iter().rev().flatten().copied().collect())
+            .collect();
         let applied = self.slides_applied;
         (self.ring_base, self.next_synth_id, self.slides_applied) = (0, 0, 0);
-        self.replay_ring(&slots, self.width, applied);
+        for (slide, top) in tops.iter().enumerate() {
+            self.apply_slide_top(slide as u64, top);
+        }
+        self.slides_applied = applied;
     }
 
     /// Applies one closed slide, given its index and top list (a live
@@ -583,9 +564,10 @@ impl<E: SlidingTopK> SharedTimed<E> {
     /// Writes the consumer's reduced window — the synthetic-id ring and
     /// the slide position. Everything else (`ring_base`, `next_synth_id`,
     /// the retained result, the wrapped engine's candidate structures) is
-    /// reproduced on restore by replaying the ring through the normal
-    /// apply path, so no engine internals ever hit the wire — and a
-    /// parked consumer writes the same bytes as a running one.
+    /// reproduced after a restore by replaying the ring through the normal
+    /// apply path ([`rehydrate`](SharedTimed::rehydrate)), so no engine
+    /// internals ever hit the wire — and a parked consumer writes the same
+    /// bytes as a running one.
     pub fn encode_state(&self, enc: &mut Encoder) {
         enc.put_u64(self.ring.len() as u64);
         for slot in &self.ring {
@@ -605,39 +587,32 @@ impl<E: SlidingTopK> SharedTimed<E> {
     /// Restores [`encode_state`](SharedTimed::encode_state) bytes into a
     /// **fresh** consumer (as produced by
     /// [`from_engine`](SharedTimed::from_engine) or
-    /// [`from_count_engine`](SharedTimed::from_count_engine)): each encoded
-    /// ring group is re-applied as a slide through
-    /// [`apply_slide_top`](SharedTimed::apply_slide_top), which rebuilds
-    /// the ring, the retained result, and the wrapped engine's candidate
-    /// state in one pass — the engine is an exact top-k function of its
-    /// window, so the replayed instance emits byte-identical results from
-    /// here on. `stored_width` is the slot count per slide the bytes were
-    /// written at: this consumer's `w`, or `k` for an arrival-clock
-    /// consumer an earlier format wrote, whose slides keep their first
-    /// `w` slots (padding always trails).
-    pub fn restore_state(
-        &mut self,
-        dec: &mut Decoder<'_>,
-        stored_width: usize,
-    ) -> Result<(), CheckpointError> {
+    /// [`from_count_engine`](SharedTimed::from_count_engine)) as a
+    /// **parked** one: its ring and slide count, with the engine still
+    /// fresh — exactly what a live consumer that applied those slides to
+    /// its ring alone holds, so it writes back the bytes it was read from.
+    /// [`rehydrate`](SharedTimed::rehydrate) (or the first apply) replays
+    /// the ring into the engine, which is an exact top-k function of its
+    /// window, so the consumer then emits byte-identical results. The ring
+    /// holds `w` slots per slide, this consumer's own width.
+    pub fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CheckpointError> {
         assert!(
             self.slides_applied == 0 && self.ring.is_empty(),
             "restore_state requires a fresh consumer"
         );
         let len = dec.take_seq_len()?;
-        if stored_width < self.width || len % stored_width != 0 {
+        if len % self.width != 0 {
             return Err(CheckpointError::Corrupt(
                 "consumer ring length is not a multiple of its width",
             ));
         }
-        let groups = len / stored_width;
+        let groups = len / self.width;
         let full = self.inner.spec().slides_per_window();
         if groups > full {
             return Err(CheckpointError::Corrupt("consumer ring exceeds the window"));
         }
-        let mut slots: Vec<Option<TimedObject>> = Vec::with_capacity(len);
         for _ in 0..len {
-            slots.push(match dec.take_u8()? {
+            self.ring.push_back(match dec.take_u8()? {
                 0 => None,
                 1 => Some(TimedObject::decode_state(dec)?),
                 _ => return Err(CheckpointError::Corrupt("bad ring slot flag")),
@@ -649,23 +624,11 @@ impl<E: SlidingTopK> SharedTimed<E> {
                 "consumer slide count disagrees with its ring",
             ));
         }
-        self.replay_ring(&slots, stored_width, slides_applied);
+        // `ring_base` and `next_synth_id` stay 0: the replay renumbers
+        // the synthetic ids from there
+        self.slides_applied = slides_applied;
+        self.parked = slides_applied > 0;
         Ok(())
-    }
-
-    /// Replays ring `slots`, written `stored_width` per slide, into the
-    /// fresh engine, then declares `applied` slides applied — the
-    /// one replay a restore and [`rehydrate`](SharedTimed::rehydrate)
-    /// share. A slide's slots are its kept prefix reversed (see
-    /// `push_slide`): reversed again, the replay rebuilds the ring slot
-    /// for slot.
-    fn replay_ring(&mut self, slots: &[Option<TimedObject>], stored_width: usize, applied: u64) {
-        let width = self.width;
-        let tops: Vec<Vec<TimedObject>> = slots
-            .chunks(stored_width)
-            .map(|slide| slide[..width].iter().rev().flatten().copied().collect())
-            .collect();
-        self.replay(tops.iter().map(Vec::as_slice), applied);
     }
 
     /// The real objects of the retained window, newest first, each with
@@ -676,31 +639,6 @@ impl<E: SlidingTopK> SharedTimed<E> {
         (0..)
             .zip(self.ring.iter().rev())
             .filter_map(move |(i, slot)| Some((i / width, slot.as_ref()?)))
-    }
-
-    /// Relabels the caller ids in the retained window and result `by`
-    /// later — an arrival-clock consumer's objects carry its group's
-    /// ordinals, which [`DigestProducer::shift`] moves.
-    pub(crate) fn shift(&mut self, by: u64) {
-        for o in self.ring.iter_mut().flatten().chain(&mut self.result) {
-            o.id = o.id.wrapping_add(by);
-            o.timestamp = o.timestamp.wrapping_add(by);
-        }
-    }
-
-    /// Re-applies `tops` (each one slide's top list, as
-    /// [`apply_slide_top`](SharedTimed::apply_slide_top) takes it) into a
-    /// fresh consumer as slides `0, 1, …`, then declares `slides_applied`
-    /// slides applied — the older ones expired from the window.
-    pub(crate) fn replay<'a>(
-        &mut self,
-        tops: impl Iterator<Item = &'a [TimedObject]>,
-        slides_applied: u64,
-    ) {
-        for (slide, top) in tops.enumerate() {
-            self.apply_slide_top(slide as u64, top);
-        }
-        self.slides_applied = slides_applied;
     }
 }
 

@@ -86,8 +86,8 @@
 //!
 //! Only classes whose consumers are all fresh can meet, so only in-step
 //! classes share: a newcomer with a larger `k` takes over a reduction
-//! that has applied no slide yet, while a warmed-up member and every
-//! restored class found reductions of their own. When the reducing class
+//! that has applied no slide yet, while a warmed-up member founds a
+//! reduction of its own. When the reducing class
 //! empties, its last member leaves with the in-step consumer, and the
 //! largest remaining class takes over; its parked consumer rehydrates
 //! ([`SharedTimed::rehydrate`], the restore's replay of the ring) at the
@@ -96,11 +96,16 @@
 //! code: engines run only inside ingest calls, which the async hub's
 //! fault model relies on (an engine panic there has no reply to lose).
 //!
-//! A group keeps its classes for its whole life: `move_query` and
-//! `resize` move it whole, classes and reductions included. Classes are
-//! derivable from member state, so checkpoints carry no class section: a
-//! restore gives each decoded member its own consumer and re-classes the
-//! members by byte signature, each class in a reduction of its own.
+//! A group keeps its classes for its whole life: `move_query`, `resize`
+//! and a checkpoint carry it whole, classes and reductions included. A
+//! checkpoint writes each group with its reductions, each class once
+//! with its consumer and its member ids, and a restore installs them the
+//! way a resize does ([`RegistryParts::merge`]): every class's consumer
+//! comes back parked, and each reduction's reducing class rehydrates —
+//! one engine replay per reduction. A format-4 image wrote a consumer
+//! per member; it restores member by member, and
+//! [`RegistryParts::pool_classes`] re-classes its members by byte
+//! signature, each class in a reduction of its own.
 //!
 //! ## Per-call cost
 //!
@@ -120,8 +125,10 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use crate::checkpoint::{tags, CheckpointError, Decoder, Encoder};
-use crate::digest::{result_order, DigestProducer, DigestView, SharedTimed};
+use crate::checkpoint::{
+    tags, CheckpointError, DecodeState, Decoder, EncodeState, Encoder, MAX_RESTORED_WINDOW,
+};
+use crate::digest::{DigestProducer, DigestView, SharedTimed};
 use crate::events::{EventList, SlideResult, Snapshot};
 use crate::object::{Object, TimedObject};
 use crate::predicate::{Predicate, PruneGate};
@@ -155,8 +162,7 @@ pub struct HubStats {
     /// work the member did **not** redo.
     pub digest_hits: u64,
     /// Slides a time-based member computed from its private warm-up
-    /// producer (mid-stream joins catching up to their group, and
-    /// restored isolated timed sessions joining theirs).
+    /// producer (mid-stream joins catching up to their group).
     pub digest_rebuilds: u64,
     /// Count-based queries — every one is served by its count group
     /// ([`Registration::grouped`]).
@@ -215,8 +221,9 @@ pub struct HubStats {
     /// work the second tier collapses. It counts classes, not the
     /// reductions that run their engines: classes that share a
     /// reduction count once each, as they did before reductions
-    /// existed. Classes travel with their group through `move_query` and
-    /// `resize`; a restore re-derives them by byte signature.
+    /// existed. Classes travel with their group through `move_query`,
+    /// `resize` and checkpoint restore (a format-4 image, which carried no
+    /// classes, is re-classed by byte signature).
     ///
     /// Same-class members share one snapshot allocation per close:
     ///
@@ -253,10 +260,10 @@ pub struct HubStats {
     /// away. Zero while every class is solo (no two members share a
     /// view). Its meaning is unchanged by reductions: it counts per
     /// class, so a class whose answers a larger-`k` class's engine
-    /// computed still counts only its members past the first. It
-    /// survives `move_query` and `resize` but resets on checkpoint
-    /// restore, unlike the hit/rebuild counters: the checkpoint format
-    /// predates it and carries no slot.
+    /// computed still counts only its members past the first. Like the
+    /// hit/rebuild counters it survives `move_query`, `resize` and
+    /// checkpoint restore (a format-4 image carried no slot for it and
+    /// restores it as 0).
     pub class_hits: u64,
     /// Times a publisher parked (blocked on a full shard queue) —
     /// [`AsyncHub`](crate::exec::AsyncHub) backpressure. Summed across
@@ -537,9 +544,9 @@ pub(crate) type HubGroup = Group<Box<dyn SlidingTopK + Send>>;
 /// that truncates each slide once at `k_max`, the subscription
 /// predicate, the dominance gate, the clock, and the result classes
 /// serving the members. A group travels whole — in [`RegistryParts`]
-/// (resize) and in a migration — classes included; only a decoded group
-/// arrives without classes, which the restore derives
-/// ([`RegistryParts::pool_classes`]).
+/// (resize and restore) and in a migration — classes included; only a
+/// group decoded from a format-4 image arrives without classes, which
+/// the restore derives ([`RegistryParts::pool_classes`]).
 pub(crate) struct Group<C: SlidingTopK> {
     producer: DigestProducer,
     /// Objects it rejects advance the group's clock but are never
@@ -819,95 +826,10 @@ impl<C: SlidingTopK> Group<C> {
         }
     }
 
-    /// Merges `own` — the pass-all group an older image's isolated count
-    /// session `m` implies — into this arrival-clock group of the same
-    /// `(s, fill, predicate)`, whose decoded members are `members`. A
-    /// hub's queries saw one stream, so both groups describe a suffix of
-    /// it ending at the checkpoint: the one that observed fewer arrivals
-    /// shifts onto the other's ordinals, its members with it. The ring
-    /// keeps the longer suffix and the producer the longer open slide (a
-    /// gated group buffers a subsequence of it); where the two disagree,
-    /// the image is corrupt.
-    fn merge_arrivals<'a>(
-        &mut self,
-        members: impl Iterator<Item = &'a mut GroupSession<C>>,
-        mut own: Group<C>,
-        m: &mut GroupSession<C>,
-    ) -> Result<(), CheckpointError>
-    where
-        C: 'a,
-    {
-        let s = self.producer.slide_duration();
-        let (ours, theirs) = (self.next_ordinal(), own.next_ordinal());
-        if ours < theirs {
-            let slides = (theirs - ours) / s;
-            self.shift(slides)?;
-            for member in members {
-                member.shift(slides);
-            }
-        } else {
-            let slides = (ours - theirs) / s;
-            own.shift(slides)?;
-            m.shift(slides);
-        }
-        let (GroupClock::Arrival(a), GroupClock::Arrival(b)) = (&mut self.clock, own.clock) else {
-            unreachable!("count groups run on the arrival clock")
-        };
-        let overlap = a.ring.len().min(b.ring.len());
-        if !a
-            .ring
-            .iter()
-            .rev()
-            .take(overlap)
-            .eq(b.ring.iter().rev().take(overlap))
-        {
-            return Err(CheckpointError::Corrupt(
-                "count sessions at one offset disagree on the stream",
-            ));
-        }
-        if b.ring.len() > a.ring.len() {
-            *a = b;
-        }
-        let mut shorter = own.producer;
-        if shorter.pending_len() > self.producer.pending_len() {
-            std::mem::swap(&mut self.producer, &mut shorter);
-        }
-        let mut open = self.producer.pending().iter();
-        if !shorter.pending().iter().all(|o| open.any(|p| p == o)) {
-            return Err(CheckpointError::Corrupt(
-                "count sessions at one offset disagree on the open slide",
-            ));
-        }
-        self.deepen(shorter.k_max());
-        Ok(())
-    }
-
-    /// Objects an arrival-clock group has observed (0 on the event clock).
-    fn next_ordinal(&self) -> u64 {
-        match &self.clock {
-            GroupClock::Event => 0,
-            GroupClock::Arrival(a) => a.next_ordinal,
-        }
-    }
-
-    /// Moves an arrival-clock group `slides` slides later on its ordinals
-    /// (see [`merge_arrivals`](Group::merge_arrivals)).
-    fn shift(&mut self, slides: u64) -> Result<(), CheckpointError> {
-        self.producer.shift(slides)?;
-        if let GroupClock::Arrival(a) = &mut self.clock {
-            let by = slides * self.producer.slide_duration();
-            let overflow = CheckpointError::Corrupt("count-group ordinal overflows");
-            a.ring_base = a.ring_base.checked_add(by).ok_or(overflow.clone())?;
-            a.next_ordinal = a.next_ordinal.checked_add(by).ok_or(overflow)?;
-        }
-        Ok(())
-    }
-
-    /// Writes the group into its clock's checkpoint section: `GROUPS`
-    /// holds an event-clock group's slide duration, predicate and
-    /// producer; `COUNT_GROUPS` an arrival-clock group's predicate,
-    /// producer, ordinal (explicit since v3: under admission control the
-    /// fill is not derivable from the producer's buffer) and ring.
+    /// Writes the group's state: an event-clock group's slide duration,
+    /// predicate and producer; an arrival-clock group's predicate,
+    /// producer, ordinal (explicit: under admission control the fill is
+    /// not derivable from the producer's buffer) and ring.
     fn encode(&self, e: &mut Encoder) {
         match &self.clock {
             GroupClock::Event => {
@@ -928,7 +850,7 @@ impl<C: SlidingTopK> Group<C> {
         }
     }
 
-    /// Reads one entry of [`encode`](Group::encode)'s `clock` section.
+    /// Reads the state [`encode`](Group::encode) writes for `clock`.
     fn decode(clock: Clock, dec: &mut Decoder<'_>) -> Result<Self, CheckpointError> {
         Ok(match clock {
             Clock::Event => {
@@ -960,6 +882,214 @@ impl<C: SlidingTopK> Group<C> {
                 Group::new(producer, predicate, GroupClock::Arrival(arrivals))
             }
         })
+    }
+
+    /// Writes the group's checkpoint record: its clock and state
+    /// ([`encode`](Group::encode)); its reductions, each as its classes
+    /// head first — the consumer's engine name, window, `k` and join
+    /// slide, the class's previous emission, the consumer's ring and slide
+    /// count in their own frame, then the member ids with their engine
+    /// names; and its `warming` members, indices into `sessions`, each
+    /// with its own consumer and warm-up.
+    fn encode_record(
+        &self,
+        e: &mut Encoder,
+        sessions: &[(QueryId, GroupSession<C>)],
+        warming: &[usize],
+    ) {
+        e.put_u8(match self.clock {
+            GroupClock::Event => 0,
+            GroupClock::Arrival(_) => 1,
+        });
+        self.encode(e);
+        let session = |id: &QueryId| {
+            let at = sessions.binary_search_by_key(id, |(q, _)| *q);
+            &sessions[at.expect("class member ids name registered sessions")].1
+        };
+        e.put_u64(self.reductions.len() as u64);
+        for reduction in &self.reductions {
+            e.put_u64(reduction.classes.len() as u64);
+            for class in &reduction.classes {
+                let consumer = &class.consumer;
+                e.put_str(consumer.name());
+                e.put_u64(consumer.window_duration());
+                e.put_usize(consumer.k());
+                e.put_u64(class.join_slide);
+                class.prev.encode_state(e);
+                e.section(tags::ENGINE, |e| consumer.encode_state(e));
+                e.put_u64(class.members.len() as u64);
+                for id in &class.members {
+                    e.put_u64(id.raw());
+                    e.put_str(session(id).engine_name());
+                }
+            }
+        }
+        e.put_u64(warming.len() as u64);
+        for &i in warming {
+            let (id, m) = &sessions[i];
+            e.put_u64(id.raw());
+            e.put_str(m.engine_name());
+            e.put_u64(m.window());
+            e.put_usize(m.k());
+            m.encode_warming(e);
+        }
+    }
+
+    /// Reads one [`encode_record`](Group::encode_record) record as the
+    /// group at `index` of its registry section, in the shape
+    /// [`Registry::eject_all`] hands out: the group owns its classes and
+    /// reductions and counts its members, whose sessions are appended to
+    /// `sessions` — a classed member without a consumer, a warming one
+    /// with its own. Every class's consumer comes back parked, and each
+    /// reduction's head rehydrates: one engine replay per reduction. The
+    /// record's shape is checked here, its state against the group in
+    /// [`RegistryParts::merge`].
+    fn decode_record(
+        dec: &mut Decoder<'_>,
+        index: u64,
+        count: &mut dyn FnMut(&str, WindowSpec) -> Result<C, SapError>,
+        sessions: &mut Vec<(QueryId, GroupSession<C>)>,
+    ) -> Result<Self, SapError> {
+        let clock = match dec.take_u8()? {
+            0 => Clock::Event,
+            1 => Clock::Arrival,
+            _ => return Err(CheckpointError::Corrupt("unknown group clock").into()),
+        };
+        let mut group = Group::decode(clock, dec)?;
+        let (slide, predicate) = (group.producer.slide_duration(), group.predicate);
+        let corrupt = |what| SapError::from(CheckpointError::Corrupt(what));
+        for _ in 0..dec.take_seq_len()? {
+            let mut classes: Vec<Class<C>> = Vec::new();
+            for _ in 0..dec.take_seq_len()? {
+                let name = dec.take_str()?;
+                let (window, k, join_slide) = (dec.take_u64()?, dec.take_usize()?, dec.take_u64()?);
+                let prev = Snapshot::decode_state(dec)?;
+                let mut consumer = fresh_consumer(count, clock, name, (window, slide, k))?;
+                let mut blob = dec.section(tags::ENGINE)?;
+                consumer.restore_state(&mut blob)?;
+                blob.finish()?;
+                if let Some(above) = classes.last() {
+                    let step = |c: &SharedTimed<C>| (c.window_duration(), c.slides_applied());
+                    if above.join_slide != join_slide || step(&above.consumer) != step(&consumer) {
+                        return Err(corrupt(
+                            "reduction classes disagree on window, join slide or slide count",
+                        ));
+                    }
+                    if above.consumer.k() <= k {
+                        return Err(corrupt("reduction classes out of descending k"));
+                    }
+                }
+                let mut members: Vec<QueryId> = Vec::new();
+                for _ in 0..dec.take_seq_len()? {
+                    let id = QueryId::from_raw(dec.take_u64()?);
+                    if members.last().is_some_and(|last| *last >= id) {
+                        return Err(corrupt("class member ids do not ascend"));
+                    }
+                    let m = GroupSession::classed(
+                        clock,
+                        &consumer,
+                        dec.take_str()?,
+                        predicate,
+                        join_slide,
+                        index,
+                        prev.clone(),
+                    );
+                    group.count(&m);
+                    members.push(id);
+                    sessions.push((id, m));
+                }
+                if members.is_empty() {
+                    return Err(corrupt("result class with no members"));
+                }
+                classes.push(Class {
+                    join_slide,
+                    consumer,
+                    members,
+                    prev,
+                    scratch: SlideScratch::default(),
+                    events: EventList::new(),
+                });
+            }
+            let Some(head) = classes.first_mut() else {
+                return Err(corrupt("reduction with no classes"));
+            };
+            head.consumer.rehydrate();
+            group.reductions.push(Reduction { classes });
+        }
+        let warming = dec.take_seq_len()?;
+        if warming > 0 && clock == Clock::Arrival {
+            return Err(corrupt("count-group member warming up"));
+        }
+        for _ in 0..warming {
+            let id = QueryId::from_raw(dec.take_u64()?);
+            let name = dec.take_str()?;
+            let (window, k) = (dec.take_u64()?, dec.take_usize()?);
+            let consumer = fresh_consumer(count, clock, name, (window, slide, k))?;
+            let mut m = GroupSession::decode_warming(consumer, predicate, dec)?;
+            m.set_group(index);
+            group.count(&m);
+            sessions.push((id, m));
+        }
+        Ok(group)
+    }
+
+    /// Checks a restored or migrated consumer — a class's, or one a
+    /// member owns — against this group, as `join_slide` lines it up:
+    /// the group is at least as deep as its `k`, and it applied exactly
+    /// the slides the group closed since it joined (on the event clock,
+    /// from slide 0). On the arrival clock every object it holds must
+    /// carry an ordinal of the slide that brought it, inside the group's
+    /// id ring, which translates it. Returns the earliest ordinal its
+    /// next emission can reference (`u64::MAX` on the event clock).
+    fn check_consumer(
+        &self,
+        consumer: &SharedTimed<C>,
+        join_slide: u64,
+    ) -> Result<u64, CheckpointError> {
+        if self.producer.k_max() < consumer.k() {
+            return Err(CheckpointError::Corrupt(
+                "group shallower than a member's k",
+            ));
+        }
+        let next = self.producer.next_slide();
+        let a = match &self.clock {
+            GroupClock::Event if join_slide == 0 && consumer.slides_applied() == next => {
+                return Ok(u64::MAX);
+            }
+            GroupClock::Event => {
+                return Err(CheckpointError::Corrupt(
+                    "shared member out of step with its producers",
+                ));
+            }
+            GroupClock::Arrival(a) => a,
+        };
+        if join_slide > next {
+            return Err(CheckpointError::Corrupt(
+                "count-group member joined past its group",
+            ));
+        }
+        // arrival slides never straddle a checkpoint boundary, so every
+        // member is exactly caught up to its group
+        if consumer.slides_applied() != next - join_slide {
+            return Err(CheckpointError::Corrupt(
+                "count-group member out of step with its group",
+            ));
+        }
+        let sd = self.producer.slide_duration();
+        if consumer.window_by_age().any(|(age, o)| {
+            !(a.ring_base..a.next_ordinal).contains(&o.id)
+                || next.checked_sub(age + 1) != Some(o.id / sd)
+        }) {
+            return Err(CheckpointError::Corrupt(
+                "count-group member holds an ordinal outside its slide",
+            ));
+        }
+        // the next emission ranks the last `window` arrivals, but none
+        // from before the join
+        let end = next.saturating_add(1).saturating_mul(sd);
+        Ok(end
+            .saturating_sub(consumer.window_duration())
+            .max(join_slide.saturating_mul(sd)))
     }
 }
 
@@ -1087,18 +1217,16 @@ impl<C: SlidingTopK> Class<C> {
 }
 
 /// The sharing counters — see the [`HubStats`] fields of the same
-/// names. A checkpoint carries the first five, in their `COUNTERS` and
-/// `ADMISSION` byte order; `class_hits` travels in memory only.
+/// names. A checkpoint carries all six: the hits, the rebuilds and
+/// `class_hits` in `COUNTERS`, admission in `ADMISSION`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct Counters {
     pub(crate) digest_hits: u64,
     pub(crate) digest_rebuilds: u64,
     pub(crate) count_group_hits: u64,
-    /// Persisted since checkpoint v3.
     pub(crate) admitted: u64,
     pub(crate) pruned: u64,
-    /// Never encoded, so it survives a resize and restarts at 0 on a
-    /// restore.
+    /// Written since format 5; a format-4 image restores it as 0.
     pub(crate) class_hits: u64,
 }
 
@@ -1127,6 +1255,7 @@ impl Counters {
             e.put_u64(self.digest_hits);
             e.put_u64(self.digest_rebuilds);
             e.put_u64(self.count_group_hits);
+            e.put_u64(self.class_hits);
         });
         enc.section(tags::ADMISSION, |e| {
             e.put_u64(self.admitted);
@@ -1134,16 +1263,13 @@ impl Counters {
         });
     }
 
-    /// Reads the counter sections of a format-`version` image; a format-3
-    /// image also carries the retired isolated-count rebuild tally, which
-    /// is dropped.
+    /// Reads the counter sections of a format-`version` image; a format-4
+    /// image carries no `class_hits`.
     fn decode(dec: &mut Decoder<'_>, version: u32) -> Result<Counters, CheckpointError> {
         let mut sec = dec.section(tags::COUNTERS)?;
         let (digest_hits, digest_rebuilds) = (sec.take_u64()?, sec.take_u64()?);
         let count_group_hits = sec.take_u64()?;
-        if version == 3 {
-            sec.take_u64()?;
-        }
+        let class_hits = if version == 4 { 0 } else { sec.take_u64()? };
         sec.finish()?;
         let mut sec = dec.section(tags::ADMISSION)?;
         let (admitted, pruned) = (sec.take_u64()?, sec.take_u64()?);
@@ -1154,7 +1280,7 @@ impl Counters {
             count_group_hits,
             admitted,
             pruned,
-            class_hits: 0,
+            class_hits,
         })
     }
 }
@@ -1234,25 +1360,22 @@ pub(crate) fn split_by_group<C: SlidingTopK>(
     members
 }
 
-/// A decoded `tags::REGISTRY` section, still loose: sessions with their
-/// replayed engines, the groups, and the sharing counters — everything
-/// needed to rebuild a [`Registry`] (or to scatter across `AsyncHub`
-/// shards) once [`merge`](RegistryParts::merge) has validated the
-/// cross-section invariants.
+/// One registry's serving state, loose: what [`Registry::eject_all`]
+/// hands a resize, and what a decoded `tags::REGISTRY` section becomes —
+/// the groups with their classes and reductions, the member sessions
+/// naming their group by position in `groups` (a classed member without
+/// a consumer), and the sharing counters. Everything needed to rebuild a
+/// [`Registry`] (or to scatter across `AsyncHub` shards) once
+/// [`merge`](RegistryParts::merge) has validated the cross-section
+/// invariants. Only a format-4 image decodes differently: its groups
+/// hold no classes yet, and each of its members carries its own consumer
+/// until [`pool_classes`](RegistryParts::pool_classes) seats it.
 pub(crate) struct RegistryParts<C: SlidingTopK> {
     pub(crate) sessions: Vec<(QueryId, GroupSession<C>)>,
     /// Both clocks' groups; after [`merge`](RegistryParts::merge) a
     /// member's group handle indexes this list.
     pub(crate) groups: Vec<Group<C>>,
     pub(crate) counters: Counters,
-    /// Decoded isolated sessions of a format-3 image, not yet in a
-    /// group, each with the pass-all group its session implies: a
-    /// time-based one (kind 1) as an event-clock member in step with its
-    /// adapter's producer, a count-based one (kind 0) as an arrival-clock
-    /// member in step with the group its window and pending buffer
-    /// describe. [`merge`](RegistryParts::merge) seats them; live
-    /// registries never hold one, so it is empty everywhere else.
-    pub(crate) unseated: Vec<(QueryId, GroupSession<C>, Group<C>)>,
 }
 
 impl<C: SlidingTopK> RegistryParts<C> {
@@ -1266,23 +1389,14 @@ impl<C: SlidingTopK> RegistryParts<C> {
     /// which the hub never produces, so it is corruption rather than a
     /// merge.
     ///
-    /// Unseated members are seated in id order, after the slide-group
-    /// index is built, so a later one finds the group an earlier one
-    /// founded or joined. A time-based one whose `(slide_duration,
-    /// pass-all)` group exists warms up on its own producer until the
-    /// group closes the slide it joined during — the later of the two
-    /// open slides, since a session registered after the last arrival
-    /// lags its group by empty slides — and deepens the group to its
-    /// `k`, as a live mid-stream join does. A count-based one whose
-    /// `(s, open-slide fill, pass-all)` group exists merges its group
-    /// into it ([`Group::merge_arrivals`]): a hub's queries saw one
-    /// stream, so both describe one suffix of it. Otherwise its group is
-    /// founded, in step with the member.
+    /// Every result class, and every member that owns its consumer, is
+    /// checked against its group ([`Group::check_consumer`]); a warming
+    /// member must be able to hand off to its group. A classed member
+    /// shares its class's state, so its class's check covers it.
     pub(crate) fn merge(parts: Vec<Self>) -> Result<Self, CheckpointError> {
         let mut sessions = Vec::new();
         let mut groups: Vec<Group<C>> = Vec::new();
         let mut counters = Counters::default();
-        let mut unseated = Vec::new();
         for mut part in parts {
             // rebase this section's arrival-clock references onto the
             // concatenated list BEFORE its sessions join the shared pool;
@@ -1299,7 +1413,6 @@ impl<C: SlidingTopK> RegistryParts<C> {
             }
             groups.extend(part.groups);
             sessions.extend(part.sessions);
-            unseated.extend(part.unseated);
             counters.absorb(&part.counters);
         }
         let mut slide_groups: HashMap<(u64, Predicate), usize> = HashMap::new();
@@ -1310,43 +1423,6 @@ impl<C: SlidingTopK> RegistryParts<C> {
                     "a slide group spans registry sections",
                 ));
             }
-        }
-        unseated.sort_unstable_by_key(|(id, _, _)| *id);
-        for (id, mut m, own) in unseated {
-            let identity = own.identity();
-            let (clock, slide, _, predicate) = identity;
-            match clock {
-                Clock::Event => match slide_groups.get(&(slide, predicate)) {
-                    Some(&index) => {
-                        let group = &mut groups[index];
-                        let open_slide = group.producer.next_slide().max(own.producer.next_slide());
-                        group.deepen(m.k());
-                        m.warm_up(own.producer, open_slide);
-                    }
-                    None => {
-                        slide_groups.insert((slide, predicate), groups.len());
-                        groups.push(own);
-                    }
-                },
-                Clock::Arrival => {
-                    let index = match groups.iter().position(|g| g.identity() == identity) {
-                        Some(index) => {
-                            let members = sessions.iter_mut().filter_map(|(_, s)| {
-                                let mine = s.clock() == Clock::Arrival && s.group() == index as u64;
-                                mine.then_some(s)
-                            });
-                            groups[index].merge_arrivals(members, own, &mut m)?;
-                            index
-                        }
-                        None => {
-                            groups.push(own);
-                            groups.len() - 1
-                        }
-                    };
-                    m.set_group(index as u64);
-                }
-            }
-            sessions.push((id, m));
         }
         sessions.sort_by_key(|(id, _)| *id);
         if sessions.windows(2).any(|w| w[0].0 == w[1].0) {
@@ -1366,94 +1442,45 @@ impl<C: SlidingTopK> RegistryParts<C> {
                         ));
                     };
                     m.set_group(index as u64);
-                    let group = &groups[index];
-                    if group.producer.k_max() < m.k() {
-                        return Err(CheckpointError::Corrupt(
-                            "slide group shallower than a member's k",
-                        ));
-                    }
-                    let next = group.producer.next_slide();
-                    let in_step = if m.is_warming_up() {
-                        m.warms_in_step(next)
-                    } else {
-                        // a member in step with its group applies every
-                        // slide the group closes
-                        m.consumer().is_none_or(|c| c.slides_applied() == next)
-                    };
-                    if !in_step {
-                        return Err(CheckpointError::Corrupt(
-                            "shared member out of step with its producers",
-                        ));
-                    }
                     index
                 }
                 Clock::Arrival => {
-                    let Some((index, group)) = usize::try_from(m.group())
-                        .ok()
-                        .and_then(|index| Some((index, groups.get(index)?)))
-                        .filter(|(_, group)| group.clock.kind() == Clock::Arrival)
-                    else {
+                    let Some(index) = usize::try_from(m.group()).ok().filter(|&index| {
+                        groups
+                            .get(index)
+                            .is_some_and(|group| group.clock.kind() == Clock::Arrival)
+                    }) else {
                         return Err(CheckpointError::Corrupt(
                             "grouped session without its count group",
                         ));
                     };
-                    if group.producer.slide_duration() != m.slide() {
+                    if groups[index].producer.slide_duration() != m.slide() {
                         return Err(CheckpointError::Corrupt(
                             "count group disagrees with a member's slide length",
                         ));
                     }
-                    if group.producer.k_max() < m.k() {
-                        return Err(CheckpointError::Corrupt(
-                            "count group shallower than a member's k",
-                        ));
-                    }
-                    let next = group.producer.next_slide();
-                    if m.join_slide() > next {
-                        return Err(CheckpointError::Corrupt(
-                            "count-group member joined past its group",
-                        ));
-                    }
-                    // arrival slides never straddle a checkpoint
-                    // boundary, so every member is exactly caught up to
-                    // its group — validated on every member that carries
-                    // a consumer (a decoded one always does; a resized
-                    // group's classed members travel without one)
-                    if let Some(consumer) = m.consumer() {
-                        if consumer.slides_applied() != next - m.join_slide() {
-                            return Err(CheckpointError::Corrupt(
-                                "count-group member out of step with its group",
-                            ));
-                        }
-                        // the group translates every object the member
-                        // emits through its id ring: each must carry an
-                        // ordinal of the slide that brought it, in the ring
-                        let sd = m.slide();
-                        let GroupClock::Arrival(a) = &group.clock else {
-                            unreachable!("filtered to the arrival clock")
-                        };
-                        if consumer.window_by_age().any(|(age, o)| {
-                            !(a.ring_base..a.next_ordinal).contains(&o.id)
-                                || next.checked_sub(age + 1) != Some(o.id / sd)
-                        }) {
-                            return Err(CheckpointError::Corrupt(
-                                "count-group member holds an ordinal outside its slide",
-                            ));
-                        }
-                    }
-                    // the member's next emission ranks its last `window`
-                    // arrivals, but none from before it joined
-                    let sd = m.slide();
-                    let end = next.saturating_add(1).saturating_mul(sd);
-                    let reach = end
-                        .saturating_sub(m.window())
-                        .max(m.join_slide().saturating_mul(sd));
-                    tally[index].1 = tally[index].1.min(reach);
                     index
                 }
             };
+            let group = &groups[index];
+            if m.is_warming_up() {
+                let next = group.producer.next_slide();
+                if group.producer.k_max() < m.k() || !m.warms_in_step(next) {
+                    return Err(CheckpointError::Corrupt(
+                        "warming member out of step with its group",
+                    ));
+                }
+            } else if let Some(consumer) = m.consumer() {
+                let reach = group.check_consumer(consumer, m.join_slide())?;
+                tally[index].1 = tally[index].1.min(reach);
+            }
             tally[index].0 += 1;
         }
         for (i, group) in groups.iter().enumerate() {
+            for class in group.classes() {
+                let reach = group.check_consumer(&class.consumer, class.join_slide)?;
+                tally[i].1 = tally[i].1.min(reach);
+            }
             let (members, reach) = tally[i];
             let GroupClock::Arrival(a) = &group.clock else {
                 if members == 0 {
@@ -1527,15 +1554,15 @@ impl<C: SlidingTopK> RegistryParts<C> {
             sessions,
             groups,
             counters,
-            unseated: Vec::new(),
         })
     }
 
-    /// Seats decoded members in their groups, once, after
+    /// Seats the members of a format-4 image in their groups, once, after
     /// [`merge`](RegistryParts::merge) validated them: each is counted
     /// in, and each that is not warming up pools into a result class by
-    /// byte signature. Only a restore needs this — a decoded group
-    /// arrives without classes, while a migrated one keeps its own.
+    /// byte signature. Only a format-4 restore needs this — its groups
+    /// decode without classes, while a format-5 or a migrated one keeps
+    /// its own.
     pub(crate) fn pool_classes(&mut self) {
         for (id, m) in &mut self.sessions {
             let group = &mut self.groups[m.group() as usize];
@@ -2129,9 +2156,10 @@ impl<C: SlidingTopK> Registry<C> {
     /// Live group ids in canonical order: event-clock groups by
     /// `(slide_duration, predicate)`, then arrival-clock groups by
     /// `(slide length, slide fill, predicate)`. The order is derived
-    /// purely from state a checkpoint carries, so encode and decode agree
-    /// by construction, and the key is unique — distinct same-`(s,
-    /// predicate)` arrival groups always sit at distinct offsets mod `s`.
+    /// purely from state a checkpoint carries, so a restored registry
+    /// writes its groups back in the order it read them, and the key is
+    /// unique — distinct same-`(s, predicate)` arrival groups always sit
+    /// at distinct offsets mod `s`.
     fn canonical(&self) -> Vec<u64> {
         let mut order: Vec<u64> = self.groups.keys().copied().collect();
         order.sort_unstable_by_key(|gid| self.groups[gid].identity());
@@ -2139,178 +2167,106 @@ impl<C: SlidingTopK> Registry<C> {
     }
 
     /// Serializes this registry's full serving state as one
-    /// `tags::REGISTRY` section body: sessions in registration order
-    /// (each with an engine-name + spec header and a replayable body),
-    /// the event-clock groups in `GROUPS` and the arrival-clock groups in
-    /// `COUNT_GROUPS`, both in canonical order (deterministic regardless
-    /// of `HashMap` iteration order), and the sharing counters.
+    /// `tags::REGISTRY` section body: a `GROUPS` section holding every
+    /// group's record ([`Group::encode_record`]: its state, its
+    /// reductions and classes with their members, its warming members) in
+    /// canonical order — deterministic regardless of `HashMap` iteration
+    /// order — then the sharing counters.
     pub(crate) fn encode_checkpoint(&self, enc: &mut Encoder) {
-        let order = self.canonical();
-        let (slide, count): (Vec<&Group<C>>, Vec<&Group<C>>) = order
-            .iter()
-            .map(|gid| &self.groups[gid])
-            .partition(|g| g.clock.kind() == Clock::Event);
-        // an arrival-clock member names its group by its position in
-        // `COUNT_GROUPS`, since live ids shift across epochs
-        let index_of: HashMap<u64, u64> = order[slide.len()..]
-            .iter()
-            .enumerate()
-            .map(|(i, gid)| (*gid, i as u64))
-            .collect();
-        enc.section(tags::SESSIONS, |e| {
-            e.put_u64(self.sessions.len() as u64);
-            for (id, m) in &self.sessions {
-                e.put_u64(id.raw());
-                match m.clock() {
-                    Clock::Event => {
-                        e.put_u8(2);
-                        e.put_str(m.engine_name());
-                        e.put_u64(m.window());
-                        e.put_u64(m.slide());
-                        e.put_usize(m.k());
-                        // the predicate rides at the registry entry
-                        // level (since v3), keeping the session body
-                        // bytes unchanged
-                        m.predicate().encode(e);
-                    }
-                    Clock::Arrival => {
-                        e.put_u8(3);
-                        e.put_str(m.engine_name());
-                        e.put_u64(m.window());
-                        e.put_usize(m.k());
-                        e.put_u64(m.slide());
-                    }
-                }
-                // a classed member encodes its class's consumer
-                let class_consumer = self.groups[&m.group()]
-                    .classes()
-                    .find(|c| c.members.binary_search(id).is_ok())
-                    .map(|c| &c.consumer);
-                let index = index_of.get(&m.group()).copied().unwrap_or(0);
-                m.encode_checkpoint_body(e, class_consumer, index);
+        let mut warming: HashMap<u64, Vec<usize>> = HashMap::new();
+        for &i in &self.solo {
+            warming
+                .entry(self.sessions[i].1.group())
+                .or_default()
+                .push(i);
+        }
+        enc.section(tags::GROUPS, |e| {
+            let order = self.canonical();
+            e.put_u64(order.len() as u64);
+            for gid in order {
+                let warming = warming.get(&gid).map_or(&[][..], Vec::as_slice);
+                self.groups[&gid].encode_record(e, &self.sessions, warming);
             }
         });
-        for (tag, groups) in [(tags::GROUPS, slide), (tags::COUNT_GROUPS, count)] {
-            enc.section(tag, |e| {
-                e.put_u64(groups.len() as u64);
-                for group in groups {
-                    group.encode(e);
-                }
-            });
-        }
         self.counters.encode(enc);
     }
 
     /// Decodes one `tags::REGISTRY` section body of a format-`version`
-    /// image into loose [`RegistryParts`], building each session's engine
-    /// on its reduction through the caller's closure. A format-3 image
-    /// may hold isolated sessions (kinds 0 and 1), which this build never
-    /// writes: each becomes an unseated member with the pass-all group
-    /// its state implies. Every structural violation is a typed error —
-    /// never a panic.
+    /// image into loose [`RegistryParts`], building each engine on its
+    /// reduction through the caller's closure: format 5 group by group
+    /// ([`Group::decode_record`]), in the shape a resize moves; format 4
+    /// member by member, each with its own replayed consumer and its
+    /// groups without classes. Every structural violation is a typed
+    /// error — never a panic.
     pub(crate) fn decode_checkpoint(
         dec: &mut Decoder<'_>,
         version: u32,
         count: &mut dyn FnMut(&str, WindowSpec) -> Result<C, SapError>,
     ) -> Result<RegistryParts<C>, SapError> {
-        let bounded = |spec: WindowSpec| {
-            if spec.n > crate::checkpoint::MAX_RESTORED_WINDOW {
-                Err(CheckpointError::Corrupt(
-                    "restored window implausibly large",
-                ))
-            } else {
-                Ok(spec)
-            }
-        };
-        let fresh = |_| CheckpointError::Corrupt("factory engine is not a fresh reduction");
         let mut sessions = Vec::new();
-        let mut unseated = Vec::new();
-        {
-            let mut sec = dec.section(tags::SESSIONS)?;
-            let n = sec.take_seq_len()?;
-            for _ in 0..n {
-                let id = QueryId::from_raw(sec.take_u64()?);
-                let kind = sec.take_u8()?;
-                let name = sec.take_str()?;
-                let m = match kind {
-                    // an isolated count session: its window and pending
-                    // buffer become an unseated arrival-clock member
-                    0 if version == 3 => {
-                        let (wn, wk, ws) =
-                            (sec.take_usize()?, sec.take_usize()?, sec.take_usize()?);
-                        let spec = WindowSpec::new(wn, wk, ws)
-                            .map_err(|_| CheckpointError::Corrupt("invalid count window spec"))?;
-                        let engine = count(name, bounded(spec)?.reduced())?;
-                        let consumer = SharedTimed::from_count_engine(engine, spec.n, spec.s)
-                            .map_err(fresh)?;
-                        let (m, group) = decode_isolated_count(consumer, &mut sec)?;
-                        unseated.push((id, m, group));
-                        continue;
-                    }
-                    // an isolated time-based session: its adapter's
-                    // engine, producer and consumer become an unseated
-                    // event-clock member
-                    1 if version == 3 => {
-                        let (wd, sd, k) = (sec.take_u64()?, sec.take_u64()?, sec.take_usize()?);
-                        let reduced = TimedSpec::new(wd, sd, k)
-                            .and_then(|spec| spec.reduced())
-                            .map_err(|_| CheckpointError::Corrupt("invalid timed window spec"))?;
-                        let engine = count(name, bounded(reduced)?)?;
-                        let consumer = SharedTimed::from_engine(engine, wd, sd).map_err(fresh)?;
-                        let (m, producer) = GroupSession::decode_adapter_body(consumer, &mut sec)?;
-                        let group = Group::new(producer, Predicate::default(), GroupClock::Event);
-                        unseated.push((id, m, group));
-                        continue;
-                    }
-                    2 => {
-                        let (wd, sd, k) = (sec.take_u64()?, sec.take_u64()?, sec.take_usize()?);
-                        let predicate = Predicate::decode(&mut sec)?;
-                        let reduced = TimedSpec::new(wd, sd, k)
-                            .and_then(|spec| spec.reduced())
-                            .map_err(|_| CheckpointError::Corrupt("invalid shared window spec"))?;
-                        let engine = count(name, bounded(reduced)?)?;
-                        let consumer = SharedTimed::from_engine(engine, wd, sd).map_err(fresh)?;
-                        GroupSession::decode_checkpoint_body(
-                            Clock::Event,
-                            consumer,
-                            predicate,
-                            &mut sec,
-                            k,
-                        )?
-                    }
-                    3 => {
-                        let (wn, wk, ws) =
-                            (sec.take_usize()?, sec.take_usize()?, sec.take_usize()?);
-                        let spec = WindowSpec::new(wn, wk, ws)
-                            .map_err(|_| CheckpointError::Corrupt("invalid count window spec"))?;
-                        let reduced = bounded(spec)?.reduced();
-                        let engine = count(name, reduced)?;
-                        let consumer = SharedTimed::from_count_engine(engine, spec.n, spec.s)
-                            .map_err(fresh)?;
-                        // format 3 padded every reduced slide to `k`
-                        let stored_width = if version == 3 { spec.k } else { reduced.s };
-                        GroupSession::decode_checkpoint_body(
-                            Clock::Arrival,
-                            consumer,
-                            Predicate::default(),
-                            &mut sec,
-                            stored_width,
-                        )?
-                    }
-                    _ => return Err(CheckpointError::Corrupt("unknown session kind").into()),
-                };
-                sessions.push((id, m));
+        let mut groups = Vec::new();
+        if version == 4 {
+            Registry::decode_members(dec, count, &mut sessions, &mut groups)?;
+        } else {
+            let mut sec = dec.section(tags::GROUPS)?;
+            for index in 0..sec.take_seq_len()? as u64 {
+                groups.push(Group::decode_record(&mut sec, index, count, &mut sessions)?);
             }
             sec.finish()?;
         }
-        let mut groups = Vec::new();
+        let counters = Counters::decode(dec, version)?;
+        Ok(RegistryParts {
+            sessions,
+            groups,
+            counters,
+        })
+    }
+
+    /// The sessions and groups of a format-4 registry section: one
+    /// `SESSIONS` entry per member, each with its engine name, spec and
+    /// consumer, then the event-clock groups in `GROUPS` and the
+    /// arrival-clock groups in `COUNT_GROUPS`, whose position an
+    /// arrival-clock member names.
+    fn decode_members(
+        dec: &mut Decoder<'_>,
+        count: &mut dyn FnMut(&str, WindowSpec) -> Result<C, SapError>,
+        sessions: &mut Vec<(QueryId, GroupSession<C>)>,
+        groups: &mut Vec<Group<C>>,
+    ) -> Result<(), SapError> {
+        let mut sec = dec.section(tags::SESSIONS)?;
+        for _ in 0..sec.take_seq_len()? {
+            let id = QueryId::from_raw(sec.take_u64()?);
+            let kind = sec.take_u8()?;
+            let name = sec.take_str()?;
+            let m = match kind {
+                2 => {
+                    let (wd, sd, k) = (sec.take_u64()?, sec.take_u64()?, sec.take_usize()?);
+                    let predicate = Predicate::decode(&mut sec)?;
+                    let consumer = fresh_consumer(count, Clock::Event, name, (wd, sd, k))?;
+                    GroupSession::decode_checkpoint_body(
+                        Clock::Event,
+                        consumer,
+                        predicate,
+                        &mut sec,
+                    )?
+                }
+                3 => {
+                    let (n, k, s) = (sec.take_u64()?, sec.take_usize()?, sec.take_u64()?);
+                    let consumer = fresh_consumer(count, Clock::Arrival, name, (n, s, k))?;
+                    let pass = Predicate::default();
+                    GroupSession::decode_checkpoint_body(Clock::Arrival, consumer, pass, &mut sec)?
+                }
+                _ => return Err(CheckpointError::Corrupt("unknown session kind").into()),
+            };
+            sessions.push((id, m));
+        }
+        sec.finish()?;
         for (tag, clock) in [
             (tags::GROUPS, Clock::Event),
             (tags::COUNT_GROUPS, Clock::Arrival),
         ] {
             let mut sec = dec.section(tag)?;
-            let n = sec.take_seq_len()?;
-            for _ in 0..n {
+            for _ in 0..sec.take_seq_len()? {
                 groups.push(Group::decode(clock, &mut sec)?);
             }
             sec.finish()?;
@@ -2322,7 +2278,7 @@ impl<C: SlidingTopK> Registry<C> {
             .iter()
             .filter(|g| g.clock.kind() == Clock::Event)
             .count() as u64;
-        for (_, m) in &mut sessions {
+        for (_, m) in sessions {
             if m.clock() == Clock::Arrival {
                 let index = m.group().saturating_add(slide_groups);
                 m.set_group(index);
@@ -2331,29 +2287,21 @@ impl<C: SlidingTopK> Registry<C> {
                 }
             }
         }
-        let counters = Counters::decode(dec, version)?;
-        Ok(RegistryParts {
-            sessions,
-            groups,
-            counters,
-            unseated,
-        })
+        Ok(())
     }
 
     /// Builds a registry from already-merged, already-validated parts —
     /// possibly several shards' worth, when a sharded checkpoint is
     /// restored into a sequential hub. Groups are inserted as they
     /// arrive, with their members counted and seated in classes (a
-    /// restore seats decoded members first; see
+    /// format-4 restore seats its members first; see
     /// [`RegistryParts::pool_classes`]).
     pub(crate) fn from_merged(parts: RegistryParts<C>, shard: Option<usize>) -> Self {
         let RegistryParts {
             sessions,
             groups,
             counters,
-            unseated,
         } = parts;
-        debug_assert!(unseated.is_empty(), "merge seats every decoded member");
         let mut registry = Registry {
             counters,
             shard,
@@ -2453,87 +2401,49 @@ impl<C: SlidingTopK> Registry<C> {
             sessions,
             groups,
             counters: std::mem::take(&mut self.counters),
-            unseated: Vec::new(),
         }
     }
 }
 
-/// Rebuilds an isolated count session of a format-3 image (session kind
-/// 0) as an arrival-clock member, with the pass-all group it implies.
-/// The session had seen `slides` full slides plus its pending buffer, so
-/// its window and pending objects take the group ordinals that end at
-/// `slides·s + pending`; the consumer replays each window slide's
-/// truncation, and the group resumes at slide `slides` with the pending
-/// objects buffered and every held id in its ring. The member's previous
-/// emission is the top-k of its window, which the replay recomputes.
-/// `consumer` must be fresh, over the query's reduction.
-fn decode_isolated_count<C: SlidingTopK>(
-    mut consumer: SharedTimed<C>,
-    dec: &mut Decoder<'_>,
-) -> Result<(GroupSession<C>, Group<C>), CheckpointError> {
-    let (n, s) = (consumer.window_duration(), consumer.slide_duration());
-    let slides = dec.take_u64()?;
-    let window: Vec<Object> = dec.take_seq()?;
-    let pending: Vec<Object> = dec.take_seq()?;
-    let held = window.len() as u64;
-    let fed = slides
-        .checked_mul(s)
-        .filter(|fed| held == n.min(*fed))
-        .ok_or(CheckpointError::Corrupt(
-            "session window disagrees with its slide count",
-        ))?;
-    if pending.len() as u64 >= s {
-        return Err(CheckpointError::Corrupt(
-            "session pending spans a full slide",
-        ));
-    }
-    let base = fed - held;
-    let next_ordinal = fed
-        .checked_add(pending.len() as u64)
-        .ok_or(CheckpointError::Corrupt("count-group ordinal overflows"))?;
-    let stamp = |i: usize, o: &Object| {
-        let r = base + i as u64;
-        TimedObject::new(r, r, o.score)
+/// A fresh consumer for a decoded `clock` query of `(window, slide, k)`,
+/// over an engine `count` builds by `name` on the query's reduction —
+/// the engine a restore replays into. A window past
+/// [`MAX_RESTORED_WINDOW`] is corrupt bytes, rejected before it can reach
+/// an allocator.
+fn fresh_consumer<C: SlidingTopK>(
+    count: &mut dyn FnMut(&str, WindowSpec) -> Result<C, SapError>,
+    clock: Clock,
+    name: &str,
+    (window, slide, k): (u64, u64, usize),
+) -> Result<SharedTimed<C>, SapError> {
+    let bounded = |spec: WindowSpec| {
+        if spec.n > MAX_RESTORED_WINDOW {
+            Err(CheckpointError::Corrupt(
+                "restored window implausibly large",
+            ))
+        } else {
+            Ok(spec)
+        }
     };
-    let tops: Vec<Vec<TimedObject>> = window
-        .chunks(s as usize)
-        .enumerate()
-        .map(|(j, slide)| {
-            let mut top: Vec<TimedObject> = slide
-                .iter()
-                .enumerate()
-                .map(|(i, o)| stamp(j * s as usize + i, o))
-                .collect();
-            top.sort_unstable_by(result_order);
-            top
-        })
-        .collect();
-    consumer.replay(tops.iter().map(Vec::as_slice), slides);
-    let ring: VecDeque<u64> = window.iter().chain(&pending).map(|o| o.id).collect();
-    let prev: Vec<Object> = consumer
-        .last_result()
-        .iter()
-        .map(|o| Object::new(ring[(o.id - base) as usize], o.score))
-        .collect();
-    let open = pending
-        .iter()
-        .enumerate()
-        .map(|(i, o)| stamp(window.len() + i, o))
-        .collect();
-    let producer = DigestProducer::resume(s, consumer.k(), slides, open)?;
-    let arrivals = Arrivals {
-        ring,
-        ring_base: base,
-        next_ordinal,
-    };
-    let group = Group::new(
-        producer,
-        Predicate::default(),
-        GroupClock::Arrival(arrivals),
-    );
-    let mut m = GroupSession::new(Clock::Arrival, consumer, Predicate::default(), 0, 0);
-    m.resume(slides, Snapshot::from_slice(&prev));
-    Ok((m, group))
+    let fresh = |_| CheckpointError::Corrupt("factory engine is not a fresh reduction");
+    Ok(match clock {
+        Clock::Event => {
+            let reduced = TimedSpec::new(window, slide, k)
+                .and_then(|spec| spec.reduced())
+                .map_err(|_| CheckpointError::Corrupt("invalid shared window spec"))?;
+            let engine = count(name, bounded(reduced)?)?;
+            SharedTimed::from_engine(engine, window, slide).map_err(fresh)?
+        }
+        Clock::Arrival => {
+            let spec = usize::try_from(window)
+                .ok()
+                .zip(usize::try_from(slide).ok())
+                .and_then(|(n, s)| WindowSpec::new(n, k, s).ok())
+                .ok_or(CheckpointError::Corrupt("invalid count window spec"))?;
+            let engine = count(name, bounded(spec)?.reduced())?;
+            SharedTimed::from_count_engine(engine, spec.n, spec.s).map_err(fresh)?
+        }
+    })
 }
 
 #[cfg(test)]
@@ -2542,6 +2452,7 @@ mod tests {
     use std::rc::Rc;
 
     use super::*;
+    use crate::checkpoint::FORMAT_VERSION;
     use crate::query::TimedSpec;
     use crate::session::{Session, TimedSession};
     use crate::test_support::Toy;
@@ -2867,6 +2778,34 @@ mod tests {
             m
         }
 
+        /// A registry restored from this one's checkpoint the way
+        /// `Hub::restore` builds it — encode, decode, merge, install — on
+        /// a slide counter of its own, which counts the restore's replays
+        /// too. Re-encoding it gives back the checkpoint's bytes.
+        fn restored(&self) -> Counting {
+            let mut enc = Encoder::new();
+            self.reg.encode_checkpoint(&mut enc);
+            let payload = enc.into_payload();
+            let slides: Rc<Cell<u64>> = Rc::default();
+            let mut count = |name: &str, spec: WindowSpec| {
+                assert_eq!(name, "counted");
+                Ok(Counted(Toy::new(spec.n, spec.k, spec.s), slides.clone()))
+            };
+            let mut dec = Decoder::new(&payload);
+            let parts = Registry::decode_checkpoint(&mut dec, FORMAT_VERSION, &mut count).unwrap();
+            assert!(dec.is_empty());
+            let merged = RegistryParts::merge(vec![parts]).unwrap();
+            let reg = Registry::from_merged(merged, None);
+            let mut again = Encoder::new();
+            reg.encode_checkpoint(&mut again);
+            assert_eq!(
+                again.into_payload(),
+                payload,
+                "a restore re-encodes to its image"
+            );
+            Counting { reg, slides }
+        }
+
         /// Every group's reductions, as their classes' `k`s: the first
         /// class of a reduction runs the engine, the rest are parked.
         fn reductions(&self) -> Vec<Vec<Vec<usize>>> {
@@ -2963,6 +2902,116 @@ mod tests {
                 assert_eq!(served[&(i as u64)], session.push(slide), "member {i}");
             }
         }
+    }
+
+    /// The twenty-member event-clock shape, restored mid-stream: the
+    /// restore replays each reduction's head once, and every close after
+    /// it still runs exactly two engine slides while every member equals
+    /// its standalone `TimedSession`.
+    #[test]
+    fn a_restore_keeps_one_reduction_per_event_window() {
+        let mut hub = Counting::new();
+        let mut standalone = Vec::new();
+        for (i, (wd, k)) in [20u64, 40]
+            .iter()
+            .flat_map(|&wd| (1..=10).map(move |k| (wd, k)))
+            .enumerate()
+        {
+            hub.enroll_event(i as u64, (wd, 10, k));
+            let reduced = TimedSpec::new(wd, 10, k).unwrap().reduced().unwrap();
+            standalone.push(
+                TimedSession::new(Toy::new(reduced.n, reduced.k, reduced.s), wd, 10).unwrap(),
+            );
+        }
+        for batch in 0..9 {
+            if batch == 4 {
+                let reductions = hub.reductions();
+                hub = hub.restored();
+                // after four closes the heads hold two and four slides
+                assert_eq!(hub.slides.get(), 2 + 4, "one replay per reduction");
+                assert_eq!(hub.reductions(), reductions);
+                assert_eq!(hub.reg.stats().result_classes, 20);
+            }
+            let objects = ticks(10 * batch + 5, 10 * batch + 15);
+            let before = hub.slides.get();
+            let served = by_member(hub.reg.publish_timed(&objects));
+            assert_eq!(hub.slides.get() - before, 2, "batch {batch}");
+            for (i, session) in standalone.iter_mut().enumerate() {
+                assert_eq!(
+                    served[&(i as u64)],
+                    session.push_timed(&objects),
+                    "member {i}"
+                );
+            }
+        }
+    }
+
+    /// The same on the arrival clock: twenty members, two reductions,
+    /// one replay per reduction at the restore and two engine slides per
+    /// close after it, every member equal to a standalone `Session`.
+    #[test]
+    fn a_restore_keeps_one_reduction_per_arrival_window() {
+        let mut hub = Counting::new();
+        let mut standalone = Vec::new();
+        for (i, (n, k)) in [12usize, 24]
+            .iter()
+            .flat_map(|&n| (1..=10).map(move |k| (n, k)))
+            .enumerate()
+        {
+            hub.enroll_arrival(i as u64, (n, k, 4));
+            standalone.push(Session::new(Toy::new(n, k, 4)));
+        }
+        let objects: Vec<Object> = ticks(0, 48).iter().map(TimedObject::untimed).collect();
+        for (close, slide) in objects.chunks(4).enumerate() {
+            if close == 6 {
+                let reductions = hub.reductions();
+                hub = hub.restored();
+                // the heads' rings hold three and six slides
+                assert_eq!(hub.slides.get(), 3 + 6, "one replay per reduction");
+                assert_eq!(hub.reductions(), reductions);
+                assert_eq!(hub.reg.stats().result_classes, 20);
+            }
+            let before = hub.slides.get();
+            let served = by_member(hub.reg.publish(slide));
+            assert_eq!(hub.slides.get() - before, 2, "close {close}");
+            for (i, session) in standalone.iter_mut().enumerate() {
+                assert_eq!(served[&(i as u64)], session.push(slide), "member {i}");
+            }
+        }
+    }
+
+    /// A cut between a take-over and the next close: the reducing class
+    /// has emptied and the new head is parked. The restore rehydrates
+    /// it, serves on exactly, and its replay plus its closes run the
+    /// engine slides the live registry's closes run.
+    #[test]
+    fn a_cut_after_a_take_over_restores_exactly() {
+        let mut live = Counting::new();
+        for (i, k) in [3, 2, 2, 1].into_iter().enumerate() {
+            live.enroll_event(i as u64, (20, 10, k));
+        }
+        live.reg.publish_timed(&ticks(0, 35));
+        live.unregister(0);
+        assert_eq!(live.reductions(), [[vec![2, 1]]]);
+        let cut = live.slides.get();
+        let mut restored = live.restored();
+        assert_eq!(restored.slides.get(), 2, "the new head replays its window");
+        assert_eq!(restored.reductions(), [[vec![2, 1]]]);
+        for (from, to) in [(35, 45), (45, 55), (55, 75), (75, 130)] {
+            let objects = ticks(from, to);
+            let want = live.reg.publish_timed(&objects);
+            assert_eq!(
+                restored.reg.publish_timed(&objects),
+                want,
+                "ticks {from}..{to}"
+            );
+            assert_eq!(
+                live.slides.get() - cut,
+                restored.slides.get(),
+                "ticks {from}..{to}"
+            );
+        }
+        assert_eq!(restored.reg.stats(), live.reg.stats());
     }
 
     /// A member that warms up founds a reduction of its own, even where

@@ -530,8 +530,8 @@ pub enum Clock {
 /// (see `crate::registry`); the session keeps the member's own slide
 /// counter and previous emission. The session holds a consumer itself
 /// while it warms up, after it left its class as the last member, and
-/// when it is decoded from a checkpoint, until the restore pools it. A
-/// consumer handed back by `unregister` may be parked
+/// when it is decoded from a format-4 checkpoint, until the restore pools
+/// it. A consumer handed back by `unregister` may be parked
 /// ([`SharedTimed::is_parked`]) — its class read its answers off a
 /// larger-`k` class's engine — and rehydrates on its first apply or on
 /// [`SharedTimed::rehydrate`].
@@ -541,10 +541,8 @@ pub enum Clock {
 /// so it **warms up**: a private [`DigestProducer`] serves it until the
 /// group slide it joined during has closed. From the next slide on the
 /// private and shared views coincide, and the registry seats the member
-/// in a class of its own. An isolated time-based session restored from
-/// an older checkpoint warms up the same way, on the producer its
-/// adapter ran. An arrival-clock member never warms up: it only joins a
-/// group whose open slide is empty.
+/// in a class of its own. An arrival-clock member never warms up: it
+/// only joins a group whose open slide is empty.
 ///
 /// [`WindowSpec::reduced`]: crate::window::WindowSpec::reduced
 #[derive(Debug)]
@@ -563,9 +561,8 @@ pub struct GroupSession<C: SlidingTopK> {
     engine_name: Box<str>,
     /// The subscription predicate, part of the group's identity: applied
     /// to the private warm-up stream so it matches the group's admitted
-    /// stream object for object. Encoded at the registry layer (since
-    /// v3), never in the session body; a decoded arrival-clock member
-    /// takes its group's.
+    /// stream object for object. A checkpoint writes it with the group,
+    /// never in the session body.
     predicate: Predicate,
     /// The group slide this member's slide 0 lines up with: the open
     /// slide it joined at on the arrival clock. Always 0 on the event
@@ -587,10 +584,9 @@ pub struct GroupSession<C: SlidingTopK> {
 #[derive(Debug)]
 struct Warmup {
     producer: DigestProducer,
-    /// The group's open slide at registration (for a restored isolated
-    /// session, the later of its own and its group's). Once the group
-    /// has closed it, every later slide started after the registration
-    /// and the private view equals the shared one.
+    /// The group's open slide at registration. Once the group has closed
+    /// it, every later slide started after the registration and the
+    /// private view equals the shared one.
     open_slide: u64,
     scratch: SlideScratch,
 }
@@ -680,22 +676,6 @@ impl<C: SlidingTopK> GroupSession<C> {
         self.predicate = predicate;
     }
 
-    /// Sets the emission history of a member rebuilt from an older
-    /// image's isolated session: its slide counter and last emission.
-    pub(crate) fn resume(&mut self, slides: u64, prev: Snapshot) {
-        self.slides = slides;
-        self.prev = prev;
-    }
-
-    /// Follows its arrival-clock group `slides` slides later on the
-    /// group's ordinals (a restore merging two groups).
-    pub(crate) fn shift(&mut self, slides: u64) {
-        self.join_slide = self.join_slide.saturating_add(slides);
-        if let Some(consumer) = &mut self.consumer {
-            consumer.shift(slides.wrapping_mul(self.slide));
-        }
-    }
-
     /// The result-class key: window, `k` and join slide.
     pub(crate) fn class_key(&self) -> (u64, usize, u64) {
         (self.window, self.k, self.join_slide)
@@ -763,88 +743,81 @@ impl<C: SlidingTopK> GroupSession<C> {
         self.consumer
     }
 
-    /// Writes the session's checkpoint body: slide counter, previous
-    /// emission, the consumer's reduced window (its own frame), then the
-    /// clock's tail — on the event clock the warm-up flag (with the
-    /// private producer and the open slide it waits for), on the arrival
-    /// clock the join slide and the index of the group in the
-    /// checkpoint's `COUNT_GROUPS` section (`group_index`; live group ids
-    /// are registry-local).
-    ///
-    /// A classed member encodes its **class's** consumer (passed as
-    /// `class_consumer`): the consumer state is a pure function of the
-    /// slide tops it absorbed and the class key every member shares, so
-    /// the bytes equal what a private consumer would have written — the
-    /// result-class tier changes no checkpoint byte.
-    pub(crate) fn encode_checkpoint_body(
-        &self,
-        enc: &mut Encoder,
-        class_consumer: Option<&SharedTimed<C>>,
-        group_index: u64,
-    ) {
-        let consumer = self
-            .consumer
-            .as_ref()
-            .or(class_consumer)
-            .expect("a classed member encodes through its class's consumer");
-        enc.put_u64(self.slides);
-        self.prev.encode_state(enc);
-        enc.section(tags::ENGINE, |e| consumer.encode_state(e));
-        match self.clock {
-            Clock::Event => match &self.warmup {
-                None => enc.put_u8(0),
-                Some(w) => {
-                    enc.put_u8(1);
-                    enc.put_u64(w.open_slide);
-                    w.producer.encode_state(enc);
-                }
-            },
-            Clock::Arrival => {
-                enc.put_u64(self.join_slide);
-                enc.put_u64(group_index);
-            }
+    /// A member of a decoded result class whose consumer is `class`:
+    /// classed, with the class's geometry, slide count and previous
+    /// emission `prev` (a member's equal its class's by construction), and
+    /// its own engine name.
+    pub(crate) fn classed(
+        clock: Clock,
+        class: &SharedTimed<C>,
+        engine_name: &str,
+        predicate: Predicate,
+        join_slide: u64,
+        group: u64,
+        prev: Snapshot,
+    ) -> Self {
+        GroupSession {
+            clock,
+            consumer: None,
+            window: class.window_duration(),
+            slide: class.slide_duration(),
+            k: class.k(),
+            engine_name: engine_name.into(),
+            predicate,
+            join_slide,
+            group,
+            warmup: None,
+            prev,
+            slides: class.slides_applied(),
         }
     }
 
-    /// Rebuilds a session from its checkpoint body. `consumer` must be
-    /// fresh (a [`SharedTimed`] over a factory-built engine on the
-    /// query's reduction); its reduced window, written `stored_width`
-    /// slots per slide, is replayed by [`SharedTimed::restore_state`]. An
-    /// arrival-clock member's group handle is its `COUNT_GROUPS` index
-    /// until the registry rebinds it; an event-clock member is found its
-    /// group by key.
-    pub(crate) fn decode_checkpoint_body(
-        clock: Clock,
-        mut consumer: SharedTimed<C>,
+    /// Writes a warming member's checkpoint body: slide counter, previous
+    /// emission, its consumer's reduced window (its own frame), then the
+    /// open slide the warm-up waits for and the private producer.
+    pub(crate) fn encode_warming(&self, enc: &mut Encoder) {
+        let (Some(consumer), Some(w)) = (&self.consumer, &self.warmup) else {
+            unreachable!("a warming member owns its consumer and its warm-up")
+        };
+        enc.put_u64(self.slides);
+        self.prev.encode_state(enc);
+        enc.section(tags::ENGINE, |e| consumer.encode_state(e));
+        enc.put_u64(w.open_slide);
+        w.producer.encode_state(enc);
+    }
+
+    /// Rebuilds a warming event-clock member from its
+    /// [`encode_warming`](GroupSession::encode_warming) body. `consumer`
+    /// must be fresh (a [`SharedTimed`] over a factory-built engine on
+    /// the query's reduction).
+    pub(crate) fn decode_warming(
+        consumer: SharedTimed<C>,
         predicate: Predicate,
         dec: &mut Decoder<'_>,
-        stored_width: usize,
     ) -> Result<Self, CheckpointError> {
-        let slides = dec.take_u64()?;
-        let prev = Snapshot::decode_state(dec)?;
-        let mut blob = dec.section(tags::ENGINE)?;
-        consumer.restore_state(&mut blob, stored_width)?;
-        blob.finish()?;
-        let mut session = GroupSession::new(clock, consumer, predicate, 0, 0);
-        session.slides = slides;
-        session.prev = prev;
+        let mut session = GroupSession::decode_own(Clock::Event, consumer, predicate, dec)?;
+        session.decode_warmup(dec)?;
+        Ok(session)
+    }
+
+    /// Rebuilds a session from a format-4 checkpoint body: the head
+    /// [`decode_warming`](GroupSession::decode_warming) reads, then on
+    /// the event clock a warm-up flag (with the open slide and the
+    /// private producer), on the arrival clock the join slide and the
+    /// index of the member's group in the checkpoint's `COUNT_GROUPS`
+    /// section, its group handle until the registry rebinds it. An
+    /// event-clock member is found its group by key.
+    pub(crate) fn decode_checkpoint_body(
+        clock: Clock,
+        consumer: SharedTimed<C>,
+        predicate: Predicate,
+        dec: &mut Decoder<'_>,
+    ) -> Result<Self, CheckpointError> {
+        let mut session = GroupSession::decode_own(clock, consumer, predicate, dec)?;
         match clock {
             Clock::Event => match dec.take_u8()? {
                 0 => {}
-                1 => {
-                    let open_slide = dec.take_u64()?;
-                    let producer = DigestProducer::decode_state(dec)?;
-                    if producer.slide_duration() != session.slide {
-                        return Err(CheckpointError::Corrupt(
-                            "warm-up producer disagrees with its session's slide duration",
-                        ));
-                    }
-                    session.warmup = Some(Box::new(Warmup {
-                        producer,
-                        open_slide,
-                        scratch: SlideScratch::default(),
-                    }));
-                }
+                1 => session.decode_warmup(dec)?,
                 _ => return Err(CheckpointError::Corrupt("bad warm-up flag")),
             },
             Clock::Arrival => {
@@ -855,42 +828,38 @@ impl<C: SlidingTopK> GroupSession<C> {
         Ok(session)
     }
 
-    /// Rebuilds an isolated time-based session from its checkpoint body
-    /// (session kind 1, which earlier builds wrote): the slide counter,
-    /// the previous emission, then its adapter's producer and consumer in
-    /// one frame. `consumer` must be fresh, over a factory-built engine on
-    /// the query's reduction. Returns a member in step with the producer,
-    /// which the registry seats in its slide group, and the producer.
-    pub(crate) fn decode_adapter_body(
+    /// Reads the slide counter, the previous emission and the framed
+    /// consumer state of a member that owns its consumer, restoring it
+    /// into the fresh `consumer`, which then rehydrates.
+    fn decode_own(
+        clock: Clock,
         mut consumer: SharedTimed<C>,
+        predicate: Predicate,
         dec: &mut Decoder<'_>,
-    ) -> Result<(Self, DigestProducer), CheckpointError> {
+    ) -> Result<Self, CheckpointError> {
         let slides = dec.take_u64()?;
         let prev = Snapshot::decode_state(dec)?;
         let mut blob = dec.section(tags::ENGINE)?;
-        let producer = DigestProducer::decode_state(&mut blob)?;
-        if producer.slide_duration() != consumer.slide_duration() {
-            return Err(CheckpointError::Corrupt(
-                "adapter producer disagrees with its spec on slide duration",
-            ));
-        }
-        if producer.k_max() < consumer.k() {
-            return Err(CheckpointError::Corrupt(
-                "adapter producer shallower than the query's k",
-            ));
-        }
-        let width = consumer.k();
-        consumer.restore_state(&mut blob, width)?;
+        consumer.restore_state(&mut blob)?;
         blob.finish()?;
-        if consumer.slides_applied() != producer.next_slide() {
-            return Err(CheckpointError::Corrupt(
-                "adapter consumer out of step with its producer",
-            ));
-        }
-        let mut session = GroupSession::new(Clock::Event, consumer, Predicate::default(), 0, 0);
+        consumer.rehydrate();
+        let mut session = GroupSession::new(clock, consumer, predicate, 0, 0);
         session.slides = slides;
         session.prev = prev;
-        Ok((session, producer))
+        Ok(session)
+    }
+
+    /// Reads a warm-up's open slide and private producer.
+    fn decode_warmup(&mut self, dec: &mut Decoder<'_>) -> Result<(), CheckpointError> {
+        let open_slide = dec.take_u64()?;
+        let producer = DigestProducer::decode_state(dec)?;
+        if producer.slide_duration() != self.slide {
+            return Err(CheckpointError::Corrupt(
+                "warm-up producer disagrees with its session's slide duration",
+            ));
+        }
+        self.warm_up(producer, open_slide);
+        Ok(())
     }
 
     /// The per-member half of a class-computed slide close: stamps this

@@ -460,8 +460,11 @@ pub(crate) fn checkpoint_sections_on(
 
 /// Decodes a hub checkpoint (either hub, any shard count) into the
 /// id-allocator watermark and the merged serving state, validating as it
-/// goes, then seats the members in result classes. Malformed input is a
-/// typed [`SapError::Checkpoint`]; never panics on foreign bytes.
+/// goes: a format-5 image in the shape a resize moves, its groups holding
+/// their classes and reductions, and a format-4 image's members then
+/// seated in result classes ([`RegistryParts::pool_classes`]). Malformed
+/// input is a typed [`SapError::Checkpoint`]; never panics on foreign
+/// bytes.
 pub(crate) fn decode_hub_checkpoint(
     checkpoint: &Checkpoint,
     factory: &dyn EngineFactory,
@@ -484,7 +487,9 @@ pub(crate) fn decode_hub_checkpoint(
     if merged.sessions.iter().any(|(id, _)| id.raw() >= next_id) {
         return Err(CheckpointError::Corrupt("session id at or past the id counter").into());
     }
-    merged.pool_classes();
+    if checkpoint.version() == 4 {
+        merged.pool_classes();
+    }
     Ok((next_id, merged))
 }
 

@@ -1,52 +1,67 @@
 //! The checkpoint format, pinned across builds. This build writes format
-//! 4 and reads formats 3 and 4, through five committed images:
+//! 5 and reads format 4, through six committed images:
 //!
-//! * four format-3 images written by earlier builds, which still served
-//!   isolated sessions: `hub_v3.ckpt` and `hub_v3_sharded.ckpt` hold
-//!   isolated time-based sessions (session kind 1), `hub_v3_counts.ckpt`
-//!   and the first two hold isolated count sessions (kind 0), and
-//!   `hub_v3_serving.ckpt` is [`fixture_hub`] as the last format-3 build
-//!   served it. This build reads kinds 0 and 1 but never writes them:
-//!   each such session joins its group. Every old image must restore on
-//!   either hub and continue with exactly the updates the writing build
-//!   produced, pinned per query as an update count and a `fold_all`
-//!   checksum;
-//! * `hub_v4_serving.ckpt` is [`fixture_hub`] as this build serves it.
+//! * four format-4 re-cuts of format-3 images, which earlier builds wrote
+//!   while they still served isolated sessions: `hub_v4_recut.ckpt` and
+//!   `hub_v4_recut_sharded.ckpt` come from images with isolated
+//!   time-based sessions (session kind 1), `hub_v4_recut_counts.ckpt` and
+//!   the first two from images with isolated count sessions (kind 0), and
+//!   `hub_v4_recut_serving.ckpt` is [`fixture_hub`] as the last format-3
+//!   build served it. Commit 2b06cd0, the last build that read format 3,
+//!   restored each original and checkpointed the restored hub, so each
+//!   such session sits in its group. Every old image must restore on
+//!   either hub and continue with exactly the updates the build that
+//!   wrote the original produced, pinned per query as an update count and
+//!   a `fold_all` checksum;
+//! * `hub_v4_serving.ckpt` is [`fixture_hub`] as the format-4 builds
+//!   served it;
+//! * `hub_v5_serving.ckpt` is [`fixture_hub`] as this build serves it.
 //!   This build must write exactly these bytes, re-encode a restore of
 //!   them to the same bytes, and continue them like the old images.
+//!
+//! Every format-4 image, restored and checkpointed by this build, must
+//! restore again, re-encode to its own bytes and continue with its pins:
+//! the one migration from format 4 to format 5.
 
 use std::collections::BTreeMap;
 
 use sap::prelude::*;
-use sap::stream::checkpoint::FORMAT_VERSION;
+use sap::stream::checkpoint::{fnv1a, FORMAT_VERSION};
 
 #[path = "common/checksum.rs"]
 mod checksum;
 use checksum::fold_all;
 
-/// A format-3 checkpoint of [`fixture_hub`], written at commit cd4647a
-/// by running [`fixture_hub`] against that build and saving
-/// `hub.checkpoint().as_bytes()` to `tests/fixtures/hub_v3.ckpt`. That
+/// A format-4 re-cut of `hub_v3.ckpt`, a format-3 checkpoint of
+/// [`fixture_hub`] written at commit cd4647a by running [`fixture_hub`]
+/// against that build and saving `hub.checkpoint().as_bytes()`. That
 /// build served `register` of a time-based query on its own isolated
-/// adapter, so the image holds one kind-1 session (`q2`); its slide
-/// group exists, so it restores warming up.
-const FIXTURE: &[u8] = include_bytes!("fixtures/hub_v3.ckpt");
+/// adapter, so the original held one kind-1 session (`q2`); its slide
+/// group exists, so it restored warming up. Commit 2b06cd0 re-cut it by
+/// saving the bytes of
+/// `Hub::restore(&Checkpoint::from_bytes(v3)?, &DefaultEngineFactory)?.checkpoint()`.
+const FIXTURE: &[u8] = include_bytes!("fixtures/hub_v4_recut.ckpt");
 
-/// [`fixture_hub`] as the last format-3 build served it, written at
-/// commit 32d9968 by saving `fixture_hub().checkpoint().as_bytes()`:
-/// `q2` is a slide-group member from the start, while `q0`, `q1` and
-/// `q6` are isolated count sessions (kind 0).
-const SERVING_V3: &[u8] = include_bytes!("fixtures/hub_v3_serving.ckpt");
+/// A format-4 re-cut of `hub_v3_serving.ckpt`, [`fixture_hub`] as the
+/// last format-3 build served it, written at commit 32d9968 by saving
+/// `fixture_hub().checkpoint().as_bytes()`: `q2` was a slide-group member
+/// from the start, while `q0`, `q1` and `q6` were isolated count sessions
+/// (kind 0). Re-cut at commit 2b06cd0 like [`FIXTURE`].
+const SERVING_V3: &[u8] = include_bytes!("fixtures/hub_v4_recut_serving.ckpt");
 
-/// [`fixture_hub`] as this build serves it: every query is a group
-/// member. Regenerate it only with a deliberate format change, by saving
+/// [`fixture_hub`] as the format-4 builds served it (commits 2334398
+/// through 2b06cd0): every query a group member, each with its own
+/// consumer.
+const SERVING_V4: &[u8] = include_bytes!("fixtures/hub_v4_serving.ckpt");
+
+/// [`fixture_hub`] as this build serves it. Regenerate it only with a
+/// deliberate format change, by saving
 /// `fixture_hub().checkpoint().as_bytes()`.
-const SERVING: &[u8] = include_bytes!("fixtures/hub_v4_serving.ckpt");
+const SERVING: &[u8] = include_bytes!("fixtures/hub_v5_serving.ckpt");
 
-/// A format-3 checkpoint of an `AsyncHub` with four shards, written at
-/// commit 7c4f8a3 (the last build that served isolated time-based
-/// sessions) by this program, saving the checkpoint's bytes to
-/// `tests/fixtures/hub_v3_sharded.ckpt`:
+/// A format-4 re-cut of `hub_v3_sharded.ckpt`, a format-3 checkpoint of
+/// an `AsyncHub` with four shards, written at commit 7c4f8a3 (the last
+/// build that served isolated time-based sessions) by this program:
 ///
 /// ```text
 /// let mut hub = AsyncHub::new(4, 2);
@@ -69,23 +84,26 @@ const SERVING: &[u8] = include_bytes!("fixtures/hub_v4_serving.ckpt");
 /// let (checkpoint, _) = hub.checkpoint().unwrap();
 /// ```
 ///
-/// `q4`–`q9` are kind-1 sessions:
+/// `q4`–`q9` were kind-1 sessions:
 ///
-/// * `q4`–`q7` slide every 7 units, where the image holds only a
-///   filtered slide group, and sit on four different shard sections:
+/// * `q4`–`q7` slide every 7 units, where the original held only a
+///   filtered slide group, and sat on four different shard sections:
 ///   `q4` founds the pass-all group and `q5`–`q7` warm up in it;
 /// * `q8` slides every 10 units, whose slide group exists: it warms up;
 /// * `q9` was registered after the last arrival and a watermark that
 ///   closed the 7-unit slide holding that arrival but not the 10-unit
-///   one. Its producer lags its group by 17 empty slides while the
-///   group's open slide still holds objects published before `q9`: it
+///   one. Its producer lagged its group by 17 empty slides while the
+///   group's open slide still held objects published before `q9`: it
 ///   warms up until the group closes that slide.
-const SHARDED: &[u8] = include_bytes!("fixtures/hub_v3_sharded.ckpt");
+///
+/// Commit 2b06cd0 re-cut it by saving the checkpoint bytes of
+/// `AsyncHub::restore(&Checkpoint::from_bytes(v3)?, &DefaultEngineFactory, 4, 2)?`,
+/// so it stays a four-section image.
+const SHARDED: &[u8] = include_bytes!("fixtures/hub_v4_recut_sharded.ckpt");
 
-/// A format-3 checkpoint of an `AsyncHub` with four shards, written at
-/// commit 32d9968 (the last build that served isolated count sessions)
-/// by this program, saving the checkpoint's bytes to
-/// `tests/fixtures/hub_v3_counts.ckpt`:
+/// A format-4 re-cut of `hub_v3_counts.ckpt`, a format-3 checkpoint of an
+/// `AsyncHub` with four shards, written at commit 32d9968 (the last build
+/// that served isolated count sessions) by this program:
 ///
 /// ```text
 /// let mut hub = AsyncHub::new(4, 2);
@@ -100,14 +118,16 @@ const SHARDED: &[u8] = include_bytes!("fixtures/hub_v3_sharded.ckpt");
 /// let (checkpoint, _) = hub.checkpoint().unwrap();
 /// ```
 ///
-/// * `q0` (`k < s`) and `q1` (`k ≥ s`) are kind-0 sessions at one
+/// * `q0` (`k < s`) and `q1` (`k ≥ s`) were kind-0 sessions at one
 ///   `(s, fill)` on two shard sections; `q3`'s count group, founded 8
-///   objects later at the same offset, sits on `q0`'s section, so both
-///   merge into it and it shifts two slides onto their ordinals;
-/// * `q2` is a kind-0 session alone at its offset: it founds a group;
-/// * `q4` is a grouped member with `k > s`, whose format-3 ring pads each
-///   slide to `k`.
-const COUNTS: &[u8] = include_bytes!("fixtures/hub_v3_counts.ckpt");
+///   objects later at the same offset, sat on `q0`'s section, so both
+///   merged into it, shifted two slides onto their ordinals;
+/// * `q2` was a kind-0 session alone at its offset: it founded a group;
+/// * `q4` is a grouped member with `k > s`, whose format-3 ring padded
+///   each slide to `k`.
+///
+/// Re-cut at commit 2b06cd0 like [`SHARDED`].
+const COUNTS: &[u8] = include_bytes!("fixtures/hub_v4_recut_counts.ckpt");
 
 /// Per query: updates and `fold_all` checksum of [`FIXTURE`] continued
 /// by [`continue_on_both_hubs`] over `stream(60..160)`, as the writing
@@ -272,13 +292,29 @@ fn query(hub: &Hub, name: &str) -> QueryId {
         .expect("a restored query")
 }
 
+/// `bytes` with its version field set to `version`, checksum recomputed.
+fn reframed(bytes: &[u8], version: u32) -> Vec<u8> {
+    let mut out = bytes[..bytes.len() - 8].to_vec();
+    out[8..12].copy_from_slice(&version.to_le_bytes());
+    let sum = fnv1a(&out);
+    out.extend_from_slice(&sum.to_le_bytes());
+    out
+}
+
 #[test]
-fn this_build_writes_format_4_and_reads_format_3() {
-    assert_eq!(FORMAT_VERSION, 4);
-    assert_eq!(image(SERVING).version(), 4);
-    for bytes in [FIXTURE, SERVING_V3, SHARDED, COUNTS] {
-        assert_eq!(image(bytes).version(), 3);
+fn this_build_writes_format_5_and_reads_format_4() {
+    assert_eq!(FORMAT_VERSION, 5);
+    assert_eq!(image(SERVING).version(), 5);
+    for bytes in [FIXTURE, SERVING_V3, SERVING_V4, SHARDED, COUNTS] {
+        assert_eq!(image(bytes).version(), 4);
     }
+    assert_eq!(
+        Checkpoint::from_bytes(&reframed(SERVING_V4, 3)),
+        Err(CheckpointError::UnsupportedVersion {
+            found: 3,
+            supported: 5
+        })
+    );
 }
 
 #[test]
@@ -302,15 +338,15 @@ fn restored_fixture_continues_identically_on_both_hubs() {
 }
 
 /// The old images and this build's image of one hub continue alike: the
-/// kind-1 session `q2` serves from its slide group exactly what its
-/// isolated adapter would have, and the kind-0 sessions from their count
-/// groups exactly what their isolated sessions would have.
+/// former kind-1 session `q2` serves from its slide group exactly what
+/// its isolated adapter would have, and the former kind-0 sessions from
+/// their count groups exactly what their isolated sessions would have.
 #[test]
 fn serving_fixture_continues_like_the_old_image() {
     let restored = Hub::restore(&image(FIXTURE), &DefaultEngineFactory).expect("fixture restores");
     let q2 = restored
         .session(query(&restored, "q2"))
-        .expect("the kind-1 session joined its slide group");
+        .expect("the former kind-1 session sits in its slide group");
     assert_eq!(q2.clock(), Clock::Event);
     assert!(q2.is_warming_up(), "its slide group exists");
     for name in ["q0", "q1"] {
@@ -321,14 +357,12 @@ fn serving_fixture_continues_like_the_old_image() {
             "{name} joined a count group"
         );
     }
-    assert_eq!(
-        continue_on_both_hubs(SERVING_V3, 60..160),
-        pinned(&FIXTURE_CONTINUATION)
-    );
-    assert_eq!(
-        continue_on_both_hubs(SERVING, 60..160),
-        pinned(&FIXTURE_CONTINUATION)
-    );
+    for bytes in [SERVING_V3, SERVING_V4, SERVING] {
+        assert_eq!(
+            continue_on_both_hubs(bytes, 60..160),
+            pinned(&FIXTURE_CONTINUATION)
+        );
+    }
 }
 
 #[test]
@@ -336,7 +370,7 @@ fn sharded_old_image_seats_its_timed_sessions_in_slide_groups() {
     let hub = Hub::restore(&image(SHARDED), &DefaultEngineFactory).expect("image restores");
     let member = |name| {
         hub.session(query(&hub, name))
-            .expect("a kind-1 session restores as a group member")
+            .expect("a former kind-1 session restores as a group member")
     };
     let founder = member("q4");
     assert!(
@@ -349,7 +383,7 @@ fn sharded_old_image_seats_its_timed_sessions_in_slide_groups() {
     assert_eq!(member("q9").slides(), 0, "q9 never closed a slide");
     // the pass-all group of 7 joins the filtered one and the group of 10;
     // classes: two in the group of 10, one each in the groups of 7, and
-    // the kind-0 session `q0`'s in its count group
+    // the former kind-0 session `q0`'s in its count group
     let stats = hub.stats();
     assert_eq!(
         (
@@ -400,4 +434,44 @@ fn counts_old_image_seats_its_count_sessions_in_count_groups() {
         continue_on_both_hubs(COUNTS, 27..127),
         pinned(&COUNTS_CONTINUATION)
     );
+}
+
+/// Restores `bytes` on a `Hub`, or on a four-shard `AsyncHub` when
+/// `sharded`, and checkpoints the restored hub.
+fn re_checkpoint(bytes: &[u8], sharded: bool) -> Vec<u8> {
+    let ckpt = image(bytes);
+    if sharded {
+        let mut hub =
+            AsyncHub::restore(&ckpt, &DefaultEngineFactory, 4, 2).expect("image restores");
+        let (ckpt, drained) = hub.checkpoint().expect("healthy shards");
+        assert!(drained.is_empty(), "a restored hub owes no updates");
+        ckpt.as_bytes().to_vec()
+    } else {
+        let hub = Hub::restore(&ckpt, &DefaultEngineFactory).expect("image restores");
+        hub.checkpoint().as_bytes().to_vec()
+    }
+}
+
+/// Migrates the format-4 image `bytes` to format 5 through
+/// [`re_checkpoint`], and checks that the result restores again,
+/// re-encodes to its own bytes, and continues over `tail` with `pins`.
+fn migrates(bytes: &[u8], sharded: bool, tail: std::ops::Range<u64>, pins: &[(&str, usize, u64)]) {
+    let migrated = re_checkpoint(bytes, sharded);
+    assert_eq!(image(&migrated).version(), 5);
+    assert_eq!(re_checkpoint(&migrated, sharded), migrated);
+    assert_eq!(continue_on_both_hubs(&migrated, tail), pinned(pins));
+}
+
+/// The migration: every format-4 image, restored and checkpointed by this
+/// build, becomes a format-5 image that restores again, re-encodes to its
+/// own bytes and continues with the original's pins. The four-section
+/// images migrate through an `AsyncHub` of four shards and stay
+/// four-section images.
+#[test]
+fn every_format_4_image_migrates_to_format_5() {
+    for bytes in [FIXTURE, SERVING_V3, SERVING_V4] {
+        migrates(bytes, false, 60..160, &FIXTURE_CONTINUATION);
+    }
+    migrates(SHARDED, true, 50..190, &SHARDED_CONTINUATION);
+    migrates(COUNTS, true, 27..127, &COUNTS_CONTINUATION);
 }

@@ -329,20 +329,48 @@ proptest! {
 
 /// Payload corruption behind a *valid* frame (magic, version, and
 /// checksum all recomputed): `Hub::restore` must return a typed error or
-/// a coherent hub — never panic. Exhaustive over every payload byte.
+/// a coherent hub — never panic. Exhaustive over every payload byte of a
+/// hub that holds every kind of checkpoint record: a count class of two
+/// whose reduction also holds a parked class, a count class that joined
+/// its group at a later slide, an event-clock class, and a warming
+/// member.
 #[test]
 fn corrupt_payloads_never_panic() {
+    let objects = |range: std::ops::Range<u64>| -> Vec<TimedObject> {
+        range
+            .map(|i| TimedObject::new(i, i * 25, ((i * 7) % 5) as f64))
+            .collect()
+    };
     let mut hub = Hub::new();
-    hub.register(&Query::window(6).top(2).slide(3))
-        .expect("valid query");
+    // one reduction: a class of two at k = 2, and a parked class at k = 1
+    for q in [
+        Query::window(6).top(2).slide(3),
+        Query::window(6).top(2).slide(3),
+        Query::window(6).top(1).slide(3),
+    ] {
+        hub.register_grouped(&q).expect("valid query");
+    }
     hub.register_shared(&Query::window_duration(200).top(2).slide_duration(100))
         .expect("valid query");
-    hub.publish(&stream(&[3, 1, 4, 1, 5, 9, 2, 6]));
+    hub.publish_timed(&objects(0..9));
+    // the count group's open slide is empty: a class that joins at slide
+    // 3; the slide group has ingested: a member that warms up through the
+    // cut, which closes neither its join slide [200, 300) nor slide 4 of
+    // the count group
+    let late = hub
+        .register_grouped(&Query::window(6).top(1).slide(3))
+        .expect("valid query");
+    let warming = hub
+        .register_shared(&Query::window_duration(200).top(1).slide_duration(100))
+        .expect("valid query");
+    hub.publish_timed(&objects(9..12));
+    assert_eq!(hub.session(late).map(|s| s.slides()), Some(1));
+    assert!(hub.session(warming).is_some_and(|s| s.is_warming_up()));
+    let stats = hub.stats();
+    assert_eq!((stats.result_classes, stats.class_hits > 0), (4, true));
     let bytes = hub.checkpoint().as_bytes().to_vec();
     // what every hub that restores must then serve without panicking
-    let batch: Vec<TimedObject> = (0..40u64)
-        .map(|i| TimedObject::new(i, i * 25, ((i * 7) % 5) as f64))
-        .collect();
+    let batch = objects(11..51);
 
     for pos in 12..bytes.len() - 8 {
         for mask in [0x01u8, 0x80, 0xFF] {

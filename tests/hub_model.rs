@@ -357,13 +357,11 @@ impl Lane {
         }
     }
 
-    /// Checkpoints the lane and restores it into `target`; the counters
-    /// must travel, except those the executor or the class rebuild own
-    /// (the caller then checks the rebuilt classes against the model).
+    /// Checkpoints the lane and restores it into `target`; every counter
+    /// must travel, result classes and class hits included, except those
+    /// the executor owns.
     fn checkpoint(&mut self, target: Shape, step: usize) -> Check {
         let carried = |stats: HubStats| HubStats {
-            result_classes: 0,
-            class_hits: 0,
             publisher_parks: 0,
             queue_depth_hwm: 0,
             ..stats

@@ -111,6 +111,13 @@ def checkpoint_free_restore(doc):
     top(doc, "restored")["metrics"]["restore_ms"] = 0
 
 
+def checkpoint_lost_class_hits(doc):
+    """A restore that restarts `class_hits` at 0: the restored row then
+    counts the second half's class hits alone."""
+    counters = top(doc, "restored-async")["counters"]
+    counters["class_hits"] //= 2
+
+
 def fanout_zero_group_hits(doc):
     top(doc, "grouped")["counters"]["count_group_hits"] = 0
 
@@ -178,6 +185,7 @@ CASES = [
     ("async", "async_alloc_ceiling", async_over_ceiling),
     ("checkpoint", "checkpoint_arms", checkpoint_without_async),
     ("checkpoint", "checkpoint_cost", checkpoint_free_restore),
+    ("checkpoint", "checkpoint_counters", checkpoint_lost_class_hits),
     ("fanout", "fanout_arms", lambda d: one_rung(d, "grouped")),
     ("fanout", "fanout_grouped_sharing", fanout_zero_group_hits),
     ("fanout", "fanout_quiet_sublinear", fanout_linear_quiet),

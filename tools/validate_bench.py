@@ -241,6 +241,24 @@ def checkpoint_cost(doc):
                     yield f"{label(r)}: {name} is {r['metrics'][name]}"
 
 
+# counters the executor owns: they describe a hub's shape and scheduling,
+# not the serving state a checkpoint carries
+EXECUTOR_COUNTERS = ("publisher_parks", "queue_depth_hwm")
+
+
+def checkpoint_counters(doc):
+    """A restored run reports the counters of the uninterrupted run of the
+    same queries: the checkpoint carries every serving counter."""
+    whole = {r["queries"]: r for r in rows(doc, arm="uninterrupted")}
+    for r in doc["records"]:
+        if not r["arm"].startswith("restored"):
+            continue
+        ref = whole[r["queries"]]["counters"]
+        for name in COUNTERS:
+            if name not in EXECUTOR_COUNTERS and r["counters"][name] != ref[name]:
+                yield f"{label(r)}: {name} {r['counters'][name]}, uninterrupted {ref[name]}"
+
+
 # --- fanout: the count-group plane's sub-linear ingest ------------------
 # The `isolated` arm serves standalone sessions, the baseline without
 # sharing; its counters report the query count only.
@@ -394,7 +412,7 @@ def async_alloc_ceiling(doc):
 
 CLAIMS = {
     "async": [async_arms, async_oversubscribed, async_publisher_never_parks, async_alloc_ceiling],
-    "checkpoint": [checkpoint_arms, checkpoint_cost],
+    "checkpoint": [checkpoint_arms, checkpoint_cost, checkpoint_counters],
     "fanout": [
         fanout_arms,
         fanout_grouped_sharing,

@@ -1513,7 +1513,7 @@ impl<C: SlidingTopK> RegistryParts<C> {
                     "count group buffers more than it observed",
                 ));
             }
-            if a.ring_base + a.ring.len() as u64 != a.next_ordinal {
+            if a.ring_base.checked_add(a.ring.len() as u64) != Some(a.next_ordinal) {
                 return Err(CheckpointError::Corrupt(
                     "count-group ring disagrees with its producer",
                 ));
@@ -2699,6 +2699,24 @@ mod tests {
         enroll_arrival(&mut reg, 1, (40, 1, 4), pass);
         assert_eq!(reg.groups.len(), 1, "the joiner found the group at fill 0");
         assert!(RegistryParts::merge(vec![reg.eject_all()]).is_ok());
+    }
+
+    /// A count group whose id ring would end past `u64::MAX` is corrupt
+    /// state, rejected with a typed error: its member's window holds only
+    /// pads (the filter rejects every tick), so no ordinal check rejects
+    /// it first.
+    #[test]
+    fn an_overflowing_count_ring_is_corrupt() {
+        let mut reg = ToyRegistry::default();
+        let none = Predicate::default().score_at_least(1_000.0);
+        enroll_arrival(&mut reg, 0, (8, 1, 4), none);
+        reg.publish_timed(&ticks(0, 6));
+        let mut parts = reg.eject_all();
+        let GroupClock::Arrival(a) = &mut parts.groups[0].clock else {
+            unreachable!("a count group runs on the arrival clock")
+        };
+        a.ring_base = u64::MAX;
+        assert!(RegistryParts::merge(vec![parts]).is_err());
     }
 
     /// `Toy`, counting every engine slide in a counter its copies share.

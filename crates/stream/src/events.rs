@@ -16,10 +16,12 @@
 //!   the session's retained previous emission, and every `QueryUpdate`
 //!   fan-out; a slide whose result did not change re-emits the *same*
 //!   `Arc` (a refcount bump, zero copies);
-//! * the events are an [`EventList`] that stores up to
-//!   [`EventList::INLINE`] deltas inline. `[Unchanged]` and small churn —
-//!   the steady-state shapes — never touch the heap; only bursty slides
-//!   spill to a `Vec`.
+//! * the events are an [`EventList`] — one refcounted list, shared the
+//!   same way: every member of a result class holds its class's delta,
+//!   so fanning a delta out is a refcount bump, and a `QueryUpdate` stays
+//!   at five words. The empty delta and `[Unchanged]` — the steady-state
+//!   shapes — are process-wide lists that never touch the heap, and a
+//!   close rebuilds its previous list in place once no update holds it.
 //!
 //! When the engine can prove the result did not change (SAP's `dirty`
 //! flag, see `sap_core`, surfaced through
@@ -199,15 +201,20 @@ impl<'a> IntoIterator for &'a Snapshot {
     }
 }
 
-/// The delta stream of one slide, stored inline for the steady-state
-/// shapes.
+/// The delta stream of one slide: one refcounted, immutable list,
+/// shared the way a [`Snapshot`] is.
 ///
-/// Most slides emit `[Unchanged]` (one event) or a small churn (an
-/// `Exited`/`Entered` pair or two); an `EventList` keeps up to
-/// [`EventList::INLINE`] events in the [`SlideResult`] itself, touching
-/// the heap only when a slide churns more than that (bursts, first
-/// emissions with large `k`). Derefs to `[TopKEvent]` and compares
-/// against `Vec<TopKEvent>`, so delta-consuming code reads unchanged.
+/// A result class computes each slide's delta once and every member's
+/// update holds the same list, so handing a delta to a member is a
+/// refcount bump, never a copy: an `EventList` is one thin pointer, and
+/// it keeps a `QueryUpdate` small. The two steady-state shapes never
+/// allocate: an empty delta and the `[Unchanged]` delta each share one
+/// list for the whole process ([`EventList::new`],
+/// [`EventList::unchanged`]). [`push`](EventList::push) and
+/// [`clear`](EventList::clear) are copy-on-write, so an `EventList`
+/// behaves as a value: changing one never changes a clone. Derefs to
+/// `[TopKEvent]` and compares against `Vec<TopKEvent>`, so
+/// delta-consuming code reads unchanged.
 ///
 /// ```
 /// use sap_stream::{EventList, Object, TopKEvent};
@@ -218,71 +225,47 @@ impl<'a> IntoIterator for &'a Snapshot {
 /// assert_eq!(events, vec![TopKEvent::Entered(Object::new(1, 5.0))]);
 /// assert!(!events.is_unchanged());
 /// assert!(EventList::unchanged().is_unchanged());
+/// let shared = events.clone(); // refcount bump, no copy
+/// assert!(shared.ptr_eq(&events));
 /// ```
 #[derive(Clone)]
-pub struct EventList {
-    /// Inline storage; `len <= INLINE` means `inline[..len]` is the list.
-    inline: [TopKEvent; EventList::INLINE],
-    /// Number of inline events, or `INLINE + 1` when spilled.
-    len: u8,
-    /// Heap storage once the list outgrows the inline capacity.
-    spill: Vec<TopKEvent>,
-}
+pub struct EventList(Arc<Vec<TopKEvent>>);
 
 impl EventList {
-    /// Number of events stored without a heap allocation — sized so a
-    /// full `Exited`/`Entered` churn at `k ≤ INLINE / 2` stays inline.
-    pub const INLINE: usize = 8;
-    const SPILLED: u8 = (EventList::INLINE as u8) + 1;
-
     /// An empty list (the delta of an empty result following an empty
-    /// result). No allocation.
+    /// result): the process-wide empty list, so no allocation.
     pub fn new() -> Self {
-        EventList {
-            inline: [TopKEvent::Unchanged; EventList::INLINE],
-            len: 0,
-            spill: Vec::new(),
-        }
+        static EMPTY: OnceLock<Arc<Vec<TopKEvent>>> = OnceLock::new();
+        EventList(Arc::clone(EMPTY.get_or_init(|| Arc::new(Vec::new()))))
     }
 
-    /// The `[Unchanged]` singleton delta. No allocation.
+    /// The `[Unchanged]` delta: the process-wide list, so no allocation.
     pub fn unchanged() -> Self {
-        let mut events = EventList::new();
-        events.push(TopKEvent::Unchanged);
-        events
+        static UNCHANGED: OnceLock<Arc<Vec<TopKEvent>>> = OnceLock::new();
+        let list = UNCHANGED.get_or_init(|| Arc::new(vec![TopKEvent::Unchanged]));
+        EventList(Arc::clone(list))
     }
 
-    /// Appends one event, spilling to the heap past
-    /// [`INLINE`](EventList::INLINE).
+    /// Appends one event. Copy-on-write: a list that shares its storage
+    /// with a clone is copied first.
     pub fn push(&mut self, event: TopKEvent) {
-        if self.len == Self::SPILLED {
-            self.spill.push(event);
-        } else if (self.len as usize) < Self::INLINE {
-            self.inline[self.len as usize] = event;
-            self.len += 1;
-        } else {
-            self.spill.reserve(Self::INLINE * 2);
-            self.spill.extend_from_slice(&self.inline);
-            self.spill.push(event);
-            self.len = Self::SPILLED;
-        }
+        Arc::make_mut(&mut self.0).push(event);
     }
 
-    /// Drops every event, keeping any spilled capacity for reuse.
+    /// Drops every event. Copy-on-write: a list no clone shares keeps its
+    /// capacity for reuse; a shared one becomes the empty list.
     pub fn clear(&mut self) {
-        self.len = 0;
-        self.spill.clear();
+        match Arc::get_mut(&mut self.0) {
+            Some(list) => list.clear(),
+            None => *self = EventList::new(),
+        }
     }
 
     /// The events as a slice: every `Exited` first, then every `Entered`;
     /// or exactly `[Unchanged]`; or empty.
     #[inline]
     pub fn as_slice(&self) -> &[TopKEvent] {
-        if self.len == Self::SPILLED {
-            &self.spill
-        } else {
-            &self.inline[..self.len as usize]
-        }
+        &self.0
     }
 
     /// Whether the list is exactly the `[Unchanged]` marker.
@@ -290,10 +273,27 @@ impl EventList {
     pub fn is_unchanged(&self) -> bool {
         matches!(self.as_slice(), [TopKEvent::Unchanged])
     }
+
+    /// Whether two lists share one allocation — `true` between the
+    /// updates of one result class's close.
+    #[inline]
+    pub fn ptr_eq(&self, other: &EventList) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+
+    /// Empties the list for a rebuild and returns its storage: in place
+    /// when no clone shares it, as a fresh list of `capacity` otherwise.
+    fn rebuild(&mut self, capacity: usize) -> &mut Vec<TopKEvent> {
+        if Arc::get_mut(&mut self.0).is_none() {
+            self.0 = Arc::new(Vec::with_capacity(capacity));
+        }
+        let list = Arc::get_mut(&mut self.0).expect("a fresh list has no clone");
+        list.clear();
+        list
+    }
 }
 
-/// Formats the events the list holds, like a slice: stale inline slots
-/// past the length are not part of the list.
+/// Formats the events the list holds, like a slice.
 impl std::fmt::Debug for EventList {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_list().entries(self.as_slice()).finish()
@@ -340,21 +340,13 @@ impl PartialEq<[TopKEvent]> for EventList {
 
 impl From<Vec<TopKEvent>> for EventList {
     fn from(events: Vec<TopKEvent>) -> Self {
-        let mut list = EventList::new();
-        for e in events {
-            list.push(e);
-        }
-        list
+        EventList(Arc::new(events))
     }
 }
 
 impl FromIterator<TopKEvent> for EventList {
     fn from_iter<I: IntoIterator<Item = TopKEvent>>(iter: I) -> Self {
-        let mut list = EventList::new();
-        for e in iter {
-            list.push(e);
-        }
-        list
+        EventList(Arc::new(iter.into_iter().collect()))
     }
 }
 
@@ -422,18 +414,29 @@ pub struct DiffScratch {
 /// allocating — the pooled core of [`diff_snapshots`].
 ///
 /// The two snapshots are diffed by object id in `O(k)`. `events` is
-/// cleared first; with at most [`EventList::INLINE`] deltas the call
-/// performs **zero** allocations after scratch warm-up.
+/// replaced: rebuilt in place when no clone shares it, so once a
+/// recycled list and the scratch are warm the call performs **zero**
+/// allocations. Identical snapshots write the quiet delta (`[Unchanged]`,
+/// or empty for two empty snapshots), sharing the process-wide list when
+/// `events` cannot be reused.
 pub fn diff_snapshots_into(
     prev: &[Object],
     next: &[Object],
     scratch: &mut DiffScratch,
     events: &mut EventList,
 ) {
-    events.clear();
     if prev == next {
-        if !(next.is_empty() && prev.is_empty()) {
-            events.push(TopKEvent::Unchanged);
+        let quiet = if next.is_empty() {
+            EventList::new()
+        } else {
+            EventList::unchanged()
+        };
+        match Arc::get_mut(&mut events.0) {
+            Some(list) => {
+                list.clear();
+                list.extend_from_slice(&quiet);
+            }
+            None => *events = quiet,
         }
         return;
     }
@@ -444,23 +447,21 @@ pub fn diff_snapshots_into(
     scratch.prev_ids.clear();
     scratch.prev_ids.extend(prev.iter().map(|o| o.id));
     scratch.prev_ids.sort_unstable();
-    let mut any = false;
+    let list = events.rebuild(prev.len() + next.len());
     for o in prev {
         if scratch.next_ids.binary_search(&o.id).is_err() {
-            events.push(TopKEvent::Exited(*o));
-            any = true;
+            list.push(TopKEvent::Exited(*o));
         }
     }
     for o in next {
         if scratch.prev_ids.binary_search(&o.id).is_err() {
-            events.push(TopKEvent::Entered(*o));
-            any = true;
+            list.push(TopKEvent::Entered(*o));
         }
     }
-    if !any {
+    if list.is_empty() {
         // same membership, possibly reordered — the result order is total,
         // so identical membership implies an identical sequence
-        events.push(TopKEvent::Unchanged);
+        list.push(TopKEvent::Unchanged);
     }
 }
 
@@ -582,33 +583,73 @@ mod tests {
     }
 
     #[test]
-    fn event_list_inlines_then_spills() {
+    fn event_list_is_a_shared_value() {
         let mut list = EventList::new();
         assert!(list.is_empty());
         assert!(!list.is_unchanged());
-        for i in 0..EventList::INLINE {
-            list.push(TopKEvent::Entered(o(i as u64, i as f64)));
-            assert_eq!(list.len(), i + 1);
+        // the quiet shapes are process-wide lists
+        assert!(EventList::new().ptr_eq(&EventList::default()));
+        assert!(EventList::unchanged().ptr_eq(&EventList::unchanged()));
+        for i in 0..20u64 {
+            list.push(TopKEvent::Entered(o(i, i as f64)));
         }
-        // one past the inline capacity spills, preserving order
+        assert_eq!(list.len(), 20);
+        assert!(
+            EventList::new().is_empty(),
+            "a push never writes the empty list"
+        );
+        // a clone shares the list; writing either copies it first
+        let shared = list.clone();
+        assert!(shared.ptr_eq(&list));
         list.push(TopKEvent::Exited(o(99, 0.0)));
-        assert_eq!(list.len(), EventList::INLINE + 1);
-        let expect: Vec<TopKEvent> = (0..EventList::INLINE)
-            .map(|i| TopKEvent::Entered(o(i as u64, i as f64)))
-            .chain([TopKEvent::Exited(o(99, 0.0))])
-            .collect();
-        assert_eq!(list, expect);
-        // keep growing past the spill point
-        list.push(TopKEvent::Unchanged);
-        assert_eq!(list.len(), EventList::INLINE + 2);
-        assert_eq!(list.as_slice().last(), Some(&TopKEvent::Unchanged));
-        // clear resets to the inline representation
+        assert_eq!(shared.len(), 20, "a push never changes a clone");
+        assert_eq!(list.len(), 21);
+        assert!(!shared.ptr_eq(&list));
+        let mut cleared = shared.clone();
+        cleared.clear();
+        assert!(cleared.is_empty());
+        assert_eq!(shared.len(), 20, "a clear never changes a clone");
+        // clear then push rebuilds the marker
         list.clear();
-        assert!(list.is_empty());
         list.push(TopKEvent::Unchanged);
         assert!(list.is_unchanged());
         assert_eq!(list, EventList::unchanged());
-        assert_eq!(EventList::default().len(), 0);
+    }
+
+    #[test]
+    fn diff_into_rebuilds_an_unshared_list_in_place() {
+        let mut scratch = DiffScratch::default();
+        let mut events = EventList::new();
+        let prev = vec![o(1, 5.0), o(2, 4.0)];
+        let next = vec![o(3, 6.0), o(4, 5.0)];
+        diff_snapshots_into(&prev, &next, &mut scratch, &mut events);
+        assert_eq!(events.len(), 4);
+        let held = events.clone();
+        // a list an update still holds is left alone
+        diff_snapshots_into(&next, &prev, &mut scratch, &mut events);
+        assert!(!events.ptr_eq(&held));
+        assert_eq!(
+            held[0],
+            TopKEvent::Exited(o(1, 5.0)),
+            "the held list is intact"
+        );
+        // once nothing holds it, the next diff reuses its storage
+        drop(held);
+        let storage = events.as_ptr();
+        diff_snapshots_into(&prev, &next, &mut scratch, &mut events);
+        assert_eq!(events.as_ptr(), storage);
+        diff_snapshots_into(&next, &next, &mut scratch, &mut events);
+        assert!(events.is_unchanged());
+        assert_eq!(
+            events.as_ptr(),
+            storage,
+            "the quiet delta is written in place too"
+        );
+        // a shared list takes the process-wide quiet delta instead
+        let held = events.clone();
+        diff_snapshots_into(&[], &[], &mut scratch, &mut events);
+        assert!(events.ptr_eq(&EventList::new()));
+        assert!(held.is_unchanged());
     }
 
     #[test]

@@ -254,10 +254,11 @@ struct Slot {
 }
 
 /// What a worker checks out: the shard's registry plus its undrained
-/// updates.
+/// updates, one sorted run per ingest command (see
+/// [`apply_command`]).
 struct ShardCore {
     registry: HubRegistry,
-    updates: Vec<QueryUpdate>,
+    runs: Vec<Vec<QueryUpdate>>,
 }
 
 impl Slot {
@@ -266,7 +267,7 @@ impl Slot {
             queue: VecDeque::with_capacity(capacity),
             core: Some(Box::new(ShardCore {
                 registry: Registry::with_shard(shard),
-                updates: Vec::new(),
+                runs: Vec::new(),
             })),
             dead: false,
             parks: 0,
@@ -494,7 +495,7 @@ fn worker_loop(reactor: Arc<Reactor>, worker: usize) {
             // (ShardDown) and issue a publish that still sees
             // `dead == false`, silently feeding a dying shard
             while let Some(cmd) = batch.pop_front() {
-                apply_command(&mut core.registry, &mut core.updates, cmd);
+                apply_command(&mut core.registry, &mut core.runs, cmd);
             }
         }));
         let mut state = reactor.state();
@@ -604,11 +605,11 @@ pub struct AsyncHub {
     /// Flushed — preserving publish order — before any other command is
     /// enqueued, so ordering guarantees are unchanged.
     pending_one: Vec<Object>,
-    /// Updates rescued from a [`resize`](AsyncHub::resize), merged into
-    /// the next [`drain`](AsyncHub::drain) — the global `(QueryId,
-    /// slide)` sort puts them exactly where an uninterrupted run would
-    /// have.
-    parked_updates: Vec<QueryUpdate>,
+    /// Updates rescued from a [`resize`](AsyncHub::resize), one sorted
+    /// run per retired shard, merged into the next
+    /// [`drain`](AsyncHub::drain) — the global `(QueryId, slide)` merge
+    /// puts them exactly where an uninterrupted run would have.
+    parked_updates: Vec<Vec<QueryUpdate>>,
     /// Reused publish-target scratch (the non-empty shards).
     targets: Vec<usize>,
     pool: ArcPool<Object>,

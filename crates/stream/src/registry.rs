@@ -61,11 +61,15 @@
 //! serves every class from the producer's borrowed [`DigestView`] inside
 //! the close: the id translation and the delta diff run **once per
 //! class** (the engine slide once per reduction, below), and each member
-//! emission is two refcount bumps plus an inline event copy — zero heap
-//! allocations on a quiet slide. When the engine proves its top-k
-//! unchanged ([`SlidingTopK::slide_if_changed`]), the close re-emits the
-//! previous snapshot with `[Unchanged]` and skips the translation and the
-//! diff.
+//! emission is one five-word `QueryUpdate` holding the class's snapshot
+//! and delta — two refcount bumps, zero heap allocations, whatever the
+//! delta's size. The class is the only copy of its members' progress:
+//! its consumer's slide count and its previous emission are every
+//! member's, so a close touches no member session, and
+//! [`Registry::session`] and `unregister` copy them onto a member before
+//! handing it out. When the engine proves its top-k unchanged
+//! ([`SlidingTopK::slide_if_changed`]), the close re-emits the previous
+//! snapshot with `[Unchanged]` and skips the translation and the diff.
 //! Emissions beyond the one computing member count as
 //! [`class_hits`](HubStats::class_hits).
 //!
@@ -113,8 +117,8 @@
 //! watermark call never walks it. The registry keeps one ascending list
 //! of the store entries that need service on **every** call: the warming
 //! members. A quiet call therefore costs O(groups) ingest plus O(list)
-//! member work; classed members are touched only when their group closes
-//! a slide, once per emission. The list is kept in step with every store
+//! member work; a classed member costs one update record per emission
+//! and is never looked up. The list is kept in step with every store
 //! mutation — O(list) for a single register or unregister, one O(store)
 //! rebuild for the bulk paths (restore, group installation and
 //! ejection), which already cost O(store).
@@ -725,6 +729,21 @@ impl<C: SlidingTopK> Group<C> {
         self.reductions.iter().flat_map(|r| &r.classes)
     }
 
+    /// The class holding classed member `id`, with its position
+    /// (reduction, class): `O(classes)` binary searches of the ascending
+    /// member lists.
+    fn class_of(&self, id: QueryId) -> ((usize, usize), &Class<C>) {
+        self.reductions
+            .iter()
+            .enumerate()
+            .find_map(|(ri, r)| {
+                let holds = |c: &&Class<C>| c.members.binary_search(&id).is_ok();
+                let (ci, class) = r.classes.iter().enumerate().find(|(_, c)| holds(c))?;
+                Some(((ri, ci), class))
+            })
+            .expect("a classed member's group holds its class")
+    }
+
     /// Founds a reduction of one class around `member`'s consumer.
     fn found_class(&mut self, id: QueryId, member: &mut GroupSession<C>) {
         self.reductions.push(Reduction {
@@ -799,10 +818,10 @@ impl<C: SlidingTopK> Group<C> {
 
     /// Moves the producer to `to`. Every slide that closes is served
     /// inside the close, from the producer's borrowed view: one engine
-    /// slide per reduction, one diff per class, then a stamp per member;
-    /// the members past the first of each class were served without a
-    /// diff. A close opens a fresh slide, so the gate resets.
-    fn advance(&mut self, to: u64, counters: &mut Counters, delivery: &mut Delivery<'_, C>) {
+    /// slide per reduction, one diff per class, then one update per
+    /// member; the members past the first of each class were served
+    /// without a diff. A close opens a fresh slide, so the gate resets.
+    fn advance(&mut self, to: u64, counters: &mut Counters, delivery: &mut Delivery<'_>) {
         let Group {
             producer,
             gate,
@@ -813,8 +832,8 @@ impl<C: SlidingTopK> Group<C> {
         let before = producer.next_slide();
         producer.advance_to_with(to, &mut |view| {
             for reduction in reductions.iter_mut() {
-                reduction.close(view, clock, |members, snapshot, events| {
-                    delivery.stamp(members, &snapshot, events);
+                reduction.close(view, clock, |members, slide, snapshot, events| {
+                    delivery.stamp(members, slide, &snapshot, &events);
                     let served = members.len() as u64;
                     *counters.hits(clock.kind()) += served;
                     counters.class_hits += served - 1;
@@ -992,7 +1011,6 @@ impl<C: SlidingTopK> Group<C> {
                         predicate,
                         join_slide,
                         index,
-                        prev.clone(),
                     );
                     group.count(&m);
                     members.push(id);
@@ -1007,7 +1025,6 @@ impl<C: SlidingTopK> Group<C> {
                     members,
                     prev,
                     scratch: SlideScratch::default(),
-                    events: EventList::new(),
                 });
             }
             let Some(head) = classes.first_mut() else {
@@ -1132,14 +1149,15 @@ impl<C: SlidingTopK> Reduction<C> {
     /// parked); a ring-only step for every parked consumer; then, per
     /// class, one id translation and one diff of its first `k` through
     /// the sessions' one close routine ([`SlideScratch::close`]), handed
-    /// to `emit` with the class's members and delta. When the engine
-    /// proves its top-k unchanged, so is every class's prefix: each
-    /// re-emits its `prev` with `[Unchanged]` in `O(1)`.
+    /// to `emit` with the class's members, the members' slide number (all
+    /// classes of a reduction share it), the snapshot and the delta. When
+    /// the engine proves its top-k unchanged, so is every class's prefix:
+    /// each re-emits its `prev` with `[Unchanged]` in `O(1)`.
     fn close(
         &mut self,
         view: DigestView<'_>,
         clock: &GroupClock,
-        mut emit: impl FnMut(&[QueryId], Snapshot, &EventList),
+        mut emit: impl FnMut(&[QueryId], u64, Snapshot, EventList),
     ) {
         let (head, parked) = self
             .classes
@@ -1151,19 +1169,17 @@ impl<C: SlidingTopK> Reduction<C> {
             members,
             prev,
             scratch,
-            events,
             ..
         } = head;
         let top = consumer.apply_slide_top(slide, view.top);
         let translate = |top: &[TimedObject], out: &mut Vec<Object>| clock.translate(top, out);
-        emit(members, scratch.close(prev, events, top, translate), events);
+        let (snapshot, events) = scratch.close(prev, top, translate);
+        emit(members, slide, snapshot, events);
         for class in parked {
             class.consumer.park_slide(slide, view.top);
             let top = top.map(|top| &top[..class.consumer.k().min(top.len())]);
-            let snapshot = class
-                .scratch
-                .close(&mut class.prev, &mut class.events, top, translate);
-            emit(&class.members, snapshot, &class.events);
+            let (snapshot, events) = class.scratch.close(&mut class.prev, top, translate);
+            emit(&class.members, slide, snapshot, events);
         }
     }
 }
@@ -1183,13 +1199,13 @@ struct Class<C: SlidingTopK> {
     consumer: SharedTimed<C>,
     /// Member query ids, ascending.
     members: Vec<QueryId>,
-    /// The class's previous emission — byte-equal to every member's by
-    /// construction, so the class-level diff is valid for all of them.
+    /// The class's previous emission: every member's, so the class-level
+    /// diff is valid for all of them. With the consumer's slide count,
+    /// the only copy of the members' progress (see [`GroupSession`]).
     prev: Snapshot,
+    /// Its last delta, shared by the members' updates, is rebuilt in
+    /// place once they are all dropped.
     scratch: SlideScratch,
-    /// The last closed slide's delta, computed once and cloned per
-    /// member (inline — allocation-free when it fits 8 events).
-    events: EventList,
 }
 
 impl<C: SlidingTopK> Class<C> {
@@ -1203,7 +1219,6 @@ impl<C: SlidingTopK> Class<C> {
             members: vec![id],
             prev: member.last_snapshot_shared(),
             scratch: SlideScratch::default(),
-            events: EventList::new(),
         }
     }
 
@@ -1574,27 +1589,28 @@ impl<C: SlidingTopK> RegistryParts<C> {
     }
 }
 
-/// Where a group close delivers its member emissions: the session store
-/// the members live in, and the call's output.
-struct Delivery<'a, C: SlidingTopK> {
-    sessions: &'a mut [(QueryId, GroupSession<C>)],
+/// Where a group close delivers its member emissions: the call's output,
+/// pre-sized from the retained hint.
+struct Delivery<'a> {
     out: &'a mut Vec<QueryUpdate>,
     hint: usize,
 }
 
-impl<C: SlidingTopK> Delivery<'_, C> {
-    /// The per-member half of a class close: every member stamps the
-    /// class's shared snapshot and delta.
-    fn stamp(&mut self, members: &[QueryId], snapshot: &Snapshot, events: &EventList) {
-        for &member in members {
-            let idx = self
-                .sessions
-                .binary_search_by_key(&member, |(id, _)| *id)
-                .expect("class member ids name registered sessions");
-            let (id, session) = &mut self.sessions[idx];
-            let mut sink = tagged_sink(self.out, self.hint, *id);
-            session.emit_class(snapshot, events, &mut sink);
-        }
+impl Delivery<'_> {
+    /// The per-member half of a class close: one update per member, each
+    /// holding the class's shared snapshot and delta under the class's
+    /// slide number. No session is touched — the class keeps the
+    /// members' progress.
+    fn stamp(&mut self, members: &[QueryId], slide: u64, snapshot: &Snapshot, events: &EventList) {
+        presize(self.out, self.hint, members.len());
+        self.out.extend(members.iter().map(|&query| QueryUpdate {
+            query,
+            result: SlideResult {
+                slide,
+                snapshot: snapshot.clone(),
+                events: events.clone(),
+            },
+        }));
     }
 }
 
@@ -1609,21 +1625,27 @@ enum Tick<'a> {
     Watermark(u64),
 }
 
-/// The tagged-update sink every publish path hands its sessions: pushes
-/// each emitted [`SlideResult`] straight into the output as a
-/// `QueryUpdate`, pre-sizing the output from the retained hint on the
-/// first (and typically only) allocation. One definition, so the three
-/// publish paths can never diverge on the reservation policy.
+/// The tagged-update sink every publish path hands its warming members:
+/// pushes each emitted [`SlideResult`] straight into the output as a
+/// `QueryUpdate`.
 fn tagged_sink<'a>(
     out: &'a mut Vec<QueryUpdate>,
     hint: usize,
     query: QueryId,
 ) -> impl FnMut(SlideResult) + 'a {
     move |result| {
-        if out.capacity() == 0 {
-            out.reserve(hint.max(1));
-        }
+        presize(out, hint, 1);
         out.push(QueryUpdate { query, result });
+    }
+}
+
+/// Pre-sizes a call's output from the retained hint (at least `more`)
+/// on its first update, the first (and typically only) allocation. One
+/// definition, so the warming members and the class closes can never
+/// diverge on the reservation policy.
+fn presize(out: &mut Vec<QueryUpdate>, hint: usize, more: usize) {
+    if out.capacity() == 0 {
+        out.reserve(hint.max(more));
     }
 }
 
@@ -1881,20 +1903,14 @@ impl<C: SlidingTopK> Registry<C> {
         Some(m)
     }
 
-    /// The group half of [`unregister`](Registry::unregister).
+    /// The group half of [`unregister`](Registry::unregister). A classed
+    /// member leaves with its class's progress.
     fn leave(&mut self, id: QueryId, m: &mut GroupSession<C>) {
         let gid = m.group();
         let group = self.groups.get_mut(&gid).expect("a member's group is live");
         if m.is_classed() {
-            let (ri, ci) = group
-                .reductions
-                .iter()
-                .enumerate()
-                .find_map(|(ri, r)| {
-                    let holds = |c: &Class<C>| c.members.binary_search(&id).is_ok();
-                    Some((ri, r.classes.iter().position(holds)?))
-                })
-                .expect("a classed member's group holds its class");
+            let ((ri, ci), class) = group.class_of(id);
+            m.copy_progress(class.consumer.slides_applied(), &class.prev);
             let reduction = &mut group.reductions[ri];
             let members = &mut reduction.classes[ci].members;
             let mi = members
@@ -2028,14 +2044,12 @@ impl<C: SlidingTopK> Registry<C> {
     /// walk.
     fn serve_groups(&mut self, tick: Tick<'_>, out: &mut Vec<QueryUpdate>) {
         let Registry {
-            sessions,
             groups,
             counters,
             update_hint,
             ..
         } = self;
         let mut delivery = Delivery {
-            sessions,
             out,
             hint: *update_hint,
         };
@@ -2064,7 +2078,9 @@ impl<C: SlidingTopK> Registry<C> {
     /// class, not per registered query, so when it emitted anything the
     /// output is sorted back into registration order — `(QueryId,
     /// slide)` keys are unique and each session's slides ascend, so the
-    /// sort IS registration-order delivery.
+    /// sort IS registration-order delivery. The per-class runs are
+    /// ascending too, but merging them measured slower than sorting the
+    /// five-word records: a run averages about five updates.
     fn finish_call(&mut self, mut out: Vec<QueryUpdate>, walked: usize) -> Vec<QueryUpdate> {
         if out.len() > walked {
             out.sort_unstable_by_key(|u| (u.query, u.result.slide));
@@ -2101,8 +2117,17 @@ impl<C: SlidingTopK> Registry<C> {
         }
     }
 
-    pub(crate) fn session(&self, id: QueryId) -> Option<&GroupSession<C>> {
-        self.position(id).map(|pos| &self.sessions[pos].1)
+    /// The session of `id`, with a classed member's progress copied from
+    /// its class first, so its getters read the class's slide count and
+    /// previous emission.
+    pub(crate) fn session(&mut self, id: QueryId) -> Option<&GroupSession<C>> {
+        let pos = self.position(id)?;
+        let (_, m) = &mut self.sessions[pos];
+        if m.is_classed() {
+            let (_, class) = self.groups[&m.group()].class_of(id);
+            m.copy_progress(class.consumer.slides_applied(), &class.prev);
+        }
+        Some(m)
     }
 
     pub(crate) fn query_ids(&self) -> impl Iterator<Item = QueryId> + '_ {
@@ -2363,7 +2388,7 @@ impl<C: SlidingTopK> Registry<C> {
     /// so a classed member travels without a consumer. `None` if `member`
     /// is not registered here.
     pub(crate) fn eject_group_of(&mut self, member: QueryId) -> Option<EjectedGroup<C>> {
-        let gid = self.session(member)?.group();
+        let gid = self.sessions[self.position(member)?].1.group();
         let group = self.remove_group(gid);
         let members = self
             .sessions

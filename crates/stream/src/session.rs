@@ -5,8 +5,8 @@
 //! objects) to flexible ingestion: arbitrary-size
 //! [`push`](Session::push) calls are buffered and re-chunked into
 //! `s`-aligned slides, and every completed slide yields a
-//! [`SlideResult`] — snapshot plus [`TopKEvent`] deltas against the
-//! previous emission.
+//! [`SlideResult`] — snapshot plus [`TopKEvent`](crate::events::TopKEvent)
+//! deltas against the previous emission.
 //!
 //! A [`TimedSession`] answers a time-based query on event time. It runs
 //! SAP's Appendix-A reduction itself: a private [`DigestProducer`] cuts
@@ -30,13 +30,17 @@
 //! standing queries it runs thousands of times per published chunk — so
 //! every session, warming member and result class closes its slides
 //! through one routine on pooled buffers and emits [`Snapshot`]-shared
-//! results: a completed slide performs **at most one** allocation (the
-//! shared `Arc` snapshot, only when the result actually changed) and a
-//! quiet slide performs none, re-emitting the previous `Arc`. When the
-//! engine proves its top-k unchanged
+//! results with a shared [`EventList`] delta: a completed slide performs
+//! **at most one** allocation (the shared `Arc` snapshot, only when the
+//! result actually changed) once the caller has dropped the previous
+//! slide's delta, which the close then rebuilds in place; a quiet slide
+//! performs none, re-emitting the previous `Arc` with the process-wide
+//! `[Unchanged]` list. When the engine proves its top-k unchanged
 //! ([`SlidingTopK::slide_if_changed`]), the close skips the diff as
-//! well. See the [`events`](crate::events) module for the snapshot
-//! contract.
+//! well. A hub member's update is a [`QueryUpdate`] of five words, and a
+//! classed member's emission writes that record and nothing else: the
+//! member's progress stays with its class (see [`GroupSession`]). See
+//! the [`events`](crate::events) module for the snapshot contract.
 //!
 //! ```
 //! use sap_stream::{Hub, Object, Registration};
@@ -65,9 +69,7 @@ use crate::checkpoint::{
     tags, Checkpoint, CheckpointError, DecodeState, Decoder, EncodeState, Encoder, EngineFactory,
 };
 use crate::digest::{DigestProducer, DigestView, SharedTimed};
-use crate::events::{
-    diff_snapshots_into, DiffScratch, EventList, SlideResult, Snapshot, TopKEvent,
-};
+use crate::events::{diff_snapshots_into, DiffScratch, EventList, SlideResult, Snapshot};
 use crate::object::{Object, TimedObject};
 use crate::predicate::Predicate;
 use crate::query::{SapError, TimedSpec};
@@ -78,25 +80,28 @@ use crate::window::{SlidingTopK, SpecError, WindowSpec};
 /// Pooled buffers for closing slides — the pooled half of the
 /// zero-allocation publish path. Every standalone session, warming
 /// member and result class owns one and recycles it across slides: the
-/// build buffer a slide's snapshot is staged into, and the two
-/// sorted-id buffers [`diff_snapshots_into`] borrows. After the first
-/// few slides warm them to their steady-state capacity, a close performs
-/// no transient allocation: the only heap activity left is the emitted
-/// `Arc` snapshot of a *changed* result. `tests/alloc_regression.rs`
-/// pins this, and the `experiments hotpath` bench preset measures it end
-/// to end.
+/// build buffer a slide's snapshot is staged into, the two sorted-id
+/// buffers [`diff_snapshots_into`] borrows, and the last event list it
+/// handed out, which the next changed close rebuilds in place once no
+/// update still holds it (as `exec::ArcPool` recycles batches). After the
+/// first few slides warm them to their steady-state capacity, a close
+/// performs no transient allocation: the only heap activity left is the
+/// emitted `Arc` snapshot of a *changed* result, plus a fresh event list
+/// when the caller still holds the previous one.
+/// `tests/alloc_regression.rs` pins this, and the `experiments hotpath`
+/// bench preset measures it end to end.
 #[derive(Debug, Default)]
 pub(crate) struct SlideScratch {
     snapshot: Vec<Object>,
     diff: DiffScratch,
+    events: EventList,
 }
 
 impl SlideScratch {
     /// The one slide-close routine, shared by [`Session`],
     /// [`TimedSession`], a warming [`GroupSession`] and the registry's
     /// result classes: turns the engine's new top-k into the emitted
-    /// [`Snapshot`] and its delta `events` against `prev`, and advances
-    /// `prev`.
+    /// [`Snapshot`] and its delta against `prev`, and advances `prev`.
     ///
     /// `top` is `None` when the engine proved its top-k unchanged
     /// ([`SlidingTopK::slide_if_changed`]): the close re-emits `prev` with
@@ -106,34 +111,46 @@ impl SlideScratch {
     /// identical to the previous one — empty to empty, or byte-equal —
     /// still re-emits the previous `Arc`, so quiet slides allocate
     /// nothing; a changed one materializes into one fresh shared `Arc`.
-    /// The content check matters beyond saving the allocation: the delta
-    /// pairs objects by external id, so a caller who reuses an id inside
-    /// one window (the docs ask for uniqueness, but nothing rejects it)
-    /// can produce an `[Unchanged]` delta over *changed* contents — the
-    /// emitted snapshot must still be the fresh one.
+    /// A quiet delta is the process-wide `[Unchanged]` or empty list; any
+    /// other is this scratch's own list, shared by whoever the caller
+    /// hands it to. The content check matters beyond saving the
+    /// allocation: the delta pairs objects by external id, so a caller who
+    /// reuses an id inside one window (the docs ask for uniqueness, but
+    /// nothing rejects it) can produce an `[Unchanged]` delta over
+    /// *changed* contents — the emitted snapshot must still be the fresh
+    /// one.
     pub(crate) fn close<T>(
         &mut self,
         prev: &mut Snapshot,
-        events: &mut EventList,
         top: Option<&[T]>,
         stage: impl FnOnce(&[T], &mut Vec<Object>),
-    ) -> Snapshot {
+    ) -> (Snapshot, EventList) {
         let Some(top) = top else {
-            events.clear();
-            if !prev.is_empty() {
-                events.push(TopKEvent::Unchanged);
-            }
-            return prev.clone();
+            return (prev.clone(), quiet(prev));
         };
         self.snapshot.clear();
         stage(top, &mut self.snapshot);
-        diff_snapshots_into(prev, &self.snapshot, &mut self.diff, events);
-        let identical = events.is_empty()
-            || (events.is_unchanged() && prev.as_slice() == self.snapshot.as_slice());
-        if !identical {
+        diff_snapshots_into(prev, &self.snapshot, &mut self.diff, &mut self.events);
+        let quiet_delta = self.events.is_empty() || self.events.is_unchanged();
+        if !(quiet_delta && prev.as_slice() == self.snapshot.as_slice()) {
             *prev = Snapshot::from_slice(&self.snapshot);
         }
-        prev.clone()
+        let events = if quiet_delta {
+            quiet(prev)
+        } else {
+            self.events.clone()
+        };
+        (prev.clone(), events)
+    }
+}
+
+/// The delta of a close that re-emits `prev`: `[Unchanged]`, or empty
+/// when `prev` is — the process-wide lists, so no allocation.
+fn quiet(prev: &Snapshot) -> EventList {
+    if prev.is_empty() {
+        EventList::new()
+    } else {
+        EventList::unchanged()
     }
 }
 
@@ -149,8 +166,7 @@ fn emit_view<C: SlidingTopK>(
     slides: &mut u64,
 ) -> SlideResult {
     let top = consumer.apply_slide_top(view.slide, view.top);
-    let mut events = EventList::new();
-    let snapshot = scratch.close(prev, &mut events, top, |top, out| {
+    let (snapshot, events) = scratch.close(prev, top, |top, out| {
         out.extend(top.iter().map(TimedObject::untimed))
     });
     *slides += 1;
@@ -334,9 +350,8 @@ impl<A: SlidingTopK> Session<A> {
             ..
         } = self;
         let cap = ring.len() as u64;
-        let mut events = EventList::new();
         let top = alg.slide_if_changed(pending);
-        let snapshot = scratch.close(prev, &mut events, top, |top, out| {
+        let (snapshot, events) = scratch.close(prev, top, |top, out| {
             out.extend(
                 top.iter()
                     .map(|o| Object::new(ring[(o.id % cap) as usize], o.score)),
@@ -527,8 +542,12 @@ pub enum Clock {
 ///
 /// The consumer normally lives in the member's **result class** in the
 /// registry, shared by every member whose emissions provably coincide
-/// (see `crate::registry`); the session keeps the member's own slide
-/// counter and previous emission. The session holds a consumer itself
+/// (see `crate::registry`), and so does the member's progress: the
+/// class's slide count and previous emission are every member's, and a
+/// class close writes one update per member without touching its
+/// session. The registry copies them onto a classed member whenever it
+/// hands one out ([`Hub::session`], `unregister`), so the getters never
+/// read stale progress. The session holds a consumer itself
 /// while it warms up, after it left its class as the last member, and
 /// when it is decoded from a format-4 checkpoint, until the restore pools
 /// it. A consumer handed back by `unregister` may be parked
@@ -575,6 +594,8 @@ pub struct GroupSession<C: SlidingTopK> {
     group: u64,
     /// Boxed: few members ever warm up, and every member carries the slot.
     warmup: Option<Box<Warmup>>,
+    /// The previous emission and the slide count — the member's own while
+    /// it owns its consumer, a copy of its class's otherwise (see above).
     prev: Snapshot,
     slides: u64,
 }
@@ -744,9 +765,8 @@ impl<C: SlidingTopK> GroupSession<C> {
     }
 
     /// A member of a decoded result class whose consumer is `class`:
-    /// classed, with the class's geometry, slide count and previous
-    /// emission `prev` (a member's equal its class's by construction), and
-    /// its own engine name.
+    /// classed, with the class's geometry and its own engine name. Its
+    /// progress is the class's (see [`GroupSession`]).
     pub(crate) fn classed(
         clock: Clock,
         class: &SharedTimed<C>,
@@ -754,7 +774,6 @@ impl<C: SlidingTopK> GroupSession<C> {
         predicate: Predicate,
         join_slide: u64,
         group: u64,
-        prev: Snapshot,
     ) -> Self {
         GroupSession {
             clock,
@@ -767,8 +786,8 @@ impl<C: SlidingTopK> GroupSession<C> {
             join_slide,
             group,
             warmup: None,
-            prev,
-            slides: class.slides_applied(),
+            prev: Snapshot::empty(),
+            slides: 0,
         }
     }
 
@@ -862,26 +881,14 @@ impl<C: SlidingTopK> GroupSession<C> {
         Ok(())
     }
 
-    /// The per-member half of a class-computed slide close: stamps this
-    /// member's slide counter onto the class's shared snapshot and delta.
-    /// Costs two refcount bumps and an inline event copy — zero heap
-    /// allocations on a quiet slide (the [`EventList`] spills only past
-    /// its inline capacity, which a diff of two `k`-sized snapshots
-    /// rarely does, and never when unchanged).
-    pub(crate) fn emit_class(
-        &mut self,
-        snapshot: &Snapshot,
-        events: &EventList,
-        f: &mut dyn FnMut(SlideResult),
-    ) {
+    /// Copies a classed member's progress from its class: the class's
+    /// slide count and previous emission, which every member's equal by
+    /// construction. A class close never writes its members, so the
+    /// registry calls this before it hands a classed member out.
+    pub(crate) fn copy_progress(&mut self, slides: u64, prev: &Snapshot) {
         debug_assert!(self.is_classed() && !self.is_warming_up());
-        f(SlideResult {
-            slide: self.slides,
-            snapshot: snapshot.clone(),
-            events: events.clone(),
-        });
-        self.prev = snapshot.clone();
-        self.slides += 1;
+        self.slides = slides;
+        self.prev = prev.clone();
     }
 
     /// Warm-up ingestion: feeds the raw batch through the subscription
@@ -1003,12 +1010,18 @@ impl std::fmt::Display for QueryId {
 }
 
 /// One query's output from a [`Hub`] publish call.
+///
+/// Five words: the id, the slide number, and two refcounted pointers —
+/// the snapshot and the delta, each shared by every member of the result
+/// class that computed them. A hub's drain merges these records and its
+/// caller drops them, so both costs scale with this size (pinned at 48
+/// bytes at most by a unit test).
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryUpdate {
     /// Which registered query produced this result.
     pub query: QueryId,
-    /// The completed slide. Its snapshot is refcounted — retaining or
-    /// cloning an update never copies the top-k.
+    /// The completed slide. Its snapshot and delta are refcounted —
+    /// retaining or cloning an update never copies either.
     pub result: SlideResult,
 }
 
@@ -1130,8 +1143,11 @@ impl Hub {
     }
 
     /// The session behind a handle, on either clock (`None` for unknown
-    /// handles).
-    pub fn session(&self, id: QueryId) -> Option<&HubSession> {
+    /// handles). A classed member's progress lives in its result class,
+    /// so this copies the class's slide count and previous emission onto
+    /// the session first (`O(classes in its group)`), which is why it
+    /// takes `&mut self`.
+    pub fn session(&mut self, id: QueryId) -> Option<&HubSession> {
         self.registry.session(id)
     }
 
@@ -1677,6 +1693,17 @@ mod tests {
             "untimed objects carry no event time for a timed query"
         );
         assert_eq!(hub.session(timed).unwrap().slides(), 0);
+    }
+
+    #[test]
+    fn query_updates_stay_at_five_words() {
+        assert!(
+            std::mem::size_of::<QueryUpdate>() <= 48,
+            "QueryUpdate is {} bytes: a drain merges and its caller drops every \
+             update, so both costs scale with this size — share the class's \
+             delta and snapshot instead of growing the record",
+            std::mem::size_of::<QueryUpdate>()
+        );
     }
 
     #[test]

@@ -17,8 +17,15 @@
 //! `move_query` or `resize` moves it whole, and a query joining an
 //! existing group is routed there whatever its own id hashes to. A hot
 //! group therefore serves from one shard. Placement is invisible in the
-//! output: a drain sorts globally by `(QueryId, slide)`, and per-query
-//! results do not depend on which thread computed them.
+//! output: a drain merges every shard's updates into the global
+//! `(QueryId, slide)` order, and per-query results do not depend on which
+//! thread computed them.
+//!
+//! Each publish or watermark a shard applies returns its updates already
+//! sorted, and the shard keeps them as one **run** per call. At a drain
+//! the shard's worker merges its runs into one, and the hub thread only
+//! merges those per-shard runs ([`merge_runs`]) into an output sized up
+//! front — no sort runs on the hub thread, and no record is copied twice.
 //!
 //! Everything between the hub's public API and the executor's queues —
 //! routing, group affinity, id allocation, drain ordering, checkpoint
@@ -28,7 +35,9 @@
 //! [`AsyncHub`]: crate::exec::AsyncHub
 //! [`Hub`]: crate::session::Hub
 
-use std::collections::{BTreeSet, HashMap};
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BTreeSet, BinaryHeap, HashMap};
 use std::sync::mpsc;
 use std::sync::Arc;
 
@@ -50,7 +59,7 @@ use crate::window::SlidingTopK;
 pub(crate) type ShardParts = RegistryParts<Box<dyn SlidingTopK + Send>>;
 
 /// The reply channel a shard answers an `EjectAll` on: its full serving
-/// state plus any updates parked in its outbound queue.
+/// state plus its undrained updates, merged into one run.
 type PartsReply = mpsc::Receiver<(ShardParts, Vec<QueryUpdate>)>;
 
 /// A point-in-time view of one query, fetched across the shard boundary
@@ -61,7 +70,8 @@ pub struct QueryState {
     pub slides: u64,
     /// The query's most recent top-k emission (descending), empty before
     /// the first completed slide. Refcounted: crossing the shard boundary
-    /// shares the session's retained `Arc` instead of copying the top-k.
+    /// shares the retained `Arc` (its result class's, for a classed
+    /// query) instead of copying the top-k.
     pub last_snapshot: Snapshot,
 }
 
@@ -117,17 +127,23 @@ impl Command {
     }
 }
 
-/// Applies one command to one shard's registry, appending any completed
-/// slides to `updates`.
+/// Applies one command to one shard's registry. An ingest command's
+/// completed slides, sorted by `(QueryId, slide)`, join `runs` as one run;
+/// a drain or an eject merges the runs into the one it hands back.
 pub(crate) fn apply_command(
     registry: &mut HubRegistry,
-    updates: &mut Vec<QueryUpdate>,
+    runs: &mut Vec<Vec<QueryUpdate>>,
     cmd: Command,
 ) {
+    let mut run = |updates: Vec<QueryUpdate>| {
+        if !updates.is_empty() {
+            runs.push(updates);
+        }
+    };
     match cmd {
-        Command::Publish(batch) => updates.extend(registry.publish(&batch)),
-        Command::PublishTimed(batch) => updates.extend(registry.publish_timed(&batch)),
-        Command::AdvanceTime(watermark) => updates.extend(registry.advance_time(watermark)),
+        Command::Publish(batch) => run(registry.publish(&batch)),
+        Command::PublishTimed(batch) => run(registry.publish_timed(&batch)),
+        Command::AdvanceTime(watermark) => run(registry.advance_time(watermark)),
         Command::Register(id, member, home) => registry.register(id, member, Some(home)),
         Command::Unregister(id, reply) => {
             // membership is checked hub-side; a miss here would be a
@@ -151,7 +167,7 @@ pub(crate) fn apply_command(
             let _ = reply.send(());
         }
         Command::Drain(reply) => {
-            let _ = reply.send(std::mem::take(updates));
+            let _ = reply.send(merge_runs(std::mem::take(runs)));
         }
         Command::CheckpointShard(reply) => {
             let mut enc = Encoder::new();
@@ -168,7 +184,7 @@ pub(crate) fn apply_command(
             }
         }
         Command::EjectAll(reply) => {
-            let _ = reply.send((registry.eject_all(), std::mem::take(updates)));
+            let _ = reply.send((registry.eject_all(), merge_runs(std::mem::take(runs))));
         }
     }
 }
@@ -423,22 +439,56 @@ pub(crate) fn flush_on(p: &Placement, port: &Reactor) -> Result<(), SapError> {
 }
 
 /// The determinism barrier: every drain is enqueued first, then
-/// collected — shards retire their backlogs in parallel — and the
-/// result, merged with any `parked` updates rescued from retired
-/// shards, is sorted globally by `(QueryId, slide)`: an order
-/// independent of shard count, worker count, and thread scheduling.
+/// collected — shards retire their backlogs in parallel, each merging its
+/// own runs on its worker — and the per-shard runs, with any `parked`
+/// runs rescued from retired shards, are merged into the global
+/// `(QueryId, slide)` order: an order independent of shard count, worker
+/// count, and thread scheduling.
 pub(crate) fn drain_on(
     p: &Placement,
     port: &Reactor,
-    parked: &mut Vec<QueryUpdate>,
+    parked: &mut Vec<Vec<QueryUpdate>>,
 ) -> Result<Vec<QueryUpdate>, SapError> {
     let replies = ask_all(p, port, Command::Drain)?;
-    let mut updates = std::mem::take(parked);
+    let mut runs = std::mem::take(parked);
     for (shard, rx) in replies {
-        updates.extend(recv_reply(shard, &rx)?);
+        runs.push(recv_reply(shard, &rx)?);
     }
-    updates.sort_unstable_by_key(|u| (u.query, u.result.slide));
-    Ok(updates)
+    Ok(merge_runs(runs))
+}
+
+/// Merges `runs`, each ascending by `(QueryId, slide)`, into one
+/// ascending output sized up front: a lone run moves through untouched,
+/// and several take one heap step per update over the runs' heads. Keys
+/// are unique across runs — a query's slide is completed once.
+pub(crate) fn merge_runs(mut runs: Vec<Vec<QueryUpdate>>) -> Vec<QueryUpdate> {
+    let key = |u: &QueryUpdate| (u.query, u.result.slide);
+    debug_assert!(
+        runs.iter().all(|run| run.is_sorted_by_key(key)),
+        "every run arrives sorted"
+    );
+    runs.retain(|run| !run.is_empty());
+    if runs.len() <= 1 {
+        return runs.pop().unwrap_or_default();
+    }
+    let mut out = Vec::with_capacity(runs.iter().map(Vec::len).sum());
+    let mut runs: Vec<_> = runs.into_iter().map(Vec::into_iter).collect();
+    let mut heads: BinaryHeap<_> = runs
+        .iter()
+        .enumerate()
+        .map(|(i, run)| Reverse((key(&run.as_slice()[0]), i)))
+        .collect();
+    while let Some(mut head) = heads.peek_mut() {
+        let run = &mut runs[head.0 .1];
+        out.extend(run.next());
+        match run.as_slice().first() {
+            Some(next) => head.0 .0 = key(next),
+            None => {
+                PeekMut::pop(head);
+            }
+        }
+    }
+    out
 }
 
 /// Splices every shard's framed registry section into one
@@ -583,12 +633,12 @@ fn reinstall_parts_on(port: &Reactor, shard: usize, parts: ShardParts) -> Result
 /// the shards they came from and the typed [`SapError::ShardDown`] is
 /// returned with the old placement intact — a failed resize never
 /// abandons the survivors' sessions. Rescued undrained updates go into
-/// `parked` on both paths (they are completed slides either way; the
-/// next drain's global sort places them correctly).
+/// `parked` on both paths, one sorted run per shard (they are completed
+/// slides either way; the next drain's merge places them correctly).
 pub(crate) fn eject_all_on(
     p: &Placement,
     port: &Reactor,
-    parked: &mut Vec<QueryUpdate>,
+    parked: &mut Vec<Vec<QueryUpdate>>,
 ) -> Result<ShardParts, SapError> {
     // stage phase: enqueue every eject (skipping shards that refuse the
     // send — they are already dead), then collect what actually arrives
@@ -605,7 +655,7 @@ pub(crate) fn eject_all_on(
     for (shard, rx) in replies {
         match recv_reply(shard, &rx) {
             Ok((part, updates)) => {
-                parked.extend(updates);
+                parked.push(updates);
                 staged.push((shard, part));
             }
             Err(err) => down = down.or(Some(err)),

@@ -56,6 +56,7 @@ const CHECKS: &[(&str, fn())] = checks![
     dominance_pruned_quiet_path_meets_the_classed_pinned_bounds,
     checkpoint_leaves_the_warm_publish_path_allocation_free,
     classed_shared_close_is_allocation_free_per_member,
+    churning_classed_close_shares_one_delta_per_class,
 ];
 
 /// Runs every check in [`CHECKS`], each to completion even when an
@@ -730,6 +731,49 @@ fn classed_shared_close_is_allocation_free_per_member() {
             allocs <= 1,
             "round {round}: quiet classed advance_time close paid {allocs} \
              allocations for {members} members (pinned bound: the output Vec only)"
+        );
+    }
+}
+
+fn churning_classed_close_shares_one_delta_per_class() {
+    // A class close that changes a lot: 64 members over a tumbling window
+    // (n = s = 20) at k = 10, so every close replaces the whole top-10 —
+    // a 20-event delta (10 exits, 10 entries). The class diffs once and
+    // every member's update holds the class's one delta list, so a
+    // closing publish pays the output Vec, the changed snapshot, and at
+    // most one event list — none here, since the caller dropped the
+    // previous close's updates and the class rebuilds its list in place.
+    // A per-member copy of the delta would pay 64.
+    let mut hub = Hub::new();
+    let members = 64usize;
+    let query = Query::window(20).top(10).slide(20);
+    for _ in 0..members {
+        hub.register_grouped(&query).unwrap();
+    }
+    let objects = |from: u64| -> Vec<Object> {
+        (from..from + 20)
+            .map(|i| Object::new(i, score(i)))
+            .collect()
+    };
+    for round in 0..50u64 {
+        hub.publish(&objects(20 * round));
+    }
+    assert_eq!(hub.stats().result_classes, 1, "one geometry, one class");
+    for round in 50..65u64 {
+        let batch = objects(20 * round);
+        let (updates, allocs) = measured(|| hub.publish(&batch));
+        assert_eq!(updates.len(), members, "every member rides the close");
+        for u in &updates {
+            assert!(
+                u.result.events.len() > 8,
+                "round {round}: a tumbling close churns the whole top-10"
+            );
+        }
+        assert!(
+            allocs <= 3,
+            "round {round}: churning classed close paid {allocs} allocations \
+             for {members} members (pinned bound: the output Vec, the snapshot \
+             and at most one event list — a per-member delta copy pays 64)"
         );
     }
 }

@@ -292,6 +292,36 @@ fn query(hub: &Hub, name: &str) -> QueryId {
         .expect("a restored query")
 }
 
+/// What a test reads off a restored member, owned, so a helper can hand
+/// it out while the hub stays borrowed for the next lookup.
+struct Member {
+    warming_up: bool,
+    classed: bool,
+    slides: u64,
+}
+
+impl Member {
+    fn of(session: &HubSession) -> Member {
+        Member {
+            warming_up: session.is_warming_up(),
+            classed: session.is_classed(),
+            slides: session.slides(),
+        }
+    }
+
+    fn is_warming_up(&self) -> bool {
+        self.warming_up
+    }
+
+    fn is_classed(&self) -> bool {
+        self.classed
+    }
+
+    fn slides(&self) -> u64 {
+        self.slides
+    }
+}
+
 /// `bytes` with its version field set to `version`, checksum recomputed.
 fn reframed(bytes: &[u8], version: u32) -> Vec<u8> {
     let mut out = bytes[..bytes.len() - 8].to_vec();
@@ -343,7 +373,8 @@ fn restored_fixture_continues_identically_on_both_hubs() {
 /// their count groups exactly what their isolated sessions would have.
 #[test]
 fn serving_fixture_continues_like_the_old_image() {
-    let restored = Hub::restore(&image(FIXTURE), &DefaultEngineFactory).expect("fixture restores");
+    let mut restored =
+        Hub::restore(&image(FIXTURE), &DefaultEngineFactory).expect("fixture restores");
     let q2 = restored
         .session(query(&restored, "q2"))
         .expect("the former kind-1 session sits in its slide group");
@@ -367,10 +398,12 @@ fn serving_fixture_continues_like_the_old_image() {
 
 #[test]
 fn sharded_old_image_seats_its_timed_sessions_in_slide_groups() {
-    let hub = Hub::restore(&image(SHARDED), &DefaultEngineFactory).expect("image restores");
-    let member = |name| {
-        hub.session(query(&hub, name))
-            .expect("a former kind-1 session restores as a group member")
+    let mut hub = Hub::restore(&image(SHARDED), &DefaultEngineFactory).expect("image restores");
+    let mut member = |name| {
+        Member::of(
+            hub.session(query(&hub, name))
+                .expect("a former kind-1 session restores as a group member"),
+        )
     };
     let founder = member("q4");
     assert!(
@@ -412,7 +445,7 @@ fn sharded_old_image_seats_its_timed_sessions_in_slide_groups() {
 
 #[test]
 fn counts_old_image_seats_its_count_sessions_in_count_groups() {
-    let hub = Hub::restore(&image(COUNTS), &DefaultEngineFactory).expect("image restores");
+    let mut hub = Hub::restore(&image(COUNTS), &DefaultEngineFactory).expect("image restores");
     for name in ["q0", "q1", "q2", "q3", "q4"] {
         let member = hub.session(query(&hub, name)).unwrap();
         assert_eq!(member.clock(), Clock::Arrival, "{name}");

@@ -1,8 +1,9 @@
-//! Targeted tests of two sharing mechanisms whose effect on results is
-//! nil by design, so the model harness (`tests/hub_model.rs`) cannot see
-//! them: result-class members share one snapshot allocation, and the
-//! dominance gate prunes exactly what an independent re-simulation of
-//! the k-skyband criterion predicts.
+//! Targeted tests of sharing mechanisms whose effect on results is nil
+//! by design, so the model harness (`tests/hub_model.rs`) cannot see
+//! them: result-class members share one snapshot and one delta
+//! allocation, a classed member's progress is read from its class, and
+//! the dominance gate prunes exactly what an independent re-simulation
+//! of the k-skyband criterion predicts.
 
 use std::collections::BTreeMap;
 
@@ -23,6 +24,10 @@ fn class_stream(scores: &[u8]) -> Vec<Object> {
         .collect()
 }
 
+/// A hub member under watch: its name, its id, and a standalone session
+/// of its query (as `Query::session` builds it) fed what it observes.
+type Watched = (&'static str, QueryId, Session<Box<dyn SlidingTopK>>);
+
 /// The gate test's stream: ids from 1000, scores as drawn.
 fn gate_stream(scores: &[u8]) -> Vec<Object> {
     scores
@@ -34,9 +39,9 @@ fn gate_stream(scores: &[u8]) -> Vec<Object> {
 
 /// Pins result-class sharing itself, not just its results: on a
 /// slide close, every member of a result class receives a clone of the
-/// **same** `Snapshot` allocation (`Arc::ptr_eq`), while standalone
-/// sessions of the same query each materialize their own. Results are
-/// checksum-identical either way.
+/// **same** `Snapshot` allocation (`Arc::ptr_eq`) and of the same delta
+/// list, while standalone sessions of the same query each materialize
+/// their own snapshot. Results are checksum-identical either way.
 #[test]
 fn class_members_share_one_snapshot_allocation() {
     let data = class_stream(&(0..96).map(|i| (i * 5 % 23) as u8).collect::<Vec<_>>());
@@ -65,6 +70,15 @@ fn class_members_share_one_snapshot_allocation() {
                 assert!(
                     snaps[0].ptr_eq(snap),
                     "slide {slide}: class members must share one snapshot Arc"
+                );
+            }
+        }
+        for pair in updates.windows(2) {
+            if pair[0].result.slide == pair[1].result.slide {
+                assert!(
+                    pair[0].result.events.ptr_eq(&pair[1].result.events),
+                    "slide {}: class members must share one delta list",
+                    pair[0].result.slide
                 );
             }
         }
@@ -100,6 +114,106 @@ fn class_members_share_one_snapshot_allocation() {
         stats.class_hits > 0,
         "every close serves 3 members for free"
     );
+}
+
+/// Pins where a classed member's progress lives: a class close writes
+/// one update per member and touches no session, so the class's slide
+/// count and previous emission are the only copy, and every read path
+/// copies them. Four count queries share one group (slide 4, registered
+/// together): `reducing` (window 8, k 3) runs its reduction's engine and
+/// `parked` (window 8, k 2) reads the first 2 of it; `leaver` (window 12,
+/// k 3) reduces for `taker` (window 12, k 1) until it unregisters after
+/// 12 closes, and `taker`'s class takes the reduction over. After 18
+/// more closes each of the three reports its standalone session's slide
+/// count and last snapshot through `Hub::session`, `AsyncHub::inspect`,
+/// a checkpoint→restore on either hub, and the session `unregister`
+/// hands back.
+#[test]
+fn classed_members_read_their_class_progress() {
+    let data = class_stream(&(0..120).map(|i| (i * 11 % 29) as u8).collect::<Vec<_>>());
+    let (early, late) = data.split_at(48);
+    let queries = [
+        ("reducing", Query::window(8).top(3).slide(4)),
+        ("parked", Query::window(8).top(2).slide(4)),
+        ("leaver", Query::window(12).top(3).slide(4)),
+        ("taker", Query::window(12).top(1).slide(4)),
+    ];
+    let mut hub = Hub::new();
+    let mut reactor = AsyncHub::new(3, 2);
+    let mut members: Vec<Watched> = Vec::new();
+    for (name, query) in &queries {
+        let id = hub.register_grouped(query).unwrap();
+        assert_eq!(reactor.register_grouped(query).unwrap(), id);
+        members.push((name, id, query.session().unwrap()));
+    }
+    let publish = |hub: &mut Hub, reactor: &mut AsyncHub, members: &mut [Watched], chunk| {
+        hub.publish(chunk);
+        reactor.publish(chunk).unwrap();
+        for (_, _, session) in members {
+            session.push(chunk);
+        }
+    };
+    for chunk in early.chunks(4) {
+        publish(&mut hub, &mut reactor, &mut members, chunk);
+    }
+    let (_, leaver, _) = members.remove(2);
+    hub.unregister(leaver).unwrap();
+    reactor.unregister(leaver).unwrap();
+    for chunk in late.chunks(4) {
+        publish(&mut hub, &mut reactor, &mut members, chunk);
+    }
+    reactor.drain().unwrap();
+    assert_eq!(hub.stats().result_classes, 3, "one class per member");
+
+    let mut restored = Hub::restore(&hub.checkpoint(), &DefaultEngineFactory).unwrap();
+    let (image, owed) = reactor.checkpoint().unwrap();
+    assert!(owed.is_empty(), "the reactor was drained");
+    let mut restored_reactor = AsyncHub::restore(&image, &DefaultEngineFactory, 2, 2).unwrap();
+    for (name, id, standalone) in &members {
+        let want = (standalone.slides(), standalone.last_snapshot().to_vec());
+        assert!(want.0 > 20 && !want.1.is_empty(), "{name}: several closes");
+        let progress = |session: &HubSession| (session.slides(), session.last_snapshot().to_vec());
+        let member = hub.session(*id).unwrap();
+        assert!(member.is_classed(), "{name} sits in a result class");
+        assert_eq!(progress(member), want, "{name}: Hub::session");
+        let state = reactor.inspect(*id).unwrap();
+        assert_eq!(
+            (state.slides, state.last_snapshot.to_vec()),
+            want,
+            "{name}: inspect"
+        );
+        let member = restored.session(*id).unwrap();
+        assert_eq!(
+            progress(member),
+            want,
+            "{name}: Hub::session after a restore"
+        );
+        let state = restored_reactor.inspect(*id).unwrap();
+        assert_eq!(
+            (state.slides, state.last_snapshot.to_vec()),
+            want,
+            "{name}: inspect after a restore"
+        );
+    }
+    // each leaves as the last member of its class, with the class's
+    // consumer: still parked only where another class ran the engine
+    for (name, id, standalone) in &members {
+        let want = (standalone.slides(), standalone.last_snapshot().to_vec());
+        for left in [
+            hub.unregister(*id).unwrap(),
+            reactor.unregister(*id).unwrap(),
+        ] {
+            assert_eq!(
+                (left.slides(), left.last_snapshot().to_vec()),
+                want,
+                "{name}: the session unregister returns"
+            );
+            let consumer = left
+                .consumer()
+                .expect("the last member out takes the consumer");
+            assert_eq!(consumer.is_parked(), *name == "parked", "{name}");
+        }
+    }
 }
 
 /// Pins the class accounting across migration: `resize` and

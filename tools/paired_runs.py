@@ -2,7 +2,7 @@
 """Compare two revisions on the declared benchmark by paired runs.
 
     python3 tools/paired_runs.py --parent REV [--change REV] --scratch DIR \\
-        --seed-base B [--pairs N] [--seconds S] [--workload NAME ...]
+        --seed-base B [--pairs N] [--seconds S] [--workload NAME ...] [--trace]
 
 Exports each revision with `git archive` into the scratch directory and
 runs `python3 perfbench/run.py` in each tree, one run at a time, each side
@@ -25,6 +25,12 @@ every run's value. The verdicts:
   (as a fraction of its median), and not every change run beats every
   parent run;
 * `within bound`: none of the above.
+
+With `--trace`, every run is traced (`run.py --trace 1`), and the table
+lists instead each `per_layer` metric of `BENCHMARK.json` that the runs
+report: each side's median [q1, q3] and the change/parent ratio of the
+medians, with no wins and no verdict — per-layer metrics carry no bound,
+and a traced run's end-to-end figures include the tracing.
 
 Every run's JSON result is also appended to `DIR/runs.jsonl`.
 """
@@ -129,13 +135,19 @@ def export(rev, scratch, label):
     return tree, scratch / f"target-{label}-{sha[:12]}"
 
 
-def run_once(tree, target, workload, seed, seconds):
+def command(workload, seed, seconds, trace=False):
+    """The `run.py` command line of one run."""
+    return [
+        sys.executable, "perfbench/run.py", "--workload", workload,
+        "--seed", str(seed), "--seconds", str(seconds),
+        "--trace", "1" if trace else "0",
+    ]
+
+
+def run_once(tree, target, workload, seed, seconds, trace=False):
     """One benchmark run in `tree`; returns its stdout."""
     env = dict(os.environ, CARGO_TARGET_DIR=str(target))
-    cmd = [
-        sys.executable, "perfbench/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
-    ]
+    cmd = command(workload, seed, seconds, trace)
     run = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
     return run.stdout
 
@@ -202,6 +214,30 @@ def report(results, end_to_end):
     return "\n".join(lines)
 
 
+def report_layers(results, per_layer):
+    """The traced summary table: per-layer medians and ratios, no verdict."""
+    lines = []
+    for workload, sides in results.items():
+        pairs = len(sides["parent"])
+        lines.append(f"## {workload} ({pairs} traced pairs)")
+        lines.append("| metric | parent median [q1, q3] | change median [q1, q3] "
+                     "| change/parent |")
+        lines.append("|---|---|---|---|")
+        for m in per_layer:
+            name = m["name"]
+            if not all(name in r.get("metrics", r) for s in SIDES for r in sides[s]):
+                continue
+            values = {s: [metric_value(r, name) for r in sides[s]] for s in SIDES}
+            (pq1, pmed, pq3), (cq1, cmed, cq3) = (quartiles(values[s]) for s in SIDES)
+            ratio = f"{cmed / pmed:.3f}" if pmed else "-"
+            lines.append(
+                f"| {name} ({m['unit']}) | {fmt(pmed)} [{fmt(pq1)}, {fmt(pq3)}] "
+                f"| {fmt(cmed)} [{fmt(cq1)}, {fmt(cq3)}] | {ratio} |"
+            )
+        lines.append("")
+    return "\n".join(lines)
+
+
 def main(argv=None):
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [w["name"] for w in bench["workloads"]]
@@ -215,6 +251,9 @@ def main(argv=None):
     parser.add_argument("--workload", action="append",
                         help="a workload run.py knows (default: every one "
                              "BENCHMARK.json declares)")
+    parser.add_argument("--trace", action="store_true",
+                        help="trace every run and report the per-layer "
+                             "metrics instead of the end-to-end ones")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -230,7 +269,7 @@ def main(argv=None):
     def runner(side, workload, seed):
         tree, target = trees[side]
         print(f"{workload} seed {seed}: {side}", file=sys.stderr, flush=True)
-        return run_once(tree, target, workload, seed, args.seconds)
+        return run_once(tree, target, workload, seed, args.seconds, args.trace)
 
     with open(scratch / "runs.jsonl", "a") as log:
         def append(line):
@@ -243,7 +282,10 @@ def main(argv=None):
         except RuntimeError as err:
             print(f"paired_runs: {err}", file=sys.stderr)
             return 1
-    print(report(results, bench["end_to_end"]))
+    if args.trace:
+        print(report_layers(results, bench["per_layer"]))
+    else:
+        print(report(results, bench["end_to_end"]))
     return 0
 
 

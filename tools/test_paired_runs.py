@@ -115,6 +115,36 @@ class Runs(unittest.TestCase):
             pr.run_pairs(runner, ["w"], 5, 0)
         self.assertEqual(calls, ["parent", "change"])
 
+    def test_trace_runs_ask_run_py_for_spans(self):
+        self.assertEqual(pr.command("w", 7, 40)[-2:], ["--trace", "0"])
+        self.assertEqual(pr.command("w", 7, 40, trace=True)[-2:], ["--trace", "1"])
+        self.assertEqual(pr.command("w", 7, 40)[2:8], [
+            "--workload", "w", "--seed", "7", "--seconds", "40",
+        ])
+
+    def test_the_trace_table_lists_per_layer_medians_without_a_verdict(self):
+        def runner(side, workload, seed):
+            close = 300.0 if side == "change" else 600.0 + seed
+            return result(**{"registry.close_ns_per_update": close,
+                             "exec.drain_us_p99": 10.0})
+
+        results = pr.run_pairs(runner, ["w"], 3, 1)
+        layers = [
+            {"name": "registry.close_ns_per_update", "unit": "ns", "better": "lower"},
+            {"name": "exec.drain_us_p99", "unit": "us", "better": "lower"},
+            {"name": "engine.wrt_tests", "unit": "count/obj", "better": "lower"},
+        ]
+        table = pr.report_layers(results, layers)
+        self.assertIn("## w (3 traced pairs)", table)
+        self.assertIn("| registry.close_ns_per_update (ns) | 602 [601.5, 602.5] "
+                      "| 300 [300, 300] | 0.498 |", table)
+        self.assertIn("| exec.drain_us_p99 (us) | 10 [10, 10] | 10 [10, 10] | 1.000 |",
+                      table)
+        # a metric the runs do not report is left out
+        self.assertNotIn("engine.wrt_tests", table)
+        for word in ("gain", "worse", "unresolved", "within bound", "wins"):
+            self.assertNotIn(word, table)
+
     def test_the_scratch_directory_must_be_outside_the_repository(self):
         with self.assertRaises(SystemExit):
             pr.main(["--parent", "HEAD", "--scratch", str(pr.ROOT / "x"),

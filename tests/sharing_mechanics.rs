@@ -39,9 +39,9 @@ fn gate_stream(scores: &[u8]) -> Vec<Object> {
 
 /// Pins result-class sharing itself, not just its results: on a
 /// slide close, every member of a result class receives a clone of the
-/// **same** `Snapshot` allocation (`Arc::ptr_eq`) and of the same delta
-/// list, while standalone sessions of the same query each materialize
-/// their own snapshot. Results are checksum-identical either way.
+/// **same** `Snapshot` allocation (`Arc::ptr_eq`), while standalone
+/// sessions of the same query each materialize their own. Results are
+/// checksum-identical either way.
 #[test]
 fn class_members_share_one_snapshot_allocation() {
     let data = class_stream(&(0..96).map(|i| (i * 5 % 23) as u8).collect::<Vec<_>>());
@@ -70,15 +70,6 @@ fn class_members_share_one_snapshot_allocation() {
                 assert!(
                     snaps[0].ptr_eq(snap),
                     "slide {slide}: class members must share one snapshot Arc"
-                );
-            }
-        }
-        for pair in updates.windows(2) {
-            if pair[0].result.slide == pair[1].result.slide {
-                assert!(
-                    pair[0].result.events.ptr_eq(&pair[1].result.events),
-                    "slide {}: class members must share one delta list",
-                    pair[0].result.slide
                 );
             }
         }
@@ -114,6 +105,43 @@ fn class_members_share_one_snapshot_allocation() {
         stats.class_hits > 0,
         "every close serves 3 members for free"
     );
+}
+
+/// Pins delta sharing: every member of a result class receives the
+/// **same** event list (`EventList::ptr_eq`), however large the delta.
+/// A tumbling window (`n = s = 10`) at `k = 5` replaces the whole top-5
+/// at every close — a 10-event delta after the first — and the members'
+/// updates still equal a standalone session's results.
+#[test]
+fn class_members_share_one_delta_list() {
+    let data = gate_stream(&(0..100).map(|i| (i * 37 % 101) as u8).collect::<Vec<_>>());
+    let query = Query::window(10).top(5).slide(10);
+    let mut hub = Hub::new();
+    let members = 3usize;
+    for _ in 0..members {
+        hub.register_grouped(&query).unwrap();
+    }
+    let mut standalone = query.session().unwrap();
+    for chunk in data.chunks(10) {
+        let updates = hub.publish(chunk);
+        let want = standalone.push(chunk);
+        assert_eq!(updates.len(), members, "one close per chunk");
+        let slide = want[0].slide;
+        assert!(
+            want[0].events.len() == 10 || slide == 0,
+            "slide {slide}: the whole top-5 turns over"
+        );
+        for u in &updates {
+            assert_eq!(
+                u.result, want[0],
+                "slide {slide}: a standalone session's result"
+            );
+            assert!(
+                u.result.events.ptr_eq(&updates[0].result.events),
+                "slide {slide}: class members must share one delta list"
+            );
+        }
+    }
 }
 
 /// Pins where a classed member's progress lives: a class close writes

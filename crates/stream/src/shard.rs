@@ -25,7 +25,8 @@
 //! sorted, and the shard keeps them as one **run** per call. At a drain
 //! the shard's worker merges its runs into one, and the hub thread only
 //! merges those per-shard runs ([`merge_runs`]) into an output sized up
-//! front — no sort runs on the hub thread, and no record is copied twice.
+//! front: no sort runs on the hub thread, and a shard that took one
+//! publish since the last drain hands its run over without a copy.
 //!
 //! Everything between the hub's public API and the executor's queues —
 //! routing, group affinity, id allocation, drain ordering, checkpoint

@@ -34,8 +34,7 @@
 //! The format version is bumped whenever the payload layout changes;
 //! readers reject versions they do not know
 //! ([`CheckpointError::UnsupportedVersion`]) rather than guessing. This
-//! build writes format 5 and also reads format 4, which wrote one
-//! consumer per member and restores member by member.
+//! build reads and writes format 5 only.
 //!
 //! ```
 //! use sap_stream::checkpoint::EngineFactory;
@@ -98,36 +97,25 @@ use crate::window::{SlidingTopK, WindowSpec};
 /// Leading magic bytes of every checkpoint artifact.
 pub const MAGIC: [u8; 8] = *b"SAPCKPT\0";
 
-/// The payload layout version this build writes. Bumped on any layout
-/// change: version 4 serves every count query on the arrival clock, so a
-/// count member's consumer ring holds `min(k, s)` slots per slide;
-/// version 5 writes each group with its reductions and result classes,
-/// one consumer per class and member ids beneath it, and `COUNTERS`
-/// gained `class_hits`. This build also reads version 4; other versions
-/// are rejected with [`CheckpointError::UnsupportedVersion`].
+/// The payload layout version this build reads and writes. Bumped on
+/// any layout change: version 5 writes each group with its reductions
+/// and result classes, one consumer per class and member ids beneath
+/// it, and its warming members. Every other version is rejected with
+/// [`CheckpointError::UnsupportedVersion`].
 pub const FORMAT_VERSION: u32 = 5;
-
-/// The oldest payload layout this build reads.
-const OLDEST_READ_VERSION: u32 = 4;
 
 /// Section tags of the payload layout (crate-internal; the framing
 /// itself is what [`Encoder::section`] exposes publicly).
 pub(crate) mod tags {
     /// One registry's full state (one per shard in a sharded checkpoint).
     pub const REGISTRY: u8 = 1;
-    /// The member sessions of one registry (format 4).
-    pub const SESSIONS: u8 = 2;
-    /// The groups of one registry, each with its classes and members
-    /// (format 4: the event-clock groups alone).
+    /// The groups of one registry, each with its classes and members.
     pub const GROUPS: u8 = 3;
     /// The digest sharing counters of one registry.
     pub const COUNTERS: u8 = 4;
     /// One consumer's framed state, its ring and slide count: a result
-    /// class's, or a member's that owns its consumer (a warming member,
-    /// or any member of a format-4 image).
+    /// class's, or a warming member's.
     pub const ENGINE: u8 = 5;
-    /// The arrival-clock groups of one registry (format 4).
-    pub const COUNT_GROUPS: u8 = 6;
     /// The admission-plane counters of one registry.
     pub const ADMISSION: u8 = 7;
 }
@@ -161,12 +149,12 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 pub enum CheckpointError {
     /// The bytes do not start with [`MAGIC`]: not a checkpoint at all.
     BadMagic,
-    /// The artifact was written by a layout this build does not know
-    /// (usually: a newer one).
+    /// The artifact was written by a layout this build does not read: a
+    /// newer one, or a retired one.
     UnsupportedVersion {
         /// The version the artifact claims.
         found: u32,
-        /// The newest version this build reads (the one it writes).
+        /// The one version this build reads (the one it writes).
         supported: u32,
     },
     /// The input ended before a field it promised.
@@ -188,7 +176,7 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::UnsupportedVersion { found, supported } => write!(
                 f,
                 "checkpoint format version {found} not supported \
-                 (this build reads {OLDEST_READ_VERSION} through {supported})"
+                 (this build reads {supported} only)"
             ),
             CheckpointError::Truncated => write!(f, "checkpoint truncated"),
             CheckpointError::ChecksumMismatch => {
@@ -536,9 +524,9 @@ impl Checkpoint {
     }
 
     /// Validates and adopts raw bytes: magic, then version, then
-    /// checksum, in that order — so a version from the future is reported
-    /// as [`CheckpointError::UnsupportedVersion`] even though this build
-    /// cannot parse its payload.
+    /// checksum, in that order — so a version from the future, or a
+    /// retired one, is reported as [`CheckpointError::UnsupportedVersion`]
+    /// even though this build cannot parse its payload.
     pub fn from_bytes(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
         if bytes.len() < FRAME_BYTES {
             if bytes.len() >= 8 && bytes[..8] != MAGIC {
@@ -550,7 +538,7 @@ impl Checkpoint {
             return Err(CheckpointError::BadMagic);
         }
         let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-        if !(OLDEST_READ_VERSION..=FORMAT_VERSION).contains(&version) {
+        if version != FORMAT_VERSION {
             return Err(CheckpointError::UnsupportedVersion {
                 found: version,
                 supported: FORMAT_VERSION,
@@ -581,7 +569,7 @@ impl Checkpoint {
         self.bytes.len() == FRAME_BYTES
     }
 
-    /// The payload layout version this artifact was written under: 4 or
+    /// The payload layout version this artifact was written under:
     /// [`FORMAT_VERSION`] for any value
     /// [`from_bytes`](Checkpoint::from_bytes) accepted.
     pub fn version(&self) -> u32 {
@@ -674,14 +662,9 @@ mod tests {
         bent[13] ^= 0x40;
         assert!(Checkpoint::from_bytes(&bent).is_err());
 
-        // version 4 is still read; a future version, and the retired
-        // versions 3 and 2, are refused by name, checksum intact
-        let mut old = ckpt.as_bytes()[..ckpt.len() - 8].to_vec();
-        old[8..12].copy_from_slice(&4u32.to_le_bytes());
-        let sum = fnv1a(&old);
-        old.extend_from_slice(&sum.to_le_bytes());
-        assert_eq!(Checkpoint::from_bytes(&old).map(|c| c.version()), Ok(4));
-        for version in [FORMAT_VERSION + 1, 3, 2] {
+        // a future version, and the retired versions 4, 3 and 2, are
+        // refused by name, checksum intact
+        for version in [FORMAT_VERSION + 1, 4, 3, 2] {
             let mut reframed = ckpt.as_bytes()[..ckpt.len() - 8].to_vec();
             reframed[8..12].copy_from_slice(&version.to_le_bytes());
             let sum = fnv1a(&reframed);

@@ -106,10 +106,7 @@
 //! with its consumer and its member ids, and a restore installs them the
 //! way a resize does ([`RegistryParts::merge`]): every class's consumer
 //! comes back parked, and each reduction's reducing class rehydrates —
-//! one engine replay per reduction. A format-4 image wrote a consumer
-//! per member; it restores member by member, and
-//! [`RegistryParts::pool_classes`] re-classes its members by byte
-//! signature, each class in a reduction of its own.
+//! one engine replay per reduction.
 //!
 //! ## Per-call cost
 //!
@@ -127,7 +124,7 @@
 //! [`AsyncHub`]: crate::exec::AsyncHub
 //! [`Session`]: crate::session::Session
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 use crate::checkpoint::{
     tags, CheckpointError, DecodeState, Decoder, EncodeState, Encoder, MAX_RESTORED_WINDOW,
@@ -226,8 +223,7 @@ pub struct HubStats {
     /// reductions that run their engines: classes that share a
     /// reduction count once each, as they did before reductions
     /// existed. Classes travel with their group through `move_query`,
-    /// `resize` and checkpoint restore (a format-4 image, which carried no
-    /// classes, is re-classed by byte signature).
+    /// `resize` and checkpoint restore.
     ///
     /// Same-class members share one snapshot allocation per close:
     ///
@@ -266,8 +262,7 @@ pub struct HubStats {
     /// class, so a class whose answers a larger-`k` class's engine
     /// computed still counts only its members past the first. Like the
     /// hit/rebuild counters it survives `move_query`, `resize` and
-    /// checkpoint restore (a format-4 image carried no slot for it and
-    /// restores it as 0).
+    /// checkpoint restore.
     pub class_hits: u64,
     /// Times a publisher parked (blocked on a full shard queue) —
     /// [`AsyncHub`](crate::exec::AsyncHub) backpressure. Summed across
@@ -548,9 +543,7 @@ pub(crate) type HubGroup = Group<Box<dyn SlidingTopK + Send>>;
 /// that truncates each slide once at `k_max`, the subscription
 /// predicate, the dominance gate, the clock, and the result classes
 /// serving the members. A group travels whole — in [`RegistryParts`]
-/// (resize and restore) and in a migration — classes included; only a
-/// group decoded from a format-4 image arrives without classes, which
-/// the restore derives ([`RegistryParts::pool_classes`]).
+/// (resize and restore) and in a migration — classes included.
 pub(crate) struct Group<C: SlidingTopK> {
     producer: DigestProducer,
     /// Objects it rejects advance the group's clock but are never
@@ -749,33 +742,6 @@ impl<C: SlidingTopK> Group<C> {
         self.reductions.push(Reduction {
             classes: vec![Class::around(id, member)],
         });
-    }
-
-    /// Pools a decoded, non-warming member into the group's result
-    /// classes: joins the class with an identical byte signature — equal
-    /// key, slide progress, previous emission, and encoded consumer state
-    /// make its future emissions provably identical, so the member's
-    /// duplicate consumer is dropped — and founds a one-class reduction
-    /// around the consumer otherwise. Live registration pools only
-    /// members that start in step, which need no signature.
-    fn class_member(&mut self, id: QueryId, m: &mut GroupSession<C>) {
-        let consumer = m.consumer().expect("a decoded member carries its consumer");
-        let mut sig = None;
-        let mut classes = self.reductions.iter_mut().flat_map(|r| &mut r.classes);
-        let class = classes.find(|c| {
-            c.key() == m.class_key()
-                && c.consumer.slides_applied() == consumer.slides_applied()
-                && c.prev.as_slice() == m.last_snapshot()
-                && consumer_sig(&c.consumer) == *sig.get_or_insert_with(|| consumer_sig(consumer))
-        });
-        match class {
-            Some(class) => {
-                // members are pooled in ascending-id order
-                class.members.push(id);
-                m.take_consumer();
-            }
-            None => self.found_class(id, m),
-        }
     }
 
     /// The admission plane: the predicate gates fan-out, then the
@@ -1050,8 +1016,8 @@ impl<C: SlidingTopK> Group<C> {
         Ok(group)
     }
 
-    /// Checks a restored or migrated consumer — a class's, or one a
-    /// member owns — against this group, as `join_slide` lines it up:
+    /// Checks a restored or migrated class's consumer against this
+    /// group, as `join_slide` lines it up:
     /// the group is at least as deep as its `k`, and it applied exactly
     /// the slides the group closed since it joined (on the event clock,
     /// from slide 0). On the arrival clock every object it holds must
@@ -1241,7 +1207,6 @@ pub(crate) struct Counters {
     pub(crate) count_group_hits: u64,
     pub(crate) admitted: u64,
     pub(crate) pruned: u64,
-    /// Written since format 5; a format-4 image restores it as 0.
     pub(crate) class_hits: u64,
 }
 
@@ -1278,13 +1243,10 @@ impl Counters {
         });
     }
 
-    /// Reads the counter sections of a format-`version` image; a format-4
-    /// image carries no `class_hits`.
-    fn decode(dec: &mut Decoder<'_>, version: u32) -> Result<Counters, CheckpointError> {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Counters, CheckpointError> {
         let mut sec = dec.section(tags::COUNTERS)?;
         let (digest_hits, digest_rebuilds) = (sec.take_u64()?, sec.take_u64()?);
-        let count_group_hits = sec.take_u64()?;
-        let class_hits = if version == 4 { 0 } else { sec.take_u64()? };
+        let (count_group_hits, class_hits) = (sec.take_u64()?, sec.take_u64()?);
         sec.finish()?;
         let mut sec = dec.section(tags::ADMISSION)?;
         let (admitted, pruned) = (sec.take_u64()?, sec.take_u64()?);
@@ -1382,13 +1344,10 @@ pub(crate) fn split_by_group<C: SlidingTopK>(
 /// a consumer), and the sharing counters. Everything needed to rebuild a
 /// [`Registry`] (or to scatter across `AsyncHub` shards) once
 /// [`merge`](RegistryParts::merge) has validated the cross-section
-/// invariants. Only a format-4 image decodes differently: its groups
-/// hold no classes yet, and each of its members carries its own consumer
-/// until [`pool_classes`](RegistryParts::pool_classes) seats it.
+/// invariants.
 pub(crate) struct RegistryParts<C: SlidingTopK> {
     pub(crate) sessions: Vec<(QueryId, GroupSession<C>)>,
-    /// Both clocks' groups; after [`merge`](RegistryParts::merge) a
-    /// member's group handle indexes this list.
+    /// Both clocks' groups; a member's group handle indexes this list.
     pub(crate) groups: Vec<Group<C>>,
     pub(crate) counters: Counters,
 }
@@ -1398,45 +1357,39 @@ impl<C: SlidingTopK> RegistryParts<C> {
     /// sessions concatenated and re-sorted into ascending-id order
     /// (identical to hub registration order, so a restored hub drains in
     /// the same global order as the original), groups concatenated,
-    /// counters summed, and every member pointed at its group's index.
-    /// Cross-section structure is validated here — an event-clock group
-    /// appearing in two sections would mean a group spanned shards,
-    /// which the hub never produces, so it is corruption rather than a
-    /// merge.
+    /// counters summed, and every member's group position offset by its
+    /// section's. A member names the group that holds it — the record it
+    /// was decoded from, or the live group it was ejected with — so its
+    /// clock, slide and predicate are its group's by construction.
+    /// Cross-section structure is validated here: a group identity that
+    /// appears twice means a slide group spanned shards or a count
+    /// group's geometry class was split, which the hub never produces,
+    /// so it is corruption rather than a merge.
     ///
-    /// Every result class, and every member that owns its consumer, is
-    /// checked against its group ([`Group::check_consumer`]); a warming
-    /// member must be able to hand off to its group. A classed member
-    /// shares its class's state, so its class's check covers it.
+    /// Every result class is checked against its group
+    /// ([`Group::check_consumer`]), and a warming member must be able to
+    /// hand off to its group. A classed member shares its class's state,
+    /// so its class's check covers it.
     pub(crate) fn merge(parts: Vec<Self>) -> Result<Self, CheckpointError> {
         let mut sessions = Vec::new();
         let mut groups: Vec<Group<C>> = Vec::new();
         let mut counters = Counters::default();
         for mut part in parts {
-            // rebase this section's arrival-clock references onto the
-            // concatenated list BEFORE its sessions join the shared pool;
-            // event-clock members find their group by key
             let base = groups.len() as u64;
             for (_, m) in &mut part.sessions {
-                if m.clock() == Clock::Arrival {
-                    let rebased = m
-                        .group()
-                        .checked_add(base)
-                        .ok_or(CheckpointError::Corrupt("count-group reference overflows"))?;
-                    m.set_group(rebased);
-                }
+                m.set_group(m.group() + base);
             }
             groups.extend(part.groups);
             sessions.extend(part.sessions);
             counters.absorb(&part.counters);
         }
-        let mut slide_groups: HashMap<(u64, Predicate), usize> = HashMap::new();
-        for (i, group) in groups.iter().enumerate() {
-            let (clock, sd, _, predicate) = group.identity();
-            if clock == Clock::Event && slide_groups.insert((sd, predicate), i).is_some() {
-                return Err(CheckpointError::Corrupt(
-                    "a slide group spans registry sections",
-                ));
+        let mut identities = HashSet::new();
+        for group in &groups {
+            if !identities.insert(group.identity()) {
+                return Err(CheckpointError::Corrupt(match group.clock {
+                    GroupClock::Event => "a slide group spans registry sections",
+                    GroupClock::Arrival(_) => "count groups share a geometry class",
+                }));
             }
         }
         sessions.sort_by_key(|(id, _)| *id);
@@ -1445,65 +1398,29 @@ impl<C: SlidingTopK> RegistryParts<C> {
                 "duplicate query id across registry sections",
             ));
         }
-        // per group: member count and the earliest ordinal a member's
-        // next emission can reference
-        let mut tally = vec![(0usize, u64::MAX); groups.len()];
-        for (_, m) in &mut sessions {
-            let index = match m.clock() {
-                Clock::Event => {
-                    let Some(&index) = slide_groups.get(&(m.slide(), m.predicate())) else {
-                        return Err(CheckpointError::Corrupt(
-                            "shared session without its slide group",
-                        ));
-                    };
-                    m.set_group(index as u64);
-                    index
-                }
-                Clock::Arrival => {
-                    let Some(index) = usize::try_from(m.group()).ok().filter(|&index| {
-                        groups
-                            .get(index)
-                            .is_some_and(|group| group.clock.kind() == Clock::Arrival)
-                    }) else {
-                        return Err(CheckpointError::Corrupt(
-                            "grouped session without its count group",
-                        ));
-                    };
-                    if groups[index].producer.slide_duration() != m.slide() {
-                        return Err(CheckpointError::Corrupt(
-                            "count group disagrees with a member's slide length",
-                        ));
-                    }
-                    index
-                }
-            };
-            let group = &groups[index];
-            if m.is_warming_up() {
-                let next = group.producer.next_slide();
-                if group.producer.k_max() < m.k() || !m.warms_in_step(next) {
-                    return Err(CheckpointError::Corrupt(
-                        "warming member out of step with its group",
-                    ));
-                }
-            } else if let Some(consumer) = m.consumer() {
-                let reach = group.check_consumer(consumer, m.join_slide())?;
-                tally[index].1 = tally[index].1.min(reach);
+        for (_, m) in &sessions {
+            let group = &groups[m.group() as usize];
+            if m.is_warming_up()
+                && (group.producer.k_max() < m.k() || !m.warms_in_step(group.producer.next_slide()))
+            {
+                return Err(CheckpointError::Corrupt(
+                    "warming member out of step with its group",
+                ));
             }
-            tally[index].0 += 1;
         }
-        for (i, group) in groups.iter().enumerate() {
+        for group in &groups {
+            // the earliest ordinal a member's next emission can reference
+            let mut reach = u64::MAX;
             for class in group.classes() {
-                let reach = group.check_consumer(&class.consumer, class.join_slide)?;
-                tally[i].1 = tally[i].1.min(reach);
+                reach = reach.min(group.check_consumer(&class.consumer, class.join_slide)?);
             }
-            let (members, reach) = tally[i];
             let GroupClock::Arrival(a) = &group.clock else {
-                if members == 0 {
+                if group.members == 0 {
                     return Err(CheckpointError::Corrupt("slide group with no members"));
                 }
                 continue;
             };
-            if members == 0 {
+            if group.members == 0 {
                 return Err(CheckpointError::Corrupt("count group with no members"));
             }
             let sd = group.producer.slide_duration();
@@ -1552,40 +1469,12 @@ impl<C: SlidingTopK> RegistryParts<C> {
                     "count-group ring does not cover its members' windows",
                 ));
             }
-            // distinct same-`(s, predicate)` groups always sit at
-            // distinct offsets (mod s), i.e. distinct fills — a
-            // collision means one geometry class was split, which the
-            // hub never produces
-            if groups[..i]
-                .iter()
-                .any(|other| other.identity() == group.identity())
-            {
-                return Err(CheckpointError::Corrupt(
-                    "count groups share a geometry class",
-                ));
-            }
         }
         Ok(RegistryParts {
             sessions,
             groups,
             counters,
         })
-    }
-
-    /// Seats the members of a format-4 image in their groups, once, after
-    /// [`merge`](RegistryParts::merge) validated them: each is counted
-    /// in, and each that is not warming up pools into a result class by
-    /// byte signature. Only a format-4 restore needs this — its groups
-    /// decode without classes, while a format-5 or a migrated one keeps
-    /// its own.
-    pub(crate) fn pool_classes(&mut self) {
-        for (id, m) in &mut self.sessions {
-            let group = &mut self.groups[m.group() as usize];
-            group.count(m);
-            if !m.is_warming_up() {
-                group.class_member(*id, m);
-            }
-        }
     }
 }
 
@@ -1685,18 +1574,6 @@ fn serve_warming(
         *rebuilds += 1;
         sink(result);
     });
-}
-
-/// Canonical byte signature of a consumer's replayable state — the same
-/// bytes `encode_checkpoint` would write for it. Two consumers with
-/// equal spec, slide progress, and signature provably compute identical
-/// futures, which is what lets a restore pool decoded members back into
-/// result classes (and drop the duplicate consumer losslessly) without
-/// the checkpoint carrying any class structure.
-fn consumer_sig<C: SlidingTopK>(consumer: &SharedTimed<C>) -> Vec<u8> {
-    let mut enc = Encoder::new();
-    consumer.encode_state(&mut enc);
-    enc.into_payload()
 }
 
 impl<C: SlidingTopK> Registry<C> {
@@ -2216,30 +2093,23 @@ impl<C: SlidingTopK> Registry<C> {
         self.counters.encode(enc);
     }
 
-    /// Decodes one `tags::REGISTRY` section body of a format-`version`
-    /// image into loose [`RegistryParts`], building each engine on its
-    /// reduction through the caller's closure: format 5 group by group
-    /// ([`Group::decode_record`]), in the shape a resize moves; format 4
-    /// member by member, each with its own replayed consumer and its
-    /// groups without classes. Every structural violation is a typed
-    /// error — never a panic.
+    /// Decodes one `tags::REGISTRY` section body into loose
+    /// [`RegistryParts`], group by group ([`Group::decode_record`]) in
+    /// the shape a resize moves, building each engine on its reduction
+    /// through the caller's closure. Every structural violation is a
+    /// typed error — never a panic.
     pub(crate) fn decode_checkpoint(
         dec: &mut Decoder<'_>,
-        version: u32,
         count: &mut dyn FnMut(&str, WindowSpec) -> Result<C, SapError>,
     ) -> Result<RegistryParts<C>, SapError> {
         let mut sessions = Vec::new();
         let mut groups = Vec::new();
-        if version == 4 {
-            Registry::decode_members(dec, count, &mut sessions, &mut groups)?;
-        } else {
-            let mut sec = dec.section(tags::GROUPS)?;
-            for index in 0..sec.take_seq_len()? as u64 {
-                groups.push(Group::decode_record(&mut sec, index, count, &mut sessions)?);
-            }
-            sec.finish()?;
+        let mut sec = dec.section(tags::GROUPS)?;
+        for index in 0..sec.take_seq_len()? as u64 {
+            groups.push(Group::decode_record(&mut sec, index, count, &mut sessions)?);
         }
-        let counters = Counters::decode(dec, version)?;
+        sec.finish()?;
+        let counters = Counters::decode(dec)?;
         Ok(RegistryParts {
             sessions,
             groups,
@@ -2247,80 +2117,10 @@ impl<C: SlidingTopK> Registry<C> {
         })
     }
 
-    /// The sessions and groups of a format-4 registry section: one
-    /// `SESSIONS` entry per member, each with its engine name, spec and
-    /// consumer, then the event-clock groups in `GROUPS` and the
-    /// arrival-clock groups in `COUNT_GROUPS`, whose position an
-    /// arrival-clock member names.
-    fn decode_members(
-        dec: &mut Decoder<'_>,
-        count: &mut dyn FnMut(&str, WindowSpec) -> Result<C, SapError>,
-        sessions: &mut Vec<(QueryId, GroupSession<C>)>,
-        groups: &mut Vec<Group<C>>,
-    ) -> Result<(), SapError> {
-        let mut sec = dec.section(tags::SESSIONS)?;
-        for _ in 0..sec.take_seq_len()? {
-            let id = QueryId::from_raw(sec.take_u64()?);
-            let kind = sec.take_u8()?;
-            let name = sec.take_str()?;
-            let m = match kind {
-                2 => {
-                    let (wd, sd, k) = (sec.take_u64()?, sec.take_u64()?, sec.take_usize()?);
-                    let predicate = Predicate::decode(&mut sec)?;
-                    let consumer = fresh_consumer(count, Clock::Event, name, (wd, sd, k))?;
-                    GroupSession::decode_checkpoint_body(
-                        Clock::Event,
-                        consumer,
-                        predicate,
-                        &mut sec,
-                    )?
-                }
-                3 => {
-                    let (n, k, s) = (sec.take_u64()?, sec.take_usize()?, sec.take_u64()?);
-                    let consumer = fresh_consumer(count, Clock::Arrival, name, (n, s, k))?;
-                    let pass = Predicate::default();
-                    GroupSession::decode_checkpoint_body(Clock::Arrival, consumer, pass, &mut sec)?
-                }
-                _ => return Err(CheckpointError::Corrupt("unknown session kind").into()),
-            };
-            sessions.push((id, m));
-        }
-        sec.finish()?;
-        for (tag, clock) in [
-            (tags::GROUPS, Clock::Event),
-            (tags::COUNT_GROUPS, Clock::Arrival),
-        ] {
-            let mut sec = dec.section(tag)?;
-            for _ in 0..sec.take_seq_len()? {
-                groups.push(Group::decode(clock, &mut sec)?);
-            }
-            sec.finish()?;
-        }
-        // arrival-clock members name their group by `COUNT_GROUPS`
-        // position; in the one list those groups follow the slide groups,
-        // and each member ranks under its group's predicate
-        let slide_groups = groups
-            .iter()
-            .filter(|g| g.clock.kind() == Clock::Event)
-            .count() as u64;
-        for (_, m) in sessions {
-            if m.clock() == Clock::Arrival {
-                let index = m.group().saturating_add(slide_groups);
-                m.set_group(index);
-                if let Some(group) = usize::try_from(index).ok().and_then(|i| groups.get(i)) {
-                    m.set_predicate(group.predicate);
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Builds a registry from already-merged, already-validated parts —
     /// possibly several shards' worth, when a sharded checkpoint is
     /// restored into a sequential hub. Groups are inserted as they
-    /// arrive, with their members counted and seated in classes (a
-    /// format-4 restore seats its members first; see
-    /// [`RegistryParts::pool_classes`]).
+    /// arrive, with their members counted and seated in classes.
     pub(crate) fn from_merged(parts: RegistryParts<C>, shard: Option<usize>) -> Self {
         let RegistryParts {
             sessions,
@@ -2477,7 +2277,6 @@ mod tests {
     use std::rc::Rc;
 
     use super::*;
-    use crate::checkpoint::FORMAT_VERSION;
     use crate::query::TimedSpec;
     use crate::session::{Session, TimedSession};
     use crate::test_support::Toy;
@@ -2726,6 +2525,43 @@ mod tests {
         assert!(RegistryParts::merge(vec![reg.eject_all()]).is_ok());
     }
 
+    /// Two sections that each hold the slide group of one
+    /// `(slide_duration, predicate)` describe a group split across
+    /// shards, which the hub never produces: corrupt, not a merge.
+    #[test]
+    fn a_slide_group_in_two_sections_is_corrupt() {
+        let pass = Predicate::default();
+        let mut sections = Vec::new();
+        for id in 0..2 {
+            let mut reg = ToyRegistry::default();
+            enroll_event(&mut reg, id, consumer(20, 10, 2), pass);
+            sections.push(reg.eject_all());
+        }
+        assert_eq!(
+            RegistryParts::merge(sections).err(),
+            Some(CheckpointError::Corrupt(
+                "a slide group spans registry sections"
+            ))
+        );
+    }
+
+    /// One query id in two sections is corrupt, whichever groups hold it.
+    #[test]
+    fn a_query_id_in_two_sections_is_corrupt() {
+        let pass = Predicate::default();
+        let mut count_section = ToyRegistry::default();
+        enroll_arrival(&mut count_section, 0, (8, 1, 4), pass);
+        let mut slide_section = ToyRegistry::default();
+        enroll_event(&mut slide_section, 0, consumer(20, 10, 2), pass);
+        let sections = vec![count_section.eject_all(), slide_section.eject_all()];
+        assert_eq!(
+            RegistryParts::merge(sections).err(),
+            Some(CheckpointError::Corrupt(
+                "duplicate query id across registry sections"
+            ))
+        );
+    }
+
     /// A count group whose id ring would end past `u64::MAX` is corrupt
     /// state, rejected with a typed error: its member's window holds only
     /// pads (the filter rejects every tick), so no ordinal check rejects
@@ -2835,7 +2671,7 @@ mod tests {
                 Ok(Counted(Toy::new(spec.n, spec.k, spec.s), slides.clone()))
             };
             let mut dec = Decoder::new(&payload);
-            let parts = Registry::decode_checkpoint(&mut dec, FORMAT_VERSION, &mut count).unwrap();
+            let parts = Registry::decode_checkpoint(&mut dec, &mut count).unwrap();
             assert!(dec.is_empty());
             let merged = RegistryParts::merge(vec![parts]).unwrap();
             let reg = Registry::from_merged(merged, None);

@@ -548,9 +548,8 @@ pub enum Clock {
 /// session. The registry copies them onto a classed member whenever it
 /// hands one out ([`Hub::session`], `unregister`), so the getters never
 /// read stale progress. The session holds a consumer itself
-/// while it warms up, after it left its class as the last member, and
-/// when it is decoded from a format-4 checkpoint, until the restore pools
-/// it. A consumer handed back by `unregister` may be parked
+/// while it warms up and after it left its class as the last member.
+/// A consumer handed back by `unregister` may be parked
 /// ([`SharedTimed::is_parked`]) — its class read its answers off a
 /// larger-`k` class's engine — and rehydrates on its first apply or on
 /// [`SharedTimed::rehydrate`].
@@ -671,11 +670,6 @@ impl<C: SlidingTopK> GroupSession<C> {
         self.k
     }
 
-    /// The subscription predicate this member ranks under.
-    pub(crate) fn predicate(&self) -> Predicate {
-        self.predicate
-    }
-
     /// The group slide this member's slide 0 lines up with.
     pub(crate) fn join_slide(&self) -> u64 {
         self.join_slide
@@ -690,11 +684,6 @@ impl<C: SlidingTopK> GroupSession<C> {
     /// rewrites of a checkpoint or a migration).
     pub(crate) fn set_group(&mut self, group: u64) {
         self.group = group;
-    }
-
-    /// Stamps the group's predicate onto a decoded arrival-clock member.
-    pub(crate) fn set_predicate(&mut self, predicate: Predicate) {
-        self.predicate = predicate;
     }
 
     /// The result-class key: window, `k` and join slide.
@@ -806,52 +795,11 @@ impl<C: SlidingTopK> GroupSession<C> {
     }
 
     /// Rebuilds a warming event-clock member from its
-    /// [`encode_warming`](GroupSession::encode_warming) body. `consumer`
-    /// must be fresh (a [`SharedTimed`] over a factory-built engine on
-    /// the query's reduction).
+    /// [`encode_warming`](GroupSession::encode_warming) body, restoring
+    /// the consumer state into `consumer`, which must be fresh (a
+    /// [`SharedTimed`] over a factory-built engine on the query's
+    /// reduction) and then rehydrates.
     pub(crate) fn decode_warming(
-        consumer: SharedTimed<C>,
-        predicate: Predicate,
-        dec: &mut Decoder<'_>,
-    ) -> Result<Self, CheckpointError> {
-        let mut session = GroupSession::decode_own(Clock::Event, consumer, predicate, dec)?;
-        session.decode_warmup(dec)?;
-        Ok(session)
-    }
-
-    /// Rebuilds a session from a format-4 checkpoint body: the head
-    /// [`decode_warming`](GroupSession::decode_warming) reads, then on
-    /// the event clock a warm-up flag (with the open slide and the
-    /// private producer), on the arrival clock the join slide and the
-    /// index of the member's group in the checkpoint's `COUNT_GROUPS`
-    /// section, its group handle until the registry rebinds it. An
-    /// event-clock member is found its group by key.
-    pub(crate) fn decode_checkpoint_body(
-        clock: Clock,
-        consumer: SharedTimed<C>,
-        predicate: Predicate,
-        dec: &mut Decoder<'_>,
-    ) -> Result<Self, CheckpointError> {
-        let mut session = GroupSession::decode_own(clock, consumer, predicate, dec)?;
-        match clock {
-            Clock::Event => match dec.take_u8()? {
-                0 => {}
-                1 => session.decode_warmup(dec)?,
-                _ => return Err(CheckpointError::Corrupt("bad warm-up flag")),
-            },
-            Clock::Arrival => {
-                session.join_slide = dec.take_u64()?;
-                session.group = dec.take_u64()?;
-            }
-        }
-        Ok(session)
-    }
-
-    /// Reads the slide counter, the previous emission and the framed
-    /// consumer state of a member that owns its consumer, restoring it
-    /// into the fresh `consumer`, which then rehydrates.
-    fn decode_own(
-        clock: Clock,
         mut consumer: SharedTimed<C>,
         predicate: Predicate,
         dec: &mut Decoder<'_>,
@@ -862,23 +810,18 @@ impl<C: SlidingTopK> GroupSession<C> {
         consumer.restore_state(&mut blob)?;
         blob.finish()?;
         consumer.rehydrate();
-        let mut session = GroupSession::new(clock, consumer, predicate, 0, 0);
-        session.slides = slides;
-        session.prev = prev;
-        Ok(session)
-    }
-
-    /// Reads a warm-up's open slide and private producer.
-    fn decode_warmup(&mut self, dec: &mut Decoder<'_>) -> Result<(), CheckpointError> {
         let open_slide = dec.take_u64()?;
         let producer = DigestProducer::decode_state(dec)?;
-        if producer.slide_duration() != self.slide {
+        if producer.slide_duration() != consumer.slide_duration() {
             return Err(CheckpointError::Corrupt(
                 "warm-up producer disagrees with its session's slide duration",
             ));
         }
-        self.warm_up(producer, open_slide);
-        Ok(())
+        let mut session = GroupSession::new(Clock::Event, consumer, predicate, 0, 0);
+        session.slides = slides;
+        session.prev = prev;
+        session.warm_up(producer, open_slide);
+        Ok(session)
     }
 
     /// Copies a classed member's progress from its class: the class's

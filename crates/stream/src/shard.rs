@@ -510,12 +510,10 @@ pub(crate) fn checkpoint_sections_on(
 }
 
 /// Decodes a hub checkpoint (either hub, any shard count) into the
-/// id-allocator watermark and the merged serving state, validating as it
-/// goes: a format-5 image in the shape a resize moves, its groups holding
-/// their classes and reductions, and a format-4 image's members then
-/// seated in result classes ([`RegistryParts::pool_classes`]). Malformed
-/// input is a typed [`SapError::Checkpoint`]; never panics on foreign
-/// bytes.
+/// id-allocator watermark and the merged serving state, in the shape a
+/// resize moves — its groups holding their classes and reductions —
+/// validating as it goes. Malformed input is a typed
+/// [`SapError::Checkpoint`]; never panics on foreign bytes.
 pub(crate) fn decode_hub_checkpoint(
     checkpoint: &Checkpoint,
     factory: &dyn EngineFactory,
@@ -528,18 +526,14 @@ pub(crate) fn decode_hub_checkpoint(
         let mut registry = dec.section(tags::REGISTRY)?;
         parts.push(Registry::decode_checkpoint(
             &mut registry,
-            checkpoint.version(),
             &mut |name, spec| factory.count(name, spec),
         )?);
         registry.finish().map_err(SapError::from)?;
     }
     dec.finish().map_err(SapError::from)?;
-    let mut merged = RegistryParts::merge(parts).map_err(SapError::from)?;
+    let merged = RegistryParts::merge(parts).map_err(SapError::from)?;
     if merged.sessions.iter().any(|(id, _)| id.raw() >= next_id) {
         return Err(CheckpointError::Corrupt("session id at or past the id counter").into());
-    }
-    if checkpoint.version() == 4 {
-        merged.pool_classes();
     }
     Ok((next_id, merged))
 }

@@ -1,27 +1,28 @@
-//! The checkpoint format, pinned across builds. This build writes format
-//! 5 and reads format 4, through six committed images:
+//! The checkpoint format, pinned across builds. This build reads and
+//! writes format 5 only, through six committed images:
 //!
-//! * four format-4 re-cuts of format-3 images, which earlier builds wrote
-//!   while they still served isolated sessions: `hub_v4_recut.ckpt` and
-//!   `hub_v4_recut_sharded.ckpt` come from images with isolated
-//!   time-based sessions (session kind 1), `hub_v4_recut_counts.ckpt` and
+//! * five format-5 re-cuts of older images. Commit 4c91ece, the last
+//!   build that read format 4, restored each format-4 image and
+//!   checkpointed the restored hub. Four of those were themselves
+//!   format-4 re-cuts of format-3 images, which earlier builds wrote
+//!   while they still served isolated sessions: `hub_v5_recut.ckpt` and
+//!   `hub_v5_recut_sharded.ckpt` come from images with isolated
+//!   time-based sessions (session kind 1), `hub_v5_recut_counts.ckpt` and
 //!   the first two from images with isolated count sessions (kind 0), and
-//!   `hub_v4_recut_serving.ckpt` is [`fixture_hub`] as the last format-3
+//!   `hub_v5_recut_serving.ckpt` is [`fixture_hub`] as the last format-3
 //!   build served it. Commit 2b06cd0, the last build that read format 3,
-//!   restored each original and checkpointed the restored hub, so each
-//!   such session sits in its group. Every old image must restore on
-//!   either hub and continue with exactly the updates the build that
-//!   wrote the original produced, pinned per query as an update count and
-//!   a `fold_all` checksum;
-//! * `hub_v4_serving.ckpt` is [`fixture_hub`] as the format-4 builds
-//!   served it;
+//!   restored each format-3 original and checkpointed the restored hub,
+//!   so each such session sits in its group. `hub_v5_recut_v4_serving.ckpt`
+//!   is [`fixture_hub`] as the format-4 builds served it. Every old image
+//!   must restore on either hub and continue with exactly the updates the
+//!   build that wrote the original produced, pinned per query as an
+//!   update count and a `fold_all` checksum;
 //! * `hub_v5_serving.ckpt` is [`fixture_hub`] as this build serves it.
-//!   This build must write exactly these bytes, re-encode a restore of
-//!   them to the same bytes, and continue them like the old images.
+//!   This build must write exactly these bytes and continue them like the
+//!   old images.
 //!
-//! Every format-4 image, restored and checkpointed by this build, must
-//! restore again, re-encode to its own bytes and continue with its pins:
-//! the one migration from format 4 to format 5.
+//! Every image, restored and checkpointed by this build on the hub kind
+//! that cut it, must re-encode to its own bytes.
 
 use std::collections::BTreeMap;
 
@@ -32,35 +33,41 @@ use sap::stream::checkpoint::{fnv1a, FORMAT_VERSION};
 mod checksum;
 use checksum::fold_all;
 
-/// A format-4 re-cut of `hub_v3.ckpt`, a format-3 checkpoint of
-/// [`fixture_hub`] written at commit cd4647a by running [`fixture_hub`]
-/// against that build and saving `hub.checkpoint().as_bytes()`. That
-/// build served `register` of a time-based query on its own isolated
-/// adapter, so the original held one kind-1 session (`q2`); its slide
-/// group exists, so it restored warming up. Commit 2b06cd0 re-cut it by
-/// saving the bytes of
-/// `Hub::restore(&Checkpoint::from_bytes(v3)?, &DefaultEngineFactory)?.checkpoint()`.
-const FIXTURE: &[u8] = include_bytes!("fixtures/hub_v4_recut.ckpt");
+/// A format-5 re-cut of `hub_v4_recut.ckpt`, itself a format-4 re-cut
+/// of `hub_v3.ckpt`, a format-3 checkpoint of [`fixture_hub`] written at
+/// commit cd4647a by running [`fixture_hub`] against that build and
+/// saving `hub.checkpoint().as_bytes()`. That build served `register` of
+/// a time-based query on its own isolated adapter, so the original held
+/// one kind-1 session (`q2`); its slide group exists, so it restored
+/// warming up. Commit 2b06cd0 re-cut the original by saving the bytes of
+/// `Hub::restore(&Checkpoint::from_bytes(v3)?, &DefaultEngineFactory)?.checkpoint()`,
+/// and commit 4c91ece re-cut that format-4 image by running the same
+/// program on it.
+const FIXTURE: &[u8] = include_bytes!("fixtures/hub_v5_recut.ckpt");
 
-/// A format-4 re-cut of `hub_v3_serving.ckpt`, [`fixture_hub`] as the
-/// last format-3 build served it, written at commit 32d9968 by saving
+/// A format-5 re-cut of `hub_v4_recut_serving.ckpt`, itself a format-4
+/// re-cut of `hub_v3_serving.ckpt`, [`fixture_hub`] as the last format-3
+/// build served it, written at commit 32d9968 by saving
 /// `fixture_hub().checkpoint().as_bytes()`: `q2` was a slide-group member
 /// from the start, while `q0`, `q1` and `q6` were isolated count sessions
-/// (kind 0). Re-cut at commit 2b06cd0 like [`FIXTURE`].
-const SERVING_V3: &[u8] = include_bytes!("fixtures/hub_v4_recut_serving.ckpt");
+/// (kind 0). Re-cut at commits 2b06cd0 and 4c91ece like [`FIXTURE`].
+const SERVING_V3: &[u8] = include_bytes!("fixtures/hub_v5_recut_serving.ckpt");
 
-/// [`fixture_hub`] as the format-4 builds served it (commits 2334398
-/// through 2b06cd0): every query a group member, each with its own
-/// consumer.
-const SERVING_V4: &[u8] = include_bytes!("fixtures/hub_v4_serving.ckpt");
+/// A format-5 re-cut of `hub_v4_serving.ckpt`, [`fixture_hub`] as the
+/// format-4 builds served it (commits 2334398 through 2b06cd0): every
+/// query a group member, each with its own consumer. Commit 4c91ece
+/// re-cut it like [`FIXTURE`], which pooled those consumers into result
+/// classes.
+const SERVING_V4: &[u8] = include_bytes!("fixtures/hub_v5_recut_v4_serving.ckpt");
 
 /// [`fixture_hub`] as this build serves it. Regenerate it only with a
 /// deliberate format change, by saving
 /// `fixture_hub().checkpoint().as_bytes()`.
 const SERVING: &[u8] = include_bytes!("fixtures/hub_v5_serving.ckpt");
 
-/// A format-4 re-cut of `hub_v3_sharded.ckpt`, a format-3 checkpoint of
-/// an `AsyncHub` with four shards, written at commit 7c4f8a3 (the last
+/// A format-5 re-cut of `hub_v4_recut_sharded.ckpt`, itself a format-4
+/// re-cut of `hub_v3_sharded.ckpt`, a format-3 checkpoint of an
+/// `AsyncHub` with four shards, written at commit 7c4f8a3 (the last
 /// build that served isolated time-based sessions) by this program:
 ///
 /// ```text
@@ -96,13 +103,15 @@ const SERVING: &[u8] = include_bytes!("fixtures/hub_v5_serving.ckpt");
 ///   group's open slide still held objects published before `q9`: it
 ///   warms up until the group closes that slide.
 ///
-/// Commit 2b06cd0 re-cut it by saving the checkpoint bytes of
+/// Commit 2b06cd0 re-cut the original by saving the checkpoint bytes of
 /// `AsyncHub::restore(&Checkpoint::from_bytes(v3)?, &DefaultEngineFactory, 4, 2)?`,
-/// so it stays a four-section image.
-const SHARDED: &[u8] = include_bytes!("fixtures/hub_v4_recut_sharded.ckpt");
+/// and commit 4c91ece re-cut that format-4 image by running the same
+/// program on it, so it stays a four-section image.
+const SHARDED: &[u8] = include_bytes!("fixtures/hub_v5_recut_sharded.ckpt");
 
-/// A format-4 re-cut of `hub_v3_counts.ckpt`, a format-3 checkpoint of an
-/// `AsyncHub` with four shards, written at commit 32d9968 (the last build
+/// A format-5 re-cut of `hub_v4_recut_counts.ckpt`, itself a format-4
+/// re-cut of `hub_v3_counts.ckpt`, a format-3 checkpoint of an `AsyncHub`
+/// with four shards, written at commit 32d9968 (the last build
 /// that served isolated count sessions) by this program:
 ///
 /// ```text
@@ -126,8 +135,8 @@ const SHARDED: &[u8] = include_bytes!("fixtures/hub_v4_recut_sharded.ckpt");
 /// * `q4` is a grouped member with `k > s`, whose format-3 ring padded
 ///   each slide to `k`.
 ///
-/// Re-cut at commit 2b06cd0 like [`SHARDED`].
-const COUNTS: &[u8] = include_bytes!("fixtures/hub_v4_recut_counts.ckpt");
+/// Re-cut at commits 2b06cd0 and 4c91ece like [`SHARDED`].
+const COUNTS: &[u8] = include_bytes!("fixtures/hub_v5_recut_counts.ckpt");
 
 /// Per query: updates and `fold_all` checksum of [`FIXTURE`] continued
 /// by [`continue_on_both_hubs`] over `stream(60..160)`, as the writing
@@ -332,19 +341,20 @@ fn reframed(bytes: &[u8], version: u32) -> Vec<u8> {
 }
 
 #[test]
-fn this_build_writes_format_5_and_reads_format_4() {
+fn this_build_reads_only_format_5() {
     assert_eq!(FORMAT_VERSION, 5);
-    assert_eq!(image(SERVING).version(), 5);
-    for bytes in [FIXTURE, SERVING_V3, SERVING_V4, SHARDED, COUNTS] {
-        assert_eq!(image(bytes).version(), 4);
+    for bytes in [FIXTURE, SERVING_V3, SERVING_V4, SERVING, SHARDED, COUNTS] {
+        assert_eq!(image(bytes).version(), 5);
     }
-    assert_eq!(
-        Checkpoint::from_bytes(&reframed(SERVING_V4, 3)),
-        Err(CheckpointError::UnsupportedVersion {
-            found: 3,
-            supported: 5
-        })
-    );
+    for found in [4, 3] {
+        assert_eq!(
+            Checkpoint::from_bytes(&reframed(SERVING, found)),
+            Err(CheckpointError::UnsupportedVersion {
+                found,
+                supported: 5
+            })
+        );
+    }
 }
 
 #[test]
@@ -485,26 +495,16 @@ fn re_checkpoint(bytes: &[u8], sharded: bool) -> Vec<u8> {
     }
 }
 
-/// Migrates the format-4 image `bytes` to format 5 through
-/// [`re_checkpoint`], and checks that the result restores again,
-/// re-encodes to its own bytes, and continues over `tail` with `pins`.
-fn migrates(bytes: &[u8], sharded: bool, tail: std::ops::Range<u64>, pins: &[(&str, usize, u64)]) {
-    let migrated = re_checkpoint(bytes, sharded);
-    assert_eq!(image(&migrated).version(), 5);
-    assert_eq!(re_checkpoint(&migrated, sharded), migrated);
-    assert_eq!(continue_on_both_hubs(&migrated, tail), pinned(pins));
-}
-
-/// The migration: every format-4 image, restored and checkpointed by this
-/// build, becomes a format-5 image that restores again, re-encodes to its
-/// own bytes and continues with the original's pins. The four-section
-/// images migrate through an `AsyncHub` of four shards and stay
-/// four-section images.
+/// Every committed image, restored and checkpointed by this build on the
+/// hub kind that cut it, re-encodes to its own bytes: a `Hub` for the
+/// one-section images, a four-shard `AsyncHub` for the four-section
+/// ones.
 #[test]
-fn every_format_4_image_migrates_to_format_5() {
-    for bytes in [FIXTURE, SERVING_V3, SERVING_V4] {
-        migrates(bytes, false, 60..160, &FIXTURE_CONTINUATION);
+fn every_image_re_encodes_to_its_own_bytes() {
+    for bytes in [FIXTURE, SERVING_V3, SERVING_V4, SERVING] {
+        assert_eq!(re_checkpoint(bytes, false), bytes);
     }
-    migrates(SHARDED, true, 50..190, &SHARDED_CONTINUATION);
-    migrates(COUNTS, true, 27..127, &COUNTS_CONTINUATION);
+    for bytes in [SHARDED, COUNTS] {
+        assert_eq!(re_checkpoint(bytes, true), bytes);
+    }
 }

@@ -333,7 +333,11 @@ proptest! {
 /// hub that holds every kind of checkpoint record: a count class of two
 /// whose reduction also holds a parked class, a count class that joined
 /// its group at a later slide, an event-clock class, and a warming
-/// member.
+/// member. The same state is bent twice: as the `Hub`'s one-section
+/// image, and as a four-section image of an `AsyncHub`, whose restore
+/// merges the sections. Every fifth bent image is also restored on an
+/// `AsyncHub`, which must accept exactly what the `Hub` accepts and serve
+/// it alike, with every shard healthy.
 #[test]
 fn corrupt_payloads_never_panic() {
     let objects = |range: std::ops::Range<u64>| -> Vec<TimedObject> {
@@ -369,25 +373,55 @@ fn corrupt_payloads_never_panic() {
     let stats = hub.stats();
     assert_eq!((stats.result_classes, stats.class_hits > 0), (4, true));
     let bytes = hub.checkpoint().as_bytes().to_vec();
+    let mut sharded = AsyncHub::restore(&hub.checkpoint(), &DefaultEngineFactory, 4, 2)
+        .expect("the hub's own image restores");
+    let (four, drained) = sharded.checkpoint().expect("healthy shards");
+    assert!(drained.is_empty(), "a restored hub owes no updates");
+    drop(sharded);
     // what every hub that restores must then serve without panicking
     let batch = objects(11..51);
 
-    for pos in 12..bytes.len() - 8 {
-        for mask in [0x01u8, 0x80, 0xFF] {
-            let mut bent = bytes.clone();
-            bent[pos] ^= mask;
-            let tail = bent.len() - 8;
-            let sum = fnv1a(&bent[..tail]);
-            bent[tail..].copy_from_slice(&sum.to_le_bytes());
-            let ckpt = Checkpoint::from_bytes(&bent).expect("frame recomputed to be valid");
-            // Ok (benign mutation, e.g. a score bit) and Err (structural
-            // damage) are both acceptable; panicking is not, on restore
-            // or on the first publish and watermark after it.
-            if let Ok(mut restored) = Hub::restore(&ckpt, &DefaultEngineFactory) {
-                restored.publish_timed(&batch);
-                restored.advance_time(2_000);
+    for image in [bytes, four.as_bytes().to_vec()] {
+        let mut restored = 0;
+        let mut bent_images = 0;
+        for pos in 12..image.len() - 8 {
+            for mask in [0x01u8, 0x80, 0xFF] {
+                let mut bent = image.clone();
+                bent[pos] ^= mask;
+                let tail = bent.len() - 8;
+                let sum = fnv1a(&bent[..tail]);
+                bent[tail..].copy_from_slice(&sum.to_le_bytes());
+                let ckpt = Checkpoint::from_bytes(&bent).expect("frame recomputed to be valid");
+                // Ok (benign mutation, e.g. a score bit) and Err
+                // (structural damage) are both acceptable; panicking is
+                // not, on restore or on the first publish and watermark
+                // after it.
+                let mut served = None;
+                if let Ok(mut hub) = Hub::restore(&ckpt, &DefaultEngineFactory) {
+                    let mut updates = hub.publish_timed(&batch);
+                    updates.extend(hub.advance_time(2_000));
+                    updates.sort_unstable_by_key(|u| (u.query, u.result.slide));
+                    served = Some(updates);
+                    restored += 1;
+                }
+                if bent_images % 5 == 0 {
+                    let reactor = AsyncHub::restore(&ckpt, &DefaultEngineFactory, 3, 2);
+                    assert_eq!(reactor.is_ok(), served.is_some(), "byte {pos} ^ {mask:#x}");
+                    if let (Ok(mut reactor), Some(expected)) = (reactor, served) {
+                        reactor.publish_timed(&batch).expect("healthy shards");
+                        reactor.advance_time(2_000).expect("healthy shards");
+                        let mut got = reactor.drain().expect("healthy shards");
+                        got.sort_unstable_by_key(|u| (u.query, u.result.slide));
+                        assert_eq!(got, expected, "byte {pos} ^ {mask:#x}");
+                    }
+                }
+                bent_images += 1;
             }
         }
+        eprintln!(
+            "{} B image: {restored} of {bent_images} bent images restore",
+            image.len()
+        );
     }
 }
 

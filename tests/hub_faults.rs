@@ -372,21 +372,21 @@ fn corrupt_payloads_never_panic() {
     assert!(hub.session(warming).is_some_and(|s| s.is_warming_up()));
     let stats = hub.stats();
     assert_eq!((stats.result_classes, stats.class_hits > 0), (4, true));
-    let bytes = hub.checkpoint().as_bytes().to_vec();
-    let mut sharded = AsyncHub::restore(&hub.checkpoint(), &DefaultEngineFactory, 4, 2)
-        .expect("the hub's own image restores");
+    let one = hub.checkpoint();
+    let mut sharded =
+        AsyncHub::restore(&one, &DefaultEngineFactory, 4, 2).expect("the hub's own image restores");
     let (four, drained) = sharded.checkpoint().expect("healthy shards");
     assert!(drained.is_empty(), "a restored hub owes no updates");
     drop(sharded);
     // what every hub that restores must then serve without panicking
     let batch = objects(11..51);
 
-    for image in [bytes, four.as_bytes().to_vec()] {
-        let mut restored = 0;
+    for image in [one.as_bytes(), four.as_bytes()] {
+        let mut restores = 0;
         let mut bent_images = 0;
         for pos in 12..image.len() - 8 {
             for mask in [0x01u8, 0x80, 0xFF] {
-                let mut bent = image.clone();
+                let mut bent = image.to_vec();
                 bent[pos] ^= mask;
                 let tail = bent.len() - 8;
                 let sum = fnv1a(&bent[..tail]);
@@ -397,12 +397,12 @@ fn corrupt_payloads_never_panic() {
                 // not, on restore or on the first publish and watermark
                 // after it.
                 let mut served = None;
-                if let Ok(mut hub) = Hub::restore(&ckpt, &DefaultEngineFactory) {
-                    let mut updates = hub.publish_timed(&batch);
-                    updates.extend(hub.advance_time(2_000));
+                if let Ok(mut restored) = Hub::restore(&ckpt, &DefaultEngineFactory) {
+                    let mut updates = restored.publish_timed(&batch);
+                    updates.extend(restored.advance_time(2_000));
                     updates.sort_unstable_by_key(|u| (u.query, u.result.slide));
                     served = Some(updates);
-                    restored += 1;
+                    restores += 1;
                 }
                 if bent_images % 5 == 0 {
                     let reactor = AsyncHub::restore(&ckpt, &DefaultEngineFactory, 3, 2);
@@ -419,7 +419,7 @@ fn corrupt_payloads_never_panic() {
             }
         }
         eprintln!(
-            "{} B image: {restored} of {bent_images} bent images restore",
+            "{} B image: {restores} of {bent_images} bent images restore",
             image.len()
         );
     }

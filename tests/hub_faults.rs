@@ -334,8 +334,9 @@ proptest! {
 /// whose reduction also holds a parked class, a count class that joined
 /// its group at a later slide, an event-clock class, and a warming
 /// member. The same state is bent twice: as the `Hub`'s one-section
-/// image, and as a four-section image of an `AsyncHub`, whose restore
-/// merges the sections. Every fifth bent image is also restored on an
+/// image, and as a four-section image of an `AsyncHub` that holds the
+/// two groups in different sections, whose restore merges the sections
+/// and binds each member to its group across them. Every fifth bent image is also restored on an
 /// `AsyncHub`, which must accept exactly what the `Hub` accepts and serve
 /// it alike, with every shard healthy.
 #[test]
@@ -375,6 +376,10 @@ fn corrupt_payloads_never_panic() {
     let one = hub.checkpoint();
     let mut sharded =
         AsyncHub::restore(&one, &DefaultEngineFactory, 4, 2).expect("the hub's own image restores");
+    // the count group in the first section and the slide group in the
+    // last, so a restore offsets the slide group's members
+    sharded.move_query(late, 0).expect("healthy shards");
+    sharded.move_query(warming, 3).expect("healthy shards");
     let (four, drained) = sharded.checkpoint().expect("healthy shards");
     assert!(drained.is_empty(), "a restored hub owes no updates");
     drop(sharded);

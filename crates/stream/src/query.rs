@@ -79,8 +79,8 @@ pub enum SapError {
         shard: usize,
     },
     /// A checkpoint could not be decoded or restored — unknown bytes, a
-    /// future format version, corruption, or an engine name the restore
-    /// factory cannot build. See
+    /// format version this build does not read, corruption, or an engine
+    /// name the restore factory cannot build. See
     /// [`CheckpointError`](crate::checkpoint::CheckpointError).
     Checkpoint(crate::checkpoint::CheckpointError),
     /// The query's [`Predicate`] is malformed (non-finite score bound,

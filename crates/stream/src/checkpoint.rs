@@ -24,8 +24,9 @@
 //! What a checkpoint captures: every group's producer and id ring, its
 //! result classes — each class's consumer window, slide counter and
 //! previous snapshot (for delta continuity) once, with its member ids —
-//! grouped into their reductions, its warming members with their private
-//! producers, and the sharing counters. What it does not:
+//! grouped into their reductions, its joiners (members still warming up
+//! on a private producer) as its warming members, and the sharing
+//! counters. What it does not:
 //! operation statistics ([`OpStats`](crate::metrics::OpStats) restart at
 //! zero) and engine tuning knobs not implied by the engine name (restored
 //! engines use their defaults — output-identical because every engine is
@@ -100,8 +101,8 @@ pub const MAGIC: [u8; 8] = *b"SAPCKPT\0";
 /// The payload layout version this build reads and writes. Bumped on
 /// any layout change: version 5 writes each group with its reductions
 /// and result classes, one consumer per class and member ids beneath
-/// it, and its warming members. Every other version is rejected with
-/// [`CheckpointError::UnsupportedVersion`].
+/// it, and its joiners as its warming members. Every other version is
+/// rejected with [`CheckpointError::UnsupportedVersion`].
 pub const FORMAT_VERSION: u32 = 5;
 
 /// Section tags of the payload layout (crate-internal; the framing
@@ -113,8 +114,8 @@ pub(crate) mod tags {
     pub const GROUPS: u8 = 3;
     /// The digest sharing counters of one registry.
     pub const COUNTERS: u8 = 4;
-    /// One consumer's framed state, its ring and slide count: a result
-    /// class's, or a warming member's.
+    /// One consumer's framed state, its ring and slide count: a seated
+    /// result class's, or a joiner's.
     pub const ENGINE: u8 = 5;
     /// The admission-plane counters of one registry.
     pub const ADMISSION: u8 = 7;

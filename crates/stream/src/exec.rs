@@ -148,13 +148,6 @@ use crate::shard::{
 /// shard pushes back on the publisher instead of buffering the stream.
 pub const DEFAULT_QUEUE_CAPACITY: usize = 64;
 
-/// How many singly-published objects [`AsyncHub::publish_one`] coalesces
-/// into one pending batch before forcing a flush. Small enough that a
-/// trickle publisher's objects reach the shards promptly relative to any
-/// barrier, large enough that a tight `publish_one` loop costs one `Arc`
-/// batch per `PUBLISH_ONE_COALESCE` objects instead of one per object.
-pub const PUBLISH_ONE_COALESCE: usize = 128;
-
 /// How many queued commands one worker wakeup applies to its claimed
 /// shard before re-entering the reactor. Batching amortizes the lock
 /// crossing and the scheduler pick over the fan-out work; small enough
@@ -599,12 +592,6 @@ pub struct AsyncHub {
     reactor: Arc<Reactor>,
     workers: Vec<JoinHandle<()>>,
     placement: Placement,
-    /// Objects accepted by [`publish_one`](AsyncHub::publish_one) and not
-    /// yet shipped: they coalesce into one `Arc` batch per
-    /// [`PUBLISH_ONE_COALESCE`] objects (or per intervening operation).
-    /// Flushed — preserving publish order — before any other command is
-    /// enqueued, so ordering guarantees are unchanged.
-    pending_one: Vec<Object>,
     /// Updates rescued from a [`resize`](AsyncHub::resize), one sorted
     /// run per retired shard, merged into the next
     /// [`drain`](AsyncHub::drain) — the global `(QueryId, slide)` merge
@@ -679,7 +666,6 @@ impl AsyncHub {
             reactor,
             workers,
             placement: Placement::new(num_shards),
-            pending_one: Vec::new(),
             parked_updates: Vec::new(),
             targets: Vec::new(),
             pool: ArcPool::new(),
@@ -706,9 +692,6 @@ impl AsyncHub {
     /// member of the group it targeted.
     pub fn subscribe(&mut self, registration: Registration) -> Result<QueryId, SapError> {
         let member = registration.admit()?;
-        // coalesced publishes precede the registration; this also
-        // settles `published`, so a count group's key is phase-exact
-        self.flush_pending_one()?;
         register_on(&mut self.placement, &self.reactor, member)
     }
 
@@ -721,7 +704,6 @@ impl AsyncHub {
     /// shard). A shared or grouped query leaves its group; the last
     /// member out retires the group.
     pub fn unregister(&mut self, id: QueryId) -> Result<HubSession, SapError> {
-        self.flush_pending_one()?;
         unregister_on(&mut self.placement, &self.reactor, id)
     }
 
@@ -738,31 +720,6 @@ impl AsyncHub {
                 .filter(|(_, len)| **len > 0)
                 .map(|(i, _)| i),
         );
-    }
-
-    /// Ships the coalesced `publish_one` buffer as one batch, preserving
-    /// publish order. Called before any other command is enqueued (and
-    /// on drop), so a singly-published object is always ordered exactly
-    /// where its `publish_one` call was.
-    fn flush_pending_one(&mut self) -> Result<(), SapError> {
-        if self.pending_one.is_empty() {
-            return Ok(());
-        }
-        // swap the buffer out so the borrow checker lets publish_batch
-        // borrow &mut self; its capacity is preserved and restored below
-        let pending = std::mem::take(&mut self.pending_one);
-        let result = self.publish_batch(&pending);
-        self.pending_one = pending;
-        self.pending_one.clear();
-        result
-    }
-
-    fn publish_batch(&mut self, objects: &[Object]) -> Result<(), SapError> {
-        let batch = self.pool.batch(objects);
-        self.placement.published += objects.len() as u64;
-        self.collect_targets();
-        self.reactor
-            .broadcast(&self.targets, || Command::Publish(Arc::clone(&batch)))
     }
 
     /// Publishes a batch to every registered query: one lock crossing
@@ -785,8 +742,11 @@ impl AsyncHub {
         if objects.is_empty() || self.placement.registered.is_empty() {
             return Ok(());
         }
-        self.flush_pending_one()?;
-        self.publish_batch(objects)
+        let batch = self.pool.batch(objects);
+        self.placement.published += objects.len() as u64;
+        self.collect_targets();
+        self.reactor
+            .broadcast(&self.targets, || Command::Publish(Arc::clone(&batch)))
     }
 
     /// Publishes a batch of **timestamped** objects (non-decreasing
@@ -798,7 +758,6 @@ impl AsyncHub {
         if objects.is_empty() || self.placement.registered.is_empty() {
             return Ok(());
         }
-        self.flush_pending_one()?;
         let batch = self.timed_pool.batch(objects);
         // the untimed view feeds count groups too, so timed batches
         // advance the offset counter exactly like plain ones
@@ -815,39 +774,20 @@ impl AsyncHub {
         if self.placement.registered.is_empty() {
             return Ok(());
         }
-        self.flush_pending_one()?;
         self.collect_targets();
         self.reactor
             .broadcast(&self.targets, || Command::AdvanceTime(watermark))
     }
 
-    /// Publishes one object, **coalescing** it into a pending batch
-    /// instead of wrapping every object in its own `Arc`: the buffer is
-    /// shipped as one batch after [`PUBLISH_ONE_COALESCE`] objects, or
-    /// earlier when any other operation (a batch publish, a
-    /// registration, [`flush`](AsyncHub::flush),
-    /// [`drain`](AsyncHub::drain), [`inspect`](AsyncHub::inspect), …)
-    /// needs the queues — so every observable ordering guarantee is
-    /// exactly [`publish`](AsyncHub::publish)'s. With zero registered
-    /// queries the object is dropped. A dead shard may therefore be
-    /// reported by the operation that triggers the flush rather than the
-    /// `publish_one` call that buffered the object.
+    /// Publishes one object (convenience over
+    /// [`publish`](AsyncHub::publish), whose contract it keeps).
     pub fn publish_one(&mut self, object: Object) -> Result<(), SapError> {
-        if self.placement.registered.is_empty() {
-            return Ok(());
-        }
-        self.pending_one.push(object);
-        if self.pending_one.len() >= PUBLISH_ONE_COALESCE {
-            self.flush_pending_one()
-        } else {
-            Ok(())
-        }
+        self.publish(std::slice::from_ref(&object))
     }
 
     /// Whether a [`publish`](AsyncHub::publish) right now would proceed
-    /// without parking: every non-empty shard's queue has room for this
-    /// publish (including shipping any coalesced `publish_one` tail
-    /// first). A dead shard is the typed [`SapError::ShardDown`].
+    /// without parking: every non-empty shard's queue has room for one
+    /// more command. A dead shard is the typed [`SapError::ShardDown`].
     ///
     /// The answer can only move toward *more* room until the hub thread
     /// publishes or enqueues again (workers only ever free queue space),
@@ -858,9 +798,8 @@ impl AsyncHub {
         if self.placement.registered.is_empty() {
             return Ok(true);
         }
-        let need = 1 + usize::from(!self.pending_one.is_empty());
         self.collect_targets();
-        self.reactor.ready_for(&self.targets, need)
+        self.reactor.ready_for(&self.targets, 1)
     }
 
     /// Non-parking publish: ships the batch if every recipient queue has
@@ -870,11 +809,6 @@ impl AsyncHub {
     pub fn try_publish(&mut self, objects: &[Object]) -> Result<bool, SapError> {
         if objects.is_empty() || self.placement.registered.is_empty() {
             return Ok(true);
-        }
-        // with a capacity-1 queue there is never room for tail + batch
-        // in one window; ship the tail (blocking, ordered) first
-        if !self.pending_one.is_empty() && self.reactor.capacity < 2 {
-            self.flush_pending_one()?;
         }
         if !self.poll_ready()? {
             return Ok(false);
@@ -916,7 +850,6 @@ impl AsyncHub {
     /// processed everything published so far. Accumulated updates stay
     /// shard-side for a later [`drain`](AsyncHub::drain).
     pub fn flush(&mut self) -> Result<(), SapError> {
-        self.flush_pending_one()?;
         flush_on(&self.placement, &self.reactor)
     }
 
@@ -928,7 +861,6 @@ impl AsyncHub {
     /// contract: their slide indices are assigned by event-time closure
     /// order, a pure function of the published sequence.
     pub fn drain(&mut self) -> Result<Vec<QueryUpdate>, SapError> {
-        self.flush_pending_one()?;
         drain_on(&self.placement, &self.reactor, &mut self.parked_updates)
     }
 
@@ -936,9 +868,6 @@ impl AsyncHub {
     /// reflecting everything published before this call. Unknown handles
     /// are a typed [`SapError::UnknownQuery`].
     pub fn inspect(&mut self, id: QueryId) -> Result<QueryState, SapError> {
-        // "reflects everything published before this call" includes the
-        // coalesced publish_one buffer
-        self.flush_pending_one()?;
         inspect_on(&self.placement, &self.reactor, id)
     }
 
@@ -949,7 +878,6 @@ impl AsyncHub {
     /// lives reactor-side, so it is overlaid here rather than reported
     /// by the shard registries. A dead shard is [`SapError::ShardDown`].
     pub fn stats(&mut self) -> Result<HubStats, SapError> {
-        self.flush_pending_one()?;
         let mut stats = stats_on(&self.placement, &self.reactor)?;
         let state = self.reactor.state();
         stats.publisher_parks =
@@ -1050,7 +978,6 @@ impl AsyncHub {
     /// If `shard >= self.num_shards()` — a placement that cannot exist,
     /// i.e. a caller bug, not a data-dependent condition.
     pub fn move_query(&mut self, id: QueryId, shard: usize) -> Result<(), SapError> {
-        self.flush_pending_one()?;
         move_query_on(&mut self.placement, &self.reactor, id, shard)
     }
 
@@ -1071,7 +998,6 @@ impl AsyncHub {
     /// each group lands where its lowest member id hashes.
     pub fn resize(&mut self, num_shards: usize) -> Result<(), SapError> {
         let num_shards = num_shards.max(1);
-        self.flush_pending_one()?;
         let merged = eject_all_on(&self.placement, &self.reactor, &mut self.parked_updates)?;
         // quiesce: eject replies guarantee empty queues, but a worker
         // may still hold a core between unlock and put-back — wait until
@@ -1095,12 +1021,10 @@ impl AsyncHub {
 }
 
 impl Drop for AsyncHub {
-    /// Ships any coalesced `publish_one` tail (best effort), then wakes
-    /// and joins the workers. Outstanding commands are processed before
-    /// a worker exits; accumulated updates that were never drained are
-    /// discarded.
+    /// Wakes and joins the workers. Outstanding commands are processed
+    /// before a worker exits; accumulated updates that were never drained
+    /// are discarded.
     fn drop(&mut self) {
-        let _ = self.flush_pending_one();
         self.reactor.state().shutdown = true;
         self.reactor.work_cv.notify_all();
         self.reactor.room_cv.notify_all();

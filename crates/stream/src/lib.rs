@@ -121,7 +121,7 @@ pub use events::{
 };
 pub use exec::{
     AsyncHub, FifoScheduler, Scheduler, SeededScheduler, COMMANDS_PER_WAKEUP,
-    DEFAULT_QUEUE_CAPACITY, PUBLISH_ONE_COALESCE,
+    DEFAULT_QUEUE_CAPACITY,
 };
 pub use generators::{ArrivalProcess, Dataset, Workload};
 pub use metrics::OpStats;

@@ -42,10 +42,11 @@
 //! `(s, predicate)` can have an empty open slide (two always sit at
 //! different offsets mod `s`), and a registration that finds none founds
 //! a group at the current offset. An event-clock member joins its one
-//! group; if the group has ingested anything it **warms up** on a
-//! private producer fed the raw stream until the group slide it joined
-//! during has closed, after which the private and shared views provably
-//! coincide. Warm-up slides count as
+//! group; if the group has ingested anything it **warms up** as one of
+//! the group's **joiners**: a private producer fed the raw stream serves
+//! its class until the group slide it joined during has closed, after
+//! which the private and shared views provably coincide and the group
+//! seats the class as a reduction of its own. Warm-up slides count as
 //! [`digest_rebuilds`](HubStats::digest_rebuilds), served slides as
 //! [`digest_hits`](HubStats::digest_hits) or
 //! [`count_group_hits`](HubStats::count_group_hits).
@@ -54,10 +55,10 @@
 //!
 //! Within a group, members with equal window, `k` and join slide whose
 //! pasts provably coincide compute byte-identical slides, so they form
-//! one **result class** that owns their one consumer. Every member that
-//! is not warming up sits in exactly one class: a member that starts in
-//! step with its group joins the class with its key (or founds one),
-//! and a warmed-up member founds a class of its own. A slide close
+//! one **result class** that owns their one consumer. Every member sits
+//! in exactly one class: a member that starts in step with its group
+//! joins the class with its key (or founds one), and a joiner's class is
+//! its own, one joiner each, until its seating. A slide close
 //! serves every class from the producer's borrowed [`DigestView`] inside
 //! the close: the id translation and the delta diff run **once per
 //! class** (the engine slide once per reduction, below), and each member
@@ -90,7 +91,7 @@
 //!
 //! Only classes whose consumers are all fresh can meet, so only in-step
 //! classes share: a newcomer with a larger `k` takes over a reduction
-//! that has applied no slide yet, while a warmed-up member founds a
+//! that has applied no slide yet, while a joiner's class is seated as a
 //! reduction of its own. When the reducing class
 //! empties, its last member leaves with the in-step consumer, and the
 //! largest remaining class takes over; its parked consumer rehydrates
@@ -101,9 +102,10 @@
 //! fault model relies on (an engine panic there has no reply to lose).
 //!
 //! A group keeps its classes for its whole life: `move_query`, `resize`
-//! and a checkpoint carry it whole, classes and reductions included. A
-//! checkpoint writes each group with its reductions, each class once
-//! with its consumer and its member ids, and a restore installs them the
+//! and a checkpoint carry it whole, classes, reductions and joiners
+//! included. A checkpoint writes each group with its reductions, each
+//! class once with its consumer and its member ids, then its joiners,
+//! and a restore installs them the
 //! way a resize does ([`RegistryParts::merge`]): every class's consumer
 //! comes back parked, and each reduction's reducing class rehydrates —
 //! one engine replay per reduction.
@@ -111,14 +113,11 @@
 //! ## Per-call cost
 //!
 //! The session store holds every registered query, but a publish or
-//! watermark call never walks it. The registry keeps one ascending list
-//! of the store entries that need service on **every** call: the warming
-//! members. A quiet call therefore costs O(groups) ingest plus O(list)
-//! member work; a classed member costs one update record per emission
-//! and is never looked up. The list is kept in step with every store
-//! mutation — O(list) for a single register or unregister, one O(store)
-//! rebuild for the bulk paths (restore, group installation and
-//! ejection), which already cost O(store).
+//! watermark call never walks it: every member's consumer lives in a
+//! class of its group, so a call serves groups only. A quiet call
+//! therefore costs O(groups) ingest, plus each joiner's private ingest
+//! inside its group; a member costs one update record per emission and
+//! is never looked up.
 //!
 //! [`Hub`]: crate::session::Hub
 //! [`AsyncHub`]: crate::exec::AsyncHub
@@ -162,8 +161,9 @@ pub struct HubStats {
     /// Slides served to a time-based member from its group's digest —
     /// work the member did **not** redo.
     pub digest_hits: u64,
-    /// Slides a time-based member computed from its private warm-up
-    /// producer (mid-stream joins catching up to their group).
+    /// Slides a joiner's class computed from its private warm-up
+    /// producer — a time-based member that registered mid-slide, catching
+    /// up to its group (see the module docs).
     pub digest_rebuilds: u64,
     /// Count-based queries — every one is served by its count group
     /// ([`Registration::grouped`]).
@@ -216,10 +216,11 @@ pub struct HubStats {
     pub pruned: u64,
     /// Live result classes across both sharing planes (see the module
     /// docs on result classes), each keyed by window, `k` and join slide
-    /// inside its group. Every member that is not warming up sits in
-    /// exactly one class, so this equals the number of diffs run per
-    /// slide close; the gap to `grouped_queries + shared_queries` is the
-    /// work the second tier collapses. It counts classes, not the
+    /// inside its group. Every member sits in exactly one class, and a
+    /// joiner's class counts from its seating on, so this equals the
+    /// number of diffs a group slide close runs; the gap to
+    /// `grouped_queries + shared_queries` is the work the second tier
+    /// collapses. It counts classes, not the
     /// reductions that run their engines: classes that share a
     /// reduction count once each, as they did before reductions
     /// existed. Classes travel with their group through `move_query`,
@@ -414,8 +415,8 @@ impl GroupKeys {
 ///   `W⟨window_duration, slide_duration⟩`: each slide's top-`k_max` is
 ///   computed once per slide group (equal `slide_duration` and
 ///   predicate) and every member slices its own `k`. A member joining
-///   mid-stream warms up privately for at most the rest of the open
-///   slide. Its engine answers the Appendix-A reduction
+///   mid-stream warms up as one of its group's joiners for at most the
+///   rest of the open slide. Its engine answers the Appendix-A reduction
 ///   `⟨(n/s)·k, k, k⟩` of the durations ([`TimedSpec::reduced`]);
 /// * [`grouped`](Registration::grouped) — a count-based query
 ///   `⟨n, k, s⟩`: queries with equal slide length, registration offset
@@ -543,7 +544,8 @@ pub(crate) type HubGroup = Group<Box<dyn SlidingTopK + Send>>;
 /// that truncates each slide once at `k_max`, the subscription
 /// predicate, the dominance gate, the clock, and the result classes
 /// serving the members. A group travels whole — in [`RegistryParts`]
-/// (resize and restore) and in a migration — classes included.
+/// (resize and restore) and in a migration — classes and joiners
+/// included.
 pub(crate) struct Group<C: SlidingTopK> {
     producer: DigestProducer,
     /// Objects it rejects advance the group's clock but are never
@@ -554,7 +556,7 @@ pub(crate) struct Group<C: SlidingTopK> {
     /// decoded, reset at every slide close.
     gate: PruneGate,
     clock: GroupClock,
-    /// Registered members, classed and warming alike.
+    /// Registered members, joiners included.
     members: usize,
     /// The widest member window: the arrival clock's ring retains
     /// `widest + s` ordinals, which covers every ordinal a member can
@@ -562,9 +564,11 @@ pub(crate) struct Group<C: SlidingTopK> {
     /// close (before later arrivals can evict entries). Trimming is
     /// lazy, so a shrink drains over time.
     widest: u64,
-    /// Every member that is not warming up sits in exactly one class of
-    /// exactly one reduction.
+    /// Every member sits in exactly one class: of one reduction, or of
+    /// one joiner.
     reductions: Vec<Reduction<C>>,
+    /// The event clock's mid-slide registrants, by ascending member id.
+    joiners: Vec<Joiner<C>>,
 }
 
 /// How a group tells time, with the arrival clock's state.
@@ -679,6 +683,7 @@ impl<C: SlidingTopK> Group<C> {
             members: 0,
             widest: 0,
             reductions: Vec::new(),
+            joiners: Vec::new(),
         }
     }
 
@@ -717,31 +722,30 @@ impl<C: SlidingTopK> Group<C> {
         self.widest = self.widest.max(member.window());
     }
 
-    /// Every result class, across the group's reductions.
+    /// Every seated result class, across the group's reductions.
     fn classes(&self) -> impl Iterator<Item = &Class<C>> {
         self.reductions.iter().flat_map(|r| &r.classes)
     }
 
-    /// The class holding classed member `id`, with its position
-    /// (reduction, class): `O(classes)` binary searches of the ascending
-    /// member lists.
+    /// Every reduction: the seated ones, then the joiners'.
+    fn all_reductions(&self) -> impl Iterator<Item = &Reduction<C>> {
+        let joiners = self.joiners.iter().map(|j| &j.reduction);
+        self.reductions.iter().chain(joiners)
+    }
+
+    /// The class holding member `id`, with its position (reduction,
+    /// class) in [`all_reductions`](Group::all_reductions), so a joiner's
+    /// reduction index is past the seated ones: `O(classes)` binary
+    /// searches of the ascending member lists.
     fn class_of(&self, id: QueryId) -> ((usize, usize), &Class<C>) {
-        self.reductions
-            .iter()
+        self.all_reductions()
             .enumerate()
             .find_map(|(ri, r)| {
                 let holds = |c: &&Class<C>| c.members.binary_search(&id).is_ok();
                 let (ci, class) = r.classes.iter().enumerate().find(|(_, c)| holds(c))?;
                 Some(((ri, ci), class))
             })
-            .expect("a classed member's group holds its class")
-    }
-
-    /// Founds a reduction of one class around `member`'s consumer.
-    fn found_class(&mut self, id: QueryId, member: &mut GroupSession<C>) {
-        self.reductions.push(Reduction {
-            classes: vec![Class::around(id, member)],
-        });
+            .expect("a member's group holds its class")
     }
 
     /// The admission plane: the predicate gates fan-out, then the
@@ -811,6 +815,97 @@ impl<C: SlidingTopK> Group<C> {
         }
     }
 
+    /// Moves the group's clock by `tick`. The joiners go first, served
+    /// over the whole tick from their private producers. Then the clock
+    /// steps once per object: the step closes the slides it crosses
+    /// (event time before the object lands, so the gate judges it against
+    /// the slide it lands in; the arrival clock after, as its ordinal
+    /// fills the slide), and the admission plane buffers the object in
+    /// between. Last, every joiner whose join slide has closed is seated.
+    /// A tick that carries nothing for the clock leaves the group alone.
+    fn serve(&mut self, tick: Tick<'_>, counters: &mut Counters, delivery: &mut Delivery<'_>) {
+        let objects = match (tick, &self.clock) {
+            (Tick::Timed(objects), _) | (Tick::Untimed(objects), GroupClock::Arrival(_)) => objects,
+            (Tick::Watermark(_), GroupClock::Event) => &[],
+            _ => return,
+        };
+        self.serve_joiners(tick, counters, delivery);
+        let retain = self.widest.saturating_add(self.producer.slide_duration());
+        for raw in objects {
+            let (o, after) = self.clock.step(*raw, retain);
+            self.advance(o.timestamp, counters, delivery);
+            self.admit(raw, o, counters);
+            self.advance(after, counters, delivery);
+        }
+        if let Tick::Watermark(watermark) = tick {
+            self.advance(watermark, counters, delivery);
+        }
+        self.seat_joiners();
+    }
+
+    /// Serves every joiner over the whole tick from its private producer,
+    /// fed the raw stream through the group's predicate: a rejected
+    /// object still moves the private clock (closing any slides its
+    /// timestamp implies), exactly as it moves the group's, so the two
+    /// close identical slide sequences for the seating. Each close runs
+    /// the joiner's one-class reduction, and its slides count as
+    /// [`digest_rebuilds`](HubStats::digest_rebuilds).
+    fn serve_joiners(
+        &mut self,
+        tick: Tick<'_>,
+        counters: &mut Counters,
+        delivery: &mut Delivery<'_>,
+    ) {
+        let Group {
+            predicate,
+            clock,
+            joiners,
+            ..
+        } = self;
+        for Joiner {
+            producer,
+            reduction,
+            ..
+        } in joiners
+        {
+            let close: &mut dyn FnMut(DigestView<'_>) = &mut |view| {
+                reduction.close(view, clock, |members, slide, snapshot, events| {
+                    delivery.stamp(members, slide, &snapshot, &events);
+                    counters.digest_rebuilds += members.len() as u64;
+                })
+            };
+            match tick {
+                Tick::Timed(objects) => {
+                    for &o in objects {
+                        producer.advance_to_with(o.timestamp, close);
+                        if predicate.accepts_timed(&o) {
+                            producer.ingest_with(o, close);
+                        }
+                    }
+                }
+                Tick::Watermark(watermark) => producer.advance_to_with(watermark, close),
+                Tick::Untimed(_) => {}
+            }
+        }
+    }
+
+    /// Seats every joiner whose join slide the group has closed as a
+    /// reduction of its own, in id order: both producers processed the
+    /// same timestamps, so from the group's next slide on the private and
+    /// shared views are identical.
+    fn seat_joiners(&mut self) {
+        let next = self.producer.next_slide();
+        let ready = self.joiners.extract_if(.., |j| j.open_slide < next);
+        self.reductions.extend(ready.map(|j| {
+            debug_assert_eq!(
+                j.class().consumer.slides_applied(),
+                next,
+                "warm-up must hand off exactly at the group's slide cursor"
+            );
+            j.reduction
+        }));
+    }
+
     /// Writes the group's state: an event-clock group's slide duration,
     /// predicate and producer; an arrival-clock group's predicate,
     /// producer, ordinal (explicit: under admission control the fill is
@@ -874,14 +969,8 @@ impl<C: SlidingTopK> Group<C> {
     /// head first — the consumer's engine name, window, `k` and join
     /// slide, the class's previous emission, the consumer's ring and slide
     /// count in their own frame, then the member ids with their engine
-    /// names; and its `warming` members, indices into `sessions`, each
-    /// with its own consumer and warm-up.
-    fn encode_record(
-        &self,
-        e: &mut Encoder,
-        sessions: &[(QueryId, GroupSession<C>)],
-        warming: &[usize],
-    ) {
+    /// names; and its joiners, as its warming members ([`Joiner::encode`]).
+    fn encode_record(&self, e: &mut Encoder, sessions: &[(QueryId, GroupSession<C>)]) {
         e.put_u8(match self.clock {
             GroupClock::Event => 0,
             GroupClock::Arrival(_) => 1,
@@ -909,25 +998,20 @@ impl<C: SlidingTopK> Group<C> {
                 }
             }
         }
-        e.put_u64(warming.len() as u64);
-        for &i in warming {
-            let (id, m) = &sessions[i];
-            e.put_u64(id.raw());
-            e.put_str(m.engine_name());
-            e.put_u64(m.window());
-            e.put_usize(m.k());
-            m.encode_warming(e);
+        e.put_u64(self.joiners.len() as u64);
+        for joiner in &self.joiners {
+            joiner.encode(e);
         }
     }
 
     /// Reads one [`encode_record`](Group::encode_record) record as the
     /// group at `index` of its registry section, in the shape
-    /// [`Registry::eject_all`] hands out: the group owns its classes and
-    /// reductions and counts its members, whose sessions are appended to
-    /// `sessions` — a classed member without a consumer, a warming one
-    /// with its own. Every class's consumer comes back parked, and each
-    /// reduction's head rehydrates: one engine replay per reduction. The
-    /// record's shape is checked here, its state against the group in
+    /// [`Registry::eject_all`] hands out: the group owns its classes,
+    /// reductions and joiners and counts its members, whose sessions,
+    /// all without a consumer, are appended to `sessions`. Every class's
+    /// consumer comes back parked, and each reduction's head rehydrates
+    /// (a joiner's too): one engine replay per reduction. The record's
+    /// shape is checked here, its state against the group in
     /// [`RegistryParts::merge`].
     fn decode_record(
         dec: &mut Decoder<'_>,
@@ -941,7 +1025,7 @@ impl<C: SlidingTopK> Group<C> {
             _ => return Err(CheckpointError::Corrupt("unknown group clock").into()),
         };
         let mut group = Group::decode(clock, dec)?;
-        let (slide, predicate) = (group.producer.slide_duration(), group.predicate);
+        let slide = group.producer.slide_duration();
         let corrupt = |what| SapError::from(CheckpointError::Corrupt(what));
         for _ in 0..dec.take_seq_len()? {
             let mut classes: Vec<Class<C>> = Vec::new();
@@ -970,14 +1054,8 @@ impl<C: SlidingTopK> Group<C> {
                     if members.last().is_some_and(|last| *last >= id) {
                         return Err(corrupt("class member ids do not ascend"));
                     }
-                    let m = GroupSession::classed(
-                        clock,
-                        &consumer,
-                        dec.take_str()?,
-                        predicate,
-                        join_slide,
-                        index,
-                    );
+                    let m =
+                        GroupSession::classed(clock, &consumer, dec.take_str()?, join_slide, index);
                     group.count(&m);
                     members.push(id);
                     sessions.push((id, m));
@@ -999,20 +1077,48 @@ impl<C: SlidingTopK> Group<C> {
             head.consumer.rehydrate();
             group.reductions.push(Reduction { classes });
         }
-        let warming = dec.take_seq_len()?;
-        if warming > 0 && clock == Clock::Arrival {
+        let joiners = dec.take_seq_len()?;
+        if joiners > 0 && clock == Clock::Arrival {
             return Err(corrupt("count-group member warming up"));
         }
-        for _ in 0..warming {
+        for _ in 0..joiners {
             let id = QueryId::from_raw(dec.take_u64()?);
             let name = dec.take_str()?;
             let (window, k) = (dec.take_u64()?, dec.take_usize()?);
-            let consumer = fresh_consumer(count, clock, name, (window, slide, k))?;
-            let mut m = GroupSession::decode_warming(consumer, predicate, dec)?;
-            m.set_group(index);
+            let mut consumer = fresh_consumer(count, clock, name, (window, slide, k))?;
+            // the slide count, which the consumer's own frame restates
+            dec.take_u64()?;
+            let prev = Snapshot::decode_state(dec)?;
+            let mut blob = dec.section(tags::ENGINE)?;
+            consumer.restore_state(&mut blob)?;
+            blob.finish()?;
+            consumer.rehydrate();
+            let open_slide = dec.take_u64()?;
+            let producer = DigestProducer::decode_state(dec)?;
+            if producer.slide_duration() != slide {
+                return Err(corrupt(
+                    "warm-up producer disagrees with its session's slide duration",
+                ));
+            }
+            let m = GroupSession::classed(clock, &consumer, consumer.name(), 0, index);
             group.count(&m);
             sessions.push((id, m));
+            let class = Class {
+                join_slide: 0,
+                consumer,
+                members: vec![id],
+                prev,
+                scratch: SlideScratch::default(),
+            };
+            group.joiners.push(Joiner {
+                producer,
+                open_slide,
+                reduction: Reduction {
+                    classes: vec![class],
+                },
+            });
         }
+        group.joiners.sort_by_key(Joiner::member);
         Ok(group)
     }
 
@@ -1089,6 +1195,13 @@ struct Reduction<C: SlidingTopK> {
 }
 
 impl<C: SlidingTopK> Reduction<C> {
+    /// A reduction of one class, around `member`'s consumer.
+    fn around(id: QueryId, member: &mut GroupSession<C>) -> Self {
+        Reduction {
+            classes: vec![Class::around(id, member)],
+        }
+    }
+
     /// The window and join slide every class shares.
     fn key(&self) -> (u64, u64) {
         let head = &self.classes[0];
@@ -1197,6 +1310,61 @@ impl<C: SlidingTopK> Class<C> {
     }
 }
 
+/// An event-clock member that registered mid-slide, warming up (see the
+/// [module docs](self)): a private producer, fed the raw stream through
+/// the group's predicate, serves the member's one-class reduction until
+/// the group has closed the slide the member joined during. Every later
+/// slide started after the registration, so from then on the private
+/// and shared views coincide and the group seats the reduction as its
+/// own. The class's join slide is 0: event-clock slide indices are
+/// global, so the warm-up closes the empty slides before the
+/// registration, like a standalone session does.
+struct Joiner<C: SlidingTopK> {
+    producer: DigestProducer,
+    /// The group's open slide at registration.
+    open_slide: u64,
+    reduction: Reduction<C>,
+}
+
+impl<C: SlidingTopK> Joiner<C> {
+    fn class(&self) -> &Class<C> {
+        &self.reduction.classes[0]
+    }
+
+    fn member(&self) -> QueryId {
+        self.class().members[0]
+    }
+
+    /// Whether the joiner can be seated in its group, whose producer is
+    /// `group`: the group is as deep as its `k`, its consumer applied
+    /// exactly the slides its private producer closed, and neither
+    /// producer has passed the slide it waits for, so both close it on
+    /// the same watermark.
+    fn in_step(&self, group: &DigestProducer) -> bool {
+        let (consumer, own) = (&self.class().consumer, self.producer.next_slide());
+        group.k_max() >= consumer.k()
+            && consumer.slides_applied() == own
+            && own.max(group.next_slide()) <= self.open_slide
+    }
+
+    /// Writes the joiner as its group record's warming member: the
+    /// member's id, engine name, window and `k`, its slide count and
+    /// previous emission, the consumer's ring and slide count in their own
+    /// frame, then the open slide it waits for and the private producer.
+    fn encode(&self, e: &mut Encoder) {
+        let Class { consumer, prev, .. } = self.class();
+        e.put_u64(self.member().raw());
+        e.put_str(consumer.name());
+        e.put_u64(consumer.window_duration());
+        e.put_usize(consumer.k());
+        e.put_u64(consumer.slides_applied());
+        prev.encode_state(e);
+        e.section(tags::ENGINE, |e| consumer.encode_state(e));
+        e.put_u64(self.open_slide);
+        self.producer.encode_state(e);
+    }
+}
+
 /// The sharing counters — see the [`HubStats`] fields of the same
 /// names. A checkpoint carries all six: the hits, the rebuilds and
 /// `class_hits` in `COUNTERS`, admission in `ADMISSION`.
@@ -1268,11 +1436,6 @@ impl Counters {
 /// per publish call.
 pub(crate) struct Registry<C: SlidingTopK> {
     sessions: Vec<(QueryId, GroupSession<C>)>,
-    /// Ascending indices into `sessions` of the entries every publish and
-    /// watermark call serves directly: the warming members (see the
-    /// module docs on per-call cost). Walking it in order is registration
-    /// order.
-    solo: Vec<usize>,
     /// Live group id → group. Ids are opaque registry-local handles,
     /// never reused: an arrival-clock group's offset class shifts across
     /// checkpoint, restore and resize epochs, so it is never an identity.
@@ -1307,7 +1470,6 @@ impl<C: SlidingTopK> Default for Registry<C> {
     fn default() -> Self {
         Registry {
             sessions: Vec::new(),
-            solo: Vec::new(),
             groups: HashMap::new(),
             by_key: HashMap::new(),
             next_gid: 0,
@@ -1366,10 +1528,10 @@ impl<C: SlidingTopK> RegistryParts<C> {
     /// group's geometry class was split, which the hub never produces,
     /// so it is corruption rather than a merge.
     ///
-    /// Every result class is checked against its group
-    /// ([`Group::check_consumer`]), and a warming member must be able to
-    /// hand off to its group. A classed member shares its class's state,
-    /// so its class's check covers it.
+    /// Every seated result class is checked against its group
+    /// ([`Group::check_consumer`]), and every joiner must be able to be
+    /// seated in its group ([`Joiner::in_step`]). A member shares its
+    /// class's state, so its class's check covers it.
     pub(crate) fn merge(parts: Vec<Self>) -> Result<Self, CheckpointError> {
         let mut sessions = Vec::new();
         let mut groups: Vec<Group<C>> = Vec::new();
@@ -1398,11 +1560,8 @@ impl<C: SlidingTopK> RegistryParts<C> {
                 "duplicate query id across registry sections",
             ));
         }
-        for (_, m) in &sessions {
-            let group = &groups[m.group() as usize];
-            if m.is_warming_up()
-                && (group.producer.k_max() < m.k() || !m.warms_in_step(group.producer.next_slide()))
-            {
+        for group in &groups {
+            if group.joiners.iter().any(|j| !j.in_step(&group.producer)) {
                 return Err(CheckpointError::Corrupt(
                     "warming member out of step with its group",
                 ));
@@ -1489,9 +1648,13 @@ impl Delivery<'_> {
     /// The per-member half of a class close: one update per member, each
     /// holding the class's shared snapshot and delta under the class's
     /// slide number. No session is touched — the class keeps the
-    /// members' progress.
+    /// members' progress. The call's first update sizes the output from
+    /// the hint (at least these members): its first, and typically only,
+    /// allocation.
     fn stamp(&mut self, members: &[QueryId], slide: u64, snapshot: &Snapshot, events: &EventList) {
-        presize(self.out, self.hint, members.len());
+        if self.out.capacity() == 0 {
+            self.out.reserve(self.hint.max(members.len()));
+        }
         self.out.extend(members.iter().map(|&query| QueryUpdate {
             query,
             result: SlideResult {
@@ -1514,30 +1677,6 @@ enum Tick<'a> {
     Watermark(u64),
 }
 
-/// The tagged-update sink every publish path hands its warming members:
-/// pushes each emitted [`SlideResult`] straight into the output as a
-/// `QueryUpdate`.
-fn tagged_sink<'a>(
-    out: &'a mut Vec<QueryUpdate>,
-    hint: usize,
-    query: QueryId,
-) -> impl FnMut(SlideResult) + 'a {
-    move |result| {
-        presize(out, hint, 1);
-        out.push(QueryUpdate { query, result });
-    }
-}
-
-/// Pre-sizes a call's output from the retained hint (at least `more`)
-/// on its first update, the first (and typically only) allocation. One
-/// definition, so the warming members and the class closes can never
-/// diverge on the reservation policy.
-fn presize(out: &mut Vec<QueryUpdate>, hint: usize, more: usize) {
-    if out.capacity() == 0 {
-        out.reserve(hint.max(more));
-    }
-}
-
 /// Folds one publish call's update count into the retained hint: track
 /// the recent high-water mark, halving while above it so a catch-up
 /// burst decays instead of inflating every later reservation. A call
@@ -1549,31 +1688,18 @@ fn note_update_hint(hint: &mut usize, emitted: usize) {
     }
 }
 
-/// Whether every member among `sessions` sits where a live group keeps
-/// it: a warming member in no class of its group, any other in exactly
-/// one — the shape a group must arrive in when it is installed.
+/// Whether every member among `sessions` sits in exactly one class of
+/// its live group, a joiner's included — the shape a group must arrive
+/// in when it is installed.
 fn members_in_classes<C: SlidingTopK>(
     groups: &HashMap<u64, Group<C>>,
     sessions: &[(QueryId, GroupSession<C>)],
 ) -> bool {
     sessions.iter().all(|(id, m)| {
-        let classes = groups[&m.group()].classes();
+        let classes = groups[&m.group()].all_reductions().flat_map(|r| &r.classes);
         let holding = classes.filter(|c| c.members.binary_search(id).is_ok());
-        holding.count() == usize::from(!m.is_warming_up())
+        holding.count() == 1
     })
-}
-
-/// Serves a warming member through `warm`, counting its private slides
-/// as [`digest_rebuilds`](HubStats::digest_rebuilds).
-fn serve_warming(
-    rebuilds: &mut u64,
-    sink: &mut dyn FnMut(SlideResult),
-    warm: impl FnOnce(&mut dyn FnMut(SlideResult)),
-) {
-    warm(&mut |result| {
-        *rebuilds += 1;
-        sink(result);
-    });
 }
 
 impl<C: SlidingTopK> Registry<C> {
@@ -1588,41 +1714,13 @@ impl<C: SlidingTopK> Registry<C> {
         }
     }
 
-    /// Appends a freshly registered member — ids are handed out
-    /// monotonically, so appending keeps the store in ascending-id order
-    /// — and lists it for per-call service while it warms up.
-    fn push_session(&mut self, id: QueryId, m: GroupSession<C>) {
-        debug_assert!(
-            self.sessions.last().is_none_or(|(last, _)| *last < id),
-            "registration ids ascend"
-        );
-        if m.is_warming_up() {
-            self.solo.push(self.sessions.len());
-        }
-        self.sessions.push((id, m));
-    }
-
-    /// Recomputes the per-call list from the store — the bulk paths'
-    /// bookkeeping, after a mutation that already cost O(store).
-    fn rebuild_solo(&mut self) {
-        self.solo.clear();
-        self.solo.extend(
-            self.sessions
-                .iter()
-                .enumerate()
-                .filter(|(_, (_, m))| m.is_warming_up())
-                .map(|(i, _)| i),
-        );
-    }
-
     /// Merges id-ascending `incoming` sessions into the id-ascending store
     /// in one pass — the stable sort finds the two sorted runs and merges
     /// them, O(store) whatever the member count, where inserting one at a
-    /// time is O(members × store) — and recomputes the per-call list.
+    /// time is O(members × store).
     fn merge_sessions(&mut self, incoming: Vec<(QueryId, GroupSession<C>)>) {
         self.sessions.extend(incoming);
         self.sessions.sort_by_key(|(id, _)| *id);
-        self.rebuild_solo();
     }
 
     /// Store position of `id`, by binary search of the id-ordered store.
@@ -1658,7 +1756,7 @@ impl<C: SlidingTopK> Registry<C> {
     /// key — matching keys mean the class is still at its open join
     /// slide, so the member's fresh consumer is a byte-for-byte duplicate
     /// and dropping it is lossless — or founds one. An event-clock member
-    /// joining mid-stream warms up instead.
+    /// joining mid-stream becomes one of its group's joiners instead.
     ///
     /// `home` is the shard the hub routed this registration to (`None`
     /// from the sequential hub). It must be the shard that owns this
@@ -1693,17 +1791,16 @@ impl<C: SlidingTopK> Registry<C> {
         // starts now
         let in_step = clock == Clock::Arrival || group.producer.is_pristine();
         let next = group.producer.next_slide();
-        let mut member = GroupSession::new(
-            clock,
-            *consumer,
-            predicate,
-            if in_step { next } else { 0 },
-            gid,
-        );
+        let mut member = GroupSession::new(clock, *consumer, if in_step { next } else { 0 }, gid);
         group.count(&member);
         let key = member.class_key();
         if !in_step {
-            member.warm_up(DigestProducer::new(slide, k), next);
+            // ids are monotonic: pushing keeps the joiners ascending
+            group.joiners.push(Joiner {
+                producer: DigestProducer::new(slide, k),
+                open_slide: next,
+                reduction: Reduction::around(id, &mut member),
+            });
         } else if let Some(class) = group
             .reductions
             .iter_mut()
@@ -1725,9 +1822,13 @@ impl<C: SlidingTopK> Registry<C> {
         {
             reduction.insert(Class::around(id, &mut member));
         } else {
-            group.found_class(id, &mut member);
+            group.reductions.push(Reduction::around(id, &mut member));
         }
-        self.push_session(id, member);
+        debug_assert!(
+            self.sessions.last().is_none_or(|(last, _)| *last < id),
+            "registration ids ascend"
+        );
+        self.sessions.push((id, member));
     }
 
     /// The join rule's first half: the live group a `clock` member with
@@ -1768,26 +1869,24 @@ impl<C: SlidingTopK> Registry<C> {
     pub(crate) fn unregister(&mut self, id: QueryId) -> Option<GroupSession<C>> {
         let pos = self.position(id)?;
         let (_, mut m) = self.sessions.remove(pos);
-        // drop `pos` from the per-call list; later entries shift down
-        let from = self.solo.partition_point(|&i| i < pos);
-        if self.solo.get(from) == Some(&pos) {
-            self.solo.remove(from);
-        }
-        for i in &mut self.solo[from..] {
-            *i -= 1;
-        }
         self.leave(id, &mut m);
         Some(m)
     }
 
-    /// The group half of [`unregister`](Registry::unregister). A classed
-    /// member leaves with its class's progress.
+    /// The group half of [`unregister`](Registry::unregister). The
+    /// member leaves with its class's progress; a joiner takes its own
+    /// class's consumer.
     fn leave(&mut self, id: QueryId, m: &mut GroupSession<C>) {
         let gid = m.group();
         let group = self.groups.get_mut(&gid).expect("a member's group is live");
-        if m.is_classed() {
-            let ((ri, ci), class) = group.class_of(id);
-            m.copy_progress(class.consumer.slides_applied(), &class.prev);
+        let ((ri, ci), class) = group.class_of(id);
+        let seated = group.reductions.len();
+        m.copy_progress(class.consumer.slides_applied(), &class.prev, ri >= seated);
+        if ri >= seated {
+            // a joiner's one class is its member's alone
+            let mut joiner = group.joiners.remove(ri - seated);
+            m.adopt_consumer(joiner.reduction.classes.swap_remove(0).consumer);
+        } else {
             let reduction = &mut group.reductions[ri];
             let members = &mut reduction.classes[ci].members;
             let mi = members
@@ -1811,16 +1910,10 @@ impl<C: SlidingTopK> Registry<C> {
             self.remove_group(gid);
             return;
         }
-        // the survivors are the classes plus the warming members, which
-        // are all on the per-call list
-        let warming = self.solo.iter().filter_map(|&i| {
-            let w = &self.sessions[i].1;
-            (w.group() == gid).then(|| (w.k(), w.window()))
-        });
         let (k_max, widest) = group
-            .classes()
+            .all_reductions()
+            .flat_map(|r| &r.classes)
             .map(|c| (c.consumer.k(), c.consumer.window_duration()))
-            .chain(warming)
             .fold((0, 0), |(k, w), (ck, cw)| (k.max(ck), w.max(cw)));
         group.producer.set_k_max(k_max);
         // a narrower cap prunes *more*: rebuild so the gate reflects
@@ -1841,169 +1934,63 @@ impl<C: SlidingTopK> Registry<C> {
         if self.groups.is_empty() || objects.is_empty() {
             return Vec::new();
         }
-        let mut out = Vec::new();
         let mut timed = std::mem::take(&mut self.timed_buf);
         timed.clear();
         timed.extend(objects.iter().map(|o| TimedObject::new(o.id, 0, o.score)));
-        self.serve_groups(Tick::Untimed(&timed), &mut out);
+        let out = self.serve(Tick::Untimed(&timed));
         self.timed_buf = timed;
-        self.finish_call(out, 0)
+        out
     }
 
-    /// Fans a timed batch out to every session: the per-call list of
-    /// warming members is walked in registration order, each feeding the
-    /// raw batch to its private view, then each group ingests the batch
-    /// **once**, serving its classes inside every close.
+    /// Fans a timed batch out to every group: each ingests the batch
+    /// **once**, serving its classes inside every close, its joiners
+    /// from their private producers.
     pub(crate) fn publish_timed(&mut self, objects: &[TimedObject]) -> Vec<QueryUpdate> {
-        if self.sessions.is_empty() || objects.is_empty() {
+        if objects.is_empty() {
             return Vec::new();
         }
-        let Registry {
-            sessions,
-            solo,
-            counters,
-            update_hint,
-            ..
-        } = self;
-        let mut out = Vec::new();
-        let hint = *update_hint;
-        for &i in solo.iter() {
-            let (id, member) = &mut sessions[i];
-            serve_warming(
-                &mut counters.digest_rebuilds,
-                &mut tagged_sink(&mut out, hint, *id),
-                |f| member.push_warmup(objects, f),
-            );
-        }
-        let walked = out.len();
-        self.serve_groups(Tick::Timed(objects), &mut out);
-        self.promote_ready();
-        self.finish_call(out, walked)
+        self.serve(Tick::Timed(objects))
     }
 
-    /// Raises the event-time watermark on every time-based session —
-    /// event-clock groups advance once and serve their classes, warming
-    /// members advance privately. Arrival-clock groups are untouched.
+    /// Raises the event-time watermark on every event-clock group, which
+    /// advances once and serves its classes and joiners. Arrival-clock
+    /// groups are untouched.
     pub(crate) fn advance_time(&mut self, watermark: u64) -> Vec<QueryUpdate> {
-        if self.sessions.is_empty() {
-            return Vec::new();
-        }
-        let Registry {
-            sessions,
-            solo,
-            counters,
-            update_hint,
-            ..
-        } = self;
+        self.serve(Tick::Watermark(watermark))
+    }
+
+    /// Moves every group's clock by `tick` ([`Group::serve`]). Group
+    /// serving appends per class, not per registered query, so when it
+    /// emitted anything the output is sorted back into registration
+    /// order — `(QueryId, slide)` keys are unique and each session's
+    /// slides ascend, so the sort IS registration-order delivery. The
+    /// per-class runs are ascending too, but merging them measured slower
+    /// than sorting the five-word records: a run averages about five
+    /// updates.
+    fn serve(&mut self, tick: Tick<'_>) -> Vec<QueryUpdate> {
         let mut out = Vec::new();
-        let hint = *update_hint;
-        for &i in solo.iter() {
-            let (id, member) = &mut sessions[i];
-            serve_warming(
-                &mut counters.digest_rebuilds,
-                &mut tagged_sink(&mut out, hint, *id),
-                |f| member.advance_warmup(watermark, f),
-            );
-        }
-        let walked = out.len();
-        self.serve_groups(Tick::Watermark(watermark), &mut out);
-        self.promote_ready();
-        self.finish_call(out, walked)
-    }
-
-    /// Moves every group's clock by `tick`, one clock step per object
-    /// and group: the step closes the slides it crosses (event time
-    /// before the object lands, so the gate judges it against the slide
-    /// it lands in; the arrival clock after, as its ordinal fills the
-    /// slide), and the admission plane buffers the object in between.
-    /// Each close serves the group's classes inside the close (see
-    /// [`Group::advance`]); their output is appended after the per-call
-    /// walk.
-    fn serve_groups(&mut self, tick: Tick<'_>, out: &mut Vec<QueryUpdate>) {
-        let Registry {
-            groups,
-            counters,
-            update_hint,
-            ..
-        } = self;
         let mut delivery = Delivery {
-            out,
-            hint: *update_hint,
+            out: &mut out,
+            hint: self.update_hint,
         };
-        for group in groups.values_mut() {
-            let objects = match (tick, &group.clock) {
-                (Tick::Watermark(watermark), GroupClock::Event) => {
-                    group.advance(watermark, counters, &mut delivery);
-                    continue;
-                }
-                (Tick::Timed(objects), _) | (Tick::Untimed(objects), GroupClock::Arrival(_)) => {
-                    objects
-                }
-                _ => continue,
-            };
-            let retain = group.widest.saturating_add(group.producer.slide_duration());
-            for raw in objects {
-                let (o, after) = group.clock.step(*raw, retain);
-                group.advance(o.timestamp, counters, &mut delivery);
-                group.admit(raw, o, counters);
-                group.advance(after, counters, &mut delivery);
-            }
+        for group in self.groups.values_mut() {
+            group.serve(tick, &mut self.counters, &mut delivery);
         }
-    }
-
-    /// Finishes a publish or watermark call: group serving appends per
-    /// class, not per registered query, so when it emitted anything the
-    /// output is sorted back into registration order — `(QueryId,
-    /// slide)` keys are unique and each session's slides ascend, so the
-    /// sort IS registration-order delivery. The per-class runs are
-    /// ascending too, but merging them measured slower than sorting the
-    /// five-word records: a run averages about five updates.
-    fn finish_call(&mut self, mut out: Vec<QueryUpdate>, walked: usize) -> Vec<QueryUpdate> {
-        if out.len() > walked {
-            out.sort_unstable_by_key(|u| (u.query, u.result.slide));
-        }
+        out.sort_unstable_by_key(|u| (u.query, u.result.slide));
         note_update_hint(&mut self.update_hint, out.len());
         out
     }
 
-    /// Seats every warming member whose group has closed the slide it
-    /// joined during in a class of its own: both producers processed the
-    /// same timestamps, so from the next slide on the private and shared
-    /// views are identical. Warming members are all on the per-call list,
-    /// and only they pay a group lookup; a seated member leaves it.
-    fn promote_ready(&mut self) {
-        let Registry {
-            sessions,
-            solo,
-            groups,
-            ..
-        } = self;
-        let mut promoted = false;
-        for &i in solo.iter() {
-            let (id, m) = &mut sessions[i];
-            let group = groups
-                .get_mut(&m.group())
-                .expect("a member's group is live");
-            if m.finish_warmup(group.producer.next_slide()) {
-                group.found_class(*id, m);
-                promoted = true;
-            }
-        }
-        if promoted {
-            solo.retain(|&i| sessions[i].1.is_warming_up());
-        }
-    }
-
-    /// The session of `id`, with a classed member's progress copied from
-    /// its class first, so its getters read the class's slide count and
-    /// previous emission.
+    /// The session of `id`, with its progress copied from its class
+    /// first, so its getters read the class's slide count and previous
+    /// emission, and whether the class is a joiner's.
     pub(crate) fn session(&mut self, id: QueryId) -> Option<&GroupSession<C>> {
         let pos = self.position(id)?;
         let (_, m) = &mut self.sessions[pos];
-        if m.is_classed() {
-            let (_, class) = self.groups[&m.group()].class_of(id);
-            m.copy_progress(class.consumer.slides_applied(), &class.prev);
-        }
+        let group = &self.groups[&m.group()];
+        let ((ri, _), class) = group.class_of(id);
+        let warming = ri >= group.reductions.len();
+        m.copy_progress(class.consumer.slides_applied(), &class.prev, warming);
         Some(m)
     }
 
@@ -2071,23 +2058,15 @@ impl<C: SlidingTopK> Registry<C> {
     /// Serializes this registry's full serving state as one
     /// `tags::REGISTRY` section body: a `GROUPS` section holding every
     /// group's record ([`Group::encode_record`]: its state, its
-    /// reductions and classes with their members, its warming members) in
+    /// reductions and classes with their members, its joiners) in
     /// canonical order — deterministic regardless of `HashMap` iteration
     /// order — then the sharing counters.
     pub(crate) fn encode_checkpoint(&self, enc: &mut Encoder) {
-        let mut warming: HashMap<u64, Vec<usize>> = HashMap::new();
-        for &i in &self.solo {
-            warming
-                .entry(self.sessions[i].1.group())
-                .or_default()
-                .push(i);
-        }
         enc.section(tags::GROUPS, |e| {
             let order = self.canonical();
             e.put_u64(order.len() as u64);
             for gid in order {
-                let warming = warming.get(&gid).map_or(&[][..], Vec::as_slice);
-                self.groups[&gid].encode_record(e, &self.sessions, warming);
+                self.groups[&gid].encode_record(e, &self.sessions);
             }
         });
         self.counters.encode(enc);
@@ -2120,7 +2099,8 @@ impl<C: SlidingTopK> Registry<C> {
     /// Builds a registry from already-merged, already-validated parts —
     /// possibly several shards' worth, when a sharded checkpoint is
     /// restored into a sequential hub. Groups are inserted as they
-    /// arrive, with their members counted and seated in classes.
+    /// arrive, with their members counted and seated in classes, joiners'
+    /// included.
     pub(crate) fn from_merged(parts: RegistryParts<C>, shard: Option<usize>) -> Self {
         let RegistryParts {
             sessions,
@@ -2143,7 +2123,6 @@ impl<C: SlidingTopK> Registry<C> {
             "members arrive seated in their groups' classes"
         );
         registry.sessions = sessions;
-        registry.rebuild_solo();
         registry
     }
 
@@ -2184,8 +2163,8 @@ impl<C: SlidingTopK> Registry<C> {
 
     /// Ejects the group containing `member` and every member session, for
     /// whole-group migration to another shard (a group's members are
-    /// inseparable — moving one moves all). The group keeps its classes,
-    /// so a classed member travels without a consumer. `None` if `member`
+    /// inseparable — moving one moves all). The group keeps its classes
+    /// and joiners, so a member travels without a consumer. `None` if `member`
     /// is not registered here.
     pub(crate) fn eject_group_of(&mut self, member: QueryId) -> Option<EjectedGroup<C>> {
         let gid = self.sessions[self.position(member)?].1.group();
@@ -2194,7 +2173,6 @@ impl<C: SlidingTopK> Registry<C> {
             .sessions
             .extract_if(.., |(_, m)| m.group() == gid)
             .collect::<Vec<_>>();
-        self.rebuild_solo();
         debug_assert_eq!(members.len(), group.members);
         Some((group, members))
     }
@@ -2221,7 +2199,6 @@ impl<C: SlidingTopK> Registry<C> {
             .collect();
         self.by_key.clear();
         self.next_gid = 0;
-        self.solo.clear();
         RegistryParts {
             sessions,
             groups,
@@ -2334,27 +2311,33 @@ mod tests {
             .collect()
     }
 
-    /// Asserts the store is in ascending-id order and the per-call list
-    /// is exactly what the full store walk it replaced served on every
-    /// call: the warming members, in store order.
-    fn assert_listed(reg: &ToyRegistry, step: &str) {
+    /// Asserts the store is in ascending-id order and every registered
+    /// member sits in exactly one class, of its own group — a joiner's
+    /// class or a seated one — and returns the joiners' raw ids,
+    /// ascending.
+    fn assert_seated(reg: &ToyRegistry, step: &str) -> Vec<u64> {
         assert!(
             reg.sessions.windows(2).all(|w| w[0].0 < w[1].0),
             "{step}: store out of id order"
         );
-        let walked: Vec<usize> = reg
-            .sessions
-            .iter()
-            .enumerate()
-            .filter(|(_, (_, m))| m.is_warming_up())
-            .map(|(i, _)| i)
+        let mut seats = 0;
+        for (gid, group) in &reg.groups {
+            for class in group.all_reductions().flat_map(|r| &r.classes) {
+                for id in &class.members {
+                    let at = reg.position(*id).expect("a class member is registered");
+                    assert_eq!(reg.sessions[at].1.group(), *gid, "{step}: {id}'s group");
+                    seats += 1;
+                }
+            }
+        }
+        assert_eq!(seats, reg.sessions.len(), "{step}: one seat per member");
+        let mut joiners: Vec<u64> = reg
+            .groups
+            .values()
+            .flat_map(|g| g.joiners.iter().map(|j| j.member().raw()))
             .collect();
-        assert_eq!(reg.solo, walked, "{step}: per-call list");
-    }
-
-    /// Raw ids of the listed sessions.
-    fn listed(reg: &ToyRegistry) -> Vec<u64> {
-        reg.solo.iter().map(|&i| reg.sessions[i].0.raw()).collect()
+        joiners.sort_unstable();
+        joiners
     }
 
     /// Scatters ejected parts back through the install paths, as the
@@ -2363,12 +2346,12 @@ mod tests {
         let members_of = split_by_group(parts.sessions, parts.groups.len());
         for (group, members) in parts.groups.into_iter().zip(members_of) {
             reg.install_group(group, members);
-            assert_listed(reg, step);
+            assert_seated(reg, step);
         }
     }
 
     #[test]
-    fn per_call_list_tracks_every_store_mutation() {
+    fn every_member_keeps_one_class_through_every_store_mutation() {
         let pass = Predicate::default();
         let none: [u64; 0] = [];
         let mut reg = ToyRegistry::default();
@@ -2377,73 +2360,70 @@ mod tests {
         enroll_event(&mut reg, 2, consumer(20, 10, 2), pass);
         enroll_arrival(&mut reg, 3, (20, 2, 5), pass);
         enroll_arrival(&mut reg, 4, (20, 2, 5), pass);
-        assert_listed(&reg, "registration");
-        assert_eq!(listed(&reg), none, "pristine joiners share a class");
+        let joiners = assert_seated(&reg, "registration");
+        assert_eq!(joiners, none, "pristine joins share a class");
 
-        // a mid-stream join into the classed group warms up solo, and
-        // founds a class of its own once its join slide [10, 20) closes
+        // a mid-slide join into the classed group is a joiner until its
+        // join slide [10, 20) closes, and then a reduction of its own
         reg.publish_timed(&ticks(0, 15));
         enroll_event(&mut reg, 5, consumer(20, 10, 2), pass);
         assert!(reg.session(q(5)).unwrap().is_warming_up());
-        assert_listed(&reg, "warming join");
-        assert_eq!(listed(&reg), [5]);
-        reg.publish_timed(&ticks(15, 25));
-        let promoted = reg.session(q(5)).unwrap();
-        assert!(!promoted.is_warming_up() && promoted.is_classed());
-        assert_listed(&reg, "promotion");
-        assert_eq!(listed(&reg), none);
+        assert_eq!(assert_seated(&reg, "mid-slide join"), [5]);
+        reg.publish_timed(&ticks(15, 20));
+        assert!(reg.session(q(5)).unwrap().is_warming_up());
+        assert_eq!(assert_seated(&reg, "join slide still open"), [5]);
+        reg.publish_timed(&ticks(20, 25));
+        let seated = reg.session(q(5)).unwrap();
+        assert!(!seated.is_warming_up() && seated.is_classed());
+        assert_eq!(assert_seated(&reg, "seating"), none);
 
         // the class's first member leaves, then its last
         reg.unregister(q(1)).unwrap();
-        assert_listed(&reg, "first class member leaves");
+        assert_seated(&reg, "first class member leaves");
         let last = reg.unregister(q(2)).unwrap();
         assert!(!last.is_classed(), "takes the consumer");
-        assert_listed(&reg, "last class member leaves");
+        assert_seated(&reg, "last class member leaves");
         let left: Vec<&[QueryId]> = slide_group(&reg, 10, pass)
             .classes()
             .map(|c| c.members.as_slice())
             .collect();
         assert_eq!(left, [[q(5)]], "only 5's class of one is left");
 
-        // two pristine joiners of a fresh slide group share a class; a
-        // joiner of the warm group warms up
+        // two pristine joins of a fresh slide group share a class; a
+        // mid-slide join of the warm group is a joiner
         enroll_event(&mut reg, 6, consumer(14, 7, 1), pass);
         enroll_event(&mut reg, 7, consumer(14, 7, 1), pass);
         enroll_event(&mut reg, 8, consumer(20, 10, 2), pass);
-        assert_listed(&reg, "pristine joins");
-        assert_eq!(listed(&reg), [8], "8 joined mid-stream");
+        assert_eq!(assert_seated(&reg, "pristine joins"), [8]);
 
-        // install and eject, as `move_query` uses them: a migrated
-        // settled member keeps its class, a warming one stays solo
+        // install and eject, as `move_query` uses them: the groups travel
+        // with their classes and joiners
         let (group, members) = reg.eject_group_of(q(5)).unwrap();
-        assert_listed(&reg, "slide-group eject");
-        assert_eq!(listed(&reg), none);
+        assert_eq!(assert_seated(&reg, "slide-group eject"), none);
         reg.install_group(group, members);
-        assert_listed(&reg, "slide-group install");
-        assert_eq!(listed(&reg), [8]);
+        assert_eq!(assert_seated(&reg, "slide-group install"), [8]);
         let (group, members) = reg.eject_group_of(q(3)).unwrap();
-        assert_listed(&reg, "count-group eject");
+        assert_seated(&reg, "count-group eject");
         reg.install_group(group, members);
-        assert_listed(&reg, "count-group install");
-        assert_eq!(listed(&reg), [8]);
+        assert_eq!(assert_seated(&reg, "count-group install"), [8]);
 
         // `resize`: eject everything, then scatter back through install
         let parts = RegistryParts::merge(vec![reg.eject_all()]).unwrap();
-        assert_listed(&reg, "eject all");
-        assert!(reg.solo.is_empty());
+        assert_eq!(assert_seated(&reg, "eject all"), none);
+        assert!(reg.is_empty() && reg.groups.is_empty());
         let mut resized = ToyRegistry::default();
         reinstall(&mut resized, parts, "resize");
-        assert_eq!(listed(&resized), [8]);
+        assert_eq!(assert_seated(&resized, "resize"), [8]);
 
-        // `from_merged`, the restore path
+        // `from_merged`, the restore path, then the seating
         let parts = RegistryParts::merge(vec![resized.eject_all()]).unwrap();
         let mut restored = ToyRegistry::from_merged(parts, None);
-        assert_listed(&restored, "restore");
-        assert_eq!(listed(&restored), [8]);
+        assert_eq!(assert_seated(&restored, "restore"), [8]);
+        assert!(restored.session(q(8)).unwrap().is_warming_up());
         restored.publish_timed(&ticks(25, 35));
         let settled = restored.session(q(8)).unwrap();
         assert!(!settled.is_warming_up(), "8's join slide [20, 30) closed");
-        assert_listed(&restored, "promotion after restore");
+        assert_eq!(assert_seated(&restored, "seating after restore"), none);
     }
 
     #[test]
@@ -2478,7 +2458,6 @@ mod tests {
                 .collect();
             let have: Vec<u64> = reg.query_ids().map(QueryId::raw).collect();
             assert_eq!(have, want, "{step}: store incomplete or out of order");
-            assert_listed(reg, step);
         };
         let warm = ticks(0, 25);
         assert_eq!(source.publish_timed(&warm), reference.publish_timed(&warm));

@@ -28,8 +28,8 @@
 //!
 //! Slide completion is the publish path's innermost loop — at hundreds of
 //! standing queries it runs thousands of times per published chunk — so
-//! every session, warming member and result class closes its slides
-//! through one routine on pooled buffers and emits [`Snapshot`]-shared
+//! every standalone session and result class closes its slides through
+//! one routine on pooled buffers and emits [`Snapshot`]-shared
 //! results with a shared [`EventList`] delta: a completed slide performs
 //! **at most one** allocation (the shared `Arc` snapshot, only when the
 //! result actually changed) once the caller has dropped the previous
@@ -65,21 +65,18 @@
 //! assert_eq!(hub.session(q).unwrap().slides(), 1);
 //! ```
 
-use crate::checkpoint::{
-    tags, Checkpoint, CheckpointError, DecodeState, Decoder, EncodeState, Encoder, EngineFactory,
-};
+use crate::checkpoint::{tags, Checkpoint, Encoder, EngineFactory};
 use crate::digest::{DigestProducer, DigestView, SharedTimed};
 use crate::events::{diff_snapshots_into, DiffScratch, EventList, SlideResult, Snapshot};
 use crate::object::{Object, TimedObject};
-use crate::predicate::Predicate;
 use crate::query::{SapError, TimedSpec};
 use crate::registry::{HubRegistry, HubStats, Registration, Registry};
 use crate::shard::decode_hub_checkpoint;
 use crate::window::{SlidingTopK, SpecError, WindowSpec};
 
 /// Pooled buffers for closing slides — the pooled half of the
-/// zero-allocation publish path. Every standalone session, warming
-/// member and result class owns one and recycles it across slides: the
+/// zero-allocation publish path. Every standalone session and result
+/// class owns one and recycles it across slides: the
 /// build buffer a slide's snapshot is staged into, the two sorted-id
 /// buffers [`diff_snapshots_into`] borrows, and the last event list it
 /// handed out, which the next changed close rebuilds in place once no
@@ -99,8 +96,8 @@ pub(crate) struct SlideScratch {
 
 impl SlideScratch {
     /// The one slide-close routine, shared by [`Session`],
-    /// [`TimedSession`], a warming [`GroupSession`] and the registry's
-    /// result classes: turns the engine's new top-k into the emitted
+    /// [`TimedSession`] and the registry's result classes, a joiner's
+    /// included: turns the engine's new top-k into the emitted
     /// [`Snapshot`] and its delta against `prev`, and advances `prev`.
     ///
     /// `top` is `None` when the engine proved its top-k unchanged
@@ -151,29 +148,6 @@ fn quiet(prev: &Snapshot) -> EventList {
         EventList::new()
     } else {
         EventList::unchanged()
-    }
-}
-
-/// The one step from a slide a private producer closed to an emission —
-/// a [`TimedSession`]'s, or a warming [`GroupSession`]'s: applies `view`
-/// to `consumer`, closes the slide against `prev`, and numbers it
-/// `*slides`.
-fn emit_view<C: SlidingTopK>(
-    view: DigestView<'_>,
-    consumer: &mut SharedTimed<C>,
-    scratch: &mut SlideScratch,
-    prev: &mut Snapshot,
-    slides: &mut u64,
-) -> SlideResult {
-    let top = consumer.apply_slide_top(view.slide, view.top);
-    let (snapshot, events) = scratch.close(prev, top, |top, out| {
-        out.extend(top.iter().map(TimedObject::untimed))
-    });
-    *slides += 1;
-    SlideResult {
-        slide: *slides - 1,
-        snapshot,
-        events,
     }
 }
 
@@ -495,7 +469,8 @@ impl<E: SlidingTopK> TimedSession<E> {
     }
 
     /// Drives the producer with `drive`, appending one emission per
-    /// slide it closes.
+    /// slide it closes: the slide applied to the consumer, closed against
+    /// the previous emission and numbered by the slide count.
     fn drive(
         &mut self,
         out: &mut Vec<SlideResult>,
@@ -509,7 +484,16 @@ impl<E: SlidingTopK> TimedSession<E> {
             scratch,
         } = self;
         drive(producer, &mut |view| {
-            out.push(emit_view(view, consumer, scratch, prev, slides))
+            let top = consumer.apply_slide_top(view.slide, view.top);
+            let (snapshot, events) = scratch.close(prev, top, |top, out| {
+                out.extend(top.iter().map(TimedObject::untimed))
+            });
+            *slides += 1;
+            out.push(SlideResult {
+                slide: *slides - 1,
+                snapshot,
+                events,
+            });
         });
     }
 }
@@ -540,27 +524,27 @@ pub enum Clock {
 /// [`Session`] or [`TimedSession`] of the same query; the per-slide
 /// truncation runs once per group instead of once per query.
 ///
-/// The consumer normally lives in the member's **result class** in the
-/// registry, shared by every member whose emissions provably coincide
-/// (see `crate::registry`), and so does the member's progress: the
-/// class's slide count and previous emission are every member's, and a
-/// class close writes one update per member without touching its
-/// session. The registry copies them onto a classed member whenever it
-/// hands one out ([`Hub::session`], `unregister`), so the getters never
-/// read stale progress. The session holds a consumer itself
-/// while it warms up and after it left its class as the last member.
-/// A consumer handed back by `unregister` may be parked
-/// ([`SharedTimed::is_parked`]) — its class read its answers off a
-/// larger-`k` class's engine — and rehydrates on its first apply or on
-/// [`SharedTimed::rehydrate`].
+/// While registered, the member's consumer lives in its **result class**
+/// in the registry, shared by every member whose emissions provably
+/// coincide (see `crate::registry`), and so does the member's progress:
+/// the class's slide count and previous emission are every member's, and
+/// a class close writes one update per member without touching its
+/// session. The registry copies them onto the member whenever it hands
+/// one out ([`Hub::session`], `unregister`), so the getters never read
+/// stale progress. The session holds a consumer itself only after it
+/// left its class as the last member. A consumer handed back by
+/// `unregister` may be parked ([`SharedTimed::is_parked`]) — its class
+/// read its answers off a larger-`k` class's engine — and rehydrates on
+/// its first apply or on [`SharedTimed::rehydrate`].
 ///
 /// An event-clock member that registers after its group ingested
 /// anything must only observe objects published after its registration,
-/// so it **warms up**: a private [`DigestProducer`] serves it until the
-/// group slide it joined during has closed. From the next slide on the
-/// private and shared views coincide, and the registry seats the member
-/// in a class of its own. An arrival-clock member never warms up: it
-/// only joins a group whose open slide is empty.
+/// so it **warms up**: its class is one of the group's joiners, served
+/// from a private [`DigestProducer`] until the group slide it joined
+/// during has closed. From the next slide on the private and shared
+/// views coincide, and the group seats the class as a reduction of its
+/// own. An arrival-clock member never warms up: it only joins a group
+/// whose open slide is empty.
 ///
 /// [`WindowSpec::reduced`]: crate::window::WindowSpec::reduced
 #[derive(Debug)]
@@ -577,11 +561,6 @@ pub struct GroupSession<C: SlidingTopK> {
     k: usize,
     /// The engine's display name, for checkpoint headers while classed.
     engine_name: Box<str>,
-    /// The subscription predicate, part of the group's identity: applied
-    /// to the private warm-up stream so it matches the group's admitted
-    /// stream object for object. A checkpoint writes it with the group,
-    /// never in the session body.
-    predicate: Predicate,
     /// The group slide this member's slide 0 lines up with: the open
     /// slide it joined at on the arrival clock. Always 0 on the event
     /// clock, whose slide indices are global: a mid-stream joiner's
@@ -591,61 +570,21 @@ pub struct GroupSession<C: SlidingTopK> {
     /// The registry's handle for the member's group: its live id while
     /// registered, an index into the group list while it travels.
     group: u64,
-    /// Boxed: few members ever warm up, and every member carries the slot.
-    warmup: Option<Box<Warmup>>,
-    /// The previous emission and the slide count — the member's own while
-    /// it owns its consumer, a copy of its class's otherwise (see above).
+    /// Whether its class is a joiner's, the previous emission and the
+    /// slide count — copies of its class's (see above).
+    warming: bool,
     prev: Snapshot,
     slides: u64,
-}
-
-/// The private catch-up view of an event-clock member that joined
-/// mid-stream.
-#[derive(Debug)]
-struct Warmup {
-    producer: DigestProducer,
-    /// The group's open slide at registration. Once the group has closed
-    /// it, every later slide started after the registration and the
-    /// private view equals the shared one.
-    open_slide: u64,
-    scratch: SlideScratch,
 }
 
 impl<C: SlidingTopK> GroupSession<C> {
     /// Wraps a validated consumer as a member of group `group`, lined up
     /// with group slide `join_slide` (see the field docs).
-    pub(crate) fn new(
-        clock: Clock,
-        consumer: SharedTimed<C>,
-        predicate: Predicate,
-        join_slide: u64,
-        group: u64,
-    ) -> Self {
-        GroupSession {
-            clock,
-            window: consumer.window_duration(),
-            slide: consumer.slide_duration(),
-            k: consumer.k(),
-            engine_name: consumer.name().into(),
-            consumer: Some(consumer),
-            predicate,
-            join_slide,
-            group,
-            warmup: None,
-            prev: Snapshot::empty(),
-            slides: 0,
-        }
-    }
-
-    /// Starts the warm-up on the private `producer` of a member that
-    /// joins its group while the group is at `open_slide` (see
-    /// [`Warmup::open_slide`]).
-    pub(crate) fn warm_up(&mut self, producer: DigestProducer, open_slide: u64) {
-        self.warmup = Some(Box::new(Warmup {
-            producer,
-            open_slide,
-            scratch: SlideScratch::default(),
-        }));
+    pub(crate) fn new(clock: Clock, consumer: SharedTimed<C>, join_slide: u64, group: u64) -> Self {
+        let mut session =
+            GroupSession::classed(clock, &consumer, consumer.name(), join_slide, group);
+        session.consumer = Some(consumer);
+        session
     }
 
     /// The clock the member's group runs on.
@@ -744,7 +683,7 @@ impl<C: SlidingTopK> GroupSession<C> {
     /// Whether the session is still catching up on its private view (an
     /// event-clock join whose group slide has not closed yet).
     pub fn is_warming_up(&self) -> bool {
-        self.warmup.is_some()
+        self.warming
     }
 
     /// Unwraps the session, discarding the delta state — `None` when a
@@ -753,14 +692,13 @@ impl<C: SlidingTopK> GroupSession<C> {
         self.consumer
     }
 
-    /// A member of a decoded result class whose consumer is `class`:
-    /// classed, with the class's geometry and its own engine name. Its
-    /// progress is the class's (see [`GroupSession`]).
+    /// A member whose consumer is `class`'s: classed, with the class's
+    /// geometry and its own engine name. Its progress is the class's (see
+    /// [`GroupSession`]).
     pub(crate) fn classed(
         clock: Clock,
         class: &SharedTimed<C>,
         engine_name: &str,
-        predicate: Predicate,
         join_slide: u64,
         group: u64,
     ) -> Self {
@@ -771,154 +709,24 @@ impl<C: SlidingTopK> GroupSession<C> {
             slide: class.slide_duration(),
             k: class.k(),
             engine_name: engine_name.into(),
-            predicate,
             join_slide,
             group,
-            warmup: None,
+            warming: false,
             prev: Snapshot::empty(),
             slides: 0,
         }
     }
 
-    /// Writes a warming member's checkpoint body: slide counter, previous
-    /// emission, its consumer's reduced window (its own frame), then the
-    /// open slide the warm-up waits for and the private producer.
-    pub(crate) fn encode_warming(&self, enc: &mut Encoder) {
-        let (Some(consumer), Some(w)) = (&self.consumer, &self.warmup) else {
-            unreachable!("a warming member owns its consumer and its warm-up")
-        };
-        enc.put_u64(self.slides);
-        self.prev.encode_state(enc);
-        enc.section(tags::ENGINE, |e| consumer.encode_state(e));
-        enc.put_u64(w.open_slide);
-        w.producer.encode_state(enc);
-    }
-
-    /// Rebuilds a warming event-clock member from its
-    /// [`encode_warming`](GroupSession::encode_warming) body, restoring
-    /// the consumer state into `consumer`, which must be fresh (a
-    /// [`SharedTimed`] over a factory-built engine on the query's
-    /// reduction) and then rehydrates.
-    pub(crate) fn decode_warming(
-        mut consumer: SharedTimed<C>,
-        predicate: Predicate,
-        dec: &mut Decoder<'_>,
-    ) -> Result<Self, CheckpointError> {
-        let slides = dec.take_u64()?;
-        let prev = Snapshot::decode_state(dec)?;
-        let mut blob = dec.section(tags::ENGINE)?;
-        consumer.restore_state(&mut blob)?;
-        blob.finish()?;
-        consumer.rehydrate();
-        let open_slide = dec.take_u64()?;
-        let producer = DigestProducer::decode_state(dec)?;
-        if producer.slide_duration() != consumer.slide_duration() {
-            return Err(CheckpointError::Corrupt(
-                "warm-up producer disagrees with its session's slide duration",
-            ));
-        }
-        let mut session = GroupSession::new(Clock::Event, consumer, predicate, 0, 0);
-        session.slides = slides;
-        session.prev = prev;
-        session.warm_up(producer, open_slide);
-        Ok(session)
-    }
-
     /// Copies a classed member's progress from its class: the class's
     /// slide count and previous emission, which every member's equal by
-    /// construction. A class close never writes its members, so the
-    /// registry calls this before it hands a classed member out.
-    pub(crate) fn copy_progress(&mut self, slides: u64, prev: &Snapshot) {
-        debug_assert!(self.is_classed() && !self.is_warming_up());
+    /// construction, and whether the class is a joiner's. A class close
+    /// never writes its members, so the registry calls this before it
+    /// hands a classed member out.
+    pub(crate) fn copy_progress(&mut self, slides: u64, prev: &Snapshot, warming: bool) {
+        debug_assert!(self.is_classed());
         self.slides = slides;
         self.prev = prev.clone();
-    }
-
-    /// Warm-up ingestion: feeds the raw batch through the subscription
-    /// predicate to the private producer and emits whatever slides it
-    /// closes. A rejected object still advances the private event-time
-    /// clock (closing any slides its timestamp implies), exactly as it
-    /// does in the group's producer — the private and shared views must
-    /// close identical slide sequences for the handoff.
-    pub(crate) fn push_warmup(&mut self, objects: &[TimedObject], f: &mut dyn FnMut(SlideResult)) {
-        let predicate = self.predicate;
-        self.warm(f, |producer, close| {
-            for &o in objects {
-                producer.advance_to_with(o.timestamp, close);
-                if predicate.accepts_timed(&o) {
-                    producer.ingest_with(o, close);
-                }
-            }
-        });
-    }
-
-    /// Warm-up watermark: closes private slides up to `watermark`.
-    pub(crate) fn advance_warmup(&mut self, watermark: u64, f: &mut dyn FnMut(SlideResult)) {
-        self.warm(f, |producer, close| {
-            producer.advance_to_with(watermark, close)
-        });
-    }
-
-    /// Drives the private producer with `drive`, handing `f` one
-    /// [`SlideResult`] per slide it closes — the close step of a
-    /// [`TimedSession`], so a quiet slide allocates nothing.
-    fn warm(
-        &mut self,
-        f: &mut dyn FnMut(SlideResult),
-        drive: impl FnOnce(&mut DigestProducer, &mut dyn FnMut(DigestView<'_>)),
-    ) {
-        let GroupSession {
-            consumer,
-            warmup,
-            prev,
-            slides,
-            ..
-        } = self;
-        let consumer = consumer
-            .as_mut()
-            .expect("a warming member owns its consumer");
-        let Warmup {
-            producer, scratch, ..
-        } = &mut **warmup.as_mut().expect("only a warming member warms up");
-        drive(producer, &mut |view| {
-            f(emit_view(view, consumer, scratch, prev, slides))
-        });
-    }
-
-    /// Whether a warming member can hand off to its group, now at
-    /// `group_next_slide`: its consumer applied exactly the slides its
-    /// private producer closed, and neither producer has passed the slide
-    /// the member waits for, so both close it on the same watermark.
-    pub(crate) fn warms_in_step(&self, group_next_slide: u64) -> bool {
-        let (Some(w), Some(consumer)) = (&self.warmup, &self.consumer) else {
-            return false;
-        };
-        let own = w.producer.next_slide();
-        consumer.slides_applied() == own && own.max(group_next_slide) <= w.open_slide
-    }
-
-    /// Ends warm-up once the group has closed the slide this member
-    /// joined during, returning whether it did: from `group_next_slide`
-    /// on, the private and shared views are the same (both producers
-    /// processed identical timestamps, and every slide past the join
-    /// slide started after this session registered).
-    pub(crate) fn finish_warmup(&mut self, group_next_slide: u64) -> bool {
-        let Some(warmup) = &self.warmup else {
-            return false;
-        };
-        if group_next_slide <= warmup.open_slide {
-            return false;
-        }
-        debug_assert_eq!(
-            self.consumer
-                .as_ref()
-                .expect("a warming member owns its consumer")
-                .slides_applied(),
-            group_next_slide,
-            "warm-up must hand off exactly at the group's slide cursor"
-        );
-        self.warmup = None;
-        true
+        self.warming = warming;
     }
 }
 
@@ -1144,6 +952,8 @@ impl Hub {
     /// Malformed input is a typed [`SapError::Checkpoint`]; an engine
     /// name the factory cannot build surfaces as
     /// [`CheckpointError::UnknownEngine`]. Never panics on foreign bytes.
+    ///
+    /// [`CheckpointError::UnknownEngine`]: crate::checkpoint::CheckpointError::UnknownEngine
     pub fn restore(checkpoint: &Checkpoint, factory: &dyn EngineFactory) -> Result<Hub, SapError> {
         let (next_id, merged) = decode_hub_checkpoint(checkpoint, factory)?;
         Ok(Hub {

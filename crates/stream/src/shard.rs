@@ -570,8 +570,7 @@ pub(crate) fn place_parts_on(
 }
 
 /// Moves one query's whole group to `shard` — see
-/// [`AsyncHub::move_query`](crate::exec::AsyncHub::move_query). The
-/// caller must have flushed any coalesced `publish_one` tail.
+/// [`AsyncHub::move_query`](crate::exec::AsyncHub::move_query).
 ///
 /// # Panics
 ///

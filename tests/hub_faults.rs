@@ -169,6 +169,18 @@ fn worker_panic_surfaces_shard_down_on_every_fallible_op() {
     assert!(hub.inspect(survivor).is_ok());
 }
 
+/// `publish_one` ships its object at once, as a one-object `publish`
+/// does, so the call itself reports the dead shard — not some later
+/// operation.
+#[test]
+fn publish_one_reports_a_dead_shard_itself() {
+    let (mut hub, _bomb, _survivor) = detonated(4, 2);
+    assert!(matches!(
+        hub.publish_one(Object::new(9, 1.0)),
+        Err(SapError::ShardDown { .. })
+    ));
+}
+
 /// A failed resize is transactional: the eject pass stages every live
 /// shard's sessions, and when it finds the detonated shard it reinstalls
 /// the staged parts on their original shards instead of committing the

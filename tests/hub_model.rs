@@ -983,6 +983,31 @@ script! {
     ]
 }
 
+script! {
+    /// Two members join a filtered slide group during its slide [6, 9)
+    /// and warm up through its two closed slides. While both still warm
+    /// up, the group is moved and the hub resized; then one leaves. A
+    /// filtered-out object closes the join slide, which seats the other,
+    /// and a checkpoint restores it into both hubs.
+    joiners_travel_inside_their_group: [
+        reg(Method::Shared, time(6, 2, 3), at_least(1.0)),
+        Op::PublishTimed(timed(&[(1, 0, 5.0), (2, 4, 4.0), (3, 7, 2.0)])),
+        reg(Method::Shared, time(6, 2, 3), at_least(1.0)),
+        reg(Method::Shared, time(9, 1, 3), at_least(1.0)),
+        Op::PublishTimed(timed(&[(4, 7, 1.5), (5, 8, 0.5)])),
+        Op::MoveQuery { query: 1, shard: 1 },
+        Op::Resize(3),
+        Op::Inspect(2),
+        Op::Unregister(2),
+        Op::PublishTimed(timed(&[(6, 9, 0.25), (7, 10, 3.0)])),
+        Op::Drain,
+        Op::Checkpoint { targets: 11 },
+        Op::PublishTimed(timed(&[(8, 12, 6.0), (9, 14, 2.0)])),
+        Op::AdvanceTime(24),
+        Op::Drain,
+    ]
+}
+
 /// A checkpoint cut inside the open slides of a warm count group and of
 /// a warm slide group (each serving a two-member class; 2 of 4 arrivals
 /// and 2 of 3 time units in), with a shared member still warming up;

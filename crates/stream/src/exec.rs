@@ -329,16 +329,16 @@ impl Reactor {
             .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Whether every target queue has room for `need` more commands.
-    /// A dead target is the typed [`SapError::ShardDown`].
-    fn ready_for(&self, targets: &[usize], need: usize) -> Result<bool, SapError> {
+    /// Whether every target queue has room for one more command. A dead
+    /// target is the typed [`SapError::ShardDown`].
+    fn ready_for(&self, targets: &[usize]) -> Result<bool, SapError> {
         let state = self.state();
         for &shard in targets {
             let slot = &state.slots[shard];
             if slot.dead {
                 return Err(SapError::ShardDown { shard });
             }
-            if slot.queue.len() + need > self.capacity {
+            if slot.queue.len() >= self.capacity {
                 return Ok(false);
             }
         }
@@ -799,7 +799,7 @@ impl AsyncHub {
             return Ok(true);
         }
         self.collect_targets();
-        self.reactor.ready_for(&self.targets, 1)
+        self.reactor.ready_for(&self.targets)
     }
 
     /// Non-parking publish: ships the batch if every recipient queue has

@@ -1054,8 +1054,7 @@ impl<C: SlidingTopK> Group<C> {
                     if members.last().is_some_and(|last| *last >= id) {
                         return Err(corrupt("class member ids do not ascend"));
                     }
-                    let m =
-                        GroupSession::classed(clock, &consumer, dec.take_str()?, join_slide, index);
+                    let m = GroupSession::classed(clock, &consumer, dec.take_str()?, index);
                     group.count(&m);
                     members.push(id);
                     sessions.push((id, m));
@@ -1100,22 +1099,13 @@ impl<C: SlidingTopK> Group<C> {
                     "warm-up producer disagrees with its session's slide duration",
                 ));
             }
-            let m = GroupSession::classed(clock, &consumer, consumer.name(), 0, index);
+            let m = GroupSession::classed(clock, &consumer, consumer.name(), index);
             group.count(&m);
             sessions.push((id, m));
-            let class = Class {
-                join_slide: 0,
-                consumer,
-                members: vec![id],
-                prev,
-                scratch: SlideScratch::default(),
-            };
             group.joiners.push(Joiner {
                 producer,
                 open_slide,
-                reduction: Reduction {
-                    classes: vec![class],
-                },
+                reduction: Reduction::of(Class::new(id, 0, consumer, prev)),
             });
         }
         group.joiners.sort_by_key(Joiner::member);
@@ -1195,10 +1185,10 @@ struct Reduction<C: SlidingTopK> {
 }
 
 impl<C: SlidingTopK> Reduction<C> {
-    /// A reduction of one class, around `member`'s consumer.
-    fn around(id: QueryId, member: &mut GroupSession<C>) -> Self {
+    /// A reduction of one class.
+    fn of(class: Class<C>) -> Self {
         Reduction {
-            classes: vec![Class::around(id, member)],
+            classes: vec![class],
         }
     }
 
@@ -1269,9 +1259,12 @@ impl<C: SlidingTopK> Reduction<C> {
 /// their one consumer, diffs each close once, and sits in one
 /// [`Reduction`].
 struct Class<C: SlidingTopK> {
-    /// The group slide the consumer's slide 0 lines up with (see
-    /// [`GroupSession`]); with the consumer's window and `k`, the class
-    /// key.
+    /// The group slide the consumer's slide 0 lines up with: the open
+    /// slide its members joined at on the arrival clock. Always 0 on the
+    /// event clock, whose slide indices are global: a joiner's warm-up
+    /// closes the empty slides before its registration, like a
+    /// standalone session does. With the consumer's window and `k`, the
+    /// class key.
     join_slide: u64,
     /// The members' one consumer: in step when the class reduces its
     /// reduction, parked otherwise.
@@ -1288,15 +1281,14 @@ struct Class<C: SlidingTopK> {
 }
 
 impl<C: SlidingTopK> Class<C> {
-    /// A class of one around `member`'s consumer.
-    fn around(id: QueryId, member: &mut GroupSession<C>) -> Self {
+    /// A class of one: member `id` over `consumer`, lined up with group
+    /// slide `join_slide`, with its previous emission `prev`.
+    fn new(id: QueryId, join_slide: u64, consumer: SharedTimed<C>, prev: Snapshot) -> Self {
         Class {
-            join_slide: member.join_slide(),
-            consumer: member
-                .take_consumer()
-                .expect("a founding member carries its consumer"),
+            join_slide,
+            consumer,
             members: vec![id],
-            prev: member.last_snapshot_shared(),
+            prev,
             scratch: SlideScratch::default(),
         }
     }
@@ -1316,9 +1308,7 @@ impl<C: SlidingTopK> Class<C> {
 /// the group has closed the slide the member joined during. Every later
 /// slide started after the registration, so from then on the private
 /// and shared views coincide and the group seats the reduction as its
-/// own. The class's join slide is 0: event-clock slide indices are
-/// global, so the warm-up closes the empty slides before the
-/// registration, like a standalone session does.
+/// own.
 struct Joiner<C: SlidingTopK> {
     producer: DigestProducer,
     /// The group's open slide at registration.
@@ -1791,38 +1781,38 @@ impl<C: SlidingTopK> Registry<C> {
         // starts now
         let in_step = clock == Clock::Arrival || group.producer.is_pristine();
         let next = group.producer.next_slide();
-        let mut member = GroupSession::new(clock, *consumer, if in_step { next } else { 0 }, gid);
+        let join_slide = if in_step { next } else { 0 };
+        let member = GroupSession::classed(clock, &consumer, consumer.name(), gid);
         group.count(&member);
-        let key = member.class_key();
+        let class = Class::new(id, join_slide, *consumer, Snapshot::empty());
         if !in_step {
             // ids are monotonic: pushing keeps the joiners ascending
             group.joiners.push(Joiner {
                 producer: DigestProducer::new(slide, k),
                 open_slide: next,
-                reduction: Reduction::around(id, &mut member),
+                reduction: Reduction::of(class),
             });
-        } else if let Some(class) = group
+        } else if let Some(twin) = group
             .reductions
             .iter_mut()
             .flat_map(|r| &mut r.classes)
-            .find(|c| c.key() == key)
+            .find(|c| c.key() == class.key())
         {
             debug_assert_eq!(
-                class.consumer.slides_applied(),
+                twin.consumer.slides_applied(),
                 0,
                 "a joinable class is at its still-open join slide"
             );
             // ids are monotonic: pushing keeps members ascending
-            class.members.push(id);
-            member.take_consumer();
+            twin.members.push(id);
         } else if let Some(reduction) = group
             .reductions
             .iter_mut()
-            .find(|r| r.key() == (key.0, key.2))
+            .find(|r| r.key() == (class.key().0, join_slide))
         {
-            reduction.insert(Class::around(id, &mut member));
+            reduction.insert(class);
         } else {
-            group.reductions.push(Reduction::around(id, &mut member));
+            group.reductions.push(Reduction::of(class));
         }
         debug_assert!(
             self.sessions.last().is_none_or(|(last, _)| *last < id),
@@ -2367,7 +2357,8 @@ mod tests {
         // join slide [10, 20) closes, and then a reduction of its own
         reg.publish_timed(&ticks(0, 15));
         enroll_event(&mut reg, 5, consumer(20, 10, 2), pass);
-        assert!(reg.session(q(5)).unwrap().is_warming_up());
+        let joiner = reg.session(q(5)).unwrap();
+        assert!(joiner.is_warming_up() && joiner.is_classed());
         assert_eq!(assert_seated(&reg, "mid-slide join"), [5]);
         reg.publish_timed(&ticks(15, 20));
         assert!(reg.session(q(5)).unwrap().is_warming_up());

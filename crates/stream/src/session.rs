@@ -561,12 +561,6 @@ pub struct GroupSession<C: SlidingTopK> {
     k: usize,
     /// The engine's display name, for checkpoint headers while classed.
     engine_name: Box<str>,
-    /// The group slide this member's slide 0 lines up with: the open
-    /// slide it joined at on the arrival clock. Always 0 on the event
-    /// clock, whose slide indices are global: a mid-stream joiner's
-    /// warm-up closes the empty slides before its registration, like a
-    /// standalone session does.
-    join_slide: u64,
     /// The registry's handle for the member's group: its live id while
     /// registered, an index into the group list while it travels.
     group: u64,
@@ -578,15 +572,6 @@ pub struct GroupSession<C: SlidingTopK> {
 }
 
 impl<C: SlidingTopK> GroupSession<C> {
-    /// Wraps a validated consumer as a member of group `group`, lined up
-    /// with group slide `join_slide` (see the field docs).
-    pub(crate) fn new(clock: Clock, consumer: SharedTimed<C>, join_slide: u64, group: u64) -> Self {
-        let mut session =
-            GroupSession::classed(clock, &consumer, consumer.name(), join_slide, group);
-        session.consumer = Some(consumer);
-        session
-    }
-
     /// The clock the member's group runs on.
     pub fn clock(&self) -> Clock {
         self.clock
@@ -609,11 +594,6 @@ impl<C: SlidingTopK> GroupSession<C> {
         self.k
     }
 
-    /// The group slide this member's slide 0 lines up with.
-    pub(crate) fn join_slide(&self) -> u64 {
-        self.join_slide
-    }
-
     /// The registry's handle for this member's group.
     pub(crate) fn group(&self) -> u64 {
         self.group
@@ -623,11 +603,6 @@ impl<C: SlidingTopK> GroupSession<C> {
     /// rewrites of a checkpoint or a migration).
     pub(crate) fn set_group(&mut self, group: u64) {
         self.group = group;
-    }
-
-    /// The result-class key: window, `k` and join slide.
-    pub(crate) fn class_key(&self) -> (u64, usize, u64) {
-        (self.window, self.k, self.join_slide)
     }
 
     /// The consumer (and through it, the wrapped engine) — `None` while a
@@ -650,11 +625,6 @@ impl<C: SlidingTopK> GroupSession<C> {
     /// Whether a registry result class computes this member's slides.
     pub fn is_classed(&self) -> bool {
         self.consumer.is_none()
-    }
-
-    /// Hands this member's consumer to a result class.
-    pub(crate) fn take_consumer(&mut self) -> Option<SharedTimed<C>> {
-        self.consumer.take()
     }
 
     /// Gives the class consumer back to the last member leaving its
@@ -692,14 +662,13 @@ impl<C: SlidingTopK> GroupSession<C> {
         self.consumer
     }
 
-    /// A member whose consumer is `class`'s: classed, with the class's
-    /// geometry and its own engine name. Its progress is the class's (see
-    /// [`GroupSession`]).
+    /// A member of group `group` whose consumer is `class`'s: classed,
+    /// with the class's geometry and its own engine name. Its progress is
+    /// the class's (see [`GroupSession`]).
     pub(crate) fn classed(
         clock: Clock,
         class: &SharedTimed<C>,
         engine_name: &str,
-        join_slide: u64,
         group: u64,
     ) -> Self {
         GroupSession {
@@ -709,7 +678,6 @@ impl<C: SlidingTopK> GroupSession<C> {
             slide: class.slide_duration(),
             k: class.k(),
             engine_name: engine_name.into(),
-            join_slide,
             group,
             warming: false,
             prev: Snapshot::empty(),

@@ -325,8 +325,8 @@ impl Placement {
 }
 
 /// Registers a validated member: id by allocator; shard by the group it
-/// joins, or by hash for a founding query. The caller must have settled
-/// `published` (flushed any coalesced tail) so a count group's key is
+/// joins, or by hash for a founding query. `published` counts every
+/// object published before this call, so a count group's key is
 /// phase-exact. A dead target shard burns the id but leaves the group's
 /// membership untouched, so the hub never counts a member no shard owns.
 pub(crate) fn register_on(

@@ -211,11 +211,17 @@ impl DigestProducer {
         self.pending.push(o);
     }
 
+    /// Whether [`advance_to_with`](DigestProducer::advance_to_with)
+    /// `watermark` would close a slide.
+    pub(crate) fn closes_by(&self, watermark: u64) -> bool {
+        watermark >= self.slide_end
+    }
+
     /// Closes every slide ending at or before `watermark` (empty slides
     /// included), calling `f` with a borrowed [`DigestView`] per closed
     /// slide, oldest first.
     pub fn advance_to_with(&mut self, watermark: u64, f: &mut dyn FnMut(DigestView<'_>)) {
-        while watermark >= self.slide_end {
+        while self.closes_by(watermark) {
             self.close_slide_with(&mut *f);
         }
     }

@@ -7,10 +7,13 @@
 //!
 //! * a [`Predicate`] — a hand-rolled attribute filter a query attaches
 //!   with [`Query::filter`](crate::query::Query): score range plus
-//!   external-id key/tag match. Groups are keyed by predicate, so a
-//!   group whose predicate rejects an object skips it in O(1) at the
-//!   publish fan-out; predicate-disjoint members of one geometry class
-//!   split into sub-groups.
+//!   external-id key/tag match. Groups are keyed by predicate, and
+//!   predicate-disjoint members of one geometry class split into
+//!   sub-groups. A timed object never visits an event-clock group whose
+//!   key or tag clause rejects its id: the registry's dispatch index
+//!   files such groups under that clause and hands each object only to
+//!   the groups filed under its id. Every other group tests the
+//!   predicate per object, in O(1), on the publish fan-out.
 //! * a `PruneGate` (crate-private) — the k-skyband dominance criterion generalized to
 //!   shared groups: an object already dominated by ≥ `k_max`
 //!   newer-or-equal admitted objects of the **open slide** can never
@@ -34,6 +37,16 @@ use crate::object::{Object, TimedObject};
 /// max_score bits, key, tag)` — the form equality/hash/ordering all
 /// compare.
 type PredicateBits = (Option<u64>, Option<u64>, Option<u64>, Option<(u64, u64)>);
+
+/// A predicate's most selective id clause ([`Predicate::id_clause`]):
+/// every id it accepts equals the key, or falls in the tag's residue
+/// class. The registry's dispatch index files a group under it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum IdClause {
+    Key(u64),
+    /// `(modulus, residue)`.
+    Tag(u64, u64),
+}
 
 /// An attribute filter over [`Object`]s, attached to a query via
 /// [`Query::filter`](crate::query::Query::filter).
@@ -108,6 +121,17 @@ impl Predicate {
             && self.max_score.is_none()
             && self.key.is_none()
             && self.tag.is_none()
+    }
+
+    /// The id clause that bounds the ids this predicate can accept: its
+    /// key, else its tag. `None` when it has neither (pass-all, or score
+    /// bounds only), so any id may pass.
+    pub(crate) fn id_clause(&self) -> Option<IdClause> {
+        match (self.key, self.tag) {
+            (Some(key), _) => Some(IdClause::Key(key)),
+            (None, Some((modulus, residue))) => Some(IdClause::Tag(modulus, residue)),
+            (None, None) => None,
+        }
     }
 
     /// Checks the clauses are well-formed: finite score bounds,

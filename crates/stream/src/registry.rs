@@ -131,7 +131,7 @@ use crate::checkpoint::{
 use crate::digest::{DigestProducer, DigestView, SharedTimed};
 use crate::events::{EventList, SlideResult, Snapshot};
 use crate::object::{Object, TimedObject};
-use crate::predicate::{Predicate, PruneGate};
+use crate::predicate::{IdClause, Predicate, PruneGate};
 use crate::query::{SapError, TimedSpec};
 use crate::session::{Clock, GroupSession, QueryId, QueryUpdate, SlideScratch};
 use crate::window::{SlidingTopK, WindowSpec};
@@ -696,6 +696,17 @@ impl<C: SlidingTopK> Group<C> {
         )
     }
 
+    /// The clause the dispatch index files the group under: an
+    /// event-clock group's key or tag clause. `None` keeps the group on
+    /// the per-object walk: an arrival clock's ring must see every
+    /// object, and a predicate with neither clause can admit any id.
+    fn dispatch_clause(&self) -> Option<IdClause> {
+        match self.clock {
+            GroupClock::Event => self.predicate.id_clause(),
+            GroupClock::Arrival(_) => None,
+        }
+    }
+
     /// The identity [`GroupKeys`] audits and canonical order sorts by.
     pub(crate) fn identity(&self) -> (Clock, u64, u64, Predicate) {
         (
@@ -823,24 +834,67 @@ impl<C: SlidingTopK> Group<C> {
     /// fills the slide), and the admission plane buffers the object in
     /// between. Last, every joiner whose join slide has closed is seated.
     /// A tick that carries nothing for the clock leaves the group alone.
-    fn serve(&mut self, tick: Tick<'_>, counters: &mut Counters, delivery: &mut Delivery<'_>) {
+    ///
+    /// `dispatched` is the batch's largest timestamp when the registry
+    /// has already [`offer`](Group::offer)ed this group every object of
+    /// a timed tick that it can admit. The group then skips the
+    /// per-object walk and only catches its clock up to that timestamp,
+    /// which closes exactly the slides the walk would have closed after
+    /// the batch's last object.
+    fn serve(
+        &mut self,
+        tick: Tick<'_>,
+        dispatched: Option<u64>,
+        counters: &mut Counters,
+        delivery: &mut Delivery<'_>,
+    ) {
         let objects = match (tick, &self.clock) {
             (Tick::Timed(objects), _) | (Tick::Untimed(objects), GroupClock::Arrival(_)) => objects,
             (Tick::Watermark(_), GroupClock::Event) => &[],
             _ => return,
         };
+        if let Some(latest) = dispatched {
+            // the common case: no joiner to serve and no slide to close
+            if self.joiners.is_empty() && !self.producer.closes_by(latest) {
+                return;
+            }
+        }
         self.serve_joiners(tick, counters, delivery);
-        let retain = self.widest.saturating_add(self.producer.slide_duration());
-        for raw in objects {
-            let (o, after) = self.clock.step(*raw, retain);
-            self.advance(o.timestamp, counters, delivery);
-            self.admit(raw, o, counters);
-            self.advance(after, counters, delivery);
+        if let Some(latest) = dispatched {
+            self.advance(latest, counters, delivery);
+        } else {
+            let retain = self.widest.saturating_add(self.producer.slide_duration());
+            for raw in objects {
+                let (o, after) = self.clock.step(*raw, retain);
+                self.advance(o.timestamp, counters, delivery);
+                self.admit(raw, o, counters);
+                self.advance(after, counters, delivery);
+            }
         }
         if let Tick::Watermark(watermark) = tick {
             self.advance(watermark, counters, delivery);
         }
         self.seat_joiners();
+    }
+
+    /// One object the dispatch index routed to this event-clock group.
+    /// The clock first catches up to `latest`, the call's running maximum
+    /// timestamp through `raw`: where the per-object walk would stand
+    /// when `raw` arrives, as an object that arrives late lands in the
+    /// open slide there too. The objects in between were rejected by the
+    /// predicate, so they changed nothing but the clock, and every slide
+    /// closes with the buffer the walk would close it with. Then the
+    /// admission plane takes `raw` as [`serve`](Group::serve)'s walk does.
+    fn offer(
+        &mut self,
+        raw: &TimedObject,
+        latest: u64,
+        counters: &mut Counters,
+        delivery: &mut Delivery<'_>,
+    ) {
+        debug_assert!(self.dispatch_clause().is_some(), "only indexed groups");
+        self.advance(latest, counters, delivery);
+        self.admit(raw, *raw, counters);
     }
 
     /// Serves every joiner over the whole tick from its private producer,
@@ -1420,6 +1474,115 @@ impl Counters {
     }
 }
 
+/// The dispatch index: the live ids of the groups with a
+/// [`dispatch_clause`](Group::dispatch_clause), each filed under it, so
+/// a timed object reaches only the groups whose key or tag clause its
+/// id satisfies (see the [module docs](self) on per-call cost).
+#[derive(Default)]
+struct Dispatch {
+    /// Key-clause groups, by key.
+    keys: HashMap<u64, Vec<u64>>,
+    /// Tag-clause groups, by `(modulus, residue)`.
+    tags: HashMap<(u64, u64), Vec<u64>>,
+    /// Every modulus filed in `tags`, with how many groups it files: an
+    /// object looks up one residue per modulus.
+    moduli: Vec<(u64, usize)>,
+}
+
+impl Dispatch {
+    fn is_empty(&self) -> bool {
+        self.keys.is_empty() && self.tags.is_empty()
+    }
+
+    fn file(&mut self, clause: IdClause, gid: u64) {
+        match clause {
+            IdClause::Key(key) => self.keys.entry(key).or_default().push(gid),
+            IdClause::Tag(modulus, residue) => {
+                self.tags.entry((modulus, residue)).or_default().push(gid);
+                match self.moduli.iter_mut().find(|(m, _)| *m == modulus) {
+                    Some((_, filed)) => *filed += 1,
+                    None => self.moduli.push((modulus, 1)),
+                }
+            }
+        }
+    }
+
+    fn unfile(&mut self, clause: IdClause, gid: u64) {
+        fn drop_gid<K: std::hash::Hash + Eq>(bins: &mut HashMap<K, Vec<u64>>, at: K, gid: u64) {
+            let gids = bins.get_mut(&at).expect("indexed groups are filed");
+            gids.retain(|g| *g != gid);
+            if gids.is_empty() {
+                bins.remove(&at);
+            }
+        }
+        match clause {
+            IdClause::Key(key) => drop_gid(&mut self.keys, key, gid),
+            IdClause::Tag(modulus, residue) => {
+                drop_gid(&mut self.tags, (modulus, residue), gid);
+                let at = self
+                    .moduli
+                    .iter()
+                    .position(|(m, _)| *m == modulus)
+                    .expect("a filed modulus is counted");
+                self.moduli[at].1 -= 1;
+                if self.moduli[at].1 == 0 {
+                    self.moduli.swap_remove(at);
+                }
+            }
+        }
+    }
+
+    /// The groups an object with id `id` can pass the id clause of: one
+    /// key lookup and one lookup per modulus, each group at most once.
+    fn candidates(&self, id: u64) -> impl Iterator<Item = u64> + '_ {
+        let keyed = self.keys.get(&id).into_iter().flatten();
+        let tagged = self
+            .moduli
+            .iter()
+            .filter_map(move |&(m, _)| self.tags.get(&(m, id % m)))
+            .flatten();
+        keyed.chain(tagged).copied()
+    }
+
+    /// Every filed `(clause, gid)`, sorted.
+    fn entries(&self) -> Vec<(IdClause, u64)> {
+        let keyed = self
+            .keys
+            .iter()
+            .flat_map(|(&key, gids)| gids.iter().map(move |&g| (IdClause::Key(key), g)));
+        let tagged = self
+            .tags
+            .iter()
+            .flat_map(|(&(m, r), gids)| gids.iter().map(move |&g| (IdClause::Tag(m, r), g)));
+        let mut all: Vec<_> = keyed.chain(tagged).collect();
+        all.sort_unstable();
+        all
+    }
+
+    /// Whether the index files exactly the live `groups` with a dispatch
+    /// clause, each once under its clause, and counts every filed
+    /// modulus.
+    fn files_exactly<C: SlidingTopK>(&self, groups: &HashMap<u64, Group<C>>) -> bool {
+        let mut want: Vec<(IdClause, u64)> = groups
+            .iter()
+            .filter_map(|(&gid, g)| Some((g.dispatch_clause()?, gid)))
+            .collect();
+        want.sort_unstable();
+        let mut moduli: Vec<(u64, usize)> = Vec::new();
+        for (clause, _) in &want {
+            if let IdClause::Tag(m, _) = clause {
+                match moduli.last_mut() {
+                    Some((last, filed)) if last == m => *filed += 1,
+                    _ => moduli.push((*m, 1)),
+                }
+            }
+        }
+        let mut counted = self.moduli.clone();
+        counted.sort_unstable();
+        self.entries() == want && counted == moduli
+    }
+}
+
 /// The session store and dispatch logic shared by the sequential hub and
 /// the shard workers. Sessions are kept in registration order (which is
 /// ascending `QueryId` order), so emitted updates are naturally ordered
@@ -1434,6 +1597,9 @@ pub(crate) struct Registry<C: SlidingTopK> {
     /// the groups with that key — one on the event clock, one per offset
     /// class on the arrival clock.
     by_key: HashMap<(Clock, u64, Predicate), Vec<u64>>,
+    /// The per-object index of the event-clock groups with a key or tag
+    /// clause.
+    dispatch: Dispatch,
     next_gid: u64,
     counters: Counters,
     /// Pooled timed view of an untimed batch (timestamps 0, which only
@@ -1462,6 +1628,7 @@ impl<C: SlidingTopK> Default for Registry<C> {
             sessions: Vec::new(),
             groups: HashMap::new(),
             by_key: HashMap::new(),
+            dispatch: Dispatch::default(),
             next_gid: 0,
             counters: Counters::default(),
             timed_buf: Vec::new(),
@@ -1718,16 +1885,20 @@ impl<C: SlidingTopK> Registry<C> {
         self.sessions.binary_search_by_key(&id, |(q, _)| *q).ok()
     }
 
-    /// Adds a group under a fresh live id, indexed for the join rule.
+    /// Adds a group under a fresh live id, indexed for the join rule and,
+    /// with a dispatch clause, for dispatch.
     fn insert_group(&mut self, group: Group<C>) -> u64 {
         let gid = self.next_gid;
         self.next_gid += 1;
         self.by_key.entry(group.key()).or_default().push(gid);
+        if let Some(clause) = group.dispatch_clause() {
+            self.dispatch.file(clause, gid);
+        }
         self.groups.insert(gid, group);
         gid
     }
 
-    /// Removes a live group and its join-rule index entry.
+    /// Removes a live group and its index entries.
     fn remove_group(&mut self, gid: u64) -> Group<C> {
         let group = self.groups.remove(&gid).expect("a live group id");
         let key = group.key();
@@ -1735,6 +1906,9 @@ impl<C: SlidingTopK> Registry<C> {
         gids.retain(|g| *g != gid);
         if gids.is_empty() {
             self.by_key.remove(&key);
+        }
+        if let Some(clause) = group.dispatch_clause() {
+            self.dispatch.unfile(clause, gid);
         }
         group
     }
@@ -1963,8 +2137,29 @@ impl<C: SlidingTopK> Registry<C> {
             out: &mut out,
             hint: self.update_hint,
         };
-        for group in self.groups.values_mut() {
-            group.serve(tick, &mut self.counters, &mut delivery);
+        let Registry {
+            groups,
+            dispatch,
+            counters,
+            ..
+        } = self;
+        let latest = match tick {
+            Tick::Timed(objects) if !dispatch.is_empty() => {
+                let mut latest = 0;
+                for raw in objects {
+                    latest = latest.max(raw.timestamp);
+                    for gid in dispatch.candidates(raw.id) {
+                        let group = groups.get_mut(&gid).expect("filed groups are live");
+                        group.offer(raw, latest, counters, &mut delivery);
+                    }
+                }
+                Some(latest)
+            }
+            _ => None,
+        };
+        for group in groups.values_mut() {
+            let dispatched = latest.filter(|_| group.dispatch_clause().is_some());
+            group.serve(tick, dispatched, counters, &mut delivery);
         }
         out.sort_unstable_by_key(|u| (u.query, u.result.slide));
         note_update_hint(&mut self.update_hint, out.len());
@@ -2112,6 +2307,10 @@ impl<C: SlidingTopK> Registry<C> {
             members_in_classes(&registry.groups, &sessions),
             "members arrive seated in their groups' classes"
         );
+        debug_assert!(
+            registry.dispatch.files_exactly(&registry.groups),
+            "the dispatch index files every indexed group"
+        );
         registry.sessions = sessions;
         registry
     }
@@ -2147,6 +2346,10 @@ impl<C: SlidingTopK> Registry<C> {
         debug_assert!(
             members_in_classes(&self.groups, &members),
             "members travel seated in their group's classes"
+        );
+        debug_assert!(
+            self.dispatch.files_exactly(&self.groups),
+            "the dispatch index files every indexed group"
         );
         self.merge_sessions(members);
     }
@@ -2188,6 +2391,7 @@ impl<C: SlidingTopK> Registry<C> {
             .map(|gid| self.groups.remove(&gid).expect("order holds live gids"))
             .collect();
         self.by_key.clear();
+        self.dispatch = Dispatch::default();
         self.next_gid = 0;
         RegistryParts {
             sessions,
@@ -2415,6 +2619,81 @@ mod tests {
         let settled = restored.session(q(8)).unwrap();
         assert!(!settled.is_warming_up(), "8's join slide [20, 30) closed");
         assert_eq!(assert_seated(&restored, "seating after restore"), none);
+    }
+
+    /// Asserts the dispatch index files exactly the live event-clock
+    /// groups with a key or tag clause, each under its clause, and
+    /// returns what it files as `(clause, group predicate)`, sorted.
+    fn assert_filed(reg: &ToyRegistry, step: &str) -> Vec<(IdClause, Predicate)> {
+        assert!(
+            reg.dispatch.files_exactly(&reg.groups),
+            "{step}: the index and the live groups disagree"
+        );
+        let mut filed: Vec<(IdClause, Predicate)> = reg
+            .dispatch
+            .entries()
+            .into_iter()
+            .map(|(clause, gid)| (clause, reg.groups[&gid].predicate))
+            .collect();
+        filed.sort_unstable();
+        filed
+    }
+
+    #[test]
+    fn the_dispatch_index_follows_every_store_mutation() {
+        let pass = Predicate::default();
+        let score = pass.score_at_least(3.0);
+        let tag = pass.tag(4, 1);
+        let key = pass.key(9);
+        let both = pass.score_at_most(7.0).key(5).tag(4, 1);
+        let none: [(IdClause, Predicate); 0] = [];
+        let mut reg = ToyRegistry::default();
+
+        // pass-all and score-only groups stay on the walk; a key+tag
+        // group files under its key
+        enroll_event(&mut reg, 0, consumer(20, 10, 2), pass);
+        enroll_event(&mut reg, 1, consumer(20, 10, 2), score);
+        assert_eq!(assert_filed(&reg, "pass-all and score-only"), none);
+        enroll_event(&mut reg, 2, consumer(20, 10, 2), tag);
+        assert_eq!(assert_filed(&reg, "tag"), [(IdClause::Tag(4, 1), tag)]);
+        enroll_event(&mut reg, 3, consumer(20, 10, 1), key);
+        enroll_event(&mut reg, 4, consumer(20, 10, 1), both);
+        // a second tag group of another slide duration shares the bucket;
+        // a count group with the tag clause stays on the walk
+        enroll_event(&mut reg, 5, consumer(10, 5, 1), tag);
+        enroll_arrival(&mut reg, 6, (8, 1, 4), tag);
+        let all = [
+            (IdClause::Key(5), both),
+            (IdClause::Key(9), key),
+            (IdClause::Tag(4, 1), tag),
+            (IdClause::Tag(4, 1), tag),
+        ];
+        assert_eq!(assert_filed(&reg, "every clause"), all);
+        assert_eq!(reg.groups.len(), 7);
+
+        // the last member out of the key group drops it from the index
+        reg.unregister(q(3)).unwrap();
+        let keyless = [all[0], all[2], all[3]];
+        assert_eq!(assert_filed(&reg, "last member leaves"), keyless);
+
+        // a group travels out of the index and back in
+        let (group, members) = reg.eject_group_of(q(2)).unwrap();
+        assert_eq!(assert_filed(&reg, "tag-group eject"), [all[0], all[2]]);
+        reg.install_group(group, members);
+        assert_eq!(assert_filed(&reg, "tag-group install"), keyless);
+        let (group, members) = reg.eject_group_of(q(4)).unwrap();
+        assert_eq!(assert_filed(&reg, "key-group eject"), [all[2], all[3]]);
+        reg.install_group(group, members);
+        assert_eq!(assert_filed(&reg, "key-group install"), keyless);
+
+        // `eject_all` empties the index, `from_merged` refills it
+        reg.publish_timed(&ticks(0, 12));
+        let parts = RegistryParts::merge(vec![reg.eject_all()]).unwrap();
+        assert_eq!(assert_filed(&reg, "eject all"), none);
+        assert!(reg.dispatch.moduli.is_empty());
+        let restored = ToyRegistry::from_merged(parts, None);
+        assert_eq!(assert_filed(&restored, "restore"), keyless);
+        assert_eq!(restored.dispatch.moduli, [(4, 2)]);
     }
 
     #[test]

@@ -57,6 +57,7 @@ const CHECKS: &[(&str, fn())] = checks![
     checkpoint_leaves_the_warm_publish_path_allocation_free,
     classed_shared_close_is_allocation_free_per_member,
     churning_classed_close_shares_one_delta_per_class,
+    indexed_shared_close_is_allocation_free_per_member,
 ];
 
 /// Runs every check in [`CHECKS`], each to completion even when an
@@ -777,6 +778,99 @@ fn churning_classed_close_shares_one_delta_per_class() {
             "round {round}: churning classed close paid {allocs} allocations \
              for {members} members (pinned bound: the output Vec, the snapshot \
              and at most one event list — a per-member delta copy pays 64)"
+        );
+    }
+}
+
+fn indexed_shared_close_is_allocation_free_per_member() {
+    // The dispatch index's path: slide groups behind `tag(4, r)` for
+    // r = 0, 1, 2 and a `key` group, no pass-all group, so every object
+    // reaches only the groups its id can pass. A buffering publish_timed
+    // whose ids hit some tags and miss others (r = 3, the key) touches no
+    // heap, and a quiet close pays the output Vec and nothing else,
+    // whether the batch that ends the slide reaches the group (it closes
+    // as it takes the object) or not (it closes at the call's end). The
+    // engines are Naive, whose quiet close allocates nothing, so the
+    // bound sees the registry alone: on this stream SAP's engines
+    // allocate eight times on one of the sixteen quiet closes, whether
+    // the groups are indexed or walked.
+    let mut hub = Hub::new();
+    let key = 802;
+    let query = Query::window_duration(400)
+        .slide_duration(10)
+        .top(1)
+        .algorithm(AlgorithmKind::Naive);
+    let mut members = 0usize;
+    for r in 0..3 {
+        for _ in 0..16 {
+            hub.register_shared(&query.clone().filter(Predicate::any().tag(4, r)))
+                .unwrap();
+            members += 1;
+        }
+    }
+    for _ in 0..2 {
+        hub.register_shared(&query.clone().filter(Predicate::any().key(key)))
+            .unwrap();
+        members += 1;
+    }
+    // one object per time unit, id = timestamp; the spikes at 800..=803
+    // top every tag group's window, and the key group's (802), for 40
+    // straight slides, so closes between them are quiet
+    let object = |t: u64| {
+        let score = if t % 400 < 4 { 10_000.0 } else { score(t) };
+        TimedObject::new(t, t, score)
+    };
+    let stream = |from: u64, to: u64| -> Vec<TimedObject> { (from..to).map(object).collect() };
+    for chunk in stream(0, 1_000).chunks(10) {
+        hub.publish_timed(chunk);
+    }
+    let stats = hub.stats();
+    assert_eq!(stats.digest_groups, 4, "three tag groups and a key group");
+    assert_eq!(stats.result_classes, 4, "one result class each");
+    assert!(stats.class_hits > 0, "warm-up must serve classed closes");
+
+    let quiet = |updates: &[QueryUpdate], round: u64, path: &str| {
+        assert_eq!(
+            updates.len(),
+            members,
+            "every member rides the {path} close"
+        );
+        for u in updates {
+            assert!(
+                !u.result.changed(),
+                "round {round}: the spikes keep the {path} close quiet"
+            );
+        }
+    };
+    for round in 0..8u64 {
+        let base = 1_000 + 20 * round;
+        hub.publish_timed(&stream(base, base + 1));
+        // ids ≡ 1, 2, 3, 0, 1 (mod 4): residue 3 and the key miss
+        let buffered = stream(base + 1, base + 6);
+        let (updates, allocs) = measured(|| hub.publish_timed(&buffered).len());
+        assert_eq!(updates, 0);
+        assert_eq!(
+            allocs, 0,
+            "round {round}: buffering indexed publish_timed must be allocation-free"
+        );
+        // t = base + 10 ends slide [base, base + 10): its id reaches the
+        // r = 2 group alone; the r = 0, 1 groups and the key group close
+        // at the call's end
+        let batch = stream(base + 6, base + 11);
+        let (updates, allocs) = measured(|| hub.publish_timed(&batch));
+        quiet(&updates, round, "publish_timed");
+        assert!(
+            allocs <= 1,
+            "round {round}: quiet indexed publish_timed close paid {allocs} \
+             allocations for {members} members (pinned bound: the output Vec only)"
+        );
+        hub.publish_timed(&stream(base + 11, base + 20));
+        let (updates, allocs) = measured(|| hub.advance_time(base + 20));
+        quiet(&updates, round, "advance_time");
+        assert!(
+            allocs <= 1,
+            "round {round}: quiet indexed advance_time close paid {allocs} \
+             allocations for {members} members (pinned bound: the output Vec only)"
         );
     }
 }

@@ -1008,6 +1008,49 @@ script! {
     ]
 }
 
+fn tag(modulus: u64, residue: u64) -> Filter {
+    Filter {
+        tag: Some((modulus, residue)),
+        ..ANY
+    }
+}
+
+script! {
+    /// Slide groups with a key or tag clause see only the objects whose
+    /// ids can pass it, so a group that accepts nothing in a call closes
+    /// its slides at the call's end. The first batch misses every tag and
+    /// key group while crossing three boundaries of each duration; a
+    /// `tag(3, 1)` joiner's join slide [30, 40) then closes in a batch
+    /// that holds no object it accepts; a watermark crosses two boundaries
+    /// with no objects; after a checkpoint, a batch reaches every group.
+    dispatched_groups_close_where_the_walk_does: [
+        reg(Method::Shared, time(20, 2, 10), ANY),
+        reg(Method::Shared, time(20, 1, 10), tag(3, 1)),
+        reg(Method::Shared, time(10, 1, 10), Filter { key: Some(40), ..ANY }),
+        reg(Method::Shared, time(8, 2, 4), tag(2, 0)),
+        Op::PublishTimed(timed(&[
+            (3, 1, 4.0),
+            (5, 3, 2.0),
+            (9, 6, 7.0),
+            (11, 9, 1.0),
+            (15, 12, 5.0),
+            (17, 17, 3.0),
+            (21, 22, 6.0),
+            (23, 26, 2.0),
+            (27, 30, 8.0),
+            (29, 31, 1.0),
+        ])),
+        reg(Method::Shared, time(20, 2, 10), tag(3, 1)),
+        Op::PublishTimed(timed(&[(6, 34, 3.0), (33, 38, 9.0), (35, 44, 4.0)])),
+        Op::AdvanceTime(61),
+        Op::Drain,
+        Op::Checkpoint { targets: 0x1D3 },
+        Op::PublishTimed(timed(&[(40, 62, 5.0), (7, 65, 2.0), (8, 70, 6.0), (13, 73, 1.0)])),
+        Op::AdvanceTime(90),
+        Op::Drain,
+    ]
+}
+
 /// A checkpoint cut inside the open slides of a warm count group and of
 /// a warm slide group (each serving a two-member class; 2 of 4 arrivals
 /// and 2 of 3 time units in), with a shared member still warming up;

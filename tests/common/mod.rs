@@ -475,10 +475,10 @@ impl Model {
     /// join slide)` inside their count group — members of one group with
     /// one join slide registered at one offset — and shared members by
     /// `(wd, k)` inside their slide group. Classes travel whole with
-    /// their group (move, resize, checkpoint restore). A solo member
-    /// breaks the prediction: a shared one warming up, or promoted after
-    /// a mid-stream join into a class of its own, which stays apart from
-    /// a class with an equal key.
+    /// their group (move, resize, checkpoint restore). A shared member
+    /// that joined mid-stream breaks the prediction: while it warms up as
+    /// a joiner its class is not counted, and once seated its class
+    /// stays apart from a class with an equal key.
     pub fn result_classes(&self) -> Option<u64> {
         let mut classes = Vec::new();
         for q in &self.queries {

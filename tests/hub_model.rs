@@ -294,9 +294,10 @@ impl Lane {
         if got != want {
             return Err(format!("stats {got:?}, model {want:?}"));
         }
-        // the model's count where it has one; else classes partition each
-        // count group's members, and shared members warming up or
-        // promoted solo sit in no class
+        // the model's count where it has one; else at least one class per
+        // count group and at most one per member: a joiner's class counts
+        // from its seating on, and then stays apart from a class with an
+        // equal key
         let bound = stats.count_groups..=(stats.grouped_queries + stats.shared_queries) as u64;
         let classes = model.result_classes().map_or(bound, |n| n..=n);
         if !classes.contains(&stats.result_classes) {
@@ -1055,7 +1056,8 @@ script! {
 /// a warm slide group (each serving a two-member class; 2 of 4 arrivals
 /// and 2 of 3 time units in), with a shared member still warming up;
 /// restored into both hubs. The cut passes through warm gates, and the
-/// restore rebuilds both classes and leaves the warming member solo.
+/// restore rebuilds both classes and keeps the warming member a joiner,
+/// whose class `result_classes` counts only from its seating on.
 #[test]
 fn checkpoint_cuts_warm_state() {
     let mut case = script_case("checkpoint_cuts_warm_state");
@@ -1101,8 +1103,9 @@ fn checkpoint_cuts_warm_state() {
 }
 
 script! {
-    /// A registration after coalesced `publish_one` calls sees none of
-    /// them, so it founds its own phase.
+    /// A registration after three `publish_one` calls sees none of them:
+    /// the count group sits mid-slide, so the newcomer founds its own
+    /// phase.
     subscribe_flushes_publish_one: [
         reg(Method::Grouped, count(2, 1, 2), ANY),
         Op::PublishOne(Object::new(1, 4.0)),
